@@ -4,17 +4,31 @@
 //! ELBA uses LACC, the linear-algebraic Awerbuch–Shiloach implementation
 //! of Azad & Buluç. We implement the same hook-and-shortcut family in its
 //! FastSV formulation (Zhang, Azad & Buluç 2020 — the same group's
-//! successor to LACC, with identical inputs/outputs): every vertex holds
-//! a parent label `f`, each round performs grandparent computation,
-//! stochastic + aggressive hooking over the edge set, and pointer
-//! shortcutting, until a global fixed point. Vertex labels converge to
-//! the minimum vertex id of their component.
+//! successor to LACC, with identical inputs/outputs). Every vertex holds
+//! a parent label `f` with `f[x] ≤ x`; labels converge to the minimum
+//! vertex id of their component.
 //!
-//! The per-round edge sweep needs `f`-values for both endpoints of every
-//! local nonzero — fetched with the paper's Fig. 2 exchange
-//! ([`DistVec::fetch_aligned`]); hook updates are routed back to label
-//! owners with the same alltoallv machinery. The matrix must be
-//! structurally symmetric (ELBA's `S` and `L` always are).
+//! Before the first round each rank contracts its own matrix block with a
+//! serial [`UnionFind`] and sends every vertex the minimum of its
+//! block-local component, so a chain that lives inside one block is
+//! already final. A round then
+//!
+//! 1. computes grandparents `gp[u] = f[f[u]]` ([`DistVec::gather`]: each
+//!    distinct remote parent is asked for once, local ones not at all);
+//! 2. fetches the `(f, gp)` pair for the block's row and column range in
+//!    one Fig. 2 exchange ([`DistVec::fetch_aligned`]);
+//! 3. folds the local edges into `m[v] = min gp[u]` over edges `(u, v)`
+//!    and proposes aggressive hooking `f[v] ← m[v]` and stochastic
+//!    hooking `f[f[v]] ← m[v]` — one `(target, value)` per target per
+//!    rank, and only where it beats the `f[v]` (resp. `gp[v] = f[f[v]]`)
+//!    the owner is known to hold, so every dropped proposal would have
+//!    been a no-op;
+//! 4. shortcuts `f[u] ← gp[u]` in place and min-combines the routed
+//!    proposals ([`DistVec::scatter_combine`]);
+//!
+//! until a round changes no label anywhere. The matrix must be
+//! structurally symmetric (ELBA's `S` and `L` always are): symmetry
+//! supplies the mirrored direction of every edge.
 
 use elba_comm::{CommMsg, ProcGrid};
 use elba_sparse::{DistMat, DistVec};
@@ -29,6 +43,15 @@ pub struct ComponentLabels {
     pub rounds: usize,
 }
 
+/// `acc ← min(acc, v)`; whether that lowered `acc`.
+fn min_assign(acc: &mut u64, v: u64) -> bool {
+    let lower = v < *acc;
+    if lower {
+        *acc = v;
+    }
+    lower
+}
+
 /// Run connected components on a symmetric distributed matrix
 /// (collective). Isolated vertices keep their own id as label.
 pub fn connected_components<T: Clone + CommMsg + Sync>(
@@ -37,44 +60,75 @@ pub fn connected_components<T: Clone + CommMsg + Sync>(
 ) -> ComponentLabels {
     assert_eq!(matrix.nrows(), matrix.ncols(), "CC needs a square matrix");
     let n = matrix.nrows();
+    let world = grid.world();
+    let layout = matrix.row_layout();
+    let (rows, cols) = (
+        layout.block_range(grid.myrow()),
+        layout.block_range(grid.mycol()),
+    );
     let mut f = DistVec::from_fn(grid, n, |g| g as u64);
+
+    // Local contraction. The union-find indexes the block's row and
+    // column range concatenated in increasing global order (a diagonal
+    // block has one range), so its smaller-index rule is the oracle's
+    // smaller-global-id rule. `row0` / `col0`: where each range starts.
+    let contracted: Vec<(usize, u64)> = {
+        let (ids, row0, col0) = match rows.start.cmp(&cols.start) {
+            std::cmp::Ordering::Less => (rows.clone().chain(cols.clone()), 0, rows.len()),
+            std::cmp::Ordering::Equal => (rows.chain(0..0), 0, 0),
+            std::cmp::Ordering::Greater => (cols.clone().chain(rows), cols.len(), 0),
+        };
+        let ids: Vec<usize> = ids.collect();
+        let mut block = UnionFind::new(ids.len());
+        world.record_mem_transient(2 * ids.len() * std::mem::size_of::<usize>());
+        for (r, c, _) in matrix.local().iter() {
+            block.union(row0 + r as usize, col0 + c as usize);
+        }
+        let minima = ids.iter().enumerate().filter_map(|(i, &g)| {
+            let root = ids[block.find(i)];
+            (root < g).then_some((g, root as u64))
+        });
+        minima.collect()
+    };
+    f.scatter_combine(grid, contracted, |acc, v| {
+        min_assign(acc, v);
+    });
+
     let mut rounds = 0usize;
     loop {
         rounds += 1;
-        // Grandparents: gp[u] = f[f[u]].
-        let parent_ids: Vec<usize> = f.local().iter().map(|&x| x as usize).collect();
-        let grandparents = f.gather(grid, &parent_ids);
-        let gp = DistVec::from_local(grid, n, grandparents);
+        let parents: Vec<usize> = f.local().iter().map(|&x| x as usize).collect();
+        let gp = f.gather(grid, &parents);
+        let pairs = f.local().iter().copied().zip(gp.iter().copied()).collect();
+        let (row_pairs, col_pairs) = DistVec::from_local(grid, n, pairs).fetch_aligned(grid);
 
-        // Edge sweep: stochastic hooking f[f[v]] ← min gp[u] and
-        // aggressive hooking f[v] ← min gp[u], over each directed edge
-        // (u, v) (symmetry supplies the mirrored direction).
-        let (gp_rows, _gp_cols) = gp.fetch_aligned(grid);
-        let (f_rows, _) = f.fetch_aligned(grid);
-        let (row0, col0) = matrix.local_offsets(grid);
-        let mut updates: Vec<(usize, u64)> = Vec::new();
-        for (u, v, _) in matrix.iter_global(grid) {
-            let gp_u = gp_rows[u as usize - row0];
-            let f_u = f_rows[u as usize - row0];
-            let _ = col0;
-            // stochastic hooking: hook v's parent tree under gp[u]
-            updates.push((f_u as usize, gp_u)); // f[f[u]] ← gp[u] (self-shortcut aid)
-            updates.push((v as usize, gp_u)); // aggressive hooking onto v
+        let mut best = vec![u64::MAX; cols.len()];
+        world.record_mem_transient(
+            (row_pairs.len() + col_pairs.len()) * std::mem::size_of::<(u64, u64)>()
+                + best.len() * std::mem::size_of::<u64>(),
+        );
+        for (u, v, _) in matrix.local().iter() {
+            min_assign(&mut best[v as usize], row_pairs[u as usize].1);
         }
-        // Shortcut proposals: f[u] ← gp[u].
-        let my_range = f.global_range(grid);
-        for (offset, g) in my_range.clone().enumerate() {
-            updates.push((g, gp.local()[offset]));
-        }
-        let before: Vec<u64> = f.local().to_vec();
-        f.scatter_combine(grid, updates, |acc, v| {
-            if v < *acc {
-                *acc = v;
+        let mut proposals: Vec<(usize, u64)> = Vec::new();
+        for ((v, &m), &(f_v, gp_v)) in cols.clone().zip(&best).zip(&col_pairs) {
+            if m < f_v {
+                proposals.push((v, m));
             }
-        });
-        let changed_local = f.local() != before.as_slice();
-        let changed = grid.world().allreduce(changed_local as u64, |a, b| a + b);
-        if changed == 0 {
+            if m < gp_v {
+                proposals.push((f_v as usize, m));
+            }
+        }
+        // Sorted by (target, value): the first of each target is its minimum.
+        proposals.sort_unstable();
+        proposals.dedup_by_key(|&mut (target, _)| target);
+
+        let mut changed = false;
+        for (x, &g) in f.local_mut().iter_mut().zip(&gp) {
+            changed |= min_assign(x, g);
+        }
+        f.scatter_combine(grid, proposals, |acc, v| changed |= min_assign(acc, v));
+        if world.allreduce(changed as u64, |a, b| a + b) == 0 {
             break;
         }
     }
@@ -93,12 +147,13 @@ impl UnionFind {
         }
     }
 
-    pub fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
+    pub fn find(&mut self, mut x: usize) -> usize {
+        // Path halving: iterative, so a long chain cannot exhaust the stack.
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
         }
-        self.parent[x]
+        x
     }
 
     pub fn union(&mut self, a: usize, b: usize) {
@@ -178,16 +233,52 @@ mod tests {
         }
     }
 
+    /// `chains` disjoint paths of `len` vertices each, ids in path order.
+    fn chain_edges(chains: usize, len: usize) -> Vec<(u64, u64)> {
+        (0..chains * len)
+            .filter(|i| i % len + 1 < len)
+            .map(|i| (i as u64, i as u64 + 1))
+            .collect()
+    }
+
+    /// Relabel the vertices by a seeded random permutation, so a chain's
+    /// ids no longer follow its order.
+    fn shuffle_ids(n: usize, edges: &[(u64, u64)], seed: u64) -> Vec<(u64, u64)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut perm: Vec<u64> = (0..n as u64).collect();
+        for i in (1..n).rev() {
+            perm.swap(i, rng.gen_range(0..=i));
+        }
+        edges
+            .iter()
+            .map(|&(a, b)| (perm[a as usize], perm[b as usize]))
+            .collect()
+    }
+
     #[test]
     fn long_path_converges_logarithmically() {
         let n = 128;
-        let edges: Vec<(u64, u64)> = (0..n as u64 - 1).map(|i| (i, i + 1)).collect();
-        let (labels, rounds) = run_cc(4, n, edges);
+        let (labels, rounds) = run_cc(4, n, chain_edges(1, n));
         assert!(labels.iter().all(|&l| l == 0));
         assert!(
-            rounds <= 20,
-            "pointer jumping should converge fast, took {rounds}"
+            rounds <= 4,
+            "ordered ids contract block-locally, took {rounds}"
         );
+    }
+
+    #[test]
+    fn shuffled_ids_converge_logarithmically() {
+        // Without the stochastic hook these took one round per chain
+        // vertex (128 rounds on 150-vertex chains).
+        for (chains, len) in [(1usize, 150usize), (40, 150)] {
+            let n = chains * len;
+            let edges = shuffle_ids(n, &chain_edges(chains, len), 2022);
+            for p in [1usize, 4, 9] {
+                let (labels, rounds) = run_cc(p, n, edges.clone());
+                assert_eq!(labels, oracle(n, &edges), "p={p} chains={chains}");
+                assert!(rounds <= 16, "p={p} chains={chains}: {rounds} rounds");
+            }
+        }
     }
 
     #[test]

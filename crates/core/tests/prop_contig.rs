@@ -1,11 +1,13 @@
 //! Property tests for the contig-generation stage in isolation: random
 //! linear-chain string graphs must always yield exactly their linear
-//! components as contigs, with LPT keeping per-rank loads balanced.
+//! components as contigs, with LPT keeping per-rank loads balanced; and
+//! connected components must label any forest of paths, cycles, stars and
+//! isolated vertices like the serial union-find, whatever the vertex ids.
 
 use elba_align::{dovetail_edges, OverlapAln, SgEdge};
 use elba_comm::ProcGrid;
 use elba_comm::{Backend, Runner};
-use elba_core::{contig_generation, gather_contigs, ContigConfig};
+use elba_core::{connected_components, contig_generation, gather_contigs, ContigConfig, UnionFind};
 use elba_seq::{ReadStore, Seq};
 use elba_sparse::DistMat;
 use proptest::prelude::*;
@@ -157,5 +159,57 @@ proptest! {
             max_on_one,
             n_chains
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn cc_labels_match_union_find_on_permuted_forests(
+        seed in 0u64..10_000,
+        shapes in proptest::collection::vec((0usize..4, 1usize..12), 1..10),
+        p_idx in 0usize..3,
+    ) {
+        let p = [1usize, 4, 9][p_idx];
+        // Components in id order: 0 = path, 1 = cycle, 2 = star, 3 = isolated.
+        let mut edges: Vec<(u64, u64)> = Vec::new();
+        let mut n = 0usize;
+        for &(kind, size) in &shapes {
+            let base = n as u64;
+            let size = size as u64;
+            match kind {
+                0 => edges.extend((1..size).map(|i| (base + i - 1, base + i))),
+                1 => edges.extend((0..size).map(|i| (base + i, base + (i + 1) % size))),
+                2 => edges.extend((1..size).map(|i| (base, base + i))),
+                _ => {}
+            }
+            n += size as usize;
+        }
+        edges.retain(|&(a, b)| a != b); // a 1-cycle is an isolated vertex
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut perm: Vec<u64> = (0..n as u64).collect();
+        for i in (1..n).rev() {
+            perm.swap(i, rng.gen_range(0..=i));
+        }
+        for e in &mut edges {
+            *e = (perm[e.0 as usize], perm[e.1 as usize]);
+        }
+        let mut oracle = UnionFind::new(n);
+        for &(a, b) in &edges {
+            oracle.union(a as usize, b as usize);
+        }
+        let labels = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let triples: Vec<(u64, u64, u8)> = if grid.world().rank() == 0 {
+                edges.iter().flat_map(|&(a, b)| [(a, b, 1u8), (b, a, 1u8)]).collect()
+            } else {
+                Vec::new()
+            };
+            // a 2-cycle lists its edge twice: keep one
+            let m = DistMat::from_triples(&grid, n, n, triples, |_, _| {});
+            connected_components(&grid, &m).labels.to_global(&grid)
+        }).remove(0);
+        prop_assert_eq!(labels, oracle.labels());
     }
 }

@@ -103,36 +103,57 @@ impl<T: Clone + CommMsg> DistVec<T> {
         out
     }
 
-    /// Fetch arbitrary remote elements by global index (request/reply
-    /// alltoallv pair). Returns values in the order of `indices`.
+    /// Fetch arbitrary elements by global index (request/reply alltoallv
+    /// pair). Returns values in the order of `indices`. Locally owned
+    /// indices are served from this rank's chunk and every distinct
+    /// remote index is requested once, however often it repeats.
     pub fn gather(&self, grid: &ProcGrid, indices: &[usize]) -> Vec<T> {
-        let p = grid.world().size();
-        let mut requests: Vec<Vec<u64>> = vec![Vec::new(); p];
-        let mut slots: Vec<(usize, usize)> = Vec::with_capacity(indices.len());
-        for &g in indices {
-            let owner = self.layout.owner_rank(g);
-            slots.push((owner, requests[owner].len()));
-            requests[owner].push(g as u64);
+        let mine = self.global_range(grid);
+        let mut remote: Vec<usize> = indices
+            .iter()
+            .copied()
+            .filter(|g| !mine.contains(g))
+            .collect();
+        remote.sort_unstable();
+        remote.dedup();
+        let mut requests: Vec<Vec<u64>> = vec![Vec::new(); grid.world().size()];
+        for &g in &remote {
+            requests[self.layout.owner_rank(g)].push(g as u64);
         }
         let incoming = grid.world().alltoallv(requests);
-        let my_start = self.global_range(grid).start;
         let replies: Vec<Vec<T>> = incoming
             .into_iter()
             .map(|reqs| {
                 reqs.into_iter()
-                    .map(|g| self.local[g as usize - my_start].clone())
+                    .map(|g| self.local[g as usize - mine.start].clone())
                     .collect()
             })
             .collect();
-        let values = grid.world().alltoallv(replies);
-        slots
+        // Chunk ranges increase in rank order, so the replies concatenated
+        // by source rank line up with the sorted `remote` list.
+        let fetched: Vec<T> = grid
+            .world()
+            .alltoallv(replies)
             .into_iter()
-            .map(|(owner, pos)| values[owner][pos].clone())
+            .flatten()
+            .collect();
+        indices
+            .iter()
+            .map(|&g| {
+                if mine.contains(&g) {
+                    self.local[g - mine.start].clone()
+                } else {
+                    let pos = remote.binary_search(&g).expect("requested above");
+                    fetched[pos].clone()
+                }
+            })
             .collect()
     }
 
-    /// Route `(index, value)` updates to their owners and fold them into
-    /// the local chunks with `combine`.
+    /// Fold `(index, value)` updates into their owners' chunks with
+    /// `combine`: locally owned indices in place (in `updates` order),
+    /// then the routed ones in source-rank order — `combine` should not
+    /// depend on the order of its updates.
     pub fn scatter_combine(
         &mut self,
         grid: &ProcGrid,
@@ -140,15 +161,18 @@ impl<T: Clone + CommMsg> DistVec<T> {
         mut combine: impl FnMut(&mut T, T),
     ) {
         let p = grid.world().size();
+        let mine = self.global_range(grid);
         let mut outgoing: Vec<Vec<(u64, T)>> = (0..p).map(|_| Vec::new()).collect();
         for (g, v) in updates {
-            outgoing[self.layout.owner_rank(g)].push((g as u64, v));
+            if mine.contains(&g) {
+                combine(&mut self.local[g - mine.start], v);
+            } else {
+                outgoing[self.layout.owner_rank(g)].push((g as u64, v));
+            }
         }
-        let incoming = grid.world().alltoallv(outgoing);
-        let my_start = self.global_range(grid).start;
-        for batch in incoming {
+        for batch in grid.world().alltoallv(outgoing) {
             for (g, v) in batch {
-                combine(&mut self.local[g as usize - my_start], v);
+                combine(&mut self.local[g as usize - mine.start], v);
             }
         }
     }
@@ -255,6 +279,54 @@ mod tests {
     }
 
     #[test]
+    fn gather_serves_local_and_asks_each_remote_index_once() {
+        // (what every rank asks for, payload bytes of the whole exchange)
+        let n = 40usize;
+        // two alltoallv of 4 × 4 buffers, each with an 8-byte length
+        let framing = 2 * 4 * 4 * 8;
+        let cases: [(&str, u64); 4] = [
+            ("all-local", 0),
+            // 4 ranks × 3 distinct remote indices × (8 B request + 8 B reply)
+            ("all-remote", 4 * 3 * 16),
+            // 500 copies of one remote and one local index: one round trip each
+            ("duplicates", 4 * 16),
+            ("rank0-only", 3 * 16),
+        ];
+        for (case, payload) in cases {
+            let (out, profile) =
+                Runner::new(Backend::InProcess)
+                    .ranks(4)
+                    .run_profiled(move |comm| {
+                        let grid = ProcGrid::new(comm);
+                        let v = DistVec::from_fn(&grid, n, |g| g as u64 * 3 + 1);
+                        let mine = v.global_range(&grid);
+                        let mut next = (mine.end % n..n).chain(0..n).filter(|g| !mine.contains(g));
+                        let indices: Vec<usize> = match case {
+                            "all-local" => mine.clone().rev().chain(mine.clone()).collect(),
+                            "all-remote" => next.take(3).collect(),
+                            "duplicates" => {
+                                let remote = next.next().expect("n exceeds one chunk");
+                                (0..1000)
+                                    .map(|k| if k % 2 == 0 { remote } else { mine.start })
+                                    .collect()
+                            }
+                            _ if grid.world().rank() == 0 => next.take(3).collect(),
+                            _ => Vec::new(),
+                        };
+                        let _g = grid.world().phase("gather");
+                        let got = v.gather(&grid, &indices);
+                        got.len() == indices.len()
+                            && indices
+                                .iter()
+                                .zip(&got)
+                                .all(|(&g, &x)| x == g as u64 * 3 + 1)
+                    });
+            assert!(out.iter().all(|&ok| ok), "{case}");
+            assert_eq!(profile.total_bytes("gather"), framing + payload, "{case}");
+        }
+    }
+
+    #[test]
     fn scatter_combine_accumulates() {
         let out = Runner::new(Backend::InProcess).ranks(4).run(|comm| {
             let grid = ProcGrid::new(comm);
@@ -268,6 +340,25 @@ mod tests {
         });
         // 1+2+3+4 = 10 at every index
         assert_eq!(out[0], vec![10; 8]);
+    }
+
+    #[test]
+    fn scatter_combine_applies_owned_updates_in_place() {
+        let (out, profile) = Runner::new(Backend::InProcess)
+            .ranks(4)
+            .run_profiled(|comm| {
+                let grid = ProcGrid::new(comm);
+                let mut v = DistVec::from_fn(&grid, 10, |_| 0u64);
+                let updates: Vec<(usize, u64)> = v.global_range(&grid).map(|g| (g, 7)).collect();
+                {
+                    let _g = grid.world().phase("scatter");
+                    v.scatter_combine(&grid, updates, |acc, x| *acc += x);
+                }
+                v.to_global(&grid)
+            });
+        assert_eq!(out[0], vec![7; 10]);
+        // 4 × 4 empty buffers of one length word each: no update traveled.
+        assert_eq!(profile.total_bytes("scatter"), 4 * 4 * 8);
     }
 
     #[test]

@@ -386,11 +386,15 @@ fn assemble_finish(
         );
     }
     println!(
-        "contigs: {} | reliable k-mers: {} | candidate pairs: {} | string-graph nnz: {}",
+        "contigs: {} | reliable k-mers: {} | candidate pairs: {} | string-graph nnz: {} | \
+         branch vertices: {} | cc rounds: {} | imbalance: {:.2}",
         contigs.len(),
         result.n_reliable_kmers,
         result.candidate_nnz,
-        result.string_graph_nnz
+        result.string_graph_nnz,
+        result.contig_stats.branch_vertices,
+        result.contig_stats.cc_rounds,
+        result.contig_stats.imbalance
     );
 
     let mut seqs: Vec<Seq> = contigs.iter().map(|c| c.seq.clone()).collect();
