@@ -5,6 +5,11 @@
 //! same scheme as SeqAn's / LOGAN's x-drop, including its signature
 //! behaviour of *ending alignments early* in noisy regions (which is why
 //! ELBA must store `post(e)` explicitly, §4.4).
+//!
+//! Two exact implementations of that recurrence live here — the scalar
+//! oracle and the band kernel that the pipeline runs (see
+//! [`XdropKernel`]) — plus the approximate [`greedy_extend`] behind the
+//! opt-in fast seed mode.
 
 /// Alignment scoring (linear gaps, as in BELLA).
 #[derive(Debug, Clone, Copy)]
@@ -46,47 +51,53 @@ pub enum XdropKernel {
     /// The reference cell-at-a-time DP — the oracle every other kernel
     /// is property-pinned against.
     Scalar,
-    /// Bit-parallel band kernel: Myers-style per-base match masks are
-    /// packed into `u64` words so the interior of each antidiagonal
-    /// runs branch-free, 64 match bits per mask fetch (portable integer
-    /// ops only). Inputs it cannot handle exactly (non-ACGT codes,
-    /// extreme scoring/x-drop magnitudes) fall back to the scalar
+    /// The band kernel: antidiagonals live in buffers indexed by the
+    /// absolute `b` coordinate with a pruned-cell sentinel either side,
+    /// so every cell loads its three parents unconditionally, the
+    /// match term is a byte compare of `b` against a reversed copy of
+    /// `a`, and a row is one straight-line pass plus a replay only when
+    /// it raises the best score. An x-drop band at long-read parameters
+    /// is ~10 cells wide, which is what the kernel is shaped for. The
+    /// variant keeps the name it had when it packed match bits into
+    /// 64-lane words, because the CLI, the benchmark and saved
+    /// configurations spell it that way. Scorings whose magnitudes
+    /// defeat the sentinel arithmetic (and `xdrop < 0`) run the scalar
     /// oracle, so output equality holds on *all* inputs.
     BitParallel,
-    /// Let the library pick (currently always the bit-parallel kernel,
-    /// which falls back to scalar where needed).
+    /// Let the library pick (currently always the band kernel).
     #[default]
     Auto,
 }
 
-/// Largest `|match|`/`|mismatch|`/`|gap|` the bit-parallel kernel
-/// accepts. Together with [`XDROP_CLAMP`] this guarantees that scores
-/// derived from a live parent stay above [`LIVE_FLOOR`] while scores
-/// derived from a pruned-cell sentinel stay below it, so a single
-/// comparison reproduces the scalar path's per-parent liveness checks
-/// exactly. Out-of-range scorings run the scalar oracle instead.
+/// Largest `|match|`/`|mismatch|`/`|gap|` the band kernel accepts.
+/// A live cell scores at least `-XDROP_CLAMP` (it passed a cut of
+/// `best - xdrop` with `best >= 0`), so one step from a live parent
+/// stays `>= -(XDROP_CLAMP + STEP_CLAMP)` while one step from a
+/// pruned-cell sentinel is at most `NEG + STEP_CLAMP`, far below any
+/// cut: the x-drop comparison alone then reproduces the scalar path's
+/// per-parent liveness checks exactly. Out-of-range scorings run the
+/// scalar oracle instead.
 const STEP_CLAMP: i32 = 1 << 20;
-/// Largest `|xdrop|` the bit-parallel kernel accepts (see
-/// [`STEP_CLAMP`]).
+/// Largest `xdrop` the band kernel accepts (see [`STEP_CLAMP`]).
 const XDROP_CLAMP: i32 = 1 << 26;
-/// Separator between live-derived and sentinel-derived scores in the
-/// bit-parallel interior: live parents are `>= -(XDROP_CLAMP +
-/// STEP_CLAMP)` after one step, sentinels at most `NEG + STEP_CLAMP`.
-const LIVE_FLOOR: i32 = NEG / 2;
+/// Debug builds fill the band buffers with this before every band
+/// extension and assert it is never loaded as a parent — the check
+/// behind "stale cells outside the written window are never read".
+const POISON: i32 = i32::MAX;
 
 /// Reusable buffers for [`xdrop_extend_with`] / [`extend_seed_with`]:
-/// the three rotating antidiagonal bands plus the reversed-prefix
-/// staging buffers of the left extension. One workspace serves any
-/// number of seed extensions in sequence — the overlap stage holds one
-/// per rank and sweeps it over every candidate pair, so the innermost
-/// alignment kernel stops paying a fresh set of allocations per read
-/// pair. A default-constructed workspace is empty; buffers grow to the
-/// largest extension seen and are then reused at that capacity.
+/// the three rotating antidiagonal bands plus the reversed-sequence
+/// staging buffers. One workspace serves any number of seed extensions
+/// in sequence — the overlap stage holds one per worker and sweeps it
+/// over every candidate pair, so the innermost alignment kernel stops
+/// paying a fresh set of allocations per read pair. A
+/// default-constructed workspace is empty; buffers grow to the largest
+/// extension seen and are then reused at that size.
 ///
 /// The workspace also pins the [`XdropKernel`] used by every extension
-/// run through it (default [`XdropKernel::Auto`]); the bit-parallel
-/// kernel's match-mask words live here too, so kernel choice costs no
-/// per-call allocation either.
+/// run through it (default [`XdropKernel::Auto`]). The scalar oracle
+/// keeps only the live band in the band buffers; the band kernel sizes
+/// them to `|b| + 3` cells each and stages `rev(a)` in `a_rev`.
 #[derive(Debug, Default)]
 pub struct XdropWorkspace {
     kernel: XdropKernel,
@@ -95,13 +106,6 @@ pub struct XdropWorkspace {
     band_c: Vec<i32>,
     a_rev: Vec<u8>,
     b_rev: Vec<u8>,
-    /// Per-class match-mask words over the *reversed* first sequence
-    /// (bit `x` of class `c` set iff `a[alen-1-x] == c`), built lazily
-    /// word-by-word as the band reaches them.
-    amask: [Vec<u64>; 4],
-    /// Per-class match-mask words over the second sequence (bit `x` set
-    /// iff `b[x] == c`), built lazily from the low end.
-    bmask: [Vec<u64>; 4],
 }
 
 impl XdropWorkspace {
@@ -118,22 +122,32 @@ impl XdropWorkspace {
         self.kernel
     }
 
-    /// Heap bytes currently held by the workspace's band, staging and
-    /// match-mask buffers (by length, like every tracker charge). The
-    /// alignment stage reports one workspace per worker as transient
-    /// scratch so threaded sweeps stay honest in the `mem-hw` column.
+    /// Heap bytes currently held by the workspace's band and staging
+    /// buffers (by length, like every tracker charge). The alignment
+    /// stage reports one workspace per worker as transient scratch so
+    /// threaded sweeps stay honest in the `mem-hw` column.
     pub fn heap_bytes(&self) -> usize {
-        let masks: usize = self
-            .amask
-            .iter()
-            .chain(self.bmask.iter())
-            .map(Vec::len)
-            .sum();
         (self.band_a.len() + self.band_b.len() + self.band_c.len()) * std::mem::size_of::<i32>()
-            + masks * std::mem::size_of::<u64>()
             + self.a_rev.len()
             + self.b_rev.len()
     }
+
+    /// Whether an extension with these parameters runs the band kernel
+    /// (otherwise: the scalar oracle).
+    fn runs_band(&self, xdrop: i32, sc: Scoring) -> bool {
+        let step = -STEP_CLAMP..=STEP_CLAMP;
+        self.kernel != XdropKernel::Scalar
+            && step.contains(&sc.match_score)
+            && step.contains(&sc.mismatch)
+            && step.contains(&sc.gap)
+            && (0..=XDROP_CLAMP).contains(&xdrop)
+    }
+}
+
+/// Refill `buf` with `src` reversed.
+fn stage_rev(buf: &mut Vec<u8>, src: &[u8]) {
+    buf.clear();
+    buf.extend(src.iter().rev());
 }
 
 /// One-shot [`xdrop_extend_with`]: allocates a throwaway workspace.
@@ -156,27 +170,14 @@ pub fn xdrop_extend_with(
     xdrop: i32,
     sc: Scoring,
 ) -> Extension {
-    match ws.kernel {
-        XdropKernel::Scalar => xdrop_extend_scalar(ws, a, b, xdrop, sc),
-        XdropKernel::BitParallel | XdropKernel::Auto => {
-            let clamp = -STEP_CLAMP..=STEP_CLAMP;
-            if !clamp.contains(&sc.match_score)
-                || !clamp.contains(&sc.mismatch)
-                || !clamp.contains(&sc.gap)
-                || !(-XDROP_CLAMP..=XDROP_CLAMP).contains(&xdrop)
-            {
-                // Sentinel arithmetic can no longer separate live from
-                // pruned parents; the oracle handles any magnitude.
-                return xdrop_extend_scalar(ws, a, b, xdrop, sc);
-            }
-            match xdrop_extend_bitparallel(ws, a, b, xdrop, sc) {
-                Some(ext) => ext,
-                // Non-ACGT codes reached the band: the 4-class masks
-                // cannot represent them, the oracle's byte compare can.
-                None => xdrop_extend_scalar(ws, a, b, xdrop, sc),
-            }
-        }
+    if !ws.runs_band(xdrop, sc) {
+        return xdrop_extend_scalar(ws, a, b, xdrop, sc);
     }
+    let mut a_rev = std::mem::take(&mut ws.a_rev);
+    stage_rev(&mut a_rev, a);
+    let ext = xdrop_extend_band(ws, &a_rev, b, xdrop, sc);
+    ws.a_rev = a_rev;
+    ext
 }
 
 /// The reference cell-at-a-time antidiagonal DP ([`XdropKernel::Scalar`]).
@@ -329,333 +330,168 @@ fn xdrop_extend_scalar(
     best
 }
 
-/// 64 consecutive mask bits starting at `bit` (little-endian across
-/// words). The mask vectors carry one pad word so the `w + 1` read is
-/// always in bounds.
-#[inline]
-fn extract64(mask: &[u64], bit: usize) -> u64 {
-    let w = bit >> 6;
-    let sh = (bit & 63) as u32;
-    let lo = mask[w] >> sh;
-    if sh == 0 {
-        lo
-    } else {
-        lo | (mask[w + 1] << (64 - sh))
-    }
-}
-
-/// Build mask word `w` over the reversed first sequence: bit `x` of
-/// class `c` is `a[alen-1-x] == c`. Returns `false` on a non-ACGT code
-/// (caller falls back to the scalar oracle). Words are zeroed here, not
-/// in bulk, so a short-lived extension never pays a full-length memset.
-fn build_rev_word(a: &[u8], masks: &mut [Vec<u64>; 4], w: usize) -> bool {
-    for m in masks.iter_mut() {
-        m[w] = 0;
-    }
-    let alen = a.len();
-    for x in w * 64..(w * 64 + 64).min(alen) {
-        let c = a[alen - 1 - x];
-        if c >= 4 {
-            return false;
-        }
-        masks[c as usize][w] |= 1u64 << (x & 63);
-    }
-    true
-}
-
-/// Build mask word `w` over the second sequence: bit `x` of class `c`
-/// is `b[x] == c`. Returns `false` on a non-ACGT code.
-fn build_fwd_word(b: &[u8], masks: &mut [Vec<u64>; 4], w: usize) -> bool {
-    for m in masks.iter_mut() {
-        m[w] = 0;
-    }
-    let hi = (w * 64 + 64).min(b.len());
-    for (x, &c) in b[w * 64..hi]
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (w * 64 + i, c))
-    {
-        if c >= 4 {
-            return false;
-        }
-        masks[c as usize][w] |= 1u64 << (x & 63);
-    }
-    true
-}
-
-/// One cell computed exactly as the scalar oracle does, with checked
-/// parent lookups — used for the few cells per antidiagonal whose
-/// parents fall outside both live bands' common interior.
-#[inline]
-fn edge_score(
-    a: &[u8],
-    b: &[u8],
-    d: usize,
-    j: usize,
-    prev: &(Vec<i32>, usize),
-    prev2: &(Vec<i32>, usize),
-    sc: Scoring,
-) -> i32 {
-    let fetch = |band: &(Vec<i32>, usize), j: usize| -> Option<i32> {
-        j.checked_sub(band.1)
-            .and_then(|idx| band.0.get(idx))
-            .copied()
-            .filter(|&v| v > NEG)
-    };
-    let i = d - j;
-    let mut s = NEG;
-    if i >= 1 {
-        if let Some(v) = fetch(prev, j) {
-            s = s.max(v + sc.gap);
-        }
-    }
-    if j >= 1 {
-        if let Some(v) = fetch(prev, j - 1) {
-            s = s.max(v + sc.gap);
-        }
-        if i >= 1 {
-            if let Some(v) = fetch(prev2, j - 1) {
-                let m = if a[i - 1] == b[j - 1] {
-                    sc.match_score
-                } else {
-                    sc.mismatch
-                };
-                s = s.max(v + m);
-            }
-        }
-    }
-    s
-}
-
-/// The bit-parallel band kernel ([`XdropKernel::BitParallel`]).
+/// The band kernel ([`XdropKernel::BitParallel`] / [`XdropKernel::Auto`]).
+/// Takes the first sequence *reversed* (`ra = rev(a)`): along
+/// antidiagonal `d` the `a` index `d-j-1` descends while the `b` index
+/// `j-1` ascends, so against `ra` both ascend with `j` and the match
+/// term is an elementwise compare of two byte slices.
 ///
-/// Same antidiagonal sweep, window, trim and termination logic as the
-/// scalar oracle, but the *interior* of each antidiagonal — the cells
-/// whose three parents all fall inside the live parent bands — runs
-/// branch-free: match/mismatch is selected from a precomputed 64-bit
-/// match word (the OR over four base classes of `rev(a)`-mask AND
-/// `b`-mask fragments, which align because along antidiagonal `d` both
-/// the reversed-`a` index `alen-d+j` and the `b` index `j-1` advance
-/// with `j`), and pruned parents are represented by the `NEG` sentinel
-/// instead of per-parent `Option` checks. Clamped scoring (checked by
-/// the dispatcher) guarantees sentinel-derived candidates stay below
-/// [`LIVE_FLOOR`] and live-derived ones above it, so `s > LIVE_FLOOR`
-/// reproduces the oracle's liveness test exactly; cells outside the
-/// interior run the oracle's own checked per-cell code. Mask words are
-/// built lazily as the band first touches them, so extensions that die
-/// after a few antidiagonals never pay O(len) mask setup.
+/// Same antidiagonal sweep, candidate window, pruning, first-hit
+/// tie-breaking and termination as the scalar oracle. What differs is
+/// the storage and the order of work within a row:
 ///
-/// Returns `None` (with the workspace intact) if a non-ACGT code is
-/// about to enter a mask word; the dispatcher reruns the scalar oracle.
-fn xdrop_extend_bitparallel(
+/// * Each of the three rotating buffers holds `|b| + 3` cells indexed
+///   by `j + 1`, and a level is the `(lo, hi)` range of its live cells
+///   — trimming moves two indices. A level writes its whole candidate
+///   window `[lo, hi]` (pruned cells as `NEG`) plus one `NEG` cell
+///   either side. The window's lower end never decreases and its upper
+///   end grows by at most one per antidiagonal, so every parent load
+///   of the next two levels (`prev[j]`, `prev[j-1]`, `prev2[j-1]` for
+///   `j` in *their* windows) lands in a cell this level wrote; stale
+///   cells elsewhere in the buffer are never read (debug builds poison
+///   them and assert that). Parents therefore load unconditionally,
+///   and a sentinel-derived score can never pass the cut (see
+///   [`STEP_CLAMP`]). Only the two matrix-edge cells `j = 0` and
+///   `j = d`, which have a single gap parent and no base to compare,
+///   are computed apart.
+/// * Pass 1 computes every cell of the row against the cut *on entry*
+///   and accumulates the row maximum — no cell waits on the running
+///   best of the cells before it. Only if that maximum beats the best
+///   score is the row replayed in `j` order with the oracle's running
+///   best/cut updates, re-pruning against the risen cut. The cut only
+///   rises within a row (`xdrop >= 0`), so pass 1 keeps a superset of
+///   the oracle's cells and the replay lands on exactly the oracle's
+///   row.
+fn xdrop_extend_band(
     ws: &mut XdropWorkspace,
-    a: &[u8],
+    ra: &[u8],
     b: &[u8],
     xdrop: i32,
     sc: Scoring,
-) -> Option<Extension> {
-    if a.is_empty() || b.is_empty() {
-        return Some(Extension {
-            score: 0,
-            a_len: 0,
-            b_len: 0,
-        });
-    }
-    let (alen, blen) = (a.len(), b.len());
-    let n_aw = alen.div_ceil(64);
-    let n_bw = blen.div_ceil(64);
-    for m in ws.amask.iter_mut() {
-        if m.len() < n_aw + 1 {
-            m.resize(n_aw + 1, 0);
-        }
-    }
-    for m in ws.bmask.iter_mut() {
-        if m.len() < n_bw + 1 {
-            m.resize(n_bw + 1, 0);
-        }
-    }
-    // Lazily-built coverage: rev(a) words [a_low, n_aw) and b words
-    // [0, b_hi) hold this call's masks; everything else is stale and
-    // only ever read into lanes the interior loop discards.
-    let mut a_low = n_aw;
-    let mut b_hi = 0usize;
+) -> Extension {
     let mut best = Extension {
         score: 0,
         a_len: 0,
         b_len: 0,
     };
-    let mut band = std::mem::take(&mut ws.band_a);
-    band.clear();
-    band.push(0);
-    let mut prev: (Vec<i32>, usize) = (band, 0);
-    let mut band = std::mem::take(&mut ws.band_b);
-    band.clear();
-    let mut prev2: (Vec<i32>, usize) = (band, 0);
-    let mut scratch: Vec<i32> = std::mem::take(&mut ws.band_c);
-    scratch.clear();
+    let (alen, blen) = (ra.len(), b.len());
+    if alen == 0 || blen == 0 {
+        return best;
+    }
+    let take = |buf: &mut Vec<i32>| {
+        let mut band = std::mem::take(buf);
+        if band.len() < blen + 3 {
+            band.resize(blen + 3, NEG);
+        }
+        if cfg!(debug_assertions) {
+            band.fill(POISON);
+        }
+        band
+    };
+    let (mut prev, mut prev2, mut cur) = (
+        take(&mut ws.band_a),
+        take(&mut ws.band_b),
+        take(&mut ws.band_c),
+    );
+    // d = 0 is the single cell (0, 0) with score 0; "d = -1" is dead.
+    prev[..3].copy_from_slice(&[NEG, 0, NEG]);
+    let (mut prev_live, mut prev2_live) = (Some((0usize, 0usize)), None);
     for d in 1..=(alen + blen) {
-        let jmin = d.saturating_sub(alen);
-        let jmax = d.min(blen);
-        let mut lo_cand = usize::MAX;
-        let mut hi_cand = 0usize;
-        if !prev.0.is_empty() {
-            lo_cand = lo_cand.min(prev.1);
-            hi_cand = hi_cand.max(prev.1 + prev.0.len());
-        }
-        if !prev2.0.is_empty() {
-            lo_cand = lo_cand.min(prev2.1 + 1);
-            hi_cand = hi_cand.max(prev2.1 + prev2.0.len());
-        }
-        if lo_cand == usize::MAX {
+        // Candidate window: gap moves from prev reach [lo, hi + 1], the
+        // diagonal move from prev2 reaches [lo + 1, hi + 1].
+        let reach = |live: Option<(usize, usize)>, shift| live.map(|(l, h)| (l + shift, h + 1));
+        let (lo, hi) = match (reach(prev_live, 0), reach(prev2_live, 1)) {
+            (Some(p), Some(q)) => (p.0.min(q.0), p.1.max(q.1)),
+            (Some(w), None) | (None, Some(w)) => w,
+            (None, None) => break,
+        };
+        let (lo, hi) = (lo.max(d.saturating_sub(alen)), hi.min(d.min(blen)));
+        if lo > hi {
+            // The band slid past the end of `a` (its `j` range lies
+            // below `d - |a|`). It cannot come back — that bound only
+            // rises while the band's top stays put — so the oracle,
+            // which walks on through a dead level, also returns the
+            // current best from here.
             break;
         }
-        let lo_cand = lo_cand.max(jmin);
-        let hi_cand = hi_cand.min(jmax);
-        if lo_cand > hi_cand {
-            if prev.0.is_empty() {
-                break;
-            }
-            let mut empty = std::mem::take(&mut prev2.0);
-            empty.clear();
-            prev2 = std::mem::replace(&mut prev, (empty, jmin));
-            continue;
+        let cut = best.score - xdrop;
+        let keep = |s: i32| if s >= cut { s } else { NEG };
+        cur[lo] = NEG;
+        cur[hi + 2] = NEG;
+        let mut row_max = NEG;
+        if lo == 0 {
+            // Cell (d, 0): reachable only by a gap from (d-1, 0).
+            debug_assert_ne!(prev[1], POISON);
+            cur[1] = keep(prev[1] + sc.gap);
+            row_max = cur[1];
         }
-        scratch.clear();
-        scratch.resize(hi_cand - lo_cand + 1, NEG);
-        // Interior: cells whose gap parents (prev at j, j-1) and
-        // diagonal parent (prev2 at j-1) are all in-range, so checked
-        // fetches collapse into plain indexed loads.
-        let (int_lo, int_hi) = if prev.0.is_empty() || prev2.0.is_empty() {
-            (1usize, 0usize)
-        } else {
-            (
-                lo_cand.max(prev.1 + 1).max(prev2.1 + 1).max(1),
-                hi_cand
-                    .min(prev.1 + prev.0.len() - 1)
-                    .min(prev2.1 + prev2.0.len())
-                    .min(d - 1),
-            )
-        };
-        let has_interior = int_lo <= int_hi;
-        let edge_cell = |j: usize,
-                         cur: &mut [i32],
-                         best: &mut Extension,
-                         prev: &(Vec<i32>, usize),
-                         prev2: &(Vec<i32>, usize)| {
-            let s = edge_score(a, b, d, j, prev, prev2, sc);
-            if s > NEG && s >= best.score - xdrop {
-                cur[j - lo_cand] = s;
-                if s > best.score {
-                    *best = Extension {
+        if hi == d {
+            // Cell (0, d): reachable only by a gap from (0, d-1).
+            debug_assert_ne!(prev[d], POISON);
+            cur[d + 1] = keep(prev[d] + sc.gap);
+            row_max = row_max.max(cur[d + 1]);
+        }
+        let (jl, jh) = (lo.max(1), hi.min(d - 1));
+        if jl <= jh {
+            let n = jh - jl + 1;
+            let gap_b = &prev[jl + 1..][..n]; // (i-1, j)
+            let gap_a = &prev[jl..][..n]; // (i, j-1)
+            let diag = &prev2[jl..][..n]; // (i-1, j-1)
+            let (xs, ys) = (&ra[alen + jl - d..][..n], &b[jl - 1..][..n]);
+            debug_assert!(
+                !gap_b.contains(&POISON) && !gap_a.contains(&POISON) && !diag.contains(&POISON),
+                "parent load outside the written window at d={d}"
+            );
+            let out = &mut cur[jl + 1..][..n];
+            for t in 0..n {
+                let m = if xs[t] == ys[t] {
+                    sc.match_score
+                } else {
+                    sc.mismatch
+                };
+                let s = keep((gap_b[t].max(gap_a[t]) + sc.gap).max(diag[t] + m));
+                out[t] = s;
+                row_max = row_max.max(s);
+            }
+        }
+        if row_max > best.score {
+            let mut cut = cut;
+            for j in lo..=hi {
+                let s = cur[j + 1];
+                if s < cut {
+                    cur[j + 1] = NEG;
+                } else if s > best.score {
+                    best = Extension {
                         score: s,
                         a_len: d - j,
                         b_len: j,
                     };
+                    cut = s - xdrop;
                 }
-            }
-        };
-        let low_edge_end = if has_interior { int_lo } else { hi_cand + 1 };
-        for j in lo_cand..low_edge_end {
-            edge_cell(j, &mut scratch, &mut best, &prev, &prev2);
-        }
-        if has_interior {
-            // Make sure the mask words the interior will read are built
-            // for this call (extract64 also touches word w+1, which is
-            // either built, the zero pad, or stale-but-unused lanes).
-            let a_need = (alen + int_lo - d) >> 6;
-            while a_low > a_need {
-                a_low -= 1;
-                if !build_rev_word(a, &mut ws.amask, a_low) {
-                    ws.band_a = prev.0;
-                    ws.band_b = prev2.0;
-                    ws.band_c = scratch;
-                    return None;
-                }
-            }
-            let b_need = ((int_hi - 1) >> 6) + 1;
-            while b_hi < b_need {
-                if !build_fwd_word(b, &mut ws.bmask, b_hi) {
-                    ws.band_a = prev.0;
-                    ws.band_b = prev2.0;
-                    ws.band_c = scratch;
-                    return None;
-                }
-                b_hi += 1;
-            }
-            let ilen = int_hi - int_lo + 1;
-            let p1 = &prev.0[int_lo - prev.1..int_lo - prev.1 + ilen];
-            let p0 = &prev.0[int_lo - 1 - prev.1..int_lo - 1 - prev.1 + ilen];
-            let q = &prev2.0[int_lo - 1 - prev2.1..int_lo - 1 - prev2.1 + ilen];
-            let out = &mut scratch[int_lo - lo_cand..int_lo - lo_cand + ilen];
-            let mdiff = sc.match_score - sc.mismatch;
-            let mut cut = best.score - xdrop;
-            let mut idx = 0usize;
-            while idx < ilen {
-                let nblock = (ilen - idx).min(64);
-                let a_bit = alen + int_lo + idx - d;
-                let b_bit = int_lo + idx - 1;
-                let mut mw = extract64(&ws.amask[0], a_bit) & extract64(&ws.bmask[0], b_bit);
-                mw |= extract64(&ws.amask[1], a_bit) & extract64(&ws.bmask[1], b_bit);
-                mw |= extract64(&ws.amask[2], a_bit) & extract64(&ws.bmask[2], b_bit);
-                mw |= extract64(&ws.amask[3], a_bit) & extract64(&ws.bmask[3], b_bit);
-                let blk = idx..idx + nblock;
-                for (t, ((out, &v1), (&v0, &vq))) in out[blk.clone()]
-                    .iter_mut()
-                    .zip(&p1[blk.clone()])
-                    .zip(p0[blk.clone()].iter().zip(&q[blk]))
-                    .enumerate()
-                {
-                    let mbit = ((mw >> t) & 1) as i32;
-                    let m = sc.mismatch + (mdiff & -mbit);
-                    let s = (v1.max(v0) + sc.gap).max(vq + m);
-                    if s > LIVE_FLOOR && s >= cut {
-                        *out = s;
-                        if s > best.score {
-                            let j = int_lo + idx + t;
-                            best = Extension {
-                                score: s,
-                                a_len: d - j,
-                                b_len: j,
-                            };
-                            cut = s - xdrop;
-                        }
-                    }
-                }
-                idx += nblock;
-            }
-            for j in int_hi + 1..=hi_cand {
-                edge_cell(j, &mut scratch, &mut best, &prev, &prev2);
             }
         }
-        let cur = &mut scratch;
-        let new_lo = match cur.iter().position(|&v| v > NEG) {
-            None => {
-                cur.clear();
-                lo_cand
-            }
-            Some(first) => {
-                let last = cur
-                    .iter()
-                    .rposition(|&v| v > NEG)
-                    .expect("live cell exists");
-                cur.truncate(last + 1);
-                cur.drain(..first);
-                lo_cand + first
-            }
-        };
-        if cur.is_empty() && prev.0.is_empty() {
+        // Trim to the live cells.
+        let cur_live = (row_max > NEG).then(|| {
+            let first = (lo..).find(|&j| cur[j + 1] > NEG).expect("row_max is live");
+            let last = (0..=hi)
+                .rev()
+                .find(|&j| cur[j + 1] > NEG)
+                .expect("row_max is live");
+            (first, last)
+        });
+        if cur_live.is_none() && prev_live.is_none() {
+            // Two consecutive dead antidiagonals: no diagonal move can
+            // revive the extension.
             break;
         }
-        let recycled = std::mem::replace(
-            &mut prev2,
-            std::mem::replace(&mut prev, (std::mem::take(&mut scratch), new_lo)),
-        );
-        scratch = recycled.0;
+        prev2_live = std::mem::replace(&mut prev_live, cur_live);
+        std::mem::swap(&mut prev2, &mut prev);
+        std::mem::swap(&mut prev, &mut cur);
     }
-    ws.band_a = prev.0;
-    ws.band_b = prev2.0;
-    ws.band_c = scratch;
-    Some(best)
+    ws.band_a = prev;
+    ws.band_b = prev2;
+    ws.band_c = cur;
+    best
 }
 
 /// Length of the common prefix of `a` and `b`, compared 8 bytes at a
@@ -754,15 +590,9 @@ pub fn extend_seed_greedy(
 ) -> SeedAlignment {
     debug_assert!(a_pos + k <= a.len() && b_pos + k <= b.len());
     let right = greedy_extend(&a[a_pos + k..], &b[b_pos + k..], xdrop, sc);
-    let mut a_rev = std::mem::take(&mut ws.a_rev);
-    a_rev.clear();
-    a_rev.extend(a[..a_pos].iter().rev().copied());
-    let mut b_rev = std::mem::take(&mut ws.b_rev);
-    b_rev.clear();
-    b_rev.extend(b[..b_pos].iter().rev().copied());
-    let left = greedy_extend(&a_rev, &b_rev, xdrop, sc);
-    ws.a_rev = a_rev;
-    ws.b_rev = b_rev;
+    stage_rev(&mut ws.a_rev, &a[..a_pos]);
+    stage_rev(&mut ws.b_rev, &b[..b_pos]);
+    let left = greedy_extend(&ws.a_rev, &ws.b_rev, xdrop, sc);
     SeedAlignment {
         score: k as i32 * sc.match_score + left.score + right.score,
         a_beg: a_pos - left.a_len,
@@ -809,7 +639,7 @@ pub fn extend_seed(
 /// Seed-and-extend: the k-mer match `a[a_pos .. a_pos+k) == b[b_pos ..
 /// b_pos+k)` is extended left and right with x-drop. Sequences are base
 /// codes; `b` must already be in the orientation that produced the seed.
-/// The workspace's band and reversed-prefix buffers are reused across
+/// The workspace's band and reversed-sequence buffers are reused across
 /// seed extensions instead of reallocated per call.
 #[allow(clippy::too_many_arguments)]
 pub fn extend_seed_with(
@@ -825,17 +655,22 @@ pub fn extend_seed_with(
     debug_assert!(a_pos + k <= a.len() && b_pos + k <= b.len());
     // Right of the seed.
     let right = xdrop_extend_with(ws, &a[a_pos + k..], &b[b_pos + k..], xdrop, sc);
-    // Left of the seed: reverse the prefixes into the workspace's
-    // staging buffers (taken out for the duration of the call so the
-    // band buffers stay independently borrowable).
-    let mut a_rev = std::mem::take(&mut ws.a_rev);
-    a_rev.clear();
-    a_rev.extend(a[..a_pos].iter().rev().copied());
+    // Left of the seed: extend over the reversed prefixes, staged in
+    // the workspace (taken out for the duration of the call so the band
+    // buffers stay independently borrowable). The band kernel wants its
+    // first sequence reversed once more, which is the prefix itself —
+    // so it stages only `b`.
     let mut b_rev = std::mem::take(&mut ws.b_rev);
-    b_rev.clear();
-    b_rev.extend(b[..b_pos].iter().rev().copied());
-    let left = xdrop_extend_with(ws, &a_rev, &b_rev, xdrop, sc);
-    ws.a_rev = a_rev;
+    stage_rev(&mut b_rev, &b[..b_pos]);
+    let left = if ws.runs_band(xdrop, sc) {
+        xdrop_extend_band(ws, &a[..a_pos], &b_rev, xdrop, sc)
+    } else {
+        let mut a_rev = std::mem::take(&mut ws.a_rev);
+        stage_rev(&mut a_rev, &a[..a_pos]);
+        let left = xdrop_extend_scalar(ws, &a_rev, &b_rev, xdrop, sc);
+        ws.a_rev = a_rev;
+        left
+    };
     ws.b_rev = b_rev;
     SeedAlignment {
         score: k as i32 * sc.match_score + left.score + right.score,
@@ -1183,14 +1018,17 @@ mod tests {
     }
 
     #[test]
-    fn non_acgt_codes_fall_back_identically() {
-        // Codes >= 4 cannot enter the 4-class masks; the bit-parallel
-        // path must detect them and rerun the scalar oracle, which
-        // compares raw bytes (7 == 7 is a match).
-        let mut a = codes("ACGTACGTACGTACGT");
+    fn non_acgt_codes_compare_as_bytes() {
+        // The band kernel compares raw bytes like the oracle, so codes
+        // >= 4 need no special path: 7 == 7 is a match, 7 != 9 is not —
+        // also deep inside a long matching run, past the first rows.
+        let mut a = codes("ACGTACGTACGTACGT").repeat(20);
         let mut b = a.clone();
-        a[7] = 7;
-        b[7] = 7;
+        for at in [7, 150, 151, 300] {
+            a[at] = 7;
+            b[at] = 7;
+        }
+        b[200] = 9;
         for x in [0, 5, 50] {
             let s = xdrop_extend_with(
                 &mut XdropWorkspace::with_kernel(XdropKernel::Scalar),
@@ -1207,7 +1045,7 @@ mod tests {
                 Scoring::default(),
             );
             assert_eq!(s, p, "xdrop {x}");
-            assert_eq!(s.a_len, 16, "code-7 pair aligns through the odd byte");
+            assert!(s.a_len >= 200, "code-7 pairs align through the odd bytes");
         }
     }
 
@@ -1254,22 +1092,25 @@ mod tests {
     }
 
     #[test]
-    fn workspace_kernel_knob_and_mask_accounting() {
+    fn workspace_kernel_knob_and_scratch_accounting() {
         let ws = XdropWorkspace::with_kernel(XdropKernel::Scalar);
         assert_eq!(ws.kernel(), XdropKernel::Scalar);
         assert_eq!(XdropWorkspace::default().kernel(), XdropKernel::Auto);
-        // The bit-parallel masks must show up in the scratch-honesty
-        // accounting once an extension has sized them.
-        let mut bws = XdropWorkspace::with_kernel(XdropKernel::BitParallel);
+        assert_eq!(ws.heap_bytes(), 0);
+        // The band kernel's O(|b|) band buffers and its rev(a) staging
+        // must show up in the scratch-honesty accounting, by length.
         let a = codes("ACGTACGTACGTACGTACGT");
-        let _ = xdrop_extend_with(&mut bws, &a, &a, 10, Scoring::default());
-        let mut sws = XdropWorkspace::with_kernel(XdropKernel::Scalar);
-        let _ = xdrop_extend_with(&mut sws, &a, &a, 10, Scoring::default());
-        assert!(
-            bws.heap_bytes() > sws.heap_bytes(),
-            "mask words must be charged: {} vs {}",
-            bws.heap_bytes(),
-            sws.heap_bytes()
-        );
+        let b = codes("ACGTACGTACGTACGTACGTACGTAC");
+        let mut bws = XdropWorkspace::with_kernel(XdropKernel::BitParallel);
+        let _ = xdrop_extend_with(&mut bws, &a, &b, 10, Scoring::default());
+        assert_eq!(bws.heap_bytes(), 3 * (b.len() + 3) * 4 + a.len());
+        // Buffers only grow: a shorter follow-up call keeps the charge.
+        let _ = xdrop_extend_with(&mut bws, &a[..5], &b[..5], 10, Scoring::default());
+        assert_eq!(bws.heap_bytes(), 3 * (b.len() + 3) * 4 + 5);
+        // The seeded wrapper stages rev(a suffix) for the right
+        // extension and only rev(b prefix) for the left one.
+        let mut bws = XdropWorkspace::with_kernel(XdropKernel::BitParallel);
+        let _ = extend_seed_with(&mut bws, &a, &a, 8, 8, 4, 10, Scoring::default());
+        assert_eq!(bws.heap_bytes(), 3 * (8 + 3) * 4 + 8 + 8);
     }
 }

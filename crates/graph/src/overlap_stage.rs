@@ -363,37 +363,36 @@ fn align_pair_counted(
         }
     };
     // SharedSeeds retains at most two seeds, so the chain plan reduces
-    // to: are both on the same strand, and if so are they co-linear?
-    let placed: Vec<OrientedSeed> = seeds
+    // to: are both on the same strand, and if so are they co-linear? Two
+    // fixed slots hold it — this runs once per candidate pair, so it
+    // stays off the heap.
+    let mut placed = seeds
         .seeds()
         .iter()
-        .filter_map(|s| OrientedSeed::place(s, cfg.k, ulen, vlen))
-        .collect();
+        .filter_map(|s| OrientedSeed::place(s, cfg.k, ulen, vlen));
     match cfg.chaining {
         SeedChaining::All => {
-            for s in &placed {
-                extend(s, &mut best, v_rc);
+            for s in placed {
+                extend(&s, &mut best, v_rc);
                 counts.chains += 1;
             }
         }
         SeedChaining::Chain | SeedChaining::BestOnly => {
             let best_only = cfg.chaining == SeedChaining::BestOnly;
             // Chains in seed order: [first seed, optional co-linear mate].
-            let mut chains: Vec<(OrientedSeed, Option<OrientedSeed>)> = Vec::with_capacity(2);
-            for &s in &placed {
-                match chains.last_mut() {
-                    Some((head, mate @ None))
+            let chains: [Option<(OrientedSeed, Option<OrientedSeed>)>; 2] =
+                match (placed.next(), placed.next()) {
+                    (Some(head), Some(s))
                         if head.rc == s.rc
                             && head.diag.abs_diff(s.diag) <= cfg.chain_band as u64
                             && (head.u_pos <= s.u_pos) == (head.w_pos <= s.w_pos) =>
                     {
-                        *mate = Some(s);
+                        [Some((head, Some(s))), None]
                     }
-                    _ => chains.push((s, None)),
-                }
-            }
+                    (first, second) => [first.map(|s| (s, None)), second.map(|s| (s, None))],
+                };
             let mut extended_strands = [false; 2];
-            for (head, mate) in &chains {
+            for (head, mate) in chains.iter().flatten() {
                 let n_seeds = 1 + u32::from(mate.is_some());
                 let (dg_lo, dg_hi) = match mate {
                     Some(m) => (head.diag.min(m.diag), head.diag.max(m.diag)),

@@ -396,6 +396,19 @@ fn assemble_finish(
         result.contig_stats.cc_rounds,
         result.contig_stats.imbalance
     );
+    let aln = &result.align_stats;
+    println!(
+        "alignment: pairs {} | aligned {} | dovetails {} | contained {} | internal {} | \
+         rejected {} | chains extended {} | seeds skipped {}",
+        aln.candidate_pairs,
+        aln.aligned_pairs,
+        aln.dovetails,
+        aln.contained,
+        aln.internal,
+        aln.rejected,
+        aln.chains_extended,
+        aln.seeds_skipped
+    );
 
     let mut seqs: Vec<Seq> = contigs.iter().map(|c| c.seq.clone()).collect();
     if flags.contains_key("scaffold") {
@@ -1065,6 +1078,8 @@ fn usage() -> String {
      assemble --reads IN.fasta --out contigs.fasta [--ranks 4] [--k 31]\n\
      \u{20}        [--threads 1] [--xdrop 15] [--min-overlap 100] [--scaffold true]\n\
      \u{20}        [--xdrop-kernel scalar|bitparallel|auto]\n\
+     \u{20}        (bitparallel/auto: the band kernel; scalar: the reference DP —\n\
+     \u{20}        identical contigs either way)\n\
      \u{20}        [--seed-chaining all|chain|best] [--chain-band 128]\n\
      \u{20}        [--spgemm eager|pipelined|blocked|layered:c|auto] [--batch-rows 1024]\n\
      \u{20}        [--kmer-exchange eager|streaming] [--batch-kmers 65536]\n\
