@@ -166,19 +166,21 @@ impl AlignStats {
 }
 
 /// `C = AAᵀ` restricted to the strict upper triangle, with candidate
-/// pairs below the shared-k-mer threshold pruned (collective). The
-/// prune is fused into the multiply: under the column-batched schedule
-/// each output batch is thresholded as it completes, so only the pruned
-/// candidate set is ever retained — the heart of ELBA's bounded-memory
-/// overlap detection. The other schedules prune after the fact; the
-/// result is identical either way.
+/// pairs below the shared-k-mer threshold pruned (collective). `C` is
+/// symmetric and only `r < col` is kept, so the multiply is asked for
+/// the upper triangle alone ([`DistMat::spgemm_aat_upper_with`]):
+/// diagonal ranks do half the products, ranks below the diagonal none.
+/// The prune is fused into the multiply: under the column-batched
+/// schedule each output batch is thresholded as it completes, so only
+/// the pruned candidate set is ever retained — the heart of ELBA's
+/// bounded-memory overlap detection. The other schedules prune after
+/// the fact; the result is identical either way.
 pub fn candidate_matrix(
     grid: &ProcGrid,
     a: &DistMat<AEntry>,
     cfg: &OverlapConfig,
 ) -> DistMat<SharedSeeds> {
-    let at = a.transpose(grid);
-    a.spgemm_pruned_with(grid, &at, &OverlapSemiring, &cfg.spgemm, |r, col, v| {
+    a.spgemm_aat_upper_with(grid, &OverlapSemiring, &cfg.spgemm, |r, col, v| {
         r < col && v.count >= cfg.min_shared_kmers
     })
 }

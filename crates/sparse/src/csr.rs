@@ -242,6 +242,42 @@ impl<T> Csr<T> {
 
     /// Local transpose (O(nnz + dims)).
     pub fn transpose(self) -> Csr<T> {
+        let (indptr, indices, source) = self.transpose_structure();
+        let mut values: Vec<Option<T>> = self.values.into_iter().map(Some).collect();
+        Csr {
+            nrows: self.ncols,
+            ncols: self.nrows,
+            indptr,
+            indices,
+            values: source
+                .into_iter()
+                .map(|k| values[k].take().expect("each slot moves once"))
+                .collect(),
+        }
+    }
+
+    /// [`Csr::transpose`] of a borrowed matrix: the same counting pass,
+    /// cloning each value once — what the distributed transpose runs on
+    /// its (shared, `Arc`-held) local block.
+    pub fn transposed(&self) -> Csr<T>
+    where
+        T: Clone,
+    {
+        let (indptr, indices, source) = self.transpose_structure();
+        Csr {
+            nrows: self.ncols,
+            ncols: self.nrows,
+            indptr,
+            indices,
+            values: source.into_iter().map(|k| self.values[k].clone()).collect(),
+        }
+    }
+
+    /// The counting sort behind both transposes: `indptr` and `indices`
+    /// of the transpose, plus for every transposed slot the storage slot
+    /// of `self` its value comes from. Rows are swept in order, so each
+    /// transposed row comes out sorted.
+    fn transpose_structure(&self) -> (Vec<usize>, Vec<u32>, Vec<usize>) {
         let mut indptr = vec![0usize; self.ncols + 1];
         for &c in &self.indices {
             indptr[c as usize + 1] += 1;
@@ -251,27 +287,17 @@ impl<T> Csr<T> {
         }
         let mut cursor = indptr.clone();
         let mut indices = vec![0u32; self.nnz()];
-        let mut values: Vec<Option<T>> = (0..self.nnz()).map(|_| None).collect();
-        let mut it = self.values.into_iter();
+        let mut source = vec![0usize; self.nnz()];
         for i in 0..self.nrows {
             for k in self.indptr[i]..self.indptr[i + 1] {
                 let c = self.indices[k] as usize;
                 let pos = cursor[c];
                 cursor[c] += 1;
                 indices[pos] = i as u32;
-                values[pos] = Some(it.next().expect("value per index"));
+                source[pos] = k;
             }
         }
-        Csr {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            indptr,
-            indices,
-            values: values
-                .into_iter()
-                .map(|v| v.expect("slot filled"))
-                .collect(),
-        }
+        (indptr, indices, source)
     }
 
     /// Row-wise reduction: fold each row's values into one output.
@@ -395,6 +421,7 @@ mod tests {
         assert_eq!(t.get(1, 2), Some(&4.0));
         assert_eq!(t.get(0, 0), Some(&1.0));
         assert_eq!(t.get(2, 0), Some(&2.0));
+        assert_eq!(m.transposed(), t, "borrowed transpose is the same pass");
         let back = t.transpose();
         assert_eq!(back, m);
     }

@@ -76,11 +76,48 @@ impl<T> Dcsc<T> {
     }
 
     pub fn from_csr(m: Csr<T>) -> Self {
-        let (nrows, ncols) = (m.nrows(), m.ncols());
-        let triples: Vec<(u32, u32, T)> = m.into_triples();
-        Self::from_triples(nrows, ncols, triples, |_, _| {
-            unreachable!("CSR has no duplicates")
-        })
+        Self::from_transposed_csr(m.transpose())
+    }
+
+    /// The DCSC of `M` from a CSR of `Mᵀ`: a column of `M` is a row of
+    /// `Mᵀ`, so dropping the empty rows' pointers is the whole
+    /// conversion — `indices` and `values` move over untouched
+    /// (O(rows of `Mᵀ`), no per-entry work).
+    pub fn from_transposed_csr(t: Csr<T>) -> Self {
+        let (nrows, ncols) = (t.ncols(), t.nrows());
+        let (indptr, ir, val) = t.into_parts();
+        let mut jc = Vec::new();
+        let mut cp = vec![0usize];
+        for (j, span) in indptr.windows(2).enumerate() {
+            if span[1] > span[0] {
+                jc.push(j as u32);
+                cp.push(span[1]);
+            }
+        }
+        Dcsc {
+            nrows,
+            ncols,
+            jc,
+            cp,
+            ir,
+            val,
+        }
+    }
+
+    /// Inverse of [`Dcsc::from_transposed_csr`]: re-expand the column
+    /// pointers into the row pointers of `Mᵀ`'s CSR (O(columns)).
+    pub fn into_transposed_csr(self) -> Csr<T> {
+        let mut indptr = Vec::with_capacity(self.ncols + 1);
+        indptr.push(0usize);
+        for (&j, &end) in self.jc.iter().zip(&self.cp[1..]) {
+            // Columns up to `j` exclusive are empty: they repeat the
+            // previous end; column `j` itself closes at `end`.
+            let prev = *indptr.last().expect("indptr starts at 0");
+            indptr.resize(j as usize + 1, prev);
+            indptr.push(end);
+        }
+        indptr.resize(self.ncols + 1, self.ir.len());
+        Csr::from_parts(self.ncols, self.nrows, indptr, self.ir, self.val)
     }
 
     #[inline]
@@ -156,6 +193,63 @@ impl<T> Dcsc<T> {
     }
 }
 
+/// On an MPI wire a DCSC block is one count header, a `(u32 column,
+/// u32 length)` pair per non-empty column, and a `u32` row index plus
+/// the value per entry — the receiver knows the shape from its layout.
+/// That is `8 + 8·nzc + nnz·(4 + |T|)` bytes: never more than the
+/// `8 + nnz·(16 + |T|)` of the same entries as global triples, and
+/// independent of the block's dimensions (a CSR's `indptr` is not).
+impl<T: elba_comm::CommMsg> elba_comm::CommMsg for Dcsc<T> {
+    fn nbytes(&self) -> usize {
+        8 + self.jc.len() * 8
+            + self.ir.len() * 4
+            + self.val.iter().map(|v| v.nbytes()).sum::<usize>()
+    }
+
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.nrows as u64).to_ne_bytes());
+        out.extend_from_slice(&(self.ncols as u64).to_ne_bytes());
+        self.jc.wire_encode(out);
+        self.cp.wire_encode(out);
+        self.ir.wire_encode(out);
+        self.val.wire_encode(out);
+    }
+
+    fn wire_decode(
+        r: &mut elba_comm::transport::wire::WireReader<'_>,
+    ) -> Result<Self, elba_comm::transport::wire::WireError> {
+        use elba_comm::transport::wire::WireError;
+        let nrows =
+            usize::try_from(r.read_u64()?).map_err(|_| WireError::Malformed("dcsc shape"))?;
+        let ncols =
+            usize::try_from(r.read_u64()?).map_err(|_| WireError::Malformed("dcsc shape"))?;
+        let jc = Vec::<u32>::wire_decode(r)?;
+        let cp = Vec::<usize>::wire_decode(r)?;
+        let ir = Vec::<u32>::wire_decode(r)?;
+        let val = Vec::<T>::wire_decode(r)?;
+        // Structural sanity, so a corrupt frame cannot expand into a
+        // CSR whose accessors index out of bounds.
+        let consistent = cp.len() == jc.len() + 1
+            && cp.first() == Some(&0)
+            && cp.last() == Some(&ir.len())
+            && ir.len() == val.len()
+            && cp.windows(2).all(|w| w[0] < w[1])
+            && jc.windows(2).all(|w| w[0] < w[1])
+            && jc.last().is_none_or(|&j| (j as usize) < ncols);
+        if !consistent {
+            return Err(WireError::Malformed("dcsc structure"));
+        }
+        Ok(Dcsc {
+            nrows,
+            ncols,
+            jc,
+            cp,
+            ir,
+            val,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,6 +313,47 @@ mod tests {
         let mut want = entries;
         want.sort_by_key(|&(r, c, _)| (r, c));
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn transposed_csr_round_trip() {
+        // Empty leading, interior and trailing rows of Mᵀ, and no rows at all.
+        for triples in [
+            vec![(2u32, 0u32, 1u8), (2, 5, 2), (4, 1, 3), (7, 7, 4)],
+            vec![(0, 0, 1)],
+            vec![(9, 3, 1)],
+            vec![],
+        ] {
+            let t = Csr::from_triples(10, 8, triples, |_, _| unreachable!());
+            let m = Dcsc::from_transposed_csr(t.clone());
+            assert_eq!((m.nrows(), m.ncols()), (8, 10));
+            assert_eq!(m.nzc(), (0..10).filter(|&i| t.row_nnz(i) > 0).count());
+            for (r, c, v) in t.iter() {
+                assert_eq!(m.get(c as usize, r as usize), Some(v));
+            }
+            assert_eq!(m.into_transposed_csr(), t);
+        }
+    }
+
+    #[test]
+    fn wire_size_follows_entries_not_dimensions() {
+        use elba_comm::transport::wire::WireReader;
+        use elba_comm::CommMsg;
+        let m = hypersparse();
+        assert_eq!(m.nbytes(), 8 + 2 * 8 + 3 * (4 + 1));
+        assert_eq!(Dcsc::<u8>::empty(1 << 20, 1 << 20).nbytes(), 8);
+        let mut frame = Vec::new();
+        m.wire_encode(&mut frame);
+        let mut r = WireReader::new(&frame);
+        assert_eq!(Dcsc::<u8>::wire_decode(&mut r).expect("decodes"), m);
+        assert_eq!(r.remaining(), 0);
+        // A frame whose column pointers disagree with its entries is
+        // rejected, not expanded.
+        let mut bad = m.clone();
+        bad.cp[2] = 7;
+        let mut frame = Vec::new();
+        bad.wire_encode(&mut frame);
+        assert!(Dcsc::<u8>::wire_decode(&mut WireReader::new(&frame)).is_err());
     }
 
     #[test]

@@ -90,8 +90,16 @@ pub fn spgemm_range<S: Semiring>(
 /// (relative to the buffers' state at entry). This is the single
 /// serial kernel under both the one-SPA path and every worker of the
 /// threaded path: a row's bytes depend only on `(a, b, semiring, row,
-/// cols)`, never on which worker ran it — the determinism the threaded
-/// merge relies on.
+/// cols, upper)`, never on which worker ran it — the determinism the
+/// threaded merge relies on.
+///
+/// Under `upper` (see [`SpGemmBatcher::strict_upper`]) row `i` keeps
+/// only columns `≥ i + shift`. Each `B` row is cut at that floor by
+/// walking it from its high end and stopping at the first column below
+/// the floor — a binary search per `(i, k)` would cost what the skipped
+/// products cost on the short rows of `Aᵀ`. An output entry still
+/// receives its products in ascending `k`, so order-sensitive semiring
+/// adds see the operand order of the unrestricted multiply.
 #[allow(clippy::too_many_arguments)]
 fn multiply_window<S: Semiring>(
     a: &Csr<S::A>,
@@ -100,27 +108,33 @@ fn multiply_window<S: Semiring>(
     spa: &mut Spa<S::Out>,
     rows: std::ops::Range<usize>,
     cols: std::ops::Range<u32>,
+    upper: Option<i64>,
     indptr: &mut Vec<usize>,
     indices: &mut Vec<u32>,
     values: &mut Vec<S::Out>,
 ) {
-    let ncols = b.ncols();
-    let full_width = cols.start == 0 && cols.end as usize == ncols;
+    let cut_high = (cols.end as usize) < b.ncols();
     for i in rows {
+        let floor = row_floor(upper, i, &cols);
+        if floor >= cols.end {
+            // Wholly below its floor: the row reads neither `A` nor `B`.
+            indptr.push(indices.len());
+            continue;
+        }
         spa.next_row();
         let (a_cols, a_vals) = a.row(i);
         for (&k, a_ik) in a_cols.iter().zip(a_vals) {
             let (b_cols, b_vals) = b.row(k as usize);
-            // Restrict B's row to the output-column window; rows are
-            // sorted, so the window is one contiguous span.
-            let (b_cols, b_vals) = if full_width {
-                (b_cols, b_vals)
+            // Rows are sorted, so the window's high end is one cut.
+            let hi = if cut_high {
+                b_cols.partition_point(|&j| j < cols.end)
             } else {
-                let lo = b_cols.partition_point(|&j| j < cols.start);
-                let hi = lo + b_cols[lo..].partition_point(|&j| j < cols.end);
-                (&b_cols[lo..hi], &b_vals[lo..hi])
+                b_cols.len()
             };
-            for (&j, b_kj) in b_cols.iter().zip(b_vals) {
+            for (&j, b_kj) in b_cols[..hi].iter().zip(&b_vals[..hi]).rev() {
+                if j < floor {
+                    break;
+                }
                 if let Some(product) = semiring.multiply(a_ik, b_kj) {
                     spa.accumulate(semiring, j, product);
                 }
@@ -128,6 +142,19 @@ fn multiply_window<S: Semiring>(
         }
         spa.drain_sorted(indices, values);
         indptr.push(indices.len());
+    }
+}
+
+/// First output column row `i` may produce: the window's start, raised
+/// to `i + shift` under a strict-upper restriction (and capped at the
+/// window's end, where the row is empty).
+#[inline]
+fn row_floor(upper: Option<i64>, i: usize, cols: &std::ops::Range<u32>) -> u32 {
+    match upper {
+        None => cols.start,
+        Some(shift) => (i as i64 + shift)
+            .max(cols.start as i64)
+            .min(cols.end as i64) as u32,
     }
 }
 
@@ -148,9 +175,13 @@ pub struct SpGemmBatcher<'m, S: Semiring> {
     a: &'m Csr<S::A>,
     b: &'m Csr<S::B>,
     semiring: &'m S,
-    /// One SPA per worker; index 0 doubles as the serial accumulator.
+    /// One SPA per worker, allocated on first use; index 0 doubles as
+    /// the serial accumulator.
     spas: Vec<Spa<S::Out>>,
     threads: usize,
+    /// Strict-upper restriction: output row `i` keeps only columns
+    /// `≥ i + shift` (see [`SpGemmBatcher::strict_upper`]).
+    upper: Option<i64>,
     /// Whether the *last* multiply actually fanned out to > 1 worker (a
     /// tiny window falls back to the serial path even when
     /// `threads > 1`); callers gate their `par-s` booking on it.
@@ -164,8 +195,9 @@ impl<'m, S: Semiring> SpGemmBatcher<'m, S> {
             a,
             b,
             semiring,
-            spas: vec![Spa::new(b.ncols())],
+            spas: Vec::new(),
             threads: 1,
+            upper: None,
             last_parallel: false,
         }
     }
@@ -175,6 +207,19 @@ impl<'m, S: Semiring> SpGemmBatcher<'m, S> {
     /// workers are allocated lazily on the first threaded multiply.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = elba_par::ElbaPar::resolve(threads);
+        self
+    }
+
+    /// Restrict every multiply to the strict upper triangle of the
+    /// *global* product this block belongs to: local output row `i` and
+    /// column `j` sit at global `row_offset + i` and `col_offset + j`,
+    /// and only entries with global column > global row are
+    /// accumulated. For a symmetric product (`C = AAᵀ`) whose caller
+    /// keeps one triangle, a diagonal block does half the products and
+    /// a block wholly on or below the diagonal returns an empty matrix
+    /// without reading `B` or allocating an accumulator.
+    pub fn strict_upper(mut self, row_offset: usize, col_offset: usize) -> Self {
+        self.upper = Some(row_offset as i64 - col_offset as i64 + 1);
         self
     }
 
@@ -234,6 +279,12 @@ impl<'m, S: Semiring> SpGemmBatcher<'m, S> {
         let ncols = self.b.ncols();
         assert!(cols.end as usize <= ncols, "column range out of bounds");
         self.last_parallel = false;
+        if self.produces_nothing(&rows, &cols) {
+            return Csr::empty(rows.len(), ncols);
+        }
+        if self.spas.is_empty() {
+            self.spas.push(Spa::new(ncols));
+        }
         let mut indptr = Vec::with_capacity(rows.len() + 1);
         indptr.push(0usize);
         let mut indices = Vec::new();
@@ -245,11 +296,19 @@ impl<'m, S: Semiring> SpGemmBatcher<'m, S> {
             &mut self.spas[0],
             rows.clone(),
             cols,
+            self.upper,
             &mut indptr,
             &mut indices,
             &mut values,
         );
         Csr::from_parts(rows.len(), ncols, indptr, indices, values)
+    }
+
+    /// Whether the `rows × cols` output window is empty by construction:
+    /// no columns, or (floors rise with the row) even its first row
+    /// starts at or past the window's end.
+    fn produces_nothing(&self, rows: &std::ops::Range<usize>, cols: &std::ops::Range<u32>) -> bool {
+        cols.is_empty() || row_floor(self.upper, rows.start, cols) >= cols.end
     }
 }
 
@@ -275,7 +334,7 @@ where
         let ncols = self.b.ncols();
         assert!(cols.end as usize <= ncols, "column range out of bounds");
         let chunks = elba_par::overdecomposed_ranges(rows.clone(), self.threads, MIN_PAR_ROWS);
-        if self.threads <= 1 || chunks.len() <= 1 {
+        if self.threads <= 1 || chunks.len() <= 1 || self.produces_nothing(&rows, &cols) {
             return self.multiply_rows_in_cols(rows, cols);
         }
         let workers = self.threads.min(chunks.len());
@@ -283,7 +342,7 @@ where
         while self.spas.len() < workers {
             self.spas.push(Spa::new(ncols));
         }
-        let (a, b, semiring) = (self.a, self.b, self.semiring);
+        let (a, b, semiring, upper) = (self.a, self.b, self.semiring, self.upper);
         // Self-scheduled chunk map, per-worker SPA scratch; results come
         // back in chunk (= row) order — the fixed-order merge contract.
         let parts: Vec<ChunkParts<S::Out>> =
@@ -299,6 +358,7 @@ where
                     spa,
                     chunk_rows,
                     cols.clone(),
+                    upper,
                     &mut indptr,
                     &mut indices,
                     &mut values,
@@ -659,6 +719,78 @@ mod tests {
         assert_eq!(mid.nnz(), full.row_nnz(1) + full.row_nnz(2));
         let empty = spgemm_range(&csr_from_dense(&a), &csr_from_dense(&b), &PlusTimes, 2..2);
         assert_eq!((empty.nrows(), empty.nnz()), (0, 0));
+    }
+
+    #[test]
+    fn strict_upper_is_the_filtered_product() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(53);
+        for _ in 0..30 {
+            let (n, k, m) = (
+                rng.gen_range(1..20),
+                rng.gen_range(1..10),
+                rng.gen_range(1..20),
+            );
+            let mut random = |rows: usize, cols: usize| {
+                let mut t = Vec::new();
+                for i in 0..rows {
+                    for j in 0..cols {
+                        if rng.gen_bool(0.4) {
+                            t.push((i as u32, j as u32, rng.gen_range(1..5) as f64));
+                        }
+                    }
+                }
+                Csr::from_triples(rows, cols, t, |_, _| unreachable!())
+            };
+            let (a, b) = (random(n, k), random(k, m));
+            // Block offsets putting the diagonal above, through and
+            // below the block; windows cutting it on both sides.
+            let (row0, col0) = (rng.gen_range(0..24usize), rng.gen_range(0..24usize));
+            let lo = rng.gen_range(0..=m as u32);
+            let window = lo..rng.gen_range(lo..=m as u32);
+            let rows = 0..n;
+            let full = SpGemmBatcher::new(&a, &b, &PlusTimes)
+                .multiply_rows_in_cols(rows.clone(), window.clone());
+            let want = full.retain(|i, j, _| col0 + j as usize > row0 + i as usize);
+            for threads in [1usize, 3] {
+                let got = SpGemmBatcher::new(&a, &b, &PlusTimes)
+                    .with_threads(threads)
+                    .strict_upper(row0, col0)
+                    .multiply_rows_par(rows.clone(), window.clone());
+                assert_eq!(got, want, "offsets ({row0}, {col0}) window {window:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_below_the_diagonal_is_empty_and_never_multiplies() {
+        use crate::semiring::FnSemiring;
+        let untouchable = FnSemiring::new(
+            |_: &f64, _: &f64| -> Option<f64> { panic!("a strictly-lower block read B") },
+            |_: &mut f64, _: f64| {},
+        );
+        let dense = |rows: usize, cols: usize| {
+            let t = (0..rows as u32)
+                .flat_map(|i| (0..cols as u32).map(move |j| (i, j, 1.0f64)))
+                .collect();
+            Csr::from_triples(rows, cols, t, |_, _| unreachable!())
+        };
+        let (a, b) = (dense(20, 3), dense(3, 4));
+        // Global rows 8..28 against columns 4..8: wholly below the
+        // diagonal. Rows 7..27 against columns 4..8 touch it only at
+        // (7, 7), which the *strict* triangle excludes.
+        for row0 in [8usize, 7] {
+            for threads in [1usize, 2] {
+                let mut batcher = SpGemmBatcher::new(&a, &b, &untouchable)
+                    .with_threads(threads)
+                    .strict_upper(row0, 4);
+                assert_eq!(batcher.multiply_rows_par(0..20, 0..4), Csr::empty(20, 4));
+                assert!(!batcher.last_run_parallel());
+                // No accumulator was ever allocated for it.
+                assert!(batcher.spas.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,226 @@
+//! The symmetric product of overlap detection and the transpose under
+//! it: `DistMat::spgemm_aat_upper_with` must equal the general pruned
+//! multiply `spgemm_pruned_with(a, aᵀ, r < c)` value for value — under
+//! an order-sensitive semiring add, for every schedule, rank count and
+//! thread count — and `DistMat::transpose` must equal a gather-triples
+//! oracle while shipping bytes proportional to a block's entries, not
+//! its dimension.
+
+use elba_comm::ProcGrid;
+use elba_comm::{Backend, Runner};
+use elba_sparse::semiring::Semiring;
+use elba_sparse::{DistMat, SpGemmOptions};
+use proptest::prelude::*;
+
+/// Like the overlap semiring, order-sensitive in its add: a product is
+/// the pair of operand tags, a sum is the concatenation in arrival
+/// order. Two multiplies agree on every value only if each entry saw
+/// its products in the same order (ascending `k` within a stage,
+/// ascending stages).
+struct Trace;
+
+impl Semiring for Trace {
+    type A = u32;
+    type B = u32;
+    type Out = Vec<(u32, u32)>;
+
+    fn multiply(&self, a: &u32, b: &u32) -> Option<Self::Out> {
+        Some(vec![(*a, *b)])
+    }
+
+    fn add(&self, acc: &mut Self::Out, other: Self::Out) {
+        acc.extend(other);
+    }
+}
+
+/// Distinctly tagged triples from a proptest entry list (dedup by
+/// coordinate; the tag encodes the coordinate).
+fn tagged(nrows: usize, ncols: usize, entries: &[(usize, usize)]) -> Vec<(u64, u64, u32)> {
+    let coords: std::collections::BTreeSet<(usize, usize)> = entries
+        .iter()
+        .map(|&(r, c)| (r % nrows, c % ncols))
+        .collect();
+    coords
+        .into_iter()
+        .map(|(r, c)| (r as u64, c as u64, (r * 1000 + c) as u32))
+        .collect()
+}
+
+type Product = Vec<(u64, u64, Vec<(u32, u32)>)>;
+
+/// The gathered, sorted product of one run on `p` ranks: the symmetric
+/// entry point when `upper`, else the general pruned multiply against
+/// an explicit transpose under `r < c`.
+fn product(
+    p: usize,
+    n: usize,
+    k: usize,
+    triples: &[(u64, u64, u32)],
+    opts: SpGemmOptions,
+    min_len: usize,
+    upper: bool,
+) -> Product {
+    let t = triples.to_vec();
+    let mut got = Runner::new(Backend::InProcess)
+        .ranks(p)
+        .run(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let mine = if grid.world().rank() == 0 {
+                t.clone()
+            } else {
+                Vec::new()
+            };
+            let a = DistMat::from_triples(&grid, n, k, mine, |_, _| unreachable!());
+            let c = if upper {
+                a.spgemm_aat_upper_with(&grid, &Trace, &opts, |_, _, v| v.len() >= min_len)
+            } else {
+                let at = a.transpose(&grid);
+                a.spgemm_pruned_with(&grid, &at, &Trace, &opts, |r, c, v| {
+                    r < c && v.len() >= min_len
+                })
+            };
+            c.gather_triples(&grid)
+        })
+        .remove(0);
+    got.sort();
+    got
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+
+    #[test]
+    fn upper_aat_equals_pruned_general_multiply(
+        p_idx in 0usize..3,
+        // n < q (blocks with no rows at all) up to blocks tall enough
+        // for the threaded kernel to fan out.
+        n in 1usize..48,
+        k in 1usize..24,
+        batch in 1usize..9,
+        min_len in 1usize..3,
+        entries in proptest::collection::vec((0usize..64, 0usize..32), 0..220),
+    ) {
+        let p = [1usize, 4, 9][p_idx];
+        let triples = tagged(n, k, &entries);
+        let want = product(p, n, k, &triples, SpGemmOptions::eager(), min_len, false);
+        prop_assert!(want.iter().all(|&(r, c, _)| r < c));
+        for opts in [
+            SpGemmOptions::eager(),
+            SpGemmOptions::pipelined(),
+            SpGemmOptions::blocked(batch),
+            SpGemmOptions::column_batched(batch, None),
+            // A budget of a few entries: many narrow column windows, so
+            // the diagonal floor and the window start trade places.
+            SpGemmOptions::column_batched(batch, Some(96)),
+            SpGemmOptions::layered(2),
+            SpGemmOptions::layered(3),
+            SpGemmOptions::auto(),
+        ] {
+            for threads in [1usize, 2] {
+                let opts = opts.with_threads(threads);
+                let upper = product(p, n, k, &triples, opts, min_len, true);
+                prop_assert_eq!(&upper, &want, "upper p={} {:?}", p, opts);
+                // The general path must not have moved either.
+                let general = product(p, n, k, &triples, opts, min_len, false);
+                prop_assert_eq!(&general, &want, "general p={} {:?}", p, opts);
+            }
+        }
+    }
+}
+
+type Triples = Vec<(u64, u64, f64)>;
+
+/// Gather `a`, `aᵀ` and `(aᵀ)ᵀ` on `p` ranks (sorted triples), plus the
+/// profiled bytes of the two transposes.
+fn transposes(p: usize, nrows: usize, ncols: usize, triples: &Triples) -> ([Triples; 3], u64) {
+    let t = triples.to_vec();
+    let (mut out, profile) = Runner::new(Backend::InProcess)
+        .ranks(p)
+        .run_profiled(move |comm| {
+            let grid = ProcGrid::new(comm);
+            // Every rank contributes a slice, so routing is exercised too.
+            let rank = grid.world().rank();
+            let mine: Vec<_> = t
+                .iter()
+                .copied()
+                .enumerate()
+                .filter_map(|(i, e)| (i % p == rank).then_some(e))
+                .collect();
+            let a = DistMat::from_triples(&grid, nrows, ncols, mine, |_, _| unreachable!());
+            let (at, att) = {
+                let _g = grid.world().phase("transpose");
+                let at = a.transpose(&grid);
+                let att = at.transpose(&grid);
+                (at, att)
+            };
+            assert_eq!((at.nrows(), at.ncols()), (ncols, nrows));
+            assert_eq!((att.nrows(), att.ncols()), (nrows, ncols));
+            // The block itself must round-trip, not just its entry set.
+            assert_eq!(att.local(), a.local());
+            [a, at, att].map(|m| {
+                let mut g = m.gather_triples(&grid);
+                g.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
+                g
+            })
+        });
+    (out.remove(0), profile.total_bytes("transpose"))
+}
+
+#[test]
+fn transpose_matches_gather_oracle() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(77);
+    // (rows, cols, nnz): rectangular both ways, fewer rows than grid
+    // rows, hypersparse (nnz ≪ rows), and empty.
+    for (nrows, ncols, nnz) in [
+        (13usize, 7usize, 30usize),
+        (5, 40, 60),
+        (2, 3, 4),
+        (20_000, 15_000, 40),
+        (9, 9, 0),
+    ] {
+        let coords: std::collections::BTreeSet<(u64, u64)> = (0..nnz)
+            .map(|_| {
+                (
+                    rng.gen_range(0..nrows) as u64,
+                    rng.gen_range(0..ncols) as u64,
+                )
+            })
+            .collect();
+        let triples: Vec<(u64, u64, f64)> = coords
+            .into_iter()
+            .enumerate()
+            .map(|(i, (r, c))| (r, c, i as f64 + 0.5))
+            .collect();
+        let mut want_t: Vec<(u64, u64, f64)> = triples.iter().map(|&(r, c, v)| (c, r, v)).collect();
+        want_t.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
+        for p in [1usize, 4, 9] {
+            let ([a, at, att], _) = transposes(p, nrows, ncols, &triples);
+            assert_eq!(a, triples, "{nrows}x{ncols} p={p}: routing");
+            assert_eq!(at, want_t, "{nrows}x{ncols} p={p}: transpose");
+            assert_eq!(att, triples, "{nrows}x{ncols} p={p}: involution");
+        }
+    }
+}
+
+#[test]
+fn hypersparse_block_ships_bytes_per_entry_not_per_dimension() {
+    // 20 entries (20 distinct rows, 12 distinct columns) in one
+    // off-diagonal block of a 10⁵ × 10⁵ matrix on a 2×2 grid. A CSR of
+    // the transposed block would carry 8·(50 000 + 1) bytes of row
+    // pointers; as global triples the entries were 8 + 20·(16 + 8) =
+    // 488 bytes.
+    let n = 100_000usize;
+    let triples: Vec<(u64, u64, f64)> = (0..20u64)
+        .map(|i| (i * 2_000, 50_000 + (i % 12) * 4_000, i as f64))
+        .collect();
+    let (_, bytes) = transposes(4, n, n, &triples);
+    // One count header, a (column, length) pair per non-empty column of
+    // the block sent, a (row, value) pair per entry; the partner's
+    // empty block is a bare header. `A → Aᵀ` compresses on 12 columns,
+    // `Aᵀ → A` on 20.
+    let block = |nzc: u64| 8 + nzc * 8 + 20 * (4 + 8);
+    assert_eq!(bytes, (block(12) + 8) + (block(20) + 8));
+    assert!(block(20) < 488 && bytes < 1024);
+}
