@@ -137,11 +137,11 @@ fn bench_union_find(c: &mut Criterion) {
     });
 }
 
-/// The distributed `C = AAᵀ` multiply under each SUMMA schedule on a
-/// 2×2 in-process grid — the eager-vs-pipelined-vs-blocked comparison
-/// behind the pipelined-SpGEMM refactor. The pipelined schedule should
-/// shave the broadcast serialization; blocked should match eager's time
-/// shape while never materializing the global triple buffer.
+/// The distributed `C = AAᵀ` multiply on a 2×2 in-process grid: the
+/// pipelined default against the eager reference oracle. The pipelined
+/// schedule should shave the broadcast serialization and the final
+/// sort-merge. (The budgeted schedule is timed below, next to the
+/// memory it buys.)
 fn bench_summa_schedules(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(6);
     let (n_reads, n_kmers, per_row) = (600usize, 4_000usize, 12usize);
@@ -155,7 +155,6 @@ fn bench_summa_schedules(c: &mut Criterion) {
     for (label, opts) in [
         ("eager", SpGemmOptions::eager()),
         ("pipelined", SpGemmOptions::pipelined()),
-        ("blocked_64", SpGemmOptions::blocked(64)),
     ] {
         let triples = Arc::clone(&triples);
         c.bench_function(&format!("summa_aat_600x4000_p4_{label}"), |bencher| {
@@ -179,11 +178,12 @@ fn bench_summa_schedules(c: &mut Criterion) {
     }
 }
 
-/// Single-round vs column-batched SUMMA on the overlap-detection shape
-/// (`C = AAᵀ` with a fused prune) at two memory budgets. Before timing,
-/// each configuration runs once profiled and reports its tracked
-/// per-rank memory high-water — the time column shows what the
-/// multi-round re-broadcasts cost, the mem-hw line what they buy.
+/// The unbudgeted default vs the column-batched SUMMA on the
+/// overlap-detection shape (`C = AAᵀ` with a fused prune) at two
+/// memory budgets. Before timing, each configuration runs once profiled
+/// and reports its tracked per-rank memory high-water — the time column
+/// shows what the multi-round re-broadcasts cost, the mem-hw line what
+/// they buy.
 fn bench_summa_column_batched(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
     let (n_reads, n_kmers, per_row) = (400usize, 2_000usize, 16usize);
@@ -206,7 +206,9 @@ fn bench_summa_column_batched(c: &mut Criterion) {
                 };
                 let a = DistMat::from_triples(&grid, n_reads, n_kmers, mine, |acc, _| *acc += 1.0);
                 let at = a.transpose(&grid);
-                let opts = SpGemmOptions::column_batched(64, budget);
+                let opts = budget.map_or_else(SpGemmOptions::pipelined, |bytes| {
+                    SpGemmOptions::column_batched(64, bytes)
+                });
                 let c = {
                     let _g = grid.world().phase("spgemm");
                     a.spgemm_pruned_with(&grid, &at, &PlusTimes, &opts, |r, col, v| {
@@ -217,7 +219,7 @@ fn bench_summa_column_batched(c: &mut Criterion) {
             })
     };
     for (label, budget) in [
-        ("single_round", None),
+        ("unbudgeted", None),
         ("budget_512k", Some(512u64 << 10)),
         ("budget_128k", Some(128u64 << 10)),
     ] {

@@ -27,7 +27,7 @@
 //! threads in one address space and payloads move as boxed values —
 //! identical communication *structure* to MPI (who sends what to whom,
 //! and how many bytes it would be on a wire) without serialization cost.
-//! The socket backend ([`transport::socket`], [`SocketCluster`],
+//! The socket backend ([`transport::socket`], [`Backend::Socket`],
 //! `elba launch`) instead hosts each rank in its own process and ships
 //! every cross-rank message as a serialized frame over Unix-domain
 //! sockets. Byte volumes are metered through [`msg::CommMsg`] *above*
@@ -59,12 +59,12 @@ pub mod transport;
 pub use collectives::{IalltoallvRequest, IbcastRequest};
 pub use error::{CommError, FailureCause, FaultKill, RankFailure, SpmdFailure};
 pub use grid::ProcGrid;
-pub use model::{CostConstants, MachineModel, SchedulePlan, SpGemmEstimate};
+pub use model::MachineModel;
 pub use msg::CommMsg;
 pub use profile::{PhaseProfile, Profile, RunProfile};
 pub use runtime::{
-    Backend, Cluster, Comm, MemCharge, Rank, RecvRequest, Runner, SendRequest, SharedMemCharge, Tag,
+    Backend, Comm, MemCharge, Rank, RecvRequest, Runner, SendRequest, SharedMemCharge, Tag,
 };
 pub use transport::fault::{Fault, FaultKind, FaultMode, FaultPlan, Trigger};
-pub use transport::socket::{run_worker, MeshConfig, SocketCluster, WorkerError};
+pub use transport::socket::{run_worker, MeshConfig, WorkerError};
 pub use transport::Transport;

@@ -145,256 +145,6 @@ impl MachineModel {
     }
 }
 
-/// A SUMMA schedule as seen by the predictor. Mirrors the sparse crate's
-/// `SpGemmAlgorithm` without depending on it (comm sits below sparse in
-/// the crate graph); the sparse side maps between the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulePlan {
-    /// Blocking broadcast per stage, triples accumulated and sort-merged
-    /// once at the end. No overlap; merge touches every intermediate
-    /// product.
-    Eager,
-    /// One-stage broadcast lookahead, running CSR merge per stage.
-    Pipelined,
-    /// Output-batched rounds sized to the memory budget, with a structure
-    /// estimate pass when budgeted.
-    ColumnBatched,
-    /// 2.5D-style: stages split into `c` contiguous slices, each slice's
-    /// broadcasts posted as one batch, per-layer partials combined by one
-    /// k-way merge at the end.
-    Layered { c: usize },
-}
-
-impl SchedulePlan {
-    /// Short label used in logs and bench JSON.
-    pub fn label(&self) -> String {
-        match self {
-            SchedulePlan::Eager => "eager".into(),
-            SchedulePlan::Pipelined => "pipelined".into(),
-            SchedulePlan::ColumnBatched => "column-batched".into(),
-            SchedulePlan::Layered { c } => format!("layered:{c}"),
-        }
-    }
-}
-
-/// Structure estimates feeding [`CostConstants::predict_phase`] — derived
-/// from the ColumnBatched estimate pass (per-column flop counts and
-/// per-stage panel bytes), reduced max-over-ranks so every rank predicts
-/// from the same numbers (the critical path) and reaches the same pick.
-#[derive(Debug, Clone)]
-pub struct SpGemmEstimate {
-    /// Grid side; p = grid_q².
-    pub grid_q: usize,
-    /// Max-over-ranks A+B panel bytes broadcast in one SUMMA stage.
-    pub stage_bytes: f64,
-    /// Bytes broadcast per stage by the ColumnBatched structure pass
-    /// (A column counts + B structure, no values).
-    pub struct_bytes: f64,
-    /// Max-over-ranks Gustavson multiply-adds (Σ over A entries of the
-    /// matched B-row length) — also the intermediate-product count.
-    pub flops: f64,
-    /// Max-over-ranks upper estimate of nnz(C_local):
-    /// Σ_j min(col_flops\[j\], nrows).
-    pub result_entries: f64,
-    /// Bytes per stored C entry (column index + value).
-    pub entry_bytes: f64,
-    /// Per-rank memory budget for the phase, if limited. Schedules whose
-    /// modeled peak exceeds it predict infinite cost (feasibility veto).
-    pub mem_budget: Option<u64>,
-}
-
-/// Calibration constants for *predicting* per-schedule SpGEMM cost, the
-/// optimizing counterpart of [`MachineModel::project_phase`] (which
-/// post-dicts a recorded trace). `alpha`/`beta` have their Hockney
-/// meanings; `gamma` is seconds per local *entry touch* — one
-/// multiply-add into the sparse accumulator, or one entry read/written
-/// by a CSR merge — so compute and merge traffic share a unit.
-#[derive(Debug, Clone)]
-pub struct CostConstants {
-    /// Broadcast latency in seconds (per tree, charged × log2 p).
-    pub alpha: f64,
-    /// Effective per-rank bandwidth in bytes/second.
-    pub beta: f64,
-    /// Seconds per entry touch (multiply-add or merge read/write).
-    pub gamma: f64,
-}
-
-impl CostConstants {
-    /// Defaults for the in-process transport, where a "transfer" is an
-    /// `Arc` handoff through a condvar mailbox: latency is the wake, the
-    /// bandwidth term is nearly free, and entry touches run at memory
-    /// speed. Deliberately *fixed* rather than measured per run — the
-    /// auto-tuner must be deterministic across ranks, and these only
-    /// need to rank schedules, not time them.
-    pub fn in_process() -> Self {
-        CostConstants {
-            alpha: 2.0e-6,
-            beta: 1.0e10,
-            gamma: 5.0e-9,
-        }
-    }
-
-    /// Calibrate against a machine model, supplying the measured compute
-    /// rate separately (used by the perf bench to score predictions with
-    /// a γ derived from a real run).
-    pub fn from_machine(machine: &MachineModel, gamma: f64) -> Self {
-        CostConstants {
-            alpha: machine.alpha,
-            beta: machine.beta,
-            gamma,
-        }
-    }
-
-    /// Modeled peak resident bytes of one rank running `plan`, charged
-    /// the same way the schedules charge the memory tracker.
-    fn peak_bytes(&self, plan: SchedulePlan, est: &SpGemmEstimate) -> f64 {
-        let q = est.grid_q as f64;
-        let stage = est.stage_bytes;
-        let result = est.result_entries * est.entry_bytes;
-        match plan {
-            // Accumulated triples of *every* intermediate product
-            // (index pair + value per flop) plus the in-flight stage.
-            SchedulePlan::Eager => est.flops * (est.entry_bytes + 8.0) + stage,
-            // Accumulator + merged copy + current and prefetched stage.
-            SchedulePlan::Pipelined => 2.0 * result + 2.0 * stage,
-            // c resident partials + combine output + the in-flight slice
-            // batch (current + prefetched, ⌈q/c⌉ stages each). c=1 is
-            // the pipelined path and charges like it.
-            SchedulePlan::Layered { c } => {
-                let c = (c.max(1) as f64).min(q);
-                if c <= 1.0 {
-                    return self.peak_bytes(SchedulePlan::Pipelined, est);
-                }
-                let slice = (q / c).ceil();
-                (c + 1.0) * result + 2.0 * slice * stage
-            }
-            // Sized to the budget by construction.
-            SchedulePlan::ColumnBatched => 0.0,
-        }
-    }
-
-    /// Rounds the ColumnBatched packer needs to emit `result` bytes of
-    /// output under the budget (mirrors its `4·stage ≤ budget`
-    /// double-buffer rule coarsely); 1 when unlimited.
-    fn column_batched_rounds(&self, est: &SpGemmEstimate) -> f64 {
-        let Some(budget) = est.mem_budget else {
-            return 1.0;
-        };
-        let b = budget as f64;
-        let usable = (b - 2.0 * est.stage_bytes).max(b / 4.0);
-        (est.result_entries * est.entry_bytes / usable)
-            .ceil()
-            .max(1.0)
-    }
-
-    /// Predicted wall seconds of one SpGEMM phase under `plan`.
-    ///
-    /// All schedules broadcast the same q stage panels (the wire-byte
-    /// model pins them byte-identical); what differs is *exposed*
-    /// latency, overlap, and merge traffic:
-    ///
-    /// ```text
-    /// T = startup + max(comm − startup, compute)       // overlap
-    /// comm_eager      = q·(L + W)       compute += γ·flops·log2(flops) (sort)
-    /// comm_pipelined  = q·(L + W)       merge = 3γE·(q−1)   (binary, per stage)
-    /// comm_layered(c) = c·L + q·W       merge = 3γE·(q−c) + 2γE
-    /// comm_colbatch   = r·q·(L + W) + structure pass; merge as pipelined
-    /// L = α·log2 p,  W = stage_bytes/β,  E = result_entries
-    /// ```
-    ///
-    /// Eager gets no overlap (blocking broadcasts). A binary CSR merge
-    /// touches ~3E entries (read both sides, write the union); the
-    /// layered k-way combine touches Σ nnz(part) + E ≈ 2E once (stage
-    /// outputs are near-disjoint slabs, so the partials sum to E), which
-    /// is why layered's merge term shrinks as c approaches q while its
-    /// memory peak grows — exactly the 2.5D memory-for-traffic trade.
-    /// Returns `f64::INFINITY` when the modeled peak exceeds
-    /// `est.mem_budget`.
-    pub fn predict_phase(&self, plan: SchedulePlan, est: &SpGemmEstimate) -> f64 {
-        if let Some(budget) = est.mem_budget {
-            if self.peak_bytes(plan, est) > budget as f64 {
-                return f64::INFINITY;
-            }
-        }
-        let q = est.grid_q as f64;
-        let p = q * q;
-        let lat = self.alpha * p.log2().max(1.0);
-        let wire = est.stage_bytes / self.beta;
-        let mul = self.gamma * est.flops;
-        let e = est.result_entries;
-        match plan {
-            SchedulePlan::Eager => {
-                // Final combine is a comparison sort over every
-                // intermediate triple: n·log2 n entry touches.
-                let sort = self.gamma * est.flops * est.flops.max(2.0).log2();
-                q * (lat + wire) + mul + sort
-            }
-            SchedulePlan::Pipelined => {
-                let startup = lat + wire;
-                let comm = q * (lat + wire);
-                let compute = mul + 3.0 * self.gamma * e * (q - 1.0);
-                startup + (comm - startup).max(compute)
-            }
-            SchedulePlan::Layered { c } => {
-                let c = (c.max(1) as f64).min(q);
-                if c <= 1.0 {
-                    // c=1 *is* the pipelined schedule (dispatched there).
-                    return self.predict_phase(SchedulePlan::Pipelined, est);
-                }
-                let slice = (q / c).ceil();
-                let startup = lat + slice * wire;
-                let comm = c * lat + q * wire;
-                // Intra-layer running merges touch 3·E per extra stage
-                // (as pipelined does), but the final k-way combine is
-                // Σ nnz(part) + nnz(out) ≈ 2·E: SUMMA stages emit
-                // near-disjoint column slabs, so the partials sum to
-                // the result, not c copies of it — and the merge's
-                // single-contributor fast path keeps the per-entry cost
-                // at bulk-copy rates.
-                let compute = mul + 3.0 * self.gamma * e * (q - c) + 2.0 * self.gamma * e;
-                startup + (comm - startup).max(compute)
-            }
-            SchedulePlan::ColumnBatched => {
-                let rounds = self.column_batched_rounds(est);
-                let structure = if est.mem_budget.is_some() {
-                    q * (lat + est.struct_bytes / self.beta) + self.gamma * est.flops * 0.25
-                } else {
-                    0.0
-                };
-                let startup = lat + wire;
-                let comm = rounds * q * (lat + wire);
-                let compute = mul + 3.0 * self.gamma * e * (q - 1.0);
-                structure + startup + (comm - startup).max(compute)
-            }
-        }
-    }
-
-    /// Cheapest feasible candidate, first-wins on ties (order the
-    /// candidates by preference). A challenger must beat the incumbent
-    /// by a 0.1% margin: formulas that are algebraically equal on
-    /// degenerate grids (layered at c = q = 2 vs pipelined) can differ
-    /// in the last float ulp, and the model's precision is nowhere near
-    /// that — sub-margin differences are ties, resolved by candidate
-    /// order. Falls back to the first candidate if every prediction is
-    /// infinite (the caller should include ColumnBatched, which always
-    /// fits).
-    pub fn pick_schedule(
-        &self,
-        est: &SpGemmEstimate,
-        candidates: &[SchedulePlan],
-    ) -> (SchedulePlan, f64) {
-        assert!(!candidates.is_empty());
-        let mut best = (candidates[0], f64::INFINITY);
-        for &plan in candidates {
-            let t = self.predict_phase(plan, est);
-            if t < best.1 * (1.0 - 1e-3) {
-                best = (plan, t);
-            }
-        }
-        best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,106 +266,5 @@ mod tests {
         let total = m.project_total(&obs_list, 16, 64);
         let by_hand: f64 = obs_list.iter().map(|o| m.project_phase(o, 16, 64)).sum();
         assert!((total - by_hand).abs() < 1e-12);
-    }
-
-    fn est(q: usize, flops: f64, entries: f64) -> SpGemmEstimate {
-        SpGemmEstimate {
-            grid_q: q,
-            stage_bytes: 1e6,
-            struct_bytes: 1e5,
-            flops,
-            result_entries: entries,
-            entry_bytes: 8.0,
-            mem_budget: None,
-        }
-    }
-
-    #[test]
-    fn layered_c1_predicts_exactly_pipelined() {
-        let k = CostConstants::in_process();
-        let e = est(3, 1e7, 1e6);
-        let pipe = k.predict_phase(SchedulePlan::Pipelined, &e);
-        let lay = k.predict_phase(SchedulePlan::Layered { c: 1 }, &e);
-        assert_eq!(
-            pipe.to_bits(),
-            lay.to_bits(),
-            "c=1 must be the pipelined path"
-        );
-        // Same through the clamp: c > q on a 1×1 grid is still pipelined.
-        let e1 = est(1, 1e7, 1e6);
-        assert_eq!(
-            k.predict_phase(SchedulePlan::Pipelined, &e1).to_bits(),
-            k.predict_phase(SchedulePlan::Layered { c: 3 }, &e1)
-                .to_bits(),
-        );
-    }
-
-    #[test]
-    fn kway_combine_wins_on_merge_heavy_shapes() {
-        let k = CostConstants::in_process();
-        // flops ≈ result entries: almost no arithmetic reuse, so merge
-        // traffic dominates local time — the shape where the one-pass
-        // k-way combine (touching (c+1)·E) beats q−1 binary merges
-        // (touching 3E each).
-        let e = est(3, 2e6, 1e6);
-        let eager = k.predict_phase(SchedulePlan::Eager, &e);
-        let pipe = k.predict_phase(SchedulePlan::Pipelined, &e);
-        let lay = k.predict_phase(SchedulePlan::Layered { c: 3 }, &e);
-        assert!(lay < pipe, "layered {lay} must beat pipelined {pipe}");
-        assert!(pipe < eager, "pipelined {pipe} must beat eager {eager}");
-    }
-
-    #[test]
-    fn budget_vetoes_memory_hungry_schedules() {
-        let k = CostConstants::in_process();
-        let mut e = est(3, 1e8, 1e7);
-        e.mem_budget = Some(16 << 20); // far below (c+1)·E·entry_bytes
-        assert!(k.predict_phase(SchedulePlan::Eager, &e).is_infinite());
-        assert!(k
-            .predict_phase(SchedulePlan::Layered { c: 3 }, &e)
-            .is_infinite());
-        let (pick, cost) = k.pick_schedule(
-            &e,
-            &[
-                SchedulePlan::Pipelined,
-                SchedulePlan::Layered { c: 3 },
-                SchedulePlan::ColumnBatched,
-                SchedulePlan::Eager,
-            ],
-        );
-        assert_eq!(pick, SchedulePlan::ColumnBatched, "only feasible schedule");
-        assert!(cost.is_finite());
-    }
-
-    #[test]
-    fn tie_break_prefers_earlier_candidate() {
-        let k = CostConstants::in_process();
-        let e = est(1, 1e5, 1e4);
-        // On a 1×1 grid layered degenerates to pipelined: equal cost,
-        // first listed wins.
-        let (pick, _) = k.pick_schedule(
-            &e,
-            &[SchedulePlan::Pipelined, SchedulePlan::Layered { c: 2 }],
-        );
-        assert_eq!(pick, SchedulePlan::Pipelined);
-    }
-
-    #[test]
-    fn eager_pays_for_the_global_sort_merge() {
-        let k = CostConstants::in_process();
-        // High-reuse shape: flops ≫ entries. Eager's n·log n sort over
-        // all intermediate triples dwarfs the per-stage merges of the
-        // overlapped schedules.
-        let e = est(3, 1e9, 1e5);
-        let eager = k.predict_phase(SchedulePlan::Eager, &e);
-        let pipe = k.predict_phase(SchedulePlan::Pipelined, &e);
-        assert!(eager > pipe * 1.5, "eager {eager} vs pipelined {pipe}");
-    }
-
-    #[test]
-    fn schedule_plan_labels() {
-        assert_eq!(SchedulePlan::Eager.label(), "eager");
-        assert_eq!(SchedulePlan::Layered { c: 2 }.label(), "layered:2");
-        assert_eq!(SchedulePlan::ColumnBatched.label(), "column-batched");
     }
 }

@@ -329,7 +329,7 @@ impl Drop for PhaseGuard {
     }
 }
 
-/// Profiles of every rank in one [`crate::Cluster`] run, with the
+/// Profiles of every rank in one [`crate::Runner`] run, with the
 /// aggregations the paper's figures are built from.
 #[derive(Debug, Clone)]
 pub struct RunProfile {

@@ -1,4 +1,4 @@
-//! SPMD runtime: [`Cluster`] spawns one thread per rank, each holding a
+//! SPMD runtime: [`Runner`] spawns one thread per rank, each holding a
 //! [`Comm`] — the analogue of an MPI communicator. A `Comm` posts and
 //! receives opaque envelopes through a pluggable
 //! [`Transport`](crate::transport) — the default backend keeps
@@ -774,7 +774,7 @@ impl Backend {
     fn transports(self, nranks: usize) -> Vec<Arc<dyn Transport>> {
         match self {
             Backend::InProcess => InProcess::world(nranks),
-            Backend::Socket => crate::transport::socket::SocketCluster::mesh(nranks),
+            Backend::Socket => crate::transport::socket::thread_mesh(nranks),
         }
     }
 }
@@ -782,10 +782,8 @@ impl Backend {
 /// The backend-generic SPMD entry point: build once, choose a [`Backend`],
 /// a rank count, and (optionally) a [`FaultPlan`], then run.
 ///
-/// `Runner` collapses what used to be eight near-duplicate cluster
-/// functions (`Cluster::{run,run_profiled,try_run_profiled,
-/// try_run_with_faults}` mirrored on `SocketCluster`) into one builder
-/// that schedulers and tests can program against generically:
+/// One builder for every backend, so schedulers and tests can program
+/// against the message plane generically:
 ///
 /// ```
 /// use elba_comm::{Backend, Runner};
@@ -895,67 +893,6 @@ impl Runner {
             Some(plan) => run_spmd_checked_with(transports, Some(plan), f),
             None => run_spmd_checked(transports, f),
         }
-    }
-}
-
-/// Deprecated entry point: run an SPMD function over `nranks` in-process
-/// ranks. Superseded by the backend-generic [`Runner`] builder; each
-/// method survives as a one-line shim.
-pub struct Cluster;
-
-impl Cluster {
-    /// Run `f` on `nranks` ranks; returns each rank's result, rank-ordered.
-    #[deprecated(note = "use Runner::new(Backend::InProcess).ranks(n).run(f)")]
-    pub fn run<T, F>(nranks: usize, f: F) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: Fn(Comm) -> T + Send + Sync + 'static,
-    {
-        Runner::new(Backend::InProcess).ranks(nranks).run(f)
-    }
-
-    /// Like `Cluster::run` but also returns the per-rank profiles.
-    #[deprecated(note = "use Runner::new(Backend::InProcess).ranks(n).run_profiled(f)")]
-    pub fn run_profiled<T, F>(nranks: usize, f: F) -> (Vec<T>, RunProfile)
-    where
-        T: Send + 'static,
-        F: Fn(Comm) -> T + Send + Sync + 'static,
-    {
-        Runner::new(Backend::InProcess)
-            .ranks(nranks)
-            .run_profiled(f)
-    }
-
-    /// Like `Cluster::run_profiled`, but dead ranks surface as a typed
-    /// [`SpmdFailure`] instead of a panic.
-    #[deprecated(note = "use Runner::new(Backend::InProcess).ranks(n).try_run_profiled(f)")]
-    pub fn try_run_profiled<T, F>(nranks: usize, f: F) -> Result<(Vec<T>, RunProfile), SpmdFailure>
-    where
-        T: Send + 'static,
-        F: Fn(Comm) -> T + Send + Sync + 'static,
-    {
-        Runner::new(Backend::InProcess)
-            .ranks(nranks)
-            .try_run_profiled(f)
-    }
-
-    /// Like `Cluster::try_run_profiled`, but with an explicit [`FaultPlan`].
-    #[deprecated(
-        note = "use Runner::new(Backend::InProcess).ranks(n).faults(plan).try_run_profiled(f)"
-    )]
-    pub fn try_run_with_faults<T, F>(
-        nranks: usize,
-        plan: &FaultPlan,
-        f: F,
-    ) -> Result<(Vec<T>, RunProfile), SpmdFailure>
-    where
-        T: Send + 'static,
-        F: Fn(Comm) -> T + Send + Sync + 'static,
-    {
-        Runner::new(Backend::InProcess)
-            .ranks(nranks)
-            .faults(plan)
-            .try_run_profiled(f)
     }
 }
 

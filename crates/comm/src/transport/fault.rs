@@ -250,8 +250,8 @@ impl fmt::Display for FaultPlan {
 /// Where the ranks of this run live, hence how a kill is delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultMode {
-    /// Ranks are threads of the harness process ([`crate::Cluster`],
-    /// [`crate::SocketCluster`]): a kill unwinds with [`FaultKill`].
+    /// Ranks are threads of the harness process ([`crate::Runner`] on
+    /// either backend): a kill unwinds with [`FaultKill`].
     Thread,
     /// Ranks are processes (`elba launch` workers): a kill takes the
     /// process down with [`FAULT_KILLED_EXIT`] or a real SIGKILL.

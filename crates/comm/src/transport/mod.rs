@@ -10,10 +10,10 @@
 //!
 //! * `in_process` — the original mailbox runtime (one OS thread per
 //!   rank, payloads move as boxed values without serialization). The
-//!   tier-1 default, used by [`crate::Cluster`].
+//!   tier-1 default ([`crate::Backend::InProcess`]).
 //! * [`socket`] — ranks are processes exchanging length-prefixed
 //!   serialized frames over Unix-domain sockets ([`wire`] defines the
-//!   format). Used by `elba launch` and by [`crate::SocketCluster`].
+//!   format). Used by `elba launch` and by [`crate::Backend::Socket`].
 //!
 //! The wire-byte model (invariant 2) lives *above* the transport: bytes
 //! are booked from [`crate::CommMsg::nbytes`] at send time, so profiled

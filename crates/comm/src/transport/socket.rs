@@ -5,9 +5,9 @@
 //! ## Topology
 //!
 //! The mesh is fully connected: one stream per rank pair, built either
-//! from socketpairs ([`SocketCluster`] — a thread-per-rank harness that
-//! exercises the full serialize/frame/deserialize path inside one test
-//! process) or from filesystem sockets under a rendezvous directory
+//! from socketpairs (`Runner::new(Backend::Socket)` — a thread-per-rank
+//! harness that exercises the full serialize/frame/deserialize path
+//! inside one test process) or from filesystem sockets under a rendezvous directory
 //! ([`run_worker`] — real processes, launched by `elba launch`).
 //!
 //! Per peer stream a dedicated reader thread drains frames into
@@ -40,9 +40,9 @@ use std::time::{Duration, Instant};
 use super::fault::{FaultMode, FaultPlan, FaultTransport};
 use super::wire::{FrameHeader, FrameKind, FRAME_HEADER_BYTES};
 use super::{Envelope, Mailbox, Payload, PeerGone, SplitKey, Transport, TryRecvError};
-use crate::error::{CommError, FailureCause, SpmdFailure};
-use crate::profile::{lock_profile, Profile, RunProfile};
-use crate::runtime::{Backend, Comm, Rank, Runner};
+use crate::error::{CommError, FailureCause};
+use crate::profile::{lock_profile, Profile};
+use crate::runtime::{Comm, Rank};
 
 /// Context id of the world communicator.
 const WORLD_CTX: u64 = 0;
@@ -457,7 +457,7 @@ impl Transport for SocketTransport {
 // ----------------------------------------------------------------------
 
 /// Fully-connected mesh of `nranks` nodes from socketpairs, all inside
-/// the calling process — the harness behind [`SocketCluster`].
+/// the calling process — the harness behind [`thread_mesh`].
 fn pair_mesh(nranks: usize) -> std::io::Result<Vec<Arc<SocketNode>>> {
     let mut endpoints: Vec<Vec<Option<UnixStream>>> = (0..nranks)
         .map(|_| (0..nranks).map(|_| None).collect())
@@ -652,7 +652,7 @@ impl From<std::io::Error> for WorkerError {
 /// `elba launch`). Blocks until the mesh is up, runs `f` over the world
 /// communicator, and returns `f`'s result together with this rank's
 /// recorded [`Profile`]. Cross-rank aggregation (a merged
-/// [`RunProfile`] at rank 0) is the caller's business: gather the
+/// [`crate::RunProfile`] at rank 0) is the caller's business: gather the
 /// per-rank profiles over a duplicated communicator with
 /// [`Profile::wire_encode`].
 ///
@@ -708,10 +708,8 @@ where
     }
 }
 
-/// Deprecated entry point: run an SPMD function over `nranks`
-/// socket-transport ranks hosted as threads of the current process.
-/// Superseded by [`Runner`]`::new(Backend::Socket)`; each method
-/// survives as a one-line shim.
+/// The transports of an `nranks`-rank socket mesh hosted as threads of
+/// the current process — what `Runner::new(Backend::Socket)` runs on.
 ///
 /// The mesh is real — every cross-rank message is serialized into a
 /// frame, shipped through a Unix socketpair and deserialized by the
@@ -719,69 +717,12 @@ where
 /// cross-backend properties (byte-identical contigs and wire bytes
 /// against the in-process backend) without forking processes. For
 /// genuinely separate processes, use `elba launch` / [`run_worker`].
-pub struct SocketCluster;
-
-impl SocketCluster {
-    /// Run `f` on `nranks` ranks; returns each rank's result, rank-ordered.
-    #[deprecated(note = "use Runner::new(Backend::Socket).ranks(n).run(f)")]
-    pub fn run<T, F>(nranks: usize, f: F) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: Fn(Comm) -> T + Send + Sync + 'static,
-    {
-        Runner::new(Backend::Socket).ranks(nranks).run(f)
-    }
-
-    /// Like `SocketCluster::run` but also returns the per-rank profiles.
-    #[deprecated(note = "use Runner::new(Backend::Socket).ranks(n).run_profiled(f)")]
-    pub fn run_profiled<T, F>(nranks: usize, f: F) -> (Vec<T>, RunProfile)
-    where
-        T: Send + 'static,
-        F: Fn(Comm) -> T + Send + Sync + 'static,
-    {
-        Runner::new(Backend::Socket).ranks(nranks).run_profiled(f)
-    }
-
-    /// Like `SocketCluster::run_profiled`, but dead ranks surface as a
-    /// typed [`SpmdFailure`] instead of a panic.
-    #[deprecated(note = "use Runner::new(Backend::Socket).ranks(n).try_run_profiled(f)")]
-    pub fn try_run_profiled<T, F>(nranks: usize, f: F) -> Result<(Vec<T>, RunProfile), SpmdFailure>
-    where
-        T: Send + 'static,
-        F: Fn(Comm) -> T + Send + Sync + 'static,
-    {
-        Runner::new(Backend::Socket)
-            .ranks(nranks)
-            .try_run_profiled(f)
-    }
-
-    /// Like `SocketCluster::try_run_profiled`, but with an explicit
-    /// [`FaultPlan`] (kills stay thread-mode: ranks here are threads).
-    #[deprecated(
-        note = "use Runner::new(Backend::Socket).ranks(n).faults(plan).try_run_profiled(f)"
-    )]
-    pub fn try_run_with_faults<T, F>(
-        nranks: usize,
-        plan: &FaultPlan,
-        f: F,
-    ) -> Result<(Vec<T>, RunProfile), SpmdFailure>
-    where
-        T: Send + 'static,
-        F: Fn(Comm) -> T + Send + Sync + 'static,
-    {
-        Runner::new(Backend::Socket)
-            .ranks(nranks)
-            .faults(plan)
-            .try_run_profiled(f)
-    }
-
-    pub(crate) fn mesh(nranks: usize) -> Vec<Arc<dyn Transport>> {
-        pair_mesh(nranks)
-            .unwrap_or_else(|e| panic!("socket mesh bring-up failed: {e}"))
-            .into_iter()
-            .map(|node| Arc::new(SocketTransport::world(node)) as Arc<dyn Transport>)
-            .collect()
-    }
+pub(crate) fn thread_mesh(nranks: usize) -> Vec<Arc<dyn Transport>> {
+    pair_mesh(nranks)
+        .unwrap_or_else(|e| panic!("socket mesh bring-up failed: {e}"))
+        .into_iter()
+        .map(|node| Arc::new(SocketTransport::world(node)) as Arc<dyn Transport>)
+        .collect()
 }
 
 #[cfg(test)]

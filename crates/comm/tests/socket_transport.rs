@@ -3,7 +3,7 @@
 //! out-of-order matching, communicator splits, the full collective set,
 //! the credit/ack streaming exchange, disconnect panics — must behave
 //! identically when every cross-rank message is serialized into a frame
-//! and shipped through a Unix socketpair ([`SocketCluster`]).
+//! and shipped through a Unix socketpair (`Backend::Socket`).
 
 use elba_comm::{Backend, Runner};
 

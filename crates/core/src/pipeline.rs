@@ -142,8 +142,10 @@ impl PipelineConfig {
         }
     }
 
-    /// Run every distributed SpGEMM in the pipeline under `opts`.
-    /// `overlap.spgemm` is the single schedule knob: overlap detection
+    /// Run every distributed SpGEMM in the pipeline under `opts` — how
+    /// tests put the [`elba_sparse::SpGemmAlgorithm::Eager`] oracle under
+    /// the whole pipeline; a production run sets a memory budget or
+    /// nothing. `overlap.spgemm` is the single knob: overlap detection
     /// reads it directly and [`assemble`] hands the same options to the
     /// transitive-reduction sweeps, so the two stages cannot drift.
     pub fn with_spgemm(mut self, opts: SpGemmOptions) -> Self {
@@ -161,15 +163,6 @@ impl PipelineConfig {
         self.kmer.exchange = cfg.exchange;
         self.kmer.batch_kmers = cfg.batch_kmers;
         self
-    }
-
-    /// Two-arg form of [`PipelineConfig::kmer_exchange`].
-    #[deprecated(note = "use kmer_exchange(KmerExchangeConfig { exchange, batch_kmers })")]
-    pub fn with_kmer_exchange(self, exchange: KmerExchange, batch_kmers: usize) -> Self {
-        self.kmer_exchange(KmerExchangeConfig {
-            exchange,
-            batch_kmers,
-        })
     }
 
     /// Run every intra-rank threaded kernel — the local multiply of each
@@ -207,15 +200,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Two-arg form of [`PipelineConfig::seed_chaining`].
-    #[deprecated(note = "use seed_chaining(ChainingConfig { chaining, chain_band })")]
-    pub fn with_seed_chaining(self, chaining: SeedChaining, chain_band: usize) -> Self {
-        self.seed_chaining(ChainingConfig {
-            chaining,
-            chain_band,
-        })
-    }
-
     /// Cap this run's per-rank memory at `budget` and derive every
     /// batching knob from it, the single `--mem-budget` lever of the
     /// CLI:
@@ -229,20 +213,21 @@ impl PipelineConfig {
     ///   SpGEMM sub-budget, with `batch_rows` derived for the per-round
     ///   multiply.
     ///
-    /// Derivations clamp to sane floors, so an absurdly small budget
-    /// degrades to the tightest batching available rather than failing;
-    /// a profiled run's `mem-hw` column shows what was actually reached.
+    /// A limited budget is the only thing that selects the batched
+    /// schedule, and an unlimited one leaves the default pipelined SUMMA
+    /// in place: the budget implies the schedule. Derivations clamp to
+    /// sane floors, so an absurdly small budget degrades to the tightest
+    /// batching available rather than failing; a profiled run's `mem-hw`
+    /// column shows what was actually reached.
     pub fn with_mem_budget(mut self, budget: MemBudget) -> Self {
         self.mem_budget = budget;
-        if budget.is_limited() {
+        if let Some(spgemm_bytes) = budget.spgemm_bytes() {
             self.kmer.exchange = KmerExchange::Streaming;
             // Preserve the thread knob: budgets pick the schedule, not
             // the intra-rank worker count.
-            self.overlap.spgemm = SpGemmOptions::column_batched(
-                budget.derive_batch_rows(SPGEMM_ROW_BYTES_HINT, self.overlap.spgemm.batch_rows),
-                budget.spgemm_bytes(),
-            )
-            .with_threads(self.overlap.spgemm.threads);
+            let batch_rows = MemBudget::batch_rows_for(spgemm_bytes, SPGEMM_ROW_BYTES_HINT);
+            self.overlap.spgemm = SpGemmOptions::column_batched(batch_rows, spgemm_bytes)
+                .with_threads(self.overlap.spgemm.threads);
         }
         self
     }
@@ -556,16 +541,21 @@ mod tests {
 
     #[test]
     fn spgemm_schedules_agree_end_to_end() {
-        // The layered and auto-picked SUMMA schedules must assemble the
-        // same contig set as the pipelined default through the whole
-        // pipeline (overlap detection *and* transitive reduction), with
-        // the thread knob varied to cover the threaded materialization.
+        // The default and every regime of the budgeted SUMMA must
+        // assemble the same contig set as the eager oracle through the
+        // whole pipeline (overlap detection *and* transitive reduction),
+        // with the thread knob varied to cover the threaded
+        // materialization.
         let mut per_schedule: Vec<Vec<String>> = Vec::new();
         let cases = [
-            (SpGemmOptions::pipelined(), 1usize),
-            (SpGemmOptions::layered(2), 1),
-            (SpGemmOptions::layered(3), 4),
-            (SpGemmOptions::auto(), 4),
+            (SpGemmOptions::eager(), 1usize),
+            (SpGemmOptions::pipelined(), 1),
+            (SpGemmOptions::pipelined(), 4),
+            // one double-buffered round / many blocking rounds / the
+            // quarter-budget floor (one column per round)
+            (SpGemmOptions::column_batched(1024, 1 << 30), 4),
+            (SpGemmOptions::column_batched(7, 4 << 10), 1),
+            (SpGemmOptions::column_batched(1, 1), 4),
         ];
         for (opts, threads) in cases {
             let out = Runner::new(Backend::InProcess).ranks(4).run(move |comm| {

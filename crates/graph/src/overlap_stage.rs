@@ -36,8 +36,9 @@ pub struct OverlapConfig {
     pub min_score_ratio: f64,
     /// Overhang tolerance when classifying (x-drop may stop early).
     pub fuzz: usize,
-    /// Schedule for the distributed `C = AAᵀ` multiply (pipelined by
-    /// default; blocked bounds memory on large inputs).
+    /// Options for the distributed `C = AAᵀ` multiply (pipelined by
+    /// default; column-batched when the pipeline runs under a memory
+    /// budget).
     pub spgemm: SpGemmOptions,
     /// Intra-rank worker threads for the x-drop alignment batch (`0`
     /// inherits the global [`elba_par::ElbaPar`] knob; its default of 1

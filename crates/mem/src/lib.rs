@@ -125,16 +125,13 @@ impl MemBudget {
         }
     }
 
-    /// Row-batch size for the blocked local multiply inside each SUMMA
-    /// round: sized so one batch's output rows are a small slice of the
-    /// SpGEMM sub-budget under the `row_bytes_hint` heuristic (estimated
-    /// bytes per accumulated output row). Unlimited budgets return
-    /// `default`.
-    pub fn derive_batch_rows(&self, row_bytes_hint: usize, default: usize) -> usize {
-        match self.spgemm_bytes() {
-            None => default,
-            Some(bytes) => ((bytes / 16) as usize / row_bytes_hint.max(1)).clamp(32, 1 << 13),
-        }
+    /// Row-batch size for the blocked local multiply inside each round
+    /// of the budgeted SUMMA, given its sub-budget
+    /// ([`MemBudget::spgemm_bytes`]): sized so one batch's output rows
+    /// are a small slice of it under the `row_bytes_hint` heuristic
+    /// (estimated bytes per accumulated output row).
+    pub fn batch_rows_for(spgemm_bytes: u64, row_bytes_hint: usize) -> usize {
+        ((spgemm_bytes / 16) as usize / row_bytes_hint.max(1)).clamp(32, 1 << 13)
     }
 }
 
@@ -422,7 +419,6 @@ mod tests {
     fn derivations_clamp_and_default() {
         let unlimited = MemBudget::unlimited();
         assert_eq!(unlimited.derive_batch_kmers_for(24, 3, 777), 777);
-        assert_eq!(unlimited.derive_batch_rows(1024, 555), 555);
         // 1 MiB budget, 3 peers: exchange sub-budget 256 KiB, a quarter
         // of it across 24-byte records ≈ 2730 → within clamps.
         let b = MemBudget::bytes(1 << 20);
@@ -435,7 +431,9 @@ mod tests {
             MemBudget::bytes(16).derive_batch_kmers_for(24, 1, 0),
             1 << 10
         );
-        assert_eq!(MemBudget::bytes(16).derive_batch_rows(1024, 0), 32);
+        let tiny = MemBudget::bytes(16).spgemm_bytes().expect("limited");
+        assert_eq!(MemBudget::batch_rows_for(tiny, 1024), 32);
+        assert_eq!(MemBudget::batch_rows_for(u64::MAX, 1024), 1 << 13);
     }
 
     #[test]

@@ -25,9 +25,9 @@ const TRANSPOSE_TAG: u64 = 0x00F1_7A7A;
 static PINNED_COPIES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// Merge one batch-produced row (`cols`/`vals`, sorted by column) into a
-/// per-row accumulator in place — the row-local step of the blocked
-/// schedule's incremental accumulation. Transient memory is one merged
-/// row, not a matrix.
+/// per-row accumulator in place — the row-local step of the
+/// column-batched schedule's incremental accumulation. Transient memory
+/// is one merged row, not a matrix.
 fn merge_row<T>(
     acc: &mut (Vec<u32>, Vec<T>),
     cols: &[u32],
@@ -85,9 +85,8 @@ fn merge_row<T>(
 /// multiplies that genuinely fanned out to > 1 worker (the `par-s`
 /// contribution — the serial per-row merge on the rank thread is
 /// deliberately *not* counted, mirroring the eager/pipelined schedules
-/// which time only the multiply). The shared inner loop of the blocked
-/// and column-batched SUMMA schedules — they differ only in the window
-/// and in what counts as `resident`.
+/// which time only the multiply). The inner loop of the column-batched
+/// SUMMA schedule.
 #[allow(clippy::too_many_arguments)]
 fn merge_stage_rows<S>(
     a_block: &Csr<S::A>,
@@ -143,8 +142,7 @@ where
 /// arrays are allocated at full capacity while the row Vecs are still
 /// resident (rows free one by one as they are consumed), so assembly
 /// transiently doubles the accumulated bytes — `charge` is bumped to
-/// that peak and settled back to 1× once packed. Shared by the blocked
-/// and column-batched SUMMA schedules.
+/// that peak and settled back to 1× once packed.
 fn pack_rows_into_csr<V>(
     acc_rows: Vec<(Vec<u32>, Vec<V>)>,
     ncols: usize,
@@ -186,8 +184,8 @@ fn stage_batcher<'m, S: Semiring>(
     }
 }
 
-/// One SUMMA stage multiplied whole — the step the eager, pipelined and
-/// layered schedules share. Records the per-worker SPA scratch (0 when
+/// One SUMMA stage multiplied whole — the step the eager and pipelined
+/// schedules share. Records the per-worker SPA scratch (0 when
 /// serial) as a transient spike on top of whatever is charged, and books
 /// the span to `par` when the multiply genuinely fanned out.
 fn multiply_stage<S>(
@@ -247,68 +245,52 @@ impl ParKernelClock {
     }
 }
 
-/// Which distributed SUMMA schedule [`DistMat::spgemm_with`] runs.
+/// Which distributed SUMMA schedule [`DistMat::spgemm_with`] runs. A
+/// caller never picks between the two production schedules: a run with
+/// a memory budget is column-batched under it, a run without one is
+/// pipelined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpGemmAlgorithm {
-    /// The naive schedule: a blocking broadcast per stage, every stage's
-    /// output kept as raw triples, one global sort-merge at the end.
-    /// Highest peak memory, no communication/computation overlap; kept
-    /// as the reference baseline.
+    /// The reference oracle the property suites compare against: a
+    /// blocking broadcast per stage, every stage's output kept as raw
+    /// triples, one global sort-merge at the end. Highest peak memory,
+    /// no communication/computation overlap; not reachable from the CLI.
     Eager,
-    /// Double-buffered pipeline: stage `s+1`'s A/B broadcasts are posted
-    /// (non-blocking `ibcast`) before stage `s` is computed, so the
-    /// transfer overlaps the local multiply; each stage's output is
-    /// merged into the accumulated CSR immediately, bounding live
-    /// intermediates to two stages of blocks plus the running result.
+    /// The default. Double-buffered pipeline: stage `s+1`'s A/B
+    /// broadcasts are posted (non-blocking `ibcast`) before stage `s` is
+    /// computed, so the transfer overlaps the local multiply; each
+    /// stage's output is merged into the accumulated CSR immediately,
+    /// bounding live intermediates to two stages of blocks plus the
+    /// running result.
     Pipelined,
-    /// Memory-bounded schedule: blocking broadcasts (one stage of
-    /// remote blocks resident, never two), the local multiply run over
-    /// row batches of at most [`SpGemmOptions::batch_rows`] rows, each
-    /// batch merged into a per-row accumulator immediately — no global
-    /// triple buffer and no stage-wide intermediate matrix ever exist.
-    /// Live transients beyond the growing result are one batch of
-    /// output rows and one merged row. The schedule of choice when the
-    /// result block is large relative to the memory budget.
-    Blocked,
-    /// ELBA's full batched algorithm: the *output* is split into column
-    /// batches sized from [`SpGemmOptions::mem_budget`] via a cheap
-    /// flop/nnz estimate pass (structure-only broadcasts), and one
-    /// pipelined, row-blocked SUMMA round runs per batch over the
-    /// `ibcast` pipeline. The accumulated batch block plus the resident
-    /// broadcast blocks never exceed the budget (each batch's flop-count
-    /// upper-bounds its accumulator), so overlap detection's memory is
-    /// bounded regardless of how dense `C = AAᵀ` gets — at the price of
-    /// re-broadcasting the input blocks once per round.
-    ColumnBatched,
-    /// Communication-avoiding layered SUMMA (the one-process-per-rank
-    /// shape of 2.5D/Solomonik–Demmel grids): the `q` stages are split
-    /// into `c` contiguous slices, each slice's A/B broadcasts are
-    /// posted together as one non-blocking batch (the in-flight batch
-    /// is the layer's replicated panel set; the next slice prefetches
-    /// while this one multiplies), every slice accumulates an
-    /// *independent* partial CSR, and the resident partials meet in one
-    /// final fixed-order k-way combine — the degenerate form of 2.5D's
-    /// allreduce tree when all layers share a rank. Trades `c` resident
-    /// partial results (honestly charged to the memory tracker) for
-    /// slice-deep broadcast overlap and strictly less merge traffic
-    /// than the per-stage binary merges of [`SpGemmAlgorithm::Pipelined`].
-    /// Wire bytes are identical to every other schedule (same q stage
-    /// broadcasts; the byte model is sacred). `c = 1` *is* the
-    /// pipelined path; `c > q` clamps to `q` with a warning.
-    Layered {
-        /// Layer count: how many slices the stages split into.
-        c: usize,
+    /// ELBA's full batched algorithm, for products that do not fit in
+    /// memory: the *output* is split into column batches sized from
+    /// `mem_budget` via a cheap flop/nnz estimate pass (structure-only
+    /// broadcasts), and one pipelined, row-blocked SUMMA round runs per
+    /// batch over the `ibcast` pipeline. The accumulated batch block
+    /// plus the resident broadcast blocks never exceed the budget (each
+    /// batch's flop-count upper-bounds its accumulator), so overlap
+    /// detection's memory is bounded regardless of how dense `C = AAᵀ`
+    /// gets — at the price of re-broadcasting the input blocks once per
+    /// round.
+    ColumnBatched {
+        /// Per-rank transient byte cap (broadcast blocks + batch
+        /// accumulator).
+        mem_budget: u64,
+        /// Row-batch size of the per-round multiply. Smaller batches
+        /// mean smaller live transients (the batch's output rows) at
+        /// slightly more per-batch overhead.
+        batch_rows: usize,
     },
-    /// Model-driven schedule selection: run the ColumnBatched structure
-    /// pass once, reduce the flop/nnz estimates grid-wide, and let
-    /// [`elba_comm::CostConstants::predict_phase`] pick the cheapest
-    /// feasible schedule (eager / pipelined / column-batched / layered)
-    /// at assemble time. Deterministic across ranks: every input to the
-    /// prediction is allreduced and the calibration constants are
-    /// fixed, so all ranks reach the same pick and the collective
-    /// schedule stays synchronized. The choice is observable via
-    /// [`last_auto_spgemm_pick`] and a rank-0 `[auto-spgemm]` line.
-    Auto,
+}
+
+/// Short CLI/bench label for a schedule.
+pub fn algorithm_label(algorithm: SpGemmAlgorithm) -> &'static str {
+    match algorithm {
+        SpGemmAlgorithm::Eager => "eager",
+        SpGemmAlgorithm::Pipelined => "pipelined",
+        SpGemmAlgorithm::ColumnBatched { .. } => "column-batched",
+    }
 }
 
 /// Options threaded through every distributed SpGEMM call site
@@ -316,15 +298,6 @@ pub enum SpGemmAlgorithm {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpGemmOptions {
     pub algorithm: SpGemmAlgorithm,
-    /// Row-batch size for [`SpGemmAlgorithm::Blocked`] and the per-round
-    /// multiply of [`SpGemmAlgorithm::ColumnBatched`]; ignored by the
-    /// other schedules. Smaller batches mean smaller live transients
-    /// (the batch's output rows) at slightly more per-batch overhead.
-    pub batch_rows: usize,
-    /// Per-rank transient byte cap for [`SpGemmAlgorithm::ColumnBatched`]
-    /// (broadcast blocks + batch accumulator); `None` runs a single
-    /// column batch. Ignored by the other schedules.
-    pub mem_budget: Option<u64>,
     /// Intra-rank worker threads for the local multiply inside every
     /// SUMMA stage (`0` inherits the global [`elba_par::ElbaPar`] knob,
     /// whose default of 1 is the historical serial behavior). Output is
@@ -336,36 +309,38 @@ pub struct SpGemmOptions {
 
 impl Default for SpGemmOptions {
     fn default() -> Self {
-        SpGemmOptions {
-            algorithm: SpGemmAlgorithm::Pipelined,
-            batch_rows: 1024,
-            mem_budget: None,
-            threads: 0,
-        }
+        Self::pipelined()
     }
 }
 
 impl SpGemmOptions {
+    /// The reference oracle ([`SpGemmAlgorithm::Eager`]).
     pub fn eager() -> Self {
         SpGemmOptions {
             algorithm: SpGemmAlgorithm::Eager,
-            ..Self::default()
+            threads: 0,
         }
     }
 
+    /// The default overlapped schedule ([`SpGemmAlgorithm::Pipelined`]).
     pub fn pipelined() -> Self {
         SpGemmOptions {
             algorithm: SpGemmAlgorithm::Pipelined,
-            ..Self::default()
+            threads: 0,
         }
     }
 
-    pub fn blocked(batch_rows: usize) -> Self {
-        assert!(batch_rows > 0, "blocked SpGEMM needs a positive batch size");
+    /// The output-column-batched schedule under a transient byte budget
+    /// of `mem_budget` per rank ([`SpGemmAlgorithm::ColumnBatched`]).
+    pub fn column_batched(batch_rows: usize, mem_budget: u64) -> Self {
+        assert!(batch_rows > 0, "batched SpGEMM needs a positive batch size");
+        assert!(mem_budget > 0, "a SpGEMM memory budget must be positive");
         SpGemmOptions {
-            algorithm: SpGemmAlgorithm::Blocked,
-            batch_rows,
-            ..Self::default()
+            algorithm: SpGemmAlgorithm::ColumnBatched {
+                mem_budget,
+                batch_rows,
+            },
+            threads: 0,
         }
     }
 
@@ -375,103 +350,6 @@ impl SpGemmOptions {
         self.threads = threads;
         self
     }
-
-    /// The output-column-batched schedule under a transient byte budget
-    /// per rank (`None` = one batch, i.e. a pipelined blocked multiply).
-    pub fn column_batched(batch_rows: usize, mem_budget: Option<u64>) -> Self {
-        assert!(batch_rows > 0, "batched SpGEMM needs a positive batch size");
-        assert!(
-            mem_budget != Some(0),
-            "a SpGEMM memory budget must be positive"
-        );
-        SpGemmOptions {
-            algorithm: SpGemmAlgorithm::ColumnBatched,
-            batch_rows,
-            mem_budget,
-            ..Self::default()
-        }
-    }
-
-    /// The layered (2.5D-style) schedule with `c` layers. `c = 1` is the
-    /// pipelined schedule; `c` greater than the grid's stage count
-    /// clamps at run time.
-    pub fn layered(c: usize) -> Self {
-        assert!(c >= 1, "layered SpGEMM needs at least one layer");
-        SpGemmOptions {
-            algorithm: SpGemmAlgorithm::Layered { c },
-            ..Self::default()
-        }
-    }
-
-    /// Model-driven schedule selection ([`SpGemmAlgorithm::Auto`]).
-    pub fn auto() -> Self {
-        SpGemmOptions {
-            algorithm: SpGemmAlgorithm::Auto,
-            ..Self::default()
-        }
-    }
-}
-
-/// Last schedule resolved by [`SpGemmAlgorithm::Auto`], encoded for the
-/// atomic (0 = none yet). Written by rank 0 only — the pick is
-/// grid-uniform by construction, so one writer suffices and the
-/// "changed?" test that gates the log line stays race-free.
-static LAST_AUTO_PICK: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-fn encode_pick(algorithm: SpGemmAlgorithm) -> usize {
-    match algorithm {
-        SpGemmAlgorithm::Eager => 1,
-        SpGemmAlgorithm::Pipelined => 2,
-        SpGemmAlgorithm::Blocked => 3,
-        SpGemmAlgorithm::ColumnBatched => 4,
-        SpGemmAlgorithm::Layered { c } => 5 + c,
-        SpGemmAlgorithm::Auto => unreachable!("auto resolves to a concrete schedule"),
-    }
-}
-
-/// The schedule the most recent [`SpGemmAlgorithm::Auto`] resolution
-/// picked, if any ran in this process. Benches and the CLI use this to
-/// report the tuner's decision next to measured ground truth.
-pub fn last_auto_spgemm_pick() -> Option<SpGemmAlgorithm> {
-    match LAST_AUTO_PICK.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => None,
-        1 => Some(SpGemmAlgorithm::Eager),
-        2 => Some(SpGemmAlgorithm::Pipelined),
-        3 => Some(SpGemmAlgorithm::Blocked),
-        4 => Some(SpGemmAlgorithm::ColumnBatched),
-        n => Some(SpGemmAlgorithm::Layered { c: n - 5 }),
-    }
-}
-
-/// Short CLI/bench label for a schedule ("layered:2", "auto", ...).
-pub fn algorithm_label(algorithm: SpGemmAlgorithm) -> String {
-    match algorithm {
-        SpGemmAlgorithm::Eager => "eager".into(),
-        SpGemmAlgorithm::Pipelined => "pipelined".into(),
-        SpGemmAlgorithm::Blocked => "blocked".into(),
-        SpGemmAlgorithm::ColumnBatched => "column-batched".into(),
-        SpGemmAlgorithm::Layered { c } => format!("layered:{c}"),
-        SpGemmAlgorithm::Auto => "auto".into(),
-    }
-}
-
-/// Contiguous near-even split of the `q` SUMMA stages into `c` layer
-/// slices: the first `q % c` slices get one extra stage, so prime stage
-/// counts (where `c ∤ q`) yield uneven-but-exhaustive slices. Requires
-/// `1 ≤ c ≤ q`; every slice is non-empty.
-fn layer_slices(q: usize, c: usize) -> Vec<std::ops::Range<usize>> {
-    debug_assert!(c >= 1 && c <= q);
-    let base = q / c;
-    let rem = q % c;
-    let mut slices = Vec::with_capacity(c);
-    let mut start = 0;
-    for l in 0..c {
-        let len = base + usize::from(l < rem);
-        slices.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, q);
-    slices
 }
 
 /// A sparse matrix distributed in 2D blocks over the process grid.
@@ -768,8 +646,8 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// along grid rows and block row `s` of `B` along grid columns; each
     /// rank multiplies the pair locally and accumulates its `C` block.
     ///
-    /// Runs the default schedule ([`SpGemmAlgorithm::Pipelined`]); use
-    /// [`DistMat::spgemm_with`] to pick a schedule explicitly.
+    /// Runs the default schedule ([`SpGemmAlgorithm::Pipelined`]); a
+    /// memory budget goes through [`DistMat::spgemm_with`].
     pub fn spgemm<S, U>(&self, grid: &ProcGrid, other: &DistMat<U>, semiring: &S) -> DistMat<S::Out>
     where
         S: Semiring<A = T, B = U> + Sync,
@@ -779,7 +657,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         self.spgemm_with(grid, other, semiring, &SpGemmOptions::default())
     }
 
-    /// Distributed SUMMA SpGEMM under an explicit schedule; all schedules
+    /// Distributed SUMMA SpGEMM under explicit options; all schedules
     /// produce identical results (the equivalence property tests pin
     /// this), differing only in overlap and peak memory.
     pub fn spgemm_with<S, U>(
@@ -794,8 +672,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         U: Clone + CommMsg + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
-        let opts = self.resolved_options::<S, U>(grid, other, opts);
-        self.run_schedule(grid, other, semiring, &opts, None, &mut |_, _, _| true)
+        self.run_schedule(grid, other, semiring, opts, None, &mut |_, _, _| true)
     }
 
     /// [`DistMat::spgemm_with`] fused with an entry-wise prune:
@@ -857,9 +734,8 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         })
     }
 
-    /// Resolve the schedule, run it, and prune: ColumnBatched applies
-    /// `keep` per column batch inside the schedule, the others after
-    /// the fact.
+    /// Run the schedule and prune: ColumnBatched applies `keep` per
+    /// column batch inside the schedule, the others after the fact.
     fn spgemm_fused<S, U>(
         &self,
         grid: &ProcGrid,
@@ -874,20 +750,16 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         U: Clone + CommMsg + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
-        // Resolve Auto first: a pick of ColumnBatched must take the
-        // fused per-batch prune, not the unfused fallback.
-        let opts = self.resolved_options::<S, U>(grid, other, opts);
-        let c = self.run_schedule(grid, other, semiring, &opts, upper, &mut keep);
-        if opts.algorithm == SpGemmAlgorithm::ColumnBatched {
-            c
-        } else {
-            c.prune(grid, keep)
+        let c = self.run_schedule(grid, other, semiring, opts, upper, &mut keep);
+        match opts.algorithm {
+            SpGemmAlgorithm::ColumnBatched { .. } => c,
+            SpGemmAlgorithm::Eager | SpGemmAlgorithm::Pipelined => c.prune(grid, keep),
         }
     }
 
-    /// Run the (already resolved) schedule. `upper` is the strict-upper
-    /// hint every schedule hands its local kernel; `keep` is consulted
-    /// by [`SpGemmAlgorithm::ColumnBatched`] alone.
+    /// Run the schedule `opts` names. `upper` is the strict-upper hint
+    /// every schedule hands its local kernel; `keep` is consulted by
+    /// [`SpGemmAlgorithm::ColumnBatched`] alone.
     fn run_schedule<S, U>(
         &self,
         grid: &ProcGrid,
@@ -909,39 +781,74 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let threads = elba_par::ElbaPar::resolve(opts.threads);
         let local = match opts.algorithm {
             SpGemmAlgorithm::Eager => self.summa_eager(grid, other, semiring, threads, upper),
-            // Layered c=1 *is* the pipelined schedule, not a lookalike:
-            // identical code path, identical profile numbers.
-            SpGemmAlgorithm::Pipelined | SpGemmAlgorithm::Layered { c: 0 | 1 } => {
+            SpGemmAlgorithm::Pipelined => {
                 self.summa_pipelined(grid, other, semiring, threads, upper)
             }
-            SpGemmAlgorithm::Blocked => self.summa_blocked(
+            SpGemmAlgorithm::ColumnBatched {
+                mem_budget,
+                batch_rows,
+            } => self.summa_column_batched(
                 grid,
                 other,
                 semiring,
-                opts.batch_rows.max(1),
-                threads,
-                upper,
-            ),
-            SpGemmAlgorithm::ColumnBatched => self.summa_column_batched(
-                grid,
-                other,
-                semiring,
-                opts.batch_rows.max(1),
-                opts.mem_budget,
+                batch_rows.max(1),
+                mem_budget,
                 threads,
                 upper,
                 keep,
             ),
-            SpGemmAlgorithm::Layered { c } => {
-                self.summa_layered(grid, other, semiring, c, threads, upper)
-            }
-            SpGemmAlgorithm::Auto => unreachable!("auto resolved by the caller"),
         };
         DistMat {
             row_layout: self.row_layout,
             col_layout: other.col_layout,
             local: Arc::new(local),
         }
+    }
+
+    /// The stage fetch every SUMMA schedule runs: stage `s` yields block
+    /// column `s` of `self`, broadcast along the grid row, and block row
+    /// `s` of `other`, broadcast along the grid column — `Arc` clones of
+    /// the owners' blocks. With `lookahead` the broadcasts are
+    /// non-blocking and stage `s+1` is posted before stage `s` is waited
+    /// on, so the next transfer rides alongside the caller's multiply
+    /// (two stages of blocks resident, blocked time booked as wait);
+    /// without it each stage is one blocking broadcast pair and only one
+    /// stage of remote blocks is ever resident.
+    fn stage_blocks<'a, U>(
+        &'a self,
+        grid: &'a ProcGrid,
+        other: &'a DistMat<U>,
+        lookahead: bool,
+    ) -> impl Iterator<Item = (Arc<Csr<T>>, Arc<Csr<U>>)> + 'a
+    where
+        U: Clone + CommMsg + Sync,
+    {
+        let q = grid.q();
+        let a_root = move |s: usize| (grid.mycol() == s).then(|| Arc::clone(&self.local));
+        let b_root = move |s: usize| (grid.myrow() == s).then(|| Arc::clone(&other.local));
+        let post = move |s: usize| {
+            (
+                grid.row().ibcast_shared(s, a_root(s)),
+                grid.col().ibcast_shared(s, b_root(s)),
+            )
+        };
+        let mut inflight = lookahead.then(|| post(0));
+        (0..q).map(move |s| {
+            if lookahead {
+                // Prefetch stage s+1 before touching stage s: the roots'
+                // tree sends go out now and ride alongside this stage's
+                // multiply.
+                let next = (s + 1 < q).then(|| post(s + 1));
+                let (a_req, b_req) = inflight.take().expect("stage request posted");
+                inflight = next;
+                (a_req.wait(), b_req.wait())
+            } else {
+                (
+                    grid.row().bcast_shared(s, a_root(s)),
+                    grid.col().bcast_shared(s, b_root(s)),
+                )
+            }
+        })
     }
 
     /// Naive SUMMA: blocking broadcasts, global triple accumulation, one
@@ -960,18 +867,11 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         U: Clone + CommMsg + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
-        let q = grid.q();
         let mut charge = grid.world().mem_charge(0);
         let mut acc: Vec<(u32, u32, S::Out)> = Vec::new();
         let triple_bytes = std::mem::size_of::<(u32, u32, S::Out)>();
         let mut par = ParKernelClock::new();
-        for s in 0..q {
-            let a_block = grid
-                .row()
-                .bcast_shared(s, (grid.mycol() == s).then(|| Arc::clone(&self.local)));
-            let b_block = grid
-                .col()
-                .bcast_shared(s, (grid.myrow() == s).then(|| Arc::clone(&other.local)));
+        for (a_block, b_block) in self.stage_blocks(grid, other, false) {
             // Stage blocks charge through the shared (ptr-keyed) path:
             // one charge per rank per block, so the owner's own resident
             // matrix is never counted twice.
@@ -1011,30 +911,12 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         U: Clone + CommMsg + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
-        let q = grid.q();
         let row_range = self.row_layout.block_range(grid.myrow());
         let col_range = other.col_layout.block_range(grid.mycol());
-        let post = |s: usize| {
-            let a_req = grid
-                .row()
-                .ibcast_shared(s, (grid.mycol() == s).then(|| Arc::clone(&self.local)));
-            let b_req = grid
-                .col()
-                .ibcast_shared(s, (grid.myrow() == s).then(|| Arc::clone(&other.local)));
-            (a_req, b_req)
-        };
         let mut charge = grid.world().mem_charge(0);
         let mut acc: Csr<S::Out> = Csr::empty(row_range.len(), col_range.len());
-        let mut inflight = Some(post(0));
         let mut par = ParKernelClock::new();
-        for s in 0..q {
-            // Prefetch stage s+1 before touching stage s: the roots' tree
-            // sends go out now and ride alongside this stage's multiply.
-            let next = (s + 1 < q).then(|| post(s + 1));
-            let (a_req, b_req) = inflight.take().expect("stage request posted");
-            let a_block = a_req.wait();
-            let b_block = b_req.wait();
-            inflight = next;
+        for (a_block, b_block) in self.stage_blocks(grid, other, true) {
             // Shared-path charging: once per rank per block (the stage
             // owner's resident matrix is the block — no double count).
             let _a_res = grid
@@ -1052,208 +934,12 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         acc
     }
 
-    /// Layered (2.5D-style) SUMMA: see [`SpGemmAlgorithm::Layered`].
-    ///
-    /// Slice `l`'s whole broadcast batch is posted before slice `l-1` is
-    /// consumed (slice-deep prefetch, vs the pipelined schedule's
-    /// one-stage lookahead), each slice folds into its own partial CSR,
-    /// completed partials stay resident — the honest c-fold replication
-    /// memory cost, kept visible to the tracker — and one k-way
-    /// [`crate::spgemm::csr_kmerge`] combines them in slice order at the
-    /// end. The combine is local: on one rank the 2.5D allreduce tree
-    /// has nothing to ship, so wire bytes stay byte-identical to the
-    /// eager schedule (same q stage broadcasts, same trees); the
-    /// bandwidth-vs-memory trade that layered grids buy on real
-    /// machines lives in [`elba_comm::CostConstants::predict_phase`]'s
-    /// formulas, which is what [`SpGemmAlgorithm::Auto`] prices.
-    ///
-    /// Callers dispatch `c <= 1` to [`DistMat::summa_pipelined`]; `c > q`
-    /// clamps to one stage per layer with a rank-0 warning.
-    fn summa_layered<S, U>(
-        &self,
-        grid: &ProcGrid,
-        other: &DistMat<U>,
-        semiring: &S,
-        c: usize,
-        threads: usize,
-        upper: Option<(usize, usize)>,
-    ) -> Csr<S::Out>
-    where
-        S: Semiring<A = T, B = U> + Sync,
-        U: Clone + CommMsg + Sync,
-        S::Out: Clone + CommMsg + Sync,
-    {
-        let q = grid.q();
-        debug_assert!(c >= 2);
-        let layers = if c > q {
-            if grid.world().rank() == 0 {
-                eprintln!(
-                    "[layered-spgemm] c={c} layers exceed the {q} SUMMA stage(s); clamping to c={q}"
-                );
-            }
-            q
-        } else {
-            c
-        };
-        if layers <= 1 {
-            // A 1×1 grid has one stage: one layer, i.e. the pipelined path.
-            return self.summa_pipelined(grid, other, semiring, threads, upper);
-        }
-        let row_range = self.row_layout.block_range(grid.myrow());
-        let col_range = other.col_layout.block_range(grid.mycol());
-        let slices = layer_slices(q, layers);
-        let post_slice = |slice: &std::ops::Range<usize>| {
-            slice
-                .clone()
-                .map(|s| {
-                    let a_req = grid
-                        .row()
-                        .ibcast_shared(s, (grid.mycol() == s).then(|| Arc::clone(&self.local)));
-                    let b_req = grid
-                        .col()
-                        .ibcast_shared(s, (grid.myrow() == s).then(|| Arc::clone(&other.local)));
-                    (a_req, b_req)
-                })
-                .collect::<Vec<_>>()
-        };
-        let mut charge = grid.world().mem_charge(0);
-        let mut par = ParKernelClock::new();
-        let mut partials: Vec<Csr<S::Out>> = Vec::with_capacity(layers);
-        // Heap bytes of the completed layers' partials — the replicated
-        // residency this schedule pays for its overlap; every re-charge
-        // below sits on top of it.
-        let mut partial_bytes = 0usize;
-        let mut inflight = post_slice(&slices[0]);
-        for l in 0..layers {
-            // Prefetch the whole next slice before consuming this one:
-            // its roots' tree sends go out now and ride alongside this
-            // layer's multiplies and merges.
-            let next = slices.get(l + 1).map(post_slice);
-            let reqs = std::mem::replace(&mut inflight, next.unwrap_or_default());
-            let mut partial: Option<Csr<S::Out>> = None;
-            for (a_req, b_req) in reqs {
-                let a_block = a_req.wait();
-                let b_block = b_req.wait();
-                // Shared-path charging: once per rank per block (the
-                // stage owner's resident matrix is the block itself).
-                let _a_res = grid
-                    .world()
-                    .mem_charge_shared(&a_block, a_block.heap_bytes());
-                let _b_res = grid
-                    .world()
-                    .mem_charge_shared(&b_block, b_block.heap_bytes());
-                let stage =
-                    multiply_stage(grid, &a_block, &b_block, semiring, threads, upper, &mut par);
-                charge.set(
-                    partial_bytes
-                        + partial.as_ref().map_or(0, Csr::heap_bytes)
-                        + stage.heap_bytes(),
-                );
-                partial = Some(match partial {
-                    // First stage of the layer: the stage CSR *is* the
-                    // partial — merging into an empty CSR would copy the
-                    // whole stage output for nothing.
-                    None => stage,
-                    Some(p) => csr_merge(p, stage, |a, v| semiring.add(a, v)),
-                });
-            }
-            let partial = partial.unwrap_or_else(|| Csr::empty(row_range.len(), col_range.len()));
-            partial_bytes += partial.heap_bytes();
-            charge.set(partial_bytes);
-            partials.push(partial);
-        }
-        par.book(grid);
-        // Final combine: one k-way pass in slice (= stage) order, so a
-        // non-commutative semiring add sees the same operand order as
-        // the per-stage merges of the other schedules. Peak = the c
-        // resident partials plus the combined output being written.
-        charge.set(2 * partial_bytes);
-        let combined = crate::spgemm::csr_kmerge(partials, |a, v| semiring.add(a, v));
-        charge.set(combined.heap_bytes());
-        combined
-    }
-
-    /// Memory-bounded SUMMA: blocking broadcasts (only one stage of
-    /// remote blocks resident) and a per-row accumulator that batches
-    /// merge directly into — no stage-wide CSR or triple buffer ever
-    /// exists. Live intermediates beyond the accumulated result are one
-    /// batch of output rows (≤ `batch_rows`), one merged row, and the
-    /// multiply's O(block cols) dense accumulator arrays; the final CSR
-    /// is assembled once after the last stage.
-    fn summa_blocked<S, U>(
-        &self,
-        grid: &ProcGrid,
-        other: &DistMat<U>,
-        semiring: &S,
-        batch_rows: usize,
-        threads: usize,
-        upper: Option<(usize, usize)>,
-    ) -> Csr<S::Out>
-    where
-        S: Semiring<A = T, B = U> + Sync,
-        U: Clone + CommMsg + Sync,
-        S::Out: Clone + CommMsg + Sync,
-    {
-        let q = grid.q();
-        let row_range = self.row_layout.block_range(grid.myrow());
-        let col_range = other.col_layout.block_range(grid.mycol());
-        let nrows = row_range.len();
-        let entry_bytes = std::mem::size_of::<u32>() + std::mem::size_of::<S::Out>();
-        let mut charge = grid.world().mem_charge(0);
-        let mut acc_entries = 0usize;
-        let mut par = ParKernelClock::new();
-        // Accumulate per row (sorted column/value pairs) so each batch
-        // merges in place, touching only its own row window.
-        let mut acc_rows: Vec<(Vec<u32>, Vec<S::Out>)> =
-            (0..nrows).map(|_| (Vec::new(), Vec::new())).collect();
-        for s in 0..q {
-            let a_block = grid
-                .row()
-                .bcast_shared(s, (grid.mycol() == s).then(|| Arc::clone(&self.local)));
-            let b_block = grid
-                .col()
-                .bcast_shared(s, (grid.myrow() == s).then(|| Arc::clone(&other.local)));
-            // Stage blocks charge through the once-per-rank shared path;
-            // `merge_stage_rows` only tracks the accumulator on top.
-            let _a_res = grid
-                .world()
-                .mem_charge_shared(&a_block, a_block.heap_bytes());
-            let _b_res = grid
-                .world()
-                .mem_charge_shared(&b_block, b_block.heap_bytes());
-            let (entries, par_secs) = merge_stage_rows(
-                &a_block,
-                &b_block,
-                semiring,
-                0..b_block.ncols() as u32,
-                batch_rows,
-                threads,
-                upper,
-                &mut acc_rows,
-                acc_entries,
-                entry_bytes,
-                0,
-                &mut charge,
-            );
-            acc_entries = entries;
-            par.add(par_secs);
-        }
-        par.book(grid);
-        pack_rows_into_csr(
-            acc_rows,
-            col_range.len(),
-            acc_entries,
-            entry_bytes,
-            &mut charge,
-        )
-    }
-
-    /// The ColumnBatched structure/estimate pass, shared with the Auto
-    /// resolver: per SUMMA stage, the `A`-block owner broadcasts its
-    /// per-column nonzero counts along the grid row and the `B`-block
-    /// owner its structure (`indptr`/`indices`, no values) along the
-    /// grid column — a fraction of a full block broadcast. Returns per
-    /// local output column the exact multiply-add count landing there
+    /// The ColumnBatched structure/estimate pass: per SUMMA stage, the
+    /// `A`-block owner broadcasts its per-column nonzero counts along
+    /// the grid row and the `B`-block owner its structure
+    /// (`indptr`/`indices`, no values) along the grid column — a
+    /// fraction of a full block broadcast. Returns per local output
+    /// column the exact multiply-add count landing there
     /// (`flops(j) = Σ_s Σ_{k : B_s[k,j]≠0} nnz_col(A_s, k)`) and the
     /// full A+B block bytes per stage. Collective: every rank of the
     /// grid must call it together.
@@ -1316,116 +1002,22 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         (col_flops, stage_bytes)
     }
 
-    /// Resolve [`SpGemmAlgorithm::Auto`] to a concrete schedule (other
-    /// algorithms pass through untouched): run the structure pass,
-    /// allreduce the per-rank estimates to their grid-wide maxima (the
-    /// critical path — and the reason every rank computes the *same*
-    /// pick from the same numbers), and take the cheapest feasible
-    /// schedule under [`elba_comm::CostConstants::in_process`]. The
-    /// constants are fixed rather than measured per run: a rank-local
-    /// timing would diverge across ranks and desynchronize the
-    /// collective schedule; ranking schedules only needs relative
-    /// weights, which the perf bench scores against measured walls.
-    fn resolved_options<S, U>(
-        &self,
-        grid: &ProcGrid,
-        other: &DistMat<U>,
-        opts: &SpGemmOptions,
-    ) -> SpGemmOptions
-    where
-        S: Semiring,
-        U: Clone + CommMsg + Sync,
-    {
-        if opts.algorithm != SpGemmAlgorithm::Auto {
-            return *opts;
-        }
-        let entry_bytes = (std::mem::size_of::<u32>() + std::mem::size_of::<S::Out>()) as u64;
-        let q = grid.q();
-        let world = grid.world();
-        let nrows = self.row_layout.block_range(grid.myrow()).len() as u64;
-        let (col_flops, stage_bytes) = self.structure_estimates(grid, other);
-        let flops: u64 = col_flops.iter().sum();
-        // Same cap as the batch sizing: a column's accumulator can't
-        // exceed nrows entries however many flops land in it.
-        let entries: u64 = col_flops.iter().map(|&f| f.min(nrows)).sum();
-        let max_stage = stage_bytes.iter().copied().max().unwrap_or(0) as u64;
-        let struct_local = (self.local.ncols() * std::mem::size_of::<u32>()
-            + std::mem::size_of_val(other.local.indptr())
-            + std::mem::size_of_val(other.local.indices())) as u64;
-        let maxes = world.allreduce(vec![flops, entries, max_stage, struct_local], |a, b| {
-            a.into_iter().zip(b).map(|(x, y)| x.max(y)).collect()
-        });
-        let est = elba_comm::SpGemmEstimate {
-            grid_q: q,
-            stage_bytes: maxes[2] as f64,
-            struct_bytes: maxes[3] as f64,
-            flops: maxes[0] as f64,
-            result_entries: maxes[1] as f64,
-            entry_bytes: entry_bytes as f64,
-            mem_budget: opts.mem_budget,
-        };
-        // Preference order breaks exact ties (degenerate grids where
-        // layered collapses into pipelined). ColumnBatched is always
-        // feasible, so the list can never come back empty-handed.
-        let mut candidates = vec![elba_comm::SchedulePlan::Pipelined];
-        for c in 2..=q.min(4) {
-            candidates.push(elba_comm::SchedulePlan::Layered { c });
-        }
-        candidates.push(elba_comm::SchedulePlan::ColumnBatched);
-        candidates.push(elba_comm::SchedulePlan::Eager);
-        let constants = elba_comm::CostConstants::in_process();
-        let (plan, predicted) = constants.pick_schedule(&est, &candidates);
-        let algorithm = match plan {
-            elba_comm::SchedulePlan::Eager => SpGemmAlgorithm::Eager,
-            elba_comm::SchedulePlan::Pipelined => SpGemmAlgorithm::Pipelined,
-            elba_comm::SchedulePlan::ColumnBatched => SpGemmAlgorithm::ColumnBatched,
-            elba_comm::SchedulePlan::Layered { c } => SpGemmAlgorithm::Layered { c },
-        };
-        if world.rank() == 0 {
-            // One writer: the pick is grid-uniform, so rank 0's view is
-            // everyone's. Log only on change — transitive reduction
-            // calls this every iteration.
-            let code = encode_pick(algorithm);
-            let prev = LAST_AUTO_PICK.swap(code, std::sync::atomic::Ordering::Relaxed);
-            if prev != code {
-                println!(
-                    "[auto-spgemm] grid={q}x{q} flops~{} entries~{} stage~{}B picked={} \
-                     (predicted {:.3} ms)",
-                    maxes[0],
-                    maxes[1],
-                    maxes[2],
-                    algorithm_label(algorithm),
-                    predicted * 1e3,
-                );
-            }
-        }
-        SpGemmOptions { algorithm, ..*opts }
-    }
-
     /// ELBA's batched SpGEMM: split the *output* into column batches and
     /// run one pipelined, row-blocked SUMMA round per batch, so the live
     /// batch accumulator plus the resident broadcast blocks stay under
     /// `budget` bytes per rank.
     ///
-    /// Batch sizing uses a cheap flop/nnz estimate pass before any real
-    /// multiply: per SUMMA stage, the `A`-block owner broadcasts its
-    /// per-column nonzero counts along the grid row and the `B`-block
-    /// owner its structure (`indptr`/`indices`, no values) along the
-    /// grid column — a fraction of a full block broadcast (and the
-    /// received vectors are charged to the tracker while held). From those
-    /// each rank computes `flops(j) = Σ_s Σ_{k : B_s[k,j]≠0} nnz_col(A_s, k)`
-    /// for every local output column `j`: the exact multiply-add count
-    /// landing in that column, which upper-bounds the column's batch
-    /// accumulator entries (merging only shrinks them). Columns are then
-    /// packed greedily so each batch's estimated bytes fit the budget
-    /// left after two stages of broadcast blocks (the `ibcast` pipeline
-    /// double-buffers). Ranks batch their own columns independently —
-    /// broadcasts ship full blocks either way, so per-rank batch bounds
-    /// need no global agreement beyond the round *count* (an allreduce
-    /// max; short ranks pad with empty batches to stay collective).
-    /// Without a budget the estimate pass is skipped entirely — the run
-    /// is a single round over every column, so the structure broadcasts
-    /// would be pure overhead.
+    /// Batch sizing uses the cheap [`DistMat::structure_estimates`] pass
+    /// before any real multiply (the received structure vectors are
+    /// charged to the tracker while held). Its per-column flop count
+    /// upper-bounds the column's batch accumulator entries (merging only
+    /// shrinks them). Columns are then packed greedily so each batch's
+    /// estimated bytes fit the budget left after two stages of broadcast
+    /// blocks (the `ibcast` pipeline double-buffers). Ranks batch their
+    /// own columns independently — broadcasts ship full blocks either
+    /// way, so per-rank batch bounds need no global agreement beyond the
+    /// round *count* (an allreduce max; short ranks pad with empty
+    /// batches to stay collective).
     ///
     /// The price of the bound is re-broadcasting the inputs once per
     /// round (`rounds × q` stage broadcasts), exactly as in ELBA's
@@ -1439,7 +1031,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         other: &DistMat<U>,
         semiring: &S,
         batch_rows: usize,
-        budget: Option<u64>,
+        budget: u64,
         threads: usize,
         upper: Option<(usize, usize)>,
         keep: &mut impl FnMut(u64, u64, &S::Out) -> bool,
@@ -1457,29 +1049,17 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
 
         let entry_bytes = (std::mem::size_of::<u32>() + std::mem::size_of::<S::Out>()) as u64;
 
-        // ---- estimate pass (budgeted runs only): per-column flops ----
-        // An unbudgeted run is a single round over every column, so the
-        // structure broadcasts and the counting sweep would be pure
-        // overhead; resident blocks are then charged from the blocks as
-        // they arrive instead of from `stage_bytes`. The gate is
-        // grid-uniform (every rank holds the same options), so the
-        // collectives below stay collective.
-        let mut col_est: Vec<u64> = Vec::new();
-        let mut stage_bytes: Vec<usize> = Vec::new();
-        if budget.is_some() {
-            let (col_flops, sb) = self.structure_estimates(grid, other);
-            stage_bytes = sb;
-            // The accumulator holds at most `nrows` entries per column no
-            // matter how many flops land there (the SPA merges
-            // duplicates), so cap the flop bound per column — under heavy
-            // inner-index multiplicity (k-mers shared by many reads) the
-            // raw flop count overshoots the real accumulator by orders of
-            // magnitude.
-            col_est = col_flops
-                .iter()
-                .map(|&f| f.min(nrows as u64) * entry_bytes)
-                .collect();
-        }
+        // ---- estimate pass: per-column flops ----
+        let (col_flops, stage_bytes) = self.structure_estimates(grid, other);
+        // The accumulator holds at most `nrows` entries per column no
+        // matter how many flops land there (the SPA merges duplicates),
+        // so cap the flop bound per column — under heavy inner-index
+        // multiplicity (k-mers shared by many reads) the raw flop count
+        // overshoots the real accumulator by orders of magnitude.
+        let col_est: Vec<u64> = col_flops
+            .iter()
+            .map(|&f| f.min(nrows as u64) * entry_bytes)
+            .collect();
 
         // ---- column batching under the budget ----
         // The broadcast-block residency floor must be agreed grid-wide:
@@ -1492,7 +1072,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         );
         // Prefetching doubles the resident blocks; only pipeline when the
         // budget leaves at least half of itself for the accumulator.
-        let double_buffer = budget.is_none_or(|b| 4 * max_stage <= b);
+        let double_buffer = 4 * max_stage <= budget;
         let resident_floor = if double_buffer {
             2 * max_stage
         } else {
@@ -1500,15 +1080,6 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         };
 
         // ---- one row-blocked SUMMA round per column batch ----
-        let post = |s: usize| {
-            let a_req = grid
-                .row()
-                .ibcast_shared(s, (grid.mycol() == s).then(|| Arc::clone(&self.local)));
-            let b_req = grid
-                .col()
-                .ibcast_shared(s, (grid.myrow() == s).then(|| Arc::clone(&other.local)));
-            (a_req, b_req)
-        };
         let mut out_rows: Vec<(Vec<u32>, Vec<S::Out>)> =
             (0..nrows).map(|_| (Vec::new(), Vec::new())).collect();
         let mut out_entries = 0usize;
@@ -1533,77 +1104,44 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             // quarter budget instead of degrading to one-column rounds
             // whose broadcasts would dwarf any saving.
             let start_col = next_col;
-            if let Some(b) = budget {
-                let usable = b
-                    .saturating_sub(resident_floor + out_entries as u64 * entry_bytes)
-                    .max(b / 4)
-                    .max(entry_bytes);
-                let mut batch_est = 0u64;
-                while next_col < ncols {
-                    let w = col_est[next_col];
-                    if batch_est > 0 && batch_est + w > usable {
-                        break;
-                    }
-                    batch_est += w;
-                    next_col += 1;
+            let usable = budget
+                .saturating_sub(resident_floor + out_entries as u64 * entry_bytes)
+                .max(budget / 4)
+                .max(entry_bytes);
+            let mut batch_est = 0u64;
+            while next_col < ncols {
+                let w = col_est[next_col];
+                if batch_est > 0 && batch_est + w > usable {
+                    break;
                 }
-            } else {
-                // Unbudgeted: every column in one round.
-                next_col = ncols;
+                batch_est += w;
+                next_col += 1;
             }
             let window = (start_col as u32)..(next_col as u32);
             let mut transient = world.mem_charge(0);
             let mut acc_rows: Vec<(Vec<u32>, Vec<S::Out>)> =
                 (0..nrows).map(|_| (Vec::new(), Vec::new())).collect();
             let mut acc_entries = 0usize;
-            let mut inflight = double_buffer.then(|| post(0));
-            for s in 0..q {
-                let (a_block, b_block) = if double_buffer {
-                    let next = (s + 1 < q).then(|| post(s + 1));
-                    let (a_req, b_req) = inflight.take().expect("stage request posted");
-                    let blocks = (a_req.wait(), b_req.wait());
-                    inflight = next;
-                    blocks
-                } else {
-                    (
-                        grid.row()
-                            .bcast_shared(s, (grid.mycol() == s).then(|| Arc::clone(&self.local))),
-                        grid.col()
-                            .bcast_shared(s, (grid.myrow() == s).then(|| Arc::clone(&other.local))),
-                    )
-                };
-                // Unbudgeted rounds charge the blocks actually resident
-                // through the once-per-rank shared path; budgeted rounds
-                // model residency from the estimate pass's `stage_bytes`
-                // (grid-uniform, includes the prefetched stage) and so
-                // skip the guards — guards on top would double-count.
-                let _res = budget.is_none().then(|| {
-                    (
-                        world.mem_charge_shared(&a_block, a_block.heap_bytes()),
-                        world.mem_charge_shared(&b_block, b_block.heap_bytes()),
-                    )
-                });
+            let stages = self.stage_blocks(grid, other, double_buffer);
+            for (s, (a_block, b_block)) in stages.enumerate() {
                 // A finished rank padding out the collective round has
-                // an empty window: the broadcasts above must still run
-                // (they are collective), but the multiply sweep over
-                // every A nonzero would produce nothing — skip it.
+                // an empty window: the broadcasts must still run (they
+                // are collective), but the multiply sweep over every A
+                // nonzero would produce nothing — skip it.
                 if window.is_empty() {
                     continue;
                 }
-                let resident = match stage_bytes.get(s) {
-                    // Budgeted: estimate-pass sizes, including the
-                    // prefetched next stage under double buffering.
-                    Some(&sb) => {
-                        sb + if double_buffer && s + 1 < q {
-                            stage_bytes[s + 1]
-                        } else {
-                            0
-                        }
-                    }
-                    // Unbudgeted: the shared guards above already hold
-                    // the resident blocks.
-                    None => 0,
-                };
+                // Residency is modeled from the estimate pass's
+                // `stage_bytes` (grid-uniform, includes the prefetched
+                // next stage under double buffering) rather than charged
+                // through guards on the blocks — guards on top would
+                // double-count.
+                let resident = stage_bytes[s]
+                    + if double_buffer && s + 1 < q {
+                        stage_bytes[s + 1]
+                    } else {
+                        0
+                    };
                 let (entries, par_secs) = merge_stage_rows(
                     &a_block,
                     &b_block,
@@ -1825,18 +1363,12 @@ mod tests {
             for opts in [
                 SpGemmOptions::eager(),
                 SpGemmOptions::pipelined(),
-                SpGemmOptions::blocked(1),
-                SpGemmOptions::blocked(3),
-                SpGemmOptions::blocked(1024),
-                SpGemmOptions::column_batched(1024, None),
-                SpGemmOptions::column_batched(2, Some(1)),
-                SpGemmOptions::column_batched(7, Some(400)),
-                SpGemmOptions::column_batched(1024, Some(1 << 30)),
-                SpGemmOptions::layered(1),
-                SpGemmOptions::layered(2),
-                SpGemmOptions::layered(3),
-                SpGemmOptions::layered(7), // > q everywhere: clamps
-                SpGemmOptions::auto(),
+                // Budgeted regimes: quarter-budget floor (one column per
+                // round), many rounds over blocking broadcasts, and one
+                // double-buffered round; row batches of 1, 3 and "all".
+                SpGemmOptions::column_batched(1, 1),
+                SpGemmOptions::column_batched(3, 400),
+                SpGemmOptions::column_batched(1024, 1 << 30),
             ] {
                 let ok = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
                     let grid = ProcGrid::new(comm);
@@ -1868,34 +1400,11 @@ mod tests {
     }
 
     #[test]
-    fn layer_slices_cover_stages_evenly_and_unevenly() {
-        assert_eq!(layer_slices(4, 2), vec![0..2, 2..4]);
-        // c ∤ q: earlier slices take the extra stage.
-        assert_eq!(layer_slices(3, 2), vec![0..2, 2..3]);
-        assert_eq!(layer_slices(5, 3), vec![0..2, 2..4, 4..5]);
-        assert_eq!(layer_slices(3, 3), vec![0..1, 1..2, 2..3]);
-        assert_eq!(layer_slices(1, 1), vec![0..1]);
-        for q in 1..=9usize {
-            for c in 1..=q {
-                let slices = layer_slices(q, c);
-                assert_eq!(slices.len(), c, "q={q} c={c}");
-                assert!(slices.iter().all(|s| !s.is_empty()), "q={q} c={c}");
-                assert_eq!(slices.first().expect("non-empty").start, 0);
-                assert_eq!(slices.last().expect("non-empty").end, q);
-                assert!(
-                    slices.windows(2).all(|w| w[0].end == w[1].start),
-                    "slices must tile contiguously: q={q} c={c}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn column_batched_tracked_high_water_respects_budget() {
         // The ELBA overlap-detection shape: a dense-ish C = AAᵀ whose
         // *unpruned* block dwarfs what survives the fused prune (strict
-        // upper triangle + value threshold). A single round must hold
-        // the whole unpruned accumulator at once and blow past the
+        // upper triangle + value threshold). The unbudgeted default must
+        // hold the whole unpruned accumulator at once and blows past the
         // budget; the column-batched schedule prunes batch by batch and
         // provably stays under it. The budget is computed from the real
         // retained sizes: 4/3 × (pruned C + two resident broadcast
@@ -1927,17 +1436,17 @@ mod tests {
                     (got, c.heap_bytes(), stage_bytes)
                 })
         };
-        let (outputs, unbatched) = run(SpGemmOptions::column_batched(64, None));
+        let (outputs, unbatched) = run(SpGemmOptions::pipelined());
         let hw_single = unbatched.max_mem_hw("spgemm");
         let max_c = outputs.iter().map(|(_, cb, _)| *cb).max().expect("ranks");
         let max_stage = outputs.iter().map(|(_, _, sb)| *sb).max().expect("ranks");
         let budget = (4 * (max_c + 2 * max_stage) / 3 + 8192) as u64;
         assert!(
             hw_single > budget,
-            "workload too small to exercise the bound: single-round hw \
+            "workload too small to exercise the bound: unbudgeted hw \
              {hw_single} vs budget {budget}"
         );
-        let (batched_outputs, batched) = run(SpGemmOptions::column_batched(64, Some(budget)));
+        let (batched_outputs, batched) = run(SpGemmOptions::column_batched(64, budget));
         let hw_batched = batched.max_mem_hw("spgemm");
         assert!(
             hw_batched <= budget,

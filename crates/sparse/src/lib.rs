@@ -31,9 +31,7 @@ pub mod spgemm;
 pub use csc::Csc;
 pub use csr::Csr;
 pub use dcsc::Dcsc;
-pub use dist_mat::{
-    algorithm_label, last_auto_spgemm_pick, DistMat, SpGemmAlgorithm, SpGemmOptions,
-};
+pub use dist_mat::{algorithm_label, DistMat, SpGemmAlgorithm, SpGemmOptions};
 pub use dist_vec::DistVec;
 pub use layout::Layout2D;
 pub use semiring::Semiring;

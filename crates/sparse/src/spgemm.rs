@@ -162,7 +162,7 @@ fn row_floor(upper: Option<i64>, i: usize, cols: &std::ops::Range<u32>) -> u32 {
 /// that is reused across every [`SpGemmBatcher::multiply_rows`] call —
 /// the SPA's generation counter makes reuse clearing-free, so batching
 /// the output rows costs no repeated O(ncols) allocation. One batcher
-/// serves one `(A, B)` pair; the blocked SUMMA schedule holds one per
+/// serves one `(A, B)` pair; the column-batched SUMMA schedule holds one per
 /// stage and sweeps it over the row windows.
 ///
 /// With [`SpGemmBatcher::with_threads`] the multiply partitions its row
@@ -393,9 +393,9 @@ type ChunkParts<V> = (Vec<usize>, Vec<u32>, Vec<V>);
 /// [`ewise_add`] — no re-sort and no triple buffer: the merge walks the
 /// raw `(indptr, indices, values)` arrays directly, so the cost is
 /// linear in `nnz(a) + nnz(b)` with no per-entry row tags. This is the
-/// per-stage accumulator of the pipelined and blocked SUMMA variants,
-/// where `a` is the whole accumulated `C` block and must not be
-/// re-materialized every stage.
+/// per-stage accumulator of the pipelined SUMMA schedule, where `a` is
+/// the whole accumulated `C` block and must not be re-materialized
+/// every stage.
 pub fn csr_merge<T>(a: Csr<T>, b: Csr<T>, mut add: impl FnMut(&mut T, T)) -> Csr<T> {
     assert_eq!(a.nrows(), b.nrows());
     assert_eq!(a.ncols(), b.ncols());
@@ -443,109 +443,6 @@ pub fn csr_merge<T>(a: Csr<T>, b: Csr<T>, mut add: impl FnMut(&mut T, T)) -> Csr
         for &col in &b_indices[ib..end_b] {
             indices.push(col);
             values.push(b_vals.next().expect("value per index"));
-        }
-        indptr.push(indices.len());
-    }
-    Csr::from_parts(nrows, ncols, indptr, indices, values)
-}
-
-/// Merge `parts` — same-shape CSR matrices — into one in a single pass,
-/// combining entries that share a coordinate with `add` **in part
-/// order**. This is the one-rank collapse of a 2.5D allreduce combine
-/// tree: on real layered grids the per-layer partials meet in a binomial
-/// tree of pairwise merges, but with every layer resident on the same
-/// rank the tree degenerates, and folding it level by level would touch
-/// ~2·nnz bytes per level. The k-way walk touches each part's arrays
-/// exactly once and allocates one output — same add order as the folded
-/// tree (ascending part = ascending SUMMA stage), so the result is
-/// byte-identical to repeated [`csr_merge`], at `Σ nnz(part) + nnz(out)`
-/// traffic instead of `(k−1)·2·nnz`.
-pub fn csr_kmerge<T>(parts: Vec<Csr<T>>, mut add: impl FnMut(&mut T, T)) -> Csr<T> {
-    assert!(!parts.is_empty(), "csr_kmerge needs at least one part");
-    if parts.len() == 1 {
-        return parts.into_iter().next().expect("len checked");
-    }
-    let nrows = parts[0].nrows();
-    let ncols = parts[0].ncols();
-    let total: usize = parts.iter().map(Csr::nnz).sum();
-    // Raw arrays per part; values are consumed strictly in storage order
-    // (each cursor only ever advances), so plain iterators hand them out.
-    let raw: Vec<(Vec<usize>, Vec<u32>, std::vec::IntoIter<T>)> = parts
-        .into_iter()
-        .map(|p| {
-            assert_eq!((p.nrows(), p.ncols()), (nrows, ncols), "shape mismatch");
-            let (indptr, indices, values) = p.into_parts();
-            (indptr, indices, values.into_iter())
-        })
-        .collect();
-    let mut raw = raw;
-    let mut cursors = vec![0usize; raw.len()];
-    let mut indptr = Vec::with_capacity(nrows + 1);
-    indptr.push(0usize);
-    let mut indices: Vec<u32> = Vec::with_capacity(total);
-    let mut values: Vec<T> = Vec::with_capacity(total);
-    for row in 0..nrows {
-        // Single-contributor fast path: when exactly one part has
-        // entries in this row — the common case for layered SUMMA,
-        // whose stages emit near-disjoint row slabs — bulk-copy its
-        // row instead of min-scanning every element through k cursors.
-        let mut holder: Option<usize> = None;
-        let mut contested = false;
-        for (k, (part_indptr, _, _)) in raw.iter().enumerate() {
-            if cursors[k] < part_indptr[row + 1] {
-                contested = holder.is_some();
-                if contested {
-                    break;
-                }
-                holder = Some(k);
-            }
-        }
-        if let (Some(k), false) = (holder, contested) {
-            let (part_indptr, part_indices, part_values) = &mut raw[k];
-            let end = part_indptr[row + 1];
-            let len = end - cursors[k];
-            indices.extend_from_slice(&part_indices[cursors[k]..end]);
-            values.extend(part_values.by_ref().take(len));
-            cursors[k] = end;
-            indptr.push(indices.len());
-            continue;
-        }
-        loop {
-            // Smallest pending column among the parts still inside this
-            // row. k is tiny (the layer count), so a linear scan beats a
-            // heap and keeps part order deterministic.
-            let mut min_col = u32::MAX;
-            let mut any = false;
-            for (k, (part_indptr, part_indices, _)) in raw.iter().enumerate() {
-                let cur = cursors[k];
-                if cur < part_indptr[row + 1] {
-                    let col = part_indices[cur];
-                    if !any || col < min_col {
-                        min_col = col;
-                        any = true;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-            // Combine every part holding `min_col`, ascending part order
-            // — the stage order the other schedules accumulate in, so a
-            // non-commutative semiring add sees identical operand order.
-            let mut acc: Option<T> = None;
-            for (k, (part_indptr, part_indices, part_values)) in raw.iter_mut().enumerate() {
-                let cur = cursors[k];
-                if cur < part_indptr[row + 1] && part_indices[cur] == min_col {
-                    let v = part_values.next().expect("value per index");
-                    match acc.as_mut() {
-                        Some(a) => add(a, v),
-                        None => acc = Some(v),
-                    }
-                    cursors[k] += 1;
-                }
-            }
-            indices.push(min_col);
-            values.push(acc.expect("some part held min_col"));
         }
         indptr.push(indices.len());
     }
@@ -836,62 +733,6 @@ mod tests {
             *acc += v
         });
         assert_eq!(both.nnz(), 0);
-    }
-
-    #[test]
-    fn csr_kmerge_matches_folded_csr_merge() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(91);
-        for parts_n in 1..=5usize {
-            let (n, m) = (rng.gen_range(1..9), rng.gen_range(1..9));
-            let mut make = || {
-                let mut t = Vec::new();
-                for i in 0..n {
-                    for j in 0..m {
-                        if rng.gen_bool(0.35) {
-                            t.push((i as u32, j as u32, rng.gen_range(1..9) as f64));
-                        }
-                    }
-                }
-                Csr::from_triples(n, m, t, |_, _| unreachable!())
-            };
-            let parts: Vec<Csr<f64>> = (0..parts_n).map(|_| make()).collect();
-            let folded = parts
-                .iter()
-                .cloned()
-                .reduce(|a, b| csr_merge(a, b, |acc, v| *acc += v))
-                .expect("non-empty");
-            let kway = csr_kmerge(parts, |acc, v| *acc += v);
-            assert_eq!(kway.indptr(), folded.indptr());
-            assert_eq!(kway.indices(), folded.indices());
-            assert_eq!(kway.values(), folded.values());
-        }
-    }
-
-    #[test]
-    fn csr_kmerge_preserves_part_order_for_noncommutative_add() {
-        // Concatenation is order-sensitive: the k-way combine must apply
-        // `add` in ascending part order, exactly like folding csr_merge
-        // left to right (= SUMMA stage order).
-        let part = |tag: &str| {
-            Csr::from_triples(
-                1,
-                1,
-                vec![(0u32, 0u32, tag.to_string())],
-                |_, _| unreachable!(),
-            )
-        };
-        let parts = vec![part("a"), part("b"), part("c")];
-        let merged = csr_kmerge(parts, |acc, v| acc.push_str(&v));
-        assert_eq!(merged.get(0, 0).map(String::as_str), Some("abc"));
-    }
-
-    #[test]
-    fn csr_kmerge_single_part_is_identity() {
-        let a = Csr::from_triples(2, 3, vec![(0u32, 2u32, 4.0f64)], |_, _| unreachable!());
-        let out = csr_kmerge(vec![a.clone()], |_, _| unreachable!());
-        assert_eq!(Dense::from_csr(&out), Dense::from_csr(&a));
     }
 
     #[test]

@@ -1,0 +1,71 @@
+//! The schedule matrix every distributed-SpGEMM property suite sweeps:
+//! the eager reference oracle, the pipelined default, and one budgeted
+//! (column-batched) row per regime that schedule has — one round (a
+//! budget nothing can exhaust), many rounds (a small budget), the
+//! quarter-budget floor (`budget = 1`: single-column rounds, the worst
+//! case for a concatenation bug), and both sides of the
+//! `4·max_stage ≤ budget` switch between double-buffered `ibcast`
+//! rounds and blocking ones.
+
+#![allow(dead_code)] // each suite uses its own subset
+
+use elba_comm::{CommMsg, ProcGrid};
+use elba_sparse::{DistMat, SpGemmOptions};
+
+/// Rows in [`schedule_rows`]; row 0 is the oracle.
+pub const N_ROWS: usize = 7;
+
+/// The largest A+B block pair any rank holds resident in one SUMMA stage
+/// of `a ⊗ b` — the `max_stage` the budgeted schedule's double-buffer
+/// switch tests against the budget. Collective.
+pub fn max_stage_bytes<T, U>(grid: &ProcGrid, a: &DistMat<T>, b: &DistMat<U>) -> u64
+where
+    T: Clone + CommMsg + Sync,
+    U: Clone + CommMsg + Sync,
+{
+    let sizes = grid
+        .world()
+        .allgather((a.heap_bytes() as u64, b.heap_bytes() as u64));
+    let q = grid.q();
+    let mut max_stage = 0;
+    for (i, j, s) in (0..q).flat_map(|i| (0..q).flat_map(move |j| (0..q).map(move |s| (i, j, s)))) {
+        max_stage = max_stage.max(sizes[grid.rank_of(i, s)].0 + sizes[grid.rank_of(s, j)].1);
+    }
+    max_stage
+}
+
+/// The labelled schedule matrix for a product whose largest stage is
+/// `max_stage` bytes (see [`max_stage_bytes`]); `small` is the
+/// many-rounds budget.
+pub fn schedule_rows(
+    batch_rows: usize,
+    small: u64,
+    max_stage: u64,
+) -> Vec<(String, SpGemmOptions)> {
+    let switch = 4 * max_stage;
+    let mut rows = vec![
+        ("eager".to_owned(), SpGemmOptions::eager()),
+        ("pipelined".to_owned(), SpGemmOptions::pipelined()),
+    ];
+    rows.extend(
+        [
+            ("one round", 1 << 40),
+            ("many rounds", small.max(1)),
+            ("quarter-budget floor", 1),
+            ("double-buffered, at the switch", switch.max(1)),
+            (
+                "blocking, just under the switch",
+                switch.saturating_sub(1).max(1),
+            ),
+        ]
+        .into_iter()
+        .map(|(regime, budget)| {
+            (
+                format!("budgeted {regime} (batch_rows={batch_rows}, budget={budget})"),
+                SpGemmOptions::column_batched(batch_rows, budget),
+            )
+        }),
+    );
+    assert_eq!(rows.len(), N_ROWS);
+    rows
+}

@@ -7,11 +7,15 @@
 //! Determinism is the contract that makes threading safe to land: if
 //! these fail, `--threads` would change assembled contigs.
 
+mod common;
+
 use elba_comm::ProcGrid;
 use elba_comm::{Backend, Runner};
 use elba_sparse::semiring::{Count, MinPlus, PlusTimes, Semiring};
-use elba_sparse::{Csr, DistMat, SpGemmBatcher, SpGemmOptions};
+use elba_sparse::{Csr, DistMat, SpGemmBatcher};
 use proptest::prelude::*;
+
+use common::{max_stage_bytes, schedule_rows, N_ROWS};
 
 /// Sparse triples from a proptest-generated entry list (dedup last-wins).
 fn to_triples(nrows: usize, ncols: usize, entries: &[(usize, usize, i8)]) -> Vec<(u64, u64, f64)> {
@@ -116,20 +120,12 @@ proptest! {
         m in 1usize..24,
         a_entries in proptest::collection::vec((0usize..32, 0usize..32, -3i8..4), 0..80),
         b_entries in proptest::collection::vec((0usize..32, 0usize..32, -3i8..4), 0..80),
-        algo_idx in 0usize..4,
     ) {
         let p = [1usize, 4, 9][p_idx];
         let a_triples = to_triples(n, k, &a_entries);
         let b_triples = to_triples(k, m, &b_entries);
-        let base = match algo_idx {
-            0 => SpGemmOptions::eager(),
-            1 => SpGemmOptions::pipelined(),
-            2 => SpGemmOptions::blocked(3),
-            _ => SpGemmOptions::column_batched(4, Some(512)),
-        };
         let mut runs = Vec::new();
         for threads in [1usize, 4] {
-            let opts = base.with_threads(threads);
             let (at, bt) = (a_triples.clone(), b_triples.clone());
             let (out, profile) = Runner::new(Backend::InProcess).ranks(p).run_profiled(move |comm| {
                 let grid = ProcGrid::new(comm);
@@ -137,24 +133,43 @@ proptest! {
                 let mine_b = if grid.world().rank() == 0 { bt.clone() } else { Vec::new() };
                 let a = DistMat::from_triples(&grid, n, k, mine_a, |_, _| unreachable!());
                 let b = DistMat::from_triples(&grid, k, m, mine_b, |_, _| unreachable!());
-                let c = {
-                    let _g = grid.world().phase("mult");
-                    a.spgemm_with(&grid, &b, &PlusTimes, &opts)
-                };
-                let mut got = c.gather_triples(&grid);
-                got.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
-                got
+                // One profiled phase per schedule row, named by its label.
+                schedule_rows(4, 512, max_stage_bytes(&grid, &a, &b))
+                    .into_iter()
+                    .map(|(label, base)| {
+                        let c = {
+                            let _g = grid.world().phase(&label);
+                            a.spgemm_with(&grid, &b, &PlusTimes, &base.with_threads(threads))
+                        };
+                        let mut got = c.gather_triples(&grid);
+                        got.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
+                        (label, got)
+                    })
+                    .collect::<Vec<_>>()
             });
             // Wire bytes are part of the contract: per-rank, per-op.
-            let mut rank_bytes: Vec<Vec<(&'static str, u64, u64)>> = profile
-                .rank_profiles()
-                .iter()
-                .map(|r| r.phase("mult").map(|ph| ph.collectives.clone()).unwrap_or_default())
+            let rows: Vec<_> = out
+                .into_iter()
+                .next()
+                .expect("rank 0")
+                .into_iter()
+                .map(|(label, got)| {
+                    let mut rank_bytes: Vec<Vec<(&'static str, u64, u64)>> = profile
+                        .rank_profiles()
+                        .iter()
+                        .map(|r| r.phase(&label).map(|ph| ph.collectives.clone()).unwrap_or_default())
+                        .collect();
+                    rank_bytes.iter_mut().for_each(|v| v.sort());
+                    (label, got, rank_bytes)
+                })
                 .collect();
-            rank_bytes.iter_mut().for_each(|v| v.sort());
-            runs.push((out.into_iter().next().expect("rank 0"), rank_bytes));
+            runs.push(rows);
         }
-        prop_assert_eq!(&runs[0].0, &runs[1].0, "threaded SUMMA output must match serial");
-        prop_assert_eq!(&runs[0].1, &runs[1].1, "threads must not change profiled wire bytes");
+        prop_assert_eq!(runs[0].len(), N_ROWS);
+        for (serial, threaded) in runs[0].iter().zip(&runs[1]) {
+            let label = &serial.0;
+            prop_assert_eq!(&serial.1, &threaded.1, "{}: threaded SUMMA output must match serial", label);
+            prop_assert_eq!(&serial.2, &threaded.2, "{}: threads must not change profiled wire bytes", label);
+        }
     }
 }

@@ -1,21 +1,24 @@
-//! Property tests pinning the SUMMA schedule equivalence: the pipelined,
-//! blocked, column-batched, layered, and auto-picked SpGEMM paths must
-//! produce results *identical* to the eager reference — same structure
-//! including
-//! explicit zeros, same values — on random matrices across 1×1, 2×2,
-//! and 3×3 process grids. The schedules may only differ in overlap and
-//! peak memory, never output; tiny byte budgets force the column-batched
-//! schedule through many single-column rounds, the worst case for a
-//! concatenation bug.
+//! Property tests pinning the SUMMA schedule equivalence: the default
+//! pipelined path and every regime of the budgeted column-batched path
+//! must produce results *identical* to the eager reference oracle —
+//! same structure including explicit zeros, same values — on random
+//! matrices across 1×1, 2×2, and 3×3 process grids. The schedules may
+//! only differ in overlap and peak memory, never output. Every suite
+//! sweeps the whole matrix of [`common::schedule_rows`].
 
-use elba_comm::ProcGrid;
-use elba_comm::{Backend, Runner};
-use elba_sparse::semiring::{MinPlus, PlusTimes};
+mod common;
+
+use elba_comm::{Backend, CommMsg, ProcGrid, Runner};
+use elba_sparse::semiring::{MinPlus, PlusTimes, Semiring};
 use elba_sparse::{DistMat, SpGemmOptions};
 use proptest::prelude::*;
 
+use common::{max_stage_bytes, schedule_rows, N_ROWS};
+
+type Triples<T> = Vec<(u64, u64, T)>;
+
 /// Sparse triples from a proptest-generated entry list (dedup last-wins).
-fn to_triples(nrows: usize, ncols: usize, entries: &[(usize, usize, i8)]) -> Vec<(u64, u64, f64)> {
+fn to_triples(nrows: usize, ncols: usize, entries: &[(usize, usize, i8)]) -> Triples<f64> {
     let mut map = std::collections::BTreeMap::new();
     for &(r, c, v) in entries {
         if v != 0 {
@@ -27,85 +30,81 @@ fn to_triples(nrows: usize, ncols: usize, entries: &[(usize, usize, i8)]) -> Vec
         .collect()
 }
 
-/// Run `A ⊗ B` on a p-rank grid under `opts`, returning the gathered,
-/// sorted triple list (exact structure, explicit zeros included).
-fn run_schedule(
+/// Multiply `A ⊗ B` on a p-rank grid under the eager oracle, the
+/// pipelined default and every budgeted regime, all inside one SPMD
+/// run; returns the labelled, sorted triple lists (exact structure,
+/// explicit zeros included), oracle first.
+fn products<S>(
     p: usize,
-    n: usize,
-    k: usize,
-    m: usize,
-    a_triples: &[(u64, u64, f64)],
-    b_triples: &[(u64, u64, f64)],
-    opts: SpGemmOptions,
-) -> Vec<(u64, u64, f64)> {
-    let (at, bt) = (a_triples.to_vec(), b_triples.to_vec());
-    let mut got = Runner::new(Backend::InProcess)
+    (n, k, m): (usize, usize, usize),
+    a_triples: &Triples<S::A>,
+    b_triples: &Triples<S::B>,
+    semiring: S,
+    batch: usize,
+    small_budget: u64,
+) -> Vec<(String, Triples<S::Out>)>
+where
+    S: Semiring + Send + Sync + 'static,
+    S::A: Clone + CommMsg + Send + Sync + 'static,
+    S::B: Clone + CommMsg + Send + Sync + 'static,
+    S::Out: Clone + CommMsg + PartialOrd + Send + Sync + 'static,
+{
+    let (at, bt) = (a_triples.clone(), b_triples.clone());
+    Runner::new(Backend::InProcess)
         .ranks(p)
         .run(move |comm| {
             let grid = ProcGrid::new(comm);
-            let mine_a = if grid.world().rank() == 0 {
-                at.clone()
-            } else {
-                Vec::new()
-            };
-            let mine_b = if grid.world().rank() == 0 {
-                bt.clone()
-            } else {
-                Vec::new()
-            };
+            let root = grid.world().rank() == 0;
+            let mine_a = if root { at.clone() } else { Vec::new() };
+            let mine_b = if root { bt.clone() } else { Vec::new() };
             let a = DistMat::from_triples(&grid, n, k, mine_a, |_, _| unreachable!());
             let b = DistMat::from_triples(&grid, k, m, mine_b, |_, _| unreachable!());
-            a.spgemm_with(&grid, &b, &PlusTimes, &opts)
-                .gather_triples(&grid)
+            schedule_rows(batch, small_budget, max_stage_bytes(&grid, &a, &b))
+                .into_iter()
+                .map(|(label, opts)| {
+                    let mut got = a
+                        .spgemm_with(&grid, &b, &semiring, &opts)
+                        .gather_triples(&grid);
+                    got.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
+                    (label, got)
+                })
+                .collect::<Vec<_>>()
         })
-        .remove(0);
-    got.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    got
+        .remove(0)
+}
+
+/// Every surviving path must equal the oracle (the first row).
+fn assert_all_equal_oracle<T: PartialEq + std::fmt::Debug>(
+    p: usize,
+    rows: &[(String, Triples<T>)],
+) {
+    let (oracle_label, oracle) = &rows[0];
+    assert_eq!(oracle_label, "eager");
+    assert_eq!(rows.len(), N_ROWS);
+    for (label, got) in &rows[1..] {
+        assert_eq!(got, oracle, "{label} != eager (p={p})");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
     #[test]
-    fn pipelined_and_blocked_equal_eager(
+    fn pipelined_and_budgeted_equal_eager(
         p_idx in 0usize..3,
         n in 1usize..14,
         k in 1usize..14,
         m in 1usize..14,
         batch in 1usize..8,
-        c in 1usize..5,
-        budget_raw in 0u64..4000,
+        budget in 1u64..4000,
         a_entries in proptest::collection::vec((0usize..20, 0usize..20, -3i8..4), 0..70),
         b_entries in proptest::collection::vec((0usize..20, 0usize..20, -3i8..4), 0..70),
     ) {
         let p = [1usize, 4, 9][p_idx];
-        let budget = (budget_raw > 0).then_some(budget_raw); // 0 = unbudgeted
         let a_triples = to_triples(n, k, &a_entries);
         let b_triples = to_triples(k, m, &b_entries);
-        let eager =
-            run_schedule(p, n, k, m, &a_triples, &b_triples, SpGemmOptions::eager());
-        let pipelined =
-            run_schedule(p, n, k, m, &a_triples, &b_triples, SpGemmOptions::pipelined());
-        let blocked =
-            run_schedule(p, n, k, m, &a_triples, &b_triples, SpGemmOptions::blocked(batch));
-        let column_batched = run_schedule(
-            p, n, k, m, &a_triples, &b_triples,
-            SpGemmOptions::column_batched(batch, budget),
-        );
-        prop_assert_eq!(&pipelined, &eager, "pipelined != eager (p={})", p);
-        prop_assert_eq!(&blocked, &eager, "blocked(batch={}) != eager (p={})", batch, p);
-        prop_assert_eq!(
-            &column_batched, &eager,
-            "column_batched(batch={}, budget={:?}) != eager (p={})", batch, budget, p
-        );
-        // c sweeps past q on every grid here, exercising the clamp; c=1
-        // is the pipelined dispatch.
-        let layered =
-            run_schedule(p, n, k, m, &a_triples, &b_triples, SpGemmOptions::layered(c));
-        prop_assert_eq!(&layered, &eager, "layered(c={}) != eager (p={})", c, p);
-        let auto =
-            run_schedule(p, n, k, m, &a_triples, &b_triples, SpGemmOptions::auto());
-        prop_assert_eq!(&auto, &eager, "auto != eager (p={})", p);
+        let rows = products(p, (n, k, m), &a_triples, &b_triples, PlusTimes, batch, budget);
+        assert_all_equal_oracle(p, &rows);
     }
 
     #[test]
@@ -118,64 +117,103 @@ proptest! {
         // The overlap-detection shape: square output from A · Aᵀ.
         let p = [1usize, 4, 9][p_idx];
         let triples = to_triples(n, k, &entries);
-        let run = |opts: SpGemmOptions| {
-            let t = triples.clone();
-            let mut got = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
-                let grid = ProcGrid::new(comm);
-                let mine = if grid.world().rank() == 0 { t.clone() } else { Vec::new() };
-                let a = DistMat::from_triples(&grid, n, k, mine, |_, _| unreachable!());
-                let at = a.transpose(&grid);
-                a.spgemm_with(&grid, &at, &PlusTimes, &opts).gather_triples(&grid)
-            })
-            .remove(0);
-            got.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
-            got
-        };
-        let eager = run(SpGemmOptions::eager());
-        prop_assert_eq!(&run(SpGemmOptions::pipelined()), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::blocked(2)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::column_batched(2, Some(256))), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::column_batched(1024, None)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::layered(2)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::layered(3)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::auto()), &eager);
+        let transposed: Triples<f64> = triples.iter().map(|&(r, c, v)| (c, r, v)).collect();
+        let rows = products(p, (n, k, n), &triples, &transposed, PlusTimes, 2, 256);
+        assert_all_equal_oracle(p, &rows);
     }
 
     #[test]
     fn schedules_agree_under_min_plus(
         p_idx in 0usize..3,
         n in 1usize..10,
+        batch in 1usize..6,
         entries in proptest::collection::vec((0usize..12, 0usize..12, 1i8..9), 0..50),
     ) {
         // A non-arithmetic semiring (shortest two-hop paths): schedule
         // equivalence must not depend on PlusTimes-specific behavior.
         let p = [1usize, 4, 9][p_idx];
-        let triples: Vec<(u64, u64, u64)> = {
+        let triples: Triples<u64> = {
             let mut map = std::collections::BTreeMap::new();
             for &(r, c, v) in &entries {
                 map.insert((r % n, c % n), v as u64);
             }
             map.into_iter().map(|((r, c), v)| (r as u64, c as u64, v)).collect()
         };
-        let run = |opts: SpGemmOptions| {
-            let t = triples.clone();
-            let mut got = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
+        let rows = products(p, (n, n, n), &triples, &triples, MinPlus, batch, 1000);
+        assert_all_equal_oracle(p, &rows);
+    }
+}
+
+/// The budget, and nothing else, decides between the double-buffered
+/// `ibcast` rounds and the blocking ones: at `budget = 4·max_stage` the
+/// stage fetch is non-blocking, one byte below it is blocking — and
+/// a double-buffered round ships exactly the default's stage broadcasts
+/// (the structure pass and the round-count agreement come on top).
+#[test]
+fn budget_switches_the_stage_fetch_at_four_stages() {
+    for p in [4usize, 9] {
+        let (_, profile) = Runner::new(Backend::InProcess)
+            .ranks(p)
+            .run_profiled(move |comm| {
                 let grid = ProcGrid::new(comm);
-                let mine = if grid.world().rank() == 0 { t.clone() } else { Vec::new() };
-                let a = DistMat::from_triples(&grid, n, n, mine, |_, _| unreachable!());
-                a.spgemm_with(&grid, &a, &MinPlus, &opts).gather_triples(&grid)
-            })
-            .remove(0);
-            got.sort_unstable();
-            got
-        };
-        let eager = run(SpGemmOptions::eager());
-        prop_assert_eq!(&run(SpGemmOptions::pipelined()), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::blocked(1)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::blocked(5)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::column_batched(1, Some(1))), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::column_batched(5, Some(1000))), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::layered(2)), &eager);
-        prop_assert_eq!(&run(SpGemmOptions::layered(3)), &eager);
+                let (n, k) = (21usize, 17usize);
+                let mine: Triples<f64> = if grid.world().rank() == 0 {
+                    (0..n)
+                        .flat_map(|r| {
+                            (0..5usize).map(move |i| {
+                                (
+                                    r as u64,
+                                    ((r * 11 + i * 3) % k) as u64,
+                                    1.0 + ((r + i) % 4) as f64,
+                                )
+                            })
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                let a = DistMat::from_triples(&grid, n, k, mine, |acc, v| *acc += v);
+                let at = a.transpose(&grid);
+                let switch = 4 * max_stage_bytes(&grid, &a, &at);
+                for (phase, opts) in [
+                    ("eager", SpGemmOptions::eager()),
+                    ("pipelined", SpGemmOptions::pipelined()),
+                    ("at-switch", SpGemmOptions::column_batched(64, switch)),
+                    (
+                        "below-switch",
+                        SpGemmOptions::column_batched(64, switch - 1),
+                    ),
+                ] {
+                    let _guard = grid.world().phase(phase);
+                    a.spgemm_with(&grid, &at, &PlusTimes, &opts);
+                }
+            });
+        for rank in profile.rank_profiles() {
+            let calls = |phase: &str, op: &str| {
+                let phase = rank.phase(phase).expect("phase recorded");
+                phase
+                    .collectives
+                    .iter()
+                    .find(|&&(name, _, _)| name == op)
+                    .map_or((0, 0), |&(_, calls, bytes)| (calls, bytes))
+            };
+            let (r, default) = (rank.rank(), calls("pipelined", "ibcast"));
+            assert!(default.0 > 0, "p={p} rank {r}: the default posts ibcasts");
+            assert_eq!(calls("pipelined", "bcast"), (0, 0), "p={p} rank {r}");
+            // The oracle ships the same stage blocks, blocking.
+            assert_eq!(calls("eager", "bcast"), default, "p={p} rank {r}");
+            assert_eq!(calls("eager", "ibcast"), (0, 0), "p={p} rank {r}");
+            // Each budgeted round is the default's stage fetch again,
+            // call for call and byte for byte.
+            let batched = calls("at-switch", "ibcast");
+            let rounds = batched.0 / default.0;
+            assert!(rounds >= 1, "p={p} rank {r}: no double-buffered round");
+            assert_eq!(
+                batched,
+                (rounds * default.0, rounds * default.1),
+                "p={p} rank {r}"
+            );
+            assert_eq!(calls("below-switch", "ibcast"), (0, 0), "p={p} rank {r}");
+        }
     }
 }

@@ -6,11 +6,15 @@
 //! oracle while shipping bytes proportional to a block's entries, not
 //! its dimension.
 
+mod common;
+
 use elba_comm::ProcGrid;
 use elba_comm::{Backend, Runner};
 use elba_sparse::semiring::Semiring;
-use elba_sparse::{DistMat, SpGemmOptions};
+use elba_sparse::DistMat;
 use proptest::prelude::*;
+
+use common::{max_stage_bytes, schedule_rows, N_ROWS};
 
 /// Like the overlap semiring, order-sensitive in its add: a product is
 /// the pair of operand tags, a sum is the concatenation in arrival
@@ -48,20 +52,20 @@ fn tagged(nrows: usize, ncols: usize, entries: &[(usize, usize)]) -> Vec<(u64, u
 
 type Product = Vec<(u64, u64, Vec<(u32, u32)>)>;
 
-/// The gathered, sorted product of one run on `p` ranks: the symmetric
-/// entry point when `upper`, else the general pruned multiply against
-/// an explicit transpose under `r < c`.
-fn product(
+/// Every gathered, sorted product of one `p`-rank run, labelled: for
+/// each row of [`schedule_rows`] (oracle first) × threads {1, 2}, the
+/// general pruned multiply against an explicit transpose under `r < c`
+/// and then the symmetric entry point.
+fn products(
     p: usize,
     n: usize,
     k: usize,
     triples: &[(u64, u64, u32)],
-    opts: SpGemmOptions,
+    batch: usize,
     min_len: usize,
-    upper: bool,
-) -> Product {
+) -> Vec<(String, Product)> {
     let t = triples.to_vec();
-    let mut got = Runner::new(Backend::InProcess)
+    Runner::new(Backend::InProcess)
         .ranks(p)
         .run(move |comm| {
             let grid = ProcGrid::new(comm);
@@ -71,19 +75,29 @@ fn product(
                 Vec::new()
             };
             let a = DistMat::from_triples(&grid, n, k, mine, |_, _| unreachable!());
-            let c = if upper {
-                a.spgemm_aat_upper_with(&grid, &Trace, &opts, |_, _, v| v.len() >= min_len)
-            } else {
-                let at = a.transpose(&grid);
-                a.spgemm_pruned_with(&grid, &at, &Trace, &opts, |r, c, v| {
-                    r < c && v.len() >= min_len
-                })
-            };
-            c.gather_triples(&grid)
+            let at = a.transpose(&grid);
+            let mut out = Vec::new();
+            // A small budget of a few entries: many narrow column
+            // windows, so the diagonal floor and the window start trade
+            // places.
+            for (label, opts) in schedule_rows(batch, 96, max_stage_bytes(&grid, &a, &at)) {
+                for threads in [1usize, 2] {
+                    let opts = opts.with_threads(threads);
+                    let general = a.spgemm_pruned_with(&grid, &at, &Trace, &opts, |r, c, v| {
+                        r < c && v.len() >= min_len
+                    });
+                    let upper =
+                        a.spgemm_aat_upper_with(&grid, &Trace, &opts, |_, _, v| v.len() >= min_len);
+                    for (path, c) in [("general", general), ("upper", upper)] {
+                        let mut got = c.gather_triples(&grid);
+                        got.sort();
+                        out.push((format!("{path} {label} t={threads}"), got));
+                    }
+                }
+            }
+            out
         })
-        .remove(0);
-    got.sort();
-    got
+        .remove(0)
 }
 
 proptest! {
@@ -102,28 +116,16 @@ proptest! {
     ) {
         let p = [1usize, 4, 9][p_idx];
         let triples = tagged(n, k, &entries);
-        let want = product(p, n, k, &triples, SpGemmOptions::eager(), min_len, false);
+        let rows = products(p, n, k, &triples, batch, min_len);
+        // The oracle: the general multiply under the eager schedule.
+        let (oracle, want) = &rows[0];
+        prop_assert_eq!(oracle.as_str(), "general eager t=1");
         prop_assert!(want.iter().all(|&(r, c, _)| r < c));
-        for opts in [
-            SpGemmOptions::eager(),
-            SpGemmOptions::pipelined(),
-            SpGemmOptions::blocked(batch),
-            SpGemmOptions::column_batched(batch, None),
-            // A budget of a few entries: many narrow column windows, so
-            // the diagonal floor and the window start trade places.
-            SpGemmOptions::column_batched(batch, Some(96)),
-            SpGemmOptions::layered(2),
-            SpGemmOptions::layered(3),
-            SpGemmOptions::auto(),
-        ] {
-            for threads in [1usize, 2] {
-                let opts = opts.with_threads(threads);
-                let upper = product(p, n, k, &triples, opts, min_len, true);
-                prop_assert_eq!(&upper, &want, "upper p={} {:?}", p, opts);
-                // The general path must not have moved either.
-                let general = product(p, n, k, &triples, opts, min_len, false);
-                prop_assert_eq!(&general, &want, "general p={} {:?}", p, opts);
-            }
+        prop_assert_eq!(rows.len(), N_ROWS * 2 * 2);
+        // Neither the symmetric entry point nor the general path may
+        // differ from it under any schedule or thread count.
+        for (label, got) in &rows[1..] {
+            prop_assert_eq!(got, want, "{} p={}", label, p);
         }
     }
 }

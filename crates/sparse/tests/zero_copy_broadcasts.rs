@@ -5,12 +5,16 @@
 //! root-side pack, no per-child deep copy), and the local kernels build
 //! outputs from references.
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use elba_comm::{Backend, Runner};
 use elba_comm::{CommMsg, ProcGrid};
 use elba_sparse::semiring::Semiring;
-use elba_sparse::{DistMat, SpGemmOptions};
+use elba_sparse::DistMat;
+
+use common::{max_stage_bytes, schedule_rows, N_ROWS};
 
 /// Total `Tick::clone` calls across all rank threads.
 static CLONES: AtomicUsize = AtomicUsize::new(0);
@@ -66,55 +70,52 @@ impl Semiring for TickPlusTimes {
 #[test]
 fn summa_schedules_deep_copy_no_payloads_and_agree() {
     for p in [4usize, 9] {
-        let mut sums = Vec::new();
-        for (label, opts) in [
-            ("eager", SpGemmOptions::eager()),
-            ("pipelined", SpGemmOptions::pipelined()),
-            ("blocked", SpGemmOptions::blocked(8)),
-            ("column_batched", SpGemmOptions::column_batched(8, None)),
-            (
-                "column_batched_budget",
-                SpGemmOptions::column_batched(8, Some(4 << 10)),
-            ),
-            ("layered2", SpGemmOptions::layered(2)),
-            ("layered3", SpGemmOptions::layered(3)),
-        ] {
-            let checks = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
-                let grid = ProcGrid::new(comm);
-                let (n, k) = (30usize, 24usize);
-                let triples: Vec<(u64, u64, Tick)> = if grid.world().rank() == 0 {
-                    (0..n)
-                        .flat_map(|r| {
-                            (0..4).map(move |i| {
-                                (
-                                    r as u64,
-                                    ((r * 7 + i * 5) % k) as u64,
-                                    Tick(1 + (r % 3) as u64),
-                                )
-                            })
+        // Every row of the schedule matrix in one SPMD run; per row and
+        // rank: (label, clones during the multiply, checksum).
+        let per_rank = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let (n, k) = (30usize, 24usize);
+            let triples: Vec<(u64, u64, Tick)> = if grid.world().rank() == 0 {
+                (0..n)
+                    .flat_map(|r| {
+                        (0..4).map(move |i| {
+                            (
+                                r as u64,
+                                ((r * 7 + i * 5) % k) as u64,
+                                Tick(1 + (r % 3) as u64),
+                            )
                         })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let a = DistMat::from_triples(&grid, n, k, triples, |acc, v: Tick| acc.0 += v.0);
-                // Building Aᵀ clones values (the transpose exchange owns
-                // copies); the claim under test starts at the multiply.
-                let at = a.transpose(&grid);
-                grid.world().barrier();
-                let before = CLONES.load(Ordering::SeqCst);
-                let c = a.spgemm_with(&grid, &at, &TickPlusTimes, &opts);
-                grid.world().barrier();
-                let after = CLONES.load(Ordering::SeqCst);
-                let checksum: u64 = c.local().values().iter().map(|t| t.0).sum();
-                (after - before, checksum, c.local().nnz())
-            });
-            let cloned: usize = checks.iter().map(|&(d, _, _)| d).sum();
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let a = DistMat::from_triples(&grid, n, k, triples, |acc, v: Tick| acc.0 += v.0);
+            // Building Aᵀ clones values (the transpose exchange owns
+            // copies); the claim under test starts at the multiply.
+            let at = a.transpose(&grid);
+            schedule_rows(8, 4 << 10, max_stage_bytes(&grid, &a, &at))
+                .into_iter()
+                .map(|(label, opts)| {
+                    grid.world().barrier();
+                    let before = CLONES.load(Ordering::SeqCst);
+                    let c = a.spgemm_with(&grid, &at, &TickPlusTimes, &opts);
+                    grid.world().barrier();
+                    let after = CLONES.load(Ordering::SeqCst);
+                    let checksum: u64 = c.local().values().iter().map(|t| t.0).sum();
+                    (label, after - before, checksum)
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut sums = Vec::new();
+        for row in 0..N_ROWS {
+            let label = &per_rank[0][row].0;
+            let cloned: usize = per_rank.iter().map(|rank| rank[row].1).sum();
             assert_eq!(
                 cloned, 0,
                 "p={p} {label}: {cloned} payload deep-copies during the multiply"
             );
-            let total: u64 = checks.iter().map(|&(_, s, _)| s).sum();
+            let total: u64 = per_rank.iter().map(|rank| rank[row].2).sum();
             assert!(total > 0, "p={p} {label}: product must be non-trivial");
             sums.push(total);
         }

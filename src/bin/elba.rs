@@ -51,13 +51,26 @@ impl From<String> for CliError {
     }
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parse `--key value` pairs for `command`, rejecting any key not in
+/// `known` — a typo or a flag from an older release must fail loudly
+/// instead of silently running the defaults.
+fn parse_flags(
+    args: &[String],
+    command: &str,
+    known: &[&str],
+) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let Some(key) = arg.strip_prefix("--") else {
             return Err(format!("unexpected positional argument '{arg}'"));
         };
+        if !known.contains(&key) {
+            return Err(format!(
+                "unknown flag --{key} for '{command}' (known: --{})",
+                known.join(" --")
+            ));
+        }
         match it.next() {
             Some(value) => flags.insert(key.to_owned(), value.clone()),
             None => return Err(format!("flag --{key} needs a value")),
@@ -150,7 +163,6 @@ struct AssembleSetup {
     ranks: usize,
     threads: usize,
     cfg: PipelineConfig,
-    schedule: String,
     kmer_exchange: String,
 }
 
@@ -204,51 +216,6 @@ fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, Stri
         chaining,
         chain_band,
     });
-    let schedule = flags
-        .get("spgemm")
-        .map(String::as_str)
-        .unwrap_or("pipelined");
-    cfg = cfg.with_spgemm(match schedule {
-        "eager" => elba::sparse::SpGemmOptions::eager(),
-        "pipelined" => elba::sparse::SpGemmOptions::pipelined(),
-        "blocked" => {
-            let batch_rows: usize = num(flags, "batch-rows", 1024usize)?;
-            if batch_rows == 0 {
-                return Err("--batch-rows must be at least 1".to_owned());
-            }
-            elba::sparse::SpGemmOptions::blocked(batch_rows)
-        }
-        "auto" => elba::sparse::SpGemmOptions::auto(),
-        other => {
-            // layered:c — layer count after the colon (plain "layered"
-            // defaults to 2 layers; 1 would just be pipelined).
-            if let Some(rest) = other.strip_prefix("layered") {
-                let c = match rest.strip_prefix(':') {
-                    Some(digits) => digits
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&c| c >= 1)
-                        .ok_or_else(|| {
-                            format!(
-                                "--spgemm layered:c needs a positive layer count; got '{other}'"
-                            )
-                        })?,
-                    None if rest.is_empty() => 2,
-                    None => {
-                        return Err(format!(
-                            "--spgemm must be eager, pipelined, blocked, layered:c, or auto; \
-                             got '{other}'"
-                        ))
-                    }
-                };
-                elba::sparse::SpGemmOptions::layered(c)
-            } else {
-                return Err(format!(
-                    "--spgemm must be eager, pipelined, blocked, layered:c, or auto; got '{other}'"
-                ));
-            }
-        }
-    });
     let kmer_exchange = flags
         .get("kmer-exchange")
         .map(String::as_str)
@@ -269,23 +236,19 @@ fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, Stri
         },
         batch_kmers,
     });
-    // --mem-budget overrides the batching knobs above: one lever derives
-    // batch_kmers, batch_rows, and the column-batched SpGEMM cap.
+    // --mem-budget overrides the exchange knobs above and is the one
+    // lever that selects the column-batched SpGEMM: it derives
+    // batch_kmers, batch_rows, and the SpGEMM cap.
     if let Some(raw) = flags.get("mem-budget") {
         let budget = MemBudget::parse(raw).map_err(|e| format!("--mem-budget: {e}"))?;
-        if flags.contains_key("spgemm") {
-            eprintln!("warning: --mem-budget selects the column-batched SpGEMM; --spgemm ignored");
-        }
         if flags.get("kmer-exchange").is_some_and(|v| v != "streaming") {
             eprintln!(
                 "warning: --mem-budget forces the streaming k-mer exchange; \
                  --kmer-exchange ignored"
             );
         }
-        for knob in ["batch-kmers", "batch-rows"] {
-            if flags.contains_key(knob) {
-                eprintln!("warning: --mem-budget derives the batching knobs; --{knob} ignored");
-            }
+        if flags.contains_key("batch-kmers") {
+            eprintln!("warning: --mem-budget derives the batching knobs; --batch-kmers ignored");
         }
         cfg = cfg.with_mem_budget(budget);
     }
@@ -295,7 +258,6 @@ fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, Stri
         ranks,
         threads,
         cfg,
-        schedule: schedule.to_owned(),
         kmer_exchange: kmer_exchange.to_owned(),
     })
 }
@@ -308,11 +270,7 @@ fn print_banner(setup: &AssembleSetup, transport: &str) {
         setup.ranks,
         setup.threads,
         setup.cfg.kmer.k,
-        if setup.cfg.mem_budget.is_limited() {
-            "column-batched"
-        } else {
-            &setup.schedule
-        },
+        elba::sparse::algorithm_label(setup.cfg.overlap.spgemm.algorithm),
         if setup.cfg.mem_budget.is_limited() {
             "streaming"
         } else {
@@ -357,18 +315,8 @@ fn assemble_finish(
     profile: &RunProfile,
 ) -> Result<(), String> {
     let cfg = &setup.cfg;
-    let schedule = setup.schedule.as_str();
     print!("{}", profile.render_table());
     println!("{}", wire_bytes_line(profile));
-    if schedule == "auto" && !cfg.mem_budget.is_limited() {
-        if let Some(pick) = elba::sparse::last_auto_spgemm_pick() {
-            println!(
-                "auto-spgemm: resolved to {} (see [auto-spgemm] lines above for the model's \
-                 estimates)",
-                elba::sparse::algorithm_label(pick)
-            );
-        }
-    }
     if let Some(total) = cfg.mem_budget.total() {
         let peak = profile
             .phase_names()
@@ -487,7 +435,7 @@ fn cmd_launch(rest: &[String]) -> Result<(), CliError> {
         ));
     };
     let (head, tail) = (&rest[..split], &rest[split + 1..]);
-    let flags = parse_flags(head).map_err(CliError::usage)?;
+    let flags = parse_flags(head, "launch", LAUNCH_FLAGS).map_err(CliError::usage)?;
     let ranks: usize = num(&flags, "ranks", 4).map_err(CliError::usage)?;
     let q = (ranks as f64).sqrt().round() as usize;
     if ranks == 0 || q * q != ranks {
@@ -543,9 +491,11 @@ fn cmd_launch(rest: &[String]) -> Result<(), CliError> {
             launchable_names()
         )));
     }
+    // Validate the wrapped flags in the supervisor, before anything is
+    // spawned — same rule as the fault plan above.
+    let mut sub_flags = parse_flags(sub_rest, entry.name, entry.flags).map_err(CliError::usage)?;
     match transport {
         "inprocess" => {
-            let mut sub_flags = parse_flags(sub_rest).map_err(CliError::usage)?;
             sub_flags.insert("ranks".to_owned(), ranks.to_string());
             if let Some(plan) = &opts.fault {
                 // The in-process harness reads the same env hook the
@@ -664,9 +614,6 @@ fn launch_socket(
     opts: &LaunchOptions,
     assemble_args: &[String],
 ) -> Result<(), CliError> {
-    // Fail fast in the parent on malformed flags rather than in N
-    // workers at once.
-    parse_flags(assemble_args).map_err(CliError::usage)?;
     let exe =
         std::env::current_exe().map_err(|e| CliError::failure(format!("current_exe: {e}")))?;
     let dir = opts.socket_dir.clone().unwrap_or_else(|| {
@@ -1081,9 +1028,10 @@ fn usage() -> String {
      \u{20}        (bitparallel/auto: the band kernel; scalar: the reference DP —\n\
      \u{20}        identical contigs either way)\n\
      \u{20}        [--seed-chaining all|chain|best] [--chain-band 128]\n\
-     \u{20}        [--spgemm eager|pipelined|blocked|layered:c|auto] [--batch-rows 1024]\n\
      \u{20}        [--kmer-exchange eager|streaming] [--batch-kmers 65536]\n\
      \u{20}        [--mem-budget 64M] [--gfa graph.gfa]\n\
+     \u{20}        (--mem-budget: per-rank byte cap; the distributed SpGEMM runs\n\
+     \u{20}        column-batched under it, pipelined without it)\n\
      serve    --jobs jobs.txt [--groups 2] [--group-ranks 4] [--threads 1]\n\
      \u{20}        [--transport inprocess|socket] [--host-mem 512M]\n\
      \u{20}        (job lines: name=j1 sim=celegans scale=0.05 seed=3 mem=32M\n\
@@ -1097,36 +1045,79 @@ fn usage() -> String {
 }
 
 /// One CLI subcommand: its name, whether `elba launch` may wrap it over
-/// worker rank processes, and its entry point. `main` and `cmd_launch`
-/// both dispatch through this table, so the wrapping rules and the
-/// allowed-set named by usage errors live in one place.
+/// worker rank processes, the flags it accepts, and its entry point.
+/// `main` and `cmd_launch` both dispatch through this table, so the
+/// wrapping rules, the known flags and the allowed-set named by usage
+/// errors live in one place.
 struct Subcommand {
     name: &'static str,
     /// `elba launch` may wrap it: the subcommand runs the SPMD pipeline
     /// itself and honors the injected `--ranks` / fault-plan environment.
     launchable: bool,
+    /// Every `--flag` the subcommand reads; anything else is a usage
+    /// error.
+    flags: &'static [&'static str],
     run: fn(HashMap<String, String>) -> Result<(), CliError>,
 }
+
+/// `elba launch`'s own flags (before the `--`).
+const LAUNCH_FLAGS: &[&str] = &[
+    "ranks",
+    "transport",
+    "fault",
+    "socket-dir",
+    "launch-timeout",
+];
 
 const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "simulate",
         launchable: false,
+        flags: &["dataset", "scale", "seed", "reads", "genome"],
         run: |flags| cmd_simulate(flags).map_err(CliError::from),
     },
     Subcommand {
         name: "assemble",
         launchable: true,
+        flags: &[
+            "reads",
+            "out",
+            "ranks",
+            "threads",
+            "k",
+            "xdrop",
+            "min-overlap",
+            "min-score-ratio",
+            "fuzz",
+            "tr-fuzz",
+            "xdrop-kernel",
+            "seed-chaining",
+            "chain-band",
+            "kmer-exchange",
+            "batch-kmers",
+            "mem-budget",
+            "scaffold",
+            "gfa",
+        ],
         run: cmd_assemble,
     },
     Subcommand {
         name: "serve",
         launchable: false,
+        flags: &[
+            "jobs",
+            "groups",
+            "group-ranks",
+            "threads",
+            "transport",
+            "host-mem",
+        ],
         run: cmd_serve,
     },
     Subcommand {
         name: "evaluate",
         launchable: false,
+        flags: &["reference", "contigs"],
         run: |flags| cmd_evaluate(flags).map_err(CliError::from),
     },
 ];
@@ -1186,9 +1177,12 @@ fn main() -> ExitCode {
         let result =
             env.map_err(CliError::usage)
                 .and_then(|(rank, ranks, dir)| match args.split_first() {
-                    Some((command, rest)) if command == "assemble" => parse_flags(rest)
-                        .map_err(CliError::usage)
-                        .and_then(|flags| run_socket_worker(rank, ranks, &dir, flags)),
+                    Some((command, rest)) if command == "assemble" => {
+                        let entry = subcommand("assemble").expect("assemble is in the table");
+                        parse_flags(rest, entry.name, entry.flags)
+                            .map_err(CliError::usage)
+                            .and_then(|flags| run_socket_worker(rank, ranks, &dir, flags))
+                    }
                     _ => Err(CliError::usage(
                         "launch workers only run the assemble subcommand",
                     )),
@@ -1204,7 +1198,7 @@ fn main() -> ExitCode {
     let result = match command.as_str() {
         "launch" => cmd_launch(rest),
         other => match subcommand(other) {
-            Some(entry) => parse_flags(rest)
+            Some(entry) => parse_flags(rest, entry.name, entry.flags)
                 .map_err(CliError::usage)
                 .and_then(entry.run),
             None => Err(CliError::usage(format!(

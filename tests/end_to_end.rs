@@ -224,9 +224,11 @@ fn budgeted_pipeline_respects_memory_budget_and_output() {
         });
     let budget_cfg =
         PipelineConfig::for_dataset(&spec).with_mem_budget(MemBudget::bytes(budget_bytes));
-    assert_eq!(
-        budget_cfg.overlap.spgemm.algorithm,
-        elba::sparse::SpGemmAlgorithm::ColumnBatched,
+    assert!(
+        matches!(
+            budget_cfg.overlap.spgemm.algorithm,
+            elba::sparse::SpGemmAlgorithm::ColumnBatched { .. }
+        ),
         "a budget must switch SpGEMM to the column-batched schedule"
     );
 
@@ -260,6 +262,76 @@ fn budgeted_pipeline_respects_memory_budget_and_output() {
         eager_contigs, budget_contigs,
         "budgeted contigs must be byte-identical to the unbudgeted eager run"
     );
+}
+
+/// The budget implies the schedule, and nothing else can: a limited
+/// `MemBudget` selects the column-batched SUMMA under its SpGEMM
+/// sub-budget, an unlimited one leaves the pipelined default exactly as
+/// a plain run has it — same per-rank messages and bytes, op for op, in
+/// the two SpGEMM phases.
+#[test]
+fn memory_budget_alone_selects_the_spgemm_schedule() {
+    use elba::sparse::{SpGemmAlgorithm, SpGemmOptions};
+    let spec = DatasetSpec::celegans_like(0.08, 2718);
+    let (_genome, reads) = reads_of(&spec);
+    let plain = PipelineConfig::for_dataset(&spec);
+    assert_eq!(plain.overlap.spgemm, SpGemmOptions::pipelined());
+
+    let budget = MemBudget::bytes(8 << 20);
+    let limited = plain.clone().with_mem_budget(budget);
+    match limited.overlap.spgemm.algorithm {
+        SpGemmAlgorithm::ColumnBatched { mem_budget, .. } => {
+            assert_eq!(Some(mem_budget), budget.spgemm_bytes())
+        }
+        other => panic!("a limited budget must select the batched schedule, got {other:?}"),
+    }
+    let unlimited = plain.clone().with_mem_budget(MemBudget::unlimited());
+    assert_eq!(unlimited.overlap.spgemm, plain.overlap.spgemm);
+
+    // One row per rank and SpGEMM phase: p2p messages and bytes plus the
+    // sorted (collective, calls, bytes) table.
+    let run = |cfg: PipelineConfig| {
+        let reads = reads.clone();
+        let (mut outs, profile) =
+            Runner::new(Backend::InProcess)
+                .ranks(4)
+                .run_profiled(move |comm| {
+                    let grid = ProcGrid::new(comm);
+                    let (contigs, _) = assemble_gathered(&grid, &reads, &cfg);
+                    contigs
+                });
+        let traffic = |name: &str| -> Vec<String> {
+            profile
+                .rank_profiles()
+                .iter()
+                .map(|rank| {
+                    let phase = rank.phase(name).expect("phase recorded");
+                    let mut collectives = phase.collectives.clone();
+                    collectives.sort();
+                    format!(
+                        "rank {}: p2p {} msgs {} B, {collectives:?}",
+                        rank.rank(),
+                        phase.p2p_msgs,
+                        phase.p2p_bytes
+                    )
+                })
+                .collect()
+        };
+        (
+            canonical(&outs.remove(0)),
+            traffic("DetectOverlap"),
+            traffic("TrReduction"),
+        )
+    };
+    let plain = run(plain);
+    assert!(!plain.0.is_empty(), "probe produced no contigs");
+    assert_eq!(run(unlimited), plain);
+    // The batched schedule pays a structure pass and a round-count
+    // agreement on top of the stage broadcasts (TrReduction runs nothing
+    // but SpGEMM sweeps, so its table shows it); the result is the same.
+    let limited = run(limited);
+    assert_ne!(limited.2, plain.2);
+    assert_eq!(limited.0, plain.0);
 }
 
 #[test]

@@ -469,3 +469,103 @@ fn malformed_or_out_of_range_fault_plan_is_usage_error() {
         );
     }
 }
+
+/// An unknown flag is a usage error naming the flag and the subcommand,
+/// for every subcommand — and through `launch` it is caught in the
+/// supervisor, before anything is spawned (workers dying on it would
+/// surface as `RANK_FAILED`, not `USAGE`). The schedule flags retired
+/// with the SUMMA schedule variants (`--spgemm`, `--batch-rows`) go the
+/// same way: a stale command line must not silently run the default.
+#[test]
+fn unknown_flags_are_usage_errors_naming_the_flag_and_subcommand() {
+    let dir = scratch("badflag");
+    let sock = dir.join("sock");
+    let run = |args: &[&str]| {
+        let out = elba_bin().args(args).output().expect("run elba");
+        LaunchOutcome {
+            code: out.status.code().expect("not signal-killed"),
+            stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
+        }
+    };
+    let sock_arg = sock.to_str().expect("utf-8 temp path");
+    // (argv, the offending flag, the command the message must name);
+    // flags are validated before any I/O, so no input file exists.
+    let cases: [(&[&str], &str, &str); 9] = [
+        (
+            &["assemble", "--reads", "r.fa", "--spgemm", "auto"],
+            "--spgemm",
+            "assemble",
+        ),
+        (
+            &["assemble", "--reads", "r.fa", "--batch-rows", "8"],
+            "--batch-rows",
+            "assemble",
+        ),
+        (&["assemble", "--reeds", "r.fa"], "--reeds", "assemble"),
+        (
+            &["simulate", "--dataset", "celegans", "--bogus-flag", "7"],
+            "--bogus-flag",
+            "simulate",
+        ),
+        (
+            &["serve", "--jobs", "jobs.txt", "--group", "2"],
+            "--group",
+            "serve",
+        ),
+        (
+            &["evaluate", "--reference", "g.fa", "--contig", "c.fa"],
+            "--contig",
+            "evaluate",
+        ),
+        (
+            &[
+                "launch",
+                "--ranks",
+                "4",
+                "--socket-dir",
+                sock_arg,
+                "--",
+                "assemble",
+                "--bogus",
+                "1",
+            ],
+            "--bogus",
+            "assemble",
+        ),
+        (
+            &[
+                "launch",
+                "--ranks",
+                "4",
+                "--transport",
+                "inprocess",
+                "--",
+                "assemble",
+                "--bogus",
+                "1",
+            ],
+            "--bogus",
+            "assemble",
+        ),
+        (
+            &["launch", "--rank", "4", "--", "assemble", "--reads", "r.fa"],
+            "--rank",
+            "launch",
+        ),
+    ];
+    for (argv, flag, command) in cases {
+        let out = run(argv);
+        assert_eq!(
+            out.code,
+            i32::from(exit::USAGE),
+            "{argv:?}: stderr:\n{}",
+            out.stderr
+        );
+        assert!(
+            out.stderr
+                .contains(&format!("unknown flag {flag} for '{command}'")),
+            "{argv:?}: the error names the flag and the command:\n{}",
+            out.stderr
+        );
+    }
+}

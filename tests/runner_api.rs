@@ -1,22 +1,8 @@
-//! Equivalence pins for the PR-10 API redesign: the eight deprecated
-//! `Cluster::*` / `SocketCluster::*` entry points must behave exactly
-//! like the [`Runner`] builder they now forward to (same contigs, same
-//! per-rank per-phase wire bytes, same typed failures), and the
-//! deprecated `PipelineConfig::with_*` builders must produce the same
-//! configuration as the new sub-config builders.
+//! Pins for the `PipelineConfig` sub-config builders driven through the
+//! [`Runner`] entry point: their defaults are the pipeline's own, and
+//! the knobs they set are transparent — byte-identical contigs.
 
-#![allow(deprecated)]
-
-use elba::comm::{Cluster, SocketCluster};
 use elba::prelude::*;
-
-fn dataset(seed: u64) -> (Vec<Seq>, PipelineConfig) {
-    let spec = DatasetSpec::celegans_like(0.08, seed);
-    let (_genome, sim_reads) = spec.generate();
-    let reads: Vec<Seq> = sim_reads.into_iter().map(|r| r.seq).collect();
-    let cfg = PipelineConfig::for_dataset(&spec);
-    (reads, cfg)
-}
 
 fn assemble_closure(
     reads: Vec<Seq>,
@@ -29,172 +15,27 @@ fn assemble_closure(
     }
 }
 
-/// Flatten a [`RunProfile`] into comparable (rank, phase, bytes_sent)
-/// rows — the wire-byte model both paths must pin identically.
-fn wire_rows(profile: &RunProfile) -> Vec<(usize, String, u64)> {
-    profile
-        .rank_profiles()
-        .iter()
-        .flat_map(|p| {
-            p.phases()
-                .map(move |(name, ph)| (p.rank(), name.to_string(), ph.bytes_sent()))
-        })
-        .collect()
-}
-
 fn contig_strings(contigs: &[Contig]) -> Vec<String> {
     contigs.iter().map(|c| c.seq.to_string()).collect()
 }
 
+/// Defaults of the sub-configs match the pipeline's own defaults, so
+/// `..Default::default()` never silently changes a knob.
 #[test]
-fn runner_matches_deprecated_cluster_run_profiled() {
-    let (reads, cfg) = dataset(2022);
-
-    let (mut old_out, old_profile) =
-        Cluster::run_profiled(4, assemble_closure(reads.clone(), cfg.clone()));
-    let (mut new_out, new_profile) = Runner::new(Backend::InProcess)
-        .ranks(4)
-        .run_profiled(assemble_closure(reads, cfg));
-
-    let old_contigs = contig_strings(&old_out.remove(0));
-    assert!(!old_contigs.is_empty(), "probe produced no contigs");
-    assert_eq!(
-        old_contigs,
-        contig_strings(&new_out.remove(0)),
-        "contigs differ between Cluster::run_profiled and Runner"
-    );
-    assert_eq!(
-        wire_rows(&old_profile),
-        wire_rows(&new_profile),
-        "wire bytes differ between Cluster::run_profiled and Runner"
-    );
-}
-
-#[test]
-fn runner_matches_deprecated_cluster_run_and_try_run() {
-    let (reads, cfg) = dataset(77);
-
-    let old_out = Cluster::run(4, assemble_closure(reads.clone(), cfg.clone()));
-    let new_out = Runner::new(Backend::InProcess)
-        .ranks(4)
-        .run(assemble_closure(reads.clone(), cfg.clone()));
-    assert_eq!(
-        contig_strings(&old_out[0]),
-        contig_strings(&new_out[0]),
-        "Cluster::run vs Runner::run"
-    );
-
-    let (try_old, _) = Cluster::try_run_profiled(4, assemble_closure(reads.clone(), cfg.clone()))
-        .expect("clean run");
-    let (try_new, _) = Runner::new(Backend::InProcess)
-        .ranks(4)
-        .try_run_profiled(assemble_closure(reads, cfg))
-        .expect("clean run");
-    assert_eq!(
-        contig_strings(&try_old[0]),
-        contig_strings(&try_new[0]),
-        "Cluster::try_run_profiled vs Runner::try_run_profiled"
-    );
-}
-
-#[test]
-fn runner_matches_deprecated_fault_entry_point() {
-    let (reads, cfg) = dataset(4242);
-    let plan = FaultPlan::parse("kill:1@phase:Alignment").expect("valid plan");
-
-    let old_failure =
-        Cluster::try_run_with_faults(4, &plan, assemble_closure(reads.clone(), cfg.clone()))
-            .expect_err("plan kills rank 1");
-    let new_failure = Runner::new(Backend::InProcess)
-        .ranks(4)
-        .faults(&plan)
-        .try_run_profiled(assemble_closure(reads, cfg))
-        .expect_err("plan kills rank 1");
-
-    assert_eq!(old_failure.primary().rank, new_failure.primary().rank);
-    assert_eq!(
-        format!("{:?}", old_failure.primary().cause),
-        format!("{:?}", new_failure.primary().cause),
-    );
-}
-
-#[test]
-fn runner_matches_deprecated_socket_cluster() {
-    let (reads, cfg) = dataset(99);
-
-    let (mut old_out, old_profile) =
-        SocketCluster::run_profiled(4, assemble_closure(reads.clone(), cfg.clone()));
-    let (mut new_out, new_profile) = Runner::new(Backend::Socket)
-        .ranks(4)
-        .run_profiled(assemble_closure(reads.clone(), cfg.clone()));
-
-    assert_eq!(
-        contig_strings(&old_out.remove(0)),
-        contig_strings(&new_out.remove(0)),
-        "contigs differ between SocketCluster::run_profiled and Runner(Socket)"
-    );
-    assert_eq!(
-        wire_rows(&old_profile),
-        wire_rows(&new_profile),
-        "wire bytes differ between SocketCluster::run_profiled and Runner(Socket)"
-    );
-
-    // And both transports agree with each other on results (the wire
-    // byte totals legitimately differ between planes).
-    let inproc = Runner::new(Backend::InProcess)
-        .ranks(4)
-        .run(assemble_closure(reads, cfg));
-    assert_eq!(
-        contig_strings(&new_out[0]),
-        contig_strings(&inproc[0]),
-        "socket vs in-process contigs"
-    );
-}
-
-#[test]
-fn deprecated_config_shims_equal_sub_config_builders() {
+fn sub_config_defaults_match_pipeline_defaults() {
     let base = PipelineConfig::default();
-
-    let via_shim = base
-        .clone()
-        .with_kmer_exchange(KmerExchange::Streaming, 4096)
-        .with_seed_chaining(SeedChaining::Chain, 64);
-    let via_subconfig = base
-        .kmer_exchange(KmerExchangeConfig {
-            exchange: KmerExchange::Streaming,
-            batch_kmers: 4096,
-        })
-        .seed_chaining(ChainingConfig {
-            chaining: SeedChaining::Chain,
-            chain_band: 64,
-        });
-
-    assert_eq!(
-        format!("{via_shim:?}"),
-        format!("{via_subconfig:?}"),
-        "deprecated builder shims must forward without drift"
-    );
-
-    // Defaults of the sub-configs match the pipeline's own defaults, so
-    // `..Default::default()` never silently changes a knob.
     let kx = KmerExchangeConfig::default();
-    assert_eq!(kx.exchange, base_default_exchange());
+    assert_eq!(kx.exchange, base.kmer.exchange);
+    assert_eq!(kx.batch_kmers, base.kmer.batch_kmers);
     let ch = ChainingConfig::default();
-    assert_eq!(ch.chain_band, base_default_chain_band());
+    assert_eq!(ch.chaining, base.overlap.chaining);
+    assert_eq!(ch.chain_band, base.overlap.chain_band);
 }
 
-fn base_default_exchange() -> KmerExchange {
-    PipelineConfig::default().kmer.exchange
-}
-
-fn base_default_chain_band() -> usize {
-    PipelineConfig::default().overlap.chain_band
-}
-
-/// Knob transparency, pinned through both builder paths: streaming
-/// exchange and chained seeds must leave the contigs byte-identical to
-/// the defaults, whether configured through the deprecated shims or the
-/// new sub-config builders.
+/// Knob transparency, pinned through both sub-config builders: a
+/// re-batched streaming exchange (`kmer_exchange`) and extend-every-seed
+/// alignment (`seed_chaining`) must each leave the contigs
+/// byte-identical to the defaults.
 #[test]
 fn knob_transparency_holds_through_both_builder_paths() {
     let spec = DatasetSpec::celegans_like(0.08, 555);
@@ -212,20 +53,21 @@ fn knob_transparency_holds_through_both_builder_paths() {
 
     let default_contigs = run(base.clone());
     assert!(!default_contigs.is_empty(), "probe produced no contigs");
-    let shim_contigs = run(base
-        .clone()
-        .with_kmer_exchange(KmerExchange::Streaming, 4096));
-    let subcfg_contigs = run(base.kmer_exchange(KmerExchangeConfig {
+    let exchange_contigs = run(base.clone().kmer_exchange(KmerExchangeConfig {
         exchange: KmerExchange::Streaming,
         batch_kmers: 4096,
     }));
+    let chaining_contigs = run(base.seed_chaining(ChainingConfig {
+        chaining: SeedChaining::All,
+        ..ChainingConfig::default()
+    }));
 
     assert_eq!(
-        default_contigs, shim_contigs,
-        "shim path broke transparency"
+        default_contigs, exchange_contigs,
+        "kmer_exchange path broke transparency"
     );
     assert_eq!(
-        default_contigs, subcfg_contigs,
-        "sub-config path broke transparency"
+        default_contigs, chaining_contigs,
+        "seed_chaining path broke transparency"
     );
 }
