@@ -44,12 +44,12 @@ const NEG: i32 = i32::MIN / 4;
 
 /// Which inner-loop implementation [`xdrop_extend_with`] runs. Both
 /// kernels compute the identical antidiagonal recurrence; the choice
-/// never changes scores, extents, or any downstream output — it is a
-/// pure speed knob (the CLI's `--xdrop-kernel`).
+/// never changes scores or extents. The pipeline always runs the band
+/// kernel; the scalar DP exists for tests and the benchmark's probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum XdropKernel {
-    /// The reference cell-at-a-time DP — the oracle every other kernel
-    /// is property-pinned against.
+    /// The reference cell-at-a-time DP — the oracle the band kernel is
+    /// property-pinned against.
     Scalar,
     /// The band kernel: antidiagonals live in buffers indexed by the
     /// absolute `b` coordinate with a pruned-cell sentinel either side,
@@ -59,14 +59,12 @@ pub enum XdropKernel {
     /// it raises the best score. An x-drop band at long-read parameters
     /// is ~10 cells wide, which is what the kernel is shaped for. The
     /// variant keeps the name it had when it packed match bits into
-    /// 64-lane words, because the CLI, the benchmark and saved
-    /// configurations spell it that way. Scorings whose magnitudes
-    /// defeat the sentinel arithmetic (and `xdrop < 0`) run the scalar
-    /// oracle, so output equality holds on *all* inputs.
-    BitParallel,
-    /// Let the library pick (currently always the band kernel).
+    /// 64-lane words, because the benchmark spells it that way.
+    /// Scorings whose magnitudes defeat the sentinel arithmetic (and
+    /// `xdrop < 0`) run the scalar oracle, so output equality holds on
+    /// *all* inputs.
     #[default]
-    Auto,
+    BitParallel,
 }
 
 /// Largest `|match|`/`|mismatch|`/`|gap|` the band kernel accepts.
@@ -95,7 +93,7 @@ const POISON: i32 = i32::MAX;
 /// extension seen and are then reused at that size.
 ///
 /// The workspace also pins the [`XdropKernel`] used by every extension
-/// run through it (default [`XdropKernel::Auto`]). The scalar oracle
+/// run through it (default [`XdropKernel::BitParallel`]). The scalar oracle
 /// keeps only the live band in the band buffers; the band kernel sizes
 /// them to `|b| + 3` cells each and stages `rev(a)` in `a_rev`.
 #[derive(Debug, Default)]
@@ -330,7 +328,7 @@ fn xdrop_extend_scalar(
     best
 }
 
-/// The band kernel ([`XdropKernel::BitParallel`] / [`XdropKernel::Auto`]).
+/// The band kernel ([`XdropKernel::BitParallel`]).
 /// Takes the first sequence *reversed* (`ra = rev(a)`): along
 /// antidiagonal `d` the `a` index `d-j-1` descends while the `b` index
 /// `j-1` ascends, so against `ra` both ascend with `j` and the match
@@ -1080,13 +1078,7 @@ mod tests {
                 x,
                 sc,
             );
-            let p = xdrop_extend_with(
-                &mut XdropWorkspace::with_kernel(XdropKernel::Auto),
-                &a,
-                &b,
-                x,
-                sc,
-            );
+            let p = xdrop_extend_with(&mut XdropWorkspace::default(), &a, &b, x, sc);
             assert_eq!(s, p);
         }
     }
@@ -1095,7 +1087,7 @@ mod tests {
     fn workspace_kernel_knob_and_scratch_accounting() {
         let ws = XdropWorkspace::with_kernel(XdropKernel::Scalar);
         assert_eq!(ws.kernel(), XdropKernel::Scalar);
-        assert_eq!(XdropWorkspace::default().kernel(), XdropKernel::Auto);
+        assert_eq!(XdropWorkspace::default().kernel(), XdropKernel::BitParallel);
         assert_eq!(ws.heap_bytes(), 0);
         // The band kernel's O(|b|) band buffers and its rev(a) staging
         // must show up in the scratch-honesty accounting, by length.

@@ -1,11 +1,10 @@
-//! Property tests pinning the band x-drop kernel (`BitParallel`, and
-//! therefore `Auto`) to the scalar oracle: for *every* input — random
+//! Property tests pinning the band x-drop kernel (`BitParallel`, what a
+//! default workspace runs) to the scalar oracle: for *every* input — random
 //! related or unrelated sequences up to 4 Kbp, every scoring the
 //! pipeline uses plus degenerate ones, x-drop thresholds from below 0
 //! to 200, empty sequences, and non-ACGT byte codes — it must return
-//! the byte-identical [`Extension`] the `Scalar` kernel returns. The
-//! kernel knob is a pure speed choice; any divergence here is a
-//! correctness bug, not a tuning difference.
+//! the byte-identical [`Extension`] the `Scalar` kernel returns. Any
+//! divergence here is a correctness bug, not a tuning difference.
 //!
 //! The band kernel never clears its buffers: it relies on every parent
 //! load landing in a cell the previous two antidiagonals wrote. Debug
@@ -128,7 +127,7 @@ proptest! {
 }
 
 /// The fixed edge cases proptest ranges can miss: both empty, one empty,
-/// single bases, and the `Auto` kernel resolving to the same answer.
+/// single bases, and the default workspace resolving to the same answer.
 #[test]
 fn kernels_agree_on_edge_inputs() {
     let sc = Scoring::default();
@@ -140,9 +139,11 @@ fn kernels_agree_on_edge_inputs() {
         (&[0], &[3]),
         (&[0, 0, 0, 0], &[0, 0, 0, 0]),
     ];
-    for kernel in [XdropKernel::BitParallel, XdropKernel::Auto] {
+    for mut kws in [
+        XdropWorkspace::with_kernel(XdropKernel::BitParallel),
+        XdropWorkspace::default(),
+    ] {
         let mut sws = XdropWorkspace::with_kernel(XdropKernel::Scalar);
-        let mut kws = XdropWorkspace::with_kernel(kernel);
         for (a, b) in cases {
             for xdrop in [0, 1, 100] {
                 assert_kernels_agree(&mut sws, &mut kws, a, b, xdrop, sc);
@@ -191,7 +192,7 @@ fn differential_stress(cases: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sws = XdropWorkspace::with_kernel(XdropKernel::Scalar);
     let mut bws = XdropWorkspace::with_kernel(XdropKernel::BitParallel);
-    let mut aws = XdropWorkspace::with_kernel(XdropKernel::Auto);
+    let mut dws = XdropWorkspace::default();
     for case in 0..cases {
         let sc = STRESS_SCORINGS[rng.gen_range(0..STRESS_SCORINGS.len())];
         // A positive (or zero) gap keeps every cell alive: the band is
@@ -232,7 +233,7 @@ fn differential_stress(cases: usize, seed: u64) {
             _ => rng.gen_range(1..60),
         };
         let want = xdrop_extend_with(&mut sws, &a, &b, xdrop, sc);
-        for (name, ws) in [("BitParallel", &mut bws), ("Auto", &mut aws)] {
+        for (name, ws) in [("BitParallel", &mut bws), ("default", &mut dws)] {
             let got = xdrop_extend_with(ws, &a, &b, xdrop, sc);
             assert_eq!(
                 got,

@@ -141,9 +141,8 @@ impl Comm {
 
     /// Per-destination message sizes of a personalized exchange — the one
     /// place the `bufs[dst]` layout is validated and measured, shared by
-    /// [`Comm::alltoallv`], [`Comm::ialltoallv`] and
-    /// [`Comm::alltoallv_counts`]. Panics unless there is exactly one
-    /// buffer per rank.
+    /// [`Comm::alltoallv`] and [`Comm::ialltoallv`]. Panics unless there
+    /// is exactly one buffer per rank.
     fn personalized_counts<T>(&self, bufs: &[Vec<T>]) -> Vec<usize> {
         assert_eq!(
             bufs.len(),
@@ -228,13 +227,6 @@ impl Comm {
         }
         self.record_collective("exscan", 0, started.elapsed().as_secs_f64());
         prefix
-    }
-
-    /// Convenience: `alltoallv` message counts per destination, useful for
-    /// tests and diagnostics. Shares the sizing (and shape validation)
-    /// logic of [`Comm::alltoallv`] itself.
-    pub fn alltoallv_counts<T: CommMsg>(&self, bufs: &[Vec<T>]) -> Vec<usize> {
-        self.personalized_counts(bufs)
     }
 
     /// Non-blocking personalized all-to-all (`MPI_Ialltoallv` analogue):
@@ -323,7 +315,6 @@ impl Comm {
             tag,
             ack_tag,
             chunk_elems,
-            window,
             send_open: vec![true; p],
             pending_sends: (0..p).map(|_| std::collections::VecDeque::new()).collect(),
             credits: vec![window; p],
@@ -614,15 +605,14 @@ pub struct IalltoallvRequest<'c, T: CommMsg + Clone + Sync> {
     /// with the data stream's FIFO.
     ack_tag: Tag,
     chunk_elems: usize,
-    window: usize,
     /// Destinations still accepting `post` calls.
     send_open: Vec<bool>,
     /// Chunks awaiting credits, per destination (bounded by what the
     /// application has posted and not yet seen flow out; chunks of one
     /// posted buffer share its allocation).
     pending_sends: Vec<std::collections::VecDeque<ChunkBody<T>>>,
-    /// Remaining send credits per destination (`window` minus chunks in
-    /// flight).
+    /// Remaining send credits per destination (the flow-control window
+    /// minus chunks in flight).
     credits: Vec<usize>,
     sent_chunks: Vec<u64>,
     acked_chunks: Vec<u64>,
@@ -630,7 +620,7 @@ pub struct IalltoallvRequest<'c, T: CommMsg + Clone + Sync> {
     /// destination to be sealed and its pending queue drained).
     terminator_sent: Vec<bool>,
     /// Diagnostic: most chunks ever simultaneously unacknowledged toward
-    /// one destination. Never exceeds `window` by construction.
+    /// one destination. Never exceeds the window by construction.
     peak_outstanding: usize,
     /// One outstanding credit receive per destination with chunks in
     /// flight.
@@ -784,30 +774,11 @@ impl<'c, T: CommMsg + Clone + Sync> IalltoallvRequest<'c, T> {
         self.flush_sends()
     }
 
-    /// Number of sources that have not yet sent their terminator. The
-    /// exchange is complete when this reaches zero. A consumer that
-    /// drains the exchange via [`try_next`] alone must still make one
-    /// final [`next`] call (it returns `None`) before dropping the
-    /// request: that call block-reaps the in-flight credit acks for
-    /// chunks this rank sent, which would otherwise outlive the
-    /// collective as stray envelopes in the mailbox.
-    ///
-    /// [`try_next`]: IalltoallvRequest::try_next
-    /// [`next`]: Iterator::next
-    pub fn open_sources(&self) -> usize {
-        self.open_sources
-    }
-
     /// Diagnostic: the most chunks ever simultaneously unacknowledged
     /// toward a single destination — ≤ the flow-control window by
     /// construction.
     pub fn peak_outstanding(&self) -> usize {
         self.peak_outstanding
-    }
-
-    /// The flow-control window this exchange runs under.
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// Items queued sender-side awaiting credits. Producers that want a
@@ -897,8 +868,9 @@ impl<'c, T: CommMsg + Clone + Sync> IalltoallvRequest<'c, T> {
     /// credit acks are reaped on every call, but a consumer that drains
     /// the exchange via `try_next` alone must still make one final
     /// [`next`](Iterator::next) call (it returns `None`) before
-    /// dropping the request, to block-reap acks still in flight — see
-    /// [`open_sources`](IalltoallvRequest::open_sources).
+    /// dropping the request: that call block-reaps the in-flight credit
+    /// acks for chunks this rank sent, which would otherwise outlive the
+    /// collective as stray envelopes in the mailbox.
     pub fn try_next(&mut self) -> Option<(Rank, Vec<T>)> {
         self.try_next_checked().unwrap_or_else(|e| raise(e))
     }
@@ -1499,7 +1471,7 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_micros(200));
                 }
             }
-            (req.peak_outstanding(), req.window(), received)
+            (req.peak_outstanding(), window, received)
         });
         let (peak, window, _) = out[0];
         assert!(peak <= window, "rank 0 peak {peak} exceeds window {window}");

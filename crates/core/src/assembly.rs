@@ -46,9 +46,9 @@ pub struct AssemblyConfig {
     /// The paper's contig definition covers only linear chains; cycles
     /// are rare repeat artifacts on linear genomes.
     pub emit_cycles: bool,
-    /// Worker threads for the contig materialization pass (`0` inherits
-    /// the global [`elba_par::ElbaPar`] knob). Contigs are byte-identical
-    /// for every value; this changes wall time only.
+    /// Worker threads for the contig materialization pass (`0` or `1` is
+    /// serial). Contigs are byte-identical for every value; this changes
+    /// wall time only.
     pub threads: usize,
 }
 
@@ -239,8 +239,7 @@ pub fn local_assembly(
     // Pass 2 (threaded): materialize each walk's bases. `run_indexed`
     // returns results in task order — the trace order above — so the
     // contig list is byte-identical for every thread count.
-    let threads = elba_par::ElbaPar::resolve(cfg.threads);
-    let seqs = elba_par::run_indexed(walks.len(), threads, |i| {
+    let seqs = elba_par::run_indexed(walks.len(), cfg.threads, |i| {
         let mut seq = Seq::new();
         for s in &walks[i].slices {
             seq.extend_from(&slice_oriented(store, s.gid, s.from, s.to, s.reversed));

@@ -5,16 +5,13 @@
 //! `ExtractContig`) so a profiled run yields the breakdown figures
 //! directly.
 
-use elba_align::XdropKernel;
 use elba_comm::ProcGrid;
 use elba_graph::{
     align_and_classify, candidate_matrix, overlap_graph, symmetrize, transitive_reduction_with,
     AlignStats, OverlapConfig, ReductionStats, SeedChaining,
 };
 use elba_mem::MemBudget;
-use elba_seq::{
-    build_a_triples, count_kmers, AEntry, DatasetSpec, KmerConfig, KmerExchange, ReadStore, Seq,
-};
+use elba_seq::{build_a_triples, count_kmers, AEntry, DatasetSpec, KmerConfig, ReadStore, Seq};
 use elba_sparse::{DistMat, SpGemmOptions};
 
 use crate::assembly::Contig;
@@ -27,48 +24,13 @@ const A_RECORD_BYTES: usize = std::mem::size_of::<(u64, u64, u32, bool)>();
 /// `batch_rows` from a budget.
 const SPGEMM_ROW_BYTES_HINT: usize = 1024;
 
-/// Exchange-schedule knobs for the k-mer stage, the argument of
-/// [`PipelineConfig::kmer_exchange`]. `Default` matches
-/// [`KmerConfig::default`]: the streaming exchange with 64 Ki-occurrence
-/// flush windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KmerExchangeConfig {
-    /// Which personalized-exchange schedule moves k-mer occurrences.
-    pub exchange: KmerExchange,
-    /// Occurrences scanned between flushes in the streaming schedule.
-    pub batch_kmers: usize,
-}
-
-impl Default for KmerExchangeConfig {
-    fn default() -> Self {
-        let kmer = KmerConfig::default();
-        KmerExchangeConfig {
-            exchange: kmer.exchange,
-            batch_kmers: kmer.batch_kmers,
-        }
-    }
-}
-
 /// Seed-chaining knobs for the alignment stage, the argument of
 /// [`PipelineConfig::seed_chaining`]. `Default` matches
-/// [`OverlapConfig::default`]: chain mode with a 128-diagonal band.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`OverlapConfig::default`]: chain mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChainingConfig {
     /// Seed-selection policy (the CLI's `--seed-chaining`).
     pub chaining: SeedChaining,
-    /// Co-linearity band, used both to merge seeds into chains and as
-    /// diagonal slack in the geometric early-reject.
-    pub chain_band: usize,
-}
-
-impl Default for ChainingConfig {
-    fn default() -> Self {
-        let overlap = OverlapConfig::default();
-        ChainingConfig {
-            chaining: overlap.chaining,
-            chain_band: overlap.chain_band,
-        }
-    }
 }
 
 /// All pipeline parameters.
@@ -153,26 +115,14 @@ impl PipelineConfig {
         self
     }
 
-    /// Run the k-mer stage's personalized exchanges (`count_kmers` and
-    /// `build_a_triples`) under the given schedule — the CountKmer twin
-    /// of [`PipelineConfig::with_spgemm`]. Schedule transparency is
-    /// pinned: every [`KmerExchangeConfig`] produces byte-identical
-    /// contigs; the knobs change *how* k-mers move, never *what* is
-    /// assembled.
-    pub fn kmer_exchange(mut self, cfg: KmerExchangeConfig) -> Self {
-        self.kmer.exchange = cfg.exchange;
-        self.kmer.batch_kmers = cfg.batch_kmers;
-        self
-    }
-
     /// Run every intra-rank threaded kernel — the local multiply of each
     /// SUMMA stage (overlap detection *and* transitive reduction), the
     /// x-drop alignment batch, the k-mer scan, and the contig-stage
-    /// sequence materialization — on `threads` workers per rank (`0`
-    /// inherits the global [`elba_par::ElbaPar`] knob; 1 is the
-    /// historical serial behavior, the CLI default). Assembled contigs
-    /// — and profiled wire bytes — are identical for every value:
-    /// threading changes wall time and resident scratch only.
+    /// sequence materialization — on `threads` workers per rank (`0` or
+    /// `1` is the historical serial behavior, the CLI default); there is
+    /// no other way to set threads. Assembled contigs — and profiled
+    /// wire bytes — are identical for every value: threading changes
+    /// wall time and resident scratch only.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.kmer.threads = threads;
         self.overlap.threads = threads;
@@ -181,22 +131,12 @@ impl PipelineConfig {
         self
     }
 
-    /// Run every x-drop extension through `kernel` (the CLI's
-    /// `--xdrop-kernel`). Every kernel returns the exact scalar-oracle
-    /// scores and extents, so assembled contigs are identical for every
-    /// value — this is a pure speed knob.
-    pub fn with_xdrop_kernel(mut self, kernel: XdropKernel) -> Self {
-        self.overlap.kernel = kernel;
-        self
-    }
-
     /// Seed-selection policy for the alignment stage (the CLI's
     /// `--seed-chaining`). [`ChainingConfig::default`] is the chained
-    /// default; `SeedChaining::All` reproduces the historical
-    /// extend-every-seed sweep.
+    /// exact-DP default; `SeedChaining::BestOnly` is the greedy fast
+    /// mode — a different algorithm, not a transparent knob.
     pub fn seed_chaining(mut self, cfg: ChainingConfig) -> Self {
         self.overlap.chaining = cfg.chaining;
-        self.overlap.chain_band = cfg.chain_band;
         self
     }
 
@@ -204,10 +144,9 @@ impl PipelineConfig {
     /// batching knob from it, the single `--mem-budget` lever of the
     /// CLI:
     ///
-    /// * the k-mer stage switches to the streaming exchange
-    ///   (`batch_kmers` itself is derived inside [`assemble`], where the
-    ///   grid size is known — the per-peer inbound ceiling depends on
-    ///   `p`),
+    /// * the k-mer exchange's `batch_kmers` is derived inside
+    ///   [`assemble`], where the grid size is known — the per-peer
+    ///   inbound ceiling depends on `p`,
     /// * every distributed SpGEMM runs the column-batched schedule
     ///   ([`elba_sparse::SpGemmAlgorithm::ColumnBatched`]) under the
     ///   SpGEMM sub-budget, with `batch_rows` derived for the per-round
@@ -222,7 +161,6 @@ impl PipelineConfig {
     pub fn with_mem_budget(mut self, budget: MemBudget) -> Self {
         self.mem_budget = budget;
         if let Some(spgemm_bytes) = budget.spgemm_bytes() {
-            self.kmer.exchange = KmerExchange::Streaming;
             // Preserve the thread knob: budgets pick the schedule, not
             // the intra-rank worker count.
             let batch_rows = MemBudget::batch_rows_for(spgemm_bytes, SPGEMM_ROW_BYTES_HINT);
@@ -483,60 +421,6 @@ mod tests {
             all.push(out.into_iter().next().expect("rank 0"));
         }
         assert_eq!(all[0], all[1], "contig sets must not depend on P");
-    }
-
-    #[test]
-    fn kmer_exchange_schedules_agree_end_to_end() {
-        // Eager vs streaming (with a deliberately tiny batch, forcing
-        // many chunked flushes) must assemble identical contig sets.
-        let mut per_schedule: Vec<Vec<String>> = Vec::new();
-        for exchange in [KmerExchange::Eager, KmerExchange::Streaming] {
-            let out = Runner::new(Backend::InProcess).ranks(4).run(move |comm| {
-                let grid = ProcGrid::new(comm);
-                let genome = random_genome(&GenomeConfig {
-                    length: 5_000,
-                    repeat_fraction: 0.0,
-                    repeat_unit_len: 0,
-                    repeat_divergence: 0.0,
-                    seed: 91,
-                });
-                let reads: Vec<Seq> = simulate_reads(
-                    &genome,
-                    &ReadSimConfig {
-                        depth: 10.0,
-                        mean_len: 1_000,
-                        min_len: 500,
-                        error_rate: 0.0,
-                        seed: 92,
-                    },
-                )
-                .into_iter()
-                .map(|r| r.seq)
-                .collect();
-                let cfg = small_cfg(17).kmer_exchange(KmerExchangeConfig {
-                    exchange,
-                    batch_kmers: 97,
-                });
-                let (contigs, _) = assemble_gathered(&grid, &reads, &cfg);
-                contigs
-                    .iter()
-                    .map(|c| {
-                        let f = c.seq.to_string();
-                        let r = c.seq.reverse_complement().to_string();
-                        if f <= r {
-                            f
-                        } else {
-                            r
-                        }
-                    })
-                    .collect::<Vec<_>>()
-            });
-            per_schedule.push(out.into_iter().next().expect("rank 0"));
-        }
-        assert_eq!(
-            per_schedule[0], per_schedule[1],
-            "contigs must not depend on the k-mer exchange schedule"
-        );
     }
 
     #[test]

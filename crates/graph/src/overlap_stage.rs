@@ -11,7 +11,7 @@
 
 use elba_align::{
     classify, extend_seed_greedy, extend_seed_with, OverlapAln, OverlapClass, Scoring, SgEdge,
-    XdropKernel, XdropWorkspace,
+    XdropWorkspace,
 };
 use elba_comm::ProcGrid;
 use elba_seq::{AEntry, ReadStore};
@@ -40,27 +40,23 @@ pub struct OverlapConfig {
     /// default; column-batched when the pipeline runs under a memory
     /// budget).
     pub spgemm: SpGemmOptions,
-    /// Intra-rank worker threads for the x-drop alignment batch (`0`
-    /// inherits the global [`elba_par::ElbaPar`] knob; its default of 1
-    /// is the historical serial sweep). Each worker owns one
+    /// Intra-rank worker threads for the x-drop alignment batch (`0` or
+    /// `1` is the historical serial sweep). Each worker owns one
     /// [`AlignScratch`], pairs are claimed by index, and results are
     /// consumed in pair order, so the output is identical across thread
     /// counts; workers never enter the comm layer.
     pub threads: usize,
-    /// X-drop inner-loop implementation (the CLI's `--xdrop-kernel`).
-    /// Every kernel returns exactly the scalar oracle's output, so this
-    /// is a pure speed knob.
-    pub kernel: XdropKernel,
     /// Which retained seeds get x-drop extended per candidate pair (the
     /// CLI's `--seed-chaining`).
     pub chaining: SeedChaining,
-    /// Maximum |Δdiagonal| for two seeds of a pair to be merged into
-    /// one co-linear chain, and the diagonal slack granted to a chain
-    /// by the geometric early-reject (drift budget for x-drop gap
-    /// wander; generous relative to real indel rates so the reject
-    /// never clips a reachable overlap).
-    pub chain_band: usize,
 }
+
+/// Maximum |Δdiagonal| for two seeds of a pair to be merged into one
+/// co-linear chain, and the diagonal slack granted to a chain by the
+/// geometric early-reject (drift budget for x-drop gap wander; generous
+/// relative to real indel rates so the reject never clips a reachable
+/// overlap).
+const CHAIN_BAND: usize = 128;
 
 impl Default for OverlapConfig {
     fn default() -> Self {
@@ -74,9 +70,7 @@ impl Default for OverlapConfig {
             fuzz: 200,
             spgemm: SpGemmOptions::default(),
             threads: 0,
-            kernel: XdropKernel::default(),
             chaining: SeedChaining::default(),
-            chain_band: 128,
         }
     }
 }
@@ -85,9 +79,6 @@ impl Default for OverlapConfig {
 /// candidate pair's retained seeds are x-drop extended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SeedChaining {
-    /// Extend every in-range retained seed (the historical sweep; the
-    /// baseline every other mode is measured against).
-    All,
     /// Bin seeds by strand and diagonal, merge co-linear seeds into one
     /// chain, extend each chain's first seed, and skip seeds whose
     /// anchor is already covered by an alignment found for this pair;
@@ -99,9 +90,9 @@ pub enum SeedChaining {
     /// Flagged fast mode: like [`SeedChaining::Chain`] but strictly one
     /// extension per strand group (the first surviving chain), and the
     /// extension itself runs the greedy O(differences)
-    /// [`extend_seed_greedy`] walk instead of the exact DP. The one
-    /// mode allowed to change alignments — it is quality-asserted by
-    /// the perf bench rather than pinned byte-identical.
+    /// [`extend_seed_greedy`] walk instead of the exact DP. A different
+    /// algorithm, not a transparent knob: quality-asserted by the
+    /// benchmark rather than pinned byte-identical to `Chain`.
     BestOnly,
 }
 
@@ -117,11 +108,9 @@ pub struct AlignStats {
     /// Retained seeds the chain filter skipped without an x-drop
     /// extension (covered by an already-found alignment, merged into a
     /// chain behind an extended seed, geometrically rejected, or
-    /// dropped by `BestOnly`). Zero under [`SeedChaining::All`].
+    /// dropped by `BestOnly`).
     pub seeds_skipped: u64,
-    /// Seed chains that underwent x-drop extension (under
-    /// [`SeedChaining::All`] every extended seed counts as its own
-    /// chain).
+    /// Seed chains that underwent x-drop extension.
     pub chains_extended: u64,
 }
 
@@ -199,14 +188,6 @@ pub struct AlignScratch {
 }
 
 impl AlignScratch {
-    /// A scratch whose extensions run the given [`XdropKernel`].
-    pub fn with_kernel(kernel: XdropKernel) -> Self {
-        AlignScratch {
-            ws: XdropWorkspace::with_kernel(kernel),
-            v_rc: Vec::new(),
-        }
-    }
-
     /// Heap bytes held (workspace buffers + rc staging), for the same
     /// scratch-honesty accounting as [`XdropWorkspace::heap_bytes`].
     pub fn heap_bytes(&self) -> usize {
@@ -268,14 +249,14 @@ impl OrientedSeed {
     }
 }
 
-/// Geometric early-reject: over every diagonal within `chain_band` of
+/// Geometric early-reject: over every diagonal within [`CHAIN_BAND`] of
 /// the chain's anchors, the largest conceivable aligned span can reach
 /// neither a dovetail (`min_overlap`) nor a containment of either read
 /// (`len - 2·fuzz`), so extension could only ever produce an alignment
 /// the classifier discards without emitting edges. Only the stats
 /// bucket of such a pair changes (rejected instead of internal).
 fn chain_rejects(dg_lo: i64, dg_hi: i64, ulen: usize, wlen: usize, cfg: &OverlapConfig) -> bool {
-    let band = cfg.chain_band as i64;
+    let band = CHAIN_BAND as i64;
     let (lo, hi) = (dg_lo - band, dg_hi + band);
     let (ul, wl) = (ulen as i64, wlen as i64);
     let u_span = (ul.min(wl + hi) - 0.max(lo)).max(0);
@@ -292,13 +273,7 @@ pub fn align_pair(
     seeds: &SharedSeeds,
     cfg: &OverlapConfig,
 ) -> Option<OverlapAln> {
-    align_pair_with(
-        &mut AlignScratch::with_kernel(cfg.kernel),
-        u_codes,
-        v_codes,
-        seeds,
-        cfg,
-    )
+    align_pair_with(&mut AlignScratch::default(), u_codes, v_codes, seeds, cfg)
 }
 
 /// X-drop align one candidate pair from its retained seeds; returns the
@@ -373,57 +348,47 @@ fn align_pair_counted(
         .seeds()
         .iter()
         .filter_map(|s| OrientedSeed::place(s, cfg.k, ulen, vlen));
-    match cfg.chaining {
-        SeedChaining::All => {
-            for s in placed {
-                extend(&s, &mut best, v_rc);
-                counts.chains += 1;
+    let best_only = cfg.chaining == SeedChaining::BestOnly;
+    // Chains in seed order: [first seed, optional co-linear mate].
+    let chains: [Option<(OrientedSeed, Option<OrientedSeed>)>; 2] =
+        match (placed.next(), placed.next()) {
+            (Some(head), Some(s))
+                if head.rc == s.rc
+                    && head.diag.abs_diff(s.diag) <= CHAIN_BAND as u64
+                    && (head.u_pos <= s.u_pos) == (head.w_pos <= s.w_pos) =>
+            {
+                [Some((head, Some(s))), None]
             }
+            (first, second) => [first.map(|s| (s, None)), second.map(|s| (s, None))],
+        };
+    let mut extended_strands = [false; 2];
+    for (head, mate) in chains.iter().flatten() {
+        let n_seeds = 1 + u32::from(mate.is_some());
+        let (dg_lo, dg_hi) = match mate {
+            Some(m) => (head.diag.min(m.diag), head.diag.max(m.diag)),
+            None => (head.diag, head.diag),
+        };
+        if chain_rejects(dg_lo, dg_hi, ulen, vlen, cfg) {
+            counts.skipped += n_seeds;
+            continue;
         }
-        SeedChaining::Chain | SeedChaining::BestOnly => {
-            let best_only = cfg.chaining == SeedChaining::BestOnly;
-            // Chains in seed order: [first seed, optional co-linear mate].
-            let chains: [Option<(OrientedSeed, Option<OrientedSeed>)>; 2] =
-                match (placed.next(), placed.next()) {
-                    (Some(head), Some(s))
-                        if head.rc == s.rc
-                            && head.diag.abs_diff(s.diag) <= cfg.chain_band as u64
-                            && (head.u_pos <= s.u_pos) == (head.w_pos <= s.w_pos) =>
-                    {
-                        [Some((head, Some(s))), None]
-                    }
-                    (first, second) => [first.map(|s| (s, None)), second.map(|s| (s, None))],
-                };
-            let mut extended_strands = [false; 2];
-            for (head, mate) in chains.iter().flatten() {
-                let n_seeds = 1 + u32::from(mate.is_some());
-                let (dg_lo, dg_hi) = match mate {
-                    Some(m) => (head.diag.min(m.diag), head.diag.max(m.diag)),
-                    None => (head.diag, head.diag),
-                };
-                if chain_rejects(dg_lo, dg_hi, ulen, vlen, cfg) {
-                    counts.skipped += n_seeds;
-                    continue;
-                }
-                if best_only && extended_strands[head.rc as usize] {
-                    counts.skipped += n_seeds;
-                    continue;
-                }
-                if best.as_ref().is_some_and(|aln| head.covered_by(aln, cfg.k)) {
-                    counts.skipped += n_seeds;
-                    continue;
-                }
-                extend(head, &mut best, v_rc);
-                counts.chains += 1;
-                extended_strands[head.rc as usize] = true;
-                if let Some(m) = mate {
-                    let covered = best.as_ref().is_some_and(|aln| m.covered_by(aln, cfg.k));
-                    if best_only || covered {
-                        counts.skipped += 1;
-                    } else {
-                        extend(m, &mut best, v_rc);
-                    }
-                }
+        if best_only && extended_strands[head.rc as usize] {
+            counts.skipped += n_seeds;
+            continue;
+        }
+        if best.as_ref().is_some_and(|aln| head.covered_by(aln, cfg.k)) {
+            counts.skipped += n_seeds;
+            continue;
+        }
+        extend(head, &mut best, v_rc);
+        counts.chains += 1;
+        extended_strands[head.rc as usize] = true;
+        if let Some(m) = mate {
+            let covered = best.as_ref().is_some_and(|aln| m.covered_by(aln, cfg.k));
+            if best_only || covered {
+                counts.skipped += 1;
+            } else {
+                extend(m, &mut best, v_rc);
             }
         }
     }
@@ -524,10 +489,10 @@ pub fn align_and_classify(
     let mut triples: Vec<(u64, u64, SgEdge)> = Vec::new();
     let mut contained_ids: Vec<(usize, bool)> = Vec::new();
     let mut stats = AlignStats::default();
-    let threads = elba_par::ElbaPar::resolve(cfg.threads);
+    let threads = cfg.threads;
     if threads <= 1 {
         // Historical serial sweep: one scratch, one pair resident.
-        let mut scratch = AlignScratch::with_kernel(cfg.kernel);
+        let mut scratch = AlignScratch::default();
         for (i, j, seeds) in c.iter_global(grid) {
             let u_codes = seqs
                 .get(i)
@@ -539,9 +504,8 @@ pub fn align_and_classify(
             classify_candidate(i, j, aln, cfg, &mut triples, &mut contained_ids, &mut stats);
         }
     } else {
-        let mut scratches: Vec<AlignScratch> = (0..threads)
-            .map(|_| AlignScratch::with_kernel(cfg.kernel))
-            .collect();
+        let mut scratches: Vec<AlignScratch> =
+            (0..threads).map(|_| AlignScratch::default()).collect();
         let mut candidates = c.iter_global(grid);
         let batch_pairs = threads * ALIGN_PAIRS_PER_WORKER_BATCH;
         let mut batch: Vec<(u64, u64, &SharedSeeds)> = Vec::with_capacity(batch_pairs);

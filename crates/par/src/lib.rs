@@ -29,48 +29,12 @@
 //! which load-balances irregular tasks (sparse rows, alignment pairs)
 //! without per-task channels or a persistent pool.
 //!
-//! The global [`ElbaPar`] knob holds the process-wide default thread
-//! count (what the `elba` CLI's `--threads` sets); config structs store
-//! `0` to mean "inherit the global knob" so library tests can pin
-//! explicit values without racing on process state.
+//! There is no process-wide thread setting: every threaded kernel reads
+//! the worker count from its own config (what
+//! `PipelineConfig::with_threads` sets), and `0` or `1` means serial.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Process-wide default intra-rank thread count (1 = serial, the
-/// historical behavior). See [`ElbaPar`].
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// The global intra-rank threading knob.
-///
-/// `ElbaPar::set_threads(n)` is called once at process start (the `elba`
-/// CLI's `--threads`, a bench harness's setup); kernels resolve their
-/// per-config value through [`ElbaPar::resolve`], where a stored `0`
-/// means "use the global knob". Library tests always pass explicit
-/// nonzero values, so parallel test threads never race on this state.
-pub struct ElbaPar;
-
-impl ElbaPar {
-    /// Set the process-wide default worker count (clamped to ≥ 1).
-    pub fn set_threads(n: usize) {
-        GLOBAL_THREADS.store(n.max(1), Ordering::Relaxed);
-    }
-
-    /// The process-wide default worker count.
-    pub fn threads() -> usize {
-        GLOBAL_THREADS.load(Ordering::Relaxed)
-    }
-
-    /// Resolve a config-stored thread count: `0` inherits the global
-    /// knob, anything else is used as-is (clamped to ≥ 1).
-    pub fn resolve(configured: usize) -> usize {
-        if configured == 0 {
-            Self::threads()
-        } else {
-            configured
-        }
-    }
-}
 
 /// Run `f(worker_index, &mut states[worker_index])` once per worker, one
 /// worker per element of `states`, and return the results in worker
@@ -236,13 +200,6 @@ pub const OVERDECOMPOSE: usize = 4;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn global_knob_defaults_to_serial() {
-        // Do not mutate the global here: tests share the process.
-        assert_eq!(ElbaPar::resolve(0), ElbaPar::threads());
-        assert_eq!(ElbaPar::resolve(3), 3);
-    }
 
     #[test]
     fn scope_with_runs_every_worker_once() {

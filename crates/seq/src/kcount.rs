@@ -9,18 +9,14 @@
 //! exclusive scan over per-owner counts.
 //!
 //! Both exchanges of the stage (partial counts to owners, occurrence
-//! records to owners) run under a [`KmerExchange`] schedule: the original
-//! **eager** path materializes one `Vec<Vec<T>>` of every outgoing record
-//! and blocks in a flat `alltoallv`, while the **streaming** path scans
-//! reads in batches of [`KmerConfig::batch_kmers`] occurrences, posts
-//! each batch's buckets as chunks of a non-blocking
-//! [`ialltoallv`](elba_comm::Comm::ialltoallv_stream) and folds inbound
-//! chunks into the local accumulators as they arrive — ELBA's custom
-//! all-to-all, whose *application-side* buffers never hold the full
-//! outgoing or incoming exchange (the in-process transport's mailboxes
-//! are unbounded and eager, so a rank that scans much slower than its
-//! peers can still accumulate undrained chunks there; sender-side flow
-//! control is a ROADMAP item). Both schedules produce identical results.
+//! records to owners) stream: reads are scanned in batches of
+//! [`KmerConfig::batch_kmers`] occurrences, each batch's buckets are
+//! posted as chunks of a non-blocking
+//! [`ialltoallv`](elba_comm::Comm::ialltoallv_stream) and inbound chunks
+//! are folded into the local accumulators as they arrive — ELBA's custom
+//! all-to-all, which never holds the full outgoing or incoming exchange:
+//! sender-side credits bound what any peer can park in a slow rank's
+//! mailbox to about one batch per source.
 
 use std::collections::{HashMap, HashSet};
 
@@ -28,19 +24,6 @@ use elba_comm::{Comm, IalltoallvRequest, ProcGrid, Rank};
 
 use crate::kmer::canonical_kmers;
 use crate::store::ReadStore;
-
-/// Exchange schedule for the k-mer stage's personalized all-to-alls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KmerExchange {
-    /// Materialize the full outgoing exchange, then one blocking
-    /// `alltoallv`. Simple; peak memory is the whole exchange.
-    Eager,
-    /// Scan reads in batches of [`KmerConfig::batch_kmers`] occurrences;
-    /// post each batch as non-blocking `ialltoallv` chunks while folding
-    /// previously received chunks into the accumulators. Peak exchange
-    /// buffering is bounded by the batch, not the dataset.
-    Streaming,
-}
 
 /// Parameters for k-mer selection.
 #[derive(Debug, Clone)]
@@ -50,15 +33,12 @@ pub struct KmerConfig {
     pub reliable_min: u32,
     /// Maximum multiplicity (drops repeat-induced k-mers).
     pub reliable_max: u32,
-    /// How `count_kmers` / `build_a_triples` ship their exchanges.
-    pub exchange: KmerExchange,
-    /// Streaming batch size: maximum k-mer occurrences buffered on the
-    /// send side before a flush (ignored by the eager schedule).
+    /// Exchange batch size: maximum k-mer occurrences buffered on the
+    /// send side before a flush. A memory budget derives it.
     pub batch_kmers: usize,
     /// Intra-rank worker threads for the k-mer scan (per-read canonical
-    /// k-mer extraction; `0` inherits the global
-    /// [`elba_par::ElbaPar`] knob, default 1 = the historical serial
-    /// scan). Reads are scanned in bounded groups whose hit lists are
+    /// k-mer extraction; `0` or `1` = the historical serial scan).
+    /// Reads are scanned in bounded groups whose hit lists are
     /// computed in parallel but *consumed in read order*, so occurrence
     /// streams — and everything downstream — are identical across
     /// thread counts; workers never enter the comm layer (the exchange
@@ -72,7 +52,6 @@ impl Default for KmerConfig {
             k: 31,
             reliable_min: 2,
             reliable_max: u32::MAX,
-            exchange: KmerExchange::Streaming,
             batch_kmers: 1 << 16,
             threads: 0,
         }
@@ -123,10 +102,9 @@ elba_comm::impl_comm_msg_pod!(AEntry);
 elba_mem::impl_deep_bytes_pod!(AEntry);
 
 /// Buffer high-water marks of one k-mer-stage exchange — the hook the
-/// memory-bound tests (and the bench) assert against. For the streaming
-/// schedule `peak_outgoing_items ≤ batch_kmers` and `peak_inbound_items`
-/// is one chunk (≤ `batch_kmers`) by construction; the eager schedule
-/// reports the full materialized exchange. The byte fields are the same
+/// memory-bound tests (and the bench) assert against:
+/// `peak_outgoing_items ≤ batch_kmers` and `peak_inbound_items` is one
+/// chunk (≤ `batch_kmers`) by construction. The byte fields are the same
 /// peaks in record bytes; every exchange also feeds them into the
 /// rank's memory tracker ([`elba_comm::Comm::record_mem_transient`]), so
 /// a profiled run's `mem-hw` column shows the CountKmer stage's real
@@ -136,8 +114,7 @@ pub struct ExchangeStats {
     /// Most items ever resident in the outgoing buckets at once.
     pub peak_outgoing_items: usize,
     /// Most items ever resident on the receive side before being folded
-    /// (largest single inbound chunk for streaming; the whole incoming
-    /// exchange for eager).
+    /// (the largest single inbound chunk).
     pub peak_inbound_items: usize,
     /// `peak_outgoing_items` in record bytes.
     pub peak_outgoing_bytes: usize,
@@ -152,48 +129,18 @@ impl ExchangeStats {
     }
 }
 
-/// Route `items` (already tagged with a destination rank) through a
-/// blocking `alltoallv`, materializing the whole exchange, and fold each
-/// source's buffer. The reference schedule.
-fn eager_exchange<T: elba_comm::CommMsg + Clone + Sync>(
-    world: &Comm,
-    items: impl Iterator<Item = (Rank, T)>,
-    mut fold: impl FnMut(Rank, Vec<T>),
-) -> ExchangeStats {
-    let record_bytes = std::mem::size_of::<T>();
-    let mut outgoing: Vec<Vec<T>> = (0..world.size()).map(|_| Vec::new()).collect();
-    let mut total = 0usize;
-    for (dst, item) in items {
-        outgoing[dst].push(item);
-        total += 1;
-    }
-    let incoming = world.alltoallv(outgoing);
-    let inbound: usize = incoming.iter().map(Vec::len).sum();
-    let stats = ExchangeStats {
-        peak_outgoing_items: total,
-        peak_inbound_items: inbound,
-        peak_outgoing_bytes: total * record_bytes,
-        peak_inbound_bytes: inbound * record_bytes,
-    };
-    for (src, buf) in incoming.into_iter().enumerate() {
-        fold(src, buf);
-    }
-    world.record_mem_transient(stats.peak_bytes());
-    stats
-}
-
 /// Route `items` through a streaming non-blocking `ialltoallv`: buffer at
 /// most `batch` items, post the batch as chunks, and fold whatever chunks
 /// have arrived before scanning the next batch. After the scan, seal the
 /// sends and drain the remainder (blocking waits are profiled as *wait*
 /// time). No more than `batch` outgoing items — buffered buckets *or*
-/// credit-starved chunks queued in the stream — are ever resident, the
-/// memory bound the eager schedule lacks. The bound is end-to-end, not
-/// just application-side: posting throttles on [`wait_for_credit`], and
-/// chunks are sized at `batch / window` so each destination's credit
-/// window admits at most ~`batch` items into its transport mailbox per
-/// peer — a rank folding slower than its peers scan holds ≤ `batch`
-/// un-folded items *per source*, never an unbounded backlog.
+/// credit-starved chunks queued in the stream — are ever resident. The
+/// bound is end-to-end, not just application-side: posting throttles on
+/// [`wait_for_credit`], and chunks are sized at `batch / window` so each
+/// destination's credit window admits at most ~`batch` items into its
+/// transport mailbox per peer — a rank folding slower than its peers
+/// scan holds ≤ `batch` un-folded items *per source*, never an unbounded
+/// backlog.
 ///
 /// [`wait_for_credit`]: elba_comm::IalltoallvRequest::wait_for_credit
 fn streaming_exchange<T: elba_comm::CommMsg + Clone + Sync>(
@@ -280,19 +227,6 @@ fn streaming_exchange<T: elba_comm::CommMsg + Clone + Sync>(
     stats
 }
 
-/// Dispatch on the configured schedule.
-fn exchange<T: elba_comm::CommMsg + Clone + Sync>(
-    world: &Comm,
-    cfg: &KmerConfig,
-    items: impl Iterator<Item = (Rank, T)>,
-    fold: impl FnMut(Rank, Vec<T>),
-) -> ExchangeStats {
-    match cfg.exchange {
-        KmerExchange::Eager => eager_exchange(world, items, fold),
-        KmerExchange::Streaming => streaming_exchange(world, cfg.batch_kmers, items, fold),
-    }
-}
-
 /// Count canonical k-mers across all ranks and keep the reliable band
 /// (collective). Global ids are assigned deterministically (sorted within
 /// each owner, offset by exclusive scan). See [`count_kmers_with_stats`]
@@ -303,12 +237,10 @@ pub fn count_kmers(grid: &ProcGrid, store: &ReadStore, cfg: &KmerConfig) -> Kmer
 
 /// [`count_kmers`] plus the exchange's buffer high-water marks.
 ///
-/// The eager schedule first folds the whole local read set into one
-/// multiplicity map (one record per *distinct* local k-mer crosses the
-/// wire); the streaming schedule aggregates within each
-/// `batch_kmers`-occurrence window (`WindowCounts`) and ships the
-/// window's partial counts. Owners sum either way, so the table is
-/// identical — global `+` is associative and commutative.
+/// Occurrences are aggregated within each `batch_kmers`-occurrence
+/// window (`WindowCounts`) and the window's partial counts are shipped;
+/// owners sum them — global `+` is associative and commutative, so
+/// window boundaries never show in the table.
 pub fn count_kmers_with_stats(
     grid: &ProcGrid,
     store: &ReadStore,
@@ -316,44 +248,24 @@ pub fn count_kmers_with_stats(
 ) -> (KmerTable, ExchangeStats) {
     let world = grid.world();
     let p = world.size();
-    let threads = elba_par::ElbaPar::resolve(cfg.threads);
+    let threads = cfg.threads;
     let scan_stats = ScanStats::default();
     let mut owned: HashMap<u64, u32> = HashMap::new();
-    let fold = |_src: Rank, buf: Vec<(u64, u32)>| {
-        for (kmer, count) in buf {
-            *owned.entry(kmer).or_insert(0) += count;
-        }
-    };
-    let stats = match cfg.exchange {
-        KmerExchange::Eager => {
-            // Local counting pass over the whole store (the scan's
-            // per-read k-mer extraction fans out over the intra-rank
-            // workers), then route the aggregated partial counts to
-            // their owners.
-            let mut local_counts: HashMap<u64, u32> = HashMap::new();
-            for (_, hit) in occurrence_scan(store, cfg.k, threads, &scan_stats) {
-                *local_counts.entry(hit.kmer).or_insert(0) += 1;
+    let stats = streaming_exchange(
+        world,
+        cfg.batch_kmers,
+        WindowCounts {
+            kmers: occurrence_scan(store, cfg.k, threads, &scan_stats).map(|(_, hit)| hit.kmer),
+            window: cfg.batch_kmers.max(1),
+            p,
+            drained: Vec::new().into_iter(),
+        },
+        |_src, buf: Vec<(u64, u32)>| {
+            for (kmer, count) in buf {
+                *owned.entry(kmer).or_insert(0) += count;
             }
-            eager_exchange(
-                world,
-                local_counts
-                    .into_iter()
-                    .map(|(kmer, count)| (kmer_owner(kmer, p), (kmer, count))),
-                fold,
-            )
-        }
-        KmerExchange::Streaming => streaming_exchange(
-            world,
-            cfg.batch_kmers,
-            WindowCounts {
-                kmers: occurrence_scan(store, cfg.k, threads, &scan_stats).map(|(_, hit)| hit.kmer),
-                window: cfg.batch_kmers.max(1),
-                p,
-                drained: Vec::new().into_iter(),
-            },
-            fold,
-        ),
-    };
+        },
+    );
     book_scan(world, threads, &scan_stats);
     // Reliable band filter.
     let mut reliable: Vec<u64> = owned
@@ -384,9 +296,8 @@ pub fn count_kmers_with_stats(
 /// `(read_id, kmer_column, AEntry)` for every reliable k-mer occurrence.
 /// A read contributes one entry per distinct k-mer (first occurrence), as
 /// in BELLA's sparse A construction. Triples are returned sorted by
-/// `(read, column)` — a canonical order, so the eager and streaming
-/// schedules (whose arrival orders differ) are byte-identical — ready for
-/// `DistMat::from_triples`.
+/// `(read, column)` — a canonical order, because chunk arrival order is
+/// scheduling-dependent — ready for `DistMat::from_triples`.
 pub fn build_a_triples(
     grid: &ProcGrid,
     store: &ReadStore,
@@ -405,7 +316,7 @@ pub fn build_a_triples_with_stats(
 ) -> (Vec<(u64, u64, AEntry)>, ExchangeStats) {
     let world = grid.world();
     let p = world.size();
-    let threads = elba_par::ElbaPar::resolve(cfg.threads);
+    let threads = cfg.threads;
     let scan_stats = ScanStats::default();
     let mut triples = Vec::new();
     // (kmer, read, pos, fwd) routed to the kmer's owner for id lookup;
@@ -428,7 +339,7 @@ pub fn build_a_triples_with_stats(
                 (hit.kmer, read_id, hit.pos, hit.fwd),
             )
         });
-    let stats = exchange(world, cfg, items, |_src, buf| {
+    let stats = streaming_exchange(world, cfg.batch_kmers, items, |_src, buf| {
         for (kmer, read_id, pos, fwd) in buf {
             if let Some(col) = table.id_of(kmer) {
                 triples.push((read_id, col, AEntry { pos, fwd }));
@@ -447,10 +358,8 @@ pub fn build_a_triples_with_stats(
 /// to `window` occurrences at a time, fold them into a `window`-bounded
 /// multiplicity map, and emit one `(owner, (kmer, partial_count))` record
 /// per distinct k-mer in the window. Memory stays O(window) while wire
-/// traffic shrinks by the within-window multiplicity factor (the eager
-/// path aggregates the whole local store; this is the batch-bounded
-/// middle ground). Owners sum partial counts, so window boundaries are
-/// invisible in the result.
+/// traffic shrinks by the within-window multiplicity factor. Owners sum
+/// partial counts, so window boundaries are invisible in the result.
 struct WindowCounts<I: Iterator<Item = u64>> {
     kmers: I,
     window: usize,
@@ -634,147 +543,138 @@ mod tests {
     use crate::dna::Seq;
     use elba_comm::{Backend, Runner};
 
-    fn store_from(grid: &ProcGrid, reads: &[&str]) -> ReadStore {
-        let seqs: Vec<Seq> = reads.iter().map(|s| s.parse().expect("dna")).collect();
-        ReadStore::from_replicated(grid, &seqs)
+    include!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/common/kmer_oracle.rs"
+    ));
+
+    fn seqs(reads: &[&str]) -> Vec<Seq> {
+        reads.iter().map(|s| s.parse().expect("dna")).collect()
     }
 
-    fn cfg_with(k: usize, reliable_min: u32, exchange: KmerExchange) -> KmerConfig {
+    fn store_from(grid: &ProcGrid, reads: &[&str]) -> ReadStore {
+        ReadStore::from_replicated(grid, &seqs(reads))
+    }
+
+    fn cfg_with(k: usize, reliable_min: u32) -> KmerConfig {
         KmerConfig {
             k,
             reliable_min,
             reliable_max: u32::MAX,
-            exchange,
             batch_kmers: 7, // deliberately tiny: force many flushes
             threads: 1,
         }
     }
 
-    fn both_exchanges() -> [KmerExchange; 2] {
-        [KmerExchange::Eager, KmerExchange::Streaming]
-    }
-
     #[test]
     fn counts_match_serial_reference() {
-        for exchange in both_exchanges() {
-            for p in [1usize, 4, 9] {
-                let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
-                    let grid = ProcGrid::new(comm);
-                    let reads = ["ACGTACGTACGT", "CGTACGTACG", "TTTTTTTTTT"];
-                    let store = store_from(&grid, &reads);
-                    let cfg = cfg_with(5, 1, exchange);
-                    let table = count_kmers(&grid, &store, &cfg);
-                    grid.world().allreduce(table.n_local() as u64, |a, b| a + b)
-                });
-                // serial reference
-                let mut set = std::collections::HashSet::new();
-                for r in ["ACGTACGTACGT", "CGTACGTACG", "TTTTTTTTTT"] {
-                    let s: Seq = r.parse().expect("dna");
-                    for h in canonical_kmers(&s, 5) {
-                        set.insert(h.kmer);
-                    }
+        for p in [1usize, 4, 9] {
+            let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
+                let grid = ProcGrid::new(comm);
+                let reads = ["ACGTACGTACGT", "CGTACGTACG", "TTTTTTTTTT"];
+                let store = store_from(&grid, &reads);
+                let cfg = cfg_with(5, 1);
+                let table = count_kmers(&grid, &store, &cfg);
+                grid.world().allreduce(table.n_local() as u64, |a, b| a + b)
+            });
+            // serial reference
+            let mut set = std::collections::HashSet::new();
+            for r in ["ACGTACGTACGT", "CGTACGTACG", "TTTTTTTTTT"] {
+                let s: Seq = r.parse().expect("dna");
+                for h in canonical_kmers(&s, 5) {
+                    set.insert(h.kmer);
                 }
-                assert!(
-                    out.iter().all(|&n| n == set.len() as u64),
-                    "p={p} {exchange:?}"
-                );
             }
+            assert!(out.iter().all(|&n| n == set.len() as u64), "p={p}");
         }
     }
 
     #[test]
     fn reliable_band_filters_singletons() {
-        for exchange in both_exchanges() {
-            let out = Runner::new(Backend::InProcess).ranks(4).run(move |comm| {
-                let grid = ProcGrid::new(comm);
-                // reads 0/1 are identical (all their k-mers have multiplicity
-                // >= 2); read 2 contributes only singletons, which the
-                // reliable_min = 2 band must drop.
-                let reads = ["ACGTACGTAC", "ACGTACGTAC", "GGGTTCAAGC"];
-                let store = store_from(&grid, &reads);
-                let cfg = cfg_with(5, 2, exchange);
-                let table = count_kmers(&grid, &store, &cfg);
-                let n = grid.world().allreduce(table.n_local() as u64, |a, b| a + b);
-                assert_eq!(table.n_global, n);
-                n
-            });
-            // serial reference: distinct canonical 5-mers of the repeated read
-            // (each occurs >= 2 times globally), minus any that also appear in
-            // the singleton read (none do, but compute it faithfully).
-            let s: Seq = "ACGTACGTAC".parse().expect("dna");
-            let repeated: std::collections::HashSet<u64> =
-                canonical_kmers(&s, 5).into_iter().map(|h| h.kmer).collect();
-            assert!(
-                out.iter().all(|&n| n == repeated.len() as u64),
-                "{exchange:?}: {out:?}"
-            );
-        }
+        let out = Runner::new(Backend::InProcess).ranks(4).run(move |comm| {
+            let grid = ProcGrid::new(comm);
+            // reads 0/1 are identical (all their k-mers have multiplicity
+            // >= 2); read 2 contributes only singletons, which the
+            // reliable_min = 2 band must drop.
+            let reads = ["ACGTACGTAC", "ACGTACGTAC", "GGGTTCAAGC"];
+            let store = store_from(&grid, &reads);
+            let cfg = cfg_with(5, 2);
+            let table = count_kmers(&grid, &store, &cfg);
+            let n = grid.world().allreduce(table.n_local() as u64, |a, b| a + b);
+            assert_eq!(table.n_global, n);
+            n
+        });
+        // serial reference: distinct canonical 5-mers of the repeated read
+        // (each occurs >= 2 times globally), minus any that also appear in
+        // the singleton read (none do, but compute it faithfully).
+        let s: Seq = "ACGTACGTAC".parse().expect("dna");
+        let repeated: std::collections::HashSet<u64> =
+            canonical_kmers(&s, 5).into_iter().map(|h| h.kmer).collect();
+        assert!(out.iter().all(|&n| n == repeated.len() as u64), "{out:?}");
     }
 
     #[test]
     fn ids_are_dense_and_unique() {
-        for exchange in both_exchanges() {
-            let out = Runner::new(Backend::InProcess).ranks(4).run(move |comm| {
-                let grid = ProcGrid::new(comm);
-                let reads = ["ACGTACGTACGTGGCCA", "GGCCATTACGAACGT"];
-                let store = store_from(&grid, &reads);
-                let cfg = cfg_with(4, 1, exchange);
-                let table = count_kmers(&grid, &store, &cfg);
-                let ids: Vec<u64> = table.local.values().copied().collect();
-                (table.n_global, grid.world().allgather(ids))
-            });
-            let (n_global, all_ids) = &out[0];
-            let mut flat: Vec<u64> = all_ids.iter().flatten().copied().collect();
-            flat.sort_unstable();
-            assert_eq!(flat.len() as u64, *n_global);
-            assert_eq!(flat, (0..*n_global).collect::<Vec<_>>());
-        }
+        let out = Runner::new(Backend::InProcess).ranks(4).run(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let reads = ["ACGTACGTACGTGGCCA", "GGCCATTACGAACGT"];
+            let store = store_from(&grid, &reads);
+            let cfg = cfg_with(4, 1);
+            let table = count_kmers(&grid, &store, &cfg);
+            let ids: Vec<u64> = table.local.values().copied().collect();
+            (table.n_global, grid.world().allgather(ids))
+        });
+        let (n_global, all_ids) = &out[0];
+        let mut flat: Vec<u64> = all_ids.iter().flatten().copied().collect();
+        flat.sort_unstable();
+        assert_eq!(flat.len() as u64, *n_global);
+        assert_eq!(flat, (0..*n_global).collect::<Vec<_>>());
     }
 
     #[test]
     fn a_triples_cover_occurrences() {
-        for exchange in both_exchanges() {
-            let out = Runner::new(Backend::InProcess).ranks(4).run(move |comm| {
-                let grid = ProcGrid::new(comm);
-                let reads = ["ACGTACGTAC", "ACGTACGTAC"];
-                let store = store_from(&grid, &reads);
-                let cfg = cfg_with(5, 2, exchange);
-                let table = count_kmers(&grid, &store, &cfg);
-                let triples = build_a_triples(&grid, &store, &table, &cfg);
-                let all: Vec<(u64, u64, u32)> = grid
-                    .world()
-                    .allgather(
-                        triples
-                            .iter()
-                            .map(|&(r, c, e)| (r, c, e.pos))
-                            .collect::<Vec<_>>(),
-                    )
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                all
-            });
-            let all = &out[0];
-            // one entry per (read, distinct canonical 5-mer)
-            let s: Seq = "ACGTACGTAC".parse().expect("dna");
-            let distinct: std::collections::HashSet<u64> =
-                canonical_kmers(&s, 5).into_iter().map(|h| h.kmer).collect();
-            assert_eq!(all.len(), 2 * distinct.len(), "{exchange:?}");
-            // identical reads produce identical (column, position) sets
-            let mut read0: Vec<(u64, u32)> = all
-                .iter()
-                .filter(|t| t.0 == 0)
-                .map(|t| (t.1, t.2))
+        let reads = ["ACGTACGTAC", "ACGTACGTAC"];
+        let oracle = serial_kmer_stage(&seqs(&reads), &cfg_with(5, 2), 4);
+        let out = Runner::new(Backend::InProcess).ranks(4).run(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let store = store_from(&grid, &reads);
+            let cfg = cfg_with(5, 2);
+            let table = count_kmers(&grid, &store, &cfg);
+            let triples = build_a_triples(&grid, &store, &table, &cfg);
+            assert_matches_oracle(grid.world().rank(), &table, &triples, &oracle);
+            let all: Vec<(u64, u64, u32)> = grid
+                .world()
+                .allgather(
+                    triples
+                        .iter()
+                        .map(|&(r, c, e)| (r, c, e.pos))
+                        .collect::<Vec<_>>(),
+                )
+                .into_iter()
+                .flatten()
                 .collect();
-            let mut read1: Vec<(u64, u32)> = all
-                .iter()
-                .filter(|t| t.0 == 1)
-                .map(|t| (t.1, t.2))
-                .collect();
-            read0.sort_unstable();
-            read1.sort_unstable();
-            assert_eq!(read0, read1);
-        }
+            all
+        });
+        let all = &out[0];
+        // one entry per (read, distinct canonical 5-mer)
+        let s: Seq = "ACGTACGTAC".parse().expect("dna");
+        let distinct: std::collections::HashSet<u64> =
+            canonical_kmers(&s, 5).into_iter().map(|h| h.kmer).collect();
+        assert_eq!(all.len(), 2 * distinct.len());
+        // identical reads produce identical (column, position) sets
+        let mut read0: Vec<(u64, u32)> = all
+            .iter()
+            .filter(|t| t.0 == 0)
+            .map(|t| (t.1, t.2))
+            .collect();
+        let mut read1: Vec<(u64, u32)> = all
+            .iter()
+            .filter(|t| t.0 == 1)
+            .map(|t| (t.1, t.2))
+            .collect();
+        read0.sort_unstable();
+        read1.sort_unstable();
+        assert_eq!(read0, read1);
     }
 
     #[test]
@@ -787,7 +687,7 @@ mod tests {
             let fwd: Seq = "AAAACCCCAGT".parse().expect("dna");
             let rc = fwd.reverse_complement();
             let store = ReadStore::from_replicated(&grid, &[fwd, rc]);
-            let cfg = cfg_with(5, 2, KmerExchange::Streaming);
+            let cfg = cfg_with(5, 2);
             let table = count_kmers(&grid, &store, &cfg);
             let triples = build_a_triples(&grid, &store, &table, &cfg);
             // every shared k-mer appears in both reads with opposite strand
@@ -819,8 +719,7 @@ mod tests {
     #[test]
     fn streaming_buffering_is_bounded_by_batch() {
         // The acceptance bound: peak resident exchange buffering on both
-        // sides never exceeds batch_kmers, while the eager schedule's
-        // grows with the dataset.
+        // sides never exceeds batch_kmers, however large the dataset.
         let out = Runner::new(Backend::InProcess).ranks(4).run(|comm| {
             let grid = ProcGrid::new(comm);
             // 4 distinct-ish reads so every rank holds one.
@@ -832,25 +731,15 @@ mod tests {
             ];
             let store = store_from(&grid, &reads);
             let batch = 5usize;
-            let streaming = KmerConfig {
-                exchange: KmerExchange::Streaming,
+            let cfg = KmerConfig {
                 batch_kmers: batch,
-                ..cfg_with(5, 1, KmerExchange::Streaming)
+                ..cfg_with(5, 1)
             };
-            let eager = KmerConfig {
-                exchange: KmerExchange::Eager,
-                ..streaming.clone()
-            };
-            let (table, count_stats) = count_kmers_with_stats(&grid, &store, &streaming);
-            let (_, triple_stats) = build_a_triples_with_stats(&grid, &store, &table, &streaming);
-            let (_, eager_count) = count_kmers_with_stats(&grid, &store, &eager);
-            let occurrences: usize = store
-                .iter()
-                .map(|(_, codes)| codes.len().saturating_sub(4))
-                .sum();
-            (batch, count_stats, triple_stats, eager_count, occurrences)
+            let (table, count_stats) = count_kmers_with_stats(&grid, &store, &cfg);
+            let (_, triple_stats) = build_a_triples_with_stats(&grid, &store, &table, &cfg);
+            (batch, count_stats, triple_stats)
         });
-        for (batch, count_stats, triple_stats, eager_count, occurrences) in out {
+        for (batch, count_stats, triple_stats) in out {
             assert!(
                 count_stats.peak_outgoing_items <= batch,
                 "count outgoing {} > batch {batch}",
@@ -871,84 +760,56 @@ mod tests {
                 "triples inbound {} > batch {batch}",
                 triple_stats.peak_inbound_items
             );
-            // The eager path on a rank that holds a read materializes its
-            // whole outgoing exchange at once (distinct local k-mers),
-            // far above the streaming bound for this workload.
-            if occurrences > 0 {
-                assert!(
-                    eager_count.peak_outgoing_items > batch,
-                    "eager outgoing {} should exceed batch {batch}",
-                    eager_count.peak_outgoing_items
-                );
-            }
         }
     }
 
     #[test]
     fn threaded_scan_matches_serial() {
         // The grouped parallel k-mer scan must yield the exact
-        // occurrence stream of the serial scan: identical tables and
-        // identical (already canonically ordered) A triples at every
-        // thread count, under both exchange schedules.
-        let out = Runner::new(Backend::InProcess).ranks(4).run(|comm| {
+        // occurrence stream of the serial scan: the oracle's table and
+        // (canonically ordered) A triples at every thread count.
+        let reads = [
+            "ACGTACGTACGTGGCCATTACGAACGTAGGT",
+            "TTGCACGTACGTGGCCATTACGAACGTAGCA",
+            "ACGTACGTACGTGGCCATTACGAACGTAGGT",
+            "CATGGTTGCAACCGGTTACGATCCGATCAAT",
+            "GGCCATTACGAACGTACGTACGT",
+        ];
+        let oracle = serial_kmer_stage(&seqs(&reads), &cfg_with(5, 2), 4);
+        Runner::new(Backend::InProcess).ranks(4).run(move |comm| {
             let grid = ProcGrid::new(comm);
-            let reads = [
-                "ACGTACGTACGTGGCCATTACGAACGTAGGT",
-                "TTGCACGTACGTGGCCATTACGAACGTAGCA",
-                "ACGTACGTACGTGGCCATTACGAACGTAGGT",
-                "CATGGTTGCAACCGGTTACGATCCGATCAAT",
-                "GGCCATTACGAACGTACGTACGT",
-            ];
             let store = store_from(&grid, &reads);
-            for exchange in both_exchanges() {
-                let mut results = Vec::new();
-                for threads in [1usize, 4, 7] {
-                    let cfg = KmerConfig {
-                        threads,
-                        ..cfg_with(5, 2, exchange)
-                    };
-                    let table = count_kmers(&grid, &store, &cfg);
-                    let triples = build_a_triples(&grid, &store, &table, &cfg);
-                    let mut local: Vec<(u64, u64)> =
-                        table.local.iter().map(|(&k, &v)| (k, v)).collect();
-                    local.sort_unstable();
-                    results.push((table.n_global, local, triples));
-                }
-                assert_eq!(results[0], results[1], "{exchange:?} t=4");
-                assert_eq!(results[0], results[2], "{exchange:?} t=7");
+            for threads in [1usize, 4, 7] {
+                let cfg = KmerConfig {
+                    threads,
+                    ..cfg_with(5, 2)
+                };
+                let table = count_kmers(&grid, &store, &cfg);
+                let triples = build_a_triples(&grid, &store, &table, &cfg);
+                assert_matches_oracle(grid.world().rank(), &table, &triples, &oracle);
             }
-            true
         });
-        assert!(out.iter().all(|&ok| ok));
     }
 
     #[test]
-    fn streaming_equals_eager_end_to_end() {
-        // Byte-identical KmerTable contents and triples across schedules.
+    fn stage_matches_serial_oracle_end_to_end() {
+        // KmerTable contents and triples, rank by rank, on every grid.
+        let reads = [
+            "ACGTACGTACGTGGCCATTACGAACGT",
+            "GGCCATTACGAACGTACGTACGT",
+            "TTGCACGTACGTGGCCATTACGA",
+            "ACGTACGTACGTGGCCATTACGAACGT",
+        ];
         for p in [1usize, 4, 9] {
-            let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
+            let oracle = serial_kmer_stage(&seqs(&reads), &cfg_with(5, 2), p);
+            Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
                 let grid = ProcGrid::new(comm);
-                let reads = [
-                    "ACGTACGTACGTGGCCATTACGAACGT",
-                    "GGCCATTACGAACGTACGTACGT",
-                    "TTGCACGTACGTGGCCATTACGA",
-                    "ACGTACGTACGTGGCCATTACGAACGT",
-                ];
                 let store = store_from(&grid, &reads);
-                let mut results = Vec::new();
-                for exchange in [KmerExchange::Eager, KmerExchange::Streaming] {
-                    let cfg = cfg_with(5, 2, exchange);
-                    let table = count_kmers(&grid, &store, &cfg);
-                    let triples = build_a_triples(&grid, &store, &table, &cfg);
-                    let mut local: Vec<(u64, u64)> =
-                        table.local.iter().map(|(&k, &v)| (k, v)).collect();
-                    local.sort_unstable();
-                    results.push((table.n_global, local, triples));
-                }
-                assert_eq!(results[0], results[1], "rank {}", grid.world().rank());
-                true
+                let cfg = cfg_with(5, 2);
+                let table = count_kmers(&grid, &store, &cfg);
+                let triples = build_a_triples(&grid, &store, &table, &cfg);
+                assert_matches_oracle(grid.world().rank(), &table, &triples, &oracle);
             });
-            assert!(out.iter().all(|&ok| ok), "p={p}");
         }
     }
 }

@@ -1,14 +1,19 @@
-//! Property tests pinning the streaming k-mer exchange to the eager
-//! reference on 1×1, 2×2 and 3×3 grids: identical `KmerTable` contents,
-//! identical A-matrix triples, and exchange buffering bounded by
+//! Property tests pinning the k-mer stage to a comm-free serial oracle
+//! on 1×1, 2×2 and 3×3 grids: the oracle's `KmerTable` contents, the
+//! oracle's A-matrix triples, and exchange buffering bounded by
 //! `batch_kmers`, across randomized read sets, k values and batch sizes.
 
 use elba_comm::ProcGrid;
 use elba_comm::{Backend, Runner};
+use elba_seq::kcount::kmer_owner;
+use elba_seq::kmer::canonical_kmers;
 use elba_seq::{
-    build_a_triples_with_stats, count_kmers_with_stats, KmerConfig, KmerExchange, ReadStore, Seq,
+    build_a_triples_with_stats, count_kmers_with_stats, AEntry, KmerConfig, KmerTable, ReadStore,
+    Seq,
 };
 use proptest::prelude::*;
+
+include!("common/kmer_oracle.rs");
 
 /// Random 2-bit base codes → `Seq`s (length 0 reads are legal and must
 /// simply contribute nothing).
@@ -23,7 +28,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
     #[test]
-    fn streaming_matches_eager_on_all_grids(
+    fn stage_matches_serial_oracle_on_all_grids(
         p_idx in 0usize..3,
         k in 4usize..8,
         batch in 1usize..40,
@@ -32,30 +37,22 @@ proptest! {
     ) {
         let p = [1usize, 4, 9][p_idx];
         let reads = seqs_from(&codes);
+        let cfg = KmerConfig {
+            k,
+            reliable_min,
+            reliable_max: u32::MAX,
+            batch_kmers: batch,
+            threads: 1,
+        };
+        let oracle = serial_kmer_stage(&reads, &cfg, p);
         let ok = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
             let grid = ProcGrid::new(comm);
             let store = ReadStore::from_replicated(&grid, &reads);
-            let run = |exchange: KmerExchange| {
-                let cfg = KmerConfig {
-                    k,
-                    reliable_min,
-                    reliable_max: u32::MAX,
-                    exchange,
-                    batch_kmers: batch,
-                    threads: 1,
-                };
-                let (table, count_stats) = count_kmers_with_stats(&grid, &store, &cfg);
-                let (triples, triple_stats) =
-                    build_a_triples_with_stats(&grid, &store, &table, &cfg);
-                // n_global + n_local pin the table shape; the triples pin
-                // the id assignment (columns are table lookups) and are
-                // already in canonical (read, column) order.
-                ((table.n_global, table.n_local(), triples), count_stats, triple_stats)
-            };
-            let (eager, _, _) = run(KmerExchange::Eager);
-            let (streaming, count_stats, triple_stats) = run(KmerExchange::Streaming);
-            // Byte-identical stage outputs...
-            assert_eq!(eager, streaming, "rank {}", grid.world().rank());
+            let (table, count_stats) = count_kmers_with_stats(&grid, &store, &cfg);
+            let (triples, triple_stats) =
+                build_a_triples_with_stats(&grid, &store, &table, &cfg);
+            // The oracle's table and triples, rank by rank...
+            assert_matches_oracle(grid.world().rank(), &table, &triples, &oracle);
             // ...and the streaming bound: never more than batch_kmers
             // buffered on either side of the exchange.
             assert!(count_stats.peak_outgoing_items <= batch);

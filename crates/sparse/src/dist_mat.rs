@@ -299,8 +299,7 @@ pub fn algorithm_label(algorithm: SpGemmAlgorithm) -> &'static str {
 pub struct SpGemmOptions {
     pub algorithm: SpGemmAlgorithm,
     /// Intra-rank worker threads for the local multiply inside every
-    /// SUMMA stage (`0` inherits the global [`elba_par::ElbaPar`] knob,
-    /// whose default of 1 is the historical serial behavior). Output is
+    /// SUMMA stage (`0` or `1` is the historical serial behavior). Output is
     /// byte-identical across thread counts — per-row results merge in
     /// fixed row order — and workers never enter the comm layer, so
     /// profiled wire bytes are unchanged too.
@@ -345,7 +344,7 @@ impl SpGemmOptions {
     }
 
     /// Use `threads` intra-rank workers for the local multiply of every
-    /// SUMMA stage (`0` inherits the global knob).
+    /// SUMMA stage (`0` is serial, like `1`).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -778,7 +777,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             self.col_layout, other.row_layout,
             "inner dimension layouts must agree for SUMMA"
         );
-        let threads = elba_par::ElbaPar::resolve(opts.threads);
+        let threads = opts.threads;
         let local = match opts.algorithm {
             SpGemmAlgorithm::Eager => self.summa_eager(grid, other, semiring, threads, upper),
             SpGemmAlgorithm::Pipelined => {

@@ -202,11 +202,11 @@ impl<'m, S: Semiring> SpGemmBatcher<'m, S> {
         }
     }
 
-    /// Use up to `threads` intra-rank workers for each multiply (`0`
-    /// inherits the global [`elba_par::ElbaPar`] knob). SPAs for extra
-    /// workers are allocated lazily on the first threaded multiply.
+    /// Use up to `threads` intra-rank workers for each multiply (`0` is
+    /// serial, like `1`). SPAs for extra workers are allocated lazily on
+    /// the first threaded multiply.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = elba_par::ElbaPar::resolve(threads);
+        self.threads = threads.max(1);
         self
     }
 

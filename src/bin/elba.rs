@@ -4,7 +4,7 @@
 //! elba simulate --dataset celegans --scale 0.3 --seed 7 \
 //!               --reads reads.fasta --genome genome.fasta
 //! elba assemble --reads reads.fasta --ranks 4 --out contigs.fasta \
-//!               [--k 31 --xdrop 15] [--scaffold] [--gfa graph.gfa]
+//!               [--k 31 --xdrop 15] [--scaffold true] [--gfa graph.gfa]
 //! elba evaluate --reference genome.fasta --contigs contigs.fasta
 //! ```
 
@@ -99,6 +99,18 @@ fn num<T: std::str::FromStr>(
     }
 }
 
+/// Reject a rank count that cannot form a √p × √p grid, naming the
+/// flag it came from.
+fn require_square(flag: &str, ranks: usize) -> Result<(), String> {
+    let q = (ranks as f64).sqrt().round() as usize;
+    if ranks == 0 || q * q != ranks {
+        return Err(format!(
+            "{flag} must be a positive perfect square, got {ranks}"
+        ));
+    }
+    Ok(())
+}
+
 fn spec_of(name: &str, scale: f64, seed: u64) -> Result<DatasetSpec, String> {
     match name {
         "celegans" => Ok(DatasetSpec::celegans_like(scale, seed)),
@@ -154,32 +166,28 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Everything `assemble` needs before any rank starts: parsed reads,
-/// grid shape, and the fully resolved pipeline config. Shared between
-/// the in-process path and `elba launch` socket workers so both run the
-/// byte-identical pipeline.
+/// Everything `assemble`'s flag values decide before any rank starts:
+/// grid shape, the fully resolved pipeline config, and whether to
+/// scaffold. Shared between the in-process path and `elba launch`
+/// socket workers so both run the byte-identical pipeline; the launch
+/// supervisor builds one too, so a bad value is a usage error there
+/// rather than N workers dying with the same message.
 struct AssembleSetup {
-    reads: Vec<Seq>,
     ranks: usize,
     threads: usize,
     cfg: PipelineConfig,
-    kmer_exchange: String,
+    scaffold: bool,
 }
 
+/// Every error is a malformed flag value: callers map it to
+/// [`exit::USAGE`].
 fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, String> {
-    let reads = read_seqs(get(flags, "reads")?)?;
     let ranks: usize = num(flags, "ranks", 4)?;
-    let q = (ranks as f64).sqrt().round() as usize;
-    if q * q != ranks {
-        return Err(format!("--ranks must be a perfect square, got {ranks}"));
-    }
+    require_square("--ranks", ranks)?;
     let threads: usize = num(flags, "threads", 1usize)?;
     if threads == 0 {
         return Err("--threads must be at least 1".to_owned());
     }
-    // Global default for any kernel not reached by the config fan-out,
-    // then the explicit per-config knob (which wins over the global).
-    ElbaPar::set_threads(threads);
     let mut cfg = PipelineConfig::default().with_threads(threads);
     cfg.kmer.k = num(flags, "k", 31usize)?;
     cfg.overlap.k = cfg.kmer.k;
@@ -188,94 +196,43 @@ fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, Stri
     cfg.overlap.min_score_ratio = num(flags, "min-score-ratio", 0.55f64)?;
     cfg.overlap.fuzz = num(flags, "fuzz", 100usize)?;
     cfg.tr_fuzz = num(flags, "tr-fuzz", 250u32)?;
-    if let Some(raw) = flags.get("xdrop-kernel") {
-        cfg = cfg.with_xdrop_kernel(match raw.as_str() {
-            "scalar" => XdropKernel::Scalar,
-            "bitparallel" => XdropKernel::BitParallel,
-            "auto" => XdropKernel::Auto,
-            other => {
-                return Err(format!(
-                    "--xdrop-kernel must be scalar, bitparallel, or auto; got '{other}'"
-                ))
-            }
-        });
-    }
-    let chain_band: usize = num(flags, "chain-band", cfg.overlap.chain_band)?;
-    let chaining = match flags.get("seed-chaining").map(String::as_str) {
-        None => cfg.overlap.chaining,
-        Some("all") => SeedChaining::All,
-        Some("chain") => SeedChaining::Chain,
-        Some("best") => SeedChaining::BestOnly,
-        Some(other) => {
-            return Err(format!(
-                "--seed-chaining must be all, chain, or best; got '{other}'"
-            ))
+    match flags.get("seed-chaining").map(String::as_str) {
+        None | Some("chain") => {}
+        Some("best") => {
+            cfg = cfg.seed_chaining(ChainingConfig {
+                chaining: SeedChaining::BestOnly,
+            })
         }
-    };
-    cfg = cfg.seed_chaining(ChainingConfig {
-        chaining,
-        chain_band,
-    });
-    let kmer_exchange = flags
-        .get("kmer-exchange")
-        .map(String::as_str)
-        .unwrap_or("streaming");
-    let batch_kmers: usize = num(flags, "batch-kmers", cfg.kmer.batch_kmers)?;
-    if batch_kmers == 0 {
-        return Err("--batch-kmers must be at least 1".to_owned());
+        Some(other) => return Err(format!("--seed-chaining must be chain|best; got '{other}'")),
     }
-    cfg = cfg.kmer_exchange(KmerExchangeConfig {
-        exchange: match kmer_exchange {
-            "eager" => KmerExchange::Eager,
-            "streaming" => KmerExchange::Streaming,
-            other => {
-                return Err(format!(
-                    "--kmer-exchange must be eager or streaming; got '{other}'"
-                ))
-            }
-        },
-        batch_kmers,
-    });
-    // --mem-budget overrides the exchange knobs above and is the one
-    // lever that selects the column-batched SpGEMM: it derives
-    // batch_kmers, batch_rows, and the SpGEMM cap.
+    // --mem-budget is the one lever that selects the column-batched
+    // SpGEMM: it derives batch_kmers, batch_rows, and the SpGEMM cap.
     if let Some(raw) = flags.get("mem-budget") {
         let budget = MemBudget::parse(raw).map_err(|e| format!("--mem-budget: {e}"))?;
-        if flags.get("kmer-exchange").is_some_and(|v| v != "streaming") {
-            eprintln!(
-                "warning: --mem-budget forces the streaming k-mer exchange; \
-                 --kmer-exchange ignored"
-            );
-        }
-        if flags.contains_key("batch-kmers") {
-            eprintln!("warning: --mem-budget derives the batching knobs; --batch-kmers ignored");
-        }
         cfg = cfg.with_mem_budget(budget);
     }
+    let scaffold = match flags.get("scaffold").map(String::as_str) {
+        None | Some("false") => false,
+        Some("true") => true,
+        Some(other) => return Err(format!("--scaffold must be true|false; got '{other}'")),
+    };
 
     Ok(AssembleSetup {
-        reads,
         ranks,
         threads,
         cfg,
-        kmer_exchange: kmer_exchange.to_owned(),
+        scaffold,
     })
 }
 
-fn print_banner(setup: &AssembleSetup, transport: &str) {
+fn print_banner(setup: &AssembleSetup, n_reads: usize, transport: &str) {
     println!(
-        "assembling {} reads on {} {transport} ranks × {} thread(s) \
-         (k={}, spgemm={}, kmer-exchange={}{})",
-        setup.reads.len(),
+        "assembling {n_reads} reads on {} {transport} ranks × {} thread(s) \
+         (k={}, spgemm={}{})",
         setup.ranks,
         setup.threads,
         setup.cfg.kmer.k,
         elba::sparse::algorithm_label(setup.cfg.overlap.spgemm.algorithm),
-        if setup.cfg.mem_budget.is_limited() {
-            "streaming"
-        } else {
-            &setup.kmer_exchange
-        },
         match setup.cfg.mem_budget.total() {
             Some(bytes) => format!(", mem-budget={bytes}B/rank"),
             None => String::new(),
@@ -359,7 +316,7 @@ fn assemble_finish(
     );
 
     let mut seqs: Vec<Seq> = contigs.iter().map(|c| c.seq.clone()).collect();
-    if flags.contains_key("scaffold") {
+    if setup.scaffold {
         let scfg = elba::core::scaffold::ScaffoldConfig {
             k: cfg.kmer.k.min(21),
             min_overlap: cfg.overlap.min_overlap,
@@ -399,9 +356,9 @@ fn assemble_finish(
 }
 
 fn cmd_assemble(flags: HashMap<String, String>) -> Result<(), CliError> {
-    let mut setup = assemble_setup(&flags)?;
-    print_banner(&setup, "in-process");
-    let reads = std::mem::take(&mut setup.reads);
+    let setup = assemble_setup(&flags).map_err(CliError::usage)?;
+    let reads = read_seqs(get(&flags, "reads")?)?;
+    print_banner(&setup, reads.len(), "in-process");
     let cfg = setup.cfg.clone();
     let (mut outputs, profile) = Runner::new(Backend::InProcess)
         .ranks(setup.ranks)
@@ -437,12 +394,7 @@ fn cmd_launch(rest: &[String]) -> Result<(), CliError> {
     let (head, tail) = (&rest[..split], &rest[split + 1..]);
     let flags = parse_flags(head, "launch", LAUNCH_FLAGS).map_err(CliError::usage)?;
     let ranks: usize = num(&flags, "ranks", 4).map_err(CliError::usage)?;
-    let q = (ranks as f64).sqrt().round() as usize;
-    if ranks == 0 || q * q != ranks {
-        return Err(CliError::usage(format!(
-            "--ranks must be a positive perfect square, got {ranks}"
-        )));
-    }
+    require_square("--ranks", ranks).map_err(CliError::usage)?;
     let transport = flags
         .get("transport")
         .map(String::as_str)
@@ -504,7 +456,11 @@ fn cmd_launch(rest: &[String]) -> Result<(), CliError> {
             }
             (entry.run)(sub_flags)
         }
-        "socket" => launch_socket(ranks, &opts, sub_rest),
+        "socket" => {
+            // Flag *values* too: nothing is spawned for a bad one.
+            assemble_setup(&sub_flags).map_err(CliError::usage)?;
+            launch_socket(ranks, &opts, sub_rest)
+        }
         other => Err(CliError::usage(format!(
             "--transport must be socket or inprocess; got '{other}'"
         ))),
@@ -718,18 +674,13 @@ fn run_socket_worker(
     dir: &std::path::Path,
     flags: HashMap<String, String>,
 ) -> Result<(), CliError> {
-    let q = (nranks as f64).sqrt().round() as usize;
-    if q * q != nranks {
-        return Err(CliError::usage(format!(
-            "launch --ranks must be a perfect square, got {nranks}"
-        )));
-    }
-    let mut setup = assemble_setup(&flags)?;
+    require_square("launch --ranks", nranks).map_err(CliError::usage)?;
+    let mut setup = assemble_setup(&flags).map_err(CliError::usage)?;
     setup.ranks = nranks;
+    let reads = read_seqs(get(&flags, "reads")?)?;
     if rank == 0 {
-        print_banner(&setup, "socket");
+        print_banner(&setup, reads.len(), "socket");
     }
-    let reads = std::mem::take(&mut setup.reads);
     let cfg = setup.cfg.clone();
     let (out, _own_profile) = elba::comm::run_worker(dir, rank, nranks, move |comm| {
         // The profile gather must not disturb the named-phase wire-byte
@@ -889,12 +840,7 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
     if groups == 0 {
         return Err(CliError::usage("--groups must be at least 1"));
     }
-    let q = (group_ranks as f64).sqrt().round() as usize;
-    if group_ranks == 0 || q * q != group_ranks {
-        return Err(CliError::usage(format!(
-            "--group-ranks must be a positive perfect square, got {group_ranks}"
-        )));
-    }
+    require_square("--group-ranks", group_ranks).map_err(CliError::usage)?;
     let backend = match flags
         .get("transport")
         .map(String::as_str)
@@ -1024,11 +970,10 @@ fn usage() -> String {
      \u{20}        [--genome OUT.fasta] [--scale 0.2] [--seed 2022]\n\
      assemble --reads IN.fasta --out contigs.fasta [--ranks 4] [--k 31]\n\
      \u{20}        [--threads 1] [--xdrop 15] [--min-overlap 100] [--scaffold true]\n\
-     \u{20}        [--xdrop-kernel scalar|bitparallel|auto]\n\
-     \u{20}        (bitparallel/auto: the band kernel; scalar: the reference DP —\n\
-     \u{20}        identical contigs either way)\n\
-     \u{20}        [--seed-chaining all|chain|best] [--chain-band 128]\n\
-     \u{20}        [--kmer-exchange eager|streaming] [--batch-kmers 65536]\n\
+     \u{20}        [--min-score-ratio 0.55] [--fuzz 100] [--tr-fuzz 250]\n\
+     \u{20}        [--seed-chaining chain|best]\n\
+     \u{20}        (chain: exact x-drop DP per seed chain; best: one greedy\n\
+     \u{20}        extension per strand — faster, may assemble differently)\n\
      \u{20}        [--mem-budget 64M] [--gfa graph.gfa]\n\
      \u{20}        (--mem-budget: per-rank byte cap; the distributed SpGEMM runs\n\
      \u{20}        column-batched under it, pipelined without it)\n\
@@ -1090,11 +1035,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
             "min-score-ratio",
             "fuzz",
             "tr-fuzz",
-            "xdrop-kernel",
             "seed-chaining",
-            "chain-band",
-            "kmer-exchange",
-            "batch-kmers",
             "mem-budget",
             "scaffold",
             "gfa",

@@ -80,14 +80,12 @@ pub mod prelude {
     pub use elba_comm::{Backend, Comm, FaultPlan, MachineModel, ProcGrid, RunProfile, Runner};
     pub use elba_core::{
         assemble, assemble_gathered, contig_generation, gather_contigs, AssemblyConfig,
-        ChainingConfig, Contig, ContigConfig, KmerExchangeConfig, PartitionStrategy,
-        PipelineConfig, PipelineResult,
+        ChainingConfig, Contig, ContigConfig, PartitionStrategy, PipelineConfig, PipelineResult,
     };
     pub use elba_graph::{OverlapConfig, SeedChaining};
     pub use elba_mem::{MemBudget, MemTracker};
-    pub use elba_par::ElbaPar;
     pub use elba_quality::{evaluate, QualityConfig, QualityReport};
-    pub use elba_seq::{DatasetSpec, KmerConfig, KmerExchange, ReadStore, Seq};
+    pub use elba_seq::{DatasetSpec, KmerConfig, ReadStore, Seq};
     pub use elba_sparse::{DistMat, DistVec, Semiring};
 }
 

@@ -473,88 +473,97 @@ fn malformed_or_out_of_range_fault_plan_is_usage_error() {
 /// An unknown flag is a usage error naming the flag and the subcommand,
 /// for every subcommand — and through `launch` it is caught in the
 /// supervisor, before anything is spawned (workers dying on it would
-/// surface as `RANK_FAILED`, not `USAGE`). The schedule flags retired
-/// with the SUMMA schedule variants (`--spgemm`, `--batch-rows`) go the
-/// same way: a stale command line must not silently run the default.
+/// surface as `RANK_FAILED`, not `USAGE`). Retired flags go the same
+/// way — the SUMMA schedule flags (`--spgemm`, `--batch-rows`) and the
+/// knob-audit ones (`--kmer-exchange`, `--batch-kmers`,
+/// `--xdrop-kernel`, `--chain-band`): a stale command line must not
+/// silently run the default. So do retired or malformed *values*:
+/// `--seed-chaining all`, `--scaffold maybe`.
 #[test]
 fn unknown_flags_are_usage_errors_naming_the_flag_and_subcommand() {
     let dir = scratch("badflag");
     let sock = dir.join("sock");
     let run = |args: &[&str]| {
         let out = elba_bin().args(args).output().expect("run elba");
-        LaunchOutcome {
-            code: out.status.code().expect("not signal-killed"),
-            stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
-        }
+        (
+            LaunchOutcome {
+                code: out.status.code().expect("not signal-killed"),
+                stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
+            },
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
     };
     let sock_arg = sock.to_str().expect("utf-8 temp path");
-    // (argv, the offending flag, the command the message must name);
-    // flags are validated before any I/O, so no input file exists.
-    let cases: [(&[&str], &str, &str); 9] = [
-        (
-            &["assemble", "--reads", "r.fa", "--spgemm", "auto"],
-            "--spgemm",
+    let through_launch = |transport: &'static str, tail: &[&'static str]| -> Vec<&str> {
+        let mut argv = vec!["launch", "--ranks", "4", "--transport", transport];
+        argv.extend([
+            "--socket-dir",
+            sock_arg,
+            "--",
             "assemble",
+            "--reads",
+            "r.fa",
+        ]);
+        argv.extend(tail);
+        argv
+    };
+    // (argv, what stderr must say); flags are validated before any I/O,
+    // so no input file exists.
+    let unknown = |flag: &str, command: &str| format!("unknown flag {flag} for '{command}'");
+    let mut cases: Vec<(Vec<&str>, String)> = vec![
+        (
+            vec!["assemble", "--reeds", "r.fa"],
+            unknown("--reeds", "assemble"),
         ),
         (
-            &["assemble", "--reads", "r.fa", "--batch-rows", "8"],
-            "--batch-rows",
-            "assemble",
-        ),
-        (&["assemble", "--reeds", "r.fa"], "--reeds", "assemble"),
-        (
-            &["simulate", "--dataset", "celegans", "--bogus-flag", "7"],
-            "--bogus-flag",
-            "simulate",
+            vec!["simulate", "--dataset", "celegans", "--bogus-flag", "7"],
+            unknown("--bogus-flag", "simulate"),
         ),
         (
-            &["serve", "--jobs", "jobs.txt", "--group", "2"],
-            "--group",
-            "serve",
+            vec!["serve", "--jobs", "jobs.txt", "--group", "2"],
+            unknown("--group", "serve"),
         ),
         (
-            &["evaluate", "--reference", "g.fa", "--contig", "c.fa"],
-            "--contig",
-            "evaluate",
+            vec!["evaluate", "--reference", "g.fa", "--contig", "c.fa"],
+            unknown("--contig", "evaluate"),
         ),
         (
-            &[
-                "launch",
-                "--ranks",
-                "4",
-                "--socket-dir",
-                sock_arg,
-                "--",
-                "assemble",
-                "--bogus",
-                "1",
-            ],
-            "--bogus",
-            "assemble",
-        ),
-        (
-            &[
-                "launch",
-                "--ranks",
-                "4",
-                "--transport",
-                "inprocess",
-                "--",
-                "assemble",
-                "--bogus",
-                "1",
-            ],
-            "--bogus",
-            "assemble",
-        ),
-        (
-            &["launch", "--rank", "4", "--", "assemble", "--reads", "r.fa"],
-            "--rank",
-            "launch",
+            vec!["launch", "--rank", "4", "--", "assemble", "--reads", "r.fa"],
+            unknown("--rank", "launch"),
         ),
     ];
-    for (argv, flag, command) in cases {
-        let out = run(argv);
+    let not_assemble_flags: [[&str; 2]; 7] = [
+        ["--bogus", "1"],
+        ["--spgemm", "auto"],
+        ["--batch-rows", "8"],
+        ["--kmer-exchange", "eager"],
+        ["--batch-kmers", "5"],
+        ["--xdrop-kernel", "scalar"],
+        ["--chain-band", "32"],
+    ];
+    for tail in &not_assemble_flags {
+        let expect = unknown(tail[0], "assemble");
+        let mut direct = vec!["assemble", "--reads", "r.fa"];
+        direct.extend(tail);
+        cases.push((direct, expect.clone()));
+        cases.push((through_launch("socket", tail), expect.clone()));
+        cases.push((through_launch("inprocess", tail), expect));
+    }
+    let bad_values: [([&str; 2], &str); 2] = [
+        (
+            ["--seed-chaining", "all"],
+            "--seed-chaining must be chain|best",
+        ),
+        (["--scaffold", "maybe"], "--scaffold must be true|false"),
+    ];
+    for (tail, expect) in &bad_values {
+        let mut direct = vec!["assemble", "--reads", "r.fa"];
+        direct.extend(tail);
+        cases.push((direct, expect.to_string()));
+        cases.push((through_launch("socket", tail), expect.to_string()));
+    }
+    for (argv, expect) in cases {
+        let (out, _) = run(&argv);
         assert_eq!(
             out.code,
             i32::from(exit::USAGE),
@@ -562,10 +571,33 @@ fn unknown_flags_are_usage_errors_naming_the_flag_and_subcommand() {
             out.stderr
         );
         assert!(
+            out.stderr.contains(&expect),
+            "{argv:?}: the error must say `{expect}`:\n{}",
             out.stderr
-                .contains(&format!("unknown flag {flag} for '{command}'")),
-            "{argv:?}: the error names the flag and the command:\n{}",
-            out.stderr
+        );
+    }
+
+    // `--scaffold` is a bool, not a presence flag.
+    let reads = simulate_reads(&dir);
+    for (value, scaffolds) in [("false", false), ("true", true)] {
+        let (out, stdout) = run(&[
+            "assemble",
+            "--ranks",
+            "1",
+            "--k",
+            "17",
+            "--reads",
+            reads.to_str().expect("utf-8 temp path"),
+            "--out",
+            dir.join("contigs.fa").to_str().expect("utf-8 temp path"),
+            "--scaffold",
+            value,
+        ]);
+        assert_eq!(out.code, 0, "--scaffold {value}: stderr:\n{}", out.stderr);
+        assert_eq!(
+            stdout.contains("scaffolding:"),
+            scaffolds,
+            "--scaffold {value}:\n{stdout}"
         );
     }
 }

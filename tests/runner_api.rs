@@ -1,6 +1,6 @@
-//! Pins for the `PipelineConfig` sub-config builders driven through the
-//! [`Runner`] entry point: their defaults are the pipeline's own, and
-//! the knobs they set are transparent — byte-identical contigs.
+//! Pins for `PipelineConfig` driven through the [`Runner`] entry point:
+//! the sub-config's defaults are the pipeline's own, and the k-mer batch
+//! size is transparent — byte-identical contigs.
 
 use elba::prelude::*;
 
@@ -19,25 +19,20 @@ fn contig_strings(contigs: &[Contig]) -> Vec<String> {
     contigs.iter().map(|c| c.seq.to_string()).collect()
 }
 
-/// Defaults of the sub-configs match the pipeline's own defaults, so
+/// Defaults of the sub-config match the pipeline's own defaults, so
 /// `..Default::default()` never silently changes a knob.
 #[test]
 fn sub_config_defaults_match_pipeline_defaults() {
     let base = PipelineConfig::default();
-    let kx = KmerExchangeConfig::default();
-    assert_eq!(kx.exchange, base.kmer.exchange);
-    assert_eq!(kx.batch_kmers, base.kmer.batch_kmers);
     let ch = ChainingConfig::default();
     assert_eq!(ch.chaining, base.overlap.chaining);
-    assert_eq!(ch.chain_band, base.overlap.chain_band);
 }
 
-/// Knob transparency, pinned through both sub-config builders: a
-/// re-batched streaming exchange (`kmer_exchange`) and extend-every-seed
-/// alignment (`seed_chaining`) must each leave the contigs
-/// byte-identical to the defaults.
+/// The k-mer exchange's batch size changes how occurrences move, never
+/// what is assembled: a re-batched exchange must leave the contigs
+/// byte-identical to the default batch.
 #[test]
-fn knob_transparency_holds_through_both_builder_paths() {
+fn rebatched_kmer_exchange_leaves_contigs_unchanged() {
     let spec = DatasetSpec::celegans_like(0.08, 555);
     let (_genome, sim_reads) = spec.generate();
     let reads: Vec<Seq> = sim_reads.into_iter().map(|r| r.seq).collect();
@@ -53,21 +48,11 @@ fn knob_transparency_holds_through_both_builder_paths() {
 
     let default_contigs = run(base.clone());
     assert!(!default_contigs.is_empty(), "probe produced no contigs");
-    let exchange_contigs = run(base.clone().kmer_exchange(KmerExchangeConfig {
-        exchange: KmerExchange::Streaming,
-        batch_kmers: 4096,
-    }));
-    let chaining_contigs = run(base.seed_chaining(ChainingConfig {
-        chaining: SeedChaining::All,
-        ..ChainingConfig::default()
-    }));
-
+    let mut rebatched = base;
+    rebatched.kmer.batch_kmers = 4096;
     assert_eq!(
-        default_contigs, exchange_contigs,
-        "kmer_exchange path broke transparency"
-    );
-    assert_eq!(
-        default_contigs, chaining_contigs,
-        "seed_chaining path broke transparency"
+        default_contigs,
+        run(rebatched),
+        "batch_kmers broke transparency"
     );
 }
