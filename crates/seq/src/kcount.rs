@@ -19,10 +19,12 @@
 //! mailbox to about one batch per source.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 use elba_comm::{Comm, IalltoallvRequest, ProcGrid, Rank};
 
-use crate::kmer::canonical_kmers;
+use crate::kmer::{KmerHit, KmerScan};
 use crate::store::ReadStore;
 
 /// Parameters for k-mer selection.
@@ -37,12 +39,12 @@ pub struct KmerConfig {
     /// send side before a flush. A memory budget derives it.
     pub batch_kmers: usize,
     /// Intra-rank worker threads for the k-mer scan (per-read canonical
-    /// k-mer extraction; `0` or `1` = the historical serial scan).
-    /// Reads are scanned in bounded groups whose hit lists are
-    /// computed in parallel but *consumed in read order*, so occurrence
-    /// streams — and everything downstream — are identical across
-    /// thread counts; workers never enter the comm layer (the exchange
-    /// stays on the rank thread).
+    /// k-mer extraction; `0` or `1` = scan on the rank thread, nothing
+    /// buffered). With more, reads are scanned in bounded groups whose
+    /// hit lists are computed in parallel but *consumed in read order*,
+    /// so occurrence streams — and everything downstream — are identical
+    /// across thread counts; workers never enter the comm layer (the
+    /// exchange stays on the rank thread).
     pub threads: usize,
 }
 
@@ -64,6 +66,71 @@ pub fn kmer_owner(kmer: u64, p: usize) -> usize {
     ((kmer.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) % p as u64) as usize
 }
 
+/// Hash state of every table keyed by a packed k-mer: one keyed folded
+/// multiply (the 128-bit product of `kmer ^ k0` and `k1`, halves xored)
+/// instead of SipHash's rounds. K-mers are outside input — a 31-base
+/// read is one freely chosen key — and the keys one rank holds already
+/// share [`kmer_owner`]'s residue, so the multiplier is neither
+/// `kmer_owner`'s constant nor any constant: both words are drawn once
+/// per process from `std`'s `RandomState`, and an input crafted against
+/// an unkeyed multiplicative hash (see `prop_kcount.rs`) spreads like any
+/// other. Nothing observable depends on the key: every table is either
+/// probed only, or sorted before it is read out.
+#[derive(Debug, Clone, Copy)]
+struct KmerHashKey {
+    k0: u64,
+    k1: u64,
+}
+
+impl Default for KmerHashKey {
+    fn default() -> Self {
+        static KEY: OnceLock<KmerHashKey> = OnceLock::new();
+        *KEY.get_or_init(|| {
+            let seed = std::collections::hash_map::RandomState::new();
+            KmerHashKey {
+                k0: seed.hash_one(0u64),
+                k1: seed.hash_one(1u64) | 1,
+            }
+        })
+    }
+}
+
+impl BuildHasher for KmerHashKey {
+    type Hasher = KmerHasher;
+
+    fn build_hasher(&self) -> KmerHasher {
+        KmerHasher {
+            key: *self,
+            hash: 0,
+        }
+    }
+}
+
+struct KmerHasher {
+    key: KmerHashKey,
+    hash: u64,
+}
+
+impl Hasher for KmerHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("k-mer tables hash `u64` keys only");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, kmer: u64) {
+        let m = u128::from(kmer ^ self.key.k0) * u128::from(self.key.k1);
+        self.hash = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+type KmerMap<V> = HashMap<u64, V, KmerHashKey>;
+type KmerSet = HashSet<u64, KmerHashKey>;
+
 /// The distributed reliable-k-mer table: each rank holds the k-mers it
 /// owns with their dense global column ids.
 #[derive(Debug, Clone)]
@@ -72,7 +139,7 @@ pub struct KmerTable {
     /// Total reliable k-mers across all ranks (= #columns of A).
     pub n_global: u64,
     /// Locally owned k-mer → global id.
-    local: HashMap<u64, u64>,
+    local: KmerMap<u64>,
 }
 
 impl KmerTable {
@@ -250,7 +317,7 @@ pub fn count_kmers_with_stats(
     let p = world.size();
     let threads = cfg.threads;
     let scan_stats = ScanStats::default();
-    let mut owned: HashMap<u64, u32> = HashMap::new();
+    let mut owned: KmerMap<u32> = KmerMap::default();
     let stats = streaming_exchange(
         world,
         cfg.batch_kmers,
@@ -258,7 +325,8 @@ pub fn count_kmers_with_stats(
             kmers: occurrence_scan(store, cfg.k, threads, &scan_stats).map(|(_, hit)| hit.kmer),
             window: cfg.batch_kmers.max(1),
             p,
-            drained: Vec::new().into_iter(),
+            sorted: Vec::new(),
+            next: 0,
         },
         |_src, buf: Vec<(u64, u32)>| {
             for (kmer, count) in buf {
@@ -277,7 +345,7 @@ pub fn count_kmers_with_stats(
     // Dense ids via exclusive scan of per-owner counts.
     let offset = world.exscan(reliable.len() as u64, 0, |a, b| a + b);
     let n_global = world.allreduce(reliable.len() as u64, |a, b| a + b);
-    let local: HashMap<u64, u64> = reliable
+    let local: KmerMap<u64> = reliable
         .into_iter()
         .enumerate()
         .map(|(i, kmer)| (kmer, offset + i as u64))
@@ -323,7 +391,7 @@ pub fn build_a_triples_with_stats(
     // each read reports a k-mer once (first occurrence).
     let items = occurrence_scan(store, table.k, threads, &scan_stats)
         .scan(
-            (u64::MAX, HashSet::new()),
+            (u64::MAX, KmerSet::default()),
             |(current_read, seen), (read_id, hit)| {
                 if *current_read != read_id {
                     *current_read = read_id;
@@ -349,55 +417,61 @@ pub fn build_a_triples_with_stats(
     book_scan(world, threads, &scan_stats);
     // Canonical order: streaming arrival order is scheduling-dependent,
     // and downstream determinism (same contigs on every run) should not
-    // hinge on `DistMat::from_triples` re-sorting.
-    triples.sort_unstable();
+    // hinge on `DistMat::from_triples` re-sorting. Two levels, because a
+    // source streams read after read: the by-read pass has few distinct
+    // keys and little (with one source, nothing) to move, and each
+    // read's run then sorts inside the cache.
+    triples.sort_unstable_by_key(|&(read, _, _)| read);
+    for run in triples.chunk_by_mut(|a, b| a.0 == b.0) {
+        run.sort_unstable_by_key(|&(_, col, entry)| (col, entry));
+    }
     (triples, stats)
 }
 
 /// Per-window count aggregation for the streaming count path: consume up
-/// to `window` occurrences at a time, fold them into a `window`-bounded
-/// multiplicity map, and emit one `(owner, (kmer, partial_count))` record
-/// per distinct k-mer in the window. Memory stays O(window) while wire
-/// traffic shrinks by the within-window multiplicity factor. Owners sum
-/// partial counts, so window boundaries are invisible in the result.
+/// to `window` occurrences at a time, sort them, and emit one
+/// `(owner, (kmer, partial_count))` record per run of equal k-mers.
+/// Memory stays O(window) while wire traffic shrinks by the within-window
+/// multiplicity factor. Owners sum partial counts, so window boundaries
+/// are invisible in the result.
+///
+/// Windows are emitted in sorted k-mer order because where
+/// `streaming_exchange`'s batch boundaries fall — hence per-post bucket
+/// sizes, chunk counts and the structural bytes every chunk books — must
+/// be a function of the input alone: profiled wire bytes are
+/// deterministic.
 struct WindowCounts<I: Iterator<Item = u64>> {
     kmers: I,
     window: usize,
     p: usize,
-    drained: std::vec::IntoIter<(u64, u32)>,
+    /// The current window's occurrences, sorted; `sorted[next..]` is not
+    /// yet emitted.
+    sorted: Vec<u64>,
+    next: usize,
 }
 
 impl<I: Iterator<Item = u64>> Iterator for WindowCounts<I> {
     type Item = (Rank, (u64, u32));
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some((kmer, count)) = self.drained.next() {
-                return Some((kmer_owner(kmer, self.p), (kmer, count)));
-            }
-            let mut counts: HashMap<u64, u32> = HashMap::new();
-            for kmer in self.kmers.by_ref().take(self.window) {
-                *counts.entry(kmer).or_insert(0) += 1;
-            }
-            if counts.is_empty() {
-                return None;
-            }
-            // Emit each window in sorted k-mer order, not HashMap order:
-            // the randomized hash seed would otherwise reshuffle where
-            // `streaming_exchange`'s batch boundaries fall, shifting
-            // per-post bucket sizes and hence chunk counts — and every
-            // chunk books its structural bytes, so profiled wire bytes
-            // would drift run-to-run (the model must be deterministic).
-            let mut window: Vec<(u64, u32)> = counts.into_iter().collect();
-            window.sort_unstable();
-            self.drained = window.into_iter();
+        if self.next == self.sorted.len() {
+            self.sorted.clear();
+            self.sorted.extend(self.kmers.by_ref().take(self.window));
+            self.sorted.sort_unstable();
+            self.next = 0;
         }
+        let &kmer = self.sorted.get(self.next)?;
+        let run = self.sorted[self.next..]
+            .iter()
+            .take_while(|&&other| other == kmer)
+            .count();
+        self.next += run;
+        Some((kmer_owner(kmer, self.p), (kmer, run as u32)))
     }
 }
 
-/// Side-band accounting for one [`occurrence_scan`]: the scan's peak
-/// buffered hit count (bytes the grouped parallel scan holds beyond the
-/// serial one-read-at-a-time behavior) and the wall seconds its
+/// Side-band accounting for one [`occurrence_scan`]: the peak hit count
+/// a threaded scan's read group buffered and the wall seconds its
 /// parallel refills took. Interior-mutable because the scan is consumed
 /// as an iterator; the owning exchange function books both to the
 /// profile afterwards ([`book_scan`]).
@@ -408,26 +482,22 @@ struct ScanStats {
 }
 
 /// Book a finished scan's accounting: threaded-refill wall time to the
-/// profile's par bucket, the group hit buffer as a transient spike.
-/// Serial scans buffer one read at a time — exactly the historical
-/// behavior — and book nothing, keeping `threads = 1` profiles
-/// bit-identical.
+/// profile's par bucket, the group hit buffer as a transient spike. A
+/// serial scan buffers nothing and books nothing.
 fn book_scan(world: &Comm, threads: usize, stats: &ScanStats) {
     if threads > 1 {
         world.record_par_time(stats.par_secs.get());
-        world.record_mem_transient(
-            stats.peak_items.get() * std::mem::size_of::<(u64, crate::kmer::KmerHit)>(),
-        );
+        world.record_mem_transient(stats.peak_items.get() * std::mem::size_of::<(u64, KmerHit)>());
     }
 }
 
 /// Flat scan of every canonical k-mer occurrence in the local store, in
-/// read order: `(read_id, hit)`. The per-read k-mer extraction — the
-/// scan's compute kernel — fans out over `threads` intra-rank workers
-/// in bounded read groups; hits are buffered per group and yielded in
-/// read order, so the occurrence stream is identical for every thread
-/// count (with one thread the group is a single read, the historical
-/// allocation profile).
+/// read order: `(read_id, hit)`, rolled straight off the store's packed
+/// codes. With one thread the rank thread scans the current read in
+/// place; with more, the per-read scans fan out over `threads` intra-rank
+/// workers in bounded read groups whose hits are buffered and yielded in
+/// read order — the occurrence stream is identical for every thread
+/// count.
 fn occurrence_scan<'s>(
     store: &'s ReadStore,
     k: usize,
@@ -439,7 +509,9 @@ fn occurrence_scan<'s>(
         next: 0,
         k,
         threads: threads.max(1),
-        buffered: Vec::new().into_iter(),
+        read_id: 0,
+        current: KmerScan::new(&[], k),
+        buffered: Vec::new().into_iter().flatten(),
         stats,
     }
 }
@@ -450,27 +522,25 @@ struct OccurrenceScan<'s> {
     next: usize,
     k: usize,
     threads: usize,
-    buffered: std::vec::IntoIter<(u64, crate::kmer::KmerHit)>,
+    /// Serial scan: the read being rolled over, and its id.
+    read_id: u64,
+    current: KmerScan<'s>,
+    /// Threaded scan: the group's hits, one `Vec` per read.
+    buffered: std::iter::Flatten<std::vec::IntoIter<Vec<(u64, KmerHit)>>>,
     stats: &'s ScanStats,
 }
 
 impl OccurrenceScan<'_> {
-    /// Bases each worker should receive per refill: enough scan work
-    /// (~tens of µs per KiB) to amortize the scoped spawn/join
-    /// (~tens of µs total), so short-read stores don't pay one spawn
-    /// cycle per handful of reads. The buffered hits per refill are
-    /// ≈ `threads × GROUP_BASES_PER_WORKER` records — reported to the
-    /// tracker via the scan stats.
+    /// Bases each worker should receive per refill: enough scan work to
+    /// amortize the scoped spawn/join (~tens of µs total), so short-read
+    /// stores don't pay one spawn cycle per handful of reads. The
+    /// buffered hits per refill are ≈ `threads × GROUP_BASES_PER_WORKER`
+    /// records — reported to the tracker via the scan stats.
     const GROUP_BASES_PER_WORKER: usize = 8 << 10;
 
-    /// End index of the next read group: a single read for the serial
-    /// path (the historical flat_map allocation profile — no extra
-    /// buffering), otherwise at least two reads per worker and enough
-    /// total bases to amortize the spawn.
+    /// End index of the next threaded read group: at least two reads per
+    /// worker and enough total bases to amortize the spawn.
     fn group_end(&self) -> usize {
-        if self.threads <= 1 {
-            return (self.next + 1).min(self.reads.len());
-        }
         let min_reads = self.threads * 2;
         let target_bases = self.threads * Self::GROUP_BASES_PER_WORKER;
         let mut bases = 0usize;
@@ -483,44 +553,51 @@ impl OccurrenceScan<'_> {
     }
 
     fn refill(&mut self) -> bool {
-        let group_end = self.group_end();
-        if self.next >= group_end {
+        if self.next >= self.reads.len() {
             return false;
         }
+        if self.threads <= 1 {
+            let (read_id, codes) = self.reads[self.next];
+            self.next += 1;
+            self.read_id = read_id;
+            self.current = KmerScan::new(codes, self.k);
+            return true;
+        }
+        let group_end = self.group_end();
         let group = &self.reads[self.next..group_end];
         self.next = group_end;
         let k = self.k;
         let started = std::time::Instant::now();
-        let per_read: Vec<Vec<crate::kmer::KmerHit>> =
+        let per_read: Vec<Vec<(u64, KmerHit)>> =
             elba_par::run_indexed(group.len(), self.threads, |gi| {
-                let seq = crate::dna::Seq::from_codes(group[gi].1.to_vec());
-                canonical_kmers(&seq, k)
+                let (read_id, codes) = group[gi];
+                KmerScan::new(codes, k).map(|hit| (read_id, hit)).collect()
             });
         // `par-s` gate: a trailing single-read group runs the serial
         // path inside `run_indexed` and books nothing.
-        if self.threads > 1 && group.len() > 1 {
+        if group.len() > 1 {
             self.stats
                 .par_secs
                 .set(self.stats.par_secs.get() + started.elapsed().as_secs_f64());
         }
-        let flat: Vec<(u64, crate::kmer::KmerHit)> = group
-            .iter()
-            .zip(per_read)
-            .flat_map(|(&(read_id, _), hits)| hits.into_iter().map(move |hit| (read_id, hit)))
-            .collect();
+        let items = per_read.iter().map(Vec::len).sum();
         self.stats
             .peak_items
-            .set(self.stats.peak_items.get().max(flat.len()));
-        self.buffered = flat.into_iter();
+            .set(self.stats.peak_items.get().max(items));
+        self.buffered = per_read.into_iter().flatten();
         true
     }
 }
 
 impl Iterator for OccurrenceScan<'_> {
-    type Item = (u64, crate::kmer::KmerHit);
+    type Item = (u64, KmerHit);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         loop {
+            if let Some(hit) = self.current.next() {
+                return Some((self.read_id, hit));
+            }
             if let Some(item) = self.buffered.next() {
                 return Some(item);
             }
@@ -531,16 +608,11 @@ impl Iterator for OccurrenceScan<'_> {
     }
 }
 
-/// Convenience: total occurrences of reliable k-mers (collective), useful
-/// for diagnostics and the dataset table.
-pub fn reliable_occurrences(grid: &ProcGrid, triples_local: usize) -> u64 {
-    grid.world().allreduce(triples_local as u64, |a, b| a + b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dna::Seq;
+    use crate::kmer::canonical_kmers;
     use elba_comm::{Backend, Runner};
 
     include!(concat!(
@@ -789,6 +861,47 @@ mod tests {
                 assert_matches_oracle(grid.world().rank(), &table, &triples, &oracle);
             }
         });
+    }
+
+    #[test]
+    fn threaded_occurrence_stream_is_the_serial_one() {
+        // Element for element, not just the same table: batch boundaries
+        // (hence wire bytes) are cut by position in this stream. ~300 k
+        // bases, so 7 workers refill several groups and 2 workers dozens;
+        // reads shorter than k and empty reads sit between the others.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut store = ReadStore::empty(200);
+        for id in 0..200u64 {
+            let len = match id % 10 {
+                0 => 0,
+                1 => 12,
+                _ => 100 + (next() % 3000) as usize,
+            };
+            let codes: Vec<u8> = (0..len).map(|_| (next() % 4) as u8).collect();
+            store.push(id, &codes);
+        }
+        let k = 17;
+        let scan = |threads: usize| -> Vec<(u64, KmerHit)> {
+            let stats = ScanStats::default();
+            let hits: Vec<_> = occurrence_scan(&store, k, threads, &stats).collect();
+            assert_eq!(stats.peak_items.get() > 0, threads > 1);
+            hits
+        };
+        let serial = scan(1);
+        let by_definition: Vec<(u64, KmerHit)> = store
+            .iter()
+            .flat_map(|(id, codes)| KmerScan::new(codes, k).map(move |hit| (id, hit)))
+            .collect();
+        assert_eq!(serial, by_definition);
+        for threads in [2usize, 4, 7] {
+            assert_eq!(scan(threads), serial, "threads={threads}");
+        }
     }
 
     #[test]

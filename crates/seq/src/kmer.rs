@@ -50,67 +50,79 @@ pub fn canonical(fwd: u64, rc: u64) -> (u64, bool) {
     }
 }
 
-/// Rolling iterator over the canonical k-mers of a sequence.
+/// Rolling iterator over the canonical k-mers of a slice of 2-bit base
+/// codes (each `< 4`): one shift-and-mask per strand per base, no copy of
+/// the input. The read store's packed buffer and a [`Seq`] are scanned by
+/// this same code.
 pub struct KmerScan<'a> {
-    seq: &'a Seq,
+    codes: &'a [u8],
+    /// Index of the base the next window ends on.
+    end: usize,
     k: usize,
-    pos: usize,
     fwd: u64,
     rc: u64,
     mask: u64,
+    /// Bit offset of the reverse strand's incoming (leftmost) base.
+    rc_shift: u32,
 }
 
 impl<'a> KmerScan<'a> {
-    pub fn new(seq: &'a Seq, k: usize) -> Self {
+    pub fn new(codes: &'a [u8], k: usize) -> Self {
         assert!((1..=MAX_K).contains(&k), "k must be in 1..={MAX_K}");
-        let mask = if 2 * k == 64 {
-            u64::MAX
-        } else {
-            (1u64 << (2 * k)) - 1
-        };
         let mut scan = KmerScan {
-            seq,
+            codes,
+            end: codes.len(),
             k,
-            pos: 0,
             fwd: 0,
             rc: 0,
-            mask,
+            mask: (1u64 << (2 * k)) - 1,
+            rc_shift: 2 * (k as u32 - 1),
         };
-        if seq.len() >= k {
-            scan.fwd = pack(seq, 0, k);
-            scan.rc = revcomp_packed(scan.fwd, k);
+        if codes.len() >= k {
+            // Prime both strands with the first k − 1 bases; every
+            // `next` then rolls exactly one base in.
+            for &b in &codes[..k - 1] {
+                scan.roll(b);
+            }
+            scan.end = k - 1;
         }
         scan
+    }
+
+    #[inline]
+    fn roll(&mut self, b: u8) {
+        debug_assert!(b < 4);
+        let b = b as u64;
+        self.fwd = ((self.fwd << 2) | b) & self.mask;
+        self.rc = (self.rc >> 2) | ((3 - b) << self.rc_shift);
     }
 }
 
 impl Iterator for KmerScan<'_> {
     type Item = KmerHit;
 
+    #[inline]
     fn next(&mut self) -> Option<KmerHit> {
-        if self.seq.len() < self.k || self.pos + self.k > self.seq.len() {
-            return None;
-        }
+        let &b = self.codes.get(self.end)?;
+        self.roll(b);
+        self.end += 1;
         let (kmer, fwd) = canonical(self.fwd, self.rc);
-        let hit = KmerHit {
+        Some(KmerHit {
             kmer,
-            pos: self.pos as u32,
+            pos: (self.end - self.k) as u32,
             fwd,
-        };
-        // Roll to the next window.
-        if self.pos + self.k < self.seq.len() {
-            let incoming = self.seq.get(self.pos + self.k) as u64;
-            self.fwd = ((self.fwd << 2) | incoming) & self.mask;
-            self.rc = (self.rc >> 2) | ((3 - incoming) << (2 * (self.k - 1)));
-        }
-        self.pos += 1;
-        Some(hit)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.codes.len() - self.end;
+        (left, Some(left))
     }
 }
 
 /// All canonical k-mer hits of a sequence.
 pub fn canonical_kmers(seq: &Seq, k: usize) -> Vec<KmerHit> {
-    KmerScan::new(seq, k).collect()
+    KmerScan::new(seq.codes(), k).collect()
 }
 
 /// Unpack a k-mer into ASCII (for debugging and FASTA headers).

@@ -64,3 +64,137 @@ proptest! {
         prop_assert!(ok.iter().all(|&b| b), "p={}", p);
     }
 }
+
+/// Run the stage on 1×1, 2×2 and 3×3 grids and hold every rank to the
+/// serial oracle.
+fn assert_stage_matches_oracle(reads: &[Seq], k: usize, reliable_min: u32, batch_kmers: usize) {
+    let cfg = KmerConfig {
+        k,
+        reliable_min,
+        reliable_max: u32::MAX,
+        batch_kmers,
+        threads: 1,
+    };
+    for p in [1usize, 4, 9] {
+        let oracle = serial_kmer_stage(reads, &cfg, p);
+        let (reads, cfg) = (reads.to_vec(), cfg.clone());
+        Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let store = ReadStore::from_replicated(&grid, &reads);
+            let (table, _) = count_kmers_with_stats(&grid, &store, &cfg);
+            let (triples, _) = build_a_triples_with_stats(&grid, &store, &table, &cfg);
+            assert_matches_oracle(grid.world().rank(), &table, &triples, &oracle);
+        });
+    }
+}
+
+fn dna(reads: &[&str]) -> Vec<Seq> {
+    reads.iter().map(|r| r.parse().expect("dna")).collect()
+}
+
+#[test]
+fn empty_read_set_yields_an_empty_table() {
+    assert_stage_matches_oracle(&[], 5, 1, 8);
+}
+
+#[test]
+fn fewer_reads_than_ranks() {
+    // Seven of nine ranks scan nothing but still own k-mers.
+    assert_stage_matches_oracle(&dna(&["ACGTTGCAAGGCTA", "TTGCAAGGCTACCA"]), 5, 1, 4);
+}
+
+#[test]
+fn reads_shorter_than_k_contribute_nothing() {
+    let reads = dna(&["ACGT", "", "TTGCA", "G"]);
+    assert_stage_matches_oracle(&reads, 6, 1, 4);
+    let cfg = KmerConfig {
+        k: 6,
+        reliable_min: 1,
+        ..KmerConfig::default()
+    };
+    assert!(serial_kmer_stage(&reads, &cfg, 1).0[0].is_empty());
+}
+
+#[test]
+fn homopolymers_and_palindromes() {
+    // Poly-A and poly-T are one canonical k-mer (packed value 0) seen on
+    // opposite strands, many times per read; every 4-mer window of
+    // (ACGT)ⁿ and every 6-mer of (GAATTC)ⁿ that is its own reverse
+    // complement ties in `canonical`, which must then report forward.
+    let reads = dna(&[
+        "AAAAAAAAAAAAAAAA",
+        "TTTTTTTTTTTTTTTT",
+        "ACGTACGTACGTACGT",
+        "GAATTCGAATTCGAATTC",
+        "CCCCCCCCGGGGGGGG",
+    ]);
+    for k in [1usize, 4, 6] {
+        for reliable_min in [1u32, 2] {
+            assert_stage_matches_oracle(&reads, k, reliable_min, 5);
+        }
+    }
+}
+
+#[test]
+fn identical_reads() {
+    let reads = dna(&["ACGTTGCAAGGCTACCATGATTACAGGCATCGA"; 12]);
+    assert_stage_matches_oracle(&reads, 7, 2, 16);
+}
+
+#[test]
+fn smallest_middle_and_largest_k() {
+    let reads = dna(&[
+        "ACGTTGCAAGGCTACCATGATTACAGGCATCGATTGCAACGGTACCTAGG",
+        "GCTACCATGATTACAGGCATCGATTGCAACGGTACCTAGGATCCGATAGC",
+        "CCTAGGTACCGTTGCAATCGATGCCTGTAATCATGGTAGCCTTGCAACGT",
+    ]);
+    for k in [1usize, 17, 31] {
+        assert_stage_matches_oracle(&reads, k, 1, 32);
+    }
+}
+
+/// 31-base reads whose single k-mer is `A · (20 free bases) · GATTACAGAC`:
+/// the forward strand is canonical (it starts with `A`, its reverse
+/// complement with `G`), so every k-mer of the set carries the same low
+/// 20 bits. An unkeyed multiplicative hash — `kmer · odd` — maps equal
+/// low bits to equal low bits, which is where a `HashMap` picks its
+/// bucket: all `N` keys of `owned` and of `KmerTable::local` would walk
+/// one probe sequence, O(N²) in all. The stage's tables are keyed per
+/// process, so this input costs what any other `N` k-mers cost.
+#[test]
+fn kmers_crafted_to_collide_in_the_low_bits_stay_linear() {
+    const N: u64 = 300_000;
+    let suffix: Seq = "GATTACAGAC".parse().expect("dna");
+    let reads: Vec<Seq> = (0..N)
+        .map(|i| {
+            let mut codes = vec![0u8];
+            codes.extend((0..20).rev().map(|b| ((i >> (2 * b)) & 3) as u8));
+            codes.extend_from_slice(suffix.codes());
+            Seq::from_codes(codes)
+        })
+        .collect();
+    let cfg = KmerConfig {
+        k: 31,
+        reliable_min: 1,
+        ..KmerConfig::default()
+    };
+    let oracle = serial_kmer_stage(&reads, &cfg, 1);
+    assert_eq!(oracle.0[0].len() as u64, N);
+    let low_bits = |kmer: u64| kmer & ((1 << 20) - 1);
+    assert!(oracle.0[0]
+        .iter()
+        .all(|&(kmer, _)| low_bits(kmer) == low_bits(oracle.0[0][0].0)));
+    let started = std::time::Instant::now();
+    Runner::new(Backend::InProcess).ranks(1).run(move |comm| {
+        let grid = ProcGrid::new(comm);
+        let store = ReadStore::from_replicated(&grid, &reads);
+        let (table, _) = count_kmers_with_stats(&grid, &store, &cfg);
+        let (triples, _) = build_a_triples_with_stats(&grid, &store, &table, &cfg);
+        assert_matches_oracle(0, &table, &triples, &oracle);
+    });
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(20),
+        "{N} colliding k-mers took {elapsed:?}"
+    );
+}

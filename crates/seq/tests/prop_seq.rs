@@ -3,7 +3,9 @@
 //! invariants that the quality evaluation depends on.
 
 use elba_seq::dna::{complement, Seq};
-use elba_seq::kmer::{canonical_kmers, pack, revcomp_packed, unpack_to_string};
+use elba_seq::kmer::{
+    canonical, canonical_kmers, pack, revcomp_packed, unpack_to_string, KmerHit, KmerScan,
+};
 use elba_seq::sim::{random_genome, simulate_reads, GenomeConfig, ReadSimConfig};
 use proptest::prelude::*;
 
@@ -61,6 +63,25 @@ proptest! {
         let rc = revcomp_packed(packed, k);
         let want = s.substring(0, k).reverse_complement().to_string();
         prop_assert_eq!(unpack_to_string(rc, k), want);
+    }
+
+    #[test]
+    fn slice_scan_equals_fresh_pack_at_every_position(s in seq_strategy(90)) {
+        // The rolling scan against the definition, for every legal k:
+        // one hit per window, in position order, each the canonical form
+        // of a from-scratch `pack` and its `revcomp_packed`.
+        for k in 1..=31usize {
+            let want: Vec<KmerHit> = (0..(s.len() + 1).saturating_sub(k))
+                .map(|pos| {
+                    let fwd = pack(&s, pos, k);
+                    let (kmer, fwd) = canonical(fwd, revcomp_packed(fwd, k));
+                    KmerHit { kmer, pos: pos as u32, fwd }
+                })
+                .collect();
+            let scan = KmerScan::new(s.codes(), k);
+            prop_assert_eq!(scan.size_hint(), (want.len(), Some(want.len())), "k={}", k);
+            prop_assert_eq!(scan.collect::<Vec<_>>(), want, "k={}", k);
+        }
     }
 
     #[test]

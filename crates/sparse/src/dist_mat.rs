@@ -383,25 +383,28 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let p = grid.world().size();
         // Rebase to the owner's block-local `u32` indices before routing:
         // the receiver would do so first thing anyway, and the wire then
-        // carries 8 bytes of coordinates per entry instead of 16.
-        let starts = |layout: Layout2D| -> Vec<usize> {
-            (0..q).map(|i| layout.block_range(i).start).collect()
-        };
-        let (row_starts, col_starts) = (starts(row_layout), starts(col_layout));
+        // carries 8 bytes of coordinates per entry instead of 16. Callers
+        // hand over runs that share a row with ascending columns, so the
+        // cursors divide once per block crossing, not once per coordinate.
+        let (mut rows, mut cols) = (row_layout.cursor(), col_layout.cursor());
         let mut outgoing: Vec<Vec<(u32, u32, T)>> = (0..p).map(|_| Vec::new()).collect();
         for (r, c, v) in triples {
-            let (r, c) = (r as usize, c as usize);
-            let (bi, bj) = (row_layout.block_of(r), col_layout.block_of(c));
-            outgoing[grid.rank_of(bi, bj)].push((
-                (r - row_starts[bi]) as u32,
-                (c - col_starts[bj]) as u32,
-                v,
-            ));
+            let (bi, r) = rows.locate(r as usize);
+            let (bj, c) = cols.locate(c as usize);
+            outgoing[grid.rank_of(bi, bj)].push((r as u32, c as u32, v));
         }
         let incoming = grid.world().alltoallv(outgoing);
         let row_range = row_layout.block_range(grid.myrow());
         let col_range = col_layout.block_range(grid.mycol());
-        let local_triples: Vec<(u32, u32, T)> = incoming.into_iter().flatten().collect();
+        // Grow the first source's buffer by the rest, so a lone
+        // contributor (every build at p = 1) is moved, not copied.
+        let total: usize = incoming.iter().map(Vec::len).sum();
+        let mut parts = incoming.into_iter();
+        let mut local_triples = parts.next().unwrap_or_default();
+        local_triples.reserve_exact(total - local_triples.len());
+        for mut part in parts {
+            local_triples.append(&mut part);
+        }
         let local = Csr::from_triples(row_range.len(), col_range.len(), local_triples, |acc, v| {
             combine(acc, v)
         });

@@ -106,6 +106,38 @@ impl Layout2D {
         let (i, j) = self.chunk_owner(g);
         i * self.q + j
     }
+
+    /// A [`BlockCursor`] over this layout.
+    #[inline]
+    pub fn cursor(&self) -> BlockCursor {
+        BlockCursor {
+            layout: *self,
+            block: 0,
+            range: 0..0,
+        }
+    }
+}
+
+/// [`Layout2D::block_of`] for a stream of indices with locality: keeps
+/// the block range the last index fell into and pays `block_of`'s
+/// divisions only when an index leaves it.
+#[derive(Debug, Clone)]
+pub struct BlockCursor {
+    layout: Layout2D,
+    block: usize,
+    range: std::ops::Range<usize>,
+}
+
+impl BlockCursor {
+    /// The block global index `g` falls into and `g`'s offset within it.
+    #[inline]
+    pub fn locate(&mut self, g: usize) -> (usize, usize) {
+        if !self.range.contains(&g) {
+            self.block = self.layout.block_of(g);
+            self.range = self.layout.block_range(self.block);
+        }
+        (self.block, g - self.range.start)
+    }
 }
 
 #[cfg(test)]
@@ -137,6 +169,23 @@ mod tests {
                 for g in 0..n {
                     let i = layout.block_of(g);
                     assert!(layout.block_range(i).contains(&g), "n={n} q={q} g={g}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_agrees_with_block_of_in_any_order() {
+        for n in [1usize, 2, 5, 16, 97, 100] {
+            for q in [1usize, 2, 3, 5] {
+                let layout = Layout2D::new(n, q);
+                let mut cursor = layout.cursor();
+                // Ascending, descending, then a stride that hops blocks.
+                let order = (0..n).chain((0..n).rev()).chain((0..n).map(|i| i * 7 % n));
+                for g in order {
+                    let i = layout.block_of(g);
+                    let want = (i, g - layout.block_range(i).start);
+                    assert_eq!(cursor.locate(g), want, "n={n} q={q} g={g}");
                 }
             }
         }

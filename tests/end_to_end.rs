@@ -343,3 +343,54 @@ fn pipeline_profile_contains_paper_phases() {
         );
     }
 }
+
+/// Golden wire pin: per-rank messages (p2p + collective calls) and bytes
+/// of the two phases the k-mer stage drives, for one seeded read set at
+/// p = 4, against constants recorded before the stage's hot loops were
+/// rebuilt. Every other wire check compares two live runs (transports,
+/// thread counts, budgets), so a reordered record stream that moved both
+/// sides would pass them; this one compares against fixed numbers.
+#[test]
+fn kmer_stage_wire_traffic_matches_golden_constants() {
+    // (msgs, bytes) per rank.
+    const COUNT_KMER: [(u64, u64); 4] = [
+        (1749, 605049),
+        (1938, 700690),
+        (1673, 598305),
+        (1543, 463316),
+    ];
+    const DETECT_OVERLAP: [(u64, u64); 4] = [
+        (1771, 2891619),
+        (1944, 3552372),
+        (1706, 3231620),
+        (1555, 2453802),
+    ];
+    let spec = DatasetSpec::celegans_like(0.05, 1919);
+    let (_genome, reads) = reads_of(&spec);
+    let mut cfg = PipelineConfig::for_dataset(&spec);
+    // Small enough that every rank flushes dozens of batches: where the
+    // batch boundaries fall is part of what is pinned.
+    cfg.kmer.batch_kmers = 1 << 10;
+    let (_, profile) = Runner::new(Backend::InProcess)
+        .ranks(4)
+        .run_profiled(move |comm| {
+            let grid = ProcGrid::new(comm);
+            assemble(&grid, &reads, &cfg)
+        });
+    let traffic = |name: &str| -> Vec<(u64, u64)> {
+        profile
+            .rank_profiles()
+            .iter()
+            .map(|rank| {
+                let phase = rank.phase(name).expect("phase recorded");
+                (phase.p2p_msgs + phase.coll_calls(), phase.bytes_sent())
+            })
+            .collect()
+    };
+    assert_eq!(traffic("CountKmer"), COUNT_KMER, "CountKmer (msgs, bytes)");
+    assert_eq!(
+        traffic("DetectOverlap"),
+        DETECT_OVERLAP,
+        "DetectOverlap (msgs, bytes)"
+    );
+}
