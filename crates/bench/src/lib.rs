@@ -71,34 +71,6 @@ pub fn run_pipeline(reads: &[Seq], cfg: &PipelineConfig, nranks: usize) -> Measu
     }
 }
 
-/// [`run_pipeline`] over the socket transport: the same SPMD body, but
-/// every cross-rank message is serialized into a frame and carried over
-/// a Unix socketpair. Measures what the wire format and frame pumping
-/// cost relative to the in-process mailbox moves.
-pub fn run_pipeline_socket(reads: &[Seq], cfg: &PipelineConfig, nranks: usize) -> MeasuredRun {
-    let reads = reads.to_vec();
-    let cfg = cfg.clone();
-    let started = Instant::now();
-    let (mut outputs, profile) =
-        Runner::new(Backend::Socket)
-            .ranks(nranks)
-            .run_profiled(move |comm| {
-                let grid = ProcGrid::new(comm);
-                let result = assemble(&grid, &reads, &cfg);
-                let contigs = elba_core::gather_contigs(&grid, &result.local_contigs);
-                (result, contigs)
-            });
-    let wall_secs = started.elapsed().as_secs_f64();
-    let (result, contigs) = outputs.remove(0);
-    MeasuredRun {
-        nranks,
-        wall_secs,
-        profile,
-        result,
-        contigs,
-    }
-}
-
 /// Materialize a dataset spec into `(genome, reads)`.
 pub fn dataset(spec: &DatasetSpec) -> (Seq, Vec<Seq>) {
     let (genome, sim_reads) = spec.generate();

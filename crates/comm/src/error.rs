@@ -23,8 +23,9 @@ use crate::runtime::Rank;
 /// the communicator it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
-    /// The peer's `Comm` dropped, its process exited, or it broadcast an
-    /// abort frame; `ctx` says what this rank was doing at the time.
+    /// The peer shut down (its last `Comm` dropped, or its harness caught
+    /// its unwind) or its process exited; `ctx` says what this rank was
+    /// doing at the time.
     PeerGone { rank: Rank, ctx: String },
 }
 

@@ -18,7 +18,7 @@
 //! communication/computation overlap is visible in a [`RunProfile`].
 
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -29,40 +29,83 @@ use crate::profile::{lock_profile, Profile, RunProfile};
 use crate::transport::fault::{FaultMode, FaultPlan, FaultTransport};
 use crate::transport::in_process::InProcess;
 use crate::transport::wire::WireReader;
-use crate::transport::{Envelope, Payload, SplitKey, Transport};
+use crate::transport::{Envelope, Payload, Transport};
 
 /// Index of a process within a communicator.
 pub type Rank = usize;
 /// Message tag. User tags must be below [`Comm::USER_TAG_LIMIT`].
 pub type Tag = u64;
 
+/// Context id of the world communicator.
+const WORLD_CTX: u64 = 0;
+
+/// Deterministic child context id for a split: FNV-1a over the parent
+/// context, the split's collective sequence tag and the caller's color.
+/// Every member computes the same id from the same SPMD state, so no
+/// bootstrap messages are needed; context 0 stays reserved for the world.
+fn child_ctx(parent: u64, seq: Tag, color: u64) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for chunk in [parent, seq, color] {
+        for b in chunk.to_ne_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    if h == WORLD_CTX {
+        0x9e37_79b9_7f4a_7c15
+    } else {
+        h
+    }
+}
+
+/// A rank's one connection to the world message plane, shared by every
+/// [`Comm`] of the rank. Shuts the transport down when the last of them
+/// drops: peers' blocked receives on this rank then fail instead of
+/// hanging — the channel-disconnect semantics the runtime has always had.
+struct Endpoint {
+    transport: Arc<dyn Transport>,
+    /// Out-of-order stash, one FIFO per world source: envelopes that
+    /// surfaced while a receive was waiting for a different
+    /// `(ctx, tag)` — possibly another communicator's. Only the rank
+    /// thread touches it; the (uncontended) mutex is what keeps `Comm`
+    /// `Send`.
+    stash: Mutex<Vec<VecDeque<Envelope>>>,
+}
+
+impl Endpoint {
+    fn stash(&self) -> std::sync::MutexGuard<'_, Vec<VecDeque<Envelope>>> {
+        self.stash
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        self.transport.shutdown();
+    }
+}
+
 /// Per-rank handle on a communicator (MPI_Comm analogue).
 ///
-/// All operations take `&self`; a `Comm` is owned by exactly one rank
-/// thread (invariant 3: threads within a rank never enter the comm
-/// layer). Sub-communicators created through [`Comm::split`] share the
-/// rank's [`Profile`] so that communication accounting aggregates across
-/// the whole grid. Which backend carries the messages is invisible here:
-/// everything below [`Comm::send`] goes through the rank's
-/// [`Transport`] object.
+/// A `Comm` is a *view* over the rank's one world endpoint: a context id
+/// stamped on every envelope it sends and matched on every receive, and
+/// the world ranks of its members. All operations take `&self`; a `Comm`
+/// is owned by exactly one rank thread (invariant 3: threads within a
+/// rank never enter the comm layer). Sub-communicators created through
+/// [`Comm::split`] share the rank's endpoint and its [`Profile`], so
+/// communication accounting aggregates across the whole grid. Which
+/// backend carries the messages is invisible here: everything below
+/// [`Comm::send`] goes through the rank's [`Transport`] object.
 pub struct Comm {
+    endpoint: Arc<Endpoint>,
+    ctx: u64,
+    /// World rank of each member, indexed by rank in this communicator.
+    members: Vec<Rank>,
     rank: Rank,
-    size: usize,
-    transport: Arc<dyn Transport>,
-    /// Out-of-order buffer: messages that arrived before being asked for.
-    pending: RefCell<Vec<VecDeque<Envelope>>>,
     /// Collective sequence number; identical across ranks by SPMD order.
     coll_seq: Cell<u64>,
     profile: Arc<Mutex<Profile>>,
-}
-
-impl Drop for Comm {
-    fn drop(&mut self) {
-        // Leave the communicator: peers' blocked receives on this rank
-        // fail instead of hanging — the channel-disconnect semantics the
-        // runtime has always had.
-        self.transport.shutdown();
-    }
 }
 
 impl Comm {
@@ -70,18 +113,20 @@ impl Comm {
     /// for internal collective sequencing.
     pub const USER_TAG_LIMIT: Tag = 1 << 32;
 
-    /// Wrap a transport endpoint into a full communicator handle.
+    /// The world communicator over a rank's transport endpoint.
     pub(crate) fn from_transport(
         transport: Arc<dyn Transport>,
         profile: Arc<Mutex<Profile>>,
     ) -> Comm {
-        let rank = transport.rank();
         let size = transport.size();
         Comm {
-            rank,
-            size,
-            transport,
-            pending: RefCell::new((0..size).map(|_| VecDeque::new()).collect()),
+            rank: transport.rank(),
+            ctx: WORLD_CTX,
+            members: (0..size).collect(),
+            endpoint: Arc::new(Endpoint {
+                transport,
+                stash: Mutex::new((0..size).map(|_| VecDeque::new()).collect()),
+            }),
             coll_seq: Cell::new(0),
             profile,
         }
@@ -96,7 +141,7 @@ impl Comm {
     /// Number of ranks in the communicator.
     #[inline]
     pub fn size(&self) -> usize {
-        self.size
+        self.members.len()
     }
 
     /// Shared per-rank profile (phase timers + communication volumes).
@@ -232,7 +277,7 @@ impl Comm {
     /// Typed error for a dead peer, naming it by **world** rank.
     fn peer_gone(&self, src: Rank, ctx: String) -> CommError {
         CommError::PeerGone {
-            rank: self.transport.world_rank(src),
+            rank: self.members[src],
             ctx,
         }
     }
@@ -248,8 +293,9 @@ impl Comm {
         tag: Tag,
         data: T,
     ) -> Result<(), CommError> {
-        self.transport
-            .post(dst, Envelope::new(tag, data))
+        self.endpoint
+            .transport
+            .post(self.members[dst], Envelope::new(self.ctx, tag, data))
             .map_err(|_| self.peer_gone(dst, format!("accepting a send of tag {tag:#x}")))
     }
 
@@ -267,34 +313,37 @@ impl Comm {
     /// Blocking matched receive; `Err` once `src` is gone and drained
     /// instead of parking forever (every blocking path funnels here).
     fn wait_for_checked(&self, src: Rank, tag: Tag) -> Result<Envelope, CommError> {
-        if let Some(envelope) = self.take_pending(src, tag) {
+        if let Some(envelope) = self.take_stashed(src, tag) {
             return Ok(envelope);
         }
+        let world = self.members[src];
         loop {
             let envelope = self
+                .endpoint
                 .transport
-                .recv_from(src)
+                .recv_from(world)
                 .map_err(|_| self.peer_gone(src, format!("waiting for tag {tag:#x}")))?;
-            if envelope.tag == tag {
+            if self.matches(&envelope, tag) {
                 return Ok(envelope);
             }
-            self.pending.borrow_mut()[src].push_back(envelope);
+            self.endpoint.stash()[world].push_back(envelope);
         }
     }
 
     /// Non-blocking matched probe: drain whatever has arrived from `src`
-    /// into the pending buffer and take the first message matching
-    /// `tag`, if any. A dead-and-drained peer is a typed error — this
-    /// message can never arrive, and a `test()` poll loop must not spin
-    /// forever on it.
+    /// into the stash and take the first message matching this
+    /// communicator and `tag`, if any. A dead-and-drained peer is a typed
+    /// error — this message can never arrive, and a `test()` poll loop
+    /// must not spin forever on it.
     fn try_take_checked(&self, src: Rank, tag: Tag) -> Result<Option<Envelope>, CommError> {
-        if let Some(envelope) = self.take_pending(src, tag) {
+        if let Some(envelope) = self.take_stashed(src, tag) {
             return Ok(Some(envelope));
         }
+        let world = self.members[src];
         loop {
-            match self.transport.try_recv_from(src) {
-                Ok(Some(envelope)) if envelope.tag == tag => return Ok(Some(envelope)),
-                Ok(Some(envelope)) => self.pending.borrow_mut()[src].push_back(envelope),
+            match self.endpoint.transport.try_recv_from(world) {
+                Ok(Some(envelope)) if self.matches(&envelope, tag) => return Ok(Some(envelope)),
+                Ok(Some(envelope)) => self.endpoint.stash()[world].push_back(envelope),
                 Ok(None) => return Ok(None),
                 Err(_) => {
                     return Err(self.peer_gone(src, format!("polling for tag {tag:#x}")));
@@ -305,22 +354,29 @@ impl Comm {
 
     /// Change counter of this rank's inbox; see [`Comm::park_inbox`].
     pub(crate) fn inbox_seq(&self) -> u64 {
-        self.transport.inbox_seq()
+        self.endpoint.transport.inbox_seq()
     }
 
-    /// Park until the inbox changes relative to `seen` (any arrival or
-    /// peer close). The caller must have read [`Comm::inbox_seq`]
-    /// *before* its last probe sweep; arrivals in between wake it
-    /// immediately. This is the condvar wakeup that replaced the
-    /// `yield_now` spin loop in the chunked `ialltoallv` iterator.
+    /// Park until the inbox changes relative to `seen` (any arrival —
+    /// for this communicator or another of the rank's — or any peer
+    /// close; callers re-probe, so spurious wakeups are fine). The caller
+    /// must have read [`Comm::inbox_seq`] *before* its last probe sweep;
+    /// arrivals in between wake it immediately. This is the condvar
+    /// wakeup that replaced the `yield_now` spin loop in the chunked
+    /// `ialltoallv` iterator.
     pub(crate) fn park_inbox(&self, seen: u64) {
-        self.transport.park_inbox(seen);
+        self.endpoint.transport.park_inbox(seen);
     }
 
-    fn take_pending(&self, src: Rank, tag: Tag) -> Option<Envelope> {
-        let mut pending = self.pending.borrow_mut();
-        let queue = &mut pending[src];
-        let pos = queue.iter().position(|e| e.tag == tag)?;
+    /// Whether `envelope` was sent on this communicator with `tag`.
+    fn matches(&self, envelope: &Envelope, tag: Tag) -> bool {
+        envelope.ctx == self.ctx && envelope.tag == tag
+    }
+
+    fn take_stashed(&self, src: Rank, tag: Tag) -> Option<Envelope> {
+        let mut stash = self.endpoint.stash();
+        let queue = &mut stash[self.members[src]];
+        let pos = queue.iter().position(|e| self.matches(e, tag))?;
         queue.remove(pos)
     }
 
@@ -409,11 +465,13 @@ impl Comm {
     /// communicator; `key` orders ranks within it (ties broken by old rank).
     /// Collective — every rank of `self` must call it.
     ///
-    /// The group membership is computed from an allgather, but the new
-    /// communicator's channels come from the transport's message-free
-    /// rendezvous: every member derives the same [`SplitKey`] (the SPMD
-    /// collective sequence plus its color), so no leader has to ship
-    /// bootstrap state.
+    /// The group membership is computed from an allgather; the rest is
+    /// arithmetic. The child is a view over the same endpoint whose
+    /// context id every member derives from the parent's, the SPMD
+    /// collective sequence and its color — so no leader has to ship
+    /// bootstrap state, and traffic a fast member posts on the child
+    /// before a slow one has returned from `split` just waits in the
+    /// stash.
     pub fn split(&self, color: usize, key: usize) -> Comm {
         let info = self.allgather((self.rank as u64, color as u64, key as u64));
         let mut group: Vec<(u64, u64)> = info
@@ -422,32 +480,25 @@ impl Comm {
             .map(|&(r, _, k)| (k, r))
             .collect();
         group.sort_unstable();
-        let new_size = group.len();
         let new_rank = group
             .iter()
             .position(|&(_, r)| r as usize == self.rank)
             .expect("calling rank must be in its own color group");
         let tag = self.next_coll_tag(op::SPLIT);
-        let members: Vec<Rank> = group.iter().map(|&(_, r)| r as usize).collect();
-        let transport = self.transport.split(
-            &members,
-            new_rank,
-            SplitKey {
-                seq: tag,
-                color: color as u64,
-            },
-        );
         Comm {
+            endpoint: Arc::clone(&self.endpoint),
+            ctx: child_ctx(self.ctx, tag, color as u64),
+            members: group
+                .iter()
+                .map(|&(_, r)| self.members[r as usize])
+                .collect(),
             rank: new_rank,
-            size: new_size,
-            transport,
-            pending: RefCell::new((0..new_size).map(|_| VecDeque::new()).collect()),
             coll_seq: Cell::new(0),
             profile: Arc::clone(&self.profile),
         }
     }
 
-    /// Duplicate the communicator (same group, fresh channels/sequencing).
+    /// Duplicate the communicator (same group, fresh context/sequencing).
     pub fn dup(&self) -> Comm {
         self.split(0, self.rank)
     }
@@ -579,12 +630,15 @@ impl<T: CommMsg> Drop for RecvRequest<'_, T> {
         // A value buffered by test() belongs to the mailbox, not to this
         // abandoned request: put it back so a later recv/irecv on the
         // same (source, tag) still matches it. It re-enters at the FRONT
-        // because test() always captured the oldest unconsumed match —
-        // re-queuing behind younger same-tag messages would invert MPI's
-        // per-(source, tag) delivery order. wait() takes the value out
-        // before dropping, so completed requests re-queue nothing.
+        // of the source's stash because test() always captured the oldest
+        // unconsumed match — re-queuing behind younger same-tag messages
+        // would invert MPI's per-(source, tag) delivery order. wait()
+        // takes the value out before dropping, so completed requests
+        // re-queue nothing.
         if let Some(value) = self.ready.take() {
-            self.comm.pending.borrow_mut()[self.src].push_front(Envelope::new(self.tag, value));
+            let comm = self.comm;
+            comm.endpoint.stash()[comm.members[self.src]]
+                .push_front(Envelope::new(comm.ctx, self.tag, value));
         }
     }
 }
@@ -651,10 +705,10 @@ const STACK_SIZE: usize = 16 * 1024 * 1024;
 /// The checked harness behind [`Runner`]: one thread per transport
 /// endpoint, each wrapped in a fresh [`Comm`] with its own profile.
 /// Every rank's unwind is caught and classified
-/// ([`crate::FailureCause`]) instead of propagating, and the first
-/// casualty proactively aborts the whole mesh so surviving ranks unwind
-/// with `PeerGone` rather than parking in a collective forever. Returns
-/// every rank's failure, root cause first.
+/// ([`crate::FailureCause`]) instead of propagating, and a casualty's
+/// endpoint is shut down so surviving ranks unwind with `PeerGone`
+/// rather than parking in a collective forever. Returns every rank's
+/// failure, root cause first.
 ///
 /// Honors [`crate::FaultPlan::from_env`]: with `ELBA_FAULT_PLAN` set,
 /// every rank's transport is wrapped in the fault layer (thread-mode
@@ -701,7 +755,7 @@ where
         let f = Arc::clone(&f);
         let profile = Arc::new(Mutex::new(Profile::new(rank)));
         let profile_out = Arc::clone(&profile);
-        let abort_handle = Arc::clone(&transport);
+        let endpoint = Arc::clone(&transport);
         let comm = Comm::from_transport(transport, profile);
         let handle = std::thread::Builder::new()
             .name(format!("rank-{rank}"))
@@ -710,11 +764,10 @@ where
                 let result =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(comm)));
                 if result.is_err() {
-                    // The unwind dropped `comm` (orderly shutdown of the
-                    // world communicator); the abort additionally closes
-                    // this rank out of every sub-communicator — including
-                    // ones it never joined — so no survivor stays parked.
-                    abort_handle.abort();
+                    // The unwind normally dropped every `Comm` (which
+                    // shuts the endpoint down); make sure of it so no
+                    // survivor stays parked on this rank.
+                    endpoint.shutdown();
                 }
                 (result, profile_out)
             })
@@ -843,16 +896,6 @@ impl Runner {
     pub fn faults(mut self, plan: &FaultPlan) -> Self {
         self.faults = Some(plan.clone());
         self
-    }
-
-    /// The configured backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// The configured rank count.
-    pub fn rank_count(&self) -> usize {
-        self.nranks
     }
 
     /// Run `f` on every rank; returns each rank's result, rank-ordered.
@@ -989,6 +1032,16 @@ mod tests {
         assert_eq!(out[0], (0, 3, 2));
         assert_eq!(out[3], (0, 3, 5));
         assert_eq!(out[5], (2, 3, 4));
+    }
+
+    #[test]
+    fn child_ctx_never_world_and_spreads() {
+        let a = child_ctx(WORLD_CTX, 1, 0);
+        let b = child_ctx(WORLD_CTX, 1, 1);
+        let c = child_ctx(a, 1, 0);
+        assert_ne!(a, WORLD_CTX);
+        assert_ne!(a, b);
+        assert_ne!(a, c);
     }
 
     #[test]

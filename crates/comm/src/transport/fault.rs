@@ -25,8 +25,8 @@
 //! rank unwinds with a [`FaultKill`] payload the harness classifies as
 //! [`crate::FailureCause::Killed`]; a process rank exits with
 //! [`FAULT_KILLED_EXIT`] (soft) or SIGKILLs itself (hard), and the
-//! launcher's exit taxonomy tells the two apart. Either way the mesh
-//! abort machinery (see [`crate::transport`]) turns the death into
+//! launcher's exit taxonomy tells the two apart. Either way the dead
+//! rank's closed flag (see [`crate::transport`]) turns the death into
 //! typed `PeerGone` errors on every survivor instead of a hang.
 
 use std::fmt;
@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use super::{Envelope, PeerGone, SplitKey, Transport};
+use super::{Envelope, PeerGone, Transport};
 use crate::error::FaultKill;
 use crate::runtime::Rank;
 
@@ -93,11 +93,10 @@ impl Trigger {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultKind {
     /// World rank dies cleanly: a thread rank unwinds with [`FaultKill`],
-    /// a process rank exits with [`FAULT_KILLED_EXIT`]. Peers see the
-    /// abort announcement before the death (proactive teardown).
+    /// a process rank exits with [`FAULT_KILLED_EXIT`].
     Kill(Rank),
     /// World rank dies *hard*: a process rank SIGKILLs itself — no
-    /// unwind, no abort frame, peers find out from the dead socket. In
+    /// unwind, no goodbye frame, peers find out from the dead socket. In
     /// thread mode this degrades to [`FaultKind::Kill`] (a thread
     /// cannot SIGKILL itself without taking the harness down).
     SigKill(Rank),
@@ -259,9 +258,10 @@ pub enum FaultMode {
 }
 
 /// Per-rank runtime state of a plan: activity counters, the per-rank
-/// jitter RNG stream, and which sever faults have latched. Shared by
-/// every [`FaultTransport`] of the rank (sub-communicators included),
-/// so counters span the whole mesh like the plan semantics require.
+/// jitter RNG stream, and which sever faults have latched. Owned by the
+/// rank's one [`FaultTransport`], which wraps the world endpoint every
+/// communicator of the rank posts and receives through — so counters
+/// span the whole mesh like the plan semantics require.
 struct FaultState {
     plan: FaultPlan,
     /// This rank's world rank (faults speak world ranks).
@@ -334,7 +334,7 @@ impl FaultState {
                 desc,
             }),
             FaultMode::Process if hard => {
-                // A real SIGKILL: no unwind, no abort frame — peers
+                // A real SIGKILL: no unwind, no goodbye frame — peers
                 // must notice through the transport, which is the point.
                 let pid = std::process::id().to_string();
                 let _ = std::process::Command::new("kill")
@@ -392,11 +392,10 @@ impl FaultState {
 }
 
 /// [`Transport`] wrapper that enforces a [`FaultPlan`]. Composes over
-/// either backend; [`Transport::split`] rewraps the child transport
-/// around the *same* state, so counters and latches span the mesh.
+/// either backend: one wrapper per rank, around its world endpoint.
 pub(crate) struct FaultTransport {
     inner: Arc<dyn Transport>,
-    state: Arc<FaultState>,
+    state: FaultState,
 }
 
 impl FaultTransport {
@@ -410,9 +409,8 @@ impl FaultTransport {
         if plan.is_noop() {
             return inner;
         }
-        let world = inner.world_rank(inner.rank());
         Arc::new(FaultTransport {
-            state: Arc::new(FaultState::new(plan.clone(), world, mode)),
+            state: FaultState::new(plan.clone(), inner.rank(), mode),
             inner,
         })
     }
@@ -428,8 +426,7 @@ impl Transport for FaultTransport {
     }
 
     fn post(&self, dst: Rank, envelope: Envelope) -> Result<(), PeerGone> {
-        let dst_world = self.inner.world_rank(dst);
-        if self.state.link_severed(self.state.world, dst_world) {
+        if self.state.link_severed(self.state.world, dst) {
             return Err(PeerGone);
         }
         self.state.jitter();
@@ -468,21 +465,6 @@ impl Transport for FaultTransport {
 
     fn shutdown(&self) {
         self.inner.shutdown()
-    }
-
-    fn world_rank(&self, member: Rank) -> Rank {
-        self.inner.world_rank(member)
-    }
-
-    fn abort(&self) {
-        self.inner.abort()
-    }
-
-    fn split(&self, members: &[Rank], my_rank: Rank, key: SplitKey) -> Arc<dyn Transport> {
-        Arc::new(FaultTransport {
-            inner: self.inner.split(members, my_rank, key),
-            state: Arc::clone(&self.state),
-        })
     }
 }
 

@@ -4,158 +4,29 @@
 //! communication *structure* to MPI (who sends what to whom, and how
 //! many bytes it would be on a wire) without the packing cost.
 //!
-//! `split` rendezvouses through a shared [`SplitRegistry`] keyed by
-//! [`SplitKey`]: the first member to arrive creates the new
-//! communicator's mailboxes, the rest pick them up — no leader, no
-//! bootstrap messages (the old runtime shipped a `SplitPack` from a
-//! leader rank; the registry replaces it so the transport trait needs no
-//! "send a vector of mailboxes" special case a socket could never
-//! implement).
-//!
-//! Abort propagation mirrors the socket backend's per-process death:
-//! every communicator's mailboxes are registered (weakly) in a
-//! world-wide [`MeshState`], so a rank that dies can be closed in
-//! *every* communicator at once — including ones the dead rank never
-//! joined its counterpart of, where plain `shutdown` (scoped to one
-//! communicator) could never reach the survivors parked there.
+//! The whole backend is one mailbox per rank: push, pop, close.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 
-use super::{Envelope, Mailbox, PeerGone, SplitKey, Transport, TryRecvError};
+use super::{Envelope, Mailbox, PeerGone, Transport};
 use crate::runtime::Rank;
 
-/// One registered communicator's mailboxes plus the world rank of each
-/// member, held weakly so finished communicators can drop.
-struct GroupEntry {
-    mailboxes: Vec<Weak<Mailbox>>,
-    to_world: Vec<Rank>,
-}
-
-/// World-wide death registry shared by every in-process transport of one
-/// cluster: records which world ranks are dead and every live
-/// communicator's mailboxes, so an abort can close the dead rank in all
-/// of them — the in-process analogue of a socket peer's EOF reaching
-/// every context at once.
-#[derive(Default)]
-pub(crate) struct MeshState {
-    inner: Mutex<MeshInner>,
-}
-
-#[derive(Default)]
-struct MeshInner {
-    /// Indexed by world rank.
-    dead: Vec<bool>,
-    groups: Vec<GroupEntry>,
-}
-
-impl MeshState {
-    fn new(nranks: usize) -> Arc<MeshState> {
-        Arc::new(MeshState {
-            inner: Mutex::new(MeshInner {
-                dead: vec![false; nranks],
-                groups: Vec::new(),
-            }),
-        })
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, MeshInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Register a freshly created communicator; members that are already
-    /// dead are closed immediately (mirrors the socket router closing
-    /// dead world ranks at context registration).
-    fn register(&self, mailboxes: &[Arc<Mailbox>], to_world: Vec<Rank>) {
-        let mut inner = self.lock();
-        for (sub, &world) in to_world.iter().enumerate() {
-            if inner.dead[world] {
-                for mailbox in mailboxes {
-                    mailbox.close(sub);
-                }
-                mailboxes[sub].mark_owner_gone();
-            }
-        }
-        inner
-            .groups
-            .retain(|g| g.mailboxes.iter().any(|m| m.strong_count() > 0));
-        inner.groups.push(GroupEntry {
-            mailboxes: mailboxes.iter().map(Arc::downgrade).collect(),
-            to_world,
-        });
-    }
-
-    /// Mark world rank `world` dead and close it out of every registered
-    /// communicator: survivors' blocked receives on it fail, and posts
-    /// into its inboxes fail with [`PeerGone`]. Idempotent.
-    fn abort(&self, world: Rank) {
-        let mut inner = self.lock();
-        if inner.dead[world] {
-            return;
-        }
-        inner.dead[world] = true;
-        for group in &inner.groups {
-            let Some(sub) = group.to_world.iter().position(|&w| w == world) else {
-                continue;
-            };
-            for mailbox in &group.mailboxes {
-                if let Some(mailbox) = mailbox.upgrade() {
-                    mailbox.close(sub);
-                }
-            }
-            if let Some(own) = group.mailboxes[sub].upgrade() {
-                own.mark_owner_gone();
-            }
-        }
-    }
-}
-
-/// Rendezvous point for `split`: every rank of a communicator holds the
-/// same registry, and each distinct [`SplitKey`] names one child
-/// communicator under construction.
-#[derive(Default)]
-pub(crate) struct SplitRegistry {
-    entries: Mutex<HashMap<SplitKey, SplitEntry>>,
-}
-
-struct SplitEntry {
-    mailboxes: Vec<Arc<Mailbox>>,
-    /// The child communicator's own registry, so nested splits
-    /// rendezvous among the members of the child, not the parent.
-    registry: Arc<SplitRegistry>,
-    handed_out: usize,
-}
-
-/// In-process transport for one rank of one communicator.
+/// In-process endpoint of one rank.
 pub(crate) struct InProcess {
     rank: Rank,
     /// peers[dst]: rank `dst`'s mailbox (peers[rank] is our own inbox).
     peers: Vec<Arc<Mailbox>>,
-    splits: Arc<SplitRegistry>,
-    /// World rank of each member, indexed by sub-rank.
-    to_world: Vec<Rank>,
-    /// Cluster-wide death registry (shared by every communicator).
-    mesh: Arc<MeshState>,
 }
 
 impl InProcess {
-    /// Build the world communicator's transports: one shared mailbox
-    /// vector, one shared split registry, one handle per rank.
+    /// Build the world: one shared mailbox vector, one endpoint per rank.
     pub(crate) fn world(nranks: usize) -> Vec<Arc<dyn Transport>> {
         let mailboxes: Vec<Arc<Mailbox>> = (0..nranks).map(|_| Mailbox::new(nranks)).collect();
-        let registry = Arc::new(SplitRegistry::default());
-        let mesh = MeshState::new(nranks);
-        mesh.register(&mailboxes, (0..nranks).collect());
         (0..nranks)
             .map(|rank| {
                 Arc::new(InProcess {
                     rank,
                     peers: mailboxes.clone(),
-                    splits: Arc::clone(&registry),
-                    to_world: (0..nranks).collect(),
-                    mesh: Arc::clone(&mesh),
                 }) as Arc<dyn Transport>
             })
             .collect()
@@ -177,21 +48,15 @@ impl Transport for InProcess {
     }
 
     fn post(&self, dst: Rank, envelope: Envelope) -> Result<(), PeerGone> {
-        self.peers[dst]
-            .push(self.rank, envelope)
-            .map_err(|()| PeerGone)
+        self.peers[dst].push(self.rank, envelope)
     }
 
     fn recv_from(&self, src: Rank) -> Result<Envelope, PeerGone> {
-        self.inbox().recv(src).map_err(|()| PeerGone)
+        self.inbox().recv(src)
     }
 
     fn try_recv_from(&self, src: Rank) -> Result<Option<Envelope>, PeerGone> {
-        match self.inbox().try_recv(src) {
-            Ok(envelope) => Ok(Some(envelope)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(PeerGone),
-        }
+        self.inbox().try_recv(src)
     }
 
     fn inbox_seq(&self) -> u64 {
@@ -210,56 +75,5 @@ impl Transport for InProcess {
         for peer in &self.peers {
             peer.close(self.rank);
         }
-    }
-
-    fn world_rank(&self, member: Rank) -> Rank {
-        self.to_world[member]
-    }
-
-    fn abort(&self) {
-        self.shutdown();
-        self.mesh.abort(self.to_world[self.rank]);
-    }
-
-    fn split(&self, members: &[Rank], my_rank: Rank, key: SplitKey) -> Arc<dyn Transport> {
-        let to_world: Vec<Rank> = members.iter().map(|&m| self.to_world[m]).collect();
-        let mut entries = self
-            .splits
-            .entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let entry = entries.entry(key).or_insert_with(|| {
-            let mailboxes: Vec<Arc<Mailbox>> = (0..members.len())
-                .map(|_| Mailbox::new(members.len()))
-                .collect();
-            // One registration per communicator (the first member in
-            // does it); every member computes the same `to_world`.
-            self.mesh.register(&mailboxes, to_world.clone());
-            SplitEntry {
-                mailboxes,
-                registry: Arc::new(SplitRegistry::default()),
-                handed_out: 0,
-            }
-        });
-        debug_assert_eq!(
-            entry.mailboxes.len(),
-            members.len(),
-            "all members of a split must agree on the group"
-        );
-        let transport = Arc::new(InProcess {
-            rank: my_rank,
-            peers: entry.mailboxes.clone(),
-            splits: Arc::clone(&entry.registry),
-            to_world,
-            mesh: Arc::clone(&self.mesh),
-        });
-        entry.handed_out += 1;
-        // Last member out removes the rendezvous entry: the key can
-        // never repeat (collective sequence numbers only grow), so the
-        // map stays bounded by the number of in-flight splits.
-        if entry.handed_out == members.len() {
-            entries.remove(&key);
-        }
-        transport
     }
 }

@@ -1,16 +1,23 @@
 //! Pluggable rank-to-rank message plane.
 //!
+//! A transport knows only the **world**: one endpoint per rank, one inbox
+//! per endpoint, every peer addressed by its world rank. Communicators
+//! are not its business — a [`crate::Comm`] is a *view* over its rank's
+//! one endpoint (a context id, a member list, a collective sequence), and
+//! an [`Envelope`] carries the context id next to its tag so the receive
+//! path above the transport matches `(world source, ctx, tag)`.
+//! `Comm::split` is therefore arithmetic, and no backend implements it.
+//!
 //! Everything above this module — point-to-point sends, collectives,
-//! credit/ack flow control, byte accounting — is transport-agnostic: a
-//! [`crate::Comm`] posts and receives opaque [`Envelope`]s through a
-//! [`Transport`] object and never knows whether its peers are threads in
-//! the same address space or processes on the other end of a socket.
+//! communicator management, credit/ack flow control, byte accounting —
+//! is transport-agnostic: it never knows whether its peers are threads
+//! in the same address space or processes on the other end of a socket.
 //!
 //! Two backends ship:
 //!
-//! * `in_process` — the original mailbox runtime (one OS thread per
-//!   rank, payloads move as boxed values without serialization). The
-//!   tier-1 default ([`crate::Backend::InProcess`]).
+//! * `in_process` — one OS thread per rank, payloads move as boxed
+//!   values without serialization. The tier-1 default
+//!   ([`crate::Backend::InProcess`]).
 //! * [`socket`] — ranks are processes exchanging length-prefixed
 //!   serialized frames over Unix-domain sockets ([`wire`] defines the
 //!   format). Used by `elba launch` and by [`crate::Backend::Socket`].
@@ -70,77 +77,77 @@ impl Payload {
     }
 }
 
-/// One unit of rank-to-rank traffic: a tagged payload. Opaque outside
-/// the comm crate — transports move envelopes, they never look inside.
+/// One unit of rank-to-rank traffic: a payload with its match header.
+/// Opaque outside the comm crate — transports move envelopes, they never
+/// look inside.
 pub struct Envelope {
+    /// Context id of the communicator the message was sent on — an
+    /// opaque match key to the transport.
+    pub(crate) ctx: u64,
     pub(crate) tag: Tag,
     pub(crate) payload: Payload,
 }
 
 impl Envelope {
-    pub(crate) fn new<T: CommMsg>(tag: Tag, value: T) -> Envelope {
+    pub(crate) fn new<T: CommMsg>(ctx: u64, tag: Tag, value: T) -> Envelope {
         Envelope {
+            ctx,
             tag,
             payload: Payload::Value(Box::new(value)),
         }
     }
 
-    /// The message tag, keying `(source, tag)` receive matching.
+    /// The message tag; receives match `(source, ctx, tag)`.
     pub fn tag(&self) -> Tag {
         self.tag
     }
 }
 
 /// The destination (or source) rank can no longer exchange messages:
-/// its `Comm` dropped, or its process exited. The closed-flag signal
+/// its last `Comm` dropped, or its process exited. The closed-flag signal
 /// every backend must propagate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerGone;
 
-/// Identity of one `split` call, identical on every participating rank:
-/// the parent communicator's collective sequence tag plus the caller's
-/// color. Backends use it to rendezvous the members of the new
-/// communicator without exchanging messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SplitKey {
-    pub(crate) seq: u64,
-    pub(crate) color: u64,
-}
-
-/// A rank's connection to one communicator's message plane.
+/// A rank's one connection to the world message plane.
 ///
-/// One `Transport` is held per `Comm` per rank; all methods take `&self`
-/// (the owning rank thread is the only caller, per invariant 3, but
-/// inbound delivery may happen from other threads — socket readers —
+/// One `Transport` is held per rank and shared by every `Comm` of that
+/// rank; every `Rank` in this trait is a **world** rank. All methods take
+/// `&self` (the owning rank thread is the only caller, per invariant 3,
+/// but inbound delivery may happen from other threads — socket readers —
 /// so implementations must be `Sync`).
 ///
 /// ## Contract
 ///
 /// * **Delivery order**: envelopes posted from rank `s` to rank `d` are
-///   received by `d` in posting order (per-source FIFO). Matching by
-///   `(source, tag, seq)` above the transport relies on it.
+///   received by `d` in posting order (per-source FIFO, across all
+///   contexts and tags). Matching by `(source, ctx, tag)` above the
+///   transport relies on it.
 /// * **Non-blocking post**: [`Transport::post`] buffers and returns; it
 ///   never waits for the receiver (the eager MPI protocol the runtime
 ///   models). A post may fail with [`PeerGone`] only if the destination
 ///   is permanently unreachable.
-/// * **Closed-flag propagation**: after [`Transport::shutdown`], every
-///   other member must observe this rank as closed — blocked
+/// * **Closed-flag propagation** is per rank, not per communicator:
+///   after [`Transport::shutdown`] (or the death of the rank's process)
+///   every other rank must observe this rank as closed — blocked
 ///   [`Transport::recv_from`] calls on it return `Err(PeerGone)` once
-///   drained, never hang.
+///   drained, never hang. There is one inbox per rank, so a dead rank
+///   is dead in every communicator by construction.
 /// * **Liveness for parking** (invariant 5): [`Transport::park_inbox`]
 ///   returns once the inbox *changes* relative to the observed
-///   [`Transport::inbox_seq`] — any arrival or any peer close counts.
-///   Implementations must bump the sequence for every such event, or
-///   flow-controlled exchanges deadlock on lost wakeups.
+///   [`Transport::inbox_seq`] — any arrival (for whichever communicator)
+///   or any peer close counts. Implementations must bump the sequence
+///   for every such event, or flow-controlled exchanges deadlock on lost
+///   wakeups; spurious wakeups are harmless.
 /// * **Wire bytes**: transports move envelopes; they do **not** account
 ///   bytes. All byte accounting happens above, from
 ///   [`CommMsg::nbytes`], which is what keeps profiled traffic
 ///   byte-identical across backends (invariant 2).
 pub trait Transport: Send + Sync {
-    /// This rank's index within the communicator.
+    /// This endpoint's world rank.
     fn rank(&self) -> Rank;
 
-    /// Number of ranks in the communicator.
+    /// Number of ranks in the world.
     fn size(&self) -> usize;
 
     /// Buffered send: enqueue `envelope` for rank `dst` (which may be
@@ -148,8 +155,8 @@ pub trait Transport: Send + Sync {
     fn post(&self, dst: Rank, envelope: Envelope) -> Result<(), PeerGone>;
 
     /// Blocking receive of the next envelope from `src`, in posting
-    /// order, any tag. `Err(PeerGone)` once `src` has shut down and its
-    /// queue is drained.
+    /// order, any context, any tag. `Err(PeerGone)` once `src` has shut
+    /// down and its queue is drained.
     fn recv_from(&self, src: Rank) -> Result<Envelope, PeerGone>;
 
     /// Non-blocking probe: `Ok(Some)` with the next envelope from
@@ -167,46 +174,16 @@ pub trait Transport: Send + Sync {
     /// lost-wakeup race).
     fn park_inbox(&self, seen: u64);
 
-    /// Leave the communicator: refuse further inbound messages and
-    /// propagate this rank's closed flag to every member. Called when
-    /// the owning `Comm` drops.
+    /// Leave the world: refuse further inbound messages and propagate
+    /// this rank's closed flag to every peer. Idempotent. Called when
+    /// the rank's last `Comm` drops, and by the SPMD harness after
+    /// catching the rank's unwind.
     fn shutdown(&self);
-
-    /// The **world** rank of communicator member `member`. Identity on a
-    /// world communicator; sub-communicators translate through their
-    /// membership. Errors and fault plans always speak world ranks —
-    /// a sub-rank index is meaningless outside its communicator.
-    fn world_rank(&self, member: Rank) -> Rank;
-
-    /// Proactively tear down this rank's presence in the **whole mesh**,
-    /// not just this communicator: every other rank must observe this
-    /// rank as dead in *every* communicator — including ones this rank
-    /// never joined a counterpart of — so no survivor stays parked on a
-    /// channel that can never produce. Called by the SPMD harness after
-    /// catching a rank's panic; [`Transport::shutdown`] (the orderly
-    /// per-communicator goodbye) still runs when each `Comm` drops.
-    fn abort(&self) {
-        self.shutdown();
-    }
-
-    /// Build this rank's transport for a sub-communicator. `members`
-    /// lists the parent ranks of the new communicator in new-rank
-    /// order; `my_rank` is this rank's index in it. Every member calls
-    /// with identical `members` and `key` (the SPMD guarantee of
-    /// `Comm::split`); backends rendezvous on `key` — no messages are
-    /// exchanged.
-    fn split(&self, members: &[Rank], my_rank: Rank, key: SplitKey) -> Arc<dyn Transport>;
 }
 
 // ----------------------------------------------------------------------
 // Mailbox: the condvar-backed inbox both backends deliver into
 // ----------------------------------------------------------------------
-
-/// Outcome of a non-blocking mailbox probe.
-pub(crate) enum TryRecvError {
-    Empty,
-    Disconnected,
-}
 
 struct MailboxState {
     /// Arrived-but-unclaimed messages, one FIFO per source rank.
@@ -216,8 +193,8 @@ struct MailboxState {
     /// Bumped on every push/close; lets waiters park until *anything*
     /// changes ([`Mailbox::park`]) without a lost-wakeup race.
     seq: u64,
-    /// Set when the owning rank's `Comm` drops; deliveries then fail
-    /// like sends into a dropped channel.
+    /// Set when the owning rank shuts down; deliveries then fail like
+    /// sends into a dropped channel.
     owner_gone: bool,
 }
 
@@ -251,10 +228,10 @@ impl Mailbox {
 
     /// Deliver a message from `src`; `Err` if the owner is gone (same
     /// contract as sending into a dropped channel).
-    pub(crate) fn push(&self, src: Rank, envelope: Envelope) -> Result<(), ()> {
+    pub(crate) fn push(&self, src: Rank, envelope: Envelope) -> Result<(), PeerGone> {
         let mut st = self.lock();
         if st.owner_gone {
-            return Err(());
+            return Err(PeerGone);
         }
         st.queues[src].push_back(envelope);
         st.seq += 1;
@@ -263,8 +240,8 @@ impl Mailbox {
         Ok(())
     }
 
-    /// Mark `src` as permanently done (its `Comm` dropped or its
-    /// process hung up).
+    /// Mark `src` as permanently done (it shut down or its process
+    /// hung up).
     pub(crate) fn close(&self, src: Rank) {
         let mut st = self.lock();
         st.closed[src] = true;
@@ -278,16 +255,16 @@ impl Mailbox {
     }
 
     /// Blocking pop of the next message from `src` (any tag), parking on
-    /// the condvar until one arrives. `Err(())` if `src` closed with an
+    /// the condvar until one arrives. `Err` if `src` closed with an
     /// empty queue.
-    pub(crate) fn recv(&self, src: Rank) -> Result<Envelope, ()> {
+    pub(crate) fn recv(&self, src: Rank) -> Result<Envelope, PeerGone> {
         let mut st = self.lock();
         loop {
             if let Some(envelope) = st.queues[src].pop_front() {
                 return Ok(envelope);
             }
             if st.closed[src] {
-                return Err(());
+                return Err(PeerGone);
             }
             st = self
                 .arrived
@@ -296,13 +273,14 @@ impl Mailbox {
         }
     }
 
-    /// Non-blocking pop of the next message from `src` (any tag).
-    pub(crate) fn try_recv(&self, src: Rank) -> Result<Envelope, TryRecvError> {
+    /// Non-blocking pop of the next message from `src` (any tag):
+    /// `Ok(None)` if nothing has arrived, `Err` once `src` closed with an
+    /// empty queue.
+    pub(crate) fn try_recv(&self, src: Rank) -> Result<Option<Envelope>, PeerGone> {
         let mut st = self.lock();
         match st.queues[src].pop_front() {
-            Some(envelope) => Ok(envelope),
-            None if st.closed[src] => Err(TryRecvError::Disconnected),
-            None => Err(TryRecvError::Empty),
+            None if st.closed[src] => Err(PeerGone),
+            envelope => Ok(envelope),
         }
     }
 

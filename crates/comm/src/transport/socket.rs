@@ -10,8 +10,8 @@
 //! inside one test process) or from filesystem sockets under a rendezvous directory
 //! ([`run_worker`] — real processes, launched by `elba launch`).
 //!
-//! Per peer stream a dedicated reader thread drains frames into
-//! condvar-backed `Mailbox`es — the same inbox type the in-process
+//! Per peer stream a dedicated reader thread drains frames into the
+//! rank's condvar-backed `Mailbox` — the same inbox type the in-process
 //! backend uses, so receive matching, parking and closed-flag semantics
 //! are shared code. Because readers always drain the socket into an
 //! unbounded mailbox, a sender's `write` can never deadlock against its
@@ -22,196 +22,48 @@
 //! ## Communicators
 //!
 //! One process hosts exactly one world rank (invariant 3: threads never
-//! enter the comm layer), but many communicators: each `Comm` maps to a
-//! *context id* carried in every frame. The world communicator is
-//! context 0; `split` derives child contexts deterministically from
-//! `(parent ctx, collective seq, color)` — identical on every member by
-//! SPMD order, so no bootstrap messages are needed. Frames that arrive
-//! before their context is registered are parked in a pending buffer
-//! and replayed at registration, preserving per-source order.
+//! enter the comm layer) and one inbox. `ctx` is an opaque match key
+//! carried in the frame header: the `Comm` views above the transport
+//! stamp it on every envelope and match on it at receive.
 
-use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::fault::{FaultMode, FaultPlan, FaultTransport};
 use super::wire::{FrameHeader, FrameKind, FRAME_HEADER_BYTES};
-use super::{Envelope, Mailbox, Payload, PeerGone, SplitKey, Transport, TryRecvError};
+use super::{Envelope, Mailbox, Payload, PeerGone, Transport};
 use crate::error::{CommError, FailureCause};
 use crate::profile::{lock_profile, Profile};
 use crate::runtime::{Comm, Rank};
 
-/// Context id of the world communicator.
-const WORLD_CTX: u64 = 0;
-
-/// Deterministic child context id for a split: FNV-1a over the parent
-/// context and the split key. Every member computes the same id from
-/// the same SPMD state; context 0 stays reserved for the world.
-fn child_ctx(parent: u64, key: SplitKey) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in [parent, key.seq, key.color] {
-        for b in chunk.to_ne_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    if h == WORLD_CTX {
-        0x9e37_79b9_7f4a_7c15
-    } else {
-        h
-    }
-}
-
-/// One registered communicator on a node.
-struct CtxEntry {
-    mailbox: Arc<Mailbox>,
-    /// Sub-rank of each member world rank (for closing on peer EOF).
-    sub_of_world: HashMap<Rank, usize>,
-}
-
-/// Demux state shared by the reader threads: one lock covers both maps
-/// so a frame can never slip into `pending` while its context is being
-/// registered (registration drains pending under the same lock).
-#[derive(Default)]
-struct Router {
-    contexts: HashMap<u64, CtxEntry>,
-    /// Frames for not-yet-registered contexts, in arrival order.
-    pending: HashMap<u64, Vec<(FrameHeader, Vec<u8>)>>,
-    /// World ranks whose stream reached EOF (process exited); contexts
-    /// registered later close these members immediately.
-    dead: Vec<bool>,
-}
-
 /// One process's endpoint of the socket mesh: the write half of every
-/// peer stream plus the demux state its reader threads deliver into.
-pub(crate) struct SocketNode {
+/// peer stream plus the inbox its reader threads deliver into.
+pub(crate) struct SocketTransport {
     rank: Rank,
-    size: usize,
     /// writers[peer]: locked write half of the stream to `peer`
     /// (`None` for self — self-sends never touch a socket).
     writers: Vec<Option<Mutex<UnixStream>>>,
-    router: Mutex<Router>,
+    mailbox: Arc<Mailbox>,
 }
 
-impl SocketNode {
-    fn lock_router(&self) -> std::sync::MutexGuard<'_, Router> {
-        self.router
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Register a communicator; replays any frames that raced ahead of
-    /// the registration and closes members that already hung up.
-    fn register_ctx(&self, ctx: u64, members: &[Rank]) -> Arc<Mailbox> {
-        let mailbox = Mailbox::new(members.len());
-        let entry = CtxEntry {
-            mailbox: Arc::clone(&mailbox),
-            sub_of_world: members.iter().enumerate().map(|(s, &w)| (w, s)).collect(),
-        };
-        let mut router = self.lock_router();
-        let parked = router.pending.remove(&ctx).unwrap_or_default();
-        let dead: Vec<Rank> = members
-            .iter()
-            .copied()
-            .filter(|&w| w != self.rank && router.dead[w])
-            .collect();
-        router.contexts.insert(ctx, entry);
-        for (hdr, payload) in parked {
-            Self::route(&mut router, hdr, payload);
-        }
-        for w in dead {
-            let sub = members.iter().position(|&m| m == w).expect("member");
-            mailbox.close(sub);
-        }
-        drop(router);
-        mailbox
-    }
-
-    fn unregister_ctx(&self, ctx: u64) {
-        self.lock_router().contexts.remove(&ctx);
-    }
-
-    /// Deliver one inbound frame (reader thread context). Frames for
-    /// unknown contexts wait in `pending`; frames for a dropped rank's
-    /// mailbox are discarded (the in-process analogue panics the
-    /// *sender*, which a remote sender cannot observe).
-    fn deliver(&self, hdr: FrameHeader, payload: Vec<u8>) {
-        let mut router = self.lock_router();
-        Self::route(&mut router, hdr, payload);
-    }
-
-    fn route(router: &mut Router, hdr: FrameHeader, payload: Vec<u8>) {
-        if hdr.kind == FrameKind::Abort {
-            // Whole-process death announcement: `src` is a world rank.
-            // Close it everywhere, like the EOF its exit will deliver —
-            // but now, and ahead of any data still buffered behind it
-            // on other streams.
-            let world = hdr.src as usize;
-            if world < router.dead.len() {
-                Self::mark_dead(router, world);
-            }
-            return;
-        }
-        match router.contexts.get(&hdr.ctx) {
-            Some(entry) => {
-                let src = hdr.src as usize;
-                match hdr.kind {
-                    FrameKind::Data => {
-                        let envelope = Envelope {
-                            tag: hdr.tag,
-                            payload: Payload::Frame(payload),
-                        };
-                        let _ = entry.mailbox.push(src, envelope);
-                    }
-                    FrameKind::Close => entry.mailbox.close(src),
-                    FrameKind::Hello | FrameKind::Abort => {}
-                }
-            }
-            None => router
-                .pending
-                .entry(hdr.ctx)
-                .or_default()
-                .push((hdr, payload)),
-        }
-    }
-
-    /// Close world rank `world` out of every registered communicator and
-    /// remember it for communicators registered later.
-    fn mark_dead(router: &mut Router, world: Rank) {
-        router.dead[world] = true;
-        for entry in router.contexts.values() {
-            if let Some(&sub) = entry.sub_of_world.get(&world) {
-                entry.mailbox.close(sub);
-            }
-        }
-    }
-
-    /// The stream from `world` hit EOF: its process is gone. Close it
-    /// in every communicator that includes it, and remember it for
-    /// communicators registered later.
-    fn peer_eof(&self, world: Rank) {
-        let mut router = self.lock_router();
-        Self::mark_dead(&mut router, world);
-    }
-
-    /// Serialize and ship one frame to `world` (never self).
+impl SocketTransport {
+    /// Serialize and ship one frame to `peer` (never self).
     fn send_frame(
         &self,
-        world: Rank,
+        peer: Rank,
         kind: FrameKind,
         ctx: u64,
-        src: usize,
         tag: u64,
         payload: &[u8],
     ) -> Result<(), PeerGone> {
-        let writer = self.writers[world].as_ref().ok_or(PeerGone)?;
+        let writer = self.writers[peer].as_ref().ok_or(PeerGone)?;
         let header = FrameHeader {
             kind,
             ctx,
-            src: src as u32,
+            src: self.rank as u32,
             tag,
             len: payload.len() as u64,
         };
@@ -225,7 +77,7 @@ impl SocketNode {
     }
 }
 
-impl Drop for SocketNode {
+impl Drop for SocketTransport {
     fn drop(&mut self) {
         // Half-close every stream so peer readers (and, once the peer
         // drops too, our own) wake with EOF instead of blocking forever.
@@ -240,19 +92,18 @@ impl Drop for SocketNode {
     }
 }
 
-/// Spawn the per-peer reader thread: drain frames into the node's
-/// router until EOF or a protocol error. Holds only a `Weak` so a
-/// finished node can drop (its `Drop` half-closes the streams, which is
-/// what eventually lands every reader here on EOF).
+/// Spawn the per-peer reader thread: drain `peer`'s frames into this
+/// rank's inbox until EOF or a protocol error, then close `peer` there —
+/// the backstop for a process that died without saying goodbye. Frames
+/// that arrive after this rank shut down are discarded by the mailbox.
 fn spawn_reader(
-    node: &Arc<SocketNode>,
-    from_world: Rank,
+    my_rank: Rank,
+    peer: Rank,
     stream: UnixStream,
+    mailbox: Arc<Mailbox>,
 ) -> std::io::Result<()> {
-    let weak: Weak<SocketNode> = Arc::downgrade(node);
-    let my_rank = node.rank;
     std::thread::Builder::new()
-        .name(format!("sock-rx-{my_rank}-{from_world}"))
+        .name(format!("sock-rx-{my_rank}-{peer}"))
         .spawn(move || {
             let mut stream = BufReader::new(stream);
             loop {
@@ -269,29 +120,33 @@ fn spawn_reader(
                 if stream.read_exact(&mut payload).is_err() {
                     break;
                 }
-                let Some(node) = weak.upgrade() else {
-                    return; // our own node is gone; no one to deliver to
-                };
-                node.deliver(hdr, payload);
+                match hdr.kind {
+                    FrameKind::Data => {
+                        let envelope = Envelope {
+                            ctx: hdr.ctx,
+                            tag: hdr.tag,
+                            payload: Payload::Frame(payload),
+                        };
+                        let _ = mailbox.push(peer, envelope);
+                    }
+                    FrameKind::Close => mailbox.close(peer),
+                    FrameKind::Hello => {}
+                }
             }
-            if let Some(node) = weak.upgrade() {
-                node.peer_eof(from_world);
-            }
+            mailbox.close(peer);
         })
         .map_err(|e| {
             std::io::Error::new(
                 e.kind(),
-                format!("rank {my_rank}: spawn reader thread for rank {from_world}: {e}"),
+                format!("rank {my_rank}: spawn reader thread for rank {peer}: {e}"),
             )
         })?;
     Ok(())
 }
 
-fn build_node(
-    rank: Rank,
-    size: usize,
-    streams: Vec<Option<UnixStream>>,
-) -> std::io::Result<Arc<SocketNode>> {
+/// Assemble one rank's endpoint from its per-peer streams (`None` at
+/// its own index) and start the reader threads.
+fn build_node(rank: Rank, streams: Vec<Option<UnixStream>>) -> std::io::Result<SocketTransport> {
     let mut writers = Vec::with_capacity(streams.len());
     for (peer, s) in streams.iter().enumerate() {
         writers.push(match s {
@@ -304,47 +159,17 @@ fn build_node(
             None => None,
         });
     }
-    let node = Arc::new(SocketNode {
-        rank,
-        size,
-        writers,
-        router: Mutex::new(Router {
-            dead: vec![false; size],
-            ..Router::default()
-        }),
-    });
+    let mailbox = Mailbox::new(streams.len());
     for (peer, stream) in streams.into_iter().enumerate() {
         if let Some(stream) = stream {
-            spawn_reader(&node, peer, stream)?;
+            spawn_reader(rank, peer, stream, Arc::clone(&mailbox))?;
         }
     }
-    Ok(node)
-}
-
-/// Socket transport for one rank of one communicator (context).
-pub(crate) struct SocketTransport {
-    node: Arc<SocketNode>,
-    ctx: u64,
-    /// World rank of each member, indexed by sub-rank.
-    members: Vec<Rank>,
-    /// This rank's sub-rank within the communicator.
-    rank: Rank,
-    mailbox: Arc<Mailbox>,
-}
-
-impl SocketTransport {
-    /// The world communicator over an established mesh.
-    pub(crate) fn world(node: Arc<SocketNode>) -> SocketTransport {
-        let members: Vec<Rank> = (0..node.size).collect();
-        let mailbox = node.register_ctx(WORLD_CTX, &members);
-        SocketTransport {
-            rank: node.rank,
-            ctx: WORLD_CTX,
-            members,
-            mailbox,
-            node,
-        }
-    }
+    Ok(SocketTransport {
+        rank,
+        writers,
+        mailbox,
+    })
 }
 
 impl Transport for SocketTransport {
@@ -353,41 +178,26 @@ impl Transport for SocketTransport {
     }
 
     fn size(&self) -> usize {
-        self.members.len()
+        self.writers.len()
     }
 
     fn post(&self, dst: Rank, envelope: Envelope) -> Result<(), PeerGone> {
-        let world = self.members[dst];
-        if world == self.node.rank {
+        if dst == self.rank {
             // Send-to-self stays a moved value: no serialization, same
             // as the in-process backend.
-            return self
-                .mailbox
-                .push(self.rank, envelope)
-                .map_err(|()| PeerGone);
+            return self.mailbox.push(self.rank, envelope);
         }
         let mut payload = Vec::new();
         envelope.payload.encode_into(&mut payload);
-        self.node.send_frame(
-            world,
-            FrameKind::Data,
-            self.ctx,
-            self.rank,
-            envelope.tag,
-            &payload,
-        )
+        self.send_frame(dst, FrameKind::Data, envelope.ctx, envelope.tag, &payload)
     }
 
     fn recv_from(&self, src: Rank) -> Result<Envelope, PeerGone> {
-        self.mailbox.recv(src).map_err(|()| PeerGone)
+        self.mailbox.recv(src)
     }
 
     fn try_recv_from(&self, src: Rank) -> Result<Option<Envelope>, PeerGone> {
-        match self.mailbox.try_recv(src) {
-            Ok(envelope) => Ok(Some(envelope)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(PeerGone),
-        }
+        self.mailbox.try_recv(src)
     }
 
     fn inbox_seq(&self) -> u64 {
@@ -399,56 +209,14 @@ impl Transport for SocketTransport {
     }
 
     fn shutdown(&self) {
+        // One goodbye per peer, ahead of the EOF our exit will deliver:
+        // an orderly finish and an abort are the same event — this world
+        // rank closed.
         self.mailbox.mark_owner_gone();
-        for (sub, &world) in self.members.iter().enumerate() {
-            if world == self.node.rank {
-                self.mailbox.close(sub);
-            } else {
-                let _ = self
-                    .node
-                    .send_frame(world, FrameKind::Close, self.ctx, self.rank, 0, &[]);
-            }
+        self.mailbox.close(self.rank);
+        for peer in (0..self.size()).filter(|&p| p != self.rank) {
+            let _ = self.send_frame(peer, FrameKind::Close, 0, 0, &[]);
         }
-        self.node.unregister_ctx(self.ctx);
-    }
-
-    fn world_rank(&self, member: Rank) -> Rank {
-        self.members[member]
-    }
-
-    fn abort(&self) {
-        // Whole-process teardown: tell every peer this world rank is
-        // dead (ahead of the EOF our exit will deliver), then leave the
-        // current communicator the orderly way. Peers close us out of
-        // every context — current and future — on the Abort frame.
-        for world in 0..self.node.size {
-            if world != self.node.rank {
-                let _ = self.node.send_frame(
-                    world,
-                    FrameKind::Abort,
-                    WORLD_CTX,
-                    self.node.rank,
-                    0,
-                    &[],
-                );
-            }
-        }
-        self.shutdown();
-    }
-
-    fn split(&self, members: &[Rank], my_rank: Rank, key: SplitKey) -> Arc<dyn Transport> {
-        let ctx = child_ctx(self.ctx, key);
-        // `members` are parent sub-ranks; the frame plane speaks world
-        // ranks.
-        let world_members: Vec<Rank> = members.iter().map(|&m| self.members[m]).collect();
-        let mailbox = self.node.register_ctx(ctx, &world_members);
-        Arc::new(SocketTransport {
-            node: Arc::clone(&self.node),
-            ctx,
-            members: world_members,
-            rank: my_rank,
-            mailbox,
-        })
     }
 }
 
@@ -458,7 +226,7 @@ impl Transport for SocketTransport {
 
 /// Fully-connected mesh of `nranks` nodes from socketpairs, all inside
 /// the calling process — the harness behind [`thread_mesh`].
-fn pair_mesh(nranks: usize) -> std::io::Result<Vec<Arc<SocketNode>>> {
+fn pair_mesh(nranks: usize) -> std::io::Result<Vec<SocketTransport>> {
     let mut endpoints: Vec<Vec<Option<UnixStream>>> = (0..nranks)
         .map(|_| (0..nranks).map(|_| None).collect())
         .collect();
@@ -472,7 +240,7 @@ fn pair_mesh(nranks: usize) -> std::io::Result<Vec<Arc<SocketNode>>> {
     endpoints
         .into_iter()
         .enumerate()
-        .map(|(rank, streams)| build_node(rank, nranks, streams))
+        .map(|(rank, streams)| build_node(rank, streams))
         .collect()
 }
 
@@ -554,7 +322,7 @@ fn connect_mesh(
     rank: Rank,
     nranks: usize,
     cfg: &MeshConfig,
-) -> std::io::Result<Arc<SocketNode>> {
+) -> std::io::Result<SocketTransport> {
     let listener = UnixListener::bind(dir.join(format!("rank{rank}.sock")))?;
     let mut streams: Vec<Option<UnixStream>> = (0..nranks).map(|_| None).collect();
     for (peer, slot) in streams.iter_mut().enumerate().take(rank) {
@@ -562,7 +330,7 @@ fn connect_mesh(
         let mut hello = Vec::with_capacity(FRAME_HEADER_BYTES);
         FrameHeader {
             kind: FrameKind::Hello,
-            ctx: WORLD_CTX,
+            ctx: 0,
             src: rank as u32,
             tag: 0,
             len: 0,
@@ -605,7 +373,7 @@ fn connect_mesh(
         }
         streams[hdr.src as usize] = Some(stream);
     }
-    build_node(rank, nranks, streams)
+    build_node(rank, streams)
 }
 
 // ----------------------------------------------------------------------
@@ -657,9 +425,9 @@ impl From<std::io::Error> for WorkerError {
 /// [`Profile::wire_encode`].
 ///
 /// A panicking `f` does not take the process down bare-handed: the
-/// panic is caught, an abort frame proactively tears this rank out of
-/// the whole mesh (peers unwind with `PeerGone` instead of timing out),
-/// and the classified failure comes back as a [`WorkerError`].
+/// panic is caught, this rank's endpoint is shut down (peers unwind with
+/// `PeerGone` instead of timing out), and the classified failure comes
+/// back as a [`WorkerError`].
 pub fn run_worker<T, F>(
     dir: &Path,
     rank: Rank,
@@ -677,16 +445,16 @@ where
             format!("{}: {e}", crate::transport::fault::FAULT_PLAN_ENV),
         )
     })?;
-    let node = connect_mesh(dir, rank, nranks, &MeshConfig::from_env())?;
     let profile = Arc::new(Mutex::new(Profile::new(rank)));
-    let mut transport: Arc<dyn Transport> = Arc::new(SocketTransport::world(node));
+    let mut transport: Arc<dyn Transport> =
+        Arc::new(connect_mesh(dir, rank, nranks, &MeshConfig::from_env())?);
     if let Some(plan) = &plan {
         // Process-mode faults: a killed worker exits (or SIGKILLs
         // itself) instead of unwinding — the launcher's taxonomy and
         // the peers' PeerGone errors are the observable.
         transport = FaultTransport::wrap(transport, plan, FaultMode::Process);
     }
-    let abort_handle = Arc::clone(&transport);
+    let endpoint = Arc::clone(&transport);
     let comm = Comm::from_transport(transport, Arc::clone(&profile));
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(comm))) {
         Ok(out) => {
@@ -694,11 +462,9 @@ where
             Ok((out, snapshot))
         }
         Err(payload) => {
-            // The unwind already dropped `comm` (orderly Close frames);
-            // the abort additionally declares the whole process dead so
-            // peers parked in communicators this rank never joined a
-            // counterpart of fail promptly too.
-            abort_handle.abort();
+            // The unwind normally dropped every `Comm` (which shuts the
+            // endpoint down); make sure of it before reporting.
+            endpoint.shutdown();
             Err(match crate::error::classify_panic(payload) {
                 FailureCause::PeerGone(e) => WorkerError::Comm(e),
                 FailureCause::Killed(d) => WorkerError::Killed(d),
@@ -721,21 +487,6 @@ pub(crate) fn thread_mesh(nranks: usize) -> Vec<Arc<dyn Transport>> {
     pair_mesh(nranks)
         .unwrap_or_else(|e| panic!("socket mesh bring-up failed: {e}"))
         .into_iter()
-        .map(|node| Arc::new(SocketTransport::world(node)) as Arc<dyn Transport>)
+        .map(|node| Arc::new(node) as Arc<dyn Transport>)
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn child_ctx_never_world_and_spreads() {
-        let a = child_ctx(WORLD_CTX, SplitKey { seq: 1, color: 0 });
-        let b = child_ctx(WORLD_CTX, SplitKey { seq: 1, color: 1 });
-        let c = child_ctx(a, SplitKey { seq: 1, color: 0 });
-        assert_ne!(a, WORLD_CTX);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-    }
 }

@@ -94,10 +94,6 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_ne_bytes(b.try_into().expect("8-byte read")))
     }
 
-    pub fn read_f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.read_u64()?))
-    }
-
     /// A `u64` length header, sanity-capped by [`MAX_VEC_ELEMS`].
     pub fn read_len(&mut self) -> Result<usize, WireError> {
         let n = self.read_u64()?;
@@ -132,27 +128,23 @@ pub const FRAME_HEADER_BYTES: usize = 4 + 1 + 8 + 4 + 8 + 8;
 pub enum FrameKind {
     /// Mesh handshake: `src` is the connecting process's world rank.
     Hello,
-    /// One point-to-point message: `src` is the sender's rank *within*
-    /// the communicator identified by `ctx`, `tag` the message tag, and
+    /// One point-to-point message: `src` is the sender's world rank,
+    /// `ctx` and `tag` the match key of the receive it is meant for, and
     /// the payload a `CommMsg::wire_encode` body of `len` bytes.
     Data,
-    /// The sender's `Comm` for context `ctx` dropped; no further frames
-    /// will arrive from it there (closed-flag propagation).
+    /// World rank `src` shut down (finished, panicked or was told to die
+    /// by a fault plan); no further frames will arrive from it — a
+    /// proactive version of the EOF its exit will deliver. `ctx` is
+    /// ignored.
     Close,
-    /// The sending **process** is going down (its rank panicked or was
-    /// told to die by a fault plan): treat world rank `src` as dead in
-    /// every context, current and future — a proactive, explicit version
-    /// of the EOF its exit would eventually deliver. `ctx` is ignored.
-    Abort,
 }
 
 /// Fixed-size prefix of every socket frame: magic, kind, communicator
-/// context, source rank, tag, payload length.
+/// context, source world rank, tag, payload length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
     pub kind: FrameKind,
-    /// Communicator context id (the world communicator is context 0;
-    /// `split` derives child contexts deterministically).
+    /// Communicator context id: an opaque match key to the transport.
     pub ctx: u64,
     pub src: u32,
     pub tag: u64,
@@ -170,7 +162,6 @@ impl FrameHeader {
             FrameKind::Hello => 0,
             FrameKind::Data => 1,
             FrameKind::Close => 2,
-            FrameKind::Abort => 3,
         });
         out.extend_from_slice(&self.ctx.to_ne_bytes());
         out.extend_from_slice(&self.src.to_ne_bytes());
@@ -189,7 +180,6 @@ impl FrameHeader {
             0 => FrameKind::Hello,
             1 => FrameKind::Data,
             2 => FrameKind::Close,
-            3 => FrameKind::Abort,
             _ => return Err(WireError::Malformed("frame kind")),
         };
         let ctx = r.read_u64()?;

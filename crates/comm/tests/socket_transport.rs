@@ -230,3 +230,107 @@ fn blocked_recv_fails_when_peer_exits() {
         comm.recv::<u64>(0, 3)
     });
 }
+
+// ----------------------------------------------------------------------
+// Communicators are views over one inbox per rank: what that design must
+// get right, on both backends.
+// ----------------------------------------------------------------------
+
+const BOTH: [Backend; 2] = [Backend::InProcess, Backend::Socket];
+
+#[test]
+fn traffic_for_another_communicator_waits_in_the_stash() {
+    // Two sub-communicators over the same pair, one with the rank order
+    // reversed. The peer sends on `rev` first; the receiver asks `fwd`
+    // first, so the `rev` envelope surfaces during a `fwd` receive and
+    // must wait for `rev` — same source, same tag, different context.
+    for backend in BOTH {
+        let out = Runner::new(backend).ranks(2).run(|comm| {
+            let fwd = comm.split(0, comm.rank());
+            let rev = comm.split(0, comm.size() - comm.rank());
+            assert_eq!(rev.rank(), 1 - comm.rank());
+            if comm.rank() == 0 {
+                rev.send(0, 5, 111u64); // world rank 1 is rank 0 of `rev`
+                fwd.send(1, 5, 222u64);
+                (0, 0)
+            } else {
+                let on_fwd = fwd.recv::<u64>(0, 5);
+                let on_rev = rev.recv::<u64>(1, 5);
+                (on_fwd, on_rev)
+            }
+        });
+        assert_eq!(out[1], (222, 111), "{backend:?}");
+    }
+}
+
+#[test]
+fn same_pair_same_tag_never_crosses_contexts() {
+    for backend in BOTH {
+        let out = Runner::new(backend).ranks(2).run(|comm| {
+            let aux = comm.dup();
+            if comm.rank() == 0 {
+                aux.send(1, 7, 1u64);
+                comm.send(1, 7, 2u64);
+                (0, 0)
+            } else {
+                let on_world = comm.recv::<u64>(0, 7);
+                let on_aux = aux.recv::<u64>(0, 7);
+                (on_world, on_aux)
+            }
+        });
+        assert_eq!(out[1], (2, 1), "{backend:?}");
+    }
+}
+
+#[test]
+fn traffic_that_outruns_the_receivers_split_is_delivered_in_order() {
+    // Rank 0 is the root of `split`'s allgather, so it returns first and
+    // posts on the child at once; the gate holds rank 1 back until all of
+    // it is in flight, so none of it was asked for when it was sent —
+    // on the socket backend it may reach the inbox before rank 1's own
+    // `split` has returned. A world message on the same tag sits in the
+    // middle of the burst and must not be taken for child traffic.
+    for backend in BOTH {
+        let gate = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let out = Runner::new(backend).ranks(2).run(move |comm| {
+            let child = comm.split(0, comm.rank());
+            if comm.rank() == 0 {
+                child.send(1, 3, 10u64);
+                comm.send(1, 3, 99u64);
+                child.send(1, 3, 20u64);
+                child.send(1, 4, 30u64);
+                gate.wait();
+                Vec::new()
+            } else {
+                gate.wait();
+                vec![
+                    child.recv::<u64>(0, 4),
+                    child.recv::<u64>(0, 3),
+                    child.recv::<u64>(0, 3),
+                    comm.recv::<u64>(0, 3),
+                ]
+            }
+        });
+        assert_eq!(out[1], vec![30, 10, 20, 99], "{backend:?}");
+    }
+}
+
+#[test]
+fn dropping_a_sub_communicator_early_does_not_close_the_rank() {
+    for backend in BOTH {
+        let out = Runner::new(backend).ranks(4).run(|comm| {
+            let row = comm.split(comm.rank() / 2, comm.rank());
+            let col = comm.split(comm.rank() % 2, comm.rank());
+            let r = row.allreduce(comm.rank() as u64, |a, b| a + b);
+            drop(row);
+            let c = col.allreduce(comm.rank() as u64, |a, b| a + b);
+            let next = (comm.rank() + 1) % comm.size();
+            let prev = (comm.rank() + comm.size() - 1) % comm.size();
+            comm.send(next, 1, comm.rank() as u64);
+            let from_prev = comm.recv::<u64>(prev, 1);
+            (r, c, from_prev, comm.allreduce(1u64, |a, b| a + b))
+        });
+        assert_eq!(out[0], (1, 2, 3, 4), "{backend:?}");
+        assert_eq!(out[3], (5, 4, 2, 4), "{backend:?}");
+    }
+}

@@ -23,7 +23,7 @@ use elba_sparse::DistMat;
 use crate::assembly::{local_assembly, AssemblyConfig, AssemblyStats, Contig};
 use crate::induced::induced_subgraph;
 use crate::lacc::connected_components;
-use crate::partition::{partition, PartitionStrategy, Partitioning};
+use crate::partition::{partition, PartitionStrategy};
 
 /// Parameters of the contig stage.
 #[derive(Debug, Clone)]
@@ -232,11 +232,6 @@ pub fn gather_contigs(grid: &ProcGrid, local: &[Contig]) -> Vec<Contig> {
             .then_with(|| a.read_ids.cmp(&b.read_ids))
     });
     all
-}
-
-/// Check the partitioning invariant: one rank per contig label.
-pub fn partitioning_is_valid(part: &Partitioning, nparts: usize) -> bool {
-    part.assignment.iter().all(|&r| r < nparts)
 }
 
 #[cfg(test)]

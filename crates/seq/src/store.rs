@@ -109,12 +109,6 @@ impl ReadStore {
         self.ids.len()
     }
 
-    /// Global ids of locally held reads.
-    #[inline]
-    pub fn local_ids(&self) -> &[u64] {
-        &self.ids
-    }
-
     /// Total bases held locally.
     #[inline]
     pub fn local_bases(&self) -> usize {

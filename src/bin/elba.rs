@@ -20,6 +20,7 @@ use elba::exit;
 use elba::prelude::*;
 use elba::seq::fasta::{read_fasta, write_fasta, FastaRecord};
 use elba::seq::gfa::GfaGraph;
+use elba::seq::kmer::MAX_K;
 
 /// A CLI failure plus the process exit code it maps to (see
 /// [`elba::exit`] for the taxonomy). Plain `String` errors convert to
@@ -190,6 +191,9 @@ fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, Stri
     }
     let mut cfg = PipelineConfig::default().with_threads(threads);
     cfg.kmer.k = num(flags, "k", 31usize)?;
+    if !(1..=MAX_K).contains(&cfg.kmer.k) {
+        return Err(format!("--k must be in 1..={MAX_K}; got {}", cfg.kmer.k));
+    }
     cfg.overlap.k = cfg.kmer.k;
     cfg.overlap.xdrop = num(flags, "xdrop", 15i32)?;
     cfg.overlap.min_overlap = num(flags, "min-overlap", 100usize)?;

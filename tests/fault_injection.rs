@@ -549,18 +549,21 @@ fn unknown_flags_are_usage_errors_naming_the_flag_and_subcommand() {
         cases.push((through_launch("socket", tail), expect.clone()));
         cases.push((through_launch("inprocess", tail), expect));
     }
-    let bad_values: [([&str; 2], &str); 2] = [
+    let bad_values: [([&str; 2], &str); 4] = [
         (
             ["--seed-chaining", "all"],
             "--seed-chaining must be chain|best",
         ),
         (["--scaffold", "maybe"], "--scaffold must be true|false"),
+        (["--k", "32"], "--k must be in 1..=31; got 32"),
+        (["--k", "0"], "--k must be in 1..=31; got 0"),
     ];
     for (tail, expect) in &bad_values {
         let mut direct = vec!["assemble", "--reads", "r.fa"];
         direct.extend(tail);
         cases.push((direct, expect.to_string()));
         cases.push((through_launch("socket", tail), expect.to_string()));
+        cases.push((through_launch("inprocess", tail), expect.to_string()));
     }
     for (argv, expect) in cases {
         let (out, _) = run(&argv);
@@ -573,6 +576,11 @@ fn unknown_flags_are_usage_errors_naming_the_flag_and_subcommand() {
         assert!(
             out.stderr.contains(&expect),
             "{argv:?}: the error must say `{expect}`:\n{}",
+            out.stderr
+        );
+        assert!(
+            !out.stderr.contains("panicked at") && !sock.exists(),
+            "{argv:?}: a usage error starts no rank and no worker:\n{}",
             out.stderr
         );
     }
