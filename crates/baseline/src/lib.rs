@@ -264,8 +264,10 @@ fn best_overlap_filter(n: usize, edges: Vec<(u32, u32, SgEdge)>) -> Vec<(u32, u3
         .collect()
 }
 
-/// Serial transitive reduction over directed SgEdge lists (miniasm-style).
-fn serial_transitive_reduction(
+/// Serial transitive reduction over directed SgEdge lists (miniasm-style):
+/// the independent reference the distributed `TrReduction` is checked
+/// against. It iterates to a fixed point on its own evidence.
+pub fn serial_transitive_reduction(
     n: usize,
     mut edges: Vec<(u32, u32, SgEdge)>,
     fuzz: u32,

@@ -40,6 +40,8 @@ pub struct PipelineConfig {
     pub overlap: OverlapConfig,
     /// Overhang fuzz for transitive reduction.
     pub tr_fuzz: u32,
+    /// Vestigial: transitive reduction is one sweep whatever this says
+    /// (`0` skips it) — see `elba_graph::transitive_reduction_with`.
     pub tr_max_iters: usize,
     pub contig: ContigConfig,
     /// Per-rank memory budget; [`PipelineConfig::with_mem_budget`]
@@ -257,11 +259,11 @@ pub fn assemble(grid: &ProcGrid, reads: &[Seq], cfg: &PipelineConfig) -> Pipelin
     drop(_c_charge);
 
     // TrReduction: R → S (line 10). R's pipeline-level charge is
-    // released *before* the reduction: the first sweep consumes R (its
-    // zip_prune takes the block out of the Arc), and a guard still
-    // pinning the Arc would force a silent, untracked deep copy there.
-    // R's bytes during the sweep are charged by the SUMMA schedule's
-    // own shared stage guards instead (keyed on the same Arc).
+    // released *before* the reduction: R is freed inside the call, as
+    // soon as S has been pruned out of it, and the masked sweep holds
+    // its own shared guard on R's block (keyed on the same Arc) until
+    // then — a guard held out here would go on charging a matrix that
+    // is gone.
     let (s, _s_charge, reduction_stats) = {
         let _g = world.phase("TrReduction");
         drop(_r_charge);

@@ -21,5 +21,5 @@ pub use overlap_stage::{
     align_and_classify, align_pair, align_pair_with, candidate_matrix, overlap_graph, AlignScratch,
     AlignStats, OverlapConfig, SeedChaining,
 };
-pub use reduction::{symmetrize, transitive_reduction, transitive_reduction_with, ReductionStats};
+pub use reduction::{symmetrize, transitive_reduction_with, ReductionStats};
 pub use semirings::{dir_index, MinPlusDir, OverlapSemiring, ReductionSemiring, Seed, SharedSeeds};

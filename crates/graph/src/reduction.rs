@@ -2,19 +2,22 @@
 //! the diBELLA 2D layout stage that turns the overlap matrix `R` into the
 //! string matrix `S`.
 //!
-//! Each sweep computes `N = R ⊗ R` under the min-plus, direction-aware
-//! [`crate::semirings::ReductionSemiring`]: `N(u,v)` holds, per direction
-//! pair, the smallest two-hop overhang sum `u→w→v` with a consistently
-//! oriented middle read `w`. An edge `e = (u,v)` is *transitive* — i.e.
-//! carries no information a parallel path doesn't — when
-//! `N(u,v)[dir(e)] ≤ suffix(e) + fuzz`. Marked edges are removed
-//! simultaneously and the sweep repeats until a global fixed point.
+//! Under the min-plus, direction-aware
+//! [`crate::semirings::ReductionSemiring`], `N = R ⊗ R` holds at `(u,v)`,
+//! per direction pair, the smallest two-hop overhang sum `u→w→v` with a
+//! consistently oriented middle read `w`. An edge `e = (u,v)` is
+//! *transitive* — i.e. carries no information a parallel path doesn't —
+//! when `N(u,v)[dir(e)] ≤ suffix(e) + fuzz`. `N` is only ever read where
+//! `R` has an edge, so it is computed there and nowhere else
+//! ([`DistMat::prune_by_product`]: `R` masks its own square), and all
+//! marked edges are removed simultaneously in one sweep — which is
+//! already the fixed point (see [`transitive_reduction_with`]).
 
 use elba_align::SgEdge;
 use elba_comm::ProcGrid;
 use elba_sparse::{DistMat, SpGemmOptions};
 
-use crate::semirings::{dir_index, ReductionSemiring};
+use crate::semirings::{dir_index, MinPlusDir, ReductionSemiring};
 
 /// Outcome of the reduction.
 #[derive(Debug, Clone, Copy)]
@@ -25,59 +28,55 @@ pub struct ReductionStats {
     pub nnz_after: u64,
 }
 
-/// Run transitive reduction to a fixed point (or `max_iters`). Collective.
-/// Each sweep's `N = R ⊗ R` runs under the default (pipelined) SpGEMM
-/// schedule; use [`transitive_reduction_with`] to pick one explicitly.
-pub fn transitive_reduction(
-    grid: &ProcGrid,
-    s: DistMat<SgEdge>,
-    fuzz: u32,
-    max_iters: usize,
-) -> (DistMat<SgEdge>, ReductionStats) {
-    transitive_reduction_with(grid, s, fuzz, max_iters, &SpGemmOptions::default())
-}
-
-/// [`transitive_reduction`] under an explicit SpGEMM schedule (the sweep
-/// is SpGEMM-dominated, so the schedule choice is what bounds its memory
-/// and exposes its overlap). Collective.
+/// Transitive reduction of `r`: one masked sweep under `opts` (threads,
+/// and whether a memory budget lets the SUMMA prefetch). Collective.
+///
+/// One sweep is the fixed point, for any input. Let `S₁ ⊆ R` be what the
+/// sweep keeps and `N₁ = S₁ ⊗ S₁`. Every two-hop path in `S₁` is a
+/// two-hop path in `R` with the same edge values, so `N₁ ≥ N` entry for
+/// entry and direction for direction (`saturating_add` and the
+/// `u32::MAX` "no path" value are monotone too). A kept edge has
+/// `N(e)[dir] > suffix(e) + fuzz`, hence `N₁(e)[dir] > suffix(e) + fuzz`:
+/// a second sweep would keep it.
+///
+/// `max_iters` is vestigial, kept because callers outside this crate
+/// still pass it: `0` returns `r` untouched with `iterations = 0`, any
+/// other value runs the sweep and reports `iterations = 1`.
 pub fn transitive_reduction_with(
     grid: &ProcGrid,
-    mut s: DistMat<SgEdge>,
+    r: DistMat<SgEdge>,
     fuzz: u32,
     max_iters: usize,
     opts: &SpGemmOptions,
 ) -> (DistMat<SgEdge>, ReductionStats) {
-    let nnz_before = s.nnz_global(grid);
-    let mut removed_total = 0u64;
-    let mut iterations = 0usize;
-    while iterations < max_iters {
-        iterations += 1;
-        let n = s.spgemm_with(grid, &s, &ReductionSemiring, opts);
-        let before = s.nnz_global(grid);
-        s = s.zip_prune(grid, &n, |_, _, edge, two_hop| match two_hop {
-            Some(paths) => {
-                let best = paths.per_dir[dir_index(edge.src_rev, edge.dst_rev)];
-                // Keep the edge unless a parallel two-hop path subsumes it.
-                best > edge.suffix.saturating_add(fuzz)
-            }
-            None => true,
-        });
-        let after = s.nnz_global(grid);
-        removed_total += before - after;
-        if before == after {
-            break;
-        }
-    }
+    let nnz_before = r.nnz_global(grid);
+    let (s, iterations) = if max_iters == 0 {
+        (r, 0)
+    } else {
+        let keep =
+            |_, _, edge: &SgEdge, two_hop: Option<&MinPlusDir>| keeps_edge(edge, two_hop, fuzz);
+        let s = r.prune_by_product(grid, &r, &r, &ReductionSemiring, opts, keep);
+        drop(r);
+        (s, 1)
+    };
     let nnz_after = s.nnz_global(grid);
     (
         s,
         ReductionStats {
             iterations,
-            removed: removed_total,
+            removed: nnz_before - nnz_after,
             nnz_before,
             nnz_after,
         },
     )
+}
+
+/// The reduction rule: keep `edge` unless a two-hop path in its own
+/// direction is at most `fuzz` longer.
+fn keeps_edge(edge: &SgEdge, two_hop: Option<&MinPlusDir>, fuzz: u32) -> bool {
+    two_hop.is_none_or(|paths| {
+        paths.per_dir[dir_index(edge.src_rev, edge.dst_rev)] > edge.suffix.saturating_add(fuzz)
+    })
 }
 
 /// Drop any directed edge whose mirror is absent, restoring exact
@@ -91,6 +90,146 @@ pub fn symmetrize(grid: &ProcGrid, s: DistMat<SgEdge>) -> DistMat<SgEdge> {
 mod tests {
     use super::*;
     use elba_comm::{Backend, Runner};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn reduce(grid: &ProcGrid, r: DistMat<SgEdge>, fuzz: u32) -> (DistMat<SgEdge>, ReductionStats) {
+        transitive_reduction_with(grid, r, fuzz, 1, &SpGemmOptions::default())
+    }
+
+    /// The reduction as it ran before the masked sweep, kept as the
+    /// oracle: materialise the full `N = S ⊗ S`, `zip_prune` `S` against
+    /// it, repeat until a sweep removes nothing. Returns the fixed point
+    /// and the global edge count after every sweep.
+    fn reduce_to_fixed_point_oracle(
+        grid: &ProcGrid,
+        mut s: DistMat<SgEdge>,
+        fuzz: u32,
+    ) -> (DistMat<SgEdge>, Vec<u64>) {
+        let mut nnz_after_sweep = Vec::new();
+        loop {
+            let before = s.nnz_global(grid);
+            let n = s.spgemm_with(grid, &s, &ReductionSemiring, &SpGemmOptions::eager());
+            s = s.zip_prune(grid, &n, |_, _, edge, two_hop| {
+                keeps_edge(edge, two_hop, fuzz)
+            });
+            let after = s.nnz_global(grid);
+            nnz_after_sweep.push(after);
+            if after == before {
+                return (s, nnz_after_sweep);
+            }
+        }
+    }
+
+    /// A random bidirected graph dense in two-hop paths: mixed strands,
+    /// suffixes small enough that sums land on either side of
+    /// `suffix + fuzz` (and exactly on it), and a share of suffixes near
+    /// `u32::MAX` whose sums saturate.
+    fn random_overlap_graph(rng: &mut StdRng, n: u64, edges: usize) -> Vec<(u64, u64, SgEdge)> {
+        let mut seen = std::collections::BTreeSet::new();
+        let mut triples = Vec::new();
+        while triples.len() < edges {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u == v || !seen.insert((u, v)) {
+                continue;
+            }
+            let suffix = if rng.gen_bool(0.1) {
+                u32::MAX - rng.gen_range(0..4)
+            } else {
+                rng.gen_range(1..12)
+            };
+            triples.push((
+                u,
+                v,
+                SgEdge {
+                    pre: 0,
+                    post: 0,
+                    src_rev: rng.gen_bool(0.3),
+                    dst_rev: rng.gen_bool(0.3),
+                    suffix,
+                },
+            ));
+        }
+        triples
+    }
+
+    fn sorted_edges(grid: &ProcGrid, m: &DistMat<SgEdge>) -> Vec<(u64, u64, SgEdge)> {
+        let mut edges = m.gather_triples(grid);
+        edges.sort_by_key(|&(u, v, _)| (u, v));
+        edges
+    }
+
+    #[test]
+    fn one_masked_sweep_is_the_old_loops_fixed_point() {
+        for (case, p) in [1usize, 4, 9].into_iter().cycle().take(18).enumerate() {
+            let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
+                let grid = ProcGrid::new(comm);
+                let mut rng = StdRng::seed_from_u64(900 + case as u64);
+                let n = rng.gen_range(4..40u64);
+                let edges = rng.gen_range(0..(n * (n - 1) / 2) as usize);
+                let fuzz = rng.gen_range(0..6);
+                let triples = random_overlap_graph(&mut rng, n, edges);
+                let build = |t: &[(u64, u64, SgEdge)]| {
+                    let mine = if grid.world().rank() == 0 {
+                        t.to_vec()
+                    } else {
+                        Vec::new()
+                    };
+                    DistMat::from_triples(
+                        &grid,
+                        n as usize,
+                        n as usize,
+                        mine,
+                        |_, _| unreachable!(),
+                    )
+                };
+                let (oracle, nnz_after_sweep) =
+                    reduce_to_fixed_point_oracle(&grid, build(&triples), fuzz);
+                let (swept, stats) = reduce(&grid, build(&triples), fuzz);
+                let (again, stats_again) = reduce(&grid, swept.clone(), fuzz);
+                (
+                    sorted_edges(&grid, &oracle),
+                    nnz_after_sweep,
+                    sorted_edges(&grid, &swept),
+                    stats,
+                    sorted_edges(&grid, &again),
+                    stats_again.removed,
+                )
+            });
+            let (oracle, nnz_after_sweep, swept, stats, again, removed_again) = &out[0];
+            assert_eq!(swept, oracle, "case {case} p={p}: edge set");
+            // The theorem, observed: the oracle's first sweep already
+            // reached the fixed point.
+            assert!(
+                nnz_after_sweep.iter().all(|&nnz| nnz == nnz_after_sweep[0]),
+                "case {case} p={p}: a later sweep removed an edge: {nnz_after_sweep:?}"
+            );
+            assert_eq!(stats.iterations, 1);
+            assert_eq!(stats.nnz_after, oracle.len() as u64);
+            assert_eq!(stats.removed, stats.nnz_before - stats.nnz_after);
+            assert_eq!((again, *removed_again), (swept, 0), "case {case} p={p}");
+        }
+    }
+
+    #[test]
+    fn zero_iterations_returns_the_input_untouched() {
+        let out = Runner::new(Backend::InProcess).ranks(4).run(|comm| {
+            let grid = ProcGrid::new(comm);
+            let triples = if grid.world().rank() == 0 {
+                chain_edges(6, 100, 30)
+            } else {
+                Vec::new()
+            };
+            let r = DistMat::from_triples(&grid, 6, 6, triples, |_, _| unreachable!());
+            let want = sorted_edges(&grid, &r);
+            let (s, stats) = transitive_reduction_with(&grid, r, 5, 0, &SpGemmOptions::default());
+            (sorted_edges(&grid, &s) == want, stats)
+        });
+        let (same, stats) = out[0];
+        assert!(same);
+        assert_eq!((stats.iterations, stats.removed), (0, 0));
+        assert_eq!(stats.nnz_before, stats.nnz_after);
+    }
 
     /// Build the symmetric edge pair for two reads laid consecutively on a
     /// genome: read i covers [i*stride, i*stride + len).
@@ -143,7 +282,7 @@ mod tests {
                     Vec::new()
                 };
                 let r = DistMat::from_triples(&grid, 6, 6, triples, |_, _| unreachable!());
-                let (s, stats) = transitive_reduction(&grid, r, 5, 10);
+                let (s, stats) = reduce(&grid, r, 5);
                 let mut kept: Vec<(u64, u64)> = s
                     .gather_triples(&grid)
                     .into_iter()
@@ -206,7 +345,7 @@ mod tests {
                 ),
             ];
             let r = DistMat::from_triples(&grid, 3, 3, triples, |_, _| unreachable!());
-            let (s, _) = transitive_reduction(&grid, r, 2, 10);
+            let (s, _) = reduce(&grid, r, 2);
             s.nnz_global(&grid)
         });
         assert_eq!(out[0], 3, "no edge may be removed");
@@ -252,7 +391,7 @@ mod tests {
                 ),
             ];
             let r = DistMat::from_triples(&grid, 3, 3, triples, |_, _| unreachable!());
-            let (s, stats) = transitive_reduction(&grid, r, 2, 10);
+            let (s, stats) = reduce(&grid, r, 2);
             let mut kept: Vec<(u64, u64)> = s
                 .gather_triples(&grid)
                 .into_iter()
@@ -306,11 +445,11 @@ mod tests {
             ];
             let strict = {
                 let r = DistMat::from_triples(&grid, 3, 3, triples.clone(), |_, _| unreachable!());
-                transitive_reduction(&grid, r, 0, 10).0.nnz_global(&grid)
+                reduce(&grid, r, 0).0.nnz_global(&grid)
             };
             let fuzzy = {
                 let r = DistMat::from_triples(&grid, 3, 3, triples, |_, _| unreachable!());
-                transitive_reduction(&grid, r, 5, 10).0.nnz_global(&grid)
+                reduce(&grid, r, 5).0.nnz_global(&grid)
             };
             (strict, fuzzy)
         });

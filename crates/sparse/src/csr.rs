@@ -213,31 +213,37 @@ impl<T> Csr<T> {
 
     /// Keep only entries satisfying the predicate (CombBLAS `Prune`).
     pub fn retain(self, mut keep: impl FnMut(u32, u32, &T) -> bool) -> Csr<T> {
-        let mut indptr = vec![0usize; self.nrows + 1];
-        let mut indices = Vec::with_capacity(self.indices.len());
-        let mut values = Vec::with_capacity(self.values.len());
-        let mut it = self.values.into_iter();
-        for i in 0..self.nrows {
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                let v = it.next().expect("value per index");
-                let c = self.indices[k];
-                if keep(i as u32, c, &v) {
-                    indices.push(c);
-                    values.push(v);
-                    indptr[i + 1] += 1;
-                }
-            }
-        }
-        for i in 0..self.nrows {
-            indptr[i + 1] += indptr[i];
-        }
-        Csr {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            indptr,
-            indices,
-            values,
-        }
+        let mut values = self.values.into_iter();
+        filter_entries(
+            self.nrows,
+            self.ncols,
+            &self.indptr,
+            &self.indices,
+            |i, c| {
+                let v = values.next().expect("value per index");
+                keep(i, c, &v).then_some(v)
+            },
+        )
+    }
+
+    /// [`Csr::retain`] of a borrowed matrix, cloning each kept value once
+    /// — what a shared (`Arc`-held) block is pruned with while its other
+    /// references stay alive. `keep` sees the entries in storage order.
+    pub fn filtered(&self, mut keep: impl FnMut(u32, u32, &T) -> bool) -> Csr<T>
+    where
+        T: Clone,
+    {
+        let mut values = self.values.iter();
+        filter_entries(
+            self.nrows,
+            self.ncols,
+            &self.indptr,
+            &self.indices,
+            |i, c| {
+                let v = values.next().expect("value per index");
+                keep(i, c, v).then(|| v.clone())
+            },
+        )
     }
 
     /// Local transpose (O(nnz + dims)).
@@ -316,6 +322,46 @@ impl<T> Csr<T> {
                 acc
             })
             .collect()
+    }
+}
+
+/// The pass under [`Csr::retain`] and [`Csr::filtered`]: sweep a
+/// structure in storage order and keep the entries `pick` returns a
+/// value for. `pick` runs exactly once per entry (a predicate may
+/// consume an iterator), so the survivors cannot be counted first: the
+/// arrays start at the parent's size and give the slack back when they
+/// end under half full — a heavily pruned matrix must not sit in its
+/// parent's allocation while [`Csr::heap_bytes`] charges it by length.
+fn filter_entries<T>(
+    nrows: usize,
+    ncols: usize,
+    indptr: &[usize],
+    indices: &[u32],
+    mut pick: impl FnMut(u32, u32) -> Option<T>,
+) -> Csr<T> {
+    let mut kept_indptr = Vec::with_capacity(nrows + 1);
+    kept_indptr.push(0usize);
+    let mut kept_indices = Vec::with_capacity(indices.len());
+    let mut kept_values = Vec::with_capacity(indices.len());
+    for i in 0..nrows {
+        for &c in &indices[indptr[i]..indptr[i + 1]] {
+            if let Some(v) = pick(i as u32, c) {
+                kept_indices.push(c);
+                kept_values.push(v);
+            }
+        }
+        kept_indptr.push(kept_indices.len());
+    }
+    if kept_indices.len() < indices.len() / 2 {
+        kept_indices.shrink_to_fit();
+        kept_values.shrink_to_fit();
+    }
+    Csr {
+        nrows,
+        ncols,
+        indptr: kept_indptr,
+        indices: kept_indices,
+        values: kept_values,
     }
 }
 
@@ -432,6 +478,29 @@ mod tests {
         assert_eq!(m.nnz(), 2);
         assert_eq!(m.get(2, 0), Some(&3.0));
         assert_eq!(m.get(0, 0), None);
+    }
+
+    #[test]
+    fn heavily_pruned_matrix_gives_its_slack_back() {
+        let n = 1000usize;
+        let row = || {
+            let triples = (0..n as u32).map(|c| (0u32, c, c as f64)).collect();
+            Csr::from_triples(1, n, triples, |_, _| unreachable!())
+        };
+        // Under half full: the arrays are cut to what survived.
+        for few in [
+            row().retain(|_, c, _| c % 10 == 0),
+            row().filtered(|_, c, _| c % 10 == 0),
+        ] {
+            assert_eq!(few.nnz(), n / 10);
+            assert!(few.indices.capacity() < n / 2, "{}", few.indices.capacity());
+            assert!(few.values.capacity() < n / 2, "{}", few.values.capacity());
+        }
+        // Mostly kept: not worth a reallocation.
+        let most = row().retain(|_, c, _| c % 10 != 0);
+        assert_eq!(most.nnz(), n - n / 10);
+        assert_eq!(most.indices.capacity(), n);
+        assert_eq!(most.values.capacity(), n);
     }
 
     #[test]

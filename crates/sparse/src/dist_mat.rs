@@ -16,7 +16,7 @@ use crate::dcsc::Dcsc;
 use crate::dist_vec::DistVec;
 use crate::layout::Layout2D;
 use crate::semiring::Semiring;
-use crate::spgemm::{csr_merge, SpGemmBatcher};
+use crate::spgemm::{csr_merge, MaskedAccumulator, SpGemmBatcher};
 
 /// Tag for the transpose block exchange.
 const TRANSPOSE_TAG: u64 = 0x00F1_7A7A;
@@ -245,10 +245,11 @@ impl ParKernelClock {
     }
 }
 
-/// Which distributed SUMMA schedule [`DistMat::spgemm_with`] runs. A
-/// caller never picks between the two production schedules: a run with
-/// a memory budget is column-batched under it, a run without one is
-/// pipelined.
+/// Which distributed SUMMA schedule a product runs. A caller never
+/// picks between the two production schedules: a run with a memory
+/// budget is column-batched under it, a run without one is pipelined.
+/// The masked product ([`DistMat::prune_by_product`]) has a fixed-size
+/// accumulator and reads from this only whether to prefetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpGemmAlgorithm {
     /// The reference oracle the property suites compare against: a
@@ -647,21 +648,13 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// SUMMA algorithm: at stage `s`, block column `s` of `A` is broadcast
     /// along grid rows and block row `s` of `B` along grid columns; each
     /// rank multiplies the pair locally and accumulates its `C` block.
+    /// All schedules produce identical results (the equivalence property
+    /// tests pin this), differing only in overlap and peak memory.
     ///
-    /// Runs the default schedule ([`SpGemmAlgorithm::Pipelined`]); a
-    /// memory budget goes through [`DistMat::spgemm_with`].
-    pub fn spgemm<S, U>(&self, grid: &ProcGrid, other: &DistMat<U>, semiring: &S) -> DistMat<S::Out>
-    where
-        S: Semiring<A = T, B = U> + Sync,
-        U: Clone + CommMsg + Sync,
-        S::Out: Clone + CommMsg + Sync,
-    {
-        self.spgemm_with(grid, other, semiring, &SpGemmOptions::default())
-    }
-
-    /// Distributed SUMMA SpGEMM under explicit options; all schedules
-    /// produce identical results (the equivalence property tests pin
-    /// this), differing only in overlap and peak memory.
+    /// The general product has no caller in the pipeline — overlap
+    /// detection runs [`DistMat::spgemm_aat_upper_with`], transitive
+    /// reduction [`DistMat::prune_by_product`] — and stays as the oracle
+    /// the test suites hold those two to.
     pub fn spgemm_with<S, U>(
         &self,
         grid: &ProcGrid,
@@ -677,42 +670,25 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         self.run_schedule(grid, other, semiring, opts, None, &mut |_, _, _| true)
     }
 
-    /// [`DistMat::spgemm_with`] fused with an entry-wise prune:
-    /// equivalent to `spgemm_with(..).prune(grid, keep)` for every
-    /// schedule, but under [`SpGemmAlgorithm::ColumnBatched`] the
-    /// predicate runs on each column batch *as it completes* — exactly
-    /// ELBA's batched overlap detection, where the shared-k-mer
-    /// threshold is applied per batch so only the pruned output is ever
-    /// retained. Without the fusion, a budget can bound every transient
-    /// and still drown in the unpruned product; with it, the retained
-    /// bytes are the pruned matrix from the first batch on. `keep` sees
-    /// global coordinates.
-    pub fn spgemm_pruned_with<S, U>(
-        &self,
-        grid: &ProcGrid,
-        other: &DistMat<U>,
-        semiring: &S,
-        opts: &SpGemmOptions,
-        keep: impl FnMut(u64, u64, &S::Out) -> bool,
-    ) -> DistMat<S::Out>
-    where
-        S: Semiring<A = T, B = U> + Sync,
-        U: Clone + CommMsg + Sync,
-        S::Out: Clone + CommMsg + Sync,
-    {
-        self.spgemm_fused(grid, other, semiring, opts, None, keep)
-    }
-
     /// The symmetric rank-k update of overlap detection: the strict
     /// upper triangle of `C = self ⊗ selfᵀ`, pruned by `keep` — equal,
-    /// value for value, to `spgemm_pruned_with(&self.transpose(grid), ..)`
-    /// under `r < c && keep(r, c, v)`, for every schedule. Knowing that
+    /// value for value, to
+    /// `spgemm_with(&self.transpose(grid), ..).prune(..)` under
+    /// `r < c && keep(r, c, v)`, for every schedule. Knowing that
     /// `C` is symmetric and that one triangle is all the caller keeps,
     /// the local kernels accumulate only `column > row`: a diagonal
     /// rank does half its products and a rank below the diagonal none
     /// (it still forwards every stage broadcast). Total multiply-adds
     /// halve; the ranks above the diagonal do what they always did, so
     /// with a core per rank the critical path is unchanged.
+    ///
+    /// Under [`SpGemmAlgorithm::ColumnBatched`] the predicate runs on
+    /// each column batch *as it completes* — ELBA's batched overlap
+    /// detection, where the shared-k-mer threshold is applied per batch
+    /// so only the pruned output is ever retained (a budget that bounds
+    /// every transient would still drown in the unpruned product); the
+    /// other schedules prune after the fact. `keep` sees global
+    /// coordinates.
     pub fn spgemm_aat_upper_with<S>(
         &self,
         grid: &ProcGrid,
@@ -731,31 +707,101 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         );
         // The `r < c` test stays in the prune: the kernel restriction is
         // an optimisation a schedule is free not to apply.
-        self.spgemm_fused(grid, &at, semiring, opts, Some(c_offsets), |r, c, v| {
-            r < c && keep(r, c, v)
-        })
-    }
-
-    /// Run the schedule and prune: ColumnBatched applies `keep` per
-    /// column batch inside the schedule, the others after the fact.
-    fn spgemm_fused<S, U>(
-        &self,
-        grid: &ProcGrid,
-        other: &DistMat<U>,
-        semiring: &S,
-        opts: &SpGemmOptions,
-        upper: Option<(usize, usize)>,
-        mut keep: impl FnMut(u64, u64, &S::Out) -> bool,
-    ) -> DistMat<S::Out>
-    where
-        S: Semiring<A = T, B = U> + Sync,
-        U: Clone + CommMsg + Sync,
-        S::Out: Clone + CommMsg + Sync,
-    {
-        let c = self.run_schedule(grid, other, semiring, opts, upper, &mut keep);
+        let mut keep = |r: u64, c: u64, v: &S::Out| r < c && keep(r, c, v);
+        let c = self.run_schedule(grid, &at, semiring, opts, Some(c_offsets), &mut keep);
         match opts.algorithm {
             SpGemmAlgorithm::ColumnBatched { .. } => c,
             SpGemmAlgorithm::Eager | SpGemmAlgorithm::Pipelined => c.prune(grid, keep),
+        }
+    }
+
+    /// The masked product fused with a prune of the mask: `self` pruned
+    /// by `keep(row, col, value, (a ⊗ b)(row, col))` — what
+    /// `self.zip_prune(grid, &a.spgemm_with(grid, b, ..), keep)` returns,
+    /// with the product computed on `self`'s pattern only (GraphBLAS
+    /// `C⟨M⟩ = A ⊗ B`), so no product matrix ever exists. `self` must be
+    /// laid out like the product; block `(i, j)` of both is on the same
+    /// rank, so the mask costs no communication.
+    ///
+    /// One SUMMA over `stage_blocks` — the same broadcasts as
+    /// the unmasked schedules, call for call — folding every stage into
+    /// one [`MaskedAccumulator`]: `nnz(mask block)` slots plus a column
+    /// array, sized and charged before the first broadcast and never
+    /// growing. A memory budget therefore needs no estimate pass and no
+    /// column rounds here; all `opts.algorithm` decides is whether stage
+    /// `s+1` is prefetched while stage `s` multiplies
+    /// ([`SpGemmAlgorithm::Pipelined`] yes, [`SpGemmAlgorithm::Eager`]
+    /// no, [`SpGemmAlgorithm::ColumnBatched`] iff four of the largest
+    /// stage fit the budget — the rule of the unmasked budgeted
+    /// schedule, agreed grid-wide by one `allreduce`).
+    pub fn prune_by_product<S>(
+        &self,
+        grid: &ProcGrid,
+        a: &DistMat<S::A>,
+        b: &DistMat<S::B>,
+        semiring: &S,
+        opts: &SpGemmOptions,
+        mut keep: impl FnMut(u64, u64, &T, Option<&S::Out>) -> bool,
+    ) -> DistMat<T>
+    where
+        S: Semiring + Sync,
+        S::A: Clone + CommMsg + Sync,
+        S::B: Clone + CommMsg + Sync,
+        S::Out: Send,
+    {
+        assert_eq!(
+            a.col_layout, b.row_layout,
+            "inner dimension layouts must agree for SUMMA"
+        );
+        assert_eq!(
+            (self.row_layout, self.col_layout),
+            (a.row_layout, b.col_layout),
+            "the mask must be laid out like the product"
+        );
+        let world = grid.world();
+        let lookahead = match opts.algorithm {
+            SpGemmAlgorithm::Eager => false,
+            SpGemmAlgorithm::Pipelined => true,
+            SpGemmAlgorithm::ColumnBatched { mem_budget, .. } => {
+                // No stage pairs blocks larger than the largest of each
+                // operand; every rank must reach the same verdict or the
+                // collective schedule desynchronizes.
+                let (a_max, b_max) = world
+                    .allreduce((a.heap_bytes() as u64, b.heap_bytes() as u64), |x, y| {
+                        (x.0.max(y.0), x.1.max(y.1))
+                    });
+                4 * (a_max + b_max) <= mem_budget
+            }
+        };
+        let _mask_res = world.mem_charge_shared(&self.local, self.local.heap_bytes());
+        let mut acc = MaskedAccumulator::new(&*self.local).with_threads(opts.threads);
+        let _acc_res = world.mem_charge(acc.heap_bytes());
+        let mut par = ParKernelClock::new();
+        for (a_block, b_block) in a.stage_blocks(grid, b, lookahead) {
+            let _a_res = world.mem_charge_shared(&a_block, a_block.heap_bytes());
+            let _b_res = world.mem_charge_shared(&b_block, b_block.heap_bytes());
+            let started = std::time::Instant::now();
+            if acc.accumulate(&a_block, &b_block, semiring) {
+                world.record_mem_transient(acc.scratch_bytes());
+                par.add(started.elapsed().as_secs_f64());
+            }
+        }
+        par.book(grid);
+        let (r0, c0) = self.local_offsets(grid);
+        let mut products = acc.values().iter();
+        let local = self.local.filtered(|r, c, v| {
+            let product = products.next().expect("a slot per mask entry");
+            keep(
+                (r as usize + r0) as u64,
+                (c as usize + c0) as u64,
+                v,
+                product.as_ref(),
+            )
+        });
+        DistMat {
+            row_layout: self.row_layout,
+            col_layout: self.col_layout,
+            local: Arc::new(local),
         }
     }
 
@@ -1348,7 +1394,7 @@ mod tests {
                 };
                 let a = DistMat::from_triples(&grid, n, k, mine_a, |_, _| unreachable!());
                 let b = DistMat::from_triples(&grid, k, m, mine_b, |_, _| unreachable!());
-                let c = a.spgemm(&grid, &b, &PlusTimes);
+                let c = a.spgemm_with(&grid, &b, &PlusTimes, &SpGemmOptions::default());
                 let want = dense_from_triples(n, k, &a_triples)
                     .matmul(&dense_from_triples(k, m, &b_triples));
                 let got_triples = c.gather_triples(&grid);
@@ -1425,14 +1471,11 @@ mod tests {
                         Vec::new()
                     };
                     let a = DistMat::from_triples(&grid, n, k, mine, |_, _| unreachable!());
-                    let at = a.transpose(&grid);
                     let c = {
                         let _g = grid.world().phase("spgemm");
-                        a.spgemm_pruned_with(&grid, &at, &PlusTimes, &opts, |r, col, v| {
-                            r < col && *v >= 6.0
-                        })
+                        a.spgemm_aat_upper_with(&grid, &PlusTimes, &opts, |_, _, v| *v >= 6.0)
                     };
-                    let stage_bytes = a.heap_bytes() + at.heap_bytes();
+                    let stage_bytes = a.heap_bytes() + a.transpose(&grid).heap_bytes();
                     let mut got = c.gather_triples(&grid);
                     got.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
                     (got, c.heap_bytes(), stage_bytes)
@@ -1486,7 +1529,12 @@ mod tests {
             };
             let a = DistMat::from_triples(&grid, 3, 4, triples, |_, _| unreachable!());
             let at = a.transpose(&grid);
-            let c = a.spgemm(&grid, &at, &Count::<u8, u8>::new());
+            let c = a.spgemm_with(
+                &grid,
+                &at,
+                &Count::<u8, u8>::new(),
+                &SpGemmOptions::default(),
+            );
             let mut got = c.gather_triples(&grid);
             got.sort();
             got == vec![(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2), (2, 2, 1)]

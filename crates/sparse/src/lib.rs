@@ -10,9 +10,11 @@
 //! * [`semiring::Semiring`] overloading of `(+, ×)`, including filtering
 //!   semirings (a `multiply` that can annihilate),
 //! * local kernels: Gustavson [`spgemm::spgemm`] with a sparse
-//!   accumulator, [`spgemm::spmv`], element-wise merge,
-//! * the 2D-distributed layer: [`dist_mat::DistMat`] (SUMMA SpGEMM,
-//!   transpose, apply/prune, row reduction, branch masking) and
+//!   accumulator, its masked form [`spgemm::MaskedAccumulator`],
+//!   [`spgemm::spmv`], element-wise merge,
+//! * the 2D-distributed layer: [`dist_mat::DistMat`] (SUMMA SpGEMM and
+//!   masked SpGEMM, transpose, apply/prune, row reduction, branch
+//!   masking) and
 //!   [`dist_vec::DistVec`] (gather/scatter by global index and the
 //!   paper's Fig. 2 row-allgather + transposed-p2p `fetch_aligned`
 //!   exchange),

@@ -1,7 +1,7 @@
-//! Local sparse kernels: Gustavson SpGEMM with a sparse accumulator (SPA)
-//! and semiring-generic SpMV. These run inside every SUMMA stage of the
-//! distributed multiply (overlap detection `C = AAᵀ`) and inside the
-//! transitive-reduction iteration.
+//! Local sparse kernels: Gustavson SpGEMM with a sparse accumulator (SPA),
+//! its masked form and semiring-generic SpMV. The first runs inside every
+//! SUMMA stage of overlap detection (`C = AAᵀ`), the second inside every
+//! stage of the transitive-reduction sweep (`R ⊗ R` on `R`'s pattern).
 
 use crate::csr::Csr;
 use crate::semiring::Semiring;
@@ -386,6 +386,160 @@ const MIN_PAR_ROWS: usize = 8;
 /// One threaded chunk's raw CSR pieces: per-row cumulative end offsets
 /// (relative to the chunk), column indices, values.
 type ChunkParts<V> = (Vec<usize>, Vec<u32>, Vec<V>);
+
+/// "No slot": the column is not in the mask row being multiplied.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Mask-indexed accumulator of the masked product `C⟨M⟩ = A ⊗ B`
+/// (GraphBLAS; Milaković et al., PPoPP 2022): one `Option<V>` per stored
+/// entry of the mask, in the mask's storage order, and nothing anywhere
+/// else. [`MaskedAccumulator::accumulate`] folds one `(A, B)` block pair
+/// into it and may be called once per SUMMA stage, so the distributed
+/// masked product never builds a per-stage matrix, sorts a touched list
+/// or merges; its size is `nnz(mask)` slots, known before any multiply.
+///
+/// Per output row the kernel marks the mask row's columns in a dense
+/// slot array (`slot[col]` = offset of `(row, col)` in the mask row —
+/// the role the SPA's generation array plays for the unmasked
+/// kernel), walks `A(i,:) × B(k,:)` and folds a product only where the
+/// column is marked. A slot receives its products in ascending `k`, as
+/// the unmasked kernel's entries do. Threaded runs give each worker a
+/// contiguous row chunk, i.e. a disjoint slice of the accumulator, so
+/// there is nothing to merge and the result cannot depend on the thread
+/// count.
+pub struct MaskedAccumulator<'m, V> {
+    nrows: usize,
+    ncols: usize,
+    mask_indptr: &'m [usize],
+    mask_indices: &'m [u32],
+    acc: Vec<Option<V>>,
+    /// One slot array per worker; index 0 is the serial one.
+    slots: Vec<Vec<u32>>,
+    threads: usize,
+}
+
+impl<'m, V> MaskedAccumulator<'m, V> {
+    pub fn new<M>(mask: &'m Csr<M>) -> Self {
+        MaskedAccumulator {
+            nrows: mask.nrows(),
+            ncols: mask.ncols(),
+            mask_indptr: mask.indptr(),
+            mask_indices: mask.indices(),
+            acc: (0..mask.nnz()).map(|_| None).collect(),
+            slots: vec![vec![NO_SLOT; mask.ncols()]],
+            threads: 1,
+        }
+    }
+
+    /// Use up to `threads` intra-rank workers per multiply (`0` is
+    /// serial, like `1`).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// Bytes of the accumulator and the serial slot array — the whole
+    /// working set of a serial masked product, fixed at construction.
+    pub fn heap_bytes(&self) -> usize {
+        self.acc.len() * std::mem::size_of::<Option<V>>() + self.ncols * std::mem::size_of::<u32>()
+    }
+
+    /// Bytes of the extra workers' slot arrays (the
+    /// [`SpGemmBatcher::scratch_bytes`] convention: what threading adds).
+    pub fn scratch_bytes(&self) -> usize {
+        (self.slots.len() - 1) * self.ncols * std::mem::size_of::<u32>()
+    }
+
+    /// The accumulated products, aligned with the mask's `values()`:
+    /// `None` where no product landed on the mask entry.
+    pub fn values(&self) -> &[Option<V>] {
+        &self.acc
+    }
+
+    /// Fold `A ⊗ B` into the accumulator on the mask's pattern. Returns
+    /// whether the multiply fanned out to more than one worker.
+    pub fn accumulate<S>(&mut self, a: &Csr<S::A>, b: &Csr<S::B>, semiring: &S) -> bool
+    where
+        S: Semiring<Out = V> + Sync,
+        S::A: Sync,
+        S::B: Sync,
+        V: Send,
+    {
+        assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
+        assert_eq!(
+            (a.nrows(), b.ncols()),
+            (self.nrows, self.ncols),
+            "the mask must have the product's shape"
+        );
+        if self.acc.is_empty() || a.nnz() == 0 || b.nnz() == 0 {
+            return false;
+        }
+        let workers = self.threads.min(self.nrows / MIN_PAR_ROWS).max(1);
+        while self.slots.len() < workers {
+            self.slots.push(vec![NO_SLOT; self.ncols]);
+        }
+        let (indptr, indices) = (self.mask_indptr, self.mask_indices);
+        let mut rest = &mut self.acc[..];
+        let mut chunks = Vec::with_capacity(workers);
+        let row_chunks = elba_par::chunk_ranges(0..self.nrows, workers);
+        for (rows, slot) in row_chunks.into_iter().zip(&mut self.slots) {
+            let (mine, tail) =
+                std::mem::take(&mut rest).split_at_mut(indptr[rows.end] - indptr[rows.start]);
+            rest = tail;
+            chunks.push((rows, mine, slot));
+        }
+        elba_par::scope_with(&mut chunks, |_, (rows, acc, slot)| {
+            accumulate_masked_rows(a, b, semiring, indptr, indices, rows.clone(), slot, acc)
+        });
+        workers > 1
+    }
+}
+
+/// The serial masked kernel over the output rows `rows`; `acc` is the
+/// accumulator slice of exactly those rows' mask entries.
+#[allow(clippy::too_many_arguments)]
+fn accumulate_masked_rows<S: Semiring>(
+    a: &Csr<S::A>,
+    b: &Csr<S::B>,
+    semiring: &S,
+    mask_indptr: &[usize],
+    mask_indices: &[u32],
+    rows: std::ops::Range<usize>,
+    slot: &mut [u32],
+    acc: &mut [Option<S::Out>],
+) {
+    let base = mask_indptr[rows.start];
+    for i in rows {
+        let span = mask_indptr[i]..mask_indptr[i + 1];
+        let (a_cols, a_vals) = a.row(i);
+        if span.is_empty() || a_cols.is_empty() {
+            continue;
+        }
+        let mask_cols = &mask_indices[span.clone()];
+        let row_acc = &mut acc[span.start - base..span.end - base];
+        for (offset, &j) in mask_cols.iter().enumerate() {
+            slot[j as usize] = offset as u32;
+        }
+        for (&k, a_ik) in a_cols.iter().zip(a_vals) {
+            let (b_cols, b_vals) = b.row(k as usize);
+            for (&j, b_kj) in b_cols.iter().zip(b_vals) {
+                let offset = slot[j as usize];
+                if offset == NO_SLOT {
+                    continue;
+                }
+                if let Some(product) = semiring.multiply(a_ik, b_kj) {
+                    match &mut row_acc[offset as usize] {
+                        Some(sum) => semiring.add(sum, product),
+                        empty => *empty = Some(product),
+                    }
+                }
+            }
+        }
+        for &j in mask_cols {
+            slot[j as usize] = NO_SLOT;
+        }
+    }
+}
 
 /// Merge two same-shape CSR matrices by a streaming two-way merge of
 /// their rows (the 2-way case of a heap merge): entries present in both

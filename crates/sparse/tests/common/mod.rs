@@ -1,4 +1,6 @@
-//! The schedule matrix every distributed-SpGEMM property suite sweeps:
+//! Shared by the distributed-SpGEMM property suites: the order-sensitive
+//! [`Trace`] semiring with its [`tagged`] inputs, and the schedule matrix
+//! every suite sweeps:
 //! the eager reference oracle, the pipelined default, and one budgeted
 //! (column-batched) row per regime that schedule has — one round (a
 //! budget nothing can exhaust), many rounds (a small budget), the
@@ -10,6 +12,7 @@
 #![allow(dead_code)] // each suite uses its own subset
 
 use elba_comm::{CommMsg, ProcGrid};
+use elba_sparse::semiring::Semiring;
 use elba_sparse::{DistMat, SpGemmOptions};
 
 /// Rows in [`schedule_rows`]; row 0 is the oracle.
@@ -68,4 +71,38 @@ pub fn schedule_rows(
     );
     assert_eq!(rows.len(), N_ROWS);
     rows
+}
+
+/// Like the overlap semiring, order-sensitive in its add: a product is
+/// the pair of operand tags, a sum is the concatenation in arrival
+/// order. Two multiplies agree on every value only if each entry saw
+/// its products in the same order (ascending `k` within a stage,
+/// ascending stages).
+pub struct Trace;
+
+impl Semiring for Trace {
+    type A = u32;
+    type B = u32;
+    type Out = Vec<(u32, u32)>;
+
+    fn multiply(&self, a: &u32, b: &u32) -> Option<Self::Out> {
+        Some(vec![(*a, *b)])
+    }
+
+    fn add(&self, acc: &mut Self::Out, other: Self::Out) {
+        acc.extend(other);
+    }
+}
+
+/// Distinctly tagged triples from a proptest entry list (dedup by
+/// coordinate; the tag encodes the coordinate).
+pub fn tagged(nrows: usize, ncols: usize, entries: &[(usize, usize)]) -> Vec<(u64, u64, u32)> {
+    let coords: std::collections::BTreeSet<(usize, usize)> = entries
+        .iter()
+        .map(|&(r, c)| (r % nrows, c % ncols))
+        .collect();
+    coords
+        .into_iter()
+        .map(|(r, c)| (r as u64, c as u64, (r * 1000 + c) as u32))
+        .collect()
 }

@@ -1,6 +1,6 @@
 //! The symmetric product of overlap detection and the transpose under
-//! it: `DistMat::spgemm_aat_upper_with` must equal the general pruned
-//! multiply `spgemm_pruned_with(a, aᵀ, r < c)` value for value — under
+//! it: `DistMat::spgemm_aat_upper_with` must equal the general multiply
+//! against an explicit transpose, pruned to `r < c`, value for value — under
 //! an order-sensitive semiring add, for every schedule, rank count and
 //! thread count — and `DistMat::transpose` must equal a gather-triples
 //! oracle while shipping bytes proportional to a block's entries, not
@@ -10,51 +10,16 @@ mod common;
 
 use elba_comm::ProcGrid;
 use elba_comm::{Backend, Runner};
-use elba_sparse::semiring::Semiring;
 use elba_sparse::DistMat;
 use proptest::prelude::*;
 
-use common::{max_stage_bytes, schedule_rows, N_ROWS};
-
-/// Like the overlap semiring, order-sensitive in its add: a product is
-/// the pair of operand tags, a sum is the concatenation in arrival
-/// order. Two multiplies agree on every value only if each entry saw
-/// its products in the same order (ascending `k` within a stage,
-/// ascending stages).
-struct Trace;
-
-impl Semiring for Trace {
-    type A = u32;
-    type B = u32;
-    type Out = Vec<(u32, u32)>;
-
-    fn multiply(&self, a: &u32, b: &u32) -> Option<Self::Out> {
-        Some(vec![(*a, *b)])
-    }
-
-    fn add(&self, acc: &mut Self::Out, other: Self::Out) {
-        acc.extend(other);
-    }
-}
-
-/// Distinctly tagged triples from a proptest entry list (dedup by
-/// coordinate; the tag encodes the coordinate).
-fn tagged(nrows: usize, ncols: usize, entries: &[(usize, usize)]) -> Vec<(u64, u64, u32)> {
-    let coords: std::collections::BTreeSet<(usize, usize)> = entries
-        .iter()
-        .map(|&(r, c)| (r % nrows, c % ncols))
-        .collect();
-    coords
-        .into_iter()
-        .map(|(r, c)| (r as u64, c as u64, (r * 1000 + c) as u32))
-        .collect()
-}
+use common::{max_stage_bytes, schedule_rows, tagged, Trace, N_ROWS};
 
 type Product = Vec<(u64, u64, Vec<(u32, u32)>)>;
 
 /// Every gathered, sorted product of one `p`-rank run, labelled: for
 /// each row of [`schedule_rows`] (oracle first) × threads {1, 2}, the
-/// general pruned multiply against an explicit transpose under `r < c`
+/// general multiply against an explicit transpose pruned to `r < c`
 /// and then the symmetric entry point.
 fn products(
     p: usize,
@@ -83,9 +48,9 @@ fn products(
             for (label, opts) in schedule_rows(batch, 96, max_stage_bytes(&grid, &a, &at)) {
                 for threads in [1usize, 2] {
                     let opts = opts.with_threads(threads);
-                    let general = a.spgemm_pruned_with(&grid, &at, &Trace, &opts, |r, c, v| {
-                        r < c && v.len() >= min_len
-                    });
+                    let general = a
+                        .spgemm_with(&grid, &at, &Trace, &opts)
+                        .prune(&grid, |r, c, v| r < c && v.len() >= min_len);
                     let upper =
                         a.spgemm_aat_upper_with(&grid, &Trace, &opts, |_, _, v| v.len() >= min_len);
                     for (path, c) in [("general", general), ("upper", upper)] {

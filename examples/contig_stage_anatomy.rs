@@ -101,7 +101,7 @@ fn main() {
             (
                 grid.world().rank(),
                 s.nnz_global(&grid),
-                red.iterations,
+                red.removed,
                 n_branches,
                 cc.rounds,
                 lpt_info,
@@ -111,10 +111,10 @@ fn main() {
             )
         });
 
-    let (_, s_nnz, tr_iters, n_branches, cc_rounds, lpt_info, stats, n_contigs, _) = &rows[0];
+    let (_, s_nnz, tr_removed, n_branches, cc_rounds, lpt_info, stats, n_contigs, _) = &rows[0];
     println!(
-        "\nstring matrix S        : {} nonzeros ({} TR sweeps)",
-        s_nnz, tr_iters
+        "\nstring matrix S        : {} nonzeros ({} transitive edges removed in one masked sweep)",
+        s_nnz, tr_removed
     );
     println!("branch vertices masked : {} (degree ≥ 3, §4.2)", n_branches);
     println!(

@@ -213,8 +213,9 @@ fn memory_budget_alone_selects_the_spgemm_schedule() {
     let unlimited = plain.clone().with_mem_budget(MemBudget::unlimited());
     assert_eq!(unlimited.overlap.spgemm, plain.overlap.spgemm);
 
-    // One row per rank and SpGEMM phase: p2p messages and bytes plus the
-    // sorted (collective, calls, bytes) table.
+    // One row per rank and phase: p2p messages and bytes plus the sorted
+    // (collective, calls, bytes) table.
+    type Traffic = Vec<(u64, u64, Vec<(&'static str, u64, u64)>)>;
     let run = |cfg: PipelineConfig| {
         let reads = reads.clone();
         let (mut outs, profile) =
@@ -225,7 +226,7 @@ fn memory_budget_alone_selects_the_spgemm_schedule() {
                     let (contigs, _) = assemble_gathered(&grid, &reads, &cfg);
                     contigs
                 });
-        let traffic = |name: &str| -> Vec<String> {
+        let traffic = |name: &str| -> Traffic {
             profile
                 .rank_profiles()
                 .iter()
@@ -233,12 +234,7 @@ fn memory_budget_alone_selects_the_spgemm_schedule() {
                     let phase = rank.phase(name).expect("phase recorded");
                     let mut collectives = phase.collectives.clone();
                     collectives.sort();
-                    format!(
-                        "rank {}: p2p {} msgs {} B, {collectives:?}",
-                        rank.rank(),
-                        phase.p2p_msgs,
-                        phase.p2p_bytes
-                    )
+                    (phase.p2p_msgs, phase.p2p_bytes, collectives)
                 })
                 .collect()
         };
@@ -251,12 +247,36 @@ fn memory_budget_alone_selects_the_spgemm_schedule() {
     let plain = run(plain);
     assert!(!plain.0.is_empty(), "probe produced no contigs");
     assert_eq!(run(unlimited), plain);
-    // The batched schedule pays a structure pass and a round-count
-    // agreement on top of the stage broadcasts (TrReduction runs nothing
-    // but SpGEMM sweeps, so its table shows it); the result is the same.
+    // DetectOverlap's batched schedule pays a structure pass and a
+    // round-count agreement on top of the stage broadcasts; the result
+    // is the same.
     let limited = run(limited);
-    assert_ne!(limited.2, plain.2);
+    assert_ne!(limited.1, plain.1);
     assert_eq!(limited.0, plain.0);
+    // TrReduction's masked sweep does not: its accumulator is one slot
+    // per edge of R whatever the budget, so the budgeted run posts the
+    // plain run's broadcasts call for call. All a budget adds is the one
+    // allreduce (a reduce and a bcast of 16 B) that agrees grid-wide
+    // whether the stage blocks may be prefetched.
+    for (rank, (budgeted, plain)) in limited.2.iter().zip(&plain.2).enumerate() {
+        assert_eq!((budgeted.0, budgeted.1), (plain.0, plain.1), "rank {rank}");
+        assert_eq!(budgeted.2.len(), plain.2.len(), "rank {rank}");
+        for (&(op, calls, bytes), &(plain_op, plain_calls, plain_bytes)) in
+            budgeted.2.iter().zip(&plain.2)
+        {
+            assert_eq!(op, plain_op, "rank {rank}");
+            if op == "reduce" || op == "bcast" {
+                assert_eq!(calls, plain_calls + 1, "rank {rank} {op}");
+                assert!(bytes - plain_bytes <= 2 * 16, "rank {rank} {op}");
+            } else {
+                assert_eq!(
+                    (calls, bytes),
+                    (plain_calls, plain_bytes),
+                    "rank {rank} {op}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
