@@ -67,6 +67,23 @@ impl Default for BaselineConfig {
     }
 }
 
+impl BaselineConfig {
+    /// The comparators' parameters for a simulated dataset: the
+    /// pipeline's `k` and x-drop, overlap and overhang thresholds at 5 %
+    /// of the mean read length (what `PipelineConfig::for_dataset` uses
+    /// on low-error reads).
+    pub fn for_dataset(spec: &elba_seq::DatasetSpec) -> Self {
+        let five_percent = (spec.reads.mean_len as f64 * 0.05) as usize;
+        BaselineConfig {
+            k: spec.k,
+            xdrop: spec.xdrop,
+            min_overlap: five_percent,
+            fuzz: five_percent,
+            ..BaselineConfig::default()
+        }
+    }
+}
+
 /// Outcome counters (for the Table 3 harness).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BaselineStats {
@@ -132,13 +149,17 @@ fn candidates_minimizer(reads: &[Seq], cfg: &BaselineConfig) -> Vec<PairSeed> {
 }
 
 /// Expand the inverted index into per-pair seeds (one seed per pair: the
-/// first shared k-mer; filtering repeat k-mers above the reliable band).
+/// smallest shared k-mer; filtering repeat k-mers above the reliable band).
 fn collect_pair_seeds(
     index: HashMap<u64, Vec<(u32, u32, bool)>>,
     cfg: &BaselineConfig,
 ) -> Vec<PairSeed> {
     let mut seeds: HashMap<(u32, u32), PairSeed> = HashMap::new();
-    for occurrences in index.into_values() {
+    // "First" must not mean hash order: which seed a pair is extended
+    // from decides its alignment, and the baselines are test oracles.
+    let mut buckets: Vec<_> = index.into_iter().collect();
+    buckets.sort_unstable_by_key(|&(kmer, _)| kmer);
+    for (_, occurrences) in buckets {
         let n = occurrences.len() as u32;
         if n < cfg.reliable_min || n > cfg.reliable_max {
             continue;

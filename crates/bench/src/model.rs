@@ -16,10 +16,10 @@
 //!
 //! `compute_secs` is measured wall time minus time blocked in
 //! communication; `coll_calls` and `total_bytes` come straight from the
-//! [`crate::profile`] trace. The latency term grows with P while the other
-//! two shrink — exactly the behaviour the paper reports for the
-//! `TrReduction` and `ExtractContig` phases ("the amount of work is
-//! smaller ... and the algorithms are latency-bound", §6.1).
+//! [`elba_comm::profile`] trace ([`observe`]). The latency term grows
+//! with P while the other two shrink — exactly the behaviour the paper
+//! reports for the `TrReduction` and `ExtractContig` phases ("the amount
+//! of work is smaller ... and the algorithms are latency-bound", §6.1).
 //!
 //! The *overlap credit* refines the earlier model, which charged time
 //! parked in non-blocking `wait`s fully as communication. A phase that
@@ -33,7 +33,9 @@
 //! communication term is floored at zero so the credit can never project
 //! negative transfer time.
 
-/// Condensed per-phase measurements extracted from a [`crate::RunProfile`].
+use elba_comm::RunProfile;
+
+/// Condensed per-phase measurements extracted from a [`RunProfile`].
 #[derive(Debug, Clone)]
 pub struct PhaseObservation {
     pub phase: String,
@@ -49,6 +51,21 @@ pub struct PhaseObservation {
     pub coll_calls_per_rank: f64,
     /// Total bytes pushed by all ranks during the phase.
     pub total_bytes: f64,
+}
+
+/// Condense one phase of a profiled run into what the projection consumes.
+pub fn observe(profile: &RunProfile, phase: &str) -> PhaseObservation {
+    let max_wall = profile.max_wall(phase);
+    let max_wait = profile.max_wait_secs(phase);
+    let max_comm = profile.max_comm_secs(phase) + max_wait;
+    PhaseObservation {
+        phase: phase.to_owned(),
+        wall_secs: max_wall,
+        compute_secs: (max_wall - max_comm).max(0.0),
+        wait_secs: max_wait,
+        coll_calls_per_rank: profile.mean_coll_calls(phase),
+        total_bytes: profile.total_bytes(phase) as f64,
+    }
 }
 
 /// Interconnect + node parameters for the projection.

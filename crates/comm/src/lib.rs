@@ -17,11 +17,7 @@
 //!   (the streaming k-mer exchange's engine),
 //! * communicator `split` (colors/keys) for building the
 //!   √P×√P [`grid::ProcGrid`] with row and column sub-communicators,
-//! * per-phase wall-time and message-volume accounting ([`profile`]),
-//! * an α–β (Hockney) machine model ([`model`]) that projects the recorded
-//!   communication trace onto Cori-Haswell / Summit-like clusters so that
-//!   the paper's 576–4096-rank strong-scaling figures can be regenerated
-//!   in *shape* from laptop-scale runs.
+//! * per-phase wall-time and message-volume accounting ([`profile`]).
 //!
 //! The message plane is pluggable ([`transport`]): by default ranks are
 //! threads in one address space and payloads move as boxed values —
@@ -50,7 +46,6 @@
 pub mod collectives;
 pub mod error;
 pub mod grid;
-pub mod model;
 pub mod msg;
 pub mod profile;
 pub mod runtime;
@@ -59,7 +54,6 @@ pub mod transport;
 pub use collectives::{IalltoallvRequest, IbcastRequest};
 pub use error::{CommError, FailureCause, FaultKill, RankFailure, SpmdFailure};
 pub use grid::ProcGrid;
-pub use model::MachineModel;
 pub use msg::CommMsg;
 pub use profile::{PhaseProfile, Profile, RunProfile};
 pub use runtime::{

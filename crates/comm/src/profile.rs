@@ -6,9 +6,9 @@
 //! `ExtractContig`). Every [`crate::Comm`] operation books its bytes and
 //! blocking time into the phase that is active on its rank, so a run
 //! yields the exact ingredients those figures plot: max-over-ranks wall
-//! time per phase, communication fraction, and message volumes for the
-//! α–β model in [`crate::model`]. Each rank's profile also embeds an
-//! [`elba_mem::MemTracker`] whose phase stack moves in lockstep with the
+//! time per phase, communication fraction, and message volumes. Each
+//! rank's profile also embeds an [`elba_mem::MemTracker`] whose phase
+//! stack moves in lockstep with the
 //! timing phases, so stages that charge their resident buffers (via
 //! [`crate::Comm::mem_charge`]) produce the per-phase memory high-water
 //! column of the run report — the observable behind ELBA's bounded-memory
@@ -372,21 +372,6 @@ impl RunProfile {
             .fold(0.0, f64::max)
     }
 
-    /// Mean-over-ranks wall time for a phase.
-    pub fn mean_wall(&self, phase: &str) -> f64 {
-        let times: Vec<f64> = self
-            .ranks
-            .iter()
-            .filter_map(|r| r.phase(phase))
-            .map(|p| p.wall_secs)
-            .collect();
-        if times.is_empty() {
-            0.0
-        } else {
-            times.iter().sum::<f64>() / times.len() as f64
-        }
-    }
-
     /// Max-over-ranks blocking-communication time within a phase.
     pub fn max_comm_secs(&self, phase: &str) -> f64 {
         self.ranks
@@ -471,21 +456,6 @@ impl RunProfile {
             0.0
         } else {
             calls.iter().sum::<u64>() as f64 / calls.len() as f64
-        }
-    }
-
-    /// Condensed per-phase observation consumed by [`crate::model`].
-    pub fn observe(&self, phase: &str) -> crate::model::PhaseObservation {
-        let max_wall = self.max_wall(phase);
-        let max_wait = self.max_wait_secs(phase);
-        let max_comm = self.max_comm_secs(phase) + max_wait;
-        crate::model::PhaseObservation {
-            phase: phase.to_owned(),
-            wall_secs: max_wall,
-            compute_secs: (max_wall - max_comm).max(0.0),
-            wait_secs: max_wait,
-            coll_calls_per_rank: self.mean_coll_calls(phase),
-            total_bytes: self.total_bytes(phase) as f64,
         }
     }
 
@@ -621,7 +591,6 @@ mod tests {
         b.exit(idx, 3.0);
         let run = RunProfile::new(vec![a, b]);
         assert_eq!(run.max_wall("x"), 3.0);
-        assert_eq!(run.mean_wall("x"), 2.5);
         assert_eq!(run.total_p2p_bytes("x"), 40);
         assert_eq!(run.phase_names(), vec!["x".to_owned()]);
     }

@@ -710,27 +710,10 @@ const STACK_SIZE: usize = 16 * 1024 * 1024;
 /// rather than parking in a collective forever. Returns every rank's
 /// failure, root cause first.
 ///
-/// Honors [`crate::FaultPlan::from_env`]: with `ELBA_FAULT_PLAN` set,
-/// every rank's transport is wrapped in the fault layer (thread-mode
-/// kills), which is how `elba launch --transport inprocess --fault`
-/// reaches ranks it never constructs itself. A malformed plan panics —
-/// operator input, fail loud.
+/// With a `plan`, every rank's transport is wrapped in the fault layer
+/// (thread-mode kills). The plan is always the caller's
+/// ([`Runner::faults`]); nothing here reads the environment.
 pub(crate) fn run_spmd_checked<T, F>(
-    transports: Vec<Arc<dyn Transport>>,
-    f: F,
-) -> Result<(Vec<T>, RunProfile), SpmdFailure>
-where
-    T: Send + 'static,
-    F: Fn(Comm) -> T + Send + Sync + 'static,
-{
-    let plan = FaultPlan::from_env()
-        .unwrap_or_else(|e| panic!("{}: {e}", crate::transport::fault::FAULT_PLAN_ENV));
-    run_spmd_checked_with(transports, plan.as_ref(), f)
-}
-
-/// [`run_spmd_checked`] with an explicit fault plan (tests inject faults
-/// here without touching the environment).
-pub(crate) fn run_spmd_checked_with<T, F>(
     transports: Vec<Arc<dyn Transport>>,
     plan: Option<&FaultPlan>,
     f: F,
@@ -890,9 +873,9 @@ impl Runner {
     /// unwinds with a [`crate::FaultKill`] payload, classified as
     /// [`crate::FailureCause::Killed`]).
     ///
-    /// Without this, the runner still honors [`FaultPlan::from_env`]
-    /// (`ELBA_FAULT_PLAN`), which is how `elba launch --fault` reaches
-    /// ranks it never constructs itself.
+    /// This is the only way a plan reaches thread ranks: the
+    /// `ELBA_FAULT_PLAN` variable is read by socket worker processes
+    /// ([`crate::run_worker`]) and by nothing else.
     pub fn faults(mut self, plan: &FaultPlan) -> Self {
         self.faults = Some(plan.clone());
         self
@@ -931,11 +914,11 @@ impl Runner {
         T: Send + 'static,
         F: Fn(Comm) -> T + Send + Sync + 'static,
     {
-        let transports = self.backend.transports(self.nranks);
-        match &self.faults {
-            Some(plan) => run_spmd_checked_with(transports, Some(plan), f),
-            None => run_spmd_checked(transports, f),
-        }
+        run_spmd_checked(
+            self.backend.transports(self.nranks),
+            self.faults.as_ref(),
+            f,
+        )
     }
 }
 

@@ -10,8 +10,9 @@
 //! profiled byte, and a no-fault plan is not wrapped at all.
 //!
 //! Plans are strings so they can cross a process boundary in one
-//! environment variable (`ELBA_FAULT_PLAN`, set per worker by
-//! `elba launch --fault`):
+//! environment variable (`ELBA_FAULT_PLAN`, set per socket worker by
+//! `elba launch --fault` and read by [`crate::run_worker`] alone —
+//! thread ranks get theirs from [`crate::Runner::faults`]):
 //!
 //! ```text
 //! kill:1@posts:5000            rank 1 dies after its 5000th post
@@ -43,8 +44,9 @@ use crate::runtime::Rank;
 /// use it; `elba`'s exit taxonomy re-exports it as `exit::FAULT_KILLED`.
 pub const FAULT_KILLED_EXIT: u8 = 14;
 
-/// Environment variable carrying a serialized [`FaultPlan`] into worker
-/// processes and harnesses ([`FaultPlan::from_env`]).
+/// Environment variable carrying a serialized [`FaultPlan`] from the
+/// launch supervisor into its socket worker processes
+/// ([`FaultPlan::from_env`]).
 pub const FAULT_PLAN_ENV: &str = "ELBA_FAULT_PLAN";
 
 /// When a fault fires, relative to this rank's own transport activity.

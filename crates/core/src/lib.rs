@@ -30,7 +30,10 @@ pub use contig::{contig_generation, gather_contigs, ContigConfig, ContigStats};
 pub use induced::{induced_subgraph, LocalGraph};
 pub use lacc::{connected_components, ComponentLabels, UnionFind};
 pub use partition::{partition, PartitionStrategy, Partitioning};
-pub use pipeline::{assemble, assemble_gathered, ChainingConfig, PipelineConfig, PipelineResult};
+pub use pipeline::{
+    assemble, assemble_gathered, string_graph, ChainingConfig, PipelineConfig, PipelineResult,
+    StringGraph,
+};
 pub use scaffold::{scaffold_contigs, scaffold_distributed, ScaffoldConfig, ScaffoldStats};
 pub use serve::{
     JobId, JobInput, JobOutcome, JobResult, JobSpec, JobState, Scheduler, ServeConfig, Server,

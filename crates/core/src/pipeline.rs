@@ -5,7 +5,8 @@
 //! `ExtractContig`) so a profiled run yields the breakdown figures
 //! directly.
 
-use elba_comm::ProcGrid;
+use elba_align::SgEdge;
+use elba_comm::{ProcGrid, SharedMemCharge};
 use elba_graph::{
     align_and_classify, candidate_matrix, overlap_graph, symmetrize, transitive_reduction_with,
     AlignStats, OverlapConfig, ReductionStats, SeedChaining,
@@ -187,12 +188,28 @@ pub struct PipelineResult {
     pub contig_stats: ContigStats,
 }
 
-/// Run Algorithm 1 on a replicated read set (each rank passes the same
-/// slice; the store keeps only the rank's block). Collective.
-pub fn assemble(grid: &ProcGrid, reads: &[Seq], cfg: &PipelineConfig) -> PipelineResult {
+/// What Algorithm 1 lines 3–10 hand to contig generation: the string
+/// matrix and the counters of the stages that built it.
+pub struct StringGraph {
+    /// The symmetrized string matrix `S`.
+    pub s: DistMat<SgEdge>,
+    /// `S`'s residency charge against the rank's memory tracker, held
+    /// for as long as this value lives.
+    _s_charge: SharedMemCharge,
+    pub n_reliable_kmers: u64,
+    pub candidate_nnz: u64,
+    /// Global nonzeros of `S`.
+    pub nnz: u64,
+    pub align_stats: AlignStats,
+    pub reduction_stats: ReductionStats,
+}
+
+/// Algorithm 1 lines 3–10 — CountKmer, DetectOverlap, Alignment,
+/// TrReduction — on a distributed read store: everything [`assemble`]
+/// does before [`contig_generation`]. Collective.
+pub fn string_graph(grid: &ProcGrid, store: &ReadStore, cfg: &PipelineConfig) -> StringGraph {
     let world = grid.world();
-    let n_reads = reads.len();
-    let store = ReadStore::from_replicated(grid, reads);
+    let n_reads = store.n_global();
 
     // The config-time batch derivation cannot see the grid size, but
     // the transport admits ~one batch in flight per peer: re-derive
@@ -215,7 +232,7 @@ pub fn assemble(grid: &ProcGrid, reads: &[Seq], cfg: &PipelineConfig) -> Pipelin
     // CountKmer: reliable k-mer table (Algorithm 1, line 3).
     let table = {
         let _g = world.phase("CountKmer");
-        count_kmers(grid, &store, &kmer_cfg)
+        count_kmers(grid, store, &kmer_cfg)
     };
 
     // DetectOverlap: A, Aᵀ, candidate matrix C = AAᵀ (lines 4–6).
@@ -228,7 +245,7 @@ pub fn assemble(grid: &ProcGrid, reads: &[Seq], cfg: &PipelineConfig) -> Pipelin
     // heap stop undercounting.
     let (c, _c_charge) = {
         let _g = world.phase("DetectOverlap");
-        let triples = build_a_triples(grid, &store, &table, &kmer_cfg);
+        let triples = build_a_triples(grid, store, &table, &kmer_cfg);
         let a = DistMat::from_triples(
             grid,
             n_reads,
@@ -250,7 +267,7 @@ pub fn assemble(grid: &ProcGrid, reads: &[Seq], cfg: &PipelineConfig) -> Pipelin
     // Alignment: x-drop + classification + pruning (lines 7–9).
     let (r, _r_charge, align_stats) = {
         let _g = world.phase("Alignment");
-        let (triples, contained, align_stats) = align_and_classify(grid, &c, &store, &cfg.overlap);
+        let (triples, contained, align_stats) = align_and_classify(grid, &c, store, &cfg.overlap);
         let r = overlap_graph(grid, n_reads, triples, &contained);
         let r_charge = world.mem_charge_shared(r.local_arc(), r.deep_heap_bytes());
         (r, r_charge, align_stats)
@@ -273,22 +290,40 @@ pub fn assemble(grid: &ProcGrid, reads: &[Seq], cfg: &PipelineConfig) -> Pipelin
         let s_charge = world.mem_charge_shared(s.local_arc(), s.deep_heap_bytes());
         (s, s_charge, stats)
     };
-    let string_graph_nnz = s.nnz_global(grid);
+    let nnz = s.nnz_global(grid);
+
+    StringGraph {
+        s,
+        _s_charge,
+        n_reliable_kmers: table.n_global,
+        candidate_nnz,
+        nnz,
+        align_stats,
+        reduction_stats,
+    }
+}
+
+/// Run Algorithm 1 on a replicated read set (each rank passes the same
+/// slice; the store keeps only the rank's block): [`string_graph`], then
+/// Algorithm 2. Collective.
+pub fn assemble(grid: &ProcGrid, reads: &[Seq], cfg: &PipelineConfig) -> PipelineResult {
+    let store = ReadStore::from_replicated(grid, reads);
+    let graph = string_graph(grid, &store, cfg);
 
     // ExtractContig: Algorithm 2 (line 11).
     let (local_contigs, contig_stats) = {
-        let _g = world.phase("ExtractContig");
-        contig_generation(grid, &s, &store, &cfg.contig)
+        let _g = grid.world().phase("ExtractContig");
+        contig_generation(grid, &graph.s, &store, &cfg.contig)
     };
 
     PipelineResult {
         local_contigs,
-        n_reads,
-        n_reliable_kmers: table.n_global,
-        candidate_nnz,
-        string_graph_nnz,
-        align_stats,
-        reduction_stats,
+        n_reads: reads.len(),
+        n_reliable_kmers: graph.n_reliable_kmers,
+        candidate_nnz: graph.candidate_nnz,
+        string_graph_nnz: graph.nnz,
+        align_stats: graph.align_stats,
+        reduction_stats: graph.reduction_stats,
         contig_stats,
     }
 }

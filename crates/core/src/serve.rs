@@ -123,7 +123,7 @@ impl JobSpec {
     }
 
     /// Resolve a sim input's [`DatasetSpec`]; `None` for FASTA jobs,
-    /// error for an unknown dataset name.
+    /// error for a dataset [`DatasetSpec::by_name`] refuses to build.
     fn dataset_spec(&self) -> Result<Option<DatasetSpec>, String> {
         match &self.input {
             JobInput::FastaPath(_) => Ok(None),
@@ -131,14 +131,7 @@ impl JobSpec {
                 dataset,
                 scale,
                 seed,
-            } => match dataset.as_str() {
-                "celegans" => Ok(Some(DatasetSpec::celegans_like(*scale, *seed))),
-                "osativa" => Ok(Some(DatasetSpec::osativa_like(*scale, *seed))),
-                "hsapiens" => Ok(Some(DatasetSpec::hsapiens_like(*scale, *seed))),
-                other => Err(format!(
-                    "unknown dataset '{other}' (expected celegans|osativa|hsapiens)"
-                )),
-            },
+            } => DatasetSpec::by_name(dataset, *scale, *seed).map(Some),
         }
     }
 }
@@ -254,8 +247,9 @@ pub enum SubmitError {
     BudgetExceedsHostCap { requested: u64, cap: u64 },
     /// `JobSpec::fault` failed [`FaultPlan::parse`].
     InvalidFaultPlan(String),
-    /// A sim input names an unknown dataset.
-    UnknownDataset(String),
+    /// A sim input's dataset cannot be built: an unknown name, or a
+    /// scale outside what [`DatasetSpec::by_name`] accepts.
+    InvalidDataset(String),
     /// The server is draining; no new jobs.
     ShuttingDown,
 }
@@ -269,7 +263,7 @@ impl std::fmt::Display for SubmitError {
                  the job can never be admitted"
             ),
             SubmitError::InvalidFaultPlan(e) => write!(f, "invalid fault plan: {e}"),
-            SubmitError::UnknownDataset(e) => write!(f, "{e}"),
+            SubmitError::InvalidDataset(e) => write!(f, "{e}"),
             SubmitError::ShuttingDown => write!(f, "server is shutting down"),
         }
     }
@@ -386,7 +380,7 @@ impl Scheduler {
             None => None,
             Some(raw) => Some(FaultPlan::parse(raw).map_err(SubmitError::InvalidFaultPlan)?),
         };
-        spec.dataset_spec().map_err(SubmitError::UnknownDataset)?;
+        spec.dataset_spec().map_err(SubmitError::InvalidDataset)?;
         let charge = match self.host_cap {
             None => spec.budget_bytes,
             Some(cap) => {
@@ -670,7 +664,7 @@ fn run_job_inner(cfg: &ServeConfig, spec: &JobSpec, plan: Option<&FaultPlan>) ->
         let per_rank = (spec.budget_bytes / cfg.group_ranks as u64).max(1);
         pipeline_cfg = pipeline_cfg.with_mem_budget(MemBudget::bytes(per_rank));
     }
-    pipeline_cfg = pipeline_cfg.with_threads(cfg.threads.max(1));
+    pipeline_cfg = pipeline_cfg.with_threads(cfg.threads);
 
     let mut runner = Runner::new(cfg.backend).ranks(cfg.group_ranks);
     if let Some(plan) = plan {
@@ -833,7 +827,7 @@ mod tests {
         let bad_dataset = JobSpec::sim("bad", "klebsiella", 0.1, 1);
         assert!(matches!(
             sched.submit(bad_dataset),
-            Err(SubmitError::UnknownDataset(_))
+            Err(SubmitError::InvalidDataset(_))
         ));
     }
 

@@ -261,6 +261,44 @@ impl DatasetSpec {
         }
     }
 
+    /// Longest genome [`by_name`](Self::by_name) will build: 2³⁰ bases.
+    pub const MAX_GENOME_LEN: usize = 1 << 30;
+
+    /// The dataset a CLI flag or a `serve` job line names
+    /// (`celegans|osativa|hsapiens`), checked before anything is
+    /// allocated for it: `scale` arrives from outside the program, and
+    /// [`generate`](Self::generate) allocates in proportion to it.
+    /// Rejects an unknown name, a `scale` that is not a positive finite
+    /// number, and a scaled genome shorter than one mean read (no read
+    /// can be drawn) or longer than [`MAX_GENOME_LEN`](Self::MAX_GENOME_LEN).
+    pub fn by_name(name: &str, scale: f64, seed: u64) -> Result<Self, String> {
+        // `!(scale > 0.0)` rather than `scale <= 0.0`: NaN fails too
+        if !(scale > 0.0 && scale.is_finite()) {
+            return Err(format!(
+                "dataset scale must be a positive finite number, got {scale}"
+            ));
+        }
+        let spec = match name {
+            "celegans" => Self::celegans_like(scale, seed),
+            "osativa" => Self::osativa_like(scale, seed),
+            "hsapiens" => Self::hsapiens_like(scale, seed),
+            other => {
+                return Err(format!(
+                    "unknown dataset '{other}' (celegans|osativa|hsapiens)"
+                ))
+            }
+        };
+        let (shortest, longest) = (spec.reads.mean_len, Self::MAX_GENOME_LEN);
+        if !(shortest..=longest).contains(&spec.genome.length) {
+            return Err(format!(
+                "dataset scale {scale} gives a {}-base {} genome; \
+                 supported: {shortest} (one mean read) to {longest} bases",
+                spec.genome.length, spec.name
+            ));
+        }
+        Ok(spec)
+    }
+
     /// Materialize the dataset.
     pub fn generate(&self) -> (Seq, Vec<SimulatedRead>) {
         let genome = random_genome(&self.genome);
@@ -272,6 +310,32 @@ impl DatasetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn by_name_rejects_what_generate_cannot_survive() {
+        for name in ["celegans", "osativa", "hsapiens"] {
+            let spec = DatasetSpec::by_name(name, 0.02, 7).expect("smallest supported scale");
+            assert!(spec.genome.length >= spec.reads.mean_len);
+            for scale in [
+                f64::NAN,
+                f64::INFINITY,
+                -1.0,
+                0.0,
+                1e-9,
+                0.005,
+                1e5,
+                1e12,
+                1e300,
+            ] {
+                let err = DatasetSpec::by_name(name, scale, 7).unwrap_err();
+                assert!(err.contains("scale"), "{name} {scale}: {err}");
+            }
+        }
+        let paper_scale = DatasetSpec::by_name("celegans", 1000.0, 7).expect("100 Mb");
+        assert_eq!(paper_scale.genome.length, 100_000_000);
+        let err = DatasetSpec::by_name("ecoli", 0.2, 7).unwrap_err();
+        assert!(err.contains("unknown dataset 'ecoli'"), "{err}");
+    }
 
     #[test]
     fn genome_has_requested_length() {

@@ -55,13 +55,7 @@ fn main() {
     quality_row("ELBA (P=4)", elba_secs, &genome, &elba_seqs);
 
     // Baselines share the pipeline's k / x-drop parameters.
-    let bcfg = BaselineConfig {
-        k: spec.k,
-        xdrop: spec.xdrop,
-        min_overlap: (spec.reads.mean_len as f64 * 0.05) as usize,
-        fuzz: (spec.reads.mean_len as f64 * 0.05) as usize,
-        ..BaselineConfig::default()
-    };
+    let bcfg = BaselineConfig::for_dataset(&spec);
 
     let started = Instant::now();
     let (bog, _) = assemble_bog(&reads, &bcfg);

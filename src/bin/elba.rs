@@ -100,6 +100,15 @@ fn num<T: std::str::FromStr>(
     }
 }
 
+/// `--threads` (default 1) as `assemble` and `serve` read it: zero
+/// workers is a usage error, not a synonym for one.
+fn threads_flag(flags: &HashMap<String, String>) -> Result<usize, String> {
+    match num(flags, "threads", 1usize)? {
+        0 => Err("--threads must be at least 1".to_owned()),
+        threads => Ok(threads),
+    }
+}
+
 /// Reject a rank count that cannot form a √p × √p grid, naming the
 /// flag it came from.
 fn require_square(flag: &str, ranks: usize) -> Result<(), String> {
@@ -110,17 +119,6 @@ fn require_square(flag: &str, ranks: usize) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-fn spec_of(name: &str, scale: f64, seed: u64) -> Result<DatasetSpec, String> {
-    match name {
-        "celegans" => Ok(DatasetSpec::celegans_like(scale, seed)),
-        "osativa" => Ok(DatasetSpec::osativa_like(scale, seed)),
-        "hsapiens" => Ok(DatasetSpec::hsapiens_like(scale, seed)),
-        other => Err(format!(
-            "unknown dataset '{other}' (celegans|osativa|hsapiens)"
-        )),
-    }
 }
 
 fn write_seqs(path: &str, prefix: &str, seqs: &[Seq]) -> Result<(), String> {
@@ -145,11 +143,14 @@ fn read_seqs(path: &str) -> Result<Vec<Seq>, String> {
         .collect())
 }
 
-fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
-    let dataset = get(&flags, "dataset")?;
-    let scale: f64 = num(&flags, "scale", 0.2)?;
-    let seed: u64 = num(&flags, "seed", 2022)?;
-    let spec = spec_of(dataset, scale, seed)?;
+fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), CliError> {
+    let dataset = get(&flags, "dataset").map_err(CliError::usage)?;
+    let scale: f64 = num(&flags, "scale", 0.2).map_err(CliError::usage)?;
+    let seed: u64 = num(&flags, "seed", 2022).map_err(CliError::usage)?;
+    let reads_path = get(&flags, "reads").map_err(CliError::usage)?;
+    // Checked before anything is generated or created: `--scale` sizes
+    // every allocation below.
+    let spec = DatasetSpec::by_name(dataset, scale, seed).map_err(CliError::usage)?;
     let (genome, sim_reads) = spec.generate();
     let reads: Vec<Seq> = sim_reads.into_iter().map(|r| r.seq).collect();
     println!(
@@ -160,7 +161,7 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
         spec.reads.depth,
         spec.reads.error_rate * 100.0
     );
-    write_seqs(get(&flags, "reads")?, "read_", &reads)?;
+    write_seqs(reads_path, "read_", &reads)?;
     if let Some(genome_path) = flags.get("genome") {
         write_seqs(genome_path, "genome_", std::slice::from_ref(&genome))?;
     }
@@ -185,10 +186,7 @@ struct AssembleSetup {
 fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, String> {
     let ranks: usize = num(flags, "ranks", 4)?;
     require_square("--ranks", ranks)?;
-    let threads: usize = num(flags, "threads", 1usize)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".to_owned());
-    }
+    let threads = threads_flag(flags)?;
     let mut cfg = PipelineConfig::default().with_threads(threads);
     cfg.kmer.k = num(flags, "k", 31usize)?;
     if !(1..=MAX_K).contains(&cfg.kmer.k) {
@@ -359,13 +357,19 @@ fn assemble_finish(
     Ok(())
 }
 
-fn cmd_assemble(flags: HashMap<String, String>) -> Result<(), CliError> {
+/// `elba assemble` on in-process ranks. `fault` is `elba launch
+/// --transport inprocess --fault`'s validated plan; a bare `assemble`
+/// has none.
+fn cmd_assemble(flags: HashMap<String, String>, fault: Option<&FaultPlan>) -> Result<(), CliError> {
     let setup = assemble_setup(&flags).map_err(CliError::usage)?;
     let reads = read_seqs(get(&flags, "reads")?)?;
     print_banner(&setup, reads.len(), "in-process");
     let cfg = setup.cfg.clone();
-    let (mut outputs, profile) = Runner::new(Backend::InProcess)
-        .ranks(setup.ranks)
+    let mut runner = Runner::new(Backend::InProcess).ranks(setup.ranks);
+    if let Some(plan) = fault {
+        runner = runner.faults(plan);
+    }
+    let (mut outputs, profile) = runner
         .try_run_profiled(move |comm| {
             let grid = ProcGrid::new(comm);
             assemble_gathered(&grid, &reads, &cfg)
@@ -414,20 +418,15 @@ fn cmd_launch(rest: &[String]) -> Result<(), CliError> {
     let fault = match flags.get("fault") {
         None => None,
         Some(raw) => {
-            let plan = elba::comm::FaultPlan::parse(raw)
-                .map_err(|e| CliError::usage(format!("--fault: {e}")))?;
+            let plan =
+                FaultPlan::parse(raw).map_err(|e| CliError::usage(format!("--fault: {e}")))?;
             if let Some(&r) = plan.doomed_ranks().iter().find(|&&r| r >= ranks) {
                 return Err(CliError::usage(format!(
                     "--fault targets rank {r}, but the launch has only {ranks} ranks"
                 )));
             }
-            Some(plan.to_string())
+            Some(plan)
         }
-    };
-    let opts = LaunchOptions {
-        timeout: Duration::from_secs(timeout_secs),
-        socket_dir: flags.get("socket-dir").map(PathBuf::from),
-        fault,
     };
     let Some((sub, sub_rest)) = tail.split_first() else {
         return Err(CliError::usage(format!(
@@ -451,18 +450,19 @@ fn cmd_launch(rest: &[String]) -> Result<(), CliError> {
     // spawned — same rule as the fault plan above.
     let mut sub_flags = parse_flags(sub_rest, entry.name, entry.flags).map_err(CliError::usage)?;
     match transport {
+        // Only `assemble` is launchable; both arms run it.
         "inprocess" => {
             sub_flags.insert("ranks".to_owned(), ranks.to_string());
-            if let Some(plan) = &opts.fault {
-                // The in-process harness reads the same env hook the
-                // socket workers do; thread-mode kills, same taxonomy.
-                std::env::set_var(elba::comm::transport::fault::FAULT_PLAN_ENV, plan);
-            }
-            (entry.run)(sub_flags)
+            cmd_assemble(sub_flags, fault.as_ref())
         }
         "socket" => {
             // Flag *values* too: nothing is spawned for a bad one.
             assemble_setup(&sub_flags).map_err(CliError::usage)?;
+            let opts = LaunchOptions {
+                timeout: Duration::from_secs(timeout_secs),
+                socket_dir: flags.get("socket-dir").map(PathBuf::from),
+                fault: fault.map(|plan| plan.to_string()),
+            };
             launch_socket(ranks, &opts, sub_rest)
         }
         other => Err(CliError::usage(format!(
@@ -840,7 +840,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
     let groups: usize = num(&flags, "groups", 2).map_err(CliError::usage)?;
     let group_ranks: usize = num(&flags, "group-ranks", 4).map_err(CliError::usage)?;
-    let threads: usize = num(&flags, "threads", 1).map_err(CliError::usage)?;
+    let threads = threads_flag(&flags).map_err(CliError::usage)?;
     if groups == 0 {
         return Err(CliError::usage("--groups must be at least 1"));
     }
@@ -1023,7 +1023,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
         name: "simulate",
         launchable: false,
         flags: &["dataset", "scale", "seed", "reads", "genome"],
-        run: |flags| cmd_simulate(flags).map_err(CliError::from),
+        run: cmd_simulate,
     },
     Subcommand {
         name: "assemble",
@@ -1044,7 +1044,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
             "scaffold",
             "gfa",
         ],
-        run: cmd_assemble,
+        run: |flags| cmd_assemble(flags, None),
     },
     Subcommand {
         name: "serve",

@@ -33,9 +33,10 @@
 //! assert!(report.completeness > 10.0);
 //! ```
 //!
-//! See the `examples/` directory for end-to-end scenarios and
-//! `crates/bench` for the harnesses regenerating every table and figure
-//! of the paper.
+//! See the `examples/` directory for end-to-end scenarios. Every table
+//! and figure of the paper is regenerated by one program in
+//! `crates/bench`: `cargo bench -p elba-bench --bench figures -- [NAME]…`
+//! (`table1`…`table4`, `fig4`…`fig6`, `ablation`; no name prints all).
 
 pub use elba_align as align;
 
@@ -77,7 +78,7 @@ pub use elba_sparse as sparse;
 pub mod prelude {
     pub use elba_align::{OverlapAln, OverlapClass, Scoring, SgEdge, XdropKernel};
     pub use elba_baseline::{assemble_bog, assemble_minimizer, BaselineConfig};
-    pub use elba_comm::{Backend, Comm, FaultPlan, MachineModel, ProcGrid, RunProfile, Runner};
+    pub use elba_comm::{Backend, Comm, FaultPlan, ProcGrid, RunProfile, Runner};
     pub use elba_core::{
         assemble, assemble_gathered, contig_generation, gather_contigs, AssemblyConfig,
         ChainingConfig, Contig, ContigConfig, PartitionStrategy, PipelineConfig, PipelineResult,

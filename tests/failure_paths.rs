@@ -139,6 +139,94 @@ fn all_identical_reads_collapse() {
 // the frame layer must turn every such input into a clean `WireError`,
 // never a panic, an over-allocation, or a silently wrong value.
 
+/// Hostile numbers on the command line: a usage error (exit 2, one
+/// `error:` line), never a backtrace, an abort or a silently empty file.
+mod hostile_cli_values {
+    use std::path::PathBuf;
+    use std::process::{Command, Output};
+
+    fn elba(args: &[&str]) -> Output {
+        Command::new(env!("CARGO_BIN_EXE_elba"))
+            .args(args)
+            .output()
+            .expect("run elba")
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("elba-hostile-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        dir
+    }
+
+    fn assert_usage_error(out: &Output, what: &str) {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{what}: stderr:\n{stderr}");
+        assert!(
+            stderr.lines().count() == 1 && stderr.starts_with("error: "),
+            "{what}: exactly one error line:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked at"), "{what}:\n{stderr}");
+    }
+
+    #[test]
+    fn simulate_rejects_a_scale_it_cannot_generate() {
+        let dir = scratch("simulate");
+        let reads = dir.join("reads.fa");
+        let reads_arg = reads.to_str().expect("utf-8 temp path");
+        for scale in ["nan", "-1", "0", "1e12", "inf", "1e-9"] {
+            let out = elba(&[
+                "simulate",
+                "--dataset",
+                "celegans",
+                "--scale",
+                scale,
+                "--reads",
+                reads_arg,
+            ]);
+            assert_usage_error(&out, &format!("--scale {scale}"));
+            assert!(!reads.exists(), "--scale {scale}: nothing may be written");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serve_rejects_an_over_scaled_job_line_and_runs_the_rest() {
+        let dir = scratch("serve");
+        let jobs = dir.join("jobs.txt");
+        std::fs::write(
+            &jobs,
+            "name=j0 sim=celegans scale=1e12 seed=1\nname=j1 sim=celegans scale=0.02 seed=2\n",
+        )
+        .expect("write job file");
+        let jobs_arg = jobs.to_str().expect("utf-8 temp path");
+        let out = elba(&[
+            "serve",
+            "--jobs",
+            jobs_arg,
+            "--groups",
+            "1",
+            "--group-ranks",
+            "1",
+        ]);
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        // a reject makes the batch exit 1; what matters is that it exits
+        assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+        assert!(!stderr.contains("panicked at"), "{stderr}");
+        assert!(stdout.contains("job j0: REJECTED"), "{stdout}");
+        assert!(stdout.contains("job j1: completed"), "{stdout}");
+        assert!(stdout.contains("completed=1 failed=0 fault-killed=0 rejected=1"));
+
+        // `--threads 0` is a usage error here as it is for `assemble`.
+        let out = elba(&["serve", "--jobs", jobs_arg, "--threads", "0"]);
+        assert_usage_error(&out, "serve --threads 0");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 mod wire_rejection {
     use elba::comm::transport::wire::{
         FrameHeader, FrameKind, WireError, WireReader, FRAME_HEADER_BYTES, MAX_FRAME_LEN,

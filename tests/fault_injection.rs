@@ -326,6 +326,11 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// Simulate a small read set into `dir` and return the reads path.
 fn simulate_reads(dir: &Path) -> PathBuf {
+    simulate_reads_at(dir, "0.05")
+}
+
+/// [`simulate_reads`] at a chosen `--scale` (0.05 assembles no contig).
+fn simulate_reads_at(dir: &Path, scale: &str) -> PathBuf {
     let reads = dir.join("reads.fa");
     let status = elba_bin()
         .args([
@@ -333,7 +338,7 @@ fn simulate_reads(dir: &Path) -> PathBuf {
             "--dataset",
             "celegans",
             "--scale",
-            "0.05",
+            scale,
             "--seed",
             "33",
         ])
@@ -426,6 +431,63 @@ fn soft_killed_worker_maps_to_fault_killed_exit() {
         out.stderr
     );
     assert!(!sock.exists(), "rendezvous dir removed");
+}
+
+/// Thread ranks get a fault plan from `Runner::faults` and from nowhere
+/// else: an `ELBA_FAULT_PLAN` left in the environment must not reach a
+/// bare `assemble` (it used to be read by every `Runner` in the
+/// process), while `launch --transport inprocess --fault` still
+/// delivers the same plan and reports like the socket supervisor.
+/// Child processes, so no test in this binary races on the variable.
+#[test]
+fn ambient_fault_plan_is_ignored_but_inprocess_launch_delivers_it() {
+    let dir = scratch("ambient");
+    let reads = simulate_reads_at(&dir, "0.15");
+    let plan = "kill:1@phase:Alignment";
+    let assemble = |out_name: &str, ambient: Option<&str>| {
+        let mut cmd = elba_bin();
+        cmd.args(["assemble", "--ranks", "4", "--k", "17", "--reads"])
+            .arg(&reads)
+            .arg("--out")
+            .arg(dir.join(out_name))
+            .env_remove("ELBA_FAULT_PLAN");
+        if let Some(value) = ambient {
+            cmd.env("ELBA_FAULT_PLAN", value);
+        }
+        let out = cmd.output().expect("run elba assemble");
+        assert!(
+            out.status.success(),
+            "ELBA_FAULT_PLAN={ambient:?}: stderr:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read(dir.join(out_name)).expect("contigs written")
+    };
+    let clean = assemble("clean.fa", None);
+    assert!(!clean.is_empty(), "the plan must have something to kill");
+    assert_eq!(assemble("ambient.fa", Some(plan)), clean);
+    // not even parsed: a malformed value is nobody's input
+    assert_eq!(assemble("garbage.fa", Some("kill:banana")), clean);
+
+    let launched = dir.join("launched.fa");
+    let out = elba_bin()
+        .args(["launch", "--ranks", "4", "--transport", "inprocess"])
+        .args(["--fault", plan, "--", "assemble", "--k", "17", "--reads"])
+        .arg(&reads)
+        .arg("--out")
+        .arg(&launched)
+        .output()
+        .expect("run elba launch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(i32::from(exit::RANK_FAILED)),
+        "stderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("rank 1 killed by fault plan"),
+        "root cause is the fault-killed rank:\n{stderr}"
+    );
+    assert!(!launched.exists(), "a killed run writes no contigs");
 }
 
 /// Workers stalled by heavy injected jitter are killed when

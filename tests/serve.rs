@@ -70,11 +70,34 @@ fn over_cap_submission_is_rejected_with_typed_error() {
     ));
     assert!(matches!(
         server.submit(JobSpec::sim("bad-ds", "tribble", 0.03, 3)),
-        Err(SubmitError::UnknownDataset(_))
+        Err(SubmitError::InvalidDataset(_))
     ));
 
     let results = server.drain();
     assert!(results.is_empty(), "rejected jobs must never run");
+}
+
+#[test]
+fn over_scaled_job_is_rejected_at_submit_and_its_neighbour_completes() {
+    let server = Server::start(ServeConfig::default());
+    // `scale` sizes the simulator's allocations; an absurd one used to
+    // pass the door and abort the whole server inside `run_job`.
+    for (i, scale) in [1e12, f64::NAN, f64::INFINITY, -1.0, 0.0, 1e-6]
+        .into_iter()
+        .enumerate()
+    {
+        let name = format!("hostile-{i}");
+        assert!(
+            matches!(
+                server.submit(JobSpec::sim(&name, "celegans", scale, 1)),
+                Err(SubmitError::InvalidDataset(_))
+            ),
+            "scale {scale} must be rejected at submit"
+        );
+    }
+    let neighbour = server.submit(tiny("neighbour", 2)).unwrap();
+    assert!(server.wait(neighbour).completed());
+    assert_eq!(server.drain().len(), 1, "rejected jobs must never run");
 }
 
 #[test]
