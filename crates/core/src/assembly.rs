@@ -16,13 +16,20 @@
 //! `l[j:i]` slicing convention (see `elba_seq::dna`).
 //!
 //! The stage runs in two passes: a serial *trace* walks the graph and
-//! records each contig as a list of oriented slice requests (the walk
-//! itself is a pointer chase over shared `visited` state — inherently
-//! sequential but cheap), then the slice concatenation — the actual
-//! byte copying, which dominates on long contigs — is materialized on
-//! [`elba_par`] workers. Results come back in task order (= trace
-//! order), so assembled contigs are byte-identical for every thread
-//! count.
+//! records each contig as a list of oriented slices (the walk itself is
+//! a pointer chase over shared `visited` state — inherently sequential
+//! but cheap), then the slice concatenation — the actual byte copying,
+//! which dominates on long contigs — is materialized on [`elba_par`]
+//! workers. Results come back in task order (= trace order), so
+//! assembled contigs are byte-identical for every thread count.
+//!
+//! Both passes are linear in what they touch. The trace resolves each
+//! read in the store once per walk step and records the slice as a
+//! borrow of the packed buffer ("we can simply use the offsets already
+//! computed"); materializing sums the slice lengths, allocates the
+//! contig once, and writes forward slices as block copies and reverse
+//! slices as a reversed-complement iterator straight from that buffer —
+//! no intermediate sequence per slice.
 
 use elba_align::SgEdge;
 use elba_seq::{ReadStore, Seq};
@@ -70,43 +77,49 @@ pub struct AssemblyStats {
     pub orientation_breaks: usize,
 }
 
-/// Oriented slice of a stored read: forward when `reversed` is false,
-/// reverse-complement otherwise; an exhausted read (overlap covering all
-/// that remains) contributes nothing.
-fn slice_oriented(store: &ReadStore, id: u64, from: usize, to: usize, reversed: bool) -> Seq {
-    if reversed {
-        match from.cmp(&to) {
-            std::cmp::Ordering::Less => Seq::new(),
-            std::cmp::Ordering::Equal => {
-                let codes = store.get(id).expect("read stored locally");
-                Seq::from_codes(vec![elba_seq::dna::complement(codes[from])])
-            }
-            std::cmp::Ordering::Greater => store.subsequence(id, from, to),
-        }
-    } else if from > to {
-        Seq::new()
-    } else {
-        store.subsequence(id, from, to)
-    }
+/// One oriented slice recorded by the trace pass: the codes to emit,
+/// borrowed from the read store's packed buffer, complemented back to
+/// front when `reversed`.
+#[derive(Debug, Clone, Copy)]
+struct SliceSpec<'s> {
+    codes: &'s [u8],
+    reversed: bool,
 }
 
-/// One oriented slice request recorded by the trace pass: read `gid`
-/// sliced inclusively `[from..to]`, reverse-complemented when
-/// `reversed` (the `l[j:i]` convention with `from > to`).
-#[derive(Debug, Clone, Copy)]
-struct SliceSpec {
-    gid: u64,
-    from: usize,
-    to: usize,
-    reversed: bool,
+impl<'s> SliceSpec<'s> {
+    /// The paper's inclusive `l[from:to]` of a read: forward when
+    /// `reversed` is false (`from ≤ to`), reverse-complement otherwise
+    /// (`from ≥ to`, the `l[j:i]` convention). An exhausted read — the
+    /// overlap covers all that remains, so the bounds cross — contributes
+    /// nothing.
+    fn cut(read: &'s [u8], from: usize, to: usize, reversed: bool) -> Self {
+        let (lo, hi) = if reversed { (to, from) } else { (from, to) };
+        SliceSpec {
+            codes: if lo <= hi { &read[lo..=hi] } else { &[] },
+            reversed,
+        }
+    }
+
+    fn append_to(&self, out: &mut Vec<u8>) {
+        if self.reversed {
+            out.extend(
+                self.codes
+                    .iter()
+                    .rev()
+                    .map(|&c| elba_seq::dna::complement(c)),
+            );
+        } else {
+            out.extend_from_slice(self.codes);
+        }
+    }
 }
 
 /// One traced walk: everything about a contig except its materialized
 /// sequence bytes.
 #[derive(Debug)]
-struct WalkSpec {
+struct WalkSpec<'s> {
     read_ids: Vec<u64>,
-    slices: Vec<SliceSpec>,
+    slices: Vec<SliceSpec<'s>>,
     circular: bool,
 }
 
@@ -129,8 +142,15 @@ pub fn local_assembly(
         })
     };
 
-    // Pass 1 (serial): trace each walk, recording slice requests instead
-    // of copying bases — the pointer chase over shared `visited` state.
+    // Pass 1 (serial): trace each walk, recording slices instead of
+    // copying bases — the pointer chase over shared `visited` state. A
+    // read is looked up in the store once, when the walk steps onto it.
+    let read_of = |v: usize| -> &[u8] {
+        let gid = graph.global_ids[v];
+        store
+            .get(gid)
+            .unwrap_or_else(|| panic!("read {gid} not stored locally"))
+    };
     let trace = |start: usize, visited: &mut [bool], stats: &mut AssemblyStats| -> WalkSpec {
         let gid = |v: usize| graph.global_ids[v];
         let mut read_ids = Vec::new();
@@ -140,22 +160,25 @@ pub fn local_assembly(
         let mut prev = start;
         let mut cur = neighbors(start)[0] as usize;
         let first = edge_of(prev, cur);
-        let alpha = if first.src_rev {
-            store.read_len(gid(start)).expect("root read stored") - 1
-        } else {
-            0
-        };
-        slices.push(SliceSpec {
-            gid: gid(start),
-            from: alpha,
-            to: first.pre as usize,
-            reversed: first.src_rev,
-        });
+        let root = read_of(start);
+        let alpha = if first.src_rev { root.len() - 1 } else { 0 };
+        slices.push(SliceSpec::cut(
+            root,
+            alpha,
+            first.pre as usize,
+            first.src_rev,
+        ));
         let mut in_edge = first;
         let mut circular = false;
         loop {
             visited[cur] = true;
             read_ids.push(gid(cur));
+            let read = read_of(cur);
+            // The slice that ends the contig at this read.
+            let terminal = |in_edge: &SgEdge| {
+                let beta = if in_edge.dst_rev { 0 } else { read.len() - 1 };
+                SliceSpec::cut(read, in_edge.post as usize, beta, in_edge.dst_rev)
+            };
             let nbrs = neighbors(cur);
             let next = nbrs
                 .iter()
@@ -168,14 +191,7 @@ pub fn local_assembly(
                     if nbrs.len() == 2 && nbrs.iter().all(|&x| visited[x as usize]) {
                         circular = true;
                     }
-                    let len = store.read_len(gid(cur)).expect("read stored");
-                    let beta = if in_edge.dst_rev { 0 } else { len - 1 };
-                    slices.push(SliceSpec {
-                        gid: gid(cur),
-                        from: in_edge.post as usize,
-                        to: beta,
-                        reversed: in_edge.dst_rev,
-                    });
+                    slices.push(terminal(&in_edge));
                     break;
                 }
                 Some(nb) => {
@@ -184,22 +200,15 @@ pub fn local_assembly(
                         // Inconsistent traversal orientation (fuzz artifact):
                         // terminate the contig cleanly at this read.
                         stats.orientation_breaks += 1;
-                        let len = store.read_len(gid(cur)).expect("read stored");
-                        let beta = if in_edge.dst_rev { 0 } else { len - 1 };
-                        slices.push(SliceSpec {
-                            gid: gid(cur),
-                            from: in_edge.post as usize,
-                            to: beta,
-                            reversed: in_edge.dst_rev,
-                        });
+                        slices.push(terminal(&in_edge));
                         break;
                     }
-                    slices.push(SliceSpec {
-                        gid: gid(cur),
-                        from: in_edge.post as usize,
-                        to: out_edge.pre as usize,
-                        reversed: in_edge.dst_rev,
-                    });
+                    slices.push(SliceSpec::cut(
+                        read,
+                        in_edge.post as usize,
+                        out_edge.pre as usize,
+                        in_edge.dst_rev,
+                    ));
                     prev = cur;
                     cur = nb;
                     in_edge = out_edge;
@@ -240,11 +249,12 @@ pub fn local_assembly(
     // returns results in task order — the trace order above — so the
     // contig list is byte-identical for every thread count.
     let seqs = elba_par::run_indexed(walks.len(), cfg.threads, |i| {
-        let mut seq = Seq::new();
-        for s in &walks[i].slices {
-            seq.extend_from(&slice_oriented(store, s.gid, s.from, s.to, s.reversed));
+        let slices = &walks[i].slices;
+        let mut codes = Vec::with_capacity(slices.iter().map(|s| s.codes.len()).sum());
+        for slice in slices {
+            slice.append_to(&mut codes);
         }
-        seq
+        Seq::from_codes(codes)
     });
     let contigs = walks
         .into_iter()
@@ -346,6 +356,23 @@ mod tests {
             contig.seq,
             g
         );
+    }
+
+    #[test]
+    fn slices_cut_forward_and_reverse_complement() {
+        let read: Seq = "AGAACT".parse().expect("dna");
+        let emit = |from, to, reversed| {
+            let mut out = Vec::new();
+            SliceSpec::cut(read.codes(), from, to, reversed).append_to(&mut out);
+            Seq::from_codes(out).to_string()
+        };
+        assert_eq!(emit(2, 5, false), "AACT");
+        // reverse complement of AACT read backwards from index 5 to 2
+        assert_eq!(emit(5, 2, true), "AGTT");
+        assert_eq!(emit(3, 3, true), "T", "a single base is still complemented");
+        // crossed bounds: the read is exhausted
+        assert_eq!(emit(4, 3, false), "");
+        assert_eq!(emit(3, 4, true), "");
     }
 
     #[test]

@@ -167,15 +167,11 @@ pub fn contig_generation(
         // `id` also holds read `id` (aligned layouts), so it knows the
         // destination of each of its reads.
         let my_range = labels.global_range(grid);
-        let label_chunk = labels.local().to_vec();
         let local_store = store.exchange(
             grid,
             |id| {
-                let offset = id as usize - my_range.start;
-                match owner_of_label.get(&label_chunk[offset]) {
-                    Some(&rank) => vec![rank],
-                    None => Vec::new(),
-                }
+                let label = labels.local()[id as usize - my_range.start];
+                owner_of_label.get(&label).copied()
             },
             cfg.count_limit,
         );

@@ -11,14 +11,33 @@
 //! `(u, w, S(u,w))` is then routed to its owner with a custom all-to-all.
 //! The local block is re-indexed to its new, smaller size while keeping
 //! "a map of the original global vertex indices" (`global_ids`), and —
-//! per §4.4 — handed to local assembly in CSC form (built through the
-//! DCSC→CSC expansion the paper describes).
+//! per §4.4 — handed to local assembly in CSC form.
+//!
+//! Everything local is a linear pass, as the paper states the stage. An
+//! edge's owner is its row's owner (an edge never leaves its component),
+//! so routing walks the local CSR block by row and consults the
+//! assignment once per non-empty row. Re-indexing is a *rank dictionary*
+//! over the global id space instead of sort + dedup + a hash map: one bit
+//! per vertex, set for every received endpoint, and a running popcount
+//! per 64-bit word, so
+//!
+//! ```text
+//! local_of(g) = prefix[g / 64] + popcount(word[g / 64] & below(g % 64))
+//! ```
+//!
+//! and `global_ids` is the set bits read off in order — already sorted,
+//! already distinct. It costs `n/8 + n/16` bytes per rank for `n` global
+//! vertices (booked as a transient), less than the two label vectors
+//! `fetch_aligned` has just delivered (`16·n/q` bytes) on any grid with
+//! `q < 128`. The CSC comes out of `elba-sparse`'s counting-sort builder;
+//! the triples arrive grouped by source rank in row-major order, so every
+//! column is already ascending once bucketed.
 
 use std::collections::HashMap;
 
 use elba_align::SgEdge;
 use elba_comm::ProcGrid;
-use elba_sparse::{Csc, Dcsc, DistMat, DistVec};
+use elba_sparse::{Csc, DistMat, DistVec};
 
 /// A rank-local induced subgraph: one or more whole linear components.
 #[derive(Debug, Clone)]
@@ -44,6 +63,62 @@ impl LocalGraph {
     }
 }
 
+/// Rank dictionary over the id universe `0..n`: which ids are present,
+/// and how many present ids precede a given one.
+struct RankDict {
+    /// Bit `g % 64` of `words[g / 64]` is set when `g` is present.
+    words: Vec<u64>,
+    /// Present ids below `64 * k`, per word `k`.
+    prefix: Vec<u32>,
+    /// Present ids in all.
+    len: u32,
+}
+
+impl RankDict {
+    fn new(universe: usize, present: impl Iterator<Item = u64>) -> Self {
+        let mut words = vec![0u64; universe.div_ceil(64)];
+        for g in present {
+            words[(g / 64) as usize] |= 1 << (g % 64);
+        }
+        let mut len = 0u32;
+        let prefix = words
+            .iter()
+            .map(|word| {
+                let below = len;
+                len += word.count_ones();
+                below
+            })
+            .collect();
+        RankDict { words, prefix, len }
+    }
+
+    /// Position of the present id `g` among the present ids.
+    #[inline]
+    fn rank(&self, g: u64) -> u32 {
+        let k = (g / 64) as usize;
+        debug_assert!(self.words[k] >> (g % 64) & 1 == 1, "id {g} not present");
+        self.prefix[k] + (self.words[k] & ((1 << (g % 64)) - 1)).count_ones()
+    }
+
+    /// The present ids, ascending.
+    fn members(&self) -> Vec<u64> {
+        let mut ids = Vec::with_capacity(self.len as usize);
+        for (k, &word) in self.words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                ids.push(k as u64 * 64 + u64::from(rest.trailing_zeros()));
+                rest &= rest - 1;
+            }
+        }
+        ids
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<u64>()
+            + self.prefix.len() * std::mem::size_of::<u32>()
+    }
+}
+
 /// Build each rank's induced subgraph (collective).
 ///
 /// `owner_of_label` maps a component label to the rank that will assemble
@@ -54,50 +129,51 @@ pub fn induced_subgraph(
     labels: &DistVec<u64>,
     owner_of_label: &HashMap<u64, usize>,
 ) -> LocalGraph {
-    let p = grid.world().size();
+    let world = grid.world();
     // Fig. 2 exchange: v restricted to the local block's row/col ranges.
     let (row_labels, col_labels) = labels.fetch_aligned(grid);
     let (row0, col0) = l.local_offsets(grid);
-    let mut outgoing: Vec<Vec<(u64, u64, SgEdge)>> = vec![Vec::new(); p];
-    for (u, w, edge) in l.iter_global(grid) {
-        let label_u = row_labels[u as usize - row0];
-        let label_w = col_labels[w as usize - col0];
-        debug_assert_eq!(
-            label_u, label_w,
-            "edge ({u},{w}) spans two components — CC must have failed"
-        );
+    let block = l.local();
+    let mut outgoing: Vec<Vec<(u64, u64, SgEdge)>> = vec![Vec::new(); world.size()];
+    for (i, &label_u) in row_labels.iter().enumerate() {
+        let (cols, edges) = block.row(i);
+        if cols.is_empty() {
+            continue;
+        }
+        let u = (row0 + i) as u64;
+        for &c in cols {
+            let (w, label_w) = (col0 + c as usize, col_labels[c as usize]);
+            debug_assert_eq!(
+                label_u, label_w,
+                "edge ({u},{w}) spans two components — CC must have failed"
+            );
+        }
         if let Some(&dest) = owner_of_label.get(&label_u) {
-            outgoing[dest].push((u, w, *edge));
+            let row = cols.iter().zip(edges);
+            outgoing[dest].extend(row.map(|(&c, &edge)| (u, (col0 + c as usize) as u64, edge)));
         }
     }
-    let incoming = grid.world().alltoallv(outgoing);
+    let incoming = world.alltoallv(outgoing);
 
-    // Re-index to the new, smaller size, keeping the global-id map.
-    let mut edges: Vec<(u64, u64, SgEdge)> = incoming.into_iter().flatten().collect();
-    let mut global_ids: Vec<u64> = edges.iter().flat_map(|&(u, w, _)| [u, w]).collect();
-    global_ids.sort_unstable();
-    global_ids.dedup();
-    let local_of: HashMap<u64, u32> = global_ids
-        .iter()
-        .enumerate()
-        .map(|(i, &g)| (g, i as u32))
-        .collect();
+    // Re-index to the new, smaller size, keeping the global-id map. A
+    // vertex that appears only as a column still gets an id.
+    let endpoints = incoming.iter().flatten().flat_map(|&(u, w, _)| [u, w]);
+    let dict = RankDict::new(l.nrows().max(l.ncols()), endpoints);
+    world.record_mem_transient(dict.heap_bytes());
+    let global_ids = dict.members();
     let n = global_ids.len();
-    let triples: Vec<(u32, u32, SgEdge)> = edges
-        .drain(..)
-        .map(|(u, w, e)| (local_of[&u], local_of[&w], e))
-        .collect();
-    // DCSC is the storage format of the earlier pipeline stages; convert
-    // to CSC for the traversal (§4.4's linear-time uncompression).
-    let dcsc = Dcsc::from_triples(n, n, triples, |_, duplicate| {
-        // The same directed edge can only arrive once (it had one owner
-        // block); tolerate exact duplicates defensively.
-        let _ = duplicate;
-    });
-    LocalGraph {
-        global_ids,
-        csc: dcsc.to_csc(),
+    let mut triples: Vec<(u32, u32, SgEdge)> =
+        Vec::with_capacity(incoming.iter().map(Vec::len).sum());
+    for part in incoming {
+        triples.extend(
+            part.into_iter()
+                .map(|(u, w, edge)| (dict.rank(u), dict.rank(w), edge)),
+        );
     }
+    // The same directed edge can only arrive once (it had one owner
+    // block); an exact duplicate is tolerated and the first copy kept.
+    let csc = Csc::from_triples(n, n, triples, |_, _duplicate| {});
+    LocalGraph { global_ids, csc }
 }
 
 #[cfg(test)]
@@ -203,6 +279,144 @@ mod tests {
                 assert!(ids.is_empty());
             }
         }
+    }
+
+    /// The stage done serially from replicated inputs: keep the edges
+    /// whose row label is assigned to `rank`, number the distinct
+    /// endpoints in ascending order, and list the entries column-major.
+    #[allow(clippy::type_complexity)]
+    fn serial_oracle(
+        edges: &[(u64, u64, SgEdge)],
+        labels: &[u64],
+        owners: &HashMap<u64, usize>,
+        rank: usize,
+    ) -> (Vec<u64>, Vec<(u32, u32, SgEdge)>) {
+        let mine: Vec<&(u64, u64, SgEdge)> = edges
+            .iter()
+            .filter(|&&(u, _, _)| owners.get(&labels[u as usize]) == Some(&rank))
+            .collect();
+        let mut ids: Vec<u64> = mine.iter().flat_map(|&&(u, w, _)| [u, w]).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let local = |g: u64| ids.binary_search(&g).expect("endpoint numbered") as u32;
+        let mut entries: Vec<(u32, u32, SgEdge)> = mine
+            .iter()
+            .map(|&&(u, w, e)| (local(u), local(w), e))
+            .collect();
+        entries.sort_by_key(|&(r, c, _)| (c, r));
+        (ids, entries)
+    }
+
+    #[test]
+    fn matches_the_serial_oracle_on_random_and_asymmetric_graphs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(404);
+        for trial in 0..12u32 {
+            // Components are runs of consecutive ids, labelled by their
+            // first vertex; ids are then shuffled so nothing is ordered.
+            let n = rng.gen_range(5..60usize);
+            let mut perm: Vec<u64> = (0..n as u64).collect();
+            for i in (1..n).rev() {
+                perm.swap(i, rng.gen_range(0..=i));
+            }
+            let mut labels = vec![0u64; n];
+            let mut edges: Vec<(u64, u64, SgEdge)> = Vec::new();
+            let mut start = 0usize;
+            let mut components: Vec<u64> = Vec::new();
+            while start < n {
+                let len = rng.gen_range(1..8usize).min(n - start);
+                let label = perm[start];
+                components.push(label);
+                for v in start..start + len {
+                    labels[perm[v] as usize] = label;
+                    if v + 1 < start + len {
+                        let (a, b) = (perm[v], perm[v + 1]);
+                        edges.push((a, b, edge(edges.len() as u32)));
+                        // Every third trial is asymmetric: some edges have
+                        // no mirror, so the last vertex of a component may
+                        // appear only as a column.
+                        if trial % 3 != 0 || rng.gen_bool(0.5) {
+                            edges.push((b, a, edge(edges.len() as u32)));
+                        }
+                    }
+                }
+                start += len;
+            }
+            for p in [1usize, 4, 9] {
+                // Rank p − 1 is assigned nothing; one component in four is
+                // assigned to nobody.
+                let owners: HashMap<u64, usize> = components
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i % 4 != 3)
+                    .map(|(i, &label)| (label, i % (p - 1).max(1)))
+                    .collect();
+                let (edges_in, labels_in, owners_in) =
+                    (edges.clone(), labels.clone(), owners.clone());
+                let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
+                    let grid = ProcGrid::new(comm);
+                    let world = grid.world();
+                    let share = |rank: usize| edges_in.len() * rank / world.size();
+                    let mine = edges_in[share(world.rank())..share(world.rank() + 1)].to_vec();
+                    let l = DistMat::from_triples(&grid, n, n, mine, |_, _| unreachable!());
+                    let labels = DistVec::from_global(&grid, &labels_in);
+                    let local = induced_subgraph(&grid, &l, &labels, &owners_in);
+                    let entries: Vec<(u32, u32, SgEdge)> =
+                        local.csc.iter().map(|(r, c, &e)| (r, c, e)).collect();
+                    (local.global_ids, local.csc.ncols(), entries)
+                });
+                for (rank, (ids, ncols, entries)) in out.into_iter().enumerate() {
+                    let (want_ids, want_entries) = serial_oracle(&edges, &labels, &owners, rank);
+                    assert_eq!(ids, want_ids, "trial {trial} p={p} rank={rank}: ids");
+                    assert_eq!(ncols, want_ids.len());
+                    assert_eq!(entries, want_entries, "trial {trial} p={p} rank={rank}");
+                    if p > 1 && rank == p - 1 {
+                        assert!(ids.is_empty() && entries.is_empty());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_only_vertex_still_gets_an_id() {
+        // 0 → 1 → 2 with no edge back: vertex 2 has no row of its own.
+        let out = Runner::new(Backend::InProcess).ranks(4).run(|comm| {
+            let grid = ProcGrid::new(comm);
+            let triples = if grid.world().rank() == 0 {
+                vec![(0, 1, edge(7)), (1, 2, edge(8))]
+            } else {
+                Vec::new()
+            };
+            let l = DistMat::from_triples(&grid, 5, 5, triples, |_, _| unreachable!());
+            let labels = DistVec::from_global(&grid, &[0u64, 0, 0, 3, 4]);
+            let owners = HashMap::from([(0u64, 2usize)]);
+            let local = induced_subgraph(&grid, &l, &labels, &owners);
+            let at = |i: u64, j: u64| {
+                let (i, j) = (local.local_of(i)?, local.local_of(j)?);
+                local.csc.get(i, j).map(|e| e.suffix)
+            };
+            (local.global_ids.clone(), at(0, 1), at(1, 2), at(2, 1))
+        });
+        assert_eq!(out[2], (vec![0, 1, 2], Some(7), Some(8), None));
+        for rank in [0, 1, 3] {
+            assert!(out[rank].0.is_empty(), "rank {rank} receives nothing");
+        }
+    }
+
+    #[test]
+    fn rank_dictionary_ranks_and_lists_members() {
+        let present = [0u64, 1, 63, 64, 65, 127, 128, 300, 511];
+        let dict = RankDict::new(512, present.iter().copied().chain([64, 0]));
+        assert_eq!(dict.members(), present);
+        for (i, &g) in present.iter().enumerate() {
+            assert_eq!(dict.rank(g), i as u32, "rank of {g}");
+        }
+        assert_eq!(dict.heap_bytes(), 512 / 8 + 512 / 16);
+        let empty = RankDict::new(0, std::iter::empty());
+        assert!(empty.members().is_empty());
+        assert!(RankDict::new(70, std::iter::empty()).members().is_empty());
     }
 
     #[test]

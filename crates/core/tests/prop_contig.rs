@@ -162,6 +162,100 @@ proptest! {
     }
 }
 
+/// Run the contig stage on `p` ranks and return every contig as
+/// `(sequence, read ids)`, each in the lexicographically smaller of its
+/// two walk directions, sorted.
+fn canonical_contigs(
+    p: usize,
+    reads: Vec<Seq>,
+    triples: Vec<(u64, u64, SgEdge)>,
+) -> Vec<(String, Vec<u64>)> {
+    let n = reads.len();
+    let contigs = Runner::new(Backend::InProcess)
+        .ranks(p)
+        .run(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let store = ReadStore::from_replicated(&grid, &reads);
+            let world = grid.world();
+            let share = |rank: usize| triples.len() * rank / world.size();
+            let mine = triples[share(world.rank())..share(world.rank() + 1)].to_vec();
+            let s = DistMat::from_triples(&grid, n, n, mine, |_, _| unreachable!());
+            let (local, _) = contig_generation(&grid, &s, &store, &ContigConfig::default());
+            gather_contigs(&grid, &local)
+        })
+        .remove(0);
+    let mut out: Vec<(String, Vec<u64>)> = contigs
+        .into_iter()
+        .map(|c| {
+            let forward = (c.seq.to_string(), c.read_ids.clone());
+            let backward = (
+                c.seq.reverse_complement().to_string(),
+                c.read_ids.into_iter().rev().collect(),
+            );
+            forward.min(backward)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// Every other test (and the benchmark) numbers reads in chain order,
+    /// so a rank's reads, vertices and edges are runs of consecutive ids.
+    /// Under a random renumbering the id → slot index, the re-indexing of
+    /// the induced subgraph and the builder's ordering get no locality to
+    /// lean on; the contigs must be the same ones, renumbered.
+    #[test]
+    fn contigs_survive_a_read_id_permutation(
+        seed in 0u64..10_000,
+        chain_sizes in proptest::collection::vec(2usize..9, 2..7),
+    ) {
+        let mut reads: Vec<Seq> = Vec::new();
+        let mut triples: Vec<(u64, u64, SgEdge)> = Vec::new();
+        for (c, &n_reads) in chain_sizes.iter().enumerate() {
+            let (_, chain, edges) =
+                make_chain(seed.wrapping_add(c as u64 * 7919), n_reads, reads.len() as u64);
+            reads.extend(chain);
+            triples.extend(edges);
+        }
+        let n = reads.len();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let mut perm: Vec<u64> = (0..n as u64).collect();
+        for i in (1..n).rev() {
+            perm.swap(i, rng.gen_range(0..=i));
+        }
+        let mut permuted_reads = reads.clone();
+        for (old, read) in reads.iter().enumerate() {
+            permuted_reads[perm[old] as usize] = read.clone();
+        }
+        let mut permuted_triples: Vec<(u64, u64, SgEdge)> = triples
+            .iter()
+            .map(|&(u, w, e)| (perm[u as usize], perm[w as usize], e))
+            .collect();
+        // ... and in no particular order either.
+        for i in (1..permuted_triples.len()).rev() {
+            permuted_triples.swap(i, rng.gen_range(0..=i));
+        }
+        // The canonical direction is fixed by the sequence (a random
+        // genome is not its own reverse complement), so the id lists
+        // agree once the unpermuted run's ids are renumbered.
+        let mut want = canonical_contigs(1, reads, triples);
+        for (_, ids) in &mut want {
+            for id in ids {
+                *id = perm[*id as usize];
+            }
+        }
+        want.sort();
+        prop_assert_eq!(want.len(), chain_sizes.len());
+        for p in [1usize, 4, 9] {
+            let got = canonical_contigs(p, permuted_reads.clone(), permuted_triples.clone());
+            prop_assert_eq!(&got, &want, "p = {}", p);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 

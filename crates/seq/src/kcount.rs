@@ -75,9 +75,10 @@ pub fn kmer_owner(kmer: u64, p: usize) -> usize {
 /// per process from `std`'s `RandomState`, and an input crafted against
 /// an unkeyed multiplicative hash (see `prop_kcount.rs`) spreads like any
 /// other. Nothing observable depends on the key: every table is either
-/// probed only, or sorted before it is read out.
+/// probed only, or sorted before it is read out. [`crate::ReadStore`]
+/// keys its id → slot index the same way (probed only).
 #[derive(Debug, Clone, Copy)]
-struct KmerHashKey {
+pub(crate) struct KmerHashKey {
     k0: u64,
     k1: u64,
 }
@@ -106,7 +107,7 @@ impl BuildHasher for KmerHashKey {
     }
 }
 
-struct KmerHasher {
+pub(crate) struct KmerHasher {
     key: KmerHashKey,
     hash: u64,
 }

@@ -13,6 +13,14 @@
 //! paper's large-message handling: a message whose length exceeds the
 //! MPI count limit (2³¹−1) is shipped as a single *contiguous-datatype*
 //! block rather than element-by-element.
+//!
+//! The id → slot index is a hash table under the keyed folded-multiply
+//! hasher the k-mer tables use ([`crate::kcount`]), not SipHash: read ids
+//! are the program's own dense numbering, one probe is one multiply, and
+//! — unlike a table of consecutive-id runs — its cost does not depend on
+//! the order ids arrive in (after the exchange a rank holds whichever
+//! reads its contigs are made of). The exchange sizes every array of the
+//! new store from the received headers before it ingests a byte.
 
 use std::collections::HashMap;
 
@@ -20,6 +28,7 @@ use elba_comm::{ProcGrid, Rank};
 use elba_sparse::layout::Layout2D;
 
 use crate::dna::Seq;
+use crate::kcount::KmerHashKey;
 
 /// Tag space for the sequence exchange.
 const SEQ_TAG: u64 = 0x00_5E9E;
@@ -61,7 +70,8 @@ pub struct ReadStore {
     /// `offsets[i]..offsets[i+1]` spans read `i`'s codes in `buf`.
     offsets: Vec<usize>,
     buf: Vec<u8>,
-    index: HashMap<u64, usize>,
+    /// Global id → slot in `ids` / `offsets`.
+    index: HashMap<u64, usize, KmerHashKey>,
 }
 
 impl ReadStore {
@@ -84,14 +94,23 @@ impl ReadStore {
             ids: Vec::new(),
             offsets: vec![0],
             buf: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
         }
     }
 
-    /// Append a read's codes under a global id.
+    /// Make room for `reads` more reads totalling `bases` codes.
+    fn reserve(&mut self, reads: usize, bases: usize) {
+        self.ids.reserve(reads);
+        self.offsets.reserve(reads);
+        self.buf.reserve(bases);
+        self.index.reserve(reads);
+    }
+
+    /// Append a read's codes under a global id. Panics if the id is
+    /// already stored: a second copy would orphan the first.
     pub fn push(&mut self, id: u64, codes: &[u8]) {
-        debug_assert!(!self.index.contains_key(&id), "read {id} already stored");
-        self.index.insert(id, self.ids.len());
+        let displaced = self.index.insert(id, self.ids.len());
+        assert!(displaced.is_none(), "read {id} already stored");
         self.ids.push(id);
         self.buf.extend_from_slice(codes);
         self.offsets.push(self.buf.len());
@@ -122,32 +141,6 @@ impl ReadStore {
             .map(|&slot| &self.buf[self.offsets[slot]..self.offsets[slot + 1]])
     }
 
-    /// Length of a locally held read.
-    pub fn read_len(&self, id: u64) -> Option<usize> {
-        self.index
-            .get(&id)
-            .map(|&slot| self.offsets[slot + 1] - self.offsets[slot])
-    }
-
-    /// Paper-style inclusive subsequence `l[a:b]` of a local read,
-    /// extracted directly from the packed buffer (reverse-complement when
-    /// `a > b`). Panics if the read is not local.
-    pub fn subsequence(&self, id: u64, a: usize, b: usize) -> Seq {
-        let codes = self
-            .get(id)
-            .unwrap_or_else(|| panic!("read {id} not stored locally"));
-        if a <= b {
-            Seq::from_codes(codes[a..=b].to_vec())
-        } else {
-            Seq::from_codes(
-                (b..=a)
-                    .rev()
-                    .map(|i| crate::dna::complement(codes[i]))
-                    .collect(),
-            )
-        }
-    }
-
     /// Iterate locally held reads as `(global_id, codes)`.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
         self.ids
@@ -157,45 +150,63 @@ impl ReadStore {
     }
 
     /// Redistribute reads: `dest` gives each locally held read's target
-    /// ranks (a read may be replicated to several, e.g. when a contig
-    /// boundary needs it). Messages larger than `count_limit` take the
-    /// contiguous-datatype path. Collective. Returns the new store.
-    pub fn exchange(
+    /// ranks (none, one — an `Option<Rank>` — or several, e.g. when a
+    /// contig boundary needs the read on two ranks; a rank named twice
+    /// still receives the read once). Messages larger than `count_limit`
+    /// take the contiguous-datatype path. Collective. Returns the new
+    /// store.
+    pub fn exchange<I>(
         &self,
         grid: &ProcGrid,
-        mut dest: impl FnMut(u64) -> Vec<Rank>,
+        mut dest: impl FnMut(u64) -> I,
         count_limit: usize,
-    ) -> ReadStore {
-        let p = grid.world().size();
+    ) -> ReadStore
+    where
+        I: IntoIterator<Item = Rank>,
+    {
+        let world = grid.world();
+        let p = world.size();
         // Header: (id, len) per read, per destination.
         let mut headers: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
         let mut payload: Vec<Vec<u8>> = vec![Vec::new(); p];
-        for (id, codes) in self.iter() {
+        // Slot of the read last packed for each destination.
+        let mut packed: Vec<Option<usize>> = vec![None; p];
+        for (slot, (id, codes)) in self.iter().enumerate() {
             for target in dest(id) {
+                if packed[target].replace(slot) == Some(slot) {
+                    continue;
+                }
                 headers[target].push((id, codes.len() as u64));
                 payload[target].extend_from_slice(codes);
             }
         }
-        let incoming_headers = grid.world().alltoallv(headers);
+        let incoming_headers = world.alltoallv(headers);
         // Ship each destination's packed buffer; one message each, using
         // the contiguous-datatype wrapper when over the count limit.
         for (dst, buf) in payload.into_iter().enumerate() {
             if buf.len() > count_limit {
-                grid.world()
-                    .send(dst, SEQ_TAG, ContiguousBlock { data: buf });
+                world.send(dst, SEQ_TAG, ContiguousBlock { data: buf });
             } else {
-                grid.world().send(dst, SEQ_TAG + 1, buf);
+                world.send(dst, SEQ_TAG + 1, buf);
             }
         }
+        // The headers say how much is coming: size the store once.
+        let expect: Vec<usize> = incoming_headers
+            .iter()
+            .map(|headers| headers.iter().map(|&(_, len)| len as usize).sum())
+            .collect();
         let mut store = ReadStore::empty(self.n_global);
+        store.reserve(
+            incoming_headers.iter().map(Vec::len).sum(),
+            expect.iter().sum(),
+        );
         for (src, headers) in incoming_headers.into_iter().enumerate() {
-            let expect: usize = headers.iter().map(|&(_, len)| len as usize).sum();
-            let buf: Vec<u8> = if expect > count_limit {
-                grid.world().recv::<ContiguousBlock>(src, SEQ_TAG).data
+            let buf: Vec<u8> = if expect[src] > count_limit {
+                world.recv::<ContiguousBlock>(src, SEQ_TAG).data
             } else {
-                grid.world().recv::<Vec<u8>>(src, SEQ_TAG + 1)
+                world.recv::<Vec<u8>>(src, SEQ_TAG + 1)
             };
-            debug_assert_eq!(buf.len(), expect);
+            debug_assert_eq!(buf.len(), expect[src]);
             let mut cursor = 0usize;
             for (id, len) in headers {
                 let len = len as usize;
@@ -307,22 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn subsequence_forward_and_rc() {
-        let out = Runner::new(Backend::InProcess).ranks(1).run(|comm| {
-            let grid = ProcGrid::new(comm);
-            let all = vec!["AGAACT".parse::<Seq>().expect("dna")];
-            let store = ReadStore::from_replicated(&grid, &all);
-            (
-                store.subsequence(0, 2, 5).to_string(),
-                store.subsequence(0, 5, 2).to_string(),
-            )
-        });
-        assert_eq!(out[0].0, "AACT");
-        // reverse complement of AACT read backwards from index 5 to 2
-        assert_eq!(out[0].1, "AGTT");
-    }
-
-    #[test]
     fn exchange_moves_reads_to_targets() {
         let out = Runner::new(Backend::InProcess).ranks(4).run(|comm| {
             let grid = ProcGrid::new(comm);
@@ -362,6 +357,44 @@ mod tests {
             moved.get(0).is_some()
         });
         assert!(out.iter().all(|&ok| ok));
+    }
+
+    #[test]
+    fn a_rank_named_twice_receives_the_read_once() {
+        let out = Runner::new(Backend::InProcess).ranks(4).run(|comm| {
+            let grid = ProcGrid::new(comm);
+            let all = reads(10);
+            let store = ReadStore::from_replicated(&grid, &all);
+            // Every read to rank 0 twice, and read 3 to rank 2 around it.
+            let moved = store.exchange(
+                &grid,
+                |id| {
+                    if id == 3 {
+                        vec![0, 2, 0, 2]
+                    } else {
+                        vec![0, 0]
+                    }
+                },
+                MPI_COUNT_LIMIT,
+            );
+            let intact = moved.iter().all(|(id, codes)| {
+                moved.get(id) == Some(codes) && codes == all[id as usize].codes()
+            });
+            (moved.n_local(), moved.local_bases(), intact)
+        });
+        let bases = |ids: &[usize]| -> usize { ids.iter().map(|&i| reads(10)[i].len()).sum() };
+        assert_eq!(out[0], (10, bases(&(0..10).collect::<Vec<_>>()), true));
+        assert_eq!(out[1], (0, 0, true));
+        assert_eq!(out[2], (1, bases(&[3]), true));
+        assert_eq!(out[3], (0, 0, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "read 3 already stored")]
+    fn pushing_a_stored_id_again_panics() {
+        let mut store = ReadStore::empty(5);
+        store.push(3, &[0, 1, 2]);
+        store.push(3, &[0, 1, 2]);
     }
 
     #[test]
@@ -414,11 +447,11 @@ mod tests {
     }
 
     #[test]
-    fn read_len_and_missing() {
+    fn stored_and_missing_reads() {
         let mut store = ReadStore::empty(5);
         store.push(3, &[0, 1, 2]);
-        assert_eq!(store.read_len(3), Some(3));
-        assert_eq!(store.read_len(0), None);
+        assert_eq!(store.get(3), Some(&[0u8, 1, 2][..]));
+        assert!(store.get(0).is_none());
         assert!(store.get(4).is_none());
     }
 }

@@ -6,6 +6,10 @@
 //! indexing" (§4.4) — the local-assembly walk reads `JC[c+1] − JC[c]` as
 //! the vertex degree and scans `IR[JC[c]..JC[c+1]]` for successors. This
 //! type exposes exactly those access patterns.
+//!
+//! [`Csc::from_triples`] is the CSR builder (`build.rs`) with the roles
+//! of row and column swapped: a counting sort on the column, linear in
+//! `nnz + ncols`. The induced subgraph is built through it directly.
 
 use crate::csr::Csr;
 
@@ -33,32 +37,17 @@ impl<T> Csc<T> {
         }
     }
 
-    /// Build from triples; duplicates merged with `combine`.
+    /// Build from triples; duplicates merged with `combine` (left to
+    /// right in input order). The CSR builder with the roles of row and
+    /// column swapped (`build.rs`): linear in `nnz + ncols`.
     pub fn from_triples(
         nrows: usize,
         ncols: usize,
-        mut triples: Vec<(u32, u32, T)>,
-        mut combine: impl FnMut(&mut T, T),
+        triples: Vec<(u32, u32, T)>,
+        combine: impl FnMut(&mut T, T),
     ) -> Self {
-        triples.sort_by_key(|&(r, c, _)| ((c as u64) << 32) | r as u64);
-        let mut jc = vec![0usize; ncols + 1];
-        let mut ir = Vec::with_capacity(triples.len());
-        let mut val: Vec<T> = Vec::with_capacity(triples.len());
-        let mut last: Option<(u32, u32)> = None;
-        for (r, c, v) in triples {
-            debug_assert!((r as usize) < nrows && (c as usize) < ncols);
-            if last == Some((r, c)) {
-                combine(val.last_mut().expect("duplicate follows entry"), v);
-            } else {
-                jc[c as usize + 1] += 1;
-                ir.push(r);
-                val.push(v);
-                last = Some((r, c));
-            }
-        }
-        for j in 0..ncols {
-            jc[j + 1] += jc[j];
-        }
+        let (jc, ir, val) =
+            crate::build::compress(ncols, nrows, vec![triples], |r, c| (c, r), combine);
         Csc {
             nrows,
             ncols,
@@ -68,35 +57,34 @@ impl<T> Csc<T> {
         }
     }
 
-    /// Convert from CSR (O(nnz)); CSC of `m` equals CSR of `mᵀ` reinterpreted.
-    pub fn from_csr(m: Csr<T>) -> Self {
-        let nrows = m.nrows();
-        let ncols = m.ncols();
-        let t = m.transpose(); // CSR of mᵀ: rows of t are columns of m
-        let (indptr, indices, values) = {
-            let trip = t.into_triples();
-            // t is already column-grouped for m; rebuild arrays directly.
-            let mut jc = vec![0usize; ncols + 1];
-            let mut ir = Vec::with_capacity(trip.len());
-            let mut val = Vec::with_capacity(trip.len());
-            for (tc, tr, v) in trip {
-                // In t, row index = original column, col index = original row.
-                jc[tc as usize + 1] += 1;
-                ir.push(tr);
-                val.push(v);
-            }
-            for j in 0..ncols {
-                jc[j + 1] += jc[j];
-            }
-            (jc, ir, val)
-        };
+    /// Adopt arrays already in canonical CSC order (columns grouped, rows
+    /// ascending and distinct inside each).
+    pub(crate) fn from_parts(
+        nrows: usize,
+        ncols: usize,
+        jc: Vec<usize>,
+        ir: Vec<u32>,
+        val: Vec<T>,
+    ) -> Self {
+        assert_eq!(jc.len(), ncols + 1);
+        assert_eq!(ir.len(), val.len());
+        assert_eq!(*jc.last().expect("jc non-empty"), ir.len());
+        debug_assert!(ir.iter().all(|&r| (r as usize) < nrows));
         Csc {
             nrows,
             ncols,
-            jc: indptr,
-            ir: indices,
-            val: values,
+            jc,
+            ir,
+            val,
         }
+    }
+
+    /// Convert from CSR (O(nnz)): the CSC arrays of `m` are the CSR
+    /// arrays of `mᵀ`.
+    pub fn from_csr(m: Csr<T>) -> Self {
+        let (nrows, ncols) = (m.nrows(), m.ncols());
+        let (jc, ir, val) = m.transpose().into_parts();
+        Csc::from_parts(nrows, ncols, jc, ir, val)
     }
 
     #[inline]

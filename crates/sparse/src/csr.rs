@@ -1,6 +1,13 @@
 //! Compressed sparse row storage — the workhorse local format for SpGEMM
 //! and row-oriented reductions. Indices are `u32` (a local matrix block
 //! never exceeds 2³² rows/columns in any ELBA workload).
+//!
+//! [`Csr::from_triples`] is a counting sort on the row index, linear in
+//! `nnz + nrows`; `build.rs` holds the one builder it shares with
+//! [`crate::Csc`] and [`crate::Dcsc`]. Triples that arrive already in
+//! row-major order (every build on one rank) cost one check pass and one
+//! emit pass; the sorted per-source lists a distributed build receives
+//! are merged without being concatenated first.
 
 /// A sparse matrix in CSR form with explicit `(indptr, indices, values)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,33 +32,29 @@ impl<T> Csr<T> {
     }
 
     /// Build from (row, col, value) triples; duplicates are merged with
-    /// `combine` (applied left-to-right in input order).
+    /// `combine` (applied left-to-right in input order). Linear in
+    /// `nnz + nrows` (see `build.rs`): a counting sort on the row,
+    /// not a comparison sort of the triples.
     pub fn from_triples(
         nrows: usize,
         ncols: usize,
-        mut triples: Vec<(u32, u32, T)>,
-        mut combine: impl FnMut(&mut T, T),
+        triples: Vec<(u32, u32, T)>,
+        combine: impl FnMut(&mut T, T),
     ) -> Self {
-        triples.sort_by_key(|&(r, c, _)| ((r as u64) << 32) | c as u64);
-        let mut indptr = vec![0usize; nrows + 1];
-        let mut indices = Vec::with_capacity(triples.len());
-        let mut values: Vec<T> = Vec::with_capacity(triples.len());
-        let mut last: Option<(u32, u32)> = None;
-        for (r, c, v) in triples {
-            debug_assert!((r as usize) < nrows && (c as usize) < ncols);
-            if last == Some((r, c)) {
-                let acc = values.last_mut().expect("duplicate follows an entry");
-                combine(acc, v);
-            } else {
-                indptr[r as usize + 1] += 1;
-                indices.push(c);
-                values.push(v);
-                last = Some((r, c));
-            }
-        }
-        for i in 0..nrows {
-            indptr[i + 1] += indptr[i];
-        }
+        Self::from_triple_parts(nrows, ncols, vec![triples], combine)
+    }
+
+    /// [`Csr::from_triples`] of `parts` read as one concatenated list —
+    /// what a rank holds after an all-to-all, one part per source —
+    /// without concatenating them first.
+    pub(crate) fn from_triple_parts(
+        nrows: usize,
+        ncols: usize,
+        parts: Vec<Vec<(u32, u32, T)>>,
+        combine: impl FnMut(&mut T, T),
+    ) -> Self {
+        let (indptr, indices, values) =
+            crate::build::compress(nrows, ncols, parts, |r, c| (r, c), combine);
         Csr {
             nrows,
             ncols,

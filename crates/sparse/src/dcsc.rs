@@ -6,7 +6,12 @@
 //! columns. ELBA keeps pipeline matrices in DCSC and converts each local
 //! induced-subgraph block to CSC just before local assembly (§4.4) — "only
 //! column pointers need to be uncompressed and the row indices array stays
-//! intact"; [`Dcsc::to_csc`] reproduces exactly that linear-time expansion.
+//! intact"; [`Dcsc::to_csc`] is exactly that expansion: the pointer array
+//! is re-expanded in O(columns) and `ir`/`val` move over untouched.
+//!
+//! [`Dcsc::from_triples`] is the CSC builder (`build.rs`: a counting sort
+//! on the column, no comparison sort of the triples) minus the empty
+//! columns' pointers.
 
 use crate::csc::Csc;
 use crate::csr::Csr;
@@ -37,42 +42,18 @@ impl<T> Dcsc<T> {
         }
     }
 
-    /// Build from triples; duplicates merged with `combine`.
+    /// Build from triples; duplicates merged with `combine` (left to
+    /// right in input order): the CSC builder (`build.rs`) minus the
+    /// empty columns' pointers.
     pub fn from_triples(
         nrows: usize,
         ncols: usize,
-        mut triples: Vec<(u32, u32, T)>,
-        mut combine: impl FnMut(&mut T, T),
+        triples: Vec<(u32, u32, T)>,
+        combine: impl FnMut(&mut T, T),
     ) -> Self {
-        triples.sort_by_key(|&(r, c, _)| ((c as u64) << 32) | r as u64);
-        let mut jc = Vec::new();
-        let mut cp = vec![0usize];
-        let mut ir = Vec::with_capacity(triples.len());
-        let mut val: Vec<T> = Vec::with_capacity(triples.len());
-        let mut last: Option<(u32, u32)> = None;
-        for (r, c, v) in triples {
-            debug_assert!((r as usize) < nrows && (c as usize) < ncols);
-            if last == Some((r, c)) {
-                combine(val.last_mut().expect("duplicate follows entry"), v);
-                continue;
-            }
-            if jc.last() != Some(&c) {
-                jc.push(c);
-                cp.push(ir.len());
-            }
-            ir.push(r);
-            val.push(v);
-            *cp.last_mut().expect("cp non-empty") = ir.len();
-            last = Some((r, c));
-        }
-        Dcsc {
-            nrows,
-            ncols,
-            jc,
-            cp,
-            ir,
-            val,
-        }
+        let (jc, ir, val) =
+            crate::build::compress(ncols, nrows, vec![triples], |r, c| (c, r), combine);
+        Self::from_transposed_csr(Csr::from_parts(ncols, nrows, jc, ir, val))
     }
 
     pub fn from_csr(m: Csr<T>) -> Self {
@@ -173,17 +154,9 @@ impl<T> Dcsc<T> {
     /// array; `ir` and `val` are reused unchanged (the paper's §4.4
     /// conversion, linear in the number of columns).
     pub fn to_csc(self) -> Csc<T> {
-        let mut triples: Vec<(u32, u32, T)> = Vec::with_capacity(self.nnz());
-        let mut vals = self.val.into_iter();
-        for k in 0..self.jc.len() {
-            let col = self.jc[k];
-            for idx in self.cp[k]..self.cp[k + 1] {
-                triples.push((self.ir[idx], col, vals.next().expect("value per entry")));
-            }
-        }
-        Csc::from_triples(self.nrows, self.ncols, triples, |_, _| {
-            unreachable!("DCSC has no duplicates")
-        })
+        let (nrows, ncols) = (self.nrows, self.ncols);
+        let (jc, ir, val) = self.into_transposed_csr().into_parts();
+        Csc::from_parts(nrows, ncols, jc, ir, val)
     }
 
     /// Memory footprint in bytes of the index structure (excludes values);

@@ -376,7 +376,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         nrows: usize,
         ncols: usize,
         triples: Vec<(u64, u64, T)>,
-        mut combine: impl FnMut(&mut T, T),
+        combine: impl FnMut(&mut T, T),
     ) -> Self {
         let q = grid.q();
         let row_layout = Layout2D::new(nrows, q);
@@ -397,18 +397,9 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let incoming = grid.world().alltoallv(outgoing);
         let row_range = row_layout.block_range(grid.myrow());
         let col_range = col_layout.block_range(grid.mycol());
-        // Grow the first source's buffer by the rest, so a lone
-        // contributor (every build at p = 1) is moved, not copied.
-        let total: usize = incoming.iter().map(Vec::len).sum();
-        let mut parts = incoming.into_iter();
-        let mut local_triples = parts.next().unwrap_or_default();
-        local_triples.reserve_exact(total - local_triples.len());
-        for mut part in parts {
-            local_triples.append(&mut part);
-        }
-        let local = Csr::from_triples(row_range.len(), col_range.len(), local_triples, |acc, v| {
-            combine(acc, v)
-        });
+        // The builder reads the per-source parts as one list without
+        // concatenating them: nothing is copied before the counting sort.
+        let local = Csr::from_triple_parts(row_range.len(), col_range.len(), incoming, combine);
         DistMat {
             row_layout,
             col_layout,

@@ -20,6 +20,7 @@
 //!   exchange),
 //! * [`dense::Dense`], a tiny dense oracle used by the test suite.
 
+mod build;
 pub mod csc;
 pub mod csr;
 pub mod dcsc;

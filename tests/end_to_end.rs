@@ -414,3 +414,112 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
         "DetectOverlap (msgs, bytes)"
     );
 }
+
+/// A fixed chain graph for the contig-stage wire pin: `chains` error-free
+/// genomes, each tiled by `per_chain` 120-base reads at stride 70 with
+/// seeded strands (read *i* overlaps *i*+1), ids in chain order, plus one
+/// false edge between two chain interiors whose endpoints become branch
+/// vertices.
+fn fixed_chain_graph(chains: usize, per_chain: usize) -> (Vec<Seq>, Vec<(u64, u64, SgEdge)>) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let (read_len, stride) = (120usize, 70usize);
+    let overlap = read_len - stride;
+    let mut rng = StdRng::seed_from_u64(2323);
+    let mut reads = Vec::new();
+    let mut triples = Vec::new();
+    for chain in 0..chains {
+        let glen = stride * (per_chain - 1) + read_len;
+        let genome = Seq::from_codes((0..glen).map(|_| rng.gen_range(0..4u8)).collect());
+        let strands: Vec<bool> = (0..per_chain).map(|_| rng.gen_bool(0.5)).collect();
+        let base = (chain * per_chain) as u64;
+        for (i, &rc) in strands.iter().enumerate() {
+            let r = genome.substring(i * stride, i * stride + read_len);
+            reads.push(if rc { r.reverse_complement() } else { r });
+            if i + 1 == per_chain {
+                break;
+            }
+            let (u, w) = if rc {
+                ((0, overlap - 1), (stride, read_len - 1))
+            } else {
+                ((stride, read_len - 1), (0, overlap - 1))
+            };
+            let aln = OverlapAln {
+                rc: rc != strands[i + 1],
+                u_beg: u.0,
+                u_end: u.1,
+                w_beg: w.0,
+                w_end: w.1,
+                u_len: read_len,
+                v_len: read_len,
+                score: overlap as i32,
+            };
+            let (fwd, bwd) = elba::align::dovetail_edges(&aln);
+            triples.push((base + i as u64, base + i as u64 + 1, fwd));
+            triples.push((base + i as u64 + 1, base + i as u64, bwd));
+        }
+    }
+    let (a, b) = (per_chain as u64 / 2, (per_chain + per_chain / 2) as u64);
+    let spurious = triples[0].2;
+    triples.push((a, b, spurious));
+    triples.push((b, a, spurious));
+    (reads, triples)
+}
+
+/// Golden wire pin for Algorithm 2: per-rank messages and bytes of the
+/// induced-subgraph sub-phase (edge routing + read exchange) and of the
+/// whole contig stage at p = 4 on a fixed chain graph, against constants
+/// recorded before `induced.rs` and `store.rs` were rebuilt. A changed
+/// per-destination edge order or read order that kept the totals would
+/// still move the contigs; a changed payload moves these.
+#[test]
+fn contig_stage_wire_traffic_matches_golden_constants() {
+    // (msgs, bytes) per rank.
+    const INDUCED_SUBGRAPH: [(u64, u64); 4] = [(8, 27384), (10, 16432), (9, 17264), (9, 27080)];
+    const EXTRACT_CONTIG: [(u64, u64); 4] = [(27, 36916), (34, 25250), (31, 28376), (31, 33950)];
+    let (reads, triples) = fixed_chain_graph(24, 17);
+    let n = reads.len();
+    let (out, profile) = Runner::new(Backend::InProcess)
+        .ranks(4)
+        .run_profiled(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let store = ReadStore::from_replicated(&grid, &reads);
+            let world = grid.world();
+            let share = |rank: usize| triples.len() * rank / world.size();
+            let mine = triples[share(world.rank())..share(world.rank() + 1)].to_vec();
+            let s = DistMat::from_triples(&grid, n, n, mine, |_, _| unreachable!());
+            let (local, stats) = contig_generation(&grid, &s, &store, &ContigConfig::default());
+            (gather_contigs(&grid, &local), stats)
+        });
+    let (contigs, stats) = &out[0];
+    // Two chains lose an interior read to the false edge: 22 whole
+    // chains + 4 halves.
+    assert_eq!(stats.branch_vertices, 2);
+    assert_eq!(contigs.len(), 26);
+    let traffic = |in_phase: &dyn Fn(&str) -> bool| -> Vec<(u64, u64)> {
+        profile
+            .rank_profiles()
+            .iter()
+            .map(|rank| {
+                let mut total = (0u64, 0u64);
+                for name in profile.phase_names().iter().filter(|n| in_phase(n)) {
+                    if let Some(phase) = rank.phase(name) {
+                        total.0 += phase.p2p_msgs + phase.coll_calls();
+                        total.1 += phase.bytes_sent();
+                    }
+                }
+                total
+            })
+            .collect()
+    };
+    assert_eq!(
+        traffic(&|n| n == "ExtractContig:InducedSubgraph"),
+        INDUCED_SUBGRAPH,
+        "InducedSubgraph (msgs, bytes)"
+    );
+    assert_eq!(
+        traffic(&|n| n.starts_with("ExtractContig:")),
+        EXTRACT_CONTIG,
+        "ExtractContig:* (msgs, bytes)"
+    );
+}
