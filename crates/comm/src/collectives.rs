@@ -38,6 +38,15 @@ impl Comm {
     /// Every rank still *books* the modeled wire bytes of its own
     /// binomial-tree sends, so profiled traffic is identical to the
     /// per-hop schedule an MPI library would run.
+    ///
+    /// Pass an [`Arc`] to broadcast without copying: `Arc<T>` is a
+    /// [`CommMsg`] whose wire size is the inner value's, so every tree
+    /// edge clones only the handle — the payload is never deep-copied on
+    /// any rank, root included (share the root's resident block with
+    /// `Arc::clone` instead of packing a copy) — while the profiler books
+    /// exactly the bytes the owned value would. Charge received blocks
+    /// with [`Comm::mem_charge_shared`] to keep the once-per-rank
+    /// accounting honest.
     pub fn bcast<T: CommMsg + Clone>(&self, root: Rank, value: Option<T>) -> T {
         let tag = self.next_coll_tag(op::BCAST);
         let started = Instant::now();
@@ -55,19 +64,6 @@ impl Comm {
         let bytes = tree_share_bytes(self, vr, &value);
         self.record_collective("bcast", bytes, started.elapsed().as_secs_f64());
         value
-    }
-
-    /// Zero-copy broadcast of an [`Arc`]-shared payload: only the `Arc`
-    /// is cloned per tree edge — the payload itself is never deep-copied
-    /// on any rank, root included (share the root's resident block with
-    /// `Arc::clone` instead of packing a copy). The profiler books the
-    /// *inner* value's wire bytes per tree send, exactly as
-    /// [`Comm::bcast`] would for the owned value, so the modeled MPI
-    /// traffic of a run is unchanged by going shared. Charge received
-    /// blocks with [`Comm::mem_charge_shared`] to keep the once-per-rank
-    /// accounting honest.
-    pub fn bcast_shared<T: CommMsg + Sync>(&self, root: Rank, value: Option<Arc<T>>) -> Arc<T> {
-        self.bcast(root, value)
     }
 
     /// Gather every rank's value at `root` (rank-ordered). Non-roots get `None`.
@@ -344,6 +340,11 @@ impl Comm {
     /// the same SPMD order as any other collective, and must eventually
     /// complete the request: completion is where a rank books the
     /// modeled wire bytes of its share of the tree.
+    ///
+    /// As with [`Comm::bcast`], an [`Arc`] payload travels as a refcount
+    /// bump per tree edge and books the inner value's bytes: this is the
+    /// engine of the pipelined SUMMA stage broadcasts, which move each
+    /// CSR panel across a `q×q` grid with zero payload deep-copies.
     pub fn ibcast<T: CommMsg + Clone>(&self, root: Rank, value: Option<T>) -> IbcastRequest<'_, T> {
         let tag = self.next_coll_tag(op::IBCAST);
         let p = self.size();
@@ -366,21 +367,6 @@ impl Comm {
                 state: IbcastState::Waiting(req),
             }
         }
-    }
-
-    /// Zero-copy non-blocking broadcast of an [`Arc`]-shared payload:
-    /// [`Comm::ibcast`] where every tree delivery clones only the `Arc`.
-    /// Wire-byte accounting books the inner value's size per tree edge,
-    /// identical to the owned path (the equivalence property tests pin
-    /// this). This is the engine of the pipelined SUMMA stage
-    /// broadcasts: a `q×q` grid moves each CSR panel with **zero**
-    /// payload deep-copies.
-    pub fn ibcast_shared<T: CommMsg + Sync>(
-        &self,
-        root: Rank,
-        value: Option<Arc<T>>,
-    ) -> IbcastRequest<'_, Arc<T>> {
-        self.ibcast(root, value)
     }
 }
 
@@ -430,13 +416,11 @@ fn tree_share_bytes<T: CommMsg>(comm: &Comm, vr: usize, value: &T) -> usize {
 }
 
 enum IbcastState<'c, T: CommMsg> {
-    /// Value in hand (root, or an inner node whose `test` completed);
-    /// the subtree below was fed by the root's arrival-driven delivery.
+    /// Value in hand: this rank is the root, and booked its share of the
+    /// tree when it posted.
     Ready(T),
-    /// Still waiting on the parent tree node.
+    /// Still waiting on the root's delivery.
     Waiting(RecvRequest<'c, T>),
-    /// Transient marker while `test` swaps states; never observable.
-    Poisoned,
 }
 
 /// In-flight non-blocking broadcast; see [`Comm::ibcast`].
@@ -448,53 +432,23 @@ pub struct IbcastRequest<'c, T: CommMsg + Clone> {
 }
 
 impl<T: CommMsg + Clone> IbcastRequest<'_, T> {
-    fn virtual_rank(&self) -> usize {
-        let p = self.comm.size();
-        (self.comm.rank() + p - self.root) % p
-    }
-
-    /// Book this rank's modeled share of the collective. The subtree was
-    /// already fed physically at the root's post (arrival-driven
-    /// delivery); completion only settles the per-rank byte model.
-    fn complete(&self, value: &T) {
-        let bytes = tree_share_bytes(self.comm, self.virtual_rank(), value);
-        self.comm.record_coll_bytes("ibcast", bytes);
-    }
-
-    /// Poll for completion without blocking.
-    pub fn test(&mut self) -> bool {
-        match &mut self.state {
-            IbcastState::Ready(_) => true,
-            IbcastState::Waiting(req) => {
-                if !req.test() {
-                    return false;
-                }
-                let IbcastState::Waiting(req) =
-                    std::mem::replace(&mut self.state, IbcastState::Poisoned)
-                else {
-                    unreachable!("state was just matched as Waiting");
-                };
-                let value = req.wait(); // non-blocking: test() buffered it
-                self.complete(&value);
-                self.state = IbcastState::Ready(value);
-                true
-            }
-            IbcastState::Poisoned => unreachable!("ibcast state poisoned"),
-        }
-    }
-
     /// Block until the broadcast value arrives, book this rank's share
     /// of the collective, and return it. Blocked time is booked as
     /// *wait* time.
-    pub fn wait(mut self) -> T {
-        match std::mem::replace(&mut self.state, IbcastState::Poisoned) {
+    pub fn wait(self) -> T {
+        match self.state {
             IbcastState::Ready(value) => value,
             IbcastState::Waiting(req) => {
                 let value = req.wait();
-                self.complete(&value);
+                // The subtree below was already fed physically at the
+                // root's post (arrival-driven delivery); completion only
+                // settles this rank's share of the byte model.
+                let p = self.comm.size();
+                let vr = (self.comm.rank() + p - self.root) % p;
+                let bytes = tree_share_bytes(self.comm, vr, &value);
+                self.comm.record_coll_bytes("ibcast", bytes);
                 value
             }
-            IbcastState::Poisoned => unreachable!("ibcast state poisoned"),
         }
     }
 }
@@ -1198,18 +1152,6 @@ mod tests {
     }
 
     #[test]
-    fn ibcast_test_completes_without_wait_blocking() {
-        let out = Runner::new(Backend::InProcess).ranks(3).run(|comm| {
-            let mut req = comm.ibcast(0, (comm.rank() == 0).then_some(5u64));
-            while !req.test() {
-                std::thread::yield_now();
-            }
-            req.wait()
-        });
-        assert_eq!(out, vec![5, 5, 5]);
-    }
-
-    #[test]
     fn ibcast_forwards_at_arrival_not_at_inner_ranks_wait() {
         // p = 4, root 0: binomial tree 0 → {2, 1}, 2 → {3}. Rank 2
         // blocks on a message rank 3 only sends *after* completing its
@@ -1412,7 +1354,7 @@ mod tests {
             let right = (comm.rank() + 1) % comm.size();
             let left = (comm.rank() + comm.size() - 1) % comm.size();
             let p2p = comm.irecv::<u64>(left, 11);
-            comm.isend(right, 11, comm.rank() as u64).wait();
+            comm.send(right, 11, comm.rank() as u64);
             let bufs: Vec<Vec<u64>> = (0..4)
                 .map(|dst| vec![(comm.rank() * 4 + dst) as u64])
                 .collect();

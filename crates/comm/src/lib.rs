@@ -7,8 +7,8 @@
 //!
 //! * point-to-point `send`/`recv` with tags (non-blocking buffered sends,
 //!   matching-by-`(source, tag)` receives),
-//! * non-blocking point-to-point `isend`/`irecv` returning request
-//!   handles with MPI-style `wait`/`test`, the substrate for
+//! * non-blocking point-to-point `irecv` returning a request handle
+//!   with MPI-style `wait`/`test`, the substrate for
 //!   communication/computation overlap,
 //! * the collectives used by ELBA: `barrier`, `bcast`, `gather`,
 //!   `allgather`, `reduce`, `allreduce`, `reduce_scatter`, `alltoallv`,
@@ -56,9 +56,7 @@ pub use error::{CommError, FailureCause, FaultKill, RankFailure, SpmdFailure};
 pub use grid::ProcGrid;
 pub use msg::CommMsg;
 pub use profile::{PhaseProfile, Profile, RunProfile};
-pub use runtime::{
-    Backend, Comm, MemCharge, Rank, RecvRequest, Runner, SendRequest, SharedMemCharge, Tag,
-};
+pub use runtime::{Backend, Comm, MemCharge, Rank, RecvRequest, Runner, SharedMemCharge, Tag};
 pub use transport::fault::{Fault, FaultKind, FaultMode, FaultPlan, Trigger};
 pub use transport::socket::{run_worker, MeshConfig, WorkerError};
 pub use transport::Transport;

@@ -272,10 +272,10 @@ impl<T: CommMsg> CommMsg for Box<T> {
 /// bump, but on an MPI wire it would ship the full value — so its wire
 /// size is the inner value's, and the frame codec ships the inner value
 /// (the receiving process re-wraps it; sharing cannot cross an address
-/// space). This is what keeps the profiled byte counters of
-/// [`crate::Comm::bcast_shared`] byte-identical to the owned broadcast
-/// of the same value: the zero-copy optimization is an in-process
-/// transport detail, invisible to the communication model.
+/// space). This is what keeps the profiled byte counters of a
+/// [`crate::Comm::bcast`] of an `Arc<T>` byte-identical to the owned
+/// broadcast of the same value: the zero-copy optimization is an
+/// in-process transport detail, invisible to the communication model.
 impl<T: CommMsg + Sync> CommMsg for std::sync::Arc<T> {
     #[inline]
     fn nbytes(&self) -> usize {

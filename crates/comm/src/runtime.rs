@@ -11,11 +11,12 @@
 //! [`crate::transport`].
 //!
 //! On top of the blocking primitives sits a non-blocking layer:
-//! [`Comm::isend`] / [`Comm::irecv`] return request handles
-//! ([`SendRequest`], [`RecvRequest`]) with MPI-style `wait` / `test`, and
-//! the time a rank spends blocked inside `wait` is attributed to the
-//! profile's *wait* bucket — separate from blocking-receive time — so
-//! communication/computation overlap is visible in a [`RunProfile`].
+//! [`Comm::irecv`] returns a [`RecvRequest`] with MPI-style `wait` /
+//! `test` (sends are eager and buffered, so [`Comm::send`] never blocks
+//! and needs no request), and the time a rank spends blocked inside
+//! `wait` is attributed to the profile's *wait* bucket — separate from
+//! blocking-receive time — so communication/computation overlap is
+//! visible in a [`RunProfile`].
 
 use std::any::Any;
 use std::cell::Cell;
@@ -236,22 +237,6 @@ impl Comm {
     // ------------------------------------------------------------------
     // Point-to-point (non-blocking)
     // ------------------------------------------------------------------
-
-    /// Non-blocking send: the eager buffered protocol completes the send
-    /// at post time (the payload is already in `dst`'s mailbox), so the
-    /// returned [`SendRequest`] is born complete. It exists so call sites
-    /// read like their MPI counterparts and so `wait`/`test` discipline
-    /// is uniform across both request kinds.
-    pub fn isend<T: CommMsg>(&self, dst: Rank, tag: Tag, data: T) -> SendRequest {
-        assert!(
-            tag < Self::USER_TAG_LIMIT,
-            "tag {tag} is reserved for internal use"
-        );
-        let bytes = data.nbytes();
-        lock_profile(&self.profile).record_p2p(bytes);
-        self.raw_send(dst, tag, data);
-        SendRequest(())
-    }
 
     /// Non-blocking receive: returns immediately with a [`RecvRequest`]
     /// that can be `test`ed (poll) or `wait`ed (block). Time blocked in
@@ -589,23 +574,6 @@ impl Drop for SharedMemCharge {
         lock_profile(&self.profile)
             .mem_mut()
             .release_shared(self.key);
-    }
-}
-
-/// Handle for a posted [`Comm::isend`]. Under the eager buffered protocol
-/// the transfer is complete at post time; `wait`/`test` exist for MPI
-/// call-shape parity and future rendezvous protocols.
-#[must_use = "requests should be completed with wait() (or polled with test())"]
-#[derive(Debug)]
-pub struct SendRequest(());
-
-impl SendRequest {
-    /// Complete the send. Never blocks under the eager protocol.
-    pub fn wait(self) {}
-
-    /// Poll for completion; eager sends are always complete.
-    pub fn test(&mut self) -> bool {
-        true
     }
 }
 
@@ -1111,7 +1079,7 @@ mod tests {
     fn irecv_wait_delivers() {
         let out = Runner::new(Backend::InProcess).ranks(2).run(|comm| {
             if comm.rank() == 0 {
-                comm.isend(1, 4, 99u64).wait();
+                comm.send(1, 4, 99u64);
                 0
             } else {
                 let req = comm.irecv::<u64>(0, 4);
@@ -1125,7 +1093,7 @@ mod tests {
     fn irecv_test_polls_to_completion() {
         let out = Runner::new(Backend::InProcess).ranks(2).run(|comm| {
             if comm.rank() == 0 {
-                comm.isend(1, 4, 7u64).wait();
+                comm.send(1, 4, 7u64);
                 0
             } else {
                 let mut req = comm.irecv::<u64>(0, 4);
@@ -1141,12 +1109,12 @@ mod tests {
 
     #[test]
     fn nonblocking_interoperates_with_blocking() {
-        // isend -> recv and send -> irecv must pair up, including when
-        // requests are posted before the matching blocking op runs.
+        // send -> recv and send -> irecv must pair up, including when
+        // the request is posted before the matching send runs.
         let out = Runner::new(Backend::InProcess).ranks(2).run(|comm| {
             if comm.rank() == 0 {
                 let req = comm.irecv::<u64>(1, 21);
-                comm.isend(1, 20, 5u64).wait();
+                comm.send(1, 20, 5u64);
                 req.wait()
             } else {
                 let got = comm.recv::<u64>(0, 20);
@@ -1161,8 +1129,8 @@ mod tests {
     fn multiple_outstanding_irecvs_match_by_tag() {
         let out = Runner::new(Backend::InProcess).ranks(2).run(|comm| {
             if comm.rank() == 0 {
-                comm.isend(1, 2, 200u64).wait();
-                comm.isend(1, 1, 100u64).wait();
+                comm.send(1, 2, 200u64);
+                comm.send(1, 1, 100u64);
                 0
             } else {
                 let req_a = comm.irecv::<u64>(0, 1);
@@ -1265,7 +1233,7 @@ mod tests {
                 let _g = comm.phase("overlap");
                 if comm.rank() == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(20));
-                    comm.isend(1, 3, 1u64).wait();
+                    comm.send(1, 3, 1u64);
                 } else {
                     let req = comm.irecv::<u64>(0, 3);
                     let _ = req.wait();

@@ -2,7 +2,7 @@
 //! blocking `alltoallv` reference: same per-source payloads under
 //! randomized buffer sizes (including empty and single-rank exchanges),
 //! arbitrary chunk sizes, incremental multi-round posting, and while
-//! unrelated `isend`/`irecv` traffic is in flight on user tags.
+//! unrelated `send`/`irecv` traffic is in flight on user tags.
 
 use elba_comm::{Backend, Runner};
 use proptest::prelude::*;
@@ -99,7 +99,7 @@ proptest! {
             let tag_a = 101;
             let tag_b = 202;
             let recv_a = comm.irecv::<Vec<u64>>(left, tag_a);
-            comm.isend(right, tag_a, noise_in.clone()).wait();
+            comm.send(right, tag_a, noise_in.clone());
             let make = || -> Vec<Vec<u64>> {
                 (0..p)
                     .map(|dst| payload(comm.rank(), dst, sizes_in[(comm.rank() * p + dst) % sizes_in.len()]))
@@ -108,7 +108,7 @@ proptest! {
             let mut req = comm.ialltoallv(make(), chunk);
             // Interleave more p2p while chunks are in flight.
             let recv_b = comm.irecv::<u64>(left, tag_b);
-            comm.isend(right, tag_b, comm.rank() as u64).wait();
+            comm.send(right, tag_b, comm.rank() as u64);
             let mut got: Vec<Vec<u64>> = vec![Vec::new(); p];
             for (src, mut c) in req.by_ref() {
                 got[src].append(&mut c);

@@ -1,7 +1,7 @@
-//! Property tests for the non-blocking point-to-point layer: `isend` /
-//! `irecv` must interoperate with the blocking `send` / `recv` in any
-//! combination — same mailboxes, same `(source, tag)` matching, no
-//! messages lost or reordered within a tag.
+//! Property tests for the non-blocking point-to-point layer: `irecv`
+//! must interoperate with the (eager, buffered) `send` and the blocking
+//! `recv` in any combination — same mailboxes, same `(source, tag)`
+//! matching, no messages lost or reordered within a tag.
 
 use elba_comm::{Backend, Runner};
 use proptest::prelude::*;
@@ -10,21 +10,16 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// Ring exchange where each rank independently picks blocking or
-    /// non-blocking for its send and its receive (from generated bits):
-    /// every pairing (send→recv, send→irecv, isend→recv, isend→irecv)
-    /// must deliver.
+    /// non-blocking for its receive (from generated bits): both pairings
+    /// (send→recv, send→irecv) must deliver.
     #[test]
-    fn ring_delivers_under_any_mix(p in 1usize..9, mode_bits in 0u64..65536) {
+    fn ring_delivers_under_any_mix(p in 1usize..9, mode_bits in 0u64..256) {
         let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
             let payload = comm.rank() as u64 * 1000 + 7;
+            comm.send(next, 3, payload);
             if mode_bits >> comm.rank() & 1 == 1 {
-                comm.isend(next, 3, payload).wait();
-            } else {
-                comm.send(next, 3, payload);
-            }
-            if mode_bits >> (comm.rank() + 16) & 1 == 1 {
                 comm.irecv::<u64>(prev, 3).wait()
             } else {
                 comm.recv::<u64>(prev, 3)
@@ -36,24 +31,18 @@ proptest! {
         }
     }
 
-    /// Many tagged messages posted as irecvs in one order and sent (with
-    /// a mix of send/isend) in another: tag matching must pair them up
-    /// regardless of posting order on either side.
+    /// Many tagged messages posted as irecvs in one order and sent in
+    /// another: tag matching must pair them up regardless of posting
+    /// order on either side.
     #[test]
     fn out_of_order_tags_with_mixed_posting(
         n_msgs in 1usize..12,
-        send_mix in 0u64..4096,
         perm_seed in 0u64..10_000,
     ) {
         let out = Runner::new(Backend::InProcess).ranks(2).run(move |comm| {
             if comm.rank() == 0 {
                 for tag in 0..n_msgs as u64 {
-                    let value = tag * 11 + 5;
-                    if send_mix >> tag & 1 == 1 {
-                        comm.isend(1, tag, value).wait();
-                    } else {
-                        comm.send(1, tag, value);
-                    }
+                    comm.send(1, tag, tag * 11 + 5);
                 }
                 Vec::new()
             } else {
@@ -91,7 +80,7 @@ proptest! {
             } else {
                 comm.barrier();
                 if comm.rank() == 0 {
-                    comm.isend(1, 9, value).wait();
+                    comm.send(1, 9, value);
                 }
                 (false, 0)
             }

@@ -14,7 +14,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn ibcast_shared_equals_ibcast_all_roots(
+    fn ibcast_of_arc_equals_owned_ibcast_all_roots(
         p in 1usize..10,
         root_k in 0usize..10,
         payload in proptest::collection::vec(any::<u64>(), 0..40),
@@ -25,7 +25,7 @@ proptest! {
                 .ibcast(root, (comm.rank() == root).then(|| payload.clone()))
                 .wait();
             let shared = comm
-                .ibcast_shared(root, (comm.rank() == root).then(|| Arc::new(payload.clone())))
+                .ibcast(root, (comm.rank() == root).then(|| Arc::new(payload.clone())))
                 .wait();
             owned == *shared
         });
@@ -33,7 +33,7 @@ proptest! {
     }
 
     #[test]
-    fn bcast_shared_equals_bcast_all_roots(
+    fn bcast_of_arc_equals_owned_bcast_all_roots(
         p in 1usize..10,
         root_k in 0usize..10,
         payload in proptest::collection::vec(any::<u32>(), 0..40),
@@ -42,7 +42,7 @@ proptest! {
         let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
             let owned = comm.bcast(root, (comm.rank() == root).then(|| payload.clone()));
             let shared =
-                comm.bcast_shared(root, (comm.rank() == root).then(|| Arc::new(payload.clone())));
+                comm.bcast(root, (comm.rank() == root).then(|| Arc::new(payload.clone())));
             owned == *shared
         });
         prop_assert!(out.iter().all(|&ok| ok));
@@ -69,8 +69,8 @@ proptest! {
             {
                 let _g = comm.phase("shared");
                 let arc = Arc::new(value);
-                comm.ibcast_shared(root, (comm.rank() == root).then(|| Arc::clone(&arc))).wait();
-                comm.bcast_shared(root, (comm.rank() == root).then_some(arc));
+                comm.ibcast(root, (comm.rank() == root).then(|| Arc::clone(&arc))).wait();
+                comm.bcast(root, (comm.rank() == root).then_some(arc));
             }
         });
         for rank in profile.rank_profiles() {
@@ -106,9 +106,9 @@ proptest! {
             let left = (comm.rank() + comm.size() - 1) % comm.size();
             comm.send(right, 3, salt + comm.rank() as u64); // m1, tag 3
             let req_a = comm
-                .ibcast_shared(root, (comm.rank() == root).then(|| Arc::new(vec![salt; 5])));
+                .ibcast(root, (comm.rank() == root).then(|| Arc::new(vec![salt; 5])));
             comm.send(right, 3, salt + 100 + comm.rank() as u64); // m2, same tag
-            let req_b = comm.ibcast_shared(
+            let req_b = comm.ibcast(
                 root,
                 (comm.rank() == root).then(|| Arc::new(vec![salt + 1; 3])),
             );
@@ -141,7 +141,7 @@ fn shared_payload_is_mem_charged_once_per_rank() {
             let _resident = payload
                 .as_ref()
                 .map(|arc| comm.mem_charge_shared(arc, bytes));
-            let arc = comm.ibcast_shared(0, payload).wait();
+            let arc = comm.ibcast(0, payload).wait();
             let _c1 = comm.mem_charge_shared(&arc, bytes);
             let _c2 = comm.mem_charge_shared(&arc, bytes);
             comm.barrier();
@@ -164,8 +164,8 @@ fn distinct_blocks_still_charge_separately() {
         .ranks(2)
         .run_profiled(|comm| {
             let _g = comm.phase("two");
-            let a = comm.ibcast_shared(0, (comm.rank() == 0).then(|| Arc::new(vec![1u8; 1000])));
-            let b = comm.ibcast_shared(1, (comm.rank() == 1).then(|| Arc::new(vec![2u8; 500])));
+            let a = comm.ibcast(0, (comm.rank() == 0).then(|| Arc::new(vec![1u8; 1000])));
+            let b = comm.ibcast(1, (comm.rank() == 1).then(|| Arc::new(vec![2u8; 500])));
             let (a, b) = (a.wait(), b.wait());
             let _ca = comm.mem_charge_shared(&a, 1000);
             let _cb = comm.mem_charge_shared(&b, 500);

@@ -34,8 +34,7 @@ pub use pipeline::{
     assemble, assemble_gathered, string_graph, ChainingConfig, PipelineConfig, PipelineResult,
     StringGraph,
 };
-pub use scaffold::{scaffold_contigs, scaffold_distributed, ScaffoldConfig, ScaffoldStats};
+pub use scaffold::{scaffold_contigs, ScaffoldConfig, ScaffoldStats};
 pub use serve::{
-    JobId, JobInput, JobOutcome, JobResult, JobSpec, JobState, Scheduler, ServeConfig, Server,
-    SubmitError,
+    JobId, JobInput, JobOutcome, JobResult, JobSpec, ServeConfig, Server, SubmitError,
 };

@@ -13,7 +13,7 @@ use elba_graph::{
 };
 use elba_mem::MemBudget;
 use elba_seq::{build_a_triples, count_kmers, AEntry, DatasetSpec, KmerConfig, ReadStore, Seq};
-use elba_sparse::{DistMat, SpGemmOptions};
+use elba_sparse::{DistMat, DistVec, SpGemmOptions};
 
 use crate::assembly::Contig;
 use crate::contig::{contig_generation, gather_contigs, ContigConfig, ContigStats};
@@ -196,6 +196,9 @@ pub struct StringGraph {
     /// `S`'s residency charge against the rank's memory tracker, held
     /// for as long as this value lives.
     _s_charge: SharedMemCharge,
+    /// Reads classified as contained in another read (Algorithm 1 line
+    /// 9): their rows and columns are already pruned out of `s`.
+    pub contained: DistVec<bool>,
     pub n_reliable_kmers: u64,
     pub candidate_nnz: u64,
     /// Global nonzeros of `S`.
@@ -265,12 +268,12 @@ pub fn string_graph(grid: &ProcGrid, store: &ReadStore, cfg: &PipelineConfig) ->
     let candidate_nnz = c.nnz_global(grid);
 
     // Alignment: x-drop + classification + pruning (lines 7–9).
-    let (r, _r_charge, align_stats) = {
+    let (r, _r_charge, contained, align_stats) = {
         let _g = world.phase("Alignment");
         let (triples, contained, align_stats) = align_and_classify(grid, &c, store, &cfg.overlap);
         let r = overlap_graph(grid, n_reads, triples, &contained);
         let r_charge = world.mem_charge_shared(r.local_arc(), r.deep_heap_bytes());
-        (r, r_charge, align_stats)
+        (r, r_charge, contained, align_stats)
     };
     drop(c);
     drop(_c_charge);
@@ -295,6 +298,7 @@ pub fn string_graph(grid: &ProcGrid, store: &ReadStore, cfg: &PipelineConfig) ->
     StringGraph {
         s,
         _s_charge,
+        contained,
         n_reliable_kmers: table.n_global,
         candidate_nnz,
         nnz,

@@ -2,28 +2,39 @@
 //! to once again use the sparse matrix abstraction to find similarities
 //! within the contig set and obtain even longer sequences."
 //!
-//! This module implements exactly that loop: treat the contig set as a
-//! new read set, rerun reliable-k-mer overlap detection and x-drop
-//! alignment *on the contigs*, keep dovetail joins, and walk the
-//! resulting (branch-masked) contig-of-contigs graph with the same
-//! `pre`/`post` machinery as local assembly. Because the contig set is
-//! orders of magnitude smaller than the read set, one serial pass per
-//! rank-0 suffices (mirroring the paper's single-rank LPT argument); the
-//! distributed entry point gathers contigs, scaffolds once, and
-//! broadcasts the result.
+//! That is what runs here, literally: the contig set becomes a read set
+//! and goes through [`string_graph`] (Algorithm 1: reliable k-mers,
+//! `C = AAᵀ`, x-drop alignment, classification, transitive reduction)
+//! and [`contig_generation`] (Algorithm 2: branch masking, connected
+//! components, the linear walk). This module holds no overlapper, aligner
+//! or walker of its own — [`ScaffoldConfig`] is six fields mapped onto a
+//! [`PipelineConfig`].
+//!
+//! **The reliable band is [2, 2].** A join anchor is a k-mer counted
+//! exactly twice over the whole contig set. Reads cover a locus `depth`
+//! times, so the read pipeline needs a wide band; contigs cover it once,
+//! or twice where two of them overlap. A k-mer counted three or more
+//! times — across contigs or inside one — is a repeat, which BELLA's upper
+//! bound (Algorithm 1 line 3) exists to drop: seeded from one, x-drop
+//! aligns two copies of the repeat, not two ends of the genome.
+//!
+//! **Pass-through.** The walk emits chains of two or more contigs. Every
+//! input contig that is in no walk and was not classified as contained
+//! in another is emitted unchanged: contigs are joined or absorbed, and
+//! nothing else leaves the set.
+//!
+//! **One rank.** A contig set is the paper's n ≪ reads case (§4.3 gathers
+//! contig sizes on one processor for the same reason), so the pass runs
+//! on a private one-rank in-process [`Runner`]: nothing is sent, and
+//! nothing is booked into the profile of the assembly that made the
+//! contigs.
 
-use std::collections::HashMap;
-
-use elba_align::{
-    classify, extend_seed_with, OverlapAln, OverlapClass, Scoring, SgEdge, XdropWorkspace,
-};
-use elba_comm::ProcGrid;
-use elba_seq::kmer::canonical_kmers;
+use elba_align::Scoring;
+use elba_comm::{ProcGrid, Runner};
 use elba_seq::{ReadStore, Seq};
-use elba_sparse::Dcsc;
 
-use crate::assembly::{local_assembly, AssemblyConfig, Contig};
-use crate::induced::LocalGraph;
+use crate::contig::contig_generation;
+use crate::pipeline::{string_graph, PipelineConfig};
 
 /// Scaffolding parameters.
 #[derive(Debug, Clone)]
@@ -62,192 +73,69 @@ pub struct ScaffoldStats {
     pub contained_dropped: usize,
 }
 
-/// Serial scaffolding pass over a contig set.
-pub fn scaffold_contigs(contigs: &[Seq], cfg: &ScaffoldConfig) -> (Vec<Seq>, ScaffoldStats) {
-    let n = contigs.len();
-    let mut stats = ScaffoldStats {
-        input_contigs: n,
-        ..Default::default()
-    };
-    if n == 0 {
-        return (Vec::new(), stats);
+impl ScaffoldConfig {
+    /// Scaffolding as a pipeline parameterisation (module doc: the band).
+    fn pipeline(&self) -> PipelineConfig {
+        let mut cfg = PipelineConfig::default();
+        cfg.kmer.k = self.k;
+        cfg.kmer.reliable_min = 2;
+        cfg.kmer.reliable_max = 2;
+        cfg.overlap.k = self.k;
+        cfg.overlap.xdrop = self.xdrop;
+        cfg.overlap.scoring = self.scoring;
+        cfg.overlap.min_shared_kmers = 1;
+        cfg.overlap.min_overlap = self.min_overlap;
+        cfg.overlap.min_score_ratio = self.min_score_ratio;
+        cfg.overlap.fuzz = self.fuzz;
+        cfg.tr_fuzz = self.fuzz as u32;
+        cfg
     }
-    // Seed index over contig ends — k-mers occurring in exactly two
-    // contigs are join candidates (a contig-end k-mer shared by three is
-    // a repeat and would create a branch anyway).
-    let mut index: HashMap<u64, Vec<(u32, u32, bool)>> = HashMap::new();
-    for (cid, contig) in contigs.iter().enumerate() {
-        let mut seen: HashMap<u64, ()> = HashMap::new();
-        for hit in canonical_kmers(contig, cfg.k) {
-            if seen.insert(hit.kmer, ()).is_none() {
-                index
-                    .entry(hit.kmer)
-                    .or_default()
-                    .push((cid as u32, hit.pos, hit.fwd));
-            }
-        }
-    }
-    let mut pair_seed: HashMap<(u32, u32), (u32, u32, bool)> = HashMap::new();
-    for occurrences in index.into_values() {
-        if occurrences.len() != 2 {
-            continue;
-        }
-        let (a, b) = (occurrences[0], occurrences[1]);
-        if a.0 == b.0 {
-            continue;
-        }
-        let (u, v) = if a.0 < b.0 { (a, b) } else { (b, a) };
-        pair_seed
-            .entry((u.0, v.0))
-            .or_insert((u.1, v.1, u.2 == v.2));
-    }
-
-    // Align candidate pairs, keep dovetail joins.
-    let mut contained = vec![false; n];
-    let mut edges: Vec<(u32, u32, SgEdge)> = Vec::new();
-    // (contig u, contig v) -> (seed position in u, in v, same strand)
-    type PairSeed = ((u32, u32), (u32, u32, bool));
-    let mut pairs: Vec<PairSeed> = pair_seed.into_iter().collect();
-    pairs.sort_unstable_by_key(|&(key, _)| key);
-    let mut ws = XdropWorkspace::default();
-    for ((u, v), (pos_u, pos_v, same_strand)) in pairs {
-        let cu = &contigs[u as usize];
-        let cv = &contigs[v as usize];
-        let aln = if same_strand {
-            if pos_u as usize + cfg.k > cu.len() || pos_v as usize + cfg.k > cv.len() {
-                continue;
-            }
-            let aln = extend_seed_with(
-                &mut ws,
-                cu.codes(),
-                cv.codes(),
-                pos_u as usize,
-                pos_v as usize,
-                cfg.k,
-                cfg.xdrop,
-                cfg.scoring,
-            );
-            OverlapAln::from_seed(aln, false, cu.len(), cv.len())
-        } else {
-            let w = cv.reverse_complement();
-            let w_pos = cv.len() - pos_v as usize - cfg.k;
-            if pos_u as usize + cfg.k > cu.len() || w_pos + cfg.k > w.len() {
-                continue;
-            }
-            let aln = extend_seed_with(
-                &mut ws,
-                cu.codes(),
-                w.codes(),
-                pos_u as usize,
-                w_pos,
-                cfg.k,
-                cfg.xdrop,
-                cfg.scoring,
-            );
-            OverlapAln::from_seed(aln, true, cu.len(), cv.len())
-        };
-        match classify(&aln, cfg.fuzz) {
-            OverlapClass::ContainedU => contained[u as usize] = true,
-            OverlapClass::ContainedV => contained[v as usize] = true,
-            OverlapClass::Internal => {}
-            OverlapClass::Dovetail { fwd, bwd } => {
-                let score_ok = aln.score as f64 >= cfg.min_score_ratio * aln.span() as f64;
-                if aln.span() >= cfg.min_overlap && score_ok {
-                    edges.push((u, v, fwd));
-                    edges.push((v, u, bwd));
-                }
-            }
-        }
-    }
-    stats.contained_dropped = contained.iter().filter(|&&c| c).count();
-    edges.retain(|&(u, v, _)| !contained[u as usize] && !contained[v as usize]);
-
-    // Branch masking on the contig graph, then the standard linear walk.
-    let mut degree = vec![0usize; n];
-    for &(u, _, _) in &edges {
-        degree[u as usize] += 1;
-    }
-    edges.retain(|&(u, v, _)| degree[u as usize] <= 2 && degree[v as usize] <= 2);
-    stats.joins = edges.len() / 2;
-
-    let mut store = ReadStore::empty(n);
-    for (cid, contig) in contigs.iter().enumerate() {
-        store.push(cid as u64, contig.codes());
-    }
-    let joined_ids: std::collections::HashSet<u32> = edges.iter().map(|&(u, _, _)| u).collect();
-    let dcsc = Dcsc::from_triples(n, n, edges, |_, _| {});
-    let graph = LocalGraph {
-        global_ids: (0..n as u64).collect(),
-        csc: dcsc.to_csc(),
-    };
-    let (walked, _) = local_assembly(
-        &graph,
-        &store,
-        &AssemblyConfig {
-            emit_cycles: true,
-            ..AssemblyConfig::default()
-        },
-    );
-
-    // Scaffolds = walked chains + untouched (unjoined, uncontained) contigs.
-    let mut out: Vec<Seq> = walked.into_iter().map(|c| c.seq).collect();
-    for cid in 0..n {
-        if !joined_ids.contains(&(cid as u32)) && !contained[cid] {
-            out.push(contigs[cid].clone());
-        }
-    }
-    out.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.codes().cmp(b.codes())));
-    stats.output_scaffolds = out.len();
-    (out, stats)
 }
 
-/// Distributed entry point: gather the contig set, scaffold on rank 0,
-/// broadcast the scaffolds (collective). The contig set is small (§4.3's
-/// n ≪ reads argument), so this mirrors the paper's single-rank LPT.
-pub fn scaffold_distributed(
-    grid: &ProcGrid,
-    local_contigs: &[Contig],
-    cfg: &ScaffoldConfig,
-) -> (Vec<Seq>, ScaffoldStats) {
-    let packed: Vec<Vec<u8>> = local_contigs
+/// Scaffold a contig set: Algorithms 1 and 2 with the contigs as reads.
+/// Returns the scaffolds longest first (ties by sequence) — a function of
+/// the input alone.
+pub fn scaffold_contigs(contigs: &[Seq], cfg: &ScaffoldConfig) -> (Vec<Seq>, ScaffoldStats) {
+    let pipeline = cfg.pipeline();
+    let reads = contigs.to_vec();
+    let (walks, contained) = Runner::default()
+        .run(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let store = ReadStore::from_replicated(&grid, &reads);
+            let graph = string_graph(&grid, &store, &pipeline);
+            let (walks, _) = contig_generation(&grid, &graph.s, &store, &pipeline.contig);
+            (walks, graph.contained.to_global(&grid))
+        })
+        .remove(0);
+
+    // A walk over m contigs made m − 1 joins (m if it closed a cycle).
+    let joins = walks
         .iter()
-        .map(|c| c.seq.codes().to_vec())
-        .collect();
-    let gathered = grid.world().gather(0, packed);
-    let result = gathered.map(|all| {
-        let contigs: Vec<Seq> = all.into_iter().flatten().map(Seq::from_codes).collect();
-        let (scaffolds, stats) = scaffold_contigs(&contigs, cfg);
-        let packed: Vec<Vec<u8>> = scaffolds.iter().map(|s| s.codes().to_vec()).collect();
-        (
-            packed,
-            vec![
-                stats.input_contigs as u64,
-                stats.joins as u64,
-                stats.output_scaffolds as u64,
-                stats.contained_dropped as u64,
-            ],
-        )
-    });
-    let (packed, stats_vec) = match result {
-        Some((p, s)) => (Some(p), Some(s)),
-        None => (None, None),
-    };
-    let packed = grid.world().bcast(0, packed);
-    let stats_vec = grid.world().bcast(0, stats_vec);
-    let scaffolds = packed.into_iter().map(Seq::from_codes).collect();
+        .map(|w| w.read_ids.len() - usize::from(!w.circular))
+        .sum();
+    let mut passes_through: Vec<bool> = contained.iter().map(|&c| !c).collect();
+    for &id in walks.iter().flat_map(|w| &w.read_ids) {
+        passes_through[id as usize] = false;
+    }
+    let kept = contigs
+        .iter()
+        .zip(&passes_through)
+        .filter(|&(_, &keep)| keep);
+    let mut out: Vec<Seq> = walks.into_iter().map(|w| w.seq).collect();
+    out.extend(kept.map(|(contig, _)| contig.clone()));
+    out.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.codes().cmp(b.codes())));
     let stats = ScaffoldStats {
-        input_contigs: stats_vec[0] as usize,
-        joins: stats_vec[1] as usize,
-        output_scaffolds: stats_vec[2] as usize,
-        contained_dropped: stats_vec[3] as usize,
+        input_contigs: contigs.len(),
+        joins,
+        output_scaffolds: out.len(),
+        contained_dropped: contained.iter().filter(|&&c| c).count(),
     };
-    (scaffolds, stats)
+    (out, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elba_comm::{Backend, Runner};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -352,34 +240,48 @@ mod tests {
     }
 
     #[test]
-    fn distributed_matches_serial() {
-        let g = genome(2_400, 10);
-        let pieces = [
-            g.substring(0, 900),
-            g.substring(800, 1_700),
-            g.substring(1_600, 2_400),
+    fn repeat_inside_one_contig_is_not_an_anchor() {
+        // `a` carries the unit twice, `b` once: every k-mer of the unit
+        // occurs three times in the set, so the [2, 2] band drops it and
+        // the two contigs share no anchor. Counting k-mers once per
+        // contig would see "in exactly two contigs", align b's copy to
+        // one of a's and drop b as contained. Each copy sits between its
+        // own pair of flanking bases, so no k-mer that reaches out of a
+        // copy occurs twice by chance.
+        let concat = |parts: &[&Seq]| {
+            Seq::from_codes(parts.iter().flat_map(|p| p.codes()).copied().collect())
+        };
+        let unit = genome(298, 20);
+        let copy = |flank: u8| {
+            let flank = Seq::from_codes(vec![flank]);
+            concat(&[&flank, &unit, &flank])
+        };
+        let a = concat(&[
+            &genome(800, 21),
+            &copy(0),
+            &genome(500, 22),
+            &copy(1),
+            &genome(400, 23),
+        ]);
+        let b = concat(&[&genome(700, 24), &copy(2), &genome(700, 25)]);
+        let (scaffolds, stats) = scaffold_contigs(&[a.clone(), b.clone()], &cfg());
+        assert_eq!((stats.joins, stats.contained_dropped), (0, 0));
+        assert_eq!(scaffolds, vec![a, b]);
+    }
+
+    #[test]
+    fn transitive_overlap_is_reduced_not_branched() {
+        // A–B, B–C and A–C all overlap: without transitive reduction B
+        // would be walked with a spurious A–C edge beside it.
+        let g = genome(3_600, 26);
+        let contigs = vec![
+            g.substring(0, 2_000),
+            g.substring(800, 2_800),
+            g.substring(1_600, 3_600),
         ];
-        let (serial, serial_stats) = scaffold_contigs(&pieces, &cfg());
-        let pieces_in = pieces.to_vec();
-        let (dist, dist_stats) = Runner::new(Backend::InProcess)
-            .ranks(4)
-            .run(move |comm| {
-                let grid = ProcGrid::new(comm);
-                // distribute pieces: rank r holds piece r (if any)
-                let local: Vec<Contig> = pieces_in
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i % 4 == grid.world().rank())
-                    .map(|(i, seq)| Contig {
-                        seq: seq.clone(),
-                        read_ids: vec![i as u64],
-                        circular: false,
-                    })
-                    .collect();
-                scaffold_distributed(&grid, &local, &cfg())
-            })
-            .remove(0);
-        assert_eq!(dist_stats, serial_stats);
-        assert_eq!(dist, serial);
+        let (scaffolds, stats) = scaffold_contigs(&contigs, &cfg());
+        assert_eq!(stats.joins, 2);
+        assert_eq!(scaffolds.len(), 1);
+        assert!(scaffolds[0] == g || scaffolds[0] == g.reverse_complement());
     }
 }

@@ -6,21 +6,22 @@
 //!
 //! * [`JobSpec`] — what to assemble (a FASTA file or a simulated-genome
 //!   spec), under which per-job [`MemBudget`], optionally with an
-//!   injected [`FaultPlan`]. Specs implement [`CommMsg`], so submission
-//!   can ride the framed wire codec (a future TCP listener speaks the
-//!   same frames `elba launch` workers already do).
-//! * [`Scheduler`] — a FIFO admission queue with budget-based admission
+//!   injected [`FaultPlan`]. The one serialized form is the job-file
+//!   line `elba serve` parses.
+//! * `Scheduler` — a FIFO admission queue with budget-based admission
 //!   control: a job is admitted only while the aggregate of admitted
 //!   budgets stays within the host cap; an over-cap submission is
 //!   rejected with a typed [`SubmitError`] at submit time.
-//! * [`GroupPool`] — N worker groups, each running admitted jobs through
+//! * `GroupPool` — N worker groups, each running admitted jobs through
 //!   the backend-generic [`Runner`]. PR 9's supervision is what makes
 //!   the pool tractable: a dead rank surfaces as a typed
-//!   [`SpmdFailure`], never a hung group, so per-job failure handling is
-//!   "mark the job failed, recycle the group". Each job gets a fresh
-//!   mesh, so recycling is free — a failed job cannot poison the next.
+//!   [`elba_comm::SpmdFailure`], never a hung group, so per-job failure
+//!   handling is "mark the job failed, recycle the group". Each job gets
+//!   a fresh mesh, so recycling is free — a failed job cannot poison the
+//!   next.
 //!
-//! [`Server`] bundles the three behind `start / submit / wait / drain`.
+//! [`Server`] bundles the three behind `start / submit / wait / drain`;
+//! the scheduler and the pool are reachable only through it.
 //!
 //! ## Admission rule
 //!
@@ -45,8 +46,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use elba_comm::transport::wire::{WireError, WireReader};
-use elba_comm::{Backend, CommMsg, FaultPlan, ProcGrid, RunProfile, Runner, SpmdFailure};
+use elba_comm::{Backend, FaultPlan, ProcGrid, RunProfile, Runner};
 use elba_mem::MemBudget;
 use elba_quality::{evaluate, QualityConfig, QualityReport};
 use elba_seq::fasta::read_fasta;
@@ -76,10 +76,6 @@ pub enum JobInput {
 }
 
 /// One assembly job: input, per-job memory claim, optional fault plan.
-///
-/// `JobSpec` implements [`CommMsg`], so a spec can ride the same framed
-/// codec every cross-rank message uses (see `elba launch`); submission
-/// over a real socket needs no new serialization layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Caller-chosen job name, echoed in results and logs.
@@ -136,108 +132,12 @@ impl JobSpec {
     }
 }
 
-const JOB_INPUT_FASTA: u8 = 0;
-const JOB_INPUT_SIM: u8 = 1;
-
-impl CommMsg for JobInput {
-    fn nbytes(&self) -> usize {
-        1 + match self {
-            JobInput::FastaPath(p) => p.nbytes(),
-            JobInput::Sim { dataset, .. } => dataset.nbytes() + 8 + 8,
-        }
-    }
-
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        match self {
-            JobInput::FastaPath(p) => {
-                out.push(JOB_INPUT_FASTA);
-                p.wire_encode(out);
-            }
-            JobInput::Sim {
-                dataset,
-                scale,
-                seed,
-            } => {
-                out.push(JOB_INPUT_SIM);
-                dataset.wire_encode(out);
-                scale.wire_encode(out);
-                seed.wire_encode(out);
-            }
-        }
-    }
-
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.read_u8()? {
-            JOB_INPUT_FASTA => Ok(JobInput::FastaPath(String::wire_decode(r)?)),
-            JOB_INPUT_SIM => Ok(JobInput::Sim {
-                dataset: String::wire_decode(r)?,
-                scale: f64::wire_decode(r)?,
-                seed: u64::wire_decode(r)?,
-            }),
-            _ => Err(WireError::Malformed("job input tag")),
-        }
-    }
-}
-
-impl CommMsg for JobSpec {
-    fn nbytes(&self) -> usize {
-        self.name.nbytes()
-            + self.input.nbytes()
-            + 8
-            + 1
-            + self.fault.as_ref().map_or(0, |f| f.nbytes())
-    }
-
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.name.wire_encode(out);
-        self.input.wire_encode(out);
-        self.budget_bytes.wire_encode(out);
-        match &self.fault {
-            None => out.push(0),
-            Some(f) => {
-                out.push(1);
-                f.wire_encode(out);
-            }
-        }
-    }
-
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let name = String::wire_decode(r)?;
-        let input = JobInput::wire_decode(r)?;
-        let budget_bytes = u64::wire_decode(r)?;
-        let fault = match r.read_u8()? {
-            0 => None,
-            1 => Some(String::wire_decode(r)?),
-            _ => Err(WireError::Malformed("job fault tag"))?,
-        };
-        Ok(JobSpec {
-            name,
-            input,
-            budget_bytes,
-            fault,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------
 // Job lifecycle
 // ---------------------------------------------------------------------
 
 /// Identifies a submitted job within its server. Monotonic per server.
 pub type JobId = u64;
-
-/// Where a job is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobState {
-    /// Admitted to the queue, waiting for budget headroom + a free group.
-    Queued,
-    /// Running on a rank group.
-    Running,
-    /// Finished with contigs.
-    Completed,
-    /// Finished without contigs (rank death, bad input, group panic).
-    Failed,
-}
 
 /// Why a submission was refused. Typed so callers can distinguish
 /// "misconfigured job" from "try later" without string matching.
@@ -328,7 +228,6 @@ struct JobEntry {
     plan: Option<FaultPlan>,
     /// Admission charge in bytes (claim, or the whole cap if unbudgeted).
     charge: u64,
-    state: JobState,
     submitted: Instant,
     admitted: Option<Instant>,
     result: Option<JobResult>,
@@ -350,7 +249,7 @@ struct SchedulerState {
 /// FIFO + budget admission queue. See the [module docs](self) for the
 /// admission rule. Shared between submitters and the [`GroupPool`]
 /// workers; all methods take `&self`.
-pub struct Scheduler {
+struct Scheduler {
     host_cap: Option<u64>,
     state: Mutex<SchedulerState>,
     /// Signaled on submit, admission, completion, and close.
@@ -360,7 +259,7 @@ pub struct Scheduler {
 impl Scheduler {
     /// A scheduler admitting against `host_cap` total bytes
     /// ([`MemBudget::unlimited`] = no admission control).
-    pub fn new(host_cap: MemBudget) -> Scheduler {
+    fn new(host_cap: MemBudget) -> Scheduler {
         Scheduler {
             host_cap: host_cap.total(),
             state: Mutex::new(SchedulerState::default()),
@@ -368,14 +267,9 @@ impl Scheduler {
         }
     }
 
-    /// The host cap in bytes, if one is set.
-    pub fn host_cap(&self) -> Option<u64> {
-        self.host_cap
-    }
-
     /// Validate and enqueue a job. Returns its id, or a typed
     /// [`SubmitError`] — over-cap claims are rejected here, at the door.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
+    fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
         let plan = match &spec.fault {
             None => None,
             Some(raw) => Some(FaultPlan::parse(raw).map_err(SubmitError::InvalidFaultPlan)?),
@@ -406,7 +300,6 @@ impl Scheduler {
             spec,
             plan,
             charge,
-            state: JobState::Queued,
             submitted: Instant::now(),
             admitted: None,
             result: None,
@@ -416,19 +309,9 @@ impl Scheduler {
         Ok(id)
     }
 
-    /// A job's current state, if the id is known.
-    pub fn state_of(&self, id: JobId) -> Option<JobState> {
-        self.state
-            .lock()
-            .unwrap()
-            .jobs
-            .get(id as usize)
-            .map(|j| j.state)
-    }
-
     /// Highest aggregate of admitted charges observed so far. The
     /// admission invariant is `peak_admitted_bytes() ≤ host_cap`.
-    pub fn peak_admitted_bytes(&self) -> u64 {
+    fn peak_admitted_bytes(&self) -> u64 {
         self.state.lock().unwrap().peak_admitted_bytes
     }
 
@@ -454,7 +337,6 @@ impl Scheduler {
                     st.admitted_bytes += charge;
                     st.peak_admitted_bytes = st.peak_admitted_bytes.max(st.admitted_bytes);
                     let entry = &mut st.jobs[id as usize];
-                    entry.state = JobState::Running;
                     entry.admitted = Some(Instant::now());
                     return Some((id, entry.spec.clone(), entry.plan.clone()));
                 }
@@ -470,10 +352,6 @@ impl Scheduler {
         let mut st = self.state.lock().unwrap();
         let entry = &mut st.jobs[id as usize];
         let admitted = entry.admitted.expect("completing a job never admitted");
-        entry.state = match outcome {
-            JobOutcome::Completed { .. } => JobState::Completed,
-            JobOutcome::Failed { .. } => JobState::Failed,
-        };
         entry.result = Some(JobResult {
             id,
             name: entry.spec.name.clone(),
@@ -488,7 +366,7 @@ impl Scheduler {
 
     /// Block until `id` reaches a terminal state; returns its result.
     /// Panics on an unknown id (a programming error, not a job failure).
-    pub fn wait(&self, id: JobId) -> JobResult {
+    fn wait(&self, id: JobId) -> JobResult {
         let mut st = self.state.lock().unwrap();
         loop {
             assert!((id as usize) < st.jobs.len(), "unknown job id {id}");
@@ -536,16 +414,16 @@ impl Default for ServeConfig {
 
 /// The fixed pool of supervised worker groups. Each group is a thread
 /// that pulls admitted jobs from the [`Scheduler`] and runs them through
-/// a fresh [`Runner`] mesh; a job death ([`SpmdFailure`]) marks that job
-/// failed and the group moves on — recycled, never wedged.
-pub struct GroupPool {
+/// a fresh [`Runner`] mesh; a job death ([`elba_comm::SpmdFailure`]) marks
+/// that job failed and the group moves on — recycled, never wedged.
+struct GroupPool {
     workers: Vec<std::thread::JoinHandle<()>>,
     recycled: Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl GroupPool {
     /// Spawn `cfg.groups` worker groups draining `scheduler`.
-    pub fn start(cfg: &ServeConfig, scheduler: Arc<Scheduler>) -> GroupPool {
+    fn start(cfg: &ServeConfig, scheduler: Arc<Scheduler>) -> GroupPool {
         assert!(cfg.groups > 0, "pool needs at least one group");
         let q = (cfg.group_ranks as f64).sqrt().round() as usize;
         assert!(
@@ -576,8 +454,8 @@ impl GroupPool {
         GroupPool { workers, recycled }
     }
 
-    /// Groups recycled so far (= jobs that ended [`JobState::Failed`]).
-    pub fn recycled(&self) -> usize {
+    /// Groups recycled so far (= jobs that ended [`JobOutcome::Failed`]).
+    fn recycled(&self) -> usize {
         self.recycled.load(std::sync::atomic::Ordering::Relaxed)
     }
 
@@ -693,21 +571,17 @@ fn run_job_inner(cfg: &ServeConfig, spec: &JobSpec, plan: Option<&FaultPlan>) ->
             }
         }
         Err(failure) => JobOutcome::Failed {
-            error: spmd_failure_summary(&failure),
+            error: failure.to_string(),
             killed_by_fault: matches!(failure.primary().cause, elba_comm::FailureCause::Killed(_)),
         },
     }
-}
-
-fn spmd_failure_summary(failure: &SpmdFailure) -> String {
-    format!("{failure}")
 }
 
 // ---------------------------------------------------------------------
 // Server facade
 // ---------------------------------------------------------------------
 
-/// The serving façade: a [`Scheduler`] plus a running [`GroupPool`].
+/// The serving façade: a scheduler plus a running group pool.
 ///
 /// ```
 /// use elba_core::serve::{JobSpec, ServeConfig, Server};
@@ -732,7 +606,8 @@ impl Server {
         Server { scheduler, pool }
     }
 
-    /// Submit a job; see [`Scheduler::submit`] for the admission rule.
+    /// Validate and enqueue a job; see the [module docs](self) for the
+    /// admission rule. Over-cap claims are rejected here, at the door.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
         self.scheduler.submit(spec)
     }
@@ -742,20 +617,10 @@ impl Server {
         self.scheduler.wait(id)
     }
 
-    /// A job's current state, if the id is known.
-    pub fn state_of(&self, id: JobId) -> Option<JobState> {
-        self.scheduler.state_of(id)
-    }
-
     /// Highest aggregate of admitted budget charges observed. The
-    /// admission invariant: this never exceeds [`Server::host_cap`].
+    /// admission invariant: this never exceeds [`ServeConfig::host_cap`].
     pub fn peak_admitted_bytes(&self) -> u64 {
         self.scheduler.peak_admitted_bytes()
-    }
-
-    /// The host cap in bytes, if one is set.
-    pub fn host_cap(&self) -> Option<u64> {
-        self.scheduler.host_cap()
     }
 
     /// Groups recycled after job deaths so far.
@@ -779,42 +644,6 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn round_trip(spec: &JobSpec) -> JobSpec {
-        let mut buf = Vec::new();
-        spec.wire_encode(&mut buf);
-        let mut r = WireReader::new(&buf);
-        let decoded = JobSpec::wire_decode(&mut r).expect("decode");
-        r.finish().expect("no trailing bytes");
-        decoded
-    }
-
-    #[test]
-    fn job_spec_wire_round_trips() {
-        let sim = JobSpec::sim("probe", "celegans", 0.05, 42)
-            .budget(64 << 20)
-            .with_fault("kill:1@phase:Alignment");
-        assert_eq!(round_trip(&sim), sim);
-
-        let fasta = JobSpec {
-            name: "real".to_string(),
-            input: JobInput::FastaPath("/data/reads.fasta".to_string()),
-            budget_bytes: 0,
-            fault: None,
-        };
-        assert_eq!(round_trip(&fasta), fasta);
-    }
-
-    #[test]
-    fn job_spec_wire_rejects_bad_tag() {
-        let mut buf = Vec::new();
-        JobSpec::sim("x", "celegans", 0.1, 1).wire_encode(&mut buf);
-        // Corrupt the input-variant tag (right after the name field).
-        let name_len = 8 + 1;
-        buf[name_len] = 9;
-        let mut r = WireReader::new(&buf);
-        assert!(JobSpec::wire_decode(&mut r).is_err());
-    }
 
     #[test]
     fn submit_validates_before_queueing() {

@@ -1,9 +1,8 @@
 //! GFA 1.0 export — the interchange format real assemblers emit so that
 //! downstream tools (Bandage, gfatools, scaffolders) can inspect the
-//! assembly graph. ELBA-RS writes its string graph as `S` (segment) and
-//! `L` (link) lines and its contig walks as `P` (path) lines.
+//! assembly. ELBA-RS writes its contigs as `S` (segment) lines and the
+//! read walks that produced them as `P` (path) lines.
 
-use std::collections::HashMap;
 use std::io::{self, Write};
 
 use crate::dna::Seq;
@@ -15,17 +14,6 @@ pub struct GfaSegment {
     pub seq: Seq,
 }
 
-/// One link: `from` end overlaps `to` start, with orientations and the
-/// overlap length (emitted as a `<n>M` CIGAR).
-#[derive(Debug, Clone)]
-pub struct GfaLink {
-    pub from: String,
-    pub from_reverse: bool,
-    pub to: String,
-    pub to_reverse: bool,
-    pub overlap: usize,
-}
-
 /// One path: an ordered oriented walk over segments (a contig).
 #[derive(Debug, Clone)]
 pub struct GfaPath {
@@ -34,11 +22,10 @@ pub struct GfaPath {
     pub steps: Vec<(String, bool)>,
 }
 
-/// A string-graph snapshot ready for GFA serialization.
+/// An assembly snapshot ready for GFA serialization.
 #[derive(Debug, Clone, Default)]
 pub struct GfaGraph {
     pub segments: Vec<GfaSegment>,
-    pub links: Vec<GfaLink>,
     pub paths: Vec<GfaPath>,
 }
 
@@ -51,23 +38,6 @@ impl GfaGraph {
         self.segments.push(GfaSegment {
             name: name.into(),
             seq,
-        });
-    }
-
-    pub fn add_link(
-        &mut self,
-        from: impl Into<String>,
-        from_reverse: bool,
-        to: impl Into<String>,
-        to_reverse: bool,
-        overlap: usize,
-    ) {
-        self.links.push(GfaLink {
-            from: from.into(),
-            from_reverse,
-            to: to.into(),
-            to_reverse,
-            overlap,
         });
     }
 
@@ -90,17 +60,6 @@ impl GfaGraph {
                 segment.seq.len()
             )?;
         }
-        for link in &self.links {
-            writeln!(
-                out,
-                "L\t{}\t{}\t{}\t{}\t{}M",
-                link.from,
-                if link.from_reverse { '-' } else { '+' },
-                link.to,
-                if link.to_reverse { '-' } else { '+' },
-                link.overlap
-            )?;
-        }
         for path in &self.paths {
             let steps: Vec<String> = path
                 .steps
@@ -111,150 +70,29 @@ impl GfaGraph {
         }
         Ok(())
     }
-
-    /// Parse a GFA 1.0 document (segments, links, paths; other record
-    /// types are ignored). Round-trips [`GfaGraph::write`].
-    pub fn parse(text: &str) -> io::Result<GfaGraph> {
-        let mut graph = GfaGraph::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let mut fields = line.split('\t');
-            let bad = |what: &str| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("GFA line {}: {what}", lineno + 1),
-                )
-            };
-            match fields.next() {
-                Some("S") => {
-                    let name = fields.next().ok_or_else(|| bad("missing segment name"))?;
-                    let seq = fields.next().ok_or_else(|| bad("missing sequence"))?;
-                    graph.add_segment(name, Seq::from_ascii(seq.as_bytes()));
-                }
-                Some("L") => {
-                    let from = fields.next().ok_or_else(|| bad("missing from"))?.to_owned();
-                    let from_reverse =
-                        fields.next().ok_or_else(|| bad("missing from orient"))? == "-";
-                    let to = fields.next().ok_or_else(|| bad("missing to"))?.to_owned();
-                    let to_reverse = fields.next().ok_or_else(|| bad("missing to orient"))? == "-";
-                    let cigar = fields.next().unwrap_or("0M");
-                    let overlap = cigar.trim_end_matches('M').parse::<usize>().unwrap_or(0);
-                    graph.links.push(GfaLink {
-                        from,
-                        from_reverse,
-                        to,
-                        to_reverse,
-                        overlap,
-                    });
-                }
-                Some("P") => {
-                    let name = fields
-                        .next()
-                        .ok_or_else(|| bad("missing path name"))?
-                        .to_owned();
-                    let steps_field = fields.next().ok_or_else(|| bad("missing steps"))?;
-                    let steps = steps_field
-                        .split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(|s| {
-                            let reverse = s.ends_with('-');
-                            (s.trim_end_matches(['+', '-']).to_owned(), reverse)
-                        })
-                        .collect();
-                    graph.paths.push(GfaPath { name, steps });
-                }
-                _ => {}
-            }
-        }
-        Ok(graph)
-    }
-
-    /// Basic structural validation: every link/path endpoint must name an
-    /// existing segment. Returns the offending names.
-    pub fn dangling_references(&self) -> Vec<String> {
-        let known: HashMap<&str, ()> = self
-            .segments
-            .iter()
-            .map(|s| (s.name.as_str(), ()))
-            .collect();
-        let mut bad = Vec::new();
-        for link in &self.links {
-            for name in [&link.from, &link.to] {
-                if !known.contains_key(name.as_str()) {
-                    bad.push(name.clone());
-                }
-            }
-        }
-        for path in &self.paths {
-            for (name, _) in &path.steps {
-                if !known.contains_key(name.as_str()) {
-                    bad.push(name.clone());
-                }
-            }
-        }
-        bad.sort();
-        bad.dedup();
-        bad
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> GfaGraph {
+    #[test]
+    fn writes_expected_records() {
         let mut graph = GfaGraph::new();
         graph.add_segment("read0", "ACGTACGT".parse().expect("dna"));
         graph.add_segment("read1", "TACGTTTT".parse().expect("dna"));
-        graph.add_link("read0", false, "read1", false, 5);
         graph.add_path(
             "contig0",
             vec![("read0".to_owned(), false), ("read1".to_owned(), true)],
         );
-        graph
-    }
-
-    #[test]
-    fn writes_expected_records() {
         let mut buf = Vec::new();
-        sample().write(&mut buf).expect("write");
-        let text = String::from_utf8(buf).expect("utf8");
-        assert!(text.starts_with("H\tVN:Z:1.0\n"));
-        assert!(text.contains("S\tread0\tACGTACGT\tLN:i:8"));
-        assert!(text.contains("L\tread0\t+\tread1\t+\t5M"));
-        assert!(text.contains("P\tcontig0\tread0+,read1-\t*"));
-    }
-
-    #[test]
-    fn parse_round_trip() {
-        let mut buf = Vec::new();
-        let graph = sample();
         graph.write(&mut buf).expect("write");
-        let text = String::from_utf8(buf).expect("utf8");
-        let back = GfaGraph::parse(&text).expect("parse");
-        assert_eq!(back.segments.len(), 2);
-        assert_eq!(back.segments[0].seq, graph.segments[0].seq);
-        assert_eq!(back.links.len(), 1);
-        assert_eq!(back.links[0].overlap, 5);
-        assert!(!back.links[0].from_reverse && !back.links[0].to_reverse);
-        assert_eq!(back.paths[0].steps, graph.paths[0].steps);
-    }
-
-    #[test]
-    fn dangling_reference_detection() {
-        let mut graph = sample();
-        graph.add_link("read0", false, "ghost", true, 3);
-        assert_eq!(graph.dangling_references(), vec!["ghost".to_owned()]);
-    }
-
-    #[test]
-    fn clean_graph_has_no_dangling() {
-        assert!(sample().dangling_references().is_empty());
-    }
-
-    #[test]
-    fn ignores_unknown_record_types() {
-        let text = "H\tVN:Z:1.0\n# comment\nS\tx\tACGT\nW\twalkstuff\n";
-        let graph = GfaGraph::parse(text).expect("parse");
-        assert_eq!(graph.segments.len(), 1);
+        assert_eq!(
+            String::from_utf8(buf).expect("utf8"),
+            "H\tVN:Z:1.0\n\
+             S\tread0\tACGTACGT\tLN:i:8\n\
+             S\tread1\tTACGTTTT\tLN:i:8\n\
+             P\tcontig0\tread0+,read1-\t*\n"
+        );
     }
 }

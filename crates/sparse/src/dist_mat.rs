@@ -356,7 +356,7 @@ impl SpGemmOptions {
 ///
 /// The local block lives behind an [`Arc`]: SUMMA stage broadcasts ship
 /// it down the grid row/column as `Arc` clones (zero payload
-/// deep-copies, root included — see [`elba_comm::Comm::ibcast_shared`]),
+/// deep-copies, root included — see [`elba_comm::Comm::ibcast`]),
 /// and cloning a `DistMat` is a shallow reference bump. Every mutating
 /// operation consumes `self` and produces a fresh block, so shared
 /// references can never observe mutation.
@@ -867,8 +867,8 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let b_root = move |s: usize| (grid.myrow() == s).then(|| Arc::clone(&other.local));
         let post = move |s: usize| {
             (
-                grid.row().ibcast_shared(s, a_root(s)),
-                grid.col().ibcast_shared(s, b_root(s)),
+                grid.row().ibcast(s, a_root(s)),
+                grid.col().ibcast(s, b_root(s)),
             )
         };
         let mut inflight = lookahead.then(|| post(0));
@@ -883,8 +883,8 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
                 (a_req.wait(), b_req.wait())
             } else {
                 (
-                    grid.row().bcast_shared(s, a_root(s)),
-                    grid.col().bcast_shared(s, b_root(s)),
+                    grid.row().bcast(s, a_root(s)),
+                    grid.col().bcast(s, b_root(s)),
                 )
             }
         })
@@ -996,7 +996,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             // Structure-only packs travel Arc-shared too: the owner
             // builds each pack once and the tree fans out reference
             // clones, not vector copies.
-            let a_pack = grid.row().bcast_shared(
+            let a_pack = grid.row().bcast(
                 s,
                 (grid.mycol() == s).then(|| {
                     let mut counts = vec![0u32; self.local.ncols()];
@@ -1007,7 +1007,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
                 }),
             );
             let (a_col_nnz, a_bytes) = (&a_pack.0, a_pack.1);
-            let b_pack = grid.col().bcast_shared(
+            let b_pack = grid.col().bcast(
                 s,
                 (grid.myrow() == s).then(|| {
                     Arc::new((

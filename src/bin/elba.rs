@@ -333,12 +333,12 @@ fn assemble_finish(
     }
     write_seqs(get(flags, "out")?, "contig_", &seqs)?;
 
+    // The graph is the assembly's, not the scaffolder's: segment i is
+    // the contig that path i walks, whatever `--scaffold` wrote to --out.
     if let Some(gfa_path) = flags.get("gfa") {
         let mut graph = GfaGraph::new();
-        for (i, seq) in seqs.iter().enumerate() {
-            graph.add_segment(format!("contig_{i}"), seq.clone());
-        }
         for (i, contig) in contigs.iter().enumerate() {
+            graph.add_segment(format!("contig_{i}"), contig.seq.clone());
             graph.add_path(
                 format!("walk_{i}"),
                 contig

@@ -647,8 +647,11 @@ fn unknown_flags_are_usage_errors_naming_the_flag_and_subcommand() {
         );
     }
 
-    // `--scaffold` is a bool, not a presence flag.
-    let reads = simulate_reads(&dir);
+    // `--scaffold` is a bool, not a presence flag. Scale 0.3 assembles
+    // two contigs that scaffolding joins into one: --out changes, the
+    // GFA must not — its segments are the contigs its paths walk.
+    let reads = simulate_reads_at(&dir, "0.3");
+    let gfa = dir.join("graph.gfa");
     for (value, scaffolds) in [("false", false), ("true", true)] {
         let (out, stdout) = run(&[
             "assemble",
@@ -660,14 +663,23 @@ fn unknown_flags_are_usage_errors_naming_the_flag_and_subcommand() {
             reads.to_str().expect("utf-8 temp path"),
             "--out",
             dir.join("contigs.fa").to_str().expect("utf-8 temp path"),
+            "--gfa",
+            gfa.to_str().expect("utf-8 temp path"),
             "--scaffold",
             value,
         ]);
         assert_eq!(out.code, 0, "--scaffold {value}: stderr:\n{}", out.stderr);
         assert_eq!(
-            stdout.contains("scaffolding:"),
+            stdout.contains("scaffolding: 2 contigs -> 1 scaffolds (1 joins)"),
             scaffolds,
             "--scaffold {value}:\n{stdout}"
+        );
+        let records = std::fs::read_to_string(&gfa).expect("read gfa");
+        let count = |kind: &str| records.lines().filter(|l| l.starts_with(kind)).count();
+        assert_eq!(
+            (count("S\t"), count("P\t")),
+            (2, 2),
+            "--scaffold {value}: one segment per walk"
         );
     }
 }
