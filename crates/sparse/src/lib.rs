@@ -8,10 +8,13 @@
 //!   `JC`/`IR`/`VAL` naming used by local assembly), and hypersparse
 //!   [`dcsc::Dcsc`] with the §4.4 linear-time DCSC→CSC expansion,
 //! * [`semiring::Semiring`] overloading of `(+, ×)`, including filtering
-//!   semirings (a `multiply` that can annihilate),
-//! * local kernels: Gustavson [`spgemm::spgemm`] with a sparse
-//!   accumulator, its masked form [`spgemm::MaskedAccumulator`],
-//!   [`spgemm::spmv`], element-wise merge,
+//!   semirings (a `multiply` that can annihilate) and an in-place
+//!   `fold` (`acc ⊕= a ⊗ b`) a semiring may specialise,
+//! * local kernels: Gustavson SpGEMM with a sparse accumulator
+//!   ([`SpGemmBatcher`], row windows, strict-upper restriction, threads;
+//!   [`spgemm::spgemm`] is the one-call form), its masked form
+//!   [`spgemm::MaskedAccumulator`], [`spgemm::spmv`], and the streaming
+//!   two-way [`spgemm::csr_merge`] of SUMMA stage outputs,
 //! * the 2D-distributed layer: [`dist_mat::DistMat`] (SUMMA SpGEMM and
 //!   masked SpGEMM, transpose, apply/prune, row reduction, branch
 //!   masking) and

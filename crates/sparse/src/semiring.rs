@@ -15,6 +15,18 @@ pub trait Semiring {
 
     fn multiply(&self, a: &Self::A, b: &Self::B) -> Option<Self::Out>;
     fn add(&self, acc: &mut Self::Out, other: Self::Out);
+
+    /// `acc ⊕= a ⊗ b`: the SpGEMM kernel's step for every product after
+    /// an entry's first. An override must leave `acc` exactly as the
+    /// default does; it exists so a semiring can fold a product without
+    /// building it (the overlap semiring reads `b` only when a seed can
+    /// change).
+    #[inline]
+    fn fold(&self, acc: &mut Self::Out, a: &Self::A, b: &Self::B) {
+        if let Some(product) = self.multiply(a, b) {
+            self.add(acc, product);
+        }
+    }
 }
 
 /// Standard arithmetic `(+, ×)` semiring over `f64`.
@@ -222,5 +234,39 @@ mod tests {
         );
         assert_eq!(s.multiply(&1, &2), None);
         assert_eq!(s.multiply(&4, &3), Some(7));
+    }
+
+    /// `acc` after the default `fold` of `(a, b)` and after an explicit
+    /// `multiply` + `add` of the same pair.
+    fn fold_and_reference<S: Semiring>(s: &S, acc: S::Out, a: &S::A, b: &S::B) -> (S::Out, S::Out) {
+        let mut folded = acc.clone();
+        s.fold(&mut folded, a, b);
+        let mut reference = acc;
+        if let Some(product) = s.multiply(a, b) {
+            s.add(&mut reference, product);
+        }
+        (folded, reference)
+    }
+
+    #[test]
+    fn default_fold_is_multiply_then_add() {
+        for (acc, a, b) in [(1.0, 3.0, 4.0), (-2.5, 0.0, 7.0), (0.0, -1.5, 2.0)] {
+            let (got, want) = fold_and_reference(&PlusTimes, acc, &a, &b);
+            assert_eq!(got, want);
+        }
+        for (acc, a, b) in [(9u64, 3, 4), (5, 3, 4), (7, u64::MAX, 1)] {
+            let (got, want) = fold_and_reference(&MinPlus, acc, &a, &b);
+            assert_eq!(got, want);
+        }
+        // An annihilated product leaves the accumulator untouched.
+        let filtering = FnSemiring::new(
+            |a: &u64, b: &u64| (a + b > 5).then(|| a + b),
+            |acc: &mut u64, x| *acc = (*acc).max(x),
+        );
+        for (acc, a, b) in [(3u64, 1, 2), (3, 4, 3), (10, 4, 3)] {
+            let (got, want) = fold_and_reference(&filtering, acc, &a, &b);
+            assert_eq!(got, want);
+        }
+        assert_eq!(fold_and_reference(&filtering, 3, &1, &2).0, 3);
     }
 }

@@ -6,13 +6,15 @@
 use crate::csr::Csr;
 use crate::semiring::Semiring;
 
-/// Sparse accumulator for one output row: dense value+generation arrays
-/// plus a touched-list, giving O(1) amortized insert and O(k log k) sorted
-/// extraction for k entries. Reused across rows without clearing.
+/// Sparse accumulator for one output row: a dense `Option` array plus a
+/// touched-list, giving O(1) insert and O(k log k) sorted extraction for
+/// k entries. The `Option` is the occupancy mark: a column's first
+/// product fills its slot, every later one is folded into it in place
+/// ([`Semiring::fold`]), and [`Spa::drain_sorted`] takes every touched
+/// slot back to `None` — so the array is all `None` between rows and is
+/// reused without clearing.
 struct Spa<T> {
     values: Vec<Option<T>>,
-    generation: Vec<u32>,
-    current: u32,
     touched: Vec<u32>,
 }
 
@@ -20,35 +22,29 @@ impl<T> Spa<T> {
     fn new(ncols: usize) -> Self {
         Spa {
             values: (0..ncols).map(|_| None).collect(),
-            generation: vec![0; ncols],
-            current: 0,
             touched: Vec::new(),
         }
     }
 
-    fn next_row(&mut self) {
-        self.current += 1;
-        self.touched.clear();
-    }
-
-    fn accumulate<S>(&mut self, semiring: &S, col: u32, value: T)
+    #[inline(always)]
+    fn accumulate<S>(&mut self, semiring: &S, col: u32, a: &S::A, b: &S::B)
     where
         S: Semiring<Out = T>,
     {
-        let j = col as usize;
-        if self.generation[j] == self.current {
-            let acc = self.values[j].as_mut().expect("touched slot holds value");
-            semiring.add(acc, value);
-        } else {
-            self.generation[j] = self.current;
-            self.values[j] = Some(value);
-            self.touched.push(col);
+        match &mut self.values[col as usize] {
+            Some(acc) => semiring.fold(acc, a, b),
+            empty => {
+                if let Some(product) = semiring.multiply(a, b) {
+                    *empty = Some(product);
+                    self.touched.push(col);
+                }
+            }
         }
     }
 
     fn drain_sorted(&mut self, indices: &mut Vec<u32>, values: &mut Vec<T>) {
         self.touched.sort_unstable();
-        for &col in &self.touched {
+        for col in self.touched.drain(..) {
             indices.push(col);
             values.push(
                 self.values[col as usize]
@@ -65,23 +61,7 @@ impl<T> Spa<T> {
 /// of type `S::B`; entries for which `multiply` returns `None` contribute
 /// nothing (filtering semirings).
 pub fn spgemm<S: Semiring>(a: &Csr<S::A>, b: &Csr<S::B>, semiring: &S) -> Csr<S::Out> {
-    spgemm_range(a, b, semiring, 0..a.nrows())
-}
-
-/// [`spgemm`] restricted to the output rows `rows` of `A ⊗ B`: the
-/// returned matrix has `rows.len()` rows (row `i` holding output row
-/// `rows.start + i`). This is the batched kernel underneath the
-/// memory-bounded distributed multiply: processing a bounded row window
-/// at a time caps the sparse accumulator's high-water mark and lets the
-/// caller merge results incrementally instead of materializing all
-/// intermediate triples.
-pub fn spgemm_range<S: Semiring>(
-    a: &Csr<S::A>,
-    b: &Csr<S::B>,
-    semiring: &S,
-    rows: std::ops::Range<usize>,
-) -> Csr<S::Out> {
-    SpGemmBatcher::new(a, b, semiring).multiply_rows(rows)
+    SpGemmBatcher::new(a, b, semiring).multiply_rows(0..a.nrows())
 }
 
 /// Multiply the output-row window `rows` of `a ⊗ b` restricted to the
@@ -121,7 +101,6 @@ fn multiply_window<S: Semiring>(
             indptr.push(indices.len());
             continue;
         }
-        spa.next_row();
         let (a_cols, a_vals) = a.row(i);
         for (&k, a_ik) in a_cols.iter().zip(a_vals) {
             let (b_cols, b_vals) = b.row(k as usize);
@@ -135,9 +114,7 @@ fn multiply_window<S: Semiring>(
                 if j < floor {
                     break;
                 }
-                if let Some(product) = semiring.multiply(a_ik, b_kj) {
-                    spa.accumulate(semiring, j, product);
-                }
+                spa.accumulate(semiring, j, a_ik, b_kj);
             }
         }
         spa.drain_sorted(indices, values);
@@ -160,8 +137,8 @@ fn row_floor(upper: Option<i64>, i: usize, cols: &std::ops::Range<u32>) -> u32 {
 
 /// Row-batched SpGEMM driver owning one sparse accumulator *per worker*
 /// that is reused across every [`SpGemmBatcher::multiply_rows`] call —
-/// the SPA's generation counter makes reuse clearing-free, so batching
-/// the output rows costs no repeated O(ncols) allocation. One batcher
+/// each row's drain leaves the SPA empty, so batching the output rows
+/// costs no repeated O(ncols) allocation or clearing. One batcher
 /// serves one `(A, B)` pair; the column-batched SUMMA schedule holds one per
 /// stage and sweeps it over the row windows.
 ///
@@ -244,12 +221,11 @@ impl<'m, S: Semiring> SpGemmBatcher<'m, S> {
     /// `record_mem_transient` or a resizable charge — so threaded runs
     /// stay honest in the `mem-hw` column while `threads = 1` numbers
     /// are bit-for-bit unchanged. Counted by the length convention:
-    /// each SPA's dense value + generation arrays (ncols each); the
-    /// `touched` list is cleared every row and bounded by a row's nnz,
-    /// so it is noise, not charge.
+    /// each SPA's dense value array (ncols `Option`s); the `touched`
+    /// list is drained every row and bounded by a row's nnz, so it is
+    /// noise, not charge.
     pub fn scratch_bytes(&self) -> usize {
-        let per_spa =
-            self.b.ncols() * (std::mem::size_of::<Option<S::Out>>() + std::mem::size_of::<u32>());
+        let per_spa = self.b.ncols() * std::mem::size_of::<Option<S::Out>>();
         self.spas.len().saturating_sub(1) * per_spa
     }
 
@@ -399,10 +375,9 @@ const NO_SLOT: u32 = u32::MAX;
 /// or merges; its size is `nnz(mask)` slots, known before any multiply.
 ///
 /// Per output row the kernel marks the mask row's columns in a dense
-/// slot array (`slot[col]` = offset of `(row, col)` in the mask row —
-/// the role the SPA's generation array plays for the unmasked
-/// kernel), walks `A(i,:) × B(k,:)` and folds a product only where the
-/// column is marked. A slot receives its products in ascending `k`, as
+/// slot array (`slot[col]` = offset of `(row, col)` in the mask row),
+/// walks `A(i,:) × B(k,:)` and folds a product only where the column
+/// is marked. A slot receives its products in ascending `k`, as
 /// the unmasked kernel's entries do. Threaded runs give each worker a
 /// contiguous row chunk, i.e. a disjoint slice of the accumulator, so
 /// there is nothing to merge and the result cannot depend on the thread
@@ -543,10 +518,10 @@ fn accumulate_masked_rows<S: Semiring>(
 
 /// Merge two same-shape CSR matrices by a streaming two-way merge of
 /// their rows (the 2-way case of a heap merge): entries present in both
-/// are combined with `add`, the union structure is kept, and — unlike
-/// [`ewise_add`] — no re-sort and no triple buffer: the merge walks the
-/// raw `(indptr, indices, values)` arrays directly, so the cost is
-/// linear in `nnz(a) + nnz(b)` with no per-entry row tags. This is the
+/// are combined with `add`, the union structure is kept, and nothing is
+/// re-sorted or buffered as triples: the merge walks the raw
+/// `(indptr, indices, values)` arrays directly, so the cost is linear
+/// in `nnz(a) + nnz(b)` with no per-entry row tags. This is the
 /// per-stage accumulator of the pipelined SUMMA schedule, where `a` is
 /// the whole accumulated `C` block and must not be re-materialized
 /// every stage.
@@ -601,18 +576,6 @@ pub fn csr_merge<T>(a: Csr<T>, b: Csr<T>, mut add: impl FnMut(&mut T, T)) -> Csr
         indptr.push(indices.len());
     }
     Csr::from_parts(nrows, ncols, indptr, indices, values)
-}
-
-/// Merge two same-shape matrices entry-wise: values present in both are
-/// combined with `add`; the result keeps the union structure. Used to
-/// accumulate SUMMA stage outputs.
-pub fn ewise_add<T: Clone>(a: Csr<T>, b: Csr<T>, mut add: impl FnMut(&mut T, T)) -> Csr<T> {
-    assert_eq!(a.nrows(), b.nrows());
-    assert_eq!(a.ncols(), b.ncols());
-    let (nrows, ncols) = (a.nrows(), a.ncols());
-    let mut triples = a.into_triples();
-    triples.extend(b.into_triples());
-    Csr::from_triples(nrows, ncols, triples, |acc, v| add(acc, v))
 }
 
 /// Sparse matrix × dense vector under `semiring`: `y[i] = ⊕_j m[i,j] ⊗ x[j]`.
@@ -720,21 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn ewise_add_unions() {
-        let a = Csr::from_triples(2, 2, vec![(0u32, 0u32, 1.0f64)], |_, _| unreachable!());
-        let b = Csr::from_triples(
-            2,
-            2,
-            vec![(0u32, 0u32, 2.0f64), (1, 1, 5.0)],
-            |_, _| unreachable!(),
-        );
-        let c = ewise_add(a, b, |acc, v| *acc += v);
-        assert_eq!(c.get(0, 0), Some(&3.0));
-        assert_eq!(c.get(1, 1), Some(&5.0));
-        assert_eq!(c.nnz(), 2);
-    }
-
-    #[test]
     fn spmv_plus_times() {
         let m = Csr::from_triples(
             2,
@@ -751,25 +699,6 @@ mod tests {
         let m: Csr<f64> = Csr::empty(2, 2);
         let y = spmv(&m, &[1.0, 1.0], &PlusTimes);
         assert_eq!(y, vec![None, None]);
-    }
-
-    #[test]
-    fn spgemm_range_matches_row_slice() {
-        let a = Dense::from_rows(vec![
-            vec![1.0, 0.0, 2.0],
-            vec![0.0, 3.0, 0.0],
-            vec![4.0, 0.0, 5.0],
-        ]);
-        let b = Dense::from_rows(vec![vec![0.0, 1.0], vec![4.0, 0.0], vec![5.0, 6.0]]);
-        let full = spgemm(&csr_from_dense(&a), &csr_from_dense(&b), &PlusTimes);
-        let mid = spgemm_range(&csr_from_dense(&a), &csr_from_dense(&b), &PlusTimes, 1..3);
-        assert_eq!(mid.nrows(), 2);
-        for (r, c, v) in mid.iter() {
-            assert_eq!(full.get(r as usize + 1, c as usize), Some(v));
-        }
-        assert_eq!(mid.nnz(), full.row_nnz(1) + full.row_nnz(2));
-        let empty = spgemm_range(&csr_from_dense(&a), &csr_from_dense(&b), &PlusTimes, 2..2);
-        assert_eq!((empty.nrows(), empty.nnz()), (0, 0));
     }
 
     #[test]
@@ -845,7 +774,30 @@ mod tests {
     }
 
     #[test]
-    fn csr_merge_matches_ewise_add() {
+    fn multiply_rows_matches_row_slice() {
+        let a = Dense::from_rows(vec![
+            vec![1.0, 0.0, 2.0],
+            vec![0.0, 3.0, 0.0],
+            vec![4.0, 0.0, 5.0],
+        ]);
+        let b = Dense::from_rows(vec![vec![0.0, 1.0], vec![4.0, 0.0], vec![5.0, 6.0]]);
+        let (a, b) = (csr_from_dense(&a), csr_from_dense(&b));
+        let full = spgemm(&a, &b, &PlusTimes);
+        let mut batcher = SpGemmBatcher::new(&a, &b, &PlusTimes);
+        let mid = batcher.multiply_rows(1..3);
+        assert_eq!(mid.nrows(), 2);
+        for (r, c, v) in mid.iter() {
+            assert_eq!(full.get(r as usize + 1, c as usize), Some(v));
+        }
+        assert_eq!(mid.nnz(), full.row_nnz(1) + full.row_nnz(2));
+        // The SPA left by the previous window is reused as is.
+        assert_eq!(batcher.multiply_rows(0..3), full);
+        let empty = batcher.multiply_rows(2..2);
+        assert_eq!((empty.nrows(), empty.nnz()), (0, 0));
+    }
+
+    #[test]
+    fn csr_merge_matches_dense_sum() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(31);
@@ -865,8 +817,16 @@ mod tests {
             let a = make(0.4);
             let b = make(0.4);
             let merged = csr_merge(a.clone(), b.clone(), |acc, v| *acc += v);
-            let reference = ewise_add(a, b, |acc, v| *acc += v);
-            assert_eq!(Dense::from_csr(&merged), Dense::from_csr(&reference));
+            // Values are positive, so the sum's nonzeros are the union.
+            let (da, db) = (Dense::from_csr(&a), Dense::from_csr(&b));
+            let mut reference = Dense::zeros(n, m);
+            for i in 0..n {
+                for j in 0..m {
+                    reference.set(i, j, da.get(i, j) + db.get(i, j));
+                }
+            }
+            assert_eq!(Dense::from_csr(&merged), reference);
+            assert_eq!(merged.nnz(), reference.triples().len());
             // csr_merge must also keep indices sorted within rows
             for i in 0..merged.nrows() {
                 let (cols, _) = merged.row(i);
