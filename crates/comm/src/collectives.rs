@@ -7,7 +7,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::error::{raise, CommError};
 use crate::msg::CommMsg;
 use crate::runtime::{op, Comm, Rank, RecvRequest, Tag};
 
@@ -21,11 +20,11 @@ impl Comm {
         while step < p {
             let dst = (self.rank() + step) % p;
             let src = (self.rank() + p - step) % p;
-            self.coll_send(dst, tag, ());
+            self.raw_send(dst, tag, ());
             self.coll_recv::<()>(src, tag);
             step <<= 1;
         }
-        self.record_collective("barrier", 0, started.elapsed().as_secs_f64());
+        self.record_collective(op::BARRIER, 0, started.elapsed().as_secs_f64());
     }
 
     /// Broadcast from `root`: the root passes `Some(value)`, everyone else
@@ -62,7 +61,7 @@ impl Comm {
         // Same tree shape as the non-blocking broadcast: one byte-model
         // routine serves both, so the schedules can never diverge.
         let bytes = tree_share_bytes(self, vr, &value);
-        self.record_collective("bcast", bytes, started.elapsed().as_secs_f64());
+        self.record_collective(op::BCAST, bytes, started.elapsed().as_secs_f64());
         value
     }
 
@@ -85,11 +84,11 @@ impl Comm {
             )
         } else {
             let bytes = value.nbytes();
-            self.coll_send(root, tag, value);
-            self.record_collective("gather", bytes, 0.0);
+            self.raw_send(root, tag, value);
+            self.record_collective(op::GATHER, bytes, 0.0);
             None
         };
-        self.record_collective("gather", 0, started.elapsed().as_secs_f64());
+        self.record_collective(op::GATHER, 0, started.elapsed().as_secs_f64());
         result
     }
 
@@ -114,8 +113,8 @@ impl Comm {
                 let parent = (vr - step + root) % p;
                 let value = acc.take().expect("value still held before sending");
                 let bytes = value.nbytes();
-                self.coll_send(parent, tag, value);
-                self.record_collective("reduce", bytes, started.elapsed().as_secs_f64());
+                self.raw_send(parent, tag, value);
+                self.record_collective(op::REDUCE, bytes, started.elapsed().as_secs_f64());
                 return None;
             }
             if vr + step < p {
@@ -125,7 +124,7 @@ impl Comm {
             }
             step <<= 1;
         }
-        self.record_collective("reduce", 0, started.elapsed().as_secs_f64());
+        self.record_collective(op::REDUCE, 0, started.elapsed().as_secs_f64());
         acc
     }
 
@@ -135,35 +134,26 @@ impl Comm {
         self.bcast(0, reduced)
     }
 
-    /// Per-destination message sizes of a personalized exchange — the one
-    /// place the `bufs[dst]` layout is validated and measured, shared by
-    /// [`Comm::alltoallv`] and [`Comm::ialltoallv`]. Panics unless there
-    /// is exactly one buffer per rank.
-    fn personalized_counts<T>(&self, bufs: &[Vec<T>]) -> Vec<usize> {
+    /// Personalized all-to-all: `bufs[dst]` is shipped to rank `dst`;
+    /// returns the buffers received, indexed by source rank. The analogue
+    /// of `MPI_Alltoallv` (and ELBA's "custom all-to-all" for edge triples).
+    pub fn alltoallv<T: CommMsg>(&self, bufs: Vec<Vec<T>>) -> Vec<Vec<T>> {
         assert_eq!(
             bufs.len(),
             self.size(),
             "personalized exchange needs one buffer per rank"
         );
-        bufs.iter().map(Vec::len).collect()
-    }
-
-    /// Personalized all-to-all: `bufs[dst]` is shipped to rank `dst`;
-    /// returns the buffers received, indexed by source rank. The analogue
-    /// of `MPI_Alltoallv` (and ELBA's "custom all-to-all" for edge triples).
-    pub fn alltoallv<T: CommMsg>(&self, bufs: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        self.personalized_counts(&bufs); // validate one buffer per rank
         let tag = self.next_coll_tag(op::ALLTOALLV);
         let started = Instant::now();
         let mut bytes = 0;
         for (dst, buf) in bufs.into_iter().enumerate() {
             bytes += buf.nbytes();
-            self.coll_send(dst, tag, buf);
+            self.raw_send(dst, tag, buf);
         }
         let received: Vec<Vec<T>> = (0..self.size())
             .map(|src| self.coll_recv::<Vec<T>>(src, tag))
             .collect();
-        self.record_collective("alltoallv", bytes, started.elapsed().as_secs_f64());
+        self.record_collective(op::ALLTOALLV, bytes, started.elapsed().as_secs_f64());
         received
     }
 
@@ -185,7 +175,7 @@ impl Comm {
         let mut bytes = 0;
         for (dst, value) in contributions.into_iter().enumerate() {
             bytes += value.nbytes();
-            self.coll_send(dst, tag, value);
+            self.raw_send(dst, tag, value);
         }
         let mut acc: Option<T> = None;
         for src in 0..self.size() {
@@ -195,7 +185,7 @@ impl Comm {
                 Some(prev) => op(prev, value),
             });
         }
-        self.record_collective("reduce_scatter", bytes, started.elapsed().as_secs_f64());
+        self.record_collective(op::REDUCE_SCATTER, bytes, started.elapsed().as_secs_f64());
         acc.expect("at least one contribution")
     }
 
@@ -218,85 +208,52 @@ impl Comm {
             // value reaches many ranks.
             let next = op(prefix.clone(), value);
             let bytes = next.nbytes();
-            self.coll_send(self.rank() + 1, tag, next);
-            self.record_collective("exscan", bytes, 0.0);
+            self.raw_send(self.rank() + 1, tag, next);
+            self.record_collective(op::EXSCAN, bytes, 0.0);
         }
-        self.record_collective("exscan", 0, started.elapsed().as_secs_f64());
+        self.record_collective(op::EXSCAN, 0, started.elapsed().as_secs_f64());
         prefix
     }
 
-    /// Non-blocking personalized all-to-all (`MPI_Ialltoallv` analogue):
-    /// `bufs[dst]` is shipped to rank `dst` in chunks of at most
-    /// `chunk_elems` elements, and the returned [`IalltoallvRequest`]
-    /// yields per-source chunks *as they arrive* — the caller can fold
+    /// Open a non-blocking, *streaming* personalized exchange
+    /// (`MPI_Ialltoallv` analogue, ELBA's custom all-to-all). Outgoing
+    /// data is supplied incrementally through
+    /// [`IalltoallvRequest::post`] — any number of posts per destination,
+    /// in any order, interleaved with draining inbound chunks — and
+    /// sealed with [`IalltoallvRequest::finish_sends`]. Each post ships
+    /// in chunks of at most `chunk_elems` elements, and the request
+    /// yields per-source chunks *as they arrive*, so the caller folds
     /// each chunk into an accumulator while the rest of the exchange is
-    /// still in flight, so neither side ever has to hold the full
-    /// personalized exchange at once.
-    ///
-    /// Chunks from one source are delivered in posting order (the
-    /// runtime's per-`(source, tag)` FIFO guarantee), so concatenating a
-    /// source's chunks reconstructs its buffer exactly;
-    /// [`IalltoallvRequest::wait`] does that and is therefore equivalent
-    /// to [`Comm::alltoallv`]. Time blocked in
-    /// `next` (the request is an [`Iterator`] over `(source, chunk)`
-    /// pairs) or [`IalltoallvRequest::wait`] is booked to the profile's
-    /// *wait* bucket, like `ibcast`.
-    ///
-    /// Collective: every rank must post the matching call in SPMD order
-    /// and must drain the request to completion.
-    pub fn ialltoallv<T: CommMsg + Clone + Sync>(
-        &self,
-        bufs: Vec<Vec<T>>,
-        chunk_elems: usize,
-    ) -> IalltoallvRequest<'_, T> {
-        // validate one buffer per rank
-        self.personalized_counts(&bufs);
-        // One-shot exchanges disable the credit window: all chunks go
-        // out eagerly at post time, preserving the guarantee that a
-        // caller may run other blocking collectives between this call
-        // and draining the request. (A finite window would queue excess
-        // chunks sender-side until the caller drains — interleaving a
-        // barrier before `wait` would then deadlock against a peer
-        // parked on the missing chunks.)
-        let mut req = self.ialltoallv_stream_with_window(chunk_elems, usize::MAX);
-        for (dst, buf) in bufs.into_iter().enumerate() {
-            req.post(dst, buf);
-        }
-        req.finish_sends();
-        req
-    }
-
-    /// Open a *streaming* personalized exchange: like
-    /// [`Comm::ialltoallv`], but outgoing data is supplied incrementally
-    /// through [`IalltoallvRequest::post`] — any number of posts per
-    /// destination, in any order, interleaved with draining inbound
-    /// chunks — and sealed with [`IalltoallvRequest::finish_sends`].
+    /// still in flight and neither side ever holds the whole exchange.
     /// Ranks may post different amounts of traffic (termination is
     /// per-source, not count-based), which is what lets the k-mer
     /// exchange stream unevenly distributed reads without a per-batch
     /// barrier. One collective call regardless of how many chunks flow.
     ///
-    /// Sends are flow-controlled: at most
-    /// [`IalltoallvRequest::DEFAULT_WINDOW`] chunks may be outstanding
-    /// (sent but not yet consumed by the receiver) per destination; see
-    /// [`Comm::ialltoallv_stream_with_window`].
-    pub fn ialltoallv_stream<T: CommMsg + Clone + Sync>(
-        &self,
-        chunk_elems: usize,
-    ) -> IalltoallvRequest<'_, T> {
-        self.ialltoallv_stream_with_window(chunk_elems, IalltoallvRequest::<T>::DEFAULT_WINDOW)
-    }
-
-    /// [`Comm::ialltoallv_stream`] with an explicit flow-control window:
-    /// the sender keeps at most `window` unacknowledged chunks in flight
-    /// per destination. Each consumed chunk is acknowledged by the
-    /// receiver (a credit message on a dedicated tag); chunks posted
-    /// beyond the window queue on the sender and flow out as credits
-    /// return. This bounds the *transport-side* buffering of the
-    /// exchange end-to-end — a rank scanning much slower than its peers
-    /// holds at most `window` chunks per source in its mailbox, instead
-    /// of an unbounded backlog.
-    pub fn ialltoallv_stream_with_window<T: CommMsg + Clone + Sync>(
+    /// Chunks from one source are delivered in posting order (the
+    /// runtime's per-`(source, tag)` FIFO guarantee), so concatenating a
+    /// source's chunks reconstructs everything it posted to this rank:
+    /// post, seal and drain is equivalent to [`Comm::alltoallv`]. Time
+    /// blocked in `next` (the request is an [`Iterator`] over
+    /// `(source, chunk)` pairs) is booked to the profile's *wait*
+    /// bucket, like `ibcast`.
+    ///
+    /// Sends are flow-controlled: the sender keeps at most `window`
+    /// unacknowledged chunks in flight per destination. Each consumed
+    /// chunk is acknowledged by the receiver (a credit message on a
+    /// dedicated tag); chunks posted beyond the window queue on the
+    /// sender and flow out as credits return. This bounds the
+    /// *transport-side* buffering of the exchange end-to-end — a rank
+    /// scanning much slower than its peers holds at most `window` chunks
+    /// per source in its mailbox, instead of an unbounded backlog. Queued
+    /// chunks move only inside the request's own calls, so a rank that
+    /// runs another blocking collective before draining must open the
+    /// exchange with `window = usize::MAX` (every chunk goes out at post
+    /// time).
+    ///
+    /// Collective: every rank must open the matching exchange in SPMD
+    /// order, seal it, and drain it to completion.
+    pub fn ialltoallv<T: CommMsg + Clone + Sync>(
         &self,
         chunk_elems: usize,
         window: usize,
@@ -317,9 +274,10 @@ impl Comm {
             sent_chunks: vec![0; p],
             acked_chunks: vec![0; p],
             terminator_sent: vec![false; p],
+            #[cfg(test)]
             peak_outstanding: 0,
             ack_inflight: (0..p).map(|_| None).collect(),
-            inflight: (0..p).map(|src| Some(self.raw_irecv(src, tag))).collect(),
+            inflight: (0..p).map(|src| Some(self.irecv(src, tag))).collect(),
             open_sources: p,
             poll_cursor: 0,
         }
@@ -353,14 +311,14 @@ impl Comm {
             let value = value.expect("ibcast root must supply a value");
             bcast_deliver_tree(self, root, tag, &value);
             let bytes = tree_share_bytes(self, vr, &value);
-            self.record_coll_bytes("ibcast", bytes);
+            self.record_coll_bytes(op::IBCAST, bytes);
             IbcastRequest {
                 comm: self,
                 root,
                 state: IbcastState::Ready(value),
             }
         } else {
-            let req = self.raw_irecv::<T>(root, tag);
+            let req = self.irecv::<T>(root, tag);
             IbcastRequest {
                 comm: self,
                 root,
@@ -389,7 +347,7 @@ fn bcast_deliver_tree<T: CommMsg + Clone>(comm: &Comm, root: Rank, tag: Tag, val
     let p = comm.size();
     for vr in 1..p {
         let dst = (vr + root) % p;
-        comm.coll_send(dst, tag, value.clone());
+        comm.raw_send(dst, tag, value.clone());
     }
 }
 
@@ -446,7 +404,7 @@ impl<T: CommMsg + Clone> IbcastRequest<'_, T> {
                 let p = self.comm.size();
                 let vr = (self.comm.rank() + p - self.root) % p;
                 let bytes = tree_share_bytes(self.comm, vr, &value);
-                self.comm.record_coll_bytes("ibcast", bytes);
+                self.comm.record_coll_bytes(op::IBCAST, bytes);
                 value
             }
         }
@@ -531,8 +489,7 @@ type ChunkMsg<T> = (ChunkBody<T>, bool);
 /// Outstanding receive for the next [`ChunkMsg`] from one source.
 type ChunkRecv<'c, T> = RecvRequest<'c, ChunkMsg<T>>;
 
-/// In-flight chunked personalized exchange; see [`Comm::ialltoallv`] and
-/// [`Comm::ialltoallv_stream`].
+/// In-flight chunked personalized exchange; see [`Comm::ialltoallv`].
 ///
 /// Wire protocol: each outgoing buffer travels as zero or more
 /// `(chunk, false)` messages followed by one empty `(_, true)` terminator
@@ -551,7 +508,11 @@ type ChunkRecv<'c, T> = RecvRequest<'c, ChunkMsg<T>>;
 /// end-to-end, not just application-side. Terminators bypass credits
 /// (one tiny message per pair) but are only sent once the destination's
 /// queued data has fully flowed out, preserving order.
-#[must_use = "ialltoallv must be drained (next()/wait()) — abandoning it desynchronizes the collective"]
+///
+/// A peer that dies mid-exchange raises `PeerGone` from whichever call
+/// observes it; every message of the exchange names `ialltoallv` as the
+/// stalled collective.
+#[must_use = "ialltoallv must be drained with next() — abandoning it desynchronizes the collective"]
 pub struct IalltoallvRequest<'c, T: CommMsg + Clone + Sync> {
     comm: &'c Comm,
     tag: Tag,
@@ -573,8 +534,9 @@ pub struct IalltoallvRequest<'c, T: CommMsg + Clone + Sync> {
     /// Whether the destination's terminator has gone out (requires the
     /// destination to be sealed and its pending queue drained).
     terminator_sent: Vec<bool>,
-    /// Diagnostic: most chunks ever simultaneously unacknowledged toward
-    /// one destination. Never exceeds the window by construction.
+    /// Most chunks ever simultaneously unacknowledged toward one
+    /// destination; the flow-control tests hold it to the window.
+    #[cfg(test)]
     peak_outstanding: usize,
     /// One outstanding credit receive per destination with chunks in
     /// flight.
@@ -600,12 +562,6 @@ impl<'c, T: CommMsg + Clone + Sync> IalltoallvRequest<'c, T> {
     /// destination's credit window queue locally and flow out during
     /// subsequent `try_next`/`next` calls as credits return.
     pub fn post(&mut self, dst: Rank, buf: Vec<T>) {
-        self.post_checked(dst, buf).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible face of [`IalltoallvRequest::post`]: a dead peer is a
-    /// typed [`CommError`] instead of an unwind.
-    pub fn post_checked(&mut self, dst: Rank, buf: Vec<T>) -> Result<(), CommError> {
         assert!(
             self.send_open[dst],
             "ialltoallv: post to rank {dst} after finish_sends"
@@ -613,12 +569,12 @@ impl<'c, T: CommMsg + Clone + Sync> IalltoallvRequest<'c, T> {
         // Reclaimed credits must drain the queue immediately, not sit
         // idle until the next try_next — a posting burst would otherwise
         // serialize behind its first window.
-        self.flush_sends()?;
+        self.flush_sends();
         if buf.is_empty() {
-            return Ok(());
+            return;
         }
         if buf.len() <= self.chunk_elems {
-            self.enqueue_chunk(dst, ChunkBody::Owned(buf))?;
+            self.enqueue_chunk(dst, ChunkBody::Owned(buf));
         } else {
             // Shared fan-out: one Arc'd allocation, chunk-sized views.
             // (A split_off chain would re-copy the remaining tail once
@@ -627,52 +583,46 @@ impl<'c, T: CommMsg + Clone + Sync> IalltoallvRequest<'c, T> {
             let mut start = 0;
             while start < shared.len() {
                 let end = (start + self.chunk_elems).min(shared.len());
-                self.enqueue_chunk(dst, ChunkBody::Shared(Arc::clone(&shared), start..end))?;
+                self.enqueue_chunk(dst, ChunkBody::Shared(Arc::clone(&shared), start..end));
                 start = end;
             }
         }
-        Ok(())
-    }
-
-    /// Attribute an error from a comm primitive to this collective.
-    fn op_err(e: CommError) -> CommError {
-        e.in_op("ialltoallv")
     }
 
     /// Ship one chunk now if the destination has credit and no queue,
     /// else queue it.
-    fn enqueue_chunk(&mut self, dst: Rank, chunk: ChunkBody<T>) -> Result<(), CommError> {
+    fn enqueue_chunk(&mut self, dst: Rank, chunk: ChunkBody<T>) {
         if self.pending_sends[dst].is_empty() && self.credits[dst] > 0 {
-            self.send_chunk(dst, chunk)
+            self.send_chunk(dst, chunk);
         } else {
             self.pending_sends[dst].push_back(chunk);
-            Ok(())
         }
     }
 
-    fn send_chunk(&mut self, dst: Rank, chunk: ChunkBody<T>) -> Result<(), CommError> {
+    fn send_chunk(&mut self, dst: Rank, chunk: ChunkBody<T>) {
         debug_assert!(self.credits[dst] > 0);
         self.credits[dst] -= 1;
         self.sent_chunks[dst] += 1;
-        let outstanding = (self.sent_chunks[dst] - self.acked_chunks[dst]) as usize;
-        self.peak_outstanding = self.peak_outstanding.max(outstanding);
+        #[cfg(test)]
+        {
+            let outstanding = (self.sent_chunks[dst] - self.acked_chunks[dst]) as usize;
+            self.peak_outstanding = self.peak_outstanding.max(outstanding);
+        }
         let msg = (chunk, false);
-        self.comm.record_coll_bytes("ialltoallv", msg.nbytes());
-        self.comm
-            .coll_send_checked(dst, self.tag, msg)
-            .map_err(Self::op_err)
+        self.comm.record_coll_bytes(op::IALLTOALLV, msg.nbytes());
+        self.comm.raw_send(dst, self.tag, msg);
     }
 
-    /// Reap any credits that have come back. Surfacing a dead peer here
+    /// Reap any credits that have come back. Raising on a dead peer here
     /// is what keeps `wait_for_credit` live: outstanding acks toward a
-    /// dead destination can never return, and the probe must error
+    /// dead destination can never return, and the probe must fail
     /// rather than let the sender park on them forever.
-    fn pump_acks(&mut self) -> Result<(), CommError> {
+    fn pump_acks(&mut self) {
         for dst in 0..self.comm.size() {
             while self.acked_chunks[dst] < self.sent_chunks[dst] {
                 let req = self.ack_inflight[dst]
-                    .get_or_insert_with(|| self.comm.raw_irecv(dst, self.ack_tag));
-                if !req.try_test().map_err(Self::op_err)? {
+                    .get_or_insert_with(|| self.comm.irecv(dst, self.ack_tag));
+                if !req.test() {
                     break;
                 }
                 let req = self.ack_inflight[dst].take().expect("just inserted");
@@ -683,56 +633,39 @@ impl<'c, T: CommMsg + Clone + Sync> IalltoallvRequest<'c, T> {
                 self.credits[dst] = self.credits[dst].saturating_add(1);
             }
         }
-        Ok(())
     }
 
     /// Move queued chunks (and due terminators) out under the available
     /// credits.
-    fn flush_sends(&mut self) -> Result<(), CommError> {
-        self.pump_acks()?;
+    fn flush_sends(&mut self) {
+        self.pump_acks();
         for dst in 0..self.comm.size() {
             while self.credits[dst] > 0 {
                 let Some(chunk) = self.pending_sends[dst].pop_front() else {
                     break;
                 };
-                self.send_chunk(dst, chunk)?;
+                self.send_chunk(dst, chunk);
             }
             if !self.send_open[dst]
                 && self.pending_sends[dst].is_empty()
                 && !self.terminator_sent[dst]
             {
                 let msg: ChunkMsg<T> = (ChunkBody::Owned(Vec::new()), true);
-                self.comm.record_coll_bytes("ialltoallv", msg.nbytes());
-                self.comm
-                    .coll_send_checked(dst, self.tag, msg)
-                    .map_err(Self::op_err)?;
+                self.comm.record_coll_bytes(op::IALLTOALLV, msg.nbytes());
+                self.comm.raw_send(dst, self.tag, msg);
                 self.terminator_sent[dst] = true;
             }
         }
-        Ok(())
     }
 
     /// Seal every destination: no further [`IalltoallvRequest::post`]
     /// calls are accepted, and each peer's terminator goes out as soon as
     /// its queued chunks have flowed out. Idempotent, non-blocking. Must
-    /// be called by every rank for the exchange to terminate
-    /// ([`IalltoallvRequest::wait`] calls it implicitly); after sealing,
-    /// keep draining with `next`/`wait` so queued sends make progress.
+    /// be called by every rank for the exchange to terminate; after
+    /// sealing, keep draining with `next` so queued sends make progress.
     pub fn finish_sends(&mut self) {
-        self.finish_sends_checked().unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible face of [`IalltoallvRequest::finish_sends`].
-    pub fn finish_sends_checked(&mut self) -> Result<(), CommError> {
         self.send_open.iter_mut().for_each(|open| *open = false);
-        self.flush_sends()
-    }
-
-    /// Diagnostic: the most chunks ever simultaneously unacknowledged
-    /// toward a single destination — ≤ the flow-control window by
-    /// construction.
-    pub fn peak_outstanding(&self) -> usize {
-        self.peak_outstanding
+        self.flush_sends();
     }
 
     /// Items queued sender-side awaiting credits. Producers that want a
@@ -757,61 +690,35 @@ impl<'c, T: CommMsg + Clone + Sync> IalltoallvRequest<'c, T> {
     /// consuming that chunk is what grants the peer its credit, so
     /// parking past it would deadlock two mutually credit-exhausted
     /// ranks. Callers loop `wait_for_credit` with a `try_next` drain
-    /// until the queue empties.
+    /// until the queue empties. A peer dying mid-exchange bumps the
+    /// inbox sequence, so the park returns and the next probe sweep
+    /// raises instead of deadlocking.
     ///
     /// [`try_next`]: IalltoallvRequest::try_next
     pub fn wait_for_credit(&mut self) {
-        self.wait_for_credit_checked().unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible face of [`IalltoallvRequest::wait_for_credit`]: a peer
-    /// dying mid-exchange errors out of the park (releasing the
-    /// credit-blocked sends queued toward it) instead of deadlocking —
-    /// its closed flag bumps the inbox sequence, the probe sweep runs,
-    /// and the dead peer surfaces from `pump_acks` or the inbound probe.
-    pub fn wait_for_credit_checked(&mut self) -> Result<(), CommError> {
         let mut waited: Option<Instant> = None;
-        let result = loop {
+        loop {
             // Seq is read before the flush and the inbound probe: an
             // ack or chunk arriving in between bumps it and the park
             // returns at once (no lost wakeup).
             let seen = self.comm.inbox_seq();
-            if let Err(e) = self.flush_sends() {
-                break Err(e);
-            }
-            if self.pending_send_items() == 0 {
-                break Ok(());
-            }
-            match self.inbound_ready() {
-                Err(e) => break Err(e),
-                Ok(true) => break Ok(()),
-                Ok(false) => {}
+            self.flush_sends();
+            if self.pending_send_items() == 0 || self.inbound_ready() {
+                break;
             }
             waited.get_or_insert_with(Instant::now);
             self.comm.park_inbox(seen);
-        };
+        }
         if let Some(started) = waited {
             self.comm.record_wait(started.elapsed().as_secs_f64());
         }
-        result
     }
 
     /// Whether any source has a chunk (or terminator) consumable right
     /// now. `test` buffers a matched envelope inside the request, so a
     /// positive probe is never lost — the next `try_next` returns it.
-    fn inbound_ready(&mut self) -> Result<bool, CommError> {
-        for req in self.inflight.iter_mut().flatten() {
-            if req.try_test().map_err(Self::op_err)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Whether this rank's outbound side is fully done (sealed, queues
-    /// drained, terminators on the wire).
-    fn sends_done(&self) -> bool {
-        self.terminator_sent.iter().all(|&t| t)
+    fn inbound_ready(&mut self) -> bool {
+        self.inflight.iter_mut().flatten().any(|req| req.test())
     }
 
     /// Poll for an arrived chunk from any source, without blocking.
@@ -826,21 +733,14 @@ impl<'c, T: CommMsg + Clone + Sync> IalltoallvRequest<'c, T> {
     /// acks for chunks this rank sent, which would otherwise outlive the
     /// collective as stray envelopes in the mailbox.
     pub fn try_next(&mut self) -> Option<(Rank, Vec<T>)> {
-        self.try_next_checked().unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible face of [`IalltoallvRequest::try_next`]: a source dying
-    /// mid-stream (its terminator can never arrive) is a typed
-    /// [`CommError`] instead of an unwind.
-    pub fn try_next_checked(&mut self) -> Result<Option<(Rank, Vec<T>)>, CommError> {
-        self.flush_sends()?;
+        self.flush_sends();
         let p = self.comm.size();
         for i in 0..p {
             let src = (self.poll_cursor + i) % p;
             let Some(req) = self.inflight[src].as_mut() else {
                 continue; // source already terminated
             };
-            if !req.try_test().map_err(Self::op_err)? {
+            if !req.test() {
                 continue;
             }
             let req = self.inflight[src].take().expect("matched as Some");
@@ -850,19 +750,17 @@ impl<'c, T: CommMsg + Clone + Sync> IalltoallvRequest<'c, T> {
                 self.open_sources -= 1;
                 continue; // inflight[src] stays None; scan the next source
             }
-            self.inflight[src] = Some(self.comm.raw_irecv(src, self.tag));
+            self.inflight[src] = Some(self.comm.irecv(src, self.tag));
             self.poll_cursor = (src + 1) % p;
             // Return the credit: the chunk has left the mailbox. Acks
             // carry no payload but are real protocol messages — record
             // them so the profiler's message count (and the α-term of
             // the machine model) sees the flow-control traffic.
-            self.comm.record_coll_bytes("ialltoallv", 0);
-            self.comm
-                .coll_send_checked(src, self.ack_tag, ())
-                .map_err(Self::op_err)?;
-            return Ok(Some((src, chunk.into_vec())));
+            self.comm.record_coll_bytes(op::IALLTOALLV, 0);
+            self.comm.raw_send(src, self.ack_tag, ());
+            return Some((src, chunk.into_vec()));
         }
-        Ok(None)
+        None
     }
 
     /// Whether the whole exchange is over from this rank's perspective:
@@ -871,35 +769,22 @@ impl<'c, T: CommMsg + Clone + Sync> IalltoallvRequest<'c, T> {
     /// of its own sources, and its own terminator only goes out after
     /// `finish_sends`), so an unsealed exchange is never complete.
     fn complete(&self) -> bool {
-        self.open_sources == 0 && self.sends_done()
+        self.open_sources == 0 && self.terminator_sent.iter().all(|&t| t)
     }
 
     /// Block-reap the credits still in flight for chunks we sent, so no
     /// stray ack messages outlive the collective in the mailbox.
-    fn reap_remaining_acks(&mut self) -> Result<(), CommError> {
+    fn reap_remaining_acks(&mut self) {
         for dst in 0..self.comm.size() {
             while self.acked_chunks[dst] < self.sent_chunks[dst] {
                 let req = self.ack_inflight[dst]
                     .take()
-                    .unwrap_or_else(|| self.comm.raw_irecv(dst, self.ack_tag));
-                req.wait_checked().map_err(Self::op_err)?;
+                    .unwrap_or_else(|| self.comm.irecv(dst, self.ack_tag));
+                req.wait();
                 self.acked_chunks[dst] += 1;
                 self.credits[dst] = self.credits[dst].saturating_add(1);
             }
         }
-        Ok(())
-    }
-
-    /// Drain the whole exchange into per-source buffers (seals this
-    /// rank's sends first). `comm.ialltoallv(bufs, n).wait()` is
-    /// equivalent to `comm.alltoallv(bufs)`.
-    pub fn wait(mut self) -> Vec<Vec<T>> {
-        self.finish_sends();
-        let mut received: Vec<Vec<T>> = (0..self.comm.size()).map(|_| Vec::new()).collect();
-        for (src, mut chunk) in self.by_ref() {
-            received[src].append(&mut chunk);
-        }
-        received
     }
 }
 
@@ -909,57 +794,70 @@ impl<'c, T: CommMsg + Clone + Sync> IalltoallvRequest<'c, T> {
 /// out — so a receive loop is literally a `for` loop over the request.
 /// Blocking parks on the mailbox condvar (no polling); blocked time is
 /// booked to the profile's *wait* bucket (like `ibcast`), keeping
-/// communication/computation overlap measurable. Use
-/// [`IalltoallvRequest::try_next`] to poll without blocking.
-impl<T: CommMsg + Clone + Sync> IalltoallvRequest<'_, T> {
-    /// Fallible face of the blocking [`Iterator::next`]: a peer dying
-    /// mid-exchange errors out of the park (its closed flag bumps the
-    /// inbox sequence and the next probe sweep surfaces it) instead of
-    /// unwinding.
-    pub fn next_checked(&mut self) -> Result<Option<(Rank, Vec<T>)>, CommError> {
-        let mut out = self.try_next_checked();
-        if matches!(out, Ok(None)) && !self.complete() {
-            let started = Instant::now();
-            out = loop {
-                // Read the change counter *before* the probe sweep: an
-                // arrival in between bumps it and park returns at once.
-                let seen = self.comm.inbox_seq();
-                match self.try_next_checked() {
-                    Ok(Some(chunk)) => break Ok(Some(chunk)),
-                    Ok(None) => {}
-                    Err(e) => break Err(e),
-                }
-                if self.complete() {
-                    break Ok(None);
-                }
-                self.comm.park_inbox(seen);
-            };
+/// communication/computation overlap measurable. A peer dying
+/// mid-exchange bumps the inbox sequence, so the park returns and the
+/// next probe sweep raises. Use [`IalltoallvRequest::try_next`] to poll
+/// without blocking.
+impl<T: CommMsg + Clone + Sync> Iterator for IalltoallvRequest<'_, T> {
+    type Item = (Rank, Vec<T>);
+
+    fn next(&mut self) -> Option<(Rank, Vec<T>)> {
+        let mut waited: Option<Instant> = None;
+        let out = loop {
+            // Read the change counter *before* the probe sweep: an
+            // arrival in between bumps it and park returns at once.
+            let seen = self.comm.inbox_seq();
+            if let Some(chunk) = self.try_next() {
+                break Some(chunk);
+            }
+            if self.complete() {
+                break None;
+            }
+            waited.get_or_insert_with(Instant::now);
+            self.comm.park_inbox(seen);
+        };
+        if let Some(started) = waited {
             self.comm.record_wait(started.elapsed().as_secs_f64());
         }
-        if matches!(out, Ok(None)) && self.open_sources == 0 {
+        if out.is_none() {
             // Exchange over: collect the last credits so nothing leaks
             // into the mailbox past the collective (blocked time books
             // to the wait bucket via the requests themselves).
-            self.reap_remaining_acks()?;
+            self.reap_remaining_acks();
         }
         out
     }
 }
 
-impl<T: CommMsg + Clone + Sync> Iterator for IalltoallvRequest<'_, T> {
-    type Item = (Rank, Vec<T>);
-
-    fn next(&mut self) -> Option<(Rank, Vec<T>)> {
-        self.next_checked().unwrap_or_else(|e| raise(e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::runtime::{Backend, Runner};
+    use super::IalltoallvRequest;
+    use crate::runtime::{Backend, Comm, Runner};
+
+    const WINDOW: usize = IalltoallvRequest::<u64>::DEFAULT_WINDOW;
 
     fn nonpow2_sizes() -> Vec<usize> {
         vec![1, 2, 3, 4, 5, 7, 8, 9]
+    }
+
+    /// The streaming exchange as a one-shot `alltoallv`: post every
+    /// `bufs[dst]`, seal, and drain into per-source buffers.
+    fn post_seal_drain(
+        comm: &Comm,
+        bufs: Vec<Vec<u64>>,
+        chunk: usize,
+        window: usize,
+    ) -> Vec<Vec<u64>> {
+        let mut req = comm.ialltoallv(chunk, window);
+        for (dst, buf) in bufs.into_iter().enumerate() {
+            req.post(dst, buf);
+        }
+        req.finish_sends();
+        let mut got = vec![Vec::new(); comm.size()];
+        for (src, mut chunk) in req {
+            got[src].append(&mut chunk);
+        }
+        got
     }
 
     #[test]
@@ -1249,7 +1147,7 @@ mod tests {
                             })
                             .collect()
                     };
-                    let got = comm.ialltoallv(make(), chunk).wait();
+                    let got = post_seal_drain(&comm, make(), chunk, WINDOW);
                     let want = comm.alltoallv(make());
                     got == want
                 });
@@ -1266,7 +1164,11 @@ mod tests {
             let bufs: Vec<Vec<u64>> = (0..3)
                 .map(|dst| (0..47u64).map(|i| dst as u64 * 1000 + i).collect())
                 .collect();
-            let mut req = comm.ialltoallv(bufs, 5);
+            let mut req = comm.ialltoallv(5, WINDOW);
+            for (dst, buf) in bufs.into_iter().enumerate() {
+                req.post(dst, buf);
+            }
+            req.finish_sends();
             let mut got: Vec<Vec<u64>> = vec![Vec::new(); 3];
             let mut largest_chunk = 0usize;
             for (src, mut chunk) in req.by_ref() {
@@ -1295,7 +1197,7 @@ mod tests {
         let p = 4;
         let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
             let rounds = comm.rank() + 1; // uneven traffic per rank
-            let mut req = comm.ialltoallv_stream::<u64>(3);
+            let mut req = comm.ialltoallv::<u64>(3, WINDOW);
             let mut received: Vec<u64> = Vec::new();
             for round in 0..rounds {
                 for dst in 0..p {
@@ -1337,12 +1239,12 @@ mod tests {
     #[test]
     fn ialltoallv_empty_and_single_rank() {
         let out = Runner::new(Backend::InProcess).ranks(1).run(|comm| {
-            let got = comm.ialltoallv(vec![vec![7u64, 8, 9]], 2).wait();
+            let got = post_seal_drain(&comm, vec![vec![7u64, 8, 9]], 2, WINDOW);
             got == vec![vec![7u64, 8, 9]]
         });
         assert!(out[0]);
         let out = Runner::new(Backend::InProcess).ranks(3).run(|comm| {
-            let got = comm.ialltoallv(vec![Vec::<u64>::new(); 3], 4).wait();
+            let got = post_seal_drain(&comm, vec![Vec::new(); 3], 4, WINDOW);
             got.iter().all(Vec::is_empty)
         });
         assert!(out.iter().all(|&ok| ok));
@@ -1358,9 +1260,18 @@ mod tests {
             let bufs: Vec<Vec<u64>> = (0..4)
                 .map(|dst| vec![(comm.rank() * 4 + dst) as u64])
                 .collect();
-            let req = comm.ialltoallv(bufs, 1);
+            // Unwindowed: every chunk is on the wire at post time, so
+            // a blocking collective may run before the drain.
+            let mut req = comm.ialltoallv(1, usize::MAX);
+            for (dst, buf) in bufs.into_iter().enumerate() {
+                req.post(dst, buf);
+            }
+            req.finish_sends();
             let sum = comm.allreduce(1u64, |a, b| a + b);
-            let got = req.wait();
+            let mut got: Vec<Vec<u64>> = vec![Vec::new(); comm.size()];
+            for (src, mut chunk) in req {
+                got[src].append(&mut chunk);
+            }
             let from_left = p2p.wait();
             comm.barrier();
             let diag = got[comm.rank()][0];
@@ -1379,7 +1290,7 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_millis(15));
                 }
                 let bufs: Vec<Vec<u64>> = vec![vec![1], vec![2]];
-                comm.ialltoallv(bufs, 8).wait()
+                post_seal_drain(&comm, bufs, 8, WINDOW)
             });
         assert!(
             profile.max_wait_secs("stage") > 0.005,
@@ -1398,7 +1309,7 @@ mod tests {
         // below the window, no matter how far ahead the sender scans.
         let out = Runner::new(Backend::InProcess).ranks(2).run(|comm| {
             let window = 3usize;
-            let mut req = comm.ialltoallv_stream_with_window::<u64>(4, window);
+            let mut req = comm.ialltoallv::<u64>(4, window);
             if comm.rank() == 0 {
                 // 4 elems per chunk x 30 posts = 30 chunks toward rank 1.
                 for round in 0..30u64 {
@@ -1413,7 +1324,7 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_micros(200));
                 }
             }
-            (req.peak_outstanding(), window, received)
+            (req.peak_outstanding, window, received)
         });
         let (peak, window, _) = out[0];
         assert!(peak <= window, "rank 0 peak {peak} exceeds window {window}");
@@ -1437,7 +1348,7 @@ mod tests {
                         })
                         .collect()
                 };
-                let mut req = comm.ialltoallv_stream_with_window(2, 1);
+                let mut req = comm.ialltoallv(2, 1);
                 for (dst, buf) in make().into_iter().enumerate() {
                     req.post(dst, buf);
                 }
@@ -1447,7 +1358,7 @@ mod tests {
                     for (src, mut chunk) in req.by_ref() {
                         got[src].append(&mut chunk);
                     }
-                    req.peak_outstanding()
+                    req.peak_outstanding
                 };
                 let want = comm.alltoallv(make());
                 assert!(peak <= 1, "window 1 violated: {peak}");

@@ -1,14 +1,16 @@
 //! Typed failure propagation for the SPMD runtime.
 //!
 //! A rank can die mid-run — its process SIGKILLed, its thread panicked,
-//! or a fault plan killed it on purpose. Every blocking path in the comm
-//! layer observes the death (closed-flag propagation, invariant 5) and
-//! raises a [`CommError`] instead of parking forever. The error travels
-//! as a panic payload ([`raise`]) so it unwinds through arbitrarily deep
-//! collective internals without threading `Result` through every
-//! infallible public signature; the harness boundary
-//! (`run_spmd` / `run_worker`) catches it, classifies it, and surfaces a
-//! typed [`SpmdFailure`] naming every rank that went down and why.
+//! or a fault plan killed it on purpose. There is one failure
+//! discipline: a survivor learns of the death at one of the three calls
+//! that reach the transport (a post, a blocking receive, a non-blocking
+//! probe — closed-flag propagation, see [`crate::transport`]) and raises
+//! a [`CommError`] right there instead of parking forever. The error
+//! travels as a panic payload, so it unwinds through arbitrarily deep
+//! collective internals and every public signature above stays
+//! infallible; the harness boundary ([`crate::Runner`] /
+//! [`crate::run_worker`]) catches it, classifies it, and surfaces a typed
+//! [`SpmdFailure`] naming every rank that went down and why.
 
 use std::any::Any;
 use std::fmt;
@@ -25,28 +27,9 @@ use crate::runtime::Rank;
 pub enum CommError {
     /// The peer shut down (its last `Comm` dropped, or its harness caught
     /// its unwind) or its process exited; `ctx` says what this rank was
-    /// doing at the time.
+    /// doing at the time ("waiting for tag 0x… during bcast" — a
+    /// collective's reserved tag names the collective).
     PeerGone { rank: Rank, ctx: String },
-}
-
-impl CommError {
-    /// Append the enclosing operation to the context ("… during
-    /// ialltoallv"), keeping the original phrasing intact.
-    pub fn in_op(self, what: &str) -> CommError {
-        match self {
-            CommError::PeerGone { rank, ctx } => CommError::PeerGone {
-                rank,
-                ctx: format!("{ctx} during {what}"),
-            },
-        }
-    }
-
-    /// The world rank of the dead peer.
-    pub fn peer(&self) -> Rank {
-        match self {
-            CommError::PeerGone { rank, .. } => *rank,
-        }
-    }
 }
 
 impl fmt::Display for CommError {
@@ -66,9 +49,8 @@ impl std::error::Error for CommError {}
 
 /// Unwind the current rank with a typed error as the panic payload. The
 /// SPMD harness catches it and reports a [`FailureCause::PeerGone`]
-/// instead of a plain panic; outside a harness it behaves like any
-/// panic, with the error's `Display` as the message.
-pub fn raise(err: CommError) -> ! {
+/// instead of a plain panic.
+pub(crate) fn raise(err: CommError) -> ! {
     std::panic::panic_any(err)
 }
 
@@ -96,7 +78,7 @@ pub(crate) fn silence_typed_unwinds() {
 /// in thread mode: distinguishes "this rank was killed on purpose by
 /// the fault plan" from an organic panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultKill {
+pub(crate) struct FaultKill {
     /// World rank the plan killed.
     pub rank: Rank,
     /// The trigger that fired, in `FaultPlan` syntax.
@@ -164,11 +146,6 @@ impl SpmdFailure {
     /// The most plausible root cause.
     pub fn primary(&self) -> &RankFailure {
         &self.failures[0]
-    }
-
-    /// The failure recorded for `rank`, if that rank went down.
-    pub fn rank(&self, rank: Rank) -> Option<&RankFailure> {
-        self.failures.iter().find(|f| f.rank == rank)
     }
 }
 

@@ -7,14 +7,12 @@
 //!
 //! * point-to-point `send`/`recv` with tags (non-blocking buffered sends,
 //!   matching-by-`(source, tag)` receives),
-//! * non-blocking point-to-point `irecv` returning a request handle
-//!   with MPI-style `wait`/`test`, the substrate for
-//!   communication/computation overlap,
 //! * the collectives used by ELBA: `barrier`, `bcast`, `gather`,
 //!   `allgather`, `reduce`, `allreduce`, `reduce_scatter`, `alltoallv`,
-//!   `exscan`, plus non-blocking `ibcast` (the pipelined SUMMA's engine)
-//!   and the chunked non-blocking `ialltoallv` / `ialltoallv_stream`
-//!   (the streaming k-mer exchange's engine),
+//!   `exscan`, plus the non-blocking `ibcast` (the pipelined SUMMA's
+//!   engine) and the streaming, flow-controlled `ialltoallv` (the k-mer
+//!   exchange's engine), whose requests book blocked time to a separate
+//!   *wait* bucket so communication/computation overlap is measurable,
 //! * communicator `split` (colors/keys) for building the
 //!   √P×√P [`grid::ProcGrid`] with row and column sub-communicators,
 //! * per-phase wall-time and message-volume accounting ([`profile`]).
@@ -30,7 +28,9 @@
 //! the transport, so profiled traffic is byte-identical across backends.
 //!
 //! Both backends sit behind one backend-generic entry point, the
-//! [`Runner`] builder:
+//! [`Runner`] builder. A rank that dies mid-run surfaces as a typed
+//! [`SpmdFailure`]: each survivor raises [`CommError::PeerGone`] where it
+//! detects the death, and the runner catches it ([`error`]).
 //!
 //! ```
 //! use elba_comm::{Backend, Runner};
@@ -52,11 +52,10 @@ pub mod runtime;
 pub mod transport;
 
 pub use collectives::{IalltoallvRequest, IbcastRequest};
-pub use error::{CommError, FailureCause, FaultKill, RankFailure, SpmdFailure};
+pub use error::{CommError, FailureCause, RankFailure, SpmdFailure};
 pub use grid::ProcGrid;
 pub use msg::CommMsg;
 pub use profile::{PhaseProfile, Profile, RunProfile};
-pub use runtime::{Backend, Comm, MemCharge, Rank, RecvRequest, Runner, SharedMemCharge, Tag};
-pub use transport::fault::{Fault, FaultKind, FaultMode, FaultPlan, Trigger};
-pub use transport::socket::{run_worker, MeshConfig, WorkerError};
-pub use transport::Transport;
+pub use runtime::{Backend, Comm, MemCharge, Rank, Runner, SharedMemCharge, Tag};
+pub use transport::fault::FaultPlan;
+pub use transport::socket::{run_worker, WorkerError};

@@ -20,6 +20,7 @@ use std::time::Instant;
 use elba_mem::MemTracker;
 
 use crate::msg::CommMsg;
+use crate::runtime::op;
 use crate::transport::wire::{WireError, WireReader};
 
 /// Lock a shared profile, tolerating poison: a panicking rank must not
@@ -40,8 +41,8 @@ pub struct PhaseProfile {
     pub wall_secs: f64,
     /// Seconds spent blocked inside *blocking* communication calls.
     pub comm_secs: f64,
-    /// Seconds spent blocked inside `wait` on non-blocking requests
-    /// (`irecv`/`ibcast`). Kept separate from `comm_secs`: when
+    /// Seconds spent blocked inside non-blocking requests (`ibcast`,
+    /// `ialltoallv`). Kept separate from `comm_secs`: when
     /// communication is overlapped with computation this bucket shrinks
     /// toward zero while the same bytes still flow.
     pub wait_secs: f64,
@@ -84,22 +85,12 @@ impl PhaseProfile {
 }
 
 /// Map a collective-op name decoded off the wire back to the `&'static
-/// str` the recording side used, so decoded profiles merge with locally
-/// recorded ones. Unknown names (a newer worker binary, in principle)
-/// are leaked — profiles are few and gathered once per run.
+/// str` the recording side used (the [`op`] table), so decoded profiles
+/// merge with locally recorded ones. Unknown names (a newer worker
+/// binary, in principle) are leaked — profiles are few and gathered once
+/// per run.
 fn intern_op(name: String) -> &'static str {
-    match name.as_str() {
-        "barrier" => "barrier",
-        "bcast" => "bcast",
-        "gather" => "gather",
-        "reduce" => "reduce",
-        "alltoallv" => "alltoallv",
-        "reduce_scatter" => "reduce_scatter",
-        "exscan" => "exscan",
-        "ibcast" => "ibcast",
-        "ialltoallv" => "ialltoallv",
-        _ => name.leak(),
-    }
+    op::intern(&name).unwrap_or_else(|| name.leak())
 }
 
 /// Phase accounting for one rank. Phases appear in first-entered order.
@@ -113,7 +104,7 @@ pub struct Profile {
 }
 
 impl Profile {
-    pub fn new(rank: usize) -> Self {
+    pub(crate) fn new(rank: usize) -> Self {
         Profile {
             rank,
             phases: Vec::new(),
@@ -127,6 +118,9 @@ impl Profile {
     }
 
     /// This rank's memory tracker (per-phase resident-byte high-water).
+    /// The pipeline reads the cross-rank views ([`RunProfile::max_mem_hw`],
+    /// [`RunProfile::merged_mem`]); the per-rank one is public for the
+    /// single-charge tests of `crates/comm/tests/prop_shared_bcast.rs`.
     pub fn mem(&self) -> &MemTracker {
         &self.mem
     }
@@ -341,10 +335,6 @@ impl RunProfile {
         RunProfile { ranks }
     }
 
-    pub fn nranks(&self) -> usize {
-        self.ranks.len()
-    }
-
     pub fn rank_profiles(&self) -> &[Profile] {
         &self.ranks
     }
@@ -382,7 +372,7 @@ impl RunProfile {
     }
 
     /// Max-over-ranks non-blocking wait time within a phase — the time
-    /// ranks spent parked in `Request::wait`/`IbcastRequest::wait`. A
+    /// ranks spent parked in `ibcast` / `ialltoallv` requests. A
     /// pipelined stage that truly overlaps communication shows a small
     /// value here relative to the same stage run eagerly.
     pub fn max_wait_secs(&self, phase: &str) -> f64 {
@@ -395,7 +385,9 @@ impl RunProfile {
 
     /// Max-over-ranks threaded-kernel wall time within a phase — the
     /// time ranks spent inside intra-rank parallel kernels (see
-    /// [`PhaseProfile::par_secs`]). Zero for serial runs.
+    /// [`PhaseProfile::par_secs`]). Zero for serial runs. The `par-s`
+    /// column of [`RunProfile::render_table`]; public for the
+    /// threaded-kernel tests of `elba-graph`.
     pub fn max_par_secs(&self, phase: &str) -> f64 {
         self.ranks
             .iter()
@@ -424,15 +416,6 @@ impl RunProfile {
             merged.merge_max(rank.mem());
         }
         merged
-    }
-
-    /// Total point-to-point bytes across all ranks in a phase.
-    pub fn total_p2p_bytes(&self, phase: &str) -> u64 {
-        self.ranks
-            .iter()
-            .filter_map(|r| r.phase(phase))
-            .map(|p| p.p2p_bytes)
-            .sum()
     }
 
     /// Total bytes (p2p + collectives) across all ranks in a phase.
@@ -591,7 +574,7 @@ mod tests {
         b.exit(idx, 3.0);
         let run = RunProfile::new(vec![a, b]);
         assert_eq!(run.max_wall("x"), 3.0);
-        assert_eq!(run.total_p2p_bytes("x"), 40);
+        assert_eq!(run.total_bytes("x"), 40);
         assert_eq!(run.phase_names(), vec!["x".to_owned()]);
     }
 

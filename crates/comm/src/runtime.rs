@@ -10,13 +10,18 @@
 //! envelopes between *processes* as serialized frames — see
 //! [`crate::transport`].
 //!
-//! On top of the blocking primitives sits a non-blocking layer:
-//! [`Comm::irecv`] returns a [`RecvRequest`] with MPI-style `wait` /
-//! `test` (sends are eager and buffered, so [`Comm::send`] never blocks
-//! and needs no request), and the time a rank spends blocked inside
-//! `wait` is attributed to the profile's *wait* bucket — separate from
-//! blocking-receive time — so communication/computation overlap is
-//! visible in a [`RunProfile`].
+//! The non-blocking collectives (`ibcast`, `ialltoallv`) are built on a
+//! crate-internal receive request with MPI-style `wait` / `test` (sends
+//! are eager and buffered, so [`Comm::send`] never blocks and needs no
+//! request). The time a rank spends blocked inside a request is booked
+//! to the profile's *wait* bucket — separate from blocking-receive time
+//! — so communication/computation overlap is visible in a [`RunProfile`].
+//!
+//! A dead peer is detected in exactly three places, the three calls
+//! that reach the transport: a post, a blocking receive and a
+//! non-blocking probe. Each raises [`CommError::PeerGone`] on the spot
+//! (see [`crate::error`]); every operation above them is infallible,
+//! and [`Runner`] catches the unwind.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -34,7 +39,8 @@ use crate::transport::{Envelope, Payload, Transport};
 
 /// Index of a process within a communicator.
 pub type Rank = usize;
-/// Message tag. User tags must be below [`Comm::USER_TAG_LIMIT`].
+/// Message tag. User tags must be below 2³²; the tags above are
+/// reserved for collectives.
 pub type Tag = u64;
 
 /// Context id of the world communicator.
@@ -97,7 +103,7 @@ impl Drop for Endpoint {
 /// [`Comm::split`] share the rank's endpoint and its [`Profile`], so
 /// communication accounting aggregates across the whole grid. Which
 /// backend carries the messages is invisible here: everything below
-/// [`Comm::send`] goes through the rank's [`Transport`] object.
+/// [`Comm::send`] goes through the rank's transport endpoint.
 pub struct Comm {
     endpoint: Arc<Endpoint>,
     ctx: u64,
@@ -112,7 +118,7 @@ pub struct Comm {
 impl Comm {
     /// Largest tag value available to user code; higher tags are reserved
     /// for internal collective sequencing.
-    pub const USER_TAG_LIMIT: Tag = 1 << 32;
+    pub(crate) const USER_TAG_LIMIT: Tag = 1 << 32;
 
     /// The world communicator over a rank's transport endpoint.
     pub(crate) fn from_transport(
@@ -241,16 +247,9 @@ impl Comm {
     /// Non-blocking receive: returns immediately with a [`RecvRequest`]
     /// that can be `test`ed (poll) or `wait`ed (block). Time blocked in
     /// `wait` is booked to the profile's *wait* bucket, separate from
-    /// blocking-`recv` communication time.
-    pub fn irecv<T: CommMsg>(&self, src: Rank, tag: Tag) -> RecvRequest<'_, T> {
-        assert!(
-            tag < Self::USER_TAG_LIMIT,
-            "tag {tag} is reserved for internal use"
-        );
-        self.raw_irecv(src, tag)
-    }
-
-    pub(crate) fn raw_irecv<T: CommMsg>(&self, src: Rank, tag: Tag) -> RecvRequest<'_, T> {
+    /// blocking-`recv` communication time. The engine of `ibcast` and
+    /// `ialltoallv`, which receive on reserved tags.
+    pub(crate) fn irecv<T: CommMsg>(&self, src: Rank, tag: Tag) -> RecvRequest<'_, T> {
         RecvRequest {
             comm: self,
             src,
@@ -259,29 +258,29 @@ impl Comm {
         }
     }
 
-    /// Typed error for a dead peer, naming it by **world** rank.
-    fn peer_gone(&self, src: Rank, ctx: String) -> CommError {
-        CommError::PeerGone {
+    /// `src` is dead: unwind with [`CommError::PeerGone`], naming it by
+    /// **world** rank, saying what this rank was `doing` with `tag`, and
+    /// — for a reserved tag — which collective the message belonged to.
+    /// Called only where the transport reports the death.
+    fn peer_gone(&self, src: Rank, doing: &str, tag: Tag) -> ! {
+        let mut ctx = format!("{doing} tag {tag:#x}");
+        if let Some(name) = op::of_tag(tag) {
+            ctx = format!("{ctx} during {name}");
+        }
+        raise(CommError::PeerGone {
             rank: self.members[src],
             ctx,
-        }
+        })
     }
 
     pub(crate) fn raw_send<T: CommMsg>(&self, dst: Rank, tag: Tag, data: T) {
-        self.raw_send_checked(dst, tag, data)
-            .unwrap_or_else(|e| raise(e))
-    }
-
-    pub(crate) fn raw_send_checked<T: CommMsg>(
-        &self,
-        dst: Rank,
-        tag: Tag,
-        data: T,
-    ) -> Result<(), CommError> {
-        self.endpoint
+        let posted = self
+            .endpoint
             .transport
-            .post(self.members[dst], Envelope::new(self.ctx, tag, data))
-            .map_err(|_| self.peer_gone(dst, format!("accepting a send of tag {tag:#x}")))
+            .post(self.members[dst], Envelope::new(self.ctx, tag, data));
+        if posted.is_err() {
+            self.peer_gone(dst, "accepting a send of", tag);
+        }
     }
 
     pub(crate) fn raw_recv<T: CommMsg>(&self, src: Rank, tag: Tag) -> T {
@@ -291,25 +290,19 @@ impl Comm {
         decode_payload(envelope, self.rank, src, tag)
     }
 
-    fn wait_for(&self, src: Rank, tag: Tag) -> Envelope {
-        self.wait_for_checked(src, tag).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Blocking matched receive; `Err` once `src` is gone and drained
+    /// Blocking matched receive; raises once `src` is gone and drained
     /// instead of parking forever (every blocking path funnels here).
-    fn wait_for_checked(&self, src: Rank, tag: Tag) -> Result<Envelope, CommError> {
+    fn wait_for(&self, src: Rank, tag: Tag) -> Envelope {
         if let Some(envelope) = self.take_stashed(src, tag) {
-            return Ok(envelope);
+            return envelope;
         }
         let world = self.members[src];
         loop {
-            let envelope = self
-                .endpoint
-                .transport
-                .recv_from(world)
-                .map_err(|_| self.peer_gone(src, format!("waiting for tag {tag:#x}")))?;
+            let Ok(envelope) = self.endpoint.transport.recv_from(world) else {
+                self.peer_gone(src, "waiting for", tag);
+            };
             if self.matches(&envelope, tag) {
-                return Ok(envelope);
+                return envelope;
             }
             self.endpoint.stash()[world].push_back(envelope);
         }
@@ -317,22 +310,20 @@ impl Comm {
 
     /// Non-blocking matched probe: drain whatever has arrived from `src`
     /// into the stash and take the first message matching this
-    /// communicator and `tag`, if any. A dead-and-drained peer is a typed
-    /// error — this message can never arrive, and a `test()` poll loop
-    /// must not spin forever on it.
-    fn try_take_checked(&self, src: Rank, tag: Tag) -> Result<Option<Envelope>, CommError> {
+    /// communicator and `tag`, if any. A dead-and-drained peer raises —
+    /// this message can never arrive, and a `test()` poll loop must not
+    /// spin forever on it.
+    fn try_take(&self, src: Rank, tag: Tag) -> Option<Envelope> {
         if let Some(envelope) = self.take_stashed(src, tag) {
-            return Ok(Some(envelope));
+            return Some(envelope);
         }
         let world = self.members[src];
         loop {
             match self.endpoint.transport.try_recv_from(world) {
-                Ok(Some(envelope)) if self.matches(&envelope, tag) => return Ok(Some(envelope)),
+                Ok(Some(envelope)) if self.matches(&envelope, tag) => return Some(envelope),
                 Ok(Some(envelope)) => self.endpoint.stash()[world].push_back(envelope),
-                Ok(None) => return Ok(None),
-                Err(_) => {
-                    return Err(self.peer_gone(src, format!("polling for tag {tag:#x}")));
-                }
+                Ok(None) => return None,
+                Err(_) => self.peer_gone(src, "polling for", tag),
             }
         }
     }
@@ -377,19 +368,6 @@ impl Comm {
         (1 << 63) | ((op as u64) << 48) | (seq & ((1 << 48) - 1))
     }
 
-    pub(crate) fn coll_send<T: CommMsg>(&self, dst: Rank, tag: Tag, data: T) {
-        self.raw_send(dst, tag, data);
-    }
-
-    pub(crate) fn coll_send_checked<T: CommMsg>(
-        &self,
-        dst: Rank,
-        tag: Tag,
-        data: T,
-    ) -> Result<(), CommError> {
-        self.raw_send_checked(dst, tag, data)
-    }
-
     /// Receive inside a collective: blocking time is *not* booked here —
     /// the collective itself records its full elapsed time once, so
     /// booking per-message waits too would double-count communication.
@@ -398,26 +376,8 @@ impl Comm {
         decode_payload(envelope, self.rank, src, tag)
     }
 
-    /// Blocking receive whose blocked time is booked to the *wait* bucket
-    /// (used by request `wait` and the non-blocking collectives).
-    pub(crate) fn wait_recv<T: CommMsg>(&self, src: Rank, tag: Tag) -> T {
-        self.wait_recv_checked(src, tag)
-            .unwrap_or_else(|e| raise(e))
-    }
-
-    pub(crate) fn wait_recv_checked<T: CommMsg>(
-        &self,
-        src: Rank,
-        tag: Tag,
-    ) -> Result<T, CommError> {
-        let start = Instant::now();
-        let envelope = self.wait_for_checked(src, tag)?;
-        lock_profile(&self.profile).record_wait_time(start.elapsed().as_secs_f64());
-        Ok(decode_payload(envelope, self.rank, src, tag))
-    }
-
-    /// Book time a non-blocking operation spent parked (poll loops that
-    /// block without going through [`Comm::wait_recv`]).
+    /// Book time a non-blocking operation spent parked: a request's
+    /// blocking `wait`, or a poll loop parked on the inbox.
     pub(crate) fn record_wait(&self, secs: f64) {
         lock_profile(&self.profile).record_wait_time(secs);
     }
@@ -432,14 +392,18 @@ impl Comm {
         lock_profile(&self.profile).record_par_time(secs);
     }
 
-    pub(crate) fn record_collective(&self, op: &'static str, bytes: usize, secs: f64) {
+    /// Book one call of the collective with opcode `code` (see [`op`]):
+    /// the bytes this rank sent and its blocking time.
+    pub(crate) fn record_collective(&self, code: u8, bytes: usize, secs: f64) {
         let mut profile = lock_profile(&self.profile);
-        profile.record_coll(op, bytes);
+        profile.record_coll(op::name(code), bytes);
         profile.record_comm_time(secs);
     }
 
-    pub(crate) fn record_coll_bytes(&self, op: &'static str, bytes: usize) {
-        lock_profile(&self.profile).record_coll(op, bytes);
+    /// Book a collective's bytes without blocking time (non-blocking
+    /// collectives book their waits to the *wait* bucket instead).
+    pub(crate) fn record_coll_bytes(&self, code: u8, bytes: usize) {
+        lock_profile(&self.profile).record_coll(op::name(code), bytes);
     }
 
     // ------------------------------------------------------------------
@@ -457,6 +421,10 @@ impl Comm {
     /// bootstrap state, and traffic a fast member posts on the child
     /// before a slow one has returned from `split` just waits in the
     /// stash.
+    ///
+    /// The pipeline splits through [`crate::ProcGrid::new`] and
+    /// [`Comm::dup`]; `split` itself is public for the cross-communicator
+    /// tests of `crates/comm/tests/socket_transport.rs`.
     pub fn split(&self, color: usize, key: usize) -> Comm {
         let info = self.allgather((self.rank as u64, color as u64, key as u64));
         let mut group: Vec<(u64, u64)> = info
@@ -537,11 +505,6 @@ impl MemCharge {
             self.bytes = bytes;
         }
     }
-
-    /// Bytes currently held by this charge.
-    pub fn bytes(&self) -> usize {
-        self.bytes as usize
-    }
 }
 
 impl Drop for MemCharge {
@@ -586,7 +549,7 @@ impl Drop for SharedMemCharge {
 /// buffered by a successful `test`), the drop re-queues it for a later
 /// matching receive, mirroring MPI_Cancel-free usage.
 #[must_use = "requests should be completed with wait() (or polled with test())"]
-pub struct RecvRequest<'c, T: CommMsg> {
+pub(crate) struct RecvRequest<'c, T: CommMsg> {
     comm: &'c Comm,
     src: Rank,
     tag: Tag,
@@ -613,47 +576,39 @@ impl<T: CommMsg> Drop for RecvRequest<'_, T> {
 
 impl<T: CommMsg> RecvRequest<'_, T> {
     /// Poll for completion without blocking. Once this returns `true`,
-    /// [`RecvRequest::wait`] returns the value without blocking.
-    pub fn test(&mut self) -> bool {
-        self.try_test().unwrap_or_else(|e| raise(e))
-    }
-
-    /// Like [`RecvRequest::test`], but a dead-and-drained source is a
-    /// typed [`CommError`] instead of an unwind — the message can never
-    /// arrive, and fallible callers (the chunked `ialltoallv` internals)
-    /// need to release their own state cleanly before propagating.
-    pub fn try_test(&mut self) -> Result<bool, CommError> {
-        if self.ready.is_some() {
-            return Ok(true);
-        }
-        if let Some(envelope) = self.comm.try_take_checked(self.src, self.tag)? {
+    /// [`RecvRequest::wait`] returns the value without blocking. A
+    /// dead-and-drained source raises `PeerGone`.
+    pub(crate) fn test(&mut self) -> bool {
+        if self.ready.is_none() {
+            let Some(envelope) = self.comm.try_take(self.src, self.tag) else {
+                return false;
+            };
             self.ready = Some(decode_payload(envelope, self.comm.rank, self.src, self.tag));
-            return Ok(true);
         }
-        Ok(false)
+        true
     }
 
     /// Block until the message arrives and return it. Blocked time is
     /// recorded as wait time (not blocking-communication time), keeping
     /// overlap measurable.
-    pub fn wait(mut self) -> T {
+    pub(crate) fn wait(mut self) -> T {
         if let Some(value) = self.ready.take() {
             return value;
         }
-        self.comm.wait_recv(self.src, self.tag)
-    }
-
-    /// Like [`RecvRequest::wait`], but a dead source is a typed error.
-    pub fn wait_checked(mut self) -> Result<T, CommError> {
-        if let Some(value) = self.ready.take() {
-            return Ok(value);
-        }
-        self.comm.wait_recv_checked(self.src, self.tag)
+        let start = Instant::now();
+        let envelope = self.comm.wait_for(self.src, self.tag);
+        self.comm.record_wait(start.elapsed().as_secs_f64());
+        decode_payload(envelope, self.comm.rank, self.src, self.tag)
     }
 }
 
-/// Internal collective opcodes (namespace the reserved tag space).
+/// Internal collective opcodes, which namespace the reserved tag space
+/// ([`Comm::next_coll_tag`] packs one into bits 48–55), and their names:
+/// the one table that profiles book collectives under and that
+/// `PeerGone` messages name the stalled collective from.
 pub(crate) mod op {
+    use super::Tag;
+
     pub const BARRIER: u8 = 1;
     pub const BCAST: u8 = 2;
     pub const GATHER: u8 = 3;
@@ -664,13 +619,51 @@ pub(crate) mod op {
     pub const SPLIT: u8 = 9;
     pub const IBCAST: u8 = 10;
     pub const IALLTOALLV: u8 = 11;
+
+    const NAMES: [(u8, &str); 10] = [
+        (BARRIER, "barrier"),
+        (BCAST, "bcast"),
+        (GATHER, "gather"),
+        (REDUCE, "reduce"),
+        (ALLTOALLV, "alltoallv"),
+        (REDUCE_SCATTER, "reduce_scatter"),
+        (EXSCAN, "exscan"),
+        (SPLIT, "split"),
+        (IBCAST, "ibcast"),
+        (IALLTOALLV, "ialltoallv"),
+    ];
+
+    fn lookup(code: u8) -> Option<&'static str> {
+        NAMES
+            .iter()
+            .find(|&&(c, _)| c == code)
+            .map(|&(_, name)| name)
+    }
+
+    /// The name of opcode `code`.
+    pub fn name(code: u8) -> &'static str {
+        lookup(code).expect("a collective opcode")
+    }
+
+    /// The collective a tag was issued for; `None` for a user tag.
+    pub fn of_tag(tag: Tag) -> Option<&'static str> {
+        (tag >> 63 == 1)
+            .then(|| lookup((tag >> 48) as u8))
+            .flatten()
+    }
+
+    /// The table's own `&'static` copy of a collective `name`, if it has
+    /// one (profiles decoded off the wire re-intern their op names).
+    pub fn intern(name: &str) -> Option<&'static str> {
+        NAMES.iter().map(|&(_, n)| n).find(|&n| n == name)
+    }
 }
 
 /// Stack size for rank threads. Generous because local assembly and
 /// test oracles may recurse.
 const STACK_SIZE: usize = 16 * 1024 * 1024;
 
-/// The checked harness behind [`Runner`]: one thread per transport
+/// The harness behind [`Runner`]: one thread per transport
 /// endpoint, each wrapped in a fresh [`Comm`] with its own profile.
 /// Every rank's unwind is caught and classified
 /// ([`crate::FailureCause`]) instead of propagating, and a casualty's
@@ -681,7 +674,7 @@ const STACK_SIZE: usize = 16 * 1024 * 1024;
 /// With a `plan`, every rank's transport is wrapped in the fault layer
 /// (thread-mode kills). The plan is always the caller's
 /// ([`Runner::faults`]); nothing here reads the environment.
-pub(crate) fn run_spmd_checked<T, F>(
+pub(crate) fn run_spmd<T, F>(
     transports: Vec<Arc<dyn Transport>>,
     plan: Option<&FaultPlan>,
     f: F,
@@ -838,7 +831,7 @@ impl Runner {
     /// Enforce an explicit [`FaultPlan`] below the comm layer: seeded
     /// delivery jitter, severed links, and ranks killed mid-run by
     /// message count or named phase (thread-mode kills — the doomed rank
-    /// unwinds with a [`crate::FaultKill`] payload, classified as
+    /// unwinds with a typed payload, classified as
     /// [`crate::FailureCause::Killed`]).
     ///
     /// This is the only way a plan reaches thread ranks: the
@@ -882,7 +875,7 @@ impl Runner {
         T: Send + 'static,
         F: Fn(Comm) -> T + Send + Sync + 'static,
     {
-        run_spmd_checked(
+        run_spmd(
             self.backend.transports(self.nranks),
             self.faults.as_ref(),
             f,
@@ -893,6 +886,7 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn single_rank_runs() {
@@ -1016,7 +1010,7 @@ mod tests {
                     let _ = comm.recv::<Vec<u64>>(0, 0);
                 }
             });
-        let bytes = profile.total_p2p_bytes("exchange");
+        let bytes = profile.total_bytes("exchange");
         assert_eq!(bytes, 8 + 800);
     }
 
@@ -1243,5 +1237,94 @@ mod tests {
         // blocking-communication time.
         assert!(profile.max_wait_secs("overlap") > 0.005);
         assert!(profile.max_comm_secs("overlap") < 0.005);
+    }
+
+    // `irecv` interoperates with the eager `send` and the blocking `recv`
+    // in any combination: same mailboxes, same `(source, tag)` matching,
+    // no message lost or reordered within a tag.
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+        /// Ring exchange where each rank independently picks blocking or
+        /// non-blocking for its receive (from generated bits): both
+        /// pairings (send→recv, send→irecv) must deliver.
+        #[test]
+        fn ring_delivers_under_any_mix(p in 1usize..9, mode_bits in 0u64..256) {
+            let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
+                let next = (comm.rank() + 1) % comm.size();
+                let prev = (comm.rank() + comm.size() - 1) % comm.size();
+                let payload = comm.rank() as u64 * 1000 + 7;
+                comm.send(next, 3, payload);
+                if mode_bits >> comm.rank() & 1 == 1 {
+                    comm.irecv::<u64>(prev, 3).wait()
+                } else {
+                    comm.recv::<u64>(prev, 3)
+                }
+            });
+            for (rank, &got) in out.iter().enumerate() {
+                let prev = (rank + p - 1) % p;
+                prop_assert_eq!(got, prev as u64 * 1000 + 7);
+            }
+        }
+
+        /// Many tagged messages posted as irecvs in one order and sent in
+        /// another: tag matching must pair them up regardless of posting
+        /// order on either side.
+        #[test]
+        fn out_of_order_tags_with_mixed_posting(
+            n_msgs in 1usize..12,
+            perm_seed in 0u64..10_000,
+        ) {
+            let out = Runner::new(Backend::InProcess).ranks(2).run(move |comm| {
+                if comm.rank() == 0 {
+                    for tag in 0..n_msgs as u64 {
+                        comm.send(1, tag, tag * 11 + 5);
+                    }
+                    Vec::new()
+                } else {
+                    // Deterministic pseudo-shuffle of posting order.
+                    let mut order: Vec<u64> = (0..n_msgs as u64).collect();
+                    for i in (1..order.len()).rev() {
+                        let j = (perm_seed as usize)
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(i) % (i + 1);
+                        order.swap(i, j);
+                    }
+                    let requests: Vec<_> =
+                        order.iter().map(|&tag| (tag, comm.irecv::<u64>(0, tag))).collect();
+                    let mut got: Vec<(u64, u64)> =
+                        requests.into_iter().map(|(tag, req)| (tag, req.wait())).collect();
+                    got.sort_unstable();
+                    got
+                }
+            });
+            let want: Vec<(u64, u64)> = (0..n_msgs as u64).map(|t| (t, t * 11 + 5)).collect();
+            prop_assert_eq!(&out[1], &want);
+        }
+
+        /// An irecv posted *before* the barrier-separated send still
+        /// matches, and test() never falsely completes before the send
+        /// happened.
+        #[test]
+        fn early_posted_irecv_waits_for_late_send(p in 2usize..6, value in 0u64..1_000_000) {
+            let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
+                if comm.rank() == 1 {
+                    let mut req = comm.irecv::<u64>(0, 9);
+                    let premature = req.test();
+                    comm.barrier(); // rank 0 sends only after this barrier
+                    let got = req.wait();
+                    (premature, got)
+                } else {
+                    comm.barrier();
+                    if comm.rank() == 0 {
+                        comm.send(1, 9, value);
+                    }
+                    (false, 0)
+                }
+            });
+            let (premature, got) = out[1];
+            prop_assert!(!premature, "test() completed before any send was posted");
+            prop_assert_eq!(got, value);
+        }
     }
 }

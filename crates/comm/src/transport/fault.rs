@@ -22,8 +22,8 @@
 //! kill:0@posts:10;delay:5      clauses compose with ';'
 //! ```
 //!
-//! How a rank dies depends on where it lives ([`FaultMode`]): a thread
-//! rank unwinds with a [`FaultKill`] payload the harness classifies as
+//! How a rank dies depends on where it lives: a thread rank unwinds
+//! with a typed payload the harness classifies as
 //! [`crate::FailureCause::Killed`]; a process rank exits with
 //! [`FAULT_KILLED_EXIT`] (soft) or SIGKILLs itself (hard), and the
 //! launcher's exit taxonomy tells the two apart. Either way the dead
@@ -46,7 +46,7 @@ pub const FAULT_KILLED_EXIT: u8 = 14;
 
 /// Environment variable carrying a serialized [`FaultPlan`] from the
 /// launch supervisor into its socket worker processes
-/// ([`FaultPlan::from_env`]).
+/// (read back by [`crate::run_worker`]).
 pub const FAULT_PLAN_ENV: &str = "ELBA_FAULT_PLAN";
 
 /// When a fault fires, relative to this rank's own transport activity.
@@ -55,7 +55,7 @@ pub const FAULT_PLAN_ENV: &str = "ELBA_FAULT_PLAN";
 /// fire at the first transport operation while the named profiling
 /// phase is active on the rank's stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Trigger {
+pub(crate) enum Trigger {
     /// Fire at the first transport operation.
     Now,
     /// Fire once this rank has posted `n` envelopes.
@@ -93,7 +93,7 @@ impl Trigger {
 
 /// What happens when a fault fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// World rank dies cleanly: a thread rank unwinds with [`FaultKill`],
     /// a process rank exits with [`FAULT_KILLED_EXIT`].
     Kill(Rank),
@@ -109,9 +109,9 @@ pub enum FaultKind {
 
 /// One fault: what happens, and when.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fault {
-    pub kind: FaultKind,
-    pub trigger: Trigger,
+pub(crate) struct Fault {
+    kind: FaultKind,
+    trigger: Trigger,
 }
 
 impl fmt::Display for Fault {
@@ -132,12 +132,12 @@ impl fmt::Display for Fault {
 pub struct FaultPlan {
     /// Seed for the delivery-jitter RNG (each rank derives its own
     /// stream from it, so runs are reproducible across schedulers).
-    pub seed: u64,
+    seed: u64,
     /// Upper bound, in microseconds, of the seeded jitter slept before
     /// every post; `0` disables jitter.
-    pub delay_us: u64,
+    delay_us: u64,
     /// The faults themselves, in plan order.
-    pub faults: Vec<Fault>,
+    faults: Vec<Fault>,
 }
 
 fn parse_num(s: &str, what: &str) -> Result<u64, String> {
@@ -199,7 +199,7 @@ impl FaultPlan {
     }
 
     /// Read and parse [`FAULT_PLAN_ENV`]; `Ok(None)` when unset or empty.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
+    pub(crate) fn from_env() -> Result<Option<FaultPlan>, String> {
         match std::env::var(FAULT_PLAN_ENV) {
             Ok(spec) if spec.trim().is_empty() => Ok(None),
             Ok(spec) => FaultPlan::parse(&spec).map(Some),
@@ -209,23 +209,26 @@ impl FaultPlan {
 
     /// Whether this plan changes nothing — harnesses skip wrapping
     /// entirely, so the default path carries zero fault-layer overhead.
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         self.faults.is_empty() && self.delay_us == 0
     }
 
-    /// The world ranks this plan can kill outright (not sever targets).
-    pub fn doomed_ranks(&self) -> Vec<Rank> {
-        let mut out: Vec<Rank> = self
-            .faults
-            .iter()
-            .filter_map(|f| match f.kind {
-                FaultKind::Kill(r) | FaultKind::SigKill(r) => Some(r),
-                FaultKind::Sever(..) => None,
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// Check that every rank the plan names (`kill`/`sigkill` targets,
+    /// both ends of a `sever`) exists among `nranks`: a fault aimed
+    /// outside the world never fires, so the run would pass silently.
+    pub fn check_ranks(&self, nranks: usize) -> Result<(), String> {
+        for fault in &self.faults {
+            let r = match fault.kind {
+                FaultKind::Kill(r) | FaultKind::SigKill(r) => r,
+                FaultKind::Sever(a, b) => a.max(b),
+            };
+            if r >= nranks {
+                return Err(format!(
+                    "'{fault}' targets rank {r}, but the run has only {nranks} ranks"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -250,7 +253,7 @@ impl fmt::Display for FaultPlan {
 
 /// Where the ranks of this run live, hence how a kill is delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultMode {
+pub(crate) enum FaultMode {
     /// Ranks are threads of the harness process ([`crate::Runner`] on
     /// either backend): a kill unwinds with [`FaultKill`].
     Thread,
@@ -523,12 +526,35 @@ mod tests {
     }
 
     #[test]
-    fn noop_and_doomed() {
+    fn noop_plans() {
         assert!(FaultPlan::default().is_noop());
         assert!(FaultPlan::parse("seed:42").expect("valid").is_noop());
         assert!(!FaultPlan::parse("delay:1").expect("valid").is_noop());
-        let plan = FaultPlan::parse("kill:2;sigkill:0;sever:1-3;kill:2").expect("valid");
-        assert_eq!(plan.doomed_ranks(), vec![0, 2]);
+    }
+
+    #[test]
+    fn check_ranks_covers_kills_sigkills_and_both_sever_ends() {
+        let plan = FaultPlan::parse("kill:2;sigkill:0;sever:1-3;delay:5").expect("valid");
+        assert_eq!(plan.check_ranks(4), Ok(()));
+        for (spec, nranks, culprit) in [
+            ("kill:4", 4, "rank 4"),
+            ("sigkill:9@phase:Alignment", 4, "rank 9"),
+            ("sever:0-9", 4, "rank 9"),
+            ("sever:9-0@posts:2", 4, "rank 9"),
+            ("kill:1", 1, "rank 1"),
+        ] {
+            let err = FaultPlan::parse(spec)
+                .expect("valid")
+                .check_ranks(nranks)
+                .expect_err(spec);
+            assert!(err.contains(culprit) && err.contains(spec), "{spec}: {err}");
+        }
+        assert_eq!(
+            FaultPlan::parse("seed:3;delay:9")
+                .expect("valid")
+                .check_ranks(1),
+            Ok(())
+        );
     }
 
     #[test]

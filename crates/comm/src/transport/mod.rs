@@ -4,7 +4,7 @@
 //! per endpoint, every peer addressed by its world rank. Communicators
 //! are not its business — a [`crate::Comm`] is a *view* over its rank's
 //! one endpoint (a context id, a member list, a collective sequence), and
-//! an [`Envelope`] carries the context id next to its tag so the receive
+//! an envelope carries the context id next to its tag so the receive
 //! path above the transport matches `(world source, ctx, tag)`.
 //! `Comm::split` is therefore arithmetic, and no backend implements it.
 //!
@@ -78,9 +78,8 @@ impl Payload {
 }
 
 /// One unit of rank-to-rank traffic: a payload with its match header.
-/// Opaque outside the comm crate — transports move envelopes, they never
-/// look inside.
-pub struct Envelope {
+/// Transports move envelopes; they never look inside.
+pub(crate) struct Envelope {
     /// Context id of the communicator the message was sent on — an
     /// opaque match key to the transport.
     pub(crate) ctx: u64,
@@ -96,18 +95,13 @@ impl Envelope {
             payload: Payload::Value(Box::new(value)),
         }
     }
-
-    /// The message tag; receives match `(source, ctx, tag)`.
-    pub fn tag(&self) -> Tag {
-        self.tag
-    }
 }
 
 /// The destination (or source) rank can no longer exchange messages:
 /// its last `Comm` dropped, or its process exited. The closed-flag signal
 /// every backend must propagate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeerGone;
+pub(crate) struct PeerGone;
 
 /// A rank's one connection to the world message plane.
 ///
@@ -143,7 +137,7 @@ pub struct PeerGone;
 ///   bytes. All byte accounting happens above, from
 ///   [`CommMsg::nbytes`], which is what keeps profiled traffic
 ///   byte-identical across backends (invariant 2).
-pub trait Transport: Send + Sync {
+pub(crate) trait Transport: Send + Sync {
     /// This endpoint's world rank.
     fn rank(&self) -> Rank;
 

@@ -249,7 +249,7 @@ fn pair_mesh(nranks: usize) -> std::io::Result<Vec<SocketTransport>> {
 /// the whole launch), and the retry cadence while it waits. Replaces
 /// the old hard-wired 60 s constant.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MeshConfig {
+pub(crate) struct MeshConfig {
     /// Give-up deadline for the whole bring-up.
     pub timeout: Duration,
     /// First retry sleep; doubles per failed attempt up to `retry_max`
@@ -276,7 +276,7 @@ impl MeshConfig {
     /// `ELBA_MESH_TIMEOUT_MS` when present — `elba launch` sets it from
     /// `--launch-timeout` so bring-up gives up before the supervisor's
     /// own deadline fires.
-    pub fn from_env() -> MeshConfig {
+    pub(crate) fn from_env() -> MeshConfig {
         let mut cfg = MeshConfig::default();
         if let Some(ms) = std::env::var("ELBA_MESH_TIMEOUT_MS")
             .ok()

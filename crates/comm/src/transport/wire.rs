@@ -9,6 +9,9 @@
 //! plain-old-data batches are copied as raw bytes. This is a transport
 //! framing format, not an archival one: the only compatibility contract
 //! is "the same binary on the same host".
+//!
+//! The frame-header items are public only for the wire-rejection tests
+//! of `tests/failure_paths.rs`, which forge headers.
 
 use std::fmt;
 
@@ -47,7 +50,7 @@ impl std::error::Error for WireError {}
 /// produced by this binary on this machine, so anything beyond this is
 /// corruption — rejecting it here keeps a garbage length from turning
 /// into a huge allocation.
-pub const MAX_VEC_ELEMS: u64 = 1 << 34;
+pub(crate) const MAX_VEC_ELEMS: u64 = 1 << 34;
 
 /// Cursor over an encoded payload; every `read_*` checks bounds and
 /// returns [`WireError::Truncated`] instead of panicking.
@@ -63,11 +66,11 @@ impl<'a> WireReader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    /// Take the next `n` bytes verbatim.
+    /// Take the next `n` bytes verbatim (`impl_comm_msg_pod!` decodes so).
     pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated {
@@ -80,11 +83,11 @@ impl<'a> WireReader<'a> {
         Ok(out)
     }
 
-    pub fn read_u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn read_u8(&mut self) -> Result<u8, WireError> {
         Ok(self.read_bytes(1)?[0])
     }
 
-    pub fn read_u32(&mut self) -> Result<u32, WireError> {
+    pub(crate) fn read_u32(&mut self) -> Result<u32, WireError> {
         let b = self.read_bytes(4)?;
         Ok(u32::from_ne_bytes(b.try_into().expect("4-byte read")))
     }
@@ -94,7 +97,7 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_ne_bytes(b.try_into().expect("8-byte read")))
     }
 
-    /// A `u64` length header, sanity-capped by [`MAX_VEC_ELEMS`].
+    /// A `u64` length header, sanity-capped at 2³⁴ elements.
     pub fn read_len(&mut self) -> Result<usize, WireError> {
         let n = self.read_u64()?;
         if n > MAX_VEC_ELEMS {
@@ -118,7 +121,7 @@ impl<'a> WireReader<'a> {
 
 /// Frame magic: `"ELBA"`. The first thing checked on every frame — a
 /// desynchronized or corrupted stream fails here instead of allocating.
-pub const FRAME_MAGIC: [u8; 4] = *b"ELBA";
+pub(crate) const FRAME_MAGIC: [u8; 4] = *b"ELBA";
 
 /// Encoded size of a [`FrameHeader`].
 pub const FRAME_HEADER_BYTES: usize = 4 + 1 + 8 + 4 + 8 + 8;

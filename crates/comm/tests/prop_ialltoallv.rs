@@ -1,17 +1,43 @@
-//! Property tests pinning the non-blocking chunked `ialltoallv` to the
-//! blocking `alltoallv` reference: same per-source payloads under
-//! randomized buffer sizes (including empty and single-rank exchanges),
-//! arbitrary chunk sizes, incremental multi-round posting, and while
-//! unrelated `send`/`irecv` traffic is in flight on user tags.
+//! Property tests pinning the streaming `ialltoallv` to the blocking
+//! `alltoallv` reference: posting every buffer, sealing and draining
+//! yields the same per-source payloads under randomized buffer sizes
+//! (including empty and single-rank exchanges), arbitrary chunk sizes and
+//! credit windows, incremental multi-round posting, and while unrelated
+//! `send`/`recv` traffic is in flight on user tags.
 
-use elba_comm::{Backend, Runner};
+use elba_comm::{Backend, Comm, IalltoallvRequest, Runner};
 use proptest::prelude::*;
+
+const DEFAULT_WINDOW: usize = IalltoallvRequest::<u64>::DEFAULT_WINDOW;
 
 /// Deterministic payload rank `src` sends to rank `dst`.
 fn payload(src: usize, dst: usize, len: usize) -> Vec<u64> {
     (0..len as u64)
         .map(|i| (src as u64) << 32 | (dst as u64) << 16 | i)
         .collect()
+}
+
+/// Drain a sealed exchange into per-source buffers.
+fn drain(req: IalltoallvRequest<'_, u64>, p: usize) -> Vec<Vec<u64>> {
+    let mut got: Vec<Vec<u64>> = vec![Vec::new(); p];
+    for (src, mut chunk) in req {
+        got[src].append(&mut chunk);
+    }
+    got
+}
+
+/// Open an exchange and post every `bufs[dst]` to `dst`.
+fn post_all(
+    comm: &Comm,
+    bufs: Vec<Vec<u64>>,
+    chunk: usize,
+    window: usize,
+) -> IalltoallvRequest<'_, u64> {
+    let mut req = comm.ialltoallv(chunk, window);
+    for (dst, buf) in bufs.into_iter().enumerate() {
+        req.post(dst, buf);
+    }
+    req
 }
 
 proptest! {
@@ -21,9 +47,11 @@ proptest! {
     fn ialltoallv_equals_blocking_alltoallv(
         p_idx in 0usize..4,
         chunk in 1usize..9,
+        window_idx in 0usize..3,
         sizes in proptest::collection::vec(0usize..17, 25),
     ) {
         let p = [1usize, 2, 3, 5][p_idx];
+        let window = [1usize, 3, DEFAULT_WINDOW][window_idx];
         let sizes_in = sizes.clone();
         let ok = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
             let make = || -> Vec<Vec<u64>> {
@@ -31,11 +59,13 @@ proptest! {
                     .map(|dst| payload(comm.rank(), dst, sizes_in[(comm.rank() * p + dst) % sizes_in.len()]))
                     .collect()
             };
-            let got = comm.ialltoallv(make(), chunk).wait();
+            let mut req = post_all(&comm, make(), chunk, window);
+            req.finish_sends();
+            let got = drain(req, p);
             let want = comm.alltoallv(make());
             got == want
         });
-        prop_assert!(ok.iter().all(|&b| b), "p={} chunk={}", p, chunk);
+        prop_assert!(ok.iter().all(|&b| b), "p={} chunk={} window={}", p, chunk, window);
     }
 
     #[test]
@@ -55,7 +85,7 @@ proptest! {
                 let len = rs[(round * p + dst + comm.rank()) % rs.len()];
                 payload(comm.rank() * 10 + round, dst, len)
             };
-            let mut req = comm.ialltoallv_stream::<u64>(chunk);
+            let mut req = comm.ialltoallv::<u64>(chunk, DEFAULT_WINDOW);
             let mut got: Vec<Vec<u64>> = vec![Vec::new(); p];
             for round in 0..rounds {
                 for dst in 0..p {
@@ -87,8 +117,8 @@ proptest! {
         sizes in proptest::collection::vec(0usize..9, 16),
         noise in proptest::collection::vec(0u64..1000, 4),
     ) {
-        // Unrelated non-blocking point-to-point traffic on user tags,
-        // posted before and completed after the collective, must neither
+        // Unrelated point-to-point traffic on user tags, sent before and
+        // during the exchange and received only after it, must neither
         // corrupt nor be corrupted by the chunk stream.
         let p = [2usize, 3, 4][p_idx];
         let sizes_in = sizes.clone();
@@ -98,23 +128,19 @@ proptest! {
             let left = (comm.rank() + p - 1) % p;
             let tag_a = 101;
             let tag_b = 202;
-            let recv_a = comm.irecv::<Vec<u64>>(left, tag_a);
             comm.send(right, tag_a, noise_in.clone());
             let make = || -> Vec<Vec<u64>> {
                 (0..p)
                     .map(|dst| payload(comm.rank(), dst, sizes_in[(comm.rank() * p + dst) % sizes_in.len()]))
                     .collect()
             };
-            let mut req = comm.ialltoallv(make(), chunk);
-            // Interleave more p2p while chunks are in flight.
-            let recv_b = comm.irecv::<u64>(left, tag_b);
+            let mut req = post_all(&comm, make(), chunk, DEFAULT_WINDOW);
+            // More p2p while chunks are in flight.
             comm.send(right, tag_b, comm.rank() as u64);
-            let mut got: Vec<Vec<u64>> = vec![Vec::new(); p];
-            for (src, mut c) in req.by_ref() {
-                got[src].append(&mut c);
-            }
-            let from_left_a = recv_a.wait();
-            let from_left_b = recv_b.wait();
+            req.finish_sends();
+            let got = drain(req, p);
+            let from_left_a = comm.recv::<Vec<u64>>(left, tag_a);
+            let from_left_b = comm.recv::<u64>(left, tag_b);
             let want = comm.alltoallv(make());
             got == want && from_left_a == noise_in && from_left_b == left as u64
         });

@@ -155,8 +155,13 @@ fn ialltoallv_streams_over_sockets() {
                         .collect()
                 })
                 .collect();
+            let mut req = comm.ialltoallv(2, 2);
+            for (dst, buf) in bufs.into_iter().enumerate() {
+                req.post(dst, buf);
+            }
+            req.finish_sends();
             let mut total = 0u64;
-            for (src, buf) in comm.ialltoallv(bufs, 256) {
+            for (src, buf) in req {
                 total += buf.iter().sum::<u64>() + src as u64;
             }
             total
@@ -170,8 +175,13 @@ fn ialltoallv_streams_over_sockets() {
                         .collect()
                 })
                 .collect();
+            let mut req = comm.ialltoallv(2, 2);
+            for (dst, buf) in bufs.into_iter().enumerate() {
+                req.post(dst, buf);
+            }
+            req.finish_sends();
             let mut total = 0u64;
-            for (src, buf) in comm.ialltoallv(bufs, 256) {
+            for (src, buf) in req {
                 total += buf.iter().sum::<u64>() + src as u64;
             }
             total

@@ -145,7 +145,8 @@ pub type JobId = u64;
 pub enum SubmitError {
     /// The job's claim can never fit: it exceeds the host cap outright.
     BudgetExceedsHostCap { requested: u64, cap: u64 },
-    /// `JobSpec::fault` failed [`FaultPlan::parse`].
+    /// `JobSpec::fault` failed [`FaultPlan::parse`], or names a rank
+    /// outside the job's group ([`FaultPlan::check_ranks`]).
     InvalidFaultPlan(String),
     /// A sim input's dataset cannot be built: an unknown name, or a
     /// scale outside what [`DatasetSpec::by_name`] accepts.
@@ -251,6 +252,8 @@ struct SchedulerState {
 /// workers; all methods take `&self`.
 struct Scheduler {
     host_cap: Option<u64>,
+    /// Ranks per group: the world a job's fault plan must stay inside.
+    group_ranks: usize,
     state: Mutex<SchedulerState>,
     /// Signaled on submit, admission, completion, and close.
     cv: Condvar,
@@ -258,10 +261,12 @@ struct Scheduler {
 
 impl Scheduler {
     /// A scheduler admitting against `host_cap` total bytes
-    /// ([`MemBudget::unlimited`] = no admission control).
-    fn new(host_cap: MemBudget) -> Scheduler {
+    /// ([`MemBudget::unlimited`] = no admission control) for groups of
+    /// `group_ranks` ranks.
+    fn new(host_cap: MemBudget, group_ranks: usize) -> Scheduler {
         Scheduler {
             host_cap: host_cap.total(),
+            group_ranks,
             state: Mutex::new(SchedulerState::default()),
             cv: Condvar::new(),
         }
@@ -272,7 +277,11 @@ impl Scheduler {
     fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
         let plan = match &spec.fault {
             None => None,
-            Some(raw) => Some(FaultPlan::parse(raw).map_err(SubmitError::InvalidFaultPlan)?),
+            Some(raw) => Some(
+                FaultPlan::parse(raw)
+                    .and_then(|plan| plan.check_ranks(self.group_ranks).map(|()| plan))
+                    .map_err(SubmitError::InvalidFaultPlan)?,
+            ),
         };
         spec.dataset_spec().map_err(SubmitError::InvalidDataset)?;
         let charge = match self.host_cap {
@@ -601,7 +610,7 @@ pub struct Server {
 impl Server {
     /// Start the pool; the server accepts jobs until [`Server::drain`].
     pub fn start(cfg: ServeConfig) -> Server {
-        let scheduler = Arc::new(Scheduler::new(cfg.host_cap));
+        let scheduler = Arc::new(Scheduler::new(cfg.host_cap, cfg.group_ranks));
         let pool = GroupPool::start(&cfg, Arc::clone(&scheduler));
         Server { scheduler, pool }
     }
@@ -647,12 +656,17 @@ mod tests {
 
     #[test]
     fn submit_validates_before_queueing() {
-        let sched = Scheduler::new(MemBudget::unlimited());
-        let bad_plan = JobSpec::sim("bad", "celegans", 0.1, 1).with_fault("explode:9");
-        assert!(matches!(
-            sched.submit(bad_plan),
-            Err(SubmitError::InvalidFaultPlan(_))
-        ));
+        let sched = Scheduler::new(MemBudget::unlimited(), 4);
+        for plan in ["explode:9", "kill:4@phase:Alignment", "sever:0-4"] {
+            let bad_plan = JobSpec::sim("bad", "celegans", 0.1, 1).with_fault(plan);
+            assert!(
+                matches!(
+                    sched.submit(bad_plan),
+                    Err(SubmitError::InvalidFaultPlan(_))
+                ),
+                "{plan}"
+            );
+        }
         let bad_dataset = JobSpec::sim("bad", "klebsiella", 0.1, 1);
         assert!(matches!(
             sched.submit(bad_dataset),
@@ -662,7 +676,7 @@ mod tests {
 
     #[test]
     fn unbudgeted_jobs_charge_the_whole_cap() {
-        let sched = Scheduler::new(MemBudget::bytes(100));
+        let sched = Scheduler::new(MemBudget::bytes(100), 1);
         let id = sched
             .submit(JobSpec::sim("greedy", "celegans", 0.02, 1))
             .unwrap();

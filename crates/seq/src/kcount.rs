@@ -12,7 +12,7 @@
 //! records to owners) stream: reads are scanned in batches of
 //! [`KmerConfig::batch_kmers`] occurrences, each batch's buckets are
 //! posted as chunks of a non-blocking
-//! [`ialltoallv`](elba_comm::Comm::ialltoallv_stream) and inbound chunks
+//! [`ialltoallv`](elba_comm::Comm::ialltoallv) and inbound chunks
 //! are folded into the local accumulators as they arrive — ELBA's custom
 //! all-to-all, which never holds the full outgoing or incoming exchange:
 //! sender-side credits bound what any peer can park in a slow rank's
@@ -227,7 +227,7 @@ fn streaming_exchange<T: elba_comm::CommMsg + Clone + Sync>(
     // would be resident `window ×` over the documented bound.
     let window = IalltoallvRequest::<T>::DEFAULT_WINDOW;
     let chunk_elems = batch.div_ceil(window).max(1);
-    let mut stream = world.ialltoallv_stream_with_window::<T>(chunk_elems, window);
+    let mut stream = world.ialltoallv::<T>(chunk_elems, window);
     let mut buckets: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
     let mut buffered = 0usize;
     let mut stats = ExchangeStats::default();

@@ -319,7 +319,7 @@ mod tests {
         m.wire_encode(&mut frame);
         let mut r = WireReader::new(&frame);
         assert_eq!(Dcsc::<u8>::wire_decode(&mut r).expect("decodes"), m);
-        assert_eq!(r.remaining(), 0);
+        r.finish().expect("decode consumes the whole frame");
         // A frame whose column pointers disagree with its entries is
         // rejected, not expanded.
         let mut bad = m.clone();

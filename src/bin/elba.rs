@@ -417,16 +417,11 @@ fn cmd_launch(rest: &[String]) -> Result<(), CliError> {
     // usage error — not N workers dying with the same parse message.
     let fault = match flags.get("fault") {
         None => None,
-        Some(raw) => {
-            let plan =
-                FaultPlan::parse(raw).map_err(|e| CliError::usage(format!("--fault: {e}")))?;
-            if let Some(&r) = plan.doomed_ranks().iter().find(|&&r| r >= ranks) {
-                return Err(CliError::usage(format!(
-                    "--fault targets rank {r}, but the launch has only {ranks} ranks"
-                )));
-            }
-            Some(plan)
-        }
+        Some(raw) => Some(
+            FaultPlan::parse(raw)
+                .and_then(|plan| plan.check_ranks(ranks).map(|()| plan))
+                .map_err(|e| CliError::usage(format!("--fault: {e}")))?,
+        ),
     };
     let Some((sub, sub_rest)) = tail.split_first() else {
         return Err(CliError::usage(format!(

@@ -5,10 +5,9 @@
 //! Library level — for every rank r of a 4-rank run, on both the
 //! in-process and the socket transport, killing r mid-pipeline turns the
 //! run into an `Err(SpmdFailure)` whose entry for r is `Killed` and
-//! whose every other entry is a clean `PeerGone` cascade. Survivors that
-//! use the checked streaming APIs (`post_checked` / `next_checked` /
-//! `wait_for_credit_checked`) observe the death as a returned
-//! `CommError` and get to unwind on their own terms.
+//! whose every other entry is a clean `PeerGone` cascade. A survivor
+//! raises `PeerGone` where it detects the death, naming the peer it lost
+//! and, inside a collective, the collective (`… during ialltoallv`).
 //!
 //! Process level — `elba launch` supervises worker processes: a
 //! SIGKILLed rank is named in the supervisor's error, survivors are
@@ -18,16 +17,32 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::{Arc, Mutex};
 
-use elba::comm::error::raise;
 use elba::comm::{CommError, FailureCause, FaultPlan, SpmdFailure};
 use elba::exit;
 use elba::prelude::*;
 
 // ---- library-level chaos: thread-mode kills on both transports ----
 
-type PipelineRun = Result<(Vec<(Vec<Contig>, PipelineResult)>, RunProfile), SpmdFailure>;
+type Run<T> = Result<(Vec<T>, RunProfile), SpmdFailure>;
+
+/// Run `body` on `nranks` ranks of the socket or the in-process backend
+/// under `plan`.
+fn run_with_plan<T, F>(socket: bool, nranks: usize, plan: &FaultPlan, body: F) -> Run<T>
+where
+    T: Send + 'static,
+    F: Fn(Comm) -> T + Send + Sync + 'static,
+{
+    let backend = if socket {
+        Backend::Socket
+    } else {
+        Backend::InProcess
+    };
+    Runner::new(backend)
+        .ranks(nranks)
+        .faults(plan)
+        .try_run_profiled(body)
+}
 
 fn run_pipeline_with_plan(
     socket: bool,
@@ -35,21 +50,18 @@ fn run_pipeline_with_plan(
     plan: &FaultPlan,
     reads: Vec<Seq>,
     cfg: PipelineConfig,
-) -> PipelineRun {
-    let body = move |comm: Comm| {
+) -> Run<(Vec<Contig>, PipelineResult)> {
+    run_with_plan(socket, nranks, plan, move |comm| {
         let grid = ProcGrid::new(comm);
-        assemble_gathered(&grid, &reads.clone(), &cfg.clone())
-    };
-    if socket {
-        Runner::new(Backend::Socket)
-            .ranks(nranks)
-            .faults(plan)
-            .try_run_profiled(body)
-    } else {
-        Runner::new(Backend::InProcess)
-            .ranks(nranks)
-            .faults(plan)
-            .try_run_profiled(body)
+        assemble_gathered(&grid, &reads, &cfg)
+    })
+}
+
+/// The peer a `PeerGone` failure names and what the rank was doing.
+fn peer_gone(cause: &FailureCause) -> Option<(usize, &str)> {
+    match cause {
+        FailureCause::PeerGone(CommError::PeerGone { rank, ctx }) => Some((*rank, ctx)),
+        _ => None,
     }
 }
 
@@ -61,203 +73,180 @@ fn small_dataset() -> (Vec<Seq>, PipelineConfig) {
     (reads, cfg)
 }
 
-/// The acceptance pin: kill every rank in turn, mid-Alignment, on both
-/// backends. The run must end (no hang), the killed rank must be
-/// classified `Killed`, and every other failed rank must be a `PeerGone`
-/// cascade — an organic `Panic` anywhere means a survivor crashed
-/// instead of unwinding cleanly.
+/// The acceptance pin: kill every rank in turn, mid-CountKmer (inside
+/// the streaming `ialltoallv`, the pipeline's one all-to-all stream) and
+/// mid-Alignment, on both backends. The run must end (no hang), the
+/// killed rank must be classified `Killed`, and every other failed rank
+/// must be a `PeerGone` cascade — an organic `Panic` anywhere means a
+/// survivor crashed instead of unwinding cleanly.
 #[test]
 fn killing_each_rank_mid_alignment_is_typed_on_both_backends() {
     let (reads, cfg) = small_dataset();
-    for socket in [false, true] {
-        for victim in 0..4usize {
-            let plan =
-                FaultPlan::parse(&format!("kill:{victim}@phase:Alignment")).expect("valid plan");
-            let failure = run_pipeline_with_plan(socket, 4, &plan, reads.clone(), cfg.clone())
-                .expect_err("a killed rank must fail the run");
-            let label = format!("socket={socket} victim={victim}");
-            let kill = failure
-                .rank(victim)
-                .unwrap_or_else(|| panic!("{label}: killed rank missing from failure"));
-            match &kill.cause {
-                FailureCause::Killed(desc) => {
-                    assert!(
-                        desc.contains(&format!("kill:{victim}")),
-                        "{label}: kill cause names the fault, got '{desc}'"
-                    );
-                }
-                other => panic!("{label}: expected Killed, got {other:?}"),
+    for phase in ["CountKmer", "Alignment"] {
+        for socket in [false, true] {
+            for victim in 0..4usize {
+                kill_mid_phase_is_typed(phase, socket, victim, &reads, &cfg);
             }
-            assert_eq!(
-                failure.primary().rank,
-                victim,
-                "{label}: root cause must sort first"
-            );
-            for f in &failure.failures {
-                if f.rank == victim {
-                    continue;
-                }
-                assert!(
-                    matches!(f.cause, FailureCause::PeerGone(_)),
-                    "{label}: survivor rank {} must unwind with PeerGone, got {:?}",
-                    f.rank,
-                    f.cause
-                );
-            }
-            // The message a caller would print names the victim first.
-            assert!(
-                failure
-                    .to_string()
-                    .starts_with(&format!("rank {victim} killed")),
-                "{label}: display starts with the root cause"
-            );
         }
     }
 }
 
-// ---- checked streaming APIs: survivors recover without unwinding ----
+fn kill_mid_phase_is_typed(
+    phase: &str,
+    socket: bool,
+    victim: usize,
+    reads: &[Seq],
+    cfg: &PipelineConfig,
+) {
+    let plan = FaultPlan::parse(&format!("kill:{victim}@phase:{phase}")).expect("valid plan");
+    let failure = run_pipeline_with_plan(socket, 4, &plan, reads.to_vec(), cfg.clone())
+        .expect_err("a killed rank must fail the run");
+    let label = format!("phase={phase} socket={socket} victim={victim}");
+    let kill = failure
+        .failures
+        .iter()
+        .find(|f| f.rank == victim)
+        .unwrap_or_else(|| panic!("{label}: killed rank missing from failure"));
+    match &kill.cause {
+        FailureCause::Killed(desc) => {
+            assert!(
+                desc.contains(&format!("kill:{victim}")),
+                "{label}: kill cause names the fault, got '{desc}'"
+            );
+        }
+        other => panic!("{label}: expected Killed, got {other:?}"),
+    }
+    assert_eq!(
+        failure.primary().rank,
+        victim,
+        "{label}: root cause must sort first"
+    );
+    for f in failure.failures.iter().filter(|f| f.rank != victim) {
+        let Some((_, ctx)) = peer_gone(&f.cause) else {
+            panic!(
+                "{label}: survivor rank {} must unwind with PeerGone, got {:?}",
+                f.rank, f.cause
+            );
+        };
+        // CountKmer's only traffic is the k-mer stream, so every
+        // survivor stalls inside it and says so.
+        assert!(
+            phase != "CountKmer" || ctx.ends_with(" during ialltoallv"),
+            "{label}: rank {} names the stalled collective, got '{ctx}'",
+            f.rank
+        );
+    }
+    // The message a caller would print names the victim first.
+    assert!(
+        failure
+            .to_string()
+            .starts_with(&format!("rank {victim} killed")),
+        "{label}: display starts with the root cause"
+    );
+}
+
+// ---- the streaming all-to-all: survivors raise where they detect ----
 
 const CHUNK: usize = 32;
 const ROUNDS: usize = 4;
 
-/// An all-to-all chunk exchange written entirely against the checked
-/// (`Result`-returning) stream surface: post, opportunistic drain,
-/// credit wait, seal, blocking drain. Returns the number of chunks
-/// received, or the first `CommError` observed.
-fn checked_exchange(comm: &Comm, window: usize) -> Result<u64, CommError> {
+/// An all-to-all chunk exchange over the whole stream surface: post,
+/// opportunistic drain, credit wait, seal, blocking drain. Returns the
+/// number of chunks received.
+fn stream_exchange(comm: &Comm, window: usize) -> usize {
     let me = comm.rank();
     let n = comm.size();
-    let mut stream = comm.ialltoallv_stream_with_window::<u64>(CHUNK, window);
-    let mut chunks = 0u64;
+    let mut stream = comm.ialltoallv::<u64>(CHUNK, window);
+    let mut chunks = 0;
     for round in 0..ROUNDS {
-        for dst in 0..n {
-            if dst == me {
-                continue;
-            }
+        for dst in (0..n).filter(|&dst| dst != me) {
             let payload: Vec<u64> = (0..CHUNK as u64)
                 .map(|i| ((round as u64) << 32) | ((me as u64) << 16) | i)
                 .collect();
-            stream.post_checked(dst, payload)?;
-            while stream.try_next_checked()?.is_some() {
+            stream.post(dst, payload);
+            while stream.try_next().is_some() {
                 chunks += 1;
             }
-            stream.wait_for_credit_checked()?;
+            stream.wait_for_credit();
         }
     }
-    stream.finish_sends_checked()?;
-    while stream.next_checked()?.is_some() {
-        chunks += 1;
-    }
-    Ok(chunks)
+    stream.finish_sends();
+    chunks + stream.count()
 }
 
-/// S3: kill one rank at assorted points (post-count and recv-count
-/// triggers, small and default-ish windows) on both backends. Survivors
-/// never unwind — each records the typed error it observed through the
-/// checked API and returns normally, so the `SpmdFailure` contains
-/// exactly the killed rank.
+/// Kill one rank at assorted points (post-count and recv-count triggers,
+/// small, default-ish and unbounded windows) on both backends. No
+/// survivor can finish the exchange without the victim's terminator, so
+/// every one of them unwinds with `PeerGone`: each names a peer other
+/// than itself (the victim, or a survivor that unwound before it), the
+/// first observers name the victim, and every message names the
+/// collective it stalled in.
 #[test]
 fn checked_stream_survivors_observe_typed_peer_gone() {
-    let cases: &[(&str, usize)] = &[
-        ("kill:2@posts:5", 2),
-        ("kill:1@recvs:3", 8),
-        ("kill:3@posts:9", usize::MAX),
+    let cases: &[(&str, usize, usize)] = &[
+        ("kill:2@posts:5", 2, 2),
+        ("kill:1@recvs:3", 1, 8),
+        ("kill:3@posts:9", 3, usize::MAX),
     ];
     for socket in [false, true] {
-        for &(plan_text, window) in cases {
+        for &(plan_text, victim, window) in cases {
             let plan = FaultPlan::parse(plan_text).expect("valid plan");
-            let victim = plan.doomed_ranks()[0];
             let label = format!("socket={socket} plan={plan_text} window={window}");
-            let seen: Arc<Mutex<Vec<(usize, CommError)>>> = Arc::new(Mutex::new(Vec::new()));
-            let seen_in = Arc::clone(&seen);
-            let body = move |comm: Comm| match checked_exchange(&comm, window) {
-                Ok(chunks) => chunks,
-                Err(e) => {
-                    seen_in.lock().expect("record").push((comm.rank(), e));
-                    0
-                }
-            };
-            let failure = if socket {
-                Runner::new(Backend::Socket)
-                    .ranks(4)
-                    .faults(&plan)
-                    .try_run_profiled(body)
-            } else {
-                Runner::new(Backend::InProcess)
-                    .ranks(4)
-                    .faults(&plan)
-                    .try_run_profiled(body)
-            }
-            .expect_err("killed rank must fail the run");
+            let failure =
+                run_with_plan(socket, 4, &plan, move |comm| stream_exchange(&comm, window))
+                    .expect_err("killed rank must fail the run");
 
-            assert_eq!(
-                failure.failures.len(),
-                1,
-                "{label}: survivors returned cleanly, only the victim failed: {failure}"
-            );
             assert!(
                 matches!(failure.primary().cause, FailureCause::Killed(_)),
                 "{label}: victim cause"
             );
             assert_eq!(failure.primary().rank, victim, "{label}: victim rank");
-
-            let seen = seen.lock().expect("read");
-            let recorders: std::collections::BTreeSet<usize> =
-                seen.iter().map(|(r, _)| *r).collect();
-            let survivors: std::collections::BTreeSet<usize> =
-                (0..4).filter(|&r| r != victim).collect();
             assert_eq!(
-                recorders, survivors,
-                "{label}: every survivor observed a typed error"
+                failure.failures.len(),
+                4,
+                "{label}: every survivor unwound: {failure}"
             );
-            for (rank, err) in seen.iter() {
-                assert_ne!(err.peer(), *rank, "{label}: no rank blames itself");
+            let mut peers = Vec::new();
+            for f in &failure.failures[1..] {
+                let Some((peer, ctx)) = peer_gone(&f.cause) else {
+                    panic!(
+                        "{label}: rank {} must be PeerGone, got {:?}",
+                        f.rank, f.cause
+                    );
+                };
+                assert_ne!(peer, f.rank, "{label}: no rank blames itself");
+                assert!(
+                    ctx.ends_with(" during ialltoallv"),
+                    "{label}: rank {} names the stalled collective, got '{ctx}'",
+                    f.rank
+                );
+                peers.push(peer);
             }
             assert!(
-                seen.iter().any(|(_, err)| err.peer() == victim),
-                "{label}: at least the first observer names the victim, got {seen:?}"
+                peers.contains(&victim),
+                "{label}: at least the first observer names the victim: {failure}"
             );
         }
     }
 }
 
 /// A severed link is sender-visible: once the trigger fires, posting
-/// across the cut returns `PeerGone` naming the unreachable peer (the
+/// across the cut raises `PeerGone` naming the unreachable peer (the
 /// wire itself is cut, so both endpoints see the other as gone).
 #[test]
 fn severed_link_fails_the_sender_with_typed_error() {
     let plan = FaultPlan::parse("sever:0-1@posts:2").expect("valid plan");
-    let seen: Arc<Mutex<Vec<(usize, CommError)>>> = Arc::new(Mutex::new(Vec::new()));
-    let seen_in = Arc::clone(&seen);
-    let failure = Runner::new(Backend::InProcess)
-        .ranks(2)
-        .faults(&plan)
-        .try_run_profiled(move |comm| {
-            match checked_exchange(&comm, usize::MAX) {
-                Ok(chunks) => chunks,
-                Err(e) => {
-                    seen_in
-                        .lock()
-                        .expect("record")
-                        .push((comm.rank(), e.clone()));
-                    // Re-raise so the peer (blocked waiting on the cut link)
-                    // is torn down instead of parking forever.
-                    raise(e)
-                }
-            }
-        })
+    let failure = run_with_plan(false, 2, &plan, |comm| stream_exchange(&comm, usize::MAX))
         .expect_err("a severed link must fail the run");
+    assert!(
+        !failure.failures.is_empty(),
+        "at least one endpoint hit the cut"
+    );
     for f in &failure.failures {
-        assert!(
-            matches!(f.cause, FailureCause::PeerGone(_)),
-            "sever is a connectivity failure, not a kill: {:?}",
-            f.cause
-        );
-    }
-    let seen = seen.lock().expect("read");
-    assert!(!seen.is_empty(), "at least one endpoint hit the cut");
-    for (rank, err) in seen.iter() {
-        assert_eq!(err.peer(), 1 - rank, "each endpoint names the other");
+        let Some((peer, _)) = peer_gone(&f.cause) else {
+            panic!("sever is a connectivity failure, not a kill: {:?}", f.cause);
+        };
+        assert_eq!(peer, 1 - f.rank, "each endpoint names the other");
     }
 }
 
@@ -515,12 +504,21 @@ fn launch_timeout_reaps_stalled_workers() {
 
 /// Fault-plan validation happens in the supervisor before anything is
 /// spawned: a syntax error or an out-of-range target rank is a usage
-/// error, not four workers dying with the same parse message.
+/// error, not four workers dying with the same parse message. Either end
+/// of a `sever` counts as a target — a cut to a rank that does not exist
+/// never fires, and the launch would run clean.
 #[test]
 fn malformed_or_out_of_range_fault_plan_is_usage_error() {
     let dir = scratch("badplan");
     let reads = dir.join("never-read.fa"); // validated before any I/O
-    for bad in ["kill:banana", "kill:7@posts:3", "sever:1-1"] {
+    for bad in [
+        "kill:banana",
+        "kill:7@posts:3",
+        "sever:1-1",
+        "sever:0-9",
+        "sever:9-0@posts:2",
+        "sigkill:4@phase:Alignment",
+    ] {
         let sock = dir.join("sock");
         let out = launch(&dir, &reads, &sock, &["--fault", bad]);
         assert_eq!(
@@ -529,6 +527,7 @@ fn malformed_or_out_of_range_fault_plan_is_usage_error() {
             "plan '{bad}' must be rejected up front, stderr:\n{}",
             out.stderr
         );
+        assert!(!sock.exists(), "plan '{bad}': nothing was spawned");
     }
 }
 

@@ -100,6 +100,39 @@ fn over_scaled_job_is_rejected_at_submit_and_its_neighbour_completes() {
     assert_eq!(server.drain().len(), 1, "rejected jobs must never run");
 }
 
+/// A fault aimed at a rank the group does not have can never fire: the
+/// job would run clean and pass as if the plan had been exercised. The
+/// door rejects it instead — `kill`, `sigkill` and either end of a
+/// `sever` — while a plan inside the group is accepted.
+#[test]
+fn fault_plan_naming_a_rank_outside_the_group_is_rejected_at_submit() {
+    let server = Server::start(ServeConfig {
+        groups: 1,
+        group_ranks: 4,
+        backend: Backend::InProcess,
+        host_cap: MemBudget::unlimited(),
+        threads: 1,
+    });
+    for plan in [
+        "kill:9@phase:Alignment",
+        "sigkill:4",
+        "sever:0-4@posts:2",
+        "seed:3;sever:7-1",
+    ] {
+        match server.submit(tiny("outside", 1).with_fault(plan)) {
+            Err(SubmitError::InvalidFaultPlan(e)) => {
+                assert!(e.contains("only 4 ranks"), "{plan}: {e}")
+            }
+            other => panic!("{plan}: expected InvalidFaultPlan, got {other:?}"),
+        }
+    }
+    let inside = server
+        .submit(tiny("inside", 2).with_fault("sever:0-3;kill:3@phase:Alignment"))
+        .expect("every rank the plan names is in the group");
+    assert!(!server.wait(inside).completed(), "the plan fires");
+    assert_eq!(server.drain().len(), 1, "rejected jobs must never run");
+}
+
 #[test]
 fn budget_queueing_serializes_oversubscribed_jobs() {
     let cap = 1024 * MIB;
