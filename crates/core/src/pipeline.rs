@@ -18,9 +18,12 @@ use elba_sparse::{DistMat, DistVec, SpGemmOptions};
 use crate::assembly::Contig;
 use crate::contig::{contig_generation, gather_contigs, ContigConfig, ContigStats};
 
-/// Wire size of one routed A-matrix occurrence record
-/// (`(kmer, read, pos, fwd)`), the unit `batch_kmers` is derived from.
-const A_RECORD_BYTES: usize = std::mem::size_of::<(u64, u64, u32, bool)>();
+/// Most bytes one first occurrence holds in a window of A's triples —
+/// its `(column or slot, entry)`, plus a `u64` column query when its
+/// k-mer is new to the window: the k-mer stage's largest per-item
+/// footprint (a count record is 16 bytes), and the unit `batch_kmers` is
+/// derived from.
+const A_RECORD_BYTES: usize = std::mem::size_of::<(u64, AEntry)>() + 8;
 /// Heuristic bytes per accumulated SpGEMM output row used to derive
 /// `batch_rows` from a budget.
 const SPGEMM_ROW_BYTES_HINT: usize = 1024;

@@ -50,7 +50,7 @@ use elba_comm::{Backend, FaultPlan, ProcGrid, RunProfile, Runner};
 use elba_mem::MemBudget;
 use elba_quality::{evaluate, QualityConfig, QualityReport};
 use elba_seq::fasta::read_fasta;
-use elba_seq::{DatasetSpec, Seq};
+use elba_seq::{DatasetSpec, ReadTooLong, Seq};
 
 use crate::assembly::Contig;
 use crate::pipeline::{assemble_gathered, PipelineConfig};
@@ -524,6 +524,12 @@ fn run_job_inner(cfg: &ServeConfig, spec: &JobSpec, plan: Option<&FaultPlan>) ->
             match read_fasta(std::io::BufReader::new(file)) {
                 Ok(records) => {
                     let reads: Vec<Seq> = records.into_iter().map(|r| r.seq).collect();
+                    if let Err(too_long) = ReadTooLong::check_all(&reads) {
+                        return JobOutcome::Failed {
+                            error: format!("reads '{path}': {too_long}"),
+                            killed_by_fault: false,
+                        };
+                    }
                     (reads, None, PipelineConfig::default())
                 }
                 Err(e) => {

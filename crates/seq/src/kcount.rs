@@ -8,21 +8,27 @@
 //! k-mer selection). Surviving k-mers get dense global column ids via an
 //! exclusive scan over per-owner counts.
 //!
-//! Both exchanges of the stage (partial counts to owners, occurrence
-//! records to owners) stream: reads are scanned in batches of
-//! [`KmerConfig::batch_kmers`] occurrences, each batch's buckets are
-//! posted as chunks of a non-blocking
-//! [`ialltoallv`](elba_comm::Comm::ialltoallv) and inbound chunks
-//! are folded into the local accumulators as they arrive — ELBA's custom
-//! all-to-all, which never holds the full outgoing or incoming exchange:
-//! sender-side credits bound what any peer can park in a slow rank's
-//! mailbox to about one batch per source.
+//! Counting streams: reads are scanned in batches of
+//! [`KmerConfig::batch_kmers`] occurrences, each batch's partial counts
+//! are posted as chunks of a non-blocking
+//! [`ialltoallv`](elba_comm::Comm::ialltoallv) to the k-mers' owners and
+//! inbound chunks are folded into the owners' tables as they arrive —
+//! ELBA's custom all-to-all, which never holds the full outgoing or
+//! incoming exchange: sender-side credits bound what any peer can park in
+//! a slow rank's mailbox to about one batch per source.
+//!
+//! A's triples are built on the rank that holds the read. Occurrences
+//! never travel: each window of `batch_kmers` first occurrences looks up
+//! the k-mers its rank owns in place and asks the other owners for the
+//! columns of its distinct k-mers (an 8-byte query per k-mer, a 4-byte
+//! answer back), so a rank's triples are its own reads' rows.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
-use elba_comm::{Comm, IalltoallvRequest, ProcGrid, Rank};
+use elba_comm::transport::wire::{WireError, WireReader};
+use elba_comm::{Comm, CommMsg, IalltoallvRequest, ProcGrid, Rank};
 
 use crate::kmer::{KmerHit, KmerScan};
 use crate::store::ReadStore;
@@ -133,14 +139,17 @@ type KmerMap<V> = HashMap<u64, V, KmerHashKey>;
 type KmerSet = HashSet<u64, KmerHashKey>;
 
 /// The distributed reliable-k-mer table: each rank holds the k-mers it
-/// owns with their dense global column ids.
+/// owns with their dense global column ids, which form one contiguous
+/// range per owner.
 #[derive(Debug, Clone)]
 pub struct KmerTable {
     pub k: usize,
     /// Total reliable k-mers across all ranks (= #columns of A).
     pub n_global: u64,
-    /// Locally owned k-mer → global id.
-    local: KmerMap<u64>,
+    /// Global id of this rank's first k-mer.
+    offset: u64,
+    /// Locally owned k-mer → id − `offset`.
+    local: KmerMap<u32>,
 }
 
 impl KmerTable {
@@ -151,13 +160,24 @@ impl KmerTable {
 
     /// Global id of a locally owned k-mer.
     pub fn id_of(&self, kmer: u64) -> Option<u64> {
-        self.local.get(&kmer).copied()
+        self.local.get(&kmer).map(|&i| self.offset + u64::from(i))
+    }
+
+    /// The owner's answer to a column query: the k-mer's offset into
+    /// this rank's id range, or `u32::MAX` if it is not reliable.
+    #[inline]
+    fn answer(&self, kmer: u64) -> u32 {
+        self.local.get(&kmer).copied().unwrap_or(u32::MAX)
     }
 }
 
 /// One entry of the A matrix: the position (and strand) of a reliable
 /// k-mer occurrence within a read. This is the value BELLA's overlap
 /// semiring consumes.
+///
+/// On the wire it is one `u32`: `pos` in the low 31 bits and the strand
+/// in the top bit. Reads are at most [`crate::store::MAX_READ_LEN`]
+/// bases, so every position fits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct AEntry {
     /// Position of the k-mer's first base within the read.
@@ -166,27 +186,93 @@ pub struct AEntry {
     pub fwd: bool,
 }
 
-elba_comm::impl_comm_msg_pod!(AEntry);
+impl AEntry {
+    const FWD_BIT: u32 = 1 << 31;
+
+    #[inline]
+    fn to_wire(self) -> u32 {
+        assert!(
+            self.pos < Self::FWD_BIT,
+            "position {} is not 31-bit",
+            self.pos
+        );
+        self.pos | if self.fwd { Self::FWD_BIT } else { 0 }
+    }
+
+    #[inline]
+    fn from_wire(word: u32) -> Self {
+        AEntry {
+            pos: word & !Self::FWD_BIT,
+            fwd: word & Self::FWD_BIT != 0,
+        }
+    }
+}
+
+impl CommMsg for AEntry {
+    #[inline]
+    fn nbytes(&self) -> usize {
+        4
+    }
+
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_wire().to_ne_bytes());
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(AEntry::from_wire(u32::wire_decode(r)?))
+    }
+
+    fn wire_encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        out.reserve(4 * items.len());
+        for entry in items {
+            out.extend_from_slice(&entry.to_wire().to_ne_bytes());
+        }
+    }
+
+    fn wire_decode_slice(n: usize, r: &mut WireReader<'_>) -> Result<Vec<Self>, WireError> {
+        let total = n
+            .checked_mul(4)
+            .ok_or(WireError::Malformed("length header"))?;
+        let bytes = r.read_bytes(total)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|word| AEntry::from_wire(u32::from_ne_bytes(word.try_into().expect("4 bytes"))))
+            .collect())
+    }
+}
+
 elba_mem::impl_deep_bytes_pod!(AEntry);
 
 /// Buffer high-water marks of one k-mer-stage exchange — the hook the
-/// memory-bound tests (and the bench) assert against:
-/// `peak_outgoing_items ≤ batch_kmers` and `peak_inbound_items` is one
-/// chunk (≤ `batch_kmers`) by construction. The byte fields are the same
-/// peaks in record bytes; every exchange also feeds them into the
-/// rank's memory tracker ([`elba_comm::Comm::record_mem_transient`]), so
-/// a profiled run's `mem-hw` column shows the CountKmer stage's real
-/// buffer bound.
+/// memory-bound tests (and the bench) assert against. Every item count
+/// is at most `batch_kmers` by construction:
+///
+/// * counting: `peak_outgoing_items` is what the outgoing buckets held,
+///   `peak_inbound_items` the largest inbound chunk;
+/// * A's triples: `peak_outgoing_items` is the most column queries one
+///   window sent, `peak_answer_items` the most answers it got back, and
+///   `peak_inbound_items` the most queries one source sent this rank in
+///   one window.
+///
+/// The byte fields are the resident buffers behind those peaks; every
+/// exchange also feeds them into the rank's memory tracker
+/// ([`elba_comm::Comm::record_mem_transient`]), so a profiled run's
+/// `mem-hw` column shows the stage's real buffer bound.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExchangeStats {
     /// Most items ever resident in the outgoing buckets at once.
     pub peak_outgoing_items: usize,
-    /// Most items ever resident on the receive side before being folded
-    /// (the largest single inbound chunk).
+    /// Most items ever resident on the receive side from one source.
     pub peak_inbound_items: usize,
-    /// `peak_outgoing_items` in record bytes.
+    /// Most column answers one window of A's triples received (zero for
+    /// counting).
+    pub peak_answer_items: usize,
+    /// Peak sender-side bytes (for A's triples: a window's occurrences
+    /// and its queries; the answers, half a query's size, arrive once
+    /// the queries have left).
     pub peak_outgoing_bytes: usize,
-    /// `peak_inbound_items` in record bytes.
+    /// Peak receive-side bytes (for A's triples: every source's queries
+    /// of one window; the answers replace them source by source).
     pub peak_inbound_bytes: usize,
 }
 
@@ -343,18 +429,24 @@ pub fn count_kmers_with_stats(
         .map(|(kmer, _)| kmer)
         .collect();
     reliable.sort_unstable();
+    // `u32::MAX` is the "not reliable" answer of a column query.
+    assert!(
+        reliable.len() < u32::MAX as usize,
+        "one rank owns under 2^32 - 1 reliable k-mers"
+    );
     // Dense ids via exclusive scan of per-owner counts.
     let offset = world.exscan(reliable.len() as u64, 0, |a, b| a + b);
     let n_global = world.allreduce(reliable.len() as u64, |a, b| a + b);
-    let local: KmerMap<u64> = reliable
+    let local: KmerMap<u32> = reliable
         .into_iter()
         .enumerate()
-        .map(|(i, kmer)| (kmer, offset + i as u64))
+        .map(|(i, kmer)| (kmer, i as u32))
         .collect();
     (
         KmerTable {
             k: cfg.k,
             n_global,
+            offset,
             local,
         },
         stats,
@@ -364,9 +456,10 @@ pub fn count_kmers_with_stats(
 /// Generate the triples of the |reads|×|k-mers| matrix A (collective):
 /// `(read_id, kmer_column, AEntry)` for every reliable k-mer occurrence.
 /// A read contributes one entry per distinct k-mer (first occurrence), as
-/// in BELLA's sparse A construction. Triples are returned sorted by
-/// `(read, column)` — a canonical order, because chunk arrival order is
-/// scheduling-dependent — ready for `DistMat::from_triples`.
+/// in BELLA's sparse A construction. Each rank returns the rows of the
+/// reads it holds, in the store's read order (ascending ids for a
+/// block-distributed store) with each read's run sorted by column —
+/// ready for `DistMat::from_triples`.
 pub fn build_a_triples(
     grid: &ProcGrid,
     store: &ReadStore,
@@ -377,6 +470,16 @@ pub fn build_a_triples(
 }
 
 /// [`build_a_triples`] plus the exchange's buffer high-water marks.
+///
+/// The first-occurrence stream is cut into windows of `batch_kmers`, in
+/// the same order for every thread count. A k-mer this rank owns is
+/// looked up in place; each window sends every other owner its distinct
+/// k-mers, in first-seen order, and the owner answers positionally with
+/// a `u32` offset into its id range (the offsets of the ranges are
+/// allgathered once). That is one `alltoallv` per leg per window, plus a
+/// one-byte `allreduce` that keeps a rank whose reads are done in step
+/// with the others. What a window holds — and so every message — is a
+/// function of the input alone.
 pub fn build_a_triples_with_stats(
     grid: &ProcGrid,
     store: &ReadStore,
@@ -385,48 +488,192 @@ pub fn build_a_triples_with_stats(
 ) -> (Vec<(u64, u64, AEntry)>, ExchangeStats) {
     let world = grid.world();
     let p = world.size();
-    let threads = cfg.threads;
+    // A window numbers its distinct k-mers with `u32` slots.
+    let batch = cfg.batch_kmers.clamp(1, u32::MAX as usize);
     let scan_stats = ScanStats::default();
+    let offsets = world.allgather(table.offset);
+    let mut firsts = first_occurrences(occurrence_scan(store, table.k, cfg.threads, &scan_stats));
+    let mut window = Window::new(world.rank(), p);
     let mut triples = Vec::new();
-    // (kmer, read, pos, fwd) routed to the kmer's owner for id lookup;
-    // each read reports a k-mer once (first occurrence).
-    let items = occurrence_scan(store, table.k, threads, &scan_stats)
-        .scan(
-            (u64::MAX, KmerSet::default()),
-            |(current_read, seen), (read_id, hit)| {
-                if *current_read != read_id {
-                    *current_read = read_id;
-                    seen.clear();
-                }
-                Some(seen.insert(hit.kmer).then_some((read_id, hit)))
-            },
-        )
-        .flatten()
-        .map(|(read_id, hit)| {
-            (
-                kmer_owner(hit.kmer, p),
-                (hit.kmer, read_id, hit.pos, hit.fwd),
-            )
-        });
-    let stats = streaming_exchange(world, cfg.batch_kmers, items, |_src, buf| {
-        for (kmer, read_id, pos, fwd) in buf {
-            if let Some(col) = table.id_of(kmer) {
-                triples.push((read_id, col, AEntry { pos, fwd }));
-            }
+    let mut stats = ExchangeStats::default();
+    loop {
+        let taken = window.fill(firsts.by_ref().take(batch), table);
+        if !world.allreduce(taken > 0, |a, b| a || b) {
+            break;
         }
-    });
-    book_scan(world, threads, &scan_stats);
-    // Canonical order: streaming arrival order is scheduling-dependent,
-    // and downstream determinism (same contigs on every run) should not
-    // hinge on `DistMat::from_triples` re-sorting. Two levels, because a
-    // source streams read after read: the by-read pass has few distinct
-    // keys and little (with one source, nothing) to move, and each
-    // read's run then sorts inside the cache.
-    triples.sort_unstable_by_key(|&(read, _, _)| read);
+        stats.peak_outgoing_items = stats.peak_outgoing_items.max(window.owners.len());
+        stats.peak_outgoing_bytes = stats.peak_outgoing_bytes.max(window.resident_bytes());
+        let inbound = world.alltoallv(window.take_queries());
+        let asked: usize = inbound.iter().map(Vec::len).sum();
+        let largest = inbound.iter().map(Vec::len).max().unwrap_or(0);
+        stats.peak_inbound_items = stats.peak_inbound_items.max(largest);
+        stats.peak_inbound_bytes = stats.peak_inbound_bytes.max(asked * QUERY_BYTES);
+        let answers: Vec<Vec<u32>> = inbound
+            .into_iter()
+            .map(|kmers| kmers.into_iter().map(|kmer| table.answer(kmer)).collect())
+            .collect();
+        let answers = world.alltoallv(answers);
+        let answered = answers.iter().map(Vec::len).sum();
+        stats.peak_answer_items = stats.peak_answer_items.max(answered);
+        window.emit(&answers, &offsets, &mut triples);
+    }
+    book_scan(world, cfg.threads, &scan_stats);
+    world.record_mem_transient(stats.peak_bytes());
+    // Reads come in order; a read's k-mers come in position order.
     for run in triples.chunk_by_mut(|a, b| a.0 == b.0) {
-        run.sort_unstable_by_key(|&(_, col, entry)| (col, entry));
+        run.sort_unstable_by_key(|&(_, col, _)| col);
     }
     (triples, stats)
+}
+
+/// A column query: the k-mer.
+const QUERY_BYTES: usize = std::mem::size_of::<u64>();
+
+/// Tag of an occurrence whose column is still out: `PENDING | slot`.
+const PENDING: u64 = 1 << 63;
+
+/// Column of a slot whose k-mer is not reliable.
+const UNRELIABLE: u64 = u64::MAX;
+
+/// The first occurrence of each k-mer in each read, in stream order.
+fn first_occurrences(
+    scan: impl Iterator<Item = (u64, KmerHit)>,
+) -> impl Iterator<Item = (u64, KmerHit)> {
+    let mut current_read = u64::MAX;
+    let mut seen = KmerSet::default();
+    scan.filter(move |&(read, hit)| {
+        if read != current_read {
+            current_read = read;
+            seen.clear();
+        }
+        seen.insert(hit.kmer)
+    })
+}
+
+/// One window of the first-occurrence stream on the rank that holds its
+/// reads: its reliable occurrences, and the distinct k-mers other ranks
+/// own, whose columns are asked for. Buffers are reused from window to
+/// window.
+struct Window {
+    rank: usize,
+    /// Distinct remote k-mer → slot, slots numbered in first-seen order.
+    slots: KmerMap<u32>,
+    /// Owner rank of each slot's k-mer.
+    owners: Vec<u32>,
+    /// Per owner, its slots' k-mers in slot order: the window's queries.
+    queries: Vec<Vec<u64>>,
+    /// `(read id, index of its first occurrence)` per read in the window.
+    reads: Vec<(u64, usize)>,
+    /// `(column or PENDING | slot, entry)` per occurrence that is, or may
+    /// be, reliable.
+    occurrences: Vec<(u64, AEntry)>,
+    /// Column of each slot, filled from the answers.
+    cols: Vec<u64>,
+}
+
+impl Window {
+    fn new(rank: usize, p: usize) -> Self {
+        Window {
+            rank,
+            slots: KmerMap::default(),
+            owners: Vec::new(),
+            queries: (0..p).map(|_| Vec::new()).collect(),
+            reads: Vec::new(),
+            occurrences: Vec::new(),
+            cols: Vec::new(),
+        }
+    }
+
+    /// Start a new window on `firsts`; returns how many it took.
+    fn fill(&mut self, firsts: impl Iterator<Item = (u64, KmerHit)>, table: &KmerTable) -> usize {
+        self.slots.clear();
+        self.owners.clear();
+        self.reads.clear();
+        self.occurrences.clear();
+        let p = self.queries.len();
+        let mut taken = 0;
+        for (read, hit) in firsts {
+            taken += 1;
+            let owner = kmer_owner(hit.kmer, p);
+            let col = if owner == self.rank {
+                match table.id_of(hit.kmer) {
+                    Some(col) => col,
+                    None => continue,
+                }
+            } else {
+                let next = self.owners.len() as u32;
+                let slot = *self.slots.entry(hit.kmer).or_insert(next);
+                if slot == next {
+                    self.owners.push(owner as u32);
+                    self.queries[owner].push(hit.kmer);
+                }
+                PENDING | u64::from(slot)
+            };
+            if self.reads.last().is_none_or(|&(id, _)| id != read) {
+                self.reads.push((read, self.occurrences.len()));
+            }
+            let entry = AEntry {
+                pos: hit.pos,
+                fwd: hit.fwd,
+            };
+            self.occurrences.push((col, entry));
+        }
+        taken
+    }
+
+    /// Hand the queries to the exchange, one buffer per owner.
+    fn take_queries(&mut self) -> Vec<Vec<u64>> {
+        let p = self.queries.len();
+        std::mem::replace(&mut self.queries, (0..p).map(|_| Vec::new()).collect())
+    }
+
+    /// Bytes this window holds while its queries are out: its
+    /// occurrences and the queries.
+    fn resident_bytes(&self) -> usize {
+        self.occurrences.len() * std::mem::size_of::<(u64, AEntry)>()
+            + self.reads.len() * std::mem::size_of::<(u64, usize)>()
+            + self.owners.len() * QUERY_BYTES
+    }
+
+    /// Resolve the answers (`answers[owner]` is positional in that
+    /// owner's queries) and append the window's triples.
+    fn emit(
+        &mut self,
+        answers: &[Vec<u32>],
+        offsets: &[u64],
+        triples: &mut Vec<(u64, u64, AEntry)>,
+    ) {
+        let mut next = vec![0usize; answers.len()];
+        self.cols.clear();
+        self.cols.extend(self.owners.iter().map(|&owner| {
+            let owner = owner as usize;
+            let answer = answers[owner][next[owner]];
+            next[owner] += 1;
+            match answer {
+                u32::MAX => UNRELIABLE,
+                offset => offsets[owner] + u64::from(offset),
+            }
+        }));
+        assert!(
+            next.iter().zip(answers).all(|(&n, a)| n == a.len()),
+            "one answer per query"
+        );
+        let ends = self.reads.iter().skip(1).map(|&(_, start)| start);
+        let ends = ends.chain(std::iter::once(self.occurrences.len()));
+        for (&(read, start), end) in self.reads.iter().zip(ends) {
+            triples.extend(
+                self.occurrences[start..end]
+                    .iter()
+                    .filter_map(|&(key, entry)| {
+                        let col = match key & PENDING {
+                            0 => key,
+                            _ => self.cols[(key & !PENDING) as usize],
+                        };
+                        (col != UNRELIABLE).then_some((read, col, entry))
+                    }),
+            );
+        }
+    }
 }
 
 /// Per-window count aggregation for the streaming count path: consume up
@@ -694,7 +941,11 @@ mod tests {
             let store = store_from(&grid, &reads);
             let cfg = cfg_with(4, 1);
             let table = count_kmers(&grid, &store, &cfg);
-            let ids: Vec<u64> = table.local.values().copied().collect();
+            let ids: Vec<u64> = table
+                .local
+                .keys()
+                .map(|&kmer| table.id_of(kmer).expect("owned"))
+                .collect();
             (table.n_global, grid.world().allgather(ids))
         });
         let (n_global, all_ids) = &out[0];
@@ -792,7 +1043,8 @@ mod tests {
     #[test]
     fn streaming_buffering_is_bounded_by_batch() {
         // The acceptance bound: peak resident exchange buffering on both
-        // sides never exceeds batch_kmers, however large the dataset.
+        // sides never exceeds batch_kmers, however large the dataset —
+        // for A's triples, on each leg of the column lookup.
         let out = Runner::new(Backend::InProcess).ranks(4).run(|comm| {
             let grid = ProcGrid::new(comm);
             // 4 distinct-ish reads so every rank holds one.
@@ -824,13 +1076,18 @@ mod tests {
                 count_stats.peak_inbound_items
             );
             assert!(
-                triple_stats.peak_outgoing_items <= batch,
-                "triples outgoing {} > batch {batch}",
+                (1..=batch).contains(&triple_stats.peak_outgoing_items),
+                "queries out {} not in 1..={batch}",
                 triple_stats.peak_outgoing_items
             );
             assert!(
+                (1..=batch).contains(&triple_stats.peak_answer_items),
+                "answers in {} not in 1..={batch}",
+                triple_stats.peak_answer_items
+            );
+            assert!(
                 triple_stats.peak_inbound_items <= batch,
-                "triples inbound {} > batch {batch}",
+                "inbound queries from one source {} > batch {batch}",
                 triple_stats.peak_inbound_items
             );
         }

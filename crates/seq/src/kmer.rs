@@ -3,6 +3,7 @@
 //! extraction over a [`Seq`].
 
 use crate::dna::Seq;
+use crate::store::MAX_READ_LEN;
 
 /// Maximum supported k (2 bits per base in a `u64`, one spare bit pair).
 pub const MAX_K: usize = 31;
@@ -67,8 +68,16 @@ pub struct KmerScan<'a> {
 }
 
 impl<'a> KmerScan<'a> {
+    /// Panics if `k` is out of range, or if `codes` is longer than
+    /// [`MAX_READ_LEN`] (positions are 31-bit; ingest refuses such
+    /// reads with a typed error first).
     pub fn new(codes: &'a [u8], k: usize) -> Self {
         assert!((1..=MAX_K).contains(&k), "k must be in 1..={MAX_K}");
+        assert!(
+            codes.len() <= MAX_READ_LEN,
+            "a read of {} bases exceeds MAX_READ_LEN",
+            codes.len()
+        );
         let mut scan = KmerScan {
             codes,
             end: codes.len(),

@@ -36,6 +36,46 @@ const SEQ_TAG: u64 = 0x00_5E9E;
 /// The MPI maximum element count a single send can carry.
 pub const MPI_COUNT_LIMIT: usize = (1 << 31) - 1;
 
+/// The longest read the pipeline accepts: a k-mer position is an
+/// [`crate::AEntry`]'s 31-bit `pos`.
+pub const MAX_READ_LEN: usize = (1 << 31) - 1;
+
+/// A read of 2³¹ bases or more, refused at ingest.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadTooLong {
+    /// The read's id (its index in the read set).
+    pub id: u64,
+    /// Its length in bases.
+    pub len: usize,
+}
+
+impl ReadTooLong {
+    /// `Ok` if read `id` of `len` bases fits [`MAX_READ_LEN`].
+    pub fn check(id: u64, len: usize) -> Result<(), ReadTooLong> {
+        if len > MAX_READ_LEN {
+            return Err(ReadTooLong { id, len });
+        }
+        Ok(())
+    }
+
+    /// Check every read of a read set, ids being indices.
+    pub fn check_all(reads: &[Seq]) -> Result<(), ReadTooLong> {
+        (reads.iter().enumerate()).try_for_each(|(id, read)| Self::check(id as u64, read.len()))
+    }
+}
+
+impl std::fmt::Display for ReadTooLong {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "read {} has {} bases; reads are limited to {MAX_READ_LEN} (k-mer positions are 31-bit)",
+            self.id, self.len
+        )
+    }
+}
+
+impl std::error::Error for ReadTooLong {}
+
 /// A buffer wrapped as one "contiguous datatype" element, mirroring the
 /// paper's workaround for the 2³¹−1 count limit: the unit size equals the
 /// whole buffer, so the message carries exactly one element.
@@ -107,8 +147,13 @@ impl ReadStore {
     }
 
     /// Append a read's codes under a global id. Panics if the id is
-    /// already stored: a second copy would orphan the first.
+    /// already stored (a second copy would orphan the first) or if the
+    /// read is longer than [`MAX_READ_LEN`] (ingest refuses those with
+    /// [`ReadTooLong::check_all`]).
     pub fn push(&mut self, id: u64, codes: &[u8]) {
+        if let Err(too_long) = ReadTooLong::check(id, codes.len()) {
+            panic!("{too_long}");
+        }
         let displaced = self.index.insert(id, self.ids.len());
         assert!(displaced.is_none(), "read {id} already stored");
         self.ids.push(id);
@@ -444,6 +489,26 @@ mod tests {
             });
             assert!(out.iter().all(|&ok| ok), "p={p}");
         }
+    }
+
+    #[test]
+    fn reads_of_2_31_bases_or_more_are_refused() {
+        assert_eq!(ReadTooLong::check(0, 0), Ok(()));
+        assert_eq!(ReadTooLong::check(0, MAX_READ_LEN), Ok(()));
+        let too_long = ReadTooLong::check(7, 1 << 31).expect_err("2^31 bases");
+        assert_eq!(
+            too_long,
+            ReadTooLong {
+                id: 7,
+                len: 1 << 31
+            }
+        );
+        assert!(too_long
+            .to_string()
+            .starts_with("read 7 has 2147483648 bases"));
+        assert!(ReadTooLong::check(1, usize::MAX).is_err());
+        let reads = reads(3);
+        assert_eq!(ReadTooLong::check_all(&reads), Ok(()));
     }
 
     #[test]

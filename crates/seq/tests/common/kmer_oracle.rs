@@ -1,9 +1,10 @@
 // Comm-free serial reference for the k-mer stage, `include!`d by
 // `tests/prop_kcount.rs` and the `kcount` unit tests (the includer
-// imports `Seq`, `canonical_kmers`, `kmer_owner`, `AEntry`, `KmerConfig`
-// and `KmerTable`). Computed from the replicated reads alone: global
-// canonical-k-mer multiplicities → reliable band → ids dense in
-// (owner rank, k-mer) order → first-occurrence triples on the owner.
+// imports `Seq`, `canonical_kmers`, `kmer_owner`, `AEntry`, `KmerConfig`,
+// `KmerTable` and `ReadStore`). Computed from the replicated reads alone:
+// global canonical-k-mer multiplicities → reliable band → ids dense in
+// (owner rank, k-mer) order → first-occurrence triples on the rank that
+// holds the read.
 
 /// What rank `r` of a `p`-rank run must hold: `.0[r]` its `(k-mer, id)`
 /// table in k-mer order, `.1[r]` its A triples in canonical order.
@@ -26,8 +27,10 @@ fn serial_kmer_stage(reads: &[Seq], cfg: &KmerConfig, p: usize) -> KmerOracle {
         entry.1 = ids.len() as u64;
         ids.insert(entry.0, entry.1);
     }
+    let q = (1..=p).find(|q| q * q == p).expect("square grid");
     let mut triples = vec![Vec::new(); p];
     for (read, read_hits) in hits.iter().enumerate() {
+        let holder = ReadStore::initial_owner(reads.len(), q, read as u64);
         let mut seen = std::collections::HashSet::new();
         for hit in read_hits.iter().filter(|hit| seen.insert(hit.kmer)) {
             if let Some(&col) = ids.get(&hit.kmer) {
@@ -35,7 +38,7 @@ fn serial_kmer_stage(reads: &[Seq], cfg: &KmerConfig, p: usize) -> KmerOracle {
                     pos: hit.pos,
                     fwd: hit.fwd,
                 };
-                triples[kmer_owner(hit.kmer, p)].push((read as u64, col, entry));
+                triples[holder].push((read as u64, col, entry));
             }
         }
     }

@@ -12,6 +12,8 @@ use elba_seq::{
     Seq,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 include!("common/kmer_oracle.rs");
 
@@ -22,6 +24,33 @@ fn seqs_from(codes: &[Vec<u8>]) -> Vec<Seq> {
         .iter()
         .map(|read| Seq::from_codes(read.iter().map(|b| b % 4).collect()))
         .collect()
+}
+
+/// Run the stage on `p` ranks and hold every rank to the oracle, and
+/// every leg of both exchanges to `batch_kmers` items: counting's
+/// outgoing buckets and inbound chunks; A's queries out, answers in and
+/// queries in from any one source.
+fn check_stage(reads: &[Seq], cfg: &KmerConfig, p: usize) {
+    let oracle = serial_kmer_stage(reads, cfg, p);
+    let (reads, cfg) = (reads.to_vec(), cfg.clone());
+    Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
+        let grid = ProcGrid::new(comm);
+        let store = ReadStore::from_replicated(&grid, &reads);
+        let (table, count_stats) = count_kmers_with_stats(&grid, &store, &cfg);
+        let (triples, triple_stats) = build_a_triples_with_stats(&grid, &store, &table, &cfg);
+        let rank = grid.world().rank();
+        assert_matches_oracle(rank, &table, &triples, &oracle);
+        let batch = cfg.batch_kmers;
+        for (leg, items) in [
+            ("count out", count_stats.peak_outgoing_items),
+            ("count in", count_stats.peak_inbound_items),
+            ("queries out", triple_stats.peak_outgoing_items),
+            ("answers in", triple_stats.peak_answer_items),
+            ("queries in per source", triple_stats.peak_inbound_items),
+        ] {
+            assert!(items <= batch, "rank {rank}: {leg} {items} > batch {batch}");
+        }
+    });
 }
 
 proptest! {
@@ -35,8 +64,6 @@ proptest! {
         reliable_min in 1u32..3,
         codes in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..40), 1..10),
     ) {
-        let p = [1usize, 4, 9][p_idx];
-        let reads = seqs_from(&codes);
         let cfg = KmerConfig {
             k,
             reliable_min,
@@ -44,24 +71,54 @@ proptest! {
             batch_kmers: batch,
             threads: 1,
         };
-        let oracle = serial_kmer_stage(&reads, &cfg, p);
-        let ok = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
-            let grid = ProcGrid::new(comm);
-            let store = ReadStore::from_replicated(&grid, &reads);
-            let (table, count_stats) = count_kmers_with_stats(&grid, &store, &cfg);
-            let (triples, triple_stats) =
-                build_a_triples_with_stats(&grid, &store, &table, &cfg);
-            // The oracle's table and triples, rank by rank...
-            assert_matches_oracle(grid.world().rank(), &table, &triples, &oracle);
-            // ...and the streaming bound: never more than batch_kmers
-            // buffered on either side of the exchange.
-            assert!(count_stats.peak_outgoing_items <= batch);
-            assert!(count_stats.peak_inbound_items <= batch);
-            assert!(triple_stats.peak_outgoing_items <= batch);
-            assert!(triple_stats.peak_inbound_items <= batch);
-            true
-        });
-        prop_assert!(ok.iter().all(|&b| b), "p={}", p);
+        check_stage(&seqs_from(&codes), &cfg, [1usize, 4, 9][p_idx]);
+    }
+}
+
+/// Reads sampled from one short random genome on both strands, so
+/// k-mers repeat across reads and the reliable band has work to do.
+fn sampled_reads(rng: &mut StdRng) -> Vec<Seq> {
+    let genome: Vec<u8> = (0..rng.gen_range(1..400usize))
+        .map(|_| rng.gen_range(0..4u8))
+        .collect();
+    (0..rng.gen_range(0..30usize))
+        .map(|_| {
+            let len = rng.gen_range(0..=genome.len().min(150));
+            let start = rng.gen_range(0..=genome.len() - len);
+            let read = Seq::from_codes(genome[start..start + len].to_vec());
+            if rng.gen_bool(0.5) {
+                read.reverse_complement()
+            } else {
+                read
+            }
+        })
+        .collect()
+}
+
+/// The oracle check at CI scale: 240 seeded cases over p ∈ {1, 4, 9},
+/// batch sizes from 1 up, reliable bands, k and thread counts. Run it in
+/// release: `cargo test --release -p elba-seq --test prop_kcount --
+/// --ignored`.
+#[test]
+#[ignore = "240-case stress; run in release"]
+fn stage_matches_serial_oracle_stress() {
+    let mut rng = StdRng::seed_from_u64(2027);
+    for case in 0..240usize {
+        let batch_kmers = match case % 4 {
+            0 => 1,
+            1 => rng.gen_range(2..8),
+            2 => rng.gen_range(8..64),
+            _ => rng.gen_range(64..1024),
+        };
+        let reliable_min = rng.gen_range(1..4u32);
+        let cfg = KmerConfig {
+            k: rng.gen_range(1..=21),
+            reliable_min,
+            reliable_max: reliable_min + rng.gen_range(0..8u32),
+            batch_kmers,
+            threads: [1, 3][case / 3 % 2],
+        };
+        check_stage(&sampled_reads(&mut rng), &cfg, [1, 4, 9][case % 3]);
     }
 }
 
@@ -76,15 +133,7 @@ fn assert_stage_matches_oracle(reads: &[Seq], k: usize, reliable_min: u32, batch
         threads: 1,
     };
     for p in [1usize, 4, 9] {
-        let oracle = serial_kmer_stage(reads, &cfg, p);
-        let (reads, cfg) = (reads.to_vec(), cfg.clone());
-        Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
-            let grid = ProcGrid::new(comm);
-            let store = ReadStore::from_replicated(&grid, &reads);
-            let (table, _) = count_kmers_with_stats(&grid, &store, &cfg);
-            let (triples, _) = build_a_triples_with_stats(&grid, &store, &table, &cfg);
-            assert_matches_oracle(grid.world().rank(), &table, &triples, &oracle);
-        });
+        check_stage(reads, &cfg, p);
     }
 }
 

@@ -21,6 +21,7 @@ use elba::prelude::*;
 use elba::seq::fasta::{read_fasta, write_fasta, FastaRecord};
 use elba::seq::gfa::GfaGraph;
 use elba::seq::kmer::MAX_K;
+use elba::seq::ReadTooLong;
 
 /// A CLI failure plus the process exit code it maps to (see
 /// [`elba::exit`] for the taxonomy). Plain `String` errors convert to
@@ -141,6 +142,17 @@ fn read_seqs(path: &str) -> Result<Vec<Seq>, String> {
         .into_iter()
         .map(|r| r.seq)
         .collect())
+}
+
+/// `assemble`'s read set: [`read_seqs`], refusing a read the pipeline
+/// cannot index with [`exit::READ_TOO_LONG`].
+fn read_reads(path: &str) -> Result<Vec<Seq>, CliError> {
+    let reads = read_seqs(path)?;
+    ReadTooLong::check_all(&reads).map_err(|too_long| CliError {
+        code: exit::READ_TOO_LONG,
+        message: format!("{path}: {too_long}"),
+    })?;
+    Ok(reads)
 }
 
 fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), CliError> {
@@ -362,7 +374,7 @@ fn assemble_finish(
 /// has none.
 fn cmd_assemble(flags: HashMap<String, String>, fault: Option<&FaultPlan>) -> Result<(), CliError> {
     let setup = assemble_setup(&flags).map_err(CliError::usage)?;
-    let reads = read_seqs(get(&flags, "reads")?)?;
+    let reads = read_reads(get(&flags, "reads")?)?;
     print_banner(&setup, reads.len(), "in-process");
     let cfg = setup.cfg.clone();
     let mut runner = Runner::new(Backend::InProcess).ranks(setup.ranks);
@@ -489,11 +501,13 @@ impl Drop for SocketDirGuard {
 }
 
 /// One abnormally-exited child: its rank, a severity class used to pick
-/// the root cause of a cascade, and a human-readable status.
+/// the root cause of a cascade, a human-readable status, and whether it
+/// refused the input (which the launch then exits with).
 struct ChildFailure {
     rank: usize,
     severity: u8,
     status: String,
+    read_too_long: bool,
 }
 
 fn classify_exit(rank: usize, status: ExitStatus) -> ChildFailure {
@@ -501,7 +515,8 @@ fn classify_exit(rank: usize, status: ExitStatus) -> ChildFailure {
     // Severity orders candidate root causes: a signal-killed or
     // fault-killed rank originated the failure; survivors that exited
     // because a peer vanished are cascade victims and sort last.
-    let (severity, status) = match status.code() {
+    let code = status.code();
+    let (severity, status) = match code {
         Some(c) if c == i32::from(exit::FAULT_KILLED) => {
             (1, format!("exited with code {c} (killed by fault plan)"))
         }
@@ -510,6 +525,9 @@ fn classify_exit(rank: usize, status: ExitStatus) -> ChildFailure {
         }
         Some(c) if c == i32::from(exit::USAGE) => {
             (2, format!("exited with code {c} (bad arguments)"))
+        }
+        Some(c) if c == i32::from(exit::READ_TOO_LONG) => {
+            (2, format!("exited with code {c} (a read is too long)"))
         }
         Some(c) => (2, format!("exited with code {c}")),
         None => match status.signal() {
@@ -521,6 +539,7 @@ fn classify_exit(rank: usize, status: ExitStatus) -> ChildFailure {
         rank,
         severity,
         status,
+        read_too_long: code == Some(i32::from(exit::READ_TOO_LONG)),
     }
 }
 
@@ -546,6 +565,7 @@ fn sweep_children(
                     rank: *rank,
                     severity: 2,
                     status: format!("wait failed: {e}"),
+                    read_too_long: false,
                 });
                 *slot = None;
             }
@@ -635,10 +655,14 @@ fn supervise(
                     .collect();
                 message.push_str(&format!("; then {}", rest.join("; ")));
             }
-            return Err(CliError {
-                code: exit::RANK_FAILED,
-                message,
-            });
+            // Every worker reads the same input: a refused read is the
+            // input's failure, not a rank's.
+            let code = if primary.read_too_long {
+                exit::READ_TOO_LONG
+            } else {
+                exit::RANK_FAILED
+            };
+            return Err(CliError { code, message });
         }
         if running == 0 {
             return Ok(());
@@ -676,7 +700,7 @@ fn run_socket_worker(
     require_square("launch --ranks", nranks).map_err(CliError::usage)?;
     let mut setup = assemble_setup(&flags).map_err(CliError::usage)?;
     setup.ranks = nranks;
-    let reads = read_seqs(get(&flags, "reads")?)?;
+    let reads = read_reads(get(&flags, "reads")?)?;
     if rank == 0 {
         print_banner(&setup, reads.len(), "socket");
     }

@@ -50,6 +50,10 @@ pub mod exit {
     pub const FAILURE: u8 = 1;
     /// Malformed command line or worker environment.
     pub const USAGE: u8 = 2;
+    /// A read of 2³¹ bases or more: the input is refused before any rank
+    /// starts (`elba_seq::ReadTooLong`). `elba launch` passes its
+    /// workers' refusal through.
+    pub const READ_TOO_LONG: u8 = 3;
     /// `elba launch`: a worker rank exited abnormally; the supervisor's
     /// message names the rank and its status.
     pub const RANK_FAILED: u8 = 10;

@@ -366,10 +366,14 @@ fn pipeline_profile_contains_paper_phases() {
 
 /// Golden wire pin: per-rank messages (p2p + collective calls) and bytes
 /// of the two phases the k-mer stage drives, for one seeded read set at
-/// p = 4, against constants recorded before the stage's hot loops were
-/// rebuilt. Every other wire check compares two live runs (transports,
-/// thread counts, budgets), so a reordered record stream that moved both
-/// sides would pass them; this one compares against fixed numbers.
+/// p = 4, against fixed constants. CountKmer's were recorded before the
+/// stage's hot loops were rebuilt; DetectOverlap's when A's triples
+/// stopped shipping occurrences (a window's column queries to the other
+/// owners and their answers, and the 4-byte A entry, in place of one
+/// 21-byte record per occurrence). Every other wire check compares two live runs
+/// (transports, thread counts, budgets), so a reordered record stream
+/// that moved both sides would pass them; this one compares against
+/// fixed numbers.
 #[test]
 fn kmer_stage_wire_traffic_matches_golden_constants() {
     // (msgs, bytes) per rank.
@@ -380,10 +384,10 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
         (1543, 463316),
     ];
     const DETECT_OVERLAP: [(u64, u64); 4] = [
-        (1771, 2891619),
-        (1944, 3552372),
-        (1706, 3231620),
-        (1555, 2453802),
+        (237, 1742284),
+        (239, 2179890),
+        (239, 1992500),
+        (238, 1430114),
     ];
     let spec = DatasetSpec::celegans_like(0.05, 1919);
     let (_genome, reads) = reads_of(&spec);

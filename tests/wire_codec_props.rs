@@ -4,9 +4,10 @@
 //! multi-megabyte CSR panels — and the reader must consume the buffer
 //! to the last byte (`finish` pins against silent over- or under-reads).
 
-use elba::comm::transport::wire::WireReader;
+use elba::comm::transport::wire::{WireError, WireReader};
 use elba::comm::CommMsg;
-use elba::sparse::Csr;
+use elba::seq::AEntry;
+use elba::sparse::{Csr, Dcsc};
 use proptest::prelude::*;
 
 fn round_trip<T: CommMsg>(value: &T) -> T {
@@ -62,11 +63,100 @@ fn multi_mb_csr_panel_round_trips() {
     assert_eq!(back.values(), panel.values());
 }
 
+fn encoded<T: CommMsg>(value: &T) -> Vec<u8> {
+    let mut buf = Vec::new();
+    value.wire_encode(&mut buf);
+    buf
+}
+
+/// The extreme A entries: both strands at the first position and at the
+/// last one a 31-bit field holds.
+const EDGE_ENTRIES: [AEntry; 4] = [
+    AEntry { pos: 0, fwd: true },
+    AEntry { pos: 0, fwd: false },
+    AEntry {
+        pos: (1 << 31) - 1,
+        fwd: true,
+    },
+    AEntry {
+        pos: (1 << 31) - 1,
+        fwd: false,
+    },
+];
+
+#[test]
+fn a_entries_travel_as_one_u32() {
+    for entry in EDGE_ENTRIES {
+        assert_eq!(round_trip(&entry), entry);
+        // The model is the codec: an A entry is booked at exactly what
+        // the frame carries, alone and in a vector.
+        assert_eq!(entry.nbytes(), 4);
+        assert_eq!(encoded(&entry).len(), entry.nbytes());
+    }
+    let entries = EDGE_ENTRIES.to_vec();
+    assert_eq!(round_trip(&entries), entries);
+    assert_eq!(encoded(&entries).len(), entries.nbytes());
+    // Every strict prefix of an encoding is an error, never a value.
+    let buf = encoded(&entries);
+    for cut in 0..buf.len() {
+        let mut reader = WireReader::new(&buf[..cut]);
+        assert!(matches!(
+            Vec::<AEntry>::wire_decode(&mut reader),
+            Err(WireError::Truncated { .. })
+        ));
+    }
+    let one = encoded(&EDGE_ENTRIES[3]);
+    let mut reader = WireReader::new(&one[..3]);
+    assert!(AEntry::wire_decode(&mut reader).is_err());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 64,
         .. ProptestConfig::default()
     })]
+
+    #[test]
+    fn a_matrix_blocks_round_trip(
+        nrows in 1usize..48,
+        ncols in 1usize..48,
+        seeds in proptest::collection::vec(any::<u32>(), 0..200),
+    ) {
+        let triples: Vec<(u32, u32, AEntry)> = seeds
+            .iter()
+            .map(|&s| {
+                let entry = AEntry { pos: s >> 1, fwd: s & 1 == 1 };
+                (s % nrows as u32, (s / 7) % ncols as u32, entry)
+            })
+            .collect();
+        let keep_first = |acc: &mut AEntry, v: AEntry| *acc = (*acc).min(v);
+        let csr = Csr::from_triples(nrows, ncols, triples.clone(), keep_first);
+        let back = round_trip(&csr);
+        prop_assert_eq!(back.indptr(), csr.indptr());
+        prop_assert_eq!(back.indices(), csr.indices());
+        prop_assert_eq!(back.values(), csr.values());
+        let dcsc = Dcsc::from_triples(nrows, ncols, triples, keep_first);
+        let back = round_trip(&dcsc);
+        prop_assert_eq!(back.iter().collect::<Vec<_>>(), dcsc.iter().collect::<Vec<_>>());
+        // Values are booked at their encoded size: the frame's overhead
+        // over the model is the containers' structural headers alone,
+        // the same as for a block of plain `u32` values.
+        let words = Csr::from_triples(
+            nrows,
+            ncols,
+            csr.iter().map(|(r, c, e)| (r, c, e.pos)).collect(),
+            |_, _| {},
+        );
+        prop_assert_eq!(
+            encoded(&csr).len() - csr.nbytes(),
+            encoded(&words).len() - words.nbytes()
+        );
+        let buf = encoded(&dcsc);
+        for cut in [0, buf.len() / 2, buf.len() - 1] {
+            let mut reader = WireReader::new(&buf[..cut]);
+            prop_assert!(Dcsc::<AEntry>::wire_decode(&mut reader).is_err());
+        }
+    }
 
     #[test]
     fn byte_vectors_round_trip(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
