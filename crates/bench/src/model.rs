@@ -23,9 +23,11 @@
 //!
 //! The *overlap credit* refines the earlier model, which charged time
 //! parked in non-blocking `wait`s fully as communication. A phase that
-//! drives its transfers through requests (`ibcast`, `ialltoallv`) can
-//! hide them behind local work; the hideable share demonstrated by the
-//! trace is bounded both by the time actually spent blocked
+//! drives its transfers through requests (the SUMMA stages' `ibcast`)
+//! can hide them behind local work; the k-mer stage's blocking
+//! `alltoallv` rounds book no wait time and earn no credit. The hideable
+//! share demonstrated by the trace is bounded both by the time actually
+//! spent blocked
 //! (`wait_secs` — transfer that *was* exposed and is overlappable) and
 //! by the compute available to hide it, hence
 //! `min(wait_secs, compute_secs)`. The credit is scaled like the compute

@@ -41,10 +41,10 @@ pub struct PhaseProfile {
     pub wall_secs: f64,
     /// Seconds spent blocked inside *blocking* communication calls.
     pub comm_secs: f64,
-    /// Seconds spent blocked inside non-blocking requests (`ibcast`,
-    /// `ialltoallv`). Kept separate from `comm_secs`: when
-    /// communication is overlapped with computation this bucket shrinks
-    /// toward zero while the same bytes still flow.
+    /// Seconds spent blocked inside non-blocking requests (`ibcast`).
+    /// Kept separate from `comm_secs`: when communication is overlapped
+    /// with computation this bucket shrinks toward zero while the same
+    /// bytes still flow.
     pub wait_secs: f64,
     /// Wall seconds the rank spent inside intra-rank *threaded* local
     /// kernels (the SpGEMM stage multiply, the x-drop alignment batch,
@@ -372,7 +372,7 @@ impl RunProfile {
     }
 
     /// Max-over-ranks non-blocking wait time within a phase — the time
-    /// ranks spent parked in `ibcast` / `ialltoallv` requests. A
+    /// ranks spent parked in `ibcast` requests. A
     /// pipelined stage that truly overlaps communication shows a small
     /// value here relative to the same stage run eagerly.
     pub fn max_wait_secs(&self, phase: &str) -> f64 {

@@ -10,18 +10,18 @@
 //! envelopes between *processes* as serialized frames — see
 //! [`crate::transport`].
 //!
-//! The non-blocking collectives (`ibcast`, `ialltoallv`) are built on a
-//! crate-internal receive request with MPI-style `wait` / `test` (sends
-//! are eager and buffered, so [`Comm::send`] never blocks and needs no
-//! request). The time a rank spends blocked inside a request is booked
-//! to the profile's *wait* bucket — separate from blocking-receive time
-//! — so communication/computation overlap is visible in a [`RunProfile`].
+//! The non-blocking broadcast (`ibcast`) is built on a crate-internal
+//! receive request completed by `wait` (sends are eager and buffered, so
+//! [`Comm::send`] never blocks and needs no request). The time a rank
+//! spends blocked inside a request is booked to the profile's *wait*
+//! bucket — separate from blocking-receive time — so
+//! communication/computation overlap is visible in a [`RunProfile`].
 //!
-//! A dead peer is detected in exactly three places, the three calls
-//! that reach the transport: a post, a blocking receive and a
-//! non-blocking probe. Each raises [`CommError::PeerGone`] on the spot
-//! (see [`crate::error`]); every operation above them is infallible,
-//! and [`Runner`] catches the unwind.
+//! A dead peer is detected in exactly two places, the two calls that
+//! reach the transport: a post and a blocking receive. Each raises
+//! [`CommError::PeerGone`] on the spot (see [`crate::error`]); every
+//! operation above them is infallible, and [`Runner`] catches the
+//! unwind.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -245,16 +245,16 @@ impl Comm {
     // ------------------------------------------------------------------
 
     /// Non-blocking receive: returns immediately with a [`RecvRequest`]
-    /// that can be `test`ed (poll) or `wait`ed (block). Time blocked in
-    /// `wait` is booked to the profile's *wait* bucket, separate from
-    /// blocking-`recv` communication time. The engine of `ibcast` and
-    /// `ialltoallv`, which receive on reserved tags.
+    /// that is `wait`ed later. Time blocked in `wait` is booked to the
+    /// profile's *wait* bucket, separate from blocking-`recv`
+    /// communication time. The engine of `ibcast`, which receives on a
+    /// reserved tag.
     pub(crate) fn irecv<T: CommMsg>(&self, src: Rank, tag: Tag) -> RecvRequest<'_, T> {
         RecvRequest {
             comm: self,
             src,
             tag,
-            ready: None,
+            _value: std::marker::PhantomData,
         }
     }
 
@@ -308,42 +308,6 @@ impl Comm {
         }
     }
 
-    /// Non-blocking matched probe: drain whatever has arrived from `src`
-    /// into the stash and take the first message matching this
-    /// communicator and `tag`, if any. A dead-and-drained peer raises —
-    /// this message can never arrive, and a `test()` poll loop must not
-    /// spin forever on it.
-    fn try_take(&self, src: Rank, tag: Tag) -> Option<Envelope> {
-        if let Some(envelope) = self.take_stashed(src, tag) {
-            return Some(envelope);
-        }
-        let world = self.members[src];
-        loop {
-            match self.endpoint.transport.try_recv_from(world) {
-                Ok(Some(envelope)) if self.matches(&envelope, tag) => return Some(envelope),
-                Ok(Some(envelope)) => self.endpoint.stash()[world].push_back(envelope),
-                Ok(None) => return None,
-                Err(_) => self.peer_gone(src, "polling for", tag),
-            }
-        }
-    }
-
-    /// Change counter of this rank's inbox; see [`Comm::park_inbox`].
-    pub(crate) fn inbox_seq(&self) -> u64 {
-        self.endpoint.transport.inbox_seq()
-    }
-
-    /// Park until the inbox changes relative to `seen` (any arrival —
-    /// for this communicator or another of the rank's — or any peer
-    /// close; callers re-probe, so spurious wakeups are fine). The caller
-    /// must have read [`Comm::inbox_seq`] *before* its last probe sweep;
-    /// arrivals in between wake it immediately. This is the condvar
-    /// wakeup that replaced the `yield_now` spin loop in the chunked
-    /// `ialltoallv` iterator.
-    pub(crate) fn park_inbox(&self, seen: u64) {
-        self.endpoint.transport.park_inbox(seen);
-    }
-
     /// Whether `envelope` was sent on this communicator with `tag`.
     fn matches(&self, envelope: &Envelope, tag: Tag) -> bool {
         envelope.ctx == self.ctx && envelope.tag == tag
@@ -374,12 +338,6 @@ impl Comm {
     pub(crate) fn coll_recv<T: CommMsg>(&self, src: Rank, tag: Tag) -> T {
         let envelope = self.wait_for(src, tag);
         decode_payload(envelope, self.rank, src, tag)
-    }
-
-    /// Book time a non-blocking operation spent parked: a request's
-    /// blocking `wait`, or a poll loop parked on the inbox.
-    pub(crate) fn record_wait(&self, secs: f64) {
-        lock_profile(&self.profile).record_wait_time(secs);
     }
 
     /// Book wall seconds this rank spent inside an intra-rank *threaded*
@@ -540,64 +498,26 @@ impl Drop for SharedMemCharge {
     }
 }
 
-/// Handle for a posted [`Comm::irecv`].
-///
-/// `test` polls the mailbox without blocking; `wait` blocks until the
+/// Handle for a posted [`Comm::irecv`]: `wait` blocks until the
 /// matching message arrives, booking the blocked time to the profile's
-/// wait bucket. Dropping a request without `wait`ing is allowed and
-/// never loses a message: if the message already arrived (including one
-/// buffered by a successful `test`), the drop re-queues it for a later
-/// matching receive, mirroring MPI_Cancel-free usage.
-#[must_use = "requests should be completed with wait() (or polled with test())"]
+/// wait bucket. A request holds nothing until then, so dropping one
+/// unwaited loses no message — a later matching receive still gets it.
+#[must_use = "requests should be completed with wait()"]
 pub(crate) struct RecvRequest<'c, T: CommMsg> {
     comm: &'c Comm,
     src: Rank,
     tag: Tag,
-    ready: Option<T>,
-}
-
-impl<T: CommMsg> Drop for RecvRequest<'_, T> {
-    fn drop(&mut self) {
-        // A value buffered by test() belongs to the mailbox, not to this
-        // abandoned request: put it back so a later recv/irecv on the
-        // same (source, tag) still matches it. It re-enters at the FRONT
-        // of the source's stash because test() always captured the oldest
-        // unconsumed match — re-queuing behind younger same-tag messages
-        // would invert MPI's per-(source, tag) delivery order. wait()
-        // takes the value out before dropping, so completed requests
-        // re-queue nothing.
-        if let Some(value) = self.ready.take() {
-            let comm = self.comm;
-            comm.endpoint.stash()[comm.members[self.src]]
-                .push_front(Envelope::new(comm.ctx, self.tag, value));
-        }
-    }
+    _value: std::marker::PhantomData<T>,
 }
 
 impl<T: CommMsg> RecvRequest<'_, T> {
-    /// Poll for completion without blocking. Once this returns `true`,
-    /// [`RecvRequest::wait`] returns the value without blocking. A
-    /// dead-and-drained source raises `PeerGone`.
-    pub(crate) fn test(&mut self) -> bool {
-        if self.ready.is_none() {
-            let Some(envelope) = self.comm.try_take(self.src, self.tag) else {
-                return false;
-            };
-            self.ready = Some(decode_payload(envelope, self.comm.rank, self.src, self.tag));
-        }
-        true
-    }
-
     /// Block until the message arrives and return it. Blocked time is
     /// recorded as wait time (not blocking-communication time), keeping
     /// overlap measurable.
-    pub(crate) fn wait(mut self) -> T {
-        if let Some(value) = self.ready.take() {
-            return value;
-        }
+    pub(crate) fn wait(self) -> T {
         let start = Instant::now();
         let envelope = self.comm.wait_for(self.src, self.tag);
-        self.comm.record_wait(start.elapsed().as_secs_f64());
+        lock_profile(&self.comm.profile).record_wait_time(start.elapsed().as_secs_f64());
         decode_payload(envelope, self.comm.rank, self.src, self.tag)
     }
 }
@@ -618,9 +538,8 @@ pub(crate) mod op {
     pub const EXSCAN: u8 = 8;
     pub const SPLIT: u8 = 9;
     pub const IBCAST: u8 = 10;
-    pub const IALLTOALLV: u8 = 11;
 
-    const NAMES: [(u8, &str); 10] = [
+    const NAMES: [(u8, &str); 9] = [
         (BARRIER, "barrier"),
         (BCAST, "bcast"),
         (GATHER, "gather"),
@@ -630,7 +549,6 @@ pub(crate) mod op {
         (EXSCAN, "exscan"),
         (SPLIT, "split"),
         (IBCAST, "ibcast"),
-        (IALLTOALLV, "ialltoallv"),
     ];
 
     fn lookup(code: u8) -> Option<&'static str> {
@@ -1084,24 +1002,6 @@ mod tests {
     }
 
     #[test]
-    fn irecv_test_polls_to_completion() {
-        let out = Runner::new(Backend::InProcess).ranks(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 4, 7u64);
-                0
-            } else {
-                let mut req = comm.irecv::<u64>(0, 4);
-                while !req.test() {
-                    std::thread::yield_now();
-                }
-                // test() already buffered the value: wait() must not block.
-                req.wait()
-            }
-        });
-        assert_eq!(out[1], 7);
-    }
-
-    #[test]
     fn nonblocking_interoperates_with_blocking() {
         // send -> recv and send -> irecv must pair up, including when
         // the request is posted before the matching send runs.
@@ -1135,72 +1035,6 @@ mod tests {
             }
         });
         assert_eq!(out[1], 300);
-    }
-
-    #[test]
-    fn dropped_request_leaves_message_for_blocking_recv() {
-        let out = Runner::new(Backend::InProcess).ranks(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 6, 42u64);
-                0
-            } else {
-                {
-                    let mut req = comm.irecv::<u64>(0, 6);
-                    // Poll until the message has actually arrived so the
-                    // drop is the interesting case (value was buffered
-                    // into the request by test()).
-                    while !req.test() {
-                        std::thread::yield_now();
-                    }
-                    // dropped without wait(): must re-queue the value
-                }
-                // The abandoned request's message stays receivable.
-                comm.recv::<u64>(0, 6)
-            }
-        });
-        assert_eq!(out[1], 42);
-    }
-
-    #[test]
-    fn dropped_request_requeue_preserves_fifo_order() {
-        // m1 buffered by test(), m2 already drained into pending behind
-        // it: the drop must put m1 back at the FRONT so per-(src, tag)
-        // delivery order survives the abandoned request.
-        let out = Runner::new(Backend::InProcess).ranks(2).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 6, 1u64); // m1
-                comm.send(1, 6, 2u64); // m2
-                comm.send(1, 7, 0u64); // unblocks rank 1's drain
-                0
-            } else {
-                let mut req = comm.irecv::<u64>(0, 6);
-                while !req.test() {
-                    std::thread::yield_now();
-                }
-                // Force m2 into the pending buffer: the blocking recv on
-                // tag 7 drains everything that has arrived from rank 0.
-                let _ = comm.recv::<u64>(0, 7);
-                drop(req); // m1 must re-enter ahead of m2
-                let first = comm.recv::<u64>(0, 6);
-                let second = comm.recv::<u64>(0, 6);
-                (first * 10 + second) as usize
-            }
-        });
-        assert_eq!(out[1], 12, "delivery order must stay m1 then m2");
-    }
-
-    #[test]
-    #[should_panic(expected = "disconnected while polling")]
-    fn test_poll_panics_when_peer_is_gone() {
-        let _ = Runner::new(Backend::InProcess).ranks(2).run(|comm| {
-            if comm.rank() == 0 {
-                return; // exits without sending; its channels disconnect
-            }
-            let mut req = comm.irecv::<u64>(0, 5);
-            while !req.test() {
-                std::thread::yield_now();
-            }
-        });
     }
 
     #[test]
@@ -1303,28 +1137,23 @@ mod tests {
         }
 
         /// An irecv posted *before* the barrier-separated send still
-        /// matches, and test() never falsely completes before the send
-        /// happened.
+        /// matches.
         #[test]
         fn early_posted_irecv_waits_for_late_send(p in 2usize..6, value in 0u64..1_000_000) {
             let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
                 if comm.rank() == 1 {
-                    let mut req = comm.irecv::<u64>(0, 9);
-                    let premature = req.test();
+                    let req = comm.irecv::<u64>(0, 9);
                     comm.barrier(); // rank 0 sends only after this barrier
-                    let got = req.wait();
-                    (premature, got)
+                    req.wait()
                 } else {
                     comm.barrier();
                     if comm.rank() == 0 {
                         comm.send(1, 9, value);
                     }
-                    (false, 0)
+                    0
                 }
             });
-            let (premature, got) = out[1];
-            prop_assert!(!premature, "test() completed before any send was posted");
-            prop_assert_eq!(got, value);
+            prop_assert_eq!(out[1], value);
         }
     }
 }

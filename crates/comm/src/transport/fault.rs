@@ -451,23 +451,6 @@ impl Transport for FaultTransport {
         Ok(envelope)
     }
 
-    fn try_recv_from(&self, src: Rank) -> Result<Option<Envelope>, PeerGone> {
-        let out = self.inner.try_recv_from(src)?;
-        if out.is_some() {
-            self.state.recvs.fetch_add(1, Ordering::Relaxed);
-            self.state.check_kills();
-        }
-        Ok(out)
-    }
-
-    fn inbox_seq(&self) -> u64 {
-        self.inner.inbox_seq()
-    }
-
-    fn park_inbox(&self, seen: u64) {
-        self.inner.park_inbox(seen)
-    }
-
     fn shutdown(&self) {
         self.inner.shutdown()
     }

@@ -55,18 +55,6 @@ impl Transport for InProcess {
         self.inbox().recv(src)
     }
 
-    fn try_recv_from(&self, src: Rank) -> Result<Option<Envelope>, PeerGone> {
-        self.inbox().try_recv(src)
-    }
-
-    fn inbox_seq(&self) -> u64 {
-        self.inbox().seq()
-    }
-
-    fn park_inbox(&self, seen: u64) {
-        self.inbox().park(seen);
-    }
-
     fn shutdown(&self) {
         // Refuse further deliveries to this rank and tell every peer we
         // are gone, so their blocked receives fail instead of hanging —

@@ -9,9 +9,9 @@
 //! `Comm::split` is therefore arithmetic, and no backend implements it.
 //!
 //! Everything above this module — point-to-point sends, collectives,
-//! communicator management, credit/ack flow control, byte accounting —
-//! is transport-agnostic: it never knows whether its peers are threads
-//! in the same address space or processes on the other end of a socket.
+//! communicator management, byte accounting — is transport-agnostic:
+//! it never knows whether its peers are threads in the same address
+//! space or processes on the other end of a socket.
 //!
 //! Two backends ship:
 //!
@@ -127,12 +127,6 @@ pub(crate) struct PeerGone;
 ///   [`Transport::recv_from`] calls on it return `Err(PeerGone)` once
 ///   drained, never hang. There is one inbox per rank, so a dead rank
 ///   is dead in every communicator by construction.
-/// * **Liveness for parking** (invariant 5): [`Transport::park_inbox`]
-///   returns once the inbox *changes* relative to the observed
-///   [`Transport::inbox_seq`] — any arrival (for whichever communicator)
-///   or any peer close counts. Implementations must bump the sequence
-///   for every such event, or flow-controlled exchanges deadlock on lost
-///   wakeups; spurious wakeups are harmless.
 /// * **Wire bytes**: transports move envelopes; they do **not** account
 ///   bytes. All byte accounting happens above, from
 ///   [`CommMsg::nbytes`], which is what keeps profiled traffic
@@ -153,21 +147,6 @@ pub(crate) trait Transport: Send + Sync {
     /// down and its queue is drained.
     fn recv_from(&self, src: Rank) -> Result<Envelope, PeerGone>;
 
-    /// Non-blocking probe: `Ok(Some)` with the next envelope from
-    /// `src`, `Ok(None)` if nothing has arrived, `Err(PeerGone)` once
-    /// `src` is gone and drained.
-    fn try_recv_from(&self, src: Rank) -> Result<Option<Envelope>, PeerGone>;
-
-    /// Change counter of this rank's inbox; bumped on every arrival and
-    /// every peer close. Pair with [`Transport::park_inbox`].
-    fn inbox_seq(&self) -> u64;
-
-    /// Park the calling thread until the inbox changes relative to
-    /// `seen`. Callers read [`Transport::inbox_seq`] *before* their
-    /// probe sweep so an arrival in between wakes them immediately (no
-    /// lost-wakeup race).
-    fn park_inbox(&self, seen: u64);
-
     /// Leave the world: refuse further inbound messages and propagate
     /// this rank's closed flag to every peer. Idempotent. Called when
     /// the rank's last `Comm` drops, and by the SPMD harness after
@@ -184,9 +163,6 @@ struct MailboxState {
     queues: Vec<VecDeque<Envelope>>,
     /// Sources whose sending side is permanently done.
     closed: Vec<bool>,
-    /// Bumped on every push/close; lets waiters park until *anything*
-    /// changes ([`Mailbox::park`]) without a lost-wakeup race.
-    seq: u64,
     /// Set when the owning rank shuts down; deliveries then fail like
     /// sends into a dropped channel.
     owner_gone: bool,
@@ -195,7 +171,7 @@ struct MailboxState {
 /// One rank's inbox: every peer pushes into it, only the owner pops.
 /// In-process ranks push directly; the socket backend's reader threads
 /// push decoded frames. The condvar is the wakeup that keeps blocked
-/// receives (and the chunked `ialltoallv` iterator) from spinning.
+/// receives from spinning.
 pub(crate) struct Mailbox {
     state: Mutex<MailboxState>,
     arrived: Condvar,
@@ -207,7 +183,6 @@ impl Mailbox {
             state: Mutex::new(MailboxState {
                 queues: (0..nsources).map(|_| VecDeque::new()).collect(),
                 closed: vec![false; nsources],
-                seq: 0,
                 owner_gone: false,
             }),
             arrived: Condvar::new(),
@@ -228,7 +203,6 @@ impl Mailbox {
             return Err(PeerGone);
         }
         st.queues[src].push_back(envelope);
-        st.seq += 1;
         drop(st);
         self.arrived.notify_all();
         Ok(())
@@ -239,7 +213,6 @@ impl Mailbox {
     pub(crate) fn close(&self, src: Rank) {
         let mut st = self.lock();
         st.closed[src] = true;
-        st.seq += 1;
         drop(st);
         self.arrived.notify_all();
     }
@@ -260,35 +233,6 @@ impl Mailbox {
             if st.closed[src] {
                 return Err(PeerGone);
             }
-            st = self
-                .arrived
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Non-blocking pop of the next message from `src` (any tag):
-    /// `Ok(None)` if nothing has arrived, `Err` once `src` closed with an
-    /// empty queue.
-    pub(crate) fn try_recv(&self, src: Rank) -> Result<Option<Envelope>, PeerGone> {
-        let mut st = self.lock();
-        match st.queues[src].pop_front() {
-            None if st.closed[src] => Err(PeerGone),
-            envelope => Ok(envelope),
-        }
-    }
-
-    /// Current change counter; pair with [`Mailbox::park`].
-    pub(crate) fn seq(&self) -> u64 {
-        self.lock().seq
-    }
-
-    /// Park until the mailbox changes relative to `seen` (a push or a
-    /// close from any source). Callers read `seq()` *before* their probe
-    /// sweep so an arrival between sweep and park wakes them immediately.
-    pub(crate) fn park(&self, seen: u64) {
-        let mut st = self.lock();
-        while st.seq == seen {
             st = self
                 .arrived
                 .wait(st)

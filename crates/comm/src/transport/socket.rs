@@ -15,9 +15,8 @@
 //! backend uses, so receive matching, parking and closed-flag semantics
 //! are shared code. Because readers always drain the socket into an
 //! unbounded mailbox, a sender's `write` can never deadlock against its
-//! own receive path: the flow-control liveness rules (non-blocking
-//! `finish_sends`, `inbound_ready` probe before parking — invariant 5)
-//! hold over sockets exactly as they do in process.
+//! own receive path: posts stay non-blocking over sockets exactly as
+//! they do in process.
 //!
 //! ## Communicators
 //!
@@ -194,18 +193,6 @@ impl Transport for SocketTransport {
 
     fn recv_from(&self, src: Rank) -> Result<Envelope, PeerGone> {
         self.mailbox.recv(src)
-    }
-
-    fn try_recv_from(&self, src: Rank) -> Result<Option<Envelope>, PeerGone> {
-        self.mailbox.try_recv(src)
-    }
-
-    fn inbox_seq(&self) -> u64 {
-        self.mailbox.seq()
-    }
-
-    fn park_inbox(&self, seen: u64) {
-        self.mailbox.park(seen);
     }
 
     fn shutdown(&self) {

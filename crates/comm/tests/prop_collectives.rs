@@ -75,6 +75,56 @@ proptest! {
     }
 
     #[test]
+    fn alltoallv_ignores_concurrent_p2p_traffic(
+        p_idx in 0usize..3,
+        socket: bool,
+        sizes in proptest::collection::vec(0usize..9, 16),
+        noise in proptest::collection::vec(0u64..1000, 4),
+    ) {
+        // Uneven buffers, with unrelated point-to-point traffic on user
+        // tags sent before and between exchanges and received only after
+        // them: neither may corrupt the other, on either backend.
+        let p = [2usize, 3, 4][p_idx];
+        let backend = if socket { Backend::Socket } else { Backend::InProcess };
+        let sizes_in = sizes.clone();
+        let noise_in = noise.clone();
+        let out = Runner::new(backend).ranks(p).run(move |comm| {
+            let right = (comm.rank() + 1) % p;
+            let left = (comm.rank() + p - 1) % p;
+            let bufs = |round: u64| -> Vec<Vec<u64>> {
+                (0..p)
+                    .map(|dst| {
+                        let len = sizes_in[(comm.rank() * p + dst + round as usize) % sizes_in.len()];
+                        (0..len as u64)
+                            .map(|i| round << 48 | (comm.rank() as u64) << 32 | (dst as u64) << 16 | i)
+                            .collect()
+                    })
+                    .collect()
+            };
+            comm.send(right, 101, noise_in.clone());
+            let first = comm.alltoallv(bufs(0));
+            comm.send(right, 202, comm.rank() as u64);
+            let second = comm.alltoallv(bufs(1));
+            let from_left_a = comm.recv::<Vec<u64>>(left, 101);
+            let from_left_b = comm.recv::<u64>(left, 202);
+            (first, second, from_left_a == noise_in && from_left_b == left as u64)
+        });
+        for (dst, (first, second, p2p_ok)) in out.iter().enumerate() {
+            prop_assert!(*p2p_ok, "rank {} p2p traffic", dst);
+            for (round, received) in [first, second].into_iter().enumerate() {
+                for (src, buf) in received.iter().enumerate() {
+                    let len = sizes[(src * p + dst + round) % sizes.len()];
+                    let round = round as u64;
+                    let expect: Vec<u64> = (0..len as u64)
+                        .map(|i| round << 48 | (src as u64) << 32 | (dst as u64) << 16 | i)
+                        .collect();
+                    prop_assert_eq!(buf, &expect);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn exscan_matches_prefix_sums(p in 1usize..10, values in proptest::collection::vec(0u64..1000, 10)) {
         let values_in = values.clone();
         let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {

@@ -21,8 +21,9 @@ use crate::contig::{contig_generation, gather_contigs, ContigConfig, ContigStats
 /// Most bytes one first occurrence holds in a window of A's triples —
 /// its `(column or slot, entry)`, plus a `u64` column query when its
 /// k-mer is new to the window: the k-mer stage's largest per-item
-/// footprint (a count record is 16 bytes), and the unit `batch_kmers` is
-/// derived from.
+/// footprint (a counting window's is at most the same, an 8-byte
+/// occurrence plus a 16-byte count record), and the unit `batch_kmers`
+/// is derived from.
 const A_RECORD_BYTES: usize = std::mem::size_of::<(u64, AEntry)>() + 8;
 /// Heuristic bytes per accumulated SpGEMM output row used to derive
 /// `batch_rows` from a budget.
@@ -151,8 +152,8 @@ impl PipelineConfig {
     /// CLI:
     ///
     /// * the k-mer exchange's `batch_kmers` is derived inside
-    ///   [`assemble`], where the grid size is known — the per-peer
-    ///   inbound ceiling depends on `p`,
+    ///   [`assemble`], where the grid size is known — the inbound
+    ///   windows of a round scale with `p`,
     /// * every distributed SpGEMM runs the column-batched schedule
     ///   ([`elba_sparse::SpGemmAlgorithm::ColumnBatched`]) under the
     ///   SpGEMM sub-budget, with `batch_rows` derived for the per-round
@@ -217,12 +218,12 @@ pub fn string_graph(grid: &ProcGrid, store: &ReadStore, cfg: &PipelineConfig) ->
     let world = grid.world();
     let n_reads = store.n_global();
 
-    // The config-time batch derivation cannot see the grid size, but
-    // the transport admits ~one batch in flight per peer: re-derive
-    // `batch_kmers` here, where `p` is known, so the outgoing batch
-    // plus the per-peer inbound ceiling fit the exchange sub-budget on
-    // any grid — without this, the ceiling charge alone exceeds the
-    // budget once p grows past a handful of ranks.
+    // The config-time window derivation cannot see the grid size, but
+    // a round's `alltoallv` delivers one window from every peer at once:
+    // re-derive `batch_kmers` here, where `p` is known, so the outgoing
+    // window plus the inbound windows fit the exchange sub-budget on any
+    // grid — without this, the inbound windows alone exceed the budget
+    // once p grows past a handful of ranks.
     let kmer_cfg = if cfg.mem_budget.is_limited() {
         let mut k = cfg.kmer.clone();
         k.batch_kmers = cfg.mem_budget.derive_batch_kmers_for(

@@ -101,15 +101,14 @@ impl MemBudget {
             .map(|t| ((t as f64 * SPGEMM_FRACTION) as u64).max(1))
     }
 
-    /// Streaming-exchange batch size (`batch_kmers`): one outgoing
-    /// batch (the exchange keeps at most one resident application-side)
-    /// plus the per-peer inbound transport ceiling (≈ one batch per
-    /// peer under the flow-control window) must fit the exchange
-    /// sub-budget, so a batch is the sub-budget divided by `1 + peers`.
-    /// The pipeline derives this at run time, where the rank count is
-    /// known — a config-time derivation cannot see `p`, and a p-blind
-    /// split would let the inbound ceiling exceed the sub-budget on any
-    /// real grid. Unlimited budgets return `default`.
+    /// K-mer exchange window (`batch_kmers`): one outgoing window plus
+    /// one window inbound from each peer (a round's `alltoallv` delivers
+    /// every source's window at once) must fit the exchange sub-budget,
+    /// so a window is the sub-budget divided by `1 + peers`. The
+    /// pipeline derives this at run time, where the rank count is known
+    /// — a config-time derivation cannot see `p`, and a p-blind split
+    /// would let the inbound windows exceed the sub-budget on any real
+    /// grid. Unlimited budgets return `default`.
     pub fn derive_batch_kmers_for(
         &self,
         record_bytes: usize,

@@ -8,14 +8,15 @@
 //! k-mer selection). Surviving k-mers get dense global column ids via an
 //! exclusive scan over per-owner counts.
 //!
-//! Counting streams: reads are scanned in batches of
-//! [`KmerConfig::batch_kmers`] occurrences, each batch's partial counts
-//! are posted as chunks of a non-blocking
-//! [`ialltoallv`](elba_comm::Comm::ialltoallv) to the k-mers' owners and
-//! inbound chunks are folded into the owners' tables as they arrive —
-//! ELBA's custom all-to-all, which never holds the full outgoing or
-//! incoming exchange: sender-side credits bound what any peer can park in
-//! a slow rank's mailbox to about one batch per source.
+//! Both steps run the same round loop over windows of
+//! [`KmerConfig::batch_kmers`] occurrences: scan a window, agree with a
+//! one-byte `allreduce` whether any rank still has one, and exchange it
+//! with [`Comm::alltoallv`] — ELBA's custom all-to-all, which never holds
+//! more than one window's traffic per peer.
+//!
+//! Counting ships each window's partial counts, one `(kmer, count)`
+//! record per distinct k-mer, to the k-mers' owners, which fold them into
+//! their tables.
 //!
 //! A's triples are built on the rank that holds the read. Occurrences
 //! never travel: each window of `batch_kmers` first occurrences looks up
@@ -28,7 +29,7 @@ use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
 use elba_comm::transport::wire::{WireError, WireReader};
-use elba_comm::{Comm, CommMsg, IalltoallvRequest, ProcGrid, Rank};
+use elba_comm::{Comm, CommMsg, ProcGrid};
 
 use crate::kmer::{KmerHit, KmerScan};
 use crate::store::ReadStore;
@@ -41,8 +42,8 @@ pub struct KmerConfig {
     pub reliable_min: u32,
     /// Maximum multiplicity (drops repeat-induced k-mers).
     pub reliable_max: u32,
-    /// Exchange batch size: maximum k-mer occurrences buffered on the
-    /// send side before a flush. A memory budget derives it.
+    /// Exchange window: the k-mer occurrences one round of either
+    /// exchange scans before it sends. A memory budget derives it.
     pub batch_kmers: usize,
     /// Intra-rank worker threads for the k-mer scan (per-read canonical
     /// k-mer extraction; `0` or `1` = scan on the rank thread, nothing
@@ -247,138 +248,42 @@ elba_mem::impl_deep_bytes_pod!(AEntry);
 /// memory-bound tests (and the bench) assert against. Every item count
 /// is at most `batch_kmers` by construction:
 ///
-/// * counting: `peak_outgoing_items` is what the outgoing buckets held,
-///   `peak_inbound_items` the largest inbound chunk;
+/// * counting: `peak_outgoing_items` is the most count records one
+///   window sent, `peak_inbound_items` the most one source sent this
+///   rank in one window;
 /// * A's triples: `peak_outgoing_items` is the most column queries one
 ///   window sent, `peak_answer_items` the most answers it got back, and
 ///   `peak_inbound_items` the most queries one source sent this rank in
 ///   one window.
 ///
 /// The byte fields are the resident buffers behind those peaks; every
-/// exchange also feeds them into the rank's memory tracker
+/// exchange also feeds what coexists into the rank's memory tracker
 /// ([`elba_comm::Comm::record_mem_transient`]), so a profiled run's
 /// `mem-hw` column shows the stage's real buffer bound.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExchangeStats {
-    /// Most items ever resident in the outgoing buckets at once.
+    /// Most items one window sent.
     pub peak_outgoing_items: usize,
-    /// Most items ever resident on the receive side from one source.
+    /// Most items one window received from one source.
     pub peak_inbound_items: usize,
     /// Most column answers one window of A's triples received (zero for
     /// counting).
     pub peak_answer_items: usize,
-    /// Peak sender-side bytes (for A's triples: a window's occurrences
-    /// and its queries; the answers, half a query's size, arrive once
+    /// Peak sender-side bytes: a window's occurrences and what it sends
+    /// (for A's triples the answers, half a query's size, arrive once
     /// the queries have left).
     pub peak_outgoing_bytes: usize,
-    /// Peak receive-side bytes (for A's triples: every source's queries
-    /// of one window; the answers replace them source by source).
+    /// Peak receive-side bytes: every source's records or queries of
+    /// one window (for A's triples the answers replace the queries
+    /// source by source).
     pub peak_inbound_bytes: usize,
 }
 
 impl ExchangeStats {
-    /// Resident-byte spike this exchange contributed (both sides).
+    /// Resident-byte bound of this exchange: both sides' peaks summed.
     pub fn peak_bytes(&self) -> usize {
         self.peak_outgoing_bytes + self.peak_inbound_bytes
     }
-}
-
-/// Route `items` through a streaming non-blocking `ialltoallv`: buffer at
-/// most `batch` items, post the batch as chunks, and fold whatever chunks
-/// have arrived before scanning the next batch. After the scan, seal the
-/// sends and drain the remainder (blocking waits are profiled as *wait*
-/// time). No more than `batch` outgoing items — buffered buckets *or*
-/// credit-starved chunks queued in the stream — are ever resident. The
-/// bound is end-to-end, not just application-side: posting throttles on
-/// [`wait_for_credit`], and chunks are sized at `batch / window` so each
-/// destination's credit window admits at most ~`batch` items into its
-/// transport mailbox per peer — a rank folding slower than its peers
-/// scan holds ≤ `batch` un-folded items *per source*, never an unbounded
-/// backlog.
-///
-/// [`wait_for_credit`]: elba_comm::IalltoallvRequest::wait_for_credit
-fn streaming_exchange<T: elba_comm::CommMsg + Clone + Sync>(
-    world: &Comm,
-    batch: usize,
-    items: impl Iterator<Item = (Rank, T)>,
-    mut fold: impl FnMut(Rank, Vec<T>),
-) -> ExchangeStats {
-    let p = world.size();
-    let batch = batch.max(1);
-    let record_bytes = std::mem::size_of::<T>();
-    // Chunks are sized so the credit window admits at most one batch's
-    // worth of items into any destination's mailbox from this rank:
-    // window × chunk ≈ batch. Without this, the transport could hold
-    // `window` *full-batch* chunks per source — a slow-folding rank
-    // would be resident `window ×` over the documented bound.
-    let window = IalltoallvRequest::<T>::DEFAULT_WINDOW;
-    let chunk_elems = batch.div_ceil(window).max(1);
-    let mut stream = world.ialltoallv::<T>(chunk_elems, window);
-    let mut buckets: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-    let mut buffered = 0usize;
-    let mut stats = ExchangeStats::default();
-    for (dst, item) in items {
-        buckets[dst].push(item);
-        buffered += 1;
-        stats.peak_outgoing_items = stats.peak_outgoing_items.max(buffered);
-        if buffered >= batch {
-            for (dst, bucket) in buckets.iter_mut().enumerate() {
-                if !bucket.is_empty() {
-                    stream.post(dst, std::mem::take(bucket));
-                }
-            }
-            buffered = 0;
-            // Overlap: fold whatever peers have already shipped while
-            // our next batch is still being scanned.
-            while let Some((src, chunk)) = stream.try_next() {
-                stats.peak_inbound_items = stats.peak_inbound_items.max(chunk.len());
-                fold(src, chunk);
-            }
-            // Producer throttle: chunks past the credit window queue
-            // sender-side; park here (folding inbound chunks as they
-            // land, which is what grants our peers credits) instead of
-            // scanning ahead, so a slow peer bounds the backlog at the
-            // one batch just posted rather than growing it without
-            // limit. `wait_for_credit` returns whenever a chunk is
-            // consumable, so the drain below keeps granting credits —
-            // two mutually credit-exhausted ranks cannot both park
-            // forever.
-            loop {
-                let backlog = stream.pending_send_items();
-                stats.peak_outgoing_items = stats.peak_outgoing_items.max(backlog);
-                if backlog == 0 {
-                    break;
-                }
-                stream.wait_for_credit();
-                while let Some((src, chunk)) = stream.try_next() {
-                    stats.peak_inbound_items = stats.peak_inbound_items.max(chunk.len());
-                    fold(src, chunk);
-                }
-            }
-        }
-    }
-    for (dst, bucket) in buckets.iter_mut().enumerate() {
-        if !bucket.is_empty() {
-            stream.post(dst, std::mem::take(bucket));
-        }
-    }
-    stats.peak_outgoing_items = stats.peak_outgoing_items.max(stream.pending_send_items());
-    stream.finish_sends();
-    for (src, chunk) in stream.by_ref() {
-        stats.peak_inbound_items = stats.peak_inbound_items.max(chunk.len());
-        fold(src, chunk);
-    }
-    stats.peak_outgoing_bytes = stats.peak_outgoing_items * record_bytes;
-    stats.peak_inbound_bytes = stats.peak_inbound_items * record_bytes;
-    // The flow-control window *permits* each of the other p-1 ranks to
-    // keep `window` unacked chunks (≈ one batch) in our mailbox; charge
-    // that permitted ceiling rather than an observed occupancy — the
-    // mailbox's actual fill is timing-dependent, and the tracker's
-    // charges must stay deterministic for the budget verdict to certify
-    // a guaranteed bound.
-    let inbound_ceiling = p.saturating_sub(1) * window * chunk_elems * record_bytes;
-    world.record_mem_transient(stats.peak_bytes() + inbound_ceiling);
-    stats
 }
 
 /// Count canonical k-mers across all ranks and keep the reliable band
@@ -391,10 +296,17 @@ pub fn count_kmers(grid: &ProcGrid, store: &ReadStore, cfg: &KmerConfig) -> Kmer
 
 /// [`count_kmers`] plus the exchange's buffer high-water marks.
 ///
-/// Occurrences are aggregated within each `batch_kmers`-occurrence
-/// window (`WindowCounts`) and the window's partial counts are shipped;
-/// owners sum them — global `+` is associative and commutative, so
-/// window boundaries never show in the table.
+/// The occurrence stream is cut into windows of `batch_kmers`, in the
+/// same order for every thread count. Each window is sorted and sends
+/// one `(kmer, count)` record per run of equal k-mers to the k-mer's
+/// owner, in one `alltoallv`; owners sum the partial counts — global `+`
+/// is associative and commutative, so window boundaries never show in
+/// the table. A one-byte `allreduce` per window keeps a rank whose reads
+/// are done in step with the others, as in [`build_a_triples_with_stats`].
+///
+/// The tracker is charged what coexists: the sorted window with its
+/// outgoing records before the send, the received records after it (the
+/// self bucket moves through the exchange, so it is charged once).
 pub fn count_kmers_with_stats(
     grid: &ProcGrid,
     store: &ReadStore,
@@ -402,26 +314,41 @@ pub fn count_kmers_with_stats(
 ) -> (KmerTable, ExchangeStats) {
     let world = grid.world();
     let p = world.size();
-    let threads = cfg.threads;
+    let batch = cfg.batch_kmers.max(1);
     let scan_stats = ScanStats::default();
+    let mut kmers =
+        occurrence_scan(store, cfg.k, cfg.threads, &scan_stats).map(|(_, hit)| hit.kmer);
+    let mut window: Vec<u64> = Vec::new();
     let mut owned: KmerMap<u32> = KmerMap::default();
-    let stats = streaming_exchange(
-        world,
-        cfg.batch_kmers,
-        WindowCounts {
-            kmers: occurrence_scan(store, cfg.k, threads, &scan_stats).map(|(_, hit)| hit.kmer),
-            window: cfg.batch_kmers.max(1),
-            p,
-            sorted: Vec::new(),
-            next: 0,
-        },
-        |_src, buf: Vec<(u64, u32)>| {
-            for (kmer, count) in buf {
+    let mut stats = ExchangeStats::default();
+    loop {
+        window.clear();
+        window.extend(kmers.by_ref().take(batch));
+        if !world.allreduce(!window.is_empty(), |a, b| a || b) {
+            break;
+        }
+        let buckets = partial_counts(&mut window, p);
+        let sent: usize = buckets.iter().map(Vec::len).sum();
+        stats.peak_outgoing_items = stats.peak_outgoing_items.max(sent);
+        stats.peak_outgoing_bytes = stats
+            .peak_outgoing_bytes
+            .max(window.len() * std::mem::size_of::<u64>() + sent * COUNT_RECORD_BYTES);
+        let inbound = world.alltoallv(buckets);
+        let received: usize = inbound.iter().map(Vec::len).sum();
+        let largest = inbound.iter().map(Vec::len).max().unwrap_or(0);
+        stats.peak_inbound_items = stats.peak_inbound_items.max(largest);
+        stats.peak_inbound_bytes = stats.peak_inbound_bytes.max(received * COUNT_RECORD_BYTES);
+        // One plain loop per source: folding through a flattening
+        // iterator measured about a quarter slower on singleton-heavy
+        // input.
+        for records in inbound {
+            for (kmer, count) in records {
                 *owned.entry(kmer).or_insert(0) += count;
             }
-        },
-    );
-    book_scan(world, threads, &scan_stats);
+        }
+    }
+    book_scan(world, cfg.threads, &scan_stats);
+    world.record_mem_transient(stats.peak_outgoing_bytes.max(stats.peak_inbound_bytes));
     // Reliable band filter.
     let mut reliable: Vec<u64> = owned
         .into_iter()
@@ -676,46 +603,21 @@ impl Window {
     }
 }
 
-/// Per-window count aggregation for the streaming count path: consume up
-/// to `window` occurrences at a time, sort them, and emit one
-/// `(owner, (kmer, partial_count))` record per run of equal k-mers.
-/// Memory stays O(window) while wire traffic shrinks by the within-window
-/// multiplicity factor. Owners sum partial counts, so window boundaries
-/// are invisible in the result.
-///
-/// Windows are emitted in sorted k-mer order because where
-/// `streaming_exchange`'s batch boundaries fall — hence per-post bucket
-/// sizes, chunk counts and the structural bytes every chunk books — must
-/// be a function of the input alone: profiled wire bytes are
-/// deterministic.
-struct WindowCounts<I: Iterator<Item = u64>> {
-    kmers: I,
-    window: usize,
-    p: usize,
-    /// The current window's occurrences, sorted; `sorted[next..]` is not
-    /// yet emitted.
-    sorted: Vec<u64>,
-    next: usize,
-}
+/// A `(kmer, partial count)` record's resident size.
+const COUNT_RECORD_BYTES: usize = std::mem::size_of::<(u64, u32)>();
 
-impl<I: Iterator<Item = u64>> Iterator for WindowCounts<I> {
-    type Item = (Rank, (u64, u32));
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next == self.sorted.len() {
-            self.sorted.clear();
-            self.sorted.extend(self.kmers.by_ref().take(self.window));
-            self.sorted.sort_unstable();
-            self.next = 0;
-        }
-        let &kmer = self.sorted.get(self.next)?;
-        let run = self.sorted[self.next..]
-            .iter()
-            .take_while(|&&other| other == kmer)
-            .count();
-        self.next += run;
-        Some((kmer_owner(kmer, self.p), (kmer, run as u32)))
+/// One counting window's records: sort the window's occurrences and emit
+/// one `(kmer, partial_count)` per run of equal k-mers into its owner's
+/// bucket, in k-mer order. Wire traffic shrinks by the within-window
+/// multiplicity, and every bucket is a function of the input alone, so
+/// profiled wire bytes are deterministic.
+fn partial_counts(window: &mut [u64], p: usize) -> Vec<Vec<(u64, u32)>> {
+    window.sort_unstable();
+    let mut buckets: Vec<Vec<(u64, u32)>> = (0..p).map(|_| Vec::new()).collect();
+    for run in window.chunk_by(|a, b| a == b) {
+        buckets[kmer_owner(run[0], p)].push((run[0], run.len() as u32));
     }
+    buckets
 }
 
 /// Side-band accounting for one [`occurrence_scan`]: the peak hit count
@@ -1094,6 +996,33 @@ mod tests {
     }
 
     #[test]
+    fn counting_charges_the_sorted_window() {
+        // Poly-A reads: every occurrence is the same k-mer, so a window
+        // of `batch` occurrences sends one record, but the window itself
+        // is `batch` sorted `u64`s while it is cut — and the tracker must
+        // see them.
+        let batch = 1000usize;
+        let (_, profile) = Runner::new(Backend::InProcess)
+            .ranks(1)
+            .run_profiled(move |comm| {
+                let grid = ProcGrid::new(comm);
+                let poly_a = "A".repeat(600);
+                let store = store_from(&grid, &[poly_a.as_str(), poly_a.as_str()]);
+                let cfg = KmerConfig {
+                    batch_kmers: batch,
+                    ..cfg_with(5, 2)
+                };
+                let _g = grid.world().phase("CountKmer");
+                count_kmers(&grid, &store, &cfg).n_local()
+            });
+        let hw = profile.max_mem_hw("CountKmer");
+        assert!(
+            hw >= (batch * 8) as u64,
+            "CountKmer mem-hw {hw} < {batch} × 8 B"
+        );
+    }
+
+    #[test]
     fn threaded_scan_matches_serial() {
         // The grouped parallel k-mer scan must yield the exact
         // occurrence stream of the serial scan: the oracle's table and
@@ -1123,7 +1052,7 @@ mod tests {
 
     #[test]
     fn threaded_occurrence_stream_is_the_serial_one() {
-        // Element for element, not just the same table: batch boundaries
+        // Element for element, not just the same table: window boundaries
         // (hence wire bytes) are cut by position in this stream. ~300 k
         // bases, so 7 workers refill several groups and 2 workers dozens;
         // reads shorter than k and empty reads sit between the others.

@@ -366,8 +366,10 @@ fn pipeline_profile_contains_paper_phases() {
 
 /// Golden wire pin: per-rank messages (p2p + collective calls) and bytes
 /// of the two phases the k-mer stage drives, for one seeded read set at
-/// p = 4, against fixed constants. CountKmer's were recorded before the
-/// stage's hot loops were rebuilt; DetectOverlap's when A's triples
+/// p = 4, against fixed constants. CountKmer's were recorded when its
+/// streamed, flow-controlled chunks became one `alltoallv` and a one-byte
+/// `allreduce` per window: the same count records, without per-chunk
+/// framing, credit acks and terminators. DetectOverlap's when A's triples
 /// stopped shipping occurrences (a window's column queries to the other
 /// owners and their answers, and the 4-byte A entry, in place of one
 /// 21-byte record per occurrence). Every other wire check compares two live runs
@@ -377,12 +379,8 @@ fn pipeline_profile_contains_paper_phases() {
 #[test]
 fn kmer_stage_wire_traffic_matches_golden_constants() {
     // (msgs, bytes) per rank.
-    const COUNT_KMER: [(u64, u64); 4] = [
-        (1749, 605049),
-        (1938, 700690),
-        (1673, 598305),
-        (1543, 463316),
-    ];
+    const COUNT_KMER: [(u64, u64); 4] =
+        [(177, 598988), (177, 693410), (177, 592424), (176, 459114)];
     const DETECT_OVERLAP: [(u64, u64); 4] = [
         (237, 1742284),
         (239, 2179890),
@@ -392,8 +390,8 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
     let spec = DatasetSpec::celegans_like(0.05, 1919);
     let (_genome, reads) = reads_of(&spec);
     let mut cfg = PipelineConfig::for_dataset(&spec);
-    // Small enough that every rank flushes dozens of batches: where the
-    // batch boundaries fall is part of what is pinned.
+    // Small enough that every rank runs dozens of windows: where the
+    // window boundaries fall is part of what is pinned.
     cfg.kmer.batch_kmers = 1 << 10;
     let (_, profile) = Runner::new(Backend::InProcess)
         .ranks(4)

@@ -7,7 +7,7 @@
 //! run into an `Err(SpmdFailure)` whose entry for r is `Killed` and
 //! whose every other entry is a clean `PeerGone` cascade. A survivor
 //! raises `PeerGone` where it detects the death, naming the peer it lost
-//! and, inside a collective, the collective (`… during ialltoallv`).
+//! and, inside a collective, the collective (`… during alltoallv`).
 //!
 //! Process level — `elba launch` supervises worker processes: a
 //! SIGKILLed rank is named in the supervisor's error, survivors are
@@ -74,8 +74,8 @@ fn small_dataset() -> (Vec<Seq>, PipelineConfig) {
 }
 
 /// The acceptance pin: kill every rank in turn, mid-CountKmer (inside
-/// the streaming `ialltoallv`, the pipeline's one all-to-all stream) and
-/// mid-Alignment, on both backends. The run must end (no hang), the
+/// its windowed rounds: an `allreduce` and an `alltoallv` per window)
+/// and mid-Alignment, on both backends. The run must end (no hang), the
 /// killed rank must be classified `Killed`, and every other failed rank
 /// must be a `PeerGone` cascade — an organic `Panic` anywhere means a
 /// survivor crashed instead of unwinding cleanly.
@@ -128,10 +128,10 @@ fn kill_mid_phase_is_typed(
                 f.rank, f.cause
             );
         };
-        // CountKmer's only traffic is the k-mer stream, so every
-        // survivor stalls inside it and says so.
+        // CountKmer's only traffic is its rounds, so every survivor
+        // stalls inside one of a round's collectives and says so.
         assert!(
-            phase != "CountKmer" || ctx.ends_with(" during ialltoallv"),
+            phase != "CountKmer" || names_a_round_collective(ctx),
             "{label}: rank {} names the stalled collective, got '{ctx}'",
             f.rank
         );
@@ -145,56 +145,66 @@ fn kill_mid_phase_is_typed(
     );
 }
 
-// ---- the streaming all-to-all: survivors raise where they detect ----
+/// Whether a `PeerGone` context names one of the collectives a k-mer
+/// round runs: its `alltoallv`, or the `reduce` / `bcast` halves of its
+/// `allreduce`.
+fn names_a_round_collective(ctx: &str) -> bool {
+    [" during alltoallv", " during reduce", " during bcast"]
+        .iter()
+        .any(|name| ctx.ends_with(name))
+}
+
+// ---- the k-mer stage's rounds: survivors raise where they detect ----
 
 const CHUNK: usize = 32;
 const ROUNDS: usize = 4;
 
-/// An all-to-all chunk exchange over the whole stream surface: post,
-/// opportunistic drain, credit wait, seal, blocking drain. Returns the
-/// number of chunks received.
-fn stream_exchange(comm: &Comm, window: usize) -> usize {
+/// The k-mer stage's exchange shape: a one-byte `allreduce` decides
+/// whether another round runs, and each of `ROUNDS` rounds is an
+/// `alltoallv` of one `CHUNK` to every other rank. Returns the number of
+/// items received.
+fn stream_exchange(comm: &Comm) -> usize {
     let me = comm.rank();
-    let n = comm.size();
-    let mut stream = comm.ialltoallv::<u64>(CHUNK, window);
-    let mut chunks = 0;
-    for round in 0..ROUNDS {
-        for dst in (0..n).filter(|&dst| dst != me) {
-            let payload: Vec<u64> = (0..CHUNK as u64)
-                .map(|i| ((round as u64) << 32) | ((me as u64) << 16) | i)
-                .collect();
-            stream.post(dst, payload);
-            while stream.try_next().is_some() {
-                chunks += 1;
-            }
-            stream.wait_for_credit();
-        }
+    let mut items = 0;
+    let mut round = 0;
+    while comm.allreduce(round < ROUNDS, |a, b| a || b) {
+        let payload: Vec<u64> = (0..CHUNK as u64)
+            .map(|i| ((round as u64) << 32) | ((me as u64) << 16) | i)
+            .collect();
+        let bufs: Vec<Vec<u64>> = (0..comm.size())
+            .map(|dst| {
+                if dst == me {
+                    Vec::new()
+                } else {
+                    payload.clone()
+                }
+            })
+            .collect();
+        items += comm.alltoallv(bufs).iter().map(Vec::len).sum::<usize>();
+        round += 1;
     }
-    stream.finish_sends();
-    chunks + stream.count()
+    items
 }
 
-/// Kill one rank at assorted points (post-count and recv-count triggers,
-/// small, default-ish and unbounded windows) on both backends. No
-/// survivor can finish the exchange without the victim's terminator, so
-/// every one of them unwinds with `PeerGone`: each names a peer other
+/// Kill one rank at assorted points (post-count and recv-count triggers)
+/// on both backends. No survivor can finish a round without the victim,
+/// so every one of them unwinds with `PeerGone`: each names a peer other
 /// than itself (the victim, or a survivor that unwound before it), the
-/// first observers name the victim, and every message names the
+/// first observers name the victim, and every message names the round
 /// collective it stalled in.
 #[test]
 fn checked_stream_survivors_observe_typed_peer_gone() {
-    let cases: &[(&str, usize, usize)] = &[
-        ("kill:2@posts:5", 2, 2),
-        ("kill:1@recvs:3", 1, 8),
-        ("kill:3@posts:9", 3, usize::MAX),
+    let cases: &[(&str, usize)] = &[
+        ("kill:2@posts:5", 2),
+        ("kill:1@recvs:3", 1),
+        ("kill:3@posts:9", 3),
     ];
     for socket in [false, true] {
-        for &(plan_text, victim, window) in cases {
+        for &(plan_text, victim) in cases {
             let plan = FaultPlan::parse(plan_text).expect("valid plan");
-            let label = format!("socket={socket} plan={plan_text} window={window}");
-            let failure =
-                run_with_plan(socket, 4, &plan, move |comm| stream_exchange(&comm, window))
-                    .expect_err("killed rank must fail the run");
+            let label = format!("socket={socket} plan={plan_text}");
+            let failure = run_with_plan(socket, 4, &plan, |comm| stream_exchange(&comm))
+                .expect_err("killed rank must fail the run");
 
             assert!(
                 matches!(failure.primary().cause, FailureCause::Killed(_)),
@@ -216,7 +226,7 @@ fn checked_stream_survivors_observe_typed_peer_gone() {
                 };
                 assert_ne!(peer, f.rank, "{label}: no rank blames itself");
                 assert!(
-                    ctx.ends_with(" during ialltoallv"),
+                    names_a_round_collective(ctx),
                     "{label}: rank {} names the stalled collective, got '{ctx}'",
                     f.rank
                 );
@@ -236,7 +246,7 @@ fn checked_stream_survivors_observe_typed_peer_gone() {
 #[test]
 fn severed_link_fails_the_sender_with_typed_error() {
     let plan = FaultPlan::parse("sever:0-1@posts:2").expect("valid plan");
-    let failure = run_with_plan(false, 2, &plan, |comm| stream_exchange(&comm, usize::MAX))
+    let failure = run_with_plan(false, 2, &plan, |comm| stream_exchange(&comm))
         .expect_err("a severed link must fail the run");
     assert!(
         !failure.failures.is_empty(),
