@@ -26,6 +26,9 @@
 //! `l[post : pre']` with the paper's inclusive/reverse slicing then works
 //! unchanged for both orientations.
 
+use elba_comm::transport::wire::{WireError, WireReader};
+use elba_comm::CommMsg;
+
 use crate::xdrop::SeedAlignment;
 
 /// A pairwise overlap candidate between reads `u` and `v`.
@@ -83,7 +86,38 @@ pub struct SgEdge {
     pub suffix: u32,
 }
 
-elba_comm::impl_comm_msg_pod!(SgEdge);
+/// Field by field, zero-padded to `size_of` (what `nbytes` books): a
+/// `bool` travels as one byte that must read 0 or 1, so no frame can
+/// build an invalid one.
+impl CommMsg for SgEdge {
+    #[inline]
+    fn nbytes(&self) -> usize {
+        std::mem::size_of::<SgEdge>()
+    }
+
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        let end = out.len() + self.nbytes();
+        for field in [self.pre, self.post, self.suffix] {
+            field.wire_encode(out);
+        }
+        self.src_rev.wire_encode(out);
+        self.dst_rev.wire_encode(out);
+        out.resize(end, 0);
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let edge = SgEdge {
+            pre: u32::wire_decode(r)?,
+            post: u32::wire_decode(r)?,
+            suffix: u32::wire_decode(r)?,
+            src_rev: bool::wire_decode(r)?,
+            dst_rev: bool::wire_decode(r)?,
+        };
+        // The padding after three `u32` and two `bool`.
+        r.read_bytes(std::mem::size_of::<SgEdge>() - 14)?;
+        Ok(edge)
+    }
+}
 elba_mem::impl_deep_bytes_pod!(SgEdge);
 
 /// Classification outcome.

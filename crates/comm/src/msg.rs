@@ -372,7 +372,11 @@ impl<A: CommMsg, B: CommMsg, C: CommMsg, D: CommMsg> CommMsg for (A, B, C, D) {
 /// The frame codec copies the struct's bytes verbatim (padding included)
 /// and trusts them on decode — frames only ever come from the same binary
 /// on the same machine, so field layouts match by construction. Do not
-/// use for types with invariants a foreign byte pattern could break.
+/// use for types with invariants a foreign byte pattern could break:
+/// every field must accept every bit pattern, so a `bool`, `char` or
+/// enum field (at any depth) disqualifies a type — decoding a byte
+/// other than 0 or 1 into a `bool` is undefined behaviour. Such types
+/// encode field by field instead (`SgEdge`, `SharedSeeds`).
 #[macro_export]
 macro_rules! impl_comm_msg_pod {
     ($($t:ty),* $(,)?) => {

@@ -25,9 +25,6 @@ use crate::contig::{contig_generation, gather_contigs, ContigConfig, ContigStats
 /// occurrence plus a 16-byte count record), and the unit `batch_kmers`
 /// is derived from.
 const A_RECORD_BYTES: usize = std::mem::size_of::<(u64, AEntry)>() + 8;
-/// Heuristic bytes per accumulated SpGEMM output row used to derive
-/// `batch_rows` from a budget.
-const SPGEMM_ROW_BYTES_HINT: usize = 1024;
 
 /// Seed-chaining knobs for the alignment stage, the argument of
 /// [`PipelineConfig::seed_chaining`]. `Default` matches
@@ -154,24 +151,22 @@ impl PipelineConfig {
     /// * the k-mer exchange's `batch_kmers` is derived inside
     ///   [`assemble`], where the grid size is known — the inbound
     ///   windows of a round scale with `p`,
-    /// * every distributed SpGEMM runs the column-batched schedule
-    ///   ([`elba_sparse::SpGemmAlgorithm::ColumnBatched`]) under the
-    ///   SpGEMM sub-budget, with `batch_rows` derived for the per-round
-    ///   multiply.
+    /// * every distributed SpGEMM runs the production SUMMA
+    ///   ([`elba_sparse::SpGemmAlgorithm::Pipelined`]) with the SpGEMM
+    ///   sub-budget as its `mem_budget`: column windows sized to fit it,
+    ///   where an unlimited budget runs one window.
     ///
-    /// A limited budget is the only thing that selects the batched
-    /// schedule, and an unlimited one leaves the default pipelined SUMMA
-    /// in place: the budget implies the schedule. Derivations clamp to
+    /// The budget is the schedule's parameter, not a choice between
+    /// schedules, and nothing else sets it. Derivations clamp to
     /// sane floors, so an absurdly small budget degrades to the tightest
     /// batching available rather than failing; a profiled run's `mem-hw`
     /// column shows what was actually reached.
     pub fn with_mem_budget(mut self, budget: MemBudget) -> Self {
         self.mem_budget = budget;
         if let Some(spgemm_bytes) = budget.spgemm_bytes() {
-            // Preserve the thread knob: budgets pick the schedule, not
+            // Preserve the thread knob: budgets size the windows, not
             // the intra-rank worker count.
-            let batch_rows = MemBudget::batch_rows_for(spgemm_bytes, SPGEMM_ROW_BYTES_HINT);
-            self.overlap.spgemm = SpGemmOptions::column_batched(batch_rows, spgemm_bytes)
+            self.overlap.spgemm = SpGemmOptions::column_batched(spgemm_bytes)
                 .with_threads(self.overlap.spgemm.threads);
         }
         self
@@ -482,9 +477,9 @@ mod tests {
             (SpGemmOptions::pipelined(), 4),
             // one double-buffered round / many blocking rounds / the
             // quarter-budget floor (one column per round)
-            (SpGemmOptions::column_batched(1024, 1 << 30), 4),
-            (SpGemmOptions::column_batched(7, 4 << 10), 1),
-            (SpGemmOptions::column_batched(1, 1), 4),
+            (SpGemmOptions::column_batched(1 << 30), 4),
+            (SpGemmOptions::column_batched(4 << 10), 1),
+            (SpGemmOptions::column_batched(1), 4),
         ];
         for (opts, threads) in cases {
             let out = Runner::new(Backend::InProcess).ranks(4).run(move |comm| {

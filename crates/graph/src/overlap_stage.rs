@@ -36,9 +36,9 @@ pub struct OverlapConfig {
     pub min_score_ratio: f64,
     /// Overhang tolerance when classifying (x-drop may stop early).
     pub fuzz: usize,
-    /// Options for the distributed `C = AAᵀ` multiply (pipelined by
-    /// default; column-batched when the pipeline runs under a memory
-    /// budget).
+    /// Options for the distributed `C = AAᵀ` multiply: the production
+    /// SUMMA, whose column windows a memory budget sizes (one window
+    /// without one).
     pub spgemm: SpGemmOptions,
     /// Intra-rank worker threads for the x-drop alignment batch (`0` or
     /// `1` is the historical serial sweep). Each worker owns one
@@ -160,11 +160,11 @@ impl AlignStats {
 /// symmetric and only `r < col` is kept, so the multiply is asked for
 /// the upper triangle alone ([`DistMat::spgemm_aat_upper_with`]):
 /// diagonal ranks do half the products, ranks below the diagonal none.
-/// The prune is fused into the multiply: under the column-batched
-/// schedule each output batch is thresholded as it completes, so only
-/// the pruned candidate set is ever retained — the heart of ELBA's
-/// bounded-memory overlap detection. The other schedules prune after
-/// the fact; the result is identical either way.
+/// The prune is fused into the multiply: each output column window is
+/// thresholded as it completes, so only the pruned candidate set is
+/// ever retained — the heart of ELBA's bounded-memory overlap
+/// detection. The eager oracle prunes after the fact; the result is
+/// identical either way.
 pub fn candidate_matrix(
     grid: &ProcGrid,
     a: &DistMat<AEntry>,

@@ -3,6 +3,8 @@
 //! [`elba_sparse::Semiring`] machinery.
 
 use elba_align::SgEdge;
+use elba_comm::transport::wire::{WireError, WireReader};
+use elba_comm::CommMsg;
 use elba_seq::AEntry;
 use elba_sparse::Semiring;
 
@@ -43,7 +45,61 @@ pub struct SharedSeeds {
     seeds: [Seed; 2],
 }
 
-elba_comm::impl_comm_msg_pod!(SharedSeeds, Seed);
+/// Field by field, zero-padded to `size_of` (what `nbytes` books), so
+/// `same_strand` travels as one byte that must read 0 or 1.
+impl CommMsg for Seed {
+    #[inline]
+    fn nbytes(&self) -> usize {
+        std::mem::size_of::<Seed>()
+    }
+
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        let end = out.len() + self.nbytes();
+        self.pos_v.wire_encode(out);
+        self.pos_h.wire_encode(out);
+        self.same_strand.wire_encode(out);
+        out.resize(end, 0);
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let seed = Seed {
+            pos_v: u32::wire_decode(r)?,
+            pos_h: u32::wire_decode(r)?,
+            same_strand: bool::wire_decode(r)?,
+        };
+        // The padding after two `u32` and a `bool`.
+        r.read_bytes(std::mem::size_of::<Seed>() - 9)?;
+        Ok(seed)
+    }
+}
+
+/// Field by field like [`Seed`], zero-padded to `size_of`.
+impl CommMsg for SharedSeeds {
+    #[inline]
+    fn nbytes(&self) -> usize {
+        std::mem::size_of::<SharedSeeds>()
+    }
+
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        let end = out.len() + self.nbytes();
+        self.count.wire_encode(out);
+        self.far.wire_encode(out);
+        for seed in &self.seeds {
+            seed.wire_encode(out);
+        }
+        out.resize(end, 0);
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let seeds = SharedSeeds {
+            count: u32::wire_decode(r)?,
+            far: u32::wire_decode(r)?,
+            seeds: [Seed::wire_decode(r)?, Seed::wire_decode(r)?],
+        };
+        r.read_bytes(std::mem::size_of::<SharedSeeds>() - 8 - 2 * std::mem::size_of::<Seed>())?;
+        Ok(seeds)
+    }
+}
 elba_mem::impl_deep_bytes_pod!(SharedSeeds, Seed);
 
 impl SharedSeeds {

@@ -8,8 +8,8 @@
 //!
 //! * [`MemBudget`] — a global per-rank byte cap with fixed per-phase
 //!   sub-budgets, plus the derivations that turn one `--mem-budget` knob
-//!   into concrete pipeline parameters (`batch_kmers`, `batch_rows`,
-//!   SpGEMM column-batch sizing),
+//!   into concrete pipeline parameters (`batch_kmers` and the SpGEMM
+//!   sub-budget the SUMMA sizes its column windows under),
 //! * [`MemTracker`] — per-rank, per-phase high-water byte accounting.
 //!   Stages *charge* bytes while a buffer is resident and *release* them
 //!   when it drops; each phase records the maximum total resident bytes
@@ -122,15 +122,6 @@ impl MemBudget {
                 (share as usize / record_bytes.max(1)).clamp(1 << 10, 1 << 20)
             }
         }
-    }
-
-    /// Row-batch size for the blocked local multiply inside each round
-    /// of the budgeted SUMMA, given its sub-budget
-    /// ([`MemBudget::spgemm_bytes`]): sized so one batch's output rows
-    /// are a small slice of it under the `row_bytes_hint` heuristic
-    /// (estimated bytes per accumulated output row).
-    pub fn batch_rows_for(spgemm_bytes: u64, row_bytes_hint: usize) -> usize {
-        ((spgemm_bytes / 16) as usize / row_bytes_hint.max(1)).clamp(32, 1 << 13)
     }
 }
 
@@ -430,9 +421,6 @@ mod tests {
             MemBudget::bytes(16).derive_batch_kmers_for(24, 1, 0),
             1 << 10
         );
-        let tiny = MemBudget::bytes(16).spgemm_bytes().expect("limited");
-        assert_eq!(MemBudget::batch_rows_for(tiny, 1024), 32);
-        assert_eq!(MemBudget::batch_rows_for(u64::MAX, 1024), 1 << 13);
     }
 
     #[test]

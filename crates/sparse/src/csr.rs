@@ -192,28 +192,6 @@ impl<T> Csr<T> {
         out
     }
 
-    /// Map stored values, preserving structure.
-    pub fn map<U>(self, mut f: impl FnMut(u32, u32, T) -> U) -> Csr<U> {
-        let mut values = Vec::with_capacity(self.values.len());
-        let mut it = self.values.into_iter();
-        for i in 0..self.nrows {
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                values.push(f(
-                    i as u32,
-                    self.indices[k],
-                    it.next().expect("value per index"),
-                ));
-            }
-        }
-        Csr {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            indptr: self.indptr,
-            indices: self.indices,
-            values,
-        }
-    }
-
     /// Keep only entries satisfying the predicate (CombBLAS `Prune`).
     pub fn retain(self, mut keep: impl FnMut(u32, u32, &T) -> bool) -> Csr<T> {
         let mut values = self.values.into_iter();
@@ -504,13 +482,6 @@ mod tests {
         assert_eq!(most.nnz(), n - n / 10);
         assert_eq!(most.indices.capacity(), n);
         assert_eq!(most.values.capacity(), n);
-    }
-
-    #[test]
-    fn map_preserves_structure() {
-        let m = sample().map(|r, c, v| (r + c) as f64 + v);
-        assert_eq!(m.get(2, 1), Some(&7.0));
-        assert_eq!(m.nnz(), 4);
     }
 
     #[test]

@@ -16,17 +16,14 @@ use crate::dcsc::Dcsc;
 use crate::dist_vec::DistVec;
 use crate::layout::Layout2D;
 use crate::semiring::Semiring;
-use crate::spgemm::{csr_merge, MaskedAccumulator, SpGemmBatcher};
+use crate::spgemm::{MaskedAccumulator, SpGemmBatcher};
 
 /// Tag for the transpose block exchange.
 const TRANSPOSE_TAG: u64 = 0x00F1_7A7A;
 
-/// See [`DistMat::pinned_copy_count`].
-static PINNED_COPIES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
 /// Merge one batch-produced row (`cols`/`vals`, sorted by column) into a
 /// per-row accumulator in place — the row-local step of the
-/// column-batched schedule's incremental accumulation. Transient memory
+/// SUMMA schedule's incremental accumulation. Transient memory
 /// is one merged row, not a matrix.
 fn merge_row<T>(
     acc: &mut (Vec<u32>, Vec<T>),
@@ -75,8 +72,121 @@ fn merge_row<T>(
     *acc_vals = merged_vals;
 }
 
+/// Keep the entries of one accumulated row (`cols`/`vals`, parallel)
+/// that `keep` accepts, compacting both in place in column order.
+fn retain_row<V>(cols: &mut Vec<u32>, vals: &mut Vec<V>, mut keep: impl FnMut(u32, &V) -> bool) {
+    let mut kept = 0;
+    for i in 0..cols.len() {
+        if keep(cols[i], &vals[i]) {
+            cols.swap(kept, i);
+            vals.swap(kept, i);
+            kept += 1;
+        }
+    }
+    cols.truncate(kept);
+    vals.truncate(kept);
+}
+
+/// What a memory budget adds to the SUMMA schedule, fixed before its
+/// first round: an upper bound on each local output column's
+/// accumulator bytes, each stage's A+B block bytes, and whether the
+/// budget affords prefetching.
+struct RoundPlan {
+    budget: u64,
+    entry_bytes: u64,
+    col_est: Vec<u64>,
+    stage_bytes: Vec<usize>,
+    /// Prefetch stage `s+1` while stage `s` multiplies (two stages of
+    /// blocks resident).
+    double_buffer: bool,
+    /// Broadcast bytes a window's accumulator shares the budget with.
+    resident_floor: u64,
+    /// Row-batch size of a round's multiply.
+    row_batch: usize,
+}
+
+impl RoundPlan {
+    /// The plan for a block of `nrows` output rows from the estimate
+    /// pass's per-column flops and per-stage bytes
+    /// ([`DistMat::structure_estimates`]). Collective.
+    fn new(
+        grid: &ProcGrid,
+        (col_flops, stage_bytes): (Vec<u64>, Vec<usize>),
+        budget: u64,
+        nrows: usize,
+        entry_bytes: u64,
+    ) -> Self {
+        // The flop count upper-bounds the column's accumulator entries
+        // (merging only shrinks them), and the accumulator holds at most
+        // `nrows` entries per column however many flops land there: under
+        // heavy inner-index multiplicity (k-mers shared by many reads)
+        // the raw flop count overshoots by orders of magnitude.
+        let col_est = col_flops
+            .iter()
+            .map(|&f| f.min(nrows as u64) * entry_bytes)
+            .collect();
+        // The broadcast-block residency floor must be agreed grid-wide:
+        // it decides between the double-buffered ibcast pipeline and
+        // single-buffered blocking rounds, and a rank-divergent choice
+        // would desynchronize the collective schedule.
+        let max_stage = grid.world().allreduce(
+            stage_bytes.iter().copied().max().unwrap_or(0) as u64,
+            u64::max,
+        );
+        // Prefetching doubles the resident blocks; only pipeline when the
+        // budget leaves at least half of itself for the accumulator.
+        let double_buffer = 4 * max_stage <= budget;
+        RoundPlan {
+            budget,
+            entry_bytes,
+            col_est,
+            stage_bytes,
+            double_buffer,
+            resident_floor: (1 + u64::from(double_buffer)) * max_stage,
+            // One batch's output rows are a small slice of the budget at
+            // a heuristic 1 KiB per accumulated row.
+            row_batch: ((budget / 16) as usize / 1024).clamp(32, 1 << 13),
+        }
+    }
+
+    /// Broadcast bytes resident while stage `s` multiplies, the
+    /// prefetched next stage included — modelled from the grid-uniform
+    /// estimate, not charged through guards on the blocks.
+    fn resident(&self, s: usize) -> usize {
+        let next = self.stage_bytes.get(s + 1).filter(|_| self.double_buffer);
+        self.stage_bytes[s] + next.copied().unwrap_or(0)
+    }
+
+    /// End of the window that starts at local column `start` when
+    /// `retained` bytes of pruned output are already held: columns are
+    /// packed greedily (at least one) while their estimates fit the
+    /// budget left after the output and the resident broadcast blocks,
+    /// so the round's working set stays within the cap. A budget below
+    /// the resident floor can't be met by more batching (the inputs
+    /// themselves exceed it), so the room floors at a quarter budget
+    /// instead of degrading to one-column rounds whose broadcasts would
+    /// dwarf any saving.
+    fn window_end(&self, start: usize, retained: u64) -> usize {
+        let usable = self
+            .budget
+            .saturating_sub(self.resident_floor + retained)
+            .max(self.budget / 4)
+            .max(self.entry_bytes);
+        let mut end = start;
+        let mut batch_est = 0u64;
+        while let Some(&w) = self.col_est.get(end) {
+            if batch_est > 0 && batch_est + w > usable {
+                break;
+            }
+            batch_est += w;
+            end += 1;
+        }
+        end
+    }
+}
+
 /// One SUMMA stage's row-blocked multiply merged straight into the
-/// per-row accumulators: multiply `batch_rows` rows at a time over the
+/// per-row accumulators: multiply `row_batch` rows at a time over the
 /// output-column `window` (across `threads` intra-rank workers), merge
 /// each produced row, and re-size `charge` to `acc_entries ×
 /// entry_bytes + resident` (plus the per-worker SPA scratch) after
@@ -84,16 +194,15 @@ fn merge_row<T>(
 /// the updated accumulated-entry count plus the wall seconds spent in
 /// multiplies that genuinely fanned out to > 1 worker (the `par-s`
 /// contribution — the serial per-row merge on the rank thread is
-/// deliberately *not* counted, mirroring the eager/pipelined schedules
-/// which time only the multiply). The inner loop of the column-batched
-/// SUMMA schedule.
+/// deliberately *not* counted, mirroring the eager oracle, which times
+/// only the multiply). The inner loop of the SUMMA schedule.
 #[allow(clippy::too_many_arguments)]
 fn merge_stage_rows<S>(
     a_block: &Csr<S::A>,
     b_block: &Csr<S::B>,
     semiring: &S,
     window: std::ops::Range<u32>,
-    batch_rows: usize,
+    row_batch: usize,
     threads: usize,
     upper: Option<(usize, usize)>,
     acc_rows: &mut [(Vec<u32>, Vec<S::Out>)],
@@ -112,7 +221,7 @@ where
     let mut par_secs = 0.0f64;
     let mut start = 0;
     while start < nrows {
-        let end = (start + batch_rows).min(nrows);
+        let end = (start + row_batch).min(nrows);
         let multiply_started = std::time::Instant::now();
         let batch = batcher.multiply_rows_par(start..end, window.clone());
         if batcher.last_run_parallel() {
@@ -184,10 +293,10 @@ fn stage_batcher<'m, S: Semiring>(
     }
 }
 
-/// One SUMMA stage multiplied whole — the step the eager and pipelined
-/// schedules share. Records the per-worker SPA scratch (0 when
-/// serial) as a transient spike on top of whatever is charged, and books
-/// the span to `par` when the multiply genuinely fanned out.
+/// One SUMMA stage multiplied whole — the eager oracle's step. Records
+/// the per-worker SPA scratch (0 when serial) as a transient spike on
+/// top of whatever is charged, and books the span to `par` when the
+/// multiply genuinely fanned out.
 fn multiply_stage<S>(
     grid: &ProcGrid,
     a_block: &Csr<S::A>,
@@ -246,10 +355,10 @@ impl ParKernelClock {
 }
 
 /// Which distributed SUMMA schedule a product runs. A caller never
-/// picks between the two production schedules: a run with a memory
-/// budget is column-batched under it, a run without one is pipelined.
-/// The masked product ([`DistMat::prune_by_product`]) has a fixed-size
-/// accumulator and reads from this only whether to prefetch.
+/// picks a schedule: production runs the one pipelined SUMMA, and a
+/// memory budget is its parameter. The masked product
+/// ([`DistMat::prune_by_product`]) has a fixed-size accumulator and reads
+/// from this only whether to prefetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpGemmAlgorithm {
     /// The reference oracle the property suites compare against: a
@@ -257,31 +366,23 @@ pub enum SpGemmAlgorithm {
     /// triples, one global sort-merge at the end. Highest peak memory,
     /// no communication/computation overlap; not reachable from the CLI.
     Eager,
-    /// The default. Double-buffered pipeline: stage `s+1`'s A/B
-    /// broadcasts are posted (non-blocking `ibcast`) before stage `s` is
-    /// computed, so the transfer overlaps the local multiply; each
-    /// stage's output is merged into the accumulated CSR immediately,
-    /// bounding live intermediates to two stages of blocks plus the
-    /// running result.
-    Pipelined,
-    /// ELBA's full batched algorithm, for products that do not fit in
-    /// memory: the *output* is split into column batches sized from
-    /// `mem_budget` via a cheap flop/nnz estimate pass (structure-only
-    /// broadcasts), and one pipelined, row-blocked SUMMA round runs per
-    /// batch over the `ibcast` pipeline. The accumulated batch block
-    /// plus the resident broadcast blocks never exceed the budget (each
-    /// batch's flop-count upper-bounds its accumulator), so overlap
-    /// detection's memory is bounded regardless of how dense `C = AAᵀ`
-    /// gets — at the price of re-broadcasting the input blocks once per
-    /// round.
-    ColumnBatched {
-        /// Per-rank transient byte cap (broadcast blocks + batch
-        /// accumulator).
-        mem_budget: u64,
-        /// Row-batch size of the per-round multiply. Smaller batches
-        /// mean smaller live transients (the batch's output rows) at
-        /// slightly more per-batch overhead.
-        batch_rows: usize,
+    /// The production schedule, ELBA's batched SUMMA: the *output* is
+    /// computed in column windows, one round of stage broadcasts per
+    /// window. Stage `s+1`'s A/B broadcasts are posted (non-blocking
+    /// `ibcast`) before stage `s` is multiplied, so the transfer
+    /// overlaps the local multiply; each stage's rows merge into per-row
+    /// accumulators, and each window is pruned as it completes.
+    ///
+    /// Without a budget there is one window covering every column and
+    /// no sizing pass. With `mem_budget: Some(b)` a cheap flop/nnz
+    /// estimate pass (structure-only broadcasts) sizes the windows so
+    /// that the window's accumulator plus the resident broadcast blocks
+    /// stay under `b` bytes per rank, however dense `C = AAᵀ` gets — at
+    /// the price of re-broadcasting the input blocks once per round.
+    Pipelined {
+        /// Per-rank transient byte cap (broadcast blocks + window
+        /// accumulator); `None` is unbounded.
+        mem_budget: Option<u64>,
     },
 }
 
@@ -289,8 +390,8 @@ pub enum SpGemmAlgorithm {
 pub fn algorithm_label(algorithm: SpGemmAlgorithm) -> &'static str {
     match algorithm {
         SpGemmAlgorithm::Eager => "eager",
-        SpGemmAlgorithm::Pipelined => "pipelined",
-        SpGemmAlgorithm::ColumnBatched { .. } => "column-batched",
+        SpGemmAlgorithm::Pipelined { mem_budget: None } => "pipelined",
+        SpGemmAlgorithm::Pipelined { .. } => "column-batched",
     }
 }
 
@@ -322,23 +423,21 @@ impl SpGemmOptions {
         }
     }
 
-    /// The default overlapped schedule ([`SpGemmAlgorithm::Pipelined`]).
+    /// The production schedule without a budget: one window.
     pub fn pipelined() -> Self {
         SpGemmOptions {
-            algorithm: SpGemmAlgorithm::Pipelined,
+            algorithm: SpGemmAlgorithm::Pipelined { mem_budget: None },
             threads: 0,
         }
     }
 
-    /// The output-column-batched schedule under a transient byte budget
-    /// of `mem_budget` per rank ([`SpGemmAlgorithm::ColumnBatched`]).
-    pub fn column_batched(batch_rows: usize, mem_budget: u64) -> Self {
-        assert!(batch_rows > 0, "batched SpGEMM needs a positive batch size");
+    /// The production schedule under a transient byte budget of
+    /// `mem_budget` per rank: column windows sized to fit it.
+    pub fn column_batched(mem_budget: u64) -> Self {
         assert!(mem_budget > 0, "a SpGEMM memory budget must be positive");
         SpGemmOptions {
-            algorithm: SpGemmAlgorithm::ColumnBatched {
-                mem_budget,
-                batch_rows,
+            algorithm: SpGemmAlgorithm::Pipelined {
+                mem_budget: Some(mem_budget),
             },
             threads: 0,
         }
@@ -463,21 +562,9 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// *invisible to the memory tracker* (no `Comm` in scope here):
     /// callers holding a `SharedMemCharge` on the block should drop the
     /// guard before a consuming operation (see the TrReduction ordering
-    /// in `elba-core`). [`DistMat::pinned_copy_count`] counts fallback
-    /// firings so hot paths can be pinned to zero in tests.
+    /// in `elba-core`).
     fn into_local(self) -> Csr<T> {
-        Arc::try_unwrap(self.local).unwrap_or_else(|arc| {
-            PINNED_COPIES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            (*arc).clone()
-        })
-    }
-
-    /// Process-wide count of `DistMat::into_local` copy fallbacks
-    /// (consuming a block whose `Arc` something else still pins). A
-    /// diagnostic, not an error: nonzero means an untracked deep copy
-    /// happened somewhere.
-    pub fn pinned_copy_count() -> usize {
-        PINNED_COPIES.load(std::sync::atomic::Ordering::Relaxed)
+        Arc::try_unwrap(self.local).unwrap_or_else(|arc| (*arc).clone())
     }
 
     /// Heap bytes behind this rank's local block — what one rank charges
@@ -535,28 +622,6 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             .into_iter()
             .flatten()
             .collect()
-    }
-
-    /// Element-wise value transform (CombBLAS `Apply`); local, no
-    /// communication. `f` sees global coordinates.
-    pub fn map_values<U: Clone + CommMsg>(
-        self,
-        grid: &ProcGrid,
-        mut f: impl FnMut(u64, u64, T) -> U,
-    ) -> DistMat<U> {
-        let (r0, c0) = (
-            self.row_layout.block_range(grid.myrow()).start,
-            self.col_layout.block_range(grid.mycol()).start,
-        );
-        let (row_layout, col_layout) = (self.row_layout, self.col_layout);
-        DistMat {
-            row_layout,
-            col_layout,
-            local: Arc::new(
-                self.into_local()
-                    .map(|r, c, v| f((r as usize + r0) as u64, (c as usize + c0) as u64, v)),
-            ),
-        }
     }
 
     /// Keep only entries satisfying `keep` (CombBLAS `Prune`); local.
@@ -673,12 +738,12 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// halve; the ranks above the diagonal do what they always did, so
     /// with a core per rank the critical path is unchanged.
     ///
-    /// Under [`SpGemmAlgorithm::ColumnBatched`] the predicate runs on
-    /// each column batch *as it completes* — ELBA's batched overlap
+    /// Under [`SpGemmAlgorithm::Pipelined`] the predicate runs on each
+    /// column window *as it completes* — ELBA's batched overlap
     /// detection, where the shared-k-mer threshold is applied per batch
     /// so only the pruned output is ever retained (a budget that bounds
     /// every transient would still drown in the unpruned product); the
-    /// other schedules prune after the fact. `keep` sees global
+    /// eager oracle prunes after the fact. `keep` sees global
     /// coordinates.
     pub fn spgemm_aat_upper_with<S>(
         &self,
@@ -701,8 +766,8 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let mut keep = |r: u64, c: u64, v: &S::Out| r < c && keep(r, c, v);
         let c = self.run_schedule(grid, &at, semiring, opts, Some(c_offsets), &mut keep);
         match opts.algorithm {
-            SpGemmAlgorithm::ColumnBatched { .. } => c,
-            SpGemmAlgorithm::Eager | SpGemmAlgorithm::Pipelined => c.prune(grid, keep),
+            SpGemmAlgorithm::Pipelined { .. } => c,
+            SpGemmAlgorithm::Eager => c.prune(grid, keep),
         }
     }
 
@@ -721,10 +786,10 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// growing. A memory budget therefore needs no estimate pass and no
     /// column rounds here; all `opts.algorithm` decides is whether stage
     /// `s+1` is prefetched while stage `s` multiplies
-    /// ([`SpGemmAlgorithm::Pipelined`] yes, [`SpGemmAlgorithm::Eager`]
-    /// no, [`SpGemmAlgorithm::ColumnBatched`] iff four of the largest
-    /// stage fit the budget — the rule of the unmasked budgeted
-    /// schedule, agreed grid-wide by one `allreduce`).
+    /// ([`SpGemmAlgorithm::Eager`] no; [`SpGemmAlgorithm::Pipelined`]
+    /// yes without a budget, and under one iff four of the largest stage
+    /// fit it — the rule of the unmasked schedule, agreed grid-wide by
+    /// one `allreduce`).
     pub fn prune_by_product<S>(
         &self,
         grid: &ProcGrid,
@@ -752,8 +817,10 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let world = grid.world();
         let lookahead = match opts.algorithm {
             SpGemmAlgorithm::Eager => false,
-            SpGemmAlgorithm::Pipelined => true,
-            SpGemmAlgorithm::ColumnBatched { mem_budget, .. } => {
+            SpGemmAlgorithm::Pipelined { mem_budget: None } => true,
+            SpGemmAlgorithm::Pipelined {
+                mem_budget: Some(budget),
+            } => {
                 // No stage pairs blocks larger than the largest of each
                 // operand; every rank must reach the same verdict or the
                 // collective schedule desynchronizes.
@@ -761,7 +828,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
                     .allreduce((a.heap_bytes() as u64, b.heap_bytes() as u64), |x, y| {
                         (x.0.max(y.0), x.1.max(y.1))
                     });
-                4 * (a_max + b_max) <= mem_budget
+                4 * (a_max + b_max) <= budget
             }
         };
         let _mask_res = world.mem_charge_shared(&self.local, self.local.heap_bytes());
@@ -798,7 +865,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
 
     /// Run the schedule `opts` names. `upper` is the strict-upper hint
     /// every schedule hands its local kernel; `keep` is consulted by
-    /// [`SpGemmAlgorithm::ColumnBatched`] alone.
+    /// [`SpGemmAlgorithm::Pipelined`] alone.
     fn run_schedule<S, U>(
         &self,
         grid: &ProcGrid,
@@ -820,22 +887,9 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let threads = opts.threads;
         let local = match opts.algorithm {
             SpGemmAlgorithm::Eager => self.summa_eager(grid, other, semiring, threads, upper),
-            SpGemmAlgorithm::Pipelined => {
-                self.summa_pipelined(grid, other, semiring, threads, upper)
+            SpGemmAlgorithm::Pipelined { mem_budget } => {
+                self.summa_column_batched(grid, other, semiring, mem_budget, threads, upper, keep)
             }
-            SpGemmAlgorithm::ColumnBatched {
-                mem_budget,
-                batch_rows,
-            } => self.summa_column_batched(
-                grid,
-                other,
-                semiring,
-                batch_rows.max(1),
-                mem_budget,
-                threads,
-                upper,
-                keep,
-            ),
         };
         DistMat {
             row_layout: self.row_layout,
@@ -933,47 +987,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         })
     }
 
-    /// Double-buffered SUMMA: the broadcasts for stage `s+1` are posted
-    /// before stage `s` is multiplied, so (as in ELBA's overlap-detection
-    /// multiply) communication for the next stage flows while this stage
-    /// computes; each stage folds into the accumulator CSR immediately.
-    fn summa_pipelined<S, U>(
-        &self,
-        grid: &ProcGrid,
-        other: &DistMat<U>,
-        semiring: &S,
-        threads: usize,
-        upper: Option<(usize, usize)>,
-    ) -> Csr<S::Out>
-    where
-        S: Semiring<A = T, B = U> + Sync,
-        U: Clone + CommMsg + Sync,
-        S::Out: Clone + CommMsg + Sync,
-    {
-        let row_range = self.row_layout.block_range(grid.myrow());
-        let col_range = other.col_layout.block_range(grid.mycol());
-        let mut charge = grid.world().mem_charge(0);
-        let mut acc: Csr<S::Out> = Csr::empty(row_range.len(), col_range.len());
-        let mut par = ParKernelClock::new();
-        for (a_block, b_block) in self.stage_blocks(grid, other, true) {
-            // Shared-path charging: once per rank per block (the stage
-            // owner's resident matrix is the block — no double count).
-            let _a_res = grid
-                .world()
-                .mem_charge_shared(&a_block, a_block.heap_bytes());
-            let _b_res = grid
-                .world()
-                .mem_charge_shared(&b_block, b_block.heap_bytes());
-            let stage =
-                multiply_stage(grid, &a_block, &b_block, semiring, threads, upper, &mut par);
-            charge.set(acc.heap_bytes() + stage.heap_bytes());
-            acc = csr_merge(acc, stage, |a, v| semiring.add(a, v));
-        }
-        par.book(grid);
-        acc
-    }
-
-    /// The ColumnBatched structure/estimate pass: per SUMMA stage, the
+    /// The budgeted schedule's structure/estimate pass: per SUMMA stage, the
     /// `A`-block owner broadcasts its per-column nonzero counts along
     /// the grid row and the `B`-block owner its structure
     /// (`indptr`/`indices`, no values) along the grid column — a
@@ -1041,36 +1055,36 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         (col_flops, stage_bytes)
     }
 
-    /// ELBA's batched SpGEMM: split the *output* into column batches and
-    /// run one pipelined, row-blocked SUMMA round per batch, so the live
-    /// batch accumulator plus the resident broadcast blocks stay under
-    /// `budget` bytes per rank.
+    /// ELBA's batched SpGEMM, the one production schedule: split the
+    /// *output* into column windows and run one pipelined, row-blocked
+    /// SUMMA round per window, pruning each window by `keep` as it
+    /// completes. Stage `s+1`'s broadcasts ride alongside stage `s`'s
+    /// multiply whenever the budget affords two stages of blocks.
     ///
-    /// Batch sizing uses the cheap [`DistMat::structure_estimates`] pass
-    /// before any real multiply (the received structure vectors are
-    /// charged to the tracker while held). Its per-column flop count
-    /// upper-bounds the column's batch accumulator entries (merging only
-    /// shrinks them). Columns are then packed greedily so each batch's
-    /// estimated bytes fit the budget left after two stages of broadcast
-    /// blocks (the `ibcast` pipeline double-buffers). Ranks batch their
-    /// own columns independently — broadcasts ship full blocks either
-    /// way, so per-rank batch bounds need no global agreement beyond the
+    /// Without a `budget` there is one window covering every local
+    /// column, the row batch is the whole block, and the stage blocks
+    /// are charged through shared guards: no sizing pass and no
+    /// collective beyond the stage broadcasts.
+    ///
+    /// Under a budget, window sizing uses the cheap
+    /// [`DistMat::structure_estimates`] pass before any real multiply
+    /// (see [`RoundPlan`]), so the live window accumulator plus the
+    /// resident broadcast blocks stay under `budget` bytes per rank.
+    /// Ranks size their own windows independently — broadcasts ship full
+    /// blocks either way, so they need no global agreement beyond the
     /// round *count* (an allreduce max; short ranks pad with empty
-    /// batches to stay collective).
-    ///
-    /// The price of the bound is re-broadcasting the inputs once per
-    /// round (`rounds × q` stage broadcasts), exactly as in ELBA's
-    /// multi-round formulation. Every transient is charged against the
-    /// rank's memory tracker, so a profiled run *shows* the bound
-    /// holding instead of claiming it.
+    /// windows to stay collective). The price of the bound is
+    /// re-broadcasting the inputs once per round (`rounds × q` stage
+    /// broadcasts), exactly as in ELBA's multi-round formulation. Every
+    /// transient is charged against the rank's memory tracker, so a
+    /// profiled run *shows* the bound holding instead of claiming it.
     #[allow(clippy::too_many_arguments)]
     fn summa_column_batched<S, U>(
         &self,
         grid: &ProcGrid,
         other: &DistMat<U>,
         semiring: &S,
-        batch_rows: usize,
-        budget: u64,
+        budget: Option<u64>,
         threads: usize,
         upper: Option<(usize, usize)>,
         keep: &mut impl FnMut(u64, u64, &S::Out) -> bool,
@@ -1080,45 +1094,20 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         U: Clone + CommMsg + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
-        let q = grid.q();
         let world = grid.world();
         let row_range = self.row_layout.block_range(grid.myrow());
         let col_range = other.col_layout.block_range(grid.mycol());
         let (nrows, ncols) = (row_range.len(), col_range.len());
-
         let entry_bytes = (std::mem::size_of::<u32>() + std::mem::size_of::<S::Out>()) as u64;
-
-        // ---- estimate pass: per-column flops ----
-        let (col_flops, stage_bytes) = self.structure_estimates(grid, other);
-        // The accumulator holds at most `nrows` entries per column no
-        // matter how many flops land there (the SPA merges duplicates),
-        // so cap the flop bound per column — under heavy inner-index
-        // multiplicity (k-mers shared by many reads) the raw flop count
-        // overshoots the real accumulator by orders of magnitude.
-        let col_est: Vec<u64> = col_flops
-            .iter()
-            .map(|&f| f.min(nrows as u64) * entry_bytes)
-            .collect();
-
-        // ---- column batching under the budget ----
-        // The broadcast-block residency floor must be agreed grid-wide:
-        // it decides between the double-buffered ibcast pipeline and
-        // single-buffered blocking rounds, and a rank-divergent choice
-        // would desynchronize the collective schedule.
-        let max_stage = world.allreduce(
-            stage_bytes.iter().copied().max().unwrap_or(0) as u64,
-            u64::max,
-        );
-        // Prefetching doubles the resident blocks; only pipeline when the
-        // budget leaves at least half of itself for the accumulator.
-        let double_buffer = 4 * max_stage <= budget;
-        let resident_floor = if double_buffer {
-            2 * max_stage
-        } else {
-            max_stage
+        let plan = budget.map(|budget| {
+            let estimates = self.structure_estimates(grid, other);
+            RoundPlan::new(grid, estimates, budget, nrows, entry_bytes)
+        });
+        let (row_batch, prefetch) = match &plan {
+            None => (nrows.max(1), true),
+            Some(plan) => (plan.row_batch, plan.double_buffer),
         };
 
-        // ---- one row-blocked SUMMA round per column batch ----
         let mut out_rows: Vec<(Vec<u32>, Vec<S::Out>)> =
             (0..nrows).map(|_| (Vec::new(), Vec::new())).collect();
         let mut out_entries = 0usize;
@@ -1126,43 +1115,26 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let mut par = ParKernelClock::new();
         let mut next_col = 0usize; // first local column not yet computed
         loop {
-            // Rounds are collective (each one broadcasts every block), so
-            // all ranks keep going until the slowest-packing rank is done;
-            // finished ranks run empty windows.
-            let more = world.allreduce(u64::from(next_col < ncols), u64::max);
-            if more == 0 {
-                break;
-            }
-            // Re-pack each round against the budget left after the bytes
-            // already accumulated into the (pruned) output and the
-            // resident broadcast blocks: each column's estimate bounds
-            // its accumulator entries, so a batch packed under `usable`
-            // keeps the round's working set within the cap. A budget
-            // below the resident floor can't be met by more batching
-            // (the inputs themselves exceed it), so `usable` floors at a
-            // quarter budget instead of degrading to one-column rounds
-            // whose broadcasts would dwarf any saving.
             let start_col = next_col;
-            let usable = budget
-                .saturating_sub(resident_floor + out_entries as u64 * entry_bytes)
-                .max(budget / 4)
-                .max(entry_bytes);
-            let mut batch_est = 0u64;
-            while next_col < ncols {
-                let w = col_est[next_col];
-                if batch_est > 0 && batch_est + w > usable {
-                    break;
+            match &plan {
+                None => next_col = ncols,
+                Some(plan) => {
+                    // Rounds are collective (each one broadcasts every
+                    // block), so all ranks keep going until the
+                    // slowest-packing rank is done; finished ranks run
+                    // empty windows.
+                    if world.allreduce(u64::from(next_col < ncols), u64::max) == 0 {
+                        break;
+                    }
+                    next_col = plan.window_end(next_col, out_entries as u64 * entry_bytes);
                 }
-                batch_est += w;
-                next_col += 1;
             }
             let window = (start_col as u32)..(next_col as u32);
             let mut transient = world.mem_charge(0);
             let mut acc_rows: Vec<(Vec<u32>, Vec<S::Out>)> =
                 (0..nrows).map(|_| (Vec::new(), Vec::new())).collect();
             let mut acc_entries = 0usize;
-            let stages = self.stage_blocks(grid, other, double_buffer);
-            for (s, (a_block, b_block)) in stages.enumerate() {
+            for (s, (a_block, b_block)) in self.stage_blocks(grid, other, prefetch).enumerate() {
                 // A finished rank padding out the collective round has
                 // an empty window: the broadcasts must still run (they
                 // are collective), but the multiply sweep over every A
@@ -1170,23 +1142,24 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
                 if window.is_empty() {
                     continue;
                 }
-                // Residency is modeled from the estimate pass's
-                // `stage_bytes` (grid-uniform, includes the prefetched
-                // next stage under double buffering) rather than charged
-                // through guards on the blocks — guards on top would
-                // double-count.
-                let resident = stage_bytes[s]
-                    + if double_buffer && s + 1 < q {
-                        stage_bytes[s + 1]
-                    } else {
-                        0
-                    };
+                // Budgeted rounds model residency from the estimate
+                // pass's `stage_bytes`; the unbudgeted window charges the
+                // blocks through shared (allocation-keyed) guards, which
+                // never count the owner's resident block twice. Never
+                // both: guards on top of the model would double-count.
+                let _guards = plan.is_none().then(|| {
+                    (
+                        world.mem_charge_shared(&a_block, a_block.heap_bytes()),
+                        world.mem_charge_shared(&b_block, b_block.heap_bytes()),
+                    )
+                });
+                let resident = plan.as_ref().map_or(0, |plan| plan.resident(s));
                 let (entries, par_secs) = merge_stage_rows(
                     &a_block,
                     &b_block,
                     semiring,
                     window.clone(),
-                    batch_rows,
+                    row_batch,
                     threads,
                     upper,
                     &mut acc_rows,
@@ -1198,25 +1171,35 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
                 acc_entries = entries;
                 par.add(par_secs);
             }
-            // Prune-as-you-go (ELBA's per-batch thresholding), then
-            // concatenate the survivors onto the output: windows arrive
-            // in increasing column order, so per-row appends stay sorted.
-            // The accumulator hands its rows over one at a time (moves,
-            // not copies), so its charge is dropped before the append —
-            // holding both would double-count the batch during handover.
+            // Prune-as-you-go (ELBA's per-batch thresholding) in place,
+            // then hand the survivors to the output: the first window's
+            // rows become it, later windows (in increasing column order,
+            // so per-row appends stay sorted) are appended. The
+            // accumulator's charge is dropped before the handover —
+            // holding both would double-count the window.
             transient.set(0);
             let (r0, c0) = (row_range.start, col_range.start);
-            for (row, (cols, vals)) in acc_rows.into_iter().enumerate() {
+            let mut kept = 0;
+            for (row, (cols, vals)) in acc_rows.iter_mut().enumerate() {
                 let global_row = (row + r0) as u64;
-                for (col, val) in cols.into_iter().zip(vals) {
-                    if keep(global_row, (col as usize + c0) as u64, &val) {
-                        out_rows[row].0.push(col);
-                        out_rows[row].1.push(val);
-                        out_entries += 1;
-                    }
+                retain_row(cols, vals, |col, val| {
+                    keep(global_row, (col as usize + c0) as u64, val)
+                });
+                kept += cols.len();
+            }
+            if out_entries == 0 {
+                out_rows = acc_rows;
+            } else {
+                for (out, (mut cols, mut vals)) in out_rows.iter_mut().zip(acc_rows) {
+                    out.0.append(&mut cols);
+                    out.1.append(&mut vals);
                 }
             }
+            out_entries += kept;
             out_charge.set(out_entries * entry_bytes as usize);
+            if plan.is_none() {
+                break;
+            }
         }
         par.book(grid);
 
@@ -1404,10 +1387,10 @@ mod tests {
                 SpGemmOptions::pipelined(),
                 // Budgeted regimes: quarter-budget floor (one column per
                 // round), many rounds over blocking broadcasts, and one
-                // double-buffered round; row batches of 1, 3 and "all".
-                SpGemmOptions::column_batched(1, 1),
-                SpGemmOptions::column_batched(3, 400),
-                SpGemmOptions::column_batched(1024, 1 << 30),
+                // double-buffered round.
+                SpGemmOptions::column_batched(1),
+                SpGemmOptions::column_batched(400),
+                SpGemmOptions::column_batched(1 << 30),
             ] {
                 let ok = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
                     let grid = ProcGrid::new(comm);
@@ -1444,7 +1427,7 @@ mod tests {
         // *unpruned* block dwarfs what survives the fused prune (strict
         // upper triangle + value threshold). The unbudgeted default must
         // hold the whole unpruned accumulator at once and blows past the
-        // budget; the column-batched schedule prunes batch by batch and
+        // budget; the budgeted schedule prunes window by window and
         // provably stays under it. The budget is computed from the real
         // retained sizes: 4/3 × (pruned C + two resident broadcast
         // stages) — the packer's feasibility bound — plus slack.
@@ -1482,7 +1465,10 @@ mod tests {
             "workload too small to exercise the bound: unbudgeted hw \
              {hw_single} vs budget {budget}"
         );
-        let (batched_outputs, batched) = run(SpGemmOptions::column_batched(64, budget));
+        // Each rank's block has 100 rows, above the 32-row floor of the
+        // budget-derived row batch: the one case here that runs more
+        // than one row batch per stage.
+        let (batched_outputs, batched) = run(SpGemmOptions::column_batched(budget));
         let hw_batched = batched.max_mem_hw("spgemm");
         assert!(
             hw_batched <= budget,
@@ -1601,7 +1587,7 @@ mod tests {
     }
 
     #[test]
-    fn map_values_and_prune() {
+    fn prune_sees_global_coordinates() {
         let out = Runner::new(Backend::InProcess).ranks(4).run(|comm| {
             let grid = ProcGrid::new(comm);
             let triples = if grid.world().rank() == 0 {
@@ -1610,12 +1596,11 @@ mod tests {
                 Vec::new()
             };
             let m = DistMat::from_triples(&grid, 3, 3, triples, |_, _| unreachable!());
-            let doubled = m.map_values(&grid, |_, _, v| v * 2);
-            let kept = doubled.prune(&grid, |r, c, _| r != c);
+            let kept = m.prune(&grid, |r, c, _| r != c);
             let mut got = kept.gather_triples(&grid);
             got.sort();
             got
         });
-        assert_eq!(out[0], vec![(0, 1, 10), (1, 0, 12)]);
+        assert_eq!(out[0], vec![(0, 1, 5), (1, 0, 6)]);
     }
 }

@@ -12,12 +12,11 @@
 //!   `fold` (`acc ⊕= a ⊗ b`) a semiring may specialise,
 //! * local kernels: Gustavson SpGEMM with a sparse accumulator
 //!   ([`SpGemmBatcher`], row windows, strict-upper restriction, threads;
-//!   [`spgemm::spgemm`] is the one-call form), its masked form
-//!   [`spgemm::MaskedAccumulator`], [`spgemm::spmv`], and the streaming
-//!   two-way [`spgemm::csr_merge`] of SUMMA stage outputs,
-//! * the 2D-distributed layer: [`dist_mat::DistMat`] (SUMMA SpGEMM and
-//!   masked SpGEMM, transpose, apply/prune, row reduction, branch
-//!   masking) and
+//!   [`spgemm::spgemm`] is the one-call form) and its masked form
+//!   [`spgemm::MaskedAccumulator`],
+//! * the 2D-distributed layer: [`dist_mat::DistMat`] (one batched SUMMA
+//!   SpGEMM whose parameter is a memory budget, masked SpGEMM,
+//!   transpose, prune, row reduction, branch masking) and
 //!   [`dist_vec::DistVec`] (gather/scatter by global index and the
 //!   paper's Fig. 2 row-allgather + transposed-p2p `fetch_aligned`
 //!   exchange),

@@ -139,8 +139,8 @@ fn row_floor(upper: Option<i64>, i: usize, cols: &std::ops::Range<u32>) -> u32 {
 /// that is reused across every [`SpGemmBatcher::multiply_rows`] call —
 /// each row's drain leaves the SPA empty, so batching the output rows
 /// costs no repeated O(ncols) allocation or clearing. One batcher
-/// serves one `(A, B)` pair; the column-batched SUMMA schedule holds one per
-/// stage and sweeps it over the row windows.
+/// serves one `(A, B)` pair; the SUMMA schedule holds one per stage and
+/// sweeps it over the row windows.
 ///
 /// With [`SpGemmBatcher::with_threads`] the multiply partitions its row
 /// window into contiguous chunks claimed by self-scheduling workers
@@ -240,8 +240,8 @@ impl<'m, S: Semiring> SpGemmBatcher<'m, S> {
 
     /// [`SpGemmBatcher::multiply_rows`] restricted to output columns in
     /// `cols`: only products landing in that window are accumulated —
-    /// the kernel underneath the column-batched distributed multiply,
-    /// where each SUMMA round computes one column batch of `C` so the
+    /// the kernel underneath the distributed multiply, where each
+    /// budgeted SUMMA round computes one column batch of `C` so the
     /// live accumulator never exceeds the batch. The result keeps the
     /// full column dimension (entries outside the window are simply
     /// absent), so outputs of consecutive windows concatenate row-wise
@@ -516,89 +516,6 @@ fn accumulate_masked_rows<S: Semiring>(
     }
 }
 
-/// Merge two same-shape CSR matrices by a streaming two-way merge of
-/// their rows (the 2-way case of a heap merge): entries present in both
-/// are combined with `add`, the union structure is kept, and nothing is
-/// re-sorted or buffered as triples: the merge walks the raw
-/// `(indptr, indices, values)` arrays directly, so the cost is linear
-/// in `nnz(a) + nnz(b)` with no per-entry row tags. This is the
-/// per-stage accumulator of the pipelined SUMMA schedule, where `a` is
-/// the whole accumulated `C` block and must not be re-materialized
-/// every stage.
-pub fn csr_merge<T>(a: Csr<T>, b: Csr<T>, mut add: impl FnMut(&mut T, T)) -> Csr<T> {
-    assert_eq!(a.nrows(), b.nrows());
-    assert_eq!(a.ncols(), b.ncols());
-    let (nrows, ncols) = (a.nrows(), a.ncols());
-    let (a_indptr, a_indices, a_values) = a.into_parts();
-    let (b_indptr, b_indices, b_values) = b.into_parts();
-    let nnz_hint = a_indices.len() + b_indices.len();
-    let mut indptr = Vec::with_capacity(nrows + 1);
-    indptr.push(0usize);
-    let mut indices: Vec<u32> = Vec::with_capacity(nnz_hint);
-    let mut values: Vec<T> = Vec::with_capacity(nnz_hint);
-    // Values are consumed strictly in storage order, so plain iterators
-    // hand them out as the column merge advances.
-    let mut a_vals = a_values.into_iter();
-    let mut b_vals = b_values.into_iter();
-    for row in 0..nrows {
-        let (mut ia, end_a) = (a_indptr[row], a_indptr[row + 1]);
-        let (mut ib, end_b) = (b_indptr[row], b_indptr[row + 1]);
-        while ia < end_a && ib < end_b {
-            match a_indices[ia].cmp(&b_indices[ib]) {
-                std::cmp::Ordering::Less => {
-                    indices.push(a_indices[ia]);
-                    values.push(a_vals.next().expect("value per index"));
-                    ia += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    indices.push(b_indices[ib]);
-                    values.push(b_vals.next().expect("value per index"));
-                    ib += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    let mut merged = a_vals.next().expect("value per index");
-                    add(&mut merged, b_vals.next().expect("value per index"));
-                    indices.push(a_indices[ia]);
-                    values.push(merged);
-                    ia += 1;
-                    ib += 1;
-                }
-            }
-        }
-        for &col in &a_indices[ia..end_a] {
-            indices.push(col);
-            values.push(a_vals.next().expect("value per index"));
-        }
-        for &col in &b_indices[ib..end_b] {
-            indices.push(col);
-            values.push(b_vals.next().expect("value per index"));
-        }
-        indptr.push(indices.len());
-    }
-    Csr::from_parts(nrows, ncols, indptr, indices, values)
-}
-
-/// Sparse matrix × dense vector under `semiring`: `y[i] = ⊕_j m[i,j] ⊗ x[j]`.
-/// Rows with no surviving contribution yield `None`.
-pub fn spmv<S: Semiring>(m: &Csr<S::A>, x: &[S::B], semiring: &S) -> Vec<Option<S::Out>> {
-    assert_eq!(m.ncols(), x.len());
-    (0..m.nrows())
-        .map(|i| {
-            let (cols, vals) = m.row(i);
-            let mut acc: Option<S::Out> = None;
-            for (&j, v) in cols.iter().zip(vals) {
-                if let Some(product) = semiring.multiply(v, &x[j as usize]) {
-                    match acc.as_mut() {
-                        Some(a) => semiring.add(a, product),
-                        None => acc = Some(product),
-                    }
-                }
-            }
-            acc
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,25 +597,6 @@ mod tests {
         let c = spgemm(&m, &n, &s);
         assert_eq!(c.get(0, 0), Some(&2));
         assert_eq!(c.nnz(), 1);
-    }
-
-    #[test]
-    fn spmv_plus_times() {
-        let m = Csr::from_triples(
-            2,
-            3,
-            vec![(0u32, 0u32, 1.0f64), (0, 2, 2.0), (1, 1, 3.0)],
-            |_, _| unreachable!(),
-        );
-        let y = spmv(&m, &[1.0, 10.0, 100.0], &PlusTimes);
-        assert_eq!(y, vec![Some(201.0), Some(30.0)]);
-    }
-
-    #[test]
-    fn spmv_empty_row_is_none() {
-        let m: Csr<f64> = Csr::empty(2, 2);
-        let y = spmv(&m, &[1.0, 1.0], &PlusTimes);
-        assert_eq!(y, vec![None, None]);
     }
 
     #[test]
@@ -794,59 +692,6 @@ mod tests {
         assert_eq!(batcher.multiply_rows(0..3), full);
         let empty = batcher.multiply_rows(2..2);
         assert_eq!((empty.nrows(), empty.nnz()), (0, 0));
-    }
-
-    #[test]
-    fn csr_merge_matches_dense_sum() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(31);
-        for _ in 0..20 {
-            let (n, m) = (rng.gen_range(1..10), rng.gen_range(1..10));
-            let mut make = |density: f64| {
-                let mut t = Vec::new();
-                for i in 0..n {
-                    for j in 0..m {
-                        if rng.gen_bool(density) {
-                            t.push((i as u32, j as u32, rng.gen_range(1..5) as f64));
-                        }
-                    }
-                }
-                Csr::from_triples(n, m, t, |_, _| unreachable!())
-            };
-            let a = make(0.4);
-            let b = make(0.4);
-            let merged = csr_merge(a.clone(), b.clone(), |acc, v| *acc += v);
-            // Values are positive, so the sum's nonzeros are the union.
-            let (da, db) = (Dense::from_csr(&a), Dense::from_csr(&b));
-            let mut reference = Dense::zeros(n, m);
-            for i in 0..n {
-                for j in 0..m {
-                    reference.set(i, j, da.get(i, j) + db.get(i, j));
-                }
-            }
-            assert_eq!(Dense::from_csr(&merged), reference);
-            assert_eq!(merged.nnz(), reference.triples().len());
-            // csr_merge must also keep indices sorted within rows
-            for i in 0..merged.nrows() {
-                let (cols, _) = merged.row(i);
-                assert!(cols.windows(2).all(|w| w[0] < w[1]));
-            }
-        }
-    }
-
-    #[test]
-    fn csr_merge_with_empty_sides() {
-        let a = Csr::from_triples(2, 2, vec![(0u32, 1u32, 2.0f64)], |_, _| unreachable!());
-        let empty: Csr<f64> = Csr::empty(2, 2);
-        let left = csr_merge(empty.clone(), a.clone(), |acc, v| *acc += v);
-        let right = csr_merge(a.clone(), empty.clone(), |acc, v| *acc += v);
-        assert_eq!(Dense::from_csr(&left), Dense::from_csr(&a));
-        assert_eq!(Dense::from_csr(&right), Dense::from_csr(&a));
-        let both = csr_merge(Csr::<f64>::empty(2, 2), Csr::empty(2, 2), |acc, v| {
-            *acc += v
-        });
-        assert_eq!(both.nnz(), 0);
     }
 
     #[test]

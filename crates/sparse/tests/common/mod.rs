@@ -1,8 +1,8 @@
 //! Shared by the distributed-SpGEMM property suites: the order-sensitive
 //! [`Trace`] semiring with its [`tagged`] inputs, and the schedule matrix
 //! every suite sweeps:
-//! the eager reference oracle, the pipelined default, and one budgeted
-//! (column-batched) row per regime that schedule has — one round (a
+//! the eager reference oracle, the unbudgeted production schedule, and
+//! one budgeted row per regime that schedule has — one round (a
 //! budget nothing can exhaust), many rounds (a small budget), the
 //! quarter-budget floor (`budget = 1`: single-column rounds, the worst
 //! case for a concatenation bug), and both sides of the
@@ -40,11 +40,7 @@ where
 /// The labelled schedule matrix for a product whose largest stage is
 /// `max_stage` bytes (see [`max_stage_bytes`]); `small` is the
 /// many-rounds budget.
-pub fn schedule_rows(
-    batch_rows: usize,
-    small: u64,
-    max_stage: u64,
-) -> Vec<(String, SpGemmOptions)> {
+pub fn schedule_rows(small: u64, max_stage: u64) -> Vec<(String, SpGemmOptions)> {
     let switch = 4 * max_stage;
     let mut rows = vec![
         ("eager".to_owned(), SpGemmOptions::eager()),
@@ -64,8 +60,8 @@ pub fn schedule_rows(
         .into_iter()
         .map(|(regime, budget)| {
             (
-                format!("budgeted {regime} (batch_rows={batch_rows}, budget={budget})"),
-                SpGemmOptions::column_batched(batch_rows, budget),
+                format!("budgeted {regime} (budget={budget})"),
+                SpGemmOptions::column_batched(budget),
             )
         }),
     );

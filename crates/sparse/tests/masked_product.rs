@@ -94,7 +94,7 @@ where
             });
             let (seen, kept) = gathered(seen, kept);
             out.push(("oracle".to_owned(), seen, kept));
-            for (label, opts) in schedule_rows(3, 96, switch_bytes(&grid, &a, &b)) {
+            for (label, opts) in schedule_rows(96, switch_bytes(&grid, &a, &b)) {
                 for threads in [1usize, 2, 4] {
                     let opts = opts.with_threads(threads);
                     let mut seen = Vec::new();

@@ -134,7 +134,7 @@ proptest! {
                 let a = DistMat::from_triples(&grid, n, k, mine_a, |_, _| unreachable!());
                 let b = DistMat::from_triples(&grid, k, m, mine_b, |_, _| unreachable!());
                 // One profiled phase per schedule row, named by its label.
-                schedule_rows(4, 512, max_stage_bytes(&grid, &a, &b))
+                schedule_rows(512, max_stage_bytes(&grid, &a, &b))
                     .into_iter()
                     .map(|(label, base)| {
                         let c = {

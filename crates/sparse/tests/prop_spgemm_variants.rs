@@ -1,5 +1,5 @@
-//! Property tests pinning the SUMMA schedule equivalence: the default
-//! pipelined path and every regime of the budgeted column-batched path
+//! Property tests pinning the SUMMA schedule equivalence: the
+//! unbudgeted production schedule and every regime of its budgeted form
 //! must produce results *identical* to the eager reference oracle —
 //! same structure including explicit zeros, same values — on random
 //! matrices across 1×1, 2×2, and 3×3 process grids. The schedules may
@@ -31,7 +31,7 @@ fn to_triples(nrows: usize, ncols: usize, entries: &[(usize, usize, i8)]) -> Tri
 }
 
 /// Multiply `A ⊗ B` on a p-rank grid under the eager oracle, the
-/// pipelined default and every budgeted regime, all inside one SPMD
+/// unbudgeted schedule and every budgeted regime, all inside one SPMD
 /// run; returns the labelled, sorted triple lists (exact structure,
 /// explicit zeros included), oracle first.
 fn products<S>(
@@ -40,7 +40,6 @@ fn products<S>(
     a_triples: &Triples<S::A>,
     b_triples: &Triples<S::B>,
     semiring: S,
-    batch: usize,
     small_budget: u64,
 ) -> Vec<(String, Triples<S::Out>)>
 where
@@ -59,7 +58,7 @@ where
             let mine_b = if root { bt.clone() } else { Vec::new() };
             let a = DistMat::from_triples(&grid, n, k, mine_a, |_, _| unreachable!());
             let b = DistMat::from_triples(&grid, k, m, mine_b, |_, _| unreachable!());
-            schedule_rows(batch, small_budget, max_stage_bytes(&grid, &a, &b))
+            schedule_rows(small_budget, max_stage_bytes(&grid, &a, &b))
                 .into_iter()
                 .map(|(label, opts)| {
                     let mut got = a
@@ -95,7 +94,6 @@ proptest! {
         n in 1usize..14,
         k in 1usize..14,
         m in 1usize..14,
-        batch in 1usize..8,
         budget in 1u64..4000,
         a_entries in proptest::collection::vec((0usize..20, 0usize..20, -3i8..4), 0..70),
         b_entries in proptest::collection::vec((0usize..20, 0usize..20, -3i8..4), 0..70),
@@ -103,7 +101,7 @@ proptest! {
         let p = [1usize, 4, 9][p_idx];
         let a_triples = to_triples(n, k, &a_entries);
         let b_triples = to_triples(k, m, &b_entries);
-        let rows = products(p, (n, k, m), &a_triples, &b_triples, PlusTimes, batch, budget);
+        let rows = products(p, (n, k, m), &a_triples, &b_triples, PlusTimes, budget);
         assert_all_equal_oracle(p, &rows);
     }
 
@@ -118,7 +116,7 @@ proptest! {
         let p = [1usize, 4, 9][p_idx];
         let triples = to_triples(n, k, &entries);
         let transposed: Triples<f64> = triples.iter().map(|&(r, c, v)| (c, r, v)).collect();
-        let rows = products(p, (n, k, n), &triples, &transposed, PlusTimes, 2, 256);
+        let rows = products(p, (n, k, n), &triples, &transposed, PlusTimes, 256);
         assert_all_equal_oracle(p, &rows);
     }
 
@@ -126,7 +124,6 @@ proptest! {
     fn schedules_agree_under_min_plus(
         p_idx in 0usize..3,
         n in 1usize..10,
-        batch in 1usize..6,
         entries in proptest::collection::vec((0usize..12, 0usize..12, 1i8..9), 0..50),
     ) {
         // A non-arithmetic semiring (shortest two-hop paths): schedule
@@ -139,7 +136,7 @@ proptest! {
             }
             map.into_iter().map(|((r, c), v)| (r as u64, c as u64, v)).collect()
         };
-        let rows = products(p, (n, n, n), &triples, &triples, MinPlus, batch, 1000);
+        let rows = products(p, (n, n, n), &triples, &triples, MinPlus, 1000);
         assert_all_equal_oracle(p, &rows);
     }
 }
@@ -178,11 +175,8 @@ fn budget_switches_the_stage_fetch_at_four_stages() {
                 for (phase, opts) in [
                     ("eager", SpGemmOptions::eager()),
                     ("pipelined", SpGemmOptions::pipelined()),
-                    ("at-switch", SpGemmOptions::column_batched(64, switch)),
-                    (
-                        "below-switch",
-                        SpGemmOptions::column_batched(64, switch - 1),
-                    ),
+                    ("at-switch", SpGemmOptions::column_batched(switch)),
+                    ("below-switch", SpGemmOptions::column_batched(switch - 1)),
                 ] {
                     let _guard = grid.world().phase(phase);
                     a.spgemm_with(&grid, &at, &PlusTimes, &opts);

@@ -26,7 +26,6 @@ fn products(
     n: usize,
     k: usize,
     triples: &[(u64, u64, u32)],
-    batch: usize,
     min_len: usize,
 ) -> Vec<(String, Product)> {
     let t = triples.to_vec();
@@ -45,7 +44,7 @@ fn products(
             // A small budget of a few entries: many narrow column
             // windows, so the diagonal floor and the window start trade
             // places.
-            for (label, opts) in schedule_rows(batch, 96, max_stage_bytes(&grid, &a, &at)) {
+            for (label, opts) in schedule_rows(96, max_stage_bytes(&grid, &a, &at)) {
                 for threads in [1usize, 2] {
                     let opts = opts.with_threads(threads);
                     let general = a
@@ -75,13 +74,12 @@ proptest! {
         // for the threaded kernel to fan out.
         n in 1usize..48,
         k in 1usize..24,
-        batch in 1usize..9,
         min_len in 1usize..3,
         entries in proptest::collection::vec((0usize..64, 0usize..32), 0..220),
     ) {
         let p = [1usize, 4, 9][p_idx];
         let triples = tagged(n, k, &entries);
-        let rows = products(p, n, k, &triples, batch, min_len);
+        let rows = products(p, n, k, &triples, min_len);
         // The oracle: the general multiply under the eager schedule.
         let (oracle, want) = &rows[0];
         prop_assert_eq!(oracle.as_str(), "general eager t=1");

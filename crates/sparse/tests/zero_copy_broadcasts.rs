@@ -94,7 +94,7 @@ fn summa_schedules_deep_copy_no_payloads_and_agree() {
             // Building Aᵀ clones values (the transpose exchange owns
             // copies); the claim under test starts at the multiply.
             let at = a.transpose(&grid);
-            schedule_rows(8, 4 << 10, max_stage_bytes(&grid, &a, &at))
+            schedule_rows(4 << 10, max_stage_bytes(&grid, &a, &at))
                 .into_iter()
                 .map(|(label, opts)| {
                     grid.world().barrier();

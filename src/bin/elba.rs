@@ -219,8 +219,8 @@ fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, Stri
         }
         Some(other) => return Err(format!("--seed-chaining must be chain|best; got '{other}'")),
     }
-    // --mem-budget is the one lever that selects the column-batched
-    // SpGEMM: it derives batch_kmers, batch_rows, and the SpGEMM cap.
+    // --mem-budget is the one batching lever: it derives batch_kmers and
+    // the SpGEMM cap the SUMMA sizes its column windows under.
     if let Some(raw) = flags.get("mem-budget") {
         let budget = MemBudget::parse(raw).map_err(|e| format!("--mem-budget: {e}"))?;
         cfg = cfg.with_mem_budget(budget);

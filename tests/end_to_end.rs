@@ -152,9 +152,11 @@ fn budgeted_pipeline_respects_memory_budget_and_output() {
     assert!(
         matches!(
             budget_cfg.overlap.spgemm.algorithm,
-            elba::sparse::SpGemmAlgorithm::ColumnBatched { .. }
+            elba::sparse::SpGemmAlgorithm::Pipelined {
+                mem_budget: Some(_)
+            }
         ),
-        "a budget must switch SpGEMM to the column-batched schedule"
+        "a budget must reach the SUMMA as its memory budget"
     );
 
     let run_profiled = |cfg: PipelineConfig| {
@@ -190,8 +192,8 @@ fn budgeted_pipeline_respects_memory_budget_and_output() {
 }
 
 /// The budget implies the schedule, and nothing else can: a limited
-/// `MemBudget` selects the column-batched SUMMA under its SpGEMM
-/// sub-budget, an unlimited one leaves the pipelined default exactly as
+/// `MemBudget` hands the SUMMA its SpGEMM sub-budget (column windows
+/// sized to fit it), an unlimited one leaves the one-window default exactly as
 /// a plain run has it — same per-rank messages and bytes, op for op, in
 /// the two SpGEMM phases.
 #[test]
@@ -205,10 +207,10 @@ fn memory_budget_alone_selects_the_spgemm_schedule() {
     let budget = MemBudget::bytes(8 << 20);
     let limited = plain.clone().with_mem_budget(budget);
     match limited.overlap.spgemm.algorithm {
-        SpGemmAlgorithm::ColumnBatched { mem_budget, .. } => {
-            assert_eq!(Some(mem_budget), budget.spgemm_bytes())
+        SpGemmAlgorithm::Pipelined { mem_budget } => {
+            assert_eq!(mem_budget, budget.spgemm_bytes())
         }
-        other => panic!("a limited budget must select the batched schedule, got {other:?}"),
+        other => panic!("a limited budget must reach the SUMMA, got {other:?}"),
     }
     let unlimited = plain.clone().with_mem_budget(MemBudget::unlimited());
     assert_eq!(unlimited.overlap.spgemm, plain.overlap.spgemm);

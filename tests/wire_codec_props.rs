@@ -4,8 +4,10 @@
 //! multi-megabyte CSR panels — and the reader must consume the buffer
 //! to the last byte (`finish` pins against silent over- or under-reads).
 
+use elba::align::SgEdge;
 use elba::comm::transport::wire::{WireError, WireReader};
 use elba::comm::CommMsg;
+use elba::graph::{Seed, SharedSeeds};
 use elba::seq::AEntry;
 use elba::sparse::{Csr, Dcsc};
 use proptest::prelude::*;
@@ -108,6 +110,85 @@ fn a_entries_travel_as_one_u32() {
     let one = encoded(&EDGE_ENTRIES[3]);
     let mut reader = WireReader::new(&one[..3]);
     assert!(AEntry::wire_decode(&mut reader).is_err());
+}
+
+/// Offsets of the bytes that read 0 in `off`'s encoding and 1 in `on`'s:
+/// the `bool` fields in which the two values differ.
+fn bool_offsets<T: CommMsg>(off: &T, on: &T) -> Vec<usize> {
+    let (a, b) = (encoded(off), encoded(on));
+    assert_eq!(a.len(), b.len());
+    (0..a.len()).filter(|&i| a[i] == 0 && b[i] == 1).collect()
+}
+
+/// A value whose `bool` byte at `at` is anything but 0 or 1 is a
+/// `Malformed` frame, never a value.
+fn assert_bool_byte_checked<T: CommMsg>(value: &T, at: usize) {
+    let mut buf = encoded(value);
+    for byte in 2..=255u8 {
+        buf[at] = byte;
+        let mut reader = WireReader::new(&buf);
+        assert!(
+            matches!(T::wire_decode(&mut reader), Err(WireError::Malformed(_))),
+            "byte {byte} at offset {at} decoded"
+        );
+    }
+}
+
+#[test]
+fn bool_fields_decode_only_zero_or_one() {
+    let edge = |src_rev, dst_rev| SgEdge {
+        pre: 7,
+        post: u32::MAX,
+        src_rev,
+        dst_rev,
+        suffix: 120,
+    };
+    for (src_rev, dst_rev) in [(false, false), (false, true), (true, false), (true, true)] {
+        let e = edge(src_rev, dst_rev);
+        assert_eq!(round_trip(&e), e);
+        assert_eq!(encoded(&e).len(), e.nbytes());
+    }
+    let edges = vec![edge(true, false), edge(false, true)];
+    assert_eq!(round_trip(&edges), edges);
+    assert_eq!(encoded(&edges).len(), edges.nbytes());
+    for on in [edge(true, false), edge(false, true)] {
+        let at = bool_offsets(&edge(false, false), &on);
+        assert_eq!(at.len(), 1);
+        assert_bool_byte_checked(&on, at[0]);
+    }
+
+    let seed = |pos_v, same_strand| Seed {
+        pos_v,
+        pos_h: 11,
+        same_strand,
+    };
+    let pair = |a, b| {
+        let mut seeds = SharedSeeds::single(a);
+        seeds.merge(SharedSeeds::single(b));
+        seeds
+    };
+    for same_strand in [false, true] {
+        let s = seed(3, same_strand);
+        assert_eq!(round_trip(&s), s);
+        assert_eq!(encoded(&s).len(), s.nbytes());
+        let two = pair(s, seed(900, !same_strand));
+        assert_eq!(two.seeds().len(), 2);
+        assert_eq!(round_trip(&two), two);
+        assert_eq!(encoded(&two).len(), two.nbytes());
+    }
+    let at = bool_offsets(&seed(3, false), &seed(3, true));
+    assert_eq!(at.len(), 1);
+    assert_bool_byte_checked(&seed(3, true), at[0]);
+    // Both retained seeds' strand bytes, one at a time.
+    let off = pair(seed(3, false), seed(900, false));
+    for on in [
+        pair(seed(3, true), seed(900, false)),
+        pair(seed(3, false), seed(900, true)),
+    ] {
+        let at = bool_offsets(&off, &on);
+        assert_eq!(at.len(), 1);
+        assert_bool_byte_checked(&on, at[0]);
+    }
 }
 
 proptest! {
