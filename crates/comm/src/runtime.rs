@@ -752,9 +752,9 @@ impl Runner {
     /// unwinds with a typed payload, classified as
     /// [`crate::FailureCause::Killed`]).
     ///
-    /// This is the only way a plan reaches thread ranks: the
-    /// `ELBA_FAULT_PLAN` variable is read by socket worker processes
-    /// ([`crate::run_worker`]) and by nothing else.
+    /// This is the only way a plan reaches thread ranks; a worker
+    /// process takes its plan as [`crate::run_worker`]'s argument. The
+    /// crate reads no environment variable.
     pub fn faults(mut self, plan: &FaultPlan) -> Self {
         self.faults = Some(plan.clone());
         self

@@ -9,10 +9,10 @@
 //! injects only delay perturbs scheduling without moving a single
 //! profiled byte, and a no-fault plan is not wrapped at all.
 //!
-//! Plans are strings so they can cross a process boundary in one
-//! environment variable (`ELBA_FAULT_PLAN`, set per socket worker by
-//! `elba launch --fault` and read by [`crate::run_worker`] alone —
-//! thread ranks get theirs from [`crate::Runner::faults`]):
+//! Plans are strings — `elba assemble --fault PLAN`, a serve job's
+//! `fault=` — parsed by [`FaultPlan::parse`] and handed to a harness as
+//! a value: [`crate::Runner::faults`] for thread ranks,
+//! [`crate::run_worker`]'s argument for a worker process:
 //!
 //! ```text
 //! kill:1@posts:5000            rank 1 dies after its 5000th post
@@ -43,11 +43,6 @@ use crate::runtime::Rank;
 /// comm crate because the dying worker process is the one that has to
 /// use it; `elba`'s exit taxonomy re-exports it as `exit::FAULT_KILLED`.
 pub const FAULT_KILLED_EXIT: u8 = 14;
-
-/// Environment variable carrying a serialized [`FaultPlan`] from the
-/// launch supervisor into its socket worker processes
-/// (read back by [`crate::run_worker`]).
-pub const FAULT_PLAN_ENV: &str = "ELBA_FAULT_PLAN";
 
 /// When a fault fires, relative to this rank's own transport activity.
 /// Counter triggers are exact and deterministic (the transport call
@@ -125,9 +120,8 @@ impl fmt::Display for Fault {
     }
 }
 
-/// A deterministic fault schedule for one SPMD run. Parse with
-/// [`FaultPlan::parse`], serialize with `Display` (the two round-trip),
-/// ship across process boundaries via [`FAULT_PLAN_ENV`].
+/// A deterministic fault schedule for one SPMD run, built with
+/// [`FaultPlan::parse`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Seed for the delivery-jitter RNG (each rank derives its own
@@ -198,15 +192,6 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Read and parse [`FAULT_PLAN_ENV`]; `Ok(None)` when unset or empty.
-    pub(crate) fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var(FAULT_PLAN_ENV) {
-            Ok(spec) if spec.trim().is_empty() => Ok(None),
-            Ok(spec) => FaultPlan::parse(&spec).map(Some),
-            Err(_) => Ok(None),
-        }
-    }
-
     /// Whether this plan changes nothing — harnesses skip wrapping
     /// entirely, so the default path carries zero fault-layer overhead.
     pub(crate) fn is_noop(&self) -> bool {
@@ -227,25 +212,6 @@ impl FaultPlan {
                     "'{fault}' targets rank {r}, but the run has only {nranks} ranks"
                 ));
             }
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Display for FaultPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut sep = "";
-        if self.seed != 0 {
-            write!(f, "seed:{}", self.seed)?;
-            sep = ";";
-        }
-        if self.delay_us != 0 {
-            write!(f, "{sep}delay:{}", self.delay_us)?;
-            sep = ";";
-        }
-        for fault in &self.faults {
-            write!(f, "{sep}{fault}")?;
-            sep = ";";
         }
         Ok(())
     }
@@ -470,10 +436,20 @@ mod tests {
             "seed:9;delay:5;kill:0@posts:10;sever:1-2",
             "kill:3",
         ];
+        // Every fault clause displays back as written (error messages
+        // quote it); `seed` and `delay` are plan-wide values.
         for spec in specs {
             let plan = FaultPlan::parse(spec).expect(spec);
-            assert_eq!(plan.to_string(), spec, "round trip of '{spec}'");
-            assert_eq!(FaultPlan::parse(&plan.to_string()).expect(spec), plan);
+            let mut clauses = Vec::new();
+            for clause in spec.split(';') {
+                match clause.split_once(':') {
+                    Some(("seed", n)) => assert_eq!(plan.seed.to_string(), n, "{spec}"),
+                    Some(("delay", n)) => assert_eq!(plan.delay_us.to_string(), n, "{spec}"),
+                    _ => clauses.push(clause),
+                }
+            }
+            let shown: Vec<String> = plan.faults.iter().map(Fault::to_string).collect();
+            assert_eq!(shown, clauses, "round trip of '{spec}'");
         }
     }
 

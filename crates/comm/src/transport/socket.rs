@@ -231,58 +231,23 @@ fn pair_mesh(nranks: usize) -> std::io::Result<Vec<SocketTransport>> {
         .collect()
 }
 
-/// Mesh bring-up tuning: how long `connect_mesh` waits for sibling
-/// processes before giving up (a crashed sibling would otherwise hang
-/// the whole launch), and the retry cadence while it waits. Replaces
-/// the old hard-wired 60 s constant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct MeshConfig {
-    /// Give-up deadline for the whole bring-up.
-    pub timeout: Duration,
-    /// First retry sleep; doubles per failed attempt up to `retry_max`
-    /// (exponential backoff keeps a large mesh from hammering the
-    /// filesystem while still reacting in microseconds when siblings
-    /// arrive quickly).
-    pub retry_start: Duration,
-    /// Backoff ceiling.
-    pub retry_max: Duration,
+/// First retry sleep of mesh bring-up while siblings are not there yet;
+/// it doubles per failed attempt up to [`RETRY_MAX`] (exponential
+/// backoff keeps a large mesh from hammering the filesystem while still
+/// reacting in milliseconds when siblings arrive quickly).
+const RETRY_START: Duration = Duration::from_millis(2);
+
+/// Backoff ceiling of mesh bring-up.
+const RETRY_MAX: Duration = Duration::from_millis(50);
+
+/// Next backoff sleep after `current` (doubling, capped).
+fn backoff(current: Duration) -> Duration {
+    (current * 2).min(RETRY_MAX)
 }
 
-impl Default for MeshConfig {
-    fn default() -> Self {
-        MeshConfig {
-            timeout: Duration::from_secs(60),
-            retry_start: Duration::from_millis(2),
-            retry_max: Duration::from_millis(50),
-        }
-    }
-}
-
-impl MeshConfig {
-    /// Default config with the deadline overridden by
-    /// `ELBA_MESH_TIMEOUT_MS` when present — `elba launch` sets it from
-    /// `--launch-timeout` so bring-up gives up before the supervisor's
-    /// own deadline fires.
-    pub(crate) fn from_env() -> MeshConfig {
-        let mut cfg = MeshConfig::default();
-        if let Some(ms) = std::env::var("ELBA_MESH_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            cfg.timeout = Duration::from_millis(ms.max(1));
-        }
-        cfg
-    }
-
-    /// Next backoff sleep after `current` (doubling, capped).
-    fn backoff(&self, current: Duration) -> Duration {
-        (current * 2).min(self.retry_max)
-    }
-}
-
-fn retry_connect(path: &Path, cfg: &MeshConfig) -> std::io::Result<UnixStream> {
-    let deadline = Instant::now() + cfg.timeout;
-    let mut sleep = cfg.retry_start;
+fn retry_connect(path: &Path, timeout: Duration) -> std::io::Result<UnixStream> {
+    let deadline = Instant::now() + timeout;
+    let mut sleep = RETRY_START;
     loop {
         match UnixStream::connect(path) {
             Ok(stream) => return Ok(stream),
@@ -294,7 +259,7 @@ fn retry_connect(path: &Path, cfg: &MeshConfig) -> std::io::Result<UnixStream> {
                     ));
                 }
                 std::thread::sleep(sleep);
-                sleep = cfg.backoff(sleep);
+                sleep = backoff(sleep);
             }
         }
     }
@@ -304,16 +269,18 @@ fn retry_connect(path: &Path, cfg: &MeshConfig) -> std::io::Result<UnixStream> {
 /// bind `rank<r>.sock`, connect to every lower rank (with retry — the
 /// siblings may not have bound yet), accept every higher rank, exchange
 /// hello frames so accepted streams are attributed to the right peer.
+/// Each wait gives up after `timeout`: a sibling that crashed before
+/// binding would otherwise hang the whole launch.
 fn connect_mesh(
     dir: &Path,
     rank: Rank,
     nranks: usize,
-    cfg: &MeshConfig,
+    timeout: Duration,
 ) -> std::io::Result<SocketTransport> {
     let listener = UnixListener::bind(dir.join(format!("rank{rank}.sock")))?;
     let mut streams: Vec<Option<UnixStream>> = (0..nranks).map(|_| None).collect();
     for (peer, slot) in streams.iter_mut().enumerate().take(rank) {
-        let stream = retry_connect(&dir.join(format!("rank{peer}.sock")), cfg)?;
+        let stream = retry_connect(&dir.join(format!("rank{peer}.sock")), timeout)?;
         let mut hello = Vec::with_capacity(FRAME_HEADER_BYTES);
         FrameHeader {
             kind: FrameKind::Hello,
@@ -326,10 +293,10 @@ fn connect_mesh(
         (&stream).write_all(&hello)?;
         *slot = Some(stream);
     }
-    let deadline = Instant::now() + cfg.timeout;
+    let deadline = Instant::now() + timeout;
     for _ in rank + 1..nranks {
         listener.set_nonblocking(true)?;
-        let mut sleep = cfg.retry_start;
+        let mut sleep = RETRY_START;
         let stream = loop {
             match listener.accept() {
                 Ok((stream, _)) => break stream,
@@ -341,7 +308,7 @@ fn connect_mesh(
                         ));
                     }
                     std::thread::sleep(sleep);
-                    sleep = cfg.backoff(sleep);
+                    sleep = backoff(sleep);
                 }
                 Err(err) => return Err(err),
             }
@@ -404,12 +371,15 @@ impl From<std::io::Error> for WorkerError {
 
 /// Run `f` as one world rank of a multi-process socket mesh rooted at
 /// `dir` (the rendezvous directory all `nranks` processes share — see
-/// `elba launch`). Blocks until the mesh is up, runs `f` over the world
-/// communicator, and returns `f`'s result together with this rank's
-/// recorded [`Profile`]. Cross-rank aggregation (a merged
-/// [`crate::RunProfile`] at rank 0) is the caller's business: gather the
-/// per-rank profiles over a duplicated communicator with
-/// [`Profile::wire_encode`].
+/// `elba launch`). Blocks until the mesh is up — each bring-up wait
+/// gives up after `mesh_timeout` — runs `f` over the world communicator,
+/// and returns `f`'s result together with this rank's recorded
+/// [`Profile`]. Cross-rank aggregation (a merged [`crate::RunProfile`]
+/// at rank 0) is the caller's business: gather the per-rank profiles
+/// over a duplicated communicator with [`Profile::wire_encode`].
+///
+/// `faults` is enforced in process mode: a killed rank exits the
+/// process (or SIGKILLs it) instead of unwinding.
 ///
 /// A panicking `f` does not take the process down bare-handed: the
 /// panic is caught, this rank's endpoint is shut down (peers unwind with
@@ -419,6 +389,8 @@ pub fn run_worker<T, F>(
     dir: &Path,
     rank: Rank,
     nranks: usize,
+    mesh_timeout: Duration,
+    faults: Option<&FaultPlan>,
     f: F,
 ) -> Result<(T, Profile), WorkerError>
 where
@@ -426,16 +398,10 @@ where
 {
     assert!(rank < nranks, "worker rank {rank} outside 0..{nranks}");
     crate::error::silence_typed_unwinds();
-    let plan = FaultPlan::from_env().map_err(|e| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("{}: {e}", crate::transport::fault::FAULT_PLAN_ENV),
-        )
-    })?;
     let profile = Arc::new(Mutex::new(Profile::new(rank)));
     let mut transport: Arc<dyn Transport> =
-        Arc::new(connect_mesh(dir, rank, nranks, &MeshConfig::from_env())?);
-    if let Some(plan) = &plan {
+        Arc::new(connect_mesh(dir, rank, nranks, mesh_timeout)?);
+    if let Some(plan) = faults {
         // Process-mode faults: a killed worker exits (or SIGKILLs
         // itself) instead of unwinding — the launcher's taxonomy and
         // the peers' PeerGone errors are the observable.

@@ -5,16 +5,18 @@
 //!               --reads reads.fasta --genome genome.fasta
 //! elba assemble --reads reads.fasta --ranks 4 --out contigs.fasta \
 //!               [--k 31 --xdrop 15] [--scaffold true] [--gfa graph.gfa]
+//! elba launch -- assemble --reads reads.fasta --ranks 4 --out contigs.fasta
 //! elba evaluate --reference genome.fasta --contigs contigs.fasta
 //! ```
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::process::{Child, ExitCode, ExitStatus};
 use std::time::{Duration, Instant};
 
+use elba::comm::WorkerError;
 use elba::core::{JobInput, JobOutcome, JobResult, JobSpec, ServeConfig, Server};
 use elba::exit;
 use elba::prelude::*;
@@ -53,9 +55,19 @@ impl From<String> for CliError {
     }
 }
 
+/// All output goes through one locked stdout writer, and the only
+/// `io::Error` a command passes to `?` unmapped is a failed write to it
+/// (a closed pipe): a typed failure, not a panic. File errors are
+/// mapped with their path where they happen.
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> CliError {
+        CliError::failure(format!("write to stdout: {e}"))
+    }
+}
+
 /// Parse `--key value` pairs for `command`, rejecting any key not in
-/// `known` — a typo or a flag from an older release must fail loudly
-/// instead of silently running the defaults.
+/// `known` and any key given twice — a typo or a flag from an older
+/// release must fail loudly instead of silently running the defaults.
 fn parse_flags(
     args: &[String],
     command: &str,
@@ -73,10 +85,12 @@ fn parse_flags(
                 known.join(" --")
             ));
         }
-        match it.next() {
-            Some(value) => flags.insert(key.to_owned(), value.clone()),
-            None => return Err(format!("flag --{key} needs a value")),
+        let Some(value) = it.next() else {
+            return Err(format!("flag --{key} needs a value"));
         };
+        if flags.insert(key.to_owned(), value.clone()).is_some() {
+            return Err(format!("flag --{key} given twice"));
+        }
     }
     Ok(flags)
 }
@@ -155,7 +169,9 @@ fn read_reads(path: &str) -> Result<Vec<Seq>, CliError> {
     Ok(reads)
 }
 
-fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), CliError> {
+const SIMULATE_KNOWN: &[&str] = &["dataset", "scale", "seed", "reads", "genome"];
+
+fn cmd_simulate(flags: HashMap<String, String>, out: &mut dyn Write) -> Result<(), CliError> {
     let dataset = get(&flags, "dataset").map_err(CliError::usage)?;
     let scale: f64 = num(&flags, "scale", 0.2).map_err(CliError::usage)?;
     let seed: u64 = num(&flags, "seed", 2022).map_err(CliError::usage)?;
@@ -165,14 +181,15 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), CliError> {
     let spec = DatasetSpec::by_name(dataset, scale, seed).map_err(CliError::usage)?;
     let (genome, sim_reads) = spec.generate();
     let reads: Vec<Seq> = sim_reads.into_iter().map(|r| r.seq).collect();
-    println!(
+    writeln!(
+        out,
         "{}: genome {} bp, {} reads, depth {:.0}x, error {:.1}%",
         spec.name,
         genome.len(),
         reads.len(),
         spec.reads.depth,
         spec.reads.error_rate * 100.0
-    );
+    )?;
     write_seqs(reads_path, "read_", &reads)?;
     if let Some(genome_path) = flags.get("genome") {
         write_seqs(genome_path, "genome_", std::slice::from_ref(&genome))?;
@@ -180,26 +197,46 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Everything `assemble`'s flag values decide before any rank starts:
-/// grid shape, the fully resolved pipeline config, and whether to
-/// scaffold. Shared between the in-process path and `elba launch`
-/// socket workers so both run the byte-identical pipeline; the launch
-/// supervisor builds one too, so a bad value is a usage error there
-/// rather than N workers dying with the same message.
+/// The job an `assemble` command line describes, checked before any
+/// rank starts. The in-process path, the `elba launch` supervisor and
+/// every launch worker build it from the same flags: all run the same
+/// job, and a bad flag is one usage error, not N workers dying of it.
 struct AssembleSetup {
+    reads: String,
+    out: String,
+    gfa: Option<String>,
     ranks: usize,
-    threads: usize,
     cfg: PipelineConfig,
     scaffold: bool,
+    fault: Option<FaultPlan>,
 }
 
-/// Every error is a malformed flag value: callers map it to
+const ASSEMBLE_KNOWN: &[&str] = &[
+    "reads",
+    "out",
+    "ranks",
+    "threads",
+    "k",
+    "xdrop",
+    "min-overlap",
+    "min-score-ratio",
+    "fuzz",
+    "tr-fuzz",
+    "seed-chaining",
+    "mem-budget",
+    "scaffold",
+    "gfa",
+    "fault",
+];
+
+/// Every error is a missing or malformed flag: callers map it to
 /// [`exit::USAGE`].
 fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, String> {
+    let reads = get(flags, "reads")?.to_owned();
+    let out = get(flags, "out")?.to_owned();
     let ranks: usize = num(flags, "ranks", 4)?;
     require_square("--ranks", ranks)?;
-    let threads = threads_flag(flags)?;
-    let mut cfg = PipelineConfig::default().with_threads(threads);
+    let mut cfg = PipelineConfig::default().with_threads(threads_flag(flags)?);
     cfg.kmer.k = num(flags, "k", 31usize)?;
     if !(1..=MAX_K).contains(&cfg.kmer.k) {
         return Err(format!("--k must be in 1..={MAX_K}; got {}", cfg.kmer.k));
@@ -230,37 +267,35 @@ fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, Stri
         Some("true") => true,
         Some(other) => return Err(format!("--scaffold must be true|false; got '{other}'")),
     };
+    // A fault aimed outside the world never fires: the run would pass
+    // silently, so it is refused with the rest of the flags.
+    let fault = flags
+        .get("fault")
+        .map(|raw| {
+            FaultPlan::parse(raw)
+                .and_then(|plan| plan.check_ranks(ranks).map(|()| plan))
+                .map_err(|e| format!("--fault: {e}"))
+        })
+        .transpose()?;
 
     Ok(AssembleSetup {
+        reads,
+        out,
+        gfa: flags.get("gfa").cloned(),
         ranks,
-        threads,
         cfg,
         scaffold,
+        fault,
     })
-}
-
-fn print_banner(setup: &AssembleSetup, n_reads: usize, transport: &str) {
-    println!(
-        "assembling {n_reads} reads on {} {transport} ranks × {} thread(s) \
-         (k={}, spgemm={}{})",
-        setup.ranks,
-        setup.threads,
-        setup.cfg.kmer.k,
-        elba::sparse::algorithm_label(setup.cfg.overlap.spgemm.algorithm),
-        match setup.cfg.mem_budget.total() {
-            Some(bytes) => format!(", mem-budget={bytes}B/rank"),
-            None => String::new(),
-        }
-    );
 }
 
 /// Per-rank profiled traffic over the *named* phases, one deterministic
 /// line. Both transports book bytes from `CommMsg::nbytes` above the
 /// transport, so this line must be identical between an in-process run
-/// and an `elba launch --transport socket` run of the same job — the CI
-/// smoke leg diffs it. UNPHASED is excluded because the socket path
-/// books auxiliary-communicator setup there that the in-process harness
-/// has no analogue for.
+/// and an `elba launch` run of the same job — the CI smoke leg diffs
+/// it. UNPHASED is excluded because the socket path books
+/// auxiliary-communicator setup there that the in-process harness has
+/// no analogue for.
 fn wire_bytes_line(profile: &RunProfile) -> String {
     let names = profile.phase_names();
     let per_rank: Vec<String> = profile
@@ -279,15 +314,14 @@ fn wire_bytes_line(profile: &RunProfile) -> String {
 }
 
 fn assemble_finish(
-    flags: &HashMap<String, String>,
+    out: &mut dyn Write,
     setup: &AssembleSetup,
-    contigs: Vec<Contig>,
-    result: PipelineResult,
+    (contigs, result): (Vec<Contig>, PipelineResult),
     profile: &RunProfile,
-) -> Result<(), String> {
+) -> Result<(), CliError> {
     let cfg = &setup.cfg;
-    print!("{}", profile.render_table());
-    println!("{}", wire_bytes_line(profile));
+    write!(out, "{}", profile.render_table())?;
+    writeln!(out, "{}", wire_bytes_line(profile))?;
     if let Some(total) = cfg.mem_budget.total() {
         let peak = profile
             .phase_names()
@@ -295,16 +329,18 @@ fn assemble_finish(
             .map(|name| profile.max_mem_hw(name))
             .max()
             .unwrap_or(0);
-        println!(
+        writeln!(
+            out,
             "mem budget: {total} B/rank | peak tracked high-water: {peak} B ({})",
             if peak <= total {
                 "within budget"
             } else {
                 "EXCEEDED"
             }
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "contigs: {} | reliable k-mers: {} | candidate pairs: {} | string-graph nnz: {} | \
          branch vertices: {} | cc rounds: {} | imbalance: {:.2}",
         contigs.len(),
@@ -314,9 +350,10 @@ fn assemble_finish(
         result.contig_stats.branch_vertices,
         result.contig_stats.cc_rounds,
         result.contig_stats.imbalance
-    );
+    )?;
     let aln = &result.align_stats;
-    println!(
+    writeln!(
+        out,
         "alignment: pairs {} | aligned {} | dovetails {} | contained {} | internal {} | \
          rejected {} | chains extended {} | seeds skipped {}",
         aln.candidate_pairs,
@@ -327,7 +364,7 @@ fn assemble_finish(
         aln.rejected,
         aln.chains_extended,
         aln.seeds_skipped
-    );
+    )?;
 
     let mut seqs: Vec<Seq> = contigs.iter().map(|c| c.seq.clone()).collect();
     if setup.scaffold {
@@ -337,17 +374,18 @@ fn assemble_finish(
             ..Default::default()
         };
         let (scaffolds, stats) = elba::core::scaffold::scaffold_contigs(&seqs, &scfg);
-        println!(
+        writeln!(
+            out,
             "scaffolding: {} contigs -> {} scaffolds ({} joins)",
             stats.input_contigs, stats.output_scaffolds, stats.joins
-        );
+        )?;
         seqs = scaffolds;
     }
-    write_seqs(get(flags, "out")?, "contig_", &seqs)?;
+    write_seqs(&setup.out, "contig_", &seqs)?;
 
     // The graph is the assembly's, not the scaffolder's: segment i is
     // the contig that path i walks, whatever `--scaffold` wrote to --out.
-    if let Some(gfa_path) = flags.get("gfa") {
+    if let Some(gfa_path) = &setup.gfa {
         let mut graph = GfaGraph::new();
         for (i, contig) in contigs.iter().enumerate() {
             graph.add_segment(format!("contig_{i}"), contig.seq.clone());
@@ -364,47 +402,125 @@ fn assemble_finish(
         graph
             .write(BufWriter::new(file))
             .map_err(|e| format!("write {gfa_path}: {e}"))?;
-        println!("assembly graph written to {gfa_path}");
+        writeln!(out, "assembly graph written to {gfa_path}")?;
     }
     Ok(())
 }
 
-/// `elba assemble` on in-process ranks. `fault` is `elba launch
-/// --transport inprocess --fault`'s validated plan; a bare `assemble`
-/// has none.
-fn cmd_assemble(flags: HashMap<String, String>, fault: Option<&FaultPlan>) -> Result<(), CliError> {
+/// `elba assemble`: the flags are the whole job. Run directly, the
+/// ranks are threads of this process and `--fault` kills are
+/// thread-mode; started by `elba launch`, this process is `worker`'s
+/// rank of a socket mesh and kills are process-mode. Either way the
+/// reads are read once, and only rank 0 prints and writes the outputs.
+fn cmd_assemble(
+    flags: HashMap<String, String>,
+    worker: Option<Worker>,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     let setup = assemble_setup(&flags).map_err(CliError::usage)?;
-    let reads = read_reads(get(&flags, "reads")?)?;
-    print_banner(&setup, reads.len(), "in-process");
-    let cfg = setup.cfg.clone();
-    let mut runner = Runner::new(Backend::InProcess).ranks(setup.ranks);
-    if let Some(plan) = fault {
-        runner = runner.faults(plan);
+    if let Some(w) = worker.as_ref().filter(|w| w.rank >= setup.ranks) {
+        let message = format!("ELBA_RANK: rank {} outside --ranks {}", w.rank, setup.ranks);
+        return Err(CliError::usage(message));
     }
-    let (mut outputs, profile) = runner
-        .try_run_profiled(move |comm| {
-            let grid = ProcGrid::new(comm);
-            assemble_gathered(&grid, &reads, &cfg)
-        })
-        .map_err(|failure| CliError {
-            // Dead ranks are a typed outcome, not a panic: name every
-            // casualty (root cause first) and exit with the rank-failure
-            // code so `elba launch --transport inprocess` reports exactly
-            // like the socket supervisor.
-            code: exit::RANK_FAILED,
-            message: format!("assemble: {failure}"),
-        })?;
-    let (contigs, result) = outputs.remove(0);
-    assemble_finish(&flags, &setup, contigs, result, &profile).map_err(CliError::from)
+    let reads = read_reads(&setup.reads)?;
+    let cfg = setup.cfg.clone();
+    if worker.as_ref().is_none_or(|w| w.rank == 0) {
+        let transport = if worker.is_some() {
+            "socket"
+        } else {
+            "in-process"
+        };
+        writeln!(
+            out,
+            "assembling {} reads on {} {transport} ranks × {} thread(s) (k={}, spgemm={}{})",
+            reads.len(),
+            setup.ranks,
+            cfg.kmer.threads,
+            cfg.kmer.k,
+            elba::sparse::algorithm_label(cfg.overlap.spgemm.algorithm),
+            match cfg.mem_budget.total() {
+                Some(bytes) => format!(", mem-budget={bytes}B/rank"),
+                None => String::new(),
+            }
+        )?;
+    }
+    let (output, profile) = match worker {
+        None => {
+            let mut runner = Runner::new(Backend::InProcess).ranks(setup.ranks);
+            if let Some(plan) = &setup.fault {
+                runner = runner.faults(plan);
+            }
+            let (mut outputs, profile) = runner
+                .try_run_profiled(move |comm| {
+                    let grid = ProcGrid::new(comm);
+                    assemble_gathered(&grid, &reads, &cfg)
+                })
+                .map_err(|failure| CliError {
+                    // Dead ranks are a typed outcome, not a panic: name
+                    // every casualty, root cause first, as `launch` does.
+                    code: exit::RANK_FAILED,
+                    message: format!("assemble: {failure}"),
+                })?;
+            (outputs.remove(0), profile)
+        }
+        Some(worker) => {
+            let (gathered, _own_profile) = elba::comm::run_worker(
+                &worker.socket_dir,
+                worker.rank,
+                setup.ranks,
+                worker.mesh_timeout,
+                setup.fault.as_ref(),
+                move |comm| {
+                    // The profile gather must not disturb the named-phase
+                    // wire-byte accounting: the auxiliary communicator is
+                    // split off before the grid exists (its setup books
+                    // as UNPHASED), and each rank snapshots and encodes
+                    // its profile before any gather traffic.
+                    let aux = comm.dup();
+                    let grid = ProcGrid::new(comm);
+                    let output = assemble_gathered(&grid, &reads, &cfg);
+                    let snapshot = aux.profile_handle().lock().expect("profile lock").clone();
+                    let mut encoded = Vec::new();
+                    snapshot.wire_encode(&mut encoded);
+                    aux.gather(0, encoded).map(|frames| (output, frames))
+                },
+            )
+            .map_err(|e| CliError {
+                // The worker's exit code is the launcher's only signal, so
+                // the failure class has to survive the process boundary.
+                code: match &e {
+                    WorkerError::Comm(_) => exit::PEER_GONE,
+                    WorkerError::Killed(_) => exit::FAULT_KILLED,
+                    WorkerError::Io(_) | WorkerError::Panic(_) => exit::FAILURE,
+                },
+                message: format!("socket worker rank {}: {e}", worker.rank),
+            })?;
+            // Non-root workers are done once the gather lands.
+            let Some((output, frames)) = gathered else {
+                return Ok(());
+            };
+            let mut profiles = Vec::with_capacity(frames.len());
+            for frame in &frames {
+                let mut reader = elba::comm::transport::wire::WireReader::new(frame);
+                let decoded = elba::comm::Profile::wire_decode(&mut reader)
+                    .and_then(|p| reader.finish().map(|()| p))
+                    .map_err(|e| format!("decode gathered profile: {e:?}"))?;
+                profiles.push(decoded);
+            }
+            (output, RunProfile::new(profiles))
+        }
+    };
+    assemble_finish(out, &setup, output, &profile)
 }
 
-/// `elba launch --ranks N [--transport socket|inprocess] -- assemble ...`
+const LAUNCH_KNOWN: &[&str] = &["socket-dir", "launch-timeout"];
+
+/// `elba launch [--socket-dir DIR] [--launch-timeout S] -- assemble ...`
 ///
-/// The socket transport forks N worker *processes* of this same binary,
-/// wires them into a Unix-socket mesh under a temp directory, and runs
-/// the identical assemble pipeline; rank 0 gathers every worker's
-/// profile and prints the same table and wire-bytes line the in-process
-/// path prints, so the two are directly diffable.
+/// Runs the job the `assemble` flags describe with every rank a
+/// supervised worker *process* of this same binary, wired into a
+/// Unix-socket mesh under a temp directory. `launch`'s own flags only
+/// supervise; rank 0 prints what an in-process run prints.
 fn cmd_launch(rest: &[String]) -> Result<(), CliError> {
     let Some(split) = rest.iter().position(|a| a == "--") else {
         return Err(CliError::usage(
@@ -412,81 +528,56 @@ fn cmd_launch(rest: &[String]) -> Result<(), CliError> {
         ));
     };
     let (head, tail) = (&rest[..split], &rest[split + 1..]);
-    let flags = parse_flags(head, "launch", LAUNCH_FLAGS).map_err(CliError::usage)?;
-    let ranks: usize = num(&flags, "ranks", 4).map_err(CliError::usage)?;
-    require_square("--ranks", ranks).map_err(CliError::usage)?;
-    let transport = flags
-        .get("transport")
-        .map(String::as_str)
-        .unwrap_or("socket");
+    let flags = parse_flags(head, "launch", LAUNCH_KNOWN).map_err(CliError::usage)?;
     let timeout_secs: u64 = num(&flags, "launch-timeout", 600).map_err(CliError::usage)?;
     if timeout_secs == 0 {
         return Err(CliError::usage(
             "--launch-timeout must be at least 1 second",
         ));
     }
-    // Validate the fault plan in the supervisor, where a typo is a
-    // usage error — not N workers dying with the same parse message.
-    let fault = match flags.get("fault") {
-        None => None,
-        Some(raw) => Some(
-            FaultPlan::parse(raw)
-                .and_then(|plan| plan.check_ranks(ranks).map(|()| plan))
-                .map_err(|e| CliError::usage(format!("--fault: {e}")))?,
-        ),
-    };
-    let Some((sub, sub_rest)) = tail.split_first() else {
+    let timeout = Duration::from_secs(timeout_secs);
+    let Some(("assemble", assemble_args)) = tail.split_first().map(|(s, a)| (s.as_str(), a)) else {
         return Err(CliError::usage(format!(
-            "launch needs a subcommand after '--' (launchable: {})",
-            launchable_names()
+            "launch runs only 'assemble' after '--', got '{}'",
+            tail.join(" ")
         )));
     };
-    let Some(entry) = subcommand(sub) else {
-        return Err(CliError::usage(format!(
-            "launch cannot wrap unknown subcommand '{sub}' (launchable: {})",
-            launchable_names()
-        )));
-    };
-    if !entry.launchable {
-        return Err(CliError::usage(format!(
-            "launch wraps only SPMD subcommands ({}), got '{sub}'",
-            launchable_names()
-        )));
-    }
-    // Validate the wrapped flags in the supervisor, before anything is
-    // spawned — same rule as the fault plan above.
-    let mut sub_flags = parse_flags(sub_rest, entry.name, entry.flags).map_err(CliError::usage)?;
-    match transport {
-        // Only `assemble` is launchable; both arms run it.
-        "inprocess" => {
-            sub_flags.insert("ranks".to_owned(), ranks.to_string());
-            cmd_assemble(sub_flags, fault.as_ref())
-        }
-        "socket" => {
-            // Flag *values* too: nothing is spawned for a bad one.
-            assemble_setup(&sub_flags).map_err(CliError::usage)?;
-            let opts = LaunchOptions {
-                timeout: Duration::from_secs(timeout_secs),
-                socket_dir: flags.get("socket-dir").map(PathBuf::from),
-                fault: fault.map(|plan| plan.to_string()),
-            };
-            launch_socket(ranks, &opts, sub_rest)
-        }
-        other => Err(CliError::usage(format!(
-            "--transport must be socket or inprocess; got '{other}'"
-        ))),
-    }
-}
+    // The supervisor checks the job with the code every worker runs, so
+    // a bad flag or value is one usage error and nothing is spawned.
+    let job = parse_flags(assemble_args, "assemble", ASSEMBLE_KNOWN).map_err(CliError::usage)?;
+    let ranks = assemble_setup(&job).map_err(CliError::usage)?.ranks;
 
-/// Supervision knobs parsed from `elba launch`'s own flags.
-struct LaunchOptions {
-    /// Hard deadline for the whole launch — mesh bring-up included (the
-    /// workers' `ELBA_MESH_TIMEOUT_MS` is derived from it).
-    timeout: Duration,
-    /// Rendezvous directory override; defaults to a pid-keyed temp dir.
-    socket_dir: Option<PathBuf>,
-    /// Validated, re-serialized fault plan handed to every worker.
-    fault: Option<String>,
+    let exe =
+        std::env::current_exe().map_err(|e| CliError::failure(format!("current_exe: {e}")))?;
+    let dir = flags.get("socket-dir").map_or_else(
+        || std::env::temp_dir().join(format!("elba-launch-{}", std::process::id())),
+        PathBuf::from,
+    );
+    let _ = std::fs::remove_dir_all(&dir); // stale sockets from a recycled pid
+    std::fs::create_dir_all(&dir)
+        .map_err(|e| CliError::failure(format!("create {}: {e}", dir.display())))?;
+    let _cleanup = SocketDirGuard(dir.clone());
+    let deadline = Instant::now() + timeout;
+    let mut children: Vec<Option<(usize, Child)>> = Vec::with_capacity(ranks);
+    for rank in 0..ranks {
+        // The worker protocol (see `Worker`); `timeout` also bounds every
+        // worker's mesh bring-up.
+        let spawned = std::process::Command::new(&exe)
+            .arg("assemble")
+            .args(assemble_args)
+            .env("ELBA_RANK", rank.to_string())
+            .env("ELBA_SOCKET_DIR", &dir)
+            .env("ELBA_MESH_TIMEOUT_MS", timeout.as_millis().to_string())
+            .spawn();
+        match spawned {
+            Ok(child) => children.push(Some((rank, child))),
+            Err(e) => {
+                kill_and_reap(&mut children);
+                return Err(CliError::failure(format!("spawn worker rank {rank}: {e}")));
+            }
+        }
+    }
+    supervise(&mut children, deadline, timeout)
 }
 
 /// Removes the socket rendezvous directory on every exit path — clean
@@ -584,46 +675,6 @@ fn kill_and_reap(children: &mut [Option<(usize, Child)>]) {
     }
 }
 
-fn launch_socket(
-    ranks: usize,
-    opts: &LaunchOptions,
-    assemble_args: &[String],
-) -> Result<(), CliError> {
-    let exe =
-        std::env::current_exe().map_err(|e| CliError::failure(format!("current_exe: {e}")))?;
-    let dir = opts.socket_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("elba-launch-{}", std::process::id()))
-    });
-    let _ = std::fs::remove_dir_all(&dir); // stale sockets from a recycled pid
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| CliError::failure(format!("create {}: {e}", dir.display())))?;
-    let _cleanup = SocketDirGuard(dir.clone());
-    let deadline = Instant::now() + opts.timeout;
-    let mut children: Vec<Option<(usize, Child)>> = Vec::with_capacity(ranks);
-    for rank in 0..ranks {
-        let mut command = std::process::Command::new(&exe);
-        command
-            .arg("assemble")
-            .args(assemble_args)
-            .env("ELBA_RANK", rank.to_string())
-            .env("ELBA_RANKS", ranks.to_string())
-            .env("ELBA_SOCKET_DIR", &dir)
-            .env("ELBA_MESH_TIMEOUT_MS", opts.timeout.as_millis().to_string());
-        if let Some(plan) = &opts.fault {
-            command.env(elba::comm::transport::fault::FAULT_PLAN_ENV, plan);
-        }
-        let spawned = command.spawn();
-        match spawned {
-            Ok(child) => children.push(Some((rank, child))),
-            Err(e) => {
-                kill_and_reap(&mut children);
-                return Err(CliError::failure(format!("spawn worker rank {rank}: {e}")));
-            }
-        }
-    }
-    supervise(&mut children, deadline, opts.timeout)
-}
-
 /// Poll all children until they finish, one dies, or the deadline
 /// passes. Never blocks on any single child, so a hung rank 0 cannot
 /// delay noticing that rank 3 died.
@@ -687,84 +738,25 @@ fn supervise(
     }
 }
 
-/// Body of one `elba launch` worker process (dispatched from `main`
-/// when the `ELBA_SOCKET_DIR`/`ELBA_RANK`/`ELBA_RANKS` environment is
-/// present). Every worker runs the full pipeline; rank 0 additionally
-/// gathers the per-rank profiles and writes the outputs.
-fn run_socket_worker(
-    rank: usize,
-    nranks: usize,
-    dir: &std::path::Path,
-    flags: HashMap<String, String>,
-) -> Result<(), CliError> {
-    require_square("launch --ranks", nranks).map_err(CliError::usage)?;
-    let mut setup = assemble_setup(&flags).map_err(CliError::usage)?;
-    setup.ranks = nranks;
-    let reads = read_reads(get(&flags, "reads")?)?;
-    if rank == 0 {
-        print_banner(&setup, reads.len(), "socket");
-    }
-    let cfg = setup.cfg.clone();
-    let (out, _own_profile) = elba::comm::run_worker(dir, rank, nranks, move |comm| {
-        // The profile gather must not disturb the named-phase wire-byte
-        // accounting: the auxiliary communicator is split off before the
-        // grid exists (its setup books as UNPHASED), and each rank
-        // snapshots and encodes its profile before any gather traffic.
-        let aux = comm.dup();
-        let grid = ProcGrid::new(comm);
-        let (contigs, result) = assemble_gathered(&grid, &reads, &cfg);
-        let encoded = {
-            let handle = aux.profile_handle();
-            let snapshot = handle.lock().expect("profile lock").clone();
-            let mut buf = Vec::new();
-            snapshot.wire_encode(&mut buf);
-            buf
-        };
-        let frames = aux.gather(0, encoded);
-        frames.map(|frames| (contigs, result, frames))
-    })
-    .map_err(|e| {
-        // The worker's exit code is the launcher's only signal, so the
-        // failure class has to survive the process boundary as one.
-        let code = match &e {
-            elba::comm::WorkerError::Comm(_) => exit::PEER_GONE,
-            elba::comm::WorkerError::Killed(_) => exit::FAULT_KILLED,
-            elba::comm::WorkerError::Io(_) | elba::comm::WorkerError::Panic(_) => exit::FAILURE,
-        };
-        CliError {
-            code,
-            message: format!("socket worker rank {rank}: {e}"),
-        }
-    })?;
-    let Some((contigs, result, frames)) = out else {
-        return Ok(()); // non-root workers are done once the gather lands
-    };
-    let mut profiles = Vec::with_capacity(frames.len());
-    for frame in &frames {
-        let mut reader = elba::comm::transport::wire::WireReader::new(frame);
-        let decoded = elba::comm::Profile::wire_decode(&mut reader)
-            .and_then(|p| reader.finish().map(|()| p))
-            .map_err(|e| format!("decode gathered profile: {e:?}"))?;
-        profiles.push(decoded);
-    }
-    let profile = RunProfile::new(profiles);
-    assemble_finish(&flags, &setup, contigs, result, &profile).map_err(CliError::from)
-}
+const EVALUATE_KNOWN: &[&str] = &["reference", "contigs"];
 
-fn cmd_evaluate(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_evaluate(flags: HashMap<String, String>, out: &mut dyn Write) -> Result<(), CliError> {
     let reference = read_seqs(get(&flags, "reference")?)?;
     let contigs = read_seqs(get(&flags, "contigs")?)?;
-    let Some(reference) = reference.into_iter().next() else {
-        return Err("reference FASTA is empty".into());
-    };
+    // Scoring against the first of several records would measure the
+    // contigs against part of the genome and still exit 0.
+    let [reference] = <[Seq; 1]>::try_from(reference).map_err(|records| match records.len() {
+        0 => "reference FASTA is empty".to_owned(),
+        n => format!("reference FASTA holds {n} records; evaluate scores one genome"),
+    })?;
     let report = evaluate(&reference, &contigs, &QualityConfig::default());
-    println!("completeness        : {:.2}%", report.completeness);
-    println!("longest contig      : {} bp", report.longest_contig);
-    println!("contigs             : {}", report.n_contigs);
-    println!("misassembled contigs: {}", report.misassembled_contigs);
-    println!("NG50                : {} bp", report.ng50);
-    println!("total length        : {} bp", report.total_len);
-    println!("unaligned contigs   : {}", report.unaligned_contigs);
+    writeln!(out, "completeness        : {:.2}%", report.completeness)?;
+    writeln!(out, "longest contig      : {} bp", report.longest_contig)?;
+    writeln!(out, "contigs             : {}", report.n_contigs)?;
+    writeln!(out, "misassembled contigs: {}", report.misassembled_contigs)?;
+    writeln!(out, "NG50                : {} bp", report.ng50)?;
+    writeln!(out, "total length        : {} bp", report.total_len)?;
+    writeln!(out, "unaligned contigs   : {}", report.unaligned_contigs)?;
     Ok(())
 }
 
@@ -852,11 +844,20 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
+const SERVE_KNOWN: &[&str] = &[
+    "jobs",
+    "groups",
+    "group-ranks",
+    "threads",
+    "transport",
+    "host-mem",
+];
+
 /// `elba serve`: run a batch of assembly jobs over a fixed pool of
 /// supervised rank groups with budget admission control. Exits 0 iff
 /// every submission was accepted and every job without a fault plan
 /// completed — an injected kill failing its own job is expected chaos.
-fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_serve(flags: HashMap<String, String>, out: &mut dyn Write) -> Result<(), CliError> {
     let groups: usize = num(&flags, "groups", 2).map_err(CliError::usage)?;
     let group_ranks: usize = num(&flags, "group-ranks", 4).map_err(CliError::usage)?;
     let threads = threads_flag(&flags).map_err(CliError::usage)?;
@@ -886,7 +887,8 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
     let specs =
         read_job_file(get(&flags, "jobs").map_err(CliError::usage)?).map_err(CliError::usage)?;
 
-    println!(
+    writeln!(
+        out,
         "[serve] groups={groups} group-ranks={group_ranks} transport={} host-mem={} jobs={}",
         match backend {
             Backend::InProcess => "inprocess",
@@ -896,7 +898,7 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
             .total()
             .map_or("unlimited".to_string(), |b| b.to_string()),
         specs.len()
-    );
+    )?;
     let server = Server::start(ServeConfig {
         groups,
         group_ranks,
@@ -908,7 +910,7 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
     let mut rejected = 0usize;
     for spec in specs {
         if let Err(e) = server.submit(spec.clone()) {
-            println!("job {}: REJECTED: {e}", spec.name);
+            writeln!(out, "job {}: REJECTED: {e}", spec.name)?;
             rejected += 1;
         }
     }
@@ -927,13 +929,14 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
                 let quality = report.as_ref().map_or(String::new(), |q| {
                     format!(" completeness={:.1}% ng50={}", q.completeness, q.ng50)
                 });
-                println!(
+                writeln!(
+                    out,
                     "job {}: completed in {:.2}s (queued {:.2}s) contigs={}{quality}",
                     r.name,
                     r.run_secs,
                     r.queued_secs,
                     contigs.len()
-                );
+                )?;
             }
             JobOutcome::Failed {
                 error,
@@ -944,7 +947,8 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
                 } else {
                     unexpected_failures += 1;
                 }
-                println!(
+                writeln!(
+                    out,
                     "job {}: FAILED{}: {error}",
                     r.name,
                     if *killed_by_fault {
@@ -952,38 +956,36 @@ fn cmd_serve(flags: HashMap<String, String>) -> Result<(), CliError> {
                     } else {
                         ""
                     }
-                );
+                )?;
             }
         }
     }
     let mut latencies: Vec<f64> = results.iter().map(JobResult::latency_secs).collect();
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
     let failed = results.len() - completed;
-    println!(
+    writeln!(
+        out,
         "[serve] jobs={} completed={completed} failed={failed} fault-killed={fault_killed} rejected={rejected}",
         results.len()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "[serve] throughput: {:.1} jobs/min | latency p50={:.2}s p99={:.2}s",
         results.len() as f64 / (wall / 60.0),
         percentile(&latencies, 0.50),
         percentile(&latencies, 0.99),
-    );
-    let peak = server_peak(&results);
-    println!("[serve] wall={wall:.2}s peak-latency={peak:.2}s");
+    )?;
+    writeln!(
+        out,
+        "[serve] wall={wall:.2}s peak-latency={:.2}s",
+        percentile(&latencies, 1.0)
+    )?;
     if unexpected_failures > 0 || rejected > 0 {
         return Err(CliError::failure(format!(
             "{unexpected_failures} job(s) failed without a fault plan, {rejected} rejected"
         )));
     }
     Ok(())
-}
-
-fn server_peak(results: &[JobResult]) -> f64 {
-    results
-        .iter()
-        .map(JobResult::latency_secs)
-        .fold(0.0, f64::max)
 }
 
 fn usage() -> String {
@@ -997,180 +999,82 @@ fn usage() -> String {
      \u{20}        [--seed-chaining chain|best]\n\
      \u{20}        (chain: exact x-drop DP per seed chain; best: one greedy\n\
      \u{20}        extension per strand — faster, may assemble differently)\n\
-     \u{20}        [--mem-budget 64M] [--gfa graph.gfa]\n\
+     \u{20}        [--mem-budget 64M] [--gfa graph.gfa] [--fault PLAN]\n\
      \u{20}        (--mem-budget: per-rank byte cap; the distributed SpGEMM runs\n\
      \u{20}        column-batched under it, pipelined without it)\n\
+     \u{20}        (--fault: e.g. kill:1@phase:Alignment — a killed rank fails\n\
+     \u{20}        the run with exit 10)\n\
      serve    --jobs jobs.txt [--groups 2] [--group-ranks 4] [--threads 1]\n\
      \u{20}        [--transport inprocess|socket] [--host-mem 512M]\n\
      \u{20}        (job lines: name=j1 sim=celegans scale=0.05 seed=3 mem=32M\n\
      \u{20}        [fault=kill:1@phase:Alignment] — or fasta=reads.fasta)\n\
-     launch   --ranks 4 [--transport socket|inprocess] [--launch-timeout 600]\n\
-     \u{20}        [--socket-dir DIR] -- assemble <flags>...\n\
-     \u{20}        (socket: ranks are separate supervised processes over a\n\
+     launch   [--launch-timeout 600] [--socket-dir DIR] -- assemble <flags>...\n\
+     \u{20}        (the assemble job with every rank a supervised process on a\n\
      \u{20}        Unix-socket mesh; first abnormal exit kills the survivors)\n\
      evaluate --reference genome.fasta --contigs contigs.fasta"
         .to_owned()
 }
 
-/// One CLI subcommand: its name, whether `elba launch` may wrap it over
-/// worker rank processes, the flags it accepts, and its entry point.
-/// `main` and `cmd_launch` both dispatch through this table, so the
-/// wrapping rules, the known flags and the allowed-set named by usage
-/// errors live in one place.
-struct Subcommand {
-    name: &'static str,
-    /// `elba launch` may wrap it: the subcommand runs the SPMD pipeline
-    /// itself and honors the injected `--ranks` / fault-plan environment.
-    launchable: bool,
-    /// Every `--flag` the subcommand reads; anything else is a usage
-    /// error.
-    flags: &'static [&'static str],
-    run: fn(HashMap<String, String>) -> Result<(), CliError>,
+/// This process's place in an `elba launch` run. The supervisor starts
+/// every worker as `elba assemble <the job's flags>` with exactly three
+/// variables set — `ELBA_SOCKET_DIR`, `ELBA_RANK` and
+/// `ELBA_MESH_TIMEOUT_MS` — and a directly invoked `elba` has none.
+struct Worker {
+    rank: usize,
+    socket_dir: PathBuf,
+    mesh_timeout: Duration,
 }
 
-/// `elba launch`'s own flags (before the `--`).
-const LAUNCH_FLAGS: &[&str] = &[
-    "ranks",
-    "transport",
-    "fault",
-    "socket-dir",
-    "launch-timeout",
-];
-
-const SUBCOMMANDS: &[Subcommand] = &[
-    Subcommand {
-        name: "simulate",
-        launchable: false,
-        flags: &["dataset", "scale", "seed", "reads", "genome"],
-        run: cmd_simulate,
-    },
-    Subcommand {
-        name: "assemble",
-        launchable: true,
-        flags: &[
-            "reads",
-            "out",
-            "ranks",
-            "threads",
-            "k",
-            "xdrop",
-            "min-overlap",
-            "min-score-ratio",
-            "fuzz",
-            "tr-fuzz",
-            "seed-chaining",
-            "mem-budget",
-            "scaffold",
-            "gfa",
-        ],
-        run: |flags| cmd_assemble(flags, None),
-    },
-    Subcommand {
-        name: "serve",
-        launchable: false,
-        flags: &[
-            "jobs",
-            "groups",
-            "group-ranks",
-            "threads",
-            "transport",
-            "host-mem",
-        ],
-        run: cmd_serve,
-    },
-    Subcommand {
-        name: "evaluate",
-        launchable: false,
-        flags: &["reference", "contigs"],
-        run: |flags| cmd_evaluate(flags).map_err(CliError::from),
-    },
-];
-
-fn subcommand(name: &str) -> Option<&'static Subcommand> {
-    SUBCOMMANDS.iter().find(|s| s.name == name)
-}
-
-fn subcommand_names() -> String {
-    SUBCOMMANDS
-        .iter()
-        .map(|s| s.name)
-        .collect::<Vec<_>>()
-        .join("|")
-}
-
-fn launchable_names() -> String {
-    SUBCOMMANDS
-        .iter()
-        .filter(|s| s.launchable)
-        .map(|s| s.name)
-        .collect::<Vec<_>>()
-        .join("|")
-}
-
-/// Worker identity injected by `elba launch --transport socket`; absent
-/// in every directly invoked `elba`.
-fn worker_env() -> Option<Result<(usize, usize, std::path::PathBuf), String>> {
-    let dir = std::env::var_os("ELBA_SOCKET_DIR")?;
-    let parse = || -> Result<(usize, usize, std::path::PathBuf), String> {
-        let rank = std::env::var("ELBA_RANK")
-            .map_err(|_| "ELBA_SOCKET_DIR set but ELBA_RANK missing".to_owned())?
-            .parse::<usize>()
-            .map_err(|_| "ELBA_RANK: not a number".to_owned())?;
-        let ranks = std::env::var("ELBA_RANKS")
-            .map_err(|_| "ELBA_SOCKET_DIR set but ELBA_RANKS missing".to_owned())?
-            .parse::<usize>()
-            .map_err(|_| "ELBA_RANKS: not a number".to_owned())?;
-        Ok((rank, ranks, std::path::PathBuf::from(dir)))
+/// The one reader of the worker protocol: `Ok(None)` outside a launch;
+/// a missing or malformed variable is an error naming it.
+fn worker_env() -> Result<Option<Worker>, String> {
+    let Some(socket_dir) = std::env::var_os("ELBA_SOCKET_DIR") else {
+        return Ok(None);
     };
-    Some(parse())
+    fn var<T: std::str::FromStr>(name: &str) -> Result<T, String> {
+        let raw = std::env::var(name).map_err(|_| format!("{name} is not set"))?;
+        raw.parse()
+            .map_err(|_| format!("{name}: cannot parse '{raw}'"))
+    }
+    Ok(Some(Worker {
+        rank: var("ELBA_RANK")?,
+        socket_dir: PathBuf::from(socket_dir),
+        mesh_timeout: Duration::from_millis(var("ELBA_MESH_TIMEOUT_MS")?),
+    }))
 }
 
-fn report(result: Result<(), CliError>) -> ExitCode {
-    match result {
+fn run(command: &str, rest: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+    let worker = worker_env().map_err(CliError::usage)?;
+    if worker.is_some() && command != "assemble" {
+        return Err(CliError::usage(
+            "launch workers only run the assemble subcommand",
+        ));
+    }
+    let flags = |known: &[&str]| parse_flags(rest, command, known).map_err(CliError::usage);
+    match command {
+        "simulate" => cmd_simulate(flags(SIMULATE_KNOWN)?, out),
+        "assemble" => cmd_assemble(flags(ASSEMBLE_KNOWN)?, worker, out),
+        "serve" => cmd_serve(flags(SERVE_KNOWN)?, out),
+        "evaluate" => cmd_evaluate(flags(EVALUATE_KNOWN)?, out),
+        "launch" => cmd_launch(rest),
+        other => Err(CliError::usage(format!(
+            "unknown command '{other}' (expected simulate|assemble|serve|launch|evaluate)\n{}",
+            usage()
+        ))),
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((command, rest)) = args.split_first() else {
+        eprintln!("{}", usage());
+        return ExitCode::from(exit::USAGE);
+    };
+    match run(command, rest, &mut std::io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("error: {}", err.message);
             ExitCode::from(err.code)
         }
     }
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(env) = worker_env() {
-        let result =
-            env.map_err(CliError::usage)
-                .and_then(|(rank, ranks, dir)| match args.split_first() {
-                    Some((command, rest)) if command == "assemble" => {
-                        let entry = subcommand("assemble").expect("assemble is in the table");
-                        parse_flags(rest, entry.name, entry.flags)
-                            .map_err(CliError::usage)
-                            .and_then(|flags| run_socket_worker(rank, ranks, &dir, flags))
-                    }
-                    _ => Err(CliError::usage(
-                        "launch workers only run the assemble subcommand",
-                    )),
-                });
-        return report(result);
-    }
-    let Some((command, rest)) = args.split_first() else {
-        eprintln!("{}", usage());
-        return ExitCode::from(exit::USAGE);
-    };
-    // `launch` wraps another subcommand and parses its own argv shape;
-    // everything else dispatches through the table.
-    let result = match command.as_str() {
-        "launch" => cmd_launch(rest),
-        other => match subcommand(other) {
-            Some(entry) => parse_flags(rest, entry.name, entry.flags)
-                .map_err(CliError::usage)
-                .and_then(entry.run),
-            None => Err(CliError::usage(format!(
-                "unknown command '{other}' (expected {}|launch)\n{}",
-                subcommand_names(),
-                usage()
-            ))),
-        },
-    };
-    report(result)
 }

@@ -54,8 +54,9 @@ pub mod exit {
     /// starts (`elba_seq::ReadTooLong`). `elba launch` passes its
     /// workers' refusal through.
     pub const READ_TOO_LONG: u8 = 3;
-    /// `elba launch`: a worker rank exited abnormally; the supervisor's
-    /// message names the rank and its status.
+    /// A rank failed: an in-process `elba assemble` rank died, or an
+    /// `elba launch` worker exited abnormally. The message names the
+    /// rank and its status.
     pub const RANK_FAILED: u8 = 10;
     /// `elba launch`: workers were still running when `--launch-timeout`
     /// expired; the supervisor killed them.

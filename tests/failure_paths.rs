@@ -141,9 +141,11 @@ fn all_identical_reads_collapse() {
 
 /// Hostile numbers on the command line: a usage error (exit 2, one
 /// `error:` line), never a backtrace, an abort or a silently empty file.
+/// The same for a missing required flag, a closed stdout (exit 1) and a
+/// reference `evaluate` cannot score (exit 1).
 mod hostile_cli_values {
-    use std::path::PathBuf;
-    use std::process::{Command, Output};
+    use std::path::{Path, PathBuf};
+    use std::process::{Command, Output, Stdio};
 
     fn elba(args: &[&str]) -> Output {
         Command::new(env!("CARGO_BIN_EXE_elba"))
@@ -223,6 +225,110 @@ mod hostile_cli_values {
         // `--threads 0` is a usage error here as it is for `assemble`.
         let out = elba(&["serve", "--jobs", jobs_arg, "--threads", "0"]);
         assert_usage_error(&out, "serve --threads 0");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn path_arg(path: &Path) -> &str {
+        path.to_str().expect("utf-8 temp path")
+    }
+
+    /// Write one record per name, each the same short sequence.
+    fn write_records(path: &Path, names: &[&str]) {
+        let seq = "ACGTTGCAACGTGGATCCATTTACGGCAATCGGTTACCAGGTTCAAGCCAGTTACGGA";
+        let fasta: String = names.iter().map(|n| format!(">{n}\n{seq}\n")).collect();
+        std::fs::write(path, fasta).expect("write fasta");
+    }
+
+    /// Two short reads: enough for `assemble` to start its ranks and print.
+    fn tiny_reads(dir: &Path) -> PathBuf {
+        let reads = dir.join("reads.fa");
+        write_records(&reads, &["r0", "r1"]);
+        reads
+    }
+
+    #[test]
+    fn assemble_without_reads_or_out_starts_no_rank() {
+        let dir = scratch("required");
+        let reads = tiny_reads(&dir);
+        let contigs = dir.join("contigs.fa");
+        let sock = dir.join("sock");
+        let (reads, contigs, sock_arg) = (path_arg(&reads), path_arg(&contigs), path_arg(&sock));
+        for (args, missing) in [
+            (vec!["assemble", "--reads", reads, "--ranks", "1"], "--out"),
+            (
+                vec!["assemble", "--out", contigs, "--ranks", "1"],
+                "--reads",
+            ),
+            (
+                vec![
+                    "launch",
+                    "--socket-dir",
+                    sock_arg,
+                    "--",
+                    "assemble",
+                    "--reads",
+                    reads,
+                ],
+                "--out",
+            ),
+        ] {
+            let out = elba(&args);
+            assert_usage_error(&out, &format!("{args:?}"));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("missing required flag {missing}")),
+                "{args:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{args:?}: no rank ran");
+            assert!(!sock.exists(), "{args:?}: no worker was spawned");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_closed_stdout_is_a_typed_failure_not_a_panic() {
+        let dir = scratch("stdout");
+        let reads = tiny_reads(&dir);
+        let contigs = dir.join("contigs.fa");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_elba"))
+            .args(["assemble", "--ranks", "1", "--reads", path_arg(&reads)])
+            .args(["--out", path_arg(&contigs)])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn elba");
+        drop(child.stdout.take()); // `elba … | head -0`
+        let out = child.wait_with_output().expect("wait for elba");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+        assert!(
+            stderr.lines().count() == 1 && stderr.starts_with("error: "),
+            "exactly one error line:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked at"), "{stderr}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn evaluate_refuses_a_multi_record_reference() {
+        let dir = scratch("evaluate");
+        let (reference, contigs) = (dir.join("genome.fa"), dir.join("contigs.fa"));
+        write_records(&reference, &["g0", "g1"]);
+        write_records(&contigs, &["c0"]);
+        let out = elba(&[
+            "evaluate",
+            "--reference",
+            path_arg(&reference),
+            "--contigs",
+            path_arg(&contigs),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+        assert!(
+            stderr.contains("reference FASTA holds 2 records; evaluate scores one genome"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "no score is printed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,7 +13,8 @@
 //! SIGKILLed rank is named in the supervisor's error, survivors are
 //! reaped (exit 13, not a hang), the socket rendezvous directory is
 //! removed on every abort path, and a stalled launch dies at
-//! `--launch-timeout` with its own exit code.
+//! `--launch-timeout` with its own exit code. The job, fault plan
+//! included, is the `assemble` flags; `launch` only supervises.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -356,13 +357,22 @@ struct LaunchOutcome {
     stderr: String,
 }
 
-fn launch(dir: &Path, reads: &Path, socket_dir: &Path, extra: &[&str]) -> LaunchOutcome {
+/// `elba launch --socket-dir D <supervision> -- assemble --ranks 4 <job>`:
+/// `supervision` holds `launch`'s own flags, `job` extra `assemble` flags
+/// (the fault plan is part of the job).
+fn launch(
+    dir: &Path,
+    reads: &Path,
+    socket_dir: &Path,
+    supervision: &[&str],
+    job: &[&str],
+) -> LaunchOutcome {
     let mut cmd = elba_bin();
-    cmd.args(["launch", "--ranks", "4", "--transport", "socket"])
-        .arg("--socket-dir")
+    cmd.args(["launch", "--socket-dir"])
         .arg(socket_dir)
-        .args(extra)
-        .args(["--", "assemble", "--k", "17"])
+        .args(supervision)
+        .args(["--", "assemble", "--ranks", "4", "--k", "17"])
+        .args(job)
         .arg("--reads")
         .arg(reads)
         .arg("--out")
@@ -385,7 +395,7 @@ fn sigkilled_worker_is_named_and_rendezvous_dir_removed() {
     for victim in 0..4usize {
         let sock = dir.join(format!("sock-{victim}"));
         let fault = format!("sigkill:{victim}@phase:Alignment");
-        let out = launch(&dir, &reads, &sock, &["--fault", &fault]);
+        let out = launch(&dir, &reads, &sock, &[], &["--fault", &fault]);
         assert_eq!(
             out.code,
             i32::from(exit::RANK_FAILED),
@@ -417,7 +427,13 @@ fn soft_killed_worker_maps_to_fault_killed_exit() {
     let dir = scratch("softkill");
     let reads = simulate_reads(&dir);
     let sock = dir.join("sock");
-    let out = launch(&dir, &reads, &sock, &["--fault", "kill:1@phase:Alignment"]);
+    let out = launch(
+        &dir,
+        &reads,
+        &sock,
+        &[],
+        &["--fault", "kill:1@phase:Alignment"],
+    );
     assert_eq!(
         out.code,
         i32::from(exit::RANK_FAILED),
@@ -432,14 +448,13 @@ fn soft_killed_worker_maps_to_fault_killed_exit() {
     assert!(!sock.exists(), "rendezvous dir removed");
 }
 
-/// Thread ranks get a fault plan from `Runner::faults` and from nowhere
-/// else: an `ELBA_FAULT_PLAN` left in the environment must not reach a
-/// bare `assemble` (it used to be read by every `Runner` in the
-/// process), while `launch --transport inprocess --fault` still
-/// delivers the same plan and reports like the socket supervisor.
-/// Child processes, so no test in this binary races on the variable.
+/// A fault plan enters from the command line only, as `assemble
+/// --fault`: nothing reads an `ELBA_FAULT_PLAN` left in the environment
+/// (not even to parse it), while `--fault` delivers the same plan to the
+/// thread ranks and reports like the launch supervisor. Child
+/// processes, so no test in this binary races on the variable.
 #[test]
-fn ambient_fault_plan_is_ignored_but_inprocess_launch_delivers_it() {
+fn ambient_fault_plan_is_ignored_but_assemble_fault_delivers_it() {
     let dir = scratch("ambient");
     let reads = simulate_reads_at(&dir, "0.15");
     let plan = "kill:1@phase:Alignment";
@@ -467,15 +482,15 @@ fn ambient_fault_plan_is_ignored_but_inprocess_launch_delivers_it() {
     // not even parsed: a malformed value is nobody's input
     assert_eq!(assemble("garbage.fa", Some("kill:banana")), clean);
 
-    let launched = dir.join("launched.fa");
+    let killed = dir.join("killed.fa");
     let out = elba_bin()
-        .args(["launch", "--ranks", "4", "--transport", "inprocess"])
-        .args(["--fault", plan, "--", "assemble", "--k", "17", "--reads"])
+        .args(["assemble", "--ranks", "4", "--fault", plan, "--k", "17"])
+        .arg("--reads")
         .arg(&reads)
         .arg("--out")
-        .arg(&launched)
+        .arg(&killed)
         .output()
-        .expect("run elba launch");
+        .expect("run elba assemble");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
@@ -486,7 +501,7 @@ fn ambient_fault_plan_is_ignored_but_inprocess_launch_delivers_it() {
         stderr.contains("rank 1 killed by fault plan"),
         "root cause is the fault-killed rank:\n{stderr}"
     );
-    assert!(!launched.exists(), "a killed run writes no contigs");
+    assert!(!killed.exists(), "a killed run writes no contigs");
 }
 
 /// Workers stalled by heavy injected jitter are killed when
@@ -501,7 +516,8 @@ fn launch_timeout_reaps_stalled_workers() {
         &dir,
         &reads,
         &sock,
-        &["--fault", "delay:500000", "--launch-timeout", "1"],
+        &["--launch-timeout", "1"],
+        &["--fault", "delay:500000"],
     );
     assert_eq!(
         out.code,
@@ -530,7 +546,7 @@ fn malformed_or_out_of_range_fault_plan_is_usage_error() {
         "sigkill:4@phase:Alignment",
     ] {
         let sock = dir.join("sock");
-        let out = launch(&dir, &reads, &sock, &["--fault", bad]);
+        let out = launch(&dir, &reads, &sock, &[], &["--fault", bad]);
         assert_eq!(
             out.code,
             i32::from(exit::USAGE),
@@ -541,15 +557,54 @@ fn malformed_or_out_of_range_fault_plan_is_usage_error() {
     }
 }
 
+/// The worker protocol is read in one place and checked like a flag: a
+/// malformed `ELBA_MESH_TIMEOUT_MS` or `ELBA_RANK`, or a rank outside
+/// the job's `--ranks`, exits 2 naming the variable, before any input is
+/// read or any mesh joined.
+#[test]
+fn malformed_worker_environment_is_usage_error_naming_the_variable() {
+    let dir = scratch("workerenv");
+    for (rank, timeout, culprit) in [
+        ("0", "banana", "ELBA_MESH_TIMEOUT_MS"),
+        ("0", "-5", "ELBA_MESH_TIMEOUT_MS"),
+        ("one", "1000", "ELBA_RANK"),
+        ("4", "1000", "ELBA_RANK"),
+    ] {
+        let out = elba_bin()
+            .args(["assemble", "--ranks", "4", "--reads"])
+            .arg(dir.join("never-read.fa"))
+            .arg("--out")
+            .arg(dir.join("contigs.fa"))
+            .env("ELBA_SOCKET_DIR", dir.join("sock"))
+            .env("ELBA_RANK", rank)
+            .env("ELBA_MESH_TIMEOUT_MS", timeout)
+            .output()
+            .expect("run an elba worker");
+        let label = format!("ELBA_RANK={rank} ELBA_MESH_TIMEOUT_MS={timeout}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(i32::from(exit::USAGE)),
+            "{label}: stderr:\n{stderr}"
+        );
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(culprit),
+            "{label}: the error names {culprit}:\n{stderr}"
+        );
+    }
+}
+
 /// An unknown flag is a usage error naming the flag and the subcommand,
 /// for every subcommand — and through `launch` it is caught in the
 /// supervisor, before anything is spawned (workers dying on it would
 /// surface as `RANK_FAILED`, not `USAGE`). Retired flags go the same
 /// way — the SUMMA schedule flags (`--spgemm`, `--batch-rows`) and the
 /// knob-audit ones (`--kmer-exchange`, `--batch-kmers`,
-/// `--xdrop-kernel`, `--chain-band`): a stale command line must not
-/// silently run the default. So do retired or malformed *values*:
-/// `--seed-chaining all`, `--scaffold maybe`.
+/// `--xdrop-kernel`, `--chain-band`), and `launch`'s old job flags
+/// (`--ranks`, `--transport`, `--fault`: the job is `assemble`'s): a
+/// stale command line must not silently run the default. So do retired
+/// or malformed *values* (`--seed-chaining all`, `--scaffold maybe`) and
+/// a flag given twice.
 #[test]
 fn unknown_flags_are_usage_errors_naming_the_flag_and_subcommand() {
     let dir = scratch("badflag");
@@ -565,16 +620,16 @@ fn unknown_flags_are_usage_errors_naming_the_flag_and_subcommand() {
         )
     };
     let sock_arg = sock.to_str().expect("utf-8 temp path");
-    let through_launch = |transport: &'static str, tail: &[&'static str]| -> Vec<&str> {
-        let mut argv = vec!["launch", "--ranks", "4", "--transport", transport];
-        argv.extend([
-            "--socket-dir",
-            sock_arg,
-            "--",
-            "assemble",
-            "--reads",
-            "r.fa",
-        ]);
+    // `launch <own> -- assemble --reads r.fa --out o.fa <tail>`
+    let through_launch = |own: &[&'static str], tail: &[&'static str]| -> Vec<&str> {
+        let mut argv = vec!["launch", "--socket-dir", sock_arg];
+        argv.extend(own);
+        argv.extend(["--", "assemble", "--reads", "r.fa", "--out", "o.fa"]);
+        argv.extend(tail);
+        argv
+    };
+    let direct = |tail: &[&'static str]| -> Vec<&str> {
+        let mut argv = vec!["assemble", "--reads", "r.fa", "--out", "o.fa"];
         argv.extend(tail);
         argv
     };
@@ -599,10 +654,18 @@ fn unknown_flags_are_usage_errors_naming_the_flag_and_subcommand() {
             unknown("--contig", "evaluate"),
         ),
         (
-            vec!["launch", "--rank", "4", "--", "assemble", "--reads", "r.fa"],
-            unknown("--rank", "launch"),
+            through_launch(&["--launch-timeout", "5", "--launch-timeout", "6"], &[]),
+            "flag --launch-timeout given twice".to_owned(),
         ),
     ];
+    for own in [
+        ["--rank", "4"],
+        ["--ranks", "4"],
+        ["--transport", "socket"],
+        ["--fault", "kill:1"],
+    ] {
+        cases.push((through_launch(&own, &[]), unknown(own[0], "launch")));
+    }
     let not_assemble_flags: [[&str; 2]; 7] = [
         ["--bogus", "1"],
         ["--spgemm", "auto"],
@@ -614,27 +677,22 @@ fn unknown_flags_are_usage_errors_naming_the_flag_and_subcommand() {
     ];
     for tail in &not_assemble_flags {
         let expect = unknown(tail[0], "assemble");
-        let mut direct = vec!["assemble", "--reads", "r.fa"];
-        direct.extend(tail);
-        cases.push((direct, expect.clone()));
-        cases.push((through_launch("socket", tail), expect.clone()));
-        cases.push((through_launch("inprocess", tail), expect));
+        cases.push((direct(tail), expect.clone()));
+        cases.push((through_launch(&[], tail), expect));
     }
-    let bad_values: [([&str; 2], &str); 4] = [
+    let bad_values: [(&[&str], &str); 5] = [
         (
-            ["--seed-chaining", "all"],
+            &["--seed-chaining", "all"],
             "--seed-chaining must be chain|best",
         ),
-        (["--scaffold", "maybe"], "--scaffold must be true|false"),
-        (["--k", "32"], "--k must be in 1..=31; got 32"),
-        (["--k", "0"], "--k must be in 1..=31; got 0"),
+        (&["--scaffold", "maybe"], "--scaffold must be true|false"),
+        (&["--k", "32"], "--k must be in 1..=31; got 32"),
+        (&["--k", "0"], "--k must be in 1..=31; got 0"),
+        (&["--k", "17", "--k", "19"], "flag --k given twice"),
     ];
-    for (tail, expect) in &bad_values {
-        let mut direct = vec!["assemble", "--reads", "r.fa"];
-        direct.extend(tail);
-        cases.push((direct, expect.to_string()));
-        cases.push((through_launch("socket", tail), expect.to_string()));
-        cases.push((through_launch("inprocess", tail), expect.to_string()));
+    for (tail, expect) in bad_values {
+        cases.push((direct(tail), expect.to_string()));
+        cases.push((through_launch(&[], tail), expect.to_string()));
     }
     for (argv, expect) in cases {
         let (out, _) = run(&argv);
