@@ -30,7 +30,8 @@ use crate::partition::{partition, PartitionStrategy};
 pub struct ContigConfig {
     pub strategy: PartitionStrategy,
     pub assembly: AssemblyConfig,
-    /// Simulated MPI element-count limit for the sequence exchange.
+    /// Simulated MPI element-count limit for the sequence exchange, in
+    /// packed bytes (four bases each).
     pub count_limit: usize,
 }
 
@@ -205,6 +206,10 @@ pub fn contig_generation(
 
 /// Gather every rank's contigs onto all ranks (sorted longest-first, then
 /// lexicographically for determinism).
+///
+/// Contigs travel one byte per base, unlike reads: this gather runs
+/// outside the named phases, so packing would save no profiled byte, and
+/// every rank would unpack every contig.
 pub fn gather_contigs(grid: &ProcGrid, local: &[Contig]) -> Vec<Contig> {
     let packed: Vec<(Vec<u8>, Vec<u64>, bool)> = local
         .iter()

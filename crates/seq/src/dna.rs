@@ -1,7 +1,8 @@
 //! DNA alphabet and sequence type.
 //!
-//! Bases are stored one code per byte (`A=0, C=1, G=2, T=3`); Watson–Crick
-//! complement is `3 − code`. [`Seq::paper_slice`] implements the inclusive
+//! Bases are stored one code per byte (`A=0, C=1, G=2, T=3`) and cross
+//! ranks four per byte (the crate-private `pack` / `unpack` codec of the
+//! read store's transfers); Watson–Crick complement is `3 − code`. [`Seq::paper_slice`] implements the inclusive
 //! indexing convention of the paper's §4.4: `l[i:j]` with `i ≤ j` is the
 //! substring `(l[i], …, l[j])`, and `l[j:i]` with `j > i` is its
 //! *reverse-complement* substring `(l[j]ᶜ, l[j−1]ᶜ, …, l[i]ᶜ)` — the
@@ -39,6 +40,79 @@ pub fn char_to_base(c: u8) -> Option<Base> {
         b'G' | b'g' => Some(2),
         b'T' | b't' => Some(3),
         _ => None,
+    }
+}
+
+/// Bytes of a packed sequence that follow 8 codes folded into one word:
+/// code `i` lands in bits `2i..2i+2` of the word's byte 0 (codes 0–3)
+/// and byte 4 (codes 4–7), provided every code is < 4.
+#[inline]
+fn squeeze(word: u64) -> [u8; 2] {
+    let x = word | word >> 6 | word >> 12 | word >> 18;
+    [x as u8, (x >> 32) as u8]
+}
+
+/// Bytes [`pack`] writes for `bases` codes.
+#[inline]
+pub(crate) fn packed_len(bases: usize) -> usize {
+    bases.div_ceil(4)
+}
+
+/// Append `codes` to `out` packed four per byte, first base in the low
+/// two bits: [`packed_len`] bytes, so each packed sequence starts on a
+/// byte boundary. The wire form of a read; panics on a code ≥ 4.
+pub(crate) fn pack(codes: &[Base], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + packed_len(codes.len()), 0);
+    let packed = &mut out[start..];
+    // Any bit above a code's two is a code ≥ 4: OR every word, test once.
+    let mut high = 0u64;
+    let mut words = codes.chunks_exact(8);
+    let mut pairs = packed.chunks_exact_mut(2);
+    for (word, pair) in (&mut words).zip(&mut pairs) {
+        let word = u64::from_le_bytes(word.try_into().expect("8 codes"));
+        high |= word;
+        pair.copy_from_slice(&squeeze(word));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        let word = u64::from_le_bytes(word);
+        high |= word;
+        let last = &mut packed[codes.len() / 8 * 2..];
+        last.copy_from_slice(&squeeze(word)[..last.len()]);
+    }
+    assert!(
+        high & 0xFCFC_FCFC_FCFC_FCFC == 0,
+        "cannot pack a base code ≥ 4"
+    );
+}
+
+/// Byte → its four codes, low bits first.
+static UNPACK: [[Base; 4]; 256] = {
+    let mut table = [[0; 4]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let b = byte as u8;
+        table[byte] = [b & 3, b >> 2 & 3, b >> 4 & 3, b >> 6];
+        byte += 1;
+    }
+    table
+};
+
+/// Inverse of [`pack`] for one sequence: fill `out` with the codes of
+/// `packed`, which holds [`packed_len`]`(out.len())` bytes.
+pub(crate) fn unpack(packed: &[u8], out: &mut [Base]) {
+    debug_assert_eq!(packed.len(), packed_len(out.len()));
+    let mut quads = out.chunks_exact_mut(4);
+    for (quad, &byte) in (&mut quads).zip(packed) {
+        quad.copy_from_slice(&UNPACK[byte as usize]);
+    }
+    let tail = quads.into_remainder();
+    if !tail.is_empty() {
+        let last = packed[packed.len() - 1];
+        tail.copy_from_slice(&UNPACK[last as usize][..tail.len()]);
     }
 }
 
@@ -250,5 +324,46 @@ mod tests {
     #[test]
     fn ambiguity_maps_to_a() {
         assert_eq!(seq("ANGT").to_string(), "AAGT");
+    }
+
+    #[test]
+    fn pack_round_trips_every_length() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for len in 0..=67usize {
+            let codes: Vec<Base> = (0..len)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (state >> 62) as Base
+                })
+                .collect();
+            // Appended after a one-byte prefix: a packed read starts on a
+            // byte boundary and takes exactly ⌈len/4⌉ bytes.
+            let mut packed = vec![0xA5];
+            pack(&codes, &mut packed);
+            assert_eq!(packed.len(), 1 + len.div_ceil(4), "len {len}");
+            assert_eq!(packed[0], 0xA5);
+            let mut back = vec![7; len];
+            unpack(&packed[1..], &mut back);
+            assert_eq!(back, codes, "len {len}");
+        }
+    }
+
+    #[test]
+    fn pack_puts_the_first_base_in_the_low_bits() {
+        let mut packed = Vec::new();
+        pack(&[3, 0, 0, 0, 1, 2], &mut packed);
+        assert_eq!(packed, [0b00_00_00_11, 0b10_01]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot pack a base code ≥ 4")]
+    fn pack_refuses_a_code_of_4_or_more_in_a_word() {
+        pack(&[0, 1, 2, 3, 4, 0, 1, 2, 3], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot pack a base code ≥ 4")]
+    fn pack_refuses_a_code_of_4_or_more_in_the_tail() {
+        pack(&[0, 1, 2, 3, 0, 1, 2, 3, 0, 255], &mut Vec::new());
     }
 }

@@ -1,10 +1,20 @@
 //! Distributed read store.
 //!
 //! Read sequences are "stored as distributed char arrays" (§4.3): each
-//! rank keeps its reads concatenated in one packed code buffer with an
-//! offset table, so a subsequence lookup during local assembly reads
-//! straight out of the buffer — "we can simply use the offsets already
-//! computed, which tell us where each read is in the buffer" (§4.4).
+//! rank keeps its reads concatenated in one code buffer with an offset
+//! table, so a subsequence lookup during local assembly reads straight
+//! out of the buffer — "we can simply use the offsets already computed,
+//! which tell us where each read is in the buffer" (§4.4).
+//!
+//! In memory a read is one code per byte, because the aligner and the
+//! k-mer scan read it in place. On the wire it is four codes per byte:
+//! both transfers, [`ReadStore::exchange`] and
+//! [`ReadStore::fetch_block_aligned`], ship `(id, len: u32)` headers and
+//! the reads packed 2 bits per base (each read byte-aligned), and the
+//! receiver unpacks them straight into its new store. A `u32` length
+//! always fits, since [`MAX_READ_LEN`] is below 2³¹. Both check the
+//! payload against its headers on ingest and name the sender and the
+//! read when they disagree.
 //!
 //! Initially reads are block-distributed with the same [`Layout2D`]
 //! chunking as distributed vectors, so read `i` is co-located with matrix
@@ -27,11 +37,22 @@ use std::collections::HashMap;
 use elba_comm::{ProcGrid, Rank};
 use elba_sparse::layout::Layout2D;
 
-use crate::dna::Seq;
+use crate::dna::{self, Seq};
 use crate::kcount::KmerHashKey;
 
 /// Tag space for the sequence exchange.
 const SEQ_TAG: u64 = 0x00_5E9E;
+
+/// Reads on the wire: `(id, len)` headers and the codes of those reads
+/// packed four per byte, each read starting on a byte boundary.
+type PackedReads = (Vec<(u64, u32)>, Vec<u8>);
+
+/// A stored read's wire header. Its length fits a `u32` because
+/// [`ReadStore::push`] refuses reads longer than [`MAX_READ_LEN`] < 2³¹.
+fn header(id: u64, codes: &[u8]) -> (u64, u32) {
+    let len = u32::try_from(codes.len()).expect("stored reads are shorter than 2^31 bases");
+    (id, len)
+}
 
 /// The MPI maximum element count a single send can carry.
 pub const MPI_COUNT_LIMIT: usize = (1 << 31) - 1;
@@ -101,7 +122,8 @@ impl elba_comm::CommMsg for ContiguousBlock {
     }
 }
 
-/// Packed, offset-indexed collection of reads on one rank.
+/// Concatenated, offset-indexed collection of reads on one rank, one
+/// code per byte.
 #[derive(Debug, Clone)]
 pub struct ReadStore {
     n_global: usize,
@@ -138,12 +160,19 @@ impl ReadStore {
         }
     }
 
-    /// Make room for `reads` more reads totalling `bases` codes.
-    fn reserve(&mut self, reads: usize, bases: usize) {
-        self.ids.reserve(reads);
-        self.offsets.reserve(reads);
-        self.buf.reserve(bases);
-        self.index.reserve(reads);
+    /// An empty store sized for the reads the received `headers` announce.
+    fn sized_for<'a>(n_global: usize, headers: impl Iterator<Item = &'a [(u64, u32)]>) -> Self {
+        let (mut reads, mut bases) = (0, 0);
+        for headers in headers {
+            reads += headers.len();
+            bases += headers.iter().map(|&(_, len)| len as usize).sum::<usize>();
+        }
+        let mut store = ReadStore::empty(n_global);
+        store.ids.reserve(reads);
+        store.offsets.reserve(reads);
+        store.buf.reserve(bases);
+        store.index.reserve(reads);
+        store
     }
 
     /// Append a read's codes under a global id. Panics if the id is
@@ -154,11 +183,61 @@ impl ReadStore {
         if let Err(too_long) = ReadTooLong::check(id, codes.len()) {
             panic!("{too_long}");
         }
+        self.buf.extend_from_slice(codes);
+        self.seal(id, self.buf.len());
+    }
+
+    /// Register `buf[last offset..end]` as read `id`.
+    fn seal(&mut self, id: u64, end: usize) {
         let displaced = self.index.insert(id, self.ids.len());
         assert!(displaced.is_none(), "read {id} already stored");
         self.ids.push(id);
-        self.buf.extend_from_slice(codes);
-        self.offsets.push(self.buf.len());
+        self.offsets.push(end);
+    }
+
+    /// Pack every local read for the wire.
+    fn pack_all(&self) -> PackedReads {
+        let mut headers = Vec::with_capacity(self.n_local());
+        let mut packed = Vec::with_capacity(dna::packed_len(self.local_bases()) + self.n_local());
+        for (id, codes) in self.iter() {
+            headers.push(header(id, codes));
+            dna::pack(codes, &mut packed);
+        }
+        (headers, packed)
+    }
+
+    /// Append the reads of one transfer from rank `src`, unpacking each
+    /// straight into `buf`. Panics, naming `src` and the read, if `packed`
+    /// is shorter or longer than `headers` announce.
+    fn ingest(&mut self, src: Rank, headers: &[(u64, u32)], packed: &[u8]) {
+        let bases: usize = headers.iter().map(|&(_, len)| len as usize).sum();
+        let mut end = self.buf.len();
+        self.buf.resize(end + bases, 0);
+        let mut cursor = 0usize;
+        for &(id, len) in headers {
+            let len = len as usize;
+            let Some(bytes) = packed.get(cursor..cursor + dna::packed_len(len)) else {
+                panic!(
+                    "rank {src} sent {} packed bytes: read {id} ({len} bases) \
+                     at byte {cursor} runs past the end",
+                    packed.len()
+                );
+            };
+            dna::unpack(bytes, &mut self.buf[end..end + len]);
+            cursor += bytes.len();
+            end += len;
+            self.seal(id, end);
+        }
+        if cursor != packed.len() {
+            let last = headers
+                .last()
+                .map_or("no read".into(), |(id, _)| format!("read {id}"));
+            panic!(
+                "rank {src} sent {} packed bytes: {} past the end of {last}",
+                packed.len(),
+                packed.len() - cursor
+            );
+        }
     }
 
     /// Total reads across all ranks.
@@ -197,9 +276,10 @@ impl ReadStore {
     /// Redistribute reads: `dest` gives each locally held read's target
     /// ranks (none, one — an `Option<Rank>` — or several, e.g. when a
     /// contig boundary needs the read on two ranks; a rank named twice
-    /// still receives the read once). Messages larger than `count_limit`
-    /// take the contiguous-datatype path. Collective. Returns the new
-    /// store.
+    /// still receives the read once). Reads travel packed, four bases per
+    /// byte; a destination's packed payload longer than `count_limit`
+    /// bytes takes the contiguous-datatype path. Collective. Returns the
+    /// new store.
     pub fn exchange<I>(
         &self,
         grid: &ProcGrid,
@@ -211,9 +291,7 @@ impl ReadStore {
     {
         let world = grid.world();
         let p = world.size();
-        // Header: (id, len) per read, per destination.
-        let mut headers: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
-        let mut payload: Vec<Vec<u8>> = vec![Vec::new(); p];
+        let mut outgoing: Vec<PackedReads> = vec![(Vec::new(), Vec::new()); p];
         // Slot of the read last packed for each destination.
         let mut packed: Vec<Option<usize>> = vec![None; p];
         for (slot, (id, codes)) in self.iter().enumerate() {
@@ -221,14 +299,16 @@ impl ReadStore {
                 if packed[target].replace(slot) == Some(slot) {
                     continue;
                 }
-                headers[target].push((id, codes.len() as u64));
-                payload[target].extend_from_slice(codes);
+                let (headers, payload) = &mut outgoing[target];
+                headers.push(header(id, codes));
+                dna::pack(codes, payload);
             }
         }
+        let (headers, payloads): (Vec<_>, Vec<_>) = outgoing.into_iter().unzip();
         let incoming_headers = world.alltoallv(headers);
         // Ship each destination's packed buffer; one message each, using
         // the contiguous-datatype wrapper when over the count limit.
-        for (dst, buf) in payload.into_iter().enumerate() {
+        for (dst, buf) in payloads.into_iter().enumerate() {
             if buf.len() > count_limit {
                 world.send(dst, SEQ_TAG, ContiguousBlock { data: buf });
             } else {
@@ -236,28 +316,19 @@ impl ReadStore {
             }
         }
         // The headers say how much is coming: size the store once.
-        let expect: Vec<usize> = incoming_headers
-            .iter()
-            .map(|headers| headers.iter().map(|&(_, len)| len as usize).sum())
-            .collect();
-        let mut store = ReadStore::empty(self.n_global);
-        store.reserve(
-            incoming_headers.iter().map(Vec::len).sum(),
-            expect.iter().sum(),
-        );
-        for (src, headers) in incoming_headers.into_iter().enumerate() {
-            let buf: Vec<u8> = if expect[src] > count_limit {
+        let mut store =
+            ReadStore::sized_for(self.n_global, incoming_headers.iter().map(Vec::as_slice));
+        for (src, headers) in incoming_headers.iter().enumerate() {
+            let packed_len: usize = headers
+                .iter()
+                .map(|&(_, len)| dna::packed_len(len as usize))
+                .sum();
+            let buf: Vec<u8> = if packed_len > count_limit {
                 world.recv::<ContiguousBlock>(src, SEQ_TAG).data
             } else {
                 world.recv::<Vec<u8>>(src, SEQ_TAG + 1)
             };
-            debug_assert_eq!(buf.len(), expect[src]);
-            let mut cursor = 0usize;
-            for (id, len) in headers {
-                let len = len as usize;
-                store.push(id, &buf[cursor..cursor + len]);
-                cursor += len;
-            }
+            store.ingest(src, headers, &buf);
         }
         store
     }
@@ -273,60 +344,42 @@ impl ReadStore {
     /// whose id falls in this rank's matrix block *row range or column
     /// range* (what the alignment stage needs to process the local block
     /// of `C`). Implemented as an allgather over the grid-row communicator
-    /// followed by a point-to-point swap with the transposed rank.
-    /// Collective; requires the store to still be block-distributed.
+    /// followed by a point-to-point swap with the transposed rank, both
+    /// carrying packed reads. At p = 1 it is a copy. Collective; requires
+    /// the store to still be block-distributed.
     pub fn fetch_block_aligned(&self, grid: &ProcGrid) -> ReadStore {
-        // Pack local reads once.
-        let local_pack: (Vec<u64>, Vec<u64>, Vec<u8>) = {
-            let mut ids = Vec::with_capacity(self.n_local());
-            let mut lens = Vec::with_capacity(self.n_local());
-            let mut buf = Vec::with_capacity(self.local_bases());
-            for (id, codes) in self.iter() {
-                ids.push(id);
-                lens.push(codes.len() as u64);
-                buf.extend_from_slice(codes);
-            }
-            (ids, lens, buf)
-        };
-        // Row allgather: grid row i's chunks cover block-row range i.
-        let row_packs = grid.row().allgather(local_pack);
-        // Concatenate the row collection for the transpose swap.
-        let mut row_ids = Vec::new();
-        let mut row_lens = Vec::new();
-        let mut row_buf = Vec::new();
-        for (ids, lens, buf) in &row_packs {
-            row_ids.extend_from_slice(ids);
-            row_lens.extend_from_slice(lens);
-            row_buf.extend_from_slice(buf);
+        if grid.world().size() == 1 {
+            // Nothing leaves the rank: its block row and column are the
+            // whole read set.
+            return self.clone();
         }
-        let col_pack = if grid.is_diagonal() {
-            None
-        } else {
+        // Row allgather: grid row i's chunks cover block-row range i.
+        let row_packs = grid.row().allgather(self.pack_all());
+        // The transpose partner holds block row j = this rank's column
+        // range; the row and column reads are disjoint off the diagonal.
+        let col_pack = (!grid.is_diagonal()).then(|| {
             let partner = grid.transpose_rank();
-            grid.world().send(
-                partner,
-                SEQ_TAG + 2,
-                (row_ids.clone(), row_lens.clone(), row_buf.clone()),
-            );
-            Some(
-                grid.world()
-                    .recv::<(Vec<u64>, Vec<u64>, Vec<u8>)>(partner, SEQ_TAG + 2),
-            )
-        };
-        let mut store = ReadStore::empty(self.n_global);
-        let mut ingest = |ids: &[u64], lens: &[u64], buf: &[u8]| {
-            let mut cursor = 0usize;
-            for (&id, &len) in ids.iter().zip(lens) {
-                let len = len as usize;
-                if store.get(id).is_none() {
-                    store.push(id, &buf[cursor..cursor + len]);
-                }
-                cursor += len;
+            let mut row: PackedReads = (Vec::new(), Vec::new());
+            for (headers, packed) in &row_packs {
+                row.0.extend_from_slice(headers);
+                row.1.extend_from_slice(packed);
             }
-        };
-        ingest(&row_ids, &row_lens, &row_buf);
-        if let Some((ids, lens, buf)) = col_pack {
-            ingest(&ids, &lens, &buf);
+            grid.world().send(partner, SEQ_TAG + 2, row);
+            (
+                partner,
+                grid.world().recv::<PackedReads>(partner, SEQ_TAG + 2),
+            )
+        });
+        let mut incoming: Vec<(Rank, &PackedReads)> = (row_packs.iter().enumerate())
+            .map(|(col, pack)| (grid.rank_of(grid.myrow(), col), pack))
+            .collect();
+        incoming.extend(col_pack.as_ref().map(|(partner, pack)| (*partner, pack)));
+        let mut store = ReadStore::sized_for(
+            self.n_global,
+            incoming.iter().map(|(_, (headers, _))| headers.as_slice()),
+        );
+        for (src, (headers, packed)) in incoming {
+            store.ingest(src, headers, packed);
         }
         store
     }
@@ -509,6 +562,45 @@ mod tests {
         assert!(ReadTooLong::check(1, usize::MAX).is_err());
         let reads = reads(3);
         assert_eq!(ReadTooLong::check_all(&reads), Ok(()));
+    }
+
+    /// Two reads of 5 and 3 bases from rank 2: 2 + 1 packed bytes.
+    fn transfer() -> (Vec<(u64, u32)>, Vec<u8>) {
+        let mut packed = Vec::new();
+        dna::pack(&[0, 1, 2, 3, 3], &mut packed);
+        dna::pack(&[2, 2, 1], &mut packed);
+        (vec![(4, 5), (9, 3)], packed)
+    }
+
+    #[test]
+    fn ingest_unpacks_a_transfer() {
+        let (headers, packed) = transfer();
+        assert_eq!(packed.len(), 3);
+        let mut store = ReadStore::empty(10);
+        store.push(1, &[3]);
+        store.ingest(2, &headers, &packed);
+        assert_eq!(store.get(1), Some(&[3u8][..]));
+        assert_eq!(store.get(4), Some(&[0u8, 1, 2, 3, 3][..]));
+        assert_eq!(store.get(9), Some(&[2u8, 2, 1][..]));
+        assert_eq!(store.local_bases(), 9);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rank 2 sent 2 packed bytes: read 9 (3 bases) at byte 2 runs past the end"
+    )]
+    fn ingest_refuses_a_payload_one_byte_short() {
+        let (headers, mut packed) = transfer();
+        packed.pop();
+        ReadStore::empty(10).ingest(2, &headers, &packed);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 2 sent 4 packed bytes: 1 past the end of read 9")]
+    fn ingest_refuses_a_payload_one_byte_long() {
+        let (headers, mut packed) = transfer();
+        packed.push(0);
+        ReadStore::empty(10).ingest(2, &headers, &packed);
     }
 
     #[test]

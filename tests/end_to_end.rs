@@ -472,15 +472,20 @@ fn fixed_chain_graph(chains: usize, per_chain: usize) -> (Vec<Seq>, Vec<(u64, u6
 
 /// Golden wire pin for Algorithm 2: per-rank messages and bytes of the
 /// induced-subgraph sub-phase (edge routing + read exchange) and of the
-/// whole contig stage at p = 4 on a fixed chain graph, against constants
-/// recorded before `induced.rs` and `store.rs` were rebuilt. A changed
+/// whole contig stage at p = 4 on a fixed chain graph. A changed
 /// per-destination edge order or read order that kept the totals would
 /// still move the contigs; a changed payload moves these.
 #[test]
 fn contig_stage_wire_traffic_matches_golden_constants() {
-    // (msgs, bytes) per rank.
-    const INDUCED_SUBGRAPH: [(u64, u64); 4] = [(8, 27384), (10, 16432), (9, 17264), (9, 27080)];
-    const EXTRACT_CONTIG: [(u64, u64); 4] = [(27, 36916), (34, 25250), (31, 28376), (31, 33950)];
+    // (msgs, bytes) per rank. Recorded when reads crossed ranks one byte
+    // per base with `u64` lengths: InducedSubgraph (8, 27384),
+    // (10, 16432), (9, 17264), (9, 27080). `ReadStore::exchange` now
+    // ships a 120-base read as 30 packed bytes plus a 12-byte
+    // `(u64, u32)` header instead of 120 + 16, so each rank's bytes fall
+    // by 94 × the reads it ships (100, 102, 102, 102): −9400 on rank 0
+    // and −9588 on the others, in both sums. Message counts do not move.
+    const INDUCED_SUBGRAPH: [(u64, u64); 4] = [(8, 17984), (10, 6844), (9, 7676), (9, 17492)];
+    const EXTRACT_CONTIG: [(u64, u64); 4] = [(27, 27516), (34, 15662), (31, 18788), (31, 24362)];
     let (reads, triples) = fixed_chain_graph(24, 17);
     let n = reads.len();
     let (out, profile) = Runner::new(Backend::InProcess)

@@ -72,7 +72,7 @@ fn tiny_mpi_count_limit_still_correct() {
         })
         .remove(0);
 
-    cfg.contig.count_limit = 64; // bytes!
+    cfg.contig.count_limit = 64; // packed bytes: 256 bases!
     let reads_b = reads;
     let limited = Runner::new(Backend::InProcess)
         .ranks(4)
