@@ -36,20 +36,15 @@ fn holds_exactly(store: &ReadStore, ids: impl IntoIterator<Item = u64>, all: &[S
             .all(|(id, codes)| codes == all[id as usize].codes())
 }
 
-/// Run `check` on every rank of a `p`-rank grid on `backend`; it must
-/// hold on all of them.
-fn on_every_rank(backend: Backend, p: usize, check: fn(&ProcGrid, &[Seq]) -> bool) {
-    let out = Runner::new(backend).ranks(p).run(move |comm| {
-        let grid = ProcGrid::new(comm);
-        check(&grid, &reads())
-    });
-    assert!(out.iter().all(|&ok| ok), "{backend:?} p={p}: {out:?}");
-}
-
+/// `check` must hold on every rank of every grid, on both backends.
 fn for_each_grid(check: fn(&ProcGrid, &[Seq]) -> bool) {
     for backend in [Backend::InProcess, Backend::Socket] {
         for p in [1, 4, 9] {
-            on_every_rank(backend, p, check);
+            let out = Runner::new(backend).ranks(p).run(move |comm| {
+                let grid = ProcGrid::new(comm);
+                check(&grid, &reads())
+            });
+            assert!(out.iter().all(|&ok| ok), "{backend:?} p={p}: {out:?}");
         }
     }
 }
