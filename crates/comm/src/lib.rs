@@ -5,8 +5,8 @@
 //! an in-process SPMD runtime where *each rank is an OS thread* and a
 //! [`Comm`] handle exposes the MPI operations the paper's algorithms use:
 //!
-//! * point-to-point `send`/`recv` with tags (non-blocking buffered sends,
-//!   matching-by-`(source, tag)` receives),
+//! * point-to-point `send`/`recv`/`irecv` with tags (non-blocking
+//!   buffered sends, matching-by-`(source, tag)` receives),
 //! * the collectives used by ELBA: `barrier`, `bcast`, `gather`,
 //!   `allgather`, `reduce`, `allreduce`, `reduce_scatter`, `alltoallv`,
 //!   `exscan`, plus the non-blocking `ibcast` (the pipelined SUMMA's
@@ -55,6 +55,6 @@ pub use error::{CommError, FailureCause, RankFailure, SpmdFailure};
 pub use grid::ProcGrid;
 pub use msg::CommMsg;
 pub use profile::{PhaseProfile, Profile, RunProfile};
-pub use runtime::{Backend, Comm, MemCharge, Rank, Runner, SharedMemCharge, Tag};
+pub use runtime::{Backend, Comm, MemCharge, Rank, RecvRequest, Runner, SharedMemCharge, Tag};
 pub use transport::fault::FaultPlan;
 pub use transport::socket::{run_worker, WorkerError};

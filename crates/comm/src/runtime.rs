@@ -248,8 +248,8 @@ impl Comm {
     /// that is `wait`ed later. Time blocked in `wait` is booked to the
     /// profile's *wait* bucket, separate from blocking-`recv`
     /// communication time. The engine of `ibcast`, which receives on a
-    /// reserved tag.
-    pub(crate) fn irecv<T: CommMsg>(&self, src: Rank, tag: Tag) -> RecvRequest<'_, T> {
+    /// reserved tag, and of the symmetric SUMMA's prefetched stage fetch.
+    pub fn irecv<T: CommMsg>(&self, src: Rank, tag: Tag) -> RecvRequest<'_, T> {
         RecvRequest {
             comm: self,
             src,
@@ -503,7 +503,7 @@ impl Drop for SharedMemCharge {
 /// wait bucket. A request holds nothing until then, so dropping one
 /// unwaited loses no message — a later matching receive still gets it.
 #[must_use = "requests should be completed with wait()"]
-pub(crate) struct RecvRequest<'c, T: CommMsg> {
+pub struct RecvRequest<'c, T: CommMsg> {
     comm: &'c Comm,
     src: Rank,
     tag: Tag,
@@ -514,7 +514,7 @@ impl<T: CommMsg> RecvRequest<'_, T> {
     /// Block until the message arrives and return it. Blocked time is
     /// recorded as wait time (not blocking-communication time), keeping
     /// overlap measurable.
-    pub(crate) fn wait(self) -> T {
+    pub fn wait(self) -> T {
         let start = Instant::now();
         let envelope = self.comm.wait_for(self.src, self.tag);
         lock_profile(&self.comm.profile).record_wait_time(start.elapsed().as_secs_f64());

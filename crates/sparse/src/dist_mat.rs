@@ -20,6 +20,10 @@ use crate::spgemm::{MaskedAccumulator, SpGemmBatcher};
 
 /// Tag for the transpose block exchange.
 const TRANSPOSE_TAG: u64 = 0x00F1_7A7A;
+/// Tags of the symmetric product's direct fetch ([`UpperAat`]): stage
+/// operand blocks, and the estimate pass's structure-only blocks.
+const FETCH_TAG: u64 = 0x00F1_7A7B;
+const STRUCTURE_TAG: u64 = 0x00F1_7A7C;
 
 /// Merge one batch-produced row (`cols`/`vals`, sorted by column) into a
 /// per-row accumulator in place — the row-local step of the
@@ -153,8 +157,14 @@ impl RoundPlan {
     /// prefetched next stage included — modelled from the grid-uniform
     /// estimate, not charged through guards on the blocks.
     fn resident(&self, s: usize) -> usize {
+        self.stage_bytes[s] + self.prefetched(s)
+    }
+
+    /// Broadcast bytes still resident once stage `s` is multiplied: the
+    /// prefetched next stage, if any.
+    fn prefetched(&self, s: usize) -> usize {
         let next = self.stage_bytes.get(s + 1).filter(|_| self.double_buffer);
-        self.stage_bytes[s] + next.copied().unwrap_or(0)
+        next.copied().unwrap_or(0)
     }
 
     /// End of the window that starts at local column `start` when
@@ -723,7 +733,16 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         U: Clone + CommMsg + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
-        self.run_schedule(grid, other, semiring, opts, None, &mut |_, _, _| true)
+        assert_eq!(
+            self.col_layout, other.row_layout,
+            "inner dimension layouts must agree for SUMMA"
+        );
+        let fetch = Broadcast {
+            grid,
+            a: self,
+            b: other,
+        };
+        self.run_schedule(grid, &fetch, semiring, opts, &mut |_, _, _| true)
     }
 
     /// The symmetric rank-k update of overlap detection: the strict
@@ -733,10 +752,20 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// `r < c && keep(r, c, v)`, for every schedule. Knowing that
     /// `C` is symmetric and that one triangle is all the caller keeps,
     /// the local kernels accumulate only `column > row`: a diagonal
-    /// rank does half its products and a rank below the diagonal none
-    /// (it still forwards every stage broadcast). Total multiply-adds
-    /// halve; the ranks above the diagonal do what they always did, so
-    /// with a core per rank the critical path is unchanged.
+    /// rank does half its products and a rank below the diagonal none.
+    /// Total multiply-adds halve; the ranks above the diagonal do what
+    /// they always did, so with a core per rank the critical path is
+    /// unchanged.
+    ///
+    /// No `Aᵀ` is built and nothing is broadcast. Rank `(i, j)` needs
+    /// only `A(i, s)` and `A(j, s)ᵀ` at stage `s`, so the holder of
+    /// `A(m, s)` sends the block as stored to `(m, j)` for `j ≥ m` and
+    /// its transpose to `(i, m)` for `i < m`, never to itself. The
+    /// diagonal rank `(m, m)` receives the block once and transposes it
+    /// locally; a rank below the diagonal receives nothing and returns
+    /// an empty block. Over a `q×q` grid that is `q³ − q(q+1)/2` block
+    /// transfers per round, half of what the transpose swap plus the
+    /// row and column broadcasts moved.
     ///
     /// Under [`SpGemmAlgorithm::Pipelined`] the predicate runs on each
     /// column window *as it completes* — ELBA's batched overlap
@@ -756,15 +785,11 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         S: Semiring<A = T, B = T> + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
-        let at = self.transpose(grid);
-        let c_offsets = (
-            self.row_layout.block_range(grid.myrow()).start,
-            self.row_layout.block_range(grid.mycol()).start,
-        );
         // The `r < c` test stays in the prune: the kernel restriction is
         // an optimisation a schedule is free not to apply.
         let mut keep = |r: u64, c: u64, v: &S::Out| r < c && keep(r, c, v);
-        let c = self.run_schedule(grid, &at, semiring, opts, Some(c_offsets), &mut keep);
+        let fetch = UpperAat { grid, a: self };
+        let c = self.run_schedule(grid, &fetch, semiring, opts, &mut keep);
         match opts.algorithm {
             SpGemmAlgorithm::Pipelined { .. } => c,
             SpGemmAlgorithm::Eager => c.prune(grid, keep),
@@ -780,7 +805,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// rank, so the mask costs no communication.
     ///
     /// One SUMMA over `stage_blocks` — the same broadcasts as
-    /// the unmasked schedules, call for call — folding every stage into
+    /// the general product, call for call — folding every stage into
     /// one [`MaskedAccumulator`]: `nnz(mask block)` slots plus a column
     /// array, sized and charged before the first broadcast and never
     /// growing. A memory budget therefore needs no estimate pass and no
@@ -863,45 +888,44 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         }
     }
 
-    /// Run the schedule `opts` names. `upper` is the strict-upper hint
-    /// every schedule hands its local kernel; `keep` is consulted by
-    /// [`SpGemmAlgorithm::Pipelined`] alone.
-    fn run_schedule<S, U>(
+    /// Run the schedule `opts` names over the stage operands `fetch`
+    /// delivers; `keep` is consulted by [`SpGemmAlgorithm::Pipelined`]
+    /// alone.
+    fn run_schedule<S, F>(
         &self,
         grid: &ProcGrid,
-        other: &DistMat<U>,
+        fetch: &F,
         semiring: &S,
         opts: &SpGemmOptions,
-        upper: Option<(usize, usize)>,
         keep: &mut impl FnMut(u64, u64, &S::Out) -> bool,
     ) -> DistMat<S::Out>
     where
-        S: Semiring<A = T, B = U> + Sync,
-        U: Clone + CommMsg + Sync,
+        F: StageFetch<A = T>,
+        S: Semiring<A = T, B = F::B> + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
-        assert_eq!(
-            self.col_layout, other.row_layout,
-            "inner dimension layouts must agree for SUMMA"
-        );
         let threads = opts.threads;
         let local = match opts.algorithm {
-            SpGemmAlgorithm::Eager => self.summa_eager(grid, other, semiring, threads, upper),
+            SpGemmAlgorithm::Eager => self.summa_eager(grid, fetch, semiring, threads),
             SpGemmAlgorithm::Pipelined { mem_budget } => {
-                self.summa_column_batched(grid, other, semiring, mem_budget, threads, upper, keep)
+                self.summa_column_batched(grid, fetch, semiring, mem_budget, threads, keep)
             }
         };
         DistMat {
             row_layout: self.row_layout,
-            col_layout: other.col_layout,
+            col_layout: fetch.out_cols(),
             local: Arc::new(local),
         }
     }
 
-    /// The stage fetch every SUMMA schedule runs: stage `s` yields block
-    /// column `s` of `self`, broadcast along the grid row, and block row
-    /// `s` of `other`, broadcast along the grid column — `Arc` clones of
-    /// the owners' blocks. With `lookahead` the broadcasts are
+    /// The general product's stage fetch, shared by [`DistMat::spgemm_with`]
+    /// and [`DistMat::prune_by_product`]: stage `s` yields block column
+    /// `s` of `self`, broadcast along the grid row, and block row `s` of
+    /// `other`, broadcast along the grid column — `Arc` clones of the
+    /// owners' blocks, delivered to every rank of the row and column
+    /// whether it multiplies with them or not (the symmetric product
+    /// sends each block only where it is used, see [`UpperAat`]). With
+    /// `lookahead` the broadcasts are
     /// non-blocking and stage `s+1` is posted before stage `s` is waited
     /// on, so the next transfer rides alongside the caller's multiply
     /// (two stages of blocks resident, blocked time booked as wait);
@@ -944,27 +968,27 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         })
     }
 
-    /// Naive SUMMA: blocking broadcasts, global triple accumulation, one
+    /// Naive SUMMA: blocking stage fetch, global triple accumulation, one
     /// final sort-merge. Peak memory holds every stage's intermediate
     /// triples at once.
-    fn summa_eager<S, U>(
+    fn summa_eager<S, F>(
         &self,
         grid: &ProcGrid,
-        other: &DistMat<U>,
+        fetch: &F,
         semiring: &S,
         threads: usize,
-        upper: Option<(usize, usize)>,
     ) -> Csr<S::Out>
     where
-        S: Semiring<A = T, B = U> + Sync,
-        U: Clone + CommMsg + Sync,
+        F: StageFetch<A = T>,
+        S: Semiring<A = T, B = F::B> + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
         let mut charge = grid.world().mem_charge(0);
         let mut acc: Vec<(u32, u32, S::Out)> = Vec::new();
         let triple_bytes = std::mem::size_of::<(u32, u32, S::Out)>();
         let mut par = ParKernelClock::new();
-        for (a_block, b_block) in self.stage_blocks(grid, other, false) {
+        let upper = fetch.upper();
+        for (a_block, b_block) in fetch.stages(false).flatten() {
             // Stage blocks charge through the shared (ptr-keyed) path:
             // one charge per rank per block, so the owner's own resident
             // matrix is never counted twice.
@@ -981,7 +1005,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         }
         par.book(grid);
         let row_range = self.row_layout.block_range(grid.myrow());
-        let col_range = other.col_layout.block_range(grid.mycol());
+        let col_range = fetch.out_cols().block_range(grid.mycol());
         Csr::from_triples(row_range.len(), col_range.len(), acc, |a, v| {
             semiring.add(a, v)
         })
@@ -1064,45 +1088,42 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// Without a `budget` there is one window covering every local
     /// column, the row batch is the whole block, and the stage blocks
     /// are charged through shared guards: no sizing pass and no
-    /// collective beyond the stage broadcasts.
+    /// communication beyond the stage fetch.
     ///
-    /// Under a budget, window sizing uses the cheap
-    /// [`DistMat::structure_estimates`] pass before any real multiply
+    /// Under a budget, window sizing uses the cheap estimate pass
+    /// ([`StageFetch::estimates`]) before any real multiply
     /// (see [`RoundPlan`]), so the live window accumulator plus the
-    /// resident broadcast blocks stay under `budget` bytes per rank.
-    /// Ranks size their own windows independently — broadcasts ship full
+    /// resident stage blocks stay under `budget` bytes per rank.
+    /// Ranks size their own windows independently — the fetch ships full
     /// blocks either way, so they need no global agreement beyond the
     /// round *count* (an allreduce max; short ranks pad with empty
     /// windows to stay collective). The price of the bound is
-    /// re-broadcasting the inputs once per round (`rounds × q` stage
-    /// broadcasts), exactly as in ELBA's multi-round formulation. Every
+    /// re-fetching the inputs once per round (`rounds × q` stages),
+    /// exactly as in ELBA's multi-round formulation. Every
     /// transient is charged against the rank's memory tracker, so a
     /// profiled run *shows* the bound holding instead of claiming it.
-    #[allow(clippy::too_many_arguments)]
-    fn summa_column_batched<S, U>(
+    fn summa_column_batched<S, F>(
         &self,
         grid: &ProcGrid,
-        other: &DistMat<U>,
+        fetch: &F,
         semiring: &S,
         budget: Option<u64>,
         threads: usize,
-        upper: Option<(usize, usize)>,
         keep: &mut impl FnMut(u64, u64, &S::Out) -> bool,
     ) -> Csr<S::Out>
     where
-        S: Semiring<A = T, B = U> + Sync,
-        U: Clone + CommMsg + Sync,
+        F: StageFetch<A = T>,
+        S: Semiring<A = T, B = F::B> + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
         let world = grid.world();
         let row_range = self.row_layout.block_range(grid.myrow());
-        let col_range = other.col_layout.block_range(grid.mycol());
+        let col_range = fetch.out_cols().block_range(grid.mycol());
         let (nrows, ncols) = (row_range.len(), col_range.len());
         let entry_bytes = (std::mem::size_of::<u32>() + std::mem::size_of::<S::Out>()) as u64;
-        let plan = budget.map(|budget| {
-            let estimates = self.structure_estimates(grid, other);
-            RoundPlan::new(grid, estimates, budget, nrows, entry_bytes)
-        });
+        let upper = fetch.upper();
+        let plan = budget
+            .map(|budget| RoundPlan::new(grid, fetch.estimates(), budget, nrows, entry_bytes));
         let (row_batch, prefetch) = match &plan {
             None => (nrows.max(1), true),
             Some(plan) => (plan.row_batch, plan.double_buffer),
@@ -1134,14 +1155,15 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             let mut acc_rows: Vec<(Vec<u32>, Vec<S::Out>)> =
                 (0..nrows).map(|_| (Vec::new(), Vec::new())).collect();
             let mut acc_entries = 0usize;
-            for (s, (a_block, b_block)) in self.stage_blocks(grid, other, prefetch).enumerate() {
+            for (s, stage) in fetch.stages(prefetch).enumerate() {
                 // A finished rank padding out the collective round has
-                // an empty window: the broadcasts must still run (they
-                // are collective), but the multiply sweep over every A
-                // nonzero would produce nothing — skip it.
-                if window.is_empty() {
+                // an empty window: the fetch must still run (every
+                // holder sends, every receiver drains), but the multiply
+                // sweep over every A nonzero would produce nothing —
+                // skip it, as at a stage this rank multiplies nothing in.
+                let Some((a_block, b_block)) = stage.filter(|_| !window.is_empty()) else {
                     continue;
-                }
+                };
                 // Budgeted rounds model residency from the estimate
                 // pass's `stage_bytes`; the unbudgeted window charges the
                 // blocks through shared (allocation-keyed) guards, which
@@ -1170,6 +1192,12 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
                 );
                 acc_entries = entries;
                 par.add(par_secs);
+                if let Some(plan) = &plan {
+                    // The stage's own blocks are released with it; what
+                    // the fetch builds for the next stage is charged on
+                    // top of this.
+                    transient.set(acc_entries * entry_bytes as usize + plan.prefetched(s));
+                }
             }
             // Prune-as-you-go (ELBA's per-batch thresholding) in place,
             // then hand the survivors to the output: the first window's
@@ -1274,6 +1302,259 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             ),
         }
     }
+}
+
+/// Where a SUMMA schedule's stage operands come from: the general
+/// product's row and column broadcasts ([`Broadcast`]) or the symmetric
+/// product's direct fetch ([`UpperAat`]). Every schedule runs over one.
+trait StageFetch {
+    type A: Clone + CommMsg + Sync;
+    type B: Clone + CommMsg + Sync;
+
+    /// Global column layout of the product.
+    fn out_cols(&self) -> Layout2D;
+
+    /// Global `(row, column)` offsets of this rank's output block when
+    /// only its strict upper triangle is wanted (see [`stage_batcher`]).
+    fn upper(&self) -> Option<(usize, usize)>;
+
+    /// Each stage's `(A, B)` operand pair in stage order, `None` at a
+    /// stage this rank multiplies nothing in. With `lookahead`, stage
+    /// `s+1` is posted before stage `s` is received, so the next
+    /// transfer rides alongside the caller's multiply and blocked time
+    /// books as wait; without it each stage is received blocking and
+    /// only one stage of remote blocks is ever resident. Collective:
+    /// every rank drives every stage.
+    fn stages(&self, lookahead: bool) -> impl Iterator<Item = Option<StagePair<Self::A, Self::B>>>;
+
+    /// The budgeted schedule's estimate pass: per local output column
+    /// the exact multiply-add count landing there, and per stage the
+    /// bytes of this rank's operand pair. Collective.
+    fn estimates(&self) -> (Vec<u64>, Vec<usize>);
+}
+
+/// One SUMMA stage's `(A, B)` operand blocks.
+type StagePair<A, B> = (Arc<Csr<A>>, Arc<Csr<B>>);
+
+/// The general product `a ⊗ b` ([`DistMat::stage_blocks`],
+/// [`DistMat::structure_estimates`]).
+struct Broadcast<'m, T, U> {
+    grid: &'m ProcGrid,
+    a: &'m DistMat<T>,
+    b: &'m DistMat<U>,
+}
+
+impl<T, U> StageFetch for Broadcast<'_, T, U>
+where
+    T: Clone + CommMsg + Sync,
+    U: Clone + CommMsg + Sync,
+{
+    type A = T;
+    type B = U;
+
+    fn out_cols(&self) -> Layout2D {
+        self.b.col_layout
+    }
+
+    fn upper(&self) -> Option<(usize, usize)> {
+        None
+    }
+
+    fn stages(&self, lookahead: bool) -> impl Iterator<Item = Option<StagePair<T, U>>> {
+        self.a.stage_blocks(self.grid, self.b, lookahead).map(Some)
+    }
+
+    fn estimates(&self) -> (Vec<u64>, Vec<usize>) {
+        self.a.structure_estimates(self.grid, self.b)
+    }
+}
+
+/// The symmetric product `a ⊗ aᵀ`, strict upper triangle
+/// ([`DistMat::spgemm_aat_upper_with`]): rank `(i, j)` multiplies
+/// `A(i, s) · A(j, s)ᵀ` at stage `s` when `i ≤ j`, and nothing below the
+/// diagonal. The holder of `A(m, s)` is rank `(m, s)`; it sends the
+/// block as stored to the row ranks `(m, j)`, `j ≥ m`, and its transpose
+/// to the column ranks `(i, m)`, `i < m` — never to itself. The
+/// diagonal rank `(m, m)` gets the block once and transposes it itself.
+struct UpperAat<'m, T> {
+    grid: &'m ProcGrid,
+    a: &'m DistMat<T>,
+}
+
+impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
+    /// Ranks owed the holder's stage-`s` block as stored and as
+    /// transposed (empty unless this rank holds `A(·, s)`).
+    fn destinations(&self, s: usize) -> (Vec<usize>, Vec<usize>) {
+        let (grid, m) = (self.grid, self.grid.myrow());
+        if grid.mycol() != s {
+            return (Vec::new(), Vec::new());
+        }
+        let rows = (m..grid.q())
+            .filter(|&j| j != s)
+            .map(|j| grid.rank_of(m, j))
+            .collect();
+        let cols = (0..m).map(|i| grid.rank_of(i, m)).collect();
+        (rows, cols)
+    }
+
+    /// Stage `s`'s sends. Returns the transposed copy when this rank is
+    /// the diagonal holder and keeps it as its own column operand; any
+    /// other copy lives only as long as its buffered sends, so it is
+    /// recorded as a transient, not held.
+    fn post(&self, s: usize) -> Option<Arc<Csr<T>>> {
+        let (world, local) = (self.grid.world(), &self.a.local);
+        let (rows, cols) = self.destinations(s);
+        for dst in rows {
+            world.send(dst, FETCH_TAG, Arc::clone(local));
+        }
+        let diagonal_holder = self.grid.mycol() == s && self.grid.is_diagonal();
+        if cols.is_empty() && !diagonal_holder {
+            return None;
+        }
+        let transposed = Arc::new(local.transposed());
+        for dst in cols {
+            world.send(dst, FETCH_TAG, Arc::clone(&transposed));
+        }
+        if diagonal_holder {
+            return Some(transposed);
+        }
+        world.record_mem_transient(transposed.heap_bytes());
+        None
+    }
+}
+
+impl<T: Clone + CommMsg + Sync> StageFetch for UpperAat<'_, T> {
+    type A = T;
+    type B = T;
+
+    fn out_cols(&self) -> Layout2D {
+        self.a.row_layout
+    }
+
+    fn upper(&self) -> Option<(usize, usize)> {
+        let layout = self.a.row_layout;
+        Some((
+            layout.block_range(self.grid.myrow()).start,
+            layout.block_range(self.grid.mycol()).start,
+        ))
+    }
+
+    fn stages(&self, lookahead: bool) -> impl Iterator<Item = Option<StagePair<T, T>>> {
+        let grid = self.grid;
+        let world = grid.world();
+        let (i, j) = (grid.myrow(), grid.mycol());
+        let receive = move |src: usize| -> Arc<Csr<T>> {
+            if lookahead {
+                world.irecv(src, FETCH_TAG).wait()
+            } else {
+                world.recv(src, FETCH_TAG)
+            }
+        };
+        // Sends are buffered, so prefetching stage s+1 is posting its
+        // sends before stage s is received.
+        let mut posted = if lookahead { self.post(0) } else { None };
+        (0..grid.q()).map(move |s| {
+            let kept = if lookahead {
+                let next = if s + 1 < grid.q() {
+                    self.post(s + 1)
+                } else {
+                    None
+                };
+                std::mem::replace(&mut posted, next)
+            } else {
+                self.post(s)
+            };
+            if i > j {
+                return None;
+            }
+            let row = if j == s {
+                Arc::clone(&self.a.local)
+            } else {
+                receive(grid.rank_of(i, s))
+            };
+            let col = if i < j {
+                receive(grid.rank_of(j, s))
+            } else {
+                kept.unwrap_or_else(|| Arc::new(row.transposed()))
+            };
+            Some((row, col))
+        })
+    }
+
+    /// Structure-only blocks ([`pattern`]) over the fetch's (block,
+    /// destination) pairs. A rank derives its row operand's per-column
+    /// counts and its column operand's rows from them, so no transpose
+    /// is built; `flops(c) = Σ_{k ∈ row c of A(j, s)} nnz_col(A(i, s), k)`.
+    fn estimates(&self) -> (Vec<u64>, Vec<usize>) {
+        let (grid, a) = (self.grid, self.a);
+        let world = grid.world();
+        let (i, j) = (grid.myrow(), grid.mycol());
+        let mut col_flops = vec![0u64; a.row_layout.block_range(j).len()];
+        let mut stage_bytes = vec![0usize; grid.q()];
+        let mut est_charge = world.mem_charge(0);
+        for (s, bytes) in stage_bytes.iter_mut().enumerate() {
+            let mine = (j == s).then(|| Arc::new(pattern(&a.local)));
+            if let Some(mine) = &mine {
+                let (rows, cols) = self.destinations(s);
+                for dst in rows.into_iter().chain(cols) {
+                    world.send(dst, STRUCTURE_TAG, Arc::clone(mine));
+                }
+            }
+            if i > j {
+                est_charge.set(mine.map_or(0, |mine| mine.heap_bytes()));
+                continue;
+            }
+            let row = mine.unwrap_or_else(|| world.recv(grid.rank_of(i, s), STRUCTURE_TAG));
+            let col = if i < j {
+                world.recv(grid.rank_of(j, s), STRUCTURE_TAG)
+            } else {
+                Arc::clone(&row)
+            };
+            let mut counts = vec![0u32; row.ncols()];
+            for &k in row.indices() {
+                counts[k as usize] += 1;
+            }
+            // The received patterns are real resident bytes; the budget
+            // verdict is only trustworthy if the pass that sizes the
+            // batches charges its own working set too.
+            let patterns = row.heap_bytes() + if i < j { col.heap_bytes() } else { 0 };
+            est_charge.set(
+                col_flops.len() * std::mem::size_of::<u64>()
+                    + counts.len() * std::mem::size_of::<u32>()
+                    + patterns,
+            );
+            *bytes = block_bytes::<T>(&row, false) + block_bytes::<T>(&col, true);
+            for (c, flops) in col_flops.iter_mut().enumerate() {
+                let (ks, _) = col.row(c);
+                *flops += ks.iter().map(|&k| counts[k as usize] as u64).sum::<u64>();
+            }
+        }
+        (col_flops, stage_bytes)
+    }
+}
+
+/// `block`'s structure without its values — what the estimate pass
+/// ships.
+fn pattern<T>(block: &Csr<T>) -> Csr<()> {
+    Csr::from_parts(
+        block.nrows(),
+        block.ncols(),
+        block.indptr().to_vec(),
+        block.indices().to_vec(),
+        vec![(); block.nnz()],
+    )
+}
+
+/// [`Csr::heap_bytes`] of a `T`-valued block with `pattern`'s
+/// structure, as stored or `transposed`.
+fn block_bytes<T>(pattern: &Csr<()>, transposed: bool) -> usize {
+    let rows = if transposed {
+        pattern.ncols()
+    } else {
+        pattern.nrows()
+    };
+    (rows + 1) * std::mem::size_of::<usize>()
+        + pattern.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<T>())
 }
 
 #[cfg(test)]

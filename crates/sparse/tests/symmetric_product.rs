@@ -1,16 +1,17 @@
-//! The symmetric product of overlap detection and the transpose under
-//! it: `DistMat::spgemm_aat_upper_with` must equal the general multiply
+//! The symmetric product of overlap detection:
+//! `DistMat::spgemm_aat_upper_with` must equal the general multiply
 //! against an explicit transpose, pruned to `r < c`, value for value — under
 //! an order-sensitive semiring add, for every schedule, rank count and
-//! thread count — and `DistMat::transpose` must equal a gather-triples
-//! oracle while shipping bytes proportional to a block's entries, not
-//! its dimension.
+//! thread count — and must ship each block only to the ranks that
+//! multiply with it, byte for byte. `DistMat::transpose`, which the
+//! oracle and `symmetrize` use, must equal a gather-triples oracle while
+//! shipping bytes proportional to a block's entries, not its dimension.
 
 mod common;
 
-use elba_comm::ProcGrid;
 use elba_comm::{Backend, Runner};
-use elba_sparse::DistMat;
+use elba_comm::{CommMsg, ProcGrid};
+use elba_sparse::{Csr, DistMat, SpGemmOptions};
 use proptest::prelude::*;
 
 use common::{max_stage_bytes, schedule_rows, tagged, Trace, N_ROWS};
@@ -69,7 +70,7 @@ proptest! {
 
     #[test]
     fn upper_aat_equals_pruned_general_multiply(
-        p_idx in 0usize..3,
+        p_idx in 0usize..4,
         // n < q (blocks with no rows at all) up to blocks tall enough
         // for the threaded kernel to fan out.
         n in 1usize..48,
@@ -77,7 +78,9 @@ proptest! {
         min_len in 1usize..3,
         entries in proptest::collection::vec((0usize..64, 0usize..32), 0..220),
     ) {
-        let p = [1usize, 4, 9][p_idx];
+        // 4×4 is the first grid where one holder has several row-only
+        // and several column-only destinations.
+        let p = [1usize, 4, 9, 16][p_idx];
         let triples = tagged(n, k, &entries);
         let rows = products(p, n, k, &triples, min_len);
         // The oracle: the general multiply under the eager schedule.
@@ -90,6 +93,121 @@ proptest! {
         for (label, got) in &rows[1..] {
             prop_assert_eq!(got, want, "{} p={}", label, p);
         }
+    }
+}
+
+/// What one rank's profile must show for one product, by the
+/// destination rule: the holder of `A(m, s)` (rank `(m, s)`) sends it as
+/// stored to `(m, j)`, `j ≥ m`, and transposed to `(i, m)`, `i < m`,
+/// never to itself.
+struct FetchModel {
+    below_diagonal: bool,
+    /// Sends per round: (block, destination) pairs this rank holds.
+    sends: u64,
+    /// Bytes per round: each shipped form's `nbytes` times its
+    /// destinations.
+    bytes: u64,
+    /// The estimate pass's bytes: the block's pattern to the same
+    /// destinations.
+    estimate_bytes: u64,
+    /// Blocks this rank multiplies with but does not hold: per stage a
+    /// row operand unless it holds it, plus a column operand unless it
+    /// is on the diagonal (which transposes its row operand).
+    needs: u64,
+}
+
+/// Run the symmetric product under `opts` on `p` ranks in its own
+/// profile phase; per rank, the model and the phase's
+/// `(p2p messages, p2p bytes, blocked seconds)`.
+fn profiled_fetch(p: usize, opts: SpGemmOptions) -> Vec<(FetchModel, (u64, u64, f64))> {
+    let (n, k) = (48usize, 30usize);
+    let entries: Vec<(usize, usize)> = (0..260).map(|e| (e * 7 % n, e * 13 % k)).collect();
+    let triples = tagged(n, k, &entries);
+    let (models, profile) = Runner::new(Backend::InProcess)
+        .ranks(p)
+        .run_profiled(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let mine = if grid.world().rank() == 0 {
+                triples.clone()
+            } else {
+                Vec::new()
+            };
+            let a = DistMat::from_triples(&grid, n, k, mine, |_, _| unreachable!());
+            {
+                let _phase = grid.world().phase("product");
+                a.spgemm_aat_upper_with(&grid, &Trace, &opts, |_, _, _| true);
+            }
+            let (q, m, s) = (grid.q() as u64, grid.myrow() as u64, grid.mycol() as u64);
+            let (rows, cols) = (q - m - u64::from(s >= m), m);
+            let block = a.local();
+            let pattern = Csr::from_parts(
+                block.nrows(),
+                block.ncols(),
+                block.indptr().to_vec(),
+                block.indices().to_vec(),
+                vec![(); block.nnz()],
+            );
+            let needs = match m.cmp(&s) {
+                std::cmp::Ordering::Less => 2 * q - 1,
+                std::cmp::Ordering::Equal => q - 1,
+                std::cmp::Ordering::Greater => 0,
+            };
+            FetchModel {
+                below_diagonal: m > s,
+                sends: rows + cols,
+                bytes: block.nbytes() as u64 * rows + block.transposed().nbytes() as u64 * cols,
+                estimate_bytes: pattern.nbytes() as u64 * (rows + cols),
+                needs,
+            }
+        });
+    models
+        .into_iter()
+        .zip(profile.rank_profiles())
+        .map(|(model, rank)| {
+            let phase = rank.phase("product").expect("phase recorded");
+            let blocked = phase.comm_secs + phase.wait_secs;
+            (model, (phase.p2p_msgs, phase.p2p_bytes, blocked))
+        })
+        .collect()
+}
+
+#[test]
+fn direct_fetch_ships_each_block_only_to_the_ranks_that_multiply_with_it() {
+    for p in [4usize, 9, 16] {
+        let q = (p as f64).sqrt() as u64;
+        let transfers = q * q * q - q * (q + 1) / 2;
+
+        // One round, no estimate pass and no collective.
+        let ranks = profiled_fetch(p, SpGemmOptions::pipelined());
+        for (r, (model, (msgs, bytes, blocked))) in ranks.iter().enumerate() {
+            assert_eq!(*msgs, model.sends, "p={p} rank {r}: sends");
+            assert_eq!(*bytes, model.bytes, "p={p} rank {r}: sent bytes");
+            // Below the diagonal a rank never enters a receive.
+            if model.below_diagonal {
+                assert_eq!(*blocked, 0.0, "p={p} rank {r} received something");
+            }
+        }
+        let sent: u64 = ranks.iter().map(|(_, (msgs, _, _))| msgs).sum();
+        let needed: u64 = ranks.iter().map(|(model, _)| model.needs).sum();
+        assert_eq!(sent, transfers, "p={p}: q³ − q(q+1)/2 transfers");
+        // Everything sent is consumed on or above the diagonal.
+        assert_eq!(needed, transfers, "p={p}");
+
+        // Several rounds, each the same fetch, after an estimate pass
+        // over the same (block, destination) pairs.
+        let ranks = profiled_fetch(p, SpGemmOptions::column_batched(96));
+        let rounds = ranks[0].1 .0 / ranks[0].0.sends - 1;
+        assert!(rounds >= 2, "p={p}: {rounds} round(s) is not multi-round");
+        for (r, (model, (msgs, bytes, _))) in ranks.iter().enumerate() {
+            assert_eq!(*msgs, (rounds + 1) * model.sends, "p={p} rank {r}: sends");
+            assert_eq!(
+                *bytes,
+                rounds * model.bytes + model.estimate_bytes,
+                "p={p} rank {r}: sent bytes"
+            );
+        }
+        let sent: u64 = ranks.iter().map(|(_, (msgs, _, _))| msgs).sum();
+        assert_eq!(sent, (rounds + 1) * transfers, "p={p}: transfers per round");
     }
 }
 

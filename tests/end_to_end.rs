@@ -374,20 +374,34 @@ fn pipeline_profile_contains_paper_phases() {
 /// framing, credit acks and terminators. DetectOverlap's when A's triples
 /// stopped shipping occurrences (a window's column queries to the other
 /// owners and their answers, and the 4-byte A entry, in place of one
-/// 21-byte record per occurrence). Every other wire check compares two live runs
-/// (transports, thread counts, budgets), so a reordered record stream
-/// that moved both sides would pass them; this one compares against
-/// fixed numbers.
+/// 21-byte record per occurrence), and again when the symmetric product
+/// stopped building `Aᵀ` and broadcasting: each rank's change is its
+/// removed transpose swap and stage-broadcast shares minus its direct
+/// block sends (rank (row, col); the rest of the phase, 972 492 /
+/// 1 082 138 / 960 796 / 792 050 bytes, did not move):
+///
+/// | rank | swap | ibcast shares (4 calls) | direct sends | change |
+/// |---|---:|---:|---:|---:|
+/// | 0 (0,0) | 0 | 769 792 | 1 block, 373 720 | −3 msgs, −396 072 |
+/// | 1 (0,1) | 1 msg, 394 704 | 703 048 | 1 block, 373 560 | −4 msgs, −724 192 |
+/// | 2 (1,0) | 1 msg, 328 672 | 703 032 | 2 blocks, 636 616 | −3 msgs, −395 088 |
+/// | 3 (1,1) | 0 | 638 064 | 1 block, 330 208 | −3 msgs, −307 856 |
+///
+/// Rank 2 sits below the diagonal: it multiplies nothing and only sends
+/// its block, as stored to (1,1) and transposed to (0,1). Every other
+/// wire check compares two live runs (transports, thread counts,
+/// budgets), so a reordered record stream that moved both sides would
+/// pass them; this one compares against fixed numbers.
 #[test]
 fn kmer_stage_wire_traffic_matches_golden_constants() {
     // (msgs, bytes) per rank.
     const COUNT_KMER: [(u64, u64); 4] =
         [(177, 598988), (177, 693410), (177, 592424), (176, 459114)];
     const DETECT_OVERLAP: [(u64, u64); 4] = [
-        (237, 1742284),
-        (239, 2179890),
-        (239, 1992500),
-        (238, 1430114),
+        (234, 1346212),
+        (235, 1455698),
+        (236, 1597412),
+        (235, 1122258),
     ];
     let spec = DatasetSpec::celegans_like(0.05, 1919);
     let (_genome, reads) = reads_of(&spec);

@@ -504,6 +504,62 @@ fn ambient_fault_plan_is_ignored_but_assemble_fault_delivers_it() {
     assert!(!killed.exists(), "a killed run writes no contigs");
 }
 
+/// Rank 2 sits below the diagonal at p = 4, so in the symmetric product
+/// it multiplies nothing and only sends its block. Killed during
+/// DetectOverlap — a thread rank by `kill:`, a worker process by
+/// `sigkill:` — it is still a typed failure naming rank 2: exit
+/// `RANK_FAILED`, no hang, no survivor panic, no socket dir left.
+#[test]
+fn kill_during_detect_overlap_is_a_typed_failure_on_both_backends() {
+    let dir = scratch("detect-overlap");
+    let reads = simulate_reads(&dir);
+    let out = elba_bin()
+        .args(["assemble", "--ranks", "4", "--k", "17"])
+        .args(["--fault", "kill:2@phase:DetectOverlap", "--reads"])
+        .arg(&reads)
+        .arg("--out")
+        .arg(dir.join("killed.fa"))
+        .output()
+        .expect("run elba assemble");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(i32::from(exit::RANK_FAILED)),
+        "stderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("rank 2 killed by fault plan"),
+        "root cause is the fault-killed rank:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "survivor panic:\n{stderr}");
+
+    let sock = dir.join("sock");
+    let out = launch(
+        &dir,
+        &reads,
+        &sock,
+        &[],
+        &["--fault", "sigkill:2@phase:DetectOverlap"],
+    );
+    assert_eq!(
+        out.code,
+        i32::from(exit::RANK_FAILED),
+        "stderr:\n{}",
+        out.stderr
+    );
+    assert!(
+        out.stderr.contains("rank 2") && out.stderr.contains("signal 9"),
+        "supervisor names the signaled rank:\n{}",
+        out.stderr
+    );
+    assert!(
+        !out.stderr.contains("panicked at"),
+        "survivor panic:\n{}",
+        out.stderr
+    );
+    assert!(!sock.exists(), "rendezvous dir must be removed on abort");
+}
+
 /// Workers stalled by heavy injected jitter are killed when
 /// `--launch-timeout` expires; the supervisor exits with the dedicated
 /// timeout code and still cleans up the rendezvous directory.
