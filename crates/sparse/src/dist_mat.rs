@@ -1011,7 +1011,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         })
     }
 
-    /// The budgeted schedule's structure/estimate pass: per SUMMA stage, the
+    /// The general product's estimate pass: per SUMMA stage, the
     /// `A`-block owner broadcasts its per-column nonzero counts along
     /// the grid row and the `B`-block owner its structure
     /// (`indptr`/`indices`, no values) along the grid column — a
