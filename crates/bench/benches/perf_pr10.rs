@@ -1,7 +1,9 @@
 //! PR 10 perf trajectory: writes `BENCH_pr10.json` at the repository
 //! root probing the multi-tenant serve layer. A fixed batch of small
-//! mixed-budget simulated-genome jobs is pushed through `Server` at
-//! pool sizes {1, 2, 4} single-rank groups under a 1 GiB admission cap,
+//! mixed-budget jobs — `elba assemble` argument lists over simulated
+//! read sets, written to FASTA before any clock starts — is pushed
+//! through `Server` at pool sizes {1, 2, 4} single-rank groups under a
+//! 1 GiB admission cap,
 //! recording throughput (jobs/min) and submit→finish latency (p50/p99)
 //! per pool size, plus the two invariants CI greps for: every job
 //! completed and peak admitted budget stayed within the cap.
@@ -12,21 +14,40 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use elba_comm::Backend;
-use elba_core::{JobResult, JobSpec, ServeConfig, Server};
+use elba_core::job::write_seqs;
+use elba_core::{JobResult, ServeConfig, Server};
 use elba_mem::MemBudget;
+use elba_seq::{DatasetSpec, Seq};
 
 const MIB: u64 = 1 << 20;
 const JOBS_PER_POOL: usize = 36;
 const CAP: u64 = 1024 * MIB;
 
-/// The mixed-budget job batch: small claims that pack, large claims
-/// that serialize, and unbudgeted jobs charged as the whole cap.
-fn job_batch() -> Vec<JobSpec> {
-    let claims = [64 * MIB, 256 * MIB, 0, 600 * MIB, 128 * MIB, 32 * MIB];
+/// The mixed-budget job batch as (name, `assemble` flags): small claims
+/// that pack, large claims that serialize, and unbudgeted jobs charged
+/// as the whole cap. Each job's reads are simulated into `dir` here, so
+/// no run times the simulator.
+fn job_batch(dir: &std::path::Path) -> Vec<(String, Vec<String>)> {
+    let budgets = ["64M", "256M", "", "600M", "128M", "32M"];
+    let path = |file: String| dir.join(file).to_str().expect("utf-8 path").to_owned();
     (0..JOBS_PER_POOL)
         .map(|i| {
-            JobSpec::sim(&format!("bench-{i}"), "celegans", 0.02, 7000 + i as u64)
-                .budget(claims[i % claims.len()])
+            let name = format!("bench-{i}");
+            let reads = path(format!("{name}.reads.fa"));
+            let spec = DatasetSpec::celegans_like(0.02, 7000 + i as u64);
+            let seqs: Vec<Seq> = spec.generate().1.into_iter().map(|r| r.seq).collect();
+            write_seqs(&reads, "read_", &seqs).expect("write bench reads");
+            let mut args = vec![
+                "--reads".into(),
+                reads,
+                "--out".into(),
+                path(format!("{name}.fa")),
+            ];
+            let budget = budgets[i % budgets.len()];
+            if !budget.is_empty() {
+                args.extend(["--mem-budget".into(), budget.into()]);
+            }
+            (name, args)
         })
         .collect()
 }
@@ -49,18 +70,17 @@ struct PoolRun {
     peak_admitted: u64,
 }
 
-fn run_pool(groups: usize) -> PoolRun {
+fn run_pool(groups: usize, batch: &[(String, Vec<String>)]) -> PoolRun {
     let server = Server::start(ServeConfig {
         groups,
         group_ranks: 1,
         backend: Backend::InProcess,
         host_cap: MemBudget::bytes(CAP),
-        threads: 1,
     });
     let started = Instant::now();
-    let ids: Vec<_> = job_batch()
-        .into_iter()
-        .map(|spec| server.submit(spec).expect("bench jobs are valid"))
+    let ids: Vec<_> = batch
+        .iter()
+        .map(|(name, args)| server.submit(name, args).expect("bench jobs are valid"))
         .collect();
     for &id in &ids {
         server.wait(id);
@@ -83,7 +103,14 @@ fn run_pool(groups: usize) -> PoolRun {
 }
 
 fn main() {
-    let runs: Vec<PoolRun> = [1usize, 2, 4].iter().map(|&g| run_pool(g)).collect();
+    let dir = std::env::temp_dir().join(format!("elba-perf-pr10-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create bench dir");
+    let batch = job_batch(&dir);
+    let runs: Vec<PoolRun> = [1usize, 2, 4]
+        .iter()
+        .map(|&g| run_pool(g, &batch))
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
 
     let mut all_completed = true;
     let mut within_cap = true;

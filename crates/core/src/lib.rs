@@ -14,11 +14,15 @@
 //!   `pre`/`post` concatenation over packed read buffers,
 //! * [`contig`] — Algorithm 2 end-to-end (`ContigGeneration`),
 //! * [`pipeline`] — Algorithm 1 end-to-end (`ELBA`), with the paper's
-//!   phase names for profiling.
+//!   phase names for profiling,
+//! * [`job`] — one assembly job as an `elba assemble` command line:
+//!   its flags, its reads, its run and its outputs,
+//! * [`serve`] — many jobs over a pool of rank groups (`elba serve`).
 
 pub mod assembly;
 pub mod contig;
 pub mod induced;
+pub mod job;
 pub mod lacc;
 pub mod partition;
 pub mod pipeline;
@@ -28,6 +32,7 @@ pub mod serve;
 pub use assembly::{local_assembly, AssemblyConfig, AssemblyStats, Contig};
 pub use contig::{contig_generation, gather_contigs, ContigConfig, ContigStats};
 pub use induced::{induced_subgraph, LocalGraph};
+pub use job::AssembleJob;
 pub use lacc::{connected_components, ComponentLabels, UnionFind};
 pub use partition::{partition, PartitionStrategy, Partitioning};
 pub use pipeline::{
@@ -35,6 +40,4 @@ pub use pipeline::{
     StringGraph,
 };
 pub use scaffold::{scaffold_contigs, ScaffoldConfig, ScaffoldStats};
-pub use serve::{
-    JobId, JobInput, JobOutcome, JobResult, JobSpec, ServeConfig, Server, SubmitError,
-};
+pub use serve::{JobId, JobOutcome, JobResult, ServeConfig, Server, SubmitError};

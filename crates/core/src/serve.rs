@@ -2,135 +2,51 @@
 //! supervised rank groups (`elba serve`).
 //!
 //! The paper's lineage assumes one assembly per machine allocation; the
-//! serving layer multiplexes many. Three pieces:
+//! serving layer multiplexes many. A job is an `elba assemble` argument
+//! list: [`AssembleJob::parse`] checks it against the group's rank
+//! count, and the group runs it with the same [`AssembleJob`] steps as
+//! `elba assemble`, so a served job writes the `--out` the command line
+//! would. Two pieces sit behind [`Server`]'s `start / submit / wait /
+//! drain`:
 //!
-//! * [`JobSpec`] — what to assemble (a FASTA file or a simulated-genome
-//!   spec), under which per-job [`MemBudget`], optionally with an
-//!   injected [`FaultPlan`]. The one serialized form is the job-file
-//!   line `elba serve` parses.
 //! * `Scheduler` — a FIFO admission queue with budget-based admission
 //!   control: a job is admitted only while the aggregate of admitted
-//!   budgets stays within the host cap; an over-cap submission is
+//!   claims stays within the host cap; a job that cannot run is
 //!   rejected with a typed [`SubmitError`] at submit time.
 //! * `GroupPool` — N worker groups, each running admitted jobs through
-//!   the backend-generic [`Runner`]. PR 9's supervision is what makes
-//!   the pool tractable: a dead rank surfaces as a typed
-//!   [`elba_comm::SpmdFailure`], never a hung group, so per-job failure
-//!   handling is "mark the job failed, recycle the group". Each job gets
-//!   a fresh mesh, so recycling is free — a failed job cannot poison the
-//!   next.
-//!
-//! [`Server`] bundles the three behind `start / submit / wait / drain`;
-//! the scheduler and the pool are reachable only through it.
+//!   the backend-generic [`elba_comm::Runner`]. A dead rank surfaces as
+//!   a typed [`elba_comm::SpmdFailure`], never a hung group, so per-job
+//!   failure handling is "mark the job failed, recycle the group". Each
+//!   job gets a fresh mesh, so a failed job cannot poison the next.
 //!
 //! ## Admission rule
 //!
-//! Every job declares a whole-job memory claim (`budget_bytes`; `0`
-//! means unbudgeted). With a host cap of `C` bytes:
+//! A job's claim is its per-rank `--mem-budget` times the group's
+//! ranks. With a host cap of `C` bytes:
 //!
 //! * a job claiming more than `C` is **rejected** at submit
 //!   ([`SubmitError::BudgetExceedsHostCap`]);
 //! * otherwise the job **queues** until `admitted + claim ≤ C`, where
 //!   `admitted` sums the claims of running jobs — strictly FIFO, so a
 //!   large job cannot be starved by small ones overtaking it;
-//! * an unbudgeted job is charged the whole cap `C` (the conservative
-//!   reading: it may use anything), which serializes it against every
-//!   budgeted job.
+//! * a job without `--mem-budget` is charged the whole cap `C` (the
+//!   conservative reading: it may use anything), which serializes it
+//!   against every budgeted job.
 //!
 //! With no host cap, every submission is admitted as soon as a group is
 //! free. The peak of `admitted` is tracked and exposed
 //! ([`Server::peak_admitted_bytes`]) so tests and operators can assert
-//! the invariant: **aggregate admitted budgets never exceed the cap**.
+//! the invariant: **aggregate admitted claims never exceed the cap**.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use elba_comm::{Backend, FaultPlan, ProcGrid, RunProfile, Runner};
+use elba_comm::{Backend, FailureCause, RunProfile};
 use elba_mem::MemBudget;
-use elba_quality::{evaluate, QualityConfig, QualityReport};
-use elba_seq::fasta::read_fasta;
-use elba_seq::{DatasetSpec, ReadTooLong, Seq};
 
 use crate::assembly::Contig;
-use crate::pipeline::{assemble_gathered, PipelineConfig};
-
-// ---------------------------------------------------------------------
-// Job specs
-// ---------------------------------------------------------------------
-
-/// What a job assembles.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobInput {
-    /// Reads from a FASTA file, resolved on the serving host.
-    FastaPath(String),
-    /// A simulated dataset: `dataset` is one of `celegans`, `osativa`,
-    /// `hsapiens` (the Table 2 stand-ins), scaled by `scale` and seeded
-    /// by `seed`. The reference genome is regenerated on the worker, so
-    /// completed sim jobs carry a [`QualityReport`].
-    Sim {
-        dataset: String,
-        scale: f64,
-        seed: u64,
-    },
-}
-
-/// One assembly job: input, per-job memory claim, optional fault plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobSpec {
-    /// Caller-chosen job name, echoed in results and logs.
-    pub name: String,
-    pub input: JobInput,
-    /// Whole-job memory claim in bytes; `0` = unbudgeted (charged as the
-    /// full host cap under admission control). The pipeline runs under a
-    /// per-rank [`MemBudget`] of `budget_bytes / group_ranks`.
-    pub budget_bytes: u64,
-    /// Optional fault plan injected below this job's comm layer
-    /// ([`FaultPlan::parse`] syntax). The plan kills ranks *of this
-    /// job's group only*; the server survives and recycles the group.
-    pub fault: Option<String>,
-}
-
-impl JobSpec {
-    /// A simulated-genome job with no budget and no faults.
-    pub fn sim(name: &str, dataset: &str, scale: f64, seed: u64) -> JobSpec {
-        JobSpec {
-            name: name.to_string(),
-            input: JobInput::Sim {
-                dataset: dataset.to_string(),
-                scale,
-                seed,
-            },
-            budget_bytes: 0,
-            fault: None,
-        }
-    }
-
-    /// Set the whole-job memory claim.
-    pub fn budget(mut self, bytes: u64) -> JobSpec {
-        self.budget_bytes = bytes;
-        self
-    }
-
-    /// Attach a fault plan ([`FaultPlan::parse`] syntax).
-    pub fn with_fault(mut self, plan: &str) -> JobSpec {
-        self.fault = Some(plan.to_string());
-        self
-    }
-
-    /// Resolve a sim input's [`DatasetSpec`]; `None` for FASTA jobs,
-    /// error for a dataset [`DatasetSpec::by_name`] refuses to build.
-    fn dataset_spec(&self) -> Result<Option<DatasetSpec>, String> {
-        match &self.input {
-            JobInput::FastaPath(_) => Ok(None),
-            JobInput::Sim {
-                dataset,
-                scale,
-                seed,
-            } => DatasetSpec::by_name(dataset, *scale, *seed).map(Some),
-        }
-    }
-}
+use crate::job::{require_square, AssembleJob};
 
 // ---------------------------------------------------------------------
 // Job lifecycle
@@ -145,12 +61,10 @@ pub type JobId = u64;
 pub enum SubmitError {
     /// The job's claim can never fit: it exceeds the host cap outright.
     BudgetExceedsHostCap { requested: u64, cap: u64 },
-    /// `JobSpec::fault` failed [`FaultPlan::parse`], or names a rank
-    /// outside the job's group ([`FaultPlan::check_ranks`]).
-    InvalidFaultPlan(String),
-    /// A sim input's dataset cannot be built: an unknown name, or a
-    /// scale outside what [`DatasetSpec::by_name`] accepts.
-    InvalidDataset(String),
+    /// [`AssembleJob::parse`] refused the arguments: a malformed or
+    /// unknown flag, a fault plan naming a rank outside the group, or a
+    /// `--ranks` other than the group's.
+    InvalidJob(String),
     /// The server is draining; no new jobs.
     ShuttingDown,
 }
@@ -163,8 +77,7 @@ impl std::fmt::Display for SubmitError {
                 "job budget {requested} B exceeds the host cap {cap} B: \
                  the job can never be admitted"
             ),
-            SubmitError::InvalidFaultPlan(e) => write!(f, "invalid fault plan: {e}"),
-            SubmitError::InvalidDataset(e) => write!(f, "{e}"),
+            SubmitError::InvalidJob(e) => write!(f, "invalid job: {e}"),
             SubmitError::ShuttingDown => write!(f, "server is shutting down"),
         }
     }
@@ -176,20 +89,18 @@ impl std::error::Error for SubmitError {}
 #[derive(Debug, Clone)]
 pub enum JobOutcome {
     Completed {
-        /// Gathered contigs (rank 0's view; identical on every rank).
+        /// Gathered contigs (rank 0's view; identical on every rank),
+        /// as assembled: `--out` holds the scaffolds of a
+        /// `--scaffold true` job.
         contigs: Vec<Contig>,
-        /// Table 4 metrics against the known reference — sim jobs only
-        /// (a FASTA job has no reference to evaluate against).
-        report: Option<QualityReport>,
         /// Per-rank phase/volume profiles — the per-job billing record.
         profile: RunProfile,
-        n_reads: usize,
     },
     Failed {
         /// Human-readable primary cause (rank and classification for
-        /// SPMD failures, I/O or validation text otherwise).
+        /// SPMD failures, I/O text otherwise).
         error: String,
-        /// The failure was an injected [`FaultPlan`] kill — expected
+        /// The failure was an injected `--fault` kill — expected
         /// chaos, not an organic fault.
         killed_by_fault: bool,
     },
@@ -224,9 +135,9 @@ impl JobResult {
 // ---------------------------------------------------------------------
 
 struct JobEntry {
-    spec: JobSpec,
+    name: String,
     /// Parsed at submit so workers never re-validate.
-    plan: Option<FaultPlan>,
+    job: AssembleJob,
     /// Admission charge in bytes (claim, or the whole cap if unbudgeted).
     charge: u64,
     submitted: Instant,
@@ -252,7 +163,7 @@ struct SchedulerState {
 /// workers; all methods take `&self`.
 struct Scheduler {
     host_cap: Option<u64>,
-    /// Ranks per group: the world a job's fault plan must stay inside.
+    /// Ranks per group: the world every job runs on.
     group_ranks: usize,
     state: Mutex<SchedulerState>,
     /// Signaled on submit, admission, completion, and close.
@@ -273,32 +184,26 @@ impl Scheduler {
     }
 
     /// Validate and enqueue a job. Returns its id, or a typed
-    /// [`SubmitError`] — over-cap claims are rejected here, at the door.
-    fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
-        let plan = match &spec.fault {
-            None => None,
-            Some(raw) => Some(
-                FaultPlan::parse(raw)
-                    .and_then(|plan| plan.check_ranks(self.group_ranks).map(|()| plan))
-                    .map_err(SubmitError::InvalidFaultPlan)?,
-            ),
-        };
-        spec.dataset_spec().map_err(SubmitError::InvalidDataset)?;
+    /// [`SubmitError`] — invalid jobs and over-cap claims are rejected
+    /// here, at the door.
+    fn submit<S: AsRef<str>>(&self, name: &str, args: &[S]) -> Result<JobId, SubmitError> {
+        let job =
+            AssembleJob::parse(args, Some(self.group_ranks)).map_err(SubmitError::InvalidJob)?;
+        let claim = job
+            .cfg
+            .mem_budget
+            .total()
+            .map_or(0, |per_rank| per_rank.saturating_mul(job.ranks as u64));
         let charge = match self.host_cap {
-            None => spec.budget_bytes,
-            Some(cap) => {
-                if spec.budget_bytes > cap {
-                    return Err(SubmitError::BudgetExceedsHostCap {
-                        requested: spec.budget_bytes,
-                        cap,
-                    });
-                }
-                if spec.budget_bytes == 0 {
-                    cap
-                } else {
-                    spec.budget_bytes
-                }
+            None => claim,
+            Some(cap) if claim > cap => {
+                return Err(SubmitError::BudgetExceedsHostCap {
+                    requested: claim,
+                    cap,
+                })
             }
+            Some(cap) if claim == 0 => cap,
+            Some(_) => claim,
         };
         let mut st = self.state.lock().unwrap();
         if st.closed {
@@ -306,8 +211,8 @@ impl Scheduler {
         }
         let id = st.jobs.len() as JobId;
         st.jobs.push(JobEntry {
-            spec,
-            plan,
+            name: name.to_owned(),
+            job,
             charge,
             submitted: Instant::now(),
             admitted: None,
@@ -332,7 +237,7 @@ impl Scheduler {
 
     /// Worker side: block until the FIFO head fits under the cap, then
     /// admit it. `None` once the scheduler is closed and drained.
-    fn take_next(&self) -> Option<(JobId, JobSpec, Option<FaultPlan>)> {
+    fn take_next(&self) -> Option<(JobId, AssembleJob)> {
         let mut st = self.state.lock().unwrap();
         loop {
             if let Some(&id) = st.queue.front() {
@@ -347,7 +252,7 @@ impl Scheduler {
                     st.peak_admitted_bytes = st.peak_admitted_bytes.max(st.admitted_bytes);
                     let entry = &mut st.jobs[id as usize];
                     entry.admitted = Some(Instant::now());
-                    return Some((id, entry.spec.clone(), entry.plan.clone()));
+                    return Some((id, entry.job.clone()));
                 }
             } else if st.closed {
                 return None;
@@ -363,7 +268,7 @@ impl Scheduler {
         let admitted = entry.admitted.expect("completing a job never admitted");
         entry.result = Some(JobResult {
             id,
-            name: entry.spec.name.clone(),
+            name: entry.name.clone(),
             outcome,
             queued_secs: (admitted - entry.submitted).as_secs_f64(),
             run_secs: admitted.elapsed().as_secs_f64(),
@@ -398,32 +303,29 @@ pub struct ServeConfig {
     /// Concurrent rank groups (worker slots).
     pub groups: usize,
     /// Ranks per group; must be a perfect square (the pipeline runs on a
-    /// √P×√P [`ProcGrid`]).
+    /// √P×√P [`elba_comm::ProcGrid`]).
     pub group_ranks: usize,
     /// Message plane for every group.
     pub backend: Backend,
     /// Host-wide memory cap for admission control.
     pub host_cap: MemBudget,
-    /// Intra-rank worker threads per rank (the pipeline `--threads` knob).
-    pub threads: usize,
 }
 
 impl Default for ServeConfig {
-    /// One single-rank in-process group, no cap, serial ranks.
+    /// One single-rank in-process group, no cap.
     fn default() -> Self {
         ServeConfig {
             groups: 1,
             group_ranks: 1,
             backend: Backend::InProcess,
             host_cap: MemBudget::unlimited(),
-            threads: 1,
         }
     }
 }
 
 /// The fixed pool of supervised worker groups. Each group is a thread
 /// that pulls admitted jobs from the [`Scheduler`] and runs them through
-/// a fresh [`Runner`] mesh; a job death ([`elba_comm::SpmdFailure`]) marks
+/// a fresh [`elba_comm::Runner`] mesh; a job death ([`elba_comm::SpmdFailure`]) marks
 /// that job failed and the group moves on — recycled, never wedged.
 struct GroupPool {
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -434,23 +336,20 @@ impl GroupPool {
     /// Spawn `cfg.groups` worker groups draining `scheduler`.
     fn start(cfg: &ServeConfig, scheduler: Arc<Scheduler>) -> GroupPool {
         assert!(cfg.groups > 0, "pool needs at least one group");
-        let q = (cfg.group_ranks as f64).sqrt().round() as usize;
-        assert!(
-            cfg.group_ranks > 0 && q * q == cfg.group_ranks,
-            "group_ranks must be a positive perfect square, got {}",
-            cfg.group_ranks
-        );
+        if let Err(e) = require_square("group_ranks", cfg.group_ranks) {
+            panic!("{e}");
+        }
         let recycled = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let workers = (0..cfg.groups)
             .map(|g| {
                 let scheduler = Arc::clone(&scheduler);
-                let cfg = cfg.clone();
+                let backend = cfg.backend;
                 let recycled = Arc::clone(&recycled);
                 std::thread::Builder::new()
                     .name(format!("serve-group-{g}"))
                     .spawn(move || {
-                        while let Some((id, spec, plan)) = scheduler.take_next() {
-                            let outcome = run_job(&cfg, &spec, plan.as_ref());
+                        while let Some((id, job)) = scheduler.take_next() {
+                            let outcome = run_job(backend, &job);
                             if matches!(outcome, JobOutcome::Failed { .. }) {
                                 recycled.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             }
@@ -482,10 +381,9 @@ impl GroupPool {
 /// Run one job on a fresh mesh. Every failure path — bad input, rank
 /// death, even a panic escaping the harness — lands in
 /// [`JobOutcome::Failed`]; nothing a job does takes the server down.
-fn run_job(cfg: &ServeConfig, spec: &JobSpec, plan: Option<&FaultPlan>) -> JobOutcome {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_job_inner(cfg, spec, plan)
-    }));
+fn run_job(backend: Backend, job: &AssembleJob) -> JobOutcome {
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job_inner(backend, job)));
     match outcome {
         Ok(outcome) => outcome,
         Err(payload) => JobOutcome::Failed {
@@ -508,86 +406,24 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn run_job_inner(cfg: &ServeConfig, spec: &JobSpec, plan: Option<&FaultPlan>) -> JobOutcome {
-    // Load input + pick pipeline parameters.
-    let (reads, reference, mut pipeline_cfg) = match &spec.input {
-        JobInput::FastaPath(path) => {
-            let file = match std::fs::File::open(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    return JobOutcome::Failed {
-                        error: format!("cannot open reads '{path}': {e}"),
-                        killed_by_fault: false,
-                    }
-                }
-            };
-            match read_fasta(std::io::BufReader::new(file)) {
-                Ok(records) => {
-                    let reads: Vec<Seq> = records.into_iter().map(|r| r.seq).collect();
-                    if let Err(too_long) = ReadTooLong::check_all(&reads) {
-                        return JobOutcome::Failed {
-                            error: format!("reads '{path}': {too_long}"),
-                            killed_by_fault: false,
-                        };
-                    }
-                    (reads, None, PipelineConfig::default())
-                }
-                Err(e) => {
-                    return JobOutcome::Failed {
-                        error: format!("cannot parse reads '{path}': {e}"),
-                        killed_by_fault: false,
-                    }
-                }
-            }
-        }
-        JobInput::Sim { .. } => {
-            let spec_ds = spec
-                .dataset_spec()
-                .expect("validated at submit")
-                .expect("sim input has a dataset");
-            let (genome, sim_reads) = spec_ds.generate();
-            let reads: Vec<Seq> = sim_reads.into_iter().map(|r| r.seq).collect();
-            let cfg = PipelineConfig::for_dataset(&spec_ds);
-            (reads, Some(genome), cfg)
-        }
+/// The job's three [`AssembleJob`] steps, as `elba assemble` runs them.
+fn run_job_inner(backend: Backend, job: &AssembleJob) -> JobOutcome {
+    let failed = |error: String| JobOutcome::Failed {
+        error,
+        killed_by_fault: false,
     };
-    if spec.budget_bytes > 0 {
-        // The claim is whole-job; each of the group's ranks gets an even
-        // share as its pipeline budget.
-        let per_rank = (spec.budget_bytes / cfg.group_ranks as u64).max(1);
-        pipeline_cfg = pipeline_cfg.with_mem_budget(MemBudget::bytes(per_rank));
-    }
-    pipeline_cfg = pipeline_cfg.with_threads(cfg.threads);
-
-    let mut runner = Runner::new(cfg.backend).ranks(cfg.group_ranks);
-    if let Some(plan) = plan {
-        runner = runner.faults(plan);
-    }
-    let n_reads = reads.len();
-    let run = {
-        let pipeline_cfg = pipeline_cfg.clone();
-        runner.try_run_profiled(move |comm| {
-            let grid = ProcGrid::new(comm);
-            assemble_gathered(&grid, &reads, &pipeline_cfg)
-        })
+    let reads = match job.read_reads() {
+        Ok(reads) => reads,
+        Err(e) => return failed(e.to_string()),
     };
-    match run {
-        Ok((mut outputs, profile)) => {
-            let (contigs, _result) = outputs.remove(0);
-            let report = reference.as_ref().map(|genome| {
-                let seqs: Vec<Seq> = contigs.iter().map(|c| c.seq.clone()).collect();
-                evaluate(genome, &seqs, &QualityConfig::default())
-            });
-            JobOutcome::Completed {
-                contigs,
-                report,
-                profile,
-                n_reads,
-            }
-        }
+    match job.run(backend, reads) {
+        Ok(((contigs, _result), profile)) => match job.write_outputs(&contigs) {
+            Ok(_) => JobOutcome::Completed { contigs, profile },
+            Err(e) => failed(e),
+        },
         Err(failure) => JobOutcome::Failed {
             error: failure.to_string(),
-            killed_by_fault: matches!(failure.primary().cause, elba_comm::FailureCause::Killed(_)),
+            killed_by_fault: matches!(failure.primary().cause, FailureCause::Killed(_)),
         },
     }
 }
@@ -599,14 +435,24 @@ fn run_job_inner(cfg: &ServeConfig, spec: &JobSpec, plan: Option<&FaultPlan>) ->
 /// The serving façade: a scheduler plus a running group pool.
 ///
 /// ```
-/// use elba_core::serve::{JobSpec, ServeConfig, Server};
+/// use elba_core::job::write_seqs;
+/// use elba_core::serve::{ServeConfig, Server};
+/// use elba_seq::{DatasetSpec, Seq};
+///
+/// let dir = std::env::temp_dir().join(format!("elba-serve-doc-{}", std::process::id()));
+/// std::fs::create_dir_all(&dir).unwrap();
+/// let reads = dir.join("reads.fa").to_str().unwrap().to_owned();
+/// let out = dir.join("contigs.fa").to_str().unwrap().to_owned();
+/// let (_genome, sim) = DatasetSpec::celegans_like(0.02, 7).generate();
+/// let seqs: Vec<Seq> = sim.into_iter().map(|r| r.seq).collect();
+/// write_seqs(&reads, "read_", &seqs).unwrap();
 ///
 /// let server = Server::start(ServeConfig::default());
-/// let id = server.submit(JobSpec::sim("tiny", "celegans", 0.02, 7)).unwrap();
-/// let result = server.wait(id);
-/// assert!(result.completed());
-/// let results = server.drain();
-/// assert_eq!(results.len(), 1);
+/// let id = server.submit("tiny", &["--reads", &reads, "--out", &out]).unwrap();
+/// assert!(server.wait(id).completed());
+/// assert!(std::path::Path::new(&out).exists());
+/// assert_eq!(server.drain().len(), 1);
+/// std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 pub struct Server {
     scheduler: Arc<Scheduler>,
@@ -621,10 +467,12 @@ impl Server {
         Server { scheduler, pool }
     }
 
-    /// Validate and enqueue a job; see the [module docs](self) for the
-    /// admission rule. Over-cap claims are rejected here, at the door.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
-        self.scheduler.submit(spec)
+    /// Validate and enqueue the job `args` describe, `elba assemble`'s
+    /// flags run on one group; see the [module docs](self) for the
+    /// admission rule. Invalid jobs and over-cap claims are rejected
+    /// here, at the door.
+    pub fn submit<S: AsRef<str>>(&self, name: &str, args: &[S]) -> Result<JobId, SubmitError> {
+        self.scheduler.submit(name, args)
     }
 
     /// Block until `id` finishes; returns its result.
@@ -660,33 +508,54 @@ impl Server {
 mod tests {
     use super::*;
 
-    #[test]
-    fn submit_validates_before_queueing() {
-        let sched = Scheduler::new(MemBudget::unlimited(), 4);
-        for plan in ["explode:9", "kill:4@phase:Alignment", "sever:0-4"] {
-            let bad_plan = JobSpec::sim("bad", "celegans", 0.1, 1).with_fault(plan);
-            assert!(
-                matches!(
-                    sched.submit(bad_plan),
-                    Err(SubmitError::InvalidFaultPlan(_))
-                ),
-                "{plan}"
-            );
-        }
-        let bad_dataset = JobSpec::sim("bad", "klebsiella", 0.1, 1);
-        assert!(matches!(
-            sched.submit(bad_dataset),
-            Err(SubmitError::InvalidDataset(_))
-        ));
+    fn args(line: &str) -> Vec<&str> {
+        line.split_whitespace().collect()
     }
 
     #[test]
-    fn unbudgeted_jobs_charge_the_whole_cap() {
-        let sched = Scheduler::new(MemBudget::bytes(100), 1);
-        let id = sched
-            .submit(JobSpec::sim("greedy", "celegans", 0.02, 1))
+    fn submit_validates_before_queueing() {
+        let sched = Scheduler::new(MemBudget::unlimited(), 4);
+        for bad in [
+            "--fault explode:9",
+            "--fault kill:4@phase:Alignment",
+            "--fault sever:0-4",
+            "--k 0",
+            "--ranks 1",
+            "--sim celegans",
+        ] {
+            let line = format!("--reads r.fa --out o.fa {bad}");
+            assert!(
+                matches!(
+                    sched.submit("bad", &args(&line)),
+                    Err(SubmitError::InvalidJob(_))
+                ),
+                "{bad}"
+            );
+        }
+        assert!(sched.state.lock().unwrap().jobs.is_empty());
+    }
+
+    #[test]
+    fn a_claim_is_the_rank_budget_times_the_group_and_unbudgeted_jobs_charge_the_whole_cap() {
+        let sched = Scheduler::new(MemBudget::bytes(100 << 20), 4);
+        let budgeted = sched
+            .submit(
+                "budgeted",
+                &args("--reads r.fa --out a.fa --mem-budget 16M"),
+            )
             .unwrap();
+        let unbudgeted = sched
+            .submit("greedy", &args("--reads r.fa --out b.fa"))
+            .unwrap();
+        assert_eq!(
+            sched.submit("big", &args("--reads r.fa --out c.fa --mem-budget 26M")),
+            Err(SubmitError::BudgetExceedsHostCap {
+                requested: 104 << 20,
+                cap: 100 << 20,
+            })
+        );
         let st = sched.state.lock().unwrap();
-        assert_eq!(st.jobs[id as usize].charge, 100);
+        assert_eq!(st.jobs[budgeted as usize].charge, 64 << 20);
+        assert_eq!(st.jobs[unbudgeted as usize].charge, 100 << 20);
     }
 }

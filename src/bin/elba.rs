@@ -6,24 +6,26 @@
 //! elba assemble --reads reads.fasta --ranks 4 --out contigs.fasta \
 //!               [--k 31 --xdrop 15] [--scaffold true] [--gfa graph.gfa]
 //! elba launch -- assemble --reads reads.fasta --ranks 4 --out contigs.fasta
+//! elba serve --jobs jobs.txt --groups 2 --group-ranks 4 --host-mem 1G
+//!            (a job line: `j1: --reads reads.fasta --out j1.fasta --mem-budget 64M`)
 //! elba evaluate --reference genome.fasta --contigs contigs.fasta
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Child, ExitCode, ExitStatus};
 use std::time::{Duration, Instant};
 
 use elba::comm::WorkerError;
-use elba::core::{JobInput, JobOutcome, JobResult, JobSpec, ServeConfig, Server};
+use elba::core::job::{
+    get, num, parse_flags, read_seqs, require_square, write_seqs, AssembleJob, ReadsError,
+    ASSEMBLE_FLAGS,
+};
+use elba::core::{JobOutcome, JobResult, ServeConfig, Server};
 use elba::exit;
 use elba::prelude::*;
-use elba::seq::fasta::{read_fasta, write_fasta, FastaRecord};
-use elba::seq::gfa::GfaGraph;
-use elba::seq::kmer::MAX_K;
-use elba::seq::ReadTooLong;
 
 /// A CLI failure plus the process exit code it maps to (see
 /// [`elba::exit`] for the taxonomy). Plain `String` errors convert to
@@ -65,110 +67,6 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-/// Parse `--key value` pairs for `command`, rejecting any key not in
-/// `known` and any key given twice — a typo or a flag from an older
-/// release must fail loudly instead of silently running the defaults.
-fn parse_flags(
-    args: &[String],
-    command: &str,
-    known: &[&str],
-) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let Some(key) = arg.strip_prefix("--") else {
-            return Err(format!("unexpected positional argument '{arg}'"));
-        };
-        if !known.contains(&key) {
-            return Err(format!(
-                "unknown flag --{key} for '{command}' (known: --{})",
-                known.join(" --")
-            ));
-        }
-        let Some(value) = it.next() else {
-            return Err(format!("flag --{key} needs a value"));
-        };
-        if flags.insert(key.to_owned(), value.clone()).is_some() {
-            return Err(format!("flag --{key} given twice"));
-        }
-    }
-    Ok(flags)
-}
-
-fn get<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {
-    flags
-        .get(key)
-        .map(String::as_str)
-        .ok_or_else(|| format!("missing required flag --{key}"))
-}
-
-fn num<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("--{key}: cannot parse '{raw}'")),
-    }
-}
-
-/// `--threads` (default 1) as `assemble` and `serve` read it: zero
-/// workers is a usage error, not a synonym for one.
-fn threads_flag(flags: &HashMap<String, String>) -> Result<usize, String> {
-    match num(flags, "threads", 1usize)? {
-        0 => Err("--threads must be at least 1".to_owned()),
-        threads => Ok(threads),
-    }
-}
-
-/// Reject a rank count that cannot form a √p × √p grid, naming the
-/// flag it came from.
-fn require_square(flag: &str, ranks: usize) -> Result<(), String> {
-    let q = (ranks as f64).sqrt().round() as usize;
-    if ranks == 0 || q * q != ranks {
-        return Err(format!(
-            "{flag} must be a positive perfect square, got {ranks}"
-        ));
-    }
-    Ok(())
-}
-
-fn write_seqs(path: &str, prefix: &str, seqs: &[Seq]) -> Result<(), String> {
-    let records: Vec<FastaRecord> = seqs
-        .iter()
-        .enumerate()
-        .map(|(i, seq)| FastaRecord {
-            id: format!("{prefix}{i}"),
-            seq: seq.clone(),
-        })
-        .collect();
-    let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    write_fasta(BufWriter::new(file), &records).map_err(|e| format!("write {path}: {e}"))
-}
-
-fn read_seqs(path: &str) -> Result<Vec<Seq>, String> {
-    let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    Ok(read_fasta(BufReader::new(file))
-        .map_err(|e| format!("parse {path}: {e}"))?
-        .into_iter()
-        .map(|r| r.seq)
-        .collect())
-}
-
-/// `assemble`'s read set: [`read_seqs`], refusing a read the pipeline
-/// cannot index with [`exit::READ_TOO_LONG`].
-fn read_reads(path: &str) -> Result<Vec<Seq>, CliError> {
-    let reads = read_seqs(path)?;
-    ReadTooLong::check_all(&reads).map_err(|too_long| CliError {
-        code: exit::READ_TOO_LONG,
-        message: format!("{path}: {too_long}"),
-    })?;
-    Ok(reads)
-}
-
 const SIMULATE_KNOWN: &[&str] = &["dataset", "scale", "seed", "reads", "genome"];
 
 fn cmd_simulate(flags: HashMap<String, String>, out: &mut dyn Write) -> Result<(), CliError> {
@@ -197,98 +95,6 @@ fn cmd_simulate(flags: HashMap<String, String>, out: &mut dyn Write) -> Result<(
     Ok(())
 }
 
-/// The job an `assemble` command line describes, checked before any
-/// rank starts. The in-process path, the `elba launch` supervisor and
-/// every launch worker build it from the same flags: all run the same
-/// job, and a bad flag is one usage error, not N workers dying of it.
-struct AssembleSetup {
-    reads: String,
-    out: String,
-    gfa: Option<String>,
-    ranks: usize,
-    cfg: PipelineConfig,
-    scaffold: bool,
-    fault: Option<FaultPlan>,
-}
-
-const ASSEMBLE_KNOWN: &[&str] = &[
-    "reads",
-    "out",
-    "ranks",
-    "threads",
-    "k",
-    "xdrop",
-    "min-overlap",
-    "min-score-ratio",
-    "fuzz",
-    "tr-fuzz",
-    "seed-chaining",
-    "mem-budget",
-    "scaffold",
-    "gfa",
-    "fault",
-];
-
-/// Every error is a missing or malformed flag: callers map it to
-/// [`exit::USAGE`].
-fn assemble_setup(flags: &HashMap<String, String>) -> Result<AssembleSetup, String> {
-    let reads = get(flags, "reads")?.to_owned();
-    let out = get(flags, "out")?.to_owned();
-    let ranks: usize = num(flags, "ranks", 4)?;
-    require_square("--ranks", ranks)?;
-    let mut cfg = PipelineConfig::default().with_threads(threads_flag(flags)?);
-    cfg.kmer.k = num(flags, "k", 31usize)?;
-    if !(1..=MAX_K).contains(&cfg.kmer.k) {
-        return Err(format!("--k must be in 1..={MAX_K}; got {}", cfg.kmer.k));
-    }
-    cfg.overlap.k = cfg.kmer.k;
-    cfg.overlap.xdrop = num(flags, "xdrop", 15i32)?;
-    cfg.overlap.min_overlap = num(flags, "min-overlap", 100usize)?;
-    cfg.overlap.min_score_ratio = num(flags, "min-score-ratio", 0.55f64)?;
-    cfg.overlap.fuzz = num(flags, "fuzz", 100usize)?;
-    cfg.tr_fuzz = num(flags, "tr-fuzz", 250u32)?;
-    match flags.get("seed-chaining").map(String::as_str) {
-        None | Some("chain") => {}
-        Some("best") => {
-            cfg = cfg.seed_chaining(ChainingConfig {
-                chaining: SeedChaining::BestOnly,
-            })
-        }
-        Some(other) => return Err(format!("--seed-chaining must be chain|best; got '{other}'")),
-    }
-    // --mem-budget is the one batching lever: it derives batch_kmers and
-    // the SpGEMM cap the SUMMA sizes its column windows under.
-    if let Some(raw) = flags.get("mem-budget") {
-        let budget = MemBudget::parse(raw).map_err(|e| format!("--mem-budget: {e}"))?;
-        cfg = cfg.with_mem_budget(budget);
-    }
-    let scaffold = match flags.get("scaffold").map(String::as_str) {
-        None | Some("false") => false,
-        Some("true") => true,
-        Some(other) => return Err(format!("--scaffold must be true|false; got '{other}'")),
-    };
-    // A fault aimed outside the world never fires: the run would pass
-    // silently, so it is refused with the rest of the flags.
-    let fault = flags
-        .get("fault")
-        .map(|raw| {
-            FaultPlan::parse(raw)
-                .and_then(|plan| plan.check_ranks(ranks).map(|()| plan))
-                .map_err(|e| format!("--fault: {e}"))
-        })
-        .transpose()?;
-
-    Ok(AssembleSetup {
-        reads,
-        out,
-        gfa: flags.get("gfa").cloned(),
-        ranks,
-        cfg,
-        scaffold,
-        fault,
-    })
-}
-
 /// Per-rank profiled traffic over the *named* phases, one deterministic
 /// line. Both transports book bytes from `CommMsg::nbytes` above the
 /// transport, so this line must be identical between an in-process run
@@ -315,11 +121,11 @@ fn wire_bytes_line(profile: &RunProfile) -> String {
 
 fn assemble_finish(
     out: &mut dyn Write,
-    setup: &AssembleSetup,
+    job: &AssembleJob,
     (contigs, result): (Vec<Contig>, PipelineResult),
     profile: &RunProfile,
 ) -> Result<(), CliError> {
-    let cfg = &setup.cfg;
+    let cfg = &job.cfg;
     write!(out, "{}", profile.render_table())?;
     writeln!(out, "{}", wire_bytes_line(profile))?;
     if let Some(total) = cfg.mem_budget.total() {
@@ -366,42 +172,14 @@ fn assemble_finish(
         aln.seeds_skipped
     )?;
 
-    let mut seqs: Vec<Seq> = contigs.iter().map(|c| c.seq.clone()).collect();
-    if setup.scaffold {
-        let scfg = elba::core::scaffold::ScaffoldConfig {
-            k: cfg.kmer.k.min(21),
-            min_overlap: cfg.overlap.min_overlap,
-            ..Default::default()
-        };
-        let (scaffolds, stats) = elba::core::scaffold::scaffold_contigs(&seqs, &scfg);
+    if let Some(stats) = job.write_outputs(&contigs)? {
         writeln!(
             out,
             "scaffolding: {} contigs -> {} scaffolds ({} joins)",
             stats.input_contigs, stats.output_scaffolds, stats.joins
         )?;
-        seqs = scaffolds;
     }
-    write_seqs(&setup.out, "contig_", &seqs)?;
-
-    // The graph is the assembly's, not the scaffolder's: segment i is
-    // the contig that path i walks, whatever `--scaffold` wrote to --out.
-    if let Some(gfa_path) = &setup.gfa {
-        let mut graph = GfaGraph::new();
-        for (i, contig) in contigs.iter().enumerate() {
-            graph.add_segment(format!("contig_{i}"), contig.seq.clone());
-            graph.add_path(
-                format!("walk_{i}"),
-                contig
-                    .read_ids
-                    .iter()
-                    .map(|id| (format!("read_{id}"), false))
-                    .collect(),
-            );
-        }
-        let file = File::create(gfa_path).map_err(|e| format!("create {gfa_path}: {e}"))?;
-        graph
-            .write(BufWriter::new(file))
-            .map_err(|e| format!("write {gfa_path}: {e}"))?;
+    if let Some(gfa_path) = &job.gfa {
         writeln!(out, "assembly graph written to {gfa_path}")?;
     }
     Ok(())
@@ -413,17 +191,23 @@ fn assemble_finish(
 /// rank of a socket mesh and kills are process-mode. Either way the
 /// reads are read once, and only rank 0 prints and writes the outputs.
 fn cmd_assemble(
-    flags: HashMap<String, String>,
+    args: &[String],
     worker: Option<Worker>,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let setup = assemble_setup(&flags).map_err(CliError::usage)?;
-    if let Some(w) = worker.as_ref().filter(|w| w.rank >= setup.ranks) {
-        let message = format!("ELBA_RANK: rank {} outside --ranks {}", w.rank, setup.ranks);
+    let job = AssembleJob::parse(args, None).map_err(CliError::usage)?;
+    if let Some(w) = worker.as_ref().filter(|w| w.rank >= job.ranks) {
+        let message = format!("ELBA_RANK: rank {} outside --ranks {}", w.rank, job.ranks);
         return Err(CliError::usage(message));
     }
-    let reads = read_reads(&setup.reads)?;
-    let cfg = setup.cfg.clone();
+    let reads = job.read_reads().map_err(|e| match e {
+        ReadsError::TooLong(message) => CliError {
+            code: exit::READ_TOO_LONG,
+            message,
+        },
+        ReadsError::Unreadable(message) => CliError::failure(message),
+    })?;
+    let cfg = &job.cfg;
     if worker.as_ref().is_none_or(|w| w.rank == 0) {
         let transport = if worker.is_some() {
             "socket"
@@ -434,7 +218,7 @@ fn cmd_assemble(
             out,
             "assembling {} reads on {} {transport} ranks × {} thread(s) (k={}, spgemm={}{})",
             reads.len(),
-            setup.ranks,
+            job.ranks,
             cfg.kmer.threads,
             cfg.kmer.k,
             elba::sparse::algorithm_label(cfg.overlap.spgemm.algorithm),
@@ -445,31 +229,22 @@ fn cmd_assemble(
         )?;
     }
     let (output, profile) = match worker {
-        None => {
-            let mut runner = Runner::new(Backend::InProcess).ranks(setup.ranks);
-            if let Some(plan) = &setup.fault {
-                runner = runner.faults(plan);
-            }
-            let (mut outputs, profile) = runner
-                .try_run_profiled(move |comm| {
-                    let grid = ProcGrid::new(comm);
-                    assemble_gathered(&grid, &reads, &cfg)
-                })
-                .map_err(|failure| CliError {
-                    // Dead ranks are a typed outcome, not a panic: name
-                    // every casualty, root cause first, as `launch` does.
-                    code: exit::RANK_FAILED,
-                    message: format!("assemble: {failure}"),
-                })?;
-            (outputs.remove(0), profile)
-        }
+        None => job
+            .run(Backend::InProcess, reads)
+            .map_err(|failure| CliError {
+                // Dead ranks are a typed outcome, not a panic: name every
+                // casualty, root cause first, as `launch` does.
+                code: exit::RANK_FAILED,
+                message: format!("assemble: {failure}"),
+            })?,
         Some(worker) => {
+            let cfg = cfg.clone();
             let (gathered, _own_profile) = elba::comm::run_worker(
                 &worker.socket_dir,
                 worker.rank,
-                setup.ranks,
+                job.ranks,
                 worker.mesh_timeout,
-                setup.fault.as_ref(),
+                job.fault.as_ref(),
                 move |comm| {
                     // The profile gather must not disturb the named-phase
                     // wire-byte accounting: the auxiliary communicator is
@@ -510,7 +285,7 @@ fn cmd_assemble(
             (output, RunProfile::new(profiles))
         }
     };
-    assemble_finish(out, &setup, output, &profile)
+    assemble_finish(out, &job, output, &profile)
 }
 
 const LAUNCH_KNOWN: &[&str] = &["socket-dir", "launch-timeout"];
@@ -544,8 +319,9 @@ fn cmd_launch(rest: &[String]) -> Result<(), CliError> {
     };
     // The supervisor checks the job with the code every worker runs, so
     // a bad flag or value is one usage error and nothing is spawned.
-    let job = parse_flags(assemble_args, "assemble", ASSEMBLE_KNOWN).map_err(CliError::usage)?;
-    let ranks = assemble_setup(&job).map_err(CliError::usage)?.ranks;
+    let ranks = AssembleJob::parse(assemble_args, None)
+        .map_err(CliError::usage)?
+        .ranks;
 
     let exe =
         std::env::current_exe().map_err(|e| CliError::failure(format!("current_exe: {e}")))?;
@@ -764,76 +540,76 @@ fn cmd_evaluate(flags: HashMap<String, String>, out: &mut dyn Write) -> Result<(
 // elba serve
 // ---------------------------------------------------------------------
 
-/// Parse one job-file line of whitespace-separated `key=value` tokens:
-/// `name=j1 sim=celegans scale=0.05 seed=3 mem=32M fault=kill:1@phase:X`
-/// or `name=j2 fasta=/path/reads.fasta mem=16M`. Blank lines and `#`
-/// comments are skipped by the caller.
-fn parse_job_line(line: &str, lineno: usize) -> Result<JobSpec, String> {
-    let mut kv: HashMap<&str, &str> = HashMap::new();
-    for token in line.split_whitespace() {
-        let (key, value) = token
-            .split_once('=')
-            .ok_or_else(|| format!("jobs line {lineno}: token '{token}' is not key=value"))?;
-        if kv.insert(key, value).is_some() {
-            return Err(format!("jobs line {lineno}: duplicate key '{key}'"));
-        }
-    }
-    let name = kv
-        .get("name")
-        .ok_or_else(|| format!("jobs line {lineno}: missing name="))?
-        .to_string();
-    let input = match (kv.get("sim"), kv.get("fasta")) {
-        (Some(dataset), None) => {
-            let scale: f64 = kv.get("scale").map_or(Ok(0.1), |raw| {
-                raw.parse()
-                    .map_err(|_| format!("jobs line {lineno}: scale '{raw}'"))
-            })?;
-            let seed: u64 = kv.get("seed").map_or(Ok(1), |raw| {
-                raw.parse()
-                    .map_err(|_| format!("jobs line {lineno}: seed '{raw}'"))
-            })?;
-            JobInput::Sim {
-                dataset: dataset.to_string(),
-                scale,
-                seed,
-            }
-        }
-        (None, Some(path)) => JobInput::FastaPath(path.to_string()),
-        _ => {
-            return Err(format!(
-                "jobs line {lineno}: need exactly one of sim=DATASET or fasta=PATH"
-            ))
-        }
-    };
-    let budget_bytes = match kv.get("mem") {
-        None => 0,
-        Some(raw) => MemBudget::parse(raw)
-            .map_err(|e| format!("jobs line {lineno}: mem: {e}"))?
-            .total()
-            .unwrap_or(0),
-    };
-    Ok(JobSpec {
-        name,
-        input,
-        budget_bytes,
-        fault: kv.get("fault").map(|f| f.to_string()),
-    })
+/// One job-file line: a job name, then the `elba assemble` flags that
+/// are the job.
+struct JobLine {
+    lineno: usize,
+    name: String,
+    args: Vec<String>,
 }
 
-fn read_job_file(path: &str) -> Result<Vec<JobSpec>, String> {
+/// Read a job file of `NAME: <assemble flags>` lines; blank lines and
+/// `#` comments are skipped. A job's flags are the server's to check,
+/// but the batch is refused here when two lines name one job, or when a
+/// path one job writes (`--out`, `--gfa`) is named by another: the jobs
+/// would race on the file.
+fn read_job_file(path: &str) -> Result<Vec<JobLine>, String> {
     let raw = std::fs::read_to_string(path).map_err(|e| format!("open {path}: {e}"))?;
-    let mut specs = Vec::new();
+    let mut jobs: Vec<JobLine> = Vec::new();
+    let mut names: HashMap<String, usize> = HashMap::new();
+    // Every path named so far: the first line naming it, and whether a
+    // job writes it.
+    let mut paths: HashMap<String, (usize, bool)> = HashMap::new();
     for (i, line) in raw.lines().enumerate() {
-        let line = line.trim();
+        let (lineno, line) = (i + 1, line.trim());
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        specs.push(parse_job_line(line, i + 1)?);
+        let Some((name, args)) = line
+            .split_once(':')
+            .map(|(name, args)| (name.trim(), args))
+            .filter(|(name, _)| !name.is_empty() && !name.contains(char::is_whitespace))
+        else {
+            return Err(format!(
+                "jobs line {lineno}: expected 'NAME: <assemble flags>', got '{line}'"
+            ));
+        };
+        if let Some(first) = names.insert(name.to_owned(), lineno) {
+            return Err(format!(
+                "jobs lines {first} and {lineno} both name job '{name}'"
+            ));
+        }
+        let args: Vec<String> = args.split_whitespace().map(str::to_owned).collect();
+        // A line whose flags do not parse names no path: submit rejects it.
+        if let Ok(flags) = parse_flags(&args, "assemble", ASSEMBLE_FLAGS) {
+            for (key, writes) in [("reads", false), ("out", true), ("gfa", true)] {
+                let Some(file) = flags.get(key) else { continue };
+                match paths.entry(file.clone()) {
+                    Entry::Vacant(slot) => {
+                        slot.insert((lineno, writes));
+                    }
+                    Entry::Occupied(slot) => {
+                        let (first, first_writes) = *slot.get();
+                        if writes || first_writes {
+                            return Err(format!(
+                                "jobs lines {first} and {lineno} both name '{file}', \
+                                 which a job writes"
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        jobs.push(JobLine {
+            lineno,
+            name: name.to_owned(),
+            args,
+        });
     }
-    if specs.is_empty() {
+    if jobs.is_empty() {
         return Err(format!("{path}: no jobs"));
     }
-    Ok(specs)
+    Ok(jobs)
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -844,14 +620,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-const SERVE_KNOWN: &[&str] = &[
-    "jobs",
-    "groups",
-    "group-ranks",
-    "threads",
-    "transport",
-    "host-mem",
-];
+const SERVE_KNOWN: &[&str] = &["jobs", "groups", "group-ranks", "transport", "host-mem"];
 
 /// `elba serve`: run a batch of assembly jobs over a fixed pool of
 /// supervised rank groups with budget admission control. Exits 0 iff
@@ -860,7 +629,6 @@ const SERVE_KNOWN: &[&str] = &[
 fn cmd_serve(flags: HashMap<String, String>, out: &mut dyn Write) -> Result<(), CliError> {
     let groups: usize = num(&flags, "groups", 2).map_err(CliError::usage)?;
     let group_ranks: usize = num(&flags, "group-ranks", 4).map_err(CliError::usage)?;
-    let threads = threads_flag(&flags).map_err(CliError::usage)?;
     if groups == 0 {
         return Err(CliError::usage("--groups must be at least 1"));
     }
@@ -884,7 +652,7 @@ fn cmd_serve(flags: HashMap<String, String>, out: &mut dyn Write) -> Result<(), 
             MemBudget::parse(raw).map_err(|e| CliError::usage(format!("--host-mem: {e}")))?
         }
     };
-    let specs =
+    let jobs =
         read_job_file(get(&flags, "jobs").map_err(CliError::usage)?).map_err(CliError::usage)?;
 
     writeln!(
@@ -897,20 +665,19 @@ fn cmd_serve(flags: HashMap<String, String>, out: &mut dyn Write) -> Result<(), 
         host_cap
             .total()
             .map_or("unlimited".to_string(), |b| b.to_string()),
-        specs.len()
+        jobs.len()
     )?;
     let server = Server::start(ServeConfig {
         groups,
         group_ranks,
         backend,
         host_cap,
-        threads,
     });
     let started = Instant::now();
     let mut rejected = 0usize;
-    for spec in specs {
-        if let Err(e) = server.submit(spec.clone()) {
-            writeln!(out, "job {}: REJECTED: {e}", spec.name)?;
+    for job in &jobs {
+        if let Err(e) = server.submit(&job.name, &job.args) {
+            writeln!(out, "job {} (line {}): REJECTED: {e}", job.name, job.lineno)?;
             rejected += 1;
         }
     }
@@ -922,16 +689,11 @@ fn cmd_serve(flags: HashMap<String, String>, out: &mut dyn Write) -> Result<(), 
     let mut fault_killed = 0usize;
     for r in &results {
         match &r.outcome {
-            JobOutcome::Completed {
-                contigs, report, ..
-            } => {
+            JobOutcome::Completed { contigs, .. } => {
                 completed += 1;
-                let quality = report.as_ref().map_or(String::new(), |q| {
-                    format!(" completeness={:.1}% ng50={}", q.completeness, q.ng50)
-                });
                 writeln!(
                     out,
-                    "job {}: completed in {:.2}s (queued {:.2}s) contigs={}{quality}",
+                    "job {}: completed in {:.2}s (queued {:.2}s) contigs={}",
                     r.name,
                     r.run_secs,
                     r.queued_secs,
@@ -1004,10 +766,11 @@ fn usage() -> String {
      \u{20}        column-batched under it, pipelined without it)\n\
      \u{20}        (--fault: e.g. kill:1@phase:Alignment — a killed rank fails\n\
      \u{20}        the run with exit 10)\n\
-     serve    --jobs jobs.txt [--groups 2] [--group-ranks 4] [--threads 1]\n\
+     serve    --jobs jobs.txt [--groups 2] [--group-ranks 4]\n\
      \u{20}        [--transport inprocess|socket] [--host-mem 512M]\n\
-     \u{20}        (job lines: name=j1 sim=celegans scale=0.05 seed=3 mem=32M\n\
-     \u{20}        [fault=kill:1@phase:Alignment] — or fasta=reads.fasta)\n\
+     \u{20}        (a job line is `NAME: <assemble flags>`, e.g. `j1: --reads\n\
+     \u{20}        r.fasta --out j1.fasta --mem-budget 16M`; --ranks is the\n\
+     \u{20}        group's; a job claims its --mem-budget × ranks of --host-mem)\n\
      launch   [--launch-timeout 600] [--socket-dir DIR] -- assemble <flags>...\n\
      \u{20}        (the assemble job with every rank a supervised process on a\n\
      \u{20}        Unix-socket mesh; first abnormal exit kills the survivors)\n\
@@ -1053,7 +816,7 @@ fn run(command: &str, rest: &[String], out: &mut dyn Write) -> Result<(), CliErr
     let flags = |known: &[&str]| parse_flags(rest, command, known).map_err(CliError::usage);
     match command {
         "simulate" => cmd_simulate(flags(SIMULATE_KNOWN)?, out),
-        "assemble" => cmd_assemble(flags(ASSEMBLE_KNOWN)?, worker, out),
+        "assemble" => cmd_assemble(rest, worker, out),
         "serve" => cmd_serve(flags(SERVE_KNOWN)?, out),
         "evaluate" => cmd_evaluate(flags(EVALUATE_KNOWN)?, out),
         "launch" => cmd_launch(rest),

@@ -192,25 +192,33 @@ mod hostile_cli_values {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A malformed job line is rejected while the others run. A batch
+    /// whose lines name one job twice, or whose jobs would race on a
+    /// file one of them writes, is a usage error naming both lines.
     #[test]
-    fn serve_rejects_an_over_scaled_job_line_and_runs_the_rest() {
+    fn serve_rejects_a_malformed_job_line_and_runs_the_rest() {
         let dir = scratch("serve");
+        let reads = tiny_reads(&dir);
         let jobs = dir.join("jobs.txt");
-        std::fs::write(
-            &jobs,
-            "name=j0 sim=celegans scale=1e12 seed=1\nname=j1 sim=celegans scale=0.02 seed=2\n",
-        )
-        .expect("write job file");
-        let jobs_arg = jobs.to_str().expect("utf-8 temp path");
-        let out = elba(&[
-            "serve",
-            "--jobs",
-            jobs_arg,
-            "--groups",
-            "1",
-            "--group-ranks",
-            "1",
-        ]);
+        let (reads, jobs_arg) = (path_arg(&reads), path_arg(&jobs));
+        let [out0, out1] = ["j0.fa", "j1.fa"].map(|name| dir.join(name));
+        let (o0, o1) = (path_arg(&out0), path_arg(&out1));
+        let serve = |lines: String| {
+            std::fs::write(&jobs, lines).expect("write job file");
+            elba(&[
+                "serve",
+                "--jobs",
+                jobs_arg,
+                "--groups",
+                "1",
+                "--group-ranks",
+                "1",
+            ])
+        };
+
+        let out = serve(format!(
+            "j0: --reads {reads} --out {o0} --k 0\nj1: --reads {reads} --out {o1}\n"
+        ));
         let (stdout, stderr) = (
             String::from_utf8_lossy(&out.stdout),
             String::from_utf8_lossy(&out.stderr),
@@ -218,13 +226,44 @@ mod hostile_cli_values {
         // a reject makes the batch exit 1; what matters is that it exits
         assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
         assert!(!stderr.contains("panicked at"), "{stderr}");
-        assert!(stdout.contains("job j0: REJECTED"), "{stdout}");
+        assert!(stdout.contains("job j0 (line 1): REJECTED"), "{stdout}");
         assert!(stdout.contains("job j1: completed"), "{stdout}");
         assert!(stdout.contains("completed=1 failed=0 fault-killed=0 rejected=1"));
+        assert!(!out0.exists() && out1.exists());
 
-        // `--threads 0` is a usage error here as it is for `assemble`.
+        for (lines, message) in [
+            (
+                format!("a: --reads {reads} --out {o0}\nb: --reads {reads} --out {o0}\n"),
+                format!("jobs lines 1 and 2 both name '{o0}'"),
+            ),
+            (
+                format!("a: --reads {reads} --out {o0}\nb: --reads {o0} --out {o1}\n"),
+                format!("jobs lines 1 and 2 both name '{o0}'"),
+            ),
+            (
+                format!("a: --reads {reads} --out {o0}\n\nb: --reads {reads} --gfa {o0}\n"),
+                format!("jobs lines 1 and 3 both name '{o0}'"),
+            ),
+            (
+                format!("a: --reads {reads} --out {o0}\na: --reads {reads} --out {o1}\n"),
+                "jobs lines 1 and 2 both name job 'a'".to_owned(),
+            ),
+        ] {
+            let out = serve(lines);
+            assert_usage_error(&out, &message);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(&message), "{stderr}");
+            assert!(out.stdout.is_empty(), "{message}: no job ran");
+        }
+
+        // A job's `--threads` is its own: `serve` has no such flag.
         let out = elba(&["serve", "--jobs", jobs_arg, "--threads", "0"]);
         assert_usage_error(&out, "serve --threads 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown flag --threads for 'serve'"),
+            "{stderr}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
