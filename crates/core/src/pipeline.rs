@@ -278,11 +278,11 @@ pub fn string_graph(grid: &ProcGrid, store: &ReadStore, cfg: &PipelineConfig) ->
     drop(_c_charge);
 
     // TrReduction: R → S (line 10). R's pipeline-level charge is
-    // released *before* the reduction: R is freed inside the call, as
-    // soon as S has been pruned out of it, and the masked sweep holds
-    // its own shared guard on R's block (keyed on the same Arc) until
-    // then — a guard held out here would go on charging a matrix that
-    // is gone.
+    // released *before* the reduction: the call consumes R into its hop
+    // projection in R's own buffers and charges that projection and its
+    // side array itself — a guard held out here would keep R's block
+    // shared, so the projection would copy it, and would go on charging
+    // a matrix that is gone.
     let (s, _s_charge, reduction_stats) = {
         let _g = world.phase("TrReduction");
         drop(_r_charge);

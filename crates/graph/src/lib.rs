@@ -5,7 +5,8 @@
 //!
 //! * [`semirings`] — the BELLA overlap-detection semiring (shared-k-mer
 //!   counting with ≤2 retained seeds) and the direction-aware min-plus
-//!   semiring driving transitive reduction,
+//!   semiring driving transitive reduction, over the 5-byte [`Hop`]
+//!   projection of an edge,
 //! * [`overlap_stage`] — `C = AAᵀ` over SUMMA, x-drop alignment of every
 //!   candidate pair, classification into containment / internal /
 //!   dovetail, and assembly of the symmetric overlap matrix `R` with
@@ -22,4 +23,6 @@ pub use overlap_stage::{
     AlignStats, OverlapConfig, SeedChaining,
 };
 pub use reduction::{symmetrize, transitive_reduction_with, ReductionStats};
-pub use semirings::{dir_index, MinPlusDir, OverlapSemiring, ReductionSemiring, Seed, SharedSeeds};
+pub use semirings::{
+    dir_index, Hop, MinPlusDir, OverlapSemiring, ReductionSemiring, Seed, SharedSeeds,
+};

@@ -12,12 +12,18 @@
 //! ([`DistMat::prune_by_product`]: `R` masks its own square), and all
 //! marked edges are removed simultaneously in one sweep — which is
 //! already the fixed point (see [`transitive_reduction_with`]).
+//!
+//! The sweep runs on `R`'s [`Hop`] projection: the product reads only
+//! an edge's suffix and arrowheads, so the stage broadcasts ship 5 bytes
+//! per edge, and each edge's `(pre, post)` waits on its own rank in an
+//! array aligned with the block's entries until the kept edges take it
+//! back.
 
 use elba_align::SgEdge;
 use elba_comm::ProcGrid;
-use elba_sparse::{DistMat, SpGemmOptions};
+use elba_sparse::{Csr, DistMat, SpGemmOptions};
 
-use crate::semirings::{dir_index, MinPlusDir, ReductionSemiring};
+use crate::semirings::{Hop, MinPlusDir, ReductionSemiring};
 
 /// Outcome of the reduction.
 #[derive(Debug, Clone, Copy)]
@@ -35,9 +41,10 @@ pub struct ReductionStats {
 /// sweep keeps and `N₁ = S₁ ⊗ S₁`. Every two-hop path in `S₁` is a
 /// two-hop path in `R` with the same edge values, so `N₁ ≥ N` entry for
 /// entry and direction for direction (`saturating_add` and the
-/// `u32::MAX` "no path" value are monotone too). A kept edge has
-/// `N(e)[dir] > suffix(e) + fuzz`, hence `N₁(e)[dir] > suffix(e) + fuzz`:
-/// a second sweep would keep it.
+/// `u32::MAX` "no path" value are monotone too). A kept edge has no
+/// path in its direction (`N(e)[dir] = u32::MAX`, hence
+/// `N₁(e)[dir] = u32::MAX`) or `N(e)[dir] > suffix(e) + fuzz`, hence
+/// `N₁(e)[dir] > suffix(e) + fuzz`: a second sweep would keep it.
 ///
 /// `max_iters` is vestigial, kept because callers outside this crate
 /// still pass it: `0` returns `r` untouched with `iterations = 0`, any
@@ -53,11 +60,7 @@ pub fn transitive_reduction_with(
     let (s, iterations) = if max_iters == 0 {
         (r, 0)
     } else {
-        let keep =
-            |_, _, edge: &SgEdge, two_hop: Option<&MinPlusDir>| keeps_edge(edge, two_hop, fuzz);
-        let s = r.prune_by_product(grid, &r, &r, &ReductionSemiring, opts, keep);
-        drop(r);
-        (s, 1)
+        (sweep(grid, r, fuzz, opts), 1)
     };
     let nnz_after = s.nnz_global(grid);
     (
@@ -71,11 +74,89 @@ pub fn transitive_reduction_with(
     )
 }
 
-/// The reduction rule: keep `edge` unless a two-hop path in its own
-/// direction is at most `fuzz` longer.
-fn keeps_edge(edge: &SgEdge, two_hop: Option<&MinPlusDir>, fuzz: u32) -> bool {
+/// The masked sweep on `r`'s hop projection. `r` is consumed into it —
+/// the index arrays move over and the values split into hops and a
+/// `(pre, post)` side array — so `R` and the projection are never
+/// resident together (8 B of hop and 8 B of side is what the 16 B edge
+/// took). Mask and both SUMMA operands are the projection's one `Arc`,
+/// so the rank's own block is charged once. `prune_by_product` runs
+/// `keep` once per mask entry in storage order, so the predicate
+/// compacts the side array in place, and the kept hops then take their
+/// `(pre, post)` back.
+fn sweep(grid: &ProcGrid, r: DistMat<SgEdge>, fuzz: u32, opts: &SpGemmOptions) -> DistMat<SgEdge> {
+    let (nrows, ncols) = (r.nrows(), r.ncols());
+    let local = r.into_local();
+    let (block_rows, block_cols) = (local.nrows(), local.ncols());
+    let (indptr, indices, edges) = local.into_parts();
+    let mut side = Vec::with_capacity(edges.len());
+    // `collect` writes each hop over the edge it was read from (std
+    // reuses a `vec::IntoIter`'s buffer for a smaller element) and
+    // `shrink_to_fit` hands the tail back: `R`'s values become the hops
+    // in place instead of sitting beside them, and the side array is
+    // the one fresh allocation.
+    let mut hops: Vec<Hop> = edges
+        .into_iter()
+        .map(|edge| {
+            side.push((edge.pre, edge.post));
+            Hop::of(&edge)
+        })
+        .collect();
+    hops.shrink_to_fit();
+    let _side_charge = grid
+        .world()
+        .mem_charge(side.len() * std::mem::size_of::<(u32, u32)>());
+    let p = DistMat::from_local(
+        grid,
+        nrows,
+        ncols,
+        Csr::from_parts(block_rows, block_cols, indptr, indices, hops),
+    );
+    let (mut next, mut kept) = (0, 0);
+    let s = p.prune_by_product(
+        grid,
+        &p,
+        &p,
+        &ReductionSemiring,
+        opts,
+        |_, _, hop, two_hop| {
+            let keep = keeps_edge(hop, two_hop, fuzz);
+            if keep {
+                side[kept] = side[next];
+                kept += 1;
+            }
+            next += 1;
+            keep
+        },
+    );
+    drop(p);
+    let (indptr, indices, hops) = s.into_local().into_parts();
+    let edges = hops
+        .into_iter()
+        .zip(&side[..kept])
+        .map(|(hop, &(pre, post))| SgEdge {
+            pre,
+            post,
+            src_rev: hop.src_rev,
+            dst_rev: hop.dst_rev,
+            suffix: hop.suffix,
+        })
+        .collect();
+    DistMat::from_local(
+        grid,
+        nrows,
+        ncols,
+        Csr::from_parts(block_rows, block_cols, indptr, indices, edges),
+    )
+}
+
+/// The reduction rule: keep `hop` unless a two-hop path in its own
+/// direction is at most `fuzz` longer. `u32::MAX` in that direction is
+/// "no path" even where `suffix + fuzz` saturates to it: reads are
+/// under 2³¹ bases, so no real two-hop sum reaches it.
+fn keeps_edge(hop: &Hop, two_hop: Option<&MinPlusDir>, fuzz: u32) -> bool {
     two_hop.is_none_or(|paths| {
-        paths.per_dir[dir_index(edge.src_rev, edge.dst_rev)] > edge.suffix.saturating_add(fuzz)
+        let shortest = paths.per_dir[hop.dir()];
+        shortest == u32::MAX || shortest > hop.suffix.saturating_add(fuzz)
     })
 }
 
@@ -109,9 +190,10 @@ mod tests {
         let mut nnz_after_sweep = Vec::new();
         loop {
             let before = s.nnz_global(grid);
-            let n = s.spgemm_with(grid, &s, &ReductionSemiring, &SpGemmOptions::eager());
+            let hops = hops_of(grid, &s);
+            let n = hops.spgemm_with(grid, &hops, &ReductionSemiring, &SpGemmOptions::eager());
             s = s.zip_prune(grid, &n, |_, _, edge, two_hop| {
-                keeps_edge(edge, two_hop, fuzz)
+                keeps_edge(&Hop::of(edge), two_hop, fuzz)
             });
             let after = s.nnz_global(grid);
             nnz_after_sweep.push(after);
@@ -119,6 +201,19 @@ mod tests {
                 return (s, nnz_after_sweep);
             }
         }
+    }
+
+    /// `s` projected to hops by copy, leaving `s` as it was.
+    fn hops_of(grid: &ProcGrid, s: &DistMat<SgEdge>) -> DistMat<Hop> {
+        let local = s.local();
+        let block = Csr::from_parts(
+            local.nrows(),
+            local.ncols(),
+            local.indptr().to_vec(),
+            local.indices().to_vec(),
+            local.values().iter().map(Hop::of).collect(),
+        );
+        DistMat::from_local(grid, s.nrows(), s.ncols(), block)
     }
 
     /// A random bidirected graph dense in two-hop paths: mixed strands,

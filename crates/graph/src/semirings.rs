@@ -212,6 +212,62 @@ impl MinPlusDir {
     };
 }
 
+/// What transitive reduction reads of an edge: its overhang and its two
+/// arrowheads. The reduction's SUMMA runs on `R` projected to hops, so
+/// a stage broadcast carries 5 bytes per edge instead of a 16-byte
+/// [`SgEdge`] whose `pre` and `post` the product never reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hop {
+    pub suffix: u32,
+    pub src_rev: bool,
+    pub dst_rev: bool,
+}
+
+impl Hop {
+    /// The hop of a string-graph edge.
+    #[inline]
+    pub fn of(edge: &SgEdge) -> Hop {
+        Hop {
+            suffix: edge.suffix,
+            src_rev: edge.src_rev,
+            dst_rev: edge.dst_rev,
+        }
+    }
+
+    /// The hop's direction pair, [`dir_index`].
+    #[inline]
+    pub fn dir(&self) -> usize {
+        dir_index(self.src_rev, self.dst_rev)
+    }
+}
+
+/// The `u32` suffix and one flag byte holding [`Hop::dir`], booked at
+/// those 5 bytes rather than `size_of` (as [`AEntry`] books its packed
+/// 4). A flag byte above 3 is a malformed frame.
+impl CommMsg for Hop {
+    #[inline]
+    fn nbytes(&self) -> usize {
+        5
+    }
+
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        self.suffix.wire_encode(out);
+        out.push(self.dir() as u8);
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let suffix = u32::wire_decode(r)?;
+        match u8::wire_decode(r)? {
+            flags @ 0..=3 => Ok(Hop {
+                suffix,
+                src_rev: flags & 2 != 0,
+                dst_rev: flags & 1 != 0,
+            }),
+            _ => Err(WireError::Malformed("hop flags")),
+        }
+    }
+}
+
 /// Transitive-reduction semiring (diBELLA 2D): composing `u→w` with
 /// `w→v` is legal only when `w` is traversed in one consistent
 /// orientation (`dst_rev(u→w) == src_rev(w→v)`); the product records the
@@ -220,12 +276,12 @@ impl MinPlusDir {
 pub struct ReductionSemiring;
 
 impl Semiring for ReductionSemiring {
-    type A = SgEdge;
-    type B = SgEdge;
+    type A = Hop;
+    type B = Hop;
     type Out = MinPlusDir;
 
     #[inline]
-    fn multiply(&self, e1: &SgEdge, e2: &SgEdge) -> Option<MinPlusDir> {
+    fn multiply(&self, e1: &Hop, e2: &Hop) -> Option<MinPlusDir> {
         if e1.dst_rev != e2.src_rev {
             return None;
         }
@@ -294,31 +350,39 @@ mod tests {
     #[test]
     fn reduction_semiring_requires_consistent_middle() {
         let s = ReductionSemiring;
-        let e1 = SgEdge {
-            pre: 0,
-            post: 0,
-            src_rev: false,
-            dst_rev: false,
-            suffix: 10,
+        let hop = |src_rev, dst_rev, suffix| Hop {
+            suffix,
+            src_rev,
+            dst_rev,
         };
-        let e2 = SgEdge {
-            pre: 0,
-            post: 0,
-            src_rev: false,
-            dst_rev: true,
-            suffix: 20,
-        };
-        let product = s.multiply(&e1, &e2).expect("compatible");
+        let product = s
+            .multiply(&hop(false, false, 10), &hop(false, true, 20))
+            .expect("compatible");
         assert_eq!(product.per_dir[dir_index(false, true)], 30);
         // incompatible middle orientation annihilates
-        let e3 = SgEdge {
-            pre: 0,
-            post: 0,
-            src_rev: true,
-            dst_rev: false,
-            suffix: 20,
-        };
-        assert_eq!(s.multiply(&e1, &e3), None);
+        assert_eq!(
+            s.multiply(&hop(false, false, 10), &hop(true, false, 20)),
+            None
+        );
+    }
+
+    #[test]
+    fn a_hop_keeps_what_the_reduction_reads_of_an_edge() {
+        for (src_rev, dst_rev) in [(false, false), (false, true), (true, false), (true, true)] {
+            let edge = SgEdge {
+                pre: 7,
+                post: 9,
+                src_rev,
+                dst_rev,
+                suffix: 120,
+            };
+            let hop = Hop::of(&edge);
+            assert_eq!(
+                (hop.suffix, hop.src_rev, hop.dst_rev),
+                (120, src_rev, dst_rev)
+            );
+            assert_eq!(hop.dir(), dir_index(src_rev, dst_rev));
+        }
     }
 
     #[test]

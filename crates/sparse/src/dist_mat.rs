@@ -573,7 +573,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// callers holding a `SharedMemCharge` on the block should drop the
     /// guard before a consuming operation (see the TrReduction ordering
     /// in `elba-core`).
-    fn into_local(self) -> Csr<T> {
+    pub fn into_local(self) -> Csr<T> {
         Arc::try_unwrap(self.local).unwrap_or_else(|arc| (*arc).clone())
     }
 
@@ -803,6 +803,13 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// `C⟨M⟩ = A ⊗ B`), so no product matrix ever exists. `self` must be
     /// laid out like the product; block `(i, j)` of both is on the same
     /// rank, so the mask costs no communication.
+    ///
+    /// `keep` runs exactly once per entry of this rank's mask block, in
+    /// the block's storage (row-major) order, after the last stage —
+    /// whatever the schedule or thread count — so a caller may keep
+    /// per-entry state in an array aligned with the block's entries and
+    /// walk it from inside `keep` (transitive reduction compacts its
+    /// `(pre, post)` side array that way).
     ///
     /// One SUMMA over `stage_blocks` — the same broadcasts as
     /// the general product, call for call — folding every stage into

@@ -5,7 +5,10 @@
 //! `None` where the product has no entry — and must return exactly what
 //! `zip_prune` against that product returns. For every schedule row,
 //! rank count and thread count; the general product under the eager
-//! schedule is the oracle.
+//! schedule is the oracle. On every rank the predicate must also run
+//! exactly once per mask entry, in the block's storage order: the
+//! transitive reduction walks an array aligned with the mask's entries
+//! from inside it.
 
 mod common;
 
@@ -94,6 +97,8 @@ where
             });
             let (seen, kept) = gathered(seen, kept);
             out.push(("oracle".to_owned(), seen, kept));
+            let storage_order: Vec<(u64, u64)> =
+                mask.iter_global(&grid).map(|(r, c, _)| (r, c)).collect();
             for (label, opts) in schedule_rows(96, switch_bytes(&grid, &a, &b)) {
                 for threads in [1usize, 2, 4] {
                     let opts = opts.with_threads(threads);
@@ -108,6 +113,11 @@ where
                             seen.push((r, c, v, product.cloned()));
                             keeps(v, product)
                         },
+                    );
+                    let order: Vec<(u64, u64)> = seen.iter().map(|e| (e.0, e.1)).collect();
+                    assert_eq!(
+                        order, storage_order,
+                        "{label} t={threads} p={p}: keep must run once per mask entry, in storage order"
                     );
                     let (seen, kept) = gathered(seen, kept);
                     out.push((format!("{label} t={threads}"), seen, kept));

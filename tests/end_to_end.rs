@@ -546,3 +546,57 @@ fn contig_stage_wire_traffic_matches_golden_constants() {
         "ExtractContig:* (msgs, bytes)"
     );
 }
+
+/// Golden wire pin for transitive reduction: per-rank messages and bytes
+/// of the `TrReduction` phase — the masked sweep's SUMMA stage
+/// broadcasts and `symmetrize`'s transpose swap, as the pipeline runs
+/// them — at p = 4 on the contig-stage pin's chain graph. Its 770 edges
+/// all join overlapping reads, so the sweep removes none; the chain ids
+/// put them in the diagonal blocks (386 on rank 0, 384 on rank 3).
+///
+/// Recorded when the sweep started to run on `R`'s hop projection. On
+/// the 2×2 grid every rank roots one row and one column broadcast of its
+/// own block, so each edge crosses the wire twice, and a 5-byte hop in
+/// place of a 16-byte `SgEdge` is 11 bytes fewer each time: 22 × 386 =
+/// 8 492 bytes off rank 0 (18 800 → 10 308) and 22 × 384 = 8 448 off
+/// rank 3 (18 696 → 10 248). The off-diagonal ranks broadcast empty
+/// blocks: their bytes, and every rank's message count, did not move.
+#[test]
+fn reduction_wire_traffic_matches_golden_constants() {
+    // (msgs, bytes) per rank.
+    const TR_REDUCTION: [(u64, u64); 4] = [(10, 10308), (11, 3344), (11, 3368), (10, 10248)];
+    let (reads, triples) = fixed_chain_graph(24, 17);
+    let n = reads.len();
+    let (out, profile) = Runner::new(Backend::InProcess)
+        .ranks(4)
+        .run_profiled(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let world = grid.world();
+            let share = |rank: usize| triples.len() * rank / world.size();
+            let mine = triples[share(world.rank())..share(world.rank() + 1)].to_vec();
+            let r = DistMat::from_triples(&grid, n, n, mine, |_, _| unreachable!());
+            let block_nnz = r.local().nnz();
+            let _g = world.phase("TrReduction");
+            let (s, stats) = elba::graph::transitive_reduction_with(
+                &grid,
+                r,
+                5,
+                1,
+                &elba::sparse::SpGemmOptions::default(),
+            );
+            let s = elba::graph::symmetrize(&grid, s);
+            (block_nnz, stats.removed, s.nnz_global(&grid))
+        });
+    let blocks: Vec<usize> = out.iter().map(|&(nnz, _, _)| nnz).collect();
+    assert_eq!(blocks, [386, 0, 0, 384]);
+    assert_eq!((out[0].1, out[0].2), (0, 770), "(removed, kept)");
+    let traffic: Vec<(u64, u64)> = profile
+        .rank_profiles()
+        .iter()
+        .map(|rank| {
+            let phase = rank.phase("TrReduction").expect("phase recorded");
+            (phase.p2p_msgs + phase.coll_calls(), phase.bytes_sent())
+        })
+        .collect();
+    assert_eq!(traffic, TR_REDUCTION, "TrReduction (msgs, bytes)");
+}

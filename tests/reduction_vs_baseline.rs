@@ -64,15 +64,14 @@ fn assert_matches_baseline(what: &str, n: usize, edges: &Edges, fuzz: u32) -> us
 
 #[test]
 fn random_bidirected_graphs_reduce_like_the_serial_baseline() {
-    let mut removed = 0;
+    let (mut removed, mut saturated_removed) = (0, 0);
     for seed in 0..12u64 {
         let mut rng = StdRng::seed_from_u64(4100 + seed);
         let n = rng.gen_range(5..45usize);
         let target = rng.gen_range(n..n * (n - 1) / 3);
         // Small suffixes, so two-hop sums land on both sides of
-        // `suffix + fuzz` and exactly on it. (Nothing near `u32::MAX`:
-        // there the min-plus product's "no path" value and a saturated
-        // sum coincide, which the adjacency walk has no counterpart of.)
+        // `suffix + fuzz` and exactly on it. Real overhangs are small
+        // too: a read is under 2³¹ bases, so no two-hop sum saturates.
         let mut seen = std::collections::BTreeSet::new();
         let mut edges: Edges = Vec::new();
         while edges.len() < target {
@@ -94,8 +93,35 @@ fn random_bidirected_graphs_reduce_like_the_serial_baseline() {
         }
         let fuzz = rng.gen_range(0..6);
         removed += assert_matches_baseline(&format!("seed {seed}"), n, &edges, fuzz);
+        // Every `suffix + fuzz` saturates to the product's "no path"
+        // value: an edge goes exactly when a path runs in its direction.
+        saturated_removed += assert_matches_baseline(&format!("seed {seed}"), n, &edges, u32::MAX);
     }
     assert!(removed > 50, "the graphs held almost nothing transitive");
+    assert!(saturated_removed > removed);
+}
+
+/// The smallest case of a path in another direction: 0→1→2 composes to
+/// a forward-reverse path and the direct 0→2 edge is forward-forward,
+/// so nothing is transitive at any fuzz — `u32::MAX`, where `suffix +
+/// fuzz` saturates to the "no path" value, included.
+#[test]
+fn a_path_in_another_direction_removes_no_edge_at_any_fuzz() {
+    let edge = |src_rev, dst_rev, suffix| SgEdge {
+        pre: 0,
+        post: 0,
+        src_rev,
+        dst_rev,
+        suffix,
+    };
+    let edges: Edges = vec![
+        (0, 1, edge(false, false, 10)),
+        (1, 2, edge(false, true, 10)),
+        (0, 2, edge(false, false, 20)),
+    ];
+    for fuzz in [5, 1 << 31, u32::MAX] {
+        assert_eq!(assert_matches_baseline("three edges", 3, &edges, fuzz), 0);
+    }
 }
 
 #[test]

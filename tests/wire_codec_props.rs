@@ -7,7 +7,7 @@
 use elba::align::SgEdge;
 use elba::comm::transport::wire::{WireError, WireReader};
 use elba::comm::CommMsg;
-use elba::graph::{Seed, SharedSeeds};
+use elba::graph::{Hop, Seed, SharedSeeds};
 use elba::seq::AEntry;
 use elba::sparse::{Csr, Dcsc};
 use proptest::prelude::*;
@@ -110,6 +110,76 @@ fn a_entries_travel_as_one_u32() {
     let one = encoded(&EDGE_ENTRIES[3]);
     let mut reader = WireReader::new(&one[..3]);
     assert!(AEntry::wire_decode(&mut reader).is_err());
+}
+
+/// The extreme hops: every direction pair, the shortest and the longest
+/// suffix.
+const EDGE_HOPS: [Hop; 4] = [
+    Hop {
+        suffix: 0,
+        src_rev: false,
+        dst_rev: false,
+    },
+    Hop {
+        suffix: 1,
+        src_rev: false,
+        dst_rev: true,
+    },
+    Hop {
+        suffix: u32::MAX - 1,
+        src_rev: true,
+        dst_rev: false,
+    },
+    Hop {
+        suffix: u32::MAX,
+        src_rev: true,
+        dst_rev: true,
+    },
+];
+
+#[test]
+fn hops_travel_as_five_bytes() {
+    for hop in EDGE_HOPS {
+        assert_eq!(round_trip(&hop), hop);
+        // A `u32` and one flag byte, booked at exactly what the frame
+        // carries, alone and in a vector.
+        assert_eq!(hop.nbytes(), 5);
+        assert_eq!(encoded(&hop).len(), hop.nbytes());
+    }
+    let hops = EDGE_HOPS.to_vec();
+    assert_eq!(round_trip(&hops), hops);
+    assert_eq!(hops.nbytes(), 8 + 5 * hops.len());
+    assert_eq!(encoded(&hops).len(), hops.nbytes());
+    // Every strict prefix of an encoding is an error, never a value.
+    let buf = encoded(&hops);
+    for cut in 0..buf.len() {
+        let mut reader = WireReader::new(&buf[..cut]);
+        assert!(matches!(
+            Vec::<Hop>::wire_decode(&mut reader),
+            Err(WireError::Truncated { .. })
+        ));
+    }
+    for hop in EDGE_HOPS {
+        let one = encoded(&hop);
+        for cut in 0..one.len() {
+            let mut reader = WireReader::new(&one[..cut]);
+            assert!(matches!(
+                Hop::wire_decode(&mut reader),
+                Err(WireError::Truncated { .. })
+            ));
+        }
+    }
+    // The flag byte holds the direction pair, 0..=3; anything above is a
+    // malformed frame.
+    let mut one = encoded(&EDGE_HOPS[0]);
+    for flags in 4..=255u8 {
+        one[4] = flags;
+        let mut reader = WireReader::new(&one);
+        assert!(
+            matches!(Hop::wire_decode(&mut reader), Err(WireError::Malformed(_))),
+            "flag byte {flags} decoded"
+        );
+    }
 }
 
 /// Offsets of the bytes that read 0 in `off`'s encoding and 1 in `on`'s:
@@ -236,6 +306,43 @@ proptest! {
         for cut in [0, buf.len() / 2, buf.len() - 1] {
             let mut reader = WireReader::new(&buf[..cut]);
             prop_assert!(Dcsc::<AEntry>::wire_decode(&mut reader).is_err());
+        }
+    }
+
+    #[test]
+    fn hop_matrix_blocks_round_trip(
+        nrows in 1usize..48,
+        ncols in 1usize..48,
+        seeds in proptest::collection::vec(any::<u32>(), 0..200),
+    ) {
+        let triples: Vec<(u32, u32, Hop)> = seeds
+            .iter()
+            .map(|&s| {
+                let hop = Hop { suffix: s, src_rev: s & 2 != 0, dst_rev: s & 1 != 0 };
+                (s % nrows as u32, (s / 7) % ncols as u32, hop)
+            })
+            .collect();
+        let csr = Csr::from_triples(nrows, ncols, triples, |_, _| {});
+        let back = round_trip(&csr);
+        prop_assert_eq!(back.indptr(), csr.indptr());
+        prop_assert_eq!(back.indices(), csr.indices());
+        prop_assert_eq!(back.values(), csr.values());
+        // As for A entries: the frame's overhead over the model is the
+        // containers' structural headers alone.
+        let words = Csr::from_triples(
+            nrows,
+            ncols,
+            csr.iter().map(|(r, c, h)| (r, c, h.suffix)).collect(),
+            |_, _| {},
+        );
+        prop_assert_eq!(
+            encoded(&csr).len() - csr.nbytes(),
+            encoded(&words).len() - words.nbytes()
+        );
+        let buf = encoded(&csr);
+        for cut in [0, buf.len() / 2, buf.len() - 1] {
+            let mut reader = WireReader::new(&buf[..cut]);
+            prop_assert!(Csr::<Hop>::wire_decode(&mut reader).is_err());
         }
     }
 
