@@ -5,8 +5,8 @@
 //!
 //! * [`semirings`] — the BELLA overlap-detection semiring (shared-k-mer
 //!   counting with ≤2 retained seeds) and the direction-aware min-plus
-//!   semiring driving transitive reduction, over the 5-byte [`Hop`]
-//!   projection of an edge,
+//!   fold driving transitive reduction (one `u32` per edge), over the
+//!   5-byte [`Hop`] projection of an edge,
 //! * [`overlap_stage`] — `C = AAᵀ` over SUMMA, x-drop alignment of every
 //!   candidate pair, classification into containment / internal /
 //!   dovetail, and assembly of the symmetric overlap matrix `R` with
@@ -24,5 +24,6 @@ pub use overlap_stage::{
 };
 pub use reduction::{symmetrize, transitive_reduction_with, ReductionStats};
 pub use semirings::{
-    dir_index, Hop, MinPlusDir, OverlapSemiring, ReductionSemiring, Seed, SharedSeeds,
+    dir_index, Hop, MinPlusDir, OverlapSemiring, ReductionFold, ReductionSemiring, Seed,
+    SharedSeeds,
 };

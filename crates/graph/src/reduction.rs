@@ -8,10 +8,11 @@
 //! consistently oriented middle read `w`. An edge `e = (u,v)` is
 //! *transitive* — i.e. carries no information a parallel path doesn't —
 //! when `N(u,v)[dir(e)] ≤ suffix(e) + fuzz`. `N` is only ever read where
-//! `R` has an edge, so it is computed there and nowhere else
-//! ([`DistMat::prune_by_product`]: `R` masks its own square), and all
-//! marked edges are removed simultaneously in one sweep — which is
-//! already the fixed point (see [`transitive_reduction_with`]).
+//! `R` has an edge, and there only in the edge's own direction, so that
+//! one `u32` is all the sweep computes ([`DistMat::prune_by_product`]
+//! under [`ReductionFold`]: `R` masks its own square), and all marked
+//! edges are removed simultaneously in one sweep — which is already the
+//! fixed point (see [`transitive_reduction_with`]).
 //!
 //! The sweep runs on `R`'s [`Hop`] projection: the product reads only
 //! an edge's suffix and arrowheads, so the stage broadcasts ship 5 bytes
@@ -23,7 +24,7 @@ use elba_align::SgEdge;
 use elba_comm::ProcGrid;
 use elba_sparse::{Csr, DistMat, SpGemmOptions};
 
-use crate::semirings::{Hop, MinPlusDir, ReductionSemiring};
+use crate::semirings::{Hop, ReductionFold};
 
 /// Outcome of the reduction.
 #[derive(Debug, Clone, Copy)]
@@ -79,10 +80,11 @@ pub fn transitive_reduction_with(
 /// `(pre, post)` side array — so `R` and the projection are never
 /// resident together (8 B of hop and 8 B of side is what the 16 B edge
 /// took). Mask and both SUMMA operands are the projection's one `Arc`,
-/// so the rank's own block is charged once. `prune_by_product` runs
-/// `keep` once per mask entry in storage order, so the predicate
-/// compacts the side array in place, and the kept hops then take their
-/// `(pre, post)` back.
+/// so the rank's own block is charged once, and each edge's slot is one
+/// `u32`: 24 B per edge in all, with the 4 B column index.
+/// `prune_by_product` runs `keep` once per mask entry in storage order,
+/// so the predicate compacts the side array in place, and the kept hops
+/// then take their `(pre, post)` back.
 fn sweep(grid: &ProcGrid, r: DistMat<SgEdge>, fuzz: u32, opts: &SpGemmOptions) -> DistMat<SgEdge> {
     let (nrows, ncols) = (r.nrows(), r.ncols());
     let local = r.into_local();
@@ -116,10 +118,10 @@ fn sweep(grid: &ProcGrid, r: DistMat<SgEdge>, fuzz: u32, opts: &SpGemmOptions) -
         grid,
         &p,
         &p,
-        &ReductionSemiring,
+        &ReductionFold,
         opts,
-        |_, _, hop, two_hop| {
-            let keep = keeps_edge(hop, two_hop, fuzz);
+        |_, _, hop, &shortest| {
+            let keep = keeps_edge(hop, shortest, fuzz);
             if keep {
                 side[kept] = side[next];
                 kept += 1;
@@ -149,15 +151,12 @@ fn sweep(grid: &ProcGrid, r: DistMat<SgEdge>, fuzz: u32, opts: &SpGemmOptions) -
     )
 }
 
-/// The reduction rule: keep `hop` unless a two-hop path in its own
-/// direction is at most `fuzz` longer. `u32::MAX` in that direction is
-/// "no path" even where `suffix + fuzz` saturates to it: reads are
-/// under 2³¹ bases, so no real two-hop sum reaches it.
-fn keeps_edge(hop: &Hop, two_hop: Option<&MinPlusDir>, fuzz: u32) -> bool {
-    two_hop.is_none_or(|paths| {
-        let shortest = paths.per_dir[hop.dir()];
-        shortest == u32::MAX || shortest > hop.suffix.saturating_add(fuzz)
-    })
+/// The reduction rule: keep `hop` unless `shortest`, its shortest
+/// two-hop path in its own direction, is at most `fuzz` longer.
+/// `u32::MAX` is "no path" even where `suffix + fuzz` saturates to it:
+/// reads are under 2³¹ bases, so no real two-hop sum reaches it.
+fn keeps_edge(hop: &Hop, shortest: u32, fuzz: u32) -> bool {
+    shortest == u32::MAX || shortest > hop.suffix.saturating_add(fuzz)
 }
 
 /// Drop any directed edge whose mirror is absent, restoring exact
@@ -170,6 +169,7 @@ pub fn symmetrize(grid: &ProcGrid, s: DistMat<SgEdge>) -> DistMat<SgEdge> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::semirings::{MinPlusDir, ReductionSemiring};
     use elba_comm::{Backend, Runner};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -193,7 +193,8 @@ mod tests {
             let hops = hops_of(grid, &s);
             let n = hops.spgemm_with(grid, &hops, &ReductionSemiring, &SpGemmOptions::eager());
             s = s.zip_prune(grid, &n, |_, _, edge, two_hop| {
-                keeps_edge(&Hop::of(edge), two_hop, fuzz)
+                let hop = Hop::of(edge);
+                keeps_edge(&hop, shortest_in_own_dir(&hop, two_hop), fuzz)
             });
             let after = s.nnz_global(grid);
             nnz_after_sweep.push(after);
@@ -201,6 +202,12 @@ mod tests {
                 return (s, nnz_after_sweep);
             }
         }
+    }
+
+    /// What the general product says of `hop`'s own direction: its
+    /// `per_dir` entry there, or `u32::MAX` where it has no entry.
+    fn shortest_in_own_dir(hop: &Hop, two_hop: Option<&MinPlusDir>) -> u32 {
+        two_hop.map_or(u32::MAX, |paths| paths.per_dir[hop.dir()])
     }
 
     /// `s` projected to hops by copy, leaving `s` as it was.
@@ -214,6 +221,117 @@ mod tests {
             local.values().iter().map(Hop::of).collect(),
         );
         DistMat::from_local(grid, s.nrows(), s.ncols(), block)
+    }
+
+    /// The sweep's slot against the general product it stands in for:
+    /// at every edge, the `u32` that `keep` sees must be the eager
+    /// `R ⊗ R`'s entry in the edge's own direction, `u32::MAX` where
+    /// the product has no entry — under every schedule row (eager;
+    /// pipelined without a budget; budgets that do and do not let the
+    /// SUMMA prefetch) × threads {1, 2, 4} × 1×1 / 2×2 / 3×3. The graphs
+    /// are required to hold edges whose shortest path in some other
+    /// direction is shorter, so a fold that took the minimum over all
+    /// four directions would fail here.
+    #[test]
+    fn the_sweeps_slot_is_the_general_products_own_direction() {
+        let mut other_direction_shorter = 0;
+        for (case, p) in [1usize, 4, 9].into_iter().cycle().take(9).enumerate() {
+            let (want, rows, shorter) = Runner::new(Backend::InProcess)
+                .ranks(p)
+                .run(move |comm| {
+                    let grid = ProcGrid::new(comm);
+                    let mut rng = StdRng::seed_from_u64(700 + case as u64);
+                    let n = rng.gen_range(16..48u64);
+                    let edges = rng.gen_range(n as usize..(n * (n - 1) / 3) as usize);
+                    let triples = random_overlap_graph(&mut rng, n, edges);
+                    let mine = if grid.world().rank() == 0 {
+                        triples
+                    } else {
+                        Vec::new()
+                    };
+                    let r = DistMat::from_triples(
+                        &grid,
+                        n as usize,
+                        n as usize,
+                        mine,
+                        |_, _| unreachable!(),
+                    );
+                    let hops = hops_of(&grid, &r);
+                    let gathered = |seen: Vec<(u64, u64, u32)>| {
+                        let mut seen: Vec<_> =
+                            grid.world().allgather(seen).into_iter().flatten().collect();
+                        seen.sort_unstable();
+                        seen
+                    };
+                    let general =
+                        hops.spgemm_with(&grid, &hops, &ReductionSemiring, &SpGemmOptions::eager());
+                    let (mut want, mut other_direction_shorter) = (Vec::new(), 0);
+                    hops.clone()
+                        .zip_prune(&grid, &general, |r, c, hop, two_hop| {
+                            let own = shortest_in_own_dir(hop, two_hop);
+                            let any = two_hop.map_or(u32::MAX, |paths| {
+                                paths.per_dir.into_iter().min().expect("four directions")
+                            });
+                            other_direction_shorter += (any < own) as u64;
+                            want.push((r, c, own));
+                            true
+                        });
+                    let largest = grid
+                        .world()
+                        .allreduce(hops.heap_bytes() as u64, |x, y| x.max(y));
+                    let switch = 4 * 2 * largest;
+                    let schedules = [
+                        ("eager", SpGemmOptions::eager()),
+                        ("pipelined", SpGemmOptions::pipelined()),
+                        ("prefetching budget", SpGemmOptions::column_batched(switch)),
+                        ("blocking budget", SpGemmOptions::column_batched(switch - 1)),
+                    ];
+                    let mut rows = Vec::new();
+                    for (label, opts) in schedules {
+                        for threads in [1usize, 2, 4] {
+                            let mut seen = Vec::new();
+                            hops.prune_by_product(
+                                &grid,
+                                &hops,
+                                &hops,
+                                &ReductionFold,
+                                &opts.with_threads(threads),
+                                |r, c, _, &shortest| {
+                                    seen.push((r, c, shortest));
+                                    true
+                                },
+                            );
+                            rows.push((format!("{label} t={threads}"), gathered(seen)));
+                        }
+                    }
+                    let shorter = grid
+                        .world()
+                        .allreduce(other_direction_shorter, |x, y| x + y);
+                    (gathered(want), rows, shorter)
+                })
+                .remove(0);
+            for (label, seen) in &rows {
+                assert_eq!(seen, &want, "case {case} p={p} {label}");
+            }
+            other_direction_shorter += shorter;
+        }
+        assert!(
+            other_direction_shorter > 50,
+            "only {other_direction_shorter} edges tell a direction-blind fold apart"
+        );
+    }
+
+    #[test]
+    fn the_sweeps_accumulator_is_four_bytes_per_edge() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let triples: Vec<(u32, u32, Hop)> = random_overlap_graph(&mut rng, 30, 200)
+            .into_iter()
+            .map(|(u, v, edge)| (u as u32, v as u32, Hop::of(&edge)))
+            .collect();
+        let mask = Csr::from_triples(30, 30, triples, |_, _| unreachable!());
+        let acc = elba_sparse::spgemm::MaskedAccumulator::new(&mask, &ReductionFold);
+        assert_eq!(acc.heap_bytes(), 4 * 200 + 4 * 30);
+        assert!(acc.values().iter().all(|&shortest| shortest == u32::MAX));
     }
 
     /// A random bidirected graph dense in two-hop paths: mixed strands,

@@ -1,12 +1,14 @@
-//! The overlap-detection semiring (BELLA) and the transitive-reduction
-//! semiring (diBELLA 2D), instantiated over the generic
-//! [`elba_sparse::Semiring`] machinery.
+//! The overlap-detection semiring (BELLA) and transitive reduction's
+//! masked fold (diBELLA 2D), instantiated over the generic
+//! [`elba_sparse::Semiring`] / [`elba_sparse::MaskedFold`] machinery,
+//! plus the reduction's general min-plus semiring, kept as the oracle
+//! the fold is tested against.
 
 use elba_align::SgEdge;
 use elba_comm::transport::wire::{WireError, WireReader};
 use elba_comm::CommMsg;
 use elba_seq::AEntry;
-use elba_sparse::Semiring;
+use elba_sparse::{MaskedFold, Semiring};
 
 /// One shared-k-mer seed between a read pair: the k-mer's position in
 /// both reads and whether the two occurrences sat on the same strand.
@@ -196,8 +198,10 @@ pub fn dir_index(src_rev: bool, dst_rev: bool) -> usize {
     (src_rev as usize) << 1 | dst_rev as usize
 }
 
-/// Value of `N = S ⊗ S` during transitive reduction: the minimum two-hop
-/// overhang sum for each of the four direction combinations.
+/// Value of the general product `N = S ⊗ S` under [`ReductionSemiring`]:
+/// the minimum two-hop overhang sum for each of the four direction
+/// combinations. Test oracle only: the sweep keeps the one direction an
+/// edge reads ([`ReductionFold`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MinPlusDir {
     pub per_dir: [u32; 4],
@@ -268,10 +272,39 @@ impl CommMsg for Hop {
     }
 }
 
-/// Transitive-reduction semiring (diBELLA 2D): composing `u→w` with
-/// `w→v` is legal only when `w` is traversed in one consistent
-/// orientation (`dst_rev(u→w) == src_rev(w→v)`); the product records the
-/// min-plus overhang sum under the composite direction.
+/// Transitive reduction's masked fold (diBELLA 2D): composing `u→w`
+/// with `w→v` is legal only when `w` is traversed in one consistent
+/// orientation (`dst_rev(u→w) == src_rev(w→v)`), and the edge `u→v` it
+/// lands on reads only a path in its own direction
+/// (`src_rev(u→w) == src_rev(u→v)`, `dst_rev(w→v) == dst_rev(u→v)`).
+/// An edge's slot is the shortest such two-hop overhang sum, `u32::MAX`
+/// while there is none: 4 bytes where an `Option<MinPlusDir>` takes 20.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ReductionFold;
+
+impl MaskedFold<Hop> for ReductionFold {
+    type A = Hop;
+    type B = Hop;
+    type Slot = u32;
+
+    #[inline]
+    fn empty(&self, _: &Hop) -> u32 {
+        u32::MAX
+    }
+
+    #[inline]
+    fn fold(&self, shortest: &mut u32, edge: &Hop, e1: &Hop, e2: &Hop) {
+        if e1.dst_rev == e2.src_rev && (e1.src_rev, e2.dst_rev) == (edge.src_rev, edge.dst_rev) {
+            *shortest = (*shortest).min(e1.suffix.saturating_add(e2.suffix));
+        }
+    }
+}
+
+/// The general min-plus product [`ReductionFold`] reads one direction
+/// of: the product records the overhang sum under the composite
+/// direction of every consistently oriented two-hop path. Test oracle
+/// only (with the general `spgemm_with`); the sweep has no use for the
+/// other three directions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReductionSemiring;
 
@@ -364,6 +397,81 @@ mod tests {
             s.multiply(&hop(false, false, 10), &hop(true, false, 20)),
             None
         );
+    }
+
+    #[test]
+    fn reduction_fold_keeps_the_shortest_path_in_the_edges_own_direction() {
+        let hop = |src_rev, dst_rev, suffix| Hop {
+            suffix,
+            src_rev,
+            dst_rev,
+        };
+        let edge = hop(false, true, 50);
+        let mut shortest = ReductionFold.empty(&edge);
+        assert_eq!(shortest, u32::MAX);
+        // Forward-forward, reverse-reverse and reverse-forward paths are
+        // shorter, and an inconsistent middle shorter still: none of
+        // them is in the edge's direction.
+        ReductionFold.fold(
+            &mut shortest,
+            &edge,
+            &hop(false, false, 1),
+            &hop(false, false, 1),
+        );
+        ReductionFold.fold(
+            &mut shortest,
+            &edge,
+            &hop(true, true, 1),
+            &hop(true, true, 1),
+        );
+        ReductionFold.fold(
+            &mut shortest,
+            &edge,
+            &hop(true, false, 1),
+            &hop(false, false, 1),
+        );
+        ReductionFold.fold(
+            &mut shortest,
+            &edge,
+            &hop(false, false, 0),
+            &hop(true, true, 0),
+        );
+        assert_eq!(shortest, u32::MAX);
+        ReductionFold.fold(
+            &mut shortest,
+            &edge,
+            &hop(false, true, 30),
+            &hop(true, true, 20),
+        );
+        ReductionFold.fold(
+            &mut shortest,
+            &edge,
+            &hop(false, false, 20),
+            &hop(false, true, 40),
+        );
+        assert_eq!(shortest, 50);
+        // A sum that saturates never undercuts a real one.
+        ReductionFold.fold(
+            &mut shortest,
+            &edge,
+            &hop(false, false, u32::MAX),
+            &hop(false, true, 9),
+        );
+        assert_eq!(shortest, 50);
+        // The general product's entry in the edge's direction, the same
+        // products added: what the fold stands in for.
+        let s = ReductionSemiring;
+        let mut general = MinPlusDir::EMPTY;
+        for (e1, e2) in [
+            (hop(false, false, 1), hop(false, false, 1)),
+            (hop(false, true, 30), hop(true, true, 20)),
+            (hop(false, false, 20), hop(false, true, 40)),
+        ] {
+            if let Some(product) = s.multiply(&e1, &e2) {
+                s.add(&mut general, product);
+            }
+        }
+        assert_eq!(general.per_dir[edge.dir()], shortest);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::csr::Csr;
 use crate::dcsc::Dcsc;
 use crate::dist_vec::DistVec;
 use crate::layout::Layout2D;
-use crate::semiring::Semiring;
+use crate::semiring::{MaskedFold, Semiring};
 use crate::spgemm::{MaskedAccumulator, SpGemmBatcher};
 
 /// Tag for the transpose block exchange.
@@ -797,12 +797,15 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     }
 
     /// The masked product fused with a prune of the mask: `self` pruned
-    /// by `keep(row, col, value, (a ⊗ b)(row, col))` — what
-    /// `self.zip_prune(grid, &a.spgemm_with(grid, b, ..), keep)` returns,
-    /// with the product computed on `self`'s pattern only (GraphBLAS
-    /// `C⟨M⟩ = A ⊗ B`), so no product matrix ever exists. `self` must be
-    /// laid out like the product; block `(i, j)` of both is on the same
-    /// rank, so the mask costs no communication.
+    /// by `keep(row, col, value, slot)`, where `slot` is what `fold`
+    /// made of the products `(a ⊗ b)(row, col)` at that entry
+    /// ([`MaskedFold`]), computed on `self`'s pattern only (GraphBLAS
+    /// `C⟨M⟩ = A ⊗ B`), so no product matrix ever exists. Under
+    /// [`crate::SemiringSlot`] the slot is the general product's entry
+    /// (`None` where it has none), and the result is what
+    /// `self.zip_prune(grid, &a.spgemm_with(grid, b, ..), keep)` returns.
+    /// `self` must be laid out like the product; block `(i, j)` of both
+    /// is on the same rank, so the mask costs no communication.
     ///
     /// `keep` runs exactly once per entry of this rank's mask block, in
     /// the block's storage (row-major) order, after the last stage —
@@ -822,20 +825,19 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// yes without a budget, and under one iff four of the largest stage
     /// fit it — the rule of the unmasked schedule, agreed grid-wide by
     /// one `allreduce`).
-    pub fn prune_by_product<S>(
+    pub fn prune_by_product<F>(
         &self,
         grid: &ProcGrid,
-        a: &DistMat<S::A>,
-        b: &DistMat<S::B>,
-        semiring: &S,
+        a: &DistMat<F::A>,
+        b: &DistMat<F::B>,
+        fold: &F,
         opts: &SpGemmOptions,
-        mut keep: impl FnMut(u64, u64, &T, Option<&S::Out>) -> bool,
+        mut keep: impl FnMut(u64, u64, &T, &F::Slot) -> bool,
     ) -> DistMat<T>
     where
-        S: Semiring + Sync,
-        S::A: Clone + CommMsg + Sync,
-        S::B: Clone + CommMsg + Sync,
-        S::Out: Send,
+        F: MaskedFold<T> + Sync,
+        F::A: Clone + CommMsg + Sync,
+        F::B: Clone + CommMsg + Sync,
     {
         assert_eq!(
             a.col_layout, b.row_layout,
@@ -864,29 +866,24 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             }
         };
         let _mask_res = world.mem_charge_shared(&self.local, self.local.heap_bytes());
-        let mut acc = MaskedAccumulator::new(&*self.local).with_threads(opts.threads);
+        let mut acc = MaskedAccumulator::new(&*self.local, fold).with_threads(opts.threads);
         let _acc_res = world.mem_charge(acc.heap_bytes());
         let mut par = ParKernelClock::new();
         for (a_block, b_block) in a.stage_blocks(grid, b, lookahead) {
             let _a_res = world.mem_charge_shared(&a_block, a_block.heap_bytes());
             let _b_res = world.mem_charge_shared(&b_block, b_block.heap_bytes());
             let started = std::time::Instant::now();
-            if acc.accumulate(&a_block, &b_block, semiring) {
+            if acc.accumulate(&a_block, &b_block) {
                 world.record_mem_transient(acc.scratch_bytes());
                 par.add(started.elapsed().as_secs_f64());
             }
         }
         par.book(grid);
         let (r0, c0) = self.local_offsets(grid);
-        let mut products = acc.values().iter();
+        let mut slots = acc.values().iter();
         let local = self.local.filtered(|r, c, v| {
-            let product = products.next().expect("a slot per mask entry");
-            keep(
-                (r as usize + r0) as u64,
-                (c as usize + c0) as u64,
-                v,
-                product.as_ref(),
-            )
+            let slot = slots.next().expect("a slot per mask entry");
+            keep((r as usize + r0) as u64, (c as usize + c0) as u64, v, slot)
         });
         DistMat {
             row_layout: self.row_layout,

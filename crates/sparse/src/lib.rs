@@ -13,7 +13,8 @@
 //! * local kernels: Gustavson SpGEMM with a sparse accumulator
 //!   ([`SpGemmBatcher`], row windows, strict-upper restriction, threads;
 //!   [`spgemm::spgemm`] is the one-call form) and its masked form
-//!   [`spgemm::MaskedAccumulator`],
+//!   [`spgemm::MaskedAccumulator`], one caller-chosen
+//!   [`semiring::MaskedFold`] slot per mask entry,
 //! * the 2D-distributed layer: [`dist_mat::DistMat`] (one batched SUMMA
 //!   SpGEMM whose parameter is a memory budget, masked SpGEMM,
 //!   transpose, prune, row reduction, branch masking) and
@@ -39,5 +40,5 @@ pub use dcsc::Dcsc;
 pub use dist_mat::{algorithm_label, DistMat, SpGemmAlgorithm, SpGemmOptions};
 pub use dist_vec::DistVec;
 pub use layout::Layout2D;
-pub use semiring::Semiring;
+pub use semiring::{MaskedFold, Semiring, SemiringSlot};
 pub use spgemm::SpGemmBatcher;

@@ -29,6 +29,53 @@ pub trait Semiring {
     }
 }
 
+/// What the masked product `C⟨M⟩ = A ⊗ B` keeps at a stored mask entry
+/// of type `M`, and how a product reaches it: one `Slot` per mask entry,
+/// seeded by [`MaskedFold::empty`] from the entry before any product,
+/// and every product landing on the entry folded in with the entry in
+/// hand. The caller picks the slot, so a product whose reader needs one
+/// field of a semiring value keeps that field alone (transitive
+/// reduction keeps one `u32` where the min-plus semiring's value has
+/// four).
+pub trait MaskedFold<M> {
+    type A: Clone + Send;
+    type B: Clone + Send;
+    type Slot: Send;
+
+    /// The slot of mask entry `mask` before any product lands on it.
+    fn empty(&self, mask: &M) -> Self::Slot;
+
+    /// `slot ⊕= a ⊗ b` at mask entry `mask`. Products reach a slot in
+    /// ascending `k` within a stage and in ascending stages.
+    fn fold(&self, slot: &mut Self::Slot, mask: &M, a: &Self::A, b: &Self::B);
+}
+
+/// A plain [`Semiring`] as a [`MaskedFold`]: the slot is
+/// `Option<S::Out>` (`None` until a product lands) and the mask's values
+/// are ignored, so the masked product holds at each mask entry exactly
+/// what the general product holds there.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SemiringSlot<S>(pub S);
+
+impl<S: Semiring, M> MaskedFold<M> for SemiringSlot<S> {
+    type A = S::A;
+    type B = S::B;
+    type Slot = Option<S::Out>;
+
+    #[inline]
+    fn empty(&self, _: &M) -> Option<S::Out> {
+        None
+    }
+
+    #[inline]
+    fn fold(&self, slot: &mut Option<S::Out>, _: &M, a: &S::A, b: &S::B) {
+        match slot {
+            Some(acc) => self.0.fold(acc, a, b),
+            empty => *empty = self.0.multiply(a, b),
+        }
+    }
+}
+
 /// Standard arithmetic `(+, ×)` semiring over `f64`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlusTimes;

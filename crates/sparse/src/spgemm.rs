@@ -4,7 +4,7 @@
 //! stage of the transitive-reduction sweep (`R ⊗ R` on `R`'s pattern).
 
 use crate::csr::Csr;
-use crate::semiring::Semiring;
+use crate::semiring::{MaskedFold, Semiring};
 
 /// Sparse accumulator for one output row: a dense `Option` array plus a
 /// touched-list, giving O(1) insert and O(k log k) sorted extraction for
@@ -367,41 +367,38 @@ type ChunkParts<V> = (Vec<usize>, Vec<u32>, Vec<V>);
 const NO_SLOT: u32 = u32::MAX;
 
 /// Mask-indexed accumulator of the masked product `C⟨M⟩ = A ⊗ B`
-/// (GraphBLAS; Milaković et al., PPoPP 2022): one `Option<V>` per stored
-/// entry of the mask, in the mask's storage order, and nothing anywhere
-/// else. [`MaskedAccumulator::accumulate`] folds one `(A, B)` block pair
-/// into it and may be called once per SUMMA stage, so the distributed
-/// masked product never builds a per-stage matrix, sorts a touched list
-/// or merges; its size is `nnz(mask)` slots, known before any multiply.
+/// (GraphBLAS; Milaković et al., PPoPP 2022): one [`MaskedFold::Slot`]
+/// per stored entry of the mask, in the mask's storage order, seeded
+/// from that entry ([`MaskedFold::empty`]), and nothing anywhere else.
+/// [`MaskedAccumulator::accumulate`] folds one `(A, B)` block pair into
+/// it and may be called once per SUMMA stage, so the distributed masked
+/// product never builds a per-stage matrix, sorts a touched list or
+/// merges; its size is `nnz(mask)` slots, known before any multiply.
 ///
 /// Per output row the kernel marks the mask row's columns in a dense
-/// slot array (`slot[col]` = offset of `(row, col)` in the mask row),
-/// walks `A(i,:) × B(k,:)` and folds a product only where the column
-/// is marked. A slot receives its products in ascending `k`, as
-/// the unmasked kernel's entries do. Threaded runs give each worker a
-/// contiguous row chunk, i.e. a disjoint slice of the accumulator, so
-/// there is nothing to merge and the result cannot depend on the thread
-/// count.
-pub struct MaskedAccumulator<'m, V> {
-    nrows: usize,
-    ncols: usize,
-    mask_indptr: &'m [usize],
-    mask_indices: &'m [u32],
-    acc: Vec<Option<V>>,
+/// slot array (`offset[col]` = offset of `(row, col)` in the mask row),
+/// walks `A(i,:) × B(k,:)` and folds a product, with its mask entry,
+/// only where the column is marked. A slot receives its products in
+/// ascending `k`, as the unmasked kernel's entries do. Threaded runs
+/// give each worker a contiguous row chunk, i.e. a disjoint slice of
+/// the accumulator, so there is nothing to merge and the result cannot
+/// depend on the thread count.
+pub struct MaskedAccumulator<'m, M, F: MaskedFold<M>> {
+    mask: &'m Csr<M>,
+    fold: &'m F,
+    acc: Vec<F::Slot>,
     /// One slot array per worker; index 0 is the serial one.
-    slots: Vec<Vec<u32>>,
+    offsets: Vec<Vec<u32>>,
     threads: usize,
 }
 
-impl<'m, V> MaskedAccumulator<'m, V> {
-    pub fn new<M>(mask: &'m Csr<M>) -> Self {
+impl<'m, M, F: MaskedFold<M>> MaskedAccumulator<'m, M, F> {
+    pub fn new(mask: &'m Csr<M>, fold: &'m F) -> Self {
         MaskedAccumulator {
-            nrows: mask.nrows(),
-            ncols: mask.ncols(),
-            mask_indptr: mask.indptr(),
-            mask_indices: mask.indices(),
-            acc: (0..mask.nnz()).map(|_| None).collect(),
-            slots: vec![vec![NO_SLOT; mask.ncols()]],
+            mask,
+            fold,
+            acc: mask.values().iter().map(|m| fold.empty(m)).collect(),
+            offsets: vec![vec![NO_SLOT; mask.ncols()]],
             threads: 1,
         }
     }
@@ -414,57 +411,60 @@ impl<'m, V> MaskedAccumulator<'m, V> {
     }
 
     /// Bytes of the accumulator and the serial slot array — the whole
-    /// working set of a serial masked product, fixed at construction.
+    /// working set of a serial masked product, fixed at construction:
+    /// `nnz(mask) · size_of::<Slot>() + 4 · ncols`.
     pub fn heap_bytes(&self) -> usize {
-        self.acc.len() * std::mem::size_of::<Option<V>>() + self.ncols * std::mem::size_of::<u32>()
+        self.acc.len() * std::mem::size_of::<F::Slot>()
+            + self.mask.ncols() * std::mem::size_of::<u32>()
     }
 
     /// Bytes of the extra workers' slot arrays (the
     /// [`SpGemmBatcher::scratch_bytes`] convention: what threading adds).
     pub fn scratch_bytes(&self) -> usize {
-        (self.slots.len() - 1) * self.ncols * std::mem::size_of::<u32>()
+        (self.offsets.len() - 1) * self.mask.ncols() * std::mem::size_of::<u32>()
     }
 
-    /// The accumulated products, aligned with the mask's `values()`:
-    /// `None` where no product landed on the mask entry.
-    pub fn values(&self) -> &[Option<V>] {
+    /// The slots, aligned with the mask's `values()`: a slot no product
+    /// reached is still its [`MaskedFold::empty`].
+    pub fn values(&self) -> &[F::Slot] {
         &self.acc
     }
 
     /// Fold `A ⊗ B` into the accumulator on the mask's pattern. Returns
     /// whether the multiply fanned out to more than one worker.
-    pub fn accumulate<S>(&mut self, a: &Csr<S::A>, b: &Csr<S::B>, semiring: &S) -> bool
+    pub fn accumulate(&mut self, a: &Csr<F::A>, b: &Csr<F::B>) -> bool
     where
-        S: Semiring<Out = V> + Sync,
-        S::A: Sync,
-        S::B: Sync,
-        V: Send,
+        M: Sync,
+        F: Sync,
+        F::A: Sync,
+        F::B: Sync,
     {
         assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
+        let mask = self.mask;
         assert_eq!(
             (a.nrows(), b.ncols()),
-            (self.nrows, self.ncols),
+            (mask.nrows(), mask.ncols()),
             "the mask must have the product's shape"
         );
         if self.acc.is_empty() || a.nnz() == 0 || b.nnz() == 0 {
             return false;
         }
-        let workers = self.threads.min(self.nrows / MIN_PAR_ROWS).max(1);
-        while self.slots.len() < workers {
-            self.slots.push(vec![NO_SLOT; self.ncols]);
+        let workers = self.threads.min(mask.nrows() / MIN_PAR_ROWS).max(1);
+        while self.offsets.len() < workers {
+            self.offsets.push(vec![NO_SLOT; mask.ncols()]);
         }
-        let (indptr, indices) = (self.mask_indptr, self.mask_indices);
+        let fold = self.fold;
         let mut rest = &mut self.acc[..];
         let mut chunks = Vec::with_capacity(workers);
-        let row_chunks = elba_par::chunk_ranges(0..self.nrows, workers);
-        for (rows, slot) in row_chunks.into_iter().zip(&mut self.slots) {
-            let (mine, tail) =
-                std::mem::take(&mut rest).split_at_mut(indptr[rows.end] - indptr[rows.start]);
+        let row_chunks = elba_par::chunk_ranges(0..mask.nrows(), workers);
+        for (rows, offset) in row_chunks.into_iter().zip(&mut self.offsets) {
+            let (mine, tail) = std::mem::take(&mut rest)
+                .split_at_mut(mask.indptr()[rows.end] - mask.indptr()[rows.start]);
             rest = tail;
-            chunks.push((rows, mine, slot));
+            chunks.push((rows, mine, offset));
         }
-        elba_par::scope_with(&mut chunks, |_, (rows, acc, slot)| {
-            accumulate_masked_rows(a, b, semiring, indptr, indices, rows.clone(), slot, acc)
+        elba_par::scope_with(&mut chunks, |_, (rows, acc, offset)| {
+            accumulate_masked_rows(a, b, fold, mask, rows.clone(), offset, acc)
         });
         workers > 1
     }
@@ -472,46 +472,40 @@ impl<'m, V> MaskedAccumulator<'m, V> {
 
 /// The serial masked kernel over the output rows `rows`; `acc` is the
 /// accumulator slice of exactly those rows' mask entries.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_masked_rows<S: Semiring>(
-    a: &Csr<S::A>,
-    b: &Csr<S::B>,
-    semiring: &S,
-    mask_indptr: &[usize],
-    mask_indices: &[u32],
+fn accumulate_masked_rows<M, F: MaskedFold<M>>(
+    a: &Csr<F::A>,
+    b: &Csr<F::B>,
+    fold: &F,
+    mask: &Csr<M>,
     rows: std::ops::Range<usize>,
-    slot: &mut [u32],
-    acc: &mut [Option<S::Out>],
+    offset: &mut [u32],
+    acc: &mut [F::Slot],
 ) {
-    let base = mask_indptr[rows.start];
+    let base = mask.indptr()[rows.start];
     for i in rows {
-        let span = mask_indptr[i]..mask_indptr[i + 1];
+        let span = mask.indptr()[i]..mask.indptr()[i + 1];
         let (a_cols, a_vals) = a.row(i);
         if span.is_empty() || a_cols.is_empty() {
             continue;
         }
-        let mask_cols = &mask_indices[span.clone()];
+        let (mask_cols, mask_vals) = mask.row(i);
         let row_acc = &mut acc[span.start - base..span.end - base];
-        for (offset, &j) in mask_cols.iter().enumerate() {
-            slot[j as usize] = offset as u32;
+        for (o, &j) in mask_cols.iter().enumerate() {
+            offset[j as usize] = o as u32;
         }
         for (&k, a_ik) in a_cols.iter().zip(a_vals) {
             let (b_cols, b_vals) = b.row(k as usize);
             for (&j, b_kj) in b_cols.iter().zip(b_vals) {
-                let offset = slot[j as usize];
-                if offset == NO_SLOT {
+                let o = offset[j as usize];
+                if o == NO_SLOT {
                     continue;
                 }
-                if let Some(product) = semiring.multiply(a_ik, b_kj) {
-                    match &mut row_acc[offset as usize] {
-                        Some(sum) => semiring.add(sum, product),
-                        empty => *empty = Some(product),
-                    }
-                }
+                let o = o as usize;
+                fold.fold(&mut row_acc[o], &mask_vals[o], a_ik, b_kj);
             }
         }
         for &j in mask_cols {
-            slot[j as usize] = NO_SLOT;
+            offset[j as usize] = NO_SLOT;
         }
     }
 }
@@ -692,6 +686,79 @@ mod tests {
         assert_eq!(batcher.multiply_rows(0..3), full);
         let empty = batcher.multiply_rows(2..2);
         assert_eq!((empty.nrows(), empty.nnz()), (0, 0));
+    }
+
+    /// A fold that reads its mask entry: a slot starts at the entry's
+    /// value and every product lands scaled by it.
+    struct ScaledByMask;
+
+    impl MaskedFold<f64> for ScaledByMask {
+        type A = f64;
+        type B = f64;
+        type Slot = f64;
+
+        fn empty(&self, m: &f64) -> f64 {
+            *m
+        }
+
+        fn fold(&self, slot: &mut f64, m: &f64, a: &f64, b: &f64) {
+            *slot += m * a * b;
+        }
+    }
+
+    fn random_csr(rng: &mut rand::rngs::StdRng, nrows: usize, ncols: usize) -> Csr<f64> {
+        use rand::Rng;
+        let mut d = Dense::zeros(nrows, ncols);
+        for i in 0..nrows {
+            for j in 0..ncols {
+                if rng.gen_bool(0.3) {
+                    d.set(i, j, rng.gen_range(1..5) as f64);
+                }
+            }
+        }
+        csr_from_dense(&d)
+    }
+
+    #[test]
+    fn masked_slots_are_seeded_and_folded_with_their_mask_entry() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(61);
+        for _ in 0..10 {
+            let (a, b, mask) = (
+                random_csr(&mut rng, 40, 9),
+                random_csr(&mut rng, 9, 30),
+                random_csr(&mut rng, 40, 30),
+            );
+            let product = spgemm(&a, &b, &PlusTimes);
+            let want: Vec<f64> = mask
+                .iter()
+                .map(|(i, j, m)| m + m * product.get(i as usize, j as usize).unwrap_or(&0.0))
+                .collect();
+            for threads in [1usize, 3] {
+                let mut acc = MaskedAccumulator::new(&mask, &ScaledByMask).with_threads(threads);
+                assert_eq!(acc.values(), mask.values(), "seeded from the mask");
+                assert_eq!(acc.accumulate(&a, &b), threads > 1);
+                assert_eq!(acc.values(), &want[..], "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn masked_accumulator_bytes_are_the_slot_times_the_mask() {
+        use crate::semiring::SemiringSlot;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(67);
+        let mask = random_csr(&mut rng, 40, 30);
+        let nnz = mask.nnz();
+        assert!(nnz > 0);
+        let plain = MaskedAccumulator::new(&mask, &SemiringSlot(PlusTimes));
+        assert_eq!(
+            plain.heap_bytes(),
+            std::mem::size_of::<Option<f64>>() * nnz + 4 * 30
+        );
+        assert_eq!(plain.scratch_bytes(), 0);
+        let scaled = MaskedAccumulator::new(&mask, &ScaledByMask).with_threads(4);
+        assert_eq!(scaled.heap_bytes(), 8 * nnz + 4 * 30);
     }
 
     #[test]

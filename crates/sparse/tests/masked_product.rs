@@ -2,7 +2,8 @@
 //! `DistMat::prune_by_product` must see, at every stored entry of the
 //! mask, exactly what the general product `spgemm_with` holds there —
 //! the same value, built from the same products in the same order, or
-//! `None` where the product has no entry — and must return exactly what
+//! `None` where the product has no entry (a plain semiring drives it
+//! through `SemiringSlot`) — and must return exactly what
 //! `zip_prune` against that product returns. For every schedule row,
 //! rank count and thread count; the general product under the eager
 //! schedule is the oracle. On every rank the predicate must also run
@@ -13,7 +14,7 @@
 mod common;
 
 use elba_comm::{Backend, CommMsg, ProcGrid, Runner};
-use elba_sparse::semiring::{FnSemiring, PlusTimes, Semiring};
+use elba_sparse::semiring::{FnSemiring, PlusTimes, Semiring, SemiringSlot};
 use elba_sparse::{DistMat, SpGemmOptions};
 use proptest::prelude::*;
 
@@ -72,6 +73,7 @@ where
     S::Out: Clone + CommMsg + PartialOrd + Sync,
 {
     let (at, bt, mt) = (a_triples.clone(), b_triples.clone(), mask_triples.clone());
+    let fold = SemiringSlot(semiring);
     Runner::new(Backend::InProcess)
         .ranks(p)
         .run(move |comm| {
@@ -89,7 +91,7 @@ where
                 (seen, kept)
             };
             let mut out = Vec::new();
-            let full = a.spgemm_with(&grid, &b, &semiring, &SpGemmOptions::eager());
+            let full = a.spgemm_with(&grid, &b, &fold.0, &SpGemmOptions::eager());
             let mut seen = Vec::new();
             let kept = mask.clone().zip_prune(&grid, &full, |r, c, &v, product| {
                 seen.push((r, c, v, product.cloned()));
@@ -107,11 +109,11 @@ where
                         &grid,
                         &a,
                         &b,
-                        &semiring,
+                        &fold,
                         &opts,
                         |r, c, &v, product| {
-                            seen.push((r, c, v, product.cloned()));
-                            keeps(v, product)
+                            seen.push((r, c, v, product.clone()));
+                            keeps(v, product.as_ref())
                         },
                     );
                     let order: Vec<(u64, u64)> = seen.iter().map(|e| (e.0, e.1)).collect();

@@ -434,15 +434,19 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
 }
 
 /// A fixed chain graph for the contig-stage wire pin: `chains` error-free
-/// genomes, each tiled by `per_chain` 120-base reads at stride 70 with
-/// seeded strands (read *i* overlaps *i*+1), ids in chain order, plus one
-/// false edge between two chain interiors whose endpoints become branch
-/// vertices.
-fn fixed_chain_graph(chains: usize, per_chain: usize) -> (Vec<Seq>, Vec<(u64, u64, SgEdge)>) {
+/// genomes, each tiled by `per_chain` 120-base reads at `stride` with
+/// seeded strands, ids in chain order, an edge pair between every two
+/// reads that overlap (at stride 70 read *i* overlaps *i*+1 alone; below
+/// 60 it overlaps *i*+2 as well, a transitive edge), plus one false edge
+/// between two chain interiors whose endpoints become branch vertices.
+fn fixed_chain_graph(
+    chains: usize,
+    per_chain: usize,
+    stride: usize,
+) -> (Vec<Seq>, Vec<(u64, u64, SgEdge)>) {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    let (read_len, stride) = (120usize, 70usize);
-    let overlap = read_len - stride;
+    let read_len = 120usize;
     let mut rng = StdRng::seed_from_u64(2323);
     let mut reads = Vec::new();
     let mut triples = Vec::new();
@@ -454,27 +458,28 @@ fn fixed_chain_graph(chains: usize, per_chain: usize) -> (Vec<Seq>, Vec<(u64, u6
         for (i, &rc) in strands.iter().enumerate() {
             let r = genome.substring(i * stride, i * stride + read_len);
             reads.push(if rc { r.reverse_complement() } else { r });
-            if i + 1 == per_chain {
-                break;
+            for d in (1..per_chain - i).take_while(|d| d * stride < read_len) {
+                let (shift, overlap) = (d * stride, read_len - d * stride);
+                let (u, w) = if rc {
+                    ((0, overlap - 1), (shift, read_len - 1))
+                } else {
+                    ((shift, read_len - 1), (0, overlap - 1))
+                };
+                let aln = OverlapAln {
+                    rc: rc != strands[i + d],
+                    u_beg: u.0,
+                    u_end: u.1,
+                    w_beg: w.0,
+                    w_end: w.1,
+                    u_len: read_len,
+                    v_len: read_len,
+                    score: overlap as i32,
+                };
+                let (fwd, bwd) = elba::align::dovetail_edges(&aln);
+                let (u, v) = (base + i as u64, base + (i + d) as u64);
+                triples.push((u, v, fwd));
+                triples.push((v, u, bwd));
             }
-            let (u, w) = if rc {
-                ((0, overlap - 1), (stride, read_len - 1))
-            } else {
-                ((stride, read_len - 1), (0, overlap - 1))
-            };
-            let aln = OverlapAln {
-                rc: rc != strands[i + 1],
-                u_beg: u.0,
-                u_end: u.1,
-                w_beg: w.0,
-                w_end: w.1,
-                u_len: read_len,
-                v_len: read_len,
-                score: overlap as i32,
-            };
-            let (fwd, bwd) = elba::align::dovetail_edges(&aln);
-            triples.push((base + i as u64, base + i as u64 + 1, fwd));
-            triples.push((base + i as u64 + 1, base + i as u64, bwd));
         }
     }
     let (a, b) = (per_chain as u64 / 2, (per_chain + per_chain / 2) as u64);
@@ -500,7 +505,7 @@ fn contig_stage_wire_traffic_matches_golden_constants() {
     // and −9588 on the others, in both sums. Message counts do not move.
     const INDUCED_SUBGRAPH: [(u64, u64); 4] = [(8, 17984), (10, 6844), (9, 7676), (9, 17492)];
     const EXTRACT_CONTIG: [(u64, u64); 4] = [(27, 27516), (34, 15662), (31, 18788), (31, 24362)];
-    let (reads, triples) = fixed_chain_graph(24, 17);
+    let (reads, triples) = fixed_chain_graph(24, 17, 70);
     let n = reads.len();
     let (out, profile) = Runner::new(Backend::InProcess)
         .ranks(4)
@@ -565,7 +570,7 @@ fn contig_stage_wire_traffic_matches_golden_constants() {
 fn reduction_wire_traffic_matches_golden_constants() {
     // (msgs, bytes) per rank.
     const TR_REDUCTION: [(u64, u64); 4] = [(10, 10308), (11, 3344), (11, 3368), (10, 10248)];
-    let (reads, triples) = fixed_chain_graph(24, 17);
+    let (reads, triples) = fixed_chain_graph(24, 17, 70);
     let n = reads.len();
     let (out, profile) = Runner::new(Backend::InProcess)
         .ranks(4)
@@ -599,4 +604,59 @@ fn reduction_wire_traffic_matches_golden_constants() {
         })
         .collect();
     assert_eq!(traffic, TR_REDUCTION, "TrReduction (msgs, bytes)");
+}
+
+/// Golden memory pin for transitive reduction: each rank's tracked
+/// high-water mark in the `TrReduction` phase at p = 4, on the chain
+/// graph at stride 40, where read *i* overlaps *i*+1 and *i*+2 and the
+/// sweep removes every *i* ↔ *i*+2 edge.
+///
+/// A diagonal rank peaks inside the masked sweep. Rank 0 holds 746
+/// edges in a block of 204 rows and columns:
+/// - its hop block, 205 × 8 B `indptr` + 746 × (4 B index + 8 B hop)
+///   = 10 592 B, and the `(pre, post)` side array, 746 × 8 = 5 968 B;
+/// - the accumulator, one 4-byte slot per edge, and the 4-byte slot
+///   array entry per column: 746 × 4 + 204 × 4 = 3 800 B;
+/// - two empty off-diagonal stage blocks, 1 640 B each (their `indptr`).
+///
+/// That is 23 640 B; rank 3 (744 edges) is 48 B lower. Recorded when
+/// the slot became the one `u32` the keep rule reads. Before, it was an
+/// `Option<MinPlusDir>` of 20 B, 16 B more per diagonal mask entry:
+/// rank 0 read 35 576 (= 23 640 + 16 × 746) and rank 3 35 496
+/// (= 23 592 + 16 × 744). An off-diagonal rank holds no mask entry; it
+/// peaks at its empty block, its slot array and a diagonal stage block
+/// (1 640 + 816 + 10 592 = 13 048 B) and did not move.
+#[test]
+fn reduction_memory_high_water_matches_golden_constants() {
+    const TR_REDUCTION_HW: [u64; 4] = [23640, 13048, 13048, 23592];
+    let (reads, triples) = fixed_chain_graph(24, 17, 40);
+    let n = reads.len();
+    let (out, profile) = Runner::new(Backend::InProcess)
+        .ranks(4)
+        .run_profiled(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let world = grid.world();
+            let share = |rank: usize| triples.len() * rank / world.size();
+            let mine = triples[share(world.rank())..share(world.rank() + 1)].to_vec();
+            let r = DistMat::from_triples(&grid, n, n, mine, |_, _| unreachable!());
+            let block_nnz = r.local().nnz();
+            let _g = world.phase("TrReduction");
+            let (s, stats) = elba::graph::transitive_reduction_with(
+                &grid,
+                r,
+                5,
+                1,
+                &elba::sparse::SpGemmOptions::default(),
+            );
+            (block_nnz, stats.removed, s.nnz_global(&grid))
+        });
+    let blocks: Vec<usize> = out.iter().map(|&(nnz, _, _)| nnz).collect();
+    assert_eq!(blocks, [746, 0, 0, 744]);
+    assert_eq!((out[0].1, out[0].2), (720, 770), "(removed, kept)");
+    let high_water: Vec<u64> = profile
+        .rank_profiles()
+        .iter()
+        .map(|rank| rank.mem().high_water("TrReduction"))
+        .collect();
+    assert_eq!(high_water, TR_REDUCTION_HW, "TrReduction high-water bytes");
 }

@@ -3,8 +3,8 @@
 //! `elba_baseline::serial_transitive_reduction` walks adjacency lists
 //! edge by edge and iterates to its own fixed point, the pipeline runs
 //! one masked min-plus SUMMA sweep. They must keep the same edges on
-//! every grid — which also checks, from outside, that one sweep *is* the
-//! fixed point.
+//! every grid, thread count and prefetch setting — which also checks,
+//! from outside, that one sweep *is* the fixed point.
 
 use elba::align::dovetail_edges;
 use elba::baseline::serial_transitive_reduction;
@@ -21,9 +21,22 @@ fn sorted(mut edges: Edges) -> Edges {
     edges
 }
 
-/// The distributed reduction of `edges` on `p` ranks, every rank
-/// contributing a slice, gathered back as a sorted edge list.
-fn distributed(p: usize, n: usize, edges: &Edges, fuzz: u32) -> Edges {
+/// The sweep's options rows: the pipeline's default, its masked kernel
+/// on 2 and 4 threads, and a budget of one byte, under which the SUMMA
+/// does not prefetch.
+fn sweep_options() -> [(&'static str, SpGemmOptions); 4] {
+    [
+        ("default", SpGemmOptions::default()),
+        ("threads=2", SpGemmOptions::default().with_threads(2)),
+        ("threads=4", SpGemmOptions::default().with_threads(4)),
+        ("budget=1 B", SpGemmOptions::column_batched(1)),
+    ]
+}
+
+/// The distributed reduction of `edges` on `p` ranks under each of
+/// [`sweep_options`], every rank contributing a slice, gathered back as
+/// sorted edge lists.
+fn distributed(p: usize, n: usize, edges: &Edges, fuzz: u32) -> Vec<(&'static str, Edges)> {
     let edges = edges.clone();
     let kept = Runner::new(Backend::InProcess)
         .ranks(p)
@@ -37,27 +50,30 @@ fn distributed(p: usize, n: usize, edges: &Edges, fuzz: u32) -> Edges {
                 .map(|(_, &(u, v, e))| (u as u64, v as u64, e))
                 .collect();
             let r = DistMat::from_triples(&grid, n, n, mine, |_, _| unreachable!());
-            let (s, stats) =
-                transitive_reduction_with(&grid, r, fuzz, 10, &SpGemmOptions::default());
-            assert_eq!(stats.iterations, 1);
-            s.gather_triples(&grid)
+            sweep_options().map(|(label, opts)| {
+                let (s, stats) = transitive_reduction_with(&grid, r.clone(), fuzz, 10, &opts);
+                assert_eq!(stats.iterations, 1);
+                (label, s.gather_triples(&grid))
+            })
         })
         .remove(0);
-    sorted(
-        kept.into_iter()
-            .map(|(u, v, e)| (u as u32, v as u32, e))
-            .collect(),
-    )
+    kept.into_iter()
+        .map(|(label, kept)| {
+            let kept = kept
+                .into_iter()
+                .map(|(u, v, e)| (u as u32, v as u32, e))
+                .collect();
+            (label, sorted(kept))
+        })
+        .collect()
 }
 
 fn assert_matches_baseline(what: &str, n: usize, edges: &Edges, fuzz: u32) -> usize {
     let want = sorted(serial_transitive_reduction(n, edges.clone(), fuzz));
     for p in [1usize, 4, 9] {
-        assert_eq!(
-            distributed(p, n, edges, fuzz),
-            want,
-            "{what}: p={p} fuzz={fuzz}"
-        );
+        for (label, got) in distributed(p, n, edges, fuzz) {
+            assert_eq!(got, want, "{what}: p={p} fuzz={fuzz} {label}");
+        }
     }
     edges.len() - want.len()
 }
