@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use elba_align::{
     classify, extend_seed_with, OverlapAln, OverlapClass, Scoring, SgEdge, XdropWorkspace,
 };
-use elba_core::{local_assembly, AssemblyConfig, Contig, LocalGraph};
+use elba_core::{local_assembly, AssemblyConfig, Contig, LocalGraph, WalkEdge};
 use elba_seq::kmer::canonical_kmers;
 use elba_seq::{ReadStore, Seq};
 use elba_sparse::Dcsc;
@@ -331,9 +331,10 @@ fn assemble_from_edges(
     for &(u, _, _) in &edges {
         degree[u as usize] += 1;
     }
-    let kept: Vec<(u32, u32, SgEdge)> = edges
+    let kept: Vec<(u32, u32, WalkEdge)> = edges
         .into_iter()
         .filter(|&(u, v, _)| degree[u as usize] <= 2 && degree[v as usize] <= 2)
+        .map(|(u, v, e)| (u, v, e.into()))
         .collect();
     stats.dovetail_edges = kept.len();
     let dcsc = Dcsc::from_triples(n, n, kept, |_, _| {});

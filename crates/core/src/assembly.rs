@@ -36,6 +36,34 @@ use elba_seq::{ReadStore, Seq};
 
 use crate::induced::LocalGraph;
 
+/// What a walk reads of a directed string-graph edge `src → dst`: where
+/// to cut the two reads and the strand each is read on. [`SgEdge`]'s
+/// `suffix`, the transitive reduction's edge weight, is not among them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WalkEdge {
+    /// The paper's `pre(e)`: last base of `src` before the overlap, in
+    /// traversal order.
+    pub pre: u32,
+    /// The paper's `post(e)`: first overlapping base of `dst`, in
+    /// traversal order.
+    pub post: u32,
+    /// `src` is traversed reverse-complemented.
+    pub src_rev: bool,
+    /// `dst` is traversed reverse-complemented.
+    pub dst_rev: bool,
+}
+
+impl From<SgEdge> for WalkEdge {
+    fn from(edge: SgEdge) -> Self {
+        WalkEdge {
+            pre: edge.pre,
+            post: edge.post,
+            src_rev: edge.src_rev,
+            dst_rev: edge.dst_rev,
+        }
+    }
+}
+
 /// One assembled contig.
 #[derive(Debug, Clone)]
 pub struct Contig {
@@ -136,7 +164,7 @@ pub fn local_assembly(
     let mut stats = AssemblyStats::default();
 
     let neighbors = |v: usize| -> &[u32] { csc.col(v).0 };
-    let edge_of = |from: usize, to: usize| -> SgEdge {
+    let edge_of = |from: usize, to: usize| -> WalkEdge {
         *csc.get(from, to).unwrap_or_else(|| {
             panic!("missing directed edge {from}->{to} in symmetric local matrix")
         })
@@ -175,7 +203,7 @@ pub fn local_assembly(
             read_ids.push(gid(cur));
             let read = read_of(cur);
             // The slice that ends the contig at this read.
-            let terminal = |in_edge: &SgEdge| {
+            let terminal = |in_edge: &WalkEdge| {
                 let beta = if in_edge.dst_rev { 0 } else { read.len() - 1 };
                 SliceSpec::cut(read, in_edge.post as usize, beta, in_edge.dst_rev)
             };
@@ -299,7 +327,7 @@ mod tests {
             store.push(i as u64, r.codes());
             reads.push(r);
         }
-        let mut triples: Vec<(u32, u32, SgEdge)> = Vec::new();
+        let mut triples: Vec<(u32, u32, WalkEdge)> = Vec::new();
         for i in 0..n - 1 {
             // true alignment between read i and read i+1 in oriented space
             let overlap = read_len - stride;
@@ -336,8 +364,8 @@ mod tests {
                 }
             };
             let (fwd, bwd) = dovetail_edges(&aln);
-            triples.push((i as u32, (i + 1) as u32, fwd));
-            triples.push(((i + 1) as u32, i as u32, bwd));
+            triples.push((i as u32, (i + 1) as u32, fwd.into()));
+            triples.push(((i + 1) as u32, i as u32, bwd.into()));
         }
         let dcsc = Dcsc::from_triples(n, n, triples, |_, _| unreachable!());
         let graph = LocalGraph {
@@ -448,7 +476,7 @@ mod tests {
         for (id, codes) in store2.iter() {
             store.push(id + 3, codes);
         }
-        let mut triples: Vec<(u32, u32, SgEdge)> = Vec::new();
+        let mut triples: Vec<(u32, u32, WalkEdge)> = Vec::new();
         for (r, c, e) in graph1.csc.iter() {
             triples.push((r, c, *e));
             triples.push((r + 3, c + 3, *e));
@@ -486,19 +514,17 @@ mod tests {
         let mut triples = Vec::new();
         for i in 0..n {
             let j = (i + 1) % n;
-            let fwd = SgEdge {
+            let fwd = WalkEdge {
                 pre: stride as u32 - 1,
                 post: 0,
                 src_rev: false,
                 dst_rev: false,
-                suffix: stride as u32,
             };
-            let bwd = SgEdge {
+            let bwd = WalkEdge {
                 pre: overlap,
                 post: read_len as u32 - 1,
                 src_rev: true,
                 dst_rev: true,
-                suffix: stride as u32,
             };
             triples.push((i as u32, j as u32, fwd));
             triples.push((j as u32, i as u32, bwd));
@@ -532,7 +558,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         let n_chains = 4usize;
         let mut store = ReadStore::empty(0);
-        let mut triples: Vec<(u32, u32, SgEdge)> = Vec::new();
+        let mut triples: Vec<(u32, u32, WalkEdge)> = Vec::new();
         let mut base = 0u32;
         let mut total = 0usize;
         for chain in 0..n_chains {

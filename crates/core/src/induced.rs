@@ -4,22 +4,28 @@
 //! the contig→processor assignment, every rank must end up with the local
 //! adjacency matrix `L(Pᵢ)` of exactly the contigs assigned to it.
 //!
-//! The communication follows the paper's Fig. 2: each rank learns `v[u]`
-//! and `v[w]` for every local nonzero `(u, w)` through an allgather over
-//! the grid-row communicator plus a point-to-point exchange with the
-//! transposed rank ([`DistVec::fetch_aligned`]); each edge triple
-//! `(u, w, S(u,w))` is then routed to its owner with a custom all-to-all.
-//! The local block is re-indexed to its new, smaller size while keeping
-//! "a map of the original global vertex indices" (`global_ids`), and —
-//! per §4.4 — handed to local assembly in CSC form.
+//! The communication follows the paper's Fig. 2 with one departure: only
+//! its *row* half is sent. Each rank learns `v[u]` for every local row
+//! `u` through an allgather over the grid-row communicator
+//! ([`DistVec::fetch_rows`]), labels narrowed to `u32` like every vertex
+//! id; the column half, the point-to-point swap with the transposed rank
+//! that would deliver `v[w]`, is not sent. An edge never leaves its
+//! component, so its row's label routes it, and the one reader of
+//! `v[w]` was a consistency check that now runs inside connected
+//! components, where both labels are at hand
+//! ([`crate::lacc::connected_components`]). Each edge is then routed to
+//! its owner with a custom all-to-all as an [`EdgeRecord`]: the two
+//! endpoints and the four fields a walk reads, in 16 bytes. The local
+//! block is re-indexed to its new, smaller size while keeping "a map of
+//! the original global vertex indices" (`global_ids`), and — per §4.4 —
+//! handed to local assembly in CSC form.
 //!
-//! Everything local is a linear pass, as the paper states the stage. An
-//! edge's owner is its row's owner (an edge never leaves its component),
-//! so routing walks the local CSR block by row and consults the
-//! assignment once per non-empty row. Re-indexing is a *rank dictionary*
-//! over the global id space instead of sort + dedup + a hash map: one bit
-//! per vertex, set for every received endpoint, and a running popcount
-//! per 64-bit word, so
+//! Everything local is a linear pass, as the paper states the stage.
+//! Routing walks the local CSR block by row and consults the assignment
+//! once per non-empty row. Re-indexing is a *rank dictionary* over the
+//! global id space instead of sort + dedup + a hash map: one bit per
+//! vertex, set for every received endpoint, and a running popcount per
+//! 64-bit word, so
 //!
 //! ```text
 //! local_of(g) = prefix[g / 64] + popcount(word[g / 64] & below(g % 64))
@@ -27,11 +33,10 @@
 //!
 //! and `global_ids` is the set bits read off in order — already sorted,
 //! already distinct. It costs `n/8 + n/16` bytes per rank for `n` global
-//! vertices (booked as a transient), less than the two label vectors
-//! `fetch_aligned` has just delivered (`16·n/q` bytes) on any grid with
-//! `q < 128`. The CSC comes out of `elba-sparse`'s counting-sort builder;
-//! the triples arrive grouped by source rank in row-major order, so every
-//! column is already ascending once bucketed.
+//! vertices (booked as a transient). The CSC comes out of
+//! `elba-sparse`'s counting-sort builder; the records arrive grouped by
+//! source rank in row-major order, so every column is already ascending
+//! once bucketed.
 
 use std::collections::HashMap;
 
@@ -39,13 +44,15 @@ use elba_align::SgEdge;
 use elba_comm::ProcGrid;
 use elba_sparse::{Csc, DistMat, DistVec};
 
+use crate::assembly::WalkEdge;
+
 /// A rank-local induced subgraph: one or more whole linear components.
 #[derive(Debug, Clone)]
 pub struct LocalGraph {
     /// Sorted original global vertex ids; position = local index.
     pub global_ids: Vec<u64>,
     /// Symmetric local adjacency in the paper's CSC form (`JC`/`IR`/`VAL`).
-    pub csc: Csc<SgEdge>,
+    pub csc: Csc<WalkEdge>,
 }
 
 impl LocalGraph {
@@ -63,6 +70,57 @@ impl LocalGraph {
     }
 }
 
+/// Top bit of a `u32`: a strand flag beside a read coordinate.
+const STRAND: u32 = 1 << 31;
+
+/// One directed edge `u → w` of `L` on its way to its contig's owner, as
+/// `(u, w, pre | src_rev << 31, post | dst_rev << 31)`: 16 bytes. `pre`
+/// and `post` are read coordinates, below 2³¹ because
+/// [`elba_seq::ReadTooLong`] refuses longer reads, so each lends its top
+/// bit to one strand flag. Every bit pattern is a record, so the codec
+/// copies the four words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
+pub struct EdgeRecord {
+    u: u32,
+    w: u32,
+    pre_src: u32,
+    post_dst: u32,
+}
+
+elba_comm::impl_comm_msg_pod!(EdgeRecord);
+
+impl EdgeRecord {
+    /// Pack `u → w` with the walk's view of its edge.
+    pub fn new(u: u32, w: u32, edge: WalkEdge) -> Self {
+        assert!(
+            edge.pre < STRAND && edge.post < STRAND,
+            "read coordinates are below 2^31"
+        );
+        EdgeRecord {
+            u,
+            w,
+            pre_src: edge.pre | u32::from(edge.src_rev) << 31,
+            post_dst: edge.post | u32::from(edge.dst_rev) << 31,
+        }
+    }
+
+    /// The edge's source and destination vertex ids.
+    pub fn endpoints(&self) -> (u32, u32) {
+        (self.u, self.w)
+    }
+
+    /// The four fields a walk reads.
+    pub fn walk_edge(&self) -> WalkEdge {
+        WalkEdge {
+            pre: self.pre_src & !STRAND,
+            post: self.post_dst & !STRAND,
+            src_rev: self.pre_src & STRAND != 0,
+            dst_rev: self.post_dst & STRAND != 0,
+        }
+    }
+}
+
 /// Rank dictionary over the id universe `0..n`: which ids are present,
 /// and how many present ids precede a given one.
 struct RankDict {
@@ -75,7 +133,7 @@ struct RankDict {
 }
 
 impl RankDict {
-    fn new(universe: usize, present: impl Iterator<Item = u64>) -> Self {
+    fn new(universe: usize, present: impl Iterator<Item = u32>) -> Self {
         let mut words = vec![0u64; universe.div_ceil(64)];
         for g in present {
             words[(g / 64) as usize] |= 1 << (g % 64);
@@ -94,7 +152,7 @@ impl RankDict {
 
     /// Position of the present id `g` among the present ids.
     #[inline]
-    fn rank(&self, g: u64) -> u32 {
+    fn rank(&self, g: u32) -> u32 {
         let k = (g / 64) as usize;
         debug_assert!(self.words[k] >> (g % 64) & 1 == 1, "id {g} not present");
         self.prefix[k] + (self.words[k] & ((1 << (g % 64)) - 1)).count_ones()
@@ -130,45 +188,48 @@ pub fn induced_subgraph(
     owner_of_label: &HashMap<u64, usize>,
 ) -> LocalGraph {
     let world = grid.world();
-    // Fig. 2 exchange: v restricted to the local block's row/col ranges.
-    let (row_labels, col_labels) = labels.fetch_aligned(grid);
+    let universe = l.nrows().max(l.ncols());
+    assert!(
+        u32::try_from(universe).is_ok(),
+        "vertex ids are u32: read sets of 2^32 reads or more are refused at ingest"
+    );
+    // The row half of the Fig. 2 exchange, labels narrowed to `u32`.
+    let narrow = |label: u64| u32::try_from(label).expect("a label is a vertex id");
+    let row_labels = labels.map(grid, |_, &label| narrow(label)).fetch_rows(grid);
     let (row0, col0) = l.local_offsets(grid);
+    let (row0, col0) = (row0 as u32, col0 as u32);
     let block = l.local();
-    let mut outgoing: Vec<Vec<(u64, u64, SgEdge)>> = vec![Vec::new(); world.size()];
-    for (i, &label_u) in row_labels.iter().enumerate() {
+    let mut outgoing: Vec<Vec<EdgeRecord>> = vec![Vec::new(); world.size()];
+    for (i, &label) in row_labels.iter().enumerate() {
         let (cols, edges) = block.row(i);
         if cols.is_empty() {
             continue;
         }
-        let u = (row0 + i) as u64;
-        for &c in cols {
-            let (w, label_w) = (col0 + c as usize, col_labels[c as usize]);
-            debug_assert_eq!(
-                label_u, label_w,
-                "edge ({u},{w}) spans two components — CC must have failed"
-            );
-        }
-        if let Some(&dest) = owner_of_label.get(&label_u) {
+        if let Some(&dest) = owner_of_label.get(&u64::from(label)) {
+            let u = row0 + i as u32;
             let row = cols.iter().zip(edges);
-            outgoing[dest].extend(row.map(|(&c, &edge)| (u, (col0 + c as usize) as u64, edge)));
+            outgoing[dest].extend(row.map(|(&c, &edge)| EdgeRecord::new(u, col0 + c, edge.into())));
         }
     }
     let incoming = world.alltoallv(outgoing);
 
     // Re-index to the new, smaller size, keeping the global-id map. A
     // vertex that appears only as a column still gets an id.
-    let endpoints = incoming.iter().flatten().flat_map(|&(u, w, _)| [u, w]);
-    let dict = RankDict::new(l.nrows().max(l.ncols()), endpoints);
+    let endpoints = incoming.iter().flatten().flat_map(|record| {
+        let (u, w) = record.endpoints();
+        [u, w]
+    });
+    let dict = RankDict::new(universe, endpoints);
     world.record_mem_transient(dict.heap_bytes());
     let global_ids = dict.members();
     let n = global_ids.len();
-    let mut triples: Vec<(u32, u32, SgEdge)> =
+    let mut triples: Vec<(u32, u32, WalkEdge)> =
         Vec::with_capacity(incoming.iter().map(Vec::len).sum());
     for part in incoming {
-        triples.extend(
-            part.into_iter()
-                .map(|(u, w, edge)| (dict.rank(u), dict.rank(w), edge)),
-        );
+        triples.extend(part.into_iter().map(|record| {
+            let (u, w) = record.endpoints();
+            (dict.rank(u), dict.rank(w), record.walk_edge())
+        }));
     }
     // The same directed edge can only arrive once (it had one owner
     // block); an exact duplicate is tolerated and the first copy kept.
@@ -181,13 +242,15 @@ mod tests {
     use super::*;
     use elba_comm::{Backend, Runner};
 
-    fn edge(suffix: u32) -> SgEdge {
+    /// An edge whose walk fields all derive from `tag`, so its payload
+    /// is recognisable after the trip; `suffix` does not travel.
+    fn edge(tag: u32) -> SgEdge {
         SgEdge {
-            pre: 0,
-            post: 0,
-            src_rev: false,
-            dst_rev: false,
-            suffix,
+            pre: tag,
+            post: (STRAND - 1) - tag,
+            src_rev: tag & 1 == 1,
+            dst_rev: tag & 2 == 2,
+            suffix: tag + 1,
         }
     }
 
@@ -255,7 +318,7 @@ mod tests {
                 let i0 = local.local_of(0).expect("vertex 0 present");
                 let i1 = local.local_of(1).expect("vertex 1 present");
                 let e01 = local.csc.get(i0, i1).expect("edge 0->1 stored");
-                Some((local.csc.degree(i1), e01.suffix))
+                Some((local.csc.degree(i1), e01.pre))
             } else {
                 None
             }
@@ -290,7 +353,7 @@ mod tests {
         labels: &[u64],
         owners: &HashMap<u64, usize>,
         rank: usize,
-    ) -> (Vec<u64>, Vec<(u32, u32, SgEdge)>) {
+    ) -> (Vec<u64>, Vec<(u32, u32, WalkEdge)>) {
         let mine: Vec<&(u64, u64, SgEdge)> = edges
             .iter()
             .filter(|&&(u, _, _)| owners.get(&labels[u as usize]) == Some(&rank))
@@ -299,9 +362,9 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         let local = |g: u64| ids.binary_search(&g).expect("endpoint numbered") as u32;
-        let mut entries: Vec<(u32, u32, SgEdge)> = mine
+        let mut entries: Vec<(u32, u32, WalkEdge)> = mine
             .iter()
-            .map(|&&(u, w, e)| (local(u), local(w), e))
+            .map(|&&(u, w, e)| (local(u), local(w), e.into()))
             .collect();
         entries.sort_by_key(|&(r, c, _)| (c, r));
         (ids, entries)
@@ -362,7 +425,7 @@ mod tests {
                     let l = DistMat::from_triples(&grid, n, n, mine, |_, _| unreachable!());
                     let labels = DistVec::from_global(&grid, &labels_in);
                     let local = induced_subgraph(&grid, &l, &labels, &owners_in);
-                    let entries: Vec<(u32, u32, SgEdge)> =
+                    let entries: Vec<(u32, u32, WalkEdge)> =
                         local.csc.iter().map(|(r, c, &e)| (r, c, e)).collect();
                     (local.global_ids, local.csc.ncols(), entries)
                 });
@@ -395,7 +458,7 @@ mod tests {
             let local = induced_subgraph(&grid, &l, &labels, &owners);
             let at = |i: u64, j: u64| {
                 let (i, j) = (local.local_of(i)?, local.local_of(j)?);
-                local.csc.get(i, j).map(|e| e.suffix)
+                local.csc.get(i, j).map(|e| e.pre)
             };
             (local.global_ids.clone(), at(0, 1), at(1, 2), at(2, 1))
         });
@@ -408,10 +471,11 @@ mod tests {
     #[test]
     fn rank_dictionary_ranks_and_lists_members() {
         let present = [0u64, 1, 63, 64, 65, 127, 128, 300, 511];
-        let dict = RankDict::new(512, present.iter().copied().chain([64, 0]));
+        let ids = present.iter().map(|&g| g as u32);
+        let dict = RankDict::new(512, ids.chain([64, 0]));
         assert_eq!(dict.members(), present);
         for (i, &g) in present.iter().enumerate() {
-            assert_eq!(dict.rank(g), i as u32, "rank of {g}");
+            assert_eq!(dict.rank(g as u32), i as u32, "rank of {g}");
         }
         assert_eq!(dict.heap_bytes(), 512 / 8 + 512 / 16);
         let empty = RankDict::new(0, std::iter::empty());

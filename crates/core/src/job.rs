@@ -6,8 +6,8 @@
 //! steps around the pipeline, so every runner of a job reads, runs and
 //! writes it with the same code:
 //!
-//! 1. [`AssembleJob::read_reads`] loads `--reads` and refuses a read the
-//!    pipeline cannot index;
+//! 1. [`AssembleJob::read_reads`] loads `--reads` and refuses a read or
+//!    a read set the pipeline cannot index;
 //! 2. [`AssembleJob::run`] runs the pipeline on a fresh [`Runner`] mesh
 //!    under the job's fault plan;
 //! 3. [`AssembleJob::write_outputs`] writes `--out`, scaffolded when
@@ -23,7 +23,7 @@ use elba_mem::MemBudget;
 use elba_seq::fasta::{read_fasta, write_fasta, FastaRecord};
 use elba_seq::gfa::GfaGraph;
 use elba_seq::kmer::MAX_K;
-use elba_seq::{ReadTooLong, Seq};
+use elba_seq::{ReadTooLong, Seq, TooManyReads};
 
 use crate::assembly::Contig;
 use crate::pipeline::{assemble_gathered, ChainingConfig, PipelineConfig, PipelineResult};
@@ -155,12 +155,16 @@ pub enum ReadsError {
     Unreadable(String),
     /// A read of 2³¹ bases or more ([`ReadTooLong`]).
     TooLong(String),
+    /// A read set of 2³² reads or more ([`TooManyReads`]).
+    TooMany(String),
 }
 
 impl std::fmt::Display for ReadsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReadsError::Unreadable(e) | ReadsError::TooLong(e) => f.write_str(e),
+            ReadsError::Unreadable(e) | ReadsError::TooLong(e) | ReadsError::TooMany(e) => {
+                f.write_str(e)
+            }
         }
     }
 }
@@ -255,9 +259,12 @@ impl AssembleJob {
         })
     }
 
-    /// Load `--reads`, refusing a read the pipeline cannot index.
+    /// Load `--reads`, refusing a read or a read set the pipeline
+    /// cannot index.
     pub fn read_reads(&self) -> Result<Vec<Seq>, ReadsError> {
         let reads = read_seqs(&self.reads).map_err(ReadsError::Unreadable)?;
+        TooManyReads::check(reads.len())
+            .map_err(|too_many| ReadsError::TooMany(format!("{}: {too_many}", self.reads)))?;
         ReadTooLong::check_all(&reads)
             .map_err(|too_long| ReadsError::TooLong(format!("{}: {too_long}", self.reads)))?;
         Ok(reads)

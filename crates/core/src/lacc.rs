@@ -6,7 +6,11 @@
 //! FastSV formulation (Zhang, Azad & Buluç 2020 — the same group's
 //! successor to LACC, with identical inputs/outputs). Every vertex holds
 //! a parent label `f` with `f[x] ≤ x`; labels converge to the minimum
-//! vertex id of their component.
+//! vertex id of their component. Every label, parent, proposal and
+//! contracted `(vertex, root)` pair travels as a `u32`, the width of a
+//! vertex id everywhere else (read sets of 2³² reads or more are refused
+//! at ingest, [`elba_seq::TooManyReads`]); the result is widened to
+//! `u64` once, locally, after the last round.
 //!
 //! Before the first round each rank contracts its own matrix block with a
 //! serial [`UnionFind`] and sends every vertex the minimum of its
@@ -28,7 +32,10 @@
 //!
 //! until a round changes no label anywhere. The matrix must be
 //! structurally symmetric (ELBA's `S` and `L` always are): symmetry
-//! supplies the mirrored direction of every edge.
+//! supplies the mirrored direction of every edge. In the last round every
+//! column `v` with an edge sees its own label as the least of its
+//! neighbours' (`m[v] = f[v]`), so no edge spans two components; debug
+//! builds check that there, where both values are already at hand.
 
 use elba_comm::{CommMsg, ProcGrid};
 use elba_sparse::{DistMat, DistVec};
@@ -37,14 +44,15 @@ use elba_sparse::{DistMat, DistVec};
 #[derive(Debug, Clone)]
 pub struct ComponentLabels {
     /// Per-vertex component label (minimum vertex id in the component),
-    /// distributed like any ELBA vector.
+    /// distributed like any ELBA vector. Computed on `u32`, widened to
+    /// `u64` after the last round.
     pub labels: DistVec<u64>,
     /// Rounds until the global fixed point.
     pub rounds: usize,
 }
 
 /// `acc ← min(acc, v)`; whether that lowered `acc`.
-fn min_assign(acc: &mut u64, v: u64) -> bool {
+fn min_assign(acc: &mut u32, v: u32) -> bool {
     let lower = v < *acc;
     if lower {
         *acc = v;
@@ -60,19 +68,23 @@ pub fn connected_components<T: Clone + CommMsg + Sync>(
 ) -> ComponentLabels {
     assert_eq!(matrix.nrows(), matrix.ncols(), "CC needs a square matrix");
     let n = matrix.nrows();
+    assert!(
+        u32::try_from(n).is_ok(),
+        "vertex ids are u32: read sets of 2^32 reads or more are refused at ingest"
+    );
     let world = grid.world();
     let layout = matrix.row_layout();
     let (rows, cols) = (
         layout.block_range(grid.myrow()),
         layout.block_range(grid.mycol()),
     );
-    let mut f = DistVec::from_fn(grid, n, |g| g as u64);
+    let mut f = DistVec::from_fn(grid, n, |g| g as u32);
 
     // Local contraction. The union-find indexes the block's row and
     // column range concatenated in increasing global order (a diagonal
     // block has one range), so its smaller-index rule is the oracle's
     // smaller-global-id rule. `row0` / `col0`: where each range starts.
-    let contracted: Vec<(usize, u64)> = {
+    let contracted: Vec<(usize, u32)> = {
         let (ids, row0, col0) = match rows.start.cmp(&cols.start) {
             std::cmp::Ordering::Less => (rows.clone().chain(cols.clone()), 0, rows.len()),
             std::cmp::Ordering::Equal => (rows.chain(0..0), 0, 0),
@@ -86,7 +98,7 @@ pub fn connected_components<T: Clone + CommMsg + Sync>(
         }
         let minima = ids.iter().enumerate().filter_map(|(i, &g)| {
             let root = ids[block.find(i)];
-            (root < g).then_some((g, root as u64))
+            (root < g).then_some((g, root as u32))
         });
         minima.collect()
     };
@@ -102,15 +114,15 @@ pub fn connected_components<T: Clone + CommMsg + Sync>(
         let pairs = f.local().iter().copied().zip(gp.iter().copied()).collect();
         let (row_pairs, col_pairs) = DistVec::from_local(grid, n, pairs).fetch_aligned(grid);
 
-        let mut best = vec![u64::MAX; cols.len()];
+        let mut best = vec![u32::MAX; cols.len()];
         world.record_mem_transient(
-            (row_pairs.len() + col_pairs.len()) * std::mem::size_of::<(u64, u64)>()
-                + best.len() * std::mem::size_of::<u64>(),
+            (row_pairs.len() + col_pairs.len()) * std::mem::size_of::<(u32, u32)>()
+                + best.len() * std::mem::size_of::<u32>(),
         );
         for (u, v, _) in matrix.local().iter() {
             min_assign(&mut best[v as usize], row_pairs[u as usize].1);
         }
-        let mut proposals: Vec<(usize, u64)> = Vec::new();
+        let mut proposals: Vec<(usize, u32)> = Vec::new();
         for ((v, &m), &(f_v, gp_v)) in cols.clone().zip(&best).zip(&col_pairs) {
             if m < f_v {
                 proposals.push((v, m));
@@ -129,10 +141,18 @@ pub fn connected_components<T: Clone + CommMsg + Sync>(
         }
         f.scatter_combine(grid, proposals, |acc, v| changed |= min_assign(acc, v));
         if world.allreduce(changed as u64, |a, b| a + b) == 0 {
+            debug_assert!(
+                best.iter()
+                    .zip(&col_pairs)
+                    .all(|(&m, &(f_v, _))| m == u32::MAX || m == f_v),
+                "an edge spans two components: is the matrix symmetric?"
+            );
             break;
         }
     }
-    ComponentLabels { labels: f, rounds }
+    // Widened once, locally: the labels' consumers key on `u64`.
+    let labels = f.map(grid, |_, &label| u64::from(label));
+    ComponentLabels { labels, rounds }
 }
 
 /// Serial union-find oracle used by tests and the quality tooling.

@@ -30,4 +30,4 @@ pub use kcount::{
     ExchangeStats, KmerConfig, KmerTable,
 };
 pub use sim::{DatasetSpec, ReadSimConfig, SimulatedRead};
-pub use store::{ReadStore, ReadTooLong};
+pub use store::{ReadStore, ReadTooLong, TooManyReads};

@@ -9,10 +9,12 @@
 //! In memory a read is one code per byte, because the aligner and the
 //! k-mer scan read it in place. On the wire it is four codes per byte:
 //! both transfers, [`ReadStore::exchange`] and
-//! [`ReadStore::fetch_block_aligned`], ship `(id, len: u32)` headers and
-//! the reads packed 2 bits per base (each read byte-aligned), and the
-//! receiver unpacks them straight into its new store. A `u32` length
-//! always fits, since [`MAX_READ_LEN`] is below 2³¹. Both check the
+//! [`ReadStore::fetch_block_aligned`], ship `(id: u32, len: u32)`
+//! headers and the reads packed 2 bits per base (each read
+//! byte-aligned), and the receiver unpacks them straight into its new
+//! store. A `u32` length always fits, since [`MAX_READ_LEN`] is below
+//! 2³¹, and so does a `u32` id, since a read set holds at most
+//! [`MAX_READS`] reads ([`TooManyReads`]). Both check the
 //! payload against its headers on ingest and name the sender and the
 //! read when they disagree.
 //!
@@ -45,11 +47,13 @@ const SEQ_TAG: u64 = 0x00_5E9E;
 
 /// Reads on the wire: `(id, len)` headers and the codes of those reads
 /// packed four per byte, each read starting on a byte boundary.
-type PackedReads = (Vec<(u64, u32)>, Vec<u8>);
+type PackedReads = (Vec<(u32, u32)>, Vec<u8>);
 
-/// A stored read's wire header. Its length fits a `u32` because
-/// [`ReadStore::push`] refuses reads longer than [`MAX_READ_LEN`] < 2³¹.
-fn header(id: u64, codes: &[u8]) -> (u64, u32) {
+/// A stored read's wire header. Both halves fit a `u32` because
+/// [`ReadStore::push`] refuses ids of [`MAX_READS`] or more and reads
+/// longer than [`MAX_READ_LEN`] < 2³¹.
+fn header(id: u64, codes: &[u8]) -> (u32, u32) {
+    let id = u32::try_from(id).expect("stored read ids are below 2^32");
     let len = u32::try_from(codes.len()).expect("stored reads are shorter than 2^31 bases");
     (id, len)
 }
@@ -96,6 +100,40 @@ impl std::fmt::Display for ReadTooLong {
 }
 
 impl std::error::Error for ReadTooLong {}
+
+/// The most reads a read set may hold: read ids, and with them vertex
+/// ids and component labels, travel as `u32` (ids `0..MAX_READS`).
+pub const MAX_READS: usize = u32::MAX as usize;
+
+/// A read set of 2³² reads or more, refused at ingest.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TooManyReads {
+    /// How many reads the set holds.
+    pub reads: usize,
+}
+
+impl TooManyReads {
+    /// `Ok` if a read set of `reads` reads fits [`MAX_READS`]. Takes the
+    /// count, not the reads, so the limit is checkable without them.
+    pub fn check(reads: usize) -> Result<(), TooManyReads> {
+        if reads > MAX_READS {
+            return Err(TooManyReads { reads });
+        }
+        Ok(())
+    }
+}
+
+impl std::fmt::Display for TooManyReads {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} reads; a read set is limited to {MAX_READS} (read ids are 32-bit)",
+            self.reads
+        )
+    }
+}
+
+impl std::error::Error for TooManyReads {}
 
 /// A buffer wrapped as one "contiguous datatype" element, mirroring the
 /// paper's workaround for the 2³¹−1 count limit: the unit size equals the
@@ -161,7 +199,7 @@ impl ReadStore {
     }
 
     /// An empty store sized for the reads the received `headers` announce.
-    fn sized_for<'a>(n_global: usize, headers: impl Iterator<Item = &'a [(u64, u32)]>) -> Self {
+    fn sized_for<'a>(n_global: usize, headers: impl Iterator<Item = &'a [(u32, u32)]>) -> Self {
         let (mut reads, mut bases) = (0, 0);
         for headers in headers {
             reads += headers.len();
@@ -176,10 +214,16 @@ impl ReadStore {
     }
 
     /// Append a read's codes under a global id. Panics if the id is
-    /// already stored (a second copy would orphan the first) or if the
-    /// read is longer than [`MAX_READ_LEN`] (ingest refuses those with
+    /// already stored (a second copy would orphan the first), if it is
+    /// [`MAX_READS`] or more (ingest refuses such read sets with
+    /// [`TooManyReads::check`]) or if the read is longer than
+    /// [`MAX_READ_LEN`] (ingest refuses those with
     /// [`ReadTooLong::check_all`]).
     pub fn push(&mut self, id: u64, codes: &[u8]) {
+        assert!(
+            id < MAX_READS as u64,
+            "read id {id} is not below {MAX_READS} (read ids are 32-bit)"
+        );
         if let Err(too_long) = ReadTooLong::check(id, codes.len()) {
             panic!("{too_long}");
         }
@@ -209,7 +253,7 @@ impl ReadStore {
     /// Append the reads of one transfer from rank `src`, unpacking each
     /// straight into `buf`. Panics, naming `src` and the read, if `packed`
     /// is shorter or longer than `headers` announce.
-    fn ingest(&mut self, src: Rank, headers: &[(u64, u32)], packed: &[u8]) {
+    fn ingest(&mut self, src: Rank, headers: &[(u32, u32)], packed: &[u8]) {
         let bases: usize = headers.iter().map(|&(_, len)| len as usize).sum();
         let mut end = self.buf.len();
         self.buf.resize(end + bases, 0);
@@ -226,7 +270,7 @@ impl ReadStore {
             dna::unpack(bytes, &mut self.buf[end..end + len]);
             cursor += bytes.len();
             end += len;
-            self.seal(id, end);
+            self.seal(u64::from(id), end);
         }
         if cursor != packed.len() {
             let last = headers
@@ -564,8 +608,26 @@ mod tests {
         assert_eq!(ReadTooLong::check_all(&reads), Ok(()));
     }
 
+    #[test]
+    fn read_sets_of_2_32_reads_or_more_are_refused() {
+        // The count alone decides: nothing of that size is allocated.
+        assert_eq!(TooManyReads::check(0), Ok(()));
+        assert_eq!(TooManyReads::check(MAX_READS), Ok(()));
+        assert_eq!(MAX_READS, (1 << 32) - 1, "ids 0..MAX_READS are u32");
+        let refused = TooManyReads::check(1 << 32).expect_err("2^32 reads");
+        assert_eq!(refused, TooManyReads { reads: 1 << 32 });
+        assert!(refused.to_string().starts_with("4294967296 reads"));
+        assert!(TooManyReads::check(usize::MAX).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "read id 4294967295 is not below 4294967295")]
+    fn pushing_an_id_past_u32_panics() {
+        ReadStore::empty(0).push(u64::from(u32::MAX), &[0]);
+    }
+
     /// Two reads of 5 and 3 bases from rank 2: 2 + 1 packed bytes.
-    fn transfer() -> (Vec<(u64, u32)>, Vec<u8>) {
+    fn transfer() -> (Vec<(u32, u32)>, Vec<u8>) {
         let mut packed = Vec::new();
         dna::pack(&[0, 1, 2, 3, 3], &mut packed);
         dna::pack(&[2, 2, 1], &mut packed);

@@ -1279,8 +1279,10 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
 
     /// Vertex degrees: row-wise nonzero count (the paper's "summation
     /// reduction over the row dimension" producing the degree vector `d`).
-    pub fn row_degrees(&self, grid: &ProcGrid) -> DistVec<u64> {
-        self.row_reduce(grid, || 0u64, |acc, _, _| *acc += 1, |a, b| a + b)
+    /// Counts are `u32`, as column indices are: a row holds fewer than
+    /// 2³² entries.
+    pub fn row_degrees(&self, grid: &ProcGrid) -> DistVec<u32> {
+        self.row_reduce(grid, || 0u32, |acc, _, _| *acc += 1, |a, b| a + b)
     }
 
     /// Zero out every row **and** column whose mask entry is `true`

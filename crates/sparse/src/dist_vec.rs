@@ -12,6 +12,13 @@
 //! range, and a point-to-point swap with the *transposed* rank `(j, i)`
 //! yields the column range. Every rank then knows `v[u]` and `v[w]` for
 //! every local nonzero `(u, w)` without a grid-wide allgather.
+//! [`DistVec::fetch_rows`] is the row half alone, for a caller that
+//! reads only `v[u]` (the induced subgraph routes each edge by its row).
+//!
+//! [`DistVec::gather`] and [`DistVec::scatter_combine`] address remote
+//! elements by their `u32` offset into the owner's chunk, not by global
+//! index: the owner is the destination rank, so the offset is all the
+//! receiver needs.
 
 use elba_comm::{CommMsg, ProcGrid};
 
@@ -103,10 +110,21 @@ impl<T: Clone + CommMsg> DistVec<T> {
         out
     }
 
+    /// The rank owning global index `g`, and `g`'s offset into that
+    /// rank's chunk: what [`DistVec::gather`] and
+    /// [`DistVec::scatter_combine`] ship in place of the global index.
+    fn owner_offset(&self, g: usize) -> (usize, u32) {
+        let (i, j) = self.layout.chunk_owner(g);
+        let offset = g - self.layout.chunk_range(i, j).start;
+        let offset = u32::try_from(offset).expect("a vector chunk holds fewer than 2^32 entries");
+        (i * self.layout.q() + j, offset)
+    }
+
     /// Fetch arbitrary elements by global index (request/reply alltoallv
     /// pair). Returns values in the order of `indices`. Locally owned
     /// indices are served from this rank's chunk and every distinct
-    /// remote index is requested once, however often it repeats.
+    /// remote index is requested once, however often it repeats, as a
+    /// `u32` offset into its owner's chunk.
     pub fn gather(&self, grid: &ProcGrid, indices: &[usize]) -> Vec<T> {
         let mine = self.global_range(grid);
         let mut remote: Vec<usize> = indices
@@ -116,16 +134,17 @@ impl<T: Clone + CommMsg> DistVec<T> {
             .collect();
         remote.sort_unstable();
         remote.dedup();
-        let mut requests: Vec<Vec<u64>> = vec![Vec::new(); grid.world().size()];
+        let mut requests: Vec<Vec<u32>> = vec![Vec::new(); grid.world().size()];
         for &g in &remote {
-            requests[self.layout.owner_rank(g)].push(g as u64);
+            let (owner, offset) = self.owner_offset(g);
+            requests[owner].push(offset);
         }
         let incoming = grid.world().alltoallv(requests);
         let replies: Vec<Vec<T>> = incoming
             .into_iter()
             .map(|reqs| {
                 reqs.into_iter()
-                    .map(|g| self.local[g as usize - mine.start].clone())
+                    .map(|offset| self.local[offset as usize].clone())
                     .collect()
             })
             .collect();
@@ -152,8 +171,9 @@ impl<T: Clone + CommMsg> DistVec<T> {
 
     /// Fold `(index, value)` updates into their owners' chunks with
     /// `combine`: locally owned indices in place (in `updates` order),
-    /// then the routed ones in source-rank order — `combine` should not
-    /// depend on the order of its updates.
+    /// then the routed ones — each addressed by a `u32` offset into its
+    /// owner's chunk — in source-rank order. `combine` should not depend
+    /// on the order of its updates.
     pub fn scatter_combine(
         &mut self,
         grid: &ProcGrid,
@@ -162,19 +182,33 @@ impl<T: Clone + CommMsg> DistVec<T> {
     ) {
         let p = grid.world().size();
         let mine = self.global_range(grid);
-        let mut outgoing: Vec<Vec<(u64, T)>> = (0..p).map(|_| Vec::new()).collect();
+        let mut outgoing: Vec<Vec<(u32, T)>> = (0..p).map(|_| Vec::new()).collect();
         for (g, v) in updates {
             if mine.contains(&g) {
                 combine(&mut self.local[g - mine.start], v);
             } else {
-                outgoing[self.layout.owner_rank(g)].push((g as u64, v));
+                let (owner, offset) = self.owner_offset(g);
+                outgoing[owner].push((offset, v));
             }
         }
         for batch in grid.world().alltoallv(outgoing) {
-            for (g, v) in batch {
-                combine(&mut self.local[g as usize - mine.start], v);
+            for (offset, v) in batch {
+                combine(&mut self.local[offset as usize], v);
             }
         }
+    }
+
+    /// The row half of [`DistVec::fetch_aligned`]: the vector restricted
+    /// to this rank's matrix block *row* range, by an allgather over the
+    /// grid-row communicator — grid row i's chunks concatenated (in
+    /// column order) cover block range i exactly.
+    pub fn fetch_rows(&self, grid: &ProcGrid) -> Vec<T> {
+        let row_chunks = grid.row().allgather(self.local.clone());
+        let mut row_vals = Vec::with_capacity(self.layout.block_range(grid.myrow()).len());
+        for chunk in row_chunks {
+            row_vals.extend(chunk);
+        }
+        row_vals
     }
 
     /// The paper's Fig. 2 exchange. Returns `(row_vals, col_vals)`:
@@ -182,13 +216,7 @@ impl<T: Clone + CommMsg> DistVec<T> {
     /// (`block_range(myrow)`) and block *column* range
     /// (`block_range(mycol)`), respectively.
     pub fn fetch_aligned(&self, grid: &ProcGrid) -> (Vec<T>, Vec<T>) {
-        // Allgather over the Row dimension: grid row i's chunks
-        // concatenated (in column order) cover block range i exactly.
-        let row_chunks = grid.row().allgather(self.local.clone());
-        let mut row_vals = Vec::with_capacity(self.layout.block_range(grid.myrow()).len());
-        for chunk in row_chunks {
-            row_vals.extend(chunk);
-        }
+        let row_vals = self.fetch_rows(grid);
         // Column range: the transposed processor P(j, i) just assembled
         // block range j — swap with it point-to-point.
         let col_vals = if grid.is_diagonal() {
@@ -286,11 +314,12 @@ mod tests {
         let framing = 2 * 4 * 4 * 8;
         let cases: [(&str, u64); 4] = [
             ("all-local", 0),
-            // 4 ranks × 3 distinct remote indices × (8 B request + 8 B reply)
-            ("all-remote", 4 * 3 * 16),
+            // 4 ranks × 3 distinct remote indices × (4 B chunk offset
+            // request + 8 B reply)
+            ("all-remote", 4 * 3 * 12),
             // 500 copies of one remote and one local index: one round trip each
-            ("duplicates", 4 * 16),
-            ("rank0-only", 3 * 16),
+            ("duplicates", 4 * 12),
+            ("rank0-only", 3 * 12),
         ];
         for (case, payload) in cases {
             let (out, profile) =

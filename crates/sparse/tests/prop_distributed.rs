@@ -100,7 +100,7 @@ proptest! {
     ) {
         let p = [1usize, 4, 9][p_idx];
         let triples = to_triples(n, n, &entries);
-        let mut want = vec![0u64; n];
+        let mut want = vec![0u32; n];
         for &(r, _, _) in &triples {
             want[r as usize] += 1;
         }
@@ -135,6 +135,56 @@ proptest! {
         }).remove(0);
         let want: Vec<u64> = indices.iter().map(|&g| g as u64 * 7 + 3).collect();
         prop_assert_eq!(got, want);
+    }
+
+    /// `gather` and `scatter_combine` ship a `u32` offset into the
+    /// owner's chunk: every chunk's first and last index (and the ones
+    /// beside them) must come back from, and land in, the right slot.
+    #[test]
+    fn chunk_offsets_address_the_right_element_at_chunk_boundaries(
+        p_idx in 0usize..3,
+        n in 1usize..70,
+        stride in 1usize..5,
+    ) {
+        let p = [1usize, 4, 9][p_idx];
+        let q = [1usize, 2, 3][p_idx];
+        let layout = elba_sparse::layout::Layout2D::new(n, q);
+        let mut boundaries: Vec<usize> = Vec::new();
+        for i in 0..q {
+            for j in 0..q {
+                let chunk = layout.chunk_range(i, j);
+                for g in [chunk.start.wrapping_sub(1), chunk.start, chunk.end.wrapping_sub(1), chunk.end] {
+                    if g < n {
+                        boundaries.push(g);
+                    }
+                }
+            }
+        }
+        let idx = boundaries.clone();
+        let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let v = DistVec::from_fn(&grid, n, |g| g as u64 * 5 + 1);
+            // Rank r asks for every `stride`-th boundary index from the r-th on.
+            let rank = grid.world().rank();
+            let mine: Vec<usize> = idx.iter().copied().skip(rank % stride).step_by(stride).collect();
+            let got = v.gather(&grid, &mine);
+            let gathered = mine.iter().zip(&got).all(|(&g, &x)| x == g as u64 * 5 + 1);
+            // Each rank adds (rank + 1) at each of its indices.
+            let mut acc = DistVec::from_fn(&grid, n, |_| 0u64);
+            let updates = mine.iter().map(|&g| (g, rank as u64 + 1)).collect();
+            acc.scatter_combine(&grid, updates, |a, x| *a += x);
+            (gathered, acc.to_global(&grid))
+        });
+        let mut want = vec![0u64; n];
+        for rank in 0..p {
+            for &g in boundaries.iter().skip(rank % stride).step_by(stride) {
+                want[g] += rank as u64 + 1;
+            }
+        }
+        for (gathered, sums) in out {
+            prop_assert!(gathered);
+            prop_assert_eq!(&sums, &want);
+        }
     }
 
     #[test]

@@ -205,6 +205,10 @@ fn cmd_assemble(
             code: exit::READ_TOO_LONG,
             message,
         },
+        ReadsError::TooMany(message) => CliError {
+            code: exit::TOO_MANY_READS,
+            message,
+        },
         ReadsError::Unreadable(message) => CliError::failure(message),
     })?;
     let cfg = &job.cfg;
@@ -368,13 +372,14 @@ impl Drop for SocketDirGuard {
 }
 
 /// One abnormally-exited child: its rank, a severity class used to pick
-/// the root cause of a cascade, a human-readable status, and whether it
-/// refused the input (which the launch then exits with).
+/// the root cause of a cascade, a human-readable status, and the exit
+/// code it refused the input with, if it did (the launch then exits
+/// with that code).
 struct ChildFailure {
     rank: usize,
     severity: u8,
     status: String,
-    read_too_long: bool,
+    refused_input: Option<u8>,
 }
 
 fn classify_exit(rank: usize, status: ExitStatus) -> ChildFailure {
@@ -396,6 +401,9 @@ fn classify_exit(rank: usize, status: ExitStatus) -> ChildFailure {
         Some(c) if c == i32::from(exit::READ_TOO_LONG) => {
             (2, format!("exited with code {c} (a read is too long)"))
         }
+        Some(c) if c == i32::from(exit::TOO_MANY_READS) => {
+            (2, format!("exited with code {c} (too many reads)"))
+        }
         Some(c) => (2, format!("exited with code {c}")),
         None => match status.signal() {
             Some(s) => (0, format!("killed by signal {s}")),
@@ -406,7 +414,9 @@ fn classify_exit(rank: usize, status: ExitStatus) -> ChildFailure {
         rank,
         severity,
         status,
-        read_too_long: code == Some(i32::from(exit::READ_TOO_LONG)),
+        refused_input: [exit::READ_TOO_LONG, exit::TOO_MANY_READS]
+            .into_iter()
+            .find(|&refusal| code == Some(i32::from(refusal))),
     }
 }
 
@@ -432,7 +442,7 @@ fn sweep_children(
                     rank: *rank,
                     severity: 2,
                     status: format!("wait failed: {e}"),
-                    read_too_long: false,
+                    refused_input: None,
                 });
                 *slot = None;
             }
@@ -482,13 +492,9 @@ fn supervise(
                     .collect();
                 message.push_str(&format!("; then {}", rest.join("; ")));
             }
-            // Every worker reads the same input: a refused read is the
-            // input's failure, not a rank's.
-            let code = if primary.read_too_long {
-                exit::READ_TOO_LONG
-            } else {
-                exit::RANK_FAILED
-            };
+            // Every worker reads the same input: a refused read set is
+            // the input's failure, not a rank's.
+            let code = primary.refused_input.unwrap_or(exit::RANK_FAILED);
             return Err(CliError { code, message });
         }
         if running == 0 {

@@ -54,6 +54,11 @@ pub mod exit {
     /// starts (`elba_seq::ReadTooLong`). `elba launch` passes its
     /// workers' refusal through.
     pub const READ_TOO_LONG: u8 = 3;
+    /// A read set of 2³² reads or more: read ids travel as `u32`, so the
+    /// input is refused before any rank starts
+    /// (`elba_seq::TooManyReads`). `elba launch` passes its workers'
+    /// refusal through.
+    pub const TOO_MANY_READS: u8 = 4;
     /// A rank failed: an in-process `elba assemble` rank died, or an
     /// `elba launch` worker exited abnormally. The message names the
     /// rank and its status.

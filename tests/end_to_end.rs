@@ -496,15 +496,37 @@ fn fixed_chain_graph(
 /// still move the contigs; a changed payload moves these.
 #[test]
 fn contig_stage_wire_traffic_matches_golden_constants() {
-    // (msgs, bytes) per rank. Recorded when reads crossed ranks one byte
-    // per base with `u64` lengths: InducedSubgraph (8, 27384),
-    // (10, 16432), (9, 17264), (9, 27080). `ReadStore::exchange` now
-    // ships a 120-base read as 30 packed bytes plus a 12-byte
-    // `(u64, u32)` header instead of 120 + 16, so each rank's bytes fall
-    // by 94 × the reads it ships (100, 102, 102, 102): −9400 on rank 0
-    // and −9588 on the others, in both sums. Message counts do not move.
-    const INDUCED_SUBGRAPH: [(u64, u64); 4] = [(8, 17984), (10, 6844), (9, 7676), (9, 17492)];
-    const EXTRACT_CONTIG: [(u64, u64); 4] = [(27, 27516), (34, 15662), (31, 18788), (31, 24362)];
+    // (msgs, bytes) per rank. n = 408 reads, q = 2: each block range
+    // holds 204 vertices, each vector chunk 102. The chains are id-ordered,
+    // so all 760 edges of `L` (770 of `S` less the 10 that touch the two
+    // branch vertices) sit in the diagonal blocks (376 on rank 0, 384 on
+    // rank 3). InducedSubgraph, term by term (a `Vec` books an
+    // 8-byte length; an alltoallv books all 4 buffers, its own included):
+    // - row-half label fetch, 4 B per `u32` label: the grid-row allgather
+    //   is a gather (8 + 102 × 4 = 416 B from ranks 1 and 3) and a bcast
+    //   of both chunks (8 + 2 × 416 = 840 B from ranks 0 and 2);
+    // - edges, 16 B per `EdgeRecord`: 32 + 16 × 376 = 6048 B on rank 0,
+    //   32 + 16 × 384 = 6176 B on rank 3, 32 B of empty buffers on 1 and 2;
+    // - read headers, 8 B per `(u32, u32)`: 32 + 8 × (100, 102, 102, 102);
+    // - packed reads, 30 B per 120-base read: one send of 8 + 30 × reads
+    //   to each of the 4 ranks.
+    // Rank 0: 840 + 6048 + 832 + 3032 = 10752; rank 1: 416 + 32 + 848 +
+    // 3092 = 4388; rank 2: 840 + 32 + 848 + 3092 = 4812; rank 3: 416 +
+    // 6176 + 848 + 3092 = 10532. At `u64` width these were 17984, 6844,
+    // 7676, 17492: 32-byte `(u64, u64, SgEdge)` edges, 12-byte `(u64,
+    // u32)` headers, `u64` labels in both halves of the Fig. 2 exchange.
+    // The column half was a 1640-byte swap with the transposed rank on
+    // ranks 1 and 2; it is gone, so each sends one message fewer.
+    const INDUCED_SUBGRAPH: [(u64, u64); 4] = [(8, 10752), (9, 4388), (8, 4812), (9, 10532)];
+    // The rest of ExtractContig moved by the `u32` degrees and FastSV:
+    // - BranchRemoval and GreedyPartitioning each reduce-scatter 204
+    //   `u32` degrees: −816 B per rank each;
+    // - ConnectedComponent (contraction scatter, and each round's
+    //   gather, `(f, gp)` fetch and proposals at `u32`): −2400, −2448,
+    //   −3264, −1584 B.
+    // So 27516, 15662, 18788, 24362 B at `u64` width fell by 11264, 6536,
+    // 7760, 10176 B.
+    const EXTRACT_CONTIG: [(u64, u64); 4] = [(27, 16252), (33, 9126), (30, 11028), (31, 14186)];
     let (reads, triples) = fixed_chain_graph(24, 17, 70);
     let n = reads.len();
     let (out, profile) = Runner::new(Backend::InProcess)

@@ -15,6 +15,33 @@ fn empty_read_set() {
 }
 
 #[test]
+fn a_read_set_of_2_32_reads_is_refused_with_its_own_exit_code() {
+    use elba::core::job::ReadsError;
+    use elba::exit;
+    use elba::seq::TooManyReads;
+    // Only the count is checked, so nothing of that size is allocated.
+    let refused = TooManyReads::check(1 << 32).expect_err("ids would pass u32");
+    let error = ReadsError::TooMany(format!("reads.fa: {refused}"));
+    assert_eq!(
+        error.to_string(),
+        "reads.fa: 4294967296 reads; a read set is limited to 4294967295 (read ids are 32-bit)"
+    );
+    let mut codes = vec![
+        exit::FAILURE,
+        exit::USAGE,
+        exit::READ_TOO_LONG,
+        exit::TOO_MANY_READS,
+        exit::RANK_FAILED,
+        exit::LAUNCH_TIMEOUT,
+        exit::PEER_GONE,
+        exit::FAULT_KILLED,
+    ];
+    codes.sort_unstable();
+    codes.dedup();
+    assert_eq!(codes.len(), 8, "every exit code is distinct");
+}
+
+#[test]
 fn single_read_produces_no_contig() {
     // A contig needs >= 2 reads by definition (§4.4).
     let read: Seq = "ACGTACGTACGTACGTACGTACGTACGTAAACCCGGGTTT"

@@ -7,6 +7,7 @@
 use elba::align::SgEdge;
 use elba::comm::transport::wire::{WireError, WireReader};
 use elba::comm::CommMsg;
+use elba::core::{EdgeRecord, WalkEdge};
 use elba::graph::{Hop, Seed, SharedSeeds};
 use elba::seq::AEntry;
 use elba::sparse::{Csr, Dcsc};
@@ -179,6 +180,75 @@ fn hops_travel_as_five_bytes() {
             matches!(Hop::wire_decode(&mut reader), Err(WireError::Malformed(_))),
             "flag byte {flags} decoded"
         );
+    }
+}
+
+/// The induced subgraph's edge records at the extremes: every strand
+/// pair, and `pre` / `post` at 0 and at 2³¹ − 1, the largest read
+/// coordinate (reads are shorter than 2³¹ bases).
+fn extreme_edge_records() -> Vec<EdgeRecord> {
+    let mut records = Vec::new();
+    for (pre, post) in [
+        (0, 0),
+        ((1 << 31) - 1, 0),
+        (0, (1 << 31) - 1),
+        ((1 << 31) - 1, (1 << 31) - 1),
+    ] {
+        for (src_rev, dst_rev) in [(false, false), (false, true), (true, false), (true, true)] {
+            let walk = WalkEdge {
+                pre,
+                post,
+                src_rev,
+                dst_rev,
+            };
+            records.push(EdgeRecord::new(pre ^ 5, u32::MAX - post, walk));
+        }
+    }
+    records
+}
+
+#[test]
+fn edge_records_travel_as_sixteen_bytes() {
+    let records = extreme_edge_records();
+    for record in &records {
+        assert_eq!(round_trip(record), *record);
+        assert_eq!(record.nbytes(), 16);
+        assert_eq!(encoded(record).len(), record.nbytes());
+        // The strand flags share words with `pre` and `post` and leave
+        // them intact.
+        let walk = round_trip(record).walk_edge();
+        assert_eq!(
+            EdgeRecord::new(walk.pre ^ 5, u32::MAX - walk.post, walk),
+            *record
+        );
+    }
+    let both = records.iter().find(|r| {
+        let walk = r.walk_edge();
+        walk.src_rev && walk.dst_rev && walk.pre == (1 << 31) - 1 && walk.post == (1 << 31) - 1
+    });
+    assert!(
+        both.is_some(),
+        "both flags set beside the largest coordinates"
+    );
+    assert_eq!(round_trip(&records), records);
+    assert_eq!(records.nbytes(), 8 + 16 * records.len());
+    assert_eq!(encoded(&records).len(), records.nbytes());
+    // Every strict prefix of an encoding is an error, never a value.
+    let buf = encoded(&records);
+    for cut in 0..buf.len() {
+        let mut reader = WireReader::new(&buf[..cut]);
+        assert!(matches!(
+            Vec::<EdgeRecord>::wire_decode(&mut reader),
+            Err(WireError::Truncated { .. })
+        ));
+    }
+    let one = encoded(&records[records.len() - 1]);
+    for cut in 0..one.len() {
+        let mut reader = WireReader::new(&one[..cut]);
+        assert!(matches!(
+            EdgeRecord::wire_decode(&mut reader),
+            Err(WireError::Truncated { .. })
+        ));
     }
 }
 
