@@ -18,9 +18,10 @@
 //! * the 2D-distributed layer: [`dist_mat::DistMat`] (one batched SUMMA
 //!   SpGEMM whose parameter is a memory budget, masked SpGEMM,
 //!   transpose, prune, row reduction, branch masking) and
-//!   [`dist_vec::DistVec`] (gather/scatter by global index and the
-//!   paper's Fig. 2 row-allgather + transposed-p2p `fetch_aligned`
-//!   exchange),
+//!   [`dist_vec::DistVec`] (gather/scatter by global index, shipped as
+//!   `u32` chunk offsets, the paper's Fig. 2 row-allgather +
+//!   transposed-p2p `fetch_aligned` exchange and its row half
+//!   `fetch_rows`),
 //! * [`dense::Dense`], a tiny dense oracle used by the test suite.
 
 mod build;
