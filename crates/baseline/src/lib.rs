@@ -29,7 +29,7 @@ use elba_align::{
 use elba_core::{local_assembly, AssemblyConfig, Contig, LocalGraph, WalkEdge};
 use elba_seq::kmer::canonical_kmers;
 use elba_seq::{ReadStore, Seq};
-use elba_sparse::Dcsc;
+use elba_sparse::Csc;
 
 /// Parameters shared by both baselines.
 #[derive(Debug, Clone)]
@@ -337,23 +337,15 @@ fn assemble_from_edges(
         .map(|(u, v, e)| (u, v, e.into()))
         .collect();
     stats.dovetail_edges = kept.len();
-    let dcsc = Dcsc::from_triples(n, n, kept, |_, _| {});
     let graph = LocalGraph {
         global_ids: (0..n as u64).collect(),
-        csc: dcsc.to_csc(),
+        csc: Csc::from_triples(n, n, kept, |_, _| {}),
     };
     let mut store = ReadStore::empty(n);
     for (rid, read) in reads.iter().enumerate() {
         store.push(rid as u64, read.codes());
     }
-    let (contigs, _) = local_assembly(
-        &graph,
-        &store,
-        &AssemblyConfig {
-            emit_cycles: true,
-            ..AssemblyConfig::default()
-        },
-    );
+    let (contigs, _) = local_assembly(&graph, &store, &AssemblyConfig::default());
     stats.contigs = contigs.len();
     contigs
 }

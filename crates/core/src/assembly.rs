@@ -75,25 +75,12 @@ pub struct Contig {
 }
 
 /// Local assembly options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AssemblyConfig {
-    /// Also emit circular components (broken at an arbitrary vertex).
-    /// The paper's contig definition covers only linear chains; cycles
-    /// are rare repeat artifacts on linear genomes.
-    pub emit_cycles: bool,
     /// Worker threads for the contig materialization pass (`0` or `1` is
     /// serial). Contigs are byte-identical for every value; this changes
     /// wall time only.
     pub threads: usize,
-}
-
-impl Default for AssemblyConfig {
-    fn default() -> Self {
-        AssemblyConfig {
-            emit_cycles: true,
-            threads: 0,
-        }
-    }
 }
 
 /// Counters for diagnostics and the contig-stage statistics.
@@ -151,7 +138,10 @@ struct WalkSpec<'s> {
     circular: bool,
 }
 
-/// Assemble every contig stored in this rank's induced subgraph.
+/// Assemble every contig stored in this rank's induced subgraph: one per
+/// chain, and one circular contig per cycle (the paper's contig
+/// definition covers only chains; on a linear genome a cycle is a rare
+/// repeat artifact).
 pub fn local_assembly(
     graph: &LocalGraph,
     store: &ReadStore,
@@ -259,17 +249,16 @@ pub fn local_assembly(
             walks.push(walk);
         }
     }
-    // Remaining unvisited degree-2 vertices form cycles.
-    if cfg.emit_cycles {
-        for s in 0..n {
-            if !visited[s] && csc.degree(s) == 2 {
-                let mut walk = trace(s, &mut visited, &mut stats);
-                walk.circular = true;
-                stats.reads_used += walk.read_ids.len();
-                stats.contigs += 1;
-                stats.cycles += 1;
-                walks.push(walk);
-            }
+    // Remaining unvisited degree-2 vertices form cycles: each becomes a
+    // circular contig, broken at its lowest-indexed vertex.
+    for s in 0..n {
+        if !visited[s] && csc.degree(s) == 2 {
+            let mut walk = trace(s, &mut visited, &mut stats);
+            walk.circular = true;
+            stats.reads_used += walk.read_ids.len();
+            stats.contigs += 1;
+            stats.cycles += 1;
+            walks.push(walk);
         }
     }
 
@@ -300,7 +289,7 @@ pub fn local_assembly(
 mod tests {
     use super::*;
     use elba_align::{dovetail_edges, OverlapAln};
-    use elba_sparse::{Csc, Dcsc};
+    use elba_sparse::Csc;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -367,10 +356,10 @@ mod tests {
             triples.push((i as u32, (i + 1) as u32, fwd.into()));
             triples.push(((i + 1) as u32, i as u32, bwd.into()));
         }
-        let dcsc = Dcsc::from_triples(n, n, triples, |_, _| unreachable!());
+        let csc = Csc::from_triples(n, n, triples, |_, _| unreachable!());
         let graph = LocalGraph {
             global_ids: (0..n as u64).collect(),
-            csc: dcsc.to_csc(),
+            csc,
         };
         (graph, store)
     }
@@ -481,10 +470,10 @@ mod tests {
             triples.push((r, c, *e));
             triples.push((r + 3, c + 3, *e));
         }
-        let dcsc = Dcsc::from_triples(6, 6, triples, |_, _| unreachable!());
+        let csc = Csc::from_triples(6, 6, triples, |_, _| unreachable!());
         let graph = LocalGraph {
             global_ids: (0..6).collect(),
-            csc: dcsc.to_csc(),
+            csc,
         };
         let (contigs, stats) = local_assembly(&graph, &store, &AssemblyConfig::default());
         assert_eq!(stats.contigs, 2);
@@ -495,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn cycle_emitted_only_when_enabled() {
+    fn cycle_is_emitted_as_a_circular_contig() {
         // 3-cycle: reads tile a circular genome
         let g = genome(300, 7);
         let read_len = 140;
@@ -529,25 +518,14 @@ mod tests {
             triples.push((i as u32, j as u32, fwd));
             triples.push((j as u32, i as u32, bwd));
         }
-        let dcsc = Dcsc::from_triples(n, n, triples, |_, _| unreachable!());
+        let csc = Csc::from_triples(n, n, triples, |_, _| unreachable!());
         let graph = LocalGraph {
             global_ids: (0..n as u64).collect(),
-            csc: dcsc.to_csc(),
+            csc,
         };
-        let cycles_on = AssemblyConfig {
-            emit_cycles: true,
-            ..AssemblyConfig::default()
-        };
-        let (with_cycles, stats) = local_assembly(&graph, &store, &cycles_on);
+        let (contigs, stats) = local_assembly(&graph, &store, &AssemblyConfig::default());
         assert_eq!(stats.cycles, 1);
-        assert!(with_cycles[0].circular);
-        let cycles_off = AssemblyConfig {
-            emit_cycles: false,
-            ..AssemblyConfig::default()
-        };
-        let (without, stats2) = local_assembly(&graph, &store, &cycles_off);
-        assert!(without.is_empty());
-        assert_eq!(stats2.contigs, 0);
+        assert!(contigs[0].circular);
     }
 
     #[test]
@@ -579,16 +557,13 @@ mod tests {
         for (id, codes) in store.iter() {
             merged.push(id, codes);
         }
-        let dcsc = Dcsc::from_triples(total, total, triples, |_, _| unreachable!());
+        let csc = Csc::from_triples(total, total, triples, |_, _| unreachable!());
         let graph = LocalGraph {
             global_ids: (0..total as u64).collect(),
-            csc: dcsc.to_csc(),
+            csc,
         };
         let run = |threads: usize| {
-            let cfg = AssemblyConfig {
-                emit_cycles: true,
-                threads,
-            };
+            let cfg = AssemblyConfig { threads };
             local_assembly(&graph, &merged, &cfg)
         };
         let (baseline, base_stats) = run(1);

@@ -1,8 +1,8 @@
-//! The one triples → compressed builder under [`crate::Csr`],
-//! [`crate::Csc`] and [`crate::Dcsc`]`::from_triples`.
+//! The one triples → compressed builder under [`crate::Csr`] and
+//! [`crate::Csc`]`::from_triples`.
 //!
 //! A compressed matrix is a pointer array over its *major* index (rows
-//! for CSR, columns for CSC/DCSC), the *minor* indices grouped by major
+//! for CSR, columns for CSC), the *minor* indices grouped by major
 //! slice and ascending inside each, and the values alongside. Building
 //! one is a bucket sort, not a comparison sort (CombBLAS' counting-sort
 //! tuple ingestion): count the entries per major slice, give every input
@@ -219,7 +219,7 @@ fn fold_sorted<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Csc, Csr, Dcsc};
+    use crate::{Csc, Csr};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -263,8 +263,8 @@ mod tests {
         (ptr, idx, val)
     }
 
-    /// All three constructors, the part-wise entry point and the
-    /// DCSC → CSC expansion against the oracle.
+    /// Both constructors and the part-wise entry point against the
+    /// oracle.
     fn check(nrows: usize, ncols: usize, triples: &Triples, cuts: usize) {
         let (ptr, idx, val) = sort_and_compress(nrows, triples.clone(), |r, c| (r, c));
         let csr = Csr::from_triples(nrows, ncols, triples.clone(), combine);
@@ -289,16 +289,6 @@ mod tests {
             (&ptr[..], &idx[..], &val[..]),
             "csc"
         );
-        let dcsc = Dcsc::from_triples(nrows, ncols, triples.clone(), combine);
-        assert_eq!(
-            dcsc.nzc(),
-            (0..ncols).filter(|&j| csc.degree(j) > 0).count()
-        );
-        assert!(dcsc
-            .iter()
-            .map(|(r, c, &v)| (r, c, v))
-            .eq(csc.iter().map(|(r, c, &v)| (r, c, v))));
-        assert_eq!(dcsc.to_csc(), csc, "dcsc → csc");
     }
 
     fn shuffle<X>(items: &mut [X], rng: &mut StdRng) {

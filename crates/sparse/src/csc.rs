@@ -9,9 +9,8 @@
 //!
 //! [`Csc::from_triples`] is the CSR builder (`build.rs`) with the roles
 //! of row and column swapped: a counting sort on the column, linear in
-//! `nnz + ncols`. The induced subgraph is built through it directly.
-
-use crate::csr::Csr;
+//! `nnz + ncols`. The induced subgraph is built through it directly,
+//! with no hypersparse format in between.
 
 /// Sparse matrix in CSC form.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,36 +54,6 @@ impl<T> Csc<T> {
             ir,
             val,
         }
-    }
-
-    /// Adopt arrays already in canonical CSC order (columns grouped, rows
-    /// ascending and distinct inside each).
-    pub(crate) fn from_parts(
-        nrows: usize,
-        ncols: usize,
-        jc: Vec<usize>,
-        ir: Vec<u32>,
-        val: Vec<T>,
-    ) -> Self {
-        assert_eq!(jc.len(), ncols + 1);
-        assert_eq!(ir.len(), val.len());
-        assert_eq!(*jc.last().expect("jc non-empty"), ir.len());
-        debug_assert!(ir.iter().all(|&r| (r as usize) < nrows));
-        Csc {
-            nrows,
-            ncols,
-            jc,
-            ir,
-            val,
-        }
-    }
-
-    /// Convert from CSR (O(nnz)): the CSC arrays of `m` are the CSR
-    /// arrays of `mᵀ`.
-    pub fn from_csr(m: Csr<T>) -> Self {
-        let (nrows, ncols) = (m.nrows(), m.ncols());
-        let (jc, ir, val) = m.transpose().into_parts();
-        Csc::from_parts(nrows, ncols, jc, ir, val)
     }
 
     #[inline]
@@ -181,15 +150,6 @@ mod tests {
         assert_eq!(m.degree(1), 1);
         assert_eq!(m.degree(2), 1);
         assert_eq!(m.jc()[1] - m.jc()[0], 2);
-    }
-
-    #[test]
-    fn from_csr_matches_from_triples() {
-        let triples = vec![(2u32, 1u32, 4), (0, 0, 1), (0, 2, 2), (2, 0, 3)];
-        let csr = Csr::from_triples(3, 3, triples.clone(), |_, _| unreachable!());
-        let via_csr = Csc::from_csr(csr);
-        let direct = Csc::from_triples(3, 3, triples, |_, _| unreachable!());
-        assert_eq!(via_csr, direct);
     }
 
     #[test]

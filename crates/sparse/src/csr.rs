@@ -4,7 +4,7 @@
 //!
 //! [`Csr::from_triples`] is a counting sort on the row index, linear in
 //! `nnz + nrows`; `build.rs` holds the one builder it shares with
-//! [`crate::Csc`] and [`crate::Dcsc`]. Triples that arrive already in
+//! [`crate::Csc`]. Triples that arrive already in
 //! row-major order (every build on one rank) cost one check pass and one
 //! emit pass; the sorted per-source lists a distributed build receives
 //! are merged without being concatenated first.

@@ -12,7 +12,6 @@ use std::sync::Arc;
 use elba_comm::{CommMsg, MemCharge, ProcGrid};
 
 use crate::csr::Csr;
-use crate::dcsc::Dcsc;
 use crate::dist_vec::DistVec;
 use crate::layout::Layout2D;
 use crate::semiring::{MaskedFold, Semiring};
@@ -683,23 +682,34 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         }
     }
 
-    /// Distributed transpose: every rank transposes its own block with
-    /// the O(nnz) counting [`Csr::transposed`], and block `(i, j)` swaps
-    /// the result with the rank at `(j, i)` as a [`Dcsc`] — non-empty
-    /// rows only, block-local `u32` indices — so neither side sorts and
-    /// a hypersparse block ships bytes proportional to its entries, not
-    /// to its dimension.
+    /// Distributed transpose: block `(i, i)` transposes itself with the
+    /// O(nnz) counting [`Csr::transposed`]; block `(i, j)` swaps its
+    /// entries with the rank at `(j, i)` as block-local `(col, row,
+    /// value)` triples — `8 + nnz·(8 + |T|)` bytes, proportional to the
+    /// block's entries, not to its dimension — and the receiver
+    /// counting-sorts them into its block with [`Csr::from_triples`].
     pub fn transpose(&self, grid: &ProcGrid) -> DistMat<T> {
-        let mine = self.local.transposed();
         let local = if grid.is_diagonal() {
-            mine
+            self.local.transposed()
         } else {
             let partner = grid.transpose_rank();
-            grid.world()
-                .send(partner, TRANSPOSE_TAG, Dcsc::from_transposed_csr(mine));
-            grid.world()
-                .recv::<Dcsc<T>>(partner, TRANSPOSE_TAG)
-                .into_transposed_csr()
+            let mine: Vec<(u32, u32, T)> = self
+                .local
+                .iter()
+                .map(|(r, c, v)| (c, r, v.clone()))
+                .collect();
+            grid.world().send(partner, TRANSPOSE_TAG, mine);
+            let theirs = grid
+                .world()
+                .recv::<Vec<(u32, u32, T)>>(partner, TRANSPOSE_TAG);
+            // The partner's block is `(mycol, myrow)` of `A`, so its
+            // transpose spans A's column block `myrow` × row block `mycol`.
+            Csr::from_triples(
+                self.col_layout.block_range(grid.myrow()).len(),
+                self.row_layout.block_range(grid.mycol()).len(),
+                theirs,
+                |_, _| unreachable!("a block holds each coordinate once"),
+            )
         };
         // After the swap this rank holds block (myrow, mycol) of Aᵀ, whose
         // row layout is A's column layout and vice versa.

@@ -4,9 +4,10 @@
 //! of sparse linear algebra over CombBLAS. This crate rebuilds that
 //! substrate in Rust:
 //!
-//! * local formats: [`csr::Csr`], [`csc::Csc`] (with the paper's
-//!   `JC`/`IR`/`VAL` naming used by local assembly), and hypersparse
-//!   [`dcsc::Dcsc`] with the §4.4 linear-time DCSC→CSC expansion,
+//! * local formats: [`csr::Csr`], the block format of every
+//!   distributed matrix, and [`csc::Csc`] (with the paper's
+//!   `JC`/`IR`/`VAL` naming used by local assembly), both built by one
+//!   counting sort from triples,
 //! * [`semiring::Semiring`] overloading of `(+, ×)`, including filtering
 //!   semirings (a `multiply` that can annihilate) and an in-place
 //!   `fold` (`acc ⊕= a ⊗ b`) a semiring may specialise,
@@ -27,7 +28,6 @@
 mod build;
 pub mod csc;
 pub mod csr;
-pub mod dcsc;
 pub mod dense;
 pub mod dist_mat;
 pub mod dist_vec;
@@ -37,7 +37,6 @@ pub mod spgemm;
 
 pub use csc::Csc;
 pub use csr::Csr;
-pub use dcsc::Dcsc;
 pub use dist_mat::{algorithm_label, DistMat, SpGemmAlgorithm, SpGemmOptions};
 pub use dist_vec::DistVec;
 pub use layout::Layout2D;

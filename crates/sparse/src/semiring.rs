@@ -1,5 +1,5 @@
 //! Semiring abstraction: CombBLAS-style overloading of `(+, ×)` so the
-//! same SpGEMM/SpMV kernels serve numeric algebra, boolean reachability,
+//! same SpGEMM kernels serve numeric algebra, boolean reachability,
 //! and ELBA's overlap-detection and transitive-reduction algebras.
 
 /// A (possibly filtering) semiring over input types `A`, `B` and output
@@ -163,30 +163,6 @@ impl Semiring for MinPlus {
     }
 }
 
-/// `(min, select2nd)` semiring used by label-propagation style algorithms
-/// (LACC hooking): multiplying an edge by a vertex label selects the
-/// label; addition keeps the minimum.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MinSelect2nd;
-
-impl Semiring for MinSelect2nd {
-    /// Edge presence (structural).
-    type A = ();
-    /// Vertex label.
-    type B = u64;
-    type Out = u64;
-
-    #[inline]
-    fn multiply(&self, _: &(), label: &u64) -> Option<u64> {
-        Some(*label)
-    }
-
-    #[inline]
-    fn add(&self, acc: &mut u64, other: u64) {
-        *acc = (*acc).min(other);
-    }
-}
-
 /// Adapt a plain closure pair into a semiring.
 pub struct FnSemiring<A, B, Out, M, Add>
 where
@@ -262,15 +238,6 @@ mod tests {
         let mut acc = 9;
         s.add(&mut acc, 3);
         assert_eq!(acc, 3);
-    }
-
-    #[test]
-    fn min_select2nd_propagates_labels() {
-        let s = MinSelect2nd;
-        assert_eq!(s.multiply(&(), &7), Some(7));
-        let mut acc = 7;
-        s.add(&mut acc, 4);
-        assert_eq!(acc, 4);
     }
 
     #[test]

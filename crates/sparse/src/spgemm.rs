@@ -1,5 +1,5 @@
-//! Local sparse kernels: Gustavson SpGEMM with a sparse accumulator (SPA),
-//! its masked form and semiring-generic SpMV. The first runs inside every
+//! Local sparse kernels: Gustavson SpGEMM with a sparse accumulator (SPA)
+//! and its masked form. The first runs inside every
 //! SUMMA stage of overlap detection (`C = AAᵀ`), the second inside every
 //! stage of the transitive-reduction sweep (`R ⊗ R` on `R`'s pattern).
 

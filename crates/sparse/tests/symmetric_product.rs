@@ -4,8 +4,9 @@
 //! an order-sensitive semiring add, for every schedule, rank count and
 //! thread count — and must ship each block only to the ranks that
 //! multiply with it, byte for byte. `DistMat::transpose`, which the
-//! oracle and `symmetrize` use, must equal a gather-triples oracle while
-//! shipping bytes proportional to a block's entries, not its dimension.
+//! oracle and `symmetrize` use, must equal a gather-triples oracle — in
+//! process and through the socket wire codec — while shipping bytes
+//! proportional to a block's entries, not its dimension.
 
 mod common;
 
@@ -213,39 +214,43 @@ fn direct_fetch_ships_each_block_only_to_the_ranks_that_multiply_with_it() {
 
 type Triples = Vec<(u64, u64, f64)>;
 
-/// Gather `a`, `aᵀ` and `(aᵀ)ᵀ` on `p` ranks (sorted triples), plus the
-/// profiled bytes of the two transposes.
-fn transposes(p: usize, nrows: usize, ncols: usize, triples: &Triples) -> ([Triples; 3], u64) {
+/// Gather `a`, `aᵀ` and `(aᵀ)ᵀ` on `p` ranks of `backend` (sorted
+/// triples), plus the profiled bytes of the two transposes.
+fn transposes(
+    backend: Backend,
+    p: usize,
+    nrows: usize,
+    ncols: usize,
+    triples: &Triples,
+) -> ([Triples; 3], u64) {
     let t = triples.to_vec();
-    let (mut out, profile) = Runner::new(Backend::InProcess)
-        .ranks(p)
-        .run_profiled(move |comm| {
-            let grid = ProcGrid::new(comm);
-            // Every rank contributes a slice, so routing is exercised too.
-            let rank = grid.world().rank();
-            let mine: Vec<_> = t
-                .iter()
-                .copied()
-                .enumerate()
-                .filter_map(|(i, e)| (i % p == rank).then_some(e))
-                .collect();
-            let a = DistMat::from_triples(&grid, nrows, ncols, mine, |_, _| unreachable!());
-            let (at, att) = {
-                let _g = grid.world().phase("transpose");
-                let at = a.transpose(&grid);
-                let att = at.transpose(&grid);
-                (at, att)
-            };
-            assert_eq!((at.nrows(), at.ncols()), (ncols, nrows));
-            assert_eq!((att.nrows(), att.ncols()), (nrows, ncols));
-            // The block itself must round-trip, not just its entry set.
-            assert_eq!(att.local(), a.local());
-            [a, at, att].map(|m| {
-                let mut g = m.gather_triples(&grid);
-                g.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
-                g
-            })
-        });
+    let (mut out, profile) = Runner::new(backend).ranks(p).run_profiled(move |comm| {
+        let grid = ProcGrid::new(comm);
+        // Every rank contributes a slice, so routing is exercised too.
+        let rank = grid.world().rank();
+        let mine: Vec<_> = t
+            .iter()
+            .copied()
+            .enumerate()
+            .filter_map(|(i, e)| (i % p == rank).then_some(e))
+            .collect();
+        let a = DistMat::from_triples(&grid, nrows, ncols, mine, |_, _| unreachable!());
+        let (at, att) = {
+            let _g = grid.world().phase("transpose");
+            let at = a.transpose(&grid);
+            let att = at.transpose(&grid);
+            (at, att)
+        };
+        assert_eq!((at.nrows(), at.ncols()), (ncols, nrows));
+        assert_eq!((att.nrows(), att.ncols()), (nrows, ncols));
+        // The block itself must round-trip, not just its entry set.
+        assert_eq!(att.local(), a.local());
+        [a, at, att].map(|m| {
+            let mut g = m.gather_triples(&grid);
+            g.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
+            g
+        })
+    });
     (out.remove(0), profile.total_bytes("transpose"))
 }
 
@@ -279,31 +284,39 @@ fn transpose_matches_gather_oracle() {
         let mut want_t: Vec<(u64, u64, f64)> = triples.iter().map(|&(r, c, v)| (c, r, v)).collect();
         want_t.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
         for p in [1usize, 4, 9] {
-            let ([a, at, att], _) = transposes(p, nrows, ncols, &triples);
-            assert_eq!(a, triples, "{nrows}x{ncols} p={p}: routing");
-            assert_eq!(at, want_t, "{nrows}x{ncols} p={p}: transpose");
-            assert_eq!(att, triples, "{nrows}x{ncols} p={p}: involution");
+            let (gathered, bytes) = transposes(Backend::InProcess, p, nrows, ncols, &triples);
+            let [a, at, att] = &gathered;
+            assert_eq!(a, &triples, "{nrows}x{ncols} p={p}: routing");
+            assert_eq!(at, &want_t, "{nrows}x{ncols} p={p}: transpose");
+            assert_eq!(att, &triples, "{nrows}x{ncols} p={p}: involution");
+            if p == 1 {
+                continue;
+            }
+            // The same swaps through the wire codec: every frame is
+            // encoded, decoded and booked at the same size.
+            let (over_sockets, socket_bytes) =
+                transposes(Backend::Socket, p, nrows, ncols, &triples);
+            assert_eq!(over_sockets, gathered, "{nrows}x{ncols} p={p}: socket");
+            assert_eq!(socket_bytes, bytes, "{nrows}x{ncols} p={p}: socket bytes");
         }
     }
 }
 
 #[test]
 fn hypersparse_block_ships_bytes_per_entry_not_per_dimension() {
-    // 20 entries (20 distinct rows, 12 distinct columns) in one
-    // off-diagonal block of a 10⁵ × 10⁵ matrix on a 2×2 grid. A CSR of
-    // the transposed block would carry 8·(50 000 + 1) bytes of row
-    // pointers; as global triples the entries were 8 + 20·(16 + 8) =
-    // 488 bytes.
+    // 20 entries in one off-diagonal block of a 10⁵ × 10⁵ matrix on a
+    // 2×2 grid. A CSR of the transposed block would carry
+    // 8·(50 000 + 1) bytes of row pointers; as global triples the
+    // entries were 8 + 20·(16 + 8) = 488 bytes.
     let n = 100_000usize;
     let triples: Vec<(u64, u64, f64)> = (0..20u64)
         .map(|i| (i * 2_000, 50_000 + (i % 12) * 4_000, i as f64))
         .collect();
-    let (_, bytes) = transposes(4, n, n, &triples);
-    // One count header, a (column, length) pair per non-empty column of
-    // the block sent, a (row, value) pair per entry; the partner's
-    // empty block is a bare header. `A → Aᵀ` compresses on 12 columns,
-    // `Aᵀ → A` on 20.
-    let block = |nzc: u64| 8 + nzc * 8 + 20 * (4 + 8);
-    assert_eq!(bytes, (block(12) + 8) + (block(20) + 8));
-    assert!(block(20) < 488 && bytes < 1024);
+    let (_, bytes) = transposes(Backend::InProcess, 4, n, n, &triples);
+    // Each transpose ships the full block as one count header and a
+    // block-local (column, row, value) triple per entry, and the
+    // partner's empty block as a bare header: 672 bytes in all.
+    let block = 8 + 20 * (8 + 8);
+    assert_eq!(bytes, (block + 8) * 2);
+    assert!(block < 488 && bytes < 1024);
 }

@@ -10,7 +10,7 @@ use elba::comm::CommMsg;
 use elba::core::{EdgeRecord, WalkEdge};
 use elba::graph::{Hop, Seed, SharedSeeds};
 use elba::seq::AEntry;
-use elba::sparse::{Csr, Dcsc};
+use elba::sparse::Csr;
 use proptest::prelude::*;
 
 fn round_trip<T: CommMsg>(value: &T) -> T {
@@ -351,14 +351,11 @@ proptest! {
             })
             .collect();
         let keep_first = |acc: &mut AEntry, v: AEntry| *acc = (*acc).min(v);
-        let csr = Csr::from_triples(nrows, ncols, triples.clone(), keep_first);
+        let csr = Csr::from_triples(nrows, ncols, triples, keep_first);
         let back = round_trip(&csr);
         prop_assert_eq!(back.indptr(), csr.indptr());
         prop_assert_eq!(back.indices(), csr.indices());
         prop_assert_eq!(back.values(), csr.values());
-        let dcsc = Dcsc::from_triples(nrows, ncols, triples, keep_first);
-        let back = round_trip(&dcsc);
-        prop_assert_eq!(back.iter().collect::<Vec<_>>(), dcsc.iter().collect::<Vec<_>>());
         // Values are booked at their encoded size: the frame's overhead
         // over the model is the containers' structural headers alone,
         // the same as for a block of plain `u32` values.
@@ -372,10 +369,42 @@ proptest! {
             encoded(&csr).len() - csr.nbytes(),
             encoded(&words).len() - words.nbytes()
         );
-        let buf = encoded(&dcsc);
+    }
+
+    /// The frame `DistMat::transpose` swaps between partner ranks:
+    /// block-local `(col, row, edge)` triples of the string graph.
+    #[test]
+    fn transpose_frames_round_trip(
+        seeds in proptest::collection::vec(any::<u32>(), 0..200),
+        pick in any::<usize>(),
+    ) {
+        let edge = |s: u32, src_rev| SgEdge {
+            pre: s,
+            post: s.rotate_left(7),
+            src_rev,
+            dst_rev: s & 1 != 0,
+            suffix: s >> 3,
+        };
+        let frame: Vec<(u32, u32, SgEdge)> = seeds
+            .iter()
+            .map(|&s| (s % 5000, s / 3, edge(s, s & 2 != 0)))
+            .collect();
+        prop_assert_eq!(&round_trip(&frame), &frame);
+        prop_assert_eq!(frame.nbytes(), 8 + frame.len() * (8 + 16));
+        let buf = encoded(&frame);
         for cut in [0, buf.len() / 2, buf.len() - 1] {
             let mut reader = WireReader::new(&buf[..cut]);
-            prop_assert!(Dcsc::<AEntry>::wire_decode(&mut reader).is_err());
+            prop_assert!(Vec::<(u32, u32, SgEdge)>::wire_decode(&mut reader).is_err());
+        }
+        // One entry's `src_rev` byte, 0 in one frame and 1 in the other.
+        if !seeds.is_empty() {
+            let k = pick % seeds.len();
+            let (mut off, mut on) = (frame.clone(), frame);
+            off[k].2.src_rev = false;
+            on[k].2.src_rev = true;
+            let at = bool_offsets(&off, &on);
+            prop_assert_eq!(at.len(), 1);
+            assert_bool_byte_checked(&on, at[0]);
         }
     }
 
