@@ -29,7 +29,7 @@ use elba_align::{
 use elba_core::{local_assembly, AssemblyConfig, Contig, LocalGraph, WalkEdge};
 use elba_seq::kmer::canonical_kmers;
 use elba_seq::{ReadStore, Seq};
-use elba_sparse::Csc;
+use elba_sparse::Csr;
 
 /// Parameters shared by both baselines.
 #[derive(Debug, Clone)]
@@ -339,7 +339,7 @@ fn assemble_from_edges(
     stats.dovetail_edges = kept.len();
     let graph = LocalGraph {
         global_ids: (0..n as u64).collect(),
-        csc: Csc::from_triples(n, n, kept, |_, _| {}),
+        adj: Csr::from_triples(n, n, kept, |_, _| {}),
     };
     let mut store = ReadStore::empty(n);
     for (rid, read) in reads.iter().enumerate() {

@@ -3,8 +3,8 @@
 //! Each rank walks its induced subgraph, which by construction has
 //! maximum degree 2: "there is always only one vertex in the frontier,
 //! and the search is thus a linear walk". The walk scans all vertices for
-//! unvisited roots (`JC[c+1] − JC[c] == 1`), follows intermediate
-//! vertices to the opposite root, and stitches the contig as
+//! unvisited roots (a row of length 1), follows intermediate vertices to
+//! the opposite root, and stitches the contig as
 //!
 //! ```text
 //! l_r[α : pre(e₀)] ⊕ l_c₁[post(e₀) : pre(e₁)] ⊕ … ⊕ l_r'[post(e_q−2) : β]
@@ -148,17 +148,10 @@ pub fn local_assembly(
     cfg: &AssemblyConfig,
 ) -> (Vec<Contig>, AssemblyStats) {
     let n = graph.n_vertices();
-    let csc = &graph.csc;
+    let adj = &graph.adj;
     let mut visited = vec![false; n];
     let mut walks: Vec<WalkSpec> = Vec::new();
     let mut stats = AssemblyStats::default();
-
-    let neighbors = |v: usize| -> &[u32] { csc.col(v).0 };
-    let edge_of = |from: usize, to: usize| -> WalkEdge {
-        *csc.get(from, to).unwrap_or_else(|| {
-            panic!("missing directed edge {from}->{to} in symmetric local matrix")
-        })
-    };
 
     // Pass 1 (serial): trace each walk, recording slices instead of
     // copying bases — the pointer chase over shared `visited` state. A
@@ -176,8 +169,9 @@ pub fn local_assembly(
         visited[start] = true;
         read_ids.push(gid(start));
         let mut prev = start;
-        let mut cur = neighbors(start)[0] as usize;
-        let first = edge_of(prev, cur);
+        let (root_nbrs, root_edges) = adj.row(start);
+        let mut cur = root_nbrs[0] as usize;
+        let first = root_edges[0];
         let root = read_of(start);
         let alpha = if first.src_rev { root.len() - 1 } else { 0 };
         slices.push(SliceSpec::cut(
@@ -197,11 +191,18 @@ pub fn local_assembly(
                 let beta = if in_edge.dst_rev { 0 } else { read.len() - 1 };
                 SliceSpec::cut(read, in_edge.post as usize, beta, in_edge.dst_rev)
             };
-            let nbrs = neighbors(cur);
+            // Row `cur` holds its neighbours and, beside each, the
+            // out-edge to it; it must name `prev` (the mirror edge).
+            let (nbrs, out_edges) = adj.row(cur);
+            assert!(
+                nbrs.contains(&(prev as u32)),
+                "missing directed edge {cur}->{prev} in symmetric local matrix"
+            );
             let next = nbrs
                 .iter()
-                .map(|&x| x as usize)
-                .find(|&nb| nb != prev && !visited[nb]);
+                .zip(out_edges)
+                .map(|(&nb, &edge)| (nb as usize, edge))
+                .find(|&(nb, _)| nb != prev && !visited[nb]);
             match next {
                 None => {
                     // Opposite root reached (or cycle closed / orientation
@@ -212,8 +213,7 @@ pub fn local_assembly(
                     slices.push(terminal(&in_edge));
                     break;
                 }
-                Some(nb) => {
-                    let out_edge = edge_of(cur, nb);
+                Some((nb, out_edge)) => {
                     if in_edge.dst_rev != out_edge.src_rev {
                         // Inconsistent traversal orientation (fuzz artifact):
                         // terminate the contig cleanly at this read.
@@ -240,9 +240,9 @@ pub fn local_assembly(
         }
     };
 
-    // Root scan over all n vertices (paper: linear search for JC-degree 1).
+    // Root scan over all n vertices (paper: linear search for degree 1).
     for s in 0..n {
-        if !visited[s] && csc.degree(s) == 1 {
+        if !visited[s] && adj.row_nnz(s) == 1 {
             let walk = trace(s, &mut visited, &mut stats);
             stats.reads_used += walk.read_ids.len();
             stats.contigs += 1;
@@ -252,7 +252,7 @@ pub fn local_assembly(
     // Remaining unvisited degree-2 vertices form cycles: each becomes a
     // circular contig, broken at its lowest-indexed vertex.
     for s in 0..n {
-        if !visited[s] && csc.degree(s) == 2 {
+        if !visited[s] && adj.row_nnz(s) == 2 {
             let mut walk = trace(s, &mut visited, &mut stats);
             walk.circular = true;
             stats.reads_used += walk.read_ids.len();
@@ -289,7 +289,7 @@ pub fn local_assembly(
 mod tests {
     use super::*;
     use elba_align::{dovetail_edges, OverlapAln};
-    use elba_sparse::Csc;
+    use elba_sparse::Csr;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -356,10 +356,9 @@ mod tests {
             triples.push((i as u32, (i + 1) as u32, fwd.into()));
             triples.push(((i + 1) as u32, i as u32, bwd.into()));
         }
-        let csc = Csc::from_triples(n, n, triples, |_, _| unreachable!());
         let graph = LocalGraph {
             global_ids: (0..n as u64).collect(),
-            csc,
+            adj: Csr::from_triples(n, n, triples, |_, _| unreachable!()),
         };
         (graph, store)
     }
@@ -466,14 +465,13 @@ mod tests {
             store.push(id + 3, codes);
         }
         let mut triples: Vec<(u32, u32, WalkEdge)> = Vec::new();
-        for (r, c, e) in graph1.csc.iter() {
+        for (r, c, e) in graph1.adj.iter() {
             triples.push((r, c, *e));
             triples.push((r + 3, c + 3, *e));
         }
-        let csc = Csc::from_triples(6, 6, triples, |_, _| unreachable!());
         let graph = LocalGraph {
             global_ids: (0..6).collect(),
-            csc,
+            adj: Csr::from_triples(6, 6, triples, |_, _| unreachable!()),
         };
         let (contigs, stats) = local_assembly(&graph, &store, &AssemblyConfig::default());
         assert_eq!(stats.contigs, 2);
@@ -518,14 +516,37 @@ mod tests {
             triples.push((i as u32, j as u32, fwd));
             triples.push((j as u32, i as u32, bwd));
         }
-        let csc = Csc::from_triples(n, n, triples, |_, _| unreachable!());
         let graph = LocalGraph {
             global_ids: (0..n as u64).collect(),
-            csc,
+            adj: Csr::from_triples(n, n, triples, |_, _| unreachable!()),
         };
         let (contigs, stats) = local_assembly(&graph, &store, &AssemblyConfig::default());
         assert_eq!(stats.cycles, 1);
         assert!(contigs[0].circular);
+    }
+
+    #[test]
+    #[should_panic(expected = "missing directed edge")]
+    fn asymmetric_graph_is_refused() {
+        // 0 → 1 and 1 ⇄ 2, with no 1 → 0: the walk from root 0 steps onto
+        // vertex 1, whose row does not name the vertex it came from.
+        let g = genome(300, 8);
+        let mut store = ReadStore::empty(3);
+        for i in 0..3 {
+            store.push(i as u64, g.substring(i * 100, i * 100 + 100).codes());
+        }
+        let edge = WalkEdge {
+            pre: 74,
+            post: 0,
+            src_rev: false,
+            dst_rev: false,
+        };
+        let triples = vec![(0, 1, edge), (1, 2, edge), (2, 1, edge)];
+        let graph = LocalGraph {
+            global_ids: (0..3).collect(),
+            adj: Csr::from_triples(3, 3, triples, |_, _| unreachable!()),
+        };
+        local_assembly(&graph, &store, &AssemblyConfig::default());
     }
 
     #[test]
@@ -547,7 +568,7 @@ mod tests {
             for (id, codes) in store_i.iter() {
                 store.push(id + base as u64, codes);
             }
-            for (r, c, e) in graph_i.csc.iter() {
+            for (r, c, e) in graph_i.adj.iter() {
                 triples.push((r + base, c + base, *e));
             }
             base += n as u32;
@@ -557,10 +578,9 @@ mod tests {
         for (id, codes) in store.iter() {
             merged.push(id, codes);
         }
-        let csc = Csc::from_triples(total, total, triples, |_, _| unreachable!());
         let graph = LocalGraph {
             global_ids: (0..total as u64).collect(),
-            csc,
+            adj: Csr::from_triples(total, total, triples, |_, _| unreachable!()),
         };
         let run = |threads: usize| {
             let cfg = AssemblyConfig { threads };
@@ -584,7 +604,7 @@ mod tests {
     fn empty_graph_produces_nothing() {
         let graph = LocalGraph {
             global_ids: Vec::new(),
-            csc: Csc::empty(0, 0),
+            adj: Csr::empty(0, 0),
         };
         let store = ReadStore::empty(0);
         let (contigs, stats) = local_assembly(&graph, &store, &AssemblyConfig::default());

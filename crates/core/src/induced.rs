@@ -17,8 +17,11 @@
 //! its owner with a custom all-to-all as an [`EdgeRecord`]: the two
 //! endpoints and the four fields a walk reads, in 16 bytes. The local
 //! block is re-indexed to its new, smaller size while keeping "a map of
-//! the original global vertex indices" (`global_ids`), and — per §4.4 —
-//! handed to local assembly in CSC form.
+//! the original global vertex indices" (`global_ids`), and handed to
+//! local assembly as a CSR matrix. §4.4 converts it to CSC for vertex
+//! (column) indexing; the subgraph is symmetric, so row `v` names the
+//! same neighbours as column `v` and also holds each out-edge beside its
+//! neighbour.
 //!
 //! Everything local is a linear pass, as the paper states the stage.
 //! Routing walks the local CSR block by row and consults the assignment
@@ -33,16 +36,16 @@
 //!
 //! and `global_ids` is the set bits read off in order — already sorted,
 //! already distinct. It costs `n/8 + n/16` bytes per rank for `n` global
-//! vertices (booked as a transient). The CSC comes out of
+//! vertices (booked as a transient). The CSR comes out of
 //! `elba-sparse`'s counting-sort builder; the records arrive grouped by
-//! source rank in row-major order, so every column is already ascending
+//! source rank in row-major order, so every row is already ascending
 //! once bucketed.
 
 use std::collections::HashMap;
 
 use elba_align::SgEdge;
 use elba_comm::ProcGrid;
-use elba_sparse::{Csc, DistMat, DistVec};
+use elba_sparse::{Csr, DistMat, DistVec};
 
 use crate::assembly::WalkEdge;
 
@@ -51,8 +54,9 @@ use crate::assembly::WalkEdge;
 pub struct LocalGraph {
     /// Sorted original global vertex ids; position = local index.
     pub global_ids: Vec<u64>,
-    /// Symmetric local adjacency in the paper's CSC form (`JC`/`IR`/`VAL`).
-    pub csc: Csc<WalkEdge>,
+    /// Symmetric local adjacency: row `v` lists `v`'s neighbours,
+    /// ascending, each beside the out-edge `v → w`.
+    pub adj: Csr<WalkEdge>,
 }
 
 impl LocalGraph {
@@ -61,7 +65,7 @@ impl LocalGraph {
     }
 
     pub fn n_edges(&self) -> usize {
-        self.csc.nnz()
+        self.adj.nnz()
     }
 
     /// Local index of a global vertex id.
@@ -233,8 +237,8 @@ pub fn induced_subgraph(
     }
     // The same directed edge can only arrive once (it had one owner
     // block); an exact duplicate is tolerated and the first copy kept.
-    let csc = Csc::from_triples(n, n, triples, |_, _duplicate| {});
-    LocalGraph { global_ids, csc }
+    let adj = Csr::from_triples(n, n, triples, |_, _duplicate| {});
+    LocalGraph { global_ids, adj }
 }
 
 #[cfg(test)]
@@ -313,12 +317,12 @@ mod tests {
             let (l, labels, owners) = setup(&grid);
             let local = induced_subgraph(&grid, &l, &labels, &owners);
             if grid.world().rank() == 0 {
-                // vertex 1 is local index 1; its column must hold edges
-                // from 0 and 2 with the payloads we created.
+                // vertex 1 is local index 1; its row must hold edges
+                // to 0 and 2, and edge 0 -> 1 the payload we created.
                 let i0 = local.local_of(0).expect("vertex 0 present");
                 let i1 = local.local_of(1).expect("vertex 1 present");
-                let e01 = local.csc.get(i0, i1).expect("edge 0->1 stored");
-                Some((local.csc.degree(i1), e01.pre))
+                let e01 = local.adj.get(i0, i1).expect("edge 0->1 stored");
+                Some((local.adj.row_nnz(i1), e01.pre))
             } else {
                 None
             }
@@ -346,7 +350,7 @@ mod tests {
 
     /// The stage done serially from replicated inputs: keep the edges
     /// whose row label is assigned to `rank`, number the distinct
-    /// endpoints in ascending order, and list the entries column-major.
+    /// endpoints in ascending order, and list the entries row-major.
     #[allow(clippy::type_complexity)]
     fn serial_oracle(
         edges: &[(u64, u64, SgEdge)],
@@ -366,7 +370,7 @@ mod tests {
             .iter()
             .map(|&&(u, w, e)| (local(u), local(w), e.into()))
             .collect();
-        entries.sort_by_key(|&(r, c, _)| (c, r));
+        entries.sort_by_key(|&(r, c, _)| (r, c));
         (ids, entries)
     }
 
@@ -426,8 +430,8 @@ mod tests {
                     let labels = DistVec::from_global(&grid, &labels_in);
                     let local = induced_subgraph(&grid, &l, &labels, &owners_in);
                     let entries: Vec<(u32, u32, WalkEdge)> =
-                        local.csc.iter().map(|(r, c, &e)| (r, c, e)).collect();
-                    (local.global_ids, local.csc.ncols(), entries)
+                        local.adj.iter().map(|(r, c, &e)| (r, c, e)).collect();
+                    (local.global_ids, local.adj.ncols(), entries)
                 });
                 for (rank, (ids, ncols, entries)) in out.into_iter().enumerate() {
                     let (want_ids, want_entries) = serial_oracle(&edges, &labels, &owners, rank);
@@ -458,7 +462,7 @@ mod tests {
             let local = induced_subgraph(&grid, &l, &labels, &owners);
             let at = |i: u64, j: u64| {
                 let (i, j) = (local.local_of(i)?, local.local_of(j)?);
-                local.csc.get(i, j).map(|e| e.pre)
+                local.adj.get(i, j).map(|e| e.pre)
             };
             (local.global_ids.clone(), at(0, 1), at(1, 2), at(2, 1))
         });
@@ -492,7 +496,7 @@ mod tests {
             let (l, labels, owners) = setup(&grid);
             let local = induced_subgraph(&grid, &l, &labels, &owners);
             let roots = (0..local.n_vertices())
-                .filter(|&j| local.csc.degree(j) == 1)
+                .filter(|&j| local.adj.row_nnz(j) == 1)
                 .count();
             (grid.world().rank(), local.n_vertices(), roots)
         });

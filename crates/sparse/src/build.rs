@@ -1,106 +1,97 @@
-//! The one triples → compressed builder under [`crate::Csr`] and
-//! [`crate::Csc`]`::from_triples`.
+//! The triples → CSR builder under [`crate::Csr`]`::from_triples`.
 //!
-//! A compressed matrix is a pointer array over its *major* index (rows
-//! for CSR, columns for CSC), the *minor* indices grouped by major
-//! slice and ascending inside each, and the values alongside. Building
-//! one is a bucket sort, not a comparison sort (CombBLAS' counting-sort
-//! tuple ingestion): count the entries per major slice, give every input
-//! its stable destination, move it there, and only then look inside the
-//! slices — which are short (a row of an overlap matrix holds a handful
+//! A CSR matrix is a pointer array over its rows, the column indices
+//! grouped by row and ascending inside each, and the values alongside.
+//! Building one is a bucket sort, not a comparison sort (CombBLAS' counting-sort
+//! tuple ingestion): count the entries per row, give every input its
+//! stable destination, move it there, and only then look inside the
+//! rows — which are short (a row of an overlap matrix holds a handful
 //! of entries) and usually arrive ascending already. Every step is
-//! linear in `nnz + n_major`; the one comparison sort left is per slice
-//! and runs only on a slice whose minors are out of order.
+//! linear in `nnz + nrows`; the one comparison sort left is per row
+//! and runs only on a row whose columns are out of order.
 //!
 //! The move has two forms, chosen by what the counting pass sees. When
-//! every part ascends by major (the sorted lists a distributed build
+//! every part ascends by row (the sorted lists a distributed build
 //! receives, one per source) it is a merge: each part is read front to
 //! back once. Otherwise values are collected in input order and permuted
 //! in place along the permutation's cycles. Neither wraps a value in an
 //! `Option`, clones it or leaves a slot uninitialized.
 //!
-//! Input that is already ascending by `(major, minor)` — every build on
+//! Input that is already ascending by `(row, col)` — every build on
 //! one rank, every matrix rebuilt from its own entries — skips all of it:
 //! one check pass, one emit pass.
 
-/// `(pointers, minor indices, values)` of a compressed matrix.
+/// `(indptr, column indices, values)` of a CSR matrix.
 pub(crate) type Compressed<T> = (Vec<usize>, Vec<u32>, Vec<T>);
 
 /// Compress `parts` — read as one concatenated triple list, never
-/// materialized as one — into `n_major` slices. `key` maps a triple's
-/// `(row, col)` to `(major, minor)`. Entries sharing a coordinate are
-/// merged with `combine`, applied left to right in input order.
+/// materialized as one — into `nrows` rows. Entries sharing a coordinate
+/// are merged with `combine`, applied left to right in input order.
 pub(crate) fn compress<T>(
-    n_major: usize,
-    n_minor: usize,
+    nrows: usize,
+    ncols: usize,
     parts: Vec<Vec<(u32, u32, T)>>,
-    key: impl Fn(u32, u32) -> (u32, u32) + Copy,
     combine: impl FnMut(&mut T, T),
 ) -> Compressed<T> {
     let n: usize = parts.iter().map(Vec::len).sum();
-    let keys = || parts.iter().flatten().map(|&(r, c, _)| key(r, c));
+    let coords = || parts.iter().flatten().map(|&(r, c, _)| (r, c));
     debug_assert!(
-        keys().all(|(a, b)| (a as usize) < n_major && (b as usize) < n_minor),
-        "triple outside the {n_major} × {n_minor} (major × minor) shape"
+        coords().all(|(r, c)| (r as usize) < nrows && (c as usize) < ncols),
+        "triple outside the {nrows} × {ncols} shape"
     );
-    if keys().is_sorted() {
-        let entries = parts.into_iter().flatten().map(|(r, c, v)| {
-            let (a, b) = key(r, c);
-            (a, b, v)
-        });
-        return fold_sorted(n_major, n, entries, combine);
+    if coords().is_sorted() {
+        return fold_sorted(nrows, n, parts.into_iter().flatten(), combine);
     }
 
-    // Stable counting sort on the major index: slice sizes first, which
-    // fix every input's destination (kept as `u32`, like the indices).
+    // Stable counting sort on the row: row sizes first, which fix every
+    // input's destination (kept as `u32`, like the indices).
     assert!(
         u32::try_from(n).is_ok(),
         "a local block holds under 2^32 triples"
     );
-    let mut ptr = vec![0usize; n_major + 1];
+    let mut ptr = vec![0usize; nrows + 1];
     let mut parts_ascend = true;
     for part in &parts {
         let mut below = 0u32;
-        for &(r, c, _) in part {
-            let (a, _) = key(r, c);
-            ptr[a as usize + 1] += 1;
-            parts_ascend &= below <= a;
-            below = a;
+        for &(r, _, _) in part {
+            ptr[r as usize + 1] += 1;
+            parts_ascend &= below <= r;
+            below = r;
         }
     }
-    for m in 0..n_major {
+    for m in 0..nrows {
         ptr[m + 1] += ptr[m];
     }
-    let cursor = ptr[..n_major].to_vec();
+    let cursor = ptr[..nrows].to_vec();
     let (mut idx, mut val) = if parts_ascend && u16::try_from(parts.len()).is_ok() {
-        merge_ascending_parts(n, parts, cursor, key)
+        merge_ascending_parts(n, parts, cursor)
     } else {
-        scatter_and_permute(n, parts, cursor, key)
+        scatter_and_permute(n, parts, cursor)
     };
 
-    // Inside each slice: nothing to do when the minors ascend strictly;
-    // a stable sort by minor when they are out of order (equal minors
+    // Inside each row: nothing to do when the columns ascend strictly;
+    // a stable sort by column when they are out of order (equal columns
     // keep input order, which is what `combine` folds in).
     let mut duplicates = false;
     let (mut order, mut dest): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-    for m in 0..n_major {
+    for m in 0..nrows {
         let run = ptr[m]..ptr[m + 1];
         if idx[run.clone()].windows(2).all(|w| w[0] < w[1]) {
             continue;
         }
         if !idx[run.clone()].is_sorted() {
-            let minors = &mut idx[run.clone()];
+            let cols = &mut idx[run.clone()];
             order.clear();
-            order.extend(0..minors.len() as u32);
-            order.sort_by_key(|&k| minors[k as usize]);
+            order.extend(0..cols.len() as u32);
+            order.sort_by_key(|&k| cols[k as usize]);
             dest.clear();
-            dest.resize(minors.len(), 0);
+            dest.resize(cols.len(), 0);
             for (pos, &src) in order.iter().enumerate() {
                 dest[src as usize] = pos as u32;
             }
             let values = &mut val[run.clone()];
             permute(&mut dest, |i, j| {
-                minors.swap(i, j);
+                cols.swap(i, j);
                 values.swap(i, j);
             });
         }
@@ -109,27 +100,26 @@ pub(crate) fn compress<T>(
     if !duplicates {
         return (ptr, idx, val);
     }
-    let majors = (0..n_major).flat_map(|m| std::iter::repeat_n(m as u32, ptr[m + 1] - ptr[m]));
-    let entries = majors.zip(idx).zip(val).map(|((a, b), v)| (a, b, v));
-    fold_sorted(n_major, n, entries, combine)
+    let rows = (0..nrows).flat_map(|m| std::iter::repeat_n(m as u32, ptr[m + 1] - ptr[m]));
+    let entries = rows.zip(idx).zip(val).map(|((r, c), v)| (r, c, v));
+    fold_sorted(nrows, n, entries, combine)
 }
 
-/// Group by major when every part already ascends by major — what a
-/// rank holds after the all-to-all of a distributed build whose sources
-/// each sent a sorted list. A part then reaches its slots front to back,
-/// so noting which part fills each slot turns the move into a merge: one
+/// Group by row when every part already ascends by row — what a rank
+/// holds after the all-to-all of a distributed build whose sources each
+/// sent a sorted list. A part then reaches its slots front to back, so
+/// noting which part fills each slot turns the move into a merge: one
 /// cursor per part, every triple read once in order and written once in
-/// order. `cursor[m]` is where slice `m` starts.
+/// order. `cursor[m]` is where row `m` starts.
 fn merge_ascending_parts<T>(
     n: usize,
     parts: Vec<Vec<(u32, u32, T)>>,
     mut cursor: Vec<usize>,
-    key: impl Fn(u32, u32) -> (u32, u32),
 ) -> (Vec<u32>, Vec<T>) {
     let mut origin = vec![0u16; n];
     for (k, part) in parts.iter().enumerate() {
-        for &(r, c, _) in part {
-            let slot = &mut cursor[key(r, c).0 as usize];
+        for &(r, _, _) in part {
+            let slot = &mut cursor[r as usize];
             origin[*slot] = k as u16;
             *slot += 1;
         }
@@ -139,32 +129,30 @@ fn merge_ascending_parts<T>(
     let mut idx = Vec::with_capacity(n);
     let mut val = Vec::with_capacity(n);
     for k in origin {
-        let (r, c, v) = heads[usize::from(k)].next().expect("one input per slot");
-        idx.push(key(r, c).1);
+        let (_, c, v) = heads[usize::from(k)].next().expect("one input per slot");
+        idx.push(c);
         val.push(v);
     }
     (idx, val)
 }
 
-/// Group by major whatever the input order: every input's stable
-/// destination is computed and applied. Minors are `Copy` and go straight
-/// to their slot; values are collected in input order and permuted in
-/// place, so no value is ever wrapped, cloned or left uninitialized.
-/// `cursor[m]` is where slice `m` starts.
+/// Group by row whatever the input order: every input's stable
+/// destination is computed and applied. Columns are `Copy` and go
+/// straight to their slot; values are collected in input order and
+/// permuted in place, so no value is ever wrapped, cloned or left
+/// uninitialized. `cursor[m]` is where row `m` starts.
 fn scatter_and_permute<T>(
     n: usize,
     parts: Vec<Vec<(u32, u32, T)>>,
     mut cursor: Vec<usize>,
-    key: impl Fn(u32, u32) -> (u32, u32),
 ) -> (Vec<u32>, Vec<T>) {
     let mut dest: Vec<u32> = Vec::with_capacity(n);
     let mut idx = vec![0u32; n];
     let mut val: Vec<T> = Vec::with_capacity(n);
     for (r, c, v) in parts.into_iter().flatten() {
-        let (a, b) = key(r, c);
-        let slot = &mut cursor[a as usize];
+        let slot = &mut cursor[r as usize];
         dest.push(*slot as u32);
-        idx[*slot] = b;
+        idx[*slot] = c;
         *slot += 1;
         val.push(v);
     }
@@ -187,30 +175,30 @@ fn permute(dest: &mut [u32], mut swap: impl FnMut(usize, usize)) {
     }
 }
 
-/// Compress entries that arrive ascending by `(major, minor)`: one pass
+/// Compress entries that arrive ascending by `(row, col)`: one pass
 /// that opens a slot per new coordinate and folds a repeated one into
 /// the slot before it.
 fn fold_sorted<T>(
-    n_major: usize,
+    nrows: usize,
     capacity: usize,
     entries: impl Iterator<Item = (u32, u32, T)>,
     mut combine: impl FnMut(&mut T, T),
 ) -> Compressed<T> {
-    let mut ptr = vec![0usize; n_major + 1];
+    let mut ptr = vec![0usize; nrows + 1];
     let mut idx = Vec::with_capacity(capacity);
     let mut val: Vec<T> = Vec::with_capacity(capacity);
     let mut last: Option<(u32, u32)> = None;
-    for (a, b, v) in entries {
-        if last == Some((a, b)) {
+    for (r, c, v) in entries {
+        if last == Some((r, c)) {
             combine(val.last_mut().expect("duplicate follows an entry"), v);
         } else {
-            ptr[a as usize + 1] += 1;
-            idx.push(b);
+            ptr[r as usize + 1] += 1;
+            idx.push(c);
             val.push(v);
-            last = Some((a, b));
+            last = Some((r, c));
         }
     }
-    for m in 0..n_major {
+    for m in 0..nrows {
         ptr[m + 1] += ptr[m];
     }
     (ptr, idx, val)
@@ -219,7 +207,7 @@ fn fold_sorted<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Csc, Csr};
+    use crate::Csr;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -233,17 +221,10 @@ mod tests {
     }
 
     /// The builder this module replaced, kept as the oracle: a stable
-    /// comparison sort of all triples by `(major, minor)`, then compress.
-    fn sort_and_compress(
-        n_major: usize,
-        mut triples: Triples,
-        key: impl Fn(u32, u32) -> (u32, u32),
-    ) -> Compressed<u64> {
-        triples.sort_by_key(|&(r, c, _)| {
-            let (a, b) = key(r, c);
-            ((a as u64) << 32) | b as u64
-        });
-        let mut ptr = vec![0usize; n_major + 1];
+    /// comparison sort of all triples by `(row, col)`, then compress.
+    fn sort_and_compress(nrows: usize, mut triples: Triples) -> Compressed<u64> {
+        triples.sort_by_key(|&(r, c, _)| (r, c));
+        let mut ptr = vec![0usize; nrows + 1];
         let mut idx = Vec::new();
         let mut val: Vec<u64> = Vec::new();
         let mut last: Option<(u32, u32)> = None;
@@ -251,22 +232,29 @@ mod tests {
             if last == Some((r, c)) {
                 combine(val.last_mut().expect("duplicate follows an entry"), v);
             } else {
-                ptr[key(r, c).0 as usize + 1] += 1;
-                idx.push(key(r, c).1);
+                ptr[r as usize + 1] += 1;
+                idx.push(c);
                 val.push(v);
                 last = Some((r, c));
             }
         }
-        for m in 0..n_major {
+        for m in 0..nrows {
             ptr[m + 1] += ptr[m];
         }
         (ptr, idx, val)
     }
 
-    /// Both constructors and the part-wise entry point against the
-    /// oracle.
+    /// The constructor and the part-wise entry point against the oracle,
+    /// on the triples and on their transpose (few long rows become many
+    /// short ones).
     fn check(nrows: usize, ncols: usize, triples: &Triples, cuts: usize) {
-        let (ptr, idx, val) = sort_and_compress(nrows, triples.clone(), |r, c| (r, c));
+        check_rows(nrows, ncols, triples, cuts);
+        let swapped: Triples = triples.iter().map(|&(r, c, v)| (c, r, v)).collect();
+        check_rows(ncols, nrows, &swapped, cuts);
+    }
+
+    fn check_rows(nrows: usize, ncols: usize, triples: &Triples, cuts: usize) {
+        let (ptr, idx, val) = sort_and_compress(nrows, triples.clone());
         let csr = Csr::from_triples(nrows, ncols, triples.clone(), combine);
         assert_eq!(
             (csr.indptr(), csr.indices(), csr.values()),
@@ -280,14 +268,6 @@ mod tests {
             Csr::from_triple_parts(nrows, ncols, parts, combine),
             csr,
             "{cuts} parts"
-        );
-
-        let (ptr, idx, val) = sort_and_compress(ncols, triples.clone(), |r, c| (c, r));
-        let csc = Csc::from_triples(nrows, ncols, triples.clone(), combine);
-        assert_eq!(
-            (csc.jc(), csc.ir(), csc.val()),
-            (&ptr[..], &idx[..], &val[..]),
-            "csc"
         );
     }
 

@@ -3,8 +3,7 @@
 //! never exceeds 2³² rows/columns in any ELBA workload).
 //!
 //! [`Csr::from_triples`] is a counting sort on the row index, linear in
-//! `nnz + nrows`; `build.rs` holds the one builder it shares with
-//! [`crate::Csc`]. Triples that arrive already in
+//! `nnz + nrows` (`build.rs`). Triples that arrive already in
 //! row-major order (every build on one rank) cost one check pass and one
 //! emit pass; the sorted per-source lists a distributed build receives
 //! are merged without being concatenated first.
@@ -53,8 +52,7 @@ impl<T> Csr<T> {
         parts: Vec<Vec<(u32, u32, T)>>,
         combine: impl FnMut(&mut T, T),
     ) -> Self {
-        let (indptr, indices, values) =
-            crate::build::compress(nrows, ncols, parts, |r, c| (r, c), combine);
+        let (indptr, indices, values) = crate::build::compress(nrows, ncols, parts, combine);
         Csr {
             nrows,
             ncols,
@@ -227,44 +225,25 @@ impl<T> Csr<T> {
         )
     }
 
-    /// Local transpose (O(nnz + dims)).
+    /// Local transpose that moves every value: the builder run on the
+    /// swapped triples (O(nnz + dims); each row of `self` is swept in
+    /// order, so the transposed rows need no sort).
     pub fn transpose(self) -> Csr<T> {
-        let (indptr, indices, source) = self.transpose_structure();
-        let mut values: Vec<Option<T>> = self.values.into_iter().map(Some).collect();
-        Csr {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            indptr,
-            indices,
-            values: source
-                .into_iter()
-                .map(|k| values[k].take().expect("each slot moves once"))
-                .collect(),
-        }
+        let (nrows, ncols) = (self.ncols, self.nrows);
+        let swapped = self.into_triples().into_iter().map(|(r, c, v)| (c, r, v));
+        Csr::from_triples(nrows, ncols, swapped.collect(), |_, _| {
+            unreachable!("a stored coordinate is unique")
+        })
     }
 
-    /// [`Csr::transpose`] of a borrowed matrix: the same counting pass,
-    /// cloning each value once — what the distributed transpose runs on
-    /// its (shared, `Arc`-held) local block.
+    /// Local transpose of a borrowed matrix, cloning each value once —
+    /// what the distributed transpose runs on its (shared, `Arc`-held)
+    /// local block. One counting pass over the columns; rows are swept
+    /// in order, so each transposed row comes out sorted.
     pub fn transposed(&self) -> Csr<T>
     where
         T: Clone,
     {
-        let (indptr, indices, source) = self.transpose_structure();
-        Csr {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            indptr,
-            indices,
-            values: source.into_iter().map(|k| self.values[k].clone()).collect(),
-        }
-    }
-
-    /// The counting sort behind both transposes: `indptr` and `indices`
-    /// of the transpose, plus for every transposed slot the storage slot
-    /// of `self` its value comes from. Rows are swept in order, so each
-    /// transposed row comes out sorted.
-    fn transpose_structure(&self) -> (Vec<usize>, Vec<u32>, Vec<usize>) {
         let mut indptr = vec![0usize; self.ncols + 1];
         for &c in &self.indices {
             indptr[c as usize + 1] += 1;
@@ -284,7 +263,13 @@ impl<T> Csr<T> {
                 source[pos] = k;
             }
         }
-        (indptr, indices, source)
+        Csr {
+            nrows: self.ncols,
+            ncols: self.nrows,
+            indptr,
+            indices,
+            values: source.into_iter().map(|k| self.values[k].clone()).collect(),
+        }
     }
 
     /// Row-wise reduction: fold each row's values into one output.
@@ -444,13 +429,12 @@ mod tests {
     #[test]
     fn transpose_round_trip() {
         let m = sample();
-        let t = m.clone().transpose();
+        let t = m.transposed();
         assert_eq!(t.get(1, 2), Some(&4.0));
         assert_eq!(t.get(0, 0), Some(&1.0));
         assert_eq!(t.get(2, 0), Some(&2.0));
-        assert_eq!(m.transposed(), t, "borrowed transpose is the same pass");
-        let back = t.transpose();
-        assert_eq!(back, m);
+        assert_eq!(m.clone().transpose(), t, "the moving transpose agrees");
+        assert_eq!(t.transposed(), m);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! of sparse linear algebra over CombBLAS. This crate rebuilds that
 //! substrate in Rust:
 //!
-//! * local formats: [`csr::Csr`], the block format of every
-//!   distributed matrix, and [`csc::Csc`] (with the paper's
-//!   `JC`/`IR`/`VAL` naming used by local assembly), both built by one
+//! * one local format, [`csr::Csr`]: the block of every distributed
+//!   matrix and the symmetric subgraph local assembly walks, built by a
 //!   counting sort from triples,
 //! * [`semiring::Semiring`] overloading of `(+, ×)`, including filtering
 //!   semirings (a `multiply` that can annihilate) and an in-place
@@ -26,7 +25,6 @@
 //! * [`dense::Dense`], a tiny dense oracle used by the test suite.
 
 mod build;
-pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod dist_mat;
@@ -35,7 +33,6 @@ pub mod layout;
 pub mod semiring;
 pub mod spgemm;
 
-pub use csc::Csc;
 pub use csr::Csr;
 pub use dist_mat::{algorithm_label, DistMat, SpGemmAlgorithm, SpGemmOptions};
 pub use dist_vec::DistVec;
