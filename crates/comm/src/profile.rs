@@ -7,13 +7,13 @@
 //! blocking time into the phase that is active on its rank, so a run
 //! yields the exact ingredients those figures plot: max-over-ranks wall
 //! time per phase, communication fraction, and message volumes. Each
-//! rank's profile also embeds an [`elba_mem::MemTracker`] whose phase
-//! stack moves in lockstep with the
-//! timing phases, so stages that charge their resident buffers (via
-//! [`crate::Comm::mem_charge`]) produce the per-phase memory high-water
-//! column of the run report — the observable behind ELBA's bounded-memory
-//! SpGEMM claim.
+//! rank's profile also keeps the tracked bytes resident on that rank, so
+//! stages that charge their resident buffers (via
+//! [`crate::Comm::mem_charge`]) raise the memory high-water of every
+//! active phase ([`PhaseProfile::mem_hw`]): the memory column of the run
+//! report, the observable behind ELBA's bounded-memory SpGEMM claim.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -29,10 +29,9 @@ pub(crate) fn lock_profile(profile: &Mutex<Profile>) -> MutexGuard<'_, Profile> 
     profile.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Name used for activity recorded outside any explicit phase. Shared
-/// with the memory tracker so unphased time and unphased bytes land in
-/// the same bucket.
-pub const UNPHASED: &str = elba_mem::UNPHASED;
+/// Name used for activity (time, traffic and memory) recorded outside any
+/// explicit phase.
+pub const UNPHASED: &str = "(unphased)";
 
 /// Accounting for a single named phase on one rank.
 #[derive(Debug, Clone, Default)]
@@ -61,6 +60,11 @@ pub struct PhaseProfile {
     pub p2p_bytes: u64,
     /// Collective calls: (operation, calls, bytes sent by this rank).
     pub collectives: Vec<(&'static str, u64, u64)>,
+    /// Most tracked bytes resident on this rank while the phase was
+    /// active. Bytes charged in an earlier phase and still resident
+    /// count here too (residency is what a cap bounds), and a peak inside
+    /// a nested phase counts toward every enclosing one.
+    pub mem_hw: u64,
 }
 
 impl PhaseProfile {
@@ -84,23 +88,17 @@ impl PhaseProfile {
     }
 }
 
-/// Map a collective-op name decoded off the wire back to the `&'static
-/// str` the recording side used (the [`op`] table), so decoded profiles
-/// merge with locally recorded ones. Unknown names (a newer worker
-/// binary, in principle) are leaked — profiles are few and gathered once
-/// per run.
-fn intern_op(name: String) -> &'static str {
-    op::intern(&name).unwrap_or_else(|| name.leak())
-}
-
 /// Phase accounting for one rank. Phases appear in first-entered order.
 #[derive(Debug, Clone)]
 pub struct Profile {
     rank: usize,
     phases: Vec<(String, PhaseProfile)>,
     stack: Vec<usize>,
-    /// Resident-byte accounting; its phase stack mirrors `stack`.
-    mem: MemTracker,
+    /// Tracked bytes resident on this rank now.
+    resident: u64,
+    /// Shared-block charges held by this rank: allocation address →
+    /// (live references, bytes charged once).
+    shared: HashMap<usize, (usize, u64)>,
 }
 
 impl Profile {
@@ -109,7 +107,8 @@ impl Profile {
             rank,
             phases: Vec::new(),
             stack: Vec::new(),
-            mem: MemTracker::new(),
+            resident: 0,
+            shared: HashMap::new(),
         }
     }
 
@@ -117,16 +116,10 @@ impl Profile {
         self.rank
     }
 
-    /// This rank's memory tracker (per-phase resident-byte high-water).
-    /// The pipeline reads the cross-rank views ([`RunProfile::max_mem_hw`],
-    /// [`RunProfile::merged_mem`]); the per-rank one is public for the
+    /// Tracked bytes resident on this rank now. Public for the
     /// single-charge tests of `crates/comm/tests/prop_shared_bcast.rs`.
-    pub fn mem(&self) -> &MemTracker {
-        &self.mem
-    }
-
-    pub(crate) fn mem_mut(&mut self) -> &mut MemTracker {
-        &mut self.mem
+    pub fn resident_bytes(&self) -> u64 {
+        self.resident
     }
 
     /// Phases recorded on this rank, in first-entered order.
@@ -178,10 +171,73 @@ impl Profile {
         self.current_mut().par_secs += secs;
     }
 
+    /// Raise the memory high-water of every active phase (UNPHASED when
+    /// none is) to `candidate` bytes.
+    fn raise_mem_hw(&mut self, candidate: u64) {
+        if self.stack.is_empty() {
+            let hw = &mut self.current_mut().mem_hw;
+            *hw = (*hw).max(candidate);
+        }
+        for &idx in &self.stack {
+            let hw = &mut self.phases[idx].1.mem_hw;
+            *hw = (*hw).max(candidate);
+        }
+    }
+
+    /// Charge `bytes` as resident until the matching [`Profile::release`].
+    pub(crate) fn charge(&mut self, bytes: u64) {
+        self.resident += bytes;
+        self.raise_mem_hw(self.resident);
+    }
+
+    /// Release bytes previously charged.
+    pub(crate) fn release(&mut self, bytes: u64) {
+        debug_assert!(bytes <= self.resident, "releasing more than charged");
+        self.resident = self.resident.saturating_sub(bytes);
+    }
+
+    /// Book a transient spike of `bytes` on top of the resident bytes,
+    /// without holding it.
+    pub(crate) fn record_transient(&mut self, bytes: u64) {
+        self.raise_mem_hw(self.resident + bytes);
+    }
+
+    /// Charge a *shared* block identified by its allocation address
+    /// (`key`): the first reference this rank takes charges `bytes`,
+    /// every further reference to the same key only bumps a refcount —
+    /// the single-charge rule for `Arc`-shared broadcast payloads. Pair
+    /// with [`Profile::release_shared`].
+    pub(crate) fn charge_shared(&mut self, key: usize, bytes: u64) {
+        let entry = self.shared.entry(key).or_insert((0, 0));
+        if entry.0 == 0 {
+            entry.1 = bytes;
+            self.resident += bytes;
+        }
+        entry.0 += 1;
+        self.raise_mem_hw(self.resident);
+    }
+
+    /// Drop one reference to a shared block; the bytes release when the
+    /// last reference goes.
+    pub(crate) fn release_shared(&mut self, key: usize) {
+        let entry = self
+            .shared
+            .get_mut(&key)
+            .expect("releasing a shared block that was never charged");
+        entry.0 -= 1;
+        if entry.0 == 0 {
+            let bytes = entry.1;
+            self.shared.remove(&key);
+            self.release(bytes);
+        }
+    }
+
+    /// Enter a named phase; bytes already resident count toward it
+    /// immediately.
     fn enter(&mut self, name: &str) -> usize {
         let idx = self.index_of(name);
         self.stack.push(idx);
-        self.mem.enter(name);
+        self.raise_mem_hw(self.resident);
         idx
     }
 
@@ -200,6 +256,7 @@ impl Profile {
             p.par_secs.wire_encode(out);
             p.p2p_msgs.wire_encode(out);
             p.p2p_bytes.wire_encode(out);
+            p.mem_hw.wire_encode(out);
             (p.collectives.len() as u64).wire_encode(out);
             for &(op, calls, bytes) in &p.collectives {
                 op.to_owned().wire_encode(out);
@@ -207,17 +264,7 @@ impl Profile {
                 bytes.wire_encode(out);
             }
         }
-        self.mem.current().wire_encode(out);
-        let mem_phases: Vec<(String, u64)> = self
-            .mem
-            .phases()
-            .map(|(n, hw)| (n.to_owned(), hw))
-            .collect();
-        (mem_phases.len() as u64).wire_encode(out);
-        for (name, hw) in mem_phases {
-            name.wire_encode(out);
-            hw.wire_encode(out);
-        }
+        self.resident.wire_encode(out);
     }
 
     /// Inverse of [`Profile::wire_encode`].
@@ -234,10 +281,14 @@ impl Profile {
             let par_secs = f64::wire_decode(r)?;
             let p2p_msgs = u64::wire_decode(r)?;
             let p2p_bytes = u64::wire_decode(r)?;
+            let mem_hw = u64::wire_decode(r)?;
             let ncoll = r.read_len()?;
             let mut collectives = Vec::with_capacity(ncoll.min(16));
             for _ in 0..ncoll {
-                let op = intern_op(String::wire_decode(r)?);
+                // Every recorded op comes from the `op` table, and workers
+                // run this same binary: any other name is corruption.
+                let op = op::intern(&String::wire_decode(r)?)
+                    .ok_or(WireError::Malformed("collective op"))?;
                 let calls = u64::wire_decode(r)?;
                 let bytes = u64::wire_decode(r)?;
                 collectives.push((op, calls, bytes));
@@ -252,29 +303,23 @@ impl Profile {
                     p2p_msgs,
                     p2p_bytes,
                     collectives,
+                    mem_hw,
                 },
             ));
         }
-        let mem_current = u64::wire_decode(r)?;
-        let nmem = r.read_len()?;
-        let mut mem_phases = Vec::with_capacity(nmem.min(64));
-        for _ in 0..nmem {
-            let name = String::wire_decode(r)?;
-            let hw = u64::wire_decode(r)?;
-            mem_phases.push((name, hw));
-        }
+        let resident = u64::wire_decode(r)?;
         Ok(Profile {
             rank,
             phases,
             stack: Vec::new(),
-            mem: MemTracker::from_snapshot(mem_current, mem_phases),
+            resident,
+            shared: HashMap::new(),
         })
     }
 
     fn exit(&mut self, idx: usize, wall: f64) {
         let popped = self.stack.pop();
         debug_assert_eq!(popped, Some(idx), "phase guards must nest");
-        self.mem.exit();
         self.phases[idx].1.wall_secs += wall;
     }
 }
@@ -403,19 +448,25 @@ impl RunProfile {
     pub fn max_mem_hw(&self, phase: &str) -> u64 {
         self.ranks
             .iter()
-            .map(|r| r.mem().high_water(phase))
+            .filter_map(|r| r.phase(phase))
+            .map(|p| p.mem_hw)
             .max()
             .unwrap_or(0)
     }
 
-    /// Merge every rank's memory tracker (per-phase max) into one — the
-    /// cross-rank view `MemTracker::merge_max` exists for.
-    pub fn merged_mem(&self) -> elba_mem::MemTracker {
-        let mut merged = elba_mem::MemTracker::new();
-        for rank in &self.ranks {
-            merged.merge_max(rank.mem());
+    /// Every phase's max-over-ranks memory high-water, UNPHASED included,
+    /// in first-seen order: the run's memory summary. Its largest value
+    /// is the run's tracked peak, the number a `--mem-budget` is checked
+    /// against.
+    pub fn merged_mem(&self) -> MemTracker {
+        let mut merged: Vec<(String, u64)> = Vec::new();
+        for (name, p) in self.ranks.iter().flat_map(Profile::phases) {
+            match merged.iter_mut().find(|(n, _)| n == name) {
+                Some((_, hw)) => *hw = (*hw).max(p.mem_hw),
+                None => merged.push((name.to_owned(), p.mem_hw)),
+            }
         }
-        merged
+        MemTracker::new(merged)
     }
 
     /// Total bytes (p2p + collectives) across all ranks in a phase.
@@ -480,15 +531,15 @@ mod tests {
         {
             let idx = p.enter("anchor");
             p.record_p2p(128);
-            p.record_coll("allgather_custom", 64);
+            p.record_coll("alltoallv", 64);
             p.record_coll("bcast", 32);
             p.record_comm_time(0.25);
             p.record_wait_time(0.125);
-            p.mem_mut().charge(4096);
+            p.charge(4096);
             p.exit(idx, 1.5);
         }
         p.record_p2p(9); // lands in UNPHASED
-        p.mem_mut().release(1024);
+        p.release(1024);
 
         let mut buf = Vec::new();
         p.wire_encode(&mut buf);
@@ -505,19 +556,27 @@ mod tests {
         assert_eq!(qa.collectives, pa.collectives);
         assert_eq!(qa.comm_secs, pa.comm_secs);
         assert_eq!(qa.wait_secs, pa.wait_secs);
+        assert_eq!(qa.mem_hw, 4096);
         assert_eq!(q.phase(UNPHASED).unwrap().p2p_bytes, 9);
-        assert_eq!(q.mem().current(), p.mem().current());
-        assert_eq!(
-            q.mem().phases().collect::<Vec<_>>(),
-            p.mem().phases().collect::<Vec<_>>()
-        );
-        // Known op names intern back to the same static; unknown ones
-        // still compare equal by value.
-        assert!(qa.collectives.iter().any(|&(op, _, _)| op == "bcast"));
+        assert_eq!(q.resident_bytes(), 3072);
+        // Op names intern back to the table's own statics.
         assert!(qa
             .collectives
             .iter()
-            .any(|&(op, _, _)| op == "allgather_custom"));
+            .any(|&(name, _, _)| std::ptr::eq(name, op::name(op::ALLTOALLV))));
+    }
+
+    #[test]
+    fn unknown_collective_op_is_malformed() {
+        let mut p = Profile::new(0);
+        p.record_coll("allgather_custom", 64);
+        let mut buf = Vec::new();
+        p.wire_encode(&mut buf);
+        let mut r = WireReader::new(&buf);
+        assert_eq!(
+            Profile::wire_decode(&mut r).unwrap_err(),
+            WireError::Malformed("collective op")
+        );
     }
 
     #[test]
@@ -587,5 +646,99 @@ mod tests {
         assert_eq!(p.collectives.len(), 2);
         assert_eq!(p.coll_calls(), 3);
         assert_eq!(p.bytes_sent(), 16);
+    }
+
+    #[test]
+    fn phases_record_mem_high_water() {
+        let mut p = Profile::new(0);
+        let a = p.enter("a");
+        p.charge(100);
+        p.charge(50);
+        p.release(50);
+        p.exit(a, 0.0);
+        let b = p.enter("b");
+        // the 100 bytes from phase a are still resident
+        assert_eq!(p.resident_bytes(), 100);
+        p.record_transient(25);
+        p.exit(b, 0.0);
+        assert_eq!(p.phase("a").unwrap().mem_hw, 150);
+        assert_eq!(p.phase("b").unwrap().mem_hw, 125);
+        assert!(p.phase("never").is_none());
+        assert_eq!(RunProfile::new(vec![p]).max_mem_hw("never"), 0);
+    }
+
+    #[test]
+    fn unphased_charges_land_in_bucket() {
+        let mut p = Profile::new(0);
+        p.charge(42);
+        assert_eq!(p.phase(UNPHASED).unwrap().mem_hw, 42);
+    }
+
+    #[test]
+    fn merged_mem_takes_per_phase_maximum() {
+        let mut a = Profile::new(0);
+        let idx = a.enter("p");
+        a.charge(10);
+        a.exit(idx, 0.0);
+        let mut b = Profile::new(1);
+        let idx = b.enter("p");
+        b.charge(90);
+        b.exit(idx, 0.0);
+        let idx = b.enter("q");
+        b.charge(5);
+        b.exit(idx, 0.0);
+        let merged = RunProfile::new(vec![a, b]).merged_mem();
+        assert_eq!(merged.high_water("p"), 90);
+        assert_eq!(merged.high_water("q"), 95, "q saw p's residency too");
+    }
+
+    #[test]
+    fn nested_phases_both_see_residency() {
+        let mut p = Profile::new(0);
+        let outer = p.enter("outer");
+        p.charge(10);
+        let inner = p.enter("inner");
+        p.charge(20);
+        p.exit(inner, 0.0);
+        p.charge(5);
+        p.exit(outer, 0.0);
+        assert_eq!(p.phase("inner").unwrap().mem_hw, 30);
+        assert_eq!(p.phase("outer").unwrap().mem_hw, 35);
+    }
+
+    #[test]
+    fn shared_blocks_charge_once_per_rank() {
+        let mut p = Profile::new(0);
+        let idx = p.enter("p");
+        p.charge_shared(0xA0, 100);
+        p.charge_shared(0xA0, 100); // second reference: free
+        p.charge_shared(0xB0, 30); // distinct block: charged
+        assert_eq!(p.resident_bytes(), 130);
+        p.release_shared(0xA0);
+        assert_eq!(
+            p.resident_bytes(),
+            130,
+            "one reference still holds the block"
+        );
+        p.release_shared(0xA0);
+        assert_eq!(p.resident_bytes(), 30, "last reference releases the bytes");
+        p.release_shared(0xB0);
+        p.exit(idx, 0.0);
+        assert_eq!(p.phase("p").unwrap().mem_hw, 130);
+    }
+
+    #[test]
+    fn peak_inside_nested_phase_counts_toward_outer() {
+        // A spike that lives entirely within a child phase must still
+        // show in the enclosing phase's high-water: both were active.
+        let mut p = Profile::new(0);
+        let outer = p.enter("outer");
+        let inner = p.enter("inner");
+        p.charge(1000);
+        p.release(1000);
+        p.exit(inner, 0.0);
+        p.exit(outer, 0.0);
+        assert_eq!(p.phase("inner").unwrap().mem_hw, 1000);
+        assert_eq!(p.phase("outer").unwrap().mem_hw, 1000);
     }
 }

@@ -163,16 +163,16 @@ impl Comm {
     }
 
     // ------------------------------------------------------------------
-    // Memory accounting (see `elba_mem`)
+    // Memory accounting (per-phase high-water in the profile)
     // ------------------------------------------------------------------
 
-    /// Charge `bytes` against this rank's memory tracker for as long as
-    /// the returned guard lives — the RAII face of
-    /// [`elba_mem::MemTracker::charge`]. The bytes count toward the
-    /// high-water of every phase active while they are resident. Use
-    /// [`MemCharge::set`] to track a buffer that grows or shrinks.
+    /// Charge `bytes` as resident on this rank for as long as the
+    /// returned guard lives. The bytes count toward the high-water
+    /// ([`crate::profile::PhaseProfile::mem_hw`]) of every phase active
+    /// while they are resident. Use [`MemCharge::set`] to track a buffer
+    /// that grows or shrinks.
     pub fn mem_charge(&self, bytes: usize) -> MemCharge {
-        lock_profile(&self.profile).mem_mut().charge(bytes as u64);
+        lock_profile(&self.profile).charge(bytes as u64);
         MemCharge {
             profile: Arc::clone(&self.profile),
             bytes: bytes as u64,
@@ -183,12 +183,10 @@ impl Comm {
     /// charged residency, without holding it (e.g. an exchange's peak
     /// buffer occupancy reported after the fact).
     pub fn record_mem_transient(&self, bytes: usize) {
-        lock_profile(&self.profile)
-            .mem_mut()
-            .record_transient(bytes as u64);
+        lock_profile(&self.profile).record_transient(bytes as u64);
     }
 
-    /// Charge an `Arc`-shared block against this rank's tracker for as
+    /// Charge an `Arc`-shared block as resident on this rank for as
     /// long as the guard lives, keyed by the allocation's address: the
     /// first guard a rank holds for a given block charges `bytes`, every
     /// further guard for the *same* block on the same rank is free — a
@@ -203,9 +201,7 @@ impl Comm {
         bytes: usize,
     ) -> SharedMemCharge {
         let key = Arc::as_ptr(block) as *const () as usize;
-        lock_profile(&self.profile)
-            .mem_mut()
-            .charge_shared(key, bytes as u64);
+        lock_profile(&self.profile).charge_shared(key, bytes as u64);
         SharedMemCharge {
             profile: Arc::clone(&self.profile),
             key,
@@ -443,7 +439,7 @@ fn decode_payload<T: CommMsg>(envelope: Envelope, rank: Rank, src: Rank, tag: Ta
     }
 }
 
-/// RAII charge against a rank's memory tracker; created by
+/// RAII charge against a rank's resident bytes; created by
 /// [`Comm::mem_charge`]. Dropping releases the bytes.
 #[must_use = "dropping releases the charge immediately"]
 pub struct MemCharge {
@@ -457,9 +453,9 @@ impl MemCharge {
     pub fn set(&mut self, bytes: usize) {
         let bytes = bytes as u64;
         if bytes != self.bytes {
-            lock_profile(&self.profile)
-                .mem_mut()
-                .adjust(self.bytes, bytes);
+            let mut profile = lock_profile(&self.profile);
+            profile.release(self.bytes);
+            profile.charge(bytes);
             self.bytes = bytes;
         }
     }
@@ -467,7 +463,7 @@ impl MemCharge {
 
 impl Drop for MemCharge {
     fn drop(&mut self) {
-        lock_profile(&self.profile).mem_mut().release(self.bytes);
+        lock_profile(&self.profile).release(self.bytes);
     }
 }
 
@@ -479,7 +475,7 @@ pub struct SharedMemCharge {
     profile: Arc<Mutex<Profile>>,
     key: usize,
     /// Keeps the charged allocation alive for the guard's lifetime. The
-    /// tracker keys shared charges on the allocation *address*; if the
+    /// profile keys shared charges on the allocation *address*; if the
     /// last outside reference dropped while a charge was live, the
     /// address could be recycled by a later `Arc::new` and alias the
     /// stale entry (classic ABA) — phantom residency and never-charged
@@ -492,9 +488,7 @@ pub struct SharedMemCharge {
 
 impl Drop for SharedMemCharge {
     fn drop(&mut self) {
-        lock_profile(&self.profile)
-            .mem_mut()
-            .release_shared(self.key);
+        lock_profile(&self.profile).release_shared(self.key);
     }
 }
 
@@ -936,7 +930,7 @@ mod tests {
     fn shared_charge_guard_pins_the_allocation() {
         // The guard must keep the charged block's allocation alive:
         // shared charges key on the allocation address, and a recycled
-        // address would alias the stale tracker entry (ABA) — a second
+        // address would alias the stale profile entry (ABA) — a second
         // block charged at the reused address would book zero bytes.
         let (_, profile) = Runner::new(Backend::InProcess)
             .ranks(1)
@@ -948,7 +942,7 @@ mod tests {
                 let second = Arc::new(vec![0u8; 64]); // cannot reuse the address
                 let guard_b = comm.mem_charge_shared(&second, 64);
                 let current = comm.profile_handle();
-                let resident = crate::profile::lock_profile(&current).mem().current();
+                let resident = crate::profile::lock_profile(&current).resident_bytes();
                 drop((guard_a, guard_b));
                 resident
             });
@@ -981,6 +975,24 @@ mod tests {
         let merged = profile.merged_mem();
         assert_eq!(merged.high_water("build"), 8192);
         assert!(profile.render_table().contains("mem-hw"));
+    }
+
+    #[test]
+    fn mem_charge_set_replaces_charge() {
+        let (resident, profile) = Runner::new(Backend::InProcess)
+            .ranks(1)
+            .run_profiled(|comm| {
+                let _g = comm.phase("x");
+                let mut charge = comm.mem_charge(10);
+                charge.set(70);
+                charge.set(30);
+                let handle = comm.profile_handle();
+                let resident = crate::profile::lock_profile(&handle).resident_bytes();
+                drop(charge);
+                resident
+            });
+        assert_eq!(resident, [30]);
+        assert_eq!(profile.max_mem_hw("x"), 70);
     }
 
     // ------------------------------------------------------------------

@@ -148,14 +148,14 @@ fn shared_payload_is_mem_charged_once_per_rank() {
         });
     for rank in profile.rank_profiles() {
         assert_eq!(
-            rank.mem().high_water("charge"),
+            rank.phase("charge").expect("phase entered").mem_hw,
             bytes as u64,
             "rank {} must charge the shared block exactly once",
             rank.rank()
         );
     }
     // ... and the charge releases with the last guard.
-    assert_eq!(profile.rank_profiles()[0].mem().current(), 0);
+    assert_eq!(profile.rank_profiles()[0].resident_bytes(), 0);
 }
 
 #[test]

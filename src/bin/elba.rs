@@ -130,9 +130,9 @@ fn assemble_finish(
     writeln!(out, "{}", wire_bytes_line(profile))?;
     if let Some(total) = cfg.mem_budget.total() {
         let peak = profile
-            .phase_names()
-            .iter()
-            .map(|name| profile.max_mem_hw(name))
+            .merged_mem()
+            .phases()
+            .map(|(_, high_water)| high_water)
             .max()
             .unwrap_or(0);
         writeln!(

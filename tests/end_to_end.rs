@@ -678,7 +678,7 @@ fn reduction_memory_high_water_matches_golden_constants() {
     let high_water: Vec<u64> = profile
         .rank_profiles()
         .iter()
-        .map(|rank| rank.mem().high_water("TrReduction"))
+        .map(|rank| rank.phase("TrReduction").expect("phase entered").mem_hw)
         .collect();
     assert_eq!(high_water, TR_REDUCTION_HW, "TrReduction high-water bytes");
 }

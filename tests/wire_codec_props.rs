@@ -6,7 +6,7 @@
 
 use elba::align::SgEdge;
 use elba::comm::transport::wire::{WireError, WireReader};
-use elba::comm::CommMsg;
+use elba::comm::{Backend, CommMsg, Profile, Runner};
 use elba::core::{EdgeRecord, WalkEdge};
 use elba::graph::{Hop, Seed, SharedSeeds};
 use elba::seq::AEntry;
@@ -70,6 +70,48 @@ fn encoded<T: CommMsg>(value: &T) -> Vec<u8> {
     let mut buf = Vec::new();
     value.wire_encode(&mut buf);
     buf
+}
+
+/// The decoder's cap on a length header (`wire::MAX_VEC_ELEMS`).
+const MAX_VEC_ELEMS: u64 = 1 << 34;
+
+/// Every rank's profile frame from one profiled run with nested phases,
+/// point-to-point traffic, collectives, charges and transients. Each rank
+/// hands back one charge, so its frame carries non-zero resident bytes.
+fn profile_frames(ranks: usize, charges: Vec<u32>, transient: u32) -> Vec<(Profile, Vec<u8>)> {
+    let (_, run) = Runner::new(Backend::InProcess)
+        .ranks(ranks)
+        .run_profiled(move |comm| {
+            let _outer = comm.phase("outer");
+            let held = comm.mem_charge(charges[0] as usize + comm.rank() + 1);
+            {
+                let _inner = comm.phase("outer:inner");
+                for &bytes in &charges[1..] {
+                    let _charge = comm.mem_charge(bytes as usize);
+                    comm.record_mem_transient(transient as usize);
+                }
+                let peers = (0..comm.size()).map(|r| vec![r as u64; r + 1]).collect();
+                let _ = comm.alltoallv(peers);
+            }
+            let _ = comm.bcast(0, (comm.rank() == 0).then(|| charges.clone()));
+            let _ = comm.allreduce(comm.rank() as u64, |a, b| a + b);
+            if comm.size() > 1 {
+                if comm.rank() == 0 {
+                    comm.send(1, 7, vec![1u8; 33]);
+                } else if comm.rank() == 1 {
+                    let _ = comm.recv::<Vec<u8>>(0, 7);
+                }
+            }
+            held
+        });
+    run.rank_profiles()
+        .iter()
+        .map(|profile| {
+            let mut frame = Vec::new();
+            profile.wire_encode(&mut frame);
+            (profile.clone(), frame)
+        })
+        .collect()
 }
 
 /// The extreme A entries: both strands at the first position and at the
@@ -512,5 +554,48 @@ proptest! {
         let cut = cut_seed as usize % buf.len();
         let mut reader = WireReader::new(&buf[..cut]);
         prop_assert!(Vec::<u64>::wire_decode(&mut reader).is_err());
+    }
+
+    #[test]
+    fn profile_frames_round_trip_and_reject_corruption(
+        ranks in 1usize..=4,
+        charges in proptest::collection::vec(0u32..1 << 20, 1..6),
+        transient in 0u32..1 << 20,
+        extra in any::<u8>(),
+    ) {
+        for (profile, frame) in profile_frames(ranks, charges.clone(), transient) {
+            prop_assert!(profile.resident_bytes() > 0);
+            prop_assert!(profile.phase("outer:inner").is_some_and(|p| p.mem_hw > 0));
+
+            let mut reader = WireReader::new(&frame);
+            let back = Profile::wire_decode(&mut reader).expect("decode what we encoded");
+            prop_assert_eq!(reader.finish(), Ok(()));
+            prop_assert_eq!(back.rank(), profile.rank());
+            prop_assert_eq!(back.resident_bytes(), profile.resident_bytes());
+            prop_assert_eq!(
+                format!("{:?}", back.phases().collect::<Vec<_>>()),
+                format!("{:?}", profile.phases().collect::<Vec<_>>())
+            );
+
+            for cut in 0..frame.len() {
+                let mut reader = WireReader::new(&frame[..cut]);
+                prop_assert!(Profile::wire_decode(&mut reader).is_err(), "cut at {}", cut);
+            }
+
+            let mut padded = frame.clone();
+            padded.push(extra);
+            let mut reader = WireReader::new(&padded);
+            prop_assert!(Profile::wire_decode(&mut reader).is_ok());
+            prop_assert_eq!(reader.finish(), Err(WireError::Trailing(1)));
+
+            // The phase-count header follows the 8-byte rank.
+            let mut oversized = frame.clone();
+            oversized[8..16].copy_from_slice(&(MAX_VEC_ELEMS + 1).to_ne_bytes());
+            let mut reader = WireReader::new(&oversized);
+            prop_assert_eq!(
+                Profile::wire_decode(&mut reader).map(|_| ()),
+                Err(WireError::Malformed("length header"))
+            );
+        }
     }
 }
