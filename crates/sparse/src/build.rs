@@ -21,8 +21,10 @@
 //! one rank, every matrix rebuilt from its own entries — skips all of it:
 //! one check pass, one emit pass.
 
+use crate::csr::entry_offset;
+
 /// `(indptr, column indices, values)` of a CSR matrix.
-pub(crate) type Compressed<T> = (Vec<usize>, Vec<u32>, Vec<T>);
+pub(crate) type Compressed<T> = (Vec<u32>, Vec<u32>, Vec<T>);
 
 /// Compress `parts` — read as one concatenated triple list, never
 /// materialized as one — into `nrows` rows. Entries sharing a coordinate
@@ -34,6 +36,8 @@ pub(crate) fn compress<T>(
     combine: impl FnMut(&mut T, T),
 ) -> Compressed<T> {
     let n: usize = parts.iter().map(Vec::len).sum();
+    // Every offset and destination below is a `u32`.
+    entry_offset(n);
     let coords = || parts.iter().flatten().map(|&(r, c, _)| (r, c));
     debug_assert!(
         coords().all(|(r, c)| (r as usize) < nrows && (c as usize) < ncols),
@@ -44,12 +48,8 @@ pub(crate) fn compress<T>(
     }
 
     // Stable counting sort on the row: row sizes first, which fix every
-    // input's destination (kept as `u32`, like the indices).
-    assert!(
-        u32::try_from(n).is_ok(),
-        "a local block holds under 2^32 triples"
-    );
-    let mut ptr = vec![0usize; nrows + 1];
+    // input's destination.
+    let mut ptr = vec![0u32; nrows + 1];
     let mut parts_ascend = true;
     for part in &parts {
         let mut below = 0u32;
@@ -75,7 +75,7 @@ pub(crate) fn compress<T>(
     let mut duplicates = false;
     let (mut order, mut dest): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
     for m in 0..nrows {
-        let run = ptr[m]..ptr[m + 1];
+        let run = ptr[m] as usize..ptr[m + 1] as usize;
         if idx[run.clone()].windows(2).all(|w| w[0] < w[1]) {
             continue;
         }
@@ -100,7 +100,8 @@ pub(crate) fn compress<T>(
     if !duplicates {
         return (ptr, idx, val);
     }
-    let rows = (0..nrows).flat_map(|m| std::iter::repeat_n(m as u32, ptr[m + 1] - ptr[m]));
+    let rows =
+        (0..nrows).flat_map(|m| std::iter::repeat_n(m as u32, (ptr[m + 1] - ptr[m]) as usize));
     let entries = rows.zip(idx).zip(val).map(|((r, c), v)| (r, c, v));
     fold_sorted(nrows, n, entries, combine)
 }
@@ -114,13 +115,13 @@ pub(crate) fn compress<T>(
 fn merge_ascending_parts<T>(
     n: usize,
     parts: Vec<Vec<(u32, u32, T)>>,
-    mut cursor: Vec<usize>,
+    mut cursor: Vec<u32>,
 ) -> (Vec<u32>, Vec<T>) {
     let mut origin = vec![0u16; n];
     for (k, part) in parts.iter().enumerate() {
         for &(r, _, _) in part {
             let slot = &mut cursor[r as usize];
-            origin[*slot] = k as u16;
+            origin[*slot as usize] = k as u16;
             *slot += 1;
         }
     }
@@ -144,15 +145,15 @@ fn merge_ascending_parts<T>(
 fn scatter_and_permute<T>(
     n: usize,
     parts: Vec<Vec<(u32, u32, T)>>,
-    mut cursor: Vec<usize>,
+    mut cursor: Vec<u32>,
 ) -> (Vec<u32>, Vec<T>) {
     let mut dest: Vec<u32> = Vec::with_capacity(n);
     let mut idx = vec![0u32; n];
     let mut val: Vec<T> = Vec::with_capacity(n);
     for (r, c, v) in parts.into_iter().flatten() {
         let slot = &mut cursor[r as usize];
-        dest.push(*slot as u32);
-        idx[*slot] = c;
+        dest.push(*slot);
+        idx[*slot as usize] = c;
         *slot += 1;
         val.push(v);
     }
@@ -184,7 +185,7 @@ fn fold_sorted<T>(
     entries: impl Iterator<Item = (u32, u32, T)>,
     mut combine: impl FnMut(&mut T, T),
 ) -> Compressed<T> {
-    let mut ptr = vec![0usize; nrows + 1];
+    let mut ptr = vec![0u32; nrows + 1];
     let mut idx = Vec::with_capacity(capacity);
     let mut val: Vec<T> = Vec::with_capacity(capacity);
     let mut last: Option<(u32, u32)> = None;
@@ -224,7 +225,7 @@ mod tests {
     /// comparison sort of all triples by `(row, col)`, then compress.
     fn sort_and_compress(nrows: usize, mut triples: Triples) -> Compressed<u64> {
         triples.sort_by_key(|&(r, c, _)| (r, c));
-        let mut ptr = vec![0usize; nrows + 1];
+        let mut ptr = vec![0u32; nrows + 1];
         let mut idx = Vec::new();
         let mut val: Vec<u64> = Vec::new();
         let mut last: Option<(u32, u32)> = None;

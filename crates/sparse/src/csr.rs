@@ -1,19 +1,51 @@
-//! Compressed sparse row storage — the workhorse local format for SpGEMM
-//! and row-oriented reductions. Indices are `u32` (a local matrix block
-//! never exceeds 2³² rows/columns in any ELBA workload).
+//! Compressed sparse row storage — the one local format: the block of
+//! every distributed matrix and the subgraph local assembly walks.
+//! Column indices are `u32` (a local block never exceeds 2³² rows or
+//! columns in any ELBA workload), and so are the row offsets: a block
+//! holds under 2³² entries, and every builder checks that through
+//! `entry_offset`, which panics naming the limit. A block of `nrows`
+//! rows and `nnz` entries is `4·(nrows + 1) + nnz·(4 + size_of::<T>())`
+//! bytes ([`Csr::heap_bytes`]).
 //!
 //! [`Csr::from_triples`] is a counting sort on the row index, linear in
 //! `nnz + nrows` (`build.rs`). Triples that arrive already in
 //! row-major order (every build on one rank) cost one check pass and one
 //! emit pass; the sorted per-source lists a distributed build receives
 //! are merged without being concatenated first.
+//!
+//! On the wire a block costs its entries, not its row count. The frame
+//! is the shape, a one-byte form tag, the cheaper of two row encodings,
+//! then the column indices and the values:
+//! - dense: the `nrows + 1` offsets, `4·(nrows + 1)` B;
+//! - sparse: the non-empty rows as `(u32 row id, u32 end offset)` pairs,
+//!   `8·nzr` B — what a hypersparse off-diagonal block of the √P×√P grid
+//!   (`n/√P` rows, about `nnz/P` entries) ships, in place of CombBLAS'
+//!   DCSC (Buluç and Gilbert, IPDPS 2008).
+//!
+//! The block's own shape picks the form (sparse when
+//! `8·nzr < 4·(nrows + 1)`), [`elba_comm::CommMsg::nbytes`] books
+//! exactly the bytes the codec writes apart from its length headers, and
+//! the decoder always rebuilds the dense in-memory form after checking
+//! that every offset, row id and column index is one a kernel can
+//! follow.
+
+use elba_comm::transport::wire::{WireError, WireReader};
+use elba_comm::CommMsg;
+
+/// The `u32` offset of entry `n` of a block: every builder's check that
+/// the block holds under 2³² entries.
+#[inline]
+pub(crate) fn entry_offset(n: usize) -> u32 {
+    u32::try_from(n)
+        .unwrap_or_else(|_| panic!("a local sparse block holds under 2^32 entries, not {n}"))
+}
 
 /// A sparse matrix in CSR form with explicit `(indptr, indices, values)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr<T> {
     nrows: usize,
     ncols: usize,
-    indptr: Vec<usize>,
+    indptr: Vec<u32>,
     indices: Vec<u32>,
     values: Vec<T>,
 }
@@ -66,13 +98,16 @@ impl<T> Csr<T> {
     pub fn from_parts(
         nrows: usize,
         ncols: usize,
-        indptr: Vec<usize>,
+        indptr: Vec<u32>,
         indices: Vec<u32>,
         values: Vec<T>,
     ) -> Self {
         assert_eq!(indptr.len(), nrows + 1);
         assert_eq!(indices.len(), values.len());
-        assert_eq!(*indptr.last().expect("indptr non-empty"), indices.len());
+        assert_eq!(
+            *indptr.last().expect("indptr non-empty") as usize,
+            indices.len()
+        );
         debug_assert!(indices.iter().all(|&c| (c as usize) < ncols));
         Csr {
             nrows,
@@ -99,7 +134,7 @@ impl<T> Csr<T> {
     }
 
     #[inline]
-    pub fn indptr(&self) -> &[usize] {
+    pub fn indptr(&self) -> &[u32] {
         &self.indptr
     }
 
@@ -113,12 +148,13 @@ impl<T> Csr<T> {
         &self.values
     }
 
-    /// Bytes of heap storage behind this matrix (indptr + indices +
-    /// values, by length). The quantity every stage charges against the
-    /// memory tracker; deterministic across runs, unlike capacities.
+    /// Bytes of heap storage behind this matrix (4-byte offsets +
+    /// indices + values, by length). The quantity every stage charges
+    /// against the memory tracker; deterministic across runs, unlike
+    /// capacities.
     #[inline]
     pub fn heap_bytes(&self) -> usize {
-        self.indptr.len() * std::mem::size_of::<usize>()
+        self.indptr.len() * std::mem::size_of::<u32>()
             + self.indices.len() * std::mem::size_of::<u32>()
             + self.values.len() * std::mem::size_of::<T>()
     }
@@ -140,17 +176,24 @@ impl<T> Csr<T> {
                 .sum::<usize>()
     }
 
+    /// Positions of row `i`'s entries in [`Csr::indices`] and
+    /// [`Csr::values`].
+    #[inline]
+    pub(crate) fn row_span(&self, i: usize) -> std::ops::Range<usize> {
+        self.indptr[i] as usize..self.indptr[i + 1] as usize
+    }
+
     /// Column indices and values of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> (&[u32], &[T]) {
-        let span = self.indptr[i]..self.indptr[i + 1];
+        let span = self.row_span(i);
         (&self.indices[span.clone()], &self.values[span])
     }
 
     /// Number of stored entries in row `i`.
     #[inline]
     pub fn row_nnz(&self, i: usize) -> usize {
-        self.indptr[i + 1] - self.indptr[i]
+        self.row_span(i).len()
     }
 
     /// Value at `(i, j)` if stored.
@@ -170,7 +213,7 @@ impl<T> Csr<T> {
     /// Consume into the raw `(indptr, indices, values)` arrays — the
     /// inverse of [`Csr::from_parts`]. Used by the blocked SUMMA path to
     /// concatenate disjoint row-batch outputs without re-sorting.
-    pub fn into_parts(self) -> (Vec<usize>, Vec<u32>, Vec<T>) {
+    pub fn into_parts(self) -> (Vec<u32>, Vec<u32>, Vec<T>) {
         (self.indptr, self.indices, self.values)
     }
 
@@ -179,7 +222,7 @@ impl<T> Csr<T> {
         let mut out = Vec::with_capacity(self.nnz());
         let mut values = self.values.into_iter();
         for i in 0..self.nrows {
-            for k in self.indptr[i]..self.indptr[i + 1] {
+            for k in self.indptr[i] as usize..self.indptr[i + 1] as usize {
                 out.push((
                     i as u32,
                     self.indices[k],
@@ -244,7 +287,7 @@ impl<T> Csr<T> {
     where
         T: Clone,
     {
-        let mut indptr = vec![0usize; self.ncols + 1];
+        let mut indptr = vec![0u32; self.ncols + 1];
         for &c in &self.indices {
             indptr[c as usize + 1] += 1;
         }
@@ -255,9 +298,9 @@ impl<T> Csr<T> {
         let mut indices = vec![0u32; self.nnz()];
         let mut source = vec![0usize; self.nnz()];
         for i in 0..self.nrows {
-            for k in self.indptr[i]..self.indptr[i + 1] {
+            for k in self.row_span(i) {
                 let c = self.indices[k] as usize;
-                let pos = cursor[c];
+                let pos = cursor[c] as usize;
                 cursor[c] += 1;
                 indices[pos] = i as u32;
                 source[pos] = k;
@@ -301,22 +344,22 @@ impl<T> Csr<T> {
 fn filter_entries<T>(
     nrows: usize,
     ncols: usize,
-    indptr: &[usize],
+    indptr: &[u32],
     indices: &[u32],
     mut pick: impl FnMut(u32, u32) -> Option<T>,
 ) -> Csr<T> {
     let mut kept_indptr = Vec::with_capacity(nrows + 1);
-    kept_indptr.push(0usize);
+    kept_indptr.push(0u32);
     let mut kept_indices = Vec::with_capacity(indices.len());
     let mut kept_values = Vec::with_capacity(indices.len());
     for i in 0..nrows {
-        for &c in &indices[indptr[i]..indptr[i + 1]] {
+        for &c in &indices[indptr[i] as usize..indptr[i + 1] as usize] {
             if let Some(v) = pick(i as u32, c) {
                 kept_indices.push(c);
                 kept_values.push(v);
             }
         }
-        kept_indptr.push(kept_indices.len());
+        kept_indptr.push(entry_offset(kept_indices.len()));
     }
     if kept_indices.len() < indices.len() / 2 {
         kept_indices.shrink_to_fit();
@@ -331,10 +374,61 @@ fn filter_entries<T>(
     }
 }
 
-impl<T: elba_comm::CommMsg + Clone> elba_comm::CommMsg for Csr<T> {
+/// The dense `offsets`-long pointer array of a sparse-form frame's
+/// `(row id, end offset)` pairs: a row between two listed rows ends
+/// where the one before it did. The ids must ascend strictly and stay
+/// under `offsets − 1`; the offsets are checked by the caller.
+fn expand_rows(offsets: usize, pairs: &[u32]) -> Result<Vec<u32>, WireError> {
+    let ids = || pairs.chunks_exact(2).map(|pair| pair[0] as usize);
+    let ascending = ids().zip(ids().skip(1)).all(|(a, b)| a < b);
+    if !ascending || ids().next_back().is_some_and(|row| row + 1 >= offsets) {
+        return Err(WireError::Malformed("csr row ids"));
+    }
+    let mut indptr = vec![0u32; offsets];
+    let mut filled = 0;
+    for pair in pairs.chunks_exact(2) {
+        let (row, end) = (pair[0] as usize, pair[1]);
+        let before = indptr[filled];
+        indptr[filled + 1..=row].fill(before);
+        indptr[row + 1] = end;
+        filled = row + 1;
+    }
+    let last = indptr[filled];
+    indptr[filled + 1..].fill(last);
+    Ok(indptr)
+}
+
+/// Form tag of a frame whose rows travel as the `nrows + 1` offsets.
+const DENSE_ROWS: u8 = 0;
+/// Form tag of a frame whose rows travel as `(row id, end offset)`
+/// pairs of the non-empty rows.
+const SPARSE_ROWS: u8 = 1;
+
+impl<T> Csr<T> {
+    /// Rows holding at least one entry.
+    fn nonempty_rows(&self) -> usize {
+        self.indptr.windows(2).filter(|w| w[0] < w[1]).count()
+    }
+
+    /// The frame's row encoding: its form tag and its byte size, the
+    /// cheaper of `4·(nrows + 1)` dense and `8·nzr` sparse (dense on a
+    /// tie).
+    fn row_form(&self) -> (u8, usize) {
+        let dense = 4 * self.indptr.len();
+        let sparse = 8 * self.nonempty_rows();
+        if sparse < dense {
+            (SPARSE_ROWS, sparse)
+        } else {
+            (DENSE_ROWS, dense)
+        }
+    }
+}
+
+impl<T: CommMsg + Clone> CommMsg for Csr<T> {
     fn nbytes(&self) -> usize {
-        // Shape header + indptr + indices + values.
-        16 + self.indptr.len() * 8
+        // Shape + form tag + row encoding + indices + values.
+        16 + 1
+            + self.row_form().1
             + self.indices.len() * 4
             + self.values.iter().map(|v| v.nbytes()).sum::<usize>()
     }
@@ -342,30 +436,75 @@ impl<T: elba_comm::CommMsg + Clone> elba_comm::CommMsg for Csr<T> {
     fn wire_encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.nrows as u64).to_ne_bytes());
         out.extend_from_slice(&(self.ncols as u64).to_ne_bytes());
-        self.indptr.wire_encode(out);
+        let (form, bytes) = self.row_form();
+        out.push(form);
+        if form == SPARSE_ROWS {
+            // The pair count is a length header, as a `Vec`'s is.
+            out.extend_from_slice(&(bytes as u64 / 8).to_ne_bytes());
+            for (row, w) in self.indptr.windows(2).enumerate() {
+                if w[0] < w[1] {
+                    out.extend_from_slice(&(row as u32).to_ne_bytes());
+                    out.extend_from_slice(&w[1].to_ne_bytes());
+                }
+            }
+        } else {
+            u32::wire_encode_slice(&self.indptr, out);
+        }
         self.indices.wire_encode(out);
         self.values.wire_encode(out);
     }
 
-    fn wire_decode(
-        r: &mut elba_comm::transport::wire::WireReader<'_>,
-    ) -> Result<Self, elba_comm::transport::wire::WireError> {
-        use elba_comm::transport::wire::WireError;
-        let nrows =
-            usize::try_from(r.read_u64()?).map_err(|_| WireError::Malformed("csr shape"))?;
-        let ncols =
-            usize::try_from(r.read_u64()?).map_err(|_| WireError::Malformed("csr shape"))?;
-        let indptr = Vec::<usize>::wire_decode(r)?;
+    /// The inverse of `wire_encode`, into the dense in-memory form. A
+    /// frame no encoder produces — a row id out of order or out of the
+    /// shape, offsets that fall or miss `nnz`, a column out of the shape
+    /// or out of order in its row — is [`WireError::Malformed`], so no
+    /// accessor or kernel can index out of bounds on a decoded block.
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        // Row ids and column indices are `u32`: a wider shape cannot be
+        // addressed, and would only be an allocation.
+        let dim = |r: &mut WireReader<'_>| {
+            usize::try_from(r.read_u64()?)
+                .ok()
+                .filter(|&d| d as u64 <= 1 << 32)
+                .ok_or(WireError::Malformed("csr shape"))
+        };
+        let (nrows, ncols) = (dim(r)?, dim(r)?);
+        let offsets = nrows
+            .checked_add(1)
+            .ok_or(WireError::Malformed("csr shape"))?;
+        let form = u8::wire_decode(r)?;
+        let rows = match form {
+            DENSE_ROWS => u32::wire_decode_slice(offsets, r)?,
+            SPARSE_ROWS => {
+                let nzr = r.read_len()?;
+                if nzr > nrows {
+                    return Err(WireError::Malformed("csr row ids"));
+                }
+                u32::wire_decode_slice(2 * nzr, r)?
+            }
+            _ => return Err(WireError::Malformed("csr form")),
+        };
         let indices = Vec::<u32>::wire_decode(r)?;
         let values = Vec::<T>::wire_decode(r)?;
-        // Cheap structural sanity so a corrupt frame cannot produce a
-        // panel whose accessors index out of bounds.
-        let consistent = indptr.len() == nrows + 1
-            && indptr.first() == Some(&0)
-            && indptr.last() == Some(&indices.len())
+        let indptr = if form == SPARSE_ROWS {
+            expand_rows(offsets, &rows)?
+        } else {
+            rows
+        };
+        let offsets_hold = indptr[0] == 0
+            && indptr.windows(2).all(|w| w[0] <= w[1])
+            && indptr[nrows] as usize == indices.len()
             && indices.len() == values.len();
-        if !consistent {
-            return Err(WireError::Malformed("csr structure"));
+        if !offsets_hold {
+            return Err(WireError::Malformed("csr offsets"));
+        }
+        let columns_hold = indptr.windows(2).all(|w| {
+            let cols = &indices[w[0] as usize..w[1] as usize];
+            cols.windows(2).all(|c| c[0] < c[1])
+                && cols.last().is_none_or(|&c| (c as usize) < ncols)
+        });
+        if !columns_hold {
+            return Err(WireError::Malformed("csr columns"));
         }
         Ok(Csr {
             nrows,
@@ -480,6 +619,23 @@ mod tests {
         let t = m.clone().into_triples();
         let rebuilt = Csr::from_triples(3, 3, t, |_, _| unreachable!());
         assert_eq!(rebuilt, m);
+    }
+
+    #[test]
+    fn heap_bytes_book_four_byte_offsets() {
+        assert_eq!(sample().heap_bytes(), 4 * 4 + 4 * (4 + 8));
+        assert_eq!(Csr::<u8>::empty(204, 204).heap_bytes(), 820);
+    }
+
+    #[test]
+    fn offsets_end_below_two_to_the_32() {
+        assert_eq!(entry_offset(u32::MAX as usize), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds under 2^32 entries, not 4294967296")]
+    fn a_block_of_two_to_the_32_entries_is_refused() {
+        entry_offset(1 << 32);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use elba_comm::{CommMsg, MemCharge, ProcGrid};
 
-use crate::csr::Csr;
+use crate::csr::{entry_offset, Csr};
 use crate::dist_vec::DistVec;
 use crate::layout::Layout2D;
 use crate::semiring::{MaskedFold, Semiring};
@@ -239,12 +239,12 @@ where
         let (batch_indptr, batch_indices, batch_values) = batch.into_parts();
         let mut batch_vals = batch_values.into_iter();
         for (in_batch, row) in (start..end).enumerate() {
-            let width = batch_indptr[in_batch + 1] - batch_indptr[in_batch];
-            if width == 0 {
+            let span = batch_indptr[in_batch] as usize..batch_indptr[in_batch + 1] as usize;
+            if span.is_empty() {
                 continue;
             }
-            let cols = &batch_indices[batch_indptr[in_batch]..batch_indptr[in_batch + 1]];
-            let vals: Vec<S::Out> = batch_vals.by_ref().take(width).collect();
+            let vals: Vec<S::Out> = batch_vals.by_ref().take(span.len()).collect();
+            let cols = &batch_indices[span];
             let before = acc_rows[row].0.len();
             merge_row(&mut acc_rows[row], cols, vals, |a, v| semiring.add(a, v));
             acc_entries += acc_rows[row].0.len() - before;
@@ -271,13 +271,13 @@ fn pack_rows_into_csr<V>(
     charge.set(2 * entries * entry_bytes);
     let nrows = acc_rows.len();
     let mut indptr = Vec::with_capacity(nrows + 1);
-    indptr.push(0usize);
+    indptr.push(0u32);
     let mut indices: Vec<u32> = Vec::with_capacity(entries);
     let mut values: Vec<V> = Vec::with_capacity(entries);
     for (cols, vals) in acc_rows {
         indices.extend(cols);
         values.extend(vals);
-        indptr.push(indices.len());
+        indptr.push(entry_offset(indices.len()));
     }
     charge.set(entries * entry_bytes);
     Csr::from_parts(nrows, ncols, indptr, indices, values)
@@ -1027,9 +1027,9 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
 
     /// The general product's estimate pass: per SUMMA stage, the
     /// `A`-block owner broadcasts its per-column nonzero counts along
-    /// the grid row and the `B`-block owner its structure
-    /// (`indptr`/`indices`, no values) along the grid column — a
-    /// fraction of a full block broadcast. Returns per local output
+    /// the grid row and the `B`-block owner its [`pattern`] along the
+    /// grid column — a fraction of a full block broadcast, in the same
+    /// compact frame as [`StageFetch::estimates`]. Returns per local output
     /// column the exact multiply-add count landing there
     /// (`flops(j) = Σ_s Σ_{k : B_s[k,j]≠0} nnz_col(A_s, k)`) and the
     /// full A+B block bytes per stage. Collective: every rank of the
@@ -1059,33 +1059,24 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
                 }),
             );
             let (a_col_nnz, a_bytes) = (&a_pack.0, a_pack.1);
-            let b_pack = grid.col().bcast(
+            let b_pattern = grid.col().bcast(
                 s,
-                (grid.myrow() == s).then(|| {
-                    Arc::new((
-                        other.local.indptr().to_vec(),
-                        other.local.indices().to_vec(),
-                        other.local.heap_bytes(),
-                    ))
-                }),
+                (grid.myrow() == s).then(|| Arc::new(pattern(&other.local))),
             );
-            let (b_indptr, b_indices, b_bytes) = (&b_pack.0, &b_pack.1, b_pack.2);
-            // The received structure vectors are real resident
-            // bytes; the budget verdict is only trustworthy if the
-            // pass that sizes the batches charges its own working
-            // set too.
+            // The received structure is real resident bytes; the budget
+            // verdict is only trustworthy if the pass that sizes the
+            // batches charges its own working set too.
             est_charge.set(
                 col_flops.len() * std::mem::size_of::<u64>()
                     + a_col_nnz.len() * std::mem::size_of::<u32>()
-                    + b_indptr.len() * std::mem::size_of::<usize>()
-                    + b_indices.len() * std::mem::size_of::<u32>(),
+                    + b_pattern.heap_bytes(),
             );
-            stage_bytes.push(a_bytes + b_bytes);
+            stage_bytes.push(a_bytes + block_bytes::<U>(&b_pattern, false));
             for (k, &ann) in a_col_nnz.iter().enumerate() {
                 if ann == 0 {
                     continue;
                 }
-                for &j in &b_indices[b_indptr[k]..b_indptr[k + 1]] {
+                for &j in b_pattern.row(k).0 {
                     col_flops[j as usize] += ann as u64;
                 }
             }
@@ -1569,7 +1560,7 @@ fn block_bytes<T>(pattern: &Csr<()>, transposed: bool) -> usize {
     } else {
         pattern.nrows()
     };
-    (rows + 1) * std::mem::size_of::<usize>()
+    (rows + 1) * std::mem::size_of::<u32>()
         + pattern.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<T>())
 }
 

@@ -6,7 +6,8 @@
 //!
 //! * one local format, [`csr::Csr`]: the block of every distributed
 //!   matrix and the symmetric subgraph local assembly walks, built by a
-//!   counting sort from triples,
+//!   counting sort from triples, with `u32` offsets; on the wire a
+//!   hypersparse block ships only its non-empty rows,
 //! * [`semiring::Semiring`] overloading of `(+, ×)`, including filtering
 //!   semirings (a `multiply` that can annihilate) and an in-place
 //!   `fold` (`acc ⊕= a ⊗ b`) a semiring may specialise,

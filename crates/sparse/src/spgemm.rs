@@ -3,7 +3,7 @@
 //! SUMMA stage of overlap detection (`C = AAᵀ`), the second inside every
 //! stage of the transitive-reduction sweep (`R ⊗ R` on `R`'s pattern).
 
-use crate::csr::Csr;
+use crate::csr::{entry_offset, Csr};
 use crate::semiring::{MaskedFold, Semiring};
 
 /// Sparse accumulator for one output row: a dense `Option` array plus a
@@ -89,7 +89,7 @@ fn multiply_window<S: Semiring>(
     rows: std::ops::Range<usize>,
     cols: std::ops::Range<u32>,
     upper: Option<i64>,
-    indptr: &mut Vec<usize>,
+    indptr: &mut Vec<u32>,
     indices: &mut Vec<u32>,
     values: &mut Vec<S::Out>,
 ) {
@@ -98,7 +98,7 @@ fn multiply_window<S: Semiring>(
         let floor = row_floor(upper, i, &cols);
         if floor >= cols.end {
             // Wholly below its floor: the row reads neither `A` nor `B`.
-            indptr.push(indices.len());
+            indptr.push(entry_offset(indices.len()));
             continue;
         }
         let (a_cols, a_vals) = a.row(i);
@@ -118,7 +118,7 @@ fn multiply_window<S: Semiring>(
             }
         }
         spa.drain_sorted(indices, values);
-        indptr.push(indices.len());
+        indptr.push(entry_offset(indices.len()));
     }
 }
 
@@ -262,7 +262,7 @@ impl<'m, S: Semiring> SpGemmBatcher<'m, S> {
             self.spas.push(Spa::new(ncols));
         }
         let mut indptr = Vec::with_capacity(rows.len() + 1);
-        indptr.push(0usize);
+        indptr.push(0u32);
         let mut indices = Vec::new();
         let mut values = Vec::new();
         multiply_window(
@@ -342,12 +342,16 @@ where
                 (indptr, indices, values)
             });
         let mut indptr = Vec::with_capacity(rows.len() + 1);
-        indptr.push(0usize);
+        indptr.push(0u32);
         let mut indices: Vec<u32> = Vec::new();
         let mut values: Vec<S::Out> = Vec::new();
         for (chunk_indptr, chunk_indices, chunk_values) in parts {
             let base = indices.len();
-            indptr.extend(chunk_indptr.into_iter().map(|end| base + end));
+            indptr.extend(
+                chunk_indptr
+                    .into_iter()
+                    .map(|end| entry_offset(base + end as usize)),
+            );
             indices.extend(chunk_indices);
             values.extend(chunk_values);
         }
@@ -361,7 +365,7 @@ const MIN_PAR_ROWS: usize = 8;
 
 /// One threaded chunk's raw CSR pieces: per-row cumulative end offsets
 /// (relative to the chunk), column indices, values.
-type ChunkParts<V> = (Vec<usize>, Vec<u32>, Vec<V>);
+type ChunkParts<V> = (Vec<u32>, Vec<u32>, Vec<V>);
 
 /// "No slot": the column is not in the mask row being multiplied.
 const NO_SLOT: u32 = u32::MAX;
@@ -459,7 +463,7 @@ impl<'m, M, F: MaskedFold<M>> MaskedAccumulator<'m, M, F> {
         let row_chunks = elba_par::chunk_ranges(0..mask.nrows(), workers);
         for (rows, offset) in row_chunks.into_iter().zip(&mut self.offsets) {
             let (mine, tail) = std::mem::take(&mut rest)
-                .split_at_mut(mask.indptr()[rows.end] - mask.indptr()[rows.start]);
+                .split_at_mut((mask.indptr()[rows.end] - mask.indptr()[rows.start]) as usize);
             rest = tail;
             chunks.push((rows, mine, offset));
         }
@@ -481,9 +485,9 @@ fn accumulate_masked_rows<M, F: MaskedFold<M>>(
     offset: &mut [u32],
     acc: &mut [F::Slot],
 ) {
-    let base = mask.indptr()[rows.start];
+    let base = mask.indptr()[rows.start] as usize;
     for i in rows {
-        let span = mask.indptr()[i]..mask.indptr()[i + 1];
+        let span = mask.row_span(i);
         let (a_cols, a_vals) = a.row(i);
         if span.is_empty() || a_cols.is_empty() {
             continue;

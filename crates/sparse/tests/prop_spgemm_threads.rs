@@ -47,7 +47,7 @@ fn multiply<S>(
     threads: usize,
     rows: std::ops::Range<usize>,
     cols: std::ops::Range<u32>,
-) -> (Vec<usize>, Vec<u32>, Vec<S::Out>)
+) -> (Vec<u32>, Vec<u32>, Vec<S::Out>)
 where
     S: Semiring + Sync,
     S::A: Sync,

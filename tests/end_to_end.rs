@@ -371,21 +371,23 @@ fn pipeline_profile_contains_paper_phases() {
 /// p = 4, against fixed constants. CountKmer's were recorded when its
 /// streamed, flow-controlled chunks became one `alltoallv` and a one-byte
 /// `allreduce` per window: the same count records, without per-chunk
-/// framing, credit acks and terminators. DetectOverlap's when A's triples
-/// stopped shipping occurrences (a window's column queries to the other
-/// owners and their answers, and the 4-byte A entry, in place of one
-/// 21-byte record per occurrence), and again when the symmetric product
-/// stopped building `Aᵀ` and broadcasting: each rank's change is its
-/// removed transpose swap and stage-broadcast shares minus its direct
-/// block sends (rank (row, col); the rest of the phase, 972 492 /
-/// 1 082 138 / 960 796 / 792 050 bytes, did not move):
+/// framing, credit acks and terminators. DetectOverlap ships a window's
+/// column queries to the other A owners and their answers (4-byte A
+/// entries), and the symmetric product's direct block sends: no `Aᵀ` is
+/// built and nothing is broadcast. Rank (m, s) sends `A(m, s)` as stored
+/// to every other rank (m, j) with j ≥ m, and transposed to every rank
+/// (i, m) with i < m. A block frame books
+/// 17 B of shape and form tag, `4·(rows + 1)` B of offsets (every block
+/// here lists more than half its rows) and 8 B per entry (4 B index,
+/// 4 B entry). A's 99 read rows split 50 / 49 over the grid rows and its
+/// 5 687 k-mer columns 2 844 / 2 843 over the grid columns:
 ///
-/// | rank | swap | ibcast shares (4 calls) | direct sends | change |
-/// |---|---:|---:|---:|---:|
-/// | 0 (0,0) | 0 | 769 792 | 1 block, 373 720 | −3 msgs, −396 072 |
-/// | 1 (0,1) | 1 msg, 394 704 | 703 048 | 1 block, 373 560 | −4 msgs, −724 192 |
-/// | 2 (1,0) | 1 msg, 328 672 | 703 032 | 2 blocks, 636 616 | −3 msgs, −395 088 |
-/// | 3 (1,1) | 0 | 638 064 | 1 block, 330 208 | −3 msgs, −307 856 |
+/// | rank | blocks sent (rows, entries) | direct sends | rest of the phase |
+/// |---|---|---:|---:|
+/// | 0 (0,0) | A(0,0) (50, 46 662) | 373 517 | 972 492 |
+/// | 1 (0,1) | A(0,1) (50, 46 642) | 373 357 | 1 082 138 |
+/// | 2 (1,0) | A(1,0) (49, 38 339), A(1,0)ᵀ (2 844, 38 339) | 306 929 + 318 109 | 960 796 |
+/// | 3 (1,1) | A(1,1)ᵀ (2 843, 38 430) | 318 833 | 792 050 |
 ///
 /// Rank 2 sits below the diagonal: it multiplies nothing and only sends
 /// its block, as stored to (1,1) and transposed to (0,1). Every other
@@ -398,10 +400,10 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
     const COUNT_KMER: [(u64, u64); 4] =
         [(177, 598988), (177, 693410), (177, 592424), (176, 459114)];
     const DETECT_OVERLAP: [(u64, u64); 4] = [
-        (234, 1346212),
-        (235, 1455698),
-        (236, 1597412),
-        (235, 1122258),
+        (234, 1346009),
+        (235, 1455495),
+        (236, 1585834),
+        (235, 1110883),
     ];
     let spec = DatasetSpec::celegans_like(0.05, 1919);
     let (_genome, reads) = reads_of(&spec);
@@ -581,17 +583,19 @@ fn contig_stage_wire_traffic_matches_golden_constants() {
 /// all join overlapping reads, so the sweep removes none; the chain ids
 /// put them in the diagonal blocks (386 on rank 0, 384 on rank 3).
 ///
-/// Recorded when the sweep started to run on `R`'s hop projection. On
-/// the 2×2 grid every rank roots one row and one column broadcast of its
-/// own block, so each edge crosses the wire twice, and a 5-byte hop in
-/// place of a 16-byte `SgEdge` is 11 bytes fewer each time: 22 × 386 =
-/// 8 492 bytes off rank 0 (18 800 → 10 308) and 22 × 384 = 8 448 off
-/// rank 3 (18 696 → 10 248). The off-diagonal ranks broadcast empty
-/// blocks: their bytes, and every rank's message count, did not move.
+/// On the 2×2 grid every rank roots one row and one column broadcast of
+/// its own 204-row hop block, so each block crosses the wire twice. A
+/// block frame books 17 B of shape and form tag, the cheaper of 205 × 4
+/// = 820 B of offsets and 8 B per non-empty row, and 9 B per edge (4 B
+/// index, 5 B hop). A diagonal block lists nearly every row, so it ships
+/// its offsets: 2 × (17 + 820 + 9 × 386) = 8 622 B on rank 0 and
+/// 2 × (17 + 820 + 9 × 384) = 8 586 B on rank 3. An off-diagonal block
+/// is empty and lists no row: 2 × 17 = 34 B on ranks 1 and 2. The rest,
+/// 48 / 32 / 56 / 24 B, is the transpose swap and the collectives.
 #[test]
 fn reduction_wire_traffic_matches_golden_constants() {
     // (msgs, bytes) per rank.
-    const TR_REDUCTION: [(u64, u64); 4] = [(10, 10308), (11, 3344), (11, 3368), (10, 10248)];
+    const TR_REDUCTION: [(u64, u64); 4] = [(10, 8670), (11, 66), (11, 90), (10, 8610)];
     let (reads, triples) = fixed_chain_graph(24, 17, 70);
     let n = reads.len();
     let (out, profile) = Runner::new(Backend::InProcess)
@@ -635,22 +639,18 @@ fn reduction_wire_traffic_matches_golden_constants() {
 ///
 /// A diagonal rank peaks inside the masked sweep. Rank 0 holds 746
 /// edges in a block of 204 rows and columns:
-/// - its hop block, 205 × 8 B `indptr` + 746 × (4 B index + 8 B hop)
-///   = 10 592 B, and the `(pre, post)` side array, 746 × 8 = 5 968 B;
+/// - its hop block, 205 × 4 B `indptr` + 746 × (4 B index + 8 B hop)
+///   = 9 772 B, and the `(pre, post)` side array, 746 × 8 = 5 968 B;
 /// - the accumulator, one 4-byte slot per edge, and the 4-byte slot
 ///   array entry per column: 746 × 4 + 204 × 4 = 3 800 B;
-/// - two empty off-diagonal stage blocks, 1 640 B each (their `indptr`).
+/// - two empty off-diagonal stage blocks, 820 B each (their `indptr`).
 ///
-/// That is 23 640 B; rank 3 (744 edges) is 48 B lower. Recorded when
-/// the slot became the one `u32` the keep rule reads. Before, it was an
-/// `Option<MinPlusDir>` of 20 B, 16 B more per diagonal mask entry:
-/// rank 0 read 35 576 (= 23 640 + 16 × 746) and rank 3 35 496
-/// (= 23 592 + 16 × 744). An off-diagonal rank holds no mask entry; it
-/// peaks at its empty block, its slot array and a diagonal stage block
-/// (1 640 + 816 + 10 592 = 13 048 B) and did not move.
+/// That is 21 180 B; rank 3 (744 edges) is 48 B lower. An off-diagonal
+/// rank holds no mask entry; it peaks at its empty block, its slot array
+/// and a diagonal stage block (820 + 816 + 9 772 = 11 408 B).
 #[test]
 fn reduction_memory_high_water_matches_golden_constants() {
-    const TR_REDUCTION_HW: [u64; 4] = [23640, 13048, 13048, 23592];
+    const TR_REDUCTION_HW: [u64; 4] = [21180, 11408, 11408, 21132];
     let (reads, triples) = fixed_chain_graph(24, 17, 40);
     let n = reads.len();
     let (out, profile) = Runner::new(Backend::InProcess)

@@ -506,8 +506,11 @@ mod wire_rejection {
     fn inconsistent_csr_structure_is_rejected() {
         // Structurally broken panels (indptr not matching indices) must
         // be caught by the decoder's validation, not crash a kernel.
-        let good =
-            elba::sparse::Csr::<f64>::from_triples(4, 4, vec![(0, 1, 1.0), (2, 3, 2.0)], |_, _| ());
+        // Every row holds an entry, so the frame ships all 5 offsets
+        // (a block with empty rows may list its non-empty ones instead,
+        // and those stay consistent under a taller shape).
+        let triples = vec![(0, 1, 1.0), (1, 0, 3.0), (2, 3, 2.0), (3, 3, 4.0)];
+        let good = elba::sparse::Csr::<f64>::from_triples(4, 4, triples, |_, _| ());
         let mut buf = Vec::new();
         good.wire_encode(&mut buf);
         // nrows is the first u64 of the encoding; growing it desyncs

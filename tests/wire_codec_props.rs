@@ -599,3 +599,216 @@ proptest! {
         }
     }
 }
+
+/// A `Csr<f64>` frame written field by field — shape, form tag (0 dense,
+/// 1 sparse), the row encoding, then the indices and values as `Vec`s —
+/// so a test can forge what no encoder writes. A sparse frame's `rows`
+/// are its `(row id, end offset)` pairs, flattened.
+fn csr_frame(
+    nrows: u64,
+    ncols: u64,
+    form: u8,
+    rows: &[u32],
+    indices: &[u32],
+    values: &[f64],
+) -> Vec<u8> {
+    let mut buf = Vec::new();
+    nrows.wire_encode(&mut buf);
+    ncols.wire_encode(&mut buf);
+    form.wire_encode(&mut buf);
+    if form == 1 {
+        (rows.len() as u64 / 2).wire_encode(&mut buf);
+    }
+    for row in rows {
+        row.wire_encode(&mut buf);
+    }
+    indices.to_vec().wire_encode(&mut buf);
+    values.to_vec().wire_encode(&mut buf);
+    buf
+}
+
+fn decode_csr(frame: &[u8]) -> Result<Csr<f64>, WireError> {
+    let mut reader = WireReader::new(frame);
+    let csr = Csr::<f64>::wire_decode(&mut reader)?;
+    reader.finish()?;
+    Ok(csr)
+}
+
+/// Rows a block's wire frame lists in the sparse form.
+fn nonempty_rows<T>(csr: &Csr<T>) -> usize {
+    csr.indptr().windows(2).filter(|w| w[0] < w[1]).count()
+}
+
+/// The cost model of a frame's rows: the cheaper of `4·(nrows + 1)`
+/// dense offsets and `8·nzr` sparse pairs, and whether it is sparse.
+fn row_model<T>(csr: &Csr<T>) -> (bool, usize) {
+    let (dense, sparse) = (4 * (csr.nrows() + 1), 8 * nonempty_rows(csr));
+    (sparse < dense, sparse.min(dense))
+}
+
+/// `csr`'s frame against the byte model and the decoder: `nbytes` is
+/// shape + tag + rows + indices + values, the frame adds only the
+/// containers' length headers (indices, values, and the sparse form's
+/// row list), the tag byte names the form, the block comes back equal,
+/// and every strict prefix is an error.
+fn check_csr_frame<T: CommMsg + Clone + PartialEq + std::fmt::Debug>(csr: &Csr<T>) {
+    let (sparse, rows) = row_model(csr);
+    let values: usize = csr.values().iter().map(CommMsg::nbytes).sum();
+    assert_eq!(csr.nbytes(), 17 + rows + 4 * csr.nnz() + values);
+    let buf = encoded(csr);
+    assert_eq!(buf.len() - csr.nbytes(), if sparse { 24 } else { 16 });
+    assert_eq!(buf[16], u8::from(sparse), "form tag");
+    let back = round_trip(csr);
+    assert_eq!(&back, csr);
+    for cut in 0..buf.len() {
+        let mut reader = WireReader::new(&buf[..cut]);
+        assert!(Csr::<T>::wire_decode(&mut reader).is_err(), "cut at {cut}");
+    }
+}
+
+/// A `rows × 4` block whose non-empty rows are `filled` (each one entry
+/// per column in `0..2`).
+fn block_with_rows(nrows: usize, filled: &[u32]) -> Csr<f64> {
+    let triples = filled
+        .iter()
+        .flat_map(|&r| [(r, 0, f64::from(r)), (r, 2, 0.5)])
+        .collect();
+    Csr::from_triples(nrows, 4, triples, |_, _| unreachable!())
+}
+
+#[test]
+fn csr_frames_round_trip_in_both_row_forms_at_every_boundary() {
+    // No rows, and no entries.
+    check_csr_frame(&Csr::<f64>::empty(0, 0));
+    check_csr_frame(&Csr::<f64>::empty(0, 5));
+    check_csr_frame(&Csr::<f64>::empty(5, 5));
+    check_csr_frame(&block_with_rows(1, &[0]));
+    check_csr_frame(&block_with_rows(6, &[0, 1, 2, 3, 4, 5]));
+    // 9 rows: 40 B of dense offsets, so 4 listed rows (32 B) travel
+    // sparse and 5 (40 B, a tie) or 6 travel dense.
+    for (nzr, sparse) in [(4, true), (5, false), (6, false)] {
+        let rows: Vec<u32> = (0..nzr).map(|k| 9 - nzr + k).collect();
+        let block = block_with_rows(9, &rows);
+        assert_eq!(row_model(&block), (sparse, 40.min(8 * nzr as usize)));
+        check_csr_frame(&block);
+    }
+    // 10 rows: 44 B dense, so the threshold falls between 5 and 6.
+    for (nzr, sparse) in [(5, true), (6, false)] {
+        let rows: Vec<u32> = (10 - nzr..10).collect();
+        let block = block_with_rows(10, &rows);
+        assert_eq!(row_model(&block).0, sparse);
+        check_csr_frame(&block);
+    }
+    // The writer above is the codec's layout, byte for byte.
+    let block = block_with_rows(9, &[2, 7]);
+    assert_eq!(
+        encoded(&block),
+        csr_frame(9, 4, 1, &[2, 2, 7, 4], block.indices(), block.values())
+    );
+    let block = block_with_rows(2, &[0, 1]);
+    assert_eq!(
+        encoded(&block),
+        csr_frame(2, 4, 0, &[0, 2, 4], block.indices(), block.values())
+    );
+}
+
+#[test]
+fn a_hypersparse_block_books_its_entries_not_its_rows() {
+    let triples = vec![(3, 9, 1.0), (500_000, 0, 2.0), (999_999, 999_999, 3.0)];
+    let block = Csr::from_triples(1_000_000, 1_000_000, triples, |_, _| unreachable!());
+    // 17 B shape and tag + 3 × 8 B row pairs + 3 × (4 B index + 8 B value).
+    assert_eq!(block.nbytes(), 77);
+    assert!(block.nbytes() < 100);
+    check_csr_frame(&block);
+}
+
+/// Frames that decoded `Ok` before the decoder checked the structure,
+/// and panicked later in an accessor or a kernel.
+#[test]
+fn corrupt_csr_frames_are_malformed_not_a_later_panic() {
+    let malformed = |frame: &[u8]| matches!(decode_csr(frame), Err(WireError::Malformed(_)));
+    // A dense 3 × 3 frame of three entries.
+    let dense = |offsets: &[u32], indices: &[u32]| csr_frame(3, 3, 0, offsets, indices, &[1.0; 3]);
+    assert_eq!(
+        decode_csr(&dense(&[0, 1, 1, 3], &[2, 0, 1])).map(|m| m.nnz()),
+        Ok(3)
+    );
+    // Offsets that fall: `row(1)` would slice 3..1.
+    assert!(malformed(&dense(&[0, 3, 1, 3], &[0, 1, 2])));
+    // Column 7 in a 2-column block: a kernel's SPA would index past it.
+    assert!(malformed(&csr_frame(1, 2, 0, &[0, 1], &[7], &[1.0])));
+    // Offsets that do not start at 0 or do not end at `nnz`.
+    assert!(malformed(&dense(&[1, 1, 1, 3], &[2, 0, 1])));
+    assert!(malformed(&dense(&[0, 1, 1, 2], &[2, 0, 1])));
+    // Columns out of order, or repeated, within a row.
+    assert!(malformed(&dense(&[0, 1, 1, 3], &[2, 1, 0])));
+    assert!(malformed(&dense(&[0, 1, 1, 3], &[2, 1, 1])));
+    // Sparse row ids out of order, repeated, or outside the shape.
+    let sparse = |rows: &[u32]| csr_frame(9, 3, 1, rows, &[0, 1], &[1.0, 2.0]);
+    assert_eq!(
+        decode_csr(&sparse(&[2, 1, 5, 2])).map(|m| m.row_nnz(5)),
+        Ok(1)
+    );
+    assert!(malformed(&sparse(&[5, 1, 2, 2])));
+    assert!(malformed(&sparse(&[2, 1, 2, 2])));
+    assert!(malformed(&sparse(&[2, 1, 9, 2])));
+    // Sparse end offsets that fall or miss `nnz`.
+    assert!(malformed(&sparse(&[2, 2, 5, 1])));
+    assert!(malformed(&sparse(&[2, 1, 5, 1])));
+    // More listed rows than the shape has, an unknown form tag, and
+    // shapes whose `nrows + 1` overflows or that no `u32` id addresses.
+    let entries = |rows| csr_frame(1, 3, 1, rows, &[0, 1], &[1.0, 2.0]);
+    assert!(malformed(&entries(&[0, 1, 0, 2])));
+    assert!(malformed(&csr_frame(
+        3,
+        3,
+        2,
+        &[0, 1, 1, 3],
+        &[2, 0, 1],
+        &[1.0; 3]
+    )));
+    for dims in [(u64::MAX, 3), (3, u64::MAX), ((1 << 32) + 1, 3)] {
+        assert!(malformed(&csr_frame(dims.0, dims.1, 1, &[], &[], &[])));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 64,
+        .. ProptestConfig::default()
+    })]
+
+    /// Both row forms, for each value type a block travels with: the
+    /// shapes run from a few rows to hypersparse, so some blocks list
+    /// their rows and some ship every offset.
+    #[test]
+    fn csr_frames_in_both_forms_book_their_headers_alone(
+        nrows in 0usize..400,
+        ncols in 1usize..48,
+        seeds in proptest::collection::vec(any::<u32>(), 0..120),
+    ) {
+        let coords: Vec<(u32, u32, u32)> = if nrows == 0 {
+            Vec::new()
+        } else {
+            seeds
+                .iter()
+                .map(|&s| (s % nrows as u32, (s / 7) % ncols as u32, s))
+                .collect()
+        };
+        let block = |value: &dyn Fn(u32) -> f64| {
+            let triples = coords.iter().map(|&(r, c, s)| (r, c, value(s))).collect();
+            Csr::from_triples(nrows, ncols, triples, |_, _| {})
+        };
+        check_csr_frame(&block(&|s| f64::from(s) * 0.5));
+        let entries = coords
+            .iter()
+            .map(|&(r, c, s)| (r, c, AEntry { pos: s >> 1, fwd: s & 1 == 1 }))
+            .collect();
+        check_csr_frame(&Csr::from_triples(nrows, ncols, entries, |_, _| {}));
+        let hops = coords
+            .iter()
+            .map(|&(r, c, s)| (r, c, Hop { suffix: s, src_rev: s & 2 != 0, dst_rev: s & 1 != 0 }))
+            .collect();
+        check_csr_frame(&Csr::from_triples(nrows, ncols, hops, |_, _| {}));
+    }
+}
