@@ -6,10 +6,56 @@
 //! behaviour of *ending alignments early* in noisy regions (which is why
 //! ELBA must store `post(e)` explicitly, §4.4).
 //!
-//! Two exact implementations of that recurrence live here — the scalar
-//! oracle and the band kernel that the pipeline runs (see
-//! [`XdropKernel`]) — plus the approximate [`greedy_extend`] behind the
-//! opt-in fast seed mode.
+//! Three exact implementations of that recurrence live here — the scalar
+//! oracle, the band kernel and the cost-ordered wavefront, the last two
+//! composed as [`XdropKernel::BitParallel`] — plus the approximate
+//! [`greedy_extend`] behind the opt-in fast seed mode.
+//!
+//! # The wavefront, and why it is exact
+//!
+//! The wavefront is the diagonal-transition idea of Zhang et al. and of
+//! WFA (Marco-Sola et al. 2021) applied to the antidiagonal x-drop. Give
+//! the cell `(i, j)` with score `V` the cost `c = mat·(i + j) − 2V`. A
+//! match costs 0, a mismatch `M = 2(mat − mis)` and a gap
+//! `G = mat − 2·gap`, all ≥ 0 when `mat > 0`, `mis < mat` and `gap ≤ 0`.
+//! The kernel reaches cells in increasing `c`. It keeps the furthest live
+//! offset per (cost, diagonal) in a ring of `max(M, G) + 1` layers and
+//! slides match runs with `common_prefix`. Two facts make it return the
+//! scalar oracle's `Extension`:
+//!
+//! 1. **The cut is decided by cheaper cells.** The oracle prunes a cell
+//!    `p = (d, j)` (`d = i + j`) of score `V` iff a live cell before it in
+//!    antidiagonal order (`(d', j') < (d, j)`) scores more than `V + x`.
+//!    Such a cell costs `mat·d' − 2V' < c − 2x ≤ c`, so it was reached in
+//!    an earlier layer, and cells of one cost never cut each other. The
+//!    kernel keeps `first[ℓ]`, the earliest reached live cell scoring
+//!    `≥ ℓ`, and cuts `p` iff `first[V + x + 1] < (d, j)`. `first` is
+//!    indexed from level 0: the origin is the first cell of every level
+//!    `≤ 0`. The oracle returns its earliest best cell, which is
+//!    `(top, first[top])`.
+//! 2. **Dominance along a diagonal.** Let `p` be reached first at cost
+//!    `c`, and let `p' = (d + 2t, j + t)` lie on its diagonal. Write
+//!    `B(p)` for the best live score before `p`. With `gap ≤ 0` and
+//!    `mis < mat`, a path gains at most `mat` per two antidiagonals. A
+//!    live cell after `p` and before `p'` descends from `p` or from a
+//!    live cell before `p` on antidiagonal `d − 1` or `d − 2`; the one
+//!    path that gains `mat·(t + 1)` from `d − 2` is `t + 1` diagonal steps,
+//!    which pass through a cell before `p`, through `p`, or end after
+//!    `p'`. So every live cell between them scores at most
+//!    `max(B(p), V) + mat·t`. Two consequences:
+//!    - a match run from a live `p` is never cut: its cell `p'` scores
+//!      `V + mat·t` (debug builds assert this cell by cell);
+//!    - if a point `p'` at no greater cost (`V' ≥ V + mat·t`) is cut, so
+//!      is `p`; if `p'` is live, `p`'s run and children lie behind
+//!      `p'`'s. So the kernel keeps only the furthest point per
+//!      (cost, diagonal), and skips an entry at or behind `reach`, the
+//!      furthest offset examined on its diagonal at a lower cost.
+//!
+//! The wavefront's work follows the edit cost: a 1 kb extension at
+//! 0.5 % divergence visits about 0.4 diagonals per antidiagonal where the
+//! band fills about 11 cells. At 15 % divergence it visits more than the
+//! band fills, so [`XdropKernel::BitParallel`] gives it a budget and
+//! hands an extension that exceeds it to the band kernel.
 
 /// Alignment scoring (linear gaps, as in BELLA).
 #[derive(Debug, Clone, Copy)]
@@ -42,27 +88,35 @@ pub struct Extension {
 
 const NEG: i32 = i32::MIN / 4;
 
-/// Which inner-loop implementation [`xdrop_extend_with`] runs. Both
-/// kernels compute the identical antidiagonal recurrence; the choice
-/// never changes scores or extents. The pipeline always runs the band
-/// kernel; the scalar DP exists for tests and the benchmark's probe.
+/// Which inner-loop implementation [`xdrop_extend_with`] runs. Every
+/// kernel computes the identical antidiagonal recurrence; the choice
+/// never changes scores or extents. The pipeline always runs
+/// `BitParallel`; the scalar DP exists for tests and the benchmark's
+/// probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum XdropKernel {
-    /// The reference cell-at-a-time DP — the oracle the band kernel is
+    /// The reference cell-at-a-time DP — the oracle the other kernels are
     /// property-pinned against.
     Scalar,
-    /// The band kernel: antidiagonals live in buffers indexed by the
-    /// absolute `b` coordinate with a pruned-cell sentinel either side,
-    /// so every cell loads its three parents unconditionally, the
-    /// match term is a byte compare of `b` against a reversed copy of
-    /// `a`, and a row is one straight-line pass plus a replay only when
-    /// it raises the best score. An x-drop band at long-read parameters
-    /// is ~10 cells wide, which is what the kernel is shaped for. The
-    /// variant keeps the name it had when it packed match bits into
-    /// 64-lane words, because the benchmark spells it that way.
-    /// Scorings whose magnitudes defeat the sentinel arithmetic (and
-    /// `xdrop < 0`) run the scalar oracle, so output equality holds on
-    /// *all* inputs.
+    /// The composite of the two fast exact kernels. The variant keeps the
+    /// name it had when it packed match bits into 64-lane words, because
+    /// the benchmark spells it that way.
+    ///
+    /// * **The wavefront** (module docs) runs first. Its work grows with
+    ///   the edit cost, not with the band area. It runs while its
+    ///   diagonal visits stay within `WAVE_VISITS_PER_ANTIDIAGONAL` (2) per
+    ///   antidiagonal reached.
+    /// * **The band kernel** restarts an extension that exceeds that
+    ///   budget. Antidiagonals live in buffers indexed by the absolute
+    ///   `b` coordinate with a pruned-cell sentinel either side, so every
+    ///   cell loads its three parents unconditionally, and the match term
+    ///   is a byte compare of `b` against a reversed copy of `a`.
+    ///
+    /// Both are exact, so the switch changes time only. Scorings outside
+    /// `mat > 0`, `mis < mat`, `gap ≤ 0`, `max(M, G) ≤ 64` run the band
+    /// kernel alone. Steps beyond ±2^20 and x-drops outside `0..=2^26`,
+    /// which defeat the band's sentinel arithmetic, run the scalar
+    /// oracle, so output equality holds on *all* inputs.
     #[default]
     BitParallel,
 }
@@ -76,34 +130,76 @@ pub enum XdropKernel {
 /// per-parent liveness checks exactly. Out-of-range scorings run the
 /// scalar oracle instead.
 const STEP_CLAMP: i32 = 1 << 20;
-/// Largest `xdrop` the band kernel accepts (see [`STEP_CLAMP`]).
+/// Largest `xdrop` the fast kernels accept (see [`STEP_CLAMP`]).
 const XDROP_CLAMP: i32 = 1 << 26;
 /// Debug builds fill the band buffers with this before every band
 /// extension and assert it is never loaded as a parent — the check
 /// behind "stale cells outside the written window are never read".
 const POISON: i32 = i32::MAX;
+/// The wavefront's budget: diagonal visits per antidiagonal reached (κ).
+/// A visit costs about 8 band cells, so the wavefront wins below about
+/// 1.5 (x = 7) to 3 (x = 15) visits per antidiagonal; `hifi_p1t1`'s
+/// extensions sit near 0.7 and `noisy_p1t1`'s near 6.5 (README
+/// "Alignment" has the table). Every extension starts with a few
+/// expensive antidiagonals near the origin, so a larger κ, or visits
+/// granted beyond κ per antidiagonal, keeps a few more hifi extensions
+/// but makes every noisy one waste more visits before it hands over.
+const WAVE_VISITS_PER_ANTIDIAGONAL: usize = 2;
+/// Largest step cost `max(M, G)` the wavefront runs with: its ring holds
+/// that many layers plus one, and `first` one level per `mat`.
+const WAVE_MAX_STEP: i64 = 64;
+/// An empty (cost, diagonal) slot of the wavefront ring. Far enough
+/// below zero that `+ 1` stays negative.
+const NO_OFFSET: i32 = i32::MIN / 2;
 
 /// Reusable buffers for [`xdrop_extend_with`] / [`extend_seed_with`]:
-/// the three rotating antidiagonal bands plus the reversed-sequence
-/// staging buffers. One workspace serves any number of seed extensions
-/// in sequence — the overlap stage holds one per worker and sweeps it
-/// over every candidate pair, so the innermost alignment kernel stops
-/// paying a fresh set of allocations per read pair. A
-/// default-constructed workspace is empty; buffers grow to the largest
-/// extension seen and are then reused at that size.
+/// the three rotating antidiagonal bands, the wavefront's cost ring and
+/// level table, plus the reversed-sequence staging buffers. One
+/// workspace serves any number of seed extensions in sequence — the
+/// overlap stage holds one per worker and sweeps it over every candidate
+/// pair, so the innermost alignment kernel stops paying a fresh set of
+/// allocations per read pair. A default-constructed workspace is empty;
+/// buffers grow to the largest extension seen and are then reused at
+/// that size.
 ///
 /// The workspace also pins the [`XdropKernel`] used by every extension
 /// run through it (default [`XdropKernel::BitParallel`]). The scalar oracle
-/// keeps only the live band in the band buffers; the band kernel sizes
-/// them to `|b| + 3` cells each and stages `rev(a)` in `a_rev`.
+/// keeps only the live band in the band buffers. The wavefront holds
+/// `max(M, G) + 1` layers of `|a| + |b| + 1` offsets and one level per
+/// `mat` of the best score; the band kernel sizes its buffers to
+/// `|b| + 3` cells each and stages `rev(a)` in `a_rev`.
 #[derive(Debug, Default)]
 pub struct XdropWorkspace {
     kernel: XdropKernel,
     band_a: Vec<i32>,
     band_b: Vec<i32>,
     band_c: Vec<i32>,
+    wave: Vec<i32>,
+    reach: Vec<i32>,
+    first: Vec<u64>,
     a_rev: Vec<u8>,
     b_rev: Vec<u8>,
+    /// Cells the last band extension computed, for the tests that count
+    /// the wavefront's visits against them.
+    #[cfg(test)]
+    band_cells: usize,
+}
+
+/// What [`xdrop_extend_with`] runs for one scoring and x-drop.
+#[derive(Clone, Copy)]
+enum Route {
+    Scalar,
+    Band,
+    /// The wavefront with these mismatch and gap costs, the band kernel
+    /// when it exceeds its budget.
+    Composite(WaveCosts),
+}
+
+/// The wavefront's step costs: `M = 2(mat − mis)` and `G = mat − 2·gap`.
+#[derive(Clone, Copy)]
+struct WaveCosts {
+    mismatch: usize,
+    gap: usize,
 }
 
 impl XdropWorkspace {
@@ -120,25 +216,49 @@ impl XdropWorkspace {
         self.kernel
     }
 
-    /// Heap bytes currently held by the workspace's band and staging
-    /// buffers (by length, like every tracker charge). The alignment
-    /// stage reports one workspace per worker as transient scratch so
-    /// threaded sweeps stay honest in the `mem-hw` column.
+    /// Heap bytes currently held by the workspace's band, wavefront and
+    /// staging buffers (by length, like every tracker charge). The
+    /// alignment stage reports one workspace per worker as transient
+    /// scratch so threaded sweeps stay honest in the `mem-hw` column.
     pub fn heap_bytes(&self) -> usize {
-        (self.band_a.len() + self.band_b.len() + self.band_c.len()) * std::mem::size_of::<i32>()
+        let i32s = [
+            &self.band_a,
+            &self.band_b,
+            &self.band_c,
+            &self.wave,
+            &self.reach,
+        ];
+        i32s.iter().map(|v| v.len()).sum::<usize>() * std::mem::size_of::<i32>()
+            + self.first.len() * std::mem::size_of::<u64>()
             + self.a_rev.len()
             + self.b_rev.len()
     }
 
-    /// Whether an extension with these parameters runs the band kernel
-    /// (otherwise: the scalar oracle).
-    fn runs_band(&self, xdrop: i32, sc: Scoring) -> bool {
+    /// Which kernel an extension with these parameters runs.
+    fn route(&self, xdrop: i32, sc: Scoring) -> Route {
         let step = -STEP_CLAMP..=STEP_CLAMP;
-        self.kernel != XdropKernel::Scalar
-            && step.contains(&sc.match_score)
-            && step.contains(&sc.mismatch)
-            && step.contains(&sc.gap)
-            && (0..=XDROP_CLAMP).contains(&xdrop)
+        if self.kernel == XdropKernel::Scalar
+            || !step.contains(&sc.match_score)
+            || !step.contains(&sc.mismatch)
+            || !step.contains(&sc.gap)
+            || !(0..=XDROP_CLAMP).contains(&xdrop)
+        {
+            return Route::Scalar;
+        }
+        let (mat, mis, gap) = (
+            i64::from(sc.match_score),
+            i64::from(sc.mismatch),
+            i64::from(sc.gap),
+        );
+        let (m_cost, g_cost) = (2 * (mat - mis), mat - 2 * gap);
+        if mat > 0 && mis < mat && gap <= 0 && m_cost.max(g_cost) <= WAVE_MAX_STEP {
+            Route::Composite(WaveCosts {
+                mismatch: m_cost as usize,
+                gap: g_cost as usize,
+            })
+        } else {
+            Route::Band
+        }
     }
 }
 
@@ -157,10 +277,10 @@ pub fn xdrop_extend(a: &[u8], b: &[u8], xdrop: i32, sc: Scoring) -> Extension {
 
 /// Extend an alignment from `(0, 0)` over `a` and `b`, stopping when every
 /// cell of the current antidiagonal falls more than `xdrop` below the best
-/// score seen. Returns the best-scoring endpoint. The antidiagonal band
-/// buffers live in `ws` and are reused across calls; the workspace's
-/// [`XdropKernel`] picks the implementation, with every kernel
-/// guaranteed to return the exact scalar-oracle result.
+/// score seen. Returns the best-scoring endpoint. The kernel buffers live
+/// in `ws` and are reused across calls; the workspace's [`XdropKernel`]
+/// picks the implementation, with every kernel guaranteed to return the
+/// exact scalar-oracle result.
 pub fn xdrop_extend_with(
     ws: &mut XdropWorkspace,
     a: &[u8],
@@ -168,9 +288,23 @@ pub fn xdrop_extend_with(
     xdrop: i32,
     sc: Scoring,
 ) -> Extension {
-    if !ws.runs_band(xdrop, sc) {
-        return xdrop_extend_scalar(ws, a, b, xdrop, sc);
+    match ws.route(xdrop, sc) {
+        Route::Scalar => xdrop_extend_scalar(ws, a, b, xdrop, sc),
+        Route::Band => xdrop_extend_band_staged(ws, a, b, xdrop, sc),
+        Route::Composite(costs) => xdrop_extend_wave(ws, a, b, xdrop, sc, costs, true)
+            .ext
+            .unwrap_or_else(|| xdrop_extend_band_staged(ws, a, b, xdrop, sc)),
     }
+}
+
+/// The band kernel over `a` as given: stages `rev(a)` in the workspace.
+fn xdrop_extend_band_staged(
+    ws: &mut XdropWorkspace,
+    a: &[u8],
+    b: &[u8],
+    xdrop: i32,
+    sc: Scoring,
+) -> Extension {
     let mut a_rev = std::mem::take(&mut ws.a_rev);
     stage_rev(&mut a_rev, a);
     let ext = xdrop_extend_band(ws, &a_rev, b, xdrop, sc);
@@ -328,7 +462,7 @@ fn xdrop_extend_scalar(
     best
 }
 
-/// The band kernel ([`XdropKernel::BitParallel`]).
+/// The band kernel, [`XdropKernel::BitParallel`]'s fallback.
 /// Takes the first sequence *reversed* (`ra = rev(a)`): along
 /// antidiagonal `d` the `a` index `d-j-1` descends while the `b` index
 /// `j-1` ascends, so against `ra` both ascend with `j` and the match
@@ -394,6 +528,10 @@ fn xdrop_extend_band(
     // d = 0 is the single cell (0, 0) with score 0; "d = -1" is dead.
     prev[..3].copy_from_slice(&[NEG, 0, NEG]);
     let (mut prev_live, mut prev2_live) = (Some((0usize, 0usize)), None);
+    #[cfg(test)]
+    {
+        ws.band_cells = 0;
+    }
     for d in 1..=(alen + blen) {
         // Candidate window: gap moves from prev reach [lo, hi + 1], the
         // diagonal move from prev2 reaches [lo + 1, hi + 1].
@@ -411,6 +549,10 @@ fn xdrop_extend_band(
             // which walks on through a dead level, also returns the
             // current best from here.
             break;
+        }
+        #[cfg(test)]
+        {
+            ws.band_cells += hi - lo + 1;
         }
         let cut = best.score - xdrop;
         let keep = |s: i32| if s >= cut { s } else { NEG };
@@ -490,6 +632,247 @@ fn xdrop_extend_band(
     ws.band_b = prev2;
     ws.band_c = cur;
     best
+}
+
+/// What one wavefront call did.
+struct WaveRun {
+    /// The extension, or `None` when the call was handed over.
+    ext: Option<Extension>,
+    /// Diagonal visits spent: the (cost, diagonal) slots examined after
+    /// the origin's own match run.
+    visits: usize,
+    /// The furthest antidiagonal a live cell reached.
+    reached: usize,
+}
+
+/// The cost-ordered wavefront (module docs), [`XdropKernel::BitParallel`]'s
+/// first try, over `a` and `b` in extension order. With `limited`, it
+/// hands the call over (`ext: None`) instead of a layer that would take
+/// its visits past `WAVE_VISITS_PER_ANTIDIAGONAL × reached`. It also
+/// hands over when `mat·(|a| + |b|)` leaves `i32`.
+fn xdrop_extend_wave(
+    ws: &mut XdropWorkspace,
+    a: &[u8],
+    b: &[u8],
+    xdrop: i32,
+    sc: Scoring,
+    costs: WaveCosts,
+    limited: bool,
+) -> WaveRun {
+    let (n, m) = (a.len(), b.len());
+    let mat = i64::from(sc.match_score);
+    let mut run = WaveRun {
+        ext: None,
+        visits: 0,
+        reached: 0,
+    };
+    if n == 0 || m == 0 {
+        run.ext = Some(Extension {
+            score: 0,
+            a_len: 0,
+            b_len: 0,
+        });
+        return run;
+    }
+    if mat * (n + m) as i64 > i64::from(i32::MAX) {
+        return run;
+    }
+    // Diagonal `k = j − i` is slot `q = k + n` of a layer; a layer is
+    // `width` offsets `j` (or `NO_OFFSET`), valid on its live range only.
+    // `reach[q]` is the furthest offset examined on the diagonal at any
+    // cost so far: an entry at or behind it is a cheaper point's
+    // (dominance, module docs), so it is skipped. `reach` is all -1
+    // between calls; a call resets the slots it touched.
+    let width = n + m + 1;
+    let ring = costs.mismatch.max(costs.gap) + 1;
+    if ws.wave.len() < ring * width {
+        ws.wave.resize(ring * width, NO_OFFSET);
+    }
+    if ws.reach.len() < width {
+        ws.reach.resize(width, -1);
+    }
+    let (wave, reach) = (&mut ws.wave, &mut ws.reach[..width]);
+    let mut levels = Levels {
+        first: &mut ws.first,
+        top: 0,
+    };
+    if levels.first.is_empty() {
+        levels.first.push(0);
+    }
+    levels.first[0] = 0;
+    let x = i64::from(xdrop);
+    let key = |d: usize, j: usize| (d as u64) << 32 | j as u64;
+    // Cost 0: the origin's match run.
+    let origin_run = common_prefix(a, b);
+    for t in 1..=origin_run {
+        levels.record(mat * t as i64, key(2 * t, t));
+    }
+    wave[n] = origin_run as i32;
+    reach[n] = origin_run as i32;
+    let mut live = [None; WAVE_MAX_STEP as usize + 1];
+    live[0] = Some((n, n));
+    let mut touched = (n, n);
+    run.reached = 2 * origin_run;
+    let mut idle = 0;
+    let mut c = 0;
+    let finished = loop {
+        c += 1;
+        let slot = c % ring;
+        let parent = |cost: usize| {
+            let layer = c.checked_sub(cost)? % ring;
+            live[layer].map(|range| (layer, range))
+        };
+        let (pm, pg) = (parent(costs.mismatch), parent(costs.gap));
+        let gap_reach = pg.map(|(_, (lo, hi))| (lo.saturating_sub(1), (hi + 1).min(n + m)));
+        let window = match (pm.map(|(_, range)| range), gap_reach) {
+            (Some(u), Some(w)) => Some((u.0.min(w.0), u.1.max(w.1))),
+            (u, w) => u.or(w),
+        };
+        let (pm, pg) = (Layer::new(pm, width), Layer::new(pg, width));
+        let mut range = None;
+        if let Some((lo, hi)) = window {
+            run.visits += hi - lo + 1;
+            if limited && run.visits > WAVE_VISITS_PER_ANTIDIAGONAL * run.reached {
+                run.visits -= hi - lo + 1;
+                break false;
+            }
+            touched = (touched.0.min(lo), touched.1.max(hi));
+            let cost = c as i64;
+            for q in lo..=hi {
+                // The furthest entry: a mismatch along the diagonal,
+                // or a gap from either neighbour, inside the matrix.
+                let cap = m.min(q) as i32;
+                let inside = |j: i32| if j <= cap { j } else { NO_OFFSET };
+                let entry = inside(offset(wave, pm, q) + 1)
+                    .max(inside(offset(wave, pg, q + 1)))
+                    .max(inside(offset(wave, pg, q.wrapping_sub(1)) + 1));
+                let mut end = NO_OFFSET;
+                if entry > reach[q] {
+                    reach[q] = entry;
+                    let mut j = entry as usize;
+                    let mut d = 2 * j + n - q;
+                    let mut v = (mat * d as i64 - cost) / 2;
+                    if !levels.cut(v, x, key(d, j)) {
+                        levels.record(v, key(d, j));
+                        for _ in 0..common_prefix(&a[d - j..], &b[j..]) {
+                            (d, j, v) = (d + 2, j + 1, v + mat);
+                            // A match run from a live entry beyond
+                            // `reach` is never cut (module docs).
+                            debug_assert!(!levels.cut(v, x, key(d, j)), "run cut at ({d}, {j})");
+                            levels.record(v, key(d, j));
+                        }
+                        end = j as i32;
+                        reach[q] = end;
+                        run.reached = run.reached.max(d);
+                        range = Some(range.map_or((q, q), |(l, _)| (l, q)));
+                    }
+                }
+                wave[slot * width + q] = end;
+            }
+        }
+        live[slot] = range;
+        if range.is_some() {
+            idle = 0;
+        } else {
+            // Every layer is built from the layers `M` and `G` below
+            // it, so `max(M, G)` empty layers in a row end the search.
+            idle += 1;
+            if idle == ring - 1 {
+                break true;
+            }
+        }
+    };
+    reach[touched.0..=touched.1].fill(-1);
+    if finished {
+        let best = levels.first[levels.top];
+        let (d, j) = ((best >> 32) as usize, (best & u64::from(u32::MAX)) as usize);
+        run.ext = Some(Extension {
+            score: levels.top as i32,
+            a_len: d - j,
+            b_len: j,
+        });
+    }
+    run
+}
+
+/// A layer of the wavefront ring as its children read it: where it
+/// starts in the ring and the diagonal slots `start .. start + len` it
+/// holds (none for a missing parent).
+#[derive(Clone, Copy)]
+struct Layer {
+    base: usize,
+    start: usize,
+    len: usize,
+}
+
+impl Layer {
+    fn new(layer: Option<(usize, (usize, usize))>, width: usize) -> Self {
+        layer.map_or(
+            Layer {
+                base: 0,
+                start: 0,
+                len: 0,
+            },
+            |(slot, (lo, hi))| Layer {
+                base: slot * width,
+                start: lo,
+                len: hi - lo + 1,
+            },
+        )
+    }
+}
+
+/// The offset `layer` holds on diagonal slot `q`, `NO_OFFSET` outside
+/// its live range.
+#[inline]
+fn offset(wave: &[i32], layer: Layer, q: usize) -> i32 {
+    if q.wrapping_sub(layer.start) < layer.len {
+        wave[layer.base + q]
+    } else {
+        NO_OFFSET
+    }
+}
+
+/// The wavefront's level table: `first[ℓ]` is the earliest reached live
+/// cell scoring `≥ ℓ`, as the key `d << 32 | j`, for `ℓ ≤ top`. It only
+/// grows, and holds stale levels above `top` from earlier extensions.
+struct Levels<'a> {
+    first: &'a mut Vec<u64>,
+    top: usize,
+}
+
+impl Levels<'_> {
+    /// Whether a reached live cell before `key` scores more than `v + x`.
+    #[inline]
+    fn cut(&self, v: i64, x: i64, key: u64) -> bool {
+        let level = v + x + 1;
+        level <= self.top as i64 && self.first[level.max(0) as usize] < key
+    }
+
+    /// Enter the live cell `key` scoring `v`. `first` is nondecreasing in
+    /// the level, so lowering stops at the first level already earlier.
+    #[inline]
+    fn record(&mut self, v: i64, key: u64) {
+        if v <= 0 {
+            return; // the origin holds every level ≤ 0
+        }
+        let v = v as usize;
+        let mut level = v;
+        if v > self.top {
+            for new in self.top + 1..=v {
+                match self.first.get_mut(new) {
+                    Some(held) => *held = key,
+                    None => self.first.push(key),
+                }
+            }
+            level = self.top;
+            self.top = v;
+        }
+        while level > 0 && self.first[level] > key {
+            self.first[level] = key;
+            level -= 1;
+        }
+    }
 }
 
 /// Length of the common prefix of `a` and `b`, compared 8 bytes at a
@@ -654,21 +1037,26 @@ pub fn extend_seed_with(
     // Right of the seed.
     let right = xdrop_extend_with(ws, &a[a_pos + k..], &b[b_pos + k..], xdrop, sc);
     // Left of the seed: extend over the reversed prefixes, staged in
-    // the workspace (taken out for the duration of the call so the band
-    // buffers stay independently borrowable). The band kernel wants its
-    // first sequence reversed once more, which is the prefix itself —
-    // so it stages only `b`.
-    let mut b_rev = std::mem::take(&mut ws.b_rev);
+    // the workspace (taken out for the duration of the call so the
+    // kernel buffers stay independently borrowable). The wavefront and
+    // the oracle take both prefixes reversed; the band kernel wants its
+    // first sequence reversed once more, which is the prefix itself.
+    let (mut a_rev, mut b_rev) = (std::mem::take(&mut ws.a_rev), std::mem::take(&mut ws.b_rev));
     stage_rev(&mut b_rev, &b[..b_pos]);
-    let left = if ws.runs_band(xdrop, sc) {
-        xdrop_extend_band(ws, &a[..a_pos], &b_rev, xdrop, sc)
-    } else {
-        let mut a_rev = std::mem::take(&mut ws.a_rev);
-        stage_rev(&mut a_rev, &a[..a_pos]);
-        let left = xdrop_extend_scalar(ws, &a_rev, &b_rev, xdrop, sc);
-        ws.a_rev = a_rev;
-        left
+    let left = match ws.route(xdrop, sc) {
+        Route::Band => xdrop_extend_band(ws, &a[..a_pos], &b_rev, xdrop, sc),
+        Route::Scalar => {
+            stage_rev(&mut a_rev, &a[..a_pos]);
+            xdrop_extend_scalar(ws, &a_rev, &b_rev, xdrop, sc)
+        }
+        Route::Composite(costs) => {
+            stage_rev(&mut a_rev, &a[..a_pos]);
+            xdrop_extend_wave(ws, &a_rev, &b_rev, xdrop, sc, costs, true)
+                .ext
+                .unwrap_or_else(|| xdrop_extend_band(ws, &a[..a_pos], &b_rev, xdrop, sc))
+        }
     };
+    ws.a_rev = a_rev;
     ws.b_rev = b_rev;
     SeedAlignment {
         score: k as i32 * sc.match_score + left.score + right.score,
@@ -1089,20 +1477,220 @@ mod tests {
         assert_eq!(ws.kernel(), XdropKernel::Scalar);
         assert_eq!(XdropWorkspace::default().kernel(), XdropKernel::BitParallel);
         assert_eq!(ws.heap_bytes(), 0);
-        // The band kernel's O(|b|) band buffers and its rev(a) staging
-        // must show up in the scratch-honesty accounting, by length.
+        // The wavefront's ring (`max(M, G) + 1 = 5` layers at +1/−1/−1)
+        // and `reach`, `|a| + |b| + 1` offsets each, and its level table
+        // (one entry per level up to the best score) show up in the
+        // scratch-honesty accounting, by length.
+        let sc = Scoring::default();
         let a = codes("ACGTACGTACGTACGTACGT");
         let b = codes("ACGTACGTACGTACGTACGTACGTAC");
+        let width = a.len() + b.len() + 1;
         let mut bws = XdropWorkspace::with_kernel(XdropKernel::BitParallel);
-        let _ = xdrop_extend_with(&mut bws, &a, &b, 10, Scoring::default());
-        assert_eq!(bws.heap_bytes(), 3 * (b.len() + 3) * 4 + a.len());
+        let _ = xdrop_extend_with(&mut bws, &a, &b, 10, sc);
+        let wave_bytes = (5 + 1) * width * 4 + (a.len() + 1) * 8;
+        assert_eq!(bws.heap_bytes(), wave_bytes);
         // Buffers only grow: a shorter follow-up call keeps the charge.
-        let _ = xdrop_extend_with(&mut bws, &a[..5], &b[..5], 10, Scoring::default());
-        assert_eq!(bws.heap_bytes(), 3 * (b.len() + 3) * 4 + 5);
-        // The seeded wrapper stages rev(a suffix) for the right
-        // extension and only rev(b prefix) for the left one.
+        let _ = xdrop_extend_with(&mut bws, &a[..5], &b[..5], 10, sc);
+        assert_eq!(bws.heap_bytes(), wave_bytes);
+        // An extension over the wavefront's budget restarts in the band
+        // kernel, whose O(|b|) band buffers and rev(a) staging add on.
+        let noise = codes(&"ACGGTCATTGCA".repeat(40));
+        let (u, v) = (&noise[..200], &noise[3..203]);
+        let before = bws.heap_bytes();
+        let ext = xdrop_extend_with(&mut bws, u, v, 200, sc);
+        assert_eq!(ext, xdrop_extend(u, v, 200, sc));
+        assert!(bws.heap_bytes() >= before + 3 * (v.len() + 3) * 4 + u.len());
+        // A scoring outside the wavefront's range runs the band kernel
+        // alone.
+        let flat = Scoring {
+            match_score: 0,
+            mismatch: -1,
+            gap: -1,
+        };
         let mut bws = XdropWorkspace::with_kernel(XdropKernel::BitParallel);
-        let _ = extend_seed_with(&mut bws, &a, &a, 8, 8, 4, 10, Scoring::default());
-        assert_eq!(bws.heap_bytes(), 3 * (8 + 3) * 4 + 8 + 8);
+        let _ = xdrop_extend_with(&mut bws, &a, &b, 10, flat);
+        assert_eq!(bws.heap_bytes(), 3 * (b.len() + 3) * 4 + a.len());
+        // The seeded wrapper stages both reversed prefixes for the left
+        // extension; both 8-base extensions finish in the wavefront.
+        let mut bws = XdropWorkspace::with_kernel(XdropKernel::BitParallel);
+        let _ = extend_seed_with(&mut bws, &a, &a, 8, 8, 4, 10, sc);
+        assert_eq!(bws.heap_bytes(), (5 + 1) * 17 * 4 + 9 * 8 + 8 + 8);
+    }
+
+    /// Seeded pairs for pinning each fast kernel alone: related pairs at
+    /// 0–100 % mutation, truncated partners, random tails, over scorings
+    /// the wavefront accepts (including `mis > 0` and `gap = 0`) and
+    /// x-drops from 0 to 60.
+    fn seeded_cases(seed: u64, count: usize) -> Vec<(Vec<u8>, Vec<u8>, i32, Scoring)> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let scorings = [
+            (1, -1, -1),
+            (2, -3, -2),
+            (5, -4, -11),
+            (3, 0, -1),
+            (2, 1, -1),
+            (1, -1, 0),
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                let (match_score, mismatch, gap) = scorings[rng.gen_range(0..scorings.len())];
+                let alphabet = [2u8, 4][rng.gen_range(0..2)];
+                let len = [8, 60, 600][rng.gen_range(0..3)];
+                let a: Vec<u8> = (0..rng.gen_range(0..len))
+                    .map(|_| rng.gen_range(0..alphabet))
+                    .collect();
+                let rate = [0, 1, 5, 15, 30, 100][rng.gen_range(0..6)];
+                let mut b = Vec::new();
+                for &c in &a {
+                    if rng.gen_range(0..100) >= rate {
+                        b.push(c);
+                        continue;
+                    }
+                    match rng.gen_range(0..3) {
+                        0 => b.push((c + 1) % alphabet),
+                        1 => {}
+                        _ => b.extend([rng.gen_range(0..alphabet), c]),
+                    }
+                }
+                if rng.gen_bool(0.3) {
+                    b.truncate(rng.gen_range(0..=b.len()));
+                }
+                if rng.gen_bool(0.3) {
+                    b.extend((0..rng.gen_range(0..50)).map(|_| rng.gen_range(0..alphabet)));
+                }
+                let x = [0, 1, 2, 3, 5, 7, 15, 30, 60][rng.gen_range(0..9)];
+                let sc = Scoring {
+                    match_score,
+                    mismatch,
+                    gap,
+                };
+                (a, b, x, sc)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn wavefront_alone_matches_scalar() {
+        // No budget: every case runs to the end in the wavefront, however
+        // many visits it takes.
+        let mut sws = XdropWorkspace::with_kernel(XdropKernel::Scalar);
+        let mut ws = XdropWorkspace::default();
+        for (case, (a, b, x, sc)) in seeded_cases(41, 3_000).into_iter().enumerate() {
+            let Route::Composite(costs) = ws.route(x, sc) else {
+                panic!("{sc:?} skips the wavefront");
+            };
+            let run = xdrop_extend_wave(&mut ws, &a, &b, x, sc, costs, false);
+            let want = xdrop_extend_with(&mut sws, &a, &b, x, sc);
+            assert_eq!(
+                run.ext,
+                Some(want),
+                "case {case}: x {x}, {sc:?}, a {a:?}, b {b:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn band_alone_matches_scalar() {
+        let mut sws = XdropWorkspace::with_kernel(XdropKernel::Scalar);
+        let mut ws = XdropWorkspace::default();
+        for (case, (a, b, x, sc)) in seeded_cases(41, 3_000).into_iter().enumerate() {
+            let ra: Vec<u8> = a.iter().rev().copied().collect();
+            let got = xdrop_extend_band(&mut ws, &ra, &b, x, sc);
+            let want = xdrop_extend_with(&mut sws, &a, &b, x, sc);
+            assert_eq!(got, want, "case {case}: x {x}, {sc:?}, a {a:?}, b {b:?}");
+        }
+    }
+
+    #[test]
+    fn wavefront_work_follows_the_edit_cost() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        let sc = Scoring::default();
+        let mut ws = XdropWorkspace::default();
+        let mut random =
+            |len: usize| -> Vec<u8> { (0..len).map(|_| rng.gen_range(0..4u8)).collect() };
+        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..20)
+            .map(|_| {
+                // 1 kb at 0.5 % divergence (five substitutions); `a`
+                // runs on past the overlap.
+                let mut a = random(1_000);
+                let mut b = a.clone();
+                for at in [150, 340, 560, 700, 910] {
+                    b[at] = (b[at] + 1) % 4;
+                }
+                a.extend(random(200));
+                (a, b)
+            })
+            .collect();
+        for (a, b) in &pairs {
+            let Route::Composite(costs) = ws.route(15, sc) else {
+                panic!("the pipeline scoring runs the wavefront");
+            };
+            let run = xdrop_extend_wave(&mut ws, a, b, 15, sc, costs, true);
+            let ra: Vec<u8> = a.iter().rev().copied().collect();
+            let band = xdrop_extend_band(&mut ws, &ra, b, 15, sc);
+            let cells = ws.band_cells;
+            assert_eq!(run.ext, Some(band), "finishes without handing over");
+            assert!(
+                run.visits * 10 < cells,
+                "{} visits vs {cells} band cells",
+                run.visits
+            );
+        }
+        // Unrelated pairs: the wavefront hands over within its budget,
+        // having spent a small share of what the band then computes.
+        for x in [15, 60] {
+            let (a, b) = (random(1_000), random(1_000));
+            let Route::Composite(costs) = ws.route(x, sc) else {
+                panic!("the pipeline scoring runs the wavefront");
+            };
+            let run = xdrop_extend_wave(&mut ws, &a, &b, x, sc, costs, true);
+            assert_eq!(run.ext, None, "x {x}: hands over");
+            let budget = WAVE_VISITS_PER_ANTIDIAGONAL * run.reached;
+            assert!(
+                run.visits <= budget,
+                "x {x}: {} visits, budget {budget}",
+                run.visits
+            );
+            let ra: Vec<u8> = a.iter().rev().copied().collect();
+            let _ = xdrop_extend_band(&mut ws, &ra, &b, x, sc);
+            let cells = ws.band_cells;
+            assert!(
+                run.visits * 10 < cells,
+                "x {x}: {} visits vs {cells} cells",
+                run.visits
+            );
+        }
+    }
+
+    #[test]
+    fn largest_xdrop_holds_linear_scratch() {
+        // `first` is indexed from level 0, not from `−x − 1`: at
+        // `x = XDROP_CLAMP` a short pair still holds O(|a| + |b|) bytes,
+        // whether the wavefront finishes or hands over.
+        let a = codes("ACGTTGCAACGTGGATCCATTTACGGCAAT");
+        let b = codes("TTGCAACGAGGATCCATTACGGCAATCGGT");
+        let sc = Scoring::default();
+        let want = xdrop_extend_with(
+            &mut XdropWorkspace::with_kernel(XdropKernel::Scalar),
+            &a,
+            &b,
+            XDROP_CLAMP,
+            sc,
+        );
+        let bound = 64 * (a.len() + b.len() + 1);
+        let mut ws = XdropWorkspace::default();
+        assert_eq!(xdrop_extend_with(&mut ws, &a, &b, XDROP_CLAMP, sc), want);
+        assert!(ws.heap_bytes() <= bound, "{} bytes", ws.heap_bytes());
+        let Route::Composite(costs) = ws.route(XDROP_CLAMP, sc) else {
+            panic!("x = XDROP_CLAMP runs the wavefront");
+        };
+        let mut ws = XdropWorkspace::default();
+        let run = xdrop_extend_wave(&mut ws, &a, &b, XDROP_CLAMP, sc, costs, false);
+        assert_eq!(run.ext, Some(want));
+        assert!(ws.heap_bytes() <= bound, "{} bytes", ws.heap_bytes());
     }
 }

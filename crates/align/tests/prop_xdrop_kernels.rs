@@ -1,19 +1,30 @@
-//! Property tests pinning the band x-drop kernel (`BitParallel`, what a
-//! default workspace runs) to the scalar oracle: for *every* input — random
+//! Property tests pinning [`XdropKernel::BitParallel`] (what a default
+//! workspace runs) to the scalar oracle: for *every* input — random
 //! related or unrelated sequences up to 4 Kbp, every scoring the
 //! pipeline uses plus degenerate ones, x-drop thresholds from below 0
 //! to 200, empty sequences, and non-ACGT byte codes — it must return
 //! the byte-identical [`Extension`] the `Scalar` kernel returns. Any
 //! divergence here is a correctness bug, not a tuning difference.
 //!
+//! `BitParallel` is a composite: the cost-ordered wavefront runs first
+//! and hands an extension over its visit budget to the band kernel.
+//! The cases below referee both branches, and tell which one ran from
+//! the workspace's heap bytes (the wavefront's ring and the band's
+//! buffers have known sizes); the in-crate unit tests pin each kernel
+//! alone.
+//!
 //! The band kernel never clears its buffers: it relies on every parent
 //! load landing in a cell the previous two antidiagonals wrote. Debug
 //! builds (which is what `cargo test` runs) poison the buffers before
-//! each extension and assert that no poisoned cell is loaded, so every
-//! case here also checks that invariant; the release-mode `--ignored`
-//! stress instead runs on genuinely stale buffers from earlier cases.
+//! each extension and assert that no poisoned cell is loaded, and
+//! assert that no wavefront match run is cut, so every case here also
+//! checks those invariants; the release-mode `--ignored` stress instead
+//! runs on genuinely stale buffers from earlier cases.
 
-use elba_align::{extend_seed_with, xdrop_extend_with, Scoring, XdropKernel, XdropWorkspace};
+use elba_align::{
+    extend_seed_with, xdrop_extend_with, Extension, Scoring, XdropKernel, XdropWorkspace,
+};
+use elba_seq::Seq;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -301,6 +312,210 @@ fn reuse_across_shrinking_and_growing_b() {
         let b = mutate(&g[..blen], &noise, 3);
         for xdrop in [0, 7, 40] {
             assert_kernels_agree(&mut sws, &mut bws, a, &b, xdrop, Scoring::default());
+        }
+    }
+}
+
+/// `|b| + 3` cells per band buffer, three buffers, plus `rev(a)`.
+fn band_bytes(a: &[u8], b: &[u8]) -> usize {
+    3 * (b.len() + 3) * 4 + a.len()
+}
+
+/// The wavefront's ring of `max(M, G) + 1` layers plus `reach`, each
+/// `|a| + |b| + 1` offsets.
+fn ring_bytes(a: &[u8], b: &[u8], sc: Scoring) -> usize {
+    let step = (2 * (sc.match_score - sc.mismatch)).max(sc.match_score - 2 * sc.gap);
+    (step as usize + 2) * (a.len() + b.len() + 1) * 4
+}
+
+/// Which branch of the composite one extension took, read from a fresh
+/// workspace's heap bytes after the call.
+#[derive(Debug, PartialEq)]
+enum Branch {
+    /// The wavefront finished: its ring and one level per score point.
+    Wavefront,
+    /// The wavefront handed over: its ring plus the band's buffers.
+    Handover,
+    /// The band kernel alone: its buffers and nothing else.
+    Band,
+}
+
+/// Run one composite extension on a fresh workspace, assert it equals
+/// the oracle, and report the branch it took.
+fn referee(a: &[u8], b: &[u8], xdrop: i32, sc: Scoring) -> Branch {
+    let want = xdrop_extend_with(
+        &mut XdropWorkspace::with_kernel(XdropKernel::Scalar),
+        a,
+        b,
+        xdrop,
+        sc,
+    );
+    let mut ws = XdropWorkspace::default();
+    let got = xdrop_extend_with(&mut ws, a, b, xdrop, sc);
+    assert_eq!(
+        got,
+        want,
+        "BitParallel != Scalar (|a|={}, |b|={}, xdrop={xdrop}, sc={sc:?})",
+        a.len(),
+        b.len()
+    );
+    let held = ws.heap_bytes();
+    if held == band_bytes(a, b) {
+        Branch::Band
+    } else if held == ring_bytes(a, b, sc) + (want.score as usize + 1) * 8 {
+        Branch::Wavefront
+    } else {
+        assert!(
+            held >= ring_bytes(a, b, sc) + band_bytes(a, b),
+            "{held} bytes held: neither branch's buffers"
+        );
+        Branch::Handover
+    }
+}
+
+fn codes(s: &str) -> Vec<u8> {
+    s.parse::<Seq>().expect("dna").codes().to_vec()
+}
+
+/// The shapes the wavefront's exactness argument leans on (the module
+/// docs of `xdrop.rs`), each refereed against `Scalar`.
+#[test]
+fn composite_agrees_on_named_cases() {
+    let sc = Scoring::default();
+    // Equal best scores on two diagonals of one antidiagonal: (5, 4) and
+    // (4, 5) both score 3, and the first hit in antidiagonal order wins.
+    let (a, b) = (codes("AAACA"), codes("AACAC"));
+    for x in [1, 2, 3] {
+        assert_eq!(referee(&a, &b, x, sc), Branch::Wavefront);
+    }
+    let tie = xdrop_extend_with(&mut XdropWorkspace::default(), &a, &b, 1, sc);
+    let first_hit = Extension {
+        score: 3,
+        a_len: 5,
+        b_len: 4,
+    };
+    assert_eq!(tie, first_hit);
+    // Equal best scores on two antidiagonals: (4, 4) and (5, 6) both
+    // score 4.
+    let (a, b) = (codes("ACGTC"), codes("ACGTAC"));
+    for x in [0, 2, 4] {
+        referee(&a, &b, x, sc);
+    }
+    // Match runs beside a rising best: in (AC)^20 against itself the
+    // diagonals ±2 match all the way, two gaps behind the main one. At
+    // x = 3 they stay live to the end (debug builds assert that no run
+    // is cut midway), at x = 2 they are cut where they enter.
+    let ac = codes(&"AC".repeat(20));
+    for x in [2, 3, 4] {
+        for sc in SCORINGS {
+            referee(&ac, &ac, x, sc);
+            referee(&ac, &ac[1..], x, sc);
+        }
+    }
+    // A band that reaches both sequence ends: near-identical partners at
+    // an x-drop wider than both.
+    let g = codes("ACGTTGCAACGTGGATCCATTTACGGCAATCGGTTACCAGG");
+    let mut h = g.clone();
+    h.remove(11);
+    h.insert(25, 2);
+    for x in [40, 200] {
+        for sc in SCORINGS {
+            referee(&g, &h, x, sc);
+        }
+    }
+    // x = 0: the first loss ends the extension.
+    let (a, b) = (codes("AAAATAAAA"), codes("AAAACAAAA"));
+    for sc in SCORINGS {
+        assert_eq!(referee(&a, &b, 0, sc), Branch::Wavefront);
+    }
+    // Unrelated pairs at the pipeline's x-drops and above: the
+    // wavefront hands them to the band.
+    let mut rng = StdRng::seed_from_u64(60);
+    for x in [15, 60] {
+        let a: Vec<u8> = (0..1_000).map(|_| rng.gen_range(0..4u8)).collect();
+        let b: Vec<u8> = (0..1_000).map(|_| rng.gen_range(0..4u8)).collect();
+        assert_eq!(referee(&a, &b, x, sc), Branch::Handover, "x {x}");
+    }
+}
+
+/// Every two-letter pair of up to six bases, under every pipeline
+/// scoring and x-drop 0–6: 387 096 extensions.
+#[test]
+fn composite_agrees_on_every_small_binary_pair() {
+    let words: Vec<Vec<u8>> = (0..=6u32)
+        .flat_map(|len| {
+            (0..1u32 << len).map(move |bits| (0..len).map(|i| (bits >> i & 1) as u8).collect())
+        })
+        .collect();
+    let mut sws = XdropWorkspace::with_kernel(XdropKernel::Scalar);
+    let mut kws = XdropWorkspace::default();
+    for sc in SCORINGS {
+        for xdrop in [0, 1, 2, 3, 4, 6] {
+            for a in &words {
+                for b in &words {
+                    assert_kernels_agree(&mut sws, &mut kws, a, b, xdrop, sc);
+                }
+            }
+        }
+    }
+}
+
+/// Append `len` random bases.
+fn random_tail(rng: &mut StdRng, seq: &mut Vec<u8>, len: usize) {
+    seq.extend((0..len).map(|_| rng.gen_range(0..4u8)));
+}
+
+/// Long low-divergence overlaps — 1–4 kb at up to 1 %, `a` running on
+/// into a random tail — finish in the wavefront.
+#[test]
+fn low_divergence_overlaps_finish_in_the_wavefront() {
+    let mut rng = StdRng::seed_from_u64(71);
+    for case in 0..24 {
+        let len = rng.gen_range(1_000..4_000);
+        let template: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4u8)).collect();
+        let noise: Vec<u8> = (0..97).map(|_| rng.gen_range(0..=255u8)).collect();
+        let b = mutate(&template, &noise, rng.gen_range(0..2));
+        let mut a = template;
+        random_tail(&mut rng, &mut a, 300);
+        let (sc, xdrop) = (SCORINGS[case % 4], [15, 30][case % 2]);
+        assert_eq!(referee(&a, &b, xdrop, sc), Branch::Wavefront, "case {case}");
+    }
+}
+
+/// 15–30 % divergence and unrelated pairs hand over to the band.
+#[test]
+fn high_divergence_overlaps_hand_over_to_the_band() {
+    let mut rng = StdRng::seed_from_u64(72);
+    for case in 0..24 {
+        let len = rng.gen_range(1_000..2_000);
+        let a: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4u8)).collect();
+        let b = if case % 4 == 3 {
+            (0..len).map(|_| rng.gen_range(0..4u8)).collect()
+        } else {
+            let noise: Vec<u8> = (0..97).map(|_| rng.gen_range(0..=255u8)).collect();
+            mutate(&a, &noise, rng.gen_range(15..=30))
+        };
+        let xdrop = [15, 30][case % 2];
+        assert_eq!(
+            referee(&a, &b, xdrop, SCORINGS[0]),
+            Branch::Handover,
+            "case {case}"
+        );
+    }
+}
+
+/// The degenerate stress scorings (zero or negative match, positive
+/// gap, all-zero) skip the wavefront: they run the band kernel alone,
+/// as before the wavefront existed.
+#[test]
+fn degenerate_scorings_keep_the_band_dispatch() {
+    let mut rng = StdRng::seed_from_u64(73);
+    for sc in &STRESS_SCORINGS[4..] {
+        for len in [5, 80, 300] {
+            let a: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4u8)).collect();
+            let noise: Vec<u8> = (0..31).map(|_| rng.gen_range(0..=255u8)).collect();
+            let b = mutate(&a, &noise, 5);
+            assert_eq!(referee(&a, &b, 10, *sc), Branch::Band, "{sc:?}");
         }
     }
 }
