@@ -108,12 +108,14 @@ impl PipelineConfig {
         }
     }
 
-    /// Run every distributed SpGEMM in the pipeline under `opts` — how
-    /// tests put the [`elba_sparse::SpGemmAlgorithm::Eager`] oracle under
-    /// the whole pipeline; a production run sets a memory budget or
-    /// nothing. `overlap.spgemm` is the single knob: overlap detection
-    /// reads it directly and [`assemble`] hands the same options to the
-    /// transitive-reduction sweeps, so the two stages cannot drift.
+    /// Run the pipeline's two distributed products — overlap
+    /// detection's symmetric product and transitive reduction's masked
+    /// product — under `opts`: how tests put the
+    /// [`elba_sparse::SpGemmAlgorithm::Eager`] schedule under the whole
+    /// pipeline; a production run sets a memory budget or nothing.
+    /// `overlap.spgemm` is the single knob: overlap detection reads it
+    /// directly and [`assemble`] hands the same options to the
+    /// transitive-reduction sweep, so the two stages cannot drift.
     pub fn with_spgemm(mut self, opts: SpGemmOptions) -> Self {
         self.overlap.spgemm = opts;
         self
@@ -151,10 +153,11 @@ impl PipelineConfig {
     /// * the k-mer exchange's `batch_kmers` is derived inside
     ///   [`assemble`], where the grid size is known — the inbound
     ///   windows of a round scale with `p`,
-    /// * every distributed SpGEMM runs the production SUMMA
+    /// * both distributed products run the production SUMMA
     ///   ([`elba_sparse::SpGemmAlgorithm::Pipelined`]) with the SpGEMM
-    ///   sub-budget as its `mem_budget`: column windows sized to fit it,
-    ///   where an unlimited budget runs one window.
+    ///   sub-budget as its `mem_budget`: overlap detection's column
+    ///   windows are sized to fit it, where an unlimited budget runs one
+    ///   window, and transitive reduction prefetches only if it fits.
     ///
     /// The budget is the schedule's parameter, not a choice between
     /// schedules, and nothing else sets it. Derivations clamp to

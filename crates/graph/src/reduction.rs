@@ -191,7 +191,7 @@ mod tests {
         loop {
             let before = s.nnz_global(grid);
             let hops = hops_of(grid, &s);
-            let n = hops.spgemm_with(grid, &hops, &ReductionSemiring, &SpGemmOptions::eager());
+            let n = hops.spgemm_with(grid, &hops, &ReductionSemiring, 1);
             s = s.zip_prune(grid, &n, |_, _, edge, two_hop| {
                 let hop = Hop::of(edge);
                 keeps_edge(&hop, shortest_in_own_dir(&hop, two_hop), fuzz)
@@ -263,8 +263,7 @@ mod tests {
                         seen.sort_unstable();
                         seen
                     };
-                    let general =
-                        hops.spgemm_with(&grid, &hops, &ReductionSemiring, &SpGemmOptions::eager());
+                    let general = hops.spgemm_with(&grid, &hops, &ReductionSemiring, 1);
                     let (mut want, mut other_direction_shorter) = (Vec::new(), 0);
                     hops.clone()
                         .zip_prune(&grid, &general, |r, c, hop, two_hop| {

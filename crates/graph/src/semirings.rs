@@ -303,8 +303,9 @@ impl MaskedFold<Hop> for ReductionFold {
 /// The general min-plus product [`ReductionFold`] reads one direction
 /// of: the product records the overhang sum under the composite
 /// direction of every consistently oriented two-hop path. Test oracle
-/// only (with the general `spgemm_with`); the sweep has no use for the
-/// other three directions.
+/// only: the tests run it through the eager general product
+/// `DistMat::spgemm_with`; the sweep has no use for the other three
+/// directions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReductionSemiring;
 

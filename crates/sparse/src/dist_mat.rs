@@ -90,10 +90,10 @@ fn retain_row<V>(cols: &mut Vec<u32>, vals: &mut Vec<V>, mut keep: impl FnMut(u3
     vals.truncate(kept);
 }
 
-/// What a memory budget adds to the SUMMA schedule, fixed before its
-/// first round: an upper bound on each local output column's
-/// accumulator bytes, each stage's A+B block bytes, and whether the
-/// budget affords prefetching.
+/// What a memory budget adds to the symmetric product's batched SUMMA
+/// ([`UpperAat::summa_column_batched`]), fixed before its first round:
+/// an upper bound on each local output column's accumulator bytes, each
+/// stage's A+B block bytes, and whether the budget affords prefetching.
 struct RoundPlan {
     budget: u64,
     entry_bytes: u64,
@@ -111,7 +111,7 @@ struct RoundPlan {
 impl RoundPlan {
     /// The plan for a block of `nrows` output rows from the estimate
     /// pass's per-column flops and per-stage bytes
-    /// ([`DistMat::structure_estimates`]). Collective.
+    /// ([`UpperAat::estimates`]). Collective.
     fn new(
         grid: &ProcGrid,
         (col_flops, stage_bytes): (Vec<u64>, Vec<usize>),
@@ -213,7 +213,7 @@ fn merge_stage_rows<S>(
     window: std::ops::Range<u32>,
     row_batch: usize,
     threads: usize,
-    upper: Option<(usize, usize)>,
+    upper: (usize, usize),
     acc_rows: &mut [(Vec<u32>, Vec<S::Out>)],
     mut acc_entries: usize,
     entry_bytes: usize,
@@ -226,7 +226,7 @@ where
     S::B: Sync,
 {
     let nrows = acc_rows.len();
-    let mut batcher = stage_batcher(a_block, b_block, semiring, threads, upper);
+    let mut batcher = stage_batcher(a_block, b_block, semiring, threads, Some(upper));
     let mut par_secs = 0.0f64;
     let mut start = 0;
     while start < nrows {
@@ -286,8 +286,8 @@ fn pack_rows_into_csr<V>(
 /// The local kernel for one SUMMA stage's block pair. `upper` carries
 /// the global `(row, column)` offsets of this rank's `C` block when only
 /// the strict upper triangle of `C` is wanted (see
-/// [`DistMat::spgemm_aat_upper_with`]); every schedule builds its
-/// batcher here, so all of them honour the restriction the same way.
+/// [`DistMat::spgemm_aat_upper_with`]); both schedules build their
+/// batcher here, so they honour the restriction the same way.
 fn stage_batcher<'m, S: Semiring>(
     a_block: &'m Csr<S::A>,
     b_block: &'m Csr<S::B>,
@@ -363,33 +363,40 @@ impl ParKernelClock {
     }
 }
 
-/// Which distributed SUMMA schedule a product runs. A caller never
-/// picks a schedule: production runs the one pipelined SUMMA, and a
-/// memory budget is its parameter. The masked product
-/// ([`DistMat::prune_by_product`]) has a fixed-size accumulator and reads
-/// from this only whether to prefetch.
+/// Which SUMMA schedule the two pipeline products run: the symmetric
+/// product of overlap detection ([`DistMat::spgemm_aat_upper_with`]) and
+/// the masked product of transitive reduction
+/// ([`DistMat::prune_by_product`]). The general product
+/// ([`DistMat::spgemm_with`]) has one schedule, the eager oracle, and
+/// takes none. A caller never picks a schedule: production runs the one
+/// pipelined SUMMA, and a memory budget is its parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpGemmAlgorithm {
-    /// The reference oracle the property suites compare against: a
-    /// blocking broadcast per stage, every stage's output kept as raw
-    /// triples, one global sort-merge at the end. Highest peak memory,
-    /// no communication/computation overlap; not reachable from the CLI.
+    /// The reference oracle the property suites compare against:
+    /// blocking stage transfers, every stage's output kept as raw
+    /// triples, one global sort-merge at the end (the symmetric product
+    /// prunes after it). Highest peak memory, no
+    /// communication/computation overlap; not reachable from the CLI.
     Eager,
-    /// The production schedule, ELBA's batched SUMMA: the *output* is
-    /// computed in column windows, one round of stage broadcasts per
-    /// window. Stage `s+1`'s A/B broadcasts are posted (non-blocking
-    /// `ibcast`) before stage `s` is multiplied, so the transfer
-    /// overlaps the local multiply; each stage's rows merge into per-row
-    /// accumulators, and each window is pruned as it completes.
+    /// The production schedule. Stage `s+1`'s transfers are posted
+    /// before stage `s` is multiplied, so they overlap the local
+    /// multiply.
     ///
-    /// Without a budget there is one window covering every column and
-    /// no sizing pass. With `mem_budget: Some(b)` a cheap flop/nnz
-    /// estimate pass (structure-only broadcasts) sizes the windows so
-    /// that the window's accumulator plus the resident broadcast blocks
-    /// stay under `b` bytes per rank, however dense `C = AAᵀ` gets — at
-    /// the price of re-broadcasting the input blocks once per round.
+    /// In the symmetric product it is ELBA's batched SUMMA: the *output*
+    /// is computed in column windows, one round of direct block sends per
+    /// window; each stage's rows merge into per-row accumulators, and
+    /// each window is pruned as it completes. Without a budget there is
+    /// one window and no sizing pass. With `mem_budget: Some(b)` an
+    /// estimate pass (structure-only sends) sizes the windows so that
+    /// the window's accumulator plus the resident stage blocks stay under
+    /// `b` bytes per rank, however dense `C = AAᵀ` gets — at the price of
+    /// re-sending the input blocks once per round — and stages are
+    /// prefetched only if four of the largest fit `b`.
+    ///
+    /// The masked product's accumulator has a fixed size, so a budget
+    /// decides only whether it prefetches, by the same rule.
     Pipelined {
-        /// Per-rank transient byte cap (broadcast blocks + window
+        /// Per-rank transient byte cap (stage blocks + window
         /// accumulator); `None` is unbounded.
         mem_budget: Option<u64>,
     },
@@ -404,8 +411,10 @@ pub fn algorithm_label(algorithm: SpGemmAlgorithm) -> &'static str {
     }
 }
 
-/// Options threaded through every distributed SpGEMM call site
-/// (overlap detection, transitive reduction, benches).
+/// Options of the two pipeline products — overlap detection's symmetric
+/// product and transitive reduction's masked product — wherever they are
+/// called (the pipeline, its tests, the benches). The general oracle
+/// [`DistMat::spgemm_with`] takes a thread count alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpGemmOptions {
     pub algorithm: SpGemmAlgorithm,
@@ -441,7 +450,8 @@ impl SpGemmOptions {
     }
 
     /// The production schedule under a transient byte budget of
-    /// `mem_budget` per rank: column windows sized to fit it.
+    /// `mem_budget` per rank: the symmetric product's column windows are
+    /// sized to fit it.
     pub fn column_batched(mem_budget: u64) -> Self {
         assert!(mem_budget > 0, "a SpGEMM memory budget must be positive");
         SpGemmOptions {
@@ -722,10 +732,11 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
 
     /// Distributed SpGEMM `C = self ⊗ other` under `semiring`, via the 2D
     /// SUMMA algorithm: at stage `s`, block column `s` of `A` is broadcast
-    /// along grid rows and block row `s` of `B` along grid columns; each
-    /// rank multiplies the pair locally and accumulates its `C` block.
-    /// All schedules produce identical results (the equivalence property
-    /// tests pin this), differing only in overlap and peak memory.
+    /// along grid rows and block row `s` of `B` along grid columns
+    /// (blocking, see `stage_blocks`); each rank multiplies the
+    /// pair locally on `threads` workers and keeps every stage's output
+    /// as triples until one final sort-merge — the eager schedule, and
+    /// the only one the general product has.
     ///
     /// The general product has no caller in the pipeline — overlap
     /// detection runs [`DistMat::spgemm_aat_upper_with`], transitive
@@ -736,7 +747,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         grid: &ProcGrid,
         other: &DistMat<U>,
         semiring: &S,
-        opts: &SpGemmOptions,
+        threads: usize,
     ) -> DistMat<S::Out>
     where
         S: Semiring<A = T, B = U> + Sync,
@@ -747,19 +758,15 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             self.col_layout, other.row_layout,
             "inner dimension layouts must agree for SUMMA"
         );
-        let fetch = Broadcast {
-            grid,
-            a: self,
-            b: other,
-        };
-        self.run_schedule(grid, &fetch, semiring, opts, &mut |_, _, _| true)
+        let stages = self.stage_blocks(grid, other, false).map(Some);
+        self.summa_eager(grid, stages, None, other.col_layout, semiring, threads)
     }
 
     /// The symmetric rank-k update of overlap detection: the strict
     /// upper triangle of `C = self ⊗ selfᵀ`, pruned by `keep` — equal,
     /// value for value, to
     /// `spgemm_with(&self.transpose(grid), ..).prune(..)` under
-    /// `r < c && keep(r, c, v)`, for every schedule. Knowing that
+    /// `r < c && keep(r, c, v)`, under either schedule. Knowing that
     /// `C` is symmetric and that one triangle is all the caller keeps,
     /// the local kernels accumulate only `column > row`: a diagonal
     /// rank does half its products and a rank below the diagonal none.
@@ -777,13 +784,14 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// transfers per round, half of what the transpose swap plus the
     /// row and column broadcasts moved.
     ///
-    /// Under [`SpGemmAlgorithm::Pipelined`] the predicate runs on each
-    /// column window *as it completes* — ELBA's batched overlap
-    /// detection, where the shared-k-mer threshold is applied per batch
-    /// so only the pruned output is ever retained (a budget that bounds
-    /// every transient would still drown in the unpruned product); the
-    /// eager oracle prunes after the fact. `keep` sees global
-    /// coordinates.
+    /// [`SpGemmAlgorithm::Pipelined`] runs ELBA's batched SUMMA
+    /// (`UpperAat::summa_column_batched`), where the predicate runs on
+    /// each column window *as it completes*: the shared-k-mer threshold is
+    /// applied per batch so only the pruned output is ever retained (a
+    /// budget that bounds every transient would still drown in the
+    /// unpruned product). [`SpGemmAlgorithm::Eager`] runs the oracle
+    /// schedule over the same fetch and prunes after the fact. `keep`
+    /// sees global coordinates.
     pub fn spgemm_aat_upper_with<S>(
         &self,
         grid: &ProcGrid,
@@ -799,10 +807,22 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         // an optimisation a schedule is free not to apply.
         let mut keep = |r: u64, c: u64, v: &S::Out| r < c && keep(r, c, v);
         let fetch = UpperAat { grid, a: self };
-        let c = self.run_schedule(grid, &fetch, semiring, opts, &mut keep);
         match opts.algorithm {
-            SpGemmAlgorithm::Pipelined { .. } => c,
-            SpGemmAlgorithm::Eager => c.prune(grid, keep),
+            SpGemmAlgorithm::Eager => {
+                let stages = fetch.stages(false);
+                self.summa_eager(
+                    grid,
+                    stages,
+                    Some(fetch.upper()),
+                    fetch.out_cols(),
+                    semiring,
+                    opts.threads,
+                )
+                .prune(grid, keep)
+            }
+            SpGemmAlgorithm::Pipelined { mem_budget } => {
+                fetch.summa_column_batched(semiring, mem_budget, opts.threads, &mut keep)
+            }
         }
     }
 
@@ -824,8 +844,8 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// walk it from inside `keep` (transitive reduction compacts its
     /// `(pre, post)` side array that way).
     ///
-    /// One SUMMA over `stage_blocks` — the same broadcasts as
-    /// the general product, call for call — folding every stage into
+    /// One SUMMA over `stage_blocks` — the general product's
+    /// broadcasts, call for call — folding every stage into
     /// one [`MaskedAccumulator`]: `nnz(mask block)` slots plus a column
     /// array, sized and charged before the first broadcast and never
     /// growing. A memory budget therefore needs no estimate pass and no
@@ -833,8 +853,8 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// `s+1` is prefetched while stage `s` multiplies
     /// ([`SpGemmAlgorithm::Eager`] no; [`SpGemmAlgorithm::Pipelined`]
     /// yes without a budget, and under one iff four of the largest stage
-    /// fit it — the rule of the unmasked schedule, agreed grid-wide by
-    /// one `allreduce`).
+    /// fit it — the symmetric product's double-buffer rule, agreed
+    /// grid-wide by one `allreduce`).
     pub fn prune_by_product<F>(
         &self,
         grid: &ProcGrid,
@@ -902,49 +922,19 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         }
     }
 
-    /// Run the schedule `opts` names over the stage operands `fetch`
-    /// delivers; `keep` is consulted by [`SpGemmAlgorithm::Pipelined`]
-    /// alone.
-    fn run_schedule<S, F>(
-        &self,
-        grid: &ProcGrid,
-        fetch: &F,
-        semiring: &S,
-        opts: &SpGemmOptions,
-        keep: &mut impl FnMut(u64, u64, &S::Out) -> bool,
-    ) -> DistMat<S::Out>
-    where
-        F: StageFetch<A = T>,
-        S: Semiring<A = T, B = F::B> + Sync,
-        S::Out: Clone + CommMsg + Sync,
-    {
-        let threads = opts.threads;
-        let local = match opts.algorithm {
-            SpGemmAlgorithm::Eager => self.summa_eager(grid, fetch, semiring, threads),
-            SpGemmAlgorithm::Pipelined { mem_budget } => {
-                self.summa_column_batched(grid, fetch, semiring, mem_budget, threads, keep)
-            }
-        };
-        DistMat {
-            row_layout: self.row_layout,
-            col_layout: fetch.out_cols(),
-            local: Arc::new(local),
-        }
-    }
-
     /// The general product's stage fetch, shared by [`DistMat::spgemm_with`]
-    /// and [`DistMat::prune_by_product`]: stage `s` yields block column
-    /// `s` of `self`, broadcast along the grid row, and block row `s` of
-    /// `other`, broadcast along the grid column — `Arc` clones of the
-    /// owners' blocks, delivered to every rank of the row and column
-    /// whether it multiplies with them or not (the symmetric product
-    /// sends each block only where it is used, see [`UpperAat`]). With
-    /// `lookahead` the broadcasts are
-    /// non-blocking and stage `s+1` is posted before stage `s` is waited
-    /// on, so the next transfer rides alongside the caller's multiply
-    /// (two stages of blocks resident, blocked time booked as wait);
-    /// without it each stage is one blocking broadcast pair and only one
-    /// stage of remote blocks is ever resident.
+    /// (always blocking) and [`DistMat::prune_by_product`]: stage `s`
+    /// yields block column `s` of `self`, broadcast along the grid row,
+    /// and block row `s` of `other`, broadcast along the grid column —
+    /// `Arc` clones of the owners' blocks, delivered to every rank of the
+    /// row and column whether it multiplies with them or not (the
+    /// symmetric product sends each block only where it is used, see
+    /// [`UpperAat`]). With `lookahead` the broadcasts are non-blocking
+    /// and stage `s+1` is posted before stage `s` is waited on, so the
+    /// next transfer rides alongside the caller's multiply (two stages of
+    /// blocks resident, blocked time booked as wait); without it each
+    /// stage is one blocking broadcast pair and only one stage of remote
+    /// blocks is ever resident.
     fn stage_blocks<'a, U>(
         &'a self,
         grid: &'a ProcGrid,
@@ -982,27 +972,32 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         })
     }
 
-    /// Naive SUMMA: blocking stage fetch, global triple accumulation, one
-    /// final sort-merge. Peak memory holds every stage's intermediate
+    /// Naive SUMMA, the oracle schedule: global triple accumulation over
+    /// the blocking stage operands `stages` yields (`None` at a stage
+    /// this rank multiplies nothing in), one final sort-merge into the
+    /// block of a product whose columns are laid out as `out_cols`.
+    /// `upper` restricts the kernel to the strict upper triangle (see
+    /// [`stage_batcher`]). Peak memory holds every stage's intermediate
     /// triples at once.
-    fn summa_eager<S, F>(
+    fn summa_eager<S, U>(
         &self,
         grid: &ProcGrid,
-        fetch: &F,
+        stages: impl Iterator<Item = Option<StagePair<T, U>>>,
+        upper: Option<(usize, usize)>,
+        out_cols: Layout2D,
         semiring: &S,
         threads: usize,
-    ) -> Csr<S::Out>
+    ) -> DistMat<S::Out>
     where
-        F: StageFetch<A = T>,
-        S: Semiring<A = T, B = F::B> + Sync,
+        S: Semiring<A = T, B = U> + Sync,
+        U: Clone + CommMsg + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
         let mut charge = grid.world().mem_charge(0);
         let mut acc: Vec<(u32, u32, S::Out)> = Vec::new();
         let triple_bytes = std::mem::size_of::<(u32, u32, S::Out)>();
         let mut par = ParKernelClock::new();
-        let upper = fetch.upper();
-        for (a_block, b_block) in fetch.stages(false).flatten() {
+        for (a_block, b_block) in stages.flatten() {
             // Stage blocks charge through the shared (ptr-keyed) path:
             // one charge per rank per block, so the owner's own resident
             // matrix is never counted twice.
@@ -1019,76 +1014,264 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         }
         par.book(grid);
         let row_range = self.row_layout.block_range(grid.myrow());
-        let col_range = fetch.out_cols().block_range(grid.mycol());
-        Csr::from_triples(row_range.len(), col_range.len(), acc, |a, v| {
+        let col_range = out_cols.block_range(grid.mycol());
+        let local = Csr::from_triples(row_range.len(), col_range.len(), acc, |a, v| {
             semiring.add(a, v)
-        })
+        });
+        DistMat {
+            row_layout: self.row_layout,
+            col_layout: out_cols,
+            local: Arc::new(local),
+        }
     }
 
-    /// The general product's estimate pass: per SUMMA stage, the
-    /// `A`-block owner broadcasts its per-column nonzero counts along
-    /// the grid row and the `B`-block owner its [`pattern`] along the
-    /// grid column — a fraction of a full block broadcast, in the same
-    /// compact frame as [`StageFetch::estimates`]. Returns per local output
-    /// column the exact multiply-add count landing there
-    /// (`flops(j) = Σ_s Σ_{k : B_s[k,j]≠0} nnz_col(A_s, k)`) and the
-    /// full A+B block bytes per stage. Collective: every rank of the
-    /// grid must call it together.
-    fn structure_estimates<U>(&self, grid: &ProcGrid, other: &DistMat<U>) -> (Vec<u64>, Vec<usize>)
+    /// Row-wise reduction into a [`DistVec`] aligned with the row layout:
+    /// `out[i] = fold over row i's entries`. Implemented as a local
+    /// reduction followed by a reduce-scatter over the grid-row
+    /// communicator (each rank ends up with its vector sub-chunk).
+    pub fn row_reduce<U>(
+        &self,
+        grid: &ProcGrid,
+        mut init: impl FnMut() -> U,
+        mut fold: impl FnMut(&mut U, u64, &T),
+        merge: impl Fn(U, U) -> U + Copy,
+    ) -> DistVec<U>
     where
         U: Clone + CommMsg + Sync,
     {
-        let q = grid.q();
+        let (_, c0) = self.local_offsets(grid);
+        let partial: Vec<U> = self.local.row_reduce(&mut init, |acc, c, v| {
+            fold(acc, (c as usize + c0) as u64, v)
+        });
+        // Slice the block-row partials into the q vector sub-chunks owned
+        // by this grid row and reduce-scatter them across the row comm.
+        let row_range = self.row_layout.block_range(grid.myrow());
+        let contributions: Vec<Vec<U>> = (0..grid.q())
+            .map(|j| {
+                let chunk = self.row_layout.chunk_range(grid.myrow(), j);
+                partial[(chunk.start - row_range.start)..(chunk.end - row_range.start)].to_vec()
+            })
+            .collect();
+        let reduced = grid.row().reduce_scatter_block(contributions, |a, b| {
+            a.into_iter().zip(b).map(|(x, y)| merge(x, y)).collect()
+        });
+        DistVec::from_local(grid, self.row_layout.len(), reduced)
+    }
+
+    /// Vertex degrees: row-wise nonzero count (the paper's "summation
+    /// reduction over the row dimension" producing the degree vector `d`).
+    /// Counts are `u32`, as column indices are: a row holds fewer than
+    /// 2³² entries.
+    pub fn row_degrees(&self, grid: &ProcGrid) -> DistVec<u32> {
+        self.row_reduce(grid, || 0u32, |acc, _, _| *acc += 1, |a, b| a + b)
+    }
+
+    /// Zero out every row **and** column whose mask entry is `true`
+    /// (ELBA's branch-vertex masking; requires a square matrix). The
+    /// matrix keeps its dimensions — "row 10 is still a row in the
+    /// matrix" — only its nonzeros change.
+    pub fn mask_rows_cols(self, grid: &ProcGrid, mask: &DistVec<bool>) -> DistMat<T> {
+        assert_eq!(
+            self.row_layout, self.col_layout,
+            "mask_rows_cols needs a square matrix"
+        );
+        assert_eq!(mask.len(), self.nrows());
+        let (row_mask, col_mask) = mask.fetch_aligned(grid);
+        // Local indices are block-relative and the fetched masks cover
+        // exactly this block's row/column ranges, so direct indexing works.
+        let (row_layout, col_layout) = (self.row_layout, self.col_layout);
+        DistMat {
+            row_layout,
+            col_layout,
+            local: Arc::new(
+                self.into_local()
+                    .retain(|r, c, _| !row_mask[r as usize] && !col_mask[c as usize]),
+            ),
+        }
+    }
+}
+
+/// One SUMMA stage's `(A, B)` operand blocks.
+type StagePair<A, B> = (Arc<Csr<A>>, Arc<Csr<B>>);
+
+/// The symmetric product `a ⊗ aᵀ`, strict upper triangle
+/// ([`DistMat::spgemm_aat_upper_with`]): rank `(i, j)` multiplies
+/// `A(i, s) · A(j, s)ᵀ` at stage `s` when `i ≤ j`, and nothing below the
+/// diagonal. The holder of `A(m, s)` is rank `(m, s)`; it sends the
+/// block as stored to the row ranks `(m, j)`, `j ≥ m`, and its transpose
+/// to the column ranks `(i, m)`, `i < m` — never to itself. The
+/// diagonal rank `(m, m)` gets the block once and transposes it itself.
+struct UpperAat<'m, T> {
+    grid: &'m ProcGrid,
+    a: &'m DistMat<T>,
+}
+
+impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
+    /// Ranks owed the holder's stage-`s` block as stored and as
+    /// transposed (empty unless this rank holds `A(·, s)`).
+    fn destinations(&self, s: usize) -> (Vec<usize>, Vec<usize>) {
+        let (grid, m) = (self.grid, self.grid.myrow());
+        if grid.mycol() != s {
+            return (Vec::new(), Vec::new());
+        }
+        let rows = (m..grid.q())
+            .filter(|&j| j != s)
+            .map(|j| grid.rank_of(m, j))
+            .collect();
+        let cols = (0..m).map(|i| grid.rank_of(i, m)).collect();
+        (rows, cols)
+    }
+
+    /// Stage `s`'s sends. Returns the transposed copy when this rank is
+    /// the diagonal holder and keeps it as its own column operand; any
+    /// other copy lives only as long as its buffered sends, so it is
+    /// recorded as a transient, not held.
+    fn post(&self, s: usize) -> Option<Arc<Csr<T>>> {
+        let (world, local) = (self.grid.world(), &self.a.local);
+        let (rows, cols) = self.destinations(s);
+        for dst in rows {
+            world.send(dst, FETCH_TAG, Arc::clone(local));
+        }
+        let diagonal_holder = self.grid.mycol() == s && self.grid.is_diagonal();
+        if cols.is_empty() && !diagonal_holder {
+            return None;
+        }
+        let transposed = Arc::new(local.transposed());
+        for dst in cols {
+            world.send(dst, FETCH_TAG, Arc::clone(&transposed));
+        }
+        if diagonal_holder {
+            return Some(transposed);
+        }
+        world.record_mem_transient(transposed.heap_bytes());
+        None
+    }
+
+    /// Global column layout of the product: `A`'s row layout.
+    fn out_cols(&self) -> Layout2D {
+        self.a.row_layout
+    }
+
+    /// Global `(row, column)` offsets of this rank's output block, whose
+    /// strict upper triangle alone is computed (see [`stage_batcher`]).
+    fn upper(&self) -> (usize, usize) {
+        let layout = self.a.row_layout;
+        (
+            layout.block_range(self.grid.myrow()).start,
+            layout.block_range(self.grid.mycol()).start,
+        )
+    }
+
+    /// Each stage's `(A(i, s), A(j, s)ᵀ)` operand pair in stage order,
+    /// `None` below the diagonal, where this rank multiplies nothing.
+    /// With `lookahead`, stage `s+1`'s sends are posted before stage `s`
+    /// is received, so the next transfer rides alongside the caller's
+    /// multiply and blocked time books as wait; without it each stage is
+    /// received blocking and only one stage of remote blocks is ever
+    /// resident. Collective: every rank drives every stage.
+    fn stages(&self, lookahead: bool) -> impl Iterator<Item = Option<StagePair<T, T>>> + '_ {
+        let grid = self.grid;
         let world = grid.world();
-        let ncols = other.col_layout.block_range(grid.mycol()).len();
-        let mut col_flops: Vec<u64> = vec![0; ncols];
-        let mut stage_bytes: Vec<usize> = Vec::with_capacity(q);
+        let (i, j) = (grid.myrow(), grid.mycol());
+        let receive = move |src: usize| -> Arc<Csr<T>> {
+            if lookahead {
+                world.irecv(src, FETCH_TAG).wait()
+            } else {
+                world.recv(src, FETCH_TAG)
+            }
+        };
+        // Sends are buffered, so prefetching stage s+1 is posting its
+        // sends before stage s is received.
+        let mut posted = if lookahead { self.post(0) } else { None };
+        (0..grid.q()).map(move |s| {
+            let kept = if lookahead {
+                let next = if s + 1 < grid.q() {
+                    self.post(s + 1)
+                } else {
+                    None
+                };
+                std::mem::replace(&mut posted, next)
+            } else {
+                self.post(s)
+            };
+            if i > j {
+                return None;
+            }
+            let row = if j == s {
+                Arc::clone(&self.a.local)
+            } else {
+                receive(grid.rank_of(i, s))
+            };
+            let col = if i < j {
+                receive(grid.rank_of(j, s))
+            } else {
+                kept.unwrap_or_else(|| Arc::new(row.transposed()))
+            };
+            Some((row, col))
+        })
+    }
+
+    /// The budgeted schedule's estimate pass: per local output column
+    /// the exact multiply-add count landing there, and per stage the
+    /// bytes of this rank's operand pair. Structure-only blocks
+    /// ([`pattern`]) travel over the fetch's (block, destination) pairs.
+    /// A rank derives its row operand's per-column counts and its column
+    /// operand's rows from them, so no transpose is built;
+    /// `flops(c) = Σ_{k ∈ row c of A(j, s)} nnz_col(A(i, s), k)`.
+    /// Collective.
+    fn estimates(&self) -> (Vec<u64>, Vec<usize>) {
+        let (grid, a) = (self.grid, self.a);
+        let world = grid.world();
+        let (i, j) = (grid.myrow(), grid.mycol());
+        let mut col_flops = vec![0u64; a.row_layout.block_range(j).len()];
+        let mut stage_bytes = vec![0usize; grid.q()];
         let mut est_charge = world.mem_charge(0);
-        for s in 0..q {
-            // Structure-only packs travel Arc-shared too: the owner
-            // builds each pack once and the tree fans out reference
-            // clones, not vector copies.
-            let a_pack = grid.row().bcast(
-                s,
-                (grid.mycol() == s).then(|| {
-                    let mut counts = vec![0u32; self.local.ncols()];
-                    for &c in self.local.indices() {
-                        counts[c as usize] += 1;
-                    }
-                    Arc::new((counts, self.local.heap_bytes()))
-                }),
-            );
-            let (a_col_nnz, a_bytes) = (&a_pack.0, a_pack.1);
-            let b_pattern = grid.col().bcast(
-                s,
-                (grid.myrow() == s).then(|| Arc::new(pattern(&other.local))),
-            );
-            // The received structure is real resident bytes; the budget
+        for (s, bytes) in stage_bytes.iter_mut().enumerate() {
+            let mine = (j == s).then(|| Arc::new(pattern(&a.local)));
+            if let Some(mine) = &mine {
+                let (rows, cols) = self.destinations(s);
+                for dst in rows.into_iter().chain(cols) {
+                    world.send(dst, STRUCTURE_TAG, Arc::clone(mine));
+                }
+            }
+            if i > j {
+                est_charge.set(mine.map_or(0, |mine| mine.heap_bytes()));
+                continue;
+            }
+            let row = mine.unwrap_or_else(|| world.recv(grid.rank_of(i, s), STRUCTURE_TAG));
+            let col = if i < j {
+                world.recv(grid.rank_of(j, s), STRUCTURE_TAG)
+            } else {
+                Arc::clone(&row)
+            };
+            let mut counts = vec![0u32; row.ncols()];
+            for &k in row.indices() {
+                counts[k as usize] += 1;
+            }
+            // The received patterns are real resident bytes; the budget
             // verdict is only trustworthy if the pass that sizes the
             // batches charges its own working set too.
+            let patterns = row.heap_bytes() + if i < j { col.heap_bytes() } else { 0 };
             est_charge.set(
                 col_flops.len() * std::mem::size_of::<u64>()
-                    + a_col_nnz.len() * std::mem::size_of::<u32>()
-                    + b_pattern.heap_bytes(),
+                    + counts.len() * std::mem::size_of::<u32>()
+                    + patterns,
             );
-            stage_bytes.push(a_bytes + block_bytes::<U>(&b_pattern, false));
-            for (k, &ann) in a_col_nnz.iter().enumerate() {
-                if ann == 0 {
-                    continue;
-                }
-                for &j in b_pattern.row(k).0 {
-                    col_flops[j as usize] += ann as u64;
-                }
+            *bytes = block_bytes::<T>(&row, false) + block_bytes::<T>(&col, true);
+            for (c, flops) in col_flops.iter_mut().enumerate() {
+                let (ks, _) = col.row(c);
+                *flops += ks.iter().map(|&k| counts[k as usize] as u64).sum::<u64>();
             }
         }
         (col_flops, stage_bytes)
     }
 
-    /// ELBA's batched SpGEMM, the one production schedule: split the
-    /// *output* into column windows and run one pipelined, row-blocked
-    /// SUMMA round per window, pruning each window by `keep` as it
-    /// completes. Stage `s+1`'s broadcasts ride alongside stage `s`'s
-    /// multiply whenever the budget affords two stages of blocks.
+    /// ELBA's batched SpGEMM, the symmetric product's production
+    /// schedule: split the *output* into column windows and run one
+    /// pipelined, row-blocked SUMMA round per window, pruning each window
+    /// by `keep` as it completes. Stage `s+1`'s sends ride alongside
+    /// stage `s`'s multiply whenever the budget affords two stages of
+    /// blocks.
     ///
     /// Without a `budget` there is one window covering every local
     /// column, the row batch is the whole block, and the stage blocks
@@ -1096,7 +1279,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// communication beyond the stage fetch.
     ///
     /// Under a budget, window sizing uses the cheap estimate pass
-    /// ([`StageFetch::estimates`]) before any real multiply
+    /// ([`UpperAat::estimates`]) before any real multiply
     /// (see [`RoundPlan`]), so the live window accumulator plus the
     /// resident stage blocks stay under `budget` bytes per rank.
     /// Ranks size their own windows independently — the fetch ships full
@@ -1107,28 +1290,26 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// exactly as in ELBA's multi-round formulation. Every
     /// transient is charged against the rank's memory tracker, so a
     /// profiled run *shows* the bound holding instead of claiming it.
-    fn summa_column_batched<S, F>(
+    fn summa_column_batched<S>(
         &self,
-        grid: &ProcGrid,
-        fetch: &F,
         semiring: &S,
         budget: Option<u64>,
         threads: usize,
         keep: &mut impl FnMut(u64, u64, &S::Out) -> bool,
-    ) -> Csr<S::Out>
+    ) -> DistMat<S::Out>
     where
-        F: StageFetch<A = T>,
-        S: Semiring<A = T, B = F::B> + Sync,
+        S: Semiring<A = T, B = T> + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
+        let grid = self.grid;
         let world = grid.world();
-        let row_range = self.row_layout.block_range(grid.myrow());
-        let col_range = fetch.out_cols().block_range(grid.mycol());
+        let row_range = self.a.row_layout.block_range(grid.myrow());
+        let col_range = self.out_cols().block_range(grid.mycol());
         let (nrows, ncols) = (row_range.len(), col_range.len());
         let entry_bytes = (std::mem::size_of::<u32>() + std::mem::size_of::<S::Out>()) as u64;
-        let upper = fetch.upper();
-        let plan = budget
-            .map(|budget| RoundPlan::new(grid, fetch.estimates(), budget, nrows, entry_bytes));
+        let upper = self.upper();
+        let plan =
+            budget.map(|budget| RoundPlan::new(grid, self.estimates(), budget, nrows, entry_bytes));
         let (row_batch, prefetch) = match &plan {
             None => (nrows.max(1), true),
             Some(plan) => (plan.row_batch, plan.double_buffer),
@@ -1160,7 +1341,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             let mut acc_rows: Vec<(Vec<u32>, Vec<S::Out>)> =
                 (0..nrows).map(|_| (Vec::new(), Vec::new())).collect();
             let mut acc_entries = 0usize;
-            for (s, stage) in fetch.stages(prefetch).enumerate() {
+            for (s, stage) in self.stages(prefetch).enumerate() {
                 // A finished rank padding out the collective round has
                 // an empty window: the fetch must still run (every
                 // holder sends, every receiver drains), but the multiply
@@ -1236,307 +1417,18 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         }
         par.book(grid);
 
-        pack_rows_into_csr(
+        let local = pack_rows_into_csr(
             out_rows,
             ncols,
             out_entries,
             entry_bytes as usize,
             &mut out_charge,
-        )
-    }
-
-    /// Row-wise reduction into a [`DistVec`] aligned with the row layout:
-    /// `out[i] = fold over row i's entries`. Implemented as a local
-    /// reduction followed by a reduce-scatter over the grid-row
-    /// communicator (each rank ends up with its vector sub-chunk).
-    pub fn row_reduce<U>(
-        &self,
-        grid: &ProcGrid,
-        mut init: impl FnMut() -> U,
-        mut fold: impl FnMut(&mut U, u64, &T),
-        merge: impl Fn(U, U) -> U + Copy,
-    ) -> DistVec<U>
-    where
-        U: Clone + CommMsg + Sync,
-    {
-        let (_, c0) = self.local_offsets(grid);
-        let partial: Vec<U> = self.local.row_reduce(&mut init, |acc, c, v| {
-            fold(acc, (c as usize + c0) as u64, v)
-        });
-        // Slice the block-row partials into the q vector sub-chunks owned
-        // by this grid row and reduce-scatter them across the row comm.
-        let row_range = self.row_layout.block_range(grid.myrow());
-        let contributions: Vec<Vec<U>> = (0..grid.q())
-            .map(|j| {
-                let chunk = self.row_layout.chunk_range(grid.myrow(), j);
-                partial[(chunk.start - row_range.start)..(chunk.end - row_range.start)].to_vec()
-            })
-            .collect();
-        let reduced = grid.row().reduce_scatter_block(contributions, |a, b| {
-            a.into_iter().zip(b).map(|(x, y)| merge(x, y)).collect()
-        });
-        DistVec::from_local(grid, self.row_layout.len(), reduced)
-    }
-
-    /// Vertex degrees: row-wise nonzero count (the paper's "summation
-    /// reduction over the row dimension" producing the degree vector `d`).
-    /// Counts are `u32`, as column indices are: a row holds fewer than
-    /// 2³² entries.
-    pub fn row_degrees(&self, grid: &ProcGrid) -> DistVec<u32> {
-        self.row_reduce(grid, || 0u32, |acc, _, _| *acc += 1, |a, b| a + b)
-    }
-
-    /// Zero out every row **and** column whose mask entry is `true`
-    /// (ELBA's branch-vertex masking; requires a square matrix). The
-    /// matrix keeps its dimensions — "row 10 is still a row in the
-    /// matrix" — only its nonzeros change.
-    pub fn mask_rows_cols(self, grid: &ProcGrid, mask: &DistVec<bool>) -> DistMat<T> {
-        assert_eq!(
-            self.row_layout, self.col_layout,
-            "mask_rows_cols needs a square matrix"
         );
-        assert_eq!(mask.len(), self.nrows());
-        let (row_mask, col_mask) = mask.fetch_aligned(grid);
-        // Local indices are block-relative and the fetched masks cover
-        // exactly this block's row/column ranges, so direct indexing works.
-        let (row_layout, col_layout) = (self.row_layout, self.col_layout);
         DistMat {
-            row_layout,
-            col_layout,
-            local: Arc::new(
-                self.into_local()
-                    .retain(|r, c, _| !row_mask[r as usize] && !col_mask[c as usize]),
-            ),
+            row_layout: self.a.row_layout,
+            col_layout: self.out_cols(),
+            local: Arc::new(local),
         }
-    }
-}
-
-/// Where a SUMMA schedule's stage operands come from: the general
-/// product's row and column broadcasts ([`Broadcast`]) or the symmetric
-/// product's direct fetch ([`UpperAat`]). Every schedule runs over one.
-trait StageFetch {
-    type A: Clone + CommMsg + Sync;
-    type B: Clone + CommMsg + Sync;
-
-    /// Global column layout of the product.
-    fn out_cols(&self) -> Layout2D;
-
-    /// Global `(row, column)` offsets of this rank's output block when
-    /// only its strict upper triangle is wanted (see [`stage_batcher`]).
-    fn upper(&self) -> Option<(usize, usize)>;
-
-    /// Each stage's `(A, B)` operand pair in stage order, `None` at a
-    /// stage this rank multiplies nothing in. With `lookahead`, stage
-    /// `s+1` is posted before stage `s` is received, so the next
-    /// transfer rides alongside the caller's multiply and blocked time
-    /// books as wait; without it each stage is received blocking and
-    /// only one stage of remote blocks is ever resident. Collective:
-    /// every rank drives every stage.
-    fn stages(&self, lookahead: bool) -> impl Iterator<Item = Option<StagePair<Self::A, Self::B>>>;
-
-    /// The budgeted schedule's estimate pass: per local output column
-    /// the exact multiply-add count landing there, and per stage the
-    /// bytes of this rank's operand pair. Collective.
-    fn estimates(&self) -> (Vec<u64>, Vec<usize>);
-}
-
-/// One SUMMA stage's `(A, B)` operand blocks.
-type StagePair<A, B> = (Arc<Csr<A>>, Arc<Csr<B>>);
-
-/// The general product `a ⊗ b` ([`DistMat::stage_blocks`],
-/// [`DistMat::structure_estimates`]).
-struct Broadcast<'m, T, U> {
-    grid: &'m ProcGrid,
-    a: &'m DistMat<T>,
-    b: &'m DistMat<U>,
-}
-
-impl<T, U> StageFetch for Broadcast<'_, T, U>
-where
-    T: Clone + CommMsg + Sync,
-    U: Clone + CommMsg + Sync,
-{
-    type A = T;
-    type B = U;
-
-    fn out_cols(&self) -> Layout2D {
-        self.b.col_layout
-    }
-
-    fn upper(&self) -> Option<(usize, usize)> {
-        None
-    }
-
-    fn stages(&self, lookahead: bool) -> impl Iterator<Item = Option<StagePair<T, U>>> {
-        self.a.stage_blocks(self.grid, self.b, lookahead).map(Some)
-    }
-
-    fn estimates(&self) -> (Vec<u64>, Vec<usize>) {
-        self.a.structure_estimates(self.grid, self.b)
-    }
-}
-
-/// The symmetric product `a ⊗ aᵀ`, strict upper triangle
-/// ([`DistMat::spgemm_aat_upper_with`]): rank `(i, j)` multiplies
-/// `A(i, s) · A(j, s)ᵀ` at stage `s` when `i ≤ j`, and nothing below the
-/// diagonal. The holder of `A(m, s)` is rank `(m, s)`; it sends the
-/// block as stored to the row ranks `(m, j)`, `j ≥ m`, and its transpose
-/// to the column ranks `(i, m)`, `i < m` — never to itself. The
-/// diagonal rank `(m, m)` gets the block once and transposes it itself.
-struct UpperAat<'m, T> {
-    grid: &'m ProcGrid,
-    a: &'m DistMat<T>,
-}
-
-impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
-    /// Ranks owed the holder's stage-`s` block as stored and as
-    /// transposed (empty unless this rank holds `A(·, s)`).
-    fn destinations(&self, s: usize) -> (Vec<usize>, Vec<usize>) {
-        let (grid, m) = (self.grid, self.grid.myrow());
-        if grid.mycol() != s {
-            return (Vec::new(), Vec::new());
-        }
-        let rows = (m..grid.q())
-            .filter(|&j| j != s)
-            .map(|j| grid.rank_of(m, j))
-            .collect();
-        let cols = (0..m).map(|i| grid.rank_of(i, m)).collect();
-        (rows, cols)
-    }
-
-    /// Stage `s`'s sends. Returns the transposed copy when this rank is
-    /// the diagonal holder and keeps it as its own column operand; any
-    /// other copy lives only as long as its buffered sends, so it is
-    /// recorded as a transient, not held.
-    fn post(&self, s: usize) -> Option<Arc<Csr<T>>> {
-        let (world, local) = (self.grid.world(), &self.a.local);
-        let (rows, cols) = self.destinations(s);
-        for dst in rows {
-            world.send(dst, FETCH_TAG, Arc::clone(local));
-        }
-        let diagonal_holder = self.grid.mycol() == s && self.grid.is_diagonal();
-        if cols.is_empty() && !diagonal_holder {
-            return None;
-        }
-        let transposed = Arc::new(local.transposed());
-        for dst in cols {
-            world.send(dst, FETCH_TAG, Arc::clone(&transposed));
-        }
-        if diagonal_holder {
-            return Some(transposed);
-        }
-        world.record_mem_transient(transposed.heap_bytes());
-        None
-    }
-}
-
-impl<T: Clone + CommMsg + Sync> StageFetch for UpperAat<'_, T> {
-    type A = T;
-    type B = T;
-
-    fn out_cols(&self) -> Layout2D {
-        self.a.row_layout
-    }
-
-    fn upper(&self) -> Option<(usize, usize)> {
-        let layout = self.a.row_layout;
-        Some((
-            layout.block_range(self.grid.myrow()).start,
-            layout.block_range(self.grid.mycol()).start,
-        ))
-    }
-
-    fn stages(&self, lookahead: bool) -> impl Iterator<Item = Option<StagePair<T, T>>> {
-        let grid = self.grid;
-        let world = grid.world();
-        let (i, j) = (grid.myrow(), grid.mycol());
-        let receive = move |src: usize| -> Arc<Csr<T>> {
-            if lookahead {
-                world.irecv(src, FETCH_TAG).wait()
-            } else {
-                world.recv(src, FETCH_TAG)
-            }
-        };
-        // Sends are buffered, so prefetching stage s+1 is posting its
-        // sends before stage s is received.
-        let mut posted = if lookahead { self.post(0) } else { None };
-        (0..grid.q()).map(move |s| {
-            let kept = if lookahead {
-                let next = if s + 1 < grid.q() {
-                    self.post(s + 1)
-                } else {
-                    None
-                };
-                std::mem::replace(&mut posted, next)
-            } else {
-                self.post(s)
-            };
-            if i > j {
-                return None;
-            }
-            let row = if j == s {
-                Arc::clone(&self.a.local)
-            } else {
-                receive(grid.rank_of(i, s))
-            };
-            let col = if i < j {
-                receive(grid.rank_of(j, s))
-            } else {
-                kept.unwrap_or_else(|| Arc::new(row.transposed()))
-            };
-            Some((row, col))
-        })
-    }
-
-    /// Structure-only blocks ([`pattern`]) over the fetch's (block,
-    /// destination) pairs. A rank derives its row operand's per-column
-    /// counts and its column operand's rows from them, so no transpose
-    /// is built; `flops(c) = Σ_{k ∈ row c of A(j, s)} nnz_col(A(i, s), k)`.
-    fn estimates(&self) -> (Vec<u64>, Vec<usize>) {
-        let (grid, a) = (self.grid, self.a);
-        let world = grid.world();
-        let (i, j) = (grid.myrow(), grid.mycol());
-        let mut col_flops = vec![0u64; a.row_layout.block_range(j).len()];
-        let mut stage_bytes = vec![0usize; grid.q()];
-        let mut est_charge = world.mem_charge(0);
-        for (s, bytes) in stage_bytes.iter_mut().enumerate() {
-            let mine = (j == s).then(|| Arc::new(pattern(&a.local)));
-            if let Some(mine) = &mine {
-                let (rows, cols) = self.destinations(s);
-                for dst in rows.into_iter().chain(cols) {
-                    world.send(dst, STRUCTURE_TAG, Arc::clone(mine));
-                }
-            }
-            if i > j {
-                est_charge.set(mine.map_or(0, |mine| mine.heap_bytes()));
-                continue;
-            }
-            let row = mine.unwrap_or_else(|| world.recv(grid.rank_of(i, s), STRUCTURE_TAG));
-            let col = if i < j {
-                world.recv(grid.rank_of(j, s), STRUCTURE_TAG)
-            } else {
-                Arc::clone(&row)
-            };
-            let mut counts = vec![0u32; row.ncols()];
-            for &k in row.indices() {
-                counts[k as usize] += 1;
-            }
-            // The received patterns are real resident bytes; the budget
-            // verdict is only trustworthy if the pass that sizes the
-            // batches charges its own working set too.
-            let patterns = row.heap_bytes() + if i < j { col.heap_bytes() } else { 0 };
-            est_charge.set(
-                col_flops.len() * std::mem::size_of::<u64>()
-                    + counts.len() * std::mem::size_of::<u32>()
-                    + patterns,
-            );
-            *bytes = block_bytes::<T>(&row, false) + block_bytes::<T>(&col, true);
-            for (c, flops) in col_flops.iter_mut().enumerate() {
-                let (ks, _) = col.row(c);
-                *flops += ks.iter().map(|&k| counts[k as usize] as u64).sum::<u64>();
-            }
-        }
-        (col_flops, stage_bytes)
     }
 }
 
@@ -1656,7 +1548,7 @@ mod tests {
                 };
                 let a = DistMat::from_triples(&grid, n, k, mine_a, |_, _| unreachable!());
                 let b = DistMat::from_triples(&grid, k, m, mine_b, |_, _| unreachable!());
-                let c = a.spgemm_with(&grid, &b, &PlusTimes, &SpGemmOptions::default());
+                let c = a.spgemm_with(&grid, &b, &PlusTimes, 1);
                 let want = dense_from_triples(n, k, &a_triples)
                     .matmul(&dense_from_triples(k, m, &b_triples));
                 let got_triples = c.gather_triples(&grid);
@@ -1669,12 +1561,14 @@ mod tests {
 
     #[test]
     fn all_schedules_match_dense_reference() {
+        // The symmetric product under every schedule against the dense
+        // strict upper triangle of A·Aᵀ.
         for p in [1usize, 4, 9] {
             for opts in [
                 SpGemmOptions::eager(),
                 SpGemmOptions::pipelined(),
                 // Budgeted regimes: quarter-budget floor (one column per
-                // round), many rounds over blocking broadcasts, and one
+                // round), many rounds over blocking transfers, and one
                 // double-buffered round.
                 SpGemmOptions::column_batched(1),
                 SpGemmOptions::column_batched(400),
@@ -1683,25 +1577,23 @@ mod tests {
                 let ok = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
                     let grid = ProcGrid::new(comm);
                     let mut rng = StdRng::seed_from_u64(101 + p as u64);
-                    let (n, k, m) = (15, 12, 10);
+                    let (n, k) = (15, 12);
                     let a_triples = random_triples(&mut rng, n, k, 0.3);
-                    let b_triples = random_triples(&mut rng, k, m, 0.3);
                     let mine_a = if grid.world().rank() == 0 {
                         a_triples.clone()
                     } else {
                         Vec::new()
                     };
-                    let mine_b = if grid.world().rank() == 0 {
-                        b_triples.clone()
-                    } else {
-                        Vec::new()
-                    };
                     let a = DistMat::from_triples(&grid, n, k, mine_a, |_, _| unreachable!());
-                    let b = DistMat::from_triples(&grid, k, m, mine_b, |_, _| unreachable!());
-                    let c = a.spgemm_with(&grid, &b, &PlusTimes, &opts);
-                    let want = dense_from_triples(n, k, &a_triples)
-                        .matmul(&dense_from_triples(k, m, &b_triples));
-                    let got = dense_from_triples(n, m, &c.gather_triples(&grid));
+                    let c = a.spgemm_aat_upper_with(&grid, &PlusTimes, &opts, |_, _, _| true);
+                    let a_dense = dense_from_triples(n, k, &a_triples);
+                    let mut want = a_dense.matmul(&a_dense.transpose());
+                    for r in 0..n {
+                        for c in 0..=r {
+                            want.set(r, c, 0.0);
+                        }
+                    }
+                    let got = dense_from_triples(n, n, &c.gather_triples(&grid));
                     got == want
                 });
                 assert!(ok.iter().all(|&x| x), "p={p} opts={opts:?}");
@@ -1794,12 +1686,7 @@ mod tests {
             };
             let a = DistMat::from_triples(&grid, 3, 4, triples, |_, _| unreachable!());
             let at = a.transpose(&grid);
-            let c = a.spgemm_with(
-                &grid,
-                &at,
-                &Count::<u8, u8>::new(),
-                &SpGemmOptions::default(),
-            );
+            let c = a.spgemm_with(&grid, &at, &Count::<u8, u8>::new(), 1);
             let mut got = c.gather_triples(&grid);
             got.sort();
             got == vec![(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2), (2, 2, 1)]

@@ -1,13 +1,15 @@
 //! Shared by the distributed-SpGEMM property suites: the order-sensitive
 //! [`Trace`] semiring with its [`tagged`] inputs, and the schedule matrix
-//! every suite sweeps:
-//! the eager reference oracle, the unbudgeted production schedule, and
-//! one budgeted row per regime that schedule has — one round (a
-//! budget nothing can exhaust), many rounds (a small budget), the
-//! quarter-budget floor (`budget = 1`: single-column rounds, the worst
-//! case for a concatenation bug), and both sides of the
-//! `4·max_stage ≤ budget` switch between double-buffered `ibcast`
-//! rounds and blocking ones.
+//! every suite runs the symmetric product (`spgemm_aat_upper_with`) and
+//! the masked product (`prune_by_product`) under: the eager reference
+//! oracle, the unbudgeted production schedule, and one budgeted row per
+//! regime that schedule has — one round (a budget nothing can exhaust),
+//! many rounds (a small budget), the quarter-budget floor (`budget = 1`:
+//! single-column rounds, the worst case for a concatenation bug), and
+//! both sides of the `4·max_stage ≤ budget` switch between prefetched
+//! stages and blocking ones. The general product `spgemm_with` has one
+//! schedule, the eager oracle, and is what the suites hold the other two
+//! to.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -18,28 +20,43 @@ use elba_sparse::{DistMat, SpGemmOptions};
 /// Rows in [`schedule_rows`]; row 0 is the oracle.
 pub const N_ROWS: usize = 7;
 
-/// The largest A+B block pair any rank holds resident in one SUMMA stage
-/// of `a ⊗ b` — the `max_stage` the budgeted schedule's double-buffer
-/// switch tests against the budget. Collective.
-pub fn max_stage_bytes<T, U>(grid: &ProcGrid, a: &DistMat<T>, b: &DistMat<U>) -> u64
-where
-    T: Clone + CommMsg + Sync,
-    U: Clone + CommMsg + Sync,
-{
-    let sizes = grid
-        .world()
-        .allgather((a.heap_bytes() as u64, b.heap_bytes() as u64));
+/// The symmetric product's `max_stage` for `a ⊗ aᵀ`: the largest
+/// `A(i, s)` plus `A(j, s)ᵀ` block pair a rank on or above the diagonal
+/// (`i ≤ j`) multiplies in one stage — what its budgeted schedule's
+/// double-buffer switch tests against the budget. Collective.
+pub fn max_stage_bytes<T: Clone + CommMsg + Sync>(grid: &ProcGrid, a: &DistMat<T>) -> u64 {
+    let local = a.local();
+    let sizes = grid.world().allgather((
+        local.heap_bytes() as u64,
+        local.transposed().heap_bytes() as u64,
+    ));
     let q = grid.q();
     let mut max_stage = 0;
-    for (i, j, s) in (0..q).flat_map(|i| (0..q).flat_map(move |j| (0..q).map(move |s| (i, j, s)))) {
-        max_stage = max_stage.max(sizes[grid.rank_of(i, s)].0 + sizes[grid.rank_of(s, j)].1);
+    for (i, j, s) in (0..q).flat_map(|i| (i..q).flat_map(move |j| (0..q).map(move |s| (i, j, s)))) {
+        max_stage = max_stage.max(sizes[grid.rank_of(i, s)].0 + sizes[grid.rank_of(j, s)].1);
     }
     max_stage
 }
 
+/// The masked product's `max_stage` for `a ⊗ b`: the largest `A` block
+/// plus the largest `B` block, the bound its prefetch switch tests a
+/// budget against. Collective.
+pub fn masked_stage_bytes<A, B>(grid: &ProcGrid, a: &DistMat<A>, b: &DistMat<B>) -> u64
+where
+    A: Clone + CommMsg + Sync,
+    B: Clone + CommMsg + Sync,
+{
+    let (a_max, b_max) = grid
+        .world()
+        .allreduce((a.heap_bytes() as u64, b.heap_bytes() as u64), |x, y| {
+            (x.0.max(y.0), x.1.max(y.1))
+        });
+    a_max + b_max
+}
+
 /// The labelled schedule matrix for a product whose largest stage is
-/// `max_stage` bytes (see [`max_stage_bytes`]); `small` is the
-/// many-rounds budget.
+/// `max_stage` bytes (see [`max_stage_bytes`] and
+/// [`masked_stage_bytes`]); `small` is the many-rounds budget.
 pub fn schedule_rows(small: u64, max_stage: u64) -> Vec<(String, SpGemmOptions)> {
     let switch = 4 * max_stage;
     let mut rows = vec![

@@ -1,15 +1,16 @@
 //! The masked product under transitive reduction:
 //! `DistMat::prune_by_product` must see, at every stored entry of the
-//! mask, exactly what the general product `spgemm_with` holds there —
-//! the same value, built from the same products in the same order, or
-//! `None` where the product has no entry (a plain semiring drives it
-//! through `SemiringSlot`) — and must return exactly what
-//! `zip_prune` against that product returns. For every schedule row,
-//! rank count and thread count; the general product under the eager
-//! schedule is the oracle. On every rank the predicate must also run
+//! mask, exactly what the general product `spgemm_with` (the eager
+//! oracle, its one schedule) holds there — the same value, built from
+//! the same products in the same order, or `None` where the product has
+//! no entry (a plain semiring drives it through `SemiringSlot`) — and
+//! must return exactly what `zip_prune` against that product returns.
+//! For every schedule row, rank count and thread count, on rectangular
+//! `n×k · k×m` shapes. On every rank the predicate must also run
 //! exactly once per mask entry, in the block's storage order: the
 //! transitive reduction walks an array aligned with the mask's entries
-//! from inside it.
+//! from inside it. The masked product is the one that prefetches stage
+//! broadcasts (`ibcast`), and a budget alone decides whether it does.
 
 mod common;
 
@@ -18,7 +19,7 @@ use elba_sparse::semiring::{FnSemiring, PlusTimes, Semiring, SemiringSlot};
 use elba_sparse::{DistMat, SpGemmOptions};
 use proptest::prelude::*;
 
-use common::{schedule_rows, tagged, Trace, N_ROWS};
+use common::{masked_stage_bytes, schedule_rows, tagged, Trace, N_ROWS};
 
 type Triples<T> = Vec<(u64, u64, T)>;
 /// What a prune predicate was shown: `(row, col, mask value, product)`.
@@ -28,21 +29,6 @@ type Seen<V> = Vec<(u64, u64, u32, Option<V>)>;
 /// and a wrong mask value each change the pruned matrix.
 fn keeps<V>(mask_value: u32, product: Option<&V>) -> bool {
     product.is_some() != mask_value.is_multiple_of(3)
-}
-
-/// The bound the masked schedule's prefetch switch tests a budget
-/// against: the largest `A` block plus the largest `B` block.
-fn switch_bytes<A, B>(grid: &ProcGrid, a: &DistMat<A>, b: &DistMat<B>) -> u64
-where
-    A: Clone + CommMsg + Sync,
-    B: Clone + CommMsg + Sync,
-{
-    let (a_max, b_max) = grid
-        .world()
-        .allreduce((a.heap_bytes() as u64, b.heap_bytes() as u64), |x, y| {
-            (x.0.max(y.0), x.1.max(y.1))
-        });
-    a_max + b_max
 }
 
 /// Rank 0 contributes every triple; routing delivers them.
@@ -91,7 +77,7 @@ where
                 (seen, kept)
             };
             let mut out = Vec::new();
-            let full = a.spgemm_with(&grid, &b, &fold.0, &SpGemmOptions::eager());
+            let full = a.spgemm_with(&grid, &b, &fold.0, 1);
             let mut seen = Vec::new();
             let kept = mask.clone().zip_prune(&grid, &full, |r, c, &v, product| {
                 seen.push((r, c, v, product.cloned()));
@@ -101,7 +87,7 @@ where
             out.push(("oracle".to_owned(), seen, kept));
             let storage_order: Vec<(u64, u64)> =
                 mask.iter_global(&grid).map(|(r, c, _)| (r, c)).collect();
-            for (label, opts) in schedule_rows(96, switch_bytes(&grid, &a, &b)) {
+            for (label, opts) in schedule_rows(96, masked_stage_bytes(&grid, &a, &b)) {
                 for threads in [1usize, 2, 4] {
                     let opts = opts.with_threads(threads);
                     let mut seen = Vec::new();
@@ -234,5 +220,81 @@ fn empty_mask_empty_stage_blocks_and_a_hypersparse_block() {
             &tagged(n, n, &mask),
         );
         assert!(hit >= 15, "p={p}: {hit} of 15 path ends on the mask");
+    }
+}
+
+/// The budget, and nothing else, decides between prefetched `ibcast`
+/// stages and blocking `bcast` ones: at `budget = 4·(a_max + b_max)` the
+/// stage fetch is non-blocking, one byte below it is blocking, and
+/// either way it ships exactly the unbudgeted schedule's stage
+/// broadcasts, call for call and byte for byte. The one `allreduce` that
+/// agrees the verdict grid-wide (a `reduce` and a `bcast`) comes on top.
+#[test]
+fn budget_switches_the_stage_fetch_at_four_stages() {
+    for p in [4usize, 9] {
+        let (_, profile) = Runner::new(Backend::InProcess)
+            .ranks(p)
+            .run_profiled(move |comm| {
+                let grid = ProcGrid::new(comm);
+                let (n, k) = (21usize, 17usize);
+                let root = grid.world().rank() == 0;
+                let entries: Triples<f64> = (0..n)
+                    .flat_map(|r| {
+                        (0..5usize).map(move |i| {
+                            let c = (r * 11 + i * 3) % k;
+                            (r as u64, c as u64, 1.0 + ((r + i) % 4) as f64)
+                        })
+                    })
+                    .collect();
+                let a =
+                    DistMat::from_triples(&grid, n, k, mine(root, &entries), |acc, v| *acc += v);
+                let at = a.transpose(&grid);
+                let ring: Triples<u32> = (0..n)
+                    .flat_map(|r| [(r, (r + 1) % n), (r, (r + 5) % n)])
+                    .map(|(r, c)| (r as u64, c as u64, r as u32))
+                    .collect();
+                let mask =
+                    DistMat::from_triples(&grid, n, n, mine(root, &ring), |_, _| unreachable!());
+                let switch = 4 * masked_stage_bytes(&grid, &a, &at);
+                for (phase, opts) in [
+                    ("eager", SpGemmOptions::eager()),
+                    ("pipelined", SpGemmOptions::pipelined()),
+                    ("at-switch", SpGemmOptions::column_batched(switch)),
+                    ("below-switch", SpGemmOptions::column_batched(switch - 1)),
+                ] {
+                    let _guard = grid.world().phase(phase);
+                    let fold = SemiringSlot(PlusTimes);
+                    mask.prune_by_product(&grid, &a, &at, &fold, &opts, |_, _, _, _| true);
+                }
+            });
+        for rank in profile.rank_profiles() {
+            let calls = |phase: &str, op: &str| {
+                let phase = rank.phase(phase).expect("phase recorded");
+                phase
+                    .collectives
+                    .iter()
+                    .find(|&&(name, _, _)| name == op)
+                    .map_or((0, 0), |&(_, calls, bytes)| (calls, bytes))
+            };
+            let (r, default) = (rank.rank(), calls("pipelined", "ibcast"));
+            assert!(default.0 > 0, "p={p} rank {r}: the default posts ibcasts");
+            assert_eq!(calls("pipelined", "bcast"), (0, 0), "p={p} rank {r}");
+            // The oracle ships the same stage blocks, blocking.
+            assert_eq!(calls("eager", "bcast"), default, "p={p} rank {r}");
+            assert_eq!(calls("eager", "ibcast"), (0, 0), "p={p} rank {r}");
+            // At the switch: the default's stage fetch, plus the verdict's
+            // allreduce and nothing else.
+            assert_eq!(calls("at-switch", "ibcast"), default, "p={p} rank {r}");
+            let verdict = calls("at-switch", "bcast");
+            assert_eq!(verdict.0, 1, "p={p} rank {r}: one verdict allreduce");
+            assert_eq!(calls("at-switch", "reduce").0, 1, "p={p} rank {r}");
+            // Below it: the same stage fetch as blocking broadcasts.
+            assert_eq!(calls("below-switch", "ibcast"), (0, 0), "p={p} rank {r}");
+            assert_eq!(
+                calls("below-switch", "bcast"),
+                (default.0 + verdict.0, default.1 + verdict.1),
+                "p={p} rank {r}"
+            );
+        }
     }
 }

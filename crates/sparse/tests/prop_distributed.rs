@@ -6,7 +6,7 @@ use elba_comm::ProcGrid;
 use elba_comm::{Backend, Runner};
 use elba_sparse::dense::Dense;
 use elba_sparse::semiring::PlusTimes;
-use elba_sparse::{DistMat, DistVec, SpGemmOptions};
+use elba_sparse::{DistMat, DistVec};
 use proptest::prelude::*;
 
 fn dense_from(nrows: usize, ncols: usize, triples: &[(u64, u64, f64)]) -> Dense {
@@ -53,7 +53,7 @@ proptest! {
             let mine_b = if grid.world().rank() == 0 { bt.clone() } else { Vec::new() };
             let a = DistMat::from_triples(&grid, n, k, mine_a, |_, _| unreachable!());
             let b = DistMat::from_triples(&grid, k, m, mine_b, |_, _| unreachable!());
-            let c = a.spgemm_with(&grid, &b, &PlusTimes, &SpGemmOptions::default());
+            let c = a.spgemm_with(&grid, &b, &PlusTimes, 1);
             c.gather_triples(&grid)
         }).remove(0);
         // SUMMA may produce explicit zeros from cancellation; compare densely.

@@ -2,8 +2,8 @@
 //! threaded `SpGemmBatcher` multiply must be **byte-identical** to the
 //! single-threaded one — same structure, same values, same row order —
 //! for every thread count, window, and semiring, both at the local
-//! kernel level and through the distributed SUMMA schedules on the
-//! same 1×1 / 2×2 / 3×3 grids the schedule-equivalence props use.
+//! kernel level and through the two pipeline products (symmetric and
+//! masked) under every schedule row on 1×1 / 2×2 / 3×3 grids.
 //! Determinism is the contract that makes threading safe to land: if
 //! these fail, `--threads` would change assembled contigs.
 
@@ -11,11 +11,18 @@ mod common;
 
 use elba_comm::ProcGrid;
 use elba_comm::{Backend, Runner};
-use elba_sparse::semiring::{Count, MinPlus, PlusTimes, Semiring};
+use elba_sparse::semiring::{Count, MinPlus, PlusTimes, Semiring, SemiringSlot};
 use elba_sparse::{Csr, DistMat, SpGemmBatcher};
 use proptest::prelude::*;
 
-use common::{max_stage_bytes, schedule_rows, N_ROWS};
+use common::{masked_stage_bytes, max_stage_bytes, schedule_rows, N_ROWS};
+
+/// One product's gathered, sorted entries: `(row, col, value)` of the
+/// symmetric product, `(row, col, slot)` of each mask entry's fold.
+type Entries = Vec<(u64, u64, Option<f64>)>;
+/// Per rank, one phase's point-to-point `(msgs, bytes)` and its sorted
+/// `(collective, calls, bytes)` table.
+type Traffic = Vec<((u64, u64), Vec<(&'static str, u64, u64)>)>;
 
 /// Sparse triples from a proptest-generated entry list (dedup last-wins).
 fn to_triples(nrows: usize, ncols: usize, entries: &[(usize, usize, i8)]) -> Vec<(u64, u64, f64)> {
@@ -108,10 +115,11 @@ proptest! {
         );
     }
 
-    /// Distributed: every SUMMA schedule at `threads = 4` matches its
-    /// own serial run on 1×1 / 2×2 / 3×3 grids — and the per-rank
-    /// profiled wire bytes are identical too (threads never enter the
-    /// comm layer).
+    /// Distributed: the symmetric product `A·Aᵀ` and the masked product
+    /// `M⟨A·B⟩` under every schedule row at `threads = 4` match their own
+    /// serial runs on 1×1 / 2×2 / 3×3 grids — and the per-rank profiled
+    /// wire traffic, point-to-point and per collective op, is identical
+    /// too (threads never enter the comm layer).
     #[test]
     fn threaded_summa_matches_serial_across_grids(
         p_idx in 0usize..3,
@@ -120,56 +128,87 @@ proptest! {
         m in 1usize..24,
         a_entries in proptest::collection::vec((0usize..32, 0usize..32, -3i8..4), 0..80),
         b_entries in proptest::collection::vec((0usize..32, 0usize..32, -3i8..4), 0..80),
+        mask_entries in proptest::collection::vec((0usize..32, 0usize..32, 1i8..4), 0..80),
     ) {
         let p = [1usize, 4, 9][p_idx];
         let a_triples = to_triples(n, k, &a_entries);
         let b_triples = to_triples(k, m, &b_entries);
+        let mask_triples: Vec<(u64, u64, u32)> = to_triples(n, m, &mask_entries)
+            .into_iter()
+            .map(|(r, c, v)| (r, c, v as u32))
+            .collect();
         let mut runs = Vec::new();
         for threads in [1usize, 4] {
-            let (at, bt) = (a_triples.clone(), b_triples.clone());
+            let (at, bt, mt) = (a_triples.clone(), b_triples.clone(), mask_triples.clone());
             let (out, profile) = Runner::new(Backend::InProcess).ranks(p).run_profiled(move |comm| {
                 let grid = ProcGrid::new(comm);
-                let mine_a = if grid.world().rank() == 0 { at.clone() } else { Vec::new() };
-                let mine_b = if grid.world().rank() == 0 { bt.clone() } else { Vec::new() };
-                let a = DistMat::from_triples(&grid, n, k, mine_a, |_, _| unreachable!());
-                let b = DistMat::from_triples(&grid, k, m, mine_b, |_, _| unreachable!());
-                // One profiled phase per schedule row, named by its label.
-                schedule_rows(512, max_stage_bytes(&grid, &a, &b))
-                    .into_iter()
-                    .map(|(label, base)| {
-                        let c = {
-                            let _g = grid.world().phase(&label);
-                            a.spgemm_with(&grid, &b, &PlusTimes, &base.with_threads(threads))
-                        };
-                        let mut got = c.gather_triples(&grid);
-                        got.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
-                        (label, got)
-                    })
-                    .collect::<Vec<_>>()
+                let root = grid.world().rank() == 0;
+                let mine = |t: &Vec<(u64, u64, f64)>| if root { t.clone() } else { Vec::new() };
+                let a = DistMat::from_triples(&grid, n, k, mine(&at), |_, _| unreachable!());
+                let b = DistMat::from_triples(&grid, k, m, mine(&bt), |_, _| unreachable!());
+                let mask_mine = if root { mt.clone() } else { Vec::new() };
+                let mask = DistMat::from_triples(&grid, n, m, mask_mine, |_, _| unreachable!());
+                let gathered = |mut got: Entries| {
+                    got = grid.world().allgather(got).into_iter().flatten().collect();
+                    got.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
+                    got
+                };
+                // One profiled phase per product and schedule row, named
+                // by both.
+                let mut rows = Vec::new();
+                for (label, base) in schedule_rows(512, max_stage_bytes(&grid, &a)) {
+                    let label = format!("symmetric {label}");
+                    let c = {
+                        let _g = grid.world().phase(&label);
+                        let opts = base.with_threads(threads);
+                        a.spgemm_aat_upper_with(&grid, &PlusTimes, &opts, |_, _, _| true)
+                    };
+                    let local = c.iter_global(&grid).map(|(r, c, &v)| (r, c, Some(v))).collect();
+                    rows.push((label, gathered(local)));
+                }
+                for (label, base) in schedule_rows(512, masked_stage_bytes(&grid, &a, &b)) {
+                    let label = format!("masked {label}");
+                    let mut seen = Vec::new();
+                    {
+                        let _g = grid.world().phase(&label);
+                        let opts = base.with_threads(threads);
+                        let fold = SemiringSlot(PlusTimes);
+                        mask.prune_by_product(&grid, &a, &b, &fold, &opts, |r, c, _, &slot| {
+                            seen.push((r, c, slot));
+                            slot.is_some()
+                        });
+                    }
+                    rows.push((label, gathered(seen)));
+                }
+                rows
             });
-            // Wire bytes are part of the contract: per-rank, per-op.
-            let rows: Vec<_> = out
+            // Wire traffic is part of the contract: per-rank, per-op.
+            let rows: Vec<(String, Entries, Traffic)> = out
                 .into_iter()
                 .next()
                 .expect("rank 0")
                 .into_iter()
                 .map(|(label, got)| {
-                    let mut rank_bytes: Vec<Vec<(&'static str, u64, u64)>> = profile
+                    let traffic = profile
                         .rank_profiles()
                         .iter()
-                        .map(|r| r.phase(&label).map(|ph| ph.collectives.clone()).unwrap_or_default())
+                        .map(|r| {
+                            let phase = r.phase(&label).expect("phase recorded");
+                            let mut collectives = phase.collectives.clone();
+                            collectives.sort();
+                            ((phase.p2p_msgs, phase.p2p_bytes), collectives)
+                        })
                         .collect();
-                    rank_bytes.iter_mut().for_each(|v| v.sort());
-                    (label, got, rank_bytes)
+                    (label, got, traffic)
                 })
                 .collect();
             runs.push(rows);
         }
-        prop_assert_eq!(runs[0].len(), N_ROWS);
+        prop_assert_eq!(runs[0].len(), 2 * N_ROWS);
         for (serial, threaded) in runs[0].iter().zip(&runs[1]) {
             let label = &serial.0;
-            prop_assert_eq!(&serial.1, &threaded.1, "{}: threaded SUMMA output must match serial", label);
-            prop_assert_eq!(&serial.2, &threaded.2, "{}: threads must not change profiled wire bytes", label);
+            prop_assert_eq!(&serial.1, &threaded.1, "{}: threaded output must match serial", label);
+            prop_assert_eq!(&serial.2, &threaded.2, "{}: threads must not change profiled wire traffic", label);
         }
     }
 }

@@ -1,9 +1,11 @@
 //! The symmetric product of overlap detection:
-//! `DistMat::spgemm_aat_upper_with` must equal the general multiply
-//! against an explicit transpose, pruned to `r < c`, value for value — under
-//! an order-sensitive semiring add, for every schedule, rank count and
-//! thread count — and must ship each block only to the ranks that
-//! multiply with it, byte for byte. `DistMat::transpose`, which the
+//! `DistMat::spgemm_aat_upper_with` must equal the general product (its
+//! one schedule, the eager oracle) against an explicit transpose, pruned
+//! to `r < c`, value for value and entry for entry, explicit zeros
+//! included — under an order-sensitive semiring add, `PlusTimes` over
+//! signed values that cancel, and `MinPlus`; for every schedule row, rank
+//! count and thread count — and must ship each block only to the ranks
+//! that multiply with it, byte for byte. `DistMat::transpose`, which the
 //! oracle and `symmetrize` use, must equal a gather-triples oracle — in
 //! process and through the socket wire codec — while shipping bytes
 //! proportional to a block's entries, not its dimension.
@@ -12,24 +14,32 @@ mod common;
 
 use elba_comm::{Backend, Runner};
 use elba_comm::{CommMsg, ProcGrid};
+use elba_sparse::semiring::{MinPlus, PlusTimes, Semiring};
 use elba_sparse::{Csr, DistMat, SpGemmOptions};
 use proptest::prelude::*;
 
 use common::{max_stage_bytes, schedule_rows, tagged, Trace, N_ROWS};
 
-type Product = Vec<(u64, u64, Vec<(u32, u32)>)>;
+/// A gathered product's sorted `(row, col, value)` entries.
+type Entries<V> = Vec<(u64, u64, V)>;
 
-/// Every gathered, sorted product of one `p`-rank run, labelled: for
-/// each row of [`schedule_rows`] (oracle first) × threads {1, 2}, the
-/// general multiply against an explicit transpose pruned to `r < c`
-/// and then the symmetric entry point.
-fn products(
+/// Every gathered, sorted product of one `p`-rank run, labelled: the
+/// oracle — the general product against an explicit transpose, pruned to
+/// `r < c && keep(v)` — and then the symmetric entry point under each row
+/// of [`schedule_rows`] × threads {1, 2}.
+fn products<S>(
     p: usize,
     n: usize,
     k: usize,
-    triples: &[(u64, u64, u32)],
-    min_len: usize,
-) -> Vec<(String, Product)> {
+    triples: &[(u64, u64, S::A)],
+    semiring: S,
+    keep: impl Fn(&S::Out) -> bool + Copy + Send + Sync + 'static,
+) -> Vec<(String, Entries<S::Out>)>
+where
+    S: Semiring<B = <S as Semiring>::A> + Send + Sync + 'static,
+    S::A: Clone + CommMsg + Sync,
+    S::Out: Clone + CommMsg + PartialOrd + Sync,
+{
     let t = triples.to_vec();
     Runner::new(Backend::InProcess)
         .ranks(p)
@@ -41,29 +51,42 @@ fn products(
                 Vec::new()
             };
             let a = DistMat::from_triples(&grid, n, k, mine, |_, _| unreachable!());
-            let at = a.transpose(&grid);
-            let mut out = Vec::new();
+            let gathered = |c: DistMat<S::Out>| {
+                let mut got = c.gather_triples(&grid);
+                got.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
+                got
+            };
+            let oracle = a
+                .spgemm_with(&grid, &a.transpose(&grid), &semiring, 1)
+                .prune(&grid, |r, c, v| r < c && keep(v));
+            let mut out = vec![("oracle".to_owned(), gathered(oracle))];
             // A small budget of a few entries: many narrow column
             // windows, so the diagonal floor and the window start trade
             // places.
-            for (label, opts) in schedule_rows(96, max_stage_bytes(&grid, &a, &at)) {
+            for (label, opts) in schedule_rows(96, max_stage_bytes(&grid, &a)) {
                 for threads in [1usize, 2] {
                     let opts = opts.with_threads(threads);
-                    let general = a
-                        .spgemm_with(&grid, &at, &Trace, &opts)
-                        .prune(&grid, |r, c, v| r < c && v.len() >= min_len);
-                    let upper =
-                        a.spgemm_aat_upper_with(&grid, &Trace, &opts, |_, _, v| v.len() >= min_len);
-                    for (path, c) in [("general", general), ("upper", upper)] {
-                        let mut got = c.gather_triples(&grid);
-                        got.sort();
-                        out.push((format!("{path} {label} t={threads}"), got));
-                    }
+                    let upper = a.spgemm_aat_upper_with(&grid, &semiring, &opts, |_, _, v| keep(v));
+                    out.push((format!("{label} t={threads}"), gathered(upper)));
                 }
             }
             out
         })
         .remove(0)
+}
+
+/// Every row must equal the oracle (the first row).
+fn assert_all_equal_oracle<V: PartialEq + std::fmt::Debug>(
+    p: usize,
+    rows: &[(String, Entries<V>)],
+) {
+    let (oracle, want) = &rows[0];
+    assert_eq!(oracle, "oracle");
+    assert!(want.iter().all(|&(r, c, _)| r < c));
+    assert_eq!(rows.len(), 1 + N_ROWS * 2);
+    for (label, got) in &rows[1..] {
+        assert_eq!(got, want, "{label} p={p}");
+    }
 }
 
 proptest! {
@@ -83,17 +106,20 @@ proptest! {
         // and several column-only destinations.
         let p = [1usize, 4, 9, 16][p_idx];
         let triples = tagged(n, k, &entries);
-        let rows = products(p, n, k, &triples, min_len);
-        // The oracle: the general multiply under the eager schedule.
-        let (oracle, want) = &rows[0];
-        prop_assert_eq!(oracle.as_str(), "general eager t=1");
-        prop_assert!(want.iter().all(|&(r, c, _)| r < c));
-        prop_assert_eq!(rows.len(), N_ROWS * 2 * 2);
-        // Neither the symmetric entry point nor the general path may
-        // differ from it under any schedule or thread count.
-        for (label, got) in &rows[1..] {
-            prop_assert_eq!(got, want, "{} p={}", label, p);
-        }
+        // The order-sensitive add, pruned by the entry's path count.
+        let keep = move |v: &Vec<(u32, u32)>| v.len() >= min_len;
+        assert_all_equal_oracle(p, &products(p, n, k, &triples, Trace, keep));
+        // Signed values whose products cancel: explicit zeros must be
+        // kept by every schedule, as the oracle keeps them.
+        let signed: Vec<(u64, u64, f64)> = triples
+            .iter()
+            .map(|&(r, c, tag)| (r, c, (tag % 5) as f64 - 2.0))
+            .collect();
+        assert_all_equal_oracle(p, &products(p, n, k, &signed, PlusTimes, |_| true));
+        // A non-arithmetic semiring (shortest two-hop paths).
+        let weights: Vec<(u64, u64, u64)> =
+            triples.iter().map(|&(r, c, tag)| (r, c, 1 + (tag % 9) as u64)).collect();
+        assert_all_equal_oracle(p, &products(p, n, k, &weights, MinPlus, |_| true));
     }
 }
 

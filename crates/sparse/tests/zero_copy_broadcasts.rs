@@ -1,11 +1,14 @@
 //! Proof that the SUMMA stage transfers are zero-copy: a value type
 //! that counts its `Clone` calls flows through every distributed
-//! schedule, and the count must not move during the multiply — stage
+//! product, and the count must not move during the multiply — stage
 //! panels travel as `Arc` clones of the owners' resident blocks (no
 //! root-side pack, no per-child deep copy), and the local kernels build
-//! outputs from references. The symmetric product's direct fetch ships
-//! `Arc`s too; the only values it clones are the ones its holders and
-//! diagonal ranks transpose.
+//! outputs from references. That covers the general product's blocking
+//! broadcasts (its one schedule) and the masked product under every
+//! schedule row, the one path that prefetches broadcasts with `ibcast`.
+//! The symmetric product's direct fetch ships `Arc`s too; the only
+//! values it clones are the ones its holders and diagonal ranks
+//! transpose.
 
 mod common;
 
@@ -13,10 +16,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use elba_comm::{Backend, Comm, Runner};
 use elba_comm::{CommMsg, ProcGrid};
-use elba_sparse::semiring::Semiring;
+use elba_sparse::semiring::{Semiring, SemiringSlot};
 use elba_sparse::{DistMat, SpGemmAlgorithm};
 
-use common::{max_stage_bytes, schedule_rows, N_ROWS};
+use common::{masked_stage_bytes, max_stage_bytes, schedule_rows, N_ROWS};
 
 /// Total `Tick::clone` calls across all rank threads.
 static CLONES: AtomicUsize = AtomicUsize::new(0);
@@ -66,18 +69,46 @@ impl Semiring for TickPlusTimes {
     }
 }
 
-/// One schedule-matrix row's product on one rank: (label, clones
-/// observed during the multiply, checksum of the local block).
+/// One product on one rank: (label, clones observed during the
+/// multiply, checksum of what it computed on this rank).
 type Row = (String, usize, u64);
 
-/// Every row of the schedule matrix in one SPMD run, each product in its
-/// own profile phase: per row the general product and then the symmetric
-/// one (flagged when budgeted), plus the values this rank's symmetric
-/// fetch transposes per round.
-fn schedule_matrix(comm: Comm) -> (Vec<Row>, Vec<(Row, bool)>, usize) {
+/// What one rank saw in one SPMD run, each product in its own profile
+/// phase.
+struct Seen {
+    /// The general product (its one schedule, the eager oracle).
+    general: Row,
+    /// The masked product per schedule row; its checksum sums the slots
+    /// on this rank's mask block.
+    masked: Vec<Row>,
+    /// The general product's entries summed over this rank's mask
+    /// block: what every masked row must have folded there.
+    on_mask: u64,
+    /// The symmetric product per schedule row, flagged when budgeted.
+    upper: Vec<(Row, bool)>,
+    /// The values this rank's symmetric fetch transposes per round.
+    transposed: usize,
+}
+
+/// Run `product` in its own profile phase between two barriers; returns
+/// its result and the `Tick` clones observed meanwhile.
+fn counted<R>(grid: &ProcGrid, phase: &str, product: impl FnOnce() -> R) -> (R, usize) {
+    let _phase = grid.world().phase(phase);
+    grid.world().barrier();
+    let before = CLONES.load(Ordering::SeqCst);
+    let out = product();
+    grid.world().barrier();
+    (out, CLONES.load(Ordering::SeqCst) - before)
+}
+
+/// Every product in one SPMD run: the general one, then the masked and
+/// the symmetric one under every row of the schedule matrix, plus the
+/// values this rank's symmetric fetch transposes per round.
+fn schedule_matrix(comm: Comm) -> Seen {
     let grid = ProcGrid::new(comm);
     let (n, k) = (30usize, 24usize);
-    let triples: Vec<(u64, u64, Tick)> = if grid.world().rank() == 0 {
+    let root = grid.world().rank() == 0;
+    let triples: Vec<(u64, u64, Tick)> = if root {
         (0..n)
             .flat_map(|r| {
                 (0..4).map(move |i| {
@@ -96,34 +127,55 @@ fn schedule_matrix(comm: Comm) -> (Vec<Row>, Vec<(Row, bool)>, usize) {
     // Building Aᵀ clones values (the transpose exchange owns copies);
     // the claim under test starts at the multiply.
     let at = a.transpose(&grid);
-    let mut general = Vec::new();
+    let ring: Vec<(u64, u64, u32)> = if root {
+        (0..n as u64)
+            .flat_map(|r| [0, 1, 7].map(|d| (r, (r + d) % n as u64, r as u32)))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let mask = DistMat::from_triples(&grid, n, n, ring, |_, _| unreachable!());
+    // Sizing the symmetric switch transposes blocks (cloning values), so
+    // it runs before any counted window.
+    let masked_rows = schedule_rows(4 << 10, masked_stage_bytes(&grid, &a, &at));
+    let upper_rows = schedule_rows(4 << 10, max_stage_bytes(&grid, &a));
+    let checksum = |c: &DistMat<Tick>| c.local().values().iter().map(|t| t.0).sum::<u64>();
+
+    let (c, cloned) = counted(&grid, "general", || {
+        a.spgemm_with(&grid, &at, &TickPlusTimes, 1)
+    });
+    let general = ("general".to_owned(), cloned, checksum(&c));
+    let mut on_mask = 0;
+    mask.clone().zip_prune(&grid, &c, |_, _, _, product| {
+        on_mask += product.map_or(0, |t| t.0);
+        true
+    });
+
+    let mut masked = Vec::new();
+    for (label, opts) in masked_rows {
+        let mut sum = 0;
+        let (_, cloned) = counted(&grid, &format!("{label} masked"), || {
+            let fold = SemiringSlot(TickPlusTimes);
+            mask.prune_by_product(&grid, &a, &at, &fold, &opts, |_, _, _, slot| {
+                sum += slot.as_ref().map_or(0, |t| t.0);
+                true
+            })
+        });
+        masked.push((label, cloned, sum));
+    }
+
     let mut upper = Vec::new();
-    for (label, opts) in schedule_rows(4 << 10, max_stage_bytes(&grid, &a, &at)) {
-        for symmetric in [false, true] {
-            let _phase = grid.world().phase(&format!("{label} {symmetric}"));
-            grid.world().barrier();
-            let before = CLONES.load(Ordering::SeqCst);
-            let c = if symmetric {
-                a.spgemm_aat_upper_with(&grid, &TickPlusTimes, &opts, |_, _, _| true)
-            } else {
-                a.spgemm_with(&grid, &at, &TickPlusTimes, &opts)
-            };
-            grid.world().barrier();
-            let after = CLONES.load(Ordering::SeqCst);
-            let checksum: u64 = c.local().values().iter().map(|t| t.0).sum();
-            let row = (label.clone(), after - before, checksum);
-            if symmetric {
-                let budgeted = matches!(
-                    opts.algorithm,
-                    SpGemmAlgorithm::Pipelined {
-                        mem_budget: Some(_)
-                    }
-                );
-                upper.push((row, budgeted));
-            } else {
-                general.push(row);
+    for (label, opts) in upper_rows {
+        let (c, cloned) = counted(&grid, &format!("{label} symmetric"), || {
+            a.spgemm_aat_upper_with(&grid, &TickPlusTimes, &opts, |_, _, _| true)
+        });
+        let budgeted = matches!(
+            opts.algorithm,
+            SpGemmAlgorithm::Pipelined {
+                mem_budget: Some(_)
             }
-        }
+        );
+        upper.push(((label, cloned, checksum(&c)), budgeted));
     }
     // A holder transposes its block when it has column destinations or
     // is on the diagonal, and a diagonal rank transposes every row
@@ -139,7 +191,13 @@ fn schedule_matrix(comm: Comm) -> (Vec<Row>, Vec<(Row, bool)>, usize) {
         .filter(|&s| i == j && s != i)
         .map(|s| nnz[grid.rank_of(i, s)])
         .sum();
-    (general, upper, holder + received)
+    Seen {
+        general,
+        masked,
+        on_mask,
+        upper,
+        transposed: holder + received,
+    }
 }
 
 /// One test on purpose: `CLONES` is process-global, so a second test
@@ -151,31 +209,36 @@ fn summa_schedules_deep_copy_no_payloads_and_agree() {
         let (per_rank, profile) = Runner::new(Backend::InProcess)
             .ranks(p)
             .run_profiled(schedule_matrix);
-        let mut sums = Vec::new();
+        let cloned: usize = per_rank.iter().map(|rank| rank.general.1).sum();
+        assert_eq!(cloned, 0, "p={p} general: {cloned} payload deep-copies");
+        let total: u64 = per_rank.iter().map(|rank| rank.general.2).sum();
+        assert!(total > 0, "p={p}: general product must be non-trivial");
+
+        // The masked product: no clone under any schedule row, and every
+        // row folds the general product's entries on the mask.
+        let on_mask: u64 = per_rank.iter().map(|rank| rank.on_mask).sum();
+        assert!(on_mask > 0, "p={p}: the product must reach the mask");
+        assert_eq!(per_rank[0].masked.len(), N_ROWS);
         for row in 0..N_ROWS {
-            let label = &per_rank[0].0[row].0;
-            let cloned: usize = per_rank.iter().map(|rank| rank.0[row].1).sum();
+            let label = &per_rank[0].masked[row].0;
+            let cloned: usize = per_rank.iter().map(|rank| rank.masked[row].1).sum();
             assert_eq!(
                 cloned, 0,
-                "p={p} {label}: {cloned} payload deep-copies during the multiply"
+                "p={p} masked {label}: {cloned} payload deep-copies during the multiply"
             );
-            let total: u64 = per_rank.iter().map(|rank| rank.0[row].2).sum();
-            assert!(total > 0, "p={p} {label}: product must be non-trivial");
-            sums.push(total);
+            let total: u64 = per_rank.iter().map(|rank| rank.masked[row].2).sum();
+            assert_eq!(total, on_mask, "p={p} masked {label}");
         }
-        // The no-clone semiring computes the same product under every
-        // schedule.
-        assert!(sums.windows(2).all(|w| w[0] == w[1]), "p={p}: {sums:?}");
 
         // The symmetric product: its fetch ships `Arc`s too, so the only
         // clones are its transposes, once per round.
         let q = (p as f64).sqrt() as usize;
         let transfers = q * q * q - q * (q + 1) / 2;
-        let per_round: usize = per_rank.iter().map(|rank| rank.2).sum();
+        let per_round: usize = per_rank.iter().map(|rank| rank.transposed).sum();
         let mut sums = Vec::new();
         for row in 0..N_ROWS {
-            let ((label, _, _), budgeted) = &per_rank[0].1[row];
-            let phase = format!("{label} true");
+            let ((label, _, _), budgeted) = &per_rank[0].upper[row];
+            let phase = format!("{label} symmetric");
             let sends: u64 = profile
                 .rank_profiles()
                 .iter()
@@ -189,7 +252,7 @@ fn summa_schedules_deep_copy_no_payloads_and_agree() {
             // any rank clones, so the largest difference is the run's.
             let cloned = per_rank
                 .iter()
-                .map(|rank| rank.1[row].0 .1)
+                .map(|rank| rank.upper[row].0 .1)
                 .max()
                 .expect("ranks");
             assert_eq!(
@@ -197,7 +260,12 @@ fn summa_schedules_deep_copy_no_payloads_and_agree() {
                 rounds * per_round,
                 "p={p} symmetric {label}: clones beyond the fetch's transposes"
             );
-            sums.push(per_rank.iter().map(|rank| rank.1[row].0 .2).sum::<u64>());
+            sums.push(
+                per_rank
+                    .iter()
+                    .map(|rank| rank.upper[row].0 .2)
+                    .sum::<u64>(),
+            );
         }
         assert!(sums[0] > 0, "p={p}: symmetric product must be non-trivial");
         assert!(sums.windows(2).all(|w| w[0] == w[1]), "p={p}: {sums:?}");

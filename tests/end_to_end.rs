@@ -390,10 +390,31 @@ fn pipeline_profile_contains_paper_phases() {
 /// | 3 (1,1) | A(1,1)ᵀ (2 843, 38 430) | 318 833 | 792 050 |
 ///
 /// Rank 2 sits below the diagonal: it multiplies nothing and only sends
-/// its block, as stored to (1,1) and transposed to (0,1). Every other
-/// wire check compares two live runs (transports, thread counts,
-/// budgets), so a reordered record stream that moved both sides would
-/// pass them; this one compares against fixed numbers.
+/// its block, as stored to (1,1) and transposed to (0,1).
+///
+/// The budgeted input is the same run under `MemBudget::bytes(256 <<
+/// 10)`. Its derived k-mer window is the 1 024-k-mer floor, so CountKmer
+/// and the column queries do not move; DetectOverlap runs the column-
+/// batched SUMMA under a 128 KiB SpGEMM budget. That is three column
+/// rounds, each the direct sends above again, after one estimate pass
+/// that ships each block's pattern (17 B of shape and form tag,
+/// `4·(rows + 1)` B of offsets and 4 B per entry, no values) to the same
+/// destinations as stored. On top come five 8-byte `allreduce`s (the
+/// double-buffer verdict and four round-count checks, the last of which
+/// ends the loop): 10 calls on every rank, and 8 B per tree send — 16 B
+/// from rank 0, which sends the `bcast` to two children, 16 B from rank
+/// 2 (a `reduce` send and a `bcast` send), 8 B from ranks 1 and 3.
+///
+/// | rank | pattern sends | 3 rounds | allreduce bytes | (msgs, bytes) |
+/// |---|---:|---:|---:|---:|
+/// | 0 | 186 869 | 3 × 373 517 | 80 | (234 + 3 + 10, 2 279 992) |
+/// | 1 | 186 789 | 3 × 373 357 | 40 | (235 + 3 + 10, 2 389 038) |
+/// | 2 | 2 × 153 573 | 3 × 625 038 | 80 | (236 + 6 + 10, 3 143 136) |
+/// | 3 | 153 937 | 3 × 318 833 | 40 | (235 + 3 + 10, 1 902 526) |
+///
+/// Every other wire check compares two live runs (transports, thread
+/// counts, budgets), so a reordered record stream that moved both sides
+/// would pass them; this one compares against fixed numbers.
 #[test]
 fn kmer_stage_wire_traffic_matches_golden_constants() {
     // (msgs, bytes) per rank.
@@ -405,33 +426,56 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
         (236, 1585834),
         (235, 1110883),
     ];
+    const DETECT_OVERLAP_BUDGETED: [(u64, u64); 4] = [
+        (247, 2279992),
+        (248, 2389038),
+        (252, 3143136),
+        (248, 1902526),
+    ];
     let spec = DatasetSpec::celegans_like(0.05, 1919);
     let (_genome, reads) = reads_of(&spec);
     let mut cfg = PipelineConfig::for_dataset(&spec);
     // Small enough that every rank runs dozens of windows: where the
     // window boundaries fall is part of what is pinned.
     cfg.kmer.batch_kmers = 1 << 10;
-    let (_, profile) = Runner::new(Backend::InProcess)
-        .ranks(4)
-        .run_profiled(move |comm| {
-            let grid = ProcGrid::new(comm);
-            assemble(&grid, &reads, &cfg)
-        });
-    let traffic = |name: &str| -> Vec<(u64, u64)> {
-        profile
-            .rank_profiles()
-            .iter()
-            .map(|rank| {
-                let phase = rank.phase(name).expect("phase recorded");
-                (phase.p2p_msgs + phase.coll_calls(), phase.bytes_sent())
-            })
-            .collect()
+    let budgeted = cfg.clone().with_mem_budget(MemBudget::bytes(256 << 10));
+    // Per rank, one phase's (msgs, bytes) of one run.
+    let traffic = |cfg: PipelineConfig| {
+        let reads = reads.clone();
+        let (_, profile) = Runner::new(Backend::InProcess)
+            .ranks(4)
+            .run_profiled(move |comm| {
+                let grid = ProcGrid::new(comm);
+                assemble(&grid, &reads, &cfg)
+            });
+        move |name: &str| -> Vec<(u64, u64)> {
+            profile
+                .rank_profiles()
+                .iter()
+                .map(|rank| {
+                    let phase = rank.phase(name).expect("phase recorded");
+                    (phase.p2p_msgs + phase.coll_calls(), phase.bytes_sent())
+                })
+                .collect()
+        }
     };
-    assert_eq!(traffic("CountKmer"), COUNT_KMER, "CountKmer (msgs, bytes)");
+    let plain = traffic(cfg);
+    assert_eq!(plain("CountKmer"), COUNT_KMER, "CountKmer (msgs, bytes)");
     assert_eq!(
-        traffic("DetectOverlap"),
+        plain("DetectOverlap"),
         DETECT_OVERLAP,
         "DetectOverlap (msgs, bytes)"
+    );
+    let budgeted = traffic(budgeted);
+    assert_eq!(
+        budgeted("CountKmer"),
+        COUNT_KMER,
+        "budgeted CountKmer (msgs, bytes)"
+    );
+    assert_eq!(
+        budgeted("DetectOverlap"),
+        DETECT_OVERLAP_BUDGETED,
+        "budgeted DetectOverlap (msgs, bytes)"
     );
 }
 
