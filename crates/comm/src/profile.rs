@@ -45,14 +45,14 @@ pub struct PhaseProfile {
     /// with computation this bucket shrinks toward zero while the same
     /// bytes still flow.
     pub wait_secs: f64,
-    /// Wall seconds the rank spent inside intra-rank *threaded* local
-    /// kernels (the SpGEMM stage multiply, the x-drop alignment batch,
-    /// the k-mer scan running on `elba-par` workers). A subset of the
-    /// phase's wall time — the rank thread blocks while its workers run
-    /// — recorded only when a kernel actually ran with > 1 thread, so
-    /// serial profiles are unchanged and the threading win is readable
-    /// as `par-s` shrinking while bytes stay identical. Workers never
-    /// enter the comm layer; only the owning rank thread records.
+    /// Wall seconds the rank spent inside `elba-par` maps that ran on
+    /// two or more workers (the SpGEMM stage multiply, the masked
+    /// product, the x-drop alignment batch, the k-mer scan, contig
+    /// materialization). A subset of the phase's wall time — the rank
+    /// thread blocks while its workers run. A map on one worker books
+    /// nothing, so serial profiles read 0 and the threading win is
+    /// readable as `par-s` shrinking while bytes stay identical. Workers
+    /// never enter the comm layer; only the owning rank thread records.
     pub par_secs: f64,
     /// Point-to-point messages sent.
     pub p2p_msgs: u64,

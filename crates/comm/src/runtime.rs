@@ -336,14 +336,16 @@ impl Comm {
         decode_payload(envelope, self.rank, src, tag)
     }
 
-    /// Book wall seconds this rank spent inside an intra-rank *threaded*
-    /// local kernel (`elba-par` workers). Call sites record only when a
-    /// kernel genuinely ran with more than one worker, so serial runs
-    /// keep bit-identical profiles; the workers themselves never touch
-    /// the comm layer — the owning rank thread records on their behalf
-    /// after they joined.
+    /// Book wall seconds this rank spent inside intra-rank *threaded*
+    /// local kernels — what `elba_par::take_par_secs` returns after a
+    /// stage's maps. Zero books nothing (no phase record is created), so
+    /// serial runs keep identical profiles; the workers themselves never
+    /// touch the comm layer — the owning rank thread records on their
+    /// behalf after they joined.
     pub fn record_par_time(&self, secs: f64) {
-        lock_profile(&self.profile).record_par_time(secs);
+        if secs > 0.0 {
+            lock_profile(&self.profile).record_par_time(secs);
+        }
     }
 
     /// Book one call of the collective with opcode `code` (see [`op`]):

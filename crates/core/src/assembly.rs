@@ -77,9 +77,9 @@ pub struct Contig {
 /// Local assembly options.
 #[derive(Debug, Clone, Default)]
 pub struct AssemblyConfig {
-    /// Worker threads for the contig materialization pass (`0` or `1` is
-    /// serial). Contigs are byte-identical for every value; this changes
-    /// wall time only.
+    /// Worker threads for the contig materialization pass (`0` means
+    /// one, like `1`). Contigs are byte-identical for every value; this
+    /// changes wall time only.
     pub threads: usize,
 }
 

@@ -183,6 +183,7 @@ pub fn contig_generation(
     let contigs = {
         let _g = world.phase("ExtractContig:LocalAssembly");
         let (contigs, astats) = local_assembly(&local_graph, &local_store, &cfg.assembly);
+        world.record_par_time(elba_par::take_par_secs());
         let summed = world.allreduce(
             vec![
                 astats.contigs as u64,

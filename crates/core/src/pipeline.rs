@@ -124,11 +124,12 @@ impl PipelineConfig {
     /// Run every intra-rank threaded kernel — the local multiply of each
     /// SUMMA stage (overlap detection *and* transitive reduction), the
     /// x-drop alignment batch, the k-mer scan, and the contig-stage
-    /// sequence materialization — on `threads` workers per rank (`0` or
-    /// `1` is the historical serial behavior, the CLI default); there is
-    /// no other way to set threads. Assembled contigs — and profiled
-    /// wire bytes — are identical for every value: threading changes
-    /// wall time and resident scratch only.
+    /// sequence materialization — on `threads` workers per rank (`0`
+    /// means one, like `1`, the CLI default); there is no other way to
+    /// set threads. The count sizes each kernel's worker set and never
+    /// picks a code path. Assembled contigs — and profiled wire bytes —
+    /// are identical for every value: threading changes wall time,
+    /// resident scratch and the `par-s` column only.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.kmer.threads = threads;
         self.overlap.threads = threads;

@@ -19,8 +19,8 @@ pub mod reduction;
 pub mod semirings;
 
 pub use overlap_stage::{
-    align_and_classify, align_pair, align_pair_with, candidate_matrix, overlap_graph, AlignScratch,
-    AlignStats, OverlapConfig, SeedChaining,
+    align_and_classify, align_pair, candidate_matrix, overlap_graph, AlignStats, OverlapConfig,
+    SeedChaining,
 };
 pub use reduction::{symmetrize, transitive_reduction_with, ReductionStats};
 pub use semirings::{

@@ -40,11 +40,11 @@ pub struct OverlapConfig {
     /// SUMMA, whose column windows a memory budget sizes (one window
     /// without one).
     pub spgemm: SpGemmOptions,
-    /// Intra-rank worker threads for the x-drop alignment batch (`0` or
-    /// `1` is the historical serial sweep). Each worker owns one
-    /// [`AlignScratch`], pairs are claimed by index, and results are
-    /// consumed in pair order, so the output is identical across thread
-    /// counts; workers never enter the comm layer.
+    /// Intra-rank workers for the x-drop alignment batch (`0` means one,
+    /// like `1`). Each worker owns one alignment scratch, pairs are
+    /// claimed by index, and results are consumed in pair order, so the
+    /// output is identical across thread counts; workers never enter the
+    /// comm layer.
     pub threads: usize,
     /// Which retained seeds get x-drop extended per candidate pair (the
     /// CLI's `--seed-chaining`).
@@ -75,7 +75,7 @@ impl Default for OverlapConfig {
     }
 }
 
-/// Seed-selection policy of [`align_pair_with`]: how many of a
+/// Seed-selection policy of [`align_pair`]: how many of a
 /// candidate pair's retained seeds are x-drop extended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SeedChaining {
@@ -115,19 +115,6 @@ pub struct AlignStats {
 }
 
 impl AlignStats {
-    fn merge(self, other: AlignStats) -> AlignStats {
-        AlignStats {
-            candidate_pairs: self.candidate_pairs + other.candidate_pairs,
-            aligned_pairs: self.aligned_pairs + other.aligned_pairs,
-            dovetails: self.dovetails + other.dovetails,
-            contained: self.contained + other.contained,
-            internal: self.internal + other.internal,
-            rejected: self.rejected + other.rejected,
-            seeds_skipped: self.seeds_skipped + other.seeds_skipped,
-            chains_extended: self.chains_extended + other.chains_extended,
-        }
-    }
-
     pub fn allreduce(self, grid: &ProcGrid) -> AlignStats {
         let v = vec![
             self.candidate_pairs,
@@ -182,7 +169,7 @@ pub fn candidate_matrix(
 /// its allocation is paid once per worker, and never filled at all for
 /// pairs whose reverse-strand seeds are rejected before extension.
 #[derive(Debug, Default)]
-pub struct AlignScratch {
+struct AlignScratch {
     ws: XdropWorkspace,
     v_rc: Vec<u8>,
 }
@@ -190,12 +177,12 @@ pub struct AlignScratch {
 impl AlignScratch {
     /// Heap bytes held (workspace buffers + rc staging), for the same
     /// scratch-honesty accounting as [`XdropWorkspace::heap_bytes`].
-    pub fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> usize {
         self.ws.heap_bytes() + self.v_rc.len()
     }
 }
 
-/// Per-pair seed bookkeeping from [`align_pair_with`], merged into
+/// Per-pair seed bookkeeping from [`align_pair_counted`], merged into
 /// [`AlignStats`] by the stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PairCounts {
@@ -218,7 +205,7 @@ struct OrientedSeed {
 
 impl OrientedSeed {
     /// Orient one retained seed; `None` if the anchor does not fit in
-    /// either read (the historical sweep skipped those silently).
+    /// either read (the sweep skips those silently).
     fn place(seed: &Seed, k: usize, ulen: usize, vlen: usize) -> Option<OrientedSeed> {
         let u_pos = seed.pos_v as usize;
         let w_pos = if seed.same_strand {
@@ -266,33 +253,22 @@ fn chain_rejects(dg_lo: i64, dg_hi: i64, ulen: usize, wlen: usize, cfg: &Overlap
         && w_span < wl - 2 * cfg.fuzz as i64
 }
 
-/// One-shot [`align_pair_with`]: allocates a throwaway scratch.
+/// X-drop align one candidate pair from its retained seeds; returns the
+/// best-scoring overlap alignment. Seed selection follows
+/// [`OverlapConfig::chaining`]. Allocates a throwaway scratch; the
+/// alignment stage sweeps one scratch per worker over every pair.
 pub fn align_pair(
     u_codes: &[u8],
     v_codes: &[u8],
     seeds: &SharedSeeds,
     cfg: &OverlapConfig,
 ) -> Option<OverlapAln> {
-    align_pair_with(&mut AlignScratch::default(), u_codes, v_codes, seeds, cfg)
+    align_pair_counted(&mut AlignScratch::default(), u_codes, v_codes, seeds, cfg).0
 }
 
-/// X-drop align one candidate pair from its retained seeds; returns the
-/// best-scoring overlap alignment. The scratch's antidiagonal and rc
-/// buffers are reused across seed extensions (and across calls — the
-/// alignment stage sweeps one scratch per worker over every candidate
-/// pair). Seed selection follows [`OverlapConfig::chaining`].
-pub fn align_pair_with(
-    scratch: &mut AlignScratch,
-    u_codes: &[u8],
-    v_codes: &[u8],
-    seeds: &SharedSeeds,
-    cfg: &OverlapConfig,
-) -> Option<OverlapAln> {
-    align_pair_counted(scratch, u_codes, v_codes, seeds, cfg).0
-}
-
-/// [`align_pair_with`] plus the per-pair chain/skip counters the stage
-/// folds into [`AlignStats`].
+/// [`align_pair`] on a reused scratch — its antidiagonal and rc buffers
+/// serve every seed extension of every pair a worker aligns — plus the
+/// per-pair chain/skip counters the stage folds into [`AlignStats`].
 fn align_pair_counted(
     scratch: &mut AlignScratch,
     u_codes: &[u8],
@@ -396,8 +372,7 @@ fn align_pair_counted(
 }
 
 /// Classification bookkeeping for one aligned (or rejected) candidate
-/// pair — shared by the serial sweep and the batched threaded sweep, so
-/// both consume alignments in pair order through identical logic.
+/// pair, consumed in pair order.
 fn classify_candidate(
     i: u64,
     j: u64,
@@ -438,47 +413,28 @@ fn classify_candidate(
     }
 }
 
-/// Candidate pairs aligned per worker per batch in the threaded sweep:
-/// enough work per scoped spawn to amortize it (alignments are
-/// µs-to-ms each), small enough that the batch buffers stay a bounded
-/// sliver (~100 B per pair) instead of materializing every candidate.
+/// Candidate pairs aligned per worker per batch: enough work per scoped
+/// spawn to amortize it (alignments are µs-to-ms each), small enough
+/// that the batch buffers stay a bounded sliver (~100 B per pair)
+/// instead of materializing every candidate.
 const ALIGN_PAIRS_PER_WORKER_BATCH: usize = 256;
 
 /// Smallest batch worth fanning out to threads: below this the scoped
 /// spawn/join cycle costs more than the alignments it parallelizes, so
-/// the batch runs serially on worker 0 (mirrors `MIN_PAR_ROWS` in the
+/// the batch runs on worker 0 alone (mirrors `MIN_PAR_ROWS` in the
 /// SpGEMM batcher). Keeps rank×thread oversubscription on small hosts
 /// from turning trailing slivers into a regression.
 const MIN_PAR_CANDIDATES: usize = 8;
 
-/// Align one batch of candidate pairs on up to `scratches.len()`
-/// workers (self-scheduled, results in pair order). Returns the
-/// per-pair outcomes plus whether the batch genuinely fanned out —
-/// batches smaller than [`MIN_PAR_CANDIDATES`] stay serial.
-fn align_candidates<R: Send, F: Fn(usize, &mut AlignScratch) -> R + Sync>(
-    n_pairs: usize,
-    scratches: &mut [AlignScratch],
-    f: F,
-) -> (Vec<R>, bool) {
-    let workers = if n_pairs < MIN_PAR_CANDIDATES {
-        1
-    } else {
-        scratches.len().min(n_pairs)
-    };
-    let out = elba_par::run_indexed_with(n_pairs, &mut scratches[..workers], f);
-    (out, workers > 1)
-}
-
 /// Align and classify every local candidate (collective because of the
 /// sequence fetch). Returns the dovetail edge triples (both directions),
-/// the contained-read mask, and global statistics. The alignment batch
-/// runs on [`OverlapConfig::threads`] intra-rank workers — candidates
-/// stream through bounded batches, one [`AlignScratch`] per worker,
-/// with classification consuming each batch's alignments in pair order
-/// — so results are identical across thread counts while resident
-/// buffering stays O(batch), not O(candidates). With one thread this is
-/// exactly the historical streaming sweep (one workspace, no batch
-/// buffers). Workers never enter the comm layer.
+/// the contained-read mask, and global statistics. Candidates stream
+/// through bounded batches aligned on [`OverlapConfig::threads`]
+/// intra-rank workers, one alignment scratch per worker, with
+/// classification consuming each batch's alignments in pair order — so
+/// results are identical across thread counts while resident buffering
+/// stays O(batch), not O(candidates). Workers never enter the comm
+/// layer.
 pub fn align_and_classify(
     grid: &ProcGrid,
     c: &DistMat<SharedSeeds>,
@@ -489,81 +445,56 @@ pub fn align_and_classify(
     let mut triples: Vec<(u64, u64, SgEdge)> = Vec::new();
     let mut contained_ids: Vec<(usize, bool)> = Vec::new();
     let mut stats = AlignStats::default();
-    let threads = cfg.threads;
-    if threads <= 1 {
-        // Historical serial sweep: one scratch, one pair resident.
-        let mut scratch = AlignScratch::default();
-        for (i, j, seeds) in c.iter_global(grid) {
-            let u_codes = seqs
-                .get(i)
-                .unwrap_or_else(|| panic!("read {i} not fetched"));
-            let v_codes = seqs
-                .get(j)
-                .unwrap_or_else(|| panic!("read {j} not fetched"));
-            let aln = align_pair_counted(&mut scratch, u_codes, v_codes, seeds, cfg);
-            classify_candidate(i, j, aln, cfg, &mut triples, &mut contained_ids, &mut stats);
+    let threads = cfg.threads.max(1);
+    let mut scratches: Vec<AlignScratch> = (0..threads).map(|_| AlignScratch::default()).collect();
+    let mut candidates = c.iter_global(grid);
+    let batch_pairs = threads * ALIGN_PAIRS_PER_WORKER_BATCH;
+    let mut batch: Vec<(u64, u64, &SharedSeeds)> = Vec::with_capacity(batch_pairs);
+    let mut peak_batch = 0usize;
+    loop {
+        batch.clear();
+        batch.extend(candidates.by_ref().take(batch_pairs));
+        if batch.is_empty() {
+            break;
         }
-    } else {
-        let mut scratches: Vec<AlignScratch> =
-            (0..threads).map(|_| AlignScratch::default()).collect();
-        let mut candidates = c.iter_global(grid);
-        let batch_pairs = threads * ALIGN_PAIRS_PER_WORKER_BATCH;
-        let mut batch: Vec<(u64, u64, &SharedSeeds)> = Vec::with_capacity(batch_pairs);
-        let mut par_secs = 0.0f64;
-        let mut peak_batch = 0usize;
-        loop {
-            batch.clear();
-            batch.extend(candidates.by_ref().take(batch_pairs));
-            if batch.is_empty() {
-                break;
-            }
-            peak_batch = peak_batch.max(batch.len());
-            let started = std::time::Instant::now();
-            let batch_ref = &batch;
-            let seqs_ref = &seqs;
-            let (alns, fanned_out) = align_candidates(batch.len(), &mut scratches, |p, scratch| {
-                let (i, j, seeds) = batch_ref[p];
-                let u_codes = seqs_ref
+        peak_batch = peak_batch.max(batch.len());
+        let workers = if batch.len() < MIN_PAR_CANDIDATES {
+            1
+        } else {
+            threads
+        };
+        let alns =
+            elba_par::run_indexed_with(batch.len(), &mut scratches[..workers], |p, scratch| {
+                let (i, j, seeds) = batch[p];
+                let u_codes = seqs
                     .get(i)
                     .unwrap_or_else(|| panic!("read {i} not fetched"));
-                let v_codes = seqs_ref
+                let v_codes = seqs
                     .get(j)
                     .unwrap_or_else(|| panic!("read {j} not fetched"));
                 align_pair_counted(scratch, u_codes, v_codes, seeds, cfg)
             });
-            // `par-s` means "genuinely ran on > 1 worker": a trailing
-            // sub-floor batch runs serial and books nothing.
-            if fanned_out {
-                par_secs += started.elapsed().as_secs_f64();
-            }
-            for (&(i, j, _), aln) in batch.iter().zip(alns) {
-                classify_candidate(i, j, aln, cfg, &mut triples, &mut contained_ids, &mut stats);
-            }
+        for (&(i, j, _), aln) in batch.iter().zip(alns) {
+            classify_candidate(i, j, aln, cfg, &mut triples, &mut contained_ids, &mut stats);
         }
-        if par_secs > 0.0 {
-            // Worker wall time books to this rank's active phase by
-            // construction (the rank blocks on each batch); the
-            // dedicated bucket makes the threaded span visible.
-            grid.world().record_par_time(par_secs);
-        }
-        // Scratch beyond the serial baseline: extra worker scratches
-        // (worker 0's is the one the serial sweep has always owned
-        // uncharged — same convention as `SpGemmBatcher::scratch_bytes`)
-        // plus the batch pair/alignment buffers the serial sweep
-        // doesn't hold.
-        let scratch: usize = scratches
-            .iter()
-            .skip(1)
-            .map(AlignScratch::heap_bytes)
-            .sum::<usize>()
-            + peak_batch
-                * (std::mem::size_of::<(u64, u64, &SharedSeeds)>()
-                    + std::mem::size_of::<(Option<OverlapAln>, PairCounts)>());
-        grid.world().record_mem_transient(scratch);
     }
+    let world = grid.world();
+    world.record_par_time(elba_par::take_par_secs());
+    // Scratch beyond worker 0's alignment scratch (uncharged, the
+    // `SpGemmBatcher::scratch_bytes` convention): the other workers'
+    // scratches plus the batch's pair and alignment buffers.
+    let scratch: usize = scratches
+        .iter()
+        .skip(1)
+        .map(AlignScratch::heap_bytes)
+        .sum::<usize>()
+        + peak_batch
+            * (std::mem::size_of::<(u64, u64, &SharedSeeds)>()
+                + std::mem::size_of::<(Option<OverlapAln>, PairCounts)>());
+    world.record_mem_transient(scratch);
     let mut contained = DistVec::from_fn(grid, store.n_global(), |_| false);
     contained.scatter_combine(grid, contained_ids, |acc, v| *acc |= v);
-    let stats = AlignStats::default().merge(stats).allreduce(grid);
+    let stats = stats.allreduce(grid);
     (triples, contained, stats)
 }
 

@@ -12,8 +12,8 @@
 //! 1. **Determinism.** Every entry point returns results in *task
 //!    order*, regardless of which worker computed what and when. Callers
 //!    (the local SpGEMM multiply, the x-drop alignment batch, the k-mer
-//!    scan) merge those results in fixed order, so output bytes are
-//!    identical across thread counts.
+//!    scan, contig materialization) merge those results in fixed order,
+//!    so output bytes are identical across thread counts.
 //! 2. **No daemon threads.** Workers are spawned inside
 //!    [`std::thread::scope`] per call and joined before it returns: a
 //!    rank that parallelizes a kernel is *blocked* for the kernel's
@@ -21,20 +21,43 @@
 //!    profiling phase automatically, and workers can never outlive a
 //!    kernel and race a communication call. Threads never touch the comm
 //!    layer — only the rank thread posts or receives.
-//! 3. **Caller participates.** Worker 0 is the calling thread itself;
-//!    `threads = 1` spawns nothing and runs the exact serial code path.
+//! 3. **Caller participates.** Worker 0 is the calling thread itself; a
+//!    thread count sizes the worker set and never picks a code path —
+//!    with one worker the same map runs as a plain loop, spawning
+//!    nothing.
 //!
 //! Scheduling is chunked self-scheduling (each idle worker atomically
 //! claims the next unclaimed task — stealing from a shared queue head),
 //! which load-balances irregular tasks (sparse rows, alignment pairs)
 //! without per-task channels or a persistent pool.
 //!
+//! **`par-s`.** [`scope_with`] adds its spawn→join wall time to a total
+//! kept per calling thread (the rank thread, since worker 0 is the
+//! caller), but only when it ran two or more workers. A stage drains it
+//! with [`take_par_secs`] and books it to its profile phase, so the
+//! `par-s` column counts exactly the kernels that fanned out and a
+//! serial run books nothing.
+//!
 //! There is no process-wide thread setting: every threaded kernel reads
 //! the worker count from its own config (what
-//! `PipelineConfig::with_threads` sets), and `0` or `1` means serial.
+//! `PipelineConfig::with_threads` sets), and `0` or `1` means one worker.
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
+
+thread_local! {
+    /// Wall seconds of this thread's [`scope_with`] calls that ran two
+    /// or more workers, since the last [`take_par_secs`].
+    static PAR_SECS: Cell<f64> = const { Cell::new(0.0) };
+}
+
+/// The wall seconds this thread spent in fanned-out [`scope_with`]
+/// calls since the last call, and reset the total to zero.
+pub fn take_par_secs() -> f64 {
+    PAR_SECS.with(|secs| secs.replace(0.0))
+}
 
 /// Run `f(worker_index, &mut states[worker_index])` once per worker, one
 /// worker per element of `states`, and return the results in worker
@@ -43,6 +66,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// self-scheduling maps are built on; use it directly when each worker
 /// needs its own long-lived scratch (an SpGEMM sparse accumulator, an
 /// x-drop workspace).
+///
+/// A call with two or more workers adds its wall time to the calling
+/// thread's [`take_par_secs`] total.
 ///
 /// A panic on any worker propagates to the caller after all workers are
 /// joined (no detached threads, no lost panics).
@@ -57,9 +83,10 @@ where
         0 => Vec::new(),
         1 => vec![f(0, &mut states[0])],
         _ => {
+            let started = Instant::now();
             let mut iter = states.iter_mut();
             let mine = iter.next().expect("n >= 2");
-            std::thread::scope(|scope| {
+            let results = std::thread::scope(|scope| {
                 let handles: Vec<_> = iter
                     .enumerate()
                     .map(|(i, state)| {
@@ -77,7 +104,9 @@ where
                     );
                 }
                 results
-            })
+            });
+            PAR_SECS.with(|secs| secs.set(secs.get() + started.elapsed().as_secs_f64()));
+            results
         }
     }
 }
@@ -157,25 +186,6 @@ pub fn chunk_ranges(range: Range<usize>, chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Parallel map over contiguous chunks of a slice: `items` is split
-/// into roughly `threads × OVERDECOMPOSE` chunks of at least
-/// `min_chunk` items, each chunk is mapped by `f(chunk_start, chunk)`
-/// on a self-scheduled worker, and the per-chunk results come back **in
-/// chunk order** — concatenating them reproduces the serial sweep
-/// exactly.
-pub fn par_chunks<T, R, F>(items: &[T], threads: usize, min_chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    let ranges = overdecomposed_ranges(0..items.len(), threads, min_chunk);
-    run_indexed(ranges.len(), threads, |ci| {
-        let r = ranges[ci].clone();
-        f(r.start, &items[r])
-    })
-}
-
 /// Chunk ranges for a self-scheduled sweep: over-decompose by
 /// [`OVERDECOMPOSE`]× the worker count (so stragglers re-balance) while
 /// keeping every chunk at least `min_chunk` long (so tiny tasks don't
@@ -213,6 +223,18 @@ mod tests {
     }
 
     #[test]
+    fn only_a_fanned_out_scope_books_par_secs() {
+        take_par_secs();
+        let sleep = |_: usize, _: &mut ()| std::thread::sleep(std::time::Duration::from_millis(2));
+        scope_with(&mut [()], sleep);
+        run_indexed(1, 4, |_| ());
+        assert_eq!(take_par_secs(), 0.0, "one worker is not threaded time");
+        scope_with(&mut [(), ()], sleep);
+        assert!(take_par_secs() >= 0.002);
+        assert_eq!(take_par_secs(), 0.0, "taking resets the total");
+    }
+
+    #[test]
     fn run_indexed_preserves_task_order() {
         for threads in [1usize, 2, 3, 8] {
             let out = run_indexed(37, threads, |i| i * i);
@@ -247,20 +269,6 @@ mod tests {
                 expect_start = r.end;
             }
             assert_eq!(covered, len);
-        }
-    }
-
-    #[test]
-    fn par_chunks_concatenation_matches_serial() {
-        let items: Vec<u32> = (0..1000).collect();
-        let serial: u64 = items.iter().map(|&x| x as u64).sum();
-        for threads in [1usize, 2, 4] {
-            let partials = par_chunks(&items, threads, 16, |start, chunk| {
-                (start, chunk.iter().map(|&x| x as u64).sum::<u64>())
-            });
-            // Chunk order is ascending start offsets.
-            assert!(partials.windows(2).all(|w| w[0].0 < w[1].0));
-            assert_eq!(partials.iter().map(|&(_, s)| s).sum::<u64>(), serial);
         }
     }
 

@@ -347,7 +347,7 @@ pub fn count_kmers_with_stats(
             }
         }
     }
-    book_scan(world, cfg.threads, &scan_stats);
+    book_scan(world, &scan_stats);
     world.record_mem_transient(stats.peak_outgoing_bytes.max(stats.peak_inbound_bytes));
     // Reliable band filter.
     let mut reliable: Vec<u64> = owned
@@ -444,7 +444,7 @@ pub fn build_a_triples_with_stats(
         stats.peak_answer_items = stats.peak_answer_items.max(answered);
         window.emit(&answers, &offsets, &mut triples);
     }
-    book_scan(world, cfg.threads, &scan_stats);
+    book_scan(world, &scan_stats);
     world.record_mem_transient(stats.peak_bytes());
     // Reads come in order; a read's k-mers come in position order.
     for run in triples.chunk_by_mut(|a, b| a.0 == b.0) {
@@ -621,24 +621,20 @@ fn partial_counts(window: &mut [u64], p: usize) -> Vec<Vec<(u64, u32)>> {
 }
 
 /// Side-band accounting for one [`occurrence_scan`]: the peak hit count
-/// a threaded scan's read group buffered and the wall seconds its
-/// parallel refills took. Interior-mutable because the scan is consumed
-/// as an iterator; the owning exchange function books both to the
-/// profile afterwards ([`book_scan`]).
+/// a threaded scan's read group buffered. Interior-mutable because the
+/// scan is consumed as an iterator; the owning exchange function books
+/// it to the profile afterwards ([`book_scan`]).
 #[derive(Debug, Default)]
 struct ScanStats {
     peak_items: std::cell::Cell<usize>,
-    par_secs: std::cell::Cell<f64>,
 }
 
-/// Book a finished scan's accounting: threaded-refill wall time to the
-/// profile's par bucket, the group hit buffer as a transient spike. A
-/// serial scan buffers nothing and books nothing.
-fn book_scan(world: &Comm, threads: usize, stats: &ScanStats) {
-    if threads > 1 {
-        world.record_par_time(stats.par_secs.get());
-        world.record_mem_transient(stats.peak_items.get() * std::mem::size_of::<(u64, KmerHit)>());
-    }
+/// Book a finished scan's accounting: the fanned-out refills' wall time
+/// to the profile's par bucket, the group hit buffer as a transient
+/// spike. An in-place scan buffers nothing and books nothing.
+fn book_scan(world: &Comm, stats: &ScanStats) {
+    world.record_par_time(elba_par::take_par_secs());
+    world.record_mem_transient(stats.peak_items.get() * std::mem::size_of::<(u64, KmerHit)>());
 }
 
 /// Flat scan of every canonical k-mer occurrence in the local store, in
@@ -717,19 +713,11 @@ impl OccurrenceScan<'_> {
         let group = &self.reads[self.next..group_end];
         self.next = group_end;
         let k = self.k;
-        let started = std::time::Instant::now();
         let per_read: Vec<Vec<(u64, KmerHit)>> =
             elba_par::run_indexed(group.len(), self.threads, |gi| {
                 let (read_id, codes) = group[gi];
                 KmerScan::new(codes, k).map(|hit| (read_id, hit)).collect()
             });
-        // `par-s` gate: a trailing single-read group runs the serial
-        // path inside `run_indexed` and books nothing.
-        if group.len() > 1 {
-            self.stats
-                .par_secs
-                .set(self.stats.par_secs.get() + started.elapsed().as_secs_f64());
-        }
         let items = per_read.iter().map(Vec::len).sum();
         self.stats
             .peak_items

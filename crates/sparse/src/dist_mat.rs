@@ -200,11 +200,8 @@ impl RoundPlan {
 /// each produced row, and re-size `charge` to `acc_entries ×
 /// entry_bytes + resident` (plus the per-worker SPA scratch) after
 /// every row batch so the tracker sees the true working set. Returns
-/// the updated accumulated-entry count plus the wall seconds spent in
-/// multiplies that genuinely fanned out to > 1 worker (the `par-s`
-/// contribution — the serial per-row merge on the rank thread is
-/// deliberately *not* counted, mirroring the eager oracle, which times
-/// only the multiply). The inner loop of the SUMMA schedule.
+/// the updated accumulated-entry count. The inner loop of the SUMMA
+/// schedule.
 #[allow(clippy::too_many_arguments)]
 fn merge_stage_rows<S>(
     a_block: &Csr<S::A>,
@@ -219,7 +216,7 @@ fn merge_stage_rows<S>(
     entry_bytes: usize,
     resident: usize,
     charge: &mut MemCharge,
-) -> (usize, f64)
+) -> usize
 where
     S: Semiring + Sync,
     S::A: Sync,
@@ -227,15 +224,10 @@ where
 {
     let nrows = acc_rows.len();
     let mut batcher = stage_batcher(a_block, b_block, semiring, threads, Some(upper));
-    let mut par_secs = 0.0f64;
     let mut start = 0;
     while start < nrows {
         let end = (start + row_batch).min(nrows);
-        let multiply_started = std::time::Instant::now();
         let batch = batcher.multiply_rows_par(start..end, window.clone());
-        if batcher.last_run_parallel() {
-            par_secs += multiply_started.elapsed().as_secs_f64();
-        }
         let (batch_indptr, batch_indices, batch_values) = batch.into_parts();
         let mut batch_vals = batch_values.into_iter();
         for (in_batch, row) in (start..end).enumerate() {
@@ -253,7 +245,7 @@ where
         start = end;
     }
     charge.set(acc_entries * entry_bytes + resident);
-    (acc_entries, par_secs)
+    acc_entries
 }
 
 /// Pack per-row `(cols, vals)` accumulators into one CSR. The packed
@@ -303,9 +295,8 @@ fn stage_batcher<'m, S: Semiring>(
 }
 
 /// One SUMMA stage multiplied whole — the eager oracle's step. Records
-/// the per-worker SPA scratch (0 when serial) as a transient spike on
-/// top of whatever is charged, and books the span to `par` when the
-/// multiply genuinely fanned out.
+/// the per-worker SPA scratch (0 with one worker) as a transient spike
+/// on top of whatever is charged.
 fn multiply_stage<S>(
     grid: &ProcGrid,
     a_block: &Csr<S::A>,
@@ -313,54 +304,16 @@ fn multiply_stage<S>(
     semiring: &S,
     threads: usize,
     upper: Option<(usize, usize)>,
-    par: &mut ParKernelClock,
 ) -> Csr<S::Out>
 where
     S: Semiring + Sync,
     S::A: Sync,
     S::B: Sync,
 {
-    let started = std::time::Instant::now();
     let mut batcher = stage_batcher(a_block, b_block, semiring, threads, upper);
     let stage = batcher.multiply_rows_par(0..a_block.nrows(), 0..b_block.ncols() as u32);
     grid.world().record_mem_transient(batcher.scratch_bytes());
-    if batcher.last_run_parallel() {
-        par.add(started.elapsed().as_secs_f64());
-    }
     stage
-}
-
-/// Wall-clock accumulator for the (potentially threaded) local kernel
-/// spans of one SUMMA schedule. The rank thread is blocked while its
-/// workers run, so kernel time is already inside the phase's wall time;
-/// this clock additionally books it to the profile's dedicated
-/// `par-s` bucket (via [`elba_comm::Comm::record_par_time`]) when the
-/// schedule actually ran threaded, making intra-rank parallel time
-/// observable without touching the wire-byte model.
-struct ParKernelClock {
-    total: f64,
-}
-
-impl ParKernelClock {
-    fn new() -> Self {
-        ParKernelClock { total: 0.0 }
-    }
-
-    /// Accumulate kernel span seconds that *genuinely* fanned out
-    /// (callers gate on [`SpGemmBatcher::last_run_parallel`], so a tiny
-    /// window's serial fallback books nothing even at `threads > 1`).
-    fn add(&mut self, secs: f64) {
-        self.total += secs;
-    }
-
-    /// Book the accumulated threaded-kernel seconds to the rank profile
-    /// (no-op when nothing fanned out, keeping serial profiles
-    /// bit-identical to the pre-threading ones).
-    fn book(&self, grid: &ProcGrid) {
-        if self.total > 0.0 {
-            grid.world().record_par_time(self.total);
-        }
-    }
 }
 
 /// Which SUMMA schedule the two pipeline products run: the symmetric
@@ -418,11 +371,12 @@ pub fn algorithm_label(algorithm: SpGemmAlgorithm) -> &'static str {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpGemmOptions {
     pub algorithm: SpGemmAlgorithm,
-    /// Intra-rank worker threads for the local multiply inside every
-    /// SUMMA stage (`0` or `1` is the historical serial behavior). Output is
-    /// byte-identical across thread counts — per-row results merge in
-    /// fixed row order — and workers never enter the comm layer, so
-    /// profiled wire bytes are unchanged too.
+    /// Intra-rank workers for the local multiply inside every SUMMA
+    /// stage (`0` means one, like `1`); the count sizes the worker set
+    /// and never picks a kernel. Output is byte-identical across thread
+    /// counts — per-row results merge in fixed row order — and workers
+    /// never enter the comm layer, so profiled wire bytes are unchanged
+    /// too.
     pub threads: usize,
 }
 
@@ -463,7 +417,7 @@ impl SpGemmOptions {
     }
 
     /// Use `threads` intra-rank workers for the local multiply of every
-    /// SUMMA stage (`0` is serial, like `1`).
+    /// SUMMA stage (`0` means one, like `1`).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -898,17 +852,13 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let _mask_res = world.mem_charge_shared(&self.local, self.local.heap_bytes());
         let mut acc = MaskedAccumulator::new(&*self.local, fold).with_threads(opts.threads);
         let _acc_res = world.mem_charge(acc.heap_bytes());
-        let mut par = ParKernelClock::new();
         for (a_block, b_block) in a.stage_blocks(grid, b, lookahead) {
             let _a_res = world.mem_charge_shared(&a_block, a_block.heap_bytes());
             let _b_res = world.mem_charge_shared(&b_block, b_block.heap_bytes());
-            let started = std::time::Instant::now();
-            if acc.accumulate(&a_block, &b_block) {
-                world.record_mem_transient(acc.scratch_bytes());
-                par.add(started.elapsed().as_secs_f64());
-            }
+            acc.accumulate(&a_block, &b_block);
+            world.record_mem_transient(acc.scratch_bytes());
         }
-        par.book(grid);
+        world.record_par_time(elba_par::take_par_secs());
         let (r0, c0) = self.local_offsets(grid);
         let mut slots = acc.values().iter();
         let local = self.local.filtered(|r, c, v| {
@@ -996,7 +946,6 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let mut charge = grid.world().mem_charge(0);
         let mut acc: Vec<(u32, u32, S::Out)> = Vec::new();
         let triple_bytes = std::mem::size_of::<(u32, u32, S::Out)>();
-        let mut par = ParKernelClock::new();
         for (a_block, b_block) in stages.flatten() {
             // Stage blocks charge through the shared (ptr-keyed) path:
             // one charge per rank per block, so the owner's own resident
@@ -1007,12 +956,11 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             let _b_res = grid
                 .world()
                 .mem_charge_shared(&b_block, b_block.heap_bytes());
-            let stage =
-                multiply_stage(grid, &a_block, &b_block, semiring, threads, upper, &mut par);
+            let stage = multiply_stage(grid, &a_block, &b_block, semiring, threads, upper);
             acc.extend(stage.into_triples());
             charge.set(acc.len() * triple_bytes);
         }
-        par.book(grid);
+        grid.world().record_par_time(elba_par::take_par_secs());
         let row_range = self.row_layout.block_range(grid.myrow());
         let col_range = out_cols.block_range(grid.mycol());
         let local = Csr::from_triples(row_range.len(), col_range.len(), acc, |a, v| {
@@ -1319,7 +1267,6 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
             (0..nrows).map(|_| (Vec::new(), Vec::new())).collect();
         let mut out_entries = 0usize;
         let mut out_charge = world.mem_charge(0);
-        let mut par = ParKernelClock::new();
         let mut next_col = 0usize; // first local column not yet computed
         loop {
             let start_col = next_col;
@@ -1362,7 +1309,7 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
                     )
                 });
                 let resident = plan.as_ref().map_or(0, |plan| plan.resident(s));
-                let (entries, par_secs) = merge_stage_rows(
+                acc_entries = merge_stage_rows(
                     &a_block,
                     &b_block,
                     semiring,
@@ -1376,8 +1323,6 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
                     resident,
                     &mut transient,
                 );
-                acc_entries = entries;
-                par.add(par_secs);
                 if let Some(plan) = &plan {
                     // The stage's own blocks are released with it; what
                     // the fetch builds for the next stage is charged on
@@ -1415,7 +1360,7 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
                 break;
             }
         }
-        par.book(grid);
+        world.record_par_time(elba_par::take_par_secs());
 
         let local = pack_rows_into_csr(
             out_rows,

@@ -116,6 +116,48 @@ fn contig_set_is_invariant_across_thread_counts() {
 }
 
 #[test]
+fn par_seconds_count_exactly_the_kernels_that_fanned_out() {
+    // Ten unrelated genomes: several contigs, so some rank materializes
+    // two or more of them and the contig pass has work to fan out.
+    let reads: Vec<Seq> = (0..10)
+        .flat_map(|seed| reads_of(&DatasetSpec::celegans_like(0.08, 700 + seed)).1)
+        .collect();
+    let cfg = PipelineConfig::for_dataset(&DatasetSpec::celegans_like(0.08, 700));
+    let threaded = [
+        "CountKmer",
+        "DetectOverlap",
+        "Alignment",
+        "TrReduction",
+        "ExtractContig:LocalAssembly",
+    ];
+    for threads in [1usize, 4] {
+        let cfg = cfg.clone().with_threads(threads);
+        let reads = reads.clone();
+        let (leftover, profile) =
+            Runner::new(Backend::InProcess)
+                .ranks(4)
+                .run_profiled(move |comm| {
+                    let grid = ProcGrid::new(comm);
+                    assemble(&grid, &reads, &cfg);
+                    elba::par::take_par_secs()
+                });
+        assert_eq!(
+            leftover,
+            vec![0.0; 4],
+            "threads={threads}: seconds left untaken would book to a later phase"
+        );
+        for name in profile.phase_names() {
+            let par = profile.max_par_secs(&name);
+            if threads == 1 {
+                assert_eq!(par, 0.0, "one worker books no par-s ({name})");
+            } else if threaded.contains(&name.as_str()) {
+                assert!(par > 0.0, "{name} fanned out but booked no par-s");
+            }
+        }
+    }
+}
+
+#[test]
 fn each_read_belongs_to_at_most_one_contig() {
     let spec = DatasetSpec::osativa_like(0.1, 77);
     let (_genome, reads) = reads_of(&spec);

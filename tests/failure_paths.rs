@@ -356,15 +356,17 @@ mod hostile_cli_values {
         let dir = scratch("stdout");
         let reads = tiny_reads(&dir);
         let contigs = dir.join("contigs.fa");
-        let mut child = Command::new(env!("CARGO_BIN_EXE_elba"))
+        // `elba … | head -0`: the read end is closed before the child
+        // starts, so no write of its can land in the pipe buffer first.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_elba"))
             .args(["assemble", "--ranks", "1", "--reads", path_arg(&reads)])
             .args(["--out", path_arg(&contigs)])
-            .stdout(Stdio::piped())
+            .stdout(writer)
             .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn elba");
-        drop(child.stdout.take()); // `elba … | head -0`
-        let out = child.wait_with_output().expect("wait for elba");
+            .output()
+            .expect("run elba");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
         assert!(
