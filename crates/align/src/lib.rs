@@ -13,5 +13,6 @@ pub mod xdrop;
 pub use overlap::{classify, dovetail_edges, OverlapAln, OverlapClass, SgEdge};
 pub use xdrop::{
     extend_seed, extend_seed_greedy, extend_seed_with, greedy_extend, xdrop_extend,
-    xdrop_extend_with, Extension, Scoring, SeedAlignment, XdropKernel, XdropWorkspace,
+    xdrop_extend_with, BufferHighWater, Extension, Scoring, SeedAlignment, XdropKernel,
+    XdropWorkspace,
 };

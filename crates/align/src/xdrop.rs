@@ -20,8 +20,8 @@
 //! `G = mat − 2·gap`, all ≥ 0 when `mat > 0`, `mis < mat` and `gap ≤ 0`.
 //! The kernel reaches cells in increasing `c`. It keeps the furthest live
 //! offset per (cost, diagonal) in a ring of `max(M, G) + 1` layers and
-//! slides match runs with `common_prefix`. Two facts make it return the
-//! scalar oracle's `Extension`:
+//! slides match runs with `common_prefix`. Three facts make it return
+//! the scalar oracle's `Extension`:
 //!
 //! 1. **The cut is decided by cheaper cells.** The oracle prunes a cell
 //!    `p = (d, j)` (`d = i + j`) of score `V` iff a live cell before it in
@@ -35,14 +35,14 @@
 //!    `(top, first[top])`.
 //! 2. **Dominance along a diagonal.** Let `p` be reached first at cost
 //!    `c`, and let `p' = (d + 2t, j + t)` lie on its diagonal. Write
-//!    `B(p)` for the best live score before `p`. With `gap ≤ 0` and
+//!    `β(p)` for the best live score before `p`. With `gap ≤ 0` and
 //!    `mis < mat`, a path gains at most `mat` per two antidiagonals. A
 //!    live cell after `p` and before `p'` descends from `p` or from a
 //!    live cell before `p` on antidiagonal `d − 1` or `d − 2`; the one
 //!    path that gains `mat·(t + 1)` from `d − 2` is `t + 1` diagonal steps,
 //!    which pass through a cell before `p`, through `p`, or end after
 //!    `p'`. So every live cell between them scores at most
-//!    `max(B(p), V) + mat·t`. Two consequences:
+//!    `max(β(p), V) + mat·t`. Two consequences:
 //!    - a match run from a live `p` is never cut: its cell `p'` scores
 //!      `V + mat·t` (debug builds assert this cell by cell);
 //!    - if a point `p'` at no greater cost (`V' ≥ V + mat·t`) is cut, so
@@ -50,12 +50,28 @@
 //!      `p'`'s. So the kernel keeps only the furthest point per
 //!      (cost, diagonal), and skips an entry at or behind `reach`, the
 //!      furthest offset examined on its diagonal at a lower cost.
+//! 3. **No costlier cell beats the best.** Only gaps change the diagonal
+//!    `k = j − i`, and each costs `G`, so a cell of cost `c'` has
+//!    `|k| ≤ c'/G`. Its antidiagonal `d = 2·min(i, j) + |k|` is at most
+//!    `min(n + m, 2·min(n, m) + |k|)` on `|a| = n`, `|b| = m`, and it
+//!    scores `V = (mat·d − c')/2`, so
+//!    `V ≤ B(c') = (mat·min(n + m, 2·min(n, m) + c'/G) − c')/2`.
+//!    `G = mat − 2·gap ≥ mat`, so `B` never rises with `c'`. At the start
+//!    of layer `c`, once `B(c) < top + 1`, no later cell scores above
+//!    `top`, and one scoring exactly `top` costs more than the best cell,
+//!    so it lies on a later antidiagonal: its key is later and
+//!    `first[top]` stands. The kernel ends there, testing
+//!    `mat·min(G(n + m), 2G·min(n, m) + c) − G·c < 2G·(top + 1)` in
+//!    integers. The bound must stay continuous in `c`: with `⌊c/G⌋` it
+//!    rises once every `G` layers and would end a search before a layer
+//!    that still raises `top`.
 //!
+//! Otherwise the search ends when `max(M, G)` layers in a row are empty.
 //! The wavefront's work follows the edit cost: a 1 kb extension at
-//! 0.5 % divergence visits about 0.4 diagonals per antidiagonal where the
-//! band fills about 11 cells. At 15 % divergence it visits more than the
-//! band fills, so [`XdropKernel::BitParallel`] gives it a budget and
-//! hands an extension that exceeds it to the band kernel.
+//! 0.5 % divergence visits about 0.1–0.3 diagonals per antidiagonal
+//! where the band fills about 11 cells. At 15 % divergence it visits
+//! more than the band fills, so [`XdropKernel::BitParallel`] gives it a
+//! budget and hands an extension that exceeds it to the band kernel.
 
 /// Alignment scoring (linear gaps, as in BELLA).
 #[derive(Debug, Clone, Copy)]
@@ -138,12 +154,13 @@ const XDROP_CLAMP: i32 = 1 << 26;
 const POISON: i32 = i32::MAX;
 /// The wavefront's budget: diagonal visits per antidiagonal reached (κ).
 /// A visit costs about 8 band cells, so the wavefront wins below about
-/// 1.5 (x = 7) to 3 (x = 15) visits per antidiagonal; `hifi_p1t1`'s
-/// extensions sit near 0.7 and `noisy_p1t1`'s near 6.5 (README
-/// "Alignment" has the table). Every extension starts with a few
-/// expensive antidiagonals near the origin, so a larger κ, or visits
-/// granted beyond κ per antidiagonal, keeps a few more hifi extensions
-/// but makes every noisy one waste more visits before it hands over.
+/// 1.5 (x = 7) to 3 (x = 15) visits per antidiagonal; with the stop
+/// bound, the extensions dumped from `hifi_p1t1` average 0.29 (0.65
+/// without it) and those from `noisy_p1t1` 7.7 (README "Alignment" has
+/// the table). Every extension starts with a few expensive
+/// antidiagonals near the origin, so a larger κ, or visits granted
+/// beyond κ per antidiagonal, keeps a few more hifi extensions but makes
+/// every noisy one waste more visits before it hands over.
 const WAVE_VISITS_PER_ANTIDIAGONAL: usize = 2;
 /// Largest step cost `max(M, G)` the wavefront runs with: its ring holds
 /// that many layers plus one, and `first` one level per `mat`.
@@ -179,10 +196,32 @@ pub struct XdropWorkspace {
     first: Vec<u64>,
     a_rev: Vec<u8>,
     b_rev: Vec<u8>,
+    held: BufferHighWater,
     /// Cells the last band extension computed, for the tests that count
     /// the wavefront's visits against them.
     #[cfg(test)]
     band_cells: usize,
+    /// Whether the wavefront skips its stop bound, for the tests that
+    /// count the visits the bound saves.
+    #[cfg(test)]
+    unstopped: bool,
+}
+
+/// Bytes per buffer of an [`XdropWorkspace`] at its high water
+/// ([`XdropWorkspace::high_water`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BufferHighWater([usize; 8]);
+
+impl BufferHighWater {
+    /// Each buffer's larger high water of the two.
+    pub fn max(self, other: Self) -> Self {
+        BufferHighWater(std::array::from_fn(|i| self.0[i].max(other.0[i])))
+    }
+
+    /// The bytes of all buffers together.
+    pub fn bytes(self) -> usize {
+        self.0.iter().sum()
+    }
 }
 
 /// What [`xdrop_extend_with`] runs for one scoring and x-drop.
@@ -216,22 +255,37 @@ impl XdropWorkspace {
         self.kernel
     }
 
-    /// Heap bytes currently held by the workspace's band, wavefront and
-    /// staging buffers (by length, like every tracker charge). The
-    /// alignment stage reports one workspace per worker as transient
-    /// scratch so threaded sweeps stay honest in the `mem-hw` column.
+    /// Heap bytes of the workspace's band, wavefront and staging
+    /// buffers, each at its high water ([`XdropWorkspace::high_water`]).
     pub fn heap_bytes(&self) -> usize {
-        let i32s = [
-            &self.band_a,
-            &self.band_b,
-            &self.band_c,
-            &self.wave,
-            &self.reach,
-        ];
-        i32s.iter().map(|v| v.len()).sum::<usize>() * std::mem::size_of::<i32>()
-            + self.first.len() * std::mem::size_of::<u64>()
-            + self.a_rev.len()
-            + self.b_rev.len()
+        self.high_water().bytes()
+    }
+
+    /// The most bytes each buffer has held, by length (like every
+    /// tracker charge), at the end of an extension or now. It depends on
+    /// which extensions ran, not on their order. The alignment stage
+    /// charges each buffer's high water over all its workers once per
+    /// extra worker, so threaded sweeps stay honest, and reproducible,
+    /// in the `mem-hw` column.
+    pub fn high_water(&self) -> BufferHighWater {
+        let i32s = |v: &Vec<i32>| v.len() * std::mem::size_of::<i32>();
+        let now = BufferHighWater([
+            i32s(&self.band_a),
+            i32s(&self.band_b),
+            i32s(&self.band_c),
+            i32s(&self.wave),
+            i32s(&self.reach),
+            self.first.len() * std::mem::size_of::<u64>(),
+            self.a_rev.len(),
+            self.b_rev.len(),
+        ]);
+        self.held.max(now)
+    }
+
+    /// Fold the buffers' lengths into their high water, before the next
+    /// extension refills (and may shorten) them.
+    fn note_high_water(&mut self) {
+        self.held = self.high_water();
     }
 
     /// Which kernel an extension with these parameters runs.
@@ -288,13 +342,15 @@ pub fn xdrop_extend_with(
     xdrop: i32,
     sc: Scoring,
 ) -> Extension {
-    match ws.route(xdrop, sc) {
+    let ext = match ws.route(xdrop, sc) {
         Route::Scalar => xdrop_extend_scalar(ws, a, b, xdrop, sc),
         Route::Band => xdrop_extend_band_staged(ws, a, b, xdrop, sc),
         Route::Composite(costs) => xdrop_extend_wave(ws, a, b, xdrop, sc, costs, true)
             .ext
             .unwrap_or_else(|| xdrop_extend_band_staged(ws, a, b, xdrop, sc)),
-    }
+    };
+    ws.note_high_water();
+    ext
 }
 
 /// The band kernel over `a` as given: stages `rev(a)` in the workspace.
@@ -643,6 +699,9 @@ struct WaveRun {
     visits: usize,
     /// The furthest antidiagonal a live cell reached.
     reached: usize,
+    /// The cost layer the call ended in: the one the stop bound refused,
+    /// the last of the empty layers, or the one over the budget.
+    cost: usize,
 }
 
 /// The cost-ordered wavefront (module docs), [`XdropKernel::BitParallel`]'s
@@ -665,6 +724,7 @@ fn xdrop_extend_wave(
         ext: None,
         visits: 0,
         reached: 0,
+        cost: 0,
     };
     if n == 0 || m == 0 {
         run.ext = Some(Extension {
@@ -713,10 +773,24 @@ fn xdrop_extend_wave(
     live[0] = Some((n, n));
     let mut touched = (n, n);
     run.reached = 2 * origin_run;
+    // The stop bound (module docs, part 3), scaled by `G`: no cell of
+    // cost `c` or more scores above `top` once
+    // `mat·min(G(n + m), 2G·min(n, m) + c) − G·c < 2G·(top + 1)`.
+    let g = costs.gap as i64;
+    let (g_ends, g_diag) = (g * (n + m) as i64, 2 * g * n.min(m) as i64);
+    #[cfg(test)]
+    let stops = !ws.unstopped;
+    #[cfg(not(test))]
+    let stops = true;
     let mut idle = 0;
     let mut c = 0;
     let finished = loop {
         c += 1;
+        run.cost = c;
+        let cost = c as i64;
+        if stops && mat * g_ends.min(g_diag + cost) - g * cost < 2 * g * (levels.top as i64 + 1) {
+            break true;
+        }
         let slot = c % ring;
         let parent = |cost: usize| {
             let layer = c.checked_sub(cost)? % ring;
@@ -737,7 +811,6 @@ fn xdrop_extend_wave(
                 break false;
             }
             touched = (touched.0.min(lo), touched.1.max(hi));
-            let cost = c as i64;
             for q in lo..=hi {
                 // The furthest entry: a mismatch along the diagonal,
                 // or a gap from either neighbour, inside the matrix.
@@ -974,6 +1047,7 @@ pub fn extend_seed_greedy(
     stage_rev(&mut ws.a_rev, &a[..a_pos]);
     stage_rev(&mut ws.b_rev, &b[..b_pos]);
     let left = greedy_extend(&ws.a_rev, &ws.b_rev, xdrop, sc);
+    ws.note_high_water();
     SeedAlignment {
         score: k as i32 * sc.match_score + left.score + right.score,
         a_beg: a_pos - left.a_len,
@@ -1058,6 +1132,7 @@ pub fn extend_seed_with(
     };
     ws.a_rev = a_rev;
     ws.b_rev = b_rev;
+    ws.note_high_water();
     SeedAlignment {
         score: k as i32 * sc.match_score + left.score + right.score,
         a_beg: a_pos - left.a_len,
@@ -1515,6 +1590,21 @@ mod tests {
         let mut bws = XdropWorkspace::with_kernel(XdropKernel::BitParallel);
         let _ = extend_seed_with(&mut bws, &a, &a, 8, 8, 4, 10, sc);
         assert_eq!(bws.heap_bytes(), (5 + 1) * 17 * 4 + 9 * 8 + 8 + 8);
+        // Every buffer is counted at its high water, so the order of the
+        // extensions does not matter, though the staging buffers end
+        // holding the last seed's prefixes.
+        let long = codes(&"ACGTTGCA".repeat(8));
+        let high_water = |lens: [usize; 2]| {
+            let mut ws = XdropWorkspace::default();
+            for len in lens {
+                let s = &long[..len];
+                let _ = extend_seed_with(&mut ws, s, s, len - 8, len - 8, 4, 10, sc);
+            }
+            (ws.high_water(), ws.a_rev.len())
+        };
+        let (long_first, short_first) = (high_water([64, 16]), high_water([16, 64]));
+        assert_eq!(long_first.0, short_first.0);
+        assert_eq!((long_first.1, short_first.1), (8, 56));
     }
 
     /// Seeded pairs for pinning each fast kernel alone: related pairs at
@@ -1664,6 +1754,57 @@ mod tests {
                 run.visits
             );
         }
+    }
+
+    #[test]
+    fn wavefront_stops_at_the_first_layer_the_bound_allows() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // A 1 kb dovetail at 0.5 % divergence (five substitutions): `a`
+        // ends where the overlap does and `b` runs 500 bases past it.
+        let mut rng = StdRng::seed_from_u64(29);
+        let a: Vec<u8> = (0..1_000).map(|_| rng.gen_range(0..4u8)).collect();
+        let mut b = a.clone();
+        for at in [120, 330, 515, 690, 880] {
+            b[at] = (b[at] + 1) % 4;
+        }
+        b.extend((0..500).map(|_| rng.gen_range(0..4u8)));
+        let (sc, x) = (Scoring::default(), 15);
+        let mut ws = XdropWorkspace::default();
+        let Route::Composite(costs) = ws.route(x, sc) else {
+            panic!("the pipeline scoring runs the wavefront");
+        };
+        let run = xdrop_extend_wave(&mut ws, &a, &b, x, sc, costs, true);
+        let best = Extension {
+            score: 990,
+            a_len: 1_000,
+            b_len: 1_000,
+        };
+        assert_eq!(run.ext, Some(best));
+        assert_eq!(best, xdrop_extend(&a, &b, x, sc));
+        // The first layer `c` at which
+        // `B(c) = (mat·min(n + m, 2·min(n, m) + c/G) − c) / 2` falls
+        // below the best score plus one (module docs, part 3).
+        let (n, m) = (a.len() as f64, b.len() as f64);
+        let (mat, g) = (f64::from(sc.match_score), costs.gap as f64);
+        let bound = |c: f64| (mat * (n + m).min(2.0 * n.min(m) + c / g) - c) / 2.0;
+        let first = (1..)
+            .find(|&c| bound(c as f64) < f64::from(best.score + 1))
+            .expect("the bound falls");
+        assert_eq!(first, 28, "B(c) = (2 000 − 2c/3) / 2 < 991 from c = 28");
+        assert_eq!(run.cost, first);
+        // Without the stop the search runs on until `max(M, G)` layers in
+        // a row are empty: past the best cell, where `a` has ended, gaps
+        // stay within the x-drop for 15 more bases.
+        ws.unstopped = true;
+        let full = xdrop_extend_wave(&mut ws, &a, &b, x, sc, costs, true);
+        assert_eq!(full.ext, Some(best));
+        assert!(
+            2 * run.visits < full.visits,
+            "{} visits stopped vs {} unstopped",
+            run.visits,
+            full.visits
+        );
     }
 
     #[test]

@@ -423,6 +423,27 @@ fn composite_agrees_on_named_cases() {
             referee(&g, &h, x, sc);
         }
     }
+    // The wavefront's stop bound must stay continuous in the cost `c`:
+    // with `⌊c/G⌋` for `c/G` it rises once every `G` layers, and at
+    // 3/0/−1 (`G = 5`) the search would end at cost 8, before this
+    // answer, which costs 10: two gaps, then a match. Behind a shared
+    // 20-base prefix the bound is the same and the pair stays inside
+    // the wavefront's budget.
+    let (a, b) = (vec![0, 0, 1, 0], vec![1]);
+    let prefix = codes(&"ACGT".repeat(5));
+    for len in [0, prefix.len()] {
+        let a = [&prefix[..len], &a[..]].concat();
+        let b = [&prefix[..len], &b[..]].concat();
+        let branch = referee(&a, &b, 3, SCORINGS[3]);
+        assert!(len == 0 || branch == Branch::Wavefront, "{branch:?}");
+        let past_two_gaps = Extension {
+            score: 3 * len as i32 + 1,
+            a_len: len + 3,
+            b_len: len + 1,
+        };
+        let got = xdrop_extend_with(&mut XdropWorkspace::default(), &a, &b, 3, SCORINGS[3]);
+        assert_eq!(got, past_two_gaps);
+    }
     // x = 0: the first loss ends the extension.
     let (a, b) = (codes("AAAATAAAA"), codes("AAAACAAAA"));
     for sc in SCORINGS {

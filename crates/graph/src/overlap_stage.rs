@@ -10,8 +10,8 @@
 //! directed edges of the overlap matrix `R`.
 
 use elba_align::{
-    classify, extend_seed_greedy, extend_seed_with, OverlapAln, OverlapClass, Scoring, SgEdge,
-    XdropWorkspace,
+    classify, extend_seed_greedy, extend_seed_with, BufferHighWater, OverlapAln, OverlapClass,
+    Scoring, SgEdge, XdropWorkspace,
 };
 use elba_comm::ProcGrid;
 use elba_seq::{AEntry, ReadStore};
@@ -168,18 +168,12 @@ pub fn candidate_matrix(
 /// in sequence; `rc(v)` is recomputed per pair (it depends on `v`) but
 /// its allocation is paid once per worker, and never filled at all for
 /// pairs whose reverse-strand seeds are rejected before extension.
+/// `v_rc` never shortens, so its length is its high water, like
+/// [`XdropWorkspace::high_water`].
 #[derive(Debug, Default)]
 struct AlignScratch {
     ws: XdropWorkspace,
     v_rc: Vec<u8>,
-}
-
-impl AlignScratch {
-    /// Heap bytes held (workspace buffers + rc staging), for the same
-    /// scratch-honesty accounting as [`XdropWorkspace::heap_bytes`].
-    fn heap_bytes(&self) -> usize {
-        self.ws.heap_bytes() + self.v_rc.len()
-    }
 }
 
 /// Per-pair seed bookkeeping from [`align_pair_counted`], merged into
@@ -284,11 +278,15 @@ fn align_pair_counted(
     let mut extend = |s: &OrientedSeed, best: &mut Option<OverlapAln>, v_rc: &mut Vec<u8>| {
         let w: &[u8] = if s.rc {
             if !rc_ready {
-                v_rc.clear();
-                v_rc.extend(v_codes.iter().rev().map(|&b| 3 - b));
+                if v_rc.len() < vlen {
+                    v_rc.resize(vlen, 0);
+                }
+                for (rc, &b) in v_rc.iter_mut().zip(v_codes.iter().rev()) {
+                    *rc = 3 - b;
+                }
                 rc_ready = true;
             }
-            v_rc
+            &v_rc[..vlen]
         } else {
             v_codes
         };
@@ -450,7 +448,7 @@ pub fn align_and_classify(
     let mut candidates = c.iter_global(grid);
     let batch_pairs = threads * ALIGN_PAIRS_PER_WORKER_BATCH;
     let mut batch: Vec<(u64, u64, &SharedSeeds)> = Vec::with_capacity(batch_pairs);
-    let mut peak_batch = 0usize;
+    let (mut peak_batch, mut fanned) = (0usize, 1usize);
     loop {
         batch.clear();
         batch.extend(candidates.by_ref().take(batch_pairs));
@@ -463,6 +461,7 @@ pub fn align_and_classify(
         } else {
             threads
         };
+        fanned = fanned.max(workers);
         let alns =
             elba_par::run_indexed_with(batch.len(), &mut scratches[..workers], |p, scratch| {
                 let (i, j, seeds) = batch[p];
@@ -481,13 +480,17 @@ pub fn align_and_classify(
     let world = grid.world();
     world.record_par_time(elba_par::take_par_secs());
     // Scratch beyond worker 0's alignment scratch (uncharged, the
-    // `SpGemmBatcher::scratch_bytes` convention): the other workers'
-    // scratches plus the batch's pair and alignment buffers.
-    let scratch: usize = scratches
+    // `SpGemmBatcher::scratch_bytes` convention): each other worker that
+    // ran, at every buffer's high water over all workers, plus the
+    // batch's pair and alignment buffers. The high water over all
+    // workers is that of the stage's extensions, whichever worker
+    // claimed which, so the charge repeats from run to run.
+    let (ws_high, rc_high) = scratches
         .iter()
-        .skip(1)
-        .map(AlignScratch::heap_bytes)
-        .sum::<usize>()
+        .fold((BufferHighWater::default(), 0), |(ws_high, rc_high), s| {
+            (ws_high.max(s.ws.high_water()), rc_high.max(s.v_rc.len()))
+        });
+    let scratch = (fanned - 1) * (ws_high.bytes() + rc_high)
         + peak_batch
             * (std::mem::size_of::<(u64, u64, &SharedSeeds)>()
                 + std::mem::size_of::<(Option<OverlapAln>, PairCounts)>());

@@ -158,6 +158,43 @@ fn par_seconds_count_exactly_the_kernels_that_fanned_out() {
 }
 
 #[test]
+fn alignment_memory_high_water_repeats_at_four_threads() {
+    // Workers claim extensions in whatever order they get to them, so
+    // the charge for their scratch must depend only on the stage's set
+    // of extensions: repeated runs book the same Alignment high water on
+    // every rank.
+    let spec = DatasetSpec::celegans_like(0.1, 7);
+    let (_genome, reads) = reads_of(&spec);
+    let alignment_hw = |threads: usize| -> Vec<u64> {
+        let cfg = PipelineConfig::for_dataset(&spec).with_threads(threads);
+        let reads = reads.clone();
+        let (_, profile) = Runner::new(Backend::InProcess)
+            .ranks(4)
+            .run_profiled(move |comm| {
+                let grid = ProcGrid::new(comm);
+                assemble(&grid, &reads, &cfg);
+            });
+        profile
+            .rank_profiles()
+            .iter()
+            .map(|rank| rank.phase("Alignment").expect("phase entered").mem_hw)
+            .collect()
+    };
+    let first = alignment_hw(4);
+    for run in 1..4 {
+        assert_eq!(alignment_hw(4), first, "run {run}: Alignment mem-hw moved");
+    }
+    // A rank below the diagonal aligns nothing; the others charge their
+    // three extra workers.
+    let serial = alignment_hw(1);
+    assert!(
+        serial.iter().zip(&first).all(|(one, four)| four >= one)
+            && serial.iter().zip(&first).any(|(one, four)| four > one),
+        "threads=1 {serial:?} vs threads=4 {first:?}"
+    );
+}
+
+#[test]
 fn each_read_belongs_to_at_most_one_contig() {
     let spec = DatasetSpec::osativa_like(0.1, 77);
     let (_genome, reads) = reads_of(&spec);
