@@ -136,7 +136,9 @@ impl Comm {
     /// Personalized all-to-all: `bufs[dst]` is shipped to rank `dst`;
     /// returns the buffers received, indexed by source rank. The analogue
     /// of `MPI_Alltoallv` (and ELBA's "custom all-to-all" for edge triples).
-    pub fn alltoallv<T: CommMsg>(&self, bufs: Vec<Vec<T>>) -> Vec<Vec<T>> {
+    /// A buffer is any message: a `Vec<T>` of records, or a type that
+    /// ships its sorted run at its information size.
+    pub fn alltoallv<M: CommMsg>(&self, bufs: Vec<M>) -> Vec<M> {
         assert_eq!(
             bufs.len(),
             self.size(),
@@ -149,8 +151,8 @@ impl Comm {
             bytes += buf.nbytes();
             self.raw_send(dst, tag, buf);
         }
-        let received: Vec<Vec<T>> = (0..self.size())
-            .map(|src| self.coll_recv::<Vec<T>>(src, tag))
+        let received: Vec<M> = (0..self.size())
+            .map(|src| self.coll_recv::<M>(src, tag))
             .collect();
         self.record_collective(op::ALLTOALLV, bytes, started.elapsed().as_secs_f64());
         received
@@ -293,15 +295,20 @@ fn tree_share_bytes<T: CommMsg>(comm: &Comm, vr: usize, value: &T) -> usize {
     } else {
         vr & vr.wrapping_neg()
     };
-    let mut bytes = 0;
+    let mut children = 0;
     let mut j = limit >> 1;
     while j >= 1 {
         if vr + j < p {
-            bytes += value.nbytes();
+            children += 1;
         }
         j >>= 1;
     }
-    bytes
+    // `nbytes` of a sparse block is a pass over its entries: take it once.
+    if children == 0 {
+        0
+    } else {
+        children * value.nbytes()
+    }
 }
 
 enum IbcastState<'c, T: CommMsg> {

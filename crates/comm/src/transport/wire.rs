@@ -8,7 +8,11 @@
 //! so multi-byte integers travel in **native endianness** and
 //! plain-old-data batches are copied as raw bytes. This is a transport
 //! framing format, not an archival one: the only compatibility contract
-//! is "the same binary on the same host".
+//! is "the same binary on the same host". The one exception is the
+//! sorted runs — k-mer count records, routed matrix triples, a sparse
+//! block's rows and columns — which travel as LEB128 varint gaps
+//! ([`write_varint`], [`WireReader::read_varint`]) at their information
+//! size.
 //!
 //! The frame-header items are public only for the wire-rejection tests
 //! of `tests/failure_paths.rs`, which forge headers.
@@ -52,6 +56,31 @@ impl std::error::Error for WireError {}
 /// into a huge allocation.
 pub(crate) const MAX_VEC_ELEMS: u64 = 1 << 34;
 
+/// Longest LEB128 encoding of a `u64`: ⌈64 / 7⌉ groups.
+const MAX_VARINT_BYTES: usize = 10;
+
+/// Append `value` as an unsigned LEB128 varint: seven bits per byte,
+/// least significant group first, the top bit set on every byte but the
+/// last. Values below 2⁷ take one byte, below 2¹⁴ two, and so on; the
+/// sorted runs a message ships as gaps cost what their gaps need.
+#[inline]
+pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// Bytes [`write_varint`] writes for `value` — what a message's
+/// `nbytes` books for it.
+#[inline]
+pub fn varint_len(value: u64) -> usize {
+    // ⌈bit length / 7⌉, with 0 taking one byte.
+    let bits = 64 - (value | 1).leading_zeros() as usize;
+    bits.div_ceil(7)
+}
+
 /// Cursor over an encoded payload; every `read_*` checks bounds and
 /// returns [`WireError::Truncated`] instead of panicking.
 #[derive(Debug)]
@@ -65,8 +94,9 @@ impl<'a> WireReader<'a> {
         WireReader { buf, pos: 0 }
     }
 
-    /// Bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
+    /// Bytes not yet consumed: the most elements of at least one byte
+    /// each that a decoder may reserve room for.
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -104,6 +134,33 @@ impl<'a> WireReader<'a> {
             return Err(WireError::Malformed("length header"));
         }
         Ok(n as usize)
+    }
+
+    /// A LEB128 varint written by [`write_varint`]. Only the one
+    /// encoding that writer produces is accepted: a varint that runs out
+    /// of buffer is `Truncated`, and one with a redundant zero top group
+    /// (non-minimal), more than ten bytes, or bits beyond 64 is
+    /// `Malformed`.
+    pub fn read_varint(&mut self) -> Result<u64, WireError> {
+        let mut value = 0u64;
+        for (i, &byte) in self.buf[self.pos..].iter().enumerate() {
+            let group = u64::from(byte & 0x7F);
+            if i == MAX_VARINT_BYTES - 1 && byte > 1 {
+                return Err(WireError::Malformed("varint"));
+            }
+            value |= group << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(WireError::Malformed("varint"));
+                }
+                self.pos += i + 1;
+                return Ok(value);
+            }
+        }
+        Err(WireError::Truncated {
+            needed: self.remaining() + 1,
+            have: self.remaining(),
+        })
     }
 
     /// Assert the value consumed the whole buffer.
@@ -272,6 +329,54 @@ mod tests {
             r.read_u64(),
             Err(WireError::Truncated { needed: 8, have: 1 })
         );
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_group_boundary() {
+        let mut values = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 63];
+        for groups in 1..10 {
+            let edge = 1u64 << (7 * groups);
+            values.extend([edge - 1, edge, edge + 1]);
+        }
+        for value in values {
+            let mut buf = Vec::new();
+            write_varint(&mut buf, value);
+            assert_eq!(buf.len(), varint_len(value), "{value}");
+            let mut r = WireReader::new(&buf);
+            assert_eq!(r.read_varint(), Ok(value));
+            assert_eq!(r.finish(), Ok(()));
+            for cut in 0..buf.len() {
+                let mut r = WireReader::new(&buf[..cut]);
+                assert!(matches!(r.read_varint(), Err(WireError::Truncated { .. })));
+            }
+        }
+        assert_eq!(varint_len(127), 1);
+        assert_eq!(varint_len(128), 2);
+        assert_eq!(varint_len(u64::MAX), 10);
+    }
+
+    #[test]
+    fn only_the_minimal_varint_decodes() {
+        let malformed = |bytes: &[u8]| {
+            WireReader::new(bytes).read_varint() == Err(WireError::Malformed("varint"))
+        };
+        // Non-minimal: a zero top group after a continuation.
+        assert!(malformed(&[0x80, 0x00]));
+        assert!(malformed(&[0xFF, 0x80, 0x00]));
+        // Overflowing: the tenth byte carries bits 63 and up.
+        let mut wide = vec![0xFF; 9];
+        wide.push(0x02);
+        assert!(malformed(&wide));
+        // Over-long: a continuation on the tenth byte.
+        let mut long = vec![0x80; 10];
+        long.push(0x01);
+        assert!(malformed(&long));
+        assert!(WireReader::new(&[0x80; 3]).read_varint().is_err());
+        let mut max = vec![0xFF; 9];
+        max.push(0x01);
+        assert_eq!(WireReader::new(&max).read_varint(), Ok(u64::MAX));
+        let big = [0x80, 0x80, 0x80, 0x80, 0x10];
+        assert_eq!(WireReader::new(&big).read_varint(), Ok(1 << 32));
     }
 
     #[test]

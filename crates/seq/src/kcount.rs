@@ -28,7 +28,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
-use elba_comm::transport::wire::{WireError, WireReader};
+use elba_comm::transport::wire::{varint_len, write_varint, WireError, WireReader};
 use elba_comm::{Comm, CommMsg, ProcGrid};
 
 use crate::kmer::{KmerHit, KmerScan};
@@ -328,21 +328,21 @@ pub fn count_kmers_with_stats(
             break;
         }
         let buckets = partial_counts(&mut window, p);
-        let sent: usize = buckets.iter().map(Vec::len).sum();
+        let sent: usize = buckets.iter().map(|run| run.0.len()).sum();
         stats.peak_outgoing_items = stats.peak_outgoing_items.max(sent);
         stats.peak_outgoing_bytes = stats
             .peak_outgoing_bytes
             .max(window.len() * std::mem::size_of::<u64>() + sent * COUNT_RECORD_BYTES);
         let inbound = world.alltoallv(buckets);
-        let received: usize = inbound.iter().map(Vec::len).sum();
-        let largest = inbound.iter().map(Vec::len).max().unwrap_or(0);
+        let received: usize = inbound.iter().map(|run| run.0.len()).sum();
+        let largest = inbound.iter().map(|run| run.0.len()).max().unwrap_or(0);
         stats.peak_inbound_items = stats.peak_inbound_items.max(largest);
         stats.peak_inbound_bytes = stats.peak_inbound_bytes.max(received * COUNT_RECORD_BYTES);
         // One plain loop per source: folding through a flattening
         // iterator measured about a quarter slower on singleton-heavy
         // input.
-        for records in inbound {
-            for (kmer, count) in records {
+        for run in inbound {
+            for (kmer, count) in run.0 {
                 *owned.entry(kmer).or_insert(0) += count;
             }
         }
@@ -606,16 +606,118 @@ impl Window {
 /// A `(kmer, partial count)` record's resident size.
 const COUNT_RECORD_BYTES: usize = std::mem::size_of::<(u64, u32)>();
 
+/// Bound on a count run's k-mers: a packed k-mer of `k ≤ 31` bases.
+const MAX_RUN_KMER: u64 = 1 << 62;
+
+/// One owner's bucket of a counting window: `(kmer, partial count)`
+/// records, strictly ascending by k-mer, every count at least 1.
+///
+/// In memory it is the records; on the wire it is the run at its
+/// information size. After a varint record count, each record is
+/// `varint(gap << 1 | (count > 1))`, plus `varint(count − 2)` when the
+/// count is above 1, where the gap is `kmer − prev − 1` (the first
+/// record's gap is its k-mer). A packed k-mer has at most 62 bits, so a
+/// record costs at most 9 B + the count's varint: a singleton of a dense
+/// run is one byte where the fixed `(u64, u32)` layout took 12.
+/// [`CommMsg::nbytes`] is the coded length, computed in one pass.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CountRun(Vec<(u64, u32)>);
+
+impl CountRun {
+    /// Wrap a run. Panics unless the k-mers ascend strictly, fit the 62
+    /// bits of a packed k-mer, and every count is at least 1 — what the
+    /// codec writes.
+    pub fn new(records: Vec<(u64, u32)>) -> Self {
+        assert!(
+            records.windows(2).all(|w| w[0].0 < w[1].0),
+            "a count run ascends strictly by k-mer"
+        );
+        assert!(
+            records
+                .iter()
+                .all(|&(kmer, count)| kmer < MAX_RUN_KMER && count > 0),
+            "a count record holds a k-mer below 2^62 and a count of at least 1"
+        );
+        CountRun(records)
+    }
+
+    /// The records, in k-mer order.
+    pub fn records(&self) -> &[(u64, u32)] {
+        &self.0
+    }
+
+    /// The run's first varint of each record and its count varint, if
+    /// any, in run order.
+    fn codes(&self) -> impl Iterator<Item = (u64, Option<u64>)> + '_ {
+        let mut next = 0u64;
+        self.0.iter().map(move |&(kmer, count)| {
+            let gap = kmer - next;
+            next = kmer + 1;
+            let head = gap << 1 | u64::from(count > 1);
+            (head, (count > 1).then(|| u64::from(count - 2)))
+        })
+    }
+}
+
+impl CommMsg for CountRun {
+    fn nbytes(&self) -> usize {
+        varint_len(self.0.len() as u64)
+            + self
+                .codes()
+                .map(|(head, count)| varint_len(head) + count.map_or(0, varint_len))
+                .sum::<usize>()
+    }
+
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        write_varint(out, self.0.len() as u64);
+        for (head, count) in self.codes() {
+            write_varint(out, head);
+            if let Some(count) = count {
+                write_varint(out, count);
+            }
+        }
+    }
+
+    /// The inverse of `wire_encode`. A k-mer of more than 62 bits or a count
+    /// past `u32::MAX` is [`WireError::Malformed`]; the records are
+    /// reserved only as far as the remaining bytes (one per record) go.
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let n = r.read_varint()?;
+        let mut records = Vec::with_capacity((n as usize).min(r.remaining()));
+        let mut next = 0u64;
+        for _ in 0..n {
+            let head = r.read_varint()?;
+            let kmer = next
+                .checked_add(head >> 1)
+                .filter(|&kmer| kmer < MAX_RUN_KMER)
+                .ok_or(WireError::Malformed("count run k-mer"))?;
+            let count = match head & 1 {
+                0 => 1,
+                _ => r
+                    .read_varint()?
+                    .checked_add(2)
+                    .and_then(|c| u32::try_from(c).ok())
+                    .ok_or(WireError::Malformed("count run count"))?,
+            };
+            records.push((kmer, count));
+            next = kmer + 1;
+        }
+        Ok(CountRun(records))
+    }
+}
+
 /// One counting window's records: sort the window's occurrences and emit
 /// one `(kmer, partial_count)` per run of equal k-mers into its owner's
 /// bucket, in k-mer order. Wire traffic shrinks by the within-window
 /// multiplicity, and every bucket is a function of the input alone, so
 /// profiled wire bytes are deterministic.
-fn partial_counts(window: &mut [u64], p: usize) -> Vec<Vec<(u64, u32)>> {
+fn partial_counts(window: &mut [u64], p: usize) -> Vec<CountRun> {
     window.sort_unstable();
-    let mut buckets: Vec<Vec<(u64, u32)>> = (0..p).map(|_| Vec::new()).collect();
+    let mut buckets: Vec<CountRun> = (0..p).map(|_| CountRun::default()).collect();
     for run in window.chunk_by(|a, b| a == b) {
-        buckets[kmer_owner(run[0], p)].push((run[0], run.len() as u32));
+        buckets[kmer_owner(run[0], p)]
+            .0
+            .push((run[0], run.len() as u32));
     }
     buckets
 }

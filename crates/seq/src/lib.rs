@@ -27,7 +27,7 @@ pub mod store;
 pub use dna::Seq;
 pub use kcount::{
     build_a_triples, build_a_triples_with_stats, count_kmers, count_kmers_with_stats, AEntry,
-    ExchangeStats, KmerConfig, KmerTable,
+    CountRun, ExchangeStats, KmerConfig, KmerTable,
 };
 pub use sim::{DatasetSpec, ReadSimConfig, SimulatedRead};
 pub use store::{ReadStore, ReadTooLong, TooManyReads};

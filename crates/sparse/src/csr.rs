@@ -13,23 +13,24 @@
 //! emit pass; the sorted per-source lists a distributed build receives
 //! are merged without being concatenated first.
 //!
-//! On the wire a block costs its entries, not its row count. The frame
-//! is the shape, a one-byte form tag, the cheaper of two row encodings,
-//! then the column indices and the values:
-//! - dense: the `nrows + 1` offsets, `4·(nrows + 1)` B;
-//! - sparse: the non-empty rows as `(u32 row id, u32 end offset)` pairs,
-//!   `8·nzr` B — what a hypersparse off-diagonal block of the √P×√P grid
-//!   (`n/√P` rows, about `nnz/P` entries) ships, in place of CombBLAS'
-//!   DCSC (Buluç and Gilbert, IPDPS 2008).
+//! On the wire a block costs its entries, not its row count, and each
+//! column index what its gap needs. The frame is one run of LEB128
+//! varints (`elba_comm::transport::wire`) and then the values:
+//! - `nrows`, `ncols`, `nnz`;
+//! - per non-empty row, `empty rows skipped` and `len − 1`, then its
+//!   columns as gaps: the first column, then `c − prev − 1`;
+//! - the empty rows after the last non-empty one.
 //!
-//! The block's own shape picks the form (sparse when
-//! `8·nzr < 4·(nrows + 1)`), [`elba_comm::CommMsg::nbytes`] books
-//! exactly the bytes the codec writes apart from its length headers, and
-//! the decoder always rebuilds the dense in-memory form after checking
-//! that every offset, row id and column index is one a kernel can
-//! follow.
+//! A hypersparse off-diagonal block of the √P×√P grid (`n/√P` rows,
+//! about `nnz/P` entries) ships only its non-empty rows, in place of
+//! CombBLAS' DCSC (Buluç and Gilbert, IPDPS 2008), and a dense row
+//! ships about a byte per entry of structure. Falling or repeated
+//! columns cannot be written. [`elba_comm::CommMsg::nbytes`] is the
+//! coded length, computed in one pass over the rows; the decoder
+//! rebuilds the dense in-memory form after checking that every row
+//! count, offset and column is one a kernel can follow.
 
-use elba_comm::transport::wire::{WireError, WireReader};
+use elba_comm::transport::wire::{varint_len, write_varint, WireError, WireReader};
 use elba_comm::CommMsg;
 
 /// The `u32` offset of entry `n` of a block: every builder's check that
@@ -374,138 +375,96 @@ fn filter_entries<T>(
     }
 }
 
-/// The dense `offsets`-long pointer array of a sparse-form frame's
-/// `(row id, end offset)` pairs: a row between two listed rows ends
-/// where the one before it did. The ids must ascend strictly and stay
-/// under `offsets − 1`; the offsets are checked by the caller.
-fn expand_rows(offsets: usize, pairs: &[u32]) -> Result<Vec<u32>, WireError> {
-    let ids = || pairs.chunks_exact(2).map(|pair| pair[0] as usize);
-    let ascending = ids().zip(ids().skip(1)).all(|(a, b)| a < b);
-    if !ascending || ids().next_back().is_some_and(|row| row + 1 >= offsets) {
-        return Err(WireError::Malformed("csr row ids"));
-    }
-    let mut indptr = vec![0u32; offsets];
-    let mut filled = 0;
-    for pair in pairs.chunks_exact(2) {
-        let (row, end) = (pair[0] as usize, pair[1]);
-        let before = indptr[filled];
-        indptr[filled + 1..=row].fill(before);
-        indptr[row + 1] = end;
-        filled = row + 1;
-    }
-    let last = indptr[filled];
-    indptr[filled + 1..].fill(last);
-    Ok(indptr)
-}
-
-/// Form tag of a frame whose rows travel as the `nrows + 1` offsets.
-const DENSE_ROWS: u8 = 0;
-/// Form tag of a frame whose rows travel as `(row id, end offset)`
-/// pairs of the non-empty rows.
-const SPARSE_ROWS: u8 = 1;
-
 impl<T> Csr<T> {
-    /// Rows holding at least one entry.
-    fn nonempty_rows(&self) -> usize {
-        self.indptr.windows(2).filter(|w| w[0] < w[1]).count()
-    }
-
-    /// The frame's row encoding: its form tag and its byte size, the
-    /// cheaper of `4·(nrows + 1)` dense and `8·nzr` sparse (dense on a
-    /// tie).
-    fn row_form(&self) -> (u8, usize) {
-        let dense = 4 * self.indptr.len();
-        let sparse = 8 * self.nonempty_rows();
-        if sparse < dense {
-            (SPARSE_ROWS, sparse)
-        } else {
-            (DENSE_ROWS, dense)
+    /// Every varint of the frame's structure, in frame order: the shape,
+    /// `nnz`, each non-empty row's `(empty rows skipped, len − 1)` and
+    /// column gaps, and the empty rows after the last one.
+    #[inline]
+    fn for_each_code(&self, mut code: impl FnMut(u64)) {
+        code(self.nrows as u64);
+        code(self.ncols as u64);
+        code(self.indices.len() as u64);
+        let mut next_row = 0;
+        for (i, w) in self.indptr.windows(2).enumerate() {
+            if w[0] == w[1] {
+                continue;
+            }
+            code((i - next_row) as u64);
+            code(u64::from(w[1] - w[0] - 1));
+            let cols = &self.indices[w[0] as usize..w[1] as usize];
+            code(u64::from(cols[0]));
+            for pair in cols.windows(2) {
+                code(u64::from(pair[1] - pair[0] - 1));
+            }
+            next_row = i + 1;
         }
+        code((self.nrows - next_row) as u64);
     }
 }
 
 impl<T: CommMsg + Clone> CommMsg for Csr<T> {
     fn nbytes(&self) -> usize {
-        // Shape + form tag + row encoding + indices + values.
-        16 + 1
-            + self.row_form().1
-            + self.indices.len() * 4
-            + self.values.iter().map(|v| v.nbytes()).sum::<usize>()
+        let mut bytes = 0;
+        self.for_each_code(|v| bytes += varint_len(v));
+        bytes + self.values.iter().map(CommMsg::nbytes).sum::<usize>()
     }
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.nrows as u64).to_ne_bytes());
-        out.extend_from_slice(&(self.ncols as u64).to_ne_bytes());
-        let (form, bytes) = self.row_form();
-        out.push(form);
-        if form == SPARSE_ROWS {
-            // The pair count is a length header, as a `Vec`'s is.
-            out.extend_from_slice(&(bytes as u64 / 8).to_ne_bytes());
-            for (row, w) in self.indptr.windows(2).enumerate() {
-                if w[0] < w[1] {
-                    out.extend_from_slice(&(row as u32).to_ne_bytes());
-                    out.extend_from_slice(&w[1].to_ne_bytes());
-                }
-            }
-        } else {
-            u32::wire_encode_slice(&self.indptr, out);
-        }
-        self.indices.wire_encode(out);
-        self.values.wire_encode(out);
+        self.for_each_code(|v| write_varint(out, v));
+        T::wire_encode_slice(&self.values, out);
     }
 
     /// The inverse of `wire_encode`, into the dense in-memory form. A
-    /// frame no encoder produces — a row id out of order or out of the
-    /// shape, offsets that fall or miss `nnz`, a column out of the shape
-    /// or out of order in its row — is [`WireError::Malformed`], so no
-    /// accessor or kernel can index out of bounds on a decoded block.
+    /// frame no encoder produces — a bad varint, a row past `nrows`, rows
+    /// whose lengths overrun `nnz` or whose skips and trailing count miss
+    /// `nrows`, a column at or past `ncols` — is [`WireError::Malformed`],
+    /// so no accessor or kernel can index out of bounds on a decoded
+    /// block. The offsets grow only as far as the row records reach, so
+    /// a corrupt shape is refused before its rows are allocated.
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         // Row ids and column indices are `u32`: a wider shape cannot be
         // addressed, and would only be an allocation.
         let dim = |r: &mut WireReader<'_>| {
-            usize::try_from(r.read_u64()?)
+            usize::try_from(r.read_varint()?)
                 .ok()
                 .filter(|&d| d as u64 <= 1 << 32)
                 .ok_or(WireError::Malformed("csr shape"))
         };
         let (nrows, ncols) = (dim(r)?, dim(r)?);
-        let offsets = nrows
-            .checked_add(1)
-            .ok_or(WireError::Malformed("csr shape"))?;
-        let form = u8::wire_decode(r)?;
-        let rows = match form {
-            DENSE_ROWS => u32::wire_decode_slice(offsets, r)?,
-            SPARSE_ROWS => {
-                let nzr = r.read_len()?;
-                if nzr > nrows {
-                    return Err(WireError::Malformed("csr row ids"));
-                }
-                u32::wire_decode_slice(2 * nzr, r)?
+        let nnz = usize::try_from(r.read_varint()?)
+            .ok()
+            .filter(|&n| n <= u32::MAX as usize)
+            .ok_or(WireError::Malformed("csr offsets"))?;
+        let rows_error = WireError::Malformed("csr rows");
+        let mut indptr = vec![0u32];
+        let mut indices = Vec::with_capacity(nnz.min(r.remaining()));
+        while indices.len() < nnz {
+            let skip = r.read_varint()?;
+            if skip >= (nrows + 1 - indptr.len()) as u64 {
+                return Err(rows_error);
             }
-            _ => return Err(WireError::Malformed("csr form")),
-        };
-        let indices = Vec::<u32>::wire_decode(r)?;
-        let values = Vec::<T>::wire_decode(r)?;
-        let indptr = if form == SPARSE_ROWS {
-            expand_rows(offsets, &rows)?
-        } else {
-            rows
-        };
-        let offsets_hold = indptr[0] == 0
-            && indptr.windows(2).all(|w| w[0] <= w[1])
-            && indptr[nrows] as usize == indices.len()
-            && indices.len() == values.len();
-        if !offsets_hold {
-            return Err(WireError::Malformed("csr offsets"));
+            let end = indptr[indptr.len() - 1];
+            indptr.resize(indptr.len() + skip as usize, end);
+            let len = r.read_varint()?;
+            if len >= (nnz - indices.len()) as u64 {
+                return Err(WireError::Malformed("csr offsets"));
+            }
+            let mut next = 0u64;
+            for _ in 0..=len {
+                let col = next
+                    .checked_add(r.read_varint()?)
+                    .filter(|&c| c < ncols as u64)
+                    .ok_or(WireError::Malformed("csr columns"))?;
+                indices.push(col as u32);
+                next = col + 1;
+            }
+            indptr.push(entry_offset(indices.len()));
         }
-        let columns_hold = indptr.windows(2).all(|w| {
-            let cols = &indices[w[0] as usize..w[1] as usize];
-            cols.windows(2).all(|c| c[0] < c[1])
-                && cols.last().is_none_or(|&c| (c as usize) < ncols)
-        });
-        if !columns_hold {
-            return Err(WireError::Malformed("csr columns"));
+        if r.read_varint()? != (nrows + 1 - indptr.len()) as u64 {
+            return Err(rows_error);
         }
+        indptr.resize(nrows + 1, entry_offset(nnz));
+        let values = T::wire_decode_slice(nnz, r)?;
         Ok(Csr {
             nrows,
             ncols,

@@ -14,6 +14,7 @@ use elba_comm::{CommMsg, MemCharge, ProcGrid};
 use crate::csr::{entry_offset, Csr};
 use crate::dist_vec::DistVec;
 use crate::layout::Layout2D;
+use crate::routed::RoutedTriples;
 use crate::semiring::{MaskedFold, Semiring};
 use crate::spgemm::{MaskedAccumulator, SpGemmBatcher};
 
@@ -460,13 +461,20 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         // hand over runs that share a row with ascending columns, so the
         // cursors divide once per block crossing, not once per coordinate.
         let (mut rows, mut cols) = (row_layout.cursor(), col_layout.cursor());
-        let mut outgoing: Vec<Vec<(u32, u32, T)>> = (0..p).map(|_| Vec::new()).collect();
+        // Each owner's buffer keeps the caller's order; a sorted one (A's
+        // triples) travels as row runs and column gaps (`routed.rs`).
+        let mut outgoing: Vec<RoutedTriples<T>> =
+            (0..p).map(|_| RoutedTriples::default()).collect();
         for (r, c, v) in triples {
             let (bi, r) = rows.locate(r as usize);
             let (bj, c) = cols.locate(c as usize);
             outgoing[grid.rank_of(bi, bj)].push((r as u32, c as u32, v));
         }
         let incoming = grid.world().alltoallv(outgoing);
+        let incoming = incoming
+            .into_iter()
+            .map(RoutedTriples::into_triples)
+            .collect();
         let row_range = row_layout.block_range(grid.myrow());
         let col_range = col_layout.block_range(grid.mycol());
         // The builder reads the per-source parts as one list without

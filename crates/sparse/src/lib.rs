@@ -7,7 +7,8 @@
 //! * one local format, [`csr::Csr`]: the block of every distributed
 //!   matrix and the symmetric subgraph local assembly walks, built by a
 //!   counting sort from triples, with `u32` offsets; on the wire a
-//!   hypersparse block ships only its non-empty rows,
+//!   block ships its non-empty rows and column gaps as varints, and
+//!   [`routed::RoutedTriples`] a sorted triple buffer as row runs,
 //! * [`semiring::Semiring`] overloading of `(+, ×)`, including filtering
 //!   semirings (a `multiply` that can annihilate) and an in-place
 //!   `fold` (`acc ⊕= a ⊗ b`) a semiring may specialise,
@@ -31,6 +32,7 @@ pub mod dense;
 pub mod dist_mat;
 pub mod dist_vec;
 pub mod layout;
+pub mod routed;
 pub mod semiring;
 pub mod spgemm;
 
@@ -38,5 +40,6 @@ pub use csr::Csr;
 pub use dist_mat::{algorithm_label, DistMat, SpGemmAlgorithm, SpGemmOptions};
 pub use dist_vec::DistVec;
 pub use layout::Layout2D;
+pub use routed::RoutedTriples;
 pub use semiring::{MaskedFold, Semiring, SemiringSlot};
 pub use spgemm::SpGemmBatcher;

@@ -447,49 +447,58 @@ fn pipeline_profile_contains_paper_phases() {
 
 /// Golden wire pin: per-rank messages (p2p + collective calls) and bytes
 /// of the two phases the k-mer stage drives, for one seeded read set at
-/// p = 4, against fixed constants. CountKmer's were recorded when its
-/// streamed, flow-controlled chunks became one `alltoallv` and a one-byte
-/// `allreduce` per window: the same count records, without per-chunk
-/// framing, credit acks and terminators. DetectOverlap ships a window's
-/// column queries to the other A owners and their answers (4-byte A
-/// entries), and the symmetric product's direct block sends: no `Aᵀ` is
-/// built and nothing is broadcast. Rank (m, s) sends `A(m, s)` as stored
-/// to every other rank (m, j) with j ≥ m, and transposed to every rank
-/// (i, m) with i < m. A block frame books
-/// 17 B of shape and form tag, `4·(rows + 1)` B of offsets (every block
-/// here lists more than half its rows) and 8 B per entry (4 B index,
-/// 4 B entry). A's 99 read rows split 50 / 49 over the grid rows and its
-/// 5 687 k-mer columns 2 844 / 2 843 over the grid columns:
+/// p = 4, against fixed constants. CountKmer runs one `alltoallv` of
+/// count runs and a one-byte `allreduce` per window. A count record is
+/// `varint(gap << 1 | (count > 1))`, plus `varint(count − 2)` above 1,
+/// so it costs what the spacing of its owner's k-mers needs: the four
+/// ranks book 403 918, 466 789, 399 072 and 309 496 B, where fixed
+/// 12-byte records took 598 988, 693 410, 592 424 and 459 114 B in the
+/// same 177, 177, 177 and 176 messages.
 ///
-/// | rank | blocks sent (rows, entries) | direct sends | rest of the phase |
-/// |---|---|---:|---:|
-/// | 0 (0,0) | A(0,0) (50, 46 662) | 373 517 | 972 492 |
-/// | 1 (0,1) | A(0,1) (50, 46 642) | 373 357 | 1 082 138 |
-/// | 2 (1,0) | A(1,0) (49, 38 339), A(1,0)ᵀ (2 844, 38 339) | 306 929 + 318 109 | 960 796 |
-/// | 3 (1,1) | A(1,1)ᵀ (2 843, 38 430) | 318 833 | 792 050 |
+/// DetectOverlap ships a window's column queries to the other A owners
+/// and their answers (8 B per query, 4 B per answer), routes A's triples
+/// to their block owners, and runs the symmetric product's direct block
+/// sends: no `Aᵀ` is built and nothing is broadcast. Rank (m, s) sends
+/// `A(m, s)` as stored to every other rank (m, j) with j ≥ m, and
+/// transposed to every rank (i, m) with i < m. A's triples ascend by row
+/// and, within a row, by column, so every routed buffer travels as row
+/// runs and column gaps, about 5 B a triple where a flat triple took 12.
+/// A block frame is its structure — varint shape and `nnz`, `(empty rows
+/// skipped, len − 1)` per non-empty row, one column gap per entry, the
+/// trailing empty rows — and 4 B per entry; the structure alone is the
+/// pattern frame the budgeted run ships. A's 99 read rows split 50 / 49
+/// over the grid rows and its 5 687 k-mer columns 2 844 / 2 843 over the
+/// grid columns:
+///
+/// | rank | column queries | routed triples | blocks sent: (rows, entries) structure + values | (msgs, bytes) |
+/// |---|---:|---:|---|---:|
+/// | 0 (0,0) | 447 868 | 43 716: 218 762 | A(0,0) (50, 46 662) 46 819 + 186 648 | (234, 900 097) |
+/// | 1 (0,1) | 487 050 | 49 588: 248 122 | A(0,1) (50, 46 642) 46 799 + 186 568 | (235, 968 539) |
+/// | 2 (1,0) | 442 376 | 43 199: 216 177 | A(1,0) (49, 38 339) 38 493 + 153 356, A(1,0)ᵀ (2 844, 38 339) 43 834 + 153 356 | (236, 1 047 592) |
+/// | 3 (1,1) | 389 178 | 33 570: 168 026 | A(1,1)ᵀ (2 843, 38 430) 43 945 + 153 720 | (235, 754 869) |
 ///
 /// Rank 2 sits below the diagonal: it multiplies nothing and only sends
 /// its block, as stored to (1,1) and transposed to (0,1).
 ///
 /// The budgeted input is the same run under `MemBudget::bytes(256 <<
-/// 10)`. Its derived k-mer window is the 1 024-k-mer floor, so CountKmer
-/// and the column queries do not move; DetectOverlap runs the column-
-/// batched SUMMA under a 128 KiB SpGEMM budget. That is three column
-/// rounds, each the direct sends above again, after one estimate pass
-/// that ships each block's pattern (17 B of shape and form tag,
-/// `4·(rows + 1)` B of offsets and 4 B per entry, no values) to the same
-/// destinations as stored. On top come five 8-byte `allreduce`s (the
-/// double-buffer verdict and four round-count checks, the last of which
-/// ends the loop): 10 calls on every rank, and 8 B per tree send — 16 B
-/// from rank 0, which sends the `bcast` to two children, 16 B from rank
-/// 2 (a `reduce` send and a `bcast` send), 8 B from ranks 1 and 3.
+/// 10)`. Its derived k-mer window is the 1 024-k-mer floor, so CountKmer,
+/// the column queries and the routing do not move; DetectOverlap runs the
+/// column-batched SUMMA under a 128 KiB SpGEMM budget. That is three
+/// column rounds, each the direct sends above again, after one estimate
+/// pass that ships each block's pattern (its structure, no values) as
+/// stored to the same destinations. On top come five 8-byte
+/// `allreduce`s (the double-buffer verdict and four round-count checks,
+/// the last of which ends the loop): 10 calls on every rank, and 8 B per
+/// tree send — 16 B from rank 0, which sends the `bcast` to two
+/// children, 16 B from rank 2 (a `reduce` send and a `bcast` send), 8 B
+/// from ranks 1 and 3.
 ///
-/// | rank | pattern sends | 3 rounds | allreduce bytes | (msgs, bytes) |
-/// |---|---:|---:|---:|---:|
-/// | 0 | 186 869 | 3 × 373 517 | 80 | (234 + 3 + 10, 2 279 992) |
-/// | 1 | 186 789 | 3 × 373 357 | 40 | (235 + 3 + 10, 2 389 038) |
-/// | 2 | 2 × 153 573 | 3 × 625 038 | 80 | (236 + 6 + 10, 3 143 136) |
-/// | 3 | 153 937 | 3 × 318 833 | 40 | (235 + 3 + 10, 1 902 526) |
+/// | rank | pattern sends | 3 rounds | allreduce bytes | queries + routing | (msgs, bytes) |
+/// |---|---:|---:|---:|---:|---:|
+/// | 0 | 46 819 | 3 × 233 467 | 80 | 666 630 | (234 + 3 + 10, 1 413 930) |
+/// | 1 | 46 799 | 3 × 233 367 | 40 | 735 172 | (235 + 3 + 10, 1 482 112) |
+/// | 2 | 2 × 38 493 | 3 × 389 039 | 80 | 658 553 | (236 + 6 + 10, 1 902 736) |
+/// | 3 | 38 584 | 3 × 197 665 | 40 | 557 204 | (235 + 3 + 10, 1 188 823) |
 ///
 /// Every other wire check compares two live runs (transports, thread
 /// counts, budgets), so a reordered record stream that moved both sides
@@ -498,18 +507,14 @@ fn pipeline_profile_contains_paper_phases() {
 fn kmer_stage_wire_traffic_matches_golden_constants() {
     // (msgs, bytes) per rank.
     const COUNT_KMER: [(u64, u64); 4] =
-        [(177, 598988), (177, 693410), (177, 592424), (176, 459114)];
-    const DETECT_OVERLAP: [(u64, u64); 4] = [
-        (234, 1346009),
-        (235, 1455495),
-        (236, 1585834),
-        (235, 1110883),
-    ];
+        [(177, 403918), (177, 466789), (177, 399072), (176, 309496)];
+    const DETECT_OVERLAP: [(u64, u64); 4] =
+        [(234, 900097), (235, 968539), (236, 1047592), (235, 754869)];
     const DETECT_OVERLAP_BUDGETED: [(u64, u64); 4] = [
-        (247, 2279992),
-        (248, 2389038),
-        (252, 3143136),
-        (248, 1902526),
+        (247, 1413930),
+        (248, 1482112),
+        (252, 1902736),
+        (248, 1188823),
     ];
     let spec = DatasetSpec::celegans_like(0.05, 1919);
     let (_genome, reads) = reads_of(&spec);
@@ -708,17 +713,20 @@ fn contig_stage_wire_traffic_matches_golden_constants() {
 ///
 /// On the 2×2 grid every rank roots one row and one column broadcast of
 /// its own 204-row hop block, so each block crosses the wire twice. A
-/// block frame books 17 B of shape and form tag, the cheaper of 205 × 4
-/// = 820 B of offsets and 8 B per non-empty row, and 9 B per edge (4 B
-/// index, 5 B hop). A diagonal block lists nearly every row, so it ships
-/// its offsets: 2 × (17 + 820 + 9 × 386) = 8 622 B on rank 0 and
-/// 2 × (17 + 820 + 9 × 384) = 8 586 B on rank 3. An off-diagonal block
-/// is empty and lists no row: 2 × 17 = 34 B on ranks 1 and 2. The rest,
-/// 48 / 32 / 56 / 24 B, is the transpose swap and the collectives.
+/// block frame books 7 B of varint shape, `nnz` and trailing empty rows
+/// (204, 204, `nnz`, 0), 2 B of `(empty rows skipped, len − 1)` per
+/// non-empty row, one column-gap varint per edge (two bytes for a row's
+/// first column of 128 or more), and 5 B per hop. A diagonal block lists
+/// every row: 2 × (7 + 2 × 204 + 461 + 5 × 386) = 5 612 B on rank 0 and
+/// 2 × (7 + 2 × 204 + 459 + 5 × 384) = 5 588 B on rank 3, where the
+/// fixed-width offsets and column indices took 8 622 and 8 586. An
+/// off-diagonal block is empty: 2 × 7 = 14 B on ranks 1 and 2 (its
+/// varints 204, 204, 0 and 204 trailing rows). The rest, 48 / 32 / 56 /
+/// 24 B, is the transpose swap and the collectives.
 #[test]
 fn reduction_wire_traffic_matches_golden_constants() {
     // (msgs, bytes) per rank.
-    const TR_REDUCTION: [(u64, u64); 4] = [(10, 8670), (11, 66), (11, 90), (10, 8610)];
+    const TR_REDUCTION: [(u64, u64); 4] = [(10, 5660), (11, 46), (11, 70), (10, 5612)];
     let (reads, triples) = fixed_chain_graph(24, 17, 70);
     let n = reads.len();
     let (out, profile) = Runner::new(Backend::InProcess)

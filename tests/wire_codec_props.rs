@@ -4,13 +4,16 @@
 //! multi-megabyte CSR panels — and the reader must consume the buffer
 //! to the last byte (`finish` pins against silent over- or under-reads).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use elba::align::SgEdge;
-use elba::comm::transport::wire::{WireError, WireReader};
+use elba::comm::transport::wire::{write_varint, WireError, WireReader};
 use elba::comm::{Backend, CommMsg, Profile, Runner};
 use elba::core::{EdgeRecord, WalkEdge};
 use elba::graph::{Hop, Seed, SharedSeeds};
-use elba::seq::AEntry;
-use elba::sparse::Csr;
+use elba::seq::{AEntry, CountRun};
+use elba::sparse::{Csr, RoutedTriples};
 use proptest::prelude::*;
 
 fn round_trip<T: CommMsg>(value: &T) -> T {
@@ -600,70 +603,277 @@ proptest! {
     }
 }
 
-/// A `Csr<f64>` frame written field by field — shape, form tag (0 dense,
-/// 1 sparse), the row encoding, then the indices and values as `Vec`s —
-/// so a test can forge what no encoder writes. A sparse frame's `rows`
-/// are its `(row id, end offset)` pairs, flattened.
-fn csr_frame(
-    nrows: u64,
-    ncols: u64,
-    form: u8,
-    rows: &[u32],
-    indices: &[u32],
-    values: &[f64],
-) -> Vec<u8> {
+/// The largest allocation the current thread asked for while
+/// [`largest_allocation`] watched it, and the size above which such a
+/// request fails instead of reaching the system: a decoder that trusted
+/// a corrupt count aborts the test rather than exhaust the machine.
+struct WatchedAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+    static REFUSE_ABOVE: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+fn note_allocation(size: usize) -> bool {
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+    REFUSE_ABOVE
+        .try_with(Cell::get)
+        .map_or(true, |cap| size <= cap)
+}
+
+unsafe impl GlobalAlloc for WatchedAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if !note_allocation(layout.size()) {
+            return std::ptr::null_mut();
+        }
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        if !note_allocation(layout.size()) {
+            return std::ptr::null_mut();
+        }
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if !note_allocation(new_size) {
+            return std::ptr::null_mut();
+        }
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static WATCHED: WatchedAlloc = WatchedAlloc;
+
+/// Run `f` and return the largest single allocation it made.
+fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    LARGEST.with(|largest| largest.set(0));
+    REFUSE_ABOVE.with(|cap| cap.set(64 << 20));
+    let out = f();
+    REFUSE_ABOVE.with(|cap| cap.set(usize::MAX));
+    (out, LARGEST.with(Cell::get))
+}
+
+/// Decode a whole frame: a value that leaves bytes behind is an error.
+fn decode_exact<T: CommMsg>(frame: &[u8]) -> Result<T, WireError> {
+    let mut reader = WireReader::new(frame);
+    let value = T::wire_decode(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
+}
+
+/// The wire fuzz of one encoded instance: every strict prefix is an
+/// error, one byte more is `Trailing(1)`, and every single-byte change
+/// either fails or decodes to a value `valid` accepts — without a panic,
+/// and without an allocation larger than `16·len` bytes (what the frame's
+/// bytes can back at up to 16 B of element per byte) plus `backed`, the
+/// in-memory form the frame's shape stands for.
+fn fuzz_frame<T: CommMsg>(frame: &[u8], backed: usize, valid: impl Fn(&T, &[u8]) -> bool) {
+    let bound = 16 * frame.len() + backed;
+    for cut in 0..frame.len() {
+        let (decoded, largest) = largest_allocation(|| decode_exact::<T>(&frame[..cut]));
+        assert!(decoded.is_err(), "a {cut}-byte prefix decoded");
+        assert!(
+            largest <= bound,
+            "a {cut}-byte prefix allocated {largest} B"
+        );
+    }
+    let mut padded = frame.to_vec();
+    padded.push(0);
+    let mut reader = WireReader::new(&padded);
+    assert!(T::wire_decode(&mut reader).is_ok());
+    assert_eq!(reader.finish(), Err(WireError::Trailing(1)));
+    let mut flipped = frame.to_vec();
+    for at in 0..frame.len() {
+        for byte in 0..=255u8 {
+            if byte == frame[at] {
+                continue;
+            }
+            flipped[at] = byte;
+            let (decoded, largest) = largest_allocation(|| decode_exact::<T>(&flipped));
+            assert!(
+                largest <= bound,
+                "byte {byte} at {at} allocated {largest} B (bound {bound})"
+            );
+            if let Ok(value) = decoded {
+                assert!(
+                    valid(&value, &flipped),
+                    "byte {byte} at {at}: invalid value"
+                );
+            }
+        }
+        flipped[at] = frame[at];
+    }
+}
+
+/// A count run with counts 1, 2 and at least 2¹⁴, gaps of every varint
+/// width up to the largest packed k-mer.
+fn sample_count_run() -> CountRun {
+    CountRun::new(vec![
+        (0, 1),
+        (1, 2),
+        (3, 1 << 14),
+        (200, 1),
+        (70_000, (1 << 21) - 1),
+        (70_001, u32::MAX),
+        ((1 << 62) - 2, 3),
+        ((1 << 62) - 1, 1),
+    ])
+}
+
+#[test]
+fn count_runs_book_their_varints_and_survive_byte_flips() {
+    let run = sample_count_run();
+    let frame = encoded(&run);
+    assert_eq!(frame.len(), run.nbytes());
+    assert_eq!(round_trip(&run), run);
+    // Count 1: the gap varint alone (gap 0 → one byte); count 2: the gap
+    // varint and one count byte; a dense singleton costs 1 B of 12.
+    let single = |records| CountRun::new(records).nbytes() - 1;
+    assert_eq!(single(vec![(0, 1)]), 1);
+    assert_eq!(single(vec![(0, 2)]), 2);
+    assert_eq!(single(vec![(63, 1)]), 1);
+    assert_eq!(single(vec![(64, 1)]), 2);
+    assert_eq!(single(vec![(0, 129)]), 2);
+    assert_eq!(single(vec![(0, 130)]), 3);
+    assert_eq!(single(vec![((1 << 62) - 1, (1 << 21) + 1)]), 9 + 3);
+    assert_eq!(CountRun::default().nbytes(), 1);
+    fuzz_frame::<CountRun>(&frame, 0, |run, _| {
+        let records = run.records();
+        records.windows(2).all(|w| w[0].0 < w[1].0)
+            && records
+                .iter()
+                .all(|&(kmer, count)| kmer < 1 << 62 && count > 0)
+    });
+}
+
+#[test]
+#[should_panic(expected = "ascends strictly")]
+fn a_count_run_refuses_an_unsorted_bucket() {
+    CountRun::new(vec![(5, 1), (5, 1)]);
+}
+
+/// A's routed triples at the extremes: rows and columns whose gaps need
+/// one to five varint bytes, runs of one and of several entries.
+fn sorted_a_triples() -> Vec<(u32, u32, AEntry)> {
+    let mut triples = Vec::new();
+    for (k, &row) in [0u32, 1, 2, 130, 20_000, u32::MAX].iter().enumerate() {
+        for col in [0u32, 1, 300, 300 + 20_000, u32::MAX].iter().take(k + 1) {
+            triples.push((row, *col, EDGE_ENTRIES[k % 4]));
+        }
+    }
+    triples
+}
+
+/// Whether the triples could have come from a run-form frame: rows that
+/// never fall, and columns that never fall within a row.
+fn runs_hold(triples: &[(u32, u32, AEntry)]) -> bool {
+    triples
+        .windows(2)
+        .all(|w| w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 <= w[1].1))
+}
+
+#[test]
+fn routed_triples_travel_as_runs_or_flat_and_survive_byte_flips() {
+    let sorted = sorted_a_triples();
+    let mut unsorted = sorted.clone();
+    unsorted.reverse();
+    let run_form = |buf: &[u8]| u64::from_ne_bytes(buf[..8].try_into().expect("header")) >> 63 == 1;
+    for (triples, runs) in [(sorted, true), (unsorted, false)] {
+        let buf = RoutedTriples::new(triples.clone());
+        let frame = encoded(&buf);
+        assert_eq!(run_form(&frame), runs);
+        assert_eq!(frame.len(), buf.nbytes());
+        // The flat form is exactly a `Vec` of 12-byte triples; the run
+        // form is never larger.
+        assert!(buf.nbytes() <= triples.nbytes());
+        assert_eq!(buf.nbytes() == triples.nbytes(), !runs);
+        assert_eq!(round_trip(&buf).into_triples(), triples);
+        fuzz_frame::<RoutedTriples<AEntry>>(&frame, 0, |decoded, flipped| {
+            !run_form(flipped) || runs_hold(decoded.triples())
+        });
+    }
+}
+
+/// A `Csr<f64>` frame's structure written code by code, each `u64` as a
+/// varint, then the values: the codec's layout, so a test can forge
+/// what no encoder writes. A frame's codes are `nrows`, `ncols`, `nnz`,
+/// each non-empty row's `(empty rows skipped, len − 1, first column,
+/// column gaps…)`, and the empty rows after the last one.
+fn csr_frame(codes: &[u64], values: &[f64]) -> Vec<u8> {
     let mut buf = Vec::new();
-    nrows.wire_encode(&mut buf);
-    ncols.wire_encode(&mut buf);
-    form.wire_encode(&mut buf);
-    if form == 1 {
-        (rows.len() as u64 / 2).wire_encode(&mut buf);
+    for &code in codes {
+        write_varint(&mut buf, code);
     }
-    for row in rows {
-        row.wire_encode(&mut buf);
+    for value in values {
+        value.wire_encode(&mut buf);
     }
-    indices.to_vec().wire_encode(&mut buf);
-    values.to_vec().wire_encode(&mut buf);
     buf
 }
 
-fn decode_csr(frame: &[u8]) -> Result<Csr<f64>, WireError> {
-    let mut reader = WireReader::new(frame);
-    let csr = Csr::<f64>::wire_decode(&mut reader)?;
-    reader.finish()?;
-    Ok(csr)
+/// The codes of `csr`'s frame, from its rows.
+fn layout_codes<T>(csr: &Csr<T>) -> Vec<u64> {
+    let mut codes = vec![csr.nrows() as u64, csr.ncols() as u64, csr.nnz() as u64];
+    let mut next = 0;
+    for row in 0..csr.nrows() {
+        let cols = csr.row(row).0;
+        if let Some(&first) = cols.first() {
+            codes.extend([(row - next) as u64, cols.len() as u64 - 1, u64::from(first)]);
+            codes.extend(cols.windows(2).map(|w| u64::from(w[1] - w[0] - 1)));
+            next = row + 1;
+        }
+    }
+    codes.push((csr.nrows() - next) as u64);
+    codes
 }
 
-/// Rows a block's wire frame lists in the sparse form.
+/// Rows holding at least one entry.
 fn nonempty_rows<T>(csr: &Csr<T>) -> usize {
     csr.indptr().windows(2).filter(|w| w[0] < w[1]).count()
 }
 
-/// The cost model of a frame's rows: the cheaper of `4·(nrows + 1)`
-/// dense offsets and `8·nzr` sparse pairs, and whether it is sparse.
-fn row_model<T>(csr: &Csr<T>) -> (bool, usize) {
-    let (dense, sparse) = (4 * (csr.nrows() + 1), 8 * nonempty_rows(csr));
-    (sparse < dense, sparse.min(dense))
+/// The fixed-width frame the varint layout replaced: 17 B of shape and
+/// form tag, the cheaper of `4·(nrows + 1)` B of offsets and `8·nzr` B
+/// of `(row id, end offset)` pairs, 4 B per column index, the values.
+fn fixed_width_bytes<T: CommMsg>(csr: &Csr<T>) -> usize {
+    let rows = (4 * (csr.nrows() + 1)).min(8 * nonempty_rows(csr));
+    let values: usize = csr.values().iter().map(CommMsg::nbytes).sum();
+    17 + rows + 4 * csr.nnz() + values
 }
 
-/// `csr`'s frame against the byte model and the decoder: `nbytes` is
-/// shape + tag + rows + indices + values, the frame adds only the
-/// containers' length headers (indices, values, and the sparse form's
-/// row list), the tag byte names the form, the block comes back equal,
-/// and every strict prefix is an error.
+/// `csr`'s frame against the layout and the decoder: `nbytes` is the
+/// coded length, the frame is [`layout_codes`] as varints and then the
+/// values, the block comes back equal, strict prefixes are errors and
+/// one byte more is `Trailing`.
 fn check_csr_frame<T: CommMsg + Clone + PartialEq + std::fmt::Debug>(csr: &Csr<T>) {
-    let (sparse, rows) = row_model(csr);
-    let values: usize = csr.values().iter().map(CommMsg::nbytes).sum();
-    assert_eq!(csr.nbytes(), 17 + rows + 4 * csr.nnz() + values);
     let buf = encoded(csr);
-    assert_eq!(buf.len() - csr.nbytes(), if sparse { 24 } else { 16 });
-    assert_eq!(buf[16], u8::from(sparse), "form tag");
-    let back = round_trip(csr);
-    assert_eq!(&back, csr);
-    for cut in 0..buf.len() {
-        let mut reader = WireReader::new(&buf[..cut]);
-        assert!(Csr::<T>::wire_decode(&mut reader).is_err(), "cut at {cut}");
+    assert_eq!(buf.len(), csr.nbytes(), "nbytes is the coded length");
+    let mut layout = Vec::new();
+    for code in layout_codes(csr) {
+        write_varint(&mut layout, code);
     }
+    for value in csr.values() {
+        value.wire_encode(&mut layout);
+    }
+    assert_eq!(buf, layout, "the frame is the layout, byte for byte");
+    assert_eq!(&round_trip(csr), csr);
+    // Every cut of a small frame; a long one's at about 512 points.
+    let step = (buf.len() / 512).max(1);
+    for cut in (0..buf.len()).step_by(step).chain([buf.len() - 1]) {
+        assert!(decode_exact::<Csr<T>>(&buf[..cut]).is_err(), "cut at {cut}");
+    }
+    let mut padded = buf;
+    padded.push(0);
+    assert_eq!(
+        decode_exact::<Csr<T>>(&padded).map(|_| ()),
+        Err(WireError::Trailing(1))
+    );
 }
 
 /// A `rows × 4` block whose non-empty rows are `filled` (each one entry
@@ -677,38 +887,29 @@ fn block_with_rows(nrows: usize, filled: &[u32]) -> Csr<f64> {
 }
 
 #[test]
-fn csr_frames_round_trip_in_both_row_forms_at_every_boundary() {
+fn csr_frames_round_trip_at_every_varint_boundary() {
     // No rows, and no entries.
     check_csr_frame(&Csr::<f64>::empty(0, 0));
     check_csr_frame(&Csr::<f64>::empty(0, 5));
     check_csr_frame(&Csr::<f64>::empty(5, 5));
     check_csr_frame(&block_with_rows(1, &[0]));
     check_csr_frame(&block_with_rows(6, &[0, 1, 2, 3, 4, 5]));
-    // 9 rows: 40 B of dense offsets, so 4 listed rows (32 B) travel
-    // sparse and 5 (40 B, a tie) or 6 travel dense.
-    for (nzr, sparse) in [(4, true), (5, false), (6, false)] {
-        let rows: Vec<u32> = (0..nzr).map(|k| 9 - nzr + k).collect();
-        let block = block_with_rows(9, &rows);
-        assert_eq!(row_model(&block), (sparse, 40.min(8 * nzr as usize)));
-        check_csr_frame(&block);
+    // Skips, trailing rows, run lengths and column gaps on both sides of
+    // the one- and two-byte varint limits.
+    for edge in [127u32, 128, 16_383, 16_384] {
+        check_csr_frame(&block_with_rows(edge as usize + 2, &[edge]));
+        check_csr_frame(&block_with_rows(2 * edge as usize + 1, &[0, edge]));
+        let row: Vec<(u32, u32, f64)> = (0..=edge).map(|c| (0, c, 1.0)).collect();
+        check_csr_frame(&Csr::from_triples(1, edge as usize + 1, row, |_, _| {}));
+        let gap = vec![(0, 0, 1.0), (0, edge, 2.0), (0, 2 * edge, 3.0)];
+        check_csr_frame(&Csr::from_triples(1, 2 * edge as usize + 1, gap, |_, _| {}));
     }
-    // 10 rows: 44 B dense, so the threshold falls between 5 and 6.
-    for (nzr, sparse) in [(5, true), (6, false)] {
-        let rows: Vec<u32> = (10 - nzr..10).collect();
-        let block = block_with_rows(10, &rows);
-        assert_eq!(row_model(&block).0, sparse);
-        check_csr_frame(&block);
-    }
-    // The writer above is the codec's layout, byte for byte.
+    // The writer above is the codec's layout, byte for byte: rows 2 and 7
+    // of 9, each with columns 0 and 2.
     let block = block_with_rows(9, &[2, 7]);
     assert_eq!(
         encoded(&block),
-        csr_frame(9, 4, 1, &[2, 2, 7, 4], block.indices(), block.values())
-    );
-    let block = block_with_rows(2, &[0, 1]);
-    assert_eq!(
-        encoded(&block),
-        csr_frame(2, 4, 0, &[0, 2, 4], block.indices(), block.values())
+        csr_frame(&[9, 4, 4, 2, 1, 0, 1, 4, 1, 0, 1, 1], block.values())
     );
 }
 
@@ -716,60 +917,121 @@ fn csr_frames_round_trip_in_both_row_forms_at_every_boundary() {
 fn a_hypersparse_block_books_its_entries_not_its_rows() {
     let triples = vec![(3, 9, 1.0), (500_000, 0, 2.0), (999_999, 999_999, 3.0)];
     let block = Csr::from_triples(1_000_000, 1_000_000, triples, |_, _| unreachable!());
-    // 17 B shape and tag + 3 × 8 B row pairs + 3 × (4 B index + 8 B value).
-    assert_eq!(block.nbytes(), 77);
-    assert!(block.nbytes() < 100);
+    // Shape and nnz 3 + 3 + 1 B; row 3 (skip 3, len 1, column 9) 3 B;
+    // row 500 000 (skip 499 996, len 1, column 0) 5 B; row 999 999 (skip
+    // 499 998, len 1, column 999 999) 7 B; no trailing rows 1 B; three
+    // 8-byte values. The fixed-width pairs took 77 B.
+    assert_eq!(block.nbytes(), 7 + 3 + 5 + 7 + 1 + 24);
+    assert_eq!(fixed_width_bytes(&block), 77);
     check_csr_frame(&block);
 }
 
-/// Frames that decoded `Ok` before the decoder checked the structure,
-/// and panicked later in an accessor or a kernel.
+/// Frames no encoder writes are `Malformed` (or `Truncated`), never a
+/// block a kernel would index out of bounds on. Falling and repeated
+/// columns cannot be written: a column gap is never negative.
 #[test]
 fn corrupt_csr_frames_are_malformed_not_a_later_panic() {
     let malformed = |frame: &[u8]| matches!(decode_csr(frame), Err(WireError::Malformed(_)));
-    // A dense 3 × 3 frame of three entries.
-    let dense = |offsets: &[u32], indices: &[u32]| csr_frame(3, 3, 0, offsets, indices, &[1.0; 3]);
-    assert_eq!(
-        decode_csr(&dense(&[0, 1, 1, 3], &[2, 0, 1])).map(|m| m.nnz()),
-        Ok(3)
-    );
-    // Offsets that fall: `row(1)` would slice 3..1.
-    assert!(malformed(&dense(&[0, 3, 1, 3], &[0, 1, 2])));
-    // Column 7 in a 2-column block: a kernel's SPA would index past it.
-    assert!(malformed(&csr_frame(1, 2, 0, &[0, 1], &[7], &[1.0])));
-    // Offsets that do not start at 0 or do not end at `nnz`.
-    assert!(malformed(&dense(&[1, 1, 1, 3], &[2, 0, 1])));
-    assert!(malformed(&dense(&[0, 1, 1, 2], &[2, 0, 1])));
-    // Columns out of order, or repeated, within a row.
-    assert!(malformed(&dense(&[0, 1, 1, 3], &[2, 1, 0])));
-    assert!(malformed(&dense(&[0, 1, 1, 3], &[2, 1, 1])));
-    // Sparse row ids out of order, repeated, or outside the shape.
-    let sparse = |rows: &[u32]| csr_frame(9, 3, 1, rows, &[0, 1], &[1.0, 2.0]);
-    assert_eq!(
-        decode_csr(&sparse(&[2, 1, 5, 2])).map(|m| m.row_nnz(5)),
-        Ok(1)
-    );
-    assert!(malformed(&sparse(&[5, 1, 2, 2])));
-    assert!(malformed(&sparse(&[2, 1, 2, 2])));
-    assert!(malformed(&sparse(&[2, 1, 9, 2])));
-    // Sparse end offsets that fall or miss `nnz`.
-    assert!(malformed(&sparse(&[2, 2, 5, 1])));
-    assert!(malformed(&sparse(&[2, 1, 5, 1])));
-    // More listed rows than the shape has, an unknown form tag, and
-    // shapes whose `nrows + 1` overflows or that no `u32` id addresses.
-    let entries = |rows| csr_frame(1, 3, 1, rows, &[0, 1], &[1.0, 2.0]);
-    assert!(malformed(&entries(&[0, 1, 0, 2])));
+    let rows_of = |frame: &[u8]| decode_csr(frame).map(|m| m.indptr().to_vec());
+    // A 3 × 3 block: row 0 holds column 2, row 2 columns 0 and 1.
+    let codes = [3, 3, 3, 0, 0, 2, 1, 1, 0, 0, 0];
+    assert_eq!(rows_of(&csr_frame(&codes, &[1.0; 3])), Ok(vec![0, 1, 1, 3]));
+    // A column at or beyond `ncols`: directly, or through a gap.
+    assert!(malformed(&csr_frame(&[1, 2, 1, 0, 0, 7, 0], &[1.0])));
+    assert!(malformed(&csr_frame(&[1, 2, 1, 0, 0, 2, 0], &[1.0])));
+    assert!(malformed(&csr_frame(&[1, 3, 2, 0, 1, 1, 1, 0], &[1.0; 2])));
+    // A row past `nrows`: a skip beyond the shape, or a second row after
+    // the last one.
+    assert!(malformed(&csr_frame(&[3, 3, 1, 3, 0, 0, 0], &[1.0])));
     assert!(malformed(&csr_frame(
-        3,
-        3,
-        2,
-        &[0, 1, 1, 3],
-        &[2, 0, 1],
-        &[1.0; 3]
+        &[1, 3, 2, 0, 0, 0, 0, 0, 1, 0],
+        &[1.0; 2]
     )));
+    // Offsets that miss `nnz`: a row longer than the entries left, and
+    // trailing rows that do not end at `nrows`.
+    assert!(malformed(&csr_frame(&[3, 3, 1, 0, 1, 0, 0, 0], &[1.0])));
+    assert!(malformed(&csr_frame(&[3, 3, 1, 0, 0, 0, 1], &[1.0])));
+    assert!(malformed(&csr_frame(&[3, 3, 1, 0, 0, 0, 3], &[1.0])));
+    assert!(malformed(&csr_frame(&[3, 3, 0, 2], &[])));
+    assert_eq!(rows_of(&csr_frame(&[3, 3, 0, 3], &[])), Ok(vec![0; 4]));
+    // More entries than a `u32` offset addresses, and shapes that no
+    // `u32` id addresses.
+    assert!(malformed(&csr_frame(&[1, 1, 1 << 32], &[])));
     for dims in [(u64::MAX, 3), (3, u64::MAX), ((1 << 32) + 1, 3)] {
-        assert!(malformed(&csr_frame(dims.0, dims.1, 1, &[], &[], &[])));
+        assert!(malformed(&csr_frame(&[dims.0, dims.1, 0, 0], &[])));
     }
+    // Bad varints anywhere: non-minimal, overflowing, over-long.
+    let shape = csr_frame(&[3, 3], &[]);
+    for bad in [
+        &[0x80, 0x00][..],
+        &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+        &[0x80; 11],
+    ] {
+        let frame = [&shape[..], bad].concat();
+        assert_eq!(
+            decode_csr(&frame).map(|_| ()),
+            Err(WireError::Malformed("varint"))
+        );
+        let frame = [bad, &shape[..]].concat();
+        assert_eq!(
+            decode_csr(&frame).map(|_| ()),
+            Err(WireError::Malformed("varint"))
+        );
+    }
+}
+
+fn decode_csr(frame: &[u8]) -> Result<Csr<f64>, WireError> {
+    decode_exact(frame)
+}
+
+/// Whether a decoded block is one every accessor and kernel can follow:
+/// offsets from 0 to `nnz` that never fall, one per row plus one, and
+/// columns strictly ascending below `ncols` in every row.
+fn structurally_valid<T>(csr: &Csr<T>) -> bool {
+    let indptr = csr.indptr();
+    indptr.len() == csr.nrows() + 1
+        && indptr[0] == 0
+        && indptr.windows(2).all(|w| w[0] <= w[1])
+        && indptr[csr.nrows()] as usize == csr.nnz()
+        && csr.values().len() == csr.nnz()
+        && (0..csr.nrows()).all(|i| {
+            let cols = csr.row(i).0;
+            cols.windows(2).all(|c| c[0] < c[1])
+                && cols.last().is_none_or(|&c| (c as usize) < csr.ncols())
+        })
+}
+
+/// A 300 × 40 000 block with every kind of row: dense rows at the top,
+/// a hypersparse stretch, single entries far apart, empty trailing rows.
+fn mixed_block<T>(value: impl Fn(u32) -> T) -> Csr<T> {
+    let mut triples = Vec::new();
+    for row in 0..3u32 {
+        triples.extend((0..40).map(|k| (row, k * (row + 1), value(k))));
+    }
+    for (row, col) in [(9, 0), (140, 200), (141, 39_999), (290, 17_000)] {
+        triples.push((row, col, value(row ^ col)));
+    }
+    Csr::from_triples(300, 40_000, triples, |_, _| unreachable!())
+}
+
+#[test]
+fn csr_frames_survive_byte_flips() {
+    let entries = mixed_block(|s| AEntry {
+        pos: s * 977,
+        fwd: s & 1 == 1,
+    });
+    let hops = mixed_block(|s| Hop {
+        suffix: s << 20,
+        src_rev: s & 2 != 0,
+        dst_rev: s & 1 != 0,
+    });
+    check_csr_frame(&entries);
+    check_csr_frame(&hops);
+    assert!(entries.nbytes() < fixed_width_bytes(&entries));
+    // The decoded offsets of the block's own 300 rows, grown by doubling.
+    let offsets = 2 * 4 * 301;
+    fuzz_frame::<Csr<AEntry>>(&encoded(&entries), offsets, |m, _| structurally_valid(m));
+    fuzz_frame::<Csr<Hop>>(&encoded(&hops), offsets, |m, _| structurally_valid(m));
 }
 
 proptest! {
@@ -778,37 +1040,76 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Both row forms, for each value type a block travels with: the
-    /// shapes run from a few rows to hypersparse, so some blocks list
-    /// their rows and some ship every offset.
+    /// Blocks from a few rows to hypersparse, columns narrower than 2²¹:
+    /// the frame of every value type a block travels with is its layout,
+    /// and books no more than the fixed-width frame it replaced.
     #[test]
-    fn csr_frames_in_both_forms_book_their_headers_alone(
-        nrows in 0usize..400,
-        ncols in 1usize..48,
+    fn csr_frames_book_no_more_than_the_fixed_width_row_forms(
+        rows_bits in 0u32..21,
+        cols_bits in 0u32..21,
+        shape in any::<u64>(),
         seeds in proptest::collection::vec(any::<u32>(), 0..120),
     ) {
+        let nrows = (shape as usize) % (1 << rows_bits);
+        let ncols = 1 + ((shape >> 32) as usize) % (1 << cols_bits);
         let coords: Vec<(u32, u32, u32)> = if nrows == 0 {
             Vec::new()
         } else {
             seeds
                 .iter()
-                .map(|&s| (s % nrows as u32, (s / 7) % ncols as u32, s))
+                .map(|&s| (s % nrows as u32, s.rotate_left(11) % ncols as u32, s))
                 .collect()
         };
         let block = |value: &dyn Fn(u32) -> f64| {
             let triples = coords.iter().map(|&(r, c, s)| (r, c, value(s))).collect();
             Csr::from_triples(nrows, ncols, triples, |_, _| {})
         };
-        check_csr_frame(&block(&|s| f64::from(s) * 0.5));
-        let entries = coords
-            .iter()
-            .map(|&(r, c, s)| (r, c, AEntry { pos: s >> 1, fwd: s & 1 == 1 }))
-            .collect();
-        check_csr_frame(&Csr::from_triples(nrows, ncols, entries, |_, _| {}));
-        let hops = coords
-            .iter()
-            .map(|&(r, c, s)| (r, c, Hop { suffix: s, src_rev: s & 2 != 0, dst_rev: s & 1 != 0 }))
-            .collect();
-        check_csr_frame(&Csr::from_triples(nrows, ncols, hops, |_, _| {}));
+        let floats = block(&|s| f64::from(s) * 0.5);
+        check_csr_frame(&floats);
+        prop_assert!(floats.nbytes() <= fixed_width_bytes(&floats));
+        let entries = Csr::from_triples(
+            nrows,
+            ncols,
+            coords
+                .iter()
+                .map(|&(r, c, s)| (r, c, AEntry { pos: s >> 1, fwd: s & 1 == 1 }))
+                .collect(),
+            |_, _| {},
+        );
+        check_csr_frame(&entries);
+        prop_assert!(entries.nbytes() <= fixed_width_bytes(&entries));
+        let hops = Csr::from_triples(
+            nrows,
+            ncols,
+            coords
+                .iter()
+                .map(|&(r, c, s)| (r, c, Hop { suffix: s, src_rev: s & 2 != 0, dst_rev: s & 1 != 0 }))
+                .collect(),
+            |_, _| {},
+        );
+        check_csr_frame(&hops);
+        prop_assert!(hops.nbytes() <= fixed_width_bytes(&hops));
+    }
+
+    /// A count record costs at most 12 B — what the fixed `(u64, u32)`
+    /// record took — while its count stays below 2²¹, whatever its k-mer.
+    #[test]
+    fn count_records_cost_at_most_twelve_bytes(
+        kmers in proptest::collection::vec(any::<u64>(), 0..200),
+        counts in proptest::collection::vec(1u32..(1 << 21), 200),
+    ) {
+        let mut kmers: Vec<u64> = kmers.iter().map(|&k| k >> 2).collect();
+        kmers.sort_unstable();
+        kmers.dedup();
+        let run = CountRun::new(kmers.iter().zip(&counts).map(|(&k, &c)| (k, c)).collect());
+        let n = run.records().len();
+        let mut count_header = Vec::new();
+        write_varint(&mut count_header, n as u64);
+        prop_assert!(run.nbytes() - count_header.len() <= 12 * n);
+        for &record in run.records() {
+            prop_assert!(CountRun::new(vec![record]).nbytes() - 1 <= 12);
+        }
+        prop_assert_eq!(&round_trip(&run), &run);
+        prop_assert_eq!(encoded(&run).len(), run.nbytes());
     }
 }
