@@ -1,7 +1,7 @@
 //! # elba-align — pairwise alignment for ELBA-RS
 //!
-//! The x-drop seed-and-extend kernel applied to every candidate overlap
-//! (nonzero of `C = AAᵀ`), and the classification of alignments into
+//! The x-drop seed-and-extend kernel applied to candidate overlaps
+//! (nonzeros of `C = AAᵀ`), and the classification of alignments into
 //! bidirected string-graph edges with the paper's `pre(e)` / `post(e)`
 //! payloads (§4.4). The classifier handles all four dovetail orientations
 //! plus containment (redundant vertices) and repeat-induced internal

@@ -173,8 +173,8 @@ const NO_OFFSET: i32 = i32::MIN / 2;
 /// the three rotating antidiagonal bands, the wavefront's cost ring and
 /// level table, plus the reversed-sequence staging buffers. One
 /// workspace serves any number of seed extensions in sequence — the
-/// overlap stage holds one per worker and sweeps it over every candidate
-/// pair, so the innermost alignment kernel stops paying a fresh set of
+/// overlap stage holds one per worker and sweeps it over every pair it
+/// aligns, so the innermost alignment kernel stops paying a fresh set of
 /// allocations per read pair. A default-constructed workspace is empty;
 /// buffers grow to the largest extension seen and are then reused at
 /// that size.

@@ -4,10 +4,44 @@
 //! `C = AAᵀ` is computed with the BELLA semiring over the distributed
 //! SUMMA SpGEMM, pruned to the strict upper triangle (each read pair is
 //! aligned once; the mirrored string-graph edge is emitted analytically).
-//! Every surviving nonzero is x-drop aligned from its retained seeds and
-//! classified into containment / internal / dovetail; containments feed
-//! the `IsContainedRead` prune, dovetails become the symmetric pair of
-//! directed edges of the overlap matrix `R`.
+//! A nonzero that is aligned is x-drop aligned from its retained seeds
+//! and classified into containment / internal / dovetail; containments
+//! feed the `IsContainedRead` prune, dovetails become the symmetric pair
+//! of directed edges of the overlap matrix `R`.
+//!
+//! # Containment first
+//!
+//! The paper aligns every candidate and drops contained reads
+//! afterwards (Algorithm 1, lines 8–9). Like miniasm and hifiasm, this
+//! stage finds contained reads first, and then aligns only the pairs
+//! whose verdict can still change the graph. Three passes run over each
+//! rank's local candidates:
+//!
+//! 1. For each read of the block's rows or columns, the one pair whose
+//!    first seed's diagonal places the read inside its partner, within
+//!    `fuzz`. The longest such partner wins, ties to the smaller id.
+//! 2. Every pair whose two reads are both still uncontained.
+//! 3. Every remaining pair with at least one uncontained read.
+//!
+//! Before passes 2 and 3 a mask round ships the new containment marks
+//! to their owners (`DistVec::scatter_combine`) and fetches the mask
+//! over the block's rows and columns (`DistVec::fetch_aligned`, the
+//! exchange `mask_rows_cols` runs).
+//!
+//! **Why this is exact.** A pair's verdict depends on the pair alone,
+//! so a pair aligned in any pass gets the verdict it gets when every
+//! candidate is aligned. A read is contained if any of its pairs says
+//! so, a mark is never undone, and `overlap_graph` drops every row and
+//! column of a contained read from `R`. A pair that no pass aligns had
+//! both reads contained after pass 2: its verdict could only mark reads
+//! that are already marked, and its dovetail edges would fall to the
+//! mask. So the contained mask and `R` equal, entry for entry, those of
+//! aligning every candidate — whatever pass 1 picks. The picks set only
+//! the amount of work, so a rank picks within its own block, with no
+//! global reduction. For the same reason pass 3 routes no dovetail into
+//! `R`: each of its pairs has a read that is already contained.
+
+use std::cmp::Reverse;
 
 use elba_align::{
     classify, extend_seed_greedy, extend_seed_with, BufferHighWater, OverlapAln, OverlapClass,
@@ -99,7 +133,11 @@ pub enum SeedChaining {
 /// Counters reported by the alignment stage (for Fig. 5-style tables).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AlignStats {
+    /// Every candidate pair of `C`, aligned or not.
     pub candidate_pairs: u64,
+    /// Candidate pairs never aligned: both reads were already contained
+    /// when the last pass reached them (module doc).
+    pub skipped_pairs: u64,
     pub aligned_pairs: u64,
     pub dovetails: u64,
     pub contained: u64,
@@ -118,6 +156,7 @@ impl AlignStats {
     pub fn allreduce(self, grid: &ProcGrid) -> AlignStats {
         let v = vec![
             self.candidate_pairs,
+            self.skipped_pairs,
             self.aligned_pairs,
             self.dovetails,
             self.contained,
@@ -131,13 +170,14 @@ impl AlignStats {
             .allreduce(v, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect());
         AlignStats {
             candidate_pairs: merged[0],
-            aligned_pairs: merged[1],
-            dovetails: merged[2],
-            contained: merged[3],
-            internal: merged[4],
-            rejected: merged[5],
-            seeds_skipped: merged[6],
-            chains_extended: merged[7],
+            skipped_pairs: merged[1],
+            aligned_pairs: merged[2],
+            dovetails: merged[3],
+            contained: merged[4],
+            internal: merged[5],
+            rejected: merged[6],
+            seeds_skipped: merged[7],
+            chains_extended: merged[8],
         }
     }
 }
@@ -216,6 +256,16 @@ impl OrientedSeed {
             rc: !seed.same_strand,
             diag: u_pos as i64 - w_pos as i64,
         })
+    }
+
+    /// Whether the seed's diagonal, extended to both read ends, places
+    /// `u` inside `v`-as-aligned and `v` inside `u`, each within `fuzz`
+    /// at either end: pass 1's containment prediction.
+    fn predicts_containment(&self, ulen: usize, vlen: usize, fuzz: usize) -> (bool, bool) {
+        let (ul, wl, fuzz) = (ulen as i64, vlen as i64, fuzz as i64);
+        let u_in_v = self.diag <= fuzz && ul <= wl + self.diag + fuzz;
+        let v_in_u = -self.diag <= fuzz && wl + self.diag <= ul + fuzz;
+        (u_in_v, v_in_u)
     }
 
     /// The seed's k-mer anchor lies inside an alignment already found
@@ -369,43 +419,56 @@ fn align_pair_counted(
     (best, counts)
 }
 
-/// Classification bookkeeping for one aligned (or rejected) candidate
-/// pair, consumed in pair order.
-fn classify_candidate(
-    i: u64,
-    j: u64,
-    (aln, counts): (Option<OverlapAln>, PairCounts),
-    cfg: &OverlapConfig,
-    triples: &mut Vec<(u64, u64, SgEdge)>,
-    contained_ids: &mut Vec<(usize, bool)>,
-    stats: &mut AlignStats,
-) {
-    stats.candidate_pairs += 1;
-    stats.seeds_skipped += counts.skipped as u64;
-    stats.chains_extended += counts.chains as u64;
-    let Some(aln) = aln else {
-        stats.rejected += 1;
-        return;
-    };
-    stats.aligned_pairs += 1;
-    match classify(&aln, cfg.fuzz) {
-        OverlapClass::ContainedU => {
-            stats.contained += 1;
-            contained_ids.push((i as usize, true));
-        }
-        OverlapClass::ContainedV => {
-            stats.contained += 1;
-            contained_ids.push((j as usize, true));
-        }
-        OverlapClass::Internal => stats.internal += 1,
-        OverlapClass::Dovetail { fwd, bwd } => {
-            let score_ok = aln.score as f64 >= cfg.min_score_ratio * aln.span() as f64;
-            if aln.span() >= cfg.min_overlap && score_ok {
-                stats.dovetails += 1;
-                triples.push((i, j, fwd));
-                triples.push((j, i, bwd));
-            } else {
-                stats.rejected += 1;
+/// What the stage has concluded so far: the dovetail edges routed into
+/// `R`, the containment verdicts a mask round has not yet published, and
+/// the counters.
+#[derive(Debug, Default)]
+struct Verdicts {
+    triples: Vec<(u64, u64, SgEdge)>,
+    marks: Vec<(usize, bool)>,
+    stats: AlignStats,
+}
+
+impl Verdicts {
+    /// Classify one aligned (or rejected) candidate pair, consumed in
+    /// entry order; its dovetail edges are kept only if
+    /// `route_dovetails`.
+    fn record(
+        &mut self,
+        (i, j): (u64, u64),
+        (aln, counts): (Option<OverlapAln>, PairCounts),
+        cfg: &OverlapConfig,
+        route_dovetails: bool,
+    ) {
+        let stats = &mut self.stats;
+        stats.seeds_skipped += counts.skipped as u64;
+        stats.chains_extended += counts.chains as u64;
+        let Some(aln) = aln else {
+            stats.rejected += 1;
+            return;
+        };
+        stats.aligned_pairs += 1;
+        match classify(&aln, cfg.fuzz) {
+            OverlapClass::ContainedU => {
+                stats.contained += 1;
+                self.marks.push((i as usize, true));
+            }
+            OverlapClass::ContainedV => {
+                stats.contained += 1;
+                self.marks.push((j as usize, true));
+            }
+            OverlapClass::Internal => stats.internal += 1,
+            OverlapClass::Dovetail { fwd, bwd } => {
+                let score_ok = aln.score as f64 >= cfg.min_score_ratio * aln.span() as f64;
+                if aln.span() >= cfg.min_overlap && score_ok {
+                    stats.dovetails += 1;
+                    if route_dovetails {
+                        self.triples.push((i, j, fwd));
+                        self.triples.push((j, i, bwd));
+                    }
+                } else {
+                    stats.rejected += 1;
+                }
             }
         }
     }
@@ -424,12 +487,210 @@ const ALIGN_PAIRS_PER_WORKER_BATCH: usize = 256;
 /// from turning trailing slivers into a regression.
 const MIN_PAR_CANDIDATES: usize = 8;
 
-/// Align and classify every local candidate (collective because of the
-/// sequence fetch). Returns the dovetail edge triples (both directions),
-/// the contained-read mask, and global statistics. Candidates stream
+/// One bit per local candidate, indexed by its position in
+/// [`DistMat::iter_global`] order: set once the candidate is aligned.
+#[derive(Debug)]
+struct EntryBits(Vec<u64>);
+
+impl EntryBits {
+    fn new(n: usize) -> Self {
+        EntryBits(vec![0; n.div_ceil(64)])
+    }
+
+    fn contains(&self, e: usize) -> bool {
+        self.0[e / 64] >> (e % 64) & 1 == 1
+    }
+
+    /// Set bit `e`; true if it was clear.
+    fn insert(&mut self, e: usize) -> bool {
+        let (word, bit) = (&mut self.0[e / 64], 1u64 << (e % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    fn count(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.0.as_slice())
+    }
+}
+
+/// One rank's alignment stage as [`containment_first`] drives it.
+trait PassSweep {
+    /// Align and classify, in entry order, every local candidate for
+    /// which `select(entry, row, col)` holds (`row` and `col` are
+    /// block-local read indices). Containment verdicts wait for the next
+    /// [`PassSweep::mask_round`]; a dovetail's edge pair goes into `R`
+    /// only if `route_dovetails`.
+    fn sweep(&mut self, select: &mut dyn FnMut(usize, usize, usize) -> bool, route_dovetails: bool);
+
+    /// Publish the containment verdicts found so far (collective) and
+    /// return the contained mask over the block's row reads and its
+    /// column reads.
+    fn mask_round(&mut self) -> (Vec<bool>, Vec<bool>);
+}
+
+/// The three passes of the module doc over a rank's `n` local
+/// candidates, pass 1 aligning the entries `picks` names. Returns the
+/// entries aligned; the last pass's verdicts wait for the caller's
+/// final round.
+fn containment_first(
+    n: usize,
+    picks: impl IntoIterator<Item = usize>,
+    stage: &mut impl PassSweep,
+) -> EntryBits {
+    let mut done = EntryBits::new(n);
+    for e in picks {
+        done.insert(e);
+    }
+    stage.sweep(&mut |e, _, _| done.contains(e), true);
+    let (rows, cols) = stage.mask_round();
+    stage.sweep(&mut |e, r, c| !rows[r] && !cols[c] && done.insert(e), true);
+    let (rows, cols) = stage.mask_round();
+    // Every pair pass 3 aligns has a contained read: its dovetail would
+    // fall to the mask.
+    stage.sweep(
+        &mut |e, r, c| (!rows[r] || !cols[c]) && done.insert(e),
+        false,
+    );
+    done
+}
+
+/// A read's likeliest container so far: its length, its id (reversed,
+/// so that the smaller id wins a tie) and the candidate entry pairing
+/// the two. All three fit a `u32`: a read is shorter than 2³¹ bases,
+/// read ids travel as `u32`, and a block's `u32` row offsets bound its
+/// entry count.
+type ContainerPick = Option<(u32, Reverse<u32>, u32)>;
+
+/// Pass 1's entries: for each read of the block's rows and columns, the
+/// candidate whose first seed places the read inside its partner, the
+/// longest such partner winning. The per-read picks and the entry list
+/// are charged as a transient.
+fn pass1_picks(
+    grid: &ProcGrid,
+    c: &DistMat<SharedSeeds>,
+    seqs: &ReadStore,
+    cfg: &OverlapConfig,
+) -> Vec<usize> {
+    let (r0, c0) = c.local_offsets(grid);
+    // One slot per read: a diagonal block's rows and columns are the
+    // same reads, an off-diagonal block's column reads follow its rows.
+    let col_slot0 = if grid.is_diagonal() {
+        0
+    } else {
+        c.local().nrows()
+    };
+    let mut best: Vec<ContainerPick> = vec![None; col_slot0 + c.local().ncols()];
+    for (e, (i, j, seeds)) in c.iter_global(grid).enumerate() {
+        let (ulen, vlen) = (fetched(seqs, i).len(), fetched(seqs, j).len());
+        let Some(s) = OrientedSeed::place(&seeds.seeds()[0], cfg.k, ulen, vlen) else {
+            continue;
+        };
+        let (u_in_v, v_in_u) = s.predicts_containment(ulen, vlen, cfg.fuzz);
+        let entry = u32::try_from(e).expect("a block's u32 row offsets bound its entries");
+        let pick = |len: usize, id: u64| {
+            let len = u32::try_from(len).expect("a read is shorter than 2^31 bases");
+            let id = u32::try_from(id).expect("read ids travel as u32");
+            Some((len, Reverse(id), entry))
+        };
+        if u_in_v {
+            let slot = &mut best[i as usize - r0];
+            *slot = (*slot).max(pick(vlen, j));
+        }
+        if v_in_u {
+            let slot = &mut best[col_slot0 + j as usize - c0];
+            *slot = (*slot).max(pick(ulen, i));
+        }
+    }
+    let picks: Vec<usize> = best.iter().flatten().map(|&(_, _, e)| e as usize).collect();
+    let bytes = std::mem::size_of_val(best.as_slice()) + std::mem::size_of_val(picks.as_slice());
+    grid.world().record_mem_transient(bytes);
+    picks
+}
+
+/// The codes of read `id`, which the block-aligned fetch brought here.
+fn fetched(seqs: &ReadStore, id: u64) -> &[u8] {
+    seqs.get(id)
+        .unwrap_or_else(|| panic!("read {id} not fetched"))
+}
+
+/// The stage's [`PassSweep`]: candidates stream through bounded batches
+/// aligned on [`OverlapConfig::threads`] workers, one alignment scratch
+/// per worker, and classification consumes each batch in entry order.
+struct AlignSweep<'a> {
+    grid: &'a ProcGrid,
+    c: &'a DistMat<SharedSeeds>,
+    seqs: &'a ReadStore,
+    cfg: &'a OverlapConfig,
+    scratches: Vec<AlignScratch>,
+    batch: Vec<(u64, u64, &'a SharedSeeds)>,
+    verdicts: Verdicts,
+    contained: DistVec<bool>,
+    peak_batch: usize,
+    fanned: usize,
+}
+
+impl PassSweep for AlignSweep<'_> {
+    fn sweep(
+        &mut self,
+        select: &mut dyn FnMut(usize, usize, usize) -> bool,
+        route_dovetails: bool,
+    ) {
+        let (c, seqs, cfg) = (self.c, self.seqs, self.cfg);
+        let (r0, c0) = c.local_offsets(self.grid);
+        let batch_pairs = self.scratches.len() * ALIGN_PAIRS_PER_WORKER_BATCH;
+        let mut candidates = (c.iter_global(self.grid).enumerate())
+            .filter(|&(e, (i, j, _))| select(e, i as usize - r0, j as usize - c0))
+            .map(|(_, candidate)| candidate);
+        loop {
+            self.batch.clear();
+            self.batch.extend(candidates.by_ref().take(batch_pairs));
+            if self.batch.is_empty() {
+                break;
+            }
+            self.peak_batch = self.peak_batch.max(self.batch.len());
+            let workers = if self.batch.len() < MIN_PAR_CANDIDATES {
+                1
+            } else {
+                self.scratches.len()
+            };
+            self.fanned = self.fanned.max(workers);
+            let batch = &self.batch;
+            let alns = elba_par::run_indexed_with(
+                batch.len(),
+                &mut self.scratches[..workers],
+                |p, scratch| {
+                    let (i, j, seeds) = batch[p];
+                    align_pair_counted(scratch, fetched(seqs, i), fetched(seqs, j), seeds, cfg)
+                },
+            );
+            for (&(i, j, _), aln) in batch.iter().zip(alns) {
+                self.verdicts.record((i, j), aln, cfg, route_dovetails);
+            }
+        }
+    }
+
+    fn mask_round(&mut self) -> (Vec<bool>, Vec<bool>) {
+        let marks = std::mem::take(&mut self.verdicts.marks);
+        self.contained
+            .scatter_combine(self.grid, marks, |acc, v| *acc |= v);
+        self.contained.fetch_aligned(self.grid)
+    }
+}
+
+/// Align and classify the local candidates that can still change the
+/// graph, in the three passes of the module doc (collective: the
+/// sequence fetch and the mask rounds). Returns the dovetail edge
+/// triples (both directions), the contained-read mask, and global
+/// statistics. The mask and the triples `overlap_graph` keeps are those
+/// of aligning every candidate. Each pass streams its candidates
 /// through bounded batches aligned on [`OverlapConfig::threads`]
 /// intra-rank workers, one alignment scratch per worker, with
-/// classification consuming each batch's alignments in pair order — so
+/// classification consuming each batch's alignments in entry order — so
 /// results are identical across thread counts while resident buffering
 /// stays O(batch), not O(candidates). Workers never enter the comm
 /// layer.
@@ -440,43 +701,35 @@ pub fn align_and_classify(
     cfg: &OverlapConfig,
 ) -> (Vec<(u64, u64, SgEdge)>, DistVec<bool>, AlignStats) {
     let seqs = store.fetch_block_aligned(grid);
-    let mut triples: Vec<(u64, u64, SgEdge)> = Vec::new();
-    let mut contained_ids: Vec<(usize, bool)> = Vec::new();
-    let mut stats = AlignStats::default();
+    let picks = pass1_picks(grid, c, &seqs, cfg);
     let threads = cfg.threads.max(1);
-    let mut scratches: Vec<AlignScratch> = (0..threads).map(|_| AlignScratch::default()).collect();
-    let mut candidates = c.iter_global(grid);
-    let batch_pairs = threads * ALIGN_PAIRS_PER_WORKER_BATCH;
-    let mut batch: Vec<(u64, u64, &SharedSeeds)> = Vec::with_capacity(batch_pairs);
-    let (mut peak_batch, mut fanned) = (0usize, 1usize);
-    loop {
-        batch.clear();
-        batch.extend(candidates.by_ref().take(batch_pairs));
-        if batch.is_empty() {
-            break;
-        }
-        peak_batch = peak_batch.max(batch.len());
-        let workers = if batch.len() < MIN_PAR_CANDIDATES {
-            1
-        } else {
-            threads
-        };
-        fanned = fanned.max(workers);
-        let alns =
-            elba_par::run_indexed_with(batch.len(), &mut scratches[..workers], |p, scratch| {
-                let (i, j, seeds) = batch[p];
-                let u_codes = seqs
-                    .get(i)
-                    .unwrap_or_else(|| panic!("read {i} not fetched"));
-                let v_codes = seqs
-                    .get(j)
-                    .unwrap_or_else(|| panic!("read {j} not fetched"));
-                align_pair_counted(scratch, u_codes, v_codes, seeds, cfg)
-            });
-        for (&(i, j, _), aln) in batch.iter().zip(alns) {
-            classify_candidate(i, j, aln, cfg, &mut triples, &mut contained_ids, &mut stats);
-        }
-    }
+    let mut sweep = AlignSweep {
+        grid,
+        c,
+        seqs: &seqs,
+        cfg,
+        scratches: (0..threads).map(|_| AlignScratch::default()).collect(),
+        batch: Vec::with_capacity(threads * ALIGN_PAIRS_PER_WORKER_BATCH),
+        verdicts: Verdicts::default(),
+        contained: DistVec::from_fn(grid, store.n_global(), |_| false),
+        peak_batch: 0,
+        fanned: 1,
+    };
+    let candidates = c.local().nnz();
+    let done = containment_first(candidates, picks, &mut sweep);
+    let AlignSweep {
+        scratches,
+        verdicts:
+            Verdicts {
+                triples,
+                marks,
+                mut stats,
+            },
+        mut contained,
+        peak_batch,
+        fanned,
+        ..
+    } = sweep;
     let world = grid.world();
     world.record_par_time(elba_par::take_par_secs());
     // Scratch beyond worker 0's alignment scratch (uncharged, the
@@ -484,7 +737,9 @@ pub fn align_and_classify(
     // ran, at every buffer's high water over all workers, plus the
     // batch's pair and alignment buffers. The high water over all
     // workers is that of the stage's extensions, whichever worker
-    // claimed which, so the charge repeats from run to run.
+    // claimed which, so the charge repeats from run to run. The pass
+    // state rides along: the aligned-entry bits and a mask round's view
+    // of the block's rows and columns.
     let (ws_high, rc_high) = scratches
         .iter()
         .fold((BufferHighWater::default(), 0), |(ws_high, rc_high), s| {
@@ -494,9 +749,11 @@ pub fn align_and_classify(
         + peak_batch
             * (std::mem::size_of::<(u64, u64, &SharedSeeds)>()
                 + std::mem::size_of::<(Option<OverlapAln>, PairCounts)>());
-    world.record_mem_transient(scratch);
-    let mut contained = DistVec::from_fn(grid, store.n_global(), |_| false);
-    contained.scatter_combine(grid, contained_ids, |acc, v| *acc |= v);
+    let mask_view = std::mem::size_of::<bool>() * (c.local().nrows() + c.local().ncols());
+    world.record_mem_transient(scratch + done.heap_bytes() + mask_view);
+    contained.scatter_combine(grid, marks, |acc, v| *acc |= v);
+    stats.candidate_pairs = candidates as u64;
+    stats.skipped_pairs = (candidates - done.count()) as u64;
     let stats = stats.allreduce(grid);
     (triples, contained, stats)
 }
@@ -806,6 +1063,189 @@ mod tests {
         assert_eq!(aln.u_end, 199);
         assert_eq!(aln.w_beg, 0);
         assert_eq!(aln.w_end, 99);
+    }
+
+    /// A candidate pair's verdict, as the pass schedule sees it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Verdict {
+        Dovetail,
+        ContainedU,
+        ContainedV,
+        Internal,
+        Rejected,
+    }
+
+    /// [`PassSweep`] over a table of verdicts on one rank, whose block
+    /// is the whole read set: aligning a pair reads its verdict.
+    struct VerdictTable {
+        pairs: Vec<(usize, usize, Verdict)>,
+        aligned: Vec<bool>,
+        pending: Vec<usize>,
+        contained: Vec<bool>,
+        routed: Vec<(usize, usize)>,
+    }
+
+    impl PassSweep for VerdictTable {
+        fn sweep(
+            &mut self,
+            select: &mut dyn FnMut(usize, usize, usize) -> bool,
+            route_dovetails: bool,
+        ) {
+            for (e, &(u, v, verdict)) in self.pairs.iter().enumerate() {
+                if !select(e, u, v) {
+                    continue;
+                }
+                assert!(!self.aligned[e], "pair {e} aligned twice");
+                self.aligned[e] = true;
+                match verdict {
+                    Verdict::ContainedU => self.pending.push(u),
+                    Verdict::ContainedV => self.pending.push(v),
+                    Verdict::Dovetail if route_dovetails => self.routed.push((u, v)),
+                    _ => {}
+                }
+            }
+        }
+
+        fn mask_round(&mut self) -> (Vec<bool>, Vec<bool>) {
+            for u in self.pending.drain(..) {
+                self.contained[u] = true;
+            }
+            (self.contained.clone(), self.contained.clone())
+        }
+    }
+
+    #[test]
+    fn three_passes_reproduce_the_one_pass_mask_and_dovetails() {
+        const VERDICTS: [Verdict; 5] = [
+            Verdict::Dovetail,
+            Verdict::ContainedU,
+            Verdict::ContainedV,
+            Verdict::Internal,
+            Verdict::Rejected,
+        ];
+        let mut rng = StdRng::seed_from_u64(46);
+        let mut skipped = 0;
+        for case in 0..2000 {
+            let n = rng.gen_range(2..24usize);
+            let density = rng.gen_range(0.05..1.0f64);
+            let mut pairs: Vec<(usize, usize, Verdict)> = Vec::new();
+            for (u, v) in (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))) {
+                if rng.gen_bool(density) {
+                    pairs.push((u, v, VERDICTS[rng.gen_range(0..VERDICTS.len())]));
+                }
+            }
+            // One pass: every verdict is read, every mark OR-ed in, and
+            // the dovetails of unmarked reads survive.
+            let mut one_pass = vec![false; n];
+            for &(u, v, verdict) in &pairs {
+                match verdict {
+                    Verdict::ContainedU => one_pass[u] = true,
+                    Verdict::ContainedV => one_pass[v] = true,
+                    _ => {}
+                }
+            }
+            let survivors = |dovetails: &mut dyn Iterator<Item = (usize, usize)>| {
+                let mut kept: Vec<(usize, usize)> = dovetails
+                    .filter(|&(u, v)| !one_pass[u] && !one_pass[v])
+                    .collect();
+                kept.sort_unstable();
+                kept
+            };
+            let want = survivors(
+                &mut (pairs.iter())
+                    .filter(|&&(_, _, verdict)| verdict == Verdict::Dovetail)
+                    .map(|&(u, v, _)| (u, v)),
+            );
+            // Pass 1 picks any entries at all: exactness may not depend
+            // on them.
+            let pick_rate = rng.gen_range(0.0..1.0f64);
+            let picks: Vec<usize> = (0..pairs.len())
+                .filter(|_| rng.gen_bool(pick_rate))
+                .collect();
+            let mut table = VerdictTable {
+                aligned: vec![false; pairs.len()],
+                pairs,
+                pending: Vec::new(),
+                contained: vec![false; n],
+                routed: Vec::new(),
+            };
+            let done = containment_first(table.pairs.len(), picks, &mut table);
+            let (mask, _) = table.mask_round();
+            assert_eq!(mask, one_pass, "case {case}: contained mask");
+            let routed = table.routed.clone();
+            assert_eq!(
+                survivors(&mut routed.into_iter()),
+                want,
+                "case {case}: surviving dovetails"
+            );
+            let aligned = table.aligned.iter().filter(|&&a| a).count();
+            assert_eq!(done.count(), aligned, "case {case}: aligned entries");
+            for (&(u, v, _), &a) in table.pairs.iter().zip(&table.aligned) {
+                assert!(a || (mask[u] && mask[v]), "case {case}: ({u}, {v}) skipped");
+            }
+            skipped += table.pairs.len() - aligned;
+        }
+        assert!(skipped > 0, "the tables must exercise skipped pairs");
+    }
+
+    #[test]
+    fn a_pair_of_reads_contained_in_a_third_is_never_aligned() {
+        // Reads 1 and 2 lie inside read 0 and overlap each other (read 2
+        // reverse-complemented); read 3 dovetails reads 0 and 2. Pass 1
+        // marks 1 and 2, pass 2 aligns the one pair of uncontained reads
+        // (0, 3), pass 3 aligns (2, 3) and routes nothing, and (1, 2)
+        // is never aligned.
+        let mut runs = Vec::new();
+        for p in [1usize, 4] {
+            let out = Runner::new(Backend::InProcess).ranks(p).run(|comm| {
+                let grid = ProcGrid::new(comm);
+                let g = genome(500, 13);
+                let reads = vec![
+                    g.substring(0, 400),
+                    g.substring(50, 250),
+                    g.substring(150, 350).reverse_complement(),
+                    g.substring(300, 500),
+                ];
+                let store = ReadStore::from_replicated(&grid, &reads);
+                let cfg = test_cfg();
+                let kcfg = KmerConfig {
+                    k: cfg.k,
+                    reliable_min: 2,
+                    reliable_max: 16,
+                    ..KmerConfig::default()
+                };
+                let table = count_kmers(&grid, &store, &kcfg);
+                let a_triples = build_a_triples(&grid, &store, &table, &kcfg);
+                let a = DistMat::from_triples(
+                    &grid,
+                    4,
+                    table.n_global as usize,
+                    a_triples,
+                    |acc, v: AEntry| {
+                        if v.pos < acc.pos {
+                            *acc = v;
+                        }
+                    },
+                );
+                let c = candidate_matrix(&grid, &a, &cfg);
+                let (triples, contained, stats) = align_and_classify(&grid, &c, &store, &cfg);
+                let r = overlap_graph(&grid, 4, triples, &contained);
+                let mut edges = r.gather_triples(&grid);
+                edges.sort_by_key(|&(i, j, _)| (i, j));
+                (edges, contained.to_global(&grid), stats)
+            });
+            let (edges, contained, stats) = out.into_iter().next().expect("rank 0");
+            assert_eq!(
+                stats.candidate_pairs, 5,
+                "p={p}: (0,1) (0,2) (0,3) (1,2) (2,3)"
+            );
+            assert_eq!(stats.skipped_pairs, 1, "p={p}: (1, 2) is skipped");
+            assert_eq!(contained, [false, true, true, false], "p={p}: mask");
+            let pattern: Vec<(u64, u64)> = edges.iter().map(|&(i, j, _)| (i, j)).collect();
+            assert_eq!(pattern, [(0, 3), (3, 0)], "p={p}: R");
+            runs.push(edges);
+        }
+        assert_eq!(runs[0], runs[1], "R's edges at p = 1 and p = 4");
     }
 
     #[test]

@@ -160,9 +160,10 @@ fn assemble_finish(
     let aln = &result.align_stats;
     writeln!(
         out,
-        "alignment: pairs {} | aligned {} | dovetails {} | contained {} | internal {} | \
-         rejected {} | chains extended {} | seeds skipped {}",
+        "alignment: pairs {} | skipped {} | aligned {} | dovetails {} | contained {} | \
+         internal {} | rejected {} | chains extended {} | seeds skipped {}",
         aln.candidate_pairs,
+        aln.skipped_pairs,
         aln.aligned_pairs,
         aln.dovetails,
         aln.contained,

@@ -563,6 +563,62 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
     );
 }
 
+/// Golden wire pin for the Alignment phase: each rank's `(msgs, bytes)`
+/// at p = 4 on celegans 0.1 seed 7 (8 634 candidate pairs, of which the
+/// three passes align 1 091). Before containment first, when every
+/// candidate was aligned, the pin read `[(8, 125 471), (12, 197 652),
+/// (10, 96 554), (10, 80 546)]`. Per rank, `(msgs, bytes)`, or bytes
+/// before → after where the messages (1, 2 and 1) did not move:
+///
+/// | rank | read fetch | two mask rounds | marks | stats | `R` triples | mask fetch |
+/// |---|---|---|---|---|---|---|
+/// | 0 | (2, 54 125) | (6, 554) | 1 877 → 167 | 144 → 160 | 69 200 → 272 | (2, 125) |
+/// | 1 | (4, 80 462) | (10, 1 108) | 6 222 → 532 | 72 → 80 | 110 729 → 614 | (4, 167) |
+/// | 2 | (3, 96 112) | (8, 532) | 32 → 32 | 144 → 160 | 32 → 32 | (3, 234) |
+/// | 3 | (3, 22 496) | (8, 415) | 1 872 → 187 | 72 → 80 | 56 048 → 176 | (3, 58) |
+///
+/// - The read fetch (`fetch_block_aligned`) and `overlap_graph`'s mask
+///   fetch do not move.
+/// - A mask round is one `scatter_combine` (an `alltoallv`) and one
+///   `fetch_aligned` (a grid-row allgather, plus the transpose swap off
+///   the diagonal).
+/// - The marks are the last pass's containment verdicts, one
+///   `scatter_combine`; before, every candidate's verdicts went here.
+/// - The stats allreduce carries a ninth counter, `skipped_pairs`.
+/// - `R`'s routed triples (`from_triples`, one `alltoallv`) lose the
+///   dovetails of skipped pairs and of pass 3, all of which the mask
+///   dropped before.
+#[test]
+fn alignment_wire_traffic_matches_golden_constants() {
+    const ALIGNMENT: [(u64, u64); 4] = [(14, 55403), (22, 82963), (18, 97102), (18, 23412)];
+    let spec = DatasetSpec::celegans_like(0.1, 7);
+    let (_genome, reads) = reads_of(&spec);
+    let cfg = PipelineConfig::for_dataset(&spec);
+    let (out, profile) = Runner::new(Backend::InProcess)
+        .ranks(4)
+        .run_profiled(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let (contigs, result) = assemble_gathered(&grid, &reads, &cfg);
+            (contigs.len(), result.align_stats)
+        });
+    let (contigs, stats) = out[0];
+    assert!(contigs > 0, "the pinned run assembles contigs");
+    assert_eq!(
+        (stats.candidate_pairs, stats.skipped_pairs),
+        (8634, 7543),
+        "(candidate, skipped) pairs"
+    );
+    let traffic: Vec<(u64, u64)> = profile
+        .rank_profiles()
+        .iter()
+        .map(|rank| {
+            let phase = rank.phase("Alignment").expect("phase recorded");
+            (phase.p2p_msgs + phase.coll_calls(), phase.bytes_sent())
+        })
+        .collect();
+    assert_eq!(traffic, ALIGNMENT, "Alignment (msgs, bytes)");
+}
+
 /// A fixed chain graph for the contig-stage wire pin: `chains` error-free
 /// genomes, each tiled by `per_chain` 120-base reads at `stride` with
 /// seeded strands, ids in chain order, an edge pair between every two

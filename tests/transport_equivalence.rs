@@ -32,9 +32,12 @@ fn wire_shape(profile: &RunProfile) -> Vec<Vec<(String, u64, u64)>> {
         .collect()
 }
 
+/// celegans 0.1 seed 7 assembles contigs at every p, so the comparison
+/// covers contig bases and walks, and the Alignment phase's two mask
+/// rounds on both backends.
 #[test]
 fn contigs_and_wire_bytes_match_across_transports() {
-    let spec = DatasetSpec::celegans_like(0.05, 33);
+    let spec = DatasetSpec::celegans_like(0.1, 7);
     let (_genome, sim_reads) = spec.generate();
     let reads: Vec<Seq> = sim_reads.into_iter().map(|r| r.seq).collect();
     let cfg = PipelineConfig::for_dataset(&spec);
@@ -50,6 +53,7 @@ fn contigs_and_wire_bytes_match_across_transports() {
 
         let (contigs_a, result_a) = out_a.remove(0);
         let (contigs_b, result_b) = out_b.remove(0);
+        assert!(!contigs_a.is_empty(), "p={p}: the pinned input assembles");
         assert_eq!(contigs_a.len(), contigs_b.len(), "p={p}: contig count");
         for (ca, cb) in contigs_a.iter().zip(&contigs_b) {
             assert!(ca.seq == cb.seq, "p={p}: contig bases diverge");
