@@ -84,7 +84,6 @@ impl PipelineConfig {
                 k: spec.k,
                 xdrop: spec.xdrop,
                 scoring: elba_align::Scoring::default(),
-                min_shared_kmers: 1,
                 min_overlap,
                 min_score_ratio: if high_error { 0.25 } else { 0.7 },
                 // x-drop stops earlier on noisy data → larger overhangs
@@ -364,7 +363,6 @@ mod tests {
                 k,
                 xdrop: 15,
                 scoring: elba_align::Scoring::default(),
-                min_shared_kmers: 1,
                 min_overlap: 100,
                 min_score_ratio: 0.55,
                 fuzz: 60,

@@ -83,7 +83,6 @@ impl ScaffoldConfig {
         cfg.overlap.k = self.k;
         cfg.overlap.xdrop = self.xdrop;
         cfg.overlap.scoring = self.scoring;
-        cfg.overlap.min_shared_kmers = 1;
         cfg.overlap.min_overlap = self.min_overlap;
         cfg.overlap.min_score_ratio = self.min_score_ratio;
         cfg.overlap.fuzz = self.fuzz;

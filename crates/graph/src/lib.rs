@@ -3,8 +3,8 @@
 //! The `O` and `L` of the OLC pipeline, as diBELLA 2D / ELBA formulate
 //! them in sparse linear algebra:
 //!
-//! * [`semirings`] — the BELLA overlap-detection semiring (shared-k-mer
-//!   counting with ≤2 retained seeds) and the direction-aware min-plus
+//! * [`semirings`] — the BELLA overlap-detection semiring (≤2 retained
+//!   seeds per read pair sharing a k-mer) and the direction-aware min-plus
 //!   fold driving transitive reduction (one `u32` per edge), over the
 //!   5-byte [`Hop`] projection of an edge,
 //! * [`overlap_stage`] — `C = AAᵀ` over SUMMA, x-drop alignment of every

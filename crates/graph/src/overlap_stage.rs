@@ -2,7 +2,7 @@
 //! (`Alignment`) — lines 4–9 of the paper's Algorithm 1.
 //!
 //! `C = AAᵀ` is computed with the BELLA semiring over the distributed
-//! SUMMA SpGEMM, pruned to the strict upper triangle (each read pair is
+//! SUMMA SpGEMM, restricted to the strict upper triangle (each read pair is
 //! aligned once; the mirrored string-graph edge is emitted analytically).
 //! A nonzero that is aligned is x-drop aligned from its retained seeds
 //! and classified into containment / internal / dovetail; containments
@@ -59,8 +59,6 @@ pub struct OverlapConfig {
     pub k: usize,
     pub xdrop: i32,
     pub scoring: Scoring,
-    /// Minimum shared k-mers for a candidate pair to be aligned.
-    pub min_shared_kmers: u32,
     /// Minimum aligned span for a dovetail edge to survive.
     pub min_overlap: usize,
     /// Minimum alignment score as a fraction of the aligned span — the
@@ -98,7 +96,6 @@ impl Default for OverlapConfig {
             k: 31,
             xdrop: 15,
             scoring: Scoring::default(),
-            min_shared_kmers: 1,
             min_overlap: 500,
             min_score_ratio: 0.55,
             fuzz: 200,
@@ -182,24 +179,24 @@ impl AlignStats {
     }
 }
 
-/// `C = AAᵀ` restricted to the strict upper triangle, with candidate
-/// pairs below the shared-k-mer threshold pruned (collective). `C` is
-/// symmetric and only `r < col` is kept, so the multiply is asked for
-/// the upper triangle alone ([`DistMat::spgemm_aat_upper_with`]):
-/// diagonal ranks do half the products, ranks below the diagonal none.
-/// The prune is fused into the multiply: each output column window is
-/// thresholded as it completes, so only the pruned candidate set is
-/// ever retained — the heart of ELBA's bounded-memory overlap
-/// detection. The eager oracle prunes after the fact; the result is
-/// identical either way.
+/// `C = AAᵀ` restricted to the strict upper triangle (collective): every
+/// read pair `r < col` that shares at least one reliable k-mer, with the
+/// seeds [`SharedSeeds`] retains. `C` is symmetric, so the multiply is
+/// asked for the upper triangle alone
+/// ([`DistMat::spgemm_aat_upper_with`]): diagonal ranks do half the
+/// products, ranks below the diagonal none. Every entry the kernel
+/// accumulates is kept, so `C` itself is resident under any budget, and
+/// the memory bound of ELBA's overlap detection comes from the column
+/// windows alone: a budget sizes them so that the output so far, one
+/// window's accumulator and the resident stage blocks fit, and each
+/// window's entries join the output as it completes. Either schedule
+/// gives the same matrix.
 pub fn candidate_matrix(
     grid: &ProcGrid,
     a: &DistMat<AEntry>,
     cfg: &OverlapConfig,
 ) -> DistMat<SharedSeeds> {
-    a.spgemm_aat_upper_with(grid, &OverlapSemiring, &cfg.spgemm, |r, col, v| {
-        r < col && v.count >= cfg.min_shared_kmers
-    })
+    a.spgemm_aat_upper_with(grid, &OverlapSemiring, &cfg.spgemm)
 }
 
 /// Per-worker scratch of the alignment stage: the x-drop workspace plus
@@ -870,7 +867,7 @@ mod tests {
         // as the eager schedule and (b) attribute non-blocking wait time
         // in its own bucket, with its stage transfers visible — proving
         // the overlap is instrumented, not just claimed.
-        let mut results: Vec<Vec<(u64, u64, u32)>> = Vec::new();
+        let mut results: Vec<Vec<(u64, u64, SharedSeeds)>> = Vec::new();
         for eager in [false, true] {
             let (out, profile) = elba_comm::Runner::new(Backend::InProcess)
                 .ranks(4)
@@ -909,12 +906,8 @@ mod tests {
                         let _g = grid.world().phase("DetectOverlap");
                         candidate_matrix(&grid, &a, &cfg)
                     };
-                    let mut triples: Vec<(u64, u64, u32)> = c
-                        .gather_triples(&grid)
-                        .into_iter()
-                        .map(|(r, s, v)| (r, s, v.count))
-                        .collect();
-                    triples.sort_unstable();
+                    let mut triples = c.gather_triples(&grid);
+                    triples.sort_unstable_by_key(|&(r, s, _)| (r, s));
                     triples
                 });
             if eager {

@@ -32,12 +32,12 @@ impl Seed {
     }
 }
 
-/// Value of the candidate overlap matrix `C = AAᵀ`: the number of shared
-/// k-mers plus up to two retained seeds to drive x-drop extension (BELLA
-/// keeps at most two; which two is [`SharedSeeds::merge`]'s rule).
+/// Value of the candidate overlap matrix `C = AAᵀ`: up to two retained
+/// seeds to drive x-drop extension (BELLA keeps at most two; which two is
+/// [`SharedSeeds::merge`]'s rule). An entry exists because at least one
+/// shared k-mer landed on it; nothing downstream reads how many did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedSeeds {
-    pub count: u32,
     /// `0` while one seed is retained; otherwise `1 +` the `pos_v`
     /// distance of `seeds[1]` from `seeds[0]` (saturating at
     /// `u32::MAX`). A product whose distance from `seeds[0]` is below
@@ -84,7 +84,6 @@ impl CommMsg for SharedSeeds {
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
         let end = out.len() + self.nbytes();
-        self.count.wire_encode(out);
         self.far.wire_encode(out);
         for seed in &self.seeds {
             seed.wire_encode(out);
@@ -94,11 +93,10 @@ impl CommMsg for SharedSeeds {
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let seeds = SharedSeeds {
-            count: u32::wire_decode(r)?,
             far: u32::wire_decode(r)?,
             seeds: [Seed::wire_decode(r)?, Seed::wire_decode(r)?],
         };
-        r.read_bytes(std::mem::size_of::<SharedSeeds>() - 8 - 2 * std::mem::size_of::<Seed>())?;
+        r.read_bytes(std::mem::size_of::<SharedSeeds>() - 4 - 2 * std::mem::size_of::<Seed>())?;
         Ok(seeds)
     }
 }
@@ -107,7 +105,6 @@ elba_mem::impl_deep_bytes_pod!(SharedSeeds, Seed);
 impl SharedSeeds {
     pub fn single(seed: Seed) -> Self {
         SharedSeeds {
-            count: 1,
             far: 0,
             seeds: [seed, seed],
         }
@@ -126,13 +123,12 @@ impl SharedSeeds {
     /// farthest seed *from the first*, not the pair of seeds with the
     /// largest separation, and it depends on the order seeds arrive.
     pub fn merge(&mut self, other: SharedSeeds) {
-        self.count += other.count;
         for &seed in other.seeds() {
             self.offer(seed);
         }
     }
 
-    /// One seed under [`SharedSeeds::merge`]'s rule (`count` untouched).
+    /// One seed under [`SharedSeeds::merge`]'s rule.
     /// `far` only filters: the comparison that decides is exact. Out of
     /// line so [`OverlapSemiring::fold`]'s common path stays a compare
     /// and a branch inside the kernel loop (measured: 3–5 % of the
@@ -155,7 +151,7 @@ impl SharedSeeds {
 
 /// `C = A ⊗ Aᵀ` semiring: multiplying the k-mer occurrence in read *v*
 /// (row) with the occurrence in read *h* (column) yields a seed; addition
-/// accumulates the shared-k-mer count and keeps ≤ 2 seeds.
+/// keeps ≤ 2 seeds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OverlapSemiring;
 
@@ -174,16 +170,15 @@ impl Semiring for OverlapSemiring {
         acc.merge(other);
     }
 
-    /// `multiply` + `add` without building the product: count it, and
-    /// only if `a` lies at least `far` from the first seed (or there is
-    /// one seed) build the seed — the one read of `b`'s value — and
-    /// offer it. `#[inline(always)]`: with plain `#[inline]` the kernel
+    /// `multiply` + `add` without building the product: only if `a`
+    /// lies at least `far` from the first seed (or there is one seed)
+    /// build the seed — the one read of `b`'s value — and offer it.
+    /// `#[inline(always)]`: with plain `#[inline]` the kernel
     /// instantiated in this crate kept most of the default `fold`'s cost
     /// (diagonal-rank stage kernel ≈ 0.10–0.11 s, against 0.08 s here and
     /// 0.11–0.14 s for the default).
     #[inline(always)]
     fn fold(&self, acc: &mut SharedSeeds, a: &AEntry, b: &AEntry) {
-        acc.count += 1;
         if a.pos.abs_diff(acc.seeds[0].pos_v) >= acc.far {
             acc.offer(Seed::shared(a, b));
         }
@@ -345,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn overlap_semiring_counts_and_keeps_two_seeds() {
+    fn overlap_semiring_keeps_two_seeds() {
         let s = OverlapSemiring;
         let a = AEntry { pos: 10, fwd: true };
         let b = AEntry { pos: 20, fwd: true };
@@ -362,7 +357,6 @@ mod tests {
                 .expect("seed");
             s.add(&mut acc, x);
         }
-        assert_eq!(acc.count, 4);
         assert_eq!(acc.seeds().len(), 2);
         // keeps the farthest pair: positions 10 and 50
         assert_eq!(acc.seeds()[0].pos_v, 10);
@@ -511,18 +505,28 @@ mod tests {
     }
 
     #[test]
+    fn a_candidate_entry_is_two_seeds_and_their_distance() {
+        // With its `u32` column, one accumulator entry of `C` is 32 B.
+        assert_eq!(std::mem::size_of::<SharedSeeds>(), 28);
+        let two = {
+            let mut acc = SharedSeeds::single(seed(3, 4));
+            acc.merge(SharedSeeds::single(seed(900, 5)));
+            acc
+        };
+        assert_eq!(two.nbytes(), 28);
+    }
+
+    #[test]
     fn merge_dedups_identical_seed() {
         let mut acc = SharedSeeds::single(seed(5, 6));
         acc.merge(SharedSeeds::single(seed(5, 6)));
-        assert_eq!(acc.count, 2);
         assert_eq!(acc.seeds().len(), 1);
     }
 
-    /// The `n`-based `SharedSeeds` and `merge` that `far` replaced,
-    /// verbatim: the oracle for the encoding and for `fold`.
+    /// The `n`-based `SharedSeeds` and `merge` that `far` replaced (its
+    /// seed rule verbatim): the oracle for the encoding and for `fold`.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct OracleSeeds {
-        count: u32,
         n: u8,
         seeds: [Seed; 2],
     }
@@ -530,7 +534,6 @@ mod tests {
     impl OracleSeeds {
         fn single(seed: Seed) -> Self {
             OracleSeeds {
-                count: 1,
                 n: 1,
                 seeds: [seed, seed],
             }
@@ -541,7 +544,6 @@ mod tests {
         }
 
         fn merge(&mut self, other: OracleSeeds) {
-            self.count += other.count;
             for &seed in other.seeds() {
                 if self.n == 1 {
                     if seed != self.seeds[0] {
@@ -603,7 +605,6 @@ mod tests {
             f, m,
             "fold and multiply + add differ on {products:?} / {runs:?}"
         );
-        assert_eq!(f.count, o.count);
         assert_eq!(f.seeds(), o.seeds(), "{products:?} / {runs:?}");
     }
 

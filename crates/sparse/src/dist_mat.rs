@@ -76,21 +76,6 @@ fn merge_row<T>(
     *acc_vals = merged_vals;
 }
 
-/// Keep the entries of one accumulated row (`cols`/`vals`, parallel)
-/// that `keep` accepts, compacting both in place in column order.
-fn retain_row<V>(cols: &mut Vec<u32>, vals: &mut Vec<V>, mut keep: impl FnMut(u32, &V) -> bool) {
-    let mut kept = 0;
-    for i in 0..cols.len() {
-        if keep(cols[i], &vals[i]) {
-            cols.swap(kept, i);
-            vals.swap(kept, i);
-            kept += 1;
-        }
-    }
-    cols.truncate(kept);
-    vals.truncate(kept);
-}
-
 /// What a memory budget adds to the symmetric product's batched SUMMA
 /// ([`UpperAat::summa_column_batched`]), fixed before its first round:
 /// an upper bound on each local output column's accumulator bytes, each
@@ -168,7 +153,7 @@ impl RoundPlan {
     }
 
     /// End of the window that starts at local column `start` when
-    /// `retained` bytes of pruned output are already held: columns are
+    /// `retained` bytes of output are already held: columns are
     /// packed greedily (at least one) while their estimates fit the
     /// budget left after the output and the resident broadcast blocks,
     /// so the round's working set stays within the cap. A budget below
@@ -328,8 +313,7 @@ where
 pub enum SpGemmAlgorithm {
     /// The reference oracle the property suites compare against:
     /// blocking stage transfers, every stage's output kept as raw
-    /// triples, one global sort-merge at the end (the symmetric product
-    /// prunes after it). Highest peak memory, no
+    /// triples, one global sort-merge at the end. Highest peak memory, no
     /// communication/computation overlap; not reachable from the CLI.
     Eager,
     /// The production schedule. Stage `s+1`'s transfers are posted
@@ -339,13 +323,14 @@ pub enum SpGemmAlgorithm {
     /// In the symmetric product it is ELBA's batched SUMMA: the *output*
     /// is computed in column windows, one round of direct block sends per
     /// window; each stage's rows merge into per-row accumulators, and
-    /// each window is pruned as it completes. Without a budget there is
-    /// one window and no sizing pass. With `mem_budget: Some(b)` an
-    /// estimate pass (structure-only sends) sizes the windows so that
-    /// the window's accumulator plus the resident stage blocks stay under
-    /// `b` bytes per rank, however dense `C = AAᵀ` gets — at the price of
-    /// re-sending the input blocks once per round — and stages are
-    /// prefetched only if four of the largest fit `b`.
+    /// each window's rows join the output as it completes. Without a
+    /// budget there is one window and no sizing pass. With
+    /// `mem_budget: Some(b)` an estimate pass (structure-only sends)
+    /// sizes the windows so that the output so far, the window's
+    /// accumulator and the resident stage blocks stay under `b` bytes
+    /// per rank — at the price of re-sending the input blocks once per
+    /// round — and stages are prefetched only if four of the largest fit
+    /// `b`. The whole output is kept, so `b` must hold it.
     ///
     /// The masked product's accumulator has a fixed size, so a budget
     /// decides only whether it prefetches, by the same rule.
@@ -606,6 +591,8 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     }
 
     /// Keep only entries satisfying `keep` (CombBLAS `Prune`); local.
+    /// No pipeline stage calls it: the symmetric product's test oracle
+    /// prunes the general product to `r < c` with it.
     pub fn prune(self, grid: &ProcGrid, mut keep: impl FnMut(u64, u64, &T) -> bool) -> DistMat<T> {
         let (r0, c0) = (
             self.row_layout.block_range(grid.myrow()).start,
@@ -725,13 +712,13 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     }
 
     /// The symmetric rank-k update of overlap detection: the strict
-    /// upper triangle of `C = self ⊗ selfᵀ`, pruned by `keep` — equal,
-    /// value for value, to
-    /// `spgemm_with(&self.transpose(grid), ..).prune(..)` under
-    /// `r < c && keep(r, c, v)`, under either schedule. Knowing that
-    /// `C` is symmetric and that one triangle is all the caller keeps,
-    /// the local kernels accumulate only `column > row`: a diagonal
-    /// rank does half its products and a rank below the diagonal none.
+    /// upper triangle of `C = self ⊗ selfᵀ` — equal, value for value, to
+    /// `spgemm_with(&self.transpose(grid), ..).prune(..)` under `r < c`,
+    /// under either schedule. Knowing that `C` is symmetric and that one
+    /// triangle is all the caller keeps, the local kernels accumulate
+    /// only `column > row`: a diagonal rank does half its products and a
+    /// rank below the diagonal none. That restriction is the whole
+    /// triangle: no entry is dropped after it is accumulated.
     /// Total multiply-adds halve; the ranks above the diagonal do what
     /// they always did, so with a core per rank the critical path is
     /// unchanged.
@@ -747,27 +734,20 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// row and column broadcasts moved.
     ///
     /// [`SpGemmAlgorithm::Pipelined`] runs ELBA's batched SUMMA
-    /// (`UpperAat::summa_column_batched`), where the predicate runs on
-    /// each column window *as it completes*: the shared-k-mer threshold is
-    /// applied per batch so only the pruned output is ever retained (a
-    /// budget that bounds every transient would still drown in the
-    /// unpruned product). [`SpGemmAlgorithm::Eager`] runs the oracle
-    /// schedule over the same fetch and prunes after the fact. `keep`
-    /// sees global coordinates.
+    /// (`UpperAat::summa_column_batched`), which computes the output one
+    /// column window at a time, so a budget bounds the live accumulator.
+    /// [`SpGemmAlgorithm::Eager`] runs the oracle schedule over the same
+    /// fetch.
     pub fn spgemm_aat_upper_with<S>(
         &self,
         grid: &ProcGrid,
         semiring: &S,
         opts: &SpGemmOptions,
-        mut keep: impl FnMut(u64, u64, &S::Out) -> bool,
     ) -> DistMat<S::Out>
     where
         S: Semiring<A = T, B = T> + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
-        // The `r < c` test stays in the prune: the kernel restriction is
-        // an optimisation a schedule is free not to apply.
-        let mut keep = |r: u64, c: u64, v: &S::Out| r < c && keep(r, c, v);
         let fetch = UpperAat { grid, a: self };
         match opts.algorithm {
             SpGemmAlgorithm::Eager => {
@@ -780,10 +760,9 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
                     semiring,
                     opts.threads,
                 )
-                .prune(grid, keep)
             }
             SpGemmAlgorithm::Pipelined { mem_budget } => {
-                fetch.summa_column_batched(semiring, mem_budget, opts.threads, &mut keep)
+                fetch.summa_column_batched(semiring, mem_budget, opts.threads)
             }
         }
     }
@@ -1224,8 +1203,8 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
 
     /// ELBA's batched SpGEMM, the symmetric product's production
     /// schedule: split the *output* into column windows and run one
-    /// pipelined, row-blocked SUMMA round per window, pruning each window
-    /// by `keep` as it completes. Stage `s+1`'s sends ride alongside
+    /// pipelined, row-blocked SUMMA round per window; each window's rows
+    /// join the output as it completes. Stage `s+1`'s sends ride alongside
     /// stage `s`'s multiply whenever the budget affords two stages of
     /// blocks.
     ///
@@ -1236,8 +1215,10 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
     ///
     /// Under a budget, window sizing uses the cheap estimate pass
     /// ([`UpperAat::estimates`]) before any real multiply
-    /// (see [`RoundPlan`]), so the live window accumulator plus the
-    /// resident stage blocks stay under `budget` bytes per rank.
+    /// (see [`RoundPlan`]), so the output so far, the live window
+    /// accumulator and the resident stage blocks stay under `budget`
+    /// bytes per rank. Every accumulated entry is kept, so the output
+    /// itself is never cut by the budget.
     /// Ranks size their own windows independently — the fetch ships full
     /// blocks either way, so they need no global agreement beyond the
     /// round *count* (an allreduce max; short ranks pad with empty
@@ -1251,7 +1232,6 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
         semiring: &S,
         budget: Option<u64>,
         threads: usize,
-        keep: &mut impl FnMut(u64, u64, &S::Out) -> bool,
     ) -> DistMat<S::Out>
     where
         S: Semiring<A = T, B = T> + Sync,
@@ -1259,9 +1239,8 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
     {
         let grid = self.grid;
         let world = grid.world();
-        let row_range = self.a.row_layout.block_range(grid.myrow());
-        let col_range = self.out_cols().block_range(grid.mycol());
-        let (nrows, ncols) = (row_range.len(), col_range.len());
+        let nrows = self.a.row_layout.block_range(grid.myrow()).len();
+        let ncols = self.out_cols().block_range(grid.mycol()).len();
         let entry_bytes = (std::mem::size_of::<u32>() + std::mem::size_of::<S::Out>()) as u64;
         let upper = self.upper();
         let plan =
@@ -1338,22 +1317,12 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
                     transient.set(acc_entries * entry_bytes as usize + plan.prefetched(s));
                 }
             }
-            // Prune-as-you-go (ELBA's per-batch thresholding) in place,
-            // then hand the survivors to the output: the first window's
-            // rows become it, later windows (in increasing column order,
-            // so per-row appends stay sorted) are appended. The
+            // Hand the window to the output: the first window's rows
+            // become it, later windows (in increasing column order, so
+            // per-row appends stay sorted) are appended. The
             // accumulator's charge is dropped before the handover —
             // holding both would double-count the window.
             transient.set(0);
-            let (r0, c0) = (row_range.start, col_range.start);
-            let mut kept = 0;
-            for (row, (cols, vals)) in acc_rows.iter_mut().enumerate() {
-                let global_row = (row + r0) as u64;
-                retain_row(cols, vals, |col, val| {
-                    keep(global_row, (col as usize + c0) as u64, val)
-                });
-                kept += cols.len();
-            }
             if out_entries == 0 {
                 out_rows = acc_rows;
             } else {
@@ -1362,7 +1331,7 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
                     out.1.append(&mut vals);
                 }
             }
-            out_entries += kept;
+            out_entries += acc_entries;
             out_charge.set(out_entries * entry_bytes as usize);
             if plan.is_none() {
                 break;
@@ -1538,7 +1507,7 @@ mod tests {
                         Vec::new()
                     };
                     let a = DistMat::from_triples(&grid, n, k, mine_a, |_, _| unreachable!());
-                    let c = a.spgemm_aat_upper_with(&grid, &PlusTimes, &opts, |_, _, _| true);
+                    let c = a.spgemm_aat_upper_with(&grid, &PlusTimes, &opts);
                     let a_dense = dense_from_triples(n, k, &a_triples);
                     let mut want = a_dense.matmul(&a_dense.transpose());
                     for r in 0..n {
@@ -1556,14 +1525,13 @@ mod tests {
 
     #[test]
     fn column_batched_tracked_high_water_respects_budget() {
-        // The ELBA overlap-detection shape: a dense-ish C = AAᵀ whose
-        // *unpruned* block dwarfs what survives the fused prune (strict
-        // upper triangle + value threshold). The unbudgeted default must
-        // hold the whole unpruned accumulator at once and blows past the
-        // budget; the budgeted schedule prunes window by window and
-        // provably stays under it. The budget is computed from the real
-        // retained sizes: 4/3 × (pruned C + two resident broadcast
-        // stages) — the packer's feasibility bound — plus slack.
+        // The ELBA overlap-detection shape: a dense-ish C = AAᵀ. Every
+        // entry the kernels accumulate is kept, so C itself is resident
+        // under any budget, and packing its rows into one CSR holds it
+        // twice (`pack_rows_into_csr`). The budget is that floor plus one
+        // stage of blocks and slack, computed from the real sizes: the
+        // batched schedule must cut the output into several column
+        // windows and stay under it on every rank.
         let run = |opts: SpGemmOptions| {
             Runner::new(Backend::InProcess)
                 .ranks(4)
@@ -1580,7 +1548,7 @@ mod tests {
                     let a = DistMat::from_triples(&grid, n, k, mine, |_, _| unreachable!());
                     let c = {
                         let _g = grid.world().phase("spgemm");
-                        a.spgemm_aat_upper_with(&grid, &PlusTimes, &opts, |_, _, v| *v >= 6.0)
+                        a.spgemm_aat_upper_with(&grid, &PlusTimes, &opts)
                     };
                     let stage_bytes = a.heap_bytes() + a.transpose(&grid).heap_bytes();
                     let mut got = c.gather_triples(&grid);
@@ -1588,16 +1556,10 @@ mod tests {
                     (got, c.heap_bytes(), stage_bytes)
                 })
         };
-        let (outputs, unbatched) = run(SpGemmOptions::pipelined());
-        let hw_single = unbatched.max_mem_hw("spgemm");
+        let (outputs, _) = run(SpGemmOptions::pipelined());
         let max_c = outputs.iter().map(|(_, cb, _)| *cb).max().expect("ranks");
         let max_stage = outputs.iter().map(|(_, _, sb)| *sb).max().expect("ranks");
-        let budget = (4 * (max_c + 2 * max_stage) / 3 + 8192) as u64;
-        assert!(
-            hw_single > budget,
-            "workload too small to exercise the bound: unbudgeted hw \
-             {hw_single} vs budget {budget}"
-        );
+        let budget = (2 * max_c + max_stage + 8192) as u64;
         // Each rank's block has 100 rows, above the 32-row floor of the
         // budget-derived row batch: the one case here that runs more
         // than one row batch per stage.
@@ -1607,15 +1569,22 @@ mod tests {
             hw_batched <= budget,
             "column-batched hw {hw_batched} exceeds budget {budget}"
         );
-        // The eager schedule pruning after the fact is the reference.
+        // One allreduce for the double-buffer verdict and one per round
+        // plus the one that ends the loop: more than three is more than
+        // one window.
+        let colls = batched.rank_profiles()[0]
+            .phase("spgemm")
+            .expect("phase recorded")
+            .coll_calls();
+        assert!(colls > 3, "one column window only ({colls} allreduces)");
         let (eager_outputs, _) = run(SpGemmOptions::eager());
         assert_eq!(
             outputs[0].0, batched_outputs[0].0,
-            "batching must not change the pruned product"
+            "batching must not change the product"
         );
         assert_eq!(
             outputs[0].0, eager_outputs[0].0,
-            "fused prune must equal prune-after-eager"
+            "the production schedule must equal the eager oracle"
         );
     }
 

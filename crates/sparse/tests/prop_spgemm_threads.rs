@@ -161,7 +161,7 @@ proptest! {
                     let c = {
                         let _g = grid.world().phase(&label);
                         let opts = base.with_threads(threads);
-                        a.spgemm_aat_upper_with(&grid, &PlusTimes, &opts, |_, _, _| true)
+                        a.spgemm_aat_upper_with(&grid, &PlusTimes, &opts)
                     };
                     let local = c.iter_global(&grid).map(|(r, c, &v)| (r, c, Some(v))).collect();
                     rows.push((label, gathered(local)));

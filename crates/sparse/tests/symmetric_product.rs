@@ -25,15 +25,14 @@ type Entries<V> = Vec<(u64, u64, V)>;
 
 /// Every gathered, sorted product of one `p`-rank run, labelled: the
 /// oracle — the general product against an explicit transpose, pruned to
-/// `r < c && keep(v)` — and then the symmetric entry point under each row
-/// of [`schedule_rows`] × threads {1, 2}.
+/// `r < c` — and then the symmetric entry point under each row of
+/// [`schedule_rows`] × threads {1, 2}.
 fn products<S>(
     p: usize,
     n: usize,
     k: usize,
     triples: &[(u64, u64, S::A)],
     semiring: S,
-    keep: impl Fn(&S::Out) -> bool + Copy + Send + Sync + 'static,
 ) -> Vec<(String, Entries<S::Out>)>
 where
     S: Semiring<B = <S as Semiring>::A> + Send + Sync + 'static,
@@ -58,7 +57,7 @@ where
             };
             let oracle = a
                 .spgemm_with(&grid, &a.transpose(&grid), &semiring, 1)
-                .prune(&grid, |r, c, v| r < c && keep(v));
+                .prune(&grid, |r, c, _| r < c);
             let mut out = vec![("oracle".to_owned(), gathered(oracle))];
             // A small budget of a few entries: many narrow column
             // windows, so the diagonal floor and the window start trade
@@ -66,7 +65,7 @@ where
             for (label, opts) in schedule_rows(96, max_stage_bytes(&grid, &a)) {
                 for threads in [1usize, 2] {
                     let opts = opts.with_threads(threads);
-                    let upper = a.spgemm_aat_upper_with(&grid, &semiring, &opts, |_, _, v| keep(v));
+                    let upper = a.spgemm_aat_upper_with(&grid, &semiring, &opts);
                     out.push((format!("{label} t={threads}"), gathered(upper)));
                 }
             }
@@ -99,27 +98,25 @@ proptest! {
         // for the threaded kernel to fan out.
         n in 1usize..48,
         k in 1usize..24,
-        min_len in 1usize..3,
         entries in proptest::collection::vec((0usize..64, 0usize..32), 0..220),
     ) {
         // 4×4 is the first grid where one holder has several row-only
         // and several column-only destinations.
         let p = [1usize, 4, 9, 16][p_idx];
         let triples = tagged(n, k, &entries);
-        // The order-sensitive add, pruned by the entry's path count.
-        let keep = move |v: &Vec<(u32, u32)>| v.len() >= min_len;
-        assert_all_equal_oracle(p, &products(p, n, k, &triples, Trace, keep));
+        // The order-sensitive add.
+        assert_all_equal_oracle(p, &products(p, n, k, &triples, Trace));
         // Signed values whose products cancel: explicit zeros must be
         // kept by every schedule, as the oracle keeps them.
         let signed: Vec<(u64, u64, f64)> = triples
             .iter()
             .map(|&(r, c, tag)| (r, c, (tag % 5) as f64 - 2.0))
             .collect();
-        assert_all_equal_oracle(p, &products(p, n, k, &signed, PlusTimes, |_| true));
+        assert_all_equal_oracle(p, &products(p, n, k, &signed, PlusTimes));
         // A non-arithmetic semiring (shortest two-hop paths).
         let weights: Vec<(u64, u64, u64)> =
             triples.iter().map(|&(r, c, tag)| (r, c, 1 + (tag % 9) as u64)).collect();
-        assert_all_equal_oracle(p, &products(p, n, k, &weights, MinPlus, |_| true));
+        assert_all_equal_oracle(p, &products(p, n, k, &weights, MinPlus));
     }
 }
 
@@ -162,7 +159,7 @@ fn profiled_fetch(p: usize, opts: SpGemmOptions) -> Vec<(FetchModel, (u64, u64, 
             let a = DistMat::from_triples(&grid, n, k, mine, |_, _| unreachable!());
             {
                 let _phase = grid.world().phase("product");
-                a.spgemm_aat_upper_with(&grid, &Trace, &opts, |_, _, _| true);
+                a.spgemm_aat_upper_with(&grid, &Trace, &opts);
             }
             let (q, m, s) = (grid.q() as u64, grid.myrow() as u64, grid.mycol() as u64);
             let (rows, cols) = (q - m - u64::from(s >= m), m);

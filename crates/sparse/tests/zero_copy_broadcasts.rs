@@ -167,7 +167,7 @@ fn schedule_matrix(comm: Comm) -> Seen {
     let mut upper = Vec::new();
     for (label, opts) in upper_rows {
         let (c, cloned) = counted(&grid, &format!("{label} symmetric"), || {
-            a.spgemm_aat_upper_with(&grid, &TickPlusTimes, &opts, |_, _, _| true)
+            a.spgemm_aat_upper_with(&grid, &TickPlusTimes, &opts)
         });
         let budgeted = matches!(
             opts.algorithm,

@@ -66,12 +66,18 @@ fn peer_gone(cause: &FailureCause) -> Option<(usize, &str)> {
     }
 }
 
-fn small_dataset() -> (Vec<Seq>, PipelineConfig) {
-    let spec = DatasetSpec::celegans_like(0.05, 33);
+/// One simulated read set and `for_dataset`'s parameters for it.
+fn dataset(spec: DatasetSpec) -> (Vec<Seq>, PipelineConfig) {
     let (_genome, sim_reads) = spec.generate();
     let reads: Vec<Seq> = sim_reads.into_iter().map(|r| r.seq).collect();
     let cfg = PipelineConfig::for_dataset(&spec);
     (reads, cfg)
+}
+
+/// The kill tests' input. It assembles no contig (its string graph is
+/// empty), which is enough for a test of how failures are classified.
+fn small_dataset() -> (Vec<Seq>, PipelineConfig) {
+    dataset(DatasetSpec::celegans_like(0.05, 33))
 }
 
 /// The acceptance pin: kill every rank in turn, mid-CountKmer (inside
@@ -262,10 +268,11 @@ fn severed_link_fails_the_sender_with_typed_error() {
 }
 
 /// Seeded jitter is a pure scheduling perturbation: contigs and the
-/// per-rank per-phase wire bytes are identical to a fault-free run.
+/// per-rank per-phase wire bytes are identical to a fault-free run, on
+/// an input that assembles contigs.
 #[test]
 fn seeded_jitter_preserves_contigs_and_wire_bytes() {
-    let (reads, cfg) = small_dataset();
+    let (reads, cfg) = dataset(DatasetSpec::celegans_like(0.1, 7));
     let (reads_a, cfg_a) = (reads.clone(), cfg.clone());
     let (mut clean, clean_prof) =
         Runner::new(Backend::InProcess)
@@ -280,6 +287,7 @@ fn seeded_jitter_preserves_contigs_and_wire_bytes() {
 
     let (clean_contigs, _) = clean.remove(0);
     let (jitter_contigs, _) = jittered.remove(0);
+    assert!(!clean_contigs.is_empty(), "the input assembles contigs");
     assert_eq!(clean_contigs.len(), jitter_contigs.len(), "contig count");
     for (a, b) in clean_contigs.iter().zip(&jitter_contigs) {
         assert!(a.seq == b.seq, "contig bases diverge under jitter");
