@@ -26,6 +26,29 @@ use crate::contig::{contig_generation, gather_contigs, ContigConfig, ContigStats
 /// is derived from.
 const A_RECORD_BYTES: usize = std::mem::size_of::<(u64, AEntry)>() + 8;
 
+/// Shared sampled k-mers a true overlap of `min_overlap` bases should
+/// still expect at the derived sample rate.
+const SAMPLED_SHARED_KMERS: f64 = 8.0;
+
+/// The k-mer sample rate `s` for a dataset: the largest that leaves a
+/// true overlap of `min_overlap` bases an expected
+/// [`SAMPLED_SHARED_KMERS`] shared sampled k-mers. Such an overlap has
+/// `min_overlap − k + 1` k-mer windows, each error-free in both reads
+/// with probability `(1 − e)^{2k}`, and the sample keeps one k-mer in
+/// `s`:
+///
+/// `s = max(1, ⌊(min_overlap − k + 1)·(1 − e)^{2k} / 8⌋)`
+///
+/// celegans-like reads (0.5 % error, `k = 31`, 100-base `min_overlap`)
+/// give 6, osativa-like 8; hsapiens-like (15 %, `k = 17`) keep every
+/// k-mer, since 0.85³⁴ ≈ 0.4 % of windows are shared at all. An overlap
+/// shorter than `k`, or an error rate of 1 or more, gives 1.
+fn sample_rate(min_overlap: usize, k: usize, error_rate: f64) -> u32 {
+    let windows = (min_overlap + 1).saturating_sub(k) as f64;
+    let shared = (1.0 - error_rate).clamp(0.0, 1.0).powi(2 * k as i32);
+    ((windows * shared / SAMPLED_SHARED_KMERS) as u32).max(1)
+}
+
 /// Seed-chaining knobs for the alignment stage, the argument of
 /// [`PipelineConfig::seed_chaining`]. `Default` matches
 /// [`OverlapConfig::default`]: chain mode.
@@ -67,7 +90,8 @@ impl Default for PipelineConfig {
 impl PipelineConfig {
     /// Parameters for a simulated dataset: the paper's `k` and x-drop
     /// values, with alignment thresholds scaled to the dataset's read
-    /// length and error rate.
+    /// length and error rate, and the k-mer sample rate derived from the
+    /// same three (`sample_rate` in this module).
     pub fn for_dataset(spec: &DatasetSpec) -> Self {
         let high_error = spec.reads.error_rate > 0.05;
         let mean_len = spec.reads.mean_len as f64;
@@ -78,6 +102,7 @@ impl PipelineConfig {
                 reliable_min: 2,
                 // repeats at ~depth× multiplicity; allow a generous band
                 reliable_max: (spec.reads.depth * 8.0) as u32,
+                sample_rate: sample_rate(min_overlap, spec.k, spec.reads.error_rate),
                 ..KmerConfig::default()
             },
             overlap: OverlapConfig {
@@ -375,6 +400,21 @@ mod tests {
             contig: ContigConfig::default(),
             mem_budget: MemBudget::unlimited(),
         }
+    }
+
+    #[test]
+    fn sample_rate_is_derived_from_the_dataset() {
+        let rate = |spec: DatasetSpec| PipelineConfig::for_dataset(&spec).kmer.sample_rate;
+        assert_eq!(rate(DatasetSpec::celegans_like(0.1, 7)), 6);
+        assert_eq!(rate(DatasetSpec::osativa_like(0.1, 7)), 8);
+        assert_eq!(rate(DatasetSpec::hsapiens_like(0.1, 7)), 1);
+        assert_eq!(sample_rate(100, 31, 0.0), 8);
+        assert_eq!(sample_rate(30, 31, 0.0), 1);
+        assert_eq!(sample_rate(0, 31, 0.0), 1);
+        assert_eq!(sample_rate(100, 31, 1.0), 1);
+        assert_eq!(sample_rate(100, 31, 2.5), 1);
+        assert_eq!(sample_rate(100, 31, f64::NAN), 1);
+        assert_eq!(sample_rate(100, 31, -0.5), 8);
     }
 
     #[test]

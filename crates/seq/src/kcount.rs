@@ -23,6 +23,19 @@
 //! the k-mers its rank owns in place and asks the other owners for the
 //! columns of its distinct k-mers (an 8-byte query per k-mer, a 4-byte
 //! answer back), so a rank's triples are its own reads' rows.
+//!
+//! Both steps see a context-free sample of the k-mers: the occurrence
+//! scan keeps a canonical k-mer only when [`kmer_sampled`] says so at
+//! [`KmerConfig::sample_rate`] `s`, a verdict on the k-mer's bits alone
+//! (as in FracMinHash and open syncmers). Every read and every owner
+//! agree on it without talking, so a kept k-mer's global count — and its
+//! reliable-band verdict — is exactly what it is with every k-mer kept,
+//! and A's columns are the reliable k-mers of the sample. The overlap
+//! semiring needs one shared k-mer per candidate, so a true overlap
+//! survives as long as one of its shared k-mers is kept;
+//! `PipelineConfig::for_dataset` derives the largest `s` that still
+//! leaves a `min_overlap`-base overlap an expected 8 shared sampled
+//! k-mers. At `s = 1` the scan yields every occurrence.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
@@ -53,6 +66,15 @@ pub struct KmerConfig {
     /// across thread counts; workers never enter the comm layer (the
     /// exchange stays on the rank thread).
     pub threads: usize,
+    /// Derived, not a knob: the scan keeps about one canonical k-mer in
+    /// `sample_rate` ([`kmer_sampled`]), in counting and in A alike. `1`
+    /// (the default) keeps every k-mer. `PipelineConfig::for_dataset`
+    /// sets it from the read length, `k` and the error rate: at 0.5 %
+    /// error and `k = 31` a 100-base overlap keeps about 51 error-free
+    /// shared k-mers, so one in 6 is left 8 of them; at 15 % error and
+    /// `k = 17` a k-mer is error-free in both reads with probability
+    /// 0.85³⁴ ≈ 0.4 %, so noisy data keeps every k-mer.
+    pub sample_rate: u32,
 }
 
 impl Default for KmerConfig {
@@ -63,6 +85,7 @@ impl Default for KmerConfig {
             reliable_max: u32::MAX,
             batch_kmers: 1 << 16,
             threads: 0,
+            sample_rate: 1,
         }
     }
 }
@@ -71,6 +94,17 @@ impl Default for KmerConfig {
 #[inline]
 pub fn kmer_owner(kmer: u64, p: usize) -> usize {
     ((kmer.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) % p as u64) as usize
+}
+
+/// Whether the k-mer sample at rate `s` keeps `kmer`: bits 32..64 of an
+/// unkeyed multiplicative hash, taken mod `s`, are zero. The verdict
+/// depends on the k-mer alone, so ranks in separate processes agree
+/// without talking; that rules out the tables' `KmerHashKey`, drawn per
+/// process. The multiplier is not [`kmer_owner`]'s, so the kept k-mers
+/// spread over the owners like any others. `s ≤ 1` keeps every k-mer.
+#[inline]
+pub fn kmer_sampled(kmer: u64, s: u32) -> bool {
+    s <= 1 || ((kmer.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 32) as u32).is_multiple_of(s)
 }
 
 /// Hash state of every table keyed by a packed k-mer: one keyed folded
@@ -316,8 +350,7 @@ pub fn count_kmers_with_stats(
     let p = world.size();
     let batch = cfg.batch_kmers.max(1);
     let scan_stats = ScanStats::default();
-    let mut kmers =
-        occurrence_scan(store, cfg.k, cfg.threads, &scan_stats).map(|(_, hit)| hit.kmer);
+    let mut kmers = occurrence_scan(store, cfg, &scan_stats).map(|(_, hit)| hit.kmer);
     let mut window: Vec<u64> = Vec::new();
     let mut owned: KmerMap<u32> = KmerMap::default();
     let mut stats = ExchangeStats::default();
@@ -417,9 +450,10 @@ pub fn build_a_triples_with_stats(
     let p = world.size();
     // A window numbers its distinct k-mers with `u32` slots.
     let batch = cfg.batch_kmers.clamp(1, u32::MAX as usize);
+    assert_eq!(table.k, cfg.k, "A is scanned with the table's k");
     let scan_stats = ScanStats::default();
     let offsets = world.allgather(table.offset);
-    let mut firsts = first_occurrences(occurrence_scan(store, table.k, cfg.threads, &scan_stats));
+    let mut firsts = first_occurrences(occurrence_scan(store, cfg, &scan_stats));
     let mut window = Window::new(world.rank(), p);
     let mut triples = Vec::new();
     let mut stats = ExchangeStats::default();
@@ -739,28 +773,54 @@ fn book_scan(world: &Comm, stats: &ScanStats) {
     world.record_mem_transient(stats.peak_items.get() * std::mem::size_of::<(u64, KmerHit)>());
 }
 
-/// Flat scan of every canonical k-mer occurrence in the local store, in
-/// read order: `(read_id, hit)`, rolled straight off the store's packed
-/// codes. With one thread the rank thread scans the current read in
-/// place; with more, the per-read scans fan out over `threads` intra-rank
-/// workers in bounded read groups whose hits are buffered and yielded in
-/// read order — the occurrence stream is identical for every thread
-/// count.
+/// Flat scan of the sampled canonical k-mer occurrences in the local
+/// store, in read order: `(read_id, hit)`, rolled straight off the
+/// store's packed codes and kept by [`kmer_sampled`] at
+/// `cfg.sample_rate` — the one place the sample is taken. With one
+/// thread the rank thread scans the current read in place; with more,
+/// the per-read scans fan out over `cfg.threads` intra-rank workers in
+/// bounded read groups whose hits are buffered and yielded in read order
+/// — the occurrence stream is identical for every thread count.
 fn occurrence_scan<'s>(
     store: &'s ReadStore,
-    k: usize,
-    threads: usize,
+    cfg: &KmerConfig,
     stats: &'s ScanStats,
 ) -> OccurrenceScan<'s> {
     OccurrenceScan {
         reads: store.iter().collect(),
         next: 0,
-        k,
-        threads: threads.max(1),
+        k: cfg.k,
+        sample_rate: cfg.sample_rate,
+        threads: cfg.threads.max(1),
         read_id: 0,
-        current: KmerScan::new(&[], k),
+        current: SampledScan::new(&[], cfg.k, cfg.sample_rate),
         buffered: Vec::new().into_iter().flatten(),
         stats,
+    }
+}
+
+/// One read's canonical k-mer hits that the sample keeps.
+struct SampledScan<'s> {
+    scan: KmerScan<'s>,
+    sample_rate: u32,
+}
+
+impl<'s> SampledScan<'s> {
+    fn new(codes: &'s [u8], k: usize, sample_rate: u32) -> Self {
+        SampledScan {
+            scan: KmerScan::new(codes, k),
+            sample_rate,
+        }
+    }
+}
+
+impl Iterator for SampledScan<'_> {
+    type Item = KmerHit;
+
+    #[inline]
+    fn next(&mut self) -> Option<KmerHit> {
+        let s = self.sample_rate;
+        self.scan.find(|hit| kmer_sampled(hit.kmer, s))
     }
 }
 
@@ -769,10 +829,11 @@ struct OccurrenceScan<'s> {
     reads: Vec<(u64, &'s [u8])>,
     next: usize,
     k: usize,
+    sample_rate: u32,
     threads: usize,
     /// Serial scan: the read being rolled over, and its id.
     read_id: u64,
-    current: KmerScan<'s>,
+    current: SampledScan<'s>,
     /// Threaded scan: the group's hits, one `Vec` per read.
     buffered: std::iter::Flatten<std::vec::IntoIter<Vec<(u64, KmerHit)>>>,
     stats: &'s ScanStats,
@@ -808,17 +869,19 @@ impl OccurrenceScan<'_> {
             let (read_id, codes) = self.reads[self.next];
             self.next += 1;
             self.read_id = read_id;
-            self.current = KmerScan::new(codes, self.k);
+            self.current = SampledScan::new(codes, self.k, self.sample_rate);
             return true;
         }
         let group_end = self.group_end();
         let group = &self.reads[self.next..group_end];
         self.next = group_end;
-        let k = self.k;
+        let (k, sample_rate) = (self.k, self.sample_rate);
         let per_read: Vec<Vec<(u64, KmerHit)>> =
             elba_par::run_indexed(group.len(), self.threads, |gi| {
                 let (read_id, codes) = group[gi];
-                KmerScan::new(codes, k).map(|hit| (read_id, hit)).collect()
+                SampledScan::new(codes, k, sample_rate)
+                    .map(|hit| (read_id, hit))
+                    .collect()
             });
         let items = per_read.iter().map(Vec::len).sum();
         self.stats
@@ -875,6 +938,7 @@ mod tests {
             reliable_max: u32::MAX,
             batch_kmers: 7, // deliberately tiny: force many flushes
             threads: 1,
+            sample_rate: 1,
         }
     }
 
@@ -1033,6 +1097,26 @@ mod tests {
     }
 
     #[test]
+    fn sample_keeps_about_one_in_s_on_every_owner() {
+        let kmers = (0..60_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 2);
+        let kmers: Vec<u64> = kmers.collect();
+        assert!(kmers
+            .iter()
+            .all(|&kmer| kmer_sampled(kmer, 0) && kmer_sampled(kmer, 1)));
+        for s in [2u32, 6, 8, 16] {
+            let mut kept = [0usize; 4];
+            for &kmer in kmers.iter().filter(|&&kmer| kmer_sampled(kmer, s)) {
+                kept[kmer_owner(kmer, 4)] += 1;
+            }
+            let want = kmers.len() / s as usize / 4;
+            assert!(
+                kept.iter().all(|&n| n.abs_diff(want) < want / 10),
+                "s={s}: kept per owner {kept:?}, want about {want}"
+            );
+        }
+    }
+
+    #[test]
     fn streaming_buffering_is_bounded_by_batch() {
         // The acceptance bound: peak resident exchange buffering on both
         // sides never exceeds batch_kmers, however large the dataset —
@@ -1163,21 +1247,42 @@ mod tests {
             let codes: Vec<u8> = (0..len).map(|_| (next() % 4) as u8).collect();
             store.push(id, &codes);
         }
-        let k = 17;
-        let scan = |threads: usize| -> Vec<(u64, KmerHit)> {
-            let stats = ScanStats::default();
-            let hits: Vec<_> = occurrence_scan(&store, k, threads, &stats).collect();
-            assert_eq!(stats.peak_items.get() > 0, threads > 1);
-            hits
-        };
-        let serial = scan(1);
-        let by_definition: Vec<(u64, KmerHit)> = store
-            .iter()
-            .flat_map(|(id, codes)| KmerScan::new(codes, k).map(move |hit| (id, hit)))
-            .collect();
-        assert_eq!(serial, by_definition);
-        for threads in [2usize, 4, 7] {
-            assert_eq!(scan(threads), serial, "threads={threads}");
+        // At rate 1 the stream is every k-mer; above it, the sampled
+        // subset of that same stream, whatever the thread count.
+        for sample_rate in [1u32, 6] {
+            let scan = |threads: usize| -> Vec<(u64, KmerHit)> {
+                let cfg = KmerConfig {
+                    k: 17,
+                    threads,
+                    sample_rate,
+                    ..KmerConfig::default()
+                };
+                let stats = ScanStats::default();
+                let hits: Vec<_> = occurrence_scan(&store, &cfg, &stats).collect();
+                assert_eq!(stats.peak_items.get() > 0, threads > 1);
+                hits
+            };
+            let serial = scan(1);
+            let by_definition: Vec<(u64, KmerHit)> = store
+                .iter()
+                .flat_map(|(id, codes)| KmerScan::new(codes, 17).map(move |hit| (id, hit)))
+                .filter(|(_, hit)| kmer_sampled(hit.kmer, sample_rate))
+                .collect();
+            assert_eq!(serial, by_definition, "s={sample_rate}");
+            if sample_rate > 1 {
+                let all = store
+                    .iter()
+                    .map(|(_, codes)| codes.len().saturating_sub(16))
+                    .sum::<usize>();
+                assert!(
+                    serial.len() < all / 3,
+                    "s={sample_rate} keeps {} of {all} occurrences",
+                    serial.len()
+                );
+            }
+            for threads in [2usize, 4, 7] {
+                assert_eq!(scan(threads), serial, "s={sample_rate} threads={threads}");
+            }
         }
     }
 

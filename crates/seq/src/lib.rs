@@ -14,7 +14,7 @@
 //!   exchange path (§4.3),
 //! * [`kcount`] — distributed reliable k-mer counting and the
 //!   |reads|×|k-mers| matrix A construction (`KmerCounter`/`GenerateA`
-//!   of Algorithm 1).
+//!   of Algorithm 1) over a context-free k-mer sample.
 
 pub mod dna;
 pub mod fasta;
@@ -26,8 +26,8 @@ pub mod store;
 
 pub use dna::Seq;
 pub use kcount::{
-    build_a_triples, build_a_triples_with_stats, count_kmers, count_kmers_with_stats, AEntry,
-    CountRun, ExchangeStats, KmerConfig, KmerTable,
+    build_a_triples, build_a_triples_with_stats, count_kmers, count_kmers_with_stats, kmer_sampled,
+    AEntry, CountRun, ExchangeStats, KmerConfig, KmerTable,
 };
 pub use sim::{DatasetSpec, ReadSimConfig, SimulatedRead};
 pub use store::{ReadStore, ReadTooLong, TooManyReads};

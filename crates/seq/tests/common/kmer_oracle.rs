@@ -1,17 +1,24 @@
 // Comm-free serial reference for the k-mer stage, `include!`d by
 // `tests/prop_kcount.rs` and the `kcount` unit tests (the includer
-// imports `Seq`, `canonical_kmers`, `kmer_owner`, `AEntry`, `KmerConfig`,
-// `KmerTable` and `ReadStore`). Computed from the replicated reads alone:
-// global canonical-k-mer multiplicities → reliable band → ids dense in
-// (owner rank, k-mer) order → first-occurrence triples on the rank that
-// holds the read.
+// imports `Seq`, `canonical_kmers`, `kmer_owner`, `kmer_sampled`, `AEntry`,
+// `KmerConfig`, `KmerTable` and `ReadStore`). Computed from the replicated
+// reads alone: the sampled canonical k-mers → global multiplicities →
+// reliable band → ids dense in (owner rank, k-mer) order →
+// first-occurrence triples on the rank that holds the read.
 
 /// What rank `r` of a `p`-rank run must hold: `.0[r]` its `(k-mer, id)`
 /// table in k-mer order, `.1[r]` its A triples in canonical order.
 type KmerOracle = (Vec<Vec<(u64, u64)>>, Vec<Vec<(u64, u64, AEntry)>>);
 
 fn serial_kmer_stage(reads: &[Seq], cfg: &KmerConfig, p: usize) -> KmerOracle {
-    let hits: Vec<_> = reads.iter().map(|r| canonical_kmers(r, cfg.k)).collect();
+    let hits: Vec<Vec<_>> = reads
+        .iter()
+        .map(|r| {
+            let mut hits = canonical_kmers(r, cfg.k);
+            hits.retain(|hit| kmer_sampled(hit.kmer, cfg.sample_rate));
+            hits
+        })
+        .collect();
     let mut counts = std::collections::BTreeMap::new();
     for hit in hits.iter().flatten() {
         *counts.entry(hit.kmer).or_insert(0u32) += 1;

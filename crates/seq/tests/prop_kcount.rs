@@ -1,11 +1,12 @@
 //! Property tests pinning the k-mer stage to a comm-free serial oracle
 //! on 1×1, 2×2 and 3×3 grids: the oracle's `KmerTable` contents, the
 //! oracle's A-matrix triples, and exchange buffering bounded by
-//! `batch_kmers`, across randomized read sets, k values and batch sizes.
+//! `batch_kmers`, across randomized read sets, k values, batch sizes and
+//! sample rates.
 
 use elba_comm::ProcGrid;
 use elba_comm::{Backend, Runner};
-use elba_seq::kcount::kmer_owner;
+use elba_seq::kcount::{kmer_owner, kmer_sampled};
 use elba_seq::kmer::canonical_kmers;
 use elba_seq::{
     build_a_triples_with_stats, count_kmers_with_stats, AEntry, KmerConfig, KmerTable, ReadStore,
@@ -62,6 +63,7 @@ proptest! {
         k in 4usize..8,
         batch in 1usize..40,
         reliable_min in 1u32..3,
+        sample_rate in 1u32..4,
         codes in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..40), 1..10),
     ) {
         let cfg = KmerConfig {
@@ -70,6 +72,7 @@ proptest! {
             reliable_max: u32::MAX,
             batch_kmers: batch,
             threads: 1,
+            sample_rate,
         };
         check_stage(&seqs_from(&codes), &cfg, [1usize, 4, 9][p_idx]);
     }
@@ -96,7 +99,8 @@ fn sampled_reads(rng: &mut StdRng) -> Vec<Seq> {
 }
 
 /// The oracle check at CI scale: 240 seeded cases over p ∈ {1, 4, 9},
-/// batch sizes from 1 up, reliable bands, k and thread counts. Run it in
+/// batch sizes from 1 up, reliable bands, k, thread counts and sample
+/// rates. Run it in
 /// release: `cargo test --release -p elba-seq --test prop_kcount --
 /// --ignored`.
 #[test]
@@ -117,6 +121,7 @@ fn stage_matches_serial_oracle_stress() {
             reliable_max: reliable_min + rng.gen_range(0..8u32),
             batch_kmers,
             threads: [1, 3][case / 3 % 2],
+            sample_rate: [1, 1, 2, 6][case / 6 % 4],
         };
         check_stage(&sampled_reads(&mut rng), &cfg, [1, 4, 9][case % 3]);
     }
@@ -131,6 +136,7 @@ fn assert_stage_matches_oracle(reads: &[Seq], k: usize, reliable_min: u32, batch
         reliable_max: u32::MAX,
         batch_kmers,
         threads: 1,
+        sample_rate: 1,
     };
     for p in [1usize, 4, 9] {
         check_stage(reads, &cfg, p);

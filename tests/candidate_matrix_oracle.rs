@@ -1,33 +1,46 @@
 //! An independent referee for the candidate matrix `C = AAᵀ`: computed
 //! without the comm layer, the read pairs `i < j` that share at least
-//! one reliable canonical k-mer — a k-mer whose occurrence count over
-//! the whole read set lies in `for_dataset`'s reliable band — must be
-//! exactly the pattern `candidate_matrix` gathers, at p ∈ {1, 4}, under
-//! the unbudgeted production schedule, the eager oracle schedule and a
-//! column-batched schedule with a small budget. Every retained seed must
-//! name one such shared k-mer: the same canonical k-mer at `pos_v` in
-//! read `i` and at `pos_h` in read `j`, each the k-mer's first
-//! occurrence in its read, with `same_strand` telling whether the two
-//! occurrences sit on the same strand.
+//! one reliable sampled canonical k-mer — a k-mer that `kmer_sampled`
+//! keeps at the config's sample rate and whose occurrence count over the
+//! whole read set lies in `for_dataset`'s reliable band — must be exactly
+//! the pattern `candidate_matrix` gathers, at p ∈ {1, 4}, at rate 1 and
+//! at `for_dataset`'s derived rate, under the unbudgeted production
+//! schedule, the eager oracle schedule and a column-batched schedule with
+//! a small budget. Every retained seed must name one such shared k-mer:
+//! the same canonical k-mer at `pos_v` in read `i` and at `pos_h` in read
+//! `j`, each the k-mer's first occurrence in its read, with `same_strand`
+//! telling whether the two occurrences sit on the same strand.
+//!
+//! The sample is context-free: a kept k-mer's count is its count with
+//! every k-mer kept, so its reliable-band verdict is too.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use elba::graph::{candidate_matrix, SharedSeeds};
 use elba::prelude::*;
+use elba::seq::kcount::kmer_owner;
 use elba::seq::kmer::{canonical_kmers, KmerHit};
-use elba::seq::{build_a_triples, count_kmers, AEntry};
+use elba::seq::{build_a_triples, count_kmers, kmer_sampled, AEntry};
 use elba::sparse::SpGemmOptions;
 
-/// The canonical k-mers whose occurrence count over all reads lies in
-/// `cfg`'s reliable band.
-fn reliable_kmers(hits: &[Vec<KmerHit>], cfg: &KmerConfig) -> HashSet<u64> {
+/// Every canonical k-mer's occurrence count over all reads.
+fn kmer_counts(hits: &[Vec<KmerHit>]) -> HashMap<u64, u32> {
     let mut counts: HashMap<u64, u32> = HashMap::new();
     for hit in hits.iter().flatten() {
         *counts.entry(hit.kmer).or_insert(0) += 1;
     }
     counts
+}
+
+/// The canonical k-mers `cfg`'s sample keeps whose occurrence count over
+/// all reads lies in `cfg`'s reliable band.
+fn reliable_kmers(hits: &[Vec<KmerHit>], cfg: &KmerConfig) -> HashSet<u64> {
+    kmer_counts(hits)
         .into_iter()
-        .filter(|(_, count)| (cfg.reliable_min..=cfg.reliable_max).contains(count))
+        .filter(|&(kmer, count)| {
+            kmer_sampled(kmer, cfg.sample_rate)
+                && (cfg.reliable_min..=cfg.reliable_max).contains(&count)
+        })
         .map(|(kmer, _)| kmer)
         .collect()
 }
@@ -83,75 +96,156 @@ fn gathered_c(
         .remove(0)
 }
 
-#[test]
-fn candidate_matrix_is_the_reliable_shared_kmer_pairs_with_true_seeds() {
+fn dataset() -> (Vec<Seq>, PipelineConfig) {
     let spec = DatasetSpec::celegans_like(0.08, 42);
     let (_genome, sim_reads) = spec.generate();
-    let reads: Vec<Seq> = sim_reads.into_iter().map(|r| r.seq).collect();
-    let cfg = PipelineConfig::for_dataset(&spec);
+    let reads = sim_reads.into_iter().map(|r| r.seq).collect();
+    (reads, PipelineConfig::for_dataset(&spec))
+}
+
+#[test]
+fn candidate_matrix_is_the_reliable_shared_kmer_pairs_with_true_seeds() {
+    let (reads, derived) = dataset();
+    assert!(
+        derived.kmer.sample_rate > 1,
+        "celegans-like reads are sampled"
+    );
     let hits: Vec<Vec<KmerHit>> = reads
         .iter()
-        .map(|read| canonical_kmers(read, cfg.kmer.k))
+        .map(|read| canonical_kmers(read, derived.kmer.k))
         .collect();
-    let reliable = reliable_kmers(&hits, &cfg.kmer);
-    let want = oracle_pairs(&hits, &reliable);
-    assert!(
-        want.len() > 1000,
-        "a candidate set worth checking: {} pairs",
-        want.len()
-    );
-    let reliable_first = |read: u64, pos: u32| -> &KmerHit {
-        let read_hits = &hits[read as usize];
-        let hit = &read_hits[pos as usize];
-        assert_eq!(hit.pos, pos);
+    let mut every_kmer = derived.clone();
+    every_kmer.kmer.sample_rate = 1;
+    for cfg in [every_kmer, derived] {
+        let s = cfg.kmer.sample_rate;
+        let reliable = reliable_kmers(&hits, &cfg.kmer);
+        let want = oracle_pairs(&hits, &reliable);
         assert!(
-            reliable.contains(&hit.kmer),
-            "a seed names a reliable k-mer"
+            want.len() > 1000,
+            "s={s}: a candidate set worth checking: {} pairs",
+            want.len()
         );
-        assert_eq!(
-            read_hits.iter().find(|h| h.kmer == hit.kmer).map(|h| h.pos),
-            Some(pos),
-            "a seed sits on its k-mer's first occurrence in read {read}"
-        );
-        hit
-    };
-    for p in [1usize, 4] {
-        for (label, spgemm) in [
-            ("unbudgeted", SpGemmOptions::pipelined()),
-            ("eager", SpGemmOptions::eager()),
-            (
-                "column-batched 64 KiB",
-                SpGemmOptions::column_batched(64 << 10),
-            ),
-        ] {
-            let c = gathered_c(&reads, &cfg, p, spgemm);
-            let got: BTreeSet<(u64, u64)> = c.iter().map(|&(i, j, _)| (i, j)).collect();
-            assert_eq!(got.len(), c.len(), "{label} p={p}: one entry per pair");
+        let reliable_first = |read: u64, pos: u32| -> &KmerHit {
+            let read_hits = &hits[read as usize];
+            let hit = &read_hits[pos as usize];
+            assert_eq!(hit.pos, pos);
             assert!(
-                got == want,
-                "{label} p={p}: {} entries, oracle {}; {} missing, {} extra",
-                got.len(),
-                want.len(),
-                want.difference(&got).count(),
-                got.difference(&want).count()
+                reliable.contains(&hit.kmer),
+                "s={s}: a seed names a reliable sampled k-mer"
             );
-            for (i, j, seeds) in &c {
-                for seed in seeds.seeds() {
-                    let (v, h) = (
-                        reliable_first(*i, seed.pos_v),
-                        reliable_first(*j, seed.pos_h),
-                    );
-                    assert_eq!(
-                        v.kmer, h.kmer,
-                        "{label} p={p}: seed {seed:?} of ({i}, {j}) names two k-mers"
-                    );
-                    assert_eq!(
-                        seed.same_strand,
-                        v.fwd == h.fwd,
-                        "{label} p={p}: strand of seed {seed:?} of ({i}, {j})"
-                    );
+            assert_eq!(
+                read_hits.iter().find(|h| h.kmer == hit.kmer).map(|h| h.pos),
+                Some(pos),
+                "s={s}: a seed sits on its k-mer's first occurrence in read {read}"
+            );
+            hit
+        };
+        for p in [1usize, 4] {
+            for (label, spgemm) in [
+                ("unbudgeted", SpGemmOptions::pipelined()),
+                ("eager", SpGemmOptions::eager()),
+                (
+                    "column-batched 64 KiB",
+                    SpGemmOptions::column_batched(64 << 10),
+                ),
+            ] {
+                let c = gathered_c(&reads, &cfg, p, spgemm);
+                let got: BTreeSet<(u64, u64)> = c.iter().map(|&(i, j, _)| (i, j)).collect();
+                assert_eq!(
+                    got.len(),
+                    c.len(),
+                    "{label} s={s} p={p}: one entry per pair"
+                );
+                assert!(
+                    got == want,
+                    "{label} s={s} p={p}: {} entries, oracle {}; {} missing, {} extra",
+                    got.len(),
+                    want.len(),
+                    want.difference(&got).count(),
+                    got.difference(&want).count()
+                );
+                for (i, j, seeds) in &c {
+                    for seed in seeds.seeds() {
+                        let (v, h) = (
+                            reliable_first(*i, seed.pos_v),
+                            reliable_first(*j, seed.pos_h),
+                        );
+                        assert_eq!(
+                            v.kmer, h.kmer,
+                            "{label} s={s} p={p}: seed {seed:?} of ({i}, {j}) names two k-mers"
+                        );
+                        assert_eq!(
+                            seed.same_strand,
+                            v.fwd == h.fwd,
+                            "{label} s={s} p={p}: strand of seed {seed:?} of ({i}, {j})"
+                        );
+                    }
                 }
             }
         }
+    }
+}
+
+/// Counts are context-free: with the reliable band narrowed to one count
+/// `c`, the table `count_kmers` builds at the derived rate holds exactly
+/// the sampled k-mers of the table it builds at rate 1, for every `c` up
+/// to the largest count — so every kept k-mer's count at rate `s` is its
+/// count at rate 1 — at p ∈ {1, 4}.
+#[test]
+fn sampled_kmer_counts_are_their_counts_at_rate_one() {
+    let (reads, derived) = dataset();
+    let s = derived.kmer.sample_rate;
+    assert!(s > 1, "celegans-like reads are sampled");
+    let hits: Vec<Vec<KmerHit>> = reads
+        .iter()
+        .map(|read| canonical_kmers(read, derived.kmer.k))
+        .collect();
+    let kmers: Vec<u64> = kmer_counts(&hits).into_keys().collect();
+    let most = kmer_counts(&hits).into_values().max().expect("k-mers");
+    let kept = kmers.iter().filter(|&&kmer| kmer_sampled(kmer, s)).count();
+    assert!(
+        kept * (s as usize) < 2 * kmers.len(),
+        "s={s} keeps {kept} of {} k-mers",
+        kmers.len()
+    );
+    for p in [1usize, 4] {
+        let (reads, kmers, derived) = (reads.clone(), kmers.clone(), derived.kmer.clone());
+        Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
+            let grid = ProcGrid::new(comm);
+            let rank = grid.world().rank();
+            let store = ReadStore::from_replicated(&grid, &reads);
+            let owned: Vec<u64> = kmers
+                .iter()
+                .copied()
+                .filter(|&kmer| kmer_owner(kmer, p) == rank)
+                .collect();
+            for c in 1..=most {
+                let band = KmerConfig {
+                    reliable_min: c,
+                    reliable_max: c,
+                    ..derived.clone()
+                };
+                let every = count_kmers(
+                    &grid,
+                    &store,
+                    &KmerConfig {
+                        sample_rate: 1,
+                        ..band.clone()
+                    },
+                );
+                let sampled = count_kmers(&grid, &store, &band);
+                let mut want = 0;
+                for &kmer in &owned {
+                    let expected = kmer_sampled(kmer, s) && every.id_of(kmer).is_some();
+                    want += usize::from(expected);
+                    assert_eq!(
+                        sampled.id_of(kmer).is_some(),
+                        expected,
+                        "p={p} rank {rank}: count {c} of k-mer {kmer:#x} at s={s}"
+                    );
+                }
+                assert_eq!(sampled.n_local(), want, "p={p} rank {rank}: count {c}");
+            }
+        });
     }
 }

@@ -73,6 +73,29 @@ fn contig_set_is_invariant_across_rank_counts() {
     assert_eq!(c4, c9, "P=4 vs P=9");
 }
 
+/// The k-mer sample drops candidates, not overlaps, on low-error reads:
+/// the `hifi_p1t1` benchmark's read set (celegans 0.12) assembles the
+/// same contigs at `for_dataset`'s derived sample rate as with every
+/// k-mer kept, at two seeds.
+#[test]
+fn sampled_kmers_leave_low_error_contigs_unchanged() {
+    for seed in [11, 23] {
+        let spec = DatasetSpec::celegans_like(0.12, seed);
+        let (_genome, reads) = reads_of(&spec);
+        let sampled = PipelineConfig::for_dataset(&spec);
+        assert_eq!(sampled.kmer.sample_rate, 6, "seed {seed}: derived rate");
+        let mut every = sampled.clone();
+        every.kmer.sample_rate = 1;
+        let contigs = run_at(1, &reads, &sampled);
+        assert!(!contigs.is_empty(), "seed {seed}: contigs");
+        assert_eq!(
+            canonical(&contigs),
+            canonical(&run_at(1, &reads, &every)),
+            "seed {seed}: s = 6 vs s = 1"
+        );
+    }
+}
+
 #[test]
 fn contig_set_is_invariant_across_thread_counts() {
     // The intra-rank threading acceptance test: assembling with
@@ -447,13 +470,15 @@ fn pipeline_profile_contains_paper_phases() {
 
 /// Golden wire pin: per-rank messages (p2p + collective calls) and bytes
 /// of the two phases the k-mer stage drives, for one seeded read set at
-/// p = 4, against fixed constants. CountKmer runs one `alltoallv` of
+/// p = 4, against fixed constants. `for_dataset` samples one k-mer in 6
+/// on this celegans-like set (`KmerConfig::sample_rate`), so both phases
+/// see the sampled occurrences only. CountKmer runs one `alltoallv` of
 /// count runs and a one-byte `allreduce` per window. A count record is
 /// `varint(gap << 1 | (count > 1))`, plus `varint(count − 2)` above 1,
 /// so it costs what the spacing of its owner's k-mers needs: the four
-/// ranks book 403 918, 466 789, 399 072 and 309 496 B, where fixed
-/// 12-byte records took 598 988, 693 410, 592 424 and 459 114 B in the
-/// same 177, 177, 177 and 176 messages.
+/// ranks book 47 316, 59 183, 50 316 and 36 348 B in 36, 36, 36 and 35
+/// messages. With every k-mer kept they booked 403 918, 466 789,
+/// 399 072 and 309 496 B in 177, 177, 177 and 176.
 ///
 /// DetectOverlap ships a window's column queries to the other A owners
 /// and their answers (8 B per query, 4 B per answer), routes A's triples
@@ -467,18 +492,21 @@ fn pipeline_profile_contains_paper_phases() {
 /// skipped, len − 1)` per non-empty row, one column gap per entry, the
 /// trailing empty rows — and 4 B per entry; the structure alone is the
 /// pattern frame the budgeted run ships. A's 99 read rows split 50 / 49
-/// over the grid rows and its 5 687 k-mer columns 2 844 / 2 843 over the
-/// grid columns:
+/// over the grid rows and its 939 sampled k-mer columns 470 / 469 over
+/// the grid columns:
 ///
 /// | rank | column queries | routed triples | blocks sent: (rows, entries) structure + values | (msgs, bytes) |
 /// |---|---:|---:|---|---:|
-/// | 0 (0,0) | 447 868 | 43 716: 218 762 | A(0,0) (50, 46 662) 46 819 + 186 648 | (234, 900 097) |
-/// | 1 (0,1) | 487 050 | 49 588: 248 122 | A(0,1) (50, 46 642) 46 799 + 186 568 | (235, 968 539) |
-/// | 2 (1,0) | 442 376 | 43 199: 216 177 | A(1,0) (49, 38 339) 38 493 + 153 356, A(1,0)ᵀ (2 844, 38 339) 43 834 + 153 356 | (236, 1 047 592) |
-/// | 3 (1,1) | 389 178 | 33 570: 168 026 | A(1,1)ᵀ (2 843, 38 430) 43 945 + 153 720 | (235, 754 869) |
+/// | 0 (0,0) | 50 878 | 7 053: 35 425 | A(0,0) (50, 7 175) 7 307 + 28 700 | (46, 122 310) |
+/// | 1 (0,1) | 58 163 | 8 072: 40 520 | A(0,1) (50, 7 950) 8 086 + 31 800 | (47, 138 569) |
+/// | 2 (1,0) | 53 494 | 7 152: 35 916 | A(1,0) (49, 5 990) 6 112 + 23 960, A(1,0)ᵀ (470, 5 990) 6 892 + 23 960 | (48, 150 334) |
+/// | 3 (1,1) | 44 295 | 5 418: 27 234 | A(1,1)ᵀ (469, 6 580) 7 496 + 26 320 | (47, 105 345) |
 ///
 /// Rank 2 sits below the diagonal: it multiplies nothing and only sends
-/// its block, as stored to (1,1) and transposed to (0,1).
+/// its block, as stored to (1,1) and transposed to (0,1). A has 27 695
+/// entries; with every k-mer kept it had 5 687 columns and 170 073
+/// entries, and the ranks booked (234, 900 097), (235, 968 539),
+/// (236, 1 047 592) and (235, 754 869).
 ///
 /// The budgeted input is the same run under `MemBudget::bytes(256 <<
 /// 10)`. Its derived k-mer window is the 1 024-k-mer floor, so CountKmer,
@@ -495,10 +523,14 @@ fn pipeline_profile_contains_paper_phases() {
 ///
 /// | rank | pattern sends | 3 rounds | allreduce bytes | queries + routing | (msgs, bytes) |
 /// |---|---:|---:|---:|---:|---:|
-/// | 0 | 46 819 | 3 × 233 467 | 80 | 666 630 | (234 + 3 + 10, 1 413 930) |
-/// | 1 | 46 799 | 3 × 233 367 | 40 | 735 172 | (235 + 3 + 10, 1 482 112) |
-/// | 2 | 2 × 38 493 | 3 × 389 039 | 80 | 658 553 | (236 + 6 + 10, 1 902 736) |
-/// | 3 | 38 584 | 3 × 197 665 | 40 | 557 204 | (235 + 3 + 10, 1 188 823) |
+/// | 0 | 7 307 | 3 × 36 007 | 80 | 86 303 | (46 + 3 + 10, 201 711) |
+/// | 1 | 8 086 | 3 × 39 886 | 40 | 98 683 | (47 + 3 + 10, 226 467) |
+/// | 2 | 2 × 6 112 | 3 × 60 924 | 80 | 89 410 | (48 + 6 + 10, 284 486) |
+/// | 3 | 6 706 | 3 × 33 816 | 40 | 71 529 | (47 + 3 + 10, 179 723) |
+///
+/// With every k-mer kept the budgeted run booked (247, 1 413 930),
+/// (248, 1 482 112), (252, 1 902 736) and (248, 1 188 823), in the same
+/// three rounds.
 ///
 /// Every other wire check compares two live runs (transports, thread
 /// counts, budgets), so a reordered record stream that moved both sides
@@ -506,16 +538,11 @@ fn pipeline_profile_contains_paper_phases() {
 #[test]
 fn kmer_stage_wire_traffic_matches_golden_constants() {
     // (msgs, bytes) per rank.
-    const COUNT_KMER: [(u64, u64); 4] =
-        [(177, 403918), (177, 466789), (177, 399072), (176, 309496)];
+    const COUNT_KMER: [(u64, u64); 4] = [(36, 47316), (36, 59183), (36, 50316), (35, 36348)];
     const DETECT_OVERLAP: [(u64, u64); 4] =
-        [(234, 900097), (235, 968539), (236, 1047592), (235, 754869)];
-    const DETECT_OVERLAP_BUDGETED: [(u64, u64); 4] = [
-        (247, 1413930),
-        (248, 1482112),
-        (252, 1902736),
-        (248, 1188823),
-    ];
+        [(46, 122310), (47, 138569), (48, 150334), (47, 105345)];
+    const DETECT_OVERLAP_BUDGETED: [(u64, u64); 4] =
+        [(59, 201711), (60, 226467), (64, 284486), (60, 179723)];
     let spec = DatasetSpec::celegans_like(0.05, 1919);
     let (_genome, reads) = reads_of(&spec);
     let mut cfg = PipelineConfig::for_dataset(&spec);
@@ -564,8 +591,11 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
 }
 
 /// Golden wire pin for the Alignment phase: each rank's `(msgs, bytes)`
-/// at p = 4 on celegans 0.1 seed 7 (8 634 candidate pairs, of which the
-/// three passes align 1 091). Before containment first, when every
+/// at p = 4 on celegans 0.1 seed 7 (8 617 candidate pairs at the derived
+/// k-mer sample rate of 6, of which the three passes align 1 090; with
+/// every k-mer kept, 8 634 and 1 091, and the same bytes: the pairs the
+/// sample drops were skipped pairs and one rejected pair, none of which
+/// moves a byte below). Before containment first, when every
 /// candidate was aligned, the pin read `[(8, 125 471), (12, 197 652),
 /// (10, 96 554), (10, 80 546)]`. Per rank, `(msgs, bytes)`, or bytes
 /// before → after where the messages (1, 2 and 1) did not move:
@@ -605,7 +635,7 @@ fn alignment_wire_traffic_matches_golden_constants() {
     assert!(contigs > 0, "the pinned run assembles contigs");
     assert_eq!(
         (stats.candidate_pairs, stats.skipped_pairs),
-        (8634, 7543),
+        (8617, 7527),
         "(candidate, skipped) pairs"
     );
     let traffic: Vec<(u64, u64)> = profile

@@ -37,6 +37,7 @@ fn rebatched_kmer_exchange_leaves_contigs_unchanged() {
     let (_genome, sim_reads) = spec.generate();
     let reads: Vec<Seq> = sim_reads.into_iter().map(|r| r.seq).collect();
     let base = PipelineConfig::for_dataset(&spec);
+    assert!(base.kmer.sample_rate > 1, "the k-mers are sampled");
 
     let run = |cfg: PipelineConfig| {
         let reads = reads.clone();
