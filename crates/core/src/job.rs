@@ -227,7 +227,7 @@ impl AssembleJob {
             }
         }
         // --mem-budget is the one batching lever: it derives batch_kmers
-        // and the SpGEMM cap the SUMMA sizes its column windows under.
+        // and the SpGEMM cap that picks the SUMMA's prefetch and row batch.
         if let Some(raw) = flags.get("mem-budget") {
             let budget = MemBudget::parse(raw).map_err(|e| format!("--mem-budget: {e}"))?;
             cfg = cfg.with_mem_budget(budget);

@@ -180,22 +180,23 @@ impl PipelineConfig {
     ///   windows of a round scale with `p`,
     /// * both distributed products run the production SUMMA
     ///   ([`elba_sparse::SpGemmAlgorithm::Pipelined`]) with the SpGEMM
-    ///   sub-budget as its `mem_budget`: overlap detection's column
-    ///   windows are sized to fit it, where an unlimited budget runs one
-    ///   window, and transitive reduction prefetches only if it fits.
+    ///   sub-budget as its `mem_budget`: each prefetches its stages only
+    ///   if four of the largest fit it, and overlap detection multiplies
+    ///   in budget-sized row batches. Neither moves a byte of traffic.
     ///
     /// The budget is the schedule's parameter, not a choice between
-    /// schedules, and nothing else sets it. Derivations clamp to
-    /// sane floors, so an absurdly small budget degrades to the tightest
-    /// batching available rather than failing; a profiled run's `mem-hw`
+    /// schedules, and nothing else sets it. Derivations clamp to sane
+    /// floors, so an absurdly small budget runs the smallest k-mer
+    /// window and row batch, blocking, rather than failing; it cannot
+    /// shrink what the run keeps resident, and a profiled run's `mem-hw`
     /// column shows what was actually reached.
     pub fn with_mem_budget(mut self, budget: MemBudget) -> Self {
         self.mem_budget = budget;
         if let Some(spgemm_bytes) = budget.spgemm_bytes() {
-            // Preserve the thread knob: budgets size the windows, not
-            // the intra-rank worker count.
-            self.overlap.spgemm = SpGemmOptions::column_batched(spgemm_bytes)
-                .with_threads(self.overlap.spgemm.threads);
+            // Preserve the thread knob: budgets size batches, not the
+            // intra-rank worker count.
+            self.overlap.spgemm =
+                SpGemmOptions::budgeted(spgemm_bytes).with_threads(self.overlap.spgemm.threads);
         }
         self
     }
@@ -517,11 +518,11 @@ mod tests {
             (SpGemmOptions::eager(), 1usize),
             (SpGemmOptions::pipelined(), 1),
             (SpGemmOptions::pipelined(), 4),
-            // one double-buffered round / many blocking rounds / the
-            // quarter-budget floor (one column per round)
-            (SpGemmOptions::column_batched(1 << 30), 4),
-            (SpGemmOptions::column_batched(4 << 10), 1),
-            (SpGemmOptions::column_batched(1), 4),
+            // prefetched stages / blocking stages in 32-row batches /
+            // the smallest budget
+            (SpGemmOptions::budgeted(1 << 30), 4),
+            (SpGemmOptions::budgeted(4 << 10), 1),
+            (SpGemmOptions::budgeted(1), 4),
         ];
         for (opts, threads) in cases {
             let out = Runner::new(Backend::InProcess).ranks(4).run(move |comm| {

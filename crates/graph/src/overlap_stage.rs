@@ -69,8 +69,7 @@ pub struct OverlapConfig {
     /// Overhang tolerance when classifying (x-drop may stop early).
     pub fuzz: usize,
     /// Options for the distributed `C = AAᵀ` multiply: the production
-    /// SUMMA, whose column windows a memory budget sizes (one window
-    /// without one).
+    /// SUMMA, whose prefetch and row batch a memory budget picks.
     pub spgemm: SpGemmOptions,
     /// Intra-rank workers for the x-drop alignment batch (`0` means one,
     /// like `1`). Each worker owns one alignment scratch, pairs are

@@ -282,8 +282,8 @@ mod tests {
                     let schedules = [
                         ("eager", SpGemmOptions::eager()),
                         ("pipelined", SpGemmOptions::pipelined()),
-                        ("prefetching budget", SpGemmOptions::column_batched(switch)),
-                        ("blocking budget", SpGemmOptions::column_batched(switch - 1)),
+                        ("prefetching budget", SpGemmOptions::budgeted(switch)),
+                        ("blocking budget", SpGemmOptions::budgeted(switch - 1)),
                     ];
                     let mut rows = Vec::new();
                     for (label, opts) in schedules {

@@ -1,15 +1,15 @@
 //! # elba-mem — memory budgets and per-phase byte accounting
 //!
-//! ELBA's SpGEMM strong-scales because its memory is *bounded*: the
-//! batched overlap-detection multiply splits the output of `C = AAᵀ`
-//! into column batches sized so that no rank ever materializes more than
-//! a budget's worth of intermediates. This crate is the substrate that
-//! claim is built on in ELBA-RS:
+//! ELBA bounds its SpGEMM's memory by computing `C = AAᵀ` in column
+//! batches and aligning each batch before the next is built. ELBA-RS
+//! keeps all of `C` for the alignment stage, so a budget here bounds the
+//! transients around it, not `C`, and every run reports what it
+//! reached. This crate is the substrate of that accounting:
 //!
 //! * [`MemBudget`] — a global per-rank byte cap with fixed per-phase
 //!   sub-budgets, plus the derivations that turn one `--mem-budget` knob
 //!   into concrete pipeline parameters (`batch_kmers` and the SpGEMM
-//!   sub-budget the SUMMA sizes its column windows under),
+//!   sub-budget that decides the SUMMA's prefetch and row batch),
 //! * [`DeepBytes`] — deep heap sizes, so a stage charges what a value
 //!   really holds resident,
 //! * [`MemTracker`] — the read-only cross-rank summary of one run: per
@@ -24,7 +24,8 @@
 /// application-side buffers (outgoing buckets + one inbound chunk).
 const EXCHANGE_FRACTION: f64 = 0.25;
 /// Fraction of the total budget available to one distributed SpGEMM's
-/// transient intermediates (stage blocks + batch accumulators).
+/// transients: its stage blocks (prefetched only if four of the largest
+/// fit) and one row batch's product.
 const SPGEMM_FRACTION: f64 = 0.5;
 
 /// A per-rank memory budget in bytes. `None` means unlimited (the

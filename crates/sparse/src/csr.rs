@@ -160,6 +160,14 @@ impl<T> Csr<T> {
             + self.values.len() * std::mem::size_of::<T>()
     }
 
+    /// [`Csr::heap_bytes`] of [`Csr::transposed`], from the shape alone:
+    /// `ncols + 1` offsets and the same entries.
+    #[inline]
+    pub fn transposed_heap_bytes(&self) -> usize {
+        (self.ncols + 1) * std::mem::size_of::<u32>()
+            + self.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<T>())
+    }
+
     /// [`Csr::heap_bytes`] plus the heap owned *inside* the stored
     /// values ([`elba_mem::DeepBytes`]): the true resident footprint for
     /// value types that are not plain-old-data (a `Vec`-carrying matrix
@@ -584,6 +592,10 @@ mod tests {
     fn heap_bytes_book_four_byte_offsets() {
         assert_eq!(sample().heap_bytes(), 4 * 4 + 4 * (4 + 8));
         assert_eq!(Csr::<u8>::empty(204, 204).heap_bytes(), 820);
+        let wide = Csr::from_triples(2, 7, vec![(0, 6, 1.0), (1, 2, 2.0)], |_, _| unreachable!());
+        for m in [sample(), wide] {
+            assert_eq!(m.transposed_heap_bytes(), m.transposed().heap_bytes());
+        }
     }
 
     #[test]

@@ -20,10 +20,8 @@ use crate::spgemm::{MaskedAccumulator, SpGemmBatcher};
 
 /// Tag for the transpose block exchange.
 const TRANSPOSE_TAG: u64 = 0x00F1_7A7A;
-/// Tags of the symmetric product's direct fetch ([`UpperAat`]): stage
-/// operand blocks, and the estimate pass's structure-only blocks.
+/// Tag of the symmetric product's direct fetch ([`UpperAat`]).
 const FETCH_TAG: u64 = 0x00F1_7A7B;
-const STRUCTURE_TAG: u64 = 0x00F1_7A7C;
 
 /// Merge one batch-produced row (`cols`/`vals`, sorted by column) into a
 /// per-row accumulator in place — the row-local step of the
@@ -76,131 +74,40 @@ fn merge_row<T>(
     *acc_vals = merged_vals;
 }
 
-/// What a memory budget adds to the symmetric product's batched SUMMA
-/// ([`UpperAat::summa_column_batched`]), fixed before its first round:
-/// an upper bound on each local output column's accumulator bytes, each
-/// stage's A+B block bytes, and whether the budget affords prefetching.
-struct RoundPlan {
-    budget: u64,
-    entry_bytes: u64,
-    col_est: Vec<u64>,
-    stage_bytes: Vec<usize>,
-    /// Prefetch stage `s+1` while stage `s` multiplies (two stages of
-    /// blocks resident).
-    double_buffer: bool,
-    /// Broadcast bytes a window's accumulator shares the budget with.
-    resident_floor: u64,
-    /// Row-batch size of a round's multiply.
-    row_batch: usize,
-}
-
-impl RoundPlan {
-    /// The plan for a block of `nrows` output rows from the estimate
-    /// pass's per-column flops and per-stage bytes
-    /// ([`UpperAat::estimates`]). Collective.
-    fn new(
-        grid: &ProcGrid,
-        (col_flops, stage_bytes): (Vec<u64>, Vec<usize>),
-        budget: u64,
-        nrows: usize,
-        entry_bytes: u64,
-    ) -> Self {
-        // The flop count upper-bounds the column's accumulator entries
-        // (merging only shrinks them), and the accumulator holds at most
-        // `nrows` entries per column however many flops land there: under
-        // heavy inner-index multiplicity (k-mers shared by many reads)
-        // the raw flop count overshoots by orders of magnitude.
-        let col_est = col_flops
-            .iter()
-            .map(|&f| f.min(nrows as u64) * entry_bytes)
-            .collect();
-        // The broadcast-block residency floor must be agreed grid-wide:
-        // it decides between the double-buffered ibcast pipeline and
-        // single-buffered blocking rounds, and a rank-divergent choice
-        // would desynchronize the collective schedule.
-        let max_stage = grid.world().allreduce(
-            stage_bytes.iter().copied().max().unwrap_or(0) as u64,
-            u64::max,
-        );
-        // Prefetching doubles the resident blocks; only pipeline when the
-        // budget leaves at least half of itself for the accumulator.
-        let double_buffer = 4 * max_stage <= budget;
-        RoundPlan {
-            budget,
-            entry_bytes,
-            col_est,
-            stage_bytes,
-            double_buffer,
-            resident_floor: (1 + u64::from(double_buffer)) * max_stage,
-            // One batch's output rows are a small slice of the budget at
-            // a heuristic 1 KiB per accumulated row.
-            row_batch: ((budget / 16) as usize / 1024).clamp(32, 1 << 13),
-        }
-    }
-
-    /// Broadcast bytes resident while stage `s` multiplies, the
-    /// prefetched next stage included — modelled from the grid-uniform
-    /// estimate, not charged through guards on the blocks.
-    fn resident(&self, s: usize) -> usize {
-        self.stage_bytes[s] + self.prefetched(s)
-    }
-
-    /// Broadcast bytes still resident once stage `s` is multiplied: the
-    /// prefetched next stage, if any.
-    fn prefetched(&self, s: usize) -> usize {
-        let next = self.stage_bytes.get(s + 1).filter(|_| self.double_buffer);
-        next.copied().unwrap_or(0)
-    }
-
-    /// End of the window that starts at local column `start` when
-    /// `retained` bytes of output are already held: columns are
-    /// packed greedily (at least one) while their estimates fit the
-    /// budget left after the output and the resident broadcast blocks,
-    /// so the round's working set stays within the cap. A budget below
-    /// the resident floor can't be met by more batching (the inputs
-    /// themselves exceed it), so the room floors at a quarter budget
-    /// instead of degrading to one-column rounds whose broadcasts would
-    /// dwarf any saving.
-    fn window_end(&self, start: usize, retained: u64) -> usize {
-        let usable = self
-            .budget
-            .saturating_sub(self.resident_floor + retained)
-            .max(self.budget / 4)
-            .max(self.entry_bytes);
-        let mut end = start;
-        let mut batch_est = 0u64;
-        while let Some(&w) = self.col_est.get(end) {
-            if batch_est > 0 && batch_est + w > usable {
-                break;
-            }
-            batch_est += w;
-            end += 1;
-        }
-        end
-    }
+/// Whether a budgeted SUMMA may prefetch: stage `s+1`'s blocks are in
+/// flight while stage `s` multiplies, so two stages are resident, and
+/// the budget must hold four of the largest — `4·(a_max + b_max) ≤
+/// budget`, where `a_bytes` / `b_bytes` are this rank's largest `A` and
+/// `B` operand blocks. No stage pairs blocks larger than the largest of
+/// each operand. Every rank must reach the same verdict or the
+/// collective schedule desynchronizes: one `allreduce` of the pair.
+fn prefetch_fits(grid: &ProcGrid, a_bytes: usize, b_bytes: usize, budget: u64) -> bool {
+    let (a_max, b_max) = grid
+        .world()
+        .allreduce((a_bytes as u64, b_bytes as u64), |x, y| {
+            (x.0.max(y.0), x.1.max(y.1))
+        });
+    4 * (a_max + b_max) <= budget
 }
 
 /// One SUMMA stage's row-blocked multiply merged straight into the
-/// per-row accumulators: multiply `row_batch` rows at a time over the
-/// output-column `window` (across `threads` intra-rank workers), merge
-/// each produced row, and re-size `charge` to `acc_entries ×
-/// entry_bytes + resident` (plus the per-worker SPA scratch) after
-/// every row batch so the tracker sees the true working set. Returns
-/// the updated accumulated-entry count. The inner loop of the SUMMA
-/// schedule.
+/// per-row accumulators: multiply `row_batch` rows at a time (across
+/// `threads` intra-rank workers), merge each produced row, and re-size
+/// `charge` to `acc_entries × entry_bytes` (plus the per-worker SPA
+/// scratch) after every row batch so the tracker sees the true working
+/// set. Returns the updated accumulated-entry count. The inner loop of
+/// the symmetric product's SUMMA.
 #[allow(clippy::too_many_arguments)]
 fn merge_stage_rows<S>(
     a_block: &Csr<S::A>,
     b_block: &Csr<S::B>,
     semiring: &S,
-    window: std::ops::Range<u32>,
     row_batch: usize,
     threads: usize,
     upper: (usize, usize),
     acc_rows: &mut [(Vec<u32>, Vec<S::Out>)],
     mut acc_entries: usize,
     entry_bytes: usize,
-    resident: usize,
     charge: &mut MemCharge,
 ) -> usize
 where
@@ -213,7 +120,7 @@ where
     let mut start = 0;
     while start < nrows {
         let end = (start + row_batch).min(nrows);
-        let batch = batcher.multiply_rows_par(start..end, window.clone());
+        let batch = batcher.multiply_rows_par(start..end, 0..b_block.ncols() as u32);
         let (batch_indptr, batch_indices, batch_values) = batch.into_parts();
         let mut batch_vals = batch_values.into_iter();
         for (in_batch, row) in (start..end).enumerate() {
@@ -227,10 +134,10 @@ where
             merge_row(&mut acc_rows[row], cols, vals, |a, v| semiring.add(a, v));
             acc_entries += acc_rows[row].0.len() - before;
         }
-        charge.set(acc_entries * entry_bytes + resident + batcher.scratch_bytes());
+        charge.set(acc_entries * entry_bytes + batcher.scratch_bytes());
         start = end;
     }
-    charge.set(acc_entries * entry_bytes + resident);
+    charge.set(acc_entries * entry_bytes);
     acc_entries
 }
 
@@ -316,38 +223,25 @@ pub enum SpGemmAlgorithm {
     /// triples, one global sort-merge at the end. Highest peak memory, no
     /// communication/computation overlap; not reachable from the CLI.
     Eager,
-    /// The production schedule. Stage `s+1`'s transfers are posted
-    /// before stage `s` is multiplied, so they overlap the local
-    /// multiply.
+    /// The production schedule: one round of `q` stages over the whole
+    /// output. The symmetric product merges each stage's rows into
+    /// per-row accumulators, the masked product folds each stage into
+    /// its fixed-size slots. Without a budget, stage `s+1`'s transfers
+    /// are posted before stage `s` is multiplied, so they overlap the
+    /// local multiply.
     ///
-    /// In the symmetric product it is ELBA's batched SUMMA: the *output*
-    /// is computed in column windows, one round of direct block sends per
-    /// window; each stage's rows merge into per-row accumulators, and
-    /// each window's rows join the output as it completes. Without a
-    /// budget there is one window and no sizing pass. With
-    /// `mem_budget: Some(b)` an estimate pass (structure-only sends)
-    /// sizes the windows so that the output so far, the window's
-    /// accumulator and the resident stage blocks stay under `b` bytes
-    /// per rank — at the price of re-sending the input blocks once per
-    /// round — and stages are prefetched only if four of the largest fit
-    /// `b`. The whole output is kept, so `b` must hold it.
-    ///
-    /// The masked product's accumulator has a fixed size, so a budget
-    /// decides only whether it prefetches, by the same rule.
+    /// With `mem_budget: Some(b)` the budget decides two things. Stages
+    /// are prefetched only if four of the largest fit `b` (one
+    /// `allreduce` agrees the verdict). The symmetric product multiplies
+    /// `clamp(b / 16 KiB, 32, 8192)` rows at a time instead of the whole
+    /// block, which bounds the untracked per-batch product. Every entry
+    /// of the symmetric product is kept, so `b` bounds neither `C` nor
+    /// the traffic: a budgeted run sends exactly the unbudgeted fetch.
     Pipelined {
-        /// Per-rank transient byte cap (stage blocks + window
-        /// accumulator); `None` is unbounded.
+        /// Per-rank transient byte cap (stage blocks + row-batch
+        /// product); `None` is unbounded.
         mem_budget: Option<u64>,
     },
-}
-
-/// Short CLI/bench label for a schedule.
-pub fn algorithm_label(algorithm: SpGemmAlgorithm) -> &'static str {
-    match algorithm {
-        SpGemmAlgorithm::Eager => "eager",
-        SpGemmAlgorithm::Pipelined { mem_budget: None } => "pipelined",
-        SpGemmAlgorithm::Pipelined { .. } => "column-batched",
-    }
 }
 
 /// Options of the two pipeline products — overlap detection's symmetric
@@ -381,7 +275,7 @@ impl SpGemmOptions {
         }
     }
 
-    /// The production schedule without a budget: one window.
+    /// The production schedule without a budget.
     pub fn pipelined() -> Self {
         SpGemmOptions {
             algorithm: SpGemmAlgorithm::Pipelined { mem_budget: None },
@@ -390,9 +284,9 @@ impl SpGemmOptions {
     }
 
     /// The production schedule under a transient byte budget of
-    /// `mem_budget` per rank: the symmetric product's column windows are
-    /// sized to fit it.
-    pub fn column_batched(mem_budget: u64) -> Self {
+    /// `mem_budget` per rank: it decides prefetch and the symmetric
+    /// product's row batch ([`SpGemmAlgorithm::Pipelined`]).
+    pub fn budgeted(mem_budget: u64) -> Self {
         assert!(mem_budget > 0, "a SpGEMM memory budget must be positive");
         SpGemmOptions {
             algorithm: SpGemmAlgorithm::Pipelined {
@@ -730,12 +624,12 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// diagonal rank `(m, m)` receives the block once and transposes it
     /// locally; a rank below the diagonal receives nothing and returns
     /// an empty block. Over a `q×q` grid that is `q³ − q(q+1)/2` block
-    /// transfers per round, half of what the transpose swap plus the
-    /// row and column broadcasts moved.
+    /// transfers, half of what the transpose swap plus the row and
+    /// column broadcasts moved.
     ///
-    /// [`SpGemmAlgorithm::Pipelined`] runs ELBA's batched SUMMA
-    /// (`UpperAat::summa_column_batched`), which computes the output one
-    /// column window at a time, so a budget bounds the live accumulator.
+    /// [`SpGemmAlgorithm::Pipelined`] runs one pipelined, row-blocked
+    /// SUMMA round over the whole output (`UpperAat::summa`); a budget
+    /// picks its prefetch and row batch, never its traffic.
     /// [`SpGemmAlgorithm::Eager`] runs the oracle schedule over the same
     /// fetch.
     pub fn spgemm_aat_upper_with<S>(
@@ -762,7 +656,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
                 )
             }
             SpGemmAlgorithm::Pipelined { mem_budget } => {
-                fetch.summa_column_batched(semiring, mem_budget, opts.threads)
+                fetch.summa(semiring, mem_budget, opts.threads)
             }
         }
     }
@@ -789,13 +683,11 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// broadcasts, call for call — folding every stage into
     /// one [`MaskedAccumulator`]: `nnz(mask block)` slots plus a column
     /// array, sized and charged before the first broadcast and never
-    /// growing. A memory budget therefore needs no estimate pass and no
-    /// column rounds here; all `opts.algorithm` decides is whether stage
-    /// `s+1` is prefetched while stage `s` multiplies
-    /// ([`SpGemmAlgorithm::Eager`] no; [`SpGemmAlgorithm::Pipelined`]
-    /// yes without a budget, and under one iff four of the largest stage
-    /// fit it — the symmetric product's double-buffer rule, agreed
-    /// grid-wide by one `allreduce`).
+    /// growing. All `opts.algorithm` decides is whether stage `s+1` is
+    /// prefetched while stage `s` multiplies ([`SpGemmAlgorithm::Eager`]
+    /// no; [`SpGemmAlgorithm::Pipelined`] yes without a budget, and
+    /// under one iff four of the largest stage fit it — the rule the
+    /// symmetric product shares, agreed grid-wide by one `allreduce`).
     pub fn prune_by_product<F>(
         &self,
         grid: &ProcGrid,
@@ -825,16 +717,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             SpGemmAlgorithm::Pipelined { mem_budget: None } => true,
             SpGemmAlgorithm::Pipelined {
                 mem_budget: Some(budget),
-            } => {
-                // No stage pairs blocks larger than the largest of each
-                // operand; every rank must reach the same verdict or the
-                // collective schedule desynchronizes.
-                let (a_max, b_max) = world
-                    .allreduce((a.heap_bytes() as u64, b.heap_bytes() as u64), |x, y| {
-                        (x.0.max(y.0), x.1.max(y.1))
-                    });
-                4 * (a_max + b_max) <= budget
-            }
+            } => prefetch_fits(grid, a.heap_bytes(), b.heap_bytes(), budget),
         };
         let _mask_res = world.mem_charge_shared(&self.local, self.local.heap_bytes());
         let mut acc = MaskedAccumulator::new(&*self.local, fold).with_threads(opts.threads);
@@ -1146,93 +1029,23 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
         })
     }
 
-    /// The budgeted schedule's estimate pass: per local output column
-    /// the exact multiply-add count landing there, and per stage the
-    /// bytes of this rank's operand pair. Structure-only blocks
-    /// ([`pattern`]) travel over the fetch's (block, destination) pairs.
-    /// A rank derives its row operand's per-column counts and its column
-    /// operand's rows from them, so no transpose is built;
-    /// `flops(c) = Σ_{k ∈ row c of A(j, s)} nnz_col(A(i, s), k)`.
-    /// Collective.
-    fn estimates(&self) -> (Vec<u64>, Vec<usize>) {
-        let (grid, a) = (self.grid, self.a);
-        let world = grid.world();
-        let (i, j) = (grid.myrow(), grid.mycol());
-        let mut col_flops = vec![0u64; a.row_layout.block_range(j).len()];
-        let mut stage_bytes = vec![0usize; grid.q()];
-        let mut est_charge = world.mem_charge(0);
-        for (s, bytes) in stage_bytes.iter_mut().enumerate() {
-            let mine = (j == s).then(|| Arc::new(pattern(&a.local)));
-            if let Some(mine) = &mine {
-                let (rows, cols) = self.destinations(s);
-                for dst in rows.into_iter().chain(cols) {
-                    world.send(dst, STRUCTURE_TAG, Arc::clone(mine));
-                }
-            }
-            if i > j {
-                est_charge.set(mine.map_or(0, |mine| mine.heap_bytes()));
-                continue;
-            }
-            let row = mine.unwrap_or_else(|| world.recv(grid.rank_of(i, s), STRUCTURE_TAG));
-            let col = if i < j {
-                world.recv(grid.rank_of(j, s), STRUCTURE_TAG)
-            } else {
-                Arc::clone(&row)
-            };
-            let mut counts = vec![0u32; row.ncols()];
-            for &k in row.indices() {
-                counts[k as usize] += 1;
-            }
-            // The received patterns are real resident bytes; the budget
-            // verdict is only trustworthy if the pass that sizes the
-            // batches charges its own working set too.
-            let patterns = row.heap_bytes() + if i < j { col.heap_bytes() } else { 0 };
-            est_charge.set(
-                col_flops.len() * std::mem::size_of::<u64>()
-                    + counts.len() * std::mem::size_of::<u32>()
-                    + patterns,
-            );
-            *bytes = block_bytes::<T>(&row, false) + block_bytes::<T>(&col, true);
-            for (c, flops) in col_flops.iter_mut().enumerate() {
-                let (ks, _) = col.row(c);
-                *flops += ks.iter().map(|&k| counts[k as usize] as u64).sum::<u64>();
-            }
-        }
-        (col_flops, stage_bytes)
-    }
-
-    /// ELBA's batched SpGEMM, the symmetric product's production
-    /// schedule: split the *output* into column windows and run one
-    /// pipelined, row-blocked SUMMA round per window; each window's rows
-    /// join the output as it completes. Stage `s+1`'s sends ride alongside
-    /// stage `s`'s multiply whenever the budget affords two stages of
-    /// blocks.
+    /// ELBA's SUMMA for the symmetric product, its production
+    /// schedule: one round of `q` stages over the whole output, each
+    /// stage's rows merged into per-row accumulators that become the
+    /// output block. Stage blocks are charged through shared
+    /// (allocation-keyed) guards, which never count the owner's resident
+    /// block twice.
     ///
-    /// Without a `budget` there is one window covering every local
-    /// column, the row batch is the whole block, and the stage blocks
-    /// are charged through shared guards: no sizing pass and no
-    /// communication beyond the stage fetch.
-    ///
-    /// Under a budget, window sizing uses the cheap estimate pass
-    /// ([`UpperAat::estimates`]) before any real multiply
-    /// (see [`RoundPlan`]), so the output so far, the live window
-    /// accumulator and the resident stage blocks stay under `budget`
-    /// bytes per rank. Every accumulated entry is kept, so the output
-    /// itself is never cut by the budget.
-    /// Ranks size their own windows independently — the fetch ships full
-    /// blocks either way, so they need no global agreement beyond the
-    /// round *count* (an allreduce max; short ranks pad with empty
-    /// windows to stay collective). The price of the bound is
-    /// re-fetching the inputs once per round (`rounds × q` stages),
-    /// exactly as in ELBA's multi-round formulation. Every
-    /// transient is charged against the rank's memory tracker, so a
-    /// profiled run *shows* the bound holding instead of claiming it.
-    fn summa_column_batched<S>(
-        &self,
-        semiring: &S,
-        budget: Option<u64>,
-        threads: usize,
-    ) -> DistMat<S::Out>
+    /// Without a `budget` stage `s+1`'s sends ride alongside stage `s`'s
+    /// multiply and the row batch is the whole block: no communication
+    /// beyond the stage fetch. Under a budget the stages are prefetched
+    /// only if [`prefetch_fits`] agrees, and rows are multiplied in
+    /// batches of `clamp(budget / 16 KiB, 32, 8192)`: a batch's product
+    /// is built outside the accumulators, so the batch bounds it. Every
+    /// accumulated entry is kept, so the output itself is never cut by
+    /// the budget, and every transient is charged against the rank's
+    /// memory tracker, so a profiled run shows what was reached.
+    fn summa<S>(&self, semiring: &S, budget: Option<u64>, threads: usize) -> DistMat<S::Out>
     where
         S: Semiring<A = T, B = T> + Sync,
         S::Out: Clone + CommMsg + Sync,
@@ -1241,141 +1054,60 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
         let world = grid.world();
         let nrows = self.a.row_layout.block_range(grid.myrow()).len();
         let ncols = self.out_cols().block_range(grid.mycol()).len();
-        let entry_bytes = (std::mem::size_of::<u32>() + std::mem::size_of::<S::Out>()) as u64;
-        let upper = self.upper();
-        let plan =
-            budget.map(|budget| RoundPlan::new(grid, self.estimates(), budget, nrows, entry_bytes));
-        let (row_batch, prefetch) = match &plan {
+        let entry_bytes = std::mem::size_of::<u32>() + std::mem::size_of::<S::Out>();
+        let (row_batch, prefetch) = match budget {
             None => (nrows.max(1), true),
-            Some(plan) => (plan.row_batch, plan.double_buffer),
+            Some(budget) => (
+                // One batch's output rows are a small slice of the
+                // budget at a heuristic 1 KiB per accumulated row.
+                ((budget / 16) as usize / 1024).clamp(32, 1 << 13),
+                // A stage pairs an `A` block as stored with one
+                // transposed; the transpose is sized, not built.
+                prefetch_fits(
+                    grid,
+                    self.a.local.heap_bytes(),
+                    self.a.local.transposed_heap_bytes(),
+                    budget,
+                ),
+            ),
         };
 
-        let mut out_rows: Vec<(Vec<u32>, Vec<S::Out>)> =
+        let mut acc_rows: Vec<(Vec<u32>, Vec<S::Out>)> =
             (0..nrows).map(|_| (Vec::new(), Vec::new())).collect();
-        let mut out_entries = 0usize;
-        let mut out_charge = world.mem_charge(0);
-        let mut next_col = 0usize; // first local column not yet computed
-        loop {
-            let start_col = next_col;
-            match &plan {
-                None => next_col = ncols,
-                Some(plan) => {
-                    // Rounds are collective (each one broadcasts every
-                    // block), so all ranks keep going until the
-                    // slowest-packing rank is done; finished ranks run
-                    // empty windows.
-                    if world.allreduce(u64::from(next_col < ncols), u64::max) == 0 {
-                        break;
-                    }
-                    next_col = plan.window_end(next_col, out_entries as u64 * entry_bytes);
-                }
-            }
-            let window = (start_col as u32)..(next_col as u32);
-            let mut transient = world.mem_charge(0);
-            let mut acc_rows: Vec<(Vec<u32>, Vec<S::Out>)> =
-                (0..nrows).map(|_| (Vec::new(), Vec::new())).collect();
-            let mut acc_entries = 0usize;
-            for (s, stage) in self.stages(prefetch).enumerate() {
-                // A finished rank padding out the collective round has
-                // an empty window: the fetch must still run (every
-                // holder sends, every receiver drains), but the multiply
-                // sweep over every A nonzero would produce nothing —
-                // skip it, as at a stage this rank multiplies nothing in.
-                let Some((a_block, b_block)) = stage.filter(|_| !window.is_empty()) else {
-                    continue;
-                };
-                // Budgeted rounds model residency from the estimate
-                // pass's `stage_bytes`; the unbudgeted window charges the
-                // blocks through shared (allocation-keyed) guards, which
-                // never count the owner's resident block twice. Never
-                // both: guards on top of the model would double-count.
-                let _guards = plan.is_none().then(|| {
-                    (
-                        world.mem_charge_shared(&a_block, a_block.heap_bytes()),
-                        world.mem_charge_shared(&b_block, b_block.heap_bytes()),
-                    )
-                });
-                let resident = plan.as_ref().map_or(0, |plan| plan.resident(s));
-                acc_entries = merge_stage_rows(
-                    &a_block,
-                    &b_block,
-                    semiring,
-                    window.clone(),
-                    row_batch,
-                    threads,
-                    upper,
-                    &mut acc_rows,
-                    acc_entries,
-                    entry_bytes as usize,
-                    resident,
-                    &mut transient,
-                );
-                if let Some(plan) = &plan {
-                    // The stage's own blocks are released with it; what
-                    // the fetch builds for the next stage is charged on
-                    // top of this.
-                    transient.set(acc_entries * entry_bytes as usize + plan.prefetched(s));
-                }
-            }
-            // Hand the window to the output: the first window's rows
-            // become it, later windows (in increasing column order, so
-            // per-row appends stay sorted) are appended. The
-            // accumulator's charge is dropped before the handover —
-            // holding both would double-count the window.
-            transient.set(0);
-            if out_entries == 0 {
-                out_rows = acc_rows;
-            } else {
-                for (out, (mut cols, mut vals)) in out_rows.iter_mut().zip(acc_rows) {
-                    out.0.append(&mut cols);
-                    out.1.append(&mut vals);
-                }
-            }
-            out_entries += acc_entries;
-            out_charge.set(out_entries * entry_bytes as usize);
-            if plan.is_none() {
-                break;
-            }
+        let mut acc_entries = 0usize;
+        let mut charge = world.mem_charge(0);
+        for stage in self.stages(prefetch) {
+            // A rank with no output columns still drives the fetch
+            // (every holder sends, every receiver drains), but its
+            // multiply would produce nothing: skip it, as at a stage
+            // this rank multiplies nothing in.
+            let Some((a_block, b_block)) = stage.filter(|_| ncols > 0) else {
+                continue;
+            };
+            let _a_res = world.mem_charge_shared(&a_block, a_block.heap_bytes());
+            let _b_res = world.mem_charge_shared(&b_block, b_block.heap_bytes());
+            acc_entries = merge_stage_rows(
+                &a_block,
+                &b_block,
+                semiring,
+                row_batch,
+                threads,
+                self.upper(),
+                &mut acc_rows,
+                acc_entries,
+                entry_bytes,
+                &mut charge,
+            );
         }
         world.record_par_time(elba_par::take_par_secs());
 
-        let local = pack_rows_into_csr(
-            out_rows,
-            ncols,
-            out_entries,
-            entry_bytes as usize,
-            &mut out_charge,
-        );
+        let local = pack_rows_into_csr(acc_rows, ncols, acc_entries, entry_bytes, &mut charge);
         DistMat {
             row_layout: self.a.row_layout,
             col_layout: self.out_cols(),
             local: Arc::new(local),
         }
     }
-}
-
-/// `block`'s structure without its values — what the estimate pass
-/// ships.
-fn pattern<T>(block: &Csr<T>) -> Csr<()> {
-    Csr::from_parts(
-        block.nrows(),
-        block.ncols(),
-        block.indptr().to_vec(),
-        block.indices().to_vec(),
-        vec![(); block.nnz()],
-    )
-}
-
-/// [`Csr::heap_bytes`] of a `T`-valued block with `pattern`'s
-/// structure, as stored or `transposed`.
-fn block_bytes<T>(pattern: &Csr<()>, transposed: bool) -> usize {
-    let rows = if transposed {
-        pattern.ncols()
-    } else {
-        pattern.nrows()
-    };
-    (rows + 1) * std::mem::size_of::<u32>()
-        + pattern.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<T>())
 }
 
 #[cfg(test)]
@@ -1489,12 +1221,10 @@ mod tests {
             for opts in [
                 SpGemmOptions::eager(),
                 SpGemmOptions::pipelined(),
-                // Budgeted regimes: quarter-budget floor (one column per
-                // round), many rounds over blocking transfers, and one
-                // double-buffered round.
-                SpGemmOptions::column_batched(1),
-                SpGemmOptions::column_batched(400),
-                SpGemmOptions::column_batched(1 << 30),
+                // Budgeted regimes: blocking transfers and prefetched
+                // ones, both in 32-row batches.
+                SpGemmOptions::budgeted(1),
+                SpGemmOptions::budgeted(1 << 30),
             ] {
                 let ok = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
                     let grid = ProcGrid::new(comm);
@@ -1524,14 +1254,14 @@ mod tests {
     }
 
     #[test]
-    fn column_batched_tracked_high_water_respects_budget() {
+    fn budgeted_tracked_high_water_respects_budget() {
         // The ELBA overlap-detection shape: a dense-ish C = AAᵀ. Every
         // entry the kernels accumulate is kept, so C itself is resident
         // under any budget, and packing its rows into one CSR holds it
         // twice (`pack_rows_into_csr`). The budget is that floor plus one
         // stage of blocks and slack, computed from the real sizes: the
-        // batched schedule must cut the output into several column
-        // windows and stay under it on every rank.
+        // budgeted schedule must stay under it on every rank, and never
+        // above the unbudgeted one.
         let run = |opts: SpGemmOptions| {
             Runner::new(Backend::InProcess)
                 .ranks(4)
@@ -1556,31 +1286,28 @@ mod tests {
                     (got, c.heap_bytes(), stage_bytes)
                 })
         };
-        let (outputs, _) = run(SpGemmOptions::pipelined());
+        let (outputs, plain) = run(SpGemmOptions::pipelined());
         let max_c = outputs.iter().map(|(_, cb, _)| *cb).max().expect("ranks");
         let max_stage = outputs.iter().map(|(_, _, sb)| *sb).max().expect("ranks");
         let budget = (2 * max_c + max_stage + 8192) as u64;
         // Each rank's block has 100 rows, above the 32-row floor of the
         // budget-derived row batch: the one case here that runs more
         // than one row batch per stage.
-        let (batched_outputs, batched) = run(SpGemmOptions::column_batched(budget));
-        let hw_batched = batched.max_mem_hw("spgemm");
+        let (budgeted_outputs, budgeted) = run(SpGemmOptions::budgeted(budget));
+        let hw_budgeted = budgeted.max_mem_hw("spgemm");
         assert!(
-            hw_batched <= budget,
-            "column-batched hw {hw_batched} exceeds budget {budget}"
+            hw_budgeted <= budget,
+            "budgeted hw {hw_budgeted} exceeds budget {budget}"
         );
-        // One allreduce for the double-buffer verdict and one per round
-        // plus the one that ends the loop: more than three is more than
-        // one window.
-        let colls = batched.rank_profiles()[0]
-            .phase("spgemm")
-            .expect("phase recorded")
-            .coll_calls();
-        assert!(colls > 3, "one column window only ({colls} allreduces)");
+        let hw_plain = plain.max_mem_hw("spgemm");
+        assert!(
+            hw_budgeted <= hw_plain,
+            "budgeted hw {hw_budgeted} above the unbudgeted {hw_plain}"
+        );
         let (eager_outputs, _) = run(SpGemmOptions::eager());
         assert_eq!(
-            outputs[0].0, batched_outputs[0].0,
-            "batching must not change the product"
+            outputs[0].0, budgeted_outputs[0].0,
+            "a budget must not change the product"
         );
         assert_eq!(
             outputs[0].0, eager_outputs[0].0,

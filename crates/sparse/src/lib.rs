@@ -17,8 +17,8 @@
 //!   [`spgemm::spgemm`] is the one-call form) and its masked form
 //!   [`spgemm::MaskedAccumulator`], one caller-chosen
 //!   [`semiring::MaskedFold`] slot per mask entry,
-//! * the 2D-distributed layer: [`dist_mat::DistMat`] (one batched SUMMA
-//!   SpGEMM whose parameter is a memory budget, masked SpGEMM,
+//! * the 2D-distributed layer: [`dist_mat::DistMat`] (one pipelined
+//!   SUMMA SpGEMM whose parameter is a memory budget, masked SpGEMM,
 //!   transpose, prune, row reduction, branch masking) and
 //!   [`dist_vec::DistVec`] (gather/scatter by global index, shipped as
 //!   `u32` chunk offsets, the paper's Fig. 2 row-allgather +
@@ -37,7 +37,7 @@ pub mod semiring;
 pub mod spgemm;
 
 pub use csr::Csr;
-pub use dist_mat::{algorithm_label, DistMat, SpGemmAlgorithm, SpGemmOptions};
+pub use dist_mat::{DistMat, SpGemmAlgorithm, SpGemmOptions};
 pub use dist_vec::DistVec;
 pub use layout::Layout2D;
 pub use routed::RoutedTriples;

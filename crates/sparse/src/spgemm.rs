@@ -230,8 +230,8 @@ where
     /// Multiply the output-row window `rows` of `A ⊗ B` restricted to
     /// output columns in `cols`: only products landing in that window
     /// are accumulated — the kernel underneath the distributed multiply,
-    /// where each budgeted SUMMA round computes one column batch of `C`
-    /// so the live accumulator never exceeds the batch. The result has
+    /// where a budgeted SUMMA stage multiplies one row batch at a time
+    /// over every column. The result has
     /// `rows.len()` rows (row `i` holding output row `rows.start + i`)
     /// and keeps the full column dimension (entries outside the window
     /// are simply absent), so outputs of consecutive windows concatenate

@@ -2,14 +2,12 @@
 //! [`Trace`] semiring with its [`tagged`] inputs, and the schedule matrix
 //! every suite runs the symmetric product (`spgemm_aat_upper_with`) and
 //! the masked product (`prune_by_product`) under: the eager reference
-//! oracle, the unbudgeted production schedule, and one budgeted row per
-//! regime that schedule has — one round (a budget nothing can exhaust),
-//! many rounds (a small budget), the quarter-budget floor (`budget = 1`:
-//! single-column rounds, the worst case for a concatenation bug), and
+//! oracle, the unbudgeted production schedule, and the budgeted rows —
 //! both sides of the `4·max_stage ≤ budget` switch between prefetched
-//! stages and blocking ones. The general product `spgemm_with` has one
-//! schedule, the eager oracle, and is what the suites hold the other two
-//! to.
+//! stages and blocking ones, and `budget = 1`, the smallest. A budget
+//! decides only that switch and the symmetric product's row batch. The
+//! general product `spgemm_with` has one schedule, the eager oracle, and
+//! is what the suites hold the other two to.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -18,24 +16,21 @@ use elba_sparse::semiring::Semiring;
 use elba_sparse::{DistMat, SpGemmOptions};
 
 /// Rows in [`schedule_rows`]; row 0 is the oracle.
-pub const N_ROWS: usize = 7;
+pub const N_ROWS: usize = 5;
 
-/// The symmetric product's `max_stage` for `a ⊗ aᵀ`: the largest
-/// `A(i, s)` plus `A(j, s)ᵀ` block pair a rank on or above the diagonal
-/// (`i ≤ j`) multiplies in one stage — what its budgeted schedule's
-/// double-buffer switch tests against the budget. Collective.
+/// The symmetric product's `max_stage` for `a ⊗ aᵀ`: the largest `A`
+/// block as stored plus the largest `A` block transposed — the bound its
+/// prefetch switch tests a budget against. Collective.
 pub fn max_stage_bytes<T: Clone + CommMsg + Sync>(grid: &ProcGrid, a: &DistMat<T>) -> u64 {
     let local = a.local();
-    let sizes = grid.world().allgather((
-        local.heap_bytes() as u64,
-        local.transposed().heap_bytes() as u64,
-    ));
-    let q = grid.q();
-    let mut max_stage = 0;
-    for (i, j, s) in (0..q).flat_map(|i| (i..q).flat_map(move |j| (0..q).map(move |s| (i, j, s)))) {
-        max_stage = max_stage.max(sizes[grid.rank_of(i, s)].0 + sizes[grid.rank_of(j, s)].1);
-    }
-    max_stage
+    let (a_max, b_max) = grid.world().allreduce(
+        (
+            local.heap_bytes() as u64,
+            local.transposed().heap_bytes() as u64,
+        ),
+        |x, y| (x.0.max(y.0), x.1.max(y.1)),
+    );
+    a_max + b_max
 }
 
 /// The masked product's `max_stage` for `a ⊗ b`: the largest `A` block
@@ -56,8 +51,8 @@ where
 
 /// The labelled schedule matrix for a product whose largest stage is
 /// `max_stage` bytes (see [`max_stage_bytes`] and
-/// [`masked_stage_bytes`]); `small` is the many-rounds budget.
-pub fn schedule_rows(small: u64, max_stage: u64) -> Vec<(String, SpGemmOptions)> {
+/// [`masked_stage_bytes`]).
+pub fn schedule_rows(max_stage: u64) -> Vec<(String, SpGemmOptions)> {
     let switch = 4 * max_stage;
     let mut rows = vec![
         ("eager".to_owned(), SpGemmOptions::eager()),
@@ -65,20 +60,18 @@ pub fn schedule_rows(small: u64, max_stage: u64) -> Vec<(String, SpGemmOptions)>
     ];
     rows.extend(
         [
-            ("one round", 1 << 40),
-            ("many rounds", small.max(1)),
-            ("quarter-budget floor", 1),
-            ("double-buffered, at the switch", switch.max(1)),
+            ("prefetched, at the switch", switch.max(1)),
             (
                 "blocking, just under the switch",
                 switch.saturating_sub(1).max(1),
             ),
+            ("blocking, the smallest budget", 1),
         ]
         .into_iter()
         .map(|(regime, budget)| {
             (
                 format!("budgeted {regime} (budget={budget})"),
-                SpGemmOptions::column_batched(budget),
+                SpGemmOptions::budgeted(budget),
             )
         }),
     );

@@ -87,7 +87,7 @@ where
             out.push(("oracle".to_owned(), seen, kept));
             let storage_order: Vec<(u64, u64)> =
                 mask.iter_global(&grid).map(|(r, c, _)| (r, c)).collect();
-            for (label, opts) in schedule_rows(96, masked_stage_bytes(&grid, &a, &b)) {
+            for (label, opts) in schedule_rows(masked_stage_bytes(&grid, &a, &b)) {
                 for threads in [1usize, 2, 4] {
                     let opts = opts.with_threads(threads);
                     let mut seen = Vec::new();
@@ -259,8 +259,8 @@ fn budget_switches_the_stage_fetch_at_four_stages() {
                 for (phase, opts) in [
                     ("eager", SpGemmOptions::eager()),
                     ("pipelined", SpGemmOptions::pipelined()),
-                    ("at-switch", SpGemmOptions::column_batched(switch)),
-                    ("below-switch", SpGemmOptions::column_batched(switch - 1)),
+                    ("at-switch", SpGemmOptions::budgeted(switch)),
+                    ("below-switch", SpGemmOptions::budgeted(switch - 1)),
                 ] {
                     let _guard = grid.world().phase(phase);
                     let fold = SemiringSlot(PlusTimes);

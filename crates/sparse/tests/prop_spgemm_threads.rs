@@ -1,9 +1,10 @@
 //! Property tests pinning the intra-rank threading contract: the
 //! threaded `SpGemmBatcher` multiply must be **byte-identical** to the
 //! single-threaded one — same structure, same values, same row order —
-//! for every thread count, window, and semiring, both at the local
-//! kernel level and through the two pipeline products (symmetric and
-//! masked) under every schedule row on 1×1 / 2×2 / 3×3 grids.
+//! for every thread count, row and column window, and semiring, at the
+//! local kernel level, and through the two pipeline products (symmetric
+//! and masked) under every schedule row — unbudgeted, and budgeted on
+//! both sides of the prefetch switch — on 1×1 / 2×2 / 3×3 grids.
 //! Determinism is the contract that makes threading safe to land: if
 //! these fail, `--threads` would change assembled contigs.
 
@@ -87,7 +88,7 @@ proptest! {
         let serial = multiply(&a, &b, &PlusTimes, 1, 0..n, 0..m as u32);
         let par = multiply(&a, &b, &PlusTimes, threads, 0..n, 0..m as u32);
         prop_assert_eq!(&serial, &par);
-        // Row/column window (the blocked and column-batched kernels).
+        // Row/column window (the row-batched SUMMA's kernel call).
         let (w0, w1) = window;
         let rows = (w0 % n)..n;
         let cols = ((w1 % m) as u32)..(m as u32);
@@ -156,7 +157,7 @@ proptest! {
                 // One profiled phase per product and schedule row, named
                 // by both.
                 let mut rows = Vec::new();
-                for (label, base) in schedule_rows(512, max_stage_bytes(&grid, &a)) {
+                for (label, base) in schedule_rows(max_stage_bytes(&grid, &a)) {
                     let label = format!("symmetric {label}");
                     let c = {
                         let _g = grid.world().phase(&label);
@@ -166,7 +167,7 @@ proptest! {
                     let local = c.iter_global(&grid).map(|(r, c, &v)| (r, c, Some(v))).collect();
                     rows.push((label, gathered(local)));
                 }
-                for (label, base) in schedule_rows(512, masked_stage_bytes(&grid, &a, &b)) {
+                for (label, base) in schedule_rows(masked_stage_bytes(&grid, &a, &b)) {
                     let label = format!("masked {label}");
                     let mut seen = Vec::new();
                     {

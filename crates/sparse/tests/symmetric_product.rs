@@ -5,17 +5,18 @@
 //! included — under an order-sensitive semiring add, `PlusTimes` over
 //! signed values that cancel, and `MinPlus`; for every schedule row, rank
 //! count and thread count — and must ship each block only to the ranks
-//! that multiply with it, byte for byte. `DistMat::transpose`, which the
-//! oracle and `symmetrize` use, must equal a gather-triples oracle — in
-//! process and through the socket wire codec — while shipping bytes
-//! proportional to a block's entries, not its dimension.
+//! that multiply with it, byte for byte, with or without a budget.
+//! `DistMat::transpose`, which the oracle and `symmetrize` use, must
+//! equal a gather-triples oracle — in process and through the socket
+//! wire codec — while shipping bytes proportional to a block's entries,
+//! not its dimension.
 
 mod common;
 
 use elba_comm::{Backend, Runner};
 use elba_comm::{CommMsg, ProcGrid};
 use elba_sparse::semiring::{MinPlus, PlusTimes, Semiring};
-use elba_sparse::{Csr, DistMat, SpGemmOptions};
+use elba_sparse::{DistMat, SpGemmOptions};
 use proptest::prelude::*;
 
 use common::{max_stage_bytes, schedule_rows, tagged, Trace, N_ROWS};
@@ -59,10 +60,7 @@ where
                 .spgemm_with(&grid, &a.transpose(&grid), &semiring, 1)
                 .prune(&grid, |r, c, _| r < c);
             let mut out = vec![("oracle".to_owned(), gathered(oracle))];
-            // A small budget of a few entries: many narrow column
-            // windows, so the diagonal floor and the window start trade
-            // places.
-            for (label, opts) in schedule_rows(96, max_stage_bytes(&grid, &a)) {
+            for (label, opts) in schedule_rows(max_stage_bytes(&grid, &a)) {
                 for threads in [1usize, 2] {
                     let opts = opts.with_threads(threads);
                     let upper = a.spgemm_aat_upper_with(&grid, &semiring, &opts);
@@ -126,14 +124,10 @@ proptest! {
 /// never to itself.
 struct FetchModel {
     below_diagonal: bool,
-    /// Sends per round: (block, destination) pairs this rank holds.
+    /// Sends: (block, destination) pairs this rank holds.
     sends: u64,
-    /// Bytes per round: each shipped form's `nbytes` times its
-    /// destinations.
+    /// Bytes: each shipped form's `nbytes` times its destinations.
     bytes: u64,
-    /// The estimate pass's bytes: the block's pattern to the same
-    /// destinations.
-    estimate_bytes: u64,
     /// Blocks this rank multiplies with but does not hold: per stage a
     /// row operand unless it holds it, plus a column operand unless it
     /// is on the diagonal (which transposes its row operand).
@@ -164,13 +158,6 @@ fn profiled_fetch(p: usize, opts: SpGemmOptions) -> Vec<(FetchModel, (u64, u64, 
             let (q, m, s) = (grid.q() as u64, grid.myrow() as u64, grid.mycol() as u64);
             let (rows, cols) = (q - m - u64::from(s >= m), m);
             let block = a.local();
-            let pattern = Csr::from_parts(
-                block.nrows(),
-                block.ncols(),
-                block.indptr().to_vec(),
-                block.indices().to_vec(),
-                vec![(); block.nnz()],
-            );
             let needs = match m.cmp(&s) {
                 std::cmp::Ordering::Less => 2 * q - 1,
                 std::cmp::Ordering::Equal => q - 1,
@@ -180,7 +167,6 @@ fn profiled_fetch(p: usize, opts: SpGemmOptions) -> Vec<(FetchModel, (u64, u64, 
                 below_diagonal: m > s,
                 sends: rows + cols,
                 bytes: block.nbytes() as u64 * rows + block.transposed().nbytes() as u64 * cols,
-                estimate_bytes: pattern.nbytes() as u64 * (rows + cols),
                 needs,
             }
         });
@@ -201,7 +187,7 @@ fn direct_fetch_ships_each_block_only_to_the_ranks_that_multiply_with_it() {
         let q = (p as f64).sqrt() as u64;
         let transfers = q * q * q - q * (q + 1) / 2;
 
-        // One round, no estimate pass and no collective.
+        // One round, and no collective.
         let ranks = profiled_fetch(p, SpGemmOptions::pipelined());
         for (r, (model, (msgs, bytes, blocked))) in ranks.iter().enumerate() {
             assert_eq!(*msgs, model.sends, "p={p} rank {r}: sends");
@@ -217,21 +203,19 @@ fn direct_fetch_ships_each_block_only_to_the_ranks_that_multiply_with_it() {
         // Everything sent is consumed on or above the diagonal.
         assert_eq!(needed, transfers, "p={p}");
 
-        // Several rounds, each the same fetch, after an estimate pass
-        // over the same (block, destination) pairs.
-        let ranks = profiled_fetch(p, SpGemmOptions::column_batched(96));
-        let rounds = ranks[0].1 .0 / ranks[0].0.sends - 1;
-        assert!(rounds >= 2, "p={p}: {rounds} round(s) is not multi-round");
-        for (r, (model, (msgs, bytes, _))) in ranks.iter().enumerate() {
-            assert_eq!(*msgs, (rounds + 1) * model.sends, "p={p} rank {r}: sends");
-            assert_eq!(
-                *bytes,
-                rounds * model.bytes + model.estimate_bytes,
-                "p={p} rank {r}: sent bytes"
-            );
+        // A budgeted run sends exactly the unbudgeted fetch, whether its
+        // stages are blocking (a small budget) or prefetched (a budget
+        // nothing exhausts).
+        for budget in [96, 1 << 40] {
+            let budgeted = profiled_fetch(p, SpGemmOptions::budgeted(budget));
+            for (r, ((_, plain), (_, got))) in ranks.iter().zip(&budgeted).enumerate() {
+                assert_eq!(
+                    (got.0, got.1),
+                    (plain.0, plain.1),
+                    "p={p} rank {r} budget={budget}: (sends, bytes)"
+                );
+            }
         }
-        let sent: u64 = ranks.iter().map(|(_, (msgs, _, _))| msgs).sum();
-        assert_eq!(sent, (rounds + 1) * transfers, "p={p}: transfers per round");
     }
 }
 

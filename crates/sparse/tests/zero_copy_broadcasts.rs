@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use elba_comm::{Backend, Comm, Runner};
 use elba_comm::{CommMsg, ProcGrid};
 use elba_sparse::semiring::{Semiring, SemiringSlot};
-use elba_sparse::{DistMat, SpGemmAlgorithm};
+use elba_sparse::DistMat;
 
 use common::{masked_stage_bytes, max_stage_bytes, schedule_rows, N_ROWS};
 
@@ -84,9 +84,9 @@ struct Seen {
     /// The general product's entries summed over this rank's mask
     /// block: what every masked row must have folded there.
     on_mask: u64,
-    /// The symmetric product per schedule row, flagged when budgeted.
-    upper: Vec<(Row, bool)>,
-    /// The values this rank's symmetric fetch transposes per round.
+    /// The symmetric product per schedule row.
+    upper: Vec<Row>,
+    /// The values this rank's symmetric fetch transposes.
     transposed: usize,
 }
 
@@ -136,9 +136,9 @@ fn schedule_matrix(comm: Comm) -> Seen {
     };
     let mask = DistMat::from_triples(&grid, n, n, ring, |_, _| unreachable!());
     // Sizing the symmetric switch transposes blocks (cloning values), so
-    // it runs before any counted window.
-    let masked_rows = schedule_rows(4 << 10, masked_stage_bytes(&grid, &a, &at));
-    let upper_rows = schedule_rows(4 << 10, max_stage_bytes(&grid, &a));
+    // it runs before any counted product.
+    let masked_rows = schedule_rows(masked_stage_bytes(&grid, &a, &at));
+    let upper_rows = schedule_rows(max_stage_bytes(&grid, &a));
     let checksum = |c: &DistMat<Tick>| c.local().values().iter().map(|t| t.0).sum::<u64>();
 
     let (c, cloned) = counted(&grid, "general", || {
@@ -169,13 +169,7 @@ fn schedule_matrix(comm: Comm) -> Seen {
         let (c, cloned) = counted(&grid, &format!("{label} symmetric"), || {
             a.spgemm_aat_upper_with(&grid, &TickPlusTimes, &opts)
         });
-        let budgeted = matches!(
-            opts.algorithm,
-            SpGemmAlgorithm::Pipelined {
-                mem_budget: Some(_)
-            }
-        );
-        upper.push(((label, cloned, checksum(&c)), budgeted));
+        upper.push((label, cloned, checksum(&c)));
     }
     // A holder transposes its block when it has column destinations or
     // is on the diagonal, and a diagonal rank transposes every row
@@ -230,42 +224,34 @@ fn summa_schedules_deep_copy_no_payloads_and_agree() {
             assert_eq!(total, on_mask, "p={p} masked {label}");
         }
 
-        // The symmetric product: its fetch ships `Arc`s too, so the only
-        // clones are its transposes, once per round.
-        let q = (p as f64).sqrt() as usize;
+        // The symmetric product: its fetch ships `Arc`s too, once under
+        // every schedule row, so the only clones are its transposes.
+        let q = (p as f64).sqrt() as u64;
         let transfers = q * q * q - q * (q + 1) / 2;
-        let per_round: usize = per_rank.iter().map(|rank| rank.transposed).sum();
+        let transposed: usize = per_rank.iter().map(|rank| rank.transposed).sum();
         let mut sums = Vec::new();
         for row in 0..N_ROWS {
-            let ((label, _, _), budgeted) = &per_rank[0].upper[row];
+            let label = &per_rank[0].upper[row].0;
             let phase = format!("{label} symmetric");
             let sends: u64 = profile
                 .rank_profiles()
                 .iter()
                 .map(|rank| rank.phase(&phase).expect("phase recorded").p2p_msgs)
                 .sum();
-            // A budgeted product's estimate pass is one more round of
-            // (structure-only) sends.
-            let rounds = sends as usize / transfers - usize::from(*budgeted);
+            assert_eq!(sends, transfers, "p={p} symmetric {label}: one fetch");
             // `CLONES` is global and each rank reads it between two
             // barriers; the first rank to read `before` does so before
             // any rank clones, so the largest difference is the run's.
             let cloned = per_rank
                 .iter()
-                .map(|rank| rank.upper[row].0 .1)
+                .map(|rank| rank.upper[row].1)
                 .max()
                 .expect("ranks");
             assert_eq!(
-                cloned,
-                rounds * per_round,
+                cloned, transposed,
                 "p={p} symmetric {label}: clones beyond the fetch's transposes"
             );
-            sums.push(
-                per_rank
-                    .iter()
-                    .map(|rank| rank.upper[row].0 .2)
-                    .sum::<u64>(),
-            );
+            sums.push(per_rank.iter().map(|rank| rank.upper[row].2).sum::<u64>());
         }
         assert!(sums[0] > 0, "p={p}: symmetric product must be non-trivial");
         assert!(sums.windows(2).all(|w| w[0] == w[1]), "p={p}: {sums:?}");

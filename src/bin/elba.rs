@@ -221,12 +221,11 @@ fn cmd_assemble(
         };
         writeln!(
             out,
-            "assembling {} reads on {} {transport} ranks × {} thread(s) (k={}, spgemm={}{})",
+            "assembling {} reads on {} {transport} ranks × {} thread(s) (k={}{})",
             reads.len(),
             job.ranks,
             cfg.kmer.threads,
             cfg.kmer.k,
-            elba::sparse::algorithm_label(cfg.overlap.spgemm.algorithm),
             match cfg.mem_budget.total() {
                 Some(bytes) => format!(", mem-budget={bytes}B/rank"),
                 None => String::new(),
@@ -769,8 +768,9 @@ fn usage() -> String {
      \u{20}        (chain: exact x-drop DP per seed chain; best: one greedy\n\
      \u{20}        extension per strand — faster, may assemble differently)\n\
      \u{20}        [--mem-budget 64M] [--gfa graph.gfa] [--fault PLAN]\n\
-     \u{20}        (--mem-budget: per-rank byte cap; the distributed SpGEMM runs\n\
-     \u{20}        column-batched under it, pipelined without it)\n\
+     \u{20}        (--mem-budget: per-rank byte cap; it sizes the k-mer windows\n\
+     \u{20}        and the SUMMA's row batches, and decides whether SUMMA\n\
+     \u{20}        stages are prefetched)\n\
      \u{20}        (--fault: e.g. kill:1@phase:Alignment — a killed rank fails\n\
      \u{20}        the run with exit 10)\n\
      serve    --jobs jobs.txt [--groups 2] [--group-ranks 4]\n\

@@ -5,8 +5,8 @@
 //! whole read set lies in `for_dataset`'s reliable band — must be exactly
 //! the pattern `candidate_matrix` gathers, at p ∈ {1, 4}, at rate 1 and
 //! at `for_dataset`'s derived rate, under the unbudgeted production
-//! schedule, the eager oracle schedule and a column-batched schedule with
-//! a small budget. Every retained seed must name one such shared k-mer:
+//! schedule, the eager oracle schedule and the production schedule under
+//! a small budget (blocking stages, 32-row batches). Every retained seed must name one such shared k-mer:
 //! the same canonical k-mer at `pos_v` in read `i` and at `pos_h` in read
 //! `j`, each the k-mer's first occurrence in its read, with `same_strand`
 //! telling whether the two occurrences sit on the same strand.
@@ -144,10 +144,7 @@ fn candidate_matrix_is_the_reliable_shared_kmer_pairs_with_true_seeds() {
             for (label, spgemm) in [
                 ("unbudgeted", SpGemmOptions::pipelined()),
                 ("eager", SpGemmOptions::eager()),
-                (
-                    "column-batched 64 KiB",
-                    SpGemmOptions::column_batched(64 << 10),
-                ),
+                ("budgeted 64 KiB", SpGemmOptions::budgeted(64 << 10)),
             ] {
                 let c = gathered_c(&reads, &cfg, p, spgemm);
                 let got: BTreeSet<(u64, u64)> = c.iter().map(|&(i, j, _)| (i, j)).collect();

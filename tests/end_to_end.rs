@@ -294,10 +294,14 @@ fn budgeted_pipeline_respects_memory_budget_and_output() {
 }
 
 /// The budget implies the schedule, and nothing else can: a limited
-/// `MemBudget` hands the SUMMA its SpGEMM sub-budget (column windows
-/// sized to fit it), an unlimited one leaves the one-window default exactly as
-/// a plain run has it — same per-rank messages and bytes, op for op, in
-/// the two SpGEMM phases.
+/// `MemBudget` hands the SUMMA its SpGEMM sub-budget, an unlimited one
+/// leaves the default exactly as a plain run has it — same per-rank
+/// messages and bytes, op for op, in the two SpGEMM phases. A budget
+/// moves no SpGEMM traffic: against a plain run with the k-mer window
+/// the budget derives, each SpGEMM phase sends the same point-to-point
+/// bytes, and all the budget adds is one `allreduce` that agrees whether
+/// stages are prefetched. It lowers no phase's memory either, but it may
+/// not raise DetectOverlap's.
 #[test]
 fn memory_budget_alone_selects_the_spgemm_schedule() {
     use elba::sparse::{SpGemmAlgorithm, SpGemmOptions};
@@ -305,15 +309,6 @@ fn memory_budget_alone_selects_the_spgemm_schedule() {
     let (_genome, reads) = reads_of(&spec);
     let plain = PipelineConfig::for_dataset(&spec);
     assert_eq!(plain.overlap.spgemm, SpGemmOptions::pipelined());
-
-    let budget = MemBudget::bytes(8 << 20);
-    let limited = plain.clone().with_mem_budget(budget);
-    match limited.overlap.spgemm.algorithm {
-        SpGemmAlgorithm::Pipelined { mem_budget } => {
-            assert_eq!(mem_budget, budget.spgemm_bytes())
-        }
-        other => panic!("a limited budget must reach the SUMMA, got {other:?}"),
-    }
     let unlimited = plain.clone().with_mem_budget(MemBudget::unlimited());
     assert_eq!(unlimited.overlap.spgemm, plain.overlap.spgemm);
 
@@ -346,40 +341,70 @@ fn memory_budget_alone_selects_the_spgemm_schedule() {
             canonical(&outs.remove(0)),
             traffic("DetectOverlap"),
             traffic("TrReduction"),
+            profile.max_mem_hw("DetectOverlap"),
         )
     };
-    let plain = run(plain);
-    assert!(!plain.0.is_empty(), "probe produced no contigs");
-    assert_eq!(run(unlimited), plain);
-    // DetectOverlap's batched schedule pays a structure pass and a
-    // round-count agreement on top of the stage broadcasts; the result
-    // is the same.
-    let limited = run(limited);
-    assert_ne!(limited.1, plain.1);
-    assert_eq!(limited.0, plain.0);
-    // TrReduction's masked sweep does not: its accumulator is one slot
-    // per edge of R whatever the budget, so the budgeted run posts the
-    // plain run's broadcasts call for call. All a budget adds is the one
-    // allreduce (a reduce and a bcast of 16 B) that agrees grid-wide
-    // whether the stage blocks may be prefetched.
-    for (rank, (budgeted, plain)) in limited.2.iter().zip(&plain.2).enumerate() {
-        assert_eq!((budgeted.0, budgeted.1), (plain.0, plain.1), "rank {rank}");
-        assert_eq!(budgeted.2.len(), plain.2.len(), "rank {rank}");
-        for (&(op, calls, bytes), &(plain_op, plain_calls, plain_bytes)) in
-            budgeted.2.iter().zip(&plain.2)
-        {
-            assert_eq!(op, plain_op, "rank {rank}");
-            if op == "reduce" || op == "bcast" {
-                assert_eq!(calls, plain_calls + 1, "rank {rank} {op}");
-                assert!(bytes - plain_bytes <= 2 * 16, "rank {rank} {op}");
-            } else {
-                assert_eq!(
-                    (calls, bytes),
-                    (plain_calls, plain_bytes),
-                    "rank {rank} {op}"
-                );
+    let plain_run = run(plain.clone());
+    assert!(!plain_run.0.is_empty(), "probe produced no contigs");
+    assert_eq!(run(unlimited), plain_run);
+
+    // The budgeted phase posts the plain run's sends and collectives
+    // call for call, plus the prefetch verdict: a reduce and a bcast of
+    // a 16-byte pair, at most two tree sends each.
+    let one_more_allreduce = |phase: &str, budgeted: &Traffic, plain: &Traffic| {
+        for (rank, (budgeted, plain)) in budgeted.iter().zip(plain).enumerate() {
+            assert_eq!(
+                (budgeted.0, budgeted.1),
+                (plain.0, plain.1),
+                "{phase} rank {rank}: p2p (msgs, bytes)"
+            );
+            assert_eq!(budgeted.2.len(), plain.2.len(), "{phase} rank {rank}");
+            for (&(op, calls, bytes), &(plain_op, plain_calls, plain_bytes)) in
+                budgeted.2.iter().zip(&plain.2)
+            {
+                assert_eq!(op, plain_op, "{phase} rank {rank}");
+                if op == "reduce" || op == "bcast" {
+                    assert_eq!(calls, plain_calls + 1, "{phase} rank {rank} {op}");
+                    assert!(bytes - plain_bytes <= 2 * 16, "{phase} rank {rank} {op}");
+                } else {
+                    assert_eq!(
+                        (calls, bytes),
+                        (plain_calls, plain_bytes),
+                        "{phase} rank {rank} {op}"
+                    );
+                }
             }
         }
+    };
+    for total in [8 << 20, 256 << 10] {
+        let budget = MemBudget::bytes(total);
+        let limited = plain.clone().with_mem_budget(budget);
+        match limited.overlap.spgemm.algorithm {
+            SpGemmAlgorithm::Pipelined { mem_budget } => {
+                assert_eq!(mem_budget, budget.spgemm_bytes())
+            }
+            other => panic!("a limited budget must reach the SUMMA, got {other:?}"),
+        }
+        // The plain run at the k-mer window the budget derives (its unit
+        // is the pipeline's per-occurrence bound, a `(u64, AEntry)` plus
+        // a `u64` column query), so that only the SUMMA differs.
+        let mut windowed = plain.clone();
+        windowed.kmer.batch_kmers = budget.derive_batch_kmers_for(
+            std::mem::size_of::<(u64, elba::seq::AEntry)>() + 8,
+            3,
+            plain.kmer.batch_kmers,
+        );
+        let windowed = run(windowed);
+        let limited = run(limited);
+        assert_eq!(limited.0, plain_run.0, "budget {total}: contigs");
+        one_more_allreduce("DetectOverlap", &limited.1, &windowed.1);
+        one_more_allreduce("TrReduction", &limited.2, &windowed.2);
+        assert!(
+            limited.3 <= windowed.3,
+            "budget {total}: DetectOverlap mem-hw {} above the plain run's {}",
+            limited.3,
+            windowed.3
+        );
     }
 }
 
@@ -490,8 +515,7 @@ fn pipeline_profile_contains_paper_phases() {
 /// runs and column gaps, about 5 B a triple where a flat triple took 12.
 /// A block frame is its structure — varint shape and `nnz`, `(empty rows
 /// skipped, len − 1)` per non-empty row, one column gap per entry, the
-/// trailing empty rows — and 4 B per entry; the structure alone is the
-/// pattern frame the budgeted run ships. A's 99 read rows split 50 / 49
+/// trailing empty rows — and 4 B per entry. A's 99 read rows split 50 / 49
 /// over the grid rows and its 939 sampled k-mer columns 470 / 469 over
 /// the grid columns:
 ///
@@ -511,26 +535,24 @@ fn pipeline_profile_contains_paper_phases() {
 /// The budgeted input is the same run under `MemBudget::bytes(256 <<
 /// 10)`. Its derived k-mer window is the 1 024-k-mer floor, so CountKmer,
 /// the column queries and the routing do not move; DetectOverlap runs the
-/// column-batched SUMMA under a 128 KiB SpGEMM budget. That is three
-/// column rounds, each the direct sends above again, after one estimate
-/// pass that ships each block's pattern (its structure, no values) as
-/// stored to the same destinations. On top come five 8-byte
-/// `allreduce`s (the double-buffer verdict and four round-count checks,
-/// the last of which ends the loop): 10 calls on every rank, and 8 B per
-/// tree send — 16 B from rank 0, which sends the `bcast` to two
-/// children, 16 B from rank 2 (a `reduce` send and a `bcast` send), 8 B
-/// from ranks 1 and 3.
+/// SUMMA under a 128 KiB SpGEMM budget, which sends the direct block
+/// fetch above unchanged. On top comes one `allreduce` of a `(u64, u64)`
+/// pair, the prefetch verdict: a `reduce` and a `bcast`, 2 calls on every
+/// rank, and 16 B per tree send — 32 B from rank 0, which sends the
+/// `bcast` to two children, 32 B from rank 2 (a `reduce` send and a
+/// `bcast` send), 16 B from ranks 1 and 3.
 ///
-/// | rank | pattern sends | 3 rounds | allreduce bytes | queries + routing | (msgs, bytes) |
-/// |---|---:|---:|---:|---:|---:|
-/// | 0 | 7 307 | 3 × 36 007 | 80 | 86 303 | (46 + 3 + 10, 201 711) |
-/// | 1 | 8 086 | 3 × 39 886 | 40 | 98 683 | (47 + 3 + 10, 226 467) |
-/// | 2 | 2 × 6 112 | 3 × 60 924 | 80 | 89 410 | (48 + 6 + 10, 284 486) |
-/// | 3 | 6 706 | 3 × 33 816 | 40 | 71 529 | (47 + 3 + 10, 179 723) |
+/// | rank | `DETECT_OVERLAP` | verdict | (msgs, bytes) |
+/// |---|---:|---:|---:|
+/// | 0 | (46, 122 310) | (2, 32) | (48, 122 342) |
+/// | 1 | (47, 138 569) | (2, 16) | (49, 138 585) |
+/// | 2 | (48, 150 334) | (2, 32) | (50, 150 366) |
+/// | 3 | (47, 105 345) | (2, 16) | (49, 105 361) |
 ///
-/// With every k-mer kept the budgeted run booked (247, 1 413 930),
-/// (248, 1 482 112), (252, 1 902 736) and (248, 1 188 823), in the same
-/// three rounds.
+/// While the budget cut `C` into column windows, this run shipped each
+/// block's pattern in an estimate pass, then the fetch once per window
+/// (three), and agreed the round count in four more `allreduce`s: it
+/// booked (59, 201 711), (60, 226 467), (64, 284 486) and (60, 179 723).
 ///
 /// Every other wire check compares two live runs (transports, thread
 /// counts, budgets), so a reordered record stream that moved both sides
@@ -542,7 +564,7 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
     const DETECT_OVERLAP: [(u64, u64); 4] =
         [(46, 122310), (47, 138569), (48, 150334), (47, 105345)];
     const DETECT_OVERLAP_BUDGETED: [(u64, u64); 4] =
-        [(59, 201711), (60, 226467), (64, 284486), (60, 179723)];
+        [(48, 122342), (49, 138585), (50, 150366), (49, 105361)];
     let spec = DatasetSpec::celegans_like(0.05, 1919);
     let (_genome, reads) = reads_of(&spec);
     let mut cfg = PipelineConfig::for_dataset(&spec);

@@ -29,7 +29,7 @@ fn sweep_options() -> [(&'static str, SpGemmOptions); 4] {
         ("default", SpGemmOptions::default()),
         ("threads=2", SpGemmOptions::default().with_threads(2)),
         ("threads=4", SpGemmOptions::default().with_threads(4)),
-        ("budget=1 B", SpGemmOptions::column_batched(1)),
+        ("budget=1 B", SpGemmOptions::budgeted(1)),
     ]
 }
 
