@@ -21,7 +21,9 @@
 //!    first seed's diagonal places the read inside its partner, within
 //!    `fuzz`. The longest such partner wins, ties to the smaller id.
 //! 2. Every pair whose two reads are both still uncontained.
-//! 3. Every remaining pair with at least one uncontained read.
+//! 3. Every remaining pair with one uncontained read `t`, unless a score
+//!    bound shows that no seed of the pair can contain `t` in its
+//!    partner (below).
 //!
 //! Before passes 2 and 3 a mask round ships the new containment marks
 //! to their owners (`DistVec::scatter_combine`) and fetches the mask
@@ -33,13 +35,44 @@
 //! candidate is aligned. A read is contained if any of its pairs says
 //! so, a mark is never undone, and `overlap_graph` drops every row and
 //! column of a contained read from `R`. A pair that no pass aligns had
-//! both reads contained after pass 2: its verdict could only mark reads
-//! that are already marked, and its dovetail edges would fall to the
-//! mask. So the contained mask and `R` equal, entry for entry, those of
+//! both reads contained after pass 2, or pass 3's bound skipped it
+//! (below). In the first case its verdict could only mark reads that
+//! are already marked, and its dovetail edges would fall to the mask.
+//! So the contained mask and `R` equal, entry for entry, those of
 //! aligning every candidate — whatever pass 1 picks. The picks set only
 //! the amount of work, so a rank picks within its own block, with no
 //! global reduction. For the same reason pass 3 routes no dovetail into
 //! `R`: each of its pairs has a read that is already contained.
+//!
+//! **Why pass 3 may skip a pair on a bound.** Let a pass-3 pair have the
+//! uncontained read `t` and the contained read `r`.
+//! - It routes no dovetail, and a mark on `r` changes nothing. So only
+//!   the verdict "`t` is contained in `r`" can change the graph.
+//! - The verdict is read off the pair's best alignment, which is one
+//!   placed seed's alignment. The verdict needs that alignment to end
+//!   within `fuzz` of both ends of `t`.
+//! - A seed's alignment is the seed plus two independent extensions, one
+//!   left of the seed and one right of its `k` bases. Each returns its
+//!   earliest best cell: the origin, which scores 0, or a cell that
+//!   scores more than 0. The x-drop kernels and the greedy walk both move
+//!   their best only on a strictly higher score.
+//! - Take one direction, with `rem_t` bases of `t` and `rem_r` of `r`
+//!   left in it. Reaching within `fuzz` of `t`'s end takes a cell
+//!   `(a, b)` with `a ≥ need = rem_t − fuzz` on `t` and `b ≤ rem_r` on
+//!   `r`. A path there with `D` diagonal steps and `E` gap steps has
+//!   `D ≤ min(a, b)` and `E ≥ |a − b|`. With `mismatch ≤ match` and
+//!   `gap < 0` it scores at most `match·D + gap·E`, which is at most
+//!   `match·min(a, b) + gap·|a − b|` when `match ≥ 0` and below 0 when
+//!   `match < 0`. So if `rem_t > fuzz`, `need > rem_r` and
+//!   `match·rem_r + gap·(need − rem_r) ≤ 0`, no such cell scores above 0
+//!   and the origin is not one: the direction ends more than `fuzz`
+//!   short of `t`'s end.
+//!
+//! A seed fails if either direction fails. Pass 3 skips a pair when all
+//! its placed seeds fail, before any extension; under any other
+//! [`Scoring`] no direction fails. This module's tests hold the bound to
+//! the scalar oracle and the greedy walk, and replay the passes with
+//! pass 3's skips over random verdict tables.
 
 use std::cmp::Reverse;
 
@@ -132,7 +165,8 @@ pub struct AlignStats {
     /// Every candidate pair of `C`, aligned or not.
     pub candidate_pairs: u64,
     /// Candidate pairs never aligned: both reads were already contained
-    /// when the last pass reached them (module doc).
+    /// when the last pass reached them, or pass 3's score bound ruled out
+    /// containing the one uncontained read (module doc).
     pub skipped_pairs: u64,
     pub aligned_pairs: u64,
     pub dovetails: u64,
@@ -184,12 +218,10 @@ impl AlignStats {
 /// asked for the upper triangle alone
 /// ([`DistMat::spgemm_aat_upper_with`]): diagonal ranks do half the
 /// products, ranks below the diagonal none. Every entry the kernel
-/// accumulates is kept, so `C` itself is resident under any budget, and
-/// the memory bound of ELBA's overlap detection comes from the column
-/// windows alone: a budget sizes them so that the output so far, one
-/// window's accumulator and the resident stage blocks fit, and each
-/// window's entries join the output as it completes. Either schedule
-/// gives the same matrix.
+/// accumulates is kept, so `C` itself is resident under any budget. The
+/// multiply runs in one round over all local columns; a budget picks only
+/// its row batch and whether the next stage is prefetched, and either
+/// choice gives the same matrix.
 pub fn candidate_matrix(
     grid: &ProcGrid,
     a: &DistMat<AEntry>,
@@ -264,6 +296,22 @@ impl OrientedSeed {
         (u_in_v, v_in_u)
     }
 
+    /// Whether this seed's alignment can end within `fuzz` of both ends
+    /// of `u` (`t_is_u`) or of `v`-as-aligned: false when the score bound
+    /// of the module doc rules it out left of the seed or right of it.
+    fn may_reach_ends(&self, t_is_u: bool, ulen: usize, vlen: usize, cfg: &OverlapConfig) -> bool {
+        let left = (self.u_pos, self.w_pos);
+        let right = (ulen - self.u_pos - cfg.k, vlen - self.w_pos - cfg.k);
+        [left, right].into_iter().all(|(rem_u, rem_w)| {
+            let (rem_t, rem_r) = if t_is_u {
+                (rem_u, rem_w)
+            } else {
+                (rem_w, rem_u)
+            };
+            extension_may_reach(rem_t, rem_r, cfg.fuzz, cfg.scoring)
+        })
+    }
+
     /// The seed's k-mer anchor lies inside an alignment already found
     /// on the same strand — extending it would re-walk the same
     /// corridor.
@@ -274,6 +322,40 @@ impl OrientedSeed {
             && aln.w_beg <= self.w_pos
             && self.w_pos + k - 1 <= aln.w_end
     }
+}
+
+/// Whether an extension over `rem_t` bases of `t` and `rem_r` of its
+/// partner can end within `fuzz` of `t`'s end: the score bound of the
+/// module doc, which holds when `mismatch ≤ match` and `gap < 0` and
+/// rules nothing out under any other scoring.
+fn extension_may_reach(rem_t: usize, rem_r: usize, fuzz: usize, sc: Scoring) -> bool {
+    if sc.gap >= 0 || sc.mismatch > sc.match_score {
+        return true;
+    }
+    // `need > rem_r` implies `rem_t > fuzz`. Lengths are below 2³¹, so
+    // neither product leaves `i64`.
+    match rem_t.checked_sub(fuzz) {
+        Some(need) if need > rem_r => {
+            i64::from(sc.match_score) * rem_r as i64 + i64::from(sc.gap) * (need - rem_r) as i64 > 0
+        }
+        _ => true,
+    }
+}
+
+/// Whether some placed seed of the pair can align `u` (`t_is_u`) or `v`
+/// within `fuzz` of both its ends: pass 3's test, before any extension.
+fn pair_may_contain(
+    seeds: &SharedSeeds,
+    t_is_u: bool,
+    ulen: usize,
+    vlen: usize,
+    cfg: &OverlapConfig,
+) -> bool {
+    seeds
+        .seeds()
+        .iter()
+        .filter_map(|s| OrientedSeed::place(s, cfg.k, ulen, vlen))
+        .any(|s| s.may_reach_ends(t_is_u, ulen, vlen, cfg))
 }
 
 /// Geometric early-reject: over every diagonal within [`CHAIN_BAND`] of
@@ -517,17 +599,22 @@ impl EntryBits {
 /// One rank's alignment stage as [`containment_first`] drives it.
 trait PassSweep {
     /// Align and classify, in entry order, every local candidate for
-    /// which `select(entry, row, col)` holds (`row` and `col` are
-    /// block-local read indices). Containment verdicts wait for the next
-    /// [`PassSweep::mask_round`]; a dovetail's edge pair goes into `R`
-    /// only if `route_dovetails`.
-    fn sweep(&mut self, select: &mut dyn FnMut(usize, usize, usize) -> bool, route_dovetails: bool);
+    /// which `select(entry, row, col, may_contain)` holds (`row` and
+    /// `col` are block-local read indices). `may_contain(true)` is pass
+    /// 3's bound for the pair: whether it can contain its row read in its
+    /// column read (`false`: the column read in the row read). Containment
+    /// verdicts wait for the next [`PassSweep::mask_round`]; a dovetail's
+    /// edge pair goes into `R` only if `route_dovetails`.
+    fn sweep(&mut self, select: &mut Select<'_>, route_dovetails: bool);
 
     /// Publish the containment verdicts found so far (collective) and
     /// return the contained mask over the block's row reads and its
     /// column reads.
     fn mask_round(&mut self) -> (Vec<bool>, Vec<bool>);
 }
+
+/// A pass's choice of candidates ([`PassSweep::sweep`]).
+type Select<'s> = dyn FnMut(usize, usize, usize, &dyn Fn(bool) -> bool) -> bool + 's;
 
 /// The three passes of the module doc over a rank's `n` local
 /// candidates, pass 1 aligning the entries `picks` names. Returns the
@@ -542,14 +629,21 @@ fn containment_first(
     for e in picks {
         done.insert(e);
     }
-    stage.sweep(&mut |e, _, _| done.contains(e), true);
+    stage.sweep(&mut |e, _, _, _| done.contains(e), true);
     let (rows, cols) = stage.mask_round();
-    stage.sweep(&mut |e, r, c| !rows[r] && !cols[c] && done.insert(e), true);
-    let (rows, cols) = stage.mask_round();
-    // Every pair pass 3 aligns has a contained read: its dovetail would
-    // fall to the mask.
     stage.sweep(
-        &mut |e, r, c| (!rows[r] || !cols[c]) && done.insert(e),
+        &mut |e, r, c, _| !rows[r] && !cols[c] && done.insert(e),
+        true,
+    );
+    let (rows, cols) = stage.mask_round();
+    // Pass 2 aligned every pair of two uncontained reads, so a pair left
+    // with an uncontained read `t` has a contained one: its dovetail
+    // would fall to the mask, and only `t`'s containment matters.
+    stage.sweep(
+        &mut |e, r, c, may_contain| {
+            let t_is_row = !rows[r];
+            (t_is_row || !cols[c]) && !done.contains(e) && may_contain(t_is_row) && done.insert(e)
+        },
         false,
     );
     done
@@ -631,16 +725,18 @@ struct AlignSweep<'a> {
 }
 
 impl PassSweep for AlignSweep<'_> {
-    fn sweep(
-        &mut self,
-        select: &mut dyn FnMut(usize, usize, usize) -> bool,
-        route_dovetails: bool,
-    ) {
+    fn sweep(&mut self, select: &mut Select<'_>, route_dovetails: bool) {
         let (c, seqs, cfg) = (self.c, self.seqs, self.cfg);
         let (r0, c0) = c.local_offsets(self.grid);
         let batch_pairs = self.scratches.len() * ALIGN_PAIRS_PER_WORKER_BATCH;
         let mut candidates = (c.iter_global(self.grid).enumerate())
-            .filter(|&(e, (i, j, _))| select(e, i as usize - r0, j as usize - c0))
+            .filter(|&(e, (i, j, seeds))| {
+                let may_contain = |t_is_row: bool| {
+                    let (ulen, vlen) = (fetched(seqs, i).len(), fetched(seqs, j).len());
+                    pair_may_contain(seeds, t_is_row, ulen, vlen, cfg)
+                };
+                select(e, i as usize - r0, j as usize - c0, &may_contain)
+            })
             .map(|(_, candidate)| candidate);
         loop {
             self.batch.clear();
@@ -1057,6 +1153,235 @@ mod tests {
         assert_eq!(aln.w_end, 99);
     }
 
+    /// `codes` with each base substituted, deleted or followed by an
+    /// inserted base at `rate`.
+    fn mutate(codes: &[u8], rate: f64, rng: &mut StdRng) -> Vec<u8> {
+        let mut out = Vec::with_capacity(codes.len());
+        for &b in codes {
+            if !rng.gen_bool(rate) {
+                out.push(b);
+                continue;
+            }
+            match rng.gen_range(0..3) {
+                0 => out.push((b + rng.gen_range(1..4u8)) % 4),
+                1 => {}
+                _ => out.extend([b, rng.gen_range(0..4u8)]),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn where_the_bound_rules_a_read_out_no_extension_reaches_its_end() {
+        // Pairs drawn from one genome: identical, 0.5 % and 15 %
+        // divergent, and 0.5 % with unrelated tails on both reads.
+        // Every seed position on the pair's diagonal is extended by the
+        // scalar oracle and by the greedy walk, and read against the
+        // bound for both reads and both directions at several `fuzz`.
+        let scorings = [
+            Scoring::default(),
+            Scoring {
+                match_score: 2,
+                mismatch: -3,
+                gap: -2,
+            },
+            Scoring {
+                match_score: 3,
+                mismatch: -1,
+                gap: -1,
+            },
+            Scoring {
+                match_score: 1,
+                mismatch: 1,
+                gap: -1,
+            },
+            Scoring {
+                match_score: 0,
+                mismatch: -1,
+                gap: -1,
+            },
+            Scoring {
+                match_score: -1,
+                mismatch: -2,
+                gap: -1,
+            },
+        ];
+        let mut rng = StdRng::seed_from_u64(50);
+        let mut scalar = XdropWorkspace::with_kernel(elba_align::XdropKernel::Scalar);
+        let mut greedy = XdropWorkspace::default();
+        let k = 11;
+        let (mut ruled_out, mut directions) = ([0usize; 4], 0usize);
+        for case in 0..96 {
+            let kind = case % 4;
+            let g = genome(400, 500 + case as u64).codes().to_vec();
+            let (us, vs) = (rng.gen_range(0..120usize), rng.gen_range(0..120usize));
+            let (ulen, vlen) = (rng.gen_range(k..260), rng.gen_range(k..260));
+            let mut u = g[us..us + ulen].to_vec();
+            let mut v = g[vs..vs + vlen].to_vec();
+            let rate = [0.0, 0.005, 0.15, 0.005][kind];
+            v = mutate(&v, rate, &mut rng);
+            if kind == 3 {
+                let tail = |rng: &mut StdRng| -> Vec<u8> {
+                    (0..rng.gen_range(1..80))
+                        .map(|_| rng.gen_range(0..4u8))
+                        .collect()
+                };
+                u.extend(tail(&mut rng));
+                v.extend(tail(&mut rng));
+            }
+            let sc = scorings[rng.gen_range(0..scorings.len())];
+            let xdrop = [5, 15, 40][rng.gen_range(0..3)];
+            let fuzzes = [0, rng.gen_range(1..30), rng.gen_range(30..120)];
+            let (ulen, vlen) = (u.len(), v.len());
+            for u_pos in 0..=ulen.saturating_sub(k) {
+                // The seed's diagonal in the genome.
+                let Some(w_pos) = (us + u_pos).checked_sub(vs).filter(|&q| q + k <= vlen) else {
+                    continue;
+                };
+                let seed = Seed {
+                    pos_v: u_pos as u32,
+                    pos_h: w_pos as u32,
+                    same_strand: true,
+                };
+                let placed = OrientedSeed::place(&seed, k, ulen, vlen).expect("the seed fits");
+                let alns = [
+                    extend_seed_with(&mut scalar, &u, &v, u_pos, w_pos, k, xdrop, sc),
+                    extend_seed_greedy(&mut greedy, &u, &v, u_pos, w_pos, k, xdrop, sc),
+                ];
+                for fuzz in fuzzes {
+                    let cfg = OverlapConfig {
+                        k,
+                        xdrop,
+                        scoring: sc,
+                        fuzz,
+                        ..OverlapConfig::default()
+                    };
+                    for t_is_u in [true, false] {
+                        let (t_len, t_pos, r_len, r_pos) = if t_is_u {
+                            (ulen, u_pos, vlen, w_pos)
+                        } else {
+                            (vlen, w_pos, ulen, u_pos)
+                        };
+                        let left = extension_may_reach(t_pos, r_pos, fuzz, sc);
+                        let right =
+                            extension_may_reach(t_len - t_pos - k, r_len - r_pos - k, fuzz, sc);
+                        assert_eq!(
+                            placed.may_reach_ends(t_is_u, ulen, vlen, &cfg),
+                            left && right
+                        );
+                        directions += 2;
+                        for (which, aln) in alns.iter().enumerate() {
+                            let (beg, end) = if t_is_u {
+                                (aln.a_beg, aln.a_end)
+                            } else {
+                                (aln.b_beg, aln.b_end)
+                            };
+                            let at = format!(
+                                "case {case} ({kind}), extender {which}, seed ({u_pos}, \
+                                 {w_pos}), fuzz {fuzz}, t_is_u {t_is_u}, {sc:?}: {aln:?}"
+                            );
+                            if !left {
+                                assert!(beg > fuzz, "left reaches t's start: {at}");
+                                ruled_out[2 * which] += 1;
+                            }
+                            if !right {
+                                assert!(t_len - 1 - end > fuzz, "right reaches t's end: {at}");
+                                ruled_out[2 * which + 1] += 1;
+                            }
+                            if !(left && right) {
+                                let verdict =
+                                    classify(&OverlapAln::from_seed(*aln, false, ulen, vlen), fuzz);
+                                let contains_t = if t_is_u {
+                                    OverlapClass::ContainedU
+                                } else {
+                                    OverlapClass::ContainedV
+                                };
+                                assert_ne!(verdict, contains_t, "t contained: {at}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Both directions of both extenders are exercised, on a fair
+        // share of the directions read.
+        assert!(
+            ruled_out.iter().all(|&n| 20 * n > directions / 2),
+            "{ruled_out:?} of {directions}"
+        );
+    }
+
+    #[test]
+    fn the_bound_is_tight_on_every_short_binary_pair() {
+        // One direction alone, on every pair of binary sequences of up to
+        // six bases: where the bound rules `t`'s end out, neither the
+        // oracle nor the greedy walk reaches it, and on some pairs both
+        // reach it where the bound only just allows it (an insertion in
+        // `t` paid back by the matches after it).
+        let seqs: Vec<Vec<u8>> = (0..=6usize)
+            .flat_map(|n| {
+                (0..1u32 << n).map(move |bits| (0..n).map(|i| (bits >> i & 1) as u8).collect())
+            })
+            .collect();
+        let scorings = [
+            Scoring::default(),
+            Scoring {
+                match_score: 2,
+                mismatch: -3,
+                gap: -2,
+            },
+        ];
+        let mut scalar = XdropWorkspace::with_kernel(elba_align::XdropKernel::Scalar);
+        let mut tight = 0;
+        for sc in scorings {
+            for (a, b) in seqs.iter().flat_map(|a| seqs.iter().map(move |b| (a, b))) {
+                let exts = [
+                    elba_align::xdrop_extend_with(&mut scalar, a, b, 15, sc),
+                    elba_align::greedy_extend(a, b, 15, sc),
+                ];
+                for fuzz in 0..3 {
+                    // `t` is `a`; the swapped pair covers `t` = `b`.
+                    let Some(need) = a.len().checked_sub(fuzz).filter(|&n| n > b.len()) else {
+                        continue;
+                    };
+                    let may_reach = extension_may_reach(a.len(), b.len(), fuzz, sc);
+                    let reached = exts.map(|ext| ext.a_len >= need);
+                    assert!(
+                        may_reach || reached == [false; 2],
+                        "{a:?} {b:?} fuzz {fuzz}: {exts:?}"
+                    );
+                    let bound = i64::from(sc.match_score) * b.len() as i64
+                        + i64::from(sc.gap) * (need - b.len()) as i64;
+                    tight +=
+                        usize::from(reached == [true; 2] && bound <= 2 * sc.match_score as i64);
+                }
+            }
+        }
+        assert!(tight > 0, "no pair reaches t's end at the bound's edge");
+    }
+
+    #[test]
+    fn the_bound_rules_nothing_out_unless_gaps_cost_and_mismatches_do_not_pay() {
+        let scorings = [(1, -1, 0), (1, -1, 1), (1, 2, -1), (0, 1, -2), (-1, 0, -1)];
+        for (match_score, mismatch, gap) in scorings {
+            let sc = Scoring {
+                match_score,
+                mismatch,
+                gap,
+            };
+            for (rem_t, rem_r, fuzz) in (0..60).flat_map(|t| {
+                (0..30).flat_map(move |r| [0, 1, 7].map(move |fuzz| (t * 7, r, fuzz)))
+            }) {
+                assert!(
+                    extension_may_reach(rem_t, rem_r, fuzz, sc),
+                    "{sc:?}: ({rem_t}, {rem_r}, fuzz {fuzz})"
+                );
+            }
+        }
+        // Where the scoring qualifies, the same grid does rule out.
+        assert!(!extension_may_reach(100, 10, 7, Scoring::default()));
+    }
+
     /// A candidate pair's verdict, as the pass schedule sees it.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Verdict {
@@ -1068,9 +1393,12 @@ mod tests {
     }
 
     /// [`PassSweep`] over a table of verdicts on one rank, whose block
-    /// is the whole read set: aligning a pair reads its verdict.
+    /// is the whole read set: aligning a pair reads its verdict. Pass 3's
+    /// bound reads `bound_rules_out[e]`: whether it rules out containing
+    /// the pair's `u`, and its `v`.
     struct VerdictTable {
         pairs: Vec<(usize, usize, Verdict)>,
+        bound_rules_out: Vec<[bool; 2]>,
         aligned: Vec<bool>,
         pending: Vec<usize>,
         contained: Vec<bool>,
@@ -1078,13 +1406,10 @@ mod tests {
     }
 
     impl PassSweep for VerdictTable {
-        fn sweep(
-            &mut self,
-            select: &mut dyn FnMut(usize, usize, usize) -> bool,
-            route_dovetails: bool,
-        ) {
+        fn sweep(&mut self, select: &mut Select<'_>, route_dovetails: bool) {
             for (e, &(u, v, verdict)) in self.pairs.iter().enumerate() {
-                if !select(e, u, v) {
+                let may_contain = |t_is_u: bool| !self.bound_rules_out[e][usize::from(!t_is_u)];
+                if !select(e, u, v, &may_contain) {
                     continue;
                 }
                 assert!(!self.aligned[e], "pair {e} aligned twice");
@@ -1116,7 +1441,7 @@ mod tests {
             Verdict::Rejected,
         ];
         let mut rng = StdRng::seed_from_u64(46);
-        let mut skipped = 0;
+        let (mut skipped, mut ruled_out) = (0, 0);
         for case in 0..2000 {
             let n = rng.gen_range(2..24usize);
             let density = rng.gen_range(0.05..1.0f64);
@@ -1126,6 +1451,18 @@ mod tests {
                     pairs.push((u, v, VERDICTS[rng.gen_range(0..VERDICTS.len())]));
                 }
             }
+            // The bound may rule out containing a read only where the
+            // verdict does not contain it; how often it does is the
+            // table's choice.
+            let rule_out_rate = rng.gen_range(0.0..1.0f64);
+            let bound_rules_out: Vec<[bool; 2]> = (pairs.iter())
+                .map(|&(_, _, verdict)| {
+                    [
+                        verdict != Verdict::ContainedU && rng.gen_bool(rule_out_rate),
+                        verdict != Verdict::ContainedV && rng.gen_bool(rule_out_rate),
+                    ]
+                })
+                .collect();
             // One pass: every verdict is read, every mark OR-ed in, and
             // the dovetails of unmarked reads survive.
             let mut one_pass = vec![false; n];
@@ -1157,6 +1494,7 @@ mod tests {
             let mut table = VerdictTable {
                 aligned: vec![false; pairs.len()],
                 pairs,
+                bound_rules_out,
                 pending: Vec::new(),
                 contained: vec![false; n],
                 routed: Vec::new(),
@@ -1172,12 +1510,24 @@ mod tests {
             );
             let aligned = table.aligned.iter().filter(|&&a| a).count();
             assert_eq!(done.count(), aligned, "case {case}: aligned entries");
-            for (&(u, v, _), &a) in table.pairs.iter().zip(&table.aligned) {
-                assert!(a || (mask[u] && mask[v]), "case {case}: ({u}, {v}) skipped");
+            // A skipped pair has both reads contained, or the bound ruled
+            // out containing its one uncontained read.
+            for (e, &(u, v, _)) in table.pairs.iter().enumerate() {
+                if table.aligned[e] || (mask[u] && mask[v]) {
+                    continue;
+                }
+                let [u_out, v_out] = table.bound_rules_out[e];
+                let t_ruled_out = if mask[u] { v_out } else { mask[v] && u_out };
+                assert!(t_ruled_out, "case {case}: ({u}, {v}) skipped");
+                ruled_out += 1;
             }
             skipped += table.pairs.len() - aligned;
         }
-        assert!(skipped > 0, "the tables must exercise skipped pairs");
+        assert!(
+            skipped > ruled_out,
+            "the tables must skip pairs of contained reads"
+        );
+        assert!(ruled_out > 0, "the tables must exercise pass 3's bound");
     }
 
     #[test]
@@ -1185,8 +1535,9 @@ mod tests {
         // Reads 1 and 2 lie inside read 0 and overlap each other (read 2
         // reverse-complemented); read 3 dovetails reads 0 and 2. Pass 1
         // marks 1 and 2, pass 2 aligns the one pair of uncontained reads
-        // (0, 3), pass 3 aligns (2, 3) and routes nothing, and (1, 2)
-        // is never aligned.
+        // (0, 3), and (1, 2) is never aligned. Neither is (2, 3): read 3
+        // runs 150 bases past its 50-base overlap with read 2, so pass
+        // 3's bound rules out containing it.
         let mut runs = Vec::new();
         for p in [1usize, 4] {
             let out = Runner::new(Backend::InProcess).ranks(p).run(|comm| {
@@ -1231,7 +1582,11 @@ mod tests {
                 stats.candidate_pairs, 5,
                 "p={p}: (0,1) (0,2) (0,3) (1,2) (2,3)"
             );
-            assert_eq!(stats.skipped_pairs, 1, "p={p}: (1, 2) is skipped");
+            assert_eq!(
+                (stats.skipped_pairs, stats.aligned_pairs),
+                (2, 3),
+                "p={p}: (1, 2) and (2, 3) are skipped"
+            );
             assert_eq!(contained, [false, true, true, false], "p={p}: mask");
             let pattern: Vec<(u64, u64)> = edges.iter().map(|&(i, j, _)| (i, j)).collect();
             assert_eq!(pattern, [(0, 3), (3, 0)], "p={p}: R");

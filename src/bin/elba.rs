@@ -158,6 +158,9 @@ fn assemble_finish(
         result.contig_stats.imbalance
     )?;
     let aln = &result.align_stats;
+    // `skipped`: pairs never aligned, because both reads were already
+    // contained or because pass 3's score bound ruled out containing the
+    // one uncontained read.
     writeln!(
         out,
         "alignment: pairs {} | skipped {} | aligned {} | dovetails {} | contained {} | \
