@@ -18,7 +18,7 @@ use elba_sparse::{DistMat, DistVec, SpGemmOptions};
 use crate::assembly::Contig;
 use crate::contig::{contig_generation, gather_contigs, ContigConfig, ContigStats};
 
-/// Most bytes one first occurrence holds in a window of A's triples —
+/// Most bytes one occurrence holds in a window of A's triples —
 /// its `(column or slot, entry)`, plus a `u64` column query when its
 /// k-mer is new to the window: the k-mer stage's largest per-item
 /// footprint (a counting window's is at most the same, an 8-byte

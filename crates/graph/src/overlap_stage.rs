@@ -115,13 +115,6 @@ pub struct OverlapConfig {
     pub chaining: SeedChaining,
 }
 
-/// Maximum |Δdiagonal| for two seeds of a pair to be merged into one
-/// co-linear chain, and the diagonal slack granted to a chain by the
-/// geometric early-reject (drift budget for x-drop gap wander; generous
-/// relative to real indel rates so the reject never clips a reachable
-/// overlap).
-const CHAIN_BAND: usize = 128;
-
 impl Default for OverlapConfig {
     fn default() -> Self {
         OverlapConfig {
@@ -142,16 +135,14 @@ impl Default for OverlapConfig {
 /// candidate pair's retained seeds are x-drop extended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SeedChaining {
-    /// Bin seeds by strand and diagonal, merge co-linear seeds into one
-    /// chain, extend each chain's first seed, and skip seeds whose
-    /// anchor is already covered by an alignment found for this pair;
-    /// chains that cannot geometrically reach `min_overlap` or a
-    /// containment are rejected before any extension. Skipped work is
-    /// visible in [`AlignStats::seeds_skipped`].
+    /// Extend each retained seed in seed order with the exact DP, unless
+    /// its anchor already lies inside the best alignment found for this
+    /// pair on its strand. Skipped seeds are visible in
+    /// [`AlignStats::seeds_skipped`].
     #[default]
     Chain,
     /// Flagged fast mode: like [`SeedChaining::Chain`] but strictly one
-    /// extension per strand group (the first surviving chain), and the
+    /// extension per strand (its first uncovered seed), and the
     /// extension itself runs the greedy O(differences)
     /// [`extend_seed_greedy`] walk instead of the exact DP. A different
     /// algorithm, not a transparent knob: quality-asserted by the
@@ -173,12 +164,11 @@ pub struct AlignStats {
     pub contained: u64,
     pub internal: u64,
     pub rejected: u64,
-    /// Retained seeds the chain filter skipped without an x-drop
-    /// extension (covered by an already-found alignment, merged into a
-    /// chain behind an extended seed, geometrically rejected, or
-    /// dropped by `BestOnly`).
+    /// Retained seeds skipped without an x-drop extension: covered by the
+    /// pair's best alignment so far, or on a strand `BestOnly` has
+    /// already extended.
     pub seeds_skipped: u64,
-    /// Seed chains that underwent x-drop extension.
+    /// Seeds that underwent x-drop extension, one per extension.
     pub chains_extended: u64,
 }
 
@@ -235,7 +225,7 @@ pub fn candidate_matrix(
 /// pair's second read. One scratch serves any number of candidate pairs
 /// in sequence; `rc(v)` is recomputed per pair (it depends on `v`) but
 /// its allocation is paid once per worker, and never filled at all for
-/// pairs whose reverse-strand seeds are rejected before extension.
+/// pairs whose reverse-strand seeds are all skipped.
 /// `v_rc` never shortens, so its length is its high water, like
 /// [`XdropWorkspace::high_water`].
 #[derive(Debug, Default)]
@@ -248,7 +238,7 @@ struct AlignScratch {
 /// [`AlignStats`] by the stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PairCounts {
-    /// Chains that underwent x-drop extension.
+    /// Seeds that underwent x-drop extension.
     chains: u32,
     /// Seeds skipped without extension.
     skipped: u32,
@@ -358,23 +348,6 @@ fn pair_may_contain(
         .any(|s| s.may_reach_ends(t_is_u, ulen, vlen, cfg))
 }
 
-/// Geometric early-reject: over every diagonal within [`CHAIN_BAND`] of
-/// the chain's anchors, the largest conceivable aligned span can reach
-/// neither a dovetail (`min_overlap`) nor a containment of either read
-/// (`len - 2·fuzz`), so extension could only ever produce an alignment
-/// the classifier discards without emitting edges. Only the stats
-/// bucket of such a pair changes (rejected instead of internal).
-fn chain_rejects(dg_lo: i64, dg_hi: i64, ulen: usize, wlen: usize, cfg: &OverlapConfig) -> bool {
-    let band = CHAIN_BAND as i64;
-    let (lo, hi) = (dg_lo - band, dg_hi + band);
-    let (ul, wl) = (ulen as i64, wlen as i64);
-    let u_span = (ul.min(wl + hi) - 0.max(lo)).max(0);
-    let w_span = (wl.min(ul - lo) - 0.max(-hi)).max(0);
-    u_span < cfg.min_overlap as i64
-        && u_span < ul - 2 * cfg.fuzz as i64
-        && w_span < wl - 2 * cfg.fuzz as i64
-}
-
 /// X-drop align one candidate pair from its retained seeds; returns the
 /// best-scoring overlap alignment. Seed selection follows
 /// [`OverlapConfig::chaining`]. Allocates a throwaway scratch; the
@@ -390,7 +363,12 @@ pub fn align_pair(
 
 /// [`align_pair`] on a reused scratch — its antidiagonal and rc buffers
 /// serve every seed extension of every pair a worker aligns — plus the
-/// per-pair chain/skip counters the stage folds into [`AlignStats`].
+/// per-pair extension/skip counters the stage folds into [`AlignStats`].
+///
+/// One loop over the pair's placed seeds (at most two, in seed order): a
+/// seed is skipped when the best alignment so far covers its anchor on
+/// its strand, or under [`SeedChaining::BestOnly`] when its strand has
+/// already been extended; every other seed is extended.
 fn align_pair_counted(
     scratch: &mut AlignScratch,
     u_codes: &[u8],
@@ -400,10 +378,29 @@ fn align_pair_counted(
 ) -> (Option<OverlapAln>, PairCounts) {
     let AlignScratch { ws, v_rc } = scratch;
     let (ulen, vlen) = (u_codes.len(), v_codes.len());
+    let best_only = cfg.chaining == SeedChaining::BestOnly;
+    // Best-only is the opt-in approximate fast mode: one extension per
+    // strand AND the greedy O(differences) extender instead of the exact
+    // DP (quality-asserted in the perf bench, never the default).
+    let extender = if best_only {
+        extend_seed_greedy
+    } else {
+        extend_seed_with
+    };
     let mut best: Option<OverlapAln> = None;
     let mut counts = PairCounts::default();
+    let mut extended_strands = [false; 2];
     let mut rc_ready = false;
-    let mut extend = |s: &OrientedSeed, best: &mut Option<OverlapAln>, v_rc: &mut Vec<u8>| {
+    let placed = seeds
+        .seeds()
+        .iter()
+        .filter_map(|s| OrientedSeed::place(s, cfg.k, ulen, vlen));
+    for s in placed {
+        let covered = best.as_ref().is_some_and(|aln| s.covered_by(aln, cfg.k));
+        if covered || (best_only && extended_strands[s.rc as usize]) {
+            counts.skipped += 1;
+            continue;
+        }
         let w: &[u8] = if s.rc {
             if !rc_ready {
                 if v_rc.len() < vlen {
@@ -418,15 +415,6 @@ fn align_pair_counted(
         } else {
             v_codes
         };
-        // Best-only is the opt-in approximate fast mode: one extension
-        // per strand AND the greedy O(differences) extender instead of
-        // the exact DP (quality-asserted in the perf bench, never the
-        // default).
-        let extender = if cfg.chaining == SeedChaining::BestOnly {
-            extend_seed_greedy
-        } else {
-            extend_seed_with
-        };
         let aln = extender(
             ws,
             u_codes,
@@ -439,60 +427,10 @@ fn align_pair_counted(
         );
         let candidate = OverlapAln::from_seed(aln, s.rc, ulen, vlen);
         if best.as_ref().is_none_or(|b| candidate.score > b.score) {
-            *best = Some(candidate);
+            best = Some(candidate);
         }
-    };
-    // SharedSeeds retains at most two seeds, so the chain plan reduces
-    // to: are both on the same strand, and if so are they co-linear? Two
-    // fixed slots hold it — this runs once per candidate pair, so it
-    // stays off the heap.
-    let mut placed = seeds
-        .seeds()
-        .iter()
-        .filter_map(|s| OrientedSeed::place(s, cfg.k, ulen, vlen));
-    let best_only = cfg.chaining == SeedChaining::BestOnly;
-    // Chains in seed order: [first seed, optional co-linear mate].
-    let chains: [Option<(OrientedSeed, Option<OrientedSeed>)>; 2] =
-        match (placed.next(), placed.next()) {
-            (Some(head), Some(s))
-                if head.rc == s.rc
-                    && head.diag.abs_diff(s.diag) <= CHAIN_BAND as u64
-                    && (head.u_pos <= s.u_pos) == (head.w_pos <= s.w_pos) =>
-            {
-                [Some((head, Some(s))), None]
-            }
-            (first, second) => [first.map(|s| (s, None)), second.map(|s| (s, None))],
-        };
-    let mut extended_strands = [false; 2];
-    for (head, mate) in chains.iter().flatten() {
-        let n_seeds = 1 + u32::from(mate.is_some());
-        let (dg_lo, dg_hi) = match mate {
-            Some(m) => (head.diag.min(m.diag), head.diag.max(m.diag)),
-            None => (head.diag, head.diag),
-        };
-        if chain_rejects(dg_lo, dg_hi, ulen, vlen, cfg) {
-            counts.skipped += n_seeds;
-            continue;
-        }
-        if best_only && extended_strands[head.rc as usize] {
-            counts.skipped += n_seeds;
-            continue;
-        }
-        if best.as_ref().is_some_and(|aln| head.covered_by(aln, cfg.k)) {
-            counts.skipped += n_seeds;
-            continue;
-        }
-        extend(head, &mut best, v_rc);
         counts.chains += 1;
-        extended_strands[head.rc as usize] = true;
-        if let Some(m) = mate {
-            let covered = best.as_ref().is_some_and(|aln| m.covered_by(aln, cfg.k));
-            if best_only || covered {
-                counts.skipped += 1;
-            } else {
-                extend(m, &mut best, v_rc);
-            }
-        }
+        extended_strands[s.rc as usize] = true;
     }
     (best, counts)
 }
@@ -858,12 +796,12 @@ pub fn overlap_graph(
     triples: Vec<(u64, u64, SgEdge)>,
     contained: &DistVec<bool>,
 ) -> DistMat<SgEdge> {
-    let r = DistMat::from_triples(grid, n_reads, n_reads, triples, |acc, v| {
-        // Two seeds of the same pair can classify to the same directed
-        // edge; keep the tighter overlap (smaller overhang).
-        if v.suffix < acc.suffix {
-            *acc = v;
-        }
+    // No two triples share a coordinate: `C` holds each read pair once
+    // (strict upper), the `done` bits align each entry at most once, and
+    // `align_pair` returns one alignment per pair, whose dovetail routes
+    // `(i, j)` and `(j, i)`.
+    let r = DistMat::from_triples(grid, n_reads, n_reads, triples, |_, _| {
+        unreachable!("one dovetail per read pair and direction")
     });
     r.mask_rows_cols(grid, contained)
 }
@@ -1151,6 +1089,80 @@ mod tests {
         assert_eq!(aln.u_end, 199);
         assert_eq!(aln.w_beg, 0);
         assert_eq!(aln.w_end, 99);
+    }
+
+    #[test]
+    fn each_seed_is_extended_unless_covered_or_its_strand_is_spent() {
+        use crate::semirings::Seed;
+        // u = g[0..200) and v = g[100..300) overlap on diagonal 100; v
+        // also carries a copy of u[10..25) at 150, on diagonal -140,
+        // whose extension dies in the random flanks.
+        let g = genome(300, 9);
+        let u = g.substring(0, 200);
+        let mut v = g.substring(100, 300).codes().to_vec();
+        v[150..165].copy_from_slice(&u.codes()[10..25]);
+        let seed = |pos_v, pos_h, same_strand| Seed {
+            pos_v,
+            pos_h,
+            same_strand,
+        };
+        let pair = |a: Seed, b: Seed| {
+            let mut seeds = SharedSeeds::single(a);
+            seeds.merge(SharedSeeds::single(b));
+            assert_eq!(seeds.seeds(), [a, b]);
+            seeds
+        };
+        let on_overlap = seed(120, 20, true);
+        // Per case, `(extended, skipped, the overlap wins)` under `Chain`
+        // and under `BestOnly`.
+        let cases = [
+            // The first alignment covers the second seed's anchor.
+            (
+                "covered mate",
+                pair(on_overlap, seed(160, 60, true)),
+                (1, 1, true),
+                (1, 1, true),
+            ),
+            // Same strand, off the diagonal of the first (short)
+            // alignment: extended unless its strand is spent.
+            (
+                "same strand",
+                pair(seed(10, 150, true), on_overlap),
+                (2, 0, true),
+                (1, 1, false),
+            ),
+            // The opposite strand is never covered nor spent.
+            (
+                "other strand",
+                pair(on_overlap, seed(40, 30, false)),
+                (2, 0, true),
+                (2, 0, true),
+            ),
+        ];
+        for (name, seeds, chain, best_only) in cases {
+            for (chaining, (chains, skipped, overlap_wins)) in [
+                (SeedChaining::Chain, chain),
+                (SeedChaining::BestOnly, best_only),
+            ] {
+                let cfg = OverlapConfig {
+                    chaining,
+                    ..test_cfg()
+                };
+                let (aln, counts) =
+                    align_pair_counted(&mut AlignScratch::default(), u.codes(), &v, &seeds, &cfg);
+                assert_eq!(
+                    counts,
+                    PairCounts { chains, skipped },
+                    "{name}, {chaining:?}"
+                );
+                let aln = aln.expect("alignment");
+                assert_eq!(
+                    (aln.rc, aln.u_beg, aln.w_beg) == (false, 100, 0),
+                    overlap_wins,
+                    "{name}, {chaining:?}: {aln:?}"
+                );
+            }
+        }
     }
 
     /// `codes` with each base substituted, deleted or followed by an

@@ -19,10 +19,12 @@
 //! their tables.
 //!
 //! A's triples are built on the rank that holds the read. Occurrences
-//! never travel: each window of `batch_kmers` first occurrences looks up
-//! the k-mers its rank owns in place and asks the other owners for the
+//! never travel: each window of `batch_kmers` occurrences looks up the
+//! k-mers its rank owns in place and asks the other owners for the
 //! columns of its distinct k-mers (an 8-byte query per k-mer, a 4-byte
-//! answer back), so a rank's triples are its own reads' rows.
+//! answer back), so a rank's triples are its own reads' rows. A k-mer
+//! repeated within a read keeps its first occurrence when each read's
+//! triples are sorted at the end.
 //!
 //! Both steps see a context-free sample of the k-mers: the occurrence
 //! scan keeps a canonical k-mer only when [`kmer_sampled`] says so at
@@ -37,7 +39,7 @@
 //! leaves a `min_overlap`-base overlap an expected 8 shared sampled
 //! k-mers. At `s = 1` the scan yields every occurrence.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
@@ -171,7 +173,6 @@ impl Hasher for KmerHasher {
 }
 
 type KmerMap<V> = HashMap<u64, V, KmerHashKey>;
-type KmerSet = HashSet<u64, KmerHashKey>;
 
 /// The distributed reliable-k-mer table: each rank holds the k-mers it
 /// owns with their dense global column ids, which form one contiguous
@@ -415,8 +416,8 @@ pub fn count_kmers_with_stats(
 
 /// Generate the triples of the |reads|×|k-mers| matrix A (collective):
 /// `(read_id, kmer_column, AEntry)` for every reliable k-mer occurrence.
-/// A read contributes one entry per distinct k-mer (first occurrence), as
-/// in BELLA's sparse A construction. Each rank returns the rows of the
+/// A read contributes one entry per distinct k-mer, its first occurrence,
+/// as in BELLA's sparse A construction. Each rank returns the rows of the
 /// reads it holds, in the store's read order (ascending ids for a
 /// block-distributed store) with each read's run sorted by column —
 /// ready for `DistMat::from_triples`.
@@ -431,15 +432,17 @@ pub fn build_a_triples(
 
 /// [`build_a_triples`] plus the exchange's buffer high-water marks.
 ///
-/// The first-occurrence stream is cut into windows of `batch_kmers`, in
-/// the same order for every thread count. A k-mer this rank owns is
+/// The occurrence stream is cut into windows of `batch_kmers`, in the
+/// same order for every thread count. A k-mer this rank owns is
 /// looked up in place; each window sends every other owner its distinct
 /// k-mers, in first-seen order, and the owner answers positionally with
 /// a `u32` offset into its id range (the offsets of the ranges are
 /// allgathered once). That is one `alltoallv` per leg per window, plus a
 /// one-byte `allreduce` that keeps a rank whose reads are done in step
 /// with the others. What a window holds — and so every message — is a
-/// function of the input alone.
+/// function of the input alone. Each read's triples are sorted by column
+/// and position, and all but the first occurrence of a repeated k-mer
+/// dropped, once the last window is in.
 pub fn build_a_triples_with_stats(
     grid: &ProcGrid,
     store: &ReadStore,
@@ -453,12 +456,12 @@ pub fn build_a_triples_with_stats(
     assert_eq!(table.k, cfg.k, "A is scanned with the table's k");
     let scan_stats = ScanStats::default();
     let offsets = world.allgather(table.offset);
-    let mut firsts = first_occurrences(occurrence_scan(store, cfg, &scan_stats));
+    let mut scan = occurrence_scan(store, cfg, &scan_stats);
     let mut window = Window::new(world.rank(), p);
     let mut triples = Vec::new();
     let mut stats = ExchangeStats::default();
     loop {
-        let taken = window.fill(firsts.by_ref().take(batch), table);
+        let taken = window.fill(scan.by_ref().take(batch), table);
         if !world.allreduce(taken > 0, |a, b| a || b) {
             break;
         }
@@ -480,10 +483,13 @@ pub fn build_a_triples_with_stats(
     }
     book_scan(world, &scan_stats);
     world.record_mem_transient(stats.peak_bytes());
-    // Reads come in order; a read's k-mers come in position order.
+    // Reads come in order, so a read's triples are one run even across
+    // windows. Sorted by column then position, a k-mer repeated within a
+    // read keeps its first occurrence.
     for run in triples.chunk_by_mut(|a, b| a.0 == b.0) {
-        run.sort_unstable_by_key(|&(_, col, _)| col);
+        run.sort_unstable_by_key(|&(_, col, e)| (col, e.pos));
     }
+    triples.dedup_by_key(|t| (t.0, t.1));
     (triples, stats)
 }
 
@@ -496,25 +502,9 @@ const PENDING: u64 = 1 << 63;
 /// Column of a slot whose k-mer is not reliable.
 const UNRELIABLE: u64 = u64::MAX;
 
-/// The first occurrence of each k-mer in each read, in stream order.
-fn first_occurrences(
-    scan: impl Iterator<Item = (u64, KmerHit)>,
-) -> impl Iterator<Item = (u64, KmerHit)> {
-    let mut current_read = u64::MAX;
-    let mut seen = KmerSet::default();
-    scan.filter(move |&(read, hit)| {
-        if read != current_read {
-            current_read = read;
-            seen.clear();
-        }
-        seen.insert(hit.kmer)
-    })
-}
-
-/// One window of the first-occurrence stream on the rank that holds its
-/// reads: its reliable occurrences, and the distinct k-mers other ranks
-/// own, whose columns are asked for. Buffers are reused from window to
-/// window.
+/// One window of the occurrence stream on the rank that holds its reads:
+/// its reliable occurrences, and the distinct k-mers other ranks own,
+/// whose columns are asked for. Buffers are reused from window to window.
 struct Window {
     rank: usize,
     /// Distinct remote k-mer → slot, slots numbered in first-seen order.
@@ -545,15 +535,15 @@ impl Window {
         }
     }
 
-    /// Start a new window on `firsts`; returns how many it took.
-    fn fill(&mut self, firsts: impl Iterator<Item = (u64, KmerHit)>, table: &KmerTable) -> usize {
+    /// Start a new window on `scan`; returns how many it took.
+    fn fill(&mut self, scan: impl Iterator<Item = (u64, KmerHit)>, table: &KmerTable) -> usize {
         self.slots.clear();
         self.owners.clear();
         self.reads.clear();
         self.occurrences.clear();
         let p = self.queries.len();
         let mut taken = 0;
-        for (read, hit) in firsts {
+        for (read, hit) in scan {
             taken += 1;
             let owner = kmer_owner(hit.kmer, p);
             let col = if owner == self.rank {

@@ -9,7 +9,10 @@
 //! a small budget (blocking stages, 32-row batches). Every retained seed must name one such shared k-mer:
 //! the same canonical k-mer at `pos_v` in read `i` and at `pos_h` in read
 //! `j`, each the k-mer's first occurrence in its read, with `same_strand`
-//! telling whether the two occurrences sit on the same strand.
+//! telling whether the two occurrences sit on the same strand. Reads of
+//! tandem repeats, with A's k-mer windows small enough that a repeat
+//! falls in a later window than its first occurrence, hold A's one entry
+//! per read and k-mer to that first occurrence.
 //!
 //! The sample is context-free: a kept k-mer's count is its count with
 //! every k-mer kept, so its reliable-band verdict is too.
@@ -103,25 +106,91 @@ fn dataset() -> (Vec<Seq>, PipelineConfig) {
     (reads, PipelineConfig::for_dataset(&spec))
 }
 
+/// Reads cut from a genome of tandem repeats: each 500-base read holds
+/// several copies of a 37-base unit, so its repeated k-mers lie 37
+/// occurrences apart, and reads alternate strands.
+fn tandem_reads() -> Vec<Seq> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut random = |n: usize| -> Vec<u8> { (0..n).map(|_| rng.gen_range(0..4u8)).collect() };
+    let mut genome = Vec::new();
+    for _ in 0..12 {
+        genome.extend(random(160));
+        let unit = random(37);
+        for _ in 0..4 {
+            genome.extend_from_slice(&unit);
+        }
+    }
+    let genome = Seq::from_codes(genome);
+    (0..)
+        .map(|i| i * 120)
+        .take_while(|&start| start + 500 <= genome.len())
+        .map(|start| {
+            let read = genome.substring(start, start + 500);
+            if start % 240 == 0 {
+                read
+            } else {
+                read.reverse_complement()
+            }
+        })
+        .collect()
+}
+
+/// How many occurrences of a reliable k-mer at rate 1 on one rank fall
+/// in a later window of `cfg.batch_kmers` than the k-mer's first
+/// occurrence in the same read (the scan is the reads' hits end to end).
+fn repeats_past_a_window_boundary(hits: &[Vec<KmerHit>], cfg: &KmerConfig) -> usize {
+    let reliable = reliable_kmers(hits, cfg);
+    let mut at = 0;
+    let mut past = 0;
+    for read_hits in hits {
+        let mut first_window: HashMap<u64, usize> = HashMap::new();
+        for (i, hit) in read_hits.iter().enumerate() {
+            let window = (at + i) / cfg.batch_kmers;
+            let first = *first_window.entry(hit.kmer).or_insert(window);
+            past += usize::from(first != window && reliable.contains(&hit.kmer));
+        }
+        at += read_hits.len();
+    }
+    past
+}
+
 #[test]
 fn candidate_matrix_is_the_reliable_shared_kmer_pairs_with_true_seeds() {
-    let (reads, derived) = dataset();
+    let (celegans, derived) = dataset();
     assert!(
         derived.kmer.sample_rate > 1,
         "celegans-like reads are sampled"
     );
-    let hits: Vec<Vec<KmerHit>> = reads
-        .iter()
-        .map(|read| canonical_kmers(read, derived.kmer.k))
-        .collect();
     let mut every_kmer = derived.clone();
     every_kmer.kmer.sample_rate = 1;
-    for cfg in [every_kmer, derived] {
+    // Tandem repeats under windows of 64 occurrences: a k-mer repeated
+    // within a read often lands in a later window of A's build than its
+    // first occurrence, and A must still hold it once, there.
+    let tandem = tandem_reads();
+    let mut small_windows = every_kmer.clone();
+    small_windows.kmer.batch_kmers = 64;
+    let tandem_hits: Vec<Vec<KmerHit>> = tandem
+        .iter()
+        .map(|read| canonical_kmers(read, small_windows.kmer.k))
+        .collect();
+    let past = repeats_past_a_window_boundary(&tandem_hits, &small_windows.kmer);
+    assert!(past > 100, "{past} repeats lie past a window boundary");
+    for (reads, cfg, min_pairs) in [
+        (&celegans, every_kmer, 1001),
+        (&celegans, derived, 1001),
+        (&tandem, small_windows, tandem.len()),
+    ] {
         let s = cfg.kmer.sample_rate;
+        let hits: Vec<Vec<KmerHit>> = reads
+            .iter()
+            .map(|read| canonical_kmers(read, cfg.kmer.k))
+            .collect();
         let reliable = reliable_kmers(&hits, &cfg.kmer);
         let want = oracle_pairs(&hits, &reliable);
         assert!(
-            want.len() > 1000,
+            want.len() >= min_pairs,
             "s={s}: a candidate set worth checking: {} pairs",
             want.len()
         );
@@ -146,7 +215,7 @@ fn candidate_matrix_is_the_reliable_shared_kmer_pairs_with_true_seeds() {
                 ("eager", SpGemmOptions::eager()),
                 ("budgeted 64 KiB", SpGemmOptions::budgeted(64 << 10)),
             ] {
-                let c = gathered_c(&reads, &cfg, p, spgemm);
+                let c = gathered_c(reads, &cfg, p, spgemm);
                 let got: BTreeSet<(u64, u64)> = c.iter().map(|&(i, j, _)| (i, j)).collect();
                 assert_eq!(
                     got.len(),
