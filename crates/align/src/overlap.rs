@@ -66,6 +66,31 @@ impl OverlapAln {
     pub fn span(&self) -> usize {
         self.u_end - self.u_beg + 1
     }
+
+    /// `u` and oriented `v` (`w`) as [`Side`]s: each aligned span with
+    /// the unaligned bases left and right of it, the four overhangs
+    /// [`classify`] and [`dovetail_edges`] read.
+    fn sides(&self) -> (Side, Side) {
+        let side = |beg: usize, end: usize, len: usize| Side {
+            beg,
+            end,
+            left: beg,
+            right: len - 1 - end,
+        };
+        (
+            side(self.u_beg, self.u_end, self.u_len),
+            side(self.w_beg, self.w_end, self.v_len),
+        )
+    }
+}
+
+/// One read of an [`OverlapAln`] in oriented space: its inclusive aligned
+/// span `beg..=end` and the unaligned bases `left` and `right` of it.
+struct Side {
+    beg: usize,
+    end: usize,
+    left: usize,
+    right: usize,
 }
 
 /// One directed string-graph edge (`src → dst`).
@@ -137,19 +162,14 @@ pub enum OverlapClass {
 /// by x-drop early termination (the paper's motivation for storing
 /// `post`).
 pub fn classify(aln: &OverlapAln, fuzz: usize) -> OverlapClass {
-    let (lu, lv) = (aln.u_len, aln.v_len);
-    let left_u = aln.u_beg;
-    let right_u = lu - 1 - aln.u_end;
-    let left_w = aln.w_beg;
-    let right_w = lv - 1 - aln.w_end;
-
-    if left_u <= fuzz && right_u <= fuzz {
+    let (u, w) = aln.sides();
+    if u.left <= fuzz && u.right <= fuzz {
         return OverlapClass::ContainedU;
     }
-    if left_w <= fuzz && right_w <= fuzz {
+    if w.left <= fuzz && w.right <= fuzz {
         return OverlapClass::ContainedV;
     }
-    if left_u.min(left_w) > fuzz || right_u.min(right_w) > fuzz {
+    if u.left.min(w.left) > fuzz || u.right.min(w.right) > fuzz {
         return OverlapClass::Internal;
     }
 
@@ -157,100 +177,49 @@ pub fn classify(aln: &OverlapAln, fuzz: usize) -> OverlapClass {
     OverlapClass::Dovetail { fwd, bwd }
 }
 
-/// Compute the directed edge pair for a dovetail overlap, deciding the
-/// left read by the larger unaligned left overhang. Exposed separately so
+/// Compute the directed edge pair `(u→v, v→u)` for a dovetail overlap,
+/// deciding the left read by the larger unaligned left overhang (which
+/// [`classify`] guarantees is at least one base). Exposed separately so
 /// the `pre`/`post` bookkeeping can be exercised on alignments (like the
 /// paper's Fig. 3 x-drop example) regardless of classification thresholds.
+///
+/// One rule covers both strands and either read on the left. In oriented
+/// space both reads run forward, so the walk left → right emits the left
+/// read and then the right one, and the walk right → left emits rc(right)
+/// and then rc(left). When `rc`, `w` is rc(`v`): the endpoint at `v` —
+/// the destination of `u→v`, the source of `v→u` — maps its coordinate
+/// back (`x → lv − 1 − x`) and traverses the other strand.
 pub fn dovetail_edges(aln: &OverlapAln) -> (SgEdge, SgEdge) {
-    let lv = aln.v_len;
-    let left_u = aln.u_beg;
-    let right_u = aln.u_len - 1 - aln.u_end;
-    let left_w = aln.w_beg;
-    let right_w = lv - 1 - aln.w_end;
-    if left_u > left_w {
-        // `u` extends further left: u is the left read of the dovetail.
-        if !aln.rc {
-            (
-                // u→v: walk emits u forward, then v forward.
-                SgEdge {
-                    pre: (aln.u_beg - 1) as u32,
-                    post: aln.w_beg as u32,
-                    src_rev: false,
-                    dst_rev: false,
-                    suffix: right_w as u32,
-                },
-                // v→u: walk emits rc(v), then rc(u).
-                SgEdge {
-                    pre: (aln.w_end + 1) as u32,
-                    post: aln.u_end as u32,
-                    src_rev: true,
-                    dst_rev: true,
-                    suffix: left_u as u32,
-                },
-            )
-        } else {
-            (
-                // u→v: u forward, then v reverse-complemented.
-                SgEdge {
-                    pre: (aln.u_beg - 1) as u32,
-                    post: (lv - 1 - aln.w_beg) as u32,
-                    src_rev: false,
-                    dst_rev: true,
-                    suffix: right_w as u32,
-                },
-                // v→u: v forward (w = rc(v), so reversing the walk makes v
-                // forward), then rc(u).
-                SgEdge {
-                    pre: (lv - aln.w_end - 2) as u32,
-                    post: aln.u_end as u32,
-                    src_rev: false,
-                    dst_rev: true,
-                    suffix: left_u as u32,
-                },
-            )
-        }
+    let (u, w) = aln.sides();
+    let u_left = u.left > w.left;
+    let (l, r) = if u_left { (&u, &w) } else { (&w, &u) };
+    let left_to_right = SgEdge {
+        pre: (l.beg - 1) as u32,
+        post: r.beg as u32,
+        src_rev: false,
+        dst_rev: false,
+        suffix: r.right as u32,
+    };
+    let right_to_left = SgEdge {
+        pre: (r.end + 1) as u32,
+        post: l.end as u32,
+        src_rev: true,
+        dst_rev: true,
+        suffix: l.left as u32,
+    };
+    let (mut fwd, mut bwd) = if u_left {
+        (left_to_right, right_to_left)
     } else {
-        // Oriented v extends further left: v is the left read.
-        if !aln.rc {
-            (
-                // u→v: walk emits rc(u), then rc(v).
-                SgEdge {
-                    pre: (aln.u_end + 1) as u32,
-                    post: aln.w_end as u32,
-                    src_rev: true,
-                    dst_rev: true,
-                    suffix: left_w as u32,
-                },
-                // v→u: v forward, then u forward.
-                SgEdge {
-                    pre: (aln.w_beg - 1) as u32,
-                    post: aln.u_beg as u32,
-                    src_rev: false,
-                    dst_rev: false,
-                    suffix: right_u as u32,
-                },
-            )
-        } else {
-            (
-                // u→v: rc(u), then rc(w) = v forward.
-                SgEdge {
-                    pre: (aln.u_end + 1) as u32,
-                    post: (lv - 1 - aln.w_end) as u32,
-                    src_rev: true,
-                    dst_rev: false,
-                    suffix: left_w as u32,
-                },
-                // v→u: v reversed (emitting w), then u forward.
-                SgEdge {
-                    pre: (lv - aln.w_beg) as u32,
-                    post: aln.u_beg as u32,
-                    src_rev: true,
-                    dst_rev: false,
-                    suffix: right_u as u32,
-                },
-            )
-        }
+        (right_to_left, left_to_right)
+    };
+    if aln.rc {
+        let to_v = |x: u32| (aln.v_len - 1) as u32 - x;
+        fwd.post = to_v(fwd.post);
+        fwd.dst_rev = !fwd.dst_rev;
+        bwd.pre = to_v(bwd.pre);
+        bwd.src_rev = !bwd.src_rev;
     }
+    (fwd, bwd)
 }
 
 #[cfg(test)]
@@ -505,6 +474,74 @@ mod tests {
                 assert_eq!(bwd.suffix, 40);
             }
             other => panic!("expected dovetail, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn swapping_the_reads_swaps_the_edge_pair() {
+        // One dovetail seen from the other read — `v` first, aligned
+        // against rc(u) when `rc` — is the same two edges in the other
+        // order: `u→v` of one is `v→u` of the other.
+        let mut rng = StdRng::seed_from_u64(52);
+        for _ in 0..2_000 {
+            // `(beg, end, len)` of each read in oriented space. The left
+            // read overhangs the overlap on the left and the right read
+            // on the right; x-drop may leave a few bases unaligned at the
+            // inner ends, always fewer than the outer overhangs.
+            let aligned = |before: usize, span: usize, after: usize| {
+                (before, before + span - 1, before + span + after)
+            };
+            let left = aligned(
+                rng.gen_range(4..60),
+                rng.gen_range(1..80),
+                rng.gen_range(0..4),
+            );
+            let right = aligned(
+                rng.gen_range(0..4),
+                rng.gen_range(1..80),
+                rng.gen_range(4..60),
+            );
+            let (u, w) = if rng.gen_bool(0.5) {
+                (left, right)
+            } else {
+                (right, left)
+            };
+            let aln = OverlapAln {
+                rc: rng.gen_bool(0.5),
+                u_beg: u.0,
+                u_end: u.1,
+                w_beg: w.0,
+                w_end: w.1,
+                u_len: u.2,
+                v_len: w.2,
+                score: 0,
+            };
+            let (lu, lv) = (aln.u_len, aln.v_len);
+            let swapped = if aln.rc {
+                // u[a..=b] ~ rc(v)[c..=d] is v[lv−1−d..=lv−1−c] ~
+                // rc(u)[lu−1−b..=lu−1−a].
+                OverlapAln {
+                    u_beg: lv - 1 - aln.w_end,
+                    u_end: lv - 1 - aln.w_beg,
+                    w_beg: lu - 1 - aln.u_end,
+                    w_end: lu - 1 - aln.u_beg,
+                    u_len: lv,
+                    v_len: lu,
+                    ..aln
+                }
+            } else {
+                OverlapAln {
+                    u_beg: aln.w_beg,
+                    u_end: aln.w_end,
+                    w_beg: aln.u_beg,
+                    w_end: aln.u_end,
+                    u_len: lv,
+                    v_len: lu,
+                    ..aln
+                }
+            };
+            let (fwd, bwd) = dovetail_edges(&aln);
+            assert_eq!(dovetail_edges(&swapped), (bwd, fwd), "{aln:?}");
         }
     }
 

@@ -132,19 +132,6 @@ impl PipelineConfig {
         }
     }
 
-    /// Run the pipeline's two distributed products — overlap
-    /// detection's symmetric product and transitive reduction's masked
-    /// product — under `opts`: how tests put the
-    /// [`elba_sparse::SpGemmAlgorithm::Eager`] schedule under the whole
-    /// pipeline; a production run sets a memory budget or nothing.
-    /// `overlap.spgemm` is the single knob: overlap detection reads it
-    /// directly and [`assemble`] hands the same options to the
-    /// transitive-reduction sweep, so the two stages cannot drift.
-    pub fn with_spgemm(mut self, opts: SpGemmOptions) -> Self {
-        self.overlap.spgemm = opts;
-        self
-    }
-
     /// Run every intra-rank threaded kernel — the local multiply of each
     /// SUMMA stage (overlap detection *and* transitive reduction), the
     /// x-drop alignment batch, the k-mer scan, and the contig-stage
@@ -178,14 +165,14 @@ impl PipelineConfig {
     /// * the k-mer exchange's `batch_kmers` is derived inside
     ///   [`assemble`], where the grid size is known — the inbound
     ///   windows of a round scale with `p`,
-    /// * both distributed products run the production SUMMA
-    ///   ([`elba_sparse::SpGemmAlgorithm::Pipelined`]) with the SpGEMM
-    ///   sub-budget as its `mem_budget`: each prefetches its stages only
-    ///   if four of the largest fit it, and overlap detection multiplies
-    ///   in budget-sized row batches. Neither moves a byte of traffic.
+    /// * both distributed products take the SpGEMM sub-budget as
+    ///   [`SpGemmOptions::mem_budget`] (in `overlap.spgemm`): each
+    ///   prefetches its stages only if four of the largest fit it, and
+    ///   overlap detection multiplies in budget-sized row batches.
+    ///   Neither moves a byte of traffic.
     ///
-    /// The budget is the schedule's parameter, not a choice between
-    /// schedules, and nothing else sets it. Derivations clamp to sane
+    /// The budget is the SUMMA's one parameter, and nothing else sets it
+    /// in a production run. Derivations clamp to sane
     /// floors, so an absurdly small budget runs the smallest k-mer
     /// window and row batch, blocking, rather than failing; it cannot
     /// shrink what the run keeps resident, and a profiled run's `mem-hw`
@@ -508,16 +495,17 @@ mod tests {
 
     #[test]
     fn spgemm_schedules_agree_end_to_end() {
-        // The default and every regime of the budgeted SUMMA must
-        // assemble the same contig set as the eager oracle through the
+        // Every regime of the budgeted SUMMA must assemble the same
+        // contig set as the unbudgeted run (the first case) through the
         // whole pipeline (overlap detection *and* transitive reduction),
         // with the thread knob varied to cover the threaded
-        // materialization.
+        // materialization. Each budget is written into `overlap.spgemm`
+        // directly, not through `with_mem_budget`, so the k-mer window
+        // stays the unbudgeted run's and only the SUMMA varies.
         let mut per_schedule: Vec<Vec<String>> = Vec::new();
         let cases = [
-            (SpGemmOptions::eager(), 1usize),
-            (SpGemmOptions::pipelined(), 1),
-            (SpGemmOptions::pipelined(), 4),
+            (SpGemmOptions::default(), 1usize),
+            (SpGemmOptions::default(), 4),
             // prefetched stages / blocking stages in 32-row batches /
             // the smallest budget
             (SpGemmOptions::budgeted(1 << 30), 4),
@@ -547,7 +535,9 @@ mod tests {
                 .into_iter()
                 .map(|r| r.seq)
                 .collect();
-                let cfg = small_cfg(17).with_spgemm(opts).with_threads(threads);
+                let mut cfg = small_cfg(17);
+                cfg.overlap.spgemm = opts;
+                let cfg = cfg.with_threads(threads);
                 let (contigs, _) = assemble_gathered(&grid, &reads, &cfg);
                 contigs
                     .iter()

@@ -101,8 +101,12 @@ pub struct OverlapConfig {
     pub min_score_ratio: f64,
     /// Overhang tolerance when classifying (x-drop may stop early).
     pub fuzz: usize,
-    /// Options for the distributed `C = AAᵀ` multiply: the production
-    /// SUMMA, whose prefetch and row batch a memory budget picks.
+    /// Options of the pipeline's two SUMMA products: overlap detection
+    /// reads them for `C = AAᵀ`, and `elba-core`'s `assemble` hands the
+    /// same options to the transitive-reduction sweep, so the two stages
+    /// cannot drift. A memory budget is their one parameter (it picks
+    /// prefetch and the row batch, see [`SpGemmOptions::mem_budget`]);
+    /// `PipelineConfig::with_mem_budget` sets it.
     pub spgemm: SpGemmOptions,
     /// Intra-rank workers for the x-drop alignment batch (`0` means one,
     /// like `1`). Each worker owns one alignment scratch, pairs are
@@ -168,7 +172,9 @@ pub struct AlignStats {
     /// pair's best alignment so far, or on a strand `BestOnly` has
     /// already extended.
     pub seeds_skipped: u64,
-    /// Seeds that underwent x-drop extension, one per extension.
+    /// Seeds x-drop extended, one per extension: the CLI's `seeds
+    /// extended`. `align_pair` builds no chains; the field keeps its old
+    /// name because the benchmark reports it as `align.chains_extended`.
     pub chains_extended: u64,
 }
 
@@ -895,83 +901,84 @@ mod tests {
 
     #[test]
     fn pipelined_overlap_stage_reports_wait_separately() {
-        // Acceptance check for the pipelined SUMMA refactor: a profiled
-        // DetectOverlap phase must (a) produce the same candidate matrix
-        // as the eager schedule and (b) attribute non-blocking wait time
-        // in its own bucket, with its stage transfers visible — proving
-        // the overlap is instrumented, not just claimed.
-        let mut results: Vec<Vec<(u64, u64, SharedSeeds)>> = Vec::new();
-        for eager in [false, true] {
-            let (out, profile) = elba_comm::Runner::new(Backend::InProcess)
-                .ranks(4)
-                .run_profiled(move |comm| {
-                    let grid = ProcGrid::new(comm);
-                    let g = genome(600, 42);
-                    let reads = tiled_reads(&g, 200, 100);
-                    let n = reads.len();
-                    let store = ReadStore::from_replicated(&grid, &reads);
-                    let mut cfg = test_cfg();
-                    cfg.spgemm = if eager {
-                        elba_sparse::SpGemmOptions::eager()
-                    } else {
-                        elba_sparse::SpGemmOptions::pipelined()
-                    };
-                    let kcfg = KmerConfig {
-                        k: cfg.k,
-                        reliable_min: 2,
-                        reliable_max: 16,
-                        ..KmerConfig::default()
-                    };
-                    let table = count_kmers(&grid, &store, &kcfg);
-                    let a_triples = build_a_triples(&grid, &store, &table, &kcfg);
-                    let a = DistMat::from_triples(
-                        &grid,
-                        n,
-                        table.n_global as usize,
-                        a_triples,
-                        |acc, v: AEntry| {
-                            if v.pos < acc.pos {
-                                *acc = v;
-                            }
-                        },
-                    );
-                    let c = {
-                        let _g = grid.world().phase("DetectOverlap");
-                        candidate_matrix(&grid, &a, &cfg)
-                    };
-                    let mut triples = c.gather_triples(&grid);
+        // Acceptance check for the pipelined SUMMA: a profiled
+        // DetectOverlap phase must (a) produce the candidate matrix the
+        // general product gives, pruned to `r < c`, and (b) attribute
+        // non-blocking wait time in its own bucket, with its stage
+        // transfers visible — proving the overlap is instrumented, not
+        // just claimed. The general product's blocking broadcasts never
+        // park in a request wait.
+        let (out, profile) = elba_comm::Runner::new(Backend::InProcess)
+            .ranks(4)
+            .run_profiled(move |comm| {
+                let grid = ProcGrid::new(comm);
+                let g = genome(600, 42);
+                let reads = tiled_reads(&g, 200, 100);
+                let n = reads.len();
+                let store = ReadStore::from_replicated(&grid, &reads);
+                let cfg = test_cfg();
+                let kcfg = KmerConfig {
+                    k: cfg.k,
+                    reliable_min: 2,
+                    reliable_max: 16,
+                    ..KmerConfig::default()
+                };
+                let table = count_kmers(&grid, &store, &kcfg);
+                let a_triples = build_a_triples(&grid, &store, &table, &kcfg);
+                let a = DistMat::from_triples(
+                    &grid,
+                    n,
+                    table.n_global as usize,
+                    a_triples,
+                    |acc, v: AEntry| {
+                        if v.pos < acc.pos {
+                            *acc = v;
+                        }
+                    },
+                );
+                let c = {
+                    let _g = grid.world().phase("DetectOverlap");
+                    candidate_matrix(&grid, &a, &cfg)
+                };
+                let general = {
+                    let at = a.transpose(&grid);
+                    let _g = grid.world().phase("GeneralProduct");
+                    a.spgemm_with(&grid, &at, &OverlapSemiring, 1)
+                        .prune(&grid, |r, c, _| r < c)
+                };
+                let gathered = |m: &DistMat<SharedSeeds>| {
+                    let mut triples = m.gather_triples(&grid);
                     triples.sort_unstable_by_key(|&(r, s, _)| (r, s));
                     triples
-                });
-            if eager {
-                assert_eq!(
-                    profile.max_wait_secs("DetectOverlap"),
-                    0.0,
-                    "eager schedule never parks in a request wait"
-                );
-            } else {
-                assert!(
-                    profile.max_wait_secs("DetectOverlap") > 0.0,
-                    "pipelined schedule must book its request waits in the wait bucket"
-                );
-                let phases = || {
-                    profile
-                        .rank_profiles()
-                        .iter()
-                        .filter_map(|r| r.phase("DetectOverlap"))
                 };
-                // Each block goes only to the ranks that multiply with
-                // it: q³ − q(q+1)/2 = 5 direct sends on the 2×2 grid,
-                // and no broadcast.
-                let sends: u64 = phases().map(|p| p.p2p_msgs).sum();
-                assert_eq!(sends, 5, "one send per (block, destination) pair");
-                assert!(phases().all(|p| p.coll_calls() == 0), "no collective");
-            }
-            results.push(out.into_iter().next().expect("rank 0"));
-        }
+                (gathered(&c), gathered(&general))
+            });
         assert_eq!(
-            results[0], results[1],
-            "pipelined and eager candidates must agree"
+            profile.max_wait_secs("GeneralProduct"),
+            0.0,
+            "the general product's blocking broadcasts never park in a request wait"
+        );
+        assert!(
+            profile.max_wait_secs("DetectOverlap") > 0.0,
+            "pipelined schedule must book its request waits in the wait bucket"
+        );
+        let phases = || {
+            profile
+                .rank_profiles()
+                .iter()
+                .filter_map(|r| r.phase("DetectOverlap"))
+        };
+        // Each block goes only to the ranks that multiply with it:
+        // q³ − q(q+1)/2 = 5 direct sends on the 2×2 grid, and no
+        // broadcast.
+        let sends: u64 = phases().map(|p| p.p2p_msgs).sum();
+        assert_eq!(sends, 5, "one send per (block, destination) pair");
+        assert!(phases().all(|p| p.coll_calls() == 0), "no collective");
+        let (candidates, general) = &out[0];
+        assert!(!candidates.is_empty(), "a candidate matrix worth comparing");
+        assert_eq!(
+            candidates, general,
+            "the candidates must be the general product's upper triangle"
         );
     }
 

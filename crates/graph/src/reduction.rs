@@ -224,14 +224,13 @@ mod tests {
     }
 
     /// The sweep's slot against the general product it stands in for:
-    /// at every edge, the `u32` that `keep` sees must be the eager
+    /// at every edge, the `u32` that `keep` sees must be the general
     /// `R ⊗ R`'s entry in the edge's own direction, `u32::MAX` where
-    /// the product has no entry — under every schedule row (eager;
-    /// pipelined without a budget; budgets that do and do not let the
-    /// SUMMA prefetch) × threads {1, 2, 4} × 1×1 / 2×2 / 3×3. The graphs
-    /// are required to hold edges whose shortest path in some other
-    /// direction is shorter, so a fold that took the minimum over all
-    /// four directions would fail here.
+    /// the product has no entry — with no budget and with budgets that
+    /// do and do not let the SUMMA prefetch, × threads {1, 2, 4} × 1×1 /
+    /// 2×2 / 3×3. The graphs are required to hold edges whose shortest
+    /// path in some other direction is shorter, so a fold that took the
+    /// minimum over all four directions would fail here.
     #[test]
     fn the_sweeps_slot_is_the_general_products_own_direction() {
         let mut other_direction_shorter = 0;
@@ -280,8 +279,7 @@ mod tests {
                         .allreduce(hops.heap_bytes() as u64, |x, y| x.max(y));
                     let switch = 4 * 2 * largest;
                     let schedules = [
-                        ("eager", SpGemmOptions::eager()),
-                        ("pipelined", SpGemmOptions::pipelined()),
+                        ("unbudgeted", SpGemmOptions::default()),
                         ("prefetching budget", SpGemmOptions::budgeted(switch)),
                         ("blocking budget", SpGemmOptions::budgeted(switch - 1)),
                     ];

@@ -95,8 +95,11 @@ fn prefetch_fits(grid: &ProcGrid, a_bytes: usize, b_bytes: usize, budget: u64) -
 /// `threads` intra-rank workers), merge each produced row, and re-size
 /// `charge` to `acc_entries × entry_bytes` (plus the per-worker SPA
 /// scratch) after every row batch so the tracker sees the true working
-/// set. Returns the updated accumulated-entry count. The inner loop of
-/// the symmetric product's SUMMA.
+/// set. `upper` carries the global `(row, column)` offsets of this
+/// rank's `C` block: only its strict upper triangle is accumulated (see
+/// [`DistMat::spgemm_aat_upper_with`]). Returns the updated
+/// accumulated-entry count. The inner loop of the symmetric product's
+/// SUMMA.
 #[allow(clippy::too_many_arguments)]
 fn merge_stage_rows<S>(
     a_block: &Csr<S::A>,
@@ -116,7 +119,9 @@ where
     S::B: Sync,
 {
     let nrows = acc_rows.len();
-    let mut batcher = stage_batcher(a_block, b_block, semiring, threads, Some(upper));
+    let mut batcher = SpGemmBatcher::new(a_block, b_block, semiring)
+        .with_threads(threads)
+        .strict_upper(upper.0, upper.1);
     let mut start = 0;
     while start < nrows {
         let end = (start + row_batch).min(nrows);
@@ -168,89 +173,26 @@ fn pack_rows_into_csr<V>(
     Csr::from_parts(nrows, ncols, indptr, indices, values)
 }
 
-/// The local kernel for one SUMMA stage's block pair. `upper` carries
-/// the global `(row, column)` offsets of this rank's `C` block when only
-/// the strict upper triangle of `C` is wanted (see
-/// [`DistMat::spgemm_aat_upper_with`]); both schedules build their
-/// batcher here, so they honour the restriction the same way.
-fn stage_batcher<'m, S: Semiring>(
-    a_block: &'m Csr<S::A>,
-    b_block: &'m Csr<S::B>,
-    semiring: &'m S,
-    threads: usize,
-    upper: Option<(usize, usize)>,
-) -> SpGemmBatcher<'m, S> {
-    let batcher = SpGemmBatcher::new(a_block, b_block, semiring).with_threads(threads);
-    match upper {
-        Some((row0, col0)) => batcher.strict_upper(row0, col0),
-        None => batcher,
-    }
-}
-
-/// One SUMMA stage multiplied whole — the eager oracle's step. Records
-/// the per-worker SPA scratch (0 with one worker) as a transient spike
-/// on top of whatever is charged.
-fn multiply_stage<S>(
-    grid: &ProcGrid,
-    a_block: &Csr<S::A>,
-    b_block: &Csr<S::B>,
-    semiring: &S,
-    threads: usize,
-    upper: Option<(usize, usize)>,
-) -> Csr<S::Out>
-where
-    S: Semiring + Sync,
-    S::A: Sync,
-    S::B: Sync,
-{
-    let mut batcher = stage_batcher(a_block, b_block, semiring, threads, upper);
-    let stage = batcher.multiply_rows_par(0..a_block.nrows(), 0..b_block.ncols() as u32);
-    grid.world().record_mem_transient(batcher.scratch_bytes());
-    stage
-}
-
-/// Which SUMMA schedule the two pipeline products run: the symmetric
-/// product of overlap detection ([`DistMat::spgemm_aat_upper_with`]) and
-/// the masked product of transitive reduction
-/// ([`DistMat::prune_by_product`]). The general product
-/// ([`DistMat::spgemm_with`]) has one schedule, the eager oracle, and
-/// takes none. A caller never picks a schedule: production runs the one
-/// pipelined SUMMA, and a memory budget is its parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpGemmAlgorithm {
-    /// The reference oracle the property suites compare against:
-    /// blocking stage transfers, every stage's output kept as raw
-    /// triples, one global sort-merge at the end. Highest peak memory, no
-    /// communication/computation overlap; not reachable from the CLI.
-    Eager,
-    /// The production schedule: one round of `q` stages over the whole
-    /// output. The symmetric product merges each stage's rows into
-    /// per-row accumulators, the masked product folds each stage into
-    /// its fixed-size slots. Without a budget, stage `s+1`'s transfers
-    /// are posted before stage `s` is multiplied, so they overlap the
-    /// local multiply.
-    ///
-    /// With `mem_budget: Some(b)` the budget decides two things. Stages
-    /// are prefetched only if four of the largest fit `b` (one
-    /// `allreduce` agrees the verdict). The symmetric product multiplies
-    /// `clamp(b / 16 KiB, 32, 8192)` rows at a time instead of the whole
-    /// block, which bounds the untracked per-batch product. Every entry
-    /// of the symmetric product is kept, so `b` bounds neither `C` nor
-    /// the traffic: a budgeted run sends exactly the unbudgeted fetch.
-    Pipelined {
-        /// Per-rank transient byte cap (stage blocks + row-batch
-        /// product); `None` is unbounded.
-        mem_budget: Option<u64>,
-    },
-}
-
 /// Options of the two pipeline products — overlap detection's symmetric
 /// product and transitive reduction's masked product — wherever they are
-/// called (the pipeline, its tests, the benches). The general oracle
-/// [`DistMat::spgemm_with`] takes a thread count alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// called (the pipeline, its tests, the benches). Each runs one SUMMA
+/// round over the whole output, and a memory budget is its only
+/// parameter; the general product [`DistMat::spgemm_with`], the oracle
+/// the test suites hold both to, takes a thread count alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpGemmOptions {
-    pub algorithm: SpGemmAlgorithm,
+    /// Per-rank transient byte cap (stage blocks + row-batch product);
+    /// `None` (the default) is unbounded. Without a budget stage `s+1`'s
+    /// transfers are posted before stage `s` is multiplied, so they
+    /// overlap the local multiply. A budget `b` decides two things:
+    /// stages are prefetched only if four of the largest fit `b` (one
+    /// `allreduce` agrees the verdict), and the symmetric product
+    /// multiplies `clamp(b / 16 KiB, 32, 8192)` rows at a time instead of
+    /// the whole block, which bounds the untracked per-batch product.
+    /// Every entry of the symmetric product is kept, so `b` bounds
+    /// neither `C` nor the traffic: a budgeted run sends exactly the
+    /// unbudgeted fetch.
+    pub mem_budget: Option<u64>,
     /// Intra-rank workers for the local multiply inside every SUMMA
     /// stage (`0` means one, like `1`); the count sizes the worker set
     /// and never picks a kernel. Output is byte-identical across thread
@@ -260,38 +202,14 @@ pub struct SpGemmOptions {
     pub threads: usize,
 }
 
-impl Default for SpGemmOptions {
-    fn default() -> Self {
-        Self::pipelined()
-    }
-}
-
 impl SpGemmOptions {
-    /// The reference oracle ([`SpGemmAlgorithm::Eager`]).
-    pub fn eager() -> Self {
-        SpGemmOptions {
-            algorithm: SpGemmAlgorithm::Eager,
-            threads: 0,
-        }
-    }
-
-    /// The production schedule without a budget.
-    pub fn pipelined() -> Self {
-        SpGemmOptions {
-            algorithm: SpGemmAlgorithm::Pipelined { mem_budget: None },
-            threads: 0,
-        }
-    }
-
-    /// The production schedule under a transient byte budget of
-    /// `mem_budget` per rank: it decides prefetch and the symmetric
-    /// product's row batch ([`SpGemmAlgorithm::Pipelined`]).
+    /// Both products under a transient byte budget of `mem_budget` per
+    /// rank: it decides prefetch and the symmetric product's row batch
+    /// ([`SpGemmOptions::mem_budget`]).
     pub fn budgeted(mem_budget: u64) -> Self {
         assert!(mem_budget > 0, "a SpGEMM memory budget must be positive");
         SpGemmOptions {
-            algorithm: SpGemmAlgorithm::Pipelined {
-                mem_budget: Some(mem_budget),
-            },
+            mem_budget: Some(mem_budget),
             threads: 0,
         }
     }
@@ -579,7 +497,8 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// (blocking, see `stage_blocks`); each rank multiplies the
     /// pair locally on `threads` workers and keeps every stage's output
     /// as triples until one final sort-merge — the eager schedule, and
-    /// the only one the general product has.
+    /// the only one the general product has. Peak memory holds every
+    /// stage's intermediate triples at once.
     ///
     /// The general product has no caller in the pipeline — overlap
     /// detection runs [`DistMat::spgemm_aat_upper_with`], transitive
@@ -601,14 +520,42 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             self.col_layout, other.row_layout,
             "inner dimension layouts must agree for SUMMA"
         );
-        let stages = self.stage_blocks(grid, other, false).map(Some);
-        self.summa_eager(grid, stages, None, other.col_layout, semiring, threads)
+        let world = grid.world();
+        let mut charge = world.mem_charge(0);
+        let mut acc: Vec<(u32, u32, S::Out)> = Vec::new();
+        let triple_bytes = std::mem::size_of::<(u32, u32, S::Out)>();
+        for (a_block, b_block) in self.stage_blocks(grid, other, false) {
+            // Stage blocks charge through the shared (ptr-keyed) path:
+            // one charge per rank per block, so the owner's own resident
+            // matrix is never counted twice.
+            let _a_res = world.mem_charge_shared(&a_block, a_block.heap_bytes());
+            let _b_res = world.mem_charge_shared(&b_block, b_block.heap_bytes());
+            let mut batcher =
+                SpGemmBatcher::new(&a_block, &b_block, semiring).with_threads(threads);
+            let stage = batcher.multiply_rows_par(0..a_block.nrows(), 0..b_block.ncols() as u32);
+            // The per-worker SPA scratch (0 with one worker) is a
+            // transient spike on top of whatever is charged.
+            world.record_mem_transient(batcher.scratch_bytes());
+            acc.extend(stage.into_triples());
+            charge.set(acc.len() * triple_bytes);
+        }
+        world.record_par_time(elba_par::take_par_secs());
+        let row_range = self.row_layout.block_range(grid.myrow());
+        let col_range = other.col_layout.block_range(grid.mycol());
+        let local = Csr::from_triples(row_range.len(), col_range.len(), acc, |a, v| {
+            semiring.add(a, v)
+        });
+        DistMat {
+            row_layout: self.row_layout,
+            col_layout: other.col_layout,
+            local: Arc::new(local),
+        }
     }
 
     /// The symmetric rank-k update of overlap detection: the strict
     /// upper triangle of `C = self ⊗ selfᵀ` — equal, value for value, to
     /// `spgemm_with(&self.transpose(grid), ..).prune(..)` under `r < c`,
-    /// under either schedule. Knowing that `C` is symmetric and that one
+    /// with or without a budget. Knowing that `C` is symmetric and that one
     /// triangle is all the caller keeps, the local kernels accumulate
     /// only `column > row`: a diagonal rank does half its products and a
     /// rank below the diagonal none. That restriction is the whole
@@ -627,11 +574,9 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// transfers, half of what the transpose swap plus the row and
     /// column broadcasts moved.
     ///
-    /// [`SpGemmAlgorithm::Pipelined`] runs one pipelined, row-blocked
-    /// SUMMA round over the whole output (`UpperAat::summa`); a budget
-    /// picks its prefetch and row batch, never its traffic.
-    /// [`SpGemmAlgorithm::Eager`] runs the oracle schedule over the same
-    /// fetch.
+    /// One pipelined, row-blocked SUMMA round over the whole output
+    /// (`UpperAat::summa`); `opts.mem_budget` picks its prefetch and row
+    /// batch, never its traffic.
     pub fn spgemm_aat_upper_with<S>(
         &self,
         grid: &ProcGrid,
@@ -642,23 +587,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         S: Semiring<A = T, B = T> + Sync,
         S::Out: Clone + CommMsg + Sync,
     {
-        let fetch = UpperAat { grid, a: self };
-        match opts.algorithm {
-            SpGemmAlgorithm::Eager => {
-                let stages = fetch.stages(false);
-                self.summa_eager(
-                    grid,
-                    stages,
-                    Some(fetch.upper()),
-                    fetch.out_cols(),
-                    semiring,
-                    opts.threads,
-                )
-            }
-            SpGemmAlgorithm::Pipelined { mem_budget } => {
-                fetch.summa(semiring, mem_budget, opts.threads)
-            }
-        }
+        UpperAat { grid, a: self }.summa(semiring, opts.mem_budget, opts.threads)
     }
 
     /// The masked product fused with a prune of the mask: `self` pruned
@@ -674,7 +603,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     ///
     /// `keep` runs exactly once per entry of this rank's mask block, in
     /// the block's storage (row-major) order, after the last stage —
-    /// whatever the schedule or thread count — so a caller may keep
+    /// whatever the budget or thread count — so a caller may keep
     /// per-entry state in an array aligned with the block's entries and
     /// walk it from inside `keep` (transitive reduction compacts its
     /// `(pre, post)` side array that way).
@@ -683,11 +612,10 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// broadcasts, call for call — folding every stage into
     /// one [`MaskedAccumulator`]: `nnz(mask block)` slots plus a column
     /// array, sized and charged before the first broadcast and never
-    /// growing. All `opts.algorithm` decides is whether stage `s+1` is
-    /// prefetched while stage `s` multiplies ([`SpGemmAlgorithm::Eager`]
-    /// no; [`SpGemmAlgorithm::Pipelined`] yes without a budget, and
-    /// under one iff four of the largest stage fit it — the rule the
-    /// symmetric product shares, agreed grid-wide by one `allreduce`).
+    /// growing. All `opts.mem_budget` decides is whether stage `s+1` is
+    /// prefetched while stage `s` multiplies: always without a budget,
+    /// and under one iff four of the largest stage fit it — the rule the
+    /// symmetric product shares, agreed grid-wide by one `allreduce`.
     pub fn prune_by_product<F>(
         &self,
         grid: &ProcGrid,
@@ -712,13 +640,9 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             "the mask must be laid out like the product"
         );
         let world = grid.world();
-        let lookahead = match opts.algorithm {
-            SpGemmAlgorithm::Eager => false,
-            SpGemmAlgorithm::Pipelined { mem_budget: None } => true,
-            SpGemmAlgorithm::Pipelined {
-                mem_budget: Some(budget),
-            } => prefetch_fits(grid, a.heap_bytes(), b.heap_bytes(), budget),
-        };
+        let lookahead = opts
+            .mem_budget
+            .is_none_or(|budget| prefetch_fits(grid, a.heap_bytes(), b.heap_bytes(), budget));
         let _mask_res = world.mem_charge_shared(&self.local, self.local.heap_bytes());
         let mut acc = MaskedAccumulator::new(&*self.local, fold).with_threads(opts.threads);
         let _acc_res = world.mem_charge(acc.heap_bytes());
@@ -743,7 +667,8 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     }
 
     /// The general product's stage fetch, shared by [`DistMat::spgemm_with`]
-    /// (always blocking) and [`DistMat::prune_by_product`]: stage `s`
+    /// (always blocking) and [`DistMat::prune_by_product`] (prefetching
+    /// unless its budget rules that out): stage `s`
     /// yields block column `s` of `self`, broadcast along the grid row,
     /// and block row `s` of `other`, broadcast along the grid column —
     /// `Arc` clones of the owners' blocks, delivered to every rank of the
@@ -790,57 +715,6 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
                 )
             }
         })
-    }
-
-    /// Naive SUMMA, the oracle schedule: global triple accumulation over
-    /// the blocking stage operands `stages` yields (`None` at a stage
-    /// this rank multiplies nothing in), one final sort-merge into the
-    /// block of a product whose columns are laid out as `out_cols`.
-    /// `upper` restricts the kernel to the strict upper triangle (see
-    /// [`stage_batcher`]). Peak memory holds every stage's intermediate
-    /// triples at once.
-    fn summa_eager<S, U>(
-        &self,
-        grid: &ProcGrid,
-        stages: impl Iterator<Item = Option<StagePair<T, U>>>,
-        upper: Option<(usize, usize)>,
-        out_cols: Layout2D,
-        semiring: &S,
-        threads: usize,
-    ) -> DistMat<S::Out>
-    where
-        S: Semiring<A = T, B = U> + Sync,
-        U: Clone + CommMsg + Sync,
-        S::Out: Clone + CommMsg + Sync,
-    {
-        let mut charge = grid.world().mem_charge(0);
-        let mut acc: Vec<(u32, u32, S::Out)> = Vec::new();
-        let triple_bytes = std::mem::size_of::<(u32, u32, S::Out)>();
-        for (a_block, b_block) in stages.flatten() {
-            // Stage blocks charge through the shared (ptr-keyed) path:
-            // one charge per rank per block, so the owner's own resident
-            // matrix is never counted twice.
-            let _a_res = grid
-                .world()
-                .mem_charge_shared(&a_block, a_block.heap_bytes());
-            let _b_res = grid
-                .world()
-                .mem_charge_shared(&b_block, b_block.heap_bytes());
-            let stage = multiply_stage(grid, &a_block, &b_block, semiring, threads, upper);
-            acc.extend(stage.into_triples());
-            charge.set(acc.len() * triple_bytes);
-        }
-        grid.world().record_par_time(elba_par::take_par_secs());
-        let row_range = self.row_layout.block_range(grid.myrow());
-        let col_range = out_cols.block_range(grid.mycol());
-        let local = Csr::from_triples(row_range.len(), col_range.len(), acc, |a, v| {
-            semiring.add(a, v)
-        });
-        DistMat {
-            row_layout: self.row_layout,
-            col_layout: out_cols,
-            local: Arc::new(local),
-        }
     }
 
     /// Row-wise reduction into a [`DistVec`] aligned with the row layout:
@@ -965,21 +839,6 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
         None
     }
 
-    /// Global column layout of the product: `A`'s row layout.
-    fn out_cols(&self) -> Layout2D {
-        self.a.row_layout
-    }
-
-    /// Global `(row, column)` offsets of this rank's output block, whose
-    /// strict upper triangle alone is computed (see [`stage_batcher`]).
-    fn upper(&self) -> (usize, usize) {
-        let layout = self.a.row_layout;
-        (
-            layout.block_range(self.grid.myrow()).start,
-            layout.block_range(self.grid.mycol()).start,
-        )
-    }
-
     /// Each stage's `(A(i, s), A(j, s)ᵀ)` operand pair in stage order,
     /// `None` below the diagonal, where this rank multiplies nothing.
     /// With `lookahead`, stage `s+1`'s sends are posted before stage `s`
@@ -1052,8 +911,14 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
     {
         let grid = self.grid;
         let world = grid.world();
-        let nrows = self.a.row_layout.block_range(grid.myrow()).len();
-        let ncols = self.out_cols().block_range(grid.mycol()).len();
+        // `C`'s rows and columns are both laid out as `A`'s rows; `upper`
+        // is this rank's block's global `(row, column)` offsets.
+        let layout = self.a.row_layout;
+        let (rows, cols) = (
+            layout.block_range(grid.myrow()),
+            layout.block_range(grid.mycol()),
+        );
+        let (nrows, ncols, upper) = (rows.len(), cols.len(), (rows.start, cols.start));
         let entry_bytes = std::mem::size_of::<u32>() + std::mem::size_of::<S::Out>();
         let (row_batch, prefetch) = match budget {
             None => (nrows.max(1), true),
@@ -1092,7 +957,7 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
                 semiring,
                 row_batch,
                 threads,
-                self.upper(),
+                upper,
                 &mut acc_rows,
                 acc_entries,
                 entry_bytes,
@@ -1103,8 +968,8 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
 
         let local = pack_rows_into_csr(acc_rows, ncols, acc_entries, entry_bytes, &mut charge);
         DistMat {
-            row_layout: self.a.row_layout,
-            col_layout: self.out_cols(),
+            row_layout: layout,
+            col_layout: layout,
             local: Arc::new(local),
         }
     }
@@ -1214,13 +1079,12 @@ mod tests {
     }
 
     #[test]
-    fn all_schedules_match_dense_reference() {
-        // The symmetric product under every schedule against the dense
-        // strict upper triangle of A·Aᵀ.
+    fn all_budgets_match_dense_reference() {
+        // The symmetric product with and without a budget against the
+        // dense strict upper triangle of A·Aᵀ.
         for p in [1usize, 4, 9] {
             for opts in [
-                SpGemmOptions::eager(),
-                SpGemmOptions::pipelined(),
+                SpGemmOptions::default(),
                 // Budgeted regimes: blocking transfers and prefetched
                 // ones, both in 32-row batches.
                 SpGemmOptions::budgeted(1),
@@ -1260,8 +1124,9 @@ mod tests {
         // under any budget, and packing its rows into one CSR holds it
         // twice (`pack_rows_into_csr`). The budget is that floor plus one
         // stage of blocks and slack, computed from the real sizes: the
-        // budgeted schedule must stay under it on every rank, and never
-        // above the unbudgeted one.
+        // budgeted run must stay under it on every rank, and never above
+        // the unbudgeted one. Both must equal the general product pruned
+        // to the strict upper triangle.
         let run = |opts: SpGemmOptions| {
             Runner::new(Backend::InProcess)
                 .ranks(4)
@@ -1280,15 +1145,27 @@ mod tests {
                         let _g = grid.world().phase("spgemm");
                         a.spgemm_aat_upper_with(&grid, &PlusTimes, &opts)
                     };
-                    let stage_bytes = a.heap_bytes() + a.transpose(&grid).heap_bytes();
-                    let mut got = c.gather_triples(&grid);
-                    got.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
-                    (got, c.heap_bytes(), stage_bytes)
+                    let at = a.transpose(&grid);
+                    let stage_bytes = a.heap_bytes() + at.heap_bytes();
+                    let general = a
+                        .spgemm_with(&grid, &at, &PlusTimes, 1)
+                        .prune(&grid, |r, c, _| r < c);
+                    let gathered = |m: &DistMat<f64>| {
+                        let mut got = m.gather_triples(&grid);
+                        got.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
+                        got
+                    };
+                    (
+                        gathered(&c),
+                        gathered(&general),
+                        c.heap_bytes(),
+                        stage_bytes,
+                    )
                 })
         };
-        let (outputs, plain) = run(SpGemmOptions::pipelined());
-        let max_c = outputs.iter().map(|(_, cb, _)| *cb).max().expect("ranks");
-        let max_stage = outputs.iter().map(|(_, _, sb)| *sb).max().expect("ranks");
+        let (outputs, plain) = run(SpGemmOptions::default());
+        let max_c = outputs.iter().map(|o| o.2).max().expect("ranks");
+        let max_stage = outputs.iter().map(|o| o.3).max().expect("ranks");
         let budget = (2 * max_c + max_stage + 8192) as u64;
         // Each rank's block has 100 rows, above the 32-row floor of the
         // budget-derived row batch: the one case here that runs more
@@ -1304,14 +1181,13 @@ mod tests {
             hw_budgeted <= hw_plain,
             "budgeted hw {hw_budgeted} above the unbudgeted {hw_plain}"
         );
-        let (eager_outputs, _) = run(SpGemmOptions::eager());
         assert_eq!(
             outputs[0].0, budgeted_outputs[0].0,
             "a budget must not change the product"
         );
         assert_eq!(
-            outputs[0].0, eager_outputs[0].0,
-            "the production schedule must equal the eager oracle"
+            outputs[0].0, outputs[0].1,
+            "the symmetric product must equal the general product's upper triangle"
         );
     }
 

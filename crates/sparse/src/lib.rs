@@ -37,7 +37,7 @@ pub mod semiring;
 pub mod spgemm;
 
 pub use csr::Csr;
-pub use dist_mat::{DistMat, SpGemmAlgorithm, SpGemmOptions};
+pub use dist_mat::{DistMat, SpGemmOptions};
 pub use dist_vec::DistVec;
 pub use layout::Layout2D;
 pub use routed::RoutedTriples;

@@ -1,13 +1,13 @@
 //! Shared by the distributed-SpGEMM property suites: the order-sensitive
 //! [`Trace`] semiring with its [`tagged`] inputs, and the schedule matrix
 //! every suite runs the symmetric product (`spgemm_aat_upper_with`) and
-//! the masked product (`prune_by_product`) under: the eager reference
-//! oracle, the unbudgeted production schedule, and the budgeted rows —
-//! both sides of the `4·max_stage ≤ budget` switch between prefetched
-//! stages and blocking ones, and `budget = 1`, the smallest. A budget
-//! decides only that switch and the symmetric product's row batch. The
-//! general product `spgemm_with` has one schedule, the eager oracle, and
-//! is what the suites hold the other two to.
+//! the masked product (`prune_by_product`) under: no budget, and the
+//! budgeted rows — both sides of the `4·max_stage ≤ budget` switch
+//! between prefetched stages and blocking ones, and `budget = 1`, the
+//! smallest. A budget decides only that switch and the symmetric
+//! product's row batch. The oracle every suite holds both products to is
+//! the general product `spgemm_with`, the eager SUMMA, which takes no
+//! options.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -15,8 +15,8 @@ use elba_comm::{CommMsg, ProcGrid};
 use elba_sparse::semiring::Semiring;
 use elba_sparse::{DistMat, SpGemmOptions};
 
-/// Rows in [`schedule_rows`]; row 0 is the oracle.
-pub const N_ROWS: usize = 5;
+/// Rows in [`schedule_rows`]; row 0 is the unbudgeted run.
+pub const N_ROWS: usize = 4;
 
 /// The symmetric product's `max_stage` for `a ⊗ aᵀ`: the largest `A`
 /// block as stored plus the largest `A` block transposed — the bound its
@@ -54,10 +54,7 @@ where
 /// [`masked_stage_bytes`]).
 pub fn schedule_rows(max_stage: u64) -> Vec<(String, SpGemmOptions)> {
     let switch = 4 * max_stage;
-    let mut rows = vec![
-        ("eager".to_owned(), SpGemmOptions::eager()),
-        ("pipelined".to_owned(), SpGemmOptions::pipelined()),
-    ];
+    let mut rows = vec![("unbudgeted".to_owned(), SpGemmOptions::default())];
     rows.extend(
         [
             ("prefetched, at the switch", switch.max(1)),

@@ -226,9 +226,10 @@ fn empty_mask_empty_stage_blocks_and_a_hypersparse_block() {
 /// The budget, and nothing else, decides between prefetched `ibcast`
 /// stages and blocking `bcast` ones: at `budget = 4·(a_max + b_max)` the
 /// stage fetch is non-blocking, one byte below it is blocking, and
-/// either way it ships exactly the unbudgeted schedule's stage
-/// broadcasts, call for call and byte for byte. The one `allreduce` that
-/// agrees the verdict grid-wide (a `reduce` and a `bcast`) comes on top.
+/// either way it ships exactly the unbudgeted run's stage broadcasts,
+/// call for call and byte for byte — the general product's, which it
+/// ships blocking. The one `allreduce` that agrees the verdict grid-wide
+/// (a `reduce` and a `bcast`) comes on top.
 #[test]
 fn budget_switches_the_stage_fetch_at_four_stages() {
     for p in [4usize, 9] {
@@ -256,9 +257,12 @@ fn budget_switches_the_stage_fetch_at_four_stages() {
                 let mask =
                     DistMat::from_triples(&grid, n, n, mine(root, &ring), |_, _| unreachable!());
                 let switch = 4 * masked_stage_bytes(&grid, &a, &at);
+                {
+                    let _guard = grid.world().phase("general");
+                    a.spgemm_with(&grid, &at, &PlusTimes, 1);
+                }
                 for (phase, opts) in [
-                    ("eager", SpGemmOptions::eager()),
-                    ("pipelined", SpGemmOptions::pipelined()),
+                    ("unbudgeted", SpGemmOptions::default()),
                     ("at-switch", SpGemmOptions::budgeted(switch)),
                     ("below-switch", SpGemmOptions::budgeted(switch - 1)),
                 ] {
@@ -276,12 +280,12 @@ fn budget_switches_the_stage_fetch_at_four_stages() {
                     .find(|&&(name, _, _)| name == op)
                     .map_or((0, 0), |&(_, calls, bytes)| (calls, bytes))
             };
-            let (r, default) = (rank.rank(), calls("pipelined", "ibcast"));
+            let (r, default) = (rank.rank(), calls("unbudgeted", "ibcast"));
             assert!(default.0 > 0, "p={p} rank {r}: the default posts ibcasts");
-            assert_eq!(calls("pipelined", "bcast"), (0, 0), "p={p} rank {r}");
-            // The oracle ships the same stage blocks, blocking.
-            assert_eq!(calls("eager", "bcast"), default, "p={p} rank {r}");
-            assert_eq!(calls("eager", "ibcast"), (0, 0), "p={p} rank {r}");
+            assert_eq!(calls("unbudgeted", "bcast"), (0, 0), "p={p} rank {r}");
+            // The general product ships the same stage blocks, blocking.
+            assert_eq!(calls("general", "bcast"), default, "p={p} rank {r}");
+            assert_eq!(calls("general", "ibcast"), (0, 0), "p={p} rank {r}");
             // At the switch: the default's stage fetch, plus the verdict's
             // allreduce and nothing else.
             assert_eq!(calls("at-switch", "ibcast"), default, "p={p} rank {r}");

@@ -188,7 +188,7 @@ fn direct_fetch_ships_each_block_only_to_the_ranks_that_multiply_with_it() {
         let transfers = q * q * q - q * (q + 1) / 2;
 
         // One round, and no collective.
-        let ranks = profiled_fetch(p, SpGemmOptions::pipelined());
+        let ranks = profiled_fetch(p, SpGemmOptions::default());
         for (r, (model, (msgs, bytes, blocked))) in ranks.iter().enumerate() {
             assert_eq!(*msgs, model.sends, "p={p} rank {r}: sends");
             assert_eq!(*bytes, model.bytes, "p={p} rank {r}: sent bytes");

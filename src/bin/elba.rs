@@ -164,7 +164,7 @@ fn assemble_finish(
     writeln!(
         out,
         "alignment: pairs {} | skipped {} | aligned {} | dovetails {} | contained {} | \
-         internal {} | rejected {} | chains extended {} | seeds skipped {}",
+         internal {} | rejected {} | seeds extended {} | seeds skipped {}",
         aln.candidate_pairs,
         aln.skipped_pairs,
         aln.aligned_pairs,

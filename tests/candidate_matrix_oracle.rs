@@ -4,9 +4,9 @@
 //! keeps at the config's sample rate and whose occurrence count over the
 //! whole read set lies in `for_dataset`'s reliable band — must be exactly
 //! the pattern `candidate_matrix` gathers, at p ∈ {1, 4}, at rate 1 and
-//! at `for_dataset`'s derived rate, under the unbudgeted production
-//! schedule, the eager oracle schedule and the production schedule under
-//! a small budget (blocking stages, 32-row batches). Every retained seed must name one such shared k-mer:
+//! at `for_dataset`'s derived rate, with no budget and under a small
+//! budget (blocking stages, 32-row batches). Every retained seed must
+//! name one such shared k-mer:
 //! the same canonical k-mer at `pos_v` in read `i` and at `pos_h` in read
 //! `j`, each the k-mer's first occurrence in its read, with `same_strand`
 //! telling whether the two occurrences sit on the same strand. Reads of
@@ -77,7 +77,8 @@ fn gathered_c(
     spgemm: SpGemmOptions,
 ) -> Vec<(u64, u64, SharedSeeds)> {
     let reads = reads.to_vec();
-    let cfg = cfg.clone().with_spgemm(spgemm);
+    let mut cfg = cfg.clone();
+    cfg.overlap.spgemm = spgemm;
     Runner::new(Backend::InProcess)
         .ranks(p)
         .run(move |comm| {
@@ -211,8 +212,7 @@ fn candidate_matrix_is_the_reliable_shared_kmer_pairs_with_true_seeds() {
         };
         for p in [1usize, 4] {
             for (label, spgemm) in [
-                ("unbudgeted", SpGemmOptions::pipelined()),
-                ("eager", SpGemmOptions::eager()),
+                ("unbudgeted", SpGemmOptions::default()),
                 ("budgeted 64 KiB", SpGemmOptions::budgeted(64 << 10)),
             ] {
                 let c = gathered_c(reads, &cfg, p, spgemm);

@@ -242,22 +242,17 @@ fn budgeted_pipeline_respects_memory_budget_and_output() {
     // grid with `--mem-budget`-equivalent configuration must (a) report
     // a per-phase memory high-water for every pipeline phase, (b) keep
     // the SpGEMM phase's tracked high-water within the budget, and (c)
-    // assemble contigs byte-identical to the unbudgeted eager run —
-    // bounded memory is a schedule change, never a result change.
+    // assemble contigs byte-identical to the unbudgeted run — bounded
+    // memory is a schedule change, never a result change.
     let spec = DatasetSpec::celegans_like(0.15, 314);
     let (_genome, reads) = reads_of(&spec);
     let budget_bytes: u64 = 8 << 20; // feasible: inputs alone are ~5 MB/rank
-    let eager_cfg =
-        PipelineConfig::for_dataset(&spec).with_spgemm(elba::sparse::SpGemmOptions::eager());
-    let budget_cfg =
-        PipelineConfig::for_dataset(&spec).with_mem_budget(MemBudget::bytes(budget_bytes));
+    let plain_cfg = PipelineConfig::for_dataset(&spec);
+    let budget_cfg = plain_cfg
+        .clone()
+        .with_mem_budget(MemBudget::bytes(budget_bytes));
     assert!(
-        matches!(
-            budget_cfg.overlap.spgemm.algorithm,
-            elba::sparse::SpGemmAlgorithm::Pipelined {
-                mem_budget: Some(_)
-            }
-        ),
+        budget_cfg.overlap.spgemm.mem_budget.is_some(),
         "a budget must reach the SUMMA as its memory budget"
     );
 
@@ -273,7 +268,7 @@ fn budgeted_pipeline_respects_memory_budget_and_output() {
                 });
         (canonical(&outs.remove(0)), profile)
     };
-    let (eager_contigs, _) = run_profiled(eager_cfg);
+    let (plain_contigs, _) = run_profiled(plain_cfg);
     let (budget_contigs, profile) = run_profiled(budget_cfg);
 
     for phase in ["CountKmer", "DetectOverlap", "Alignment", "TrReduction"] {
@@ -288,8 +283,8 @@ fn budgeted_pipeline_respects_memory_budget_and_output() {
         "DetectOverlap high-water {spgemm_hw} exceeds the {budget_bytes}-byte budget"
     );
     assert_eq!(
-        eager_contigs, budget_contigs,
-        "budgeted contigs must be byte-identical to the unbudgeted eager run"
+        plain_contigs, budget_contigs,
+        "budgeted contigs must be byte-identical to the unbudgeted run"
     );
 }
 
@@ -304,11 +299,11 @@ fn budgeted_pipeline_respects_memory_budget_and_output() {
 /// not raise DetectOverlap's.
 #[test]
 fn memory_budget_alone_selects_the_spgemm_schedule() {
-    use elba::sparse::{SpGemmAlgorithm, SpGemmOptions};
+    use elba::sparse::SpGemmOptions;
     let spec = DatasetSpec::celegans_like(0.08, 2718);
     let (_genome, reads) = reads_of(&spec);
     let plain = PipelineConfig::for_dataset(&spec);
-    assert_eq!(plain.overlap.spgemm, SpGemmOptions::pipelined());
+    assert_eq!(plain.overlap.spgemm, SpGemmOptions::default());
     let unlimited = plain.clone().with_mem_budget(MemBudget::unlimited());
     assert_eq!(unlimited.overlap.spgemm, plain.overlap.spgemm);
 
@@ -379,12 +374,11 @@ fn memory_budget_alone_selects_the_spgemm_schedule() {
     for total in [8 << 20, 256 << 10] {
         let budget = MemBudget::bytes(total);
         let limited = plain.clone().with_mem_budget(budget);
-        match limited.overlap.spgemm.algorithm {
-            SpGemmAlgorithm::Pipelined { mem_budget } => {
-                assert_eq!(mem_budget, budget.spgemm_bytes())
-            }
-            other => panic!("a limited budget must reach the SUMMA, got {other:?}"),
-        }
+        assert_eq!(
+            limited.overlap.spgemm.mem_budget,
+            budget.spgemm_bytes(),
+            "a limited budget must reach the SUMMA"
+        );
         // The plain run at the k-mer window the budget derives (its unit
         // is the pipeline's per-occurrence bound, a `(u64, AEntry)` plus
         // a `u64` column query), so that only the SUMMA differs.
