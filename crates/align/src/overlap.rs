@@ -178,8 +178,10 @@ pub fn classify(aln: &OverlapAln, fuzz: usize) -> OverlapClass {
 }
 
 /// Compute the directed edge pair `(u→v, v→u)` for a dovetail overlap,
-/// deciding the left read by the larger unaligned left overhang (which
-/// [`classify`] guarantees is at least one base). Exposed separately so
+/// deciding the left read by the larger unaligned left overhang. Panics
+/// unless the left read overhangs the overlap on the left and the other
+/// read on the right, by at least one base each: `pre` is a base outside
+/// the overlap. [`classify`] guarantees both. Exposed separately so
 /// the `pre`/`post` bookkeeping can be exercised on alignments (like the
 /// paper's Fig. 3 x-drop example) regardless of classification thresholds.
 ///
@@ -193,6 +195,14 @@ pub fn dovetail_edges(aln: &OverlapAln) -> (SgEdge, SgEdge) {
     let (u, w) = aln.sides();
     let u_left = u.left > w.left;
     let (l, r) = if u_left { (&u, &w) } else { (&w, &u) };
+    assert!(
+        l.left >= 1,
+        "dovetail_edges: neither read overhangs the overlap on the left"
+    );
+    assert!(
+        r.right >= 1,
+        "dovetail_edges: the right read does not overhang the overlap on the right"
+    );
     let left_to_right = SgEdge {
         pre: (l.beg - 1) as u32,
         post: r.beg as u32,
@@ -232,6 +242,38 @@ mod tests {
     fn genome(len: usize, seed: u64) -> Seq {
         let mut rng = StdRng::seed_from_u64(seed);
         Seq::from_codes((0..len).map(|_| rng.gen_range(0..4u8)).collect())
+    }
+
+    #[test]
+    #[should_panic(expected = "neither read overhangs the overlap on the left")]
+    fn dovetail_edges_refuse_an_overlap_without_a_left_overhang() {
+        dovetail_edges(&OverlapAln {
+            rc: false,
+            u_beg: 0,
+            u_end: 69,
+            w_beg: 0,
+            w_end: 69,
+            u_len: 100,
+            v_len: 100,
+            score: 70,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "the right read does not overhang the overlap on the right")]
+    fn dovetail_edges_refuse_a_reverse_overlap_without_a_right_overhang() {
+        // `v` ends where the overlap does: under `rc`, `to_v(end + 1)`
+        // would wrap.
+        dovetail_edges(&OverlapAln {
+            rc: true,
+            u_beg: 30,
+            u_end: 99,
+            w_beg: 0,
+            w_end: 69,
+            u_len: 100,
+            v_len: 70,
+            score: 70,
+        });
     }
 
     /// Reconstruct the two-read contig implied by edge `e` (src → dst).

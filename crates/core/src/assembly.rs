@@ -32,6 +32,8 @@
 //! no intermediate sequence per slice.
 
 use elba_align::SgEdge;
+use elba_comm::transport::wire::{varint_len, write_varint, WireError, WireReader};
+use elba_comm::CommMsg;
 use elba_seq::{ReadStore, Seq};
 
 use crate::induced::LocalGraph;
@@ -61,6 +63,60 @@ impl From<SgEdge> for WalkEdge {
             src_rev: edge.src_rev,
             dst_rev: edge.dst_rev,
         }
+    }
+}
+
+/// Largest read coordinate: reads are shorter than 2³¹ bases
+/// ([`elba_seq::ReadTooLong`]).
+const MAX_COORD: u64 = (1 << 31) - 1;
+
+impl WalkEdge {
+    /// The edge's two wire codes, `pre << 1 | src_rev` and
+    /// `post << 1 | dst_rev`. Panics on a coordinate of 2³¹ or more,
+    /// which no read has.
+    #[inline]
+    fn codes(&self) -> [u64; 2] {
+        let code = |coord: u32, rev: bool| {
+            let coord = u64::from(coord);
+            assert!(coord <= MAX_COORD, "read coordinates are below 2^31");
+            coord << 1 | u64::from(rev)
+        };
+        [code(self.pre, self.src_rev), code(self.post, self.dst_rev)]
+    }
+}
+
+/// Each read coordinate shares one LEB128 varint with its strand flag,
+/// `pre << 1 | src_rev` and `post << 1 | dst_rev`: 2 bytes on reads of up
+/// to 64 bases, 4 on reads of up to 8 192, booked at that encoded length. A code of 2³² or more
+/// (a coordinate of 2³¹ or more) is a malformed frame.
+impl CommMsg for WalkEdge {
+    #[inline]
+    fn nbytes(&self) -> usize {
+        self.codes().into_iter().map(varint_len).sum()
+    }
+
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        for code in self.codes() {
+            write_varint(out, code);
+        }
+    }
+
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let mut field = || {
+            let code = r.read_varint()?;
+            match code >> 1 {
+                coord @ 0..=MAX_COORD => Ok((coord as u32, code & 1 == 1)),
+                _ => Err(WireError::Malformed("walk edge coordinate")),
+            }
+        };
+        let (pre, src_rev) = field()?;
+        let (post, dst_rev) = field()?;
+        Ok(WalkEdge {
+            pre,
+            post,
+            src_rev,
+            dst_rev,
+        })
     }
 }
 

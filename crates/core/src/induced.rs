@@ -14,9 +14,12 @@
 //! `v[w]` was a consistency check that now runs inside connected
 //! components, where both labels are at hand
 //! ([`crate::lacc::connected_components`]). Each edge is then routed to
-//! its owner with a custom all-to-all as an [`EdgeRecord`]: the two
-//! endpoints and the four fields a walk reads, in 16 bytes. The local
-//! block is re-indexed to its new, smaller size while keeping "a map of
+//! its owner with a custom all-to-all, as a `(u, w, WalkEdge)` triple of
+//! an [`elba_sparse::RoutedTriples`] buffer: a destination's edges leave
+//! in the block's row-major order, so they travel as row runs and column
+//! gaps, each followed by the two varints of the fields a walk reads
+//! (`pre << 1 | src_rev`, `post << 1 | dst_rev`). The local block is
+//! re-indexed to its new, smaller size while keeping "a map of
 //! the original global vertex indices" (`global_ids`), and handed to
 //! local assembly as a CSR matrix. §4.4 converts it to CSC for vertex
 //! (column) indexing; the subgraph is symmetric, so row `v` names the
@@ -37,7 +40,7 @@
 //! and `global_ids` is the set bits read off in order — already sorted,
 //! already distinct. It costs `n/8 + n/16` bytes per rank for `n` global
 //! vertices (booked as a transient). The CSR comes out of
-//! `elba-sparse`'s counting-sort builder; the records arrive grouped by
+//! `elba-sparse`'s counting-sort builder; the triples arrive grouped by
 //! source rank in row-major order, so every row is already ascending
 //! once bucketed.
 
@@ -45,7 +48,7 @@ use std::collections::HashMap;
 
 use elba_align::SgEdge;
 use elba_comm::ProcGrid;
-use elba_sparse::{Csr, DistMat, DistVec};
+use elba_sparse::{Csr, DistMat, DistVec, RoutedTriples};
 
 use crate::assembly::WalkEdge;
 
@@ -71,57 +74,6 @@ impl LocalGraph {
     /// Local index of a global vertex id.
     pub fn local_of(&self, global: u64) -> Option<usize> {
         self.global_ids.binary_search(&global).ok()
-    }
-}
-
-/// Top bit of a `u32`: a strand flag beside a read coordinate.
-const STRAND: u32 = 1 << 31;
-
-/// One directed edge `u → w` of `L` on its way to its contig's owner, as
-/// `(u, w, pre | src_rev << 31, post | dst_rev << 31)`: 16 bytes. `pre`
-/// and `post` are read coordinates, below 2³¹ because
-/// [`elba_seq::ReadTooLong`] refuses longer reads, so each lends its top
-/// bit to one strand flag. Every bit pattern is a record, so the codec
-/// copies the four words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(C)]
-pub struct EdgeRecord {
-    u: u32,
-    w: u32,
-    pre_src: u32,
-    post_dst: u32,
-}
-
-elba_comm::impl_comm_msg_pod!(EdgeRecord);
-
-impl EdgeRecord {
-    /// Pack `u → w` with the walk's view of its edge.
-    pub fn new(u: u32, w: u32, edge: WalkEdge) -> Self {
-        assert!(
-            edge.pre < STRAND && edge.post < STRAND,
-            "read coordinates are below 2^31"
-        );
-        EdgeRecord {
-            u,
-            w,
-            pre_src: edge.pre | u32::from(edge.src_rev) << 31,
-            post_dst: edge.post | u32::from(edge.dst_rev) << 31,
-        }
-    }
-
-    /// The edge's source and destination vertex ids.
-    pub fn endpoints(&self) -> (u32, u32) {
-        (self.u, self.w)
-    }
-
-    /// The four fields a walk reads.
-    pub fn walk_edge(&self) -> WalkEdge {
-        WalkEdge {
-            pre: self.pre_src & !STRAND,
-            post: self.post_dst & !STRAND,
-            src_rev: self.pre_src & STRAND != 0,
-            dst_rev: self.post_dst & STRAND != 0,
-        }
     }
 }
 
@@ -203,7 +155,9 @@ pub fn induced_subgraph(
     let (row0, col0) = l.local_offsets(grid);
     let (row0, col0) = (row0 as u32, col0 as u32);
     let block = l.local();
-    let mut outgoing: Vec<Vec<EdgeRecord>> = vec![Vec::new(); world.size()];
+    let mut outgoing: Vec<RoutedTriples<WalkEdge>> = (0..world.size())
+        .map(|_| RoutedTriples::default())
+        .collect();
     for (i, &label) in row_labels.iter().enumerate() {
         let (cols, edges) = block.row(i);
         if cols.is_empty() {
@@ -211,29 +165,28 @@ pub fn induced_subgraph(
         }
         if let Some(&dest) = owner_of_label.get(&u64::from(label)) {
             let u = row0 + i as u32;
-            let row = cols.iter().zip(edges);
-            outgoing[dest].extend(row.map(|(&c, &edge)| EdgeRecord::new(u, col0 + c, edge.into())));
+            for (&c, &edge) in cols.iter().zip(edges) {
+                outgoing[dest].push((u, col0 + c, edge.into()));
+            }
         }
     }
     let incoming = world.alltoallv(outgoing);
 
     // Re-index to the new, smaller size, keeping the global-id map. A
     // vertex that appears only as a column still gets an id.
-    let endpoints = incoming.iter().flatten().flat_map(|record| {
-        let (u, w) = record.endpoints();
-        [u, w]
-    });
+    let endpoints = incoming
+        .iter()
+        .flat_map(RoutedTriples::triples)
+        .flat_map(|&(u, w, _)| [u, w]);
     let dict = RankDict::new(universe, endpoints);
     world.record_mem_transient(dict.heap_bytes());
     let global_ids = dict.members();
     let n = global_ids.len();
     let mut triples: Vec<(u32, u32, WalkEdge)> =
-        Vec::with_capacity(incoming.iter().map(Vec::len).sum());
+        Vec::with_capacity(incoming.iter().map(|part| part.triples().len()).sum());
     for part in incoming {
-        triples.extend(part.into_iter().map(|record| {
-            let (u, w) = record.endpoints();
-            (dict.rank(u), dict.rank(w), record.walk_edge())
-        }));
+        let part = part.into_triples().into_iter();
+        triples.extend(part.map(|(u, w, edge)| (dict.rank(u), dict.rank(w), edge)));
     }
     // The same directed edge can only arrive once (it had one owner
     // block); an exact duplicate is tolerated and the first copy kept.
@@ -251,7 +204,7 @@ mod tests {
     fn edge(tag: u32) -> SgEdge {
         SgEdge {
             pre: tag,
-            post: (STRAND - 1) - tag,
+            post: ((1 << 31) - 1) - tag,
             src_rev: tag & 1 == 1,
             dst_rev: tag & 2 == 2,
             suffix: tag + 1,

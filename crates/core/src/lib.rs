@@ -9,7 +9,7 @@
 //!   family, FastSV formulation) over the unbranched string matrix,
 //! * [`induced`] — the induced subgraph function with the row half of
 //!   the Fig. 2 exchange (a row allgather of `u32` labels) and the
-//!   custom all-to-all edge routing in 16-byte records,
+//!   custom all-to-all edge routing as varint row runs,
 //! * [`assembly`] — per-rank linear-walk local assembly with the paper's
 //!   `pre`/`post` concatenation over packed read buffers,
 //! * [`contig`] — Algorithm 2 end-to-end (`ContigGeneration`),
@@ -31,7 +31,7 @@ pub mod serve;
 
 pub use assembly::{local_assembly, AssemblyConfig, AssemblyStats, Contig, WalkEdge};
 pub use contig::{contig_generation, gather_contigs, ContigConfig, ContigStats};
-pub use induced::{induced_subgraph, EdgeRecord, LocalGraph};
+pub use induced::{induced_subgraph, LocalGraph};
 pub use job::AssembleJob;
 pub use lacc::{connected_components, ComponentLabels, UnionFind};
 pub use partition::{partition, PartitionStrategy, Partitioning};

@@ -6,7 +6,7 @@
 //! * [`semirings`] — the BELLA overlap-detection semiring (≤2 retained
 //!   seeds per read pair sharing a k-mer) and the direction-aware min-plus
 //!   fold driving transitive reduction (one `u32` per edge), over the
-//!   5-byte [`Hop`] projection of an edge,
+//!   [`Hop`] projection of an edge, one varint on the wire,
 //! * [`overlap_stage`] — `C = AAᵀ` over SUMMA, x-drop alignment of every
 //!   candidate pair, classification into containment / internal /
 //!   dovetail, and assembly of the symmetric overlap matrix `R` with

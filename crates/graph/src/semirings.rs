@@ -5,7 +5,7 @@
 //! the fold is tested against.
 
 use elba_align::SgEdge;
-use elba_comm::transport::wire::{WireError, WireReader};
+use elba_comm::transport::wire::{varint_len, write_varint, WireError, WireReader};
 use elba_comm::CommMsg;
 use elba_seq::AEntry;
 use elba_sparse::{MaskedFold, Semiring};
@@ -213,8 +213,9 @@ impl MinPlusDir {
 
 /// What transitive reduction reads of an edge: its overhang and its two
 /// arrowheads. The reduction's SUMMA runs on `R` projected to hops, so
-/// a stage broadcast carries 5 bytes per edge instead of a 16-byte
-/// [`SgEdge`] whose `pre` and `post` the product never reads.
+/// a stage broadcast carries one varint per edge (1–2 bytes for an
+/// overhang below 4 096, at most 5) instead of a 16-byte [`SgEdge`]
+/// whose `pre` and `post` the product never reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
     pub suffix: u32,
@@ -238,32 +239,36 @@ impl Hop {
     pub fn dir(&self) -> usize {
         dir_index(self.src_rev, self.dst_rev)
     }
+
+    /// The hop's wire code: the suffix above its direction pair.
+    #[inline]
+    fn code(&self) -> u64 {
+        u64::from(self.suffix) << 2 | self.dir() as u64
+    }
 }
 
-/// The `u32` suffix and one flag byte holding [`Hop::dir`], booked at
-/// those 5 bytes rather than `size_of` (as [`AEntry`] books its packed
-/// 4). A flag byte above 3 is a malformed frame.
+/// One LEB128 varint, `suffix << 2 | dir` ([`Hop::dir`]), booked at
+/// its encoded length: an overhang costs what its bits need, not a
+/// fixed `u32` and a flag byte. A code of 2³⁴ or more (a suffix past
+/// `u32::MAX`) is a malformed frame.
 impl CommMsg for Hop {
     #[inline]
     fn nbytes(&self) -> usize {
-        5
+        varint_len(self.code())
     }
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.suffix.wire_encode(out);
-        out.push(self.dir() as u8);
+        write_varint(out, self.code());
     }
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let suffix = u32::wire_decode(r)?;
-        match u8::wire_decode(r)? {
-            flags @ 0..=3 => Ok(Hop {
-                suffix,
-                src_rev: flags & 2 != 0,
-                dst_rev: flags & 1 != 0,
-            }),
-            _ => Err(WireError::Malformed("hop flags")),
-        }
+        let code = r.read_varint()?;
+        let suffix = u32::try_from(code >> 2).map_err(|_| WireError::Malformed("hop suffix"))?;
+        Ok(Hop {
+            suffix,
+            src_rev: code & 2 != 0,
+            dst_rev: code & 1 != 0,
+        })
     }
 }
 

@@ -30,4 +30,4 @@ pub use kcount::{
     AEntry, CountRun, ExchangeStats, KmerConfig, KmerTable,
 };
 pub use sim::{DatasetSpec, ReadSimConfig, SimulatedRead};
-pub use store::{ReadStore, ReadTooLong, TooManyReads};
+pub use store::{ReadHeaders, ReadStore, ReadTooLong, TooManyReads};

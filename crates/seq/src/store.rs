@@ -9,12 +9,12 @@
 //! In memory a read is one code per byte, because the aligner and the
 //! k-mer scan read it in place. On the wire it is four codes per byte:
 //! both transfers, [`ReadStore::exchange`] and
-//! [`ReadStore::fetch_block_aligned`], ship `(id: u32, len: u32)`
-//! headers and the reads packed 2 bits per base (each read
-//! byte-aligned), and the receiver unpacks them straight into its new
-//! store. A `u32` length always fits, since [`MAX_READ_LEN`] is below
-//! 2³¹, and so does a `u32` id, since a read set holds at most
-//! [`MAX_READS`] reads ([`TooManyReads`]). Both check the
+//! [`ReadStore::fetch_block_aligned`], ship the reads' [`ReadHeaders`]
+//! (each read's id gap and length, as varints) and the reads packed 2
+//! bits per base (each read byte-aligned), and the receiver unpacks them
+//! straight into its new store. A length is below 2³¹, since
+//! [`MAX_READ_LEN`] is, and an id fits a `u32`, since a read set holds
+//! at most [`MAX_READS`] reads ([`TooManyReads`]). Both check the
 //! payload against its headers on ingest and name the sender and the
 //! read when they disagree.
 //!
@@ -36,7 +36,8 @@
 
 use std::collections::HashMap;
 
-use elba_comm::{ProcGrid, Rank};
+use elba_comm::transport::wire::{varint_len, write_varint, WireError, WireReader};
+use elba_comm::{CommMsg, ProcGrid, Rank};
 use elba_sparse::layout::Layout2D;
 
 use crate::dna::{self, Seq};
@@ -45,9 +46,86 @@ use crate::kcount::KmerHashKey;
 /// Tag space for the sequence exchange.
 const SEQ_TAG: u64 = 0x00_5E9E;
 
-/// Reads on the wire: `(id, len)` headers and the codes of those reads
-/// packed four per byte, each read starting on a byte boundary.
-type PackedReads = (Vec<(u32, u32)>, Vec<u8>);
+/// Reads on the wire: their headers and the codes of those reads packed
+/// four per byte, each read starting on a byte boundary.
+type PackedReads = (ReadHeaders, Vec<u8>);
+
+/// The `(id, len)` headers of a batch of reads, in batch order.
+///
+/// In memory they are `(u32, u32)` pairs; on the wire they are a varint
+/// count and then, per read, `varint(id gap)` and `varint(len)`. The gap
+/// is `id − previous id` modulo 2³² (the first read's is its id), so the
+/// ascending runs of ids a block-distributed store sends cost one byte
+/// each, and any order still round-trips. [`CommMsg::nbytes`] is the
+/// coded length, kept as headers are pushed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReadHeaders {
+    headers: Vec<(u32, u32)>,
+    /// Coded bytes of the headers, the count's varint aside.
+    bytes: usize,
+}
+
+impl ReadHeaders {
+    /// Append read `id` of `len` bases. Panics if `len` exceeds
+    /// [`MAX_READ_LEN`], which no stored read does.
+    #[inline]
+    pub fn push(&mut self, (id, len): (u32, u32)) {
+        assert!(
+            len as usize <= MAX_READ_LEN,
+            "stored reads are shorter than 2^31 bases"
+        );
+        self.bytes += varint_len(u64::from(id.wrapping_sub(self.last_id())));
+        self.bytes += varint_len(u64::from(len));
+        self.headers.push((id, len));
+    }
+
+    /// The headers, in batch order.
+    pub fn headers(&self) -> &[(u32, u32)] {
+        &self.headers
+    }
+
+    /// The id the next gap counts from.
+    fn last_id(&self) -> u32 {
+        self.headers.last().map_or(0, |&(id, _)| id)
+    }
+}
+
+impl CommMsg for ReadHeaders {
+    fn nbytes(&self) -> usize {
+        varint_len(self.headers.len() as u64) + self.bytes
+    }
+
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        write_varint(out, self.headers.len() as u64);
+        let mut prev = 0u32;
+        for &(id, len) in &self.headers {
+            write_varint(out, u64::from(id.wrapping_sub(prev)));
+            write_varint(out, u64::from(len));
+            prev = id;
+        }
+    }
+
+    /// The inverse of `wire_encode`. A gap past `u32::MAX` or a length of
+    /// 2³¹ or more is [`WireError::Malformed`]; the headers are reserved
+    /// only as far as the remaining bytes (two per header) go.
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let n = r.read_varint()?;
+        let mut headers = ReadHeaders {
+            headers: Vec::with_capacity((n as usize).min(r.remaining() / 2)),
+            bytes: 0,
+        };
+        for _ in 0..n {
+            let gap =
+                u32::try_from(r.read_varint()?).map_err(|_| WireError::Malformed("read id gap"))?;
+            let len = r.read_varint()?;
+            if len > MAX_READ_LEN as u64 {
+                return Err(WireError::Malformed("read length"));
+            }
+            headers.push((headers.last_id().wrapping_add(gap), len as u32));
+        }
+        Ok(headers)
+    }
+}
 
 /// A stored read's wire header. Both halves fit a `u32` because
 /// [`ReadStore::push`] refuses ids of [`MAX_READS`] or more and reads
@@ -142,7 +220,7 @@ struct ContiguousBlock {
     data: Vec<u8>,
 }
 
-impl elba_comm::CommMsg for ContiguousBlock {
+impl CommMsg for ContiguousBlock {
     fn nbytes(&self) -> usize {
         8 + self.data.len()
     }
@@ -151,9 +229,7 @@ impl elba_comm::CommMsg for ContiguousBlock {
         self.data.wire_encode(out);
     }
 
-    fn wire_decode(
-        r: &mut elba_comm::transport::wire::WireReader<'_>,
-    ) -> Result<Self, elba_comm::transport::wire::WireError> {
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(ContiguousBlock {
             data: Vec::<u8>::wire_decode(r)?,
         })
@@ -199,11 +275,15 @@ impl ReadStore {
     }
 
     /// An empty store sized for the reads the received `headers` announce.
-    fn sized_for<'a>(n_global: usize, headers: impl Iterator<Item = &'a [(u32, u32)]>) -> Self {
+    fn sized_for<'a>(n_global: usize, headers: impl Iterator<Item = &'a ReadHeaders>) -> Self {
         let (mut reads, mut bases) = (0, 0);
         for headers in headers {
-            reads += headers.len();
-            bases += headers.iter().map(|&(_, len)| len as usize).sum::<usize>();
+            reads += headers.headers().len();
+            bases += headers
+                .headers()
+                .iter()
+                .map(|&(_, len)| len as usize)
+                .sum::<usize>();
         }
         let mut store = ReadStore::empty(n_global);
         store.ids.reserve(reads);
@@ -241,7 +321,7 @@ impl ReadStore {
 
     /// Pack every local read for the wire.
     fn pack_all(&self) -> PackedReads {
-        let mut headers = Vec::with_capacity(self.n_local());
+        let mut headers = ReadHeaders::default();
         let mut packed = Vec::with_capacity(dna::packed_len(self.local_bases()) + self.n_local());
         for (id, codes) in self.iter() {
             headers.push(header(id, codes));
@@ -253,7 +333,8 @@ impl ReadStore {
     /// Append the reads of one transfer from rank `src`, unpacking each
     /// straight into `buf`. Panics, naming `src` and the read, if `packed`
     /// is shorter or longer than `headers` announce.
-    fn ingest(&mut self, src: Rank, headers: &[(u32, u32)], packed: &[u8]) {
+    fn ingest(&mut self, src: Rank, headers: &ReadHeaders, packed: &[u8]) {
+        let headers = headers.headers();
         let bases: usize = headers.iter().map(|&(_, len)| len as usize).sum();
         let mut end = self.buf.len();
         self.buf.resize(end + bases, 0);
@@ -320,10 +401,11 @@ impl ReadStore {
     /// Redistribute reads: `dest` gives each locally held read's target
     /// ranks (none, one — an `Option<Rank>` — or several, e.g. when a
     /// contig boundary needs the read on two ranks; a rank named twice
-    /// still receives the read once). Reads travel packed, four bases per
-    /// byte; a destination's packed payload longer than `count_limit`
-    /// bytes takes the contiguous-datatype path. Collective. Returns the
-    /// new store.
+    /// still receives the read once). Each destination gets one
+    /// alltoallv buffer of [`ReadHeaders`], an id gap and a length per
+    /// read as varints, and one send of the reads packed four bases per
+    /// byte; a packed payload longer than `count_limit` bytes takes the
+    /// contiguous-datatype path. Collective. Returns the new store.
     pub fn exchange<I>(
         &self,
         grid: &ProcGrid,
@@ -335,7 +417,7 @@ impl ReadStore {
     {
         let world = grid.world();
         let p = world.size();
-        let mut outgoing: Vec<PackedReads> = vec![(Vec::new(), Vec::new()); p];
+        let mut outgoing: Vec<PackedReads> = vec![Default::default(); p];
         // Slot of the read last packed for each destination.
         let mut packed: Vec<Option<usize>> = vec![None; p];
         for (slot, (id, codes)) in self.iter().enumerate() {
@@ -360,10 +442,10 @@ impl ReadStore {
             }
         }
         // The headers say how much is coming: size the store once.
-        let mut store =
-            ReadStore::sized_for(self.n_global, incoming_headers.iter().map(Vec::as_slice));
+        let mut store = ReadStore::sized_for(self.n_global, incoming_headers.iter());
         for (src, headers) in incoming_headers.iter().enumerate() {
             let packed_len: usize = headers
+                .headers()
                 .iter()
                 .map(|&(_, len)| dna::packed_len(len as usize))
                 .sum();
@@ -403,9 +485,11 @@ impl ReadStore {
         // range; the row and column reads are disjoint off the diagonal.
         let col_pack = (!grid.is_diagonal()).then(|| {
             let partner = grid.transpose_rank();
-            let mut row: PackedReads = (Vec::new(), Vec::new());
+            let mut row = PackedReads::default();
             for (headers, packed) in &row_packs {
-                row.0.extend_from_slice(headers);
+                for &header in headers.headers() {
+                    row.0.push(header);
+                }
                 row.1.extend_from_slice(packed);
             }
             grid.world().send(partner, SEQ_TAG + 2, row);
@@ -420,7 +504,7 @@ impl ReadStore {
         incoming.extend(col_pack.as_ref().map(|(partner, pack)| (*partner, pack)));
         let mut store = ReadStore::sized_for(
             self.n_global,
-            incoming.iter().map(|(_, (headers, _))| headers.as_slice()),
+            incoming.iter().map(|(_, (headers, _))| headers),
         );
         for (src, (headers, packed)) in incoming {
             store.ingest(src, headers, packed);
@@ -627,11 +711,13 @@ mod tests {
     }
 
     /// Two reads of 5 and 3 bases from rank 2: 2 + 1 packed bytes.
-    fn transfer() -> (Vec<(u32, u32)>, Vec<u8>) {
-        let mut packed = Vec::new();
-        dna::pack(&[0, 1, 2, 3, 3], &mut packed);
-        dna::pack(&[2, 2, 1], &mut packed);
-        (vec![(4, 5), (9, 3)], packed)
+    fn transfer() -> PackedReads {
+        let mut transfer = PackedReads::default();
+        dna::pack(&[0, 1, 2, 3, 3], &mut transfer.1);
+        dna::pack(&[2, 2, 1], &mut transfer.1);
+        transfer.0.push((4, 5));
+        transfer.0.push((9, 3));
+        transfer
     }
 
     #[test]

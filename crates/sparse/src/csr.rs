@@ -323,24 +323,6 @@ impl<T> Csr<T> {
             values: source.into_iter().map(|k| self.values[k].clone()).collect(),
         }
     }
-
-    /// Row-wise reduction: fold each row's values into one output.
-    pub fn row_reduce<U>(
-        &self,
-        mut init: impl FnMut() -> U,
-        mut fold: impl FnMut(&mut U, u32, &T),
-    ) -> Vec<U> {
-        (0..self.nrows)
-            .map(|i| {
-                let mut acc = init();
-                let (cols, vals) = self.row(i);
-                for (&c, v) in cols.iter().zip(vals) {
-                    fold(&mut acc, c, v);
-                }
-                acc
-            })
-            .collect()
-    }
 }
 
 /// The pass under [`Csr::retain`] and [`Csr::filtered`]: sweep a
@@ -572,12 +554,6 @@ mod tests {
         assert_eq!(most.nnz(), n - n / 10);
         assert_eq!(most.indices.capacity(), n);
         assert_eq!(most.values.capacity(), n);
-    }
-
-    #[test]
-    fn row_reduce_degrees() {
-        let deg = sample().row_reduce(|| 0u64, |acc, _, _| *acc += 1);
-        assert_eq!(deg, vec![2, 0, 2]);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! columns `col_layout.block_range(j)`, stored locally as CSR with local
 //! indices. Provides the distributed operations ELBA's pipeline is built
 //! from: triple routing, SUMMA SpGEMM under an arbitrary semiring,
-//! transpose, element-wise apply/prune, row-wise reduction into a
-//! [`DistVec`], and symmetric row+column masking (branch removal).
+//! transpose, element-wise apply/prune, row degrees into a [`DistVec`],
+//! and symmetric row+column masking (branch removal).
 
 use std::sync::Arc;
 
+use elba_comm::transport::wire::{varint_len, write_varint, WireError, WireReader};
 use elba_comm::{CommMsg, MemCharge, ProcGrid};
 
 use crate::csr::{entry_offset, Csr};
@@ -717,45 +718,32 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         })
     }
 
-    /// Row-wise reduction into a [`DistVec`] aligned with the row layout:
-    /// `out[i] = fold over row i's entries`. Implemented as a local
-    /// reduction followed by a reduce-scatter over the grid-row
-    /// communicator (each rank ends up with its vector sub-chunk).
-    pub fn row_reduce<U>(
-        &self,
-        grid: &ProcGrid,
-        mut init: impl FnMut() -> U,
-        mut fold: impl FnMut(&mut U, u64, &T),
-        merge: impl Fn(U, U) -> U + Copy,
-    ) -> DistVec<U>
-    where
-        U: Clone + CommMsg + Sync,
-    {
-        let (_, c0) = self.local_offsets(grid);
-        let partial: Vec<U> = self.local.row_reduce(&mut init, |acc, c, v| {
-            fold(acc, (c as usize + c0) as u64, v)
-        });
-        // Slice the block-row partials into the q vector sub-chunks owned
-        // by this grid row and reduce-scatter them across the row comm.
+    /// Vertex degrees: row-wise nonzero count (the paper's "summation
+    /// reduction over the row dimension" producing the degree vector `d`).
+    /// Each rank counts its block's rows, slices the counts into the q
+    /// vector sub-chunks its grid row owns, and reduce-scatters them
+    /// across the row communicator as [`Degrees`]. Counts are `u32`, as
+    /// column indices are: a row holds fewer than 2³² entries.
+    pub fn row_degrees(&self, grid: &ProcGrid) -> DistVec<u32> {
+        let partial: Vec<u32> = self
+            .local
+            .indptr()
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .collect();
         let row_range = self.row_layout.block_range(grid.myrow());
-        let contributions: Vec<Vec<U>> = (0..grid.q())
+        let contributions: Vec<Degrees> = (0..grid.q())
             .map(|j| {
                 let chunk = self.row_layout.chunk_range(grid.myrow(), j);
-                partial[(chunk.start - row_range.start)..(chunk.end - row_range.start)].to_vec()
+                let (lo, hi) = (chunk.start - row_range.start, chunk.end - row_range.start);
+                Degrees::new(partial[lo..hi].to_vec())
             })
             .collect();
         let reduced = grid.row().reduce_scatter_block(contributions, |a, b| {
-            a.into_iter().zip(b).map(|(x, y)| merge(x, y)).collect()
+            let sums = a.degrees.into_iter().zip(b.degrees).map(|(x, y)| x + y);
+            Degrees::new(sums.collect())
         });
-        DistVec::from_local(grid, self.row_layout.len(), reduced)
-    }
-
-    /// Vertex degrees: row-wise nonzero count (the paper's "summation
-    /// reduction over the row dimension" producing the degree vector `d`).
-    /// Counts are `u32`, as column indices are: a row holds fewer than
-    /// 2³² entries.
-    pub fn row_degrees(&self, grid: &ProcGrid) -> DistVec<u32> {
-        self.row_reduce(grid, || 0u32, |acc, _, _| *acc += 1, |a, b| a + b)
+        DistVec::from_local(grid, self.row_layout.len(), reduced.degrees)
     }
 
     /// Zero out every row **and** column whose mask entry is `true`
@@ -780,6 +768,56 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
                     .retain(|r, c, _| !row_mask[r as usize] && !col_mask[c as usize]),
             ),
         }
+    }
+}
+
+/// Partial vertex degrees bound for the rank that sums them
+/// ([`DistMat::row_degrees`]).
+///
+/// In memory they are the `u32` counts; on the wire a varint count and
+/// then each degree as a varint. A degree is bounded by the vertex's
+/// neighbours, not by the read count, so one below 128 costs one byte.
+/// [`CommMsg::nbytes`] is the coded length, summed once when the run is
+/// built.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Degrees {
+    degrees: Vec<u32>,
+    bytes: usize,
+}
+
+impl Degrees {
+    /// Wrap a run of degrees.
+    pub fn new(degrees: Vec<u32>) -> Self {
+        let values: usize = degrees.iter().map(|&d| varint_len(u64::from(d))).sum();
+        let bytes = varint_len(degrees.len() as u64) + values;
+        Degrees { degrees, bytes }
+    }
+}
+
+impl CommMsg for Degrees {
+    fn nbytes(&self) -> usize {
+        self.bytes
+    }
+
+    fn wire_encode(&self, out: &mut Vec<u8>) {
+        write_varint(out, self.degrees.len() as u64);
+        for &degree in &self.degrees {
+            write_varint(out, u64::from(degree));
+        }
+    }
+
+    /// The inverse of `wire_encode`. A degree past `u32::MAX` is
+    /// [`WireError::Malformed`]; the degrees are reserved only as far as
+    /// the remaining bytes (one per degree) go.
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let n = r.read_varint()?;
+        let mut degrees = Vec::with_capacity((n as usize).min(r.remaining()));
+        for _ in 0..n {
+            let degree =
+                u32::try_from(r.read_varint()?).map_err(|_| WireError::Malformed("degree"))?;
+            degrees.push(degree);
+        }
+        Ok(Degrees::new(degrees))
     }
 }
 

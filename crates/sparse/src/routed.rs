@@ -1,6 +1,6 @@
-//! The buffer [`crate::DistMat::from_triples`] routes to each owner:
-//! block-local `(row, col, value)` triples, in the order the caller
-//! gave them.
+//! The buffer a router ships to each owner: `(row, col, value)`
+//! triples, in the order the caller gave them — block-local ones from
+//! [`crate::DistMat::from_triples`], and the induced subgraph's edges.
 //!
 //! On the wire a buffer takes one of two forms, named by the top bit of
 //! its 8-byte entry-count header:
@@ -119,7 +119,7 @@ impl<T: CommMsg> RoutedTriples<T> {
 
     /// Append one entry.
     #[inline]
-    pub(crate) fn push(&mut self, (row, col, value): (u32, u32, T)) {
+    pub fn push(&mut self, (row, col, value): (u32, u32, T)) {
         self.code.add(row, col, value.nbytes());
         self.triples.push((row, col, value));
     }
@@ -174,7 +174,9 @@ impl<T: CommMsg> CommMsg for RoutedTriples<T> {
     /// what the encoder could have written — rows ascending, columns not
     /// falling within a row, every index a `u32`, runs that end at the
     /// header's entry count — or is [`WireError::Malformed`]. Entries are
-    /// reserved only as far as the remaining bytes (one per entry) go.
+    /// reserved only as far as the remaining bytes go, at the fewest an
+    /// entry of a one-byte value takes: 9 flat, 2 in a run (its column
+    /// gap and value).
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let header = r.read_u64()?;
         let n = header & !RUN_FORM;
@@ -182,7 +184,11 @@ impl<T: CommMsg> CommMsg for RoutedTriples<T> {
             return Err(WireError::Malformed("length header"));
         }
         if header & RUN_FORM == 0 {
-            let triples = <(u32, u32, T)>::wire_decode_slice(n as usize, r)?;
+            // A flat entry is 8 B of indices and at least one of value.
+            let mut triples = Vec::with_capacity((n as usize).min(r.remaining() / 9));
+            for _ in 0..n {
+                triples.push(<(u32, u32, T)>::wire_decode(r)?);
+            }
             return Ok(RoutedTriples::new(triples));
         }
         let index = |base: u64, gap: u64| {
@@ -191,7 +197,7 @@ impl<T: CommMsg> CommMsg for RoutedTriples<T> {
                 .ok_or(WireError::Malformed("triple index"))
         };
         let mut buf = RoutedTriples {
-            triples: Vec::with_capacity((n as usize).min(r.remaining())),
+            triples: Vec::with_capacity((n as usize).min(r.remaining() / 2)),
             code: RunCode::default(),
         };
         let mut next_row = 0u64;

@@ -620,13 +620,24 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
 ///
 /// | rank | read fetch | two mask rounds | marks | stats | `R` triples | mask fetch |
 /// |---|---|---|---|---|---|---|
-/// | 0 | (2, 54 125) | (6, 554) | 1 877 → 167 → 52 | 144 → 160 | 69 200 → 272 | (2, 125) |
-/// | 1 | (4, 80 462) | (10, 1 108) | 6 222 → 532 → 57 | 72 → 80 | 110 729 → 614 | (4, 167) |
-/// | 2 | (3, 96 112) | (8, 532) | 32 → 32 → 32 | 144 → 160 | 32 → 32 | (3, 234) |
-/// | 3 | (3, 22 496) | (8, 415) | 1 872 → 187 → 37 | 72 → 80 | 56 048 → 176 | (3, 58) |
+/// | 0 | (2, 53 606) | (6, 554) | 1 877 → 167 → 52 | 144 → 160 | 69 200 → 272 | (2, 125) |
+/// | 1 | (4, 79 693) | (10, 1 108) | 6 222 → 532 → 57 | 72 → 80 | 110 729 → 614 | (4, 167) |
+/// | 2 | (3, 95 082) | (8, 532) | 32 → 32 → 32 | 144 → 160 | 32 → 32 | (3, 234) |
+/// | 3 | (3, 22 240) | (8, 415) | 1 872 → 187 → 37 | 72 → 80 | 56 048 → 176 | (3, 58) |
 ///
-/// - The read fetch (`fetch_block_aligned`) and `overlap_graph`'s mask
-///   fetch do not move.
+/// - The read fetch (`fetch_block_aligned`) ships the 202 reads' packed
+///   codes and their `ReadHeaders`: a varint count, then per read a
+///   one-byte id gap (two for a chunk's first id of 128 or more) and a
+///   two-byte length (the reads have 797 to 5 831 bases). The chunks of
+///   51, 50, 51 and 50 reads book 154, 151, 154 and 152 B of headers,
+///   and a grid row's 101 reads, swapped with the transposed rank, 304;
+///   at 8 B per `(u32, u32)` header after an 8-byte length they took
+///   416, 408, 416, 408 and 816. Rank 0 bcasts chunks 0 and 1 (−519 B),
+///   rank 1 gathers chunk 1 and swaps row 0 (−769), rank 2 bcasts chunks
+///   2 and 3 and swaps row 1 (−1 030), rank 3 gathers chunk 3 (−256):
+///   the pin read `[(14, 55 288), (22, 82 488), (18, 97 102), (18,
+///   23 262)]` before.
+/// - `overlap_graph`'s mask fetch does not move.
 /// - A mask round is one `scatter_combine` (an `alltoallv`) and one
 ///   `fetch_aligned` (a grid-row allgather, plus the transpose swap off
 ///   the diagonal).
@@ -641,7 +652,7 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
 ///   dropped before.
 #[test]
 fn alignment_wire_traffic_matches_golden_constants() {
-    const ALIGNMENT: [(u64, u64); 4] = [(14, 55288), (22, 82488), (18, 97102), (18, 23262)];
+    const ALIGNMENT: [(u64, u64); 4] = [(14, 54769), (22, 81719), (18, 96072), (18, 23006)];
     let spec = DatasetSpec::celegans_like(0.1, 7);
     let (_genome, reads) = reads_of(&spec);
     let cfg = PipelineConfig::for_dataset(&spec);
@@ -726,44 +737,108 @@ fn fixed_chain_graph(
     (reads, triples)
 }
 
-/// Golden wire pin for Algorithm 2: per-rank messages and bytes of the
-/// induced-subgraph sub-phase (edge routing + read exchange) and of the
-/// whole contig stage at p = 4 on a fixed chain graph. A changed
+/// Golden wire pin for Algorithm 2: per-rank messages and bytes of each
+/// `ExtractContig:*` sub-phase at p = 4 on a fixed chain graph. A changed
 /// per-destination edge order or read order that kept the totals would
 /// still move the contigs; a changed payload moves these.
+///
+/// n = 408 reads in 24 chains of 17, q = 2: each block range holds 204
+/// vertices and rank r's vector chunk is ids 102r..102r + 101, six whole
+/// chains. The chains are id-ordered, so all 760 edges of `L` (770 of `S`
+/// less the 10 that touch the two branch vertices, ids 8 and 25) sit in
+/// the diagonal blocks (376 on rank 0, 384 on rank 3). A `Vec` books an
+/// 8-byte length; an alltoallv and a reduce-scatter book every buffer,
+/// the rank's own included; a bcast books each tree send (rank 0 sends
+/// two on the world, rank 2 one; each grid row's root one); a reduce
+/// sends 8 B per `u64` from ranks 1, 2 and 3; a gather's sender books two
+/// calls. Messages are (collective calls + p2p sends).
+///
+/// - BranchRemoval: `row_degrees` reduce-scatters two chunks of 102
+///   degrees as `Degrees`, a varint count and a one-byte varint per
+///   degree (all are below 128): 2 × (1 + 102) = 206 B on every rank,
+///   where `u32` degrees after an 8-byte length took 832. The branch
+///   count's allreduce: 8 B of reduce from ranks 1–3, 16 / 8 B of bcast
+///   from ranks 0 / 2. `mask_rows_cols` fetches the mask: a grid-row
+///   gather of 8 + 102 `bool`s = 110 B from ranks 1 and 3, its bcast of
+///   8 + 2 × 110 = 228 B from 0 and 2, and a 8 + 204 = 212 B transpose
+///   swap from 1 and 2. Rank 0: 206 + 16 + 228 = 450; rank 1: 206 + 8 +
+///   110 + 212 = 536; rank 2: 206 + 8 + 8 + 228 + 212 = 662; rank 3: 206
+///   + 8 + 110 = 324.
+/// - ConnectedComponent (one round): four alltoallvs of 32 B of empty
+///   buffers; the contraction adds 96 `(u32, u32)` updates (8 B each;
+///   the 102 vertices of the off-diagonal chunk less its six chain roots)
+///   from rank 0 to 1 and from rank 3 to 2: 128 + 768 = 896 B. The round
+///   asks for no remote parent and proposes nothing. The `(f, gp)` fetch
+///   gathers 8 + 8 × 102 = 824 B from ranks 1 and 3, bcasts 8 + 2 × 824
+///   = 1656 B from 0 and 2, and swaps 8 + 8 × 204 = 1640 B from 1 and 2;
+///   the `changed` allreduce is the branch count's. Rank 0: 896 + 1656 +
+///   16 = 2568; rank 1: 128 + 824 + 1640 + 8 = 2600; rank 2: 128 + 1656
+///   + 8 + 1640 + 8 = 3440; rank 3: 896 + 824 + 8 = 1728.
+/// - GreedyPartitioning: `row_degrees` of `L`, 206 B (832 at `u32`);
+///   the label sizes gathered at rank 0 as `(u64, u64)` pairs, 8 + 16 × 6
+///   = 104 B from each other rank; the bcast of the 26-entry assignment
+///   (8 + 16 × 26 = 424 B) and of five `u64` stats (48 B): 2 × 472 = 944
+///   B from rank 0, 472 from rank 2.
+/// - InducedSubgraph:
+///   - row-half label fetch, 4 B per `u32` label: a gather of 8 + 102 × 4
+///     = 416 B from ranks 1 and 3 and a bcast of 8 + 2 × 416 = 840 B
+///     from ranks 0 and 2;
+///   - edges, one `RoutedTriples` run per destination: an 8-byte header
+///     per buffer (32 B, all that ranks 1 and 2 send); per non-empty row
+///     a row gap and a run length, 2 B (3 B for a buffer's first row of
+///     128 or more, one per buffer on rank 3); per edge a column gap, 1 B
+///     (2 B for a row's first column of 128 or more: rows 129–203 on rank
+///     0, all 204 rows on rank 3), and the walk edge's two varints. A
+///     coordinate below 64 takes one byte, 64–119 two, so each edge
+///     between reads on one strand costs 3 B, and between reads on
+///     opposite strands 4 B when the read further left in the genome is
+///     forward, 2 B when it is reverse. Rank 0's 188 read pairs are 97,
+///     44 and 47 of those kinds, 2 × (3 × 97 + 4 × 44 + 2 × 47) = 1 122 B
+///     for 376 edges in 202 rows; rank 3's 192 are 77, 57 and 58, 1 150 B
+///     for 384 edges in 204 rows. Rank 0: 32 + 2 ×
+///     202 + 376 + 75 + 1 122 = 2 009; rank 3: 32 + 2 × 204 + 4 + 384 +
+///     204 + 1 150 = 2 182. At 16 B per fixed-width edge record they took
+///     6 048 and 6 176.
+///   - read headers, one `ReadHeaders` per destination: a one-byte count
+///     (4 B), then per read a one-byte id gap and a one-byte length (120
+///     bases), and one byte more for a buffer's first id of 128 or more
+///     (two of rank 1's buffers, all four of ranks 2 and 3): 204, 210,
+///     212 and 212 B for 100, 102, 102 and 102 reads, where 8 B per
+///     `(u32, u32)` took 832 and 848;
+///   - packed reads, 30 B per 120-base read: one send of 8 + 30 × reads
+///     to each of the 4 ranks.
+///
+///   Rank 0: 840 + 2 009 + 204 + 3 032 = 6 085; rank 1: 416 + 32 + 210 +
+///   3 092 = 3 750; rank 2: 840 + 32 + 212 + 3 092 = 4 176; rank 3: 416 +
+///   2 182 + 212 + 3 092 = 5 902.
+/// - LocalAssembly: the allreduce of four `u64` stats, 40 B of reduce
+///   from ranks 1–3, 80 / 40 B of bcast from ranks 0 / 2.
 #[test]
 fn contig_stage_wire_traffic_matches_golden_constants() {
-    // (msgs, bytes) per rank. n = 408 reads, q = 2: each block range
-    // holds 204 vertices, each vector chunk 102. The chains are id-ordered,
-    // so all 760 edges of `L` (770 of `S` less the 10 that touch the two
-    // branch vertices) sit in the diagonal blocks (376 on rank 0, 384 on
-    // rank 3). InducedSubgraph, term by term (a `Vec` books an
-    // 8-byte length; an alltoallv books all 4 buffers, its own included):
-    // - row-half label fetch, 4 B per `u32` label: the grid-row allgather
-    //   is a gather (8 + 102 × 4 = 416 B from ranks 1 and 3) and a bcast
-    //   of both chunks (8 + 2 × 416 = 840 B from ranks 0 and 2);
-    // - edges, 16 B per `EdgeRecord`: 32 + 16 × 376 = 6048 B on rank 0,
-    //   32 + 16 × 384 = 6176 B on rank 3, 32 B of empty buffers on 1 and 2;
-    // - read headers, 8 B per `(u32, u32)`: 32 + 8 × (100, 102, 102, 102);
-    // - packed reads, 30 B per 120-base read: one send of 8 + 30 × reads
-    //   to each of the 4 ranks.
-    // Rank 0: 840 + 6048 + 832 + 3032 = 10752; rank 1: 416 + 32 + 848 +
-    // 3092 = 4388; rank 2: 840 + 32 + 848 + 3092 = 4812; rank 3: 416 +
-    // 6176 + 848 + 3092 = 10532. At `u64` width these were 17984, 6844,
-    // 7676, 17492: 32-byte `(u64, u64, SgEdge)` edges, 12-byte `(u64,
-    // u32)` headers, `u64` labels in both halves of the Fig. 2 exchange.
-    // The column half was a 1640-byte swap with the transposed rank on
-    // ranks 1 and 2; it is gone, so each sends one message fewer.
-    const INDUCED_SUBGRAPH: [(u64, u64); 4] = [(8, 10752), (9, 4388), (8, 4812), (9, 10532)];
-    // The rest of ExtractContig moved by the `u32` degrees and FastSV:
-    // - BranchRemoval and GreedyPartitioning each reduce-scatter 204
-    //   `u32` degrees: −816 B per rank each;
-    // - ConnectedComponent (contraction scatter, and each round's
-    //   gather, `(f, gp)` fetch and proposals at `u32`): −2400, −2448,
-    //   −3264, −1584 B.
-    // So 27516, 15662, 18788, 24362 B at `u64` width fell by 11264, 6536,
-    // 7760, 10176 B.
-    const EXTRACT_CONTIG: [(u64, u64); 4] = [(27, 16252), (33, 9126), (30, 11028), (31, 14186)];
+    // (msgs, bytes) per rank, per sub-phase.
+    const SUB_PHASES: [(&str, [(u64, u64); 4]); 5] = [
+        (
+            "ExtractContig:BranchRemoval",
+            [(5, 450), (7, 536), (6, 662), (6, 324)],
+        ),
+        (
+            "ExtractContig:ConnectedComponent",
+            [(8, 2568), (10, 2600), (9, 3440), (9, 1728)],
+        ),
+        (
+            "ExtractContig:GreedyPartitioning",
+            [(4, 1150), (5, 310), (5, 782), (5, 310)],
+        ),
+        (
+            "ExtractContig:InducedSubgraph",
+            [(8, 6085), (9, 3750), (8, 4176), (9, 5902)],
+        ),
+        (
+            "ExtractContig:LocalAssembly",
+            [(2, 80), (2, 40), (2, 80), (2, 40)],
+        ),
+    ];
+    const EXTRACT_CONTIG: [(u64, u64); 4] = [(27, 10333), (33, 7236), (30, 9140), (31, 8304)];
     let (reads, triples) = fixed_chain_graph(24, 17, 70);
     let n = reads.len();
     let (out, profile) = Runner::new(Backend::InProcess)
@@ -782,6 +857,7 @@ fn contig_stage_wire_traffic_matches_golden_constants() {
     // Two chains lose an interior read to the false edge: 22 whole
     // chains + 4 halves.
     assert_eq!(stats.branch_vertices, 2);
+    assert_eq!(stats.cc_rounds, 1);
     assert_eq!(contigs.len(), 26);
     let traffic = |in_phase: &dyn Fn(&str) -> bool| -> Vec<(u64, u64)> {
         profile
@@ -799,10 +875,17 @@ fn contig_stage_wire_traffic_matches_golden_constants() {
             })
             .collect()
     };
+    for (name, pinned) in SUB_PHASES {
+        assert_eq!(traffic(&|n| n == name), pinned, "{name} (msgs, bytes)");
+    }
+    let sub_phases = profile.phase_names();
+    let sub_phases = sub_phases
+        .iter()
+        .filter(|n| n.starts_with("ExtractContig:"));
     assert_eq!(
-        traffic(&|n| n == "ExtractContig:InducedSubgraph"),
-        INDUCED_SUBGRAPH,
-        "InducedSubgraph (msgs, bytes)"
+        sub_phases.count(),
+        SUB_PHASES.len(),
+        "every sub-phase pinned"
     );
     assert_eq!(
         traffic(&|n| n.starts_with("ExtractContig:")),
@@ -823,17 +906,19 @@ fn contig_stage_wire_traffic_matches_golden_constants() {
 /// block frame books 7 B of varint shape, `nnz` and trailing empty rows
 /// (204, 204, `nnz`, 0), 2 B of `(empty rows skipped, len − 1)` per
 /// non-empty row, one column-gap varint per edge (two bytes for a row's
-/// first column of 128 or more), and 5 B per hop. A diagonal block lists
-/// every row: 2 × (7 + 2 × 204 + 461 + 5 × 386) = 5 612 B on rank 0 and
-/// 2 × (7 + 2 × 204 + 459 + 5 × 384) = 5 588 B on rank 3, where the
-/// fixed-width offsets and column indices took 8 622 and 8 586. An
-/// off-diagonal block is empty: 2 × 7 = 14 B on ranks 1 and 2 (its
+/// first column of 128 or more), and one varint per hop, `suffix << 2 |
+/// dir`: every edge's overhang is the stride, 70, so 2 B. A diagonal
+/// block lists every row: 2 × (7 + 2 × 204 + 461 + 2 × 386) = 3 296 B on
+/// rank 0 and 2 × (7 + 2 × 204 + 459 + 2 × 384) = 3 284 B on rank 3. At
+/// 5 B per hop (a `u32` and a flag byte) they took 5 612 and 5 588, and
+/// with fixed-width offsets and column indices as well 8 622 and 8 586.
+/// An off-diagonal block is empty: 2 × 7 = 14 B on ranks 1 and 2 (its
 /// varints 204, 204, 0 and 204 trailing rows). The rest, 48 / 32 / 56 /
 /// 24 B, is the transpose swap and the collectives.
 #[test]
 fn reduction_wire_traffic_matches_golden_constants() {
     // (msgs, bytes) per rank.
-    const TR_REDUCTION: [(u64, u64); 4] = [(10, 5660), (11, 46), (11, 70), (10, 5612)];
+    const TR_REDUCTION: [(u64, u64); 4] = [(10, 3344), (11, 46), (11, 70), (10, 3308)];
     let (reads, triples) = fixed_chain_graph(24, 17, 70);
     let n = reads.len();
     let (out, profile) = Runner::new(Backend::InProcess)

@@ -10,10 +10,10 @@ use std::cell::Cell;
 use elba::align::SgEdge;
 use elba::comm::transport::wire::{write_varint, WireError, WireReader};
 use elba::comm::{Backend, CommMsg, Profile, Runner};
-use elba::core::{EdgeRecord, WalkEdge};
+use elba::core::WalkEdge;
 use elba::graph::{Hop, Seed, SharedSeeds};
-use elba::seq::{AEntry, CountRun};
-use elba::sparse::{Csr, RoutedTriples};
+use elba::seq::{AEntry, CountRun, ReadHeaders};
+use elba::sparse::{Csr, Degrees, RoutedTriples};
 use proptest::prelude::*;
 
 fn round_trip<T: CommMsg>(value: &T) -> T {
@@ -158,81 +158,97 @@ fn a_entries_travel_as_one_u32() {
     assert!(AEntry::wire_decode(&mut reader).is_err());
 }
 
-/// The extreme hops: every direction pair, the shortest and the longest
-/// suffix.
-const EDGE_HOPS: [Hop; 4] = [
-    Hop {
-        suffix: 0,
-        src_rev: false,
-        dst_rev: false,
-    },
-    Hop {
-        suffix: 1,
-        src_rev: false,
-        dst_rev: true,
-    },
-    Hop {
-        suffix: u32::MAX - 1,
-        src_rev: true,
-        dst_rev: false,
-    },
-    Hop {
-        suffix: u32::MAX,
-        src_rev: true,
-        dst_rev: true,
-    },
-];
+/// Every direction pair of a hop with `suffix`.
+fn hops_with(suffix: u32) -> [Hop; 4] {
+    [(false, false), (false, true), (true, false), (true, true)].map(|(src_rev, dst_rev)| Hop {
+        suffix,
+        src_rev,
+        dst_rev,
+    })
+}
 
-#[test]
-fn hops_travel_as_five_bytes() {
-    for hop in EDGE_HOPS {
-        assert_eq!(round_trip(&hop), hop);
-        // A `u32` and one flag byte, booked at exactly what the frame
-        // carries, alone and in a vector.
-        assert_eq!(hop.nbytes(), 5);
-        assert_eq!(encoded(&hop).len(), hop.nbytes());
-    }
-    let hops = EDGE_HOPS.to_vec();
-    assert_eq!(round_trip(&hops), hops);
-    assert_eq!(hops.nbytes(), 8 + 5 * hops.len());
-    assert_eq!(encoded(&hops).len(), hops.nbytes());
-    // Every strict prefix of an encoding is an error, never a value.
-    let buf = encoded(&hops);
-    for cut in 0..buf.len() {
-        let mut reader = WireReader::new(&buf[..cut]);
-        assert!(matches!(
-            Vec::<Hop>::wire_decode(&mut reader),
-            Err(WireError::Truncated { .. })
-        ));
-    }
-    for hop in EDGE_HOPS {
-        let one = encoded(&hop);
-        for cut in 0..one.len() {
-            let mut reader = WireReader::new(&one[..cut]);
-            assert!(matches!(
-                Hop::wire_decode(&mut reader),
-                Err(WireError::Truncated { .. })
-            ));
-        }
-    }
-    // The flag byte holds the direction pair, 0..=3; anything above is a
-    // malformed frame.
-    let mut one = encoded(&EDGE_HOPS[0]);
-    for flags in 4..=255u8 {
-        one[4] = flags;
-        let mut reader = WireReader::new(&one);
+/// Every strict prefix of `frame` decodes to `Truncated`, never a value.
+fn assert_prefixes_truncated<T: CommMsg>(frame: &[u8]) {
+    for cut in 0..frame.len() {
         assert!(
-            matches!(Hop::wire_decode(&mut reader), Err(WireError::Malformed(_))),
-            "flag byte {flags} decoded"
+            matches!(
+                decode_exact::<T>(&frame[..cut]),
+                Err(WireError::Truncated { .. })
+            ),
+            "a {cut}-byte prefix of {frame:?}"
         );
     }
 }
 
-/// The induced subgraph's edge records at the extremes: every strand
-/// pair, and `pre` / `post` at 0 and at 2³¹ − 1, the largest read
-/// coordinate (reads are shorter than 2³¹ bases).
-fn extreme_edge_records() -> Vec<EdgeRecord> {
-    let mut records = Vec::new();
+/// `codes` as varints, in order: the layout of every frame below.
+fn varints(codes: &[u64]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for &code in codes {
+        write_varint(&mut buf, code);
+    }
+    buf
+}
+
+/// A non-minimal varint (a zero top group after a continuation), an
+/// overflowing one and an over-long one: none is a value.
+const BAD_VARINTS: [&[u8]; 3] = [
+    &[0x80, 0x00],
+    &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+    &[0x80; 11],
+];
+
+#[test]
+fn hops_travel_as_one_varint() {
+    // `suffix << 2 | dir`: one byte below a suffix of 32, two below
+    // 4 096, five for the largest.
+    for (suffix, bytes) in [
+        (0, 1),
+        (31, 1),
+        (127, 2),
+        (128, 2),
+        (4095, 2),
+        (4096, 3),
+        (u32::MAX, 5),
+    ] {
+        for hop in hops_with(suffix) {
+            assert_eq!(round_trip(&hop), hop);
+            assert_eq!(hop.nbytes(), bytes, "{hop:?}");
+            let frame = encoded(&hop);
+            assert_eq!(frame, varints(&[u64::from(suffix) << 2 | hop.dir() as u64]));
+            assert_prefixes_truncated::<Hop>(&frame);
+        }
+    }
+    let hops: Vec<Hop> = [0, 127, 128, u32::MAX]
+        .into_iter()
+        .flat_map(hops_with)
+        .collect();
+    assert_eq!(round_trip(&hops), hops);
+    assert_eq!(hops.nbytes(), 8 + 4 * (1 + 2 + 2 + 5));
+    assert_eq!(encoded(&hops).len(), hops.nbytes());
+    assert_prefixes_truncated::<Vec<Hop>>(&encoded(&hops));
+    // A suffix past `u32::MAX` and a varint no encoder writes are
+    // malformed frames.
+    let past = u64::from(u32::MAX) + 1;
+    for code in [past << 2, past << 2 | 3, u64::MAX] {
+        assert_eq!(
+            decode_exact::<Hop>(&varints(&[code])),
+            Err(WireError::Malformed("hop suffix"))
+        );
+    }
+    for bad in BAD_VARINTS {
+        assert_eq!(
+            decode_exact::<Hop>(bad),
+            Err(WireError::Malformed("varint"))
+        );
+    }
+}
+
+/// The induced subgraph's edges at the extremes: every strand pair, and
+/// `pre` / `post` at 0 and at 2³¹ − 1, the largest read coordinate
+/// (reads are shorter than 2³¹ bases), on the rows and columns of
+/// [`sorted_a_triples`].
+fn extreme_walk_triples() -> Vec<(u32, u32, WalkEdge)> {
+    let mut walks = Vec::new();
     for (pre, post) in [
         (0, 0),
         ((1 << 31) - 1, 0),
@@ -240,61 +256,198 @@ fn extreme_edge_records() -> Vec<EdgeRecord> {
         ((1 << 31) - 1, (1 << 31) - 1),
     ] {
         for (src_rev, dst_rev) in [(false, false), (false, true), (true, false), (true, true)] {
-            let walk = WalkEdge {
+            walks.push(WalkEdge {
                 pre,
                 post,
                 src_rev,
                 dst_rev,
-            };
-            records.push(EdgeRecord::new(pre ^ 5, u32::MAX - post, walk));
+            });
         }
     }
-    records
+    let cells = sorted_a_triples().into_iter().cycle();
+    cells
+        .zip(walks)
+        .map(|((row, col, _), walk)| (row, col, walk))
+        .collect()
 }
 
 #[test]
-fn edge_records_travel_as_sixteen_bytes() {
-    let records = extreme_edge_records();
-    for record in &records {
-        assert_eq!(round_trip(record), *record);
-        assert_eq!(record.nbytes(), 16);
-        assert_eq!(encoded(record).len(), record.nbytes());
-        // The strand flags share words with `pre` and `post` and leave
-        // them intact.
-        let walk = round_trip(record).walk_edge();
+fn walk_edges_travel_as_two_varints_in_routed_runs() {
+    let triples = extreme_walk_triples();
+    for &(_, _, walk) in &triples {
+        assert_eq!(round_trip(&walk), walk);
+        let code = |coord: u32, rev: bool| u64::from(coord) << 1 | u64::from(rev);
+        let frame = encoded(&walk);
         assert_eq!(
-            EdgeRecord::new(walk.pre ^ 5, u32::MAX - walk.post, walk),
-            *record
+            frame,
+            varints(&[code(walk.pre, walk.src_rev), code(walk.post, walk.dst_rev)])
+        );
+        assert_eq!(frame.len(), walk.nbytes());
+        assert_prefixes_truncated::<WalkEdge>(&frame);
+    }
+    // Both coordinates at 0 take a byte each; at 2³¹ − 1, five.
+    let walk = |coord| WalkEdge {
+        pre: coord,
+        post: coord,
+        src_rev: true,
+        dst_rev: true,
+    };
+    assert_eq!(walk(0).nbytes(), 2);
+    assert_eq!(walk(63).nbytes(), 2);
+    assert_eq!(walk(64).nbytes(), 4);
+    assert_eq!(walk((1 << 31) - 1).nbytes(), 10);
+    // A coordinate of 2³¹ or more, and a varint no encoder writes, are
+    // malformed frames.
+    for code in [1 << 32, (1 << 32) | 1, u64::MAX] {
+        let bad = [varints(&[code, 0]), varints(&[0, code])];
+        for frame in bad {
+            assert_eq!(
+                decode_exact::<WalkEdge>(&frame),
+                Err(WireError::Malformed("walk edge coordinate"))
+            );
+        }
+    }
+    for bad in BAD_VARINTS {
+        let frame = [&[0][..], bad].concat();
+        assert_eq!(
+            decode_exact::<WalkEdge>(&frame),
+            Err(WireError::Malformed("varint"))
         );
     }
-    let both = records.iter().find(|r| {
-        let walk = r.walk_edge();
-        walk.src_rev && walk.dst_rev && walk.pre == (1 << 31) - 1 && walk.post == (1 << 31) - 1
+    // A destination's edges leave in row-major order: the run form, never
+    // larger than the flat one, booked at its coded length.
+    let run_form = |buf: &[u8]| u64::from_ne_bytes(buf[..8].try_into().expect("header")) >> 63 == 1;
+    let buf = RoutedTriples::new(triples.clone());
+    let frame = encoded(&buf);
+    assert!(run_form(&frame));
+    assert_eq!(frame.len(), buf.nbytes());
+    assert!(buf.nbytes() < triples.nbytes());
+    assert_eq!(round_trip(&buf).into_triples(), triples);
+    fuzz_frame::<RoutedTriples<WalkEdge>>(&frame, 0, |decoded, flipped| {
+        let rows_hold = decoded
+            .triples()
+            .windows(2)
+            .all(|w| w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 <= w[1].1));
+        let coords_hold = decoded
+            .triples()
+            .iter()
+            .all(|(_, _, e)| e.pre < 1 << 31 && e.post < 1 << 31);
+        coords_hold && (!run_form(flipped) || rows_hold)
     });
-    assert!(
-        both.is_some(),
-        "both flags set beside the largest coordinates"
+}
+
+/// Read headers at the extremes: id gaps of 0 and `u32::MAX` (a repeated
+/// id, and one id back), the largest id, lengths 0 and 2³¹ − 1.
+fn extreme_read_headers() -> ReadHeaders {
+    let mut headers = ReadHeaders::default();
+    for header in [
+        (7, 120),
+        (7, 0),
+        (6, (1 << 31) - 1),
+        (7, 1),
+        (u32::MAX - 1, 128),
+        (0, 127),
+    ] {
+        headers.push(header);
+    }
+    headers
+}
+
+#[test]
+fn read_headers_travel_as_id_gaps_and_lengths() {
+    let headers = extreme_read_headers();
+    let frame = encoded(&headers);
+    assert_eq!(frame.len(), headers.nbytes());
+    assert_eq!(
+        frame,
+        varints(&[
+            6,
+            7,
+            120,
+            0,
+            0,
+            u64::from(u32::MAX),
+            (1 << 31) - 1,
+            1,
+            1,
+            u64::from(u32::MAX - 8),
+            128,
+            2,
+            127,
+        ])
     );
-    assert_eq!(round_trip(&records), records);
-    assert_eq!(records.nbytes(), 8 + 16 * records.len());
-    assert_eq!(encoded(&records).len(), records.nbytes());
-    // Every strict prefix of an encoding is an error, never a value.
-    let buf = encoded(&records);
-    for cut in 0..buf.len() {
-        let mut reader = WireReader::new(&buf[..cut]);
-        assert!(matches!(
-            Vec::<EdgeRecord>::wire_decode(&mut reader),
-            Err(WireError::Truncated { .. })
-        ));
+    assert_eq!(round_trip(&headers), headers);
+    assert_prefixes_truncated::<ReadHeaders>(&frame);
+    // A block-distributed store's run of ids: two bytes per read of up
+    // to 127 bases, where the `(u32, u32)` pair took eight.
+    let mut run = ReadHeaders::default();
+    (100..200).for_each(|id| run.push((id, 120)));
+    assert_eq!(run.nbytes(), 1 + 1 + 99 + 100);
+    assert_eq!(ReadHeaders::default().nbytes(), 1);
+    assert_eq!(round_trip(&ReadHeaders::default()), ReadHeaders::default());
+    // A gap past `u32::MAX`, a length of 2³¹ or more and a varint no
+    // encoder writes are malformed frames.
+    for gap in [1 << 32, u64::MAX] {
+        assert_eq!(
+            decode_exact::<ReadHeaders>(&varints(&[1, gap, 0])),
+            Err(WireError::Malformed("read id gap"))
+        );
     }
-    let one = encoded(&records[records.len() - 1]);
-    for cut in 0..one.len() {
-        let mut reader = WireReader::new(&one[..cut]);
-        assert!(matches!(
-            EdgeRecord::wire_decode(&mut reader),
-            Err(WireError::Truncated { .. })
-        ));
+    for len in [1 << 31, u64::from(u32::MAX), u64::MAX] {
+        assert_eq!(
+            decode_exact::<ReadHeaders>(&varints(&[1, 0, len])),
+            Err(WireError::Malformed("read length"))
+        );
     }
+    for bad in BAD_VARINTS {
+        assert_eq!(
+            decode_exact::<ReadHeaders>(bad),
+            Err(WireError::Malformed("varint"))
+        );
+        let frame = [&[1, 5][..], bad].concat();
+        assert_eq!(
+            decode_exact::<ReadHeaders>(&frame),
+            Err(WireError::Malformed("varint"))
+        );
+    }
+    fuzz_frame::<ReadHeaders>(&frame, 0, |decoded, _| {
+        decoded.headers().iter().all(|&(_, len)| len < 1 << 31)
+    });
+}
+
+#[test]
+fn degrees_travel_as_varints() {
+    let degrees = Degrees::new(vec![0, 1, 2, 127, 128, 70_000, u32::MAX]);
+    let frame = encoded(&degrees);
+    assert_eq!(frame.len(), degrees.nbytes());
+    assert_eq!(
+        frame,
+        varints(&[7, 0, 1, 2, 127, 128, 70_000, u64::from(u32::MAX)])
+    );
+    assert_eq!(degrees.nbytes(), 1 + 1 + 1 + 1 + 1 + 2 + 3 + 5);
+    assert_eq!(round_trip(&degrees), degrees);
+    assert_prefixes_truncated::<Degrees>(&frame);
+    assert_eq!(Degrees::new(Vec::new()).nbytes(), 1);
+    // A degree past `u32::MAX` and a varint no encoder writes are
+    // malformed frames.
+    for degree in [1 << 32, u64::MAX] {
+        assert_eq!(
+            decode_exact::<Degrees>(&varints(&[2, 0, degree])),
+            Err(WireError::Malformed("degree"))
+        );
+    }
+    for bad in BAD_VARINTS {
+        assert_eq!(
+            decode_exact::<Degrees>(bad),
+            Err(WireError::Malformed("varint"))
+        );
+        let frame = [&[1][..], bad].concat();
+        assert_eq!(
+            decode_exact::<Degrees>(&frame),
+            Err(WireError::Malformed("varint"))
+        );
+    }
+    fuzz_frame::<Degrees>(&frame, 0, |_, _| true);
 }
 
 /// Offsets of the bytes that read 0 in `off`'s encoding and 1 in `on`'s:
