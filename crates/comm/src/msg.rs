@@ -34,6 +34,18 @@ pub trait CommMsg: Send + 'static {
     where
         Self: Sized;
 
+    /// [`CommMsg::nbytes`] of a slice of values, as a container books
+    /// them: the sum over the elements by default. Fixed-width messages
+    /// override it with one multiplication, and `bool` with the packed
+    /// size of [`CommMsg::wire_encode_slice`].
+    #[doc(hidden)]
+    fn wire_slice_nbytes(items: &[Self]) -> usize
+    where
+        Self: Sized,
+    {
+        items.iter().map(CommMsg::nbytes).sum()
+    }
+
     /// Bulk-encode a slice of values. Element-wise by default; scalar and
     /// POD messages override with a single byte copy so multi-MB buffers
     /// do not serialize element-at-a-time.
@@ -81,6 +93,11 @@ macro_rules! impl_scalar_msg {
             fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
                 let b = r.read_bytes(std::mem::size_of::<$t>())?;
                 Ok(<$t>::from_ne_bytes(b.try_into().expect("sized read")))
+            }
+
+            #[inline]
+            fn wire_slice_nbytes(items: &[Self]) -> usize {
+                std::mem::size_of_val(items)
             }
 
             fn wire_encode_slice(items: &[Self], out: &mut Vec<u8>) {
@@ -156,10 +173,38 @@ impl CommMsg for isize {
     }
 }
 
+/// A lone `bool` is one byte, 0 or 1. A slice of them, such as a
+/// `Vec<bool>` mask, packs eight to a byte, the first value in the
+/// lowest bit, and the last byte's unused high bits are 0.
 impl CommMsg for bool {
     #[inline]
     fn nbytes(&self) -> usize {
         1
+    }
+
+    #[inline]
+    fn wire_slice_nbytes(items: &[Self]) -> usize {
+        items.len().div_ceil(8)
+    }
+
+    fn wire_encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        out.extend(
+            items
+                .chunks(8)
+                .map(|bits| bits.iter().rev().fold(0u8, |byte, &b| byte << 1 | b as u8)),
+        );
+    }
+
+    /// The inverse of `wire_encode_slice`. The packed bytes are read
+    /// before anything is allocated, so `n` values never reserve more
+    /// than eight per remaining byte; a set padding bit is
+    /// [`WireError::Malformed`].
+    fn wire_decode_slice(n: usize, r: &mut WireReader<'_>) -> Result<Vec<Self>, WireError> {
+        let bytes = r.read_bytes(n.div_ceil(8))?;
+        if !n.is_multiple_of(8) && bytes[bytes.len() - 1] >> (n % 8) != 0 {
+            return Err(WireError::Malformed("bool padding"));
+        }
+        Ok((0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
     }
 
     #[inline]
@@ -212,9 +257,8 @@ impl CommMsg for () {
 impl<T: CommMsg> CommMsg for Vec<T> {
     #[inline]
     fn nbytes(&self) -> usize {
-        // Length header (MPI count) + payload. For scalar `T` the sum
-        // vectorizes to `len * size_of::<T>()`.
-        8 + self.iter().map(CommMsg::nbytes).sum::<usize>()
+        // Length header (MPI count) + payload.
+        8 + T::wire_slice_nbytes(self)
     }
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
@@ -401,6 +445,11 @@ macro_rules! impl_comm_msg_pod {
             ) -> Result<Self, $crate::transport::wire::WireError> {
                 let bytes = r.read_bytes(std::mem::size_of::<$t>())?;
                 Ok(unsafe { std::ptr::read_unaligned(bytes.as_ptr().cast::<$t>()) })
+            }
+
+            #[inline]
+            fn wire_slice_nbytes(items: &[Self]) -> usize {
+                std::mem::size_of_val(items)
             }
 
             fn wire_encode_slice(items: &[Self], out: &mut Vec<u8>) {

@@ -81,6 +81,37 @@ pub fn varint_len(value: u64) -> usize {
     bits.div_ceil(7)
 }
 
+/// [`varint_len`] of a value below 2³², in a form whose sum over a slice
+/// vectorizes when it is kept in `u32` lanes ([`sum_varint_lens`]).
+#[inline]
+pub fn varint_len_u32(value: u32) -> u32 {
+    1 + u32::from(value >> 7 != 0)
+        + u32::from(value >> 14 != 0)
+        + u32::from(value >> 21 != 0)
+        + u32::from(value >> 28 != 0)
+}
+
+/// Items summed per block in `u32` lanes by [`sum_varint_lens`]: five
+/// bytes each at most, so a block's sum stays far below 2³².
+pub const VARINT_LEN_BLOCK: usize = 1 << 16;
+
+/// The bytes of the varints `code` gives `items`, each below 2³²: what a
+/// message's `nbytes` books for a slice of them. The sum runs in `u32`
+/// lanes per [`VARINT_LEN_BLOCK`] items, which vectorizes where a `usize`
+/// sum does not.
+#[inline]
+pub fn sum_varint_lens<T>(items: &[T], code: impl Fn(&T) -> u32) -> usize {
+    items
+        .chunks(VARINT_LEN_BLOCK)
+        .map(|block| {
+            block
+                .iter()
+                .map(|item| varint_len_u32(code(item)))
+                .sum::<u32>() as usize
+        })
+        .sum()
+}
+
 /// Cursor over an encoded payload; every `read_*` checks bounds and
 /// returns [`WireError::Truncated`] instead of panicking.
 #[derive(Debug)]
@@ -350,6 +381,25 @@ mod tests {
                 assert!(matches!(r.read_varint(), Err(WireError::Truncated { .. })));
             }
         }
+        for value in [
+            0,
+            127,
+            128,
+            16_383,
+            16_384,
+            (1 << 21) - 1,
+            1 << 21,
+            (1 << 28) - 1,
+            1 << 28,
+            u32::MAX,
+        ] {
+            assert_eq!(
+                varint_len_u32(value) as usize,
+                varint_len(u64::from(value)),
+                "{value}"
+            );
+        }
+        assert_eq!(sum_varint_lens(&[0u32, 128, u32::MAX], |&v| v), 1 + 2 + 5);
         assert_eq!(varint_len(127), 1);
         assert_eq!(varint_len(128), 2);
         assert_eq!(varint_len(u64::MAX), 10);

@@ -6,10 +6,13 @@
 //!
 //! The communication follows the paper's Fig. 2 with one departure: only
 //! its *row* half is sent. Each rank learns `v[u]` for every local row
-//! `u` through an allgather over the grid-row communicator
-//! ([`DistVec::fetch_rows`]), labels narrowed to `u32` like every vertex
-//! id; the column half, the point-to-point swap with the transposed rank
-//! that would deliver `v[w]`, is not sent. An edge never leaves its
+//! `u` through an allgather over the grid-row communicator (the row half
+//! of [`DistVec::fetch_aligned`]), labels narrowed to `u32` like every
+//! vertex id. A label is its component's least vertex, so each chunk
+//! travels as an [`elba_sparse::U32Run`] of `varint(u − v[u])` from the
+//! chunk's first vertex: a chain of ids close together costs a byte a
+//! label. The column half, the point-to-point swap with the transposed
+//! rank that would deliver `v[w]`, is not sent. An edge never leaves its
 //! component, so its row's label routes it, and the one reader of
 //! `v[w]` was a consistency check that now runs inside connected
 //! components, where both labels are at hand
@@ -48,7 +51,7 @@ use std::collections::HashMap;
 
 use elba_align::SgEdge;
 use elba_comm::ProcGrid;
-use elba_sparse::{Csr, DistMat, DistVec, RoutedTriples};
+use elba_sparse::{Csr, DistMat, DistVec, PerVertex, RoutedTriples, U32Run};
 
 use crate::assembly::WalkEdge;
 
@@ -135,8 +138,11 @@ impl RankDict {
 
 /// Build each rank's induced subgraph (collective).
 ///
-/// `owner_of_label` maps a component label to the rank that will assemble
-/// it (components absent from the map — e.g. singletons — are dropped).
+/// `labels` are [`crate::lacc::connected_components`]' labels: each
+/// vertex's is its component's least vertex, so at most the vertex
+/// itself (a label above its vertex panics). `owner_of_label` maps a
+/// component label to the rank that will assemble it (components absent
+/// from the map — e.g. singletons — are dropped).
 pub fn induced_subgraph(
     grid: &ProcGrid,
     l: &DistMat<SgEdge>,
@@ -151,7 +157,14 @@ pub fn induced_subgraph(
     );
     // The row half of the Fig. 2 exchange, labels narrowed to `u32`.
     let narrow = |label: u64| u32::try_from(label).expect("a label is a vertex id");
-    let row_labels = labels.map(grid, |_, &label| narrow(label)).fetch_rows(grid);
+    let chunk = labels.global_range(grid);
+    let mine = U32Run::new(
+        PerVertex::<1> {
+            first: chunk.start as u32,
+        },
+        labels.local().iter().map(|&label| narrow(label)).collect(),
+    );
+    let row_labels = U32Run::concat(grid.row().allgather(mine)).into_values();
     let (row0, col0) = l.local_offsets(grid);
     let (row0, col0) = (row0 as u32, col0 as u32);
     let block = l.local();
@@ -334,7 +347,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(404);
         for trial in 0..12u32 {
             // Components are runs of consecutive ids, labelled by their
-            // first vertex; ids are then shuffled so nothing is ordered.
+            // least vertex as connected components labels them; ids are
+            // then shuffled so nothing is ordered.
             let n = rng.gen_range(5..60usize);
             let mut perm: Vec<u64> = (0..n as u64).collect();
             for i in (1..n).rev() {
@@ -346,7 +360,7 @@ mod tests {
             let mut components: Vec<u64> = Vec::new();
             while start < n {
                 let len = rng.gen_range(1..8usize).min(n - start);
-                let label = perm[start];
+                let label = *perm[start..start + len].iter().min().expect("len ≥ 1");
                 components.push(label);
                 for v in start..start + len {
                     labels[perm[v] as usize] = label;

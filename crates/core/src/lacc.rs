@@ -6,21 +6,30 @@
 //! FastSV formulation (Zhang, Azad & Buluç 2020 — the same group's
 //! successor to LACC, with identical inputs/outputs). Every vertex holds
 //! a parent label `f` with `f[x] ≤ x`; labels converge to the minimum
-//! vertex id of their component. Every label, parent, proposal and
-//! contracted `(vertex, root)` pair travels as a `u32`, the width of a
-//! vertex id everywhere else (read sets of 2³² reads or more are refused
-//! at ingest, [`elba_seq::TooManyReads`]); the result is widened to
-//! `u64` once, locally, after the last round.
+//! vertex id of their component. Labels are `u32`s in memory, the width
+//! of a vertex id everywhere else (read sets of 2³² reads or more are
+//! refused at ingest, [`elba_seq::TooManyReads`]); the result is widened
+//! to `u64` once, locally, after the last round. On the wire every
+//! fetched `(f, gp)` pair, proposal and contracted root travels as an
+//! [`elba_sparse::U32Run`] varint of its distance below a vertex the
+//! receiver knows: `f[x] ≤ x` bounds that distance by the component's
+//! spread of ids, not by the id. The grandparent gather's requests and
+//! replies ([`DistVec::gather`]) stay `u32` chunk offsets and labels.
 //!
 //! Before the first round each rank contracts its own matrix block with a
 //! serial [`UnionFind`] and sends every vertex the minimum of its
 //! block-local component, so a chain that lives inside one block is
-//! already final. A round then
+//! already final. Those `(vertex, root)` updates, like a round's
+//! proposals, ascend by vertex and each lowers its vertex's label, so
+//! they travel as [`AtVertices`] runs: the vertex gap and
+//! `vertex − root − 1`. A round then
 //!
 //! 1. computes grandparents `gp[u] = f[f[u]]` ([`DistVec::gather`]: each
 //!    distinct remote parent is asked for once, local ones not at all);
 //! 2. fetches the `(f, gp)` pair for the block's row and column range in
-//!    one Fig. 2 exchange ([`DistVec::fetch_aligned`]);
+//!    one Fig. 2 exchange (a grid-row allgather and the transpose swap, as
+//!    [`DistVec::fetch_aligned`] does), each chunk a [`PerVertex`] run of
+//!    `v − f` and `f − gp`;
 //! 3. folds the local edges into `m[v] = min gp[u]` over edges `(u, v)`
 //!    and proposes aggressive hooking `f[v] ← m[v]` and stochastic
 //!    hooking `f[f[v]] ← m[v]` — one `(target, value)` per target per
@@ -28,7 +37,7 @@
 //!    the owner is known to hold, so every dropped proposal would have
 //!    been a no-op;
 //! 4. shortcuts `f[u] ← gp[u]` in place and min-combines the routed
-//!    proposals ([`DistVec::scatter_combine`]);
+//!    proposals (as [`DistVec::scatter_combine`] would);
 //!
 //! until a round changes no label anywhere. The matrix must be
 //! structurally symmetric (ELBA's `S` and `L` always are): symmetry
@@ -37,8 +46,13 @@
 //! neighbours' (`m[v] = f[v]`), so no edge spans two components; debug
 //! builds check that there, where both values are already at hand.
 
+use std::sync::Arc;
+
 use elba_comm::{CommMsg, ProcGrid};
-use elba_sparse::{DistMat, DistVec};
+use elba_sparse::{AtVertices, DistMat, DistVec, Layout2D, PerVertex, U32Run};
+
+/// Tag of the `(f, gp)` fetch's transpose swap.
+const PAIRS_TAG: u64 = 0x00CC_F1F1;
 
 /// Result of a connected-components run.
 #[derive(Debug, Clone)]
@@ -58,6 +72,66 @@ fn min_assign(acc: &mut u32, v: u32) -> bool {
         *acc = v;
     }
     lower
+}
+
+/// Min-combine `(vertex, label)` updates into their owners' labels, like
+/// [`DistVec::scatter_combine`]: locally owned vertices in place, the
+/// others routed as one [`AtVertices`] run per owner. `updates` ascend
+/// strictly by vertex and every label is below its vertex, so every
+/// owner's share is a run. Returns whether any label fell.
+fn scatter_min(grid: &ProcGrid, f: &mut DistVec<u32>, updates: &[(usize, u32)]) -> bool {
+    let layout = f.layout();
+    let mine = f.global_range(grid);
+    let local = f.local_mut();
+    let mut outgoing = vec![Vec::new(); grid.world().size()];
+    let mut changed = false;
+    for &(v, label) in updates {
+        if mine.contains(&v) {
+            changed |= min_assign(&mut local[v - mine.start], label);
+        } else {
+            outgoing[layout.owner_rank(v)].extend([v as u32, label]);
+        }
+    }
+    let runs = outgoing
+        .into_iter()
+        .map(|pairs| U32Run::new(AtVertices, pairs))
+        .collect();
+    for run in grid.world().alltoallv(runs) {
+        for pair in run.values().chunks_exact(2) {
+            changed |= min_assign(&mut local[pair[0] as usize - mine.start], pair[1]);
+        }
+    }
+    changed
+}
+
+/// Step 2's Fig. 2 exchange: `(f, gp)` interleaved, `[f, gp, f, gp, …]`,
+/// for the block's row range and for its column range. Each chunk
+/// travels the grid-row allgather as a [`PerVertex`] run from its first
+/// vertex, and the row range the transpose swap as one run from the
+/// range's, shared with the partner rather than copied.
+fn fetch_pairs(
+    grid: &ProcGrid,
+    layout: &Layout2D,
+    f: &[u32],
+    gp: &[u32],
+) -> (Arc<U32Run<PerVertex<2>>>, Arc<U32Run<PerVertex<2>>>) {
+    let chunk = layout.chunk_range(grid.myrow(), grid.mycol());
+    let pairs = f.iter().zip(gp).flat_map(|(&f, &gp)| [f, gp]).collect();
+    let mine = U32Run::new(
+        PerVertex {
+            first: chunk.start as u32,
+        },
+        pairs,
+    );
+    let rows = Arc::new(U32Run::concat(grid.row().allgather(mine)));
+    let cols = if grid.is_diagonal() {
+        Arc::clone(&rows)
+    } else {
+        let (world, partner) = (grid.world(), grid.transpose_rank());
+        world.send(partner, PAIRS_TAG, Arc::clone(&rows));
+        world.recv(partner, PAIRS_TAG)
+    };
+    (rows, cols)
 }
 
 /// Run connected components on a symmetric distributed matrix
@@ -102,28 +176,28 @@ pub fn connected_components<T: Clone + CommMsg + Sync>(
         });
         minima.collect()
     };
-    f.scatter_combine(grid, contracted, |acc, v| {
-        min_assign(acc, v);
-    });
+    scatter_min(grid, &mut f, &contracted);
 
     let mut rounds = 0usize;
     loop {
         rounds += 1;
         let parents: Vec<usize> = f.local().iter().map(|&x| x as usize).collect();
         let gp = f.gather(grid, &parents);
-        let pairs = f.local().iter().copied().zip(gp.iter().copied()).collect();
-        let (row_pairs, col_pairs) = DistVec::from_local(grid, n, pairs).fetch_aligned(grid);
+        let (row_run, col_run) = fetch_pairs(grid, &layout, f.local(), &gp);
+        let (row_pairs, col_pairs) = (row_run.values(), col_run.values());
+        debug_assert_eq!(col_pairs.len(), 2 * cols.len());
 
         let mut best = vec![u32::MAX; cols.len()];
         world.record_mem_transient(
-            (row_pairs.len() + col_pairs.len()) * std::mem::size_of::<(u32, u32)>()
+            (row_pairs.len() + col_pairs.len()) * std::mem::size_of::<u32>()
                 + best.len() * std::mem::size_of::<u32>(),
         );
         for (u, v, _) in matrix.local().iter() {
-            min_assign(&mut best[v as usize], row_pairs[u as usize].1);
+            min_assign(&mut best[v as usize], row_pairs[2 * u as usize + 1]);
         }
         let mut proposals: Vec<(usize, u32)> = Vec::new();
-        for ((v, &m), &(f_v, gp_v)) in cols.clone().zip(&best).zip(&col_pairs) {
+        for ((v, &m), pair) in cols.clone().zip(&best).zip(col_pairs.chunks_exact(2)) {
+            let (f_v, gp_v) = (pair[0], pair[1]);
             if m < f_v {
                 proposals.push((v, m));
             }
@@ -139,12 +213,12 @@ pub fn connected_components<T: Clone + CommMsg + Sync>(
         for (x, &g) in f.local_mut().iter_mut().zip(&gp) {
             changed |= min_assign(x, g);
         }
-        f.scatter_combine(grid, proposals, |acc, v| changed |= min_assign(acc, v));
+        changed |= scatter_min(grid, &mut f, &proposals);
         if world.allreduce(changed as u64, |a, b| a + b) == 0 {
             debug_assert!(
                 best.iter()
-                    .zip(&col_pairs)
-                    .all(|(&m, &(f_v, _))| m == u32::MAX || m == f_v),
+                    .zip(col_pairs.chunks_exact(2))
+                    .all(|(&m, pair)| m == u32::MAX || m == pair[0]),
                 "an edge spans two components: is the matrix symmetric?"
             );
             break;

@@ -8,8 +8,9 @@
 //! * [`lacc`] — distributed connected components (Awerbuch–Shiloach
 //!   family, FastSV formulation) over the unbranched string matrix,
 //! * [`induced`] — the induced subgraph function with the row half of
-//!   the Fig. 2 exchange (a row allgather of `u32` labels) and the
-//!   custom all-to-all edge routing as varint row runs,
+//!   the Fig. 2 exchange (a row allgather of labels, each a varint of
+//!   its distance below its vertex) and the custom all-to-all edge
+//!   routing as varint row runs,
 //! * [`assembly`] — per-rank linear-walk local assembly with the paper's
 //!   `pre`/`post` concatenation over packed read buffers,
 //! * [`contig`] — Algorithm 2 end-to-end (`ContigGeneration`),

@@ -21,8 +21,10 @@
 //! A's triples are built on the rank that holds the read. Occurrences
 //! never travel: each window of `batch_kmers` occurrences looks up the
 //! k-mers its rank owns in place and asks the other owners for the
-//! columns of its distinct k-mers (an 8-byte query per k-mer, a 4-byte
-//! answer back), so a rank's triples are its own reads' rows. A k-mer
+//! columns of its distinct k-mers (an 8-byte query per k-mer, a varint
+//! answer back: 0 for an unreliable k-mer, otherwise one more than the
+//! column's offset into the owner's range), so a rank's triples are its
+//! own reads' rows. A k-mer
 //! repeated within a read keeps its first occurrence when each read's
 //! triples are sorted at the end.
 //!
@@ -43,8 +45,11 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
-use elba_comm::transport::wire::{varint_len, write_varint, WireError, WireReader};
+use elba_comm::transport::wire::{
+    sum_varint_lens, varint_len, varint_len_u32, write_varint, WireError, WireReader,
+};
 use elba_comm::{Comm, CommMsg, ProcGrid};
+use elba_sparse::{Plain, U32Run};
 
 use crate::kmer::{KmerHit, KmerScan};
 use crate::store::ReadStore;
@@ -199,11 +204,11 @@ impl KmerTable {
         self.local.get(&kmer).map(|&i| self.offset + u64::from(i))
     }
 
-    /// The owner's answer to a column query: the k-mer's offset into
-    /// this rank's id range, or `u32::MAX` if it is not reliable.
+    /// The owner's answer to a column query: one more than the k-mer's
+    /// offset into this rank's id range, or 0 if it is not reliable.
     #[inline]
     fn answer(&self, kmer: u64) -> u32 {
-        self.local.get(&kmer).copied().unwrap_or(u32::MAX)
+        self.local.get(&kmer).map_or(0, |&offset| offset + 1)
     }
 }
 
@@ -211,9 +216,10 @@ impl KmerTable {
 /// k-mer occurrence within a read. This is the value BELLA's overlap
 /// semiring consumes.
 ///
-/// On the wire it is one `u32`: `pos` in the low 31 bits and the strand
-/// in the top bit. Reads are at most [`crate::store::MAX_READ_LEN`]
-/// bases, so every position fits.
+/// On the wire it is one LEB128 varint, `pos << 1 | fwd`: one byte below
+/// position 64, two below 8 192, and five at most. Reads are at most
+/// [`crate::store::MAX_READ_LEN`] bases, so every position is below 2³¹,
+/// and a decoded one that is not is [`WireError::Malformed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct AEntry {
     /// Position of the k-mer's first base within the read.
@@ -223,57 +229,42 @@ pub struct AEntry {
 }
 
 impl AEntry {
-    const FWD_BIT: u32 = 1 << 31;
-
+    /// The wire varint.
     #[inline]
-    fn to_wire(self) -> u32 {
-        assert!(
-            self.pos < Self::FWD_BIT,
-            "position {} is not 31-bit",
-            self.pos
-        );
-        self.pos | if self.fwd { Self::FWD_BIT } else { 0 }
-    }
-
-    #[inline]
-    fn from_wire(word: u32) -> Self {
-        AEntry {
-            pos: word & !Self::FWD_BIT,
-            fwd: word & Self::FWD_BIT != 0,
-        }
+    fn code(self) -> u32 {
+        assert!(self.pos < 1 << 31, "position {} is not 31-bit", self.pos);
+        self.pos << 1 | u32::from(self.fwd)
     }
 }
 
 impl CommMsg for AEntry {
     #[inline]
     fn nbytes(&self) -> usize {
-        4
+        varint_len_u32(self.code()) as usize
+    }
+
+    /// A block's or a vector's entries, summed in `u32` lanes.
+    fn wire_slice_nbytes(items: &[Self]) -> usize {
+        assert!(
+            items.iter().all(|entry| entry.pos < 1 << 31),
+            "positions are 31-bit"
+        );
+        sum_varint_lens(items, |entry| entry.pos << 1 | u32::from(entry.fwd))
     }
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_wire().to_ne_bytes());
+        write_varint(out, u64::from(self.code()));
     }
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(AEntry::from_wire(u32::wire_decode(r)?))
-    }
-
-    fn wire_encode_slice(items: &[Self], out: &mut Vec<u8>) {
-        out.reserve(4 * items.len());
-        for entry in items {
-            out.extend_from_slice(&entry.to_wire().to_ne_bytes());
+        let code = r.read_varint()?;
+        if code >> 32 != 0 {
+            return Err(WireError::Malformed("a entry position"));
         }
-    }
-
-    fn wire_decode_slice(n: usize, r: &mut WireReader<'_>) -> Result<Vec<Self>, WireError> {
-        let total = n
-            .checked_mul(4)
-            .ok_or(WireError::Malformed("length header"))?;
-        let bytes = r.read_bytes(total)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|word| AEntry::from_wire(u32::from_ne_bytes(word.try_into().expect("4 bytes"))))
-            .collect())
+        Ok(AEntry {
+            pos: (code >> 1) as u32,
+            fwd: code & 1 == 1,
+        })
     }
 }
 
@@ -390,7 +381,7 @@ pub fn count_kmers_with_stats(
         .map(|(kmer, _)| kmer)
         .collect();
     reliable.sort_unstable();
-    // `u32::MAX` is the "not reliable" answer of a column query.
+    // A column query's answer is the offset + 1, and 0 is "not reliable".
     assert!(
         reliable.len() < u32::MAX as usize,
         "one rank owns under 2^32 - 1 reliable k-mers"
@@ -436,8 +427,9 @@ pub fn build_a_triples(
 /// same order for every thread count. A k-mer this rank owns is
 /// looked up in place; each window sends every other owner its distinct
 /// k-mers, in first-seen order, and the owner answers positionally with
-/// a `u32` offset into its id range (the offsets of the ranges are
-/// allgathered once). That is one `alltoallv` per leg per window, plus a
+/// one varint per query, 0 for an unreliable k-mer and otherwise one more
+/// than the column's offset into the owner's id range (the offsets of the
+/// ranges are allgathered once). That is one `alltoallv` per leg per window, plus a
 /// one-byte `allreduce` that keeps a rank whose reads are done in step
 /// with the others. What a window holds — and so every message — is a
 /// function of the input alone. Each read's triples are sorted by column
@@ -472,12 +464,15 @@ pub fn build_a_triples_with_stats(
         let largest = inbound.iter().map(Vec::len).max().unwrap_or(0);
         stats.peak_inbound_items = stats.peak_inbound_items.max(largest);
         stats.peak_inbound_bytes = stats.peak_inbound_bytes.max(asked * QUERY_BYTES);
-        let answers: Vec<Vec<u32>> = inbound
+        let answers: Vec<U32Run> = inbound
             .into_iter()
-            .map(|kmers| kmers.into_iter().map(|kmer| table.answer(kmer)).collect())
+            .map(|kmers| {
+                let answers = kmers.into_iter().map(|kmer| table.answer(kmer));
+                U32Run::new(Plain, answers.collect())
+            })
             .collect();
         let answers = world.alltoallv(answers);
-        let answered = answers.iter().map(Vec::len).sum();
+        let answered = answers.iter().map(|a| a.values().len()).sum();
         stats.peak_answer_items = stats.peak_answer_items.max(answered);
         window.emit(&answers, &offsets, &mut triples);
     }
@@ -588,25 +583,22 @@ impl Window {
 
     /// Resolve the answers (`answers[owner]` is positional in that
     /// owner's queries) and append the window's triples.
-    fn emit(
-        &mut self,
-        answers: &[Vec<u32>],
-        offsets: &[u64],
-        triples: &mut Vec<(u64, u64, AEntry)>,
-    ) {
+    fn emit(&mut self, answers: &[U32Run], offsets: &[u64], triples: &mut Vec<(u64, u64, AEntry)>) {
         let mut next = vec![0usize; answers.len()];
         self.cols.clear();
         self.cols.extend(self.owners.iter().map(|&owner| {
             let owner = owner as usize;
-            let answer = answers[owner][next[owner]];
+            let answer = answers[owner].values()[next[owner]];
             next[owner] += 1;
             match answer {
-                u32::MAX => UNRELIABLE,
-                offset => offsets[owner] + u64::from(offset),
+                0 => UNRELIABLE,
+                shifted => offsets[owner] + u64::from(shifted - 1),
             }
         }));
         assert!(
-            next.iter().zip(answers).all(|(&n, a)| n == a.len()),
+            next.iter()
+                .zip(answers)
+                .all(|(&n, a)| n == a.values().len()),
             "one answer per query"
         );
         let ends = self.reads.iter().skip(1).map(|&(_, start)| start);

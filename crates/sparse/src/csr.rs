@@ -396,7 +396,7 @@ impl<T: CommMsg + Clone> CommMsg for Csr<T> {
     fn nbytes(&self) -> usize {
         let mut bytes = 0;
         self.for_each_code(|v| bytes += varint_len(v));
-        bytes + self.values.iter().map(CommMsg::nbytes).sum::<usize>()
+        bytes + T::wire_slice_nbytes(&self.values)
     }
 
     fn wire_encode(&self, out: &mut Vec<u8>) {

@@ -9,13 +9,13 @@
 
 use std::sync::Arc;
 
-use elba_comm::transport::wire::{varint_len, write_varint, WireError, WireReader};
 use elba_comm::{CommMsg, MemCharge, ProcGrid};
 
 use crate::csr::{entry_offset, Csr};
 use crate::dist_vec::DistVec;
 use crate::layout::Layout2D;
 use crate::routed::RoutedTriples;
+use crate::run::{Plain, U32Run};
 use crate::semiring::{MaskedFold, Semiring};
 use crate::spgemm::{MaskedAccumulator, SpGemmBatcher};
 
@@ -722,7 +722,9 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// reduction over the row dimension" producing the degree vector `d`).
     /// Each rank counts its block's rows, slices the counts into the q
     /// vector sub-chunks its grid row owns, and reduce-scatters them
-    /// across the row communicator as [`Degrees`]. Counts are `u32`, as
+    /// across the row communicator as [`U32Run`]s, a varint per degree:
+    /// a degree is bounded by the vertex's neighbours, not by the read
+    /// count, so one below 128 costs one byte. Counts are `u32`, as
     /// column indices are: a row holds fewer than 2³² entries.
     pub fn row_degrees(&self, grid: &ProcGrid) -> DistVec<u32> {
         let partial: Vec<u32> = self
@@ -732,18 +734,18 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
             .map(|w| w[1] - w[0])
             .collect();
         let row_range = self.row_layout.block_range(grid.myrow());
-        let contributions: Vec<Degrees> = (0..grid.q())
+        let contributions: Vec<U32Run> = (0..grid.q())
             .map(|j| {
                 let chunk = self.row_layout.chunk_range(grid.myrow(), j);
                 let (lo, hi) = (chunk.start - row_range.start, chunk.end - row_range.start);
-                Degrees::new(partial[lo..hi].to_vec())
+                U32Run::new(Plain, partial[lo..hi].to_vec())
             })
             .collect();
         let reduced = grid.row().reduce_scatter_block(contributions, |a, b| {
-            let sums = a.degrees.into_iter().zip(b.degrees).map(|(x, y)| x + y);
-            Degrees::new(sums.collect())
+            let sums = a.values().iter().zip(b.values()).map(|(x, y)| x + y);
+            U32Run::new(Plain, sums.collect())
         });
-        DistVec::from_local(grid, self.row_layout.len(), reduced.degrees)
+        DistVec::from_local(grid, self.row_layout.len(), reduced.into_values())
     }
 
     /// Zero out every row **and** column whose mask entry is `true`
@@ -768,56 +770,6 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
                     .retain(|r, c, _| !row_mask[r as usize] && !col_mask[c as usize]),
             ),
         }
-    }
-}
-
-/// Partial vertex degrees bound for the rank that sums them
-/// ([`DistMat::row_degrees`]).
-///
-/// In memory they are the `u32` counts; on the wire a varint count and
-/// then each degree as a varint. A degree is bounded by the vertex's
-/// neighbours, not by the read count, so one below 128 costs one byte.
-/// [`CommMsg::nbytes`] is the coded length, summed once when the run is
-/// built.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Degrees {
-    degrees: Vec<u32>,
-    bytes: usize,
-}
-
-impl Degrees {
-    /// Wrap a run of degrees.
-    pub fn new(degrees: Vec<u32>) -> Self {
-        let values: usize = degrees.iter().map(|&d| varint_len(u64::from(d))).sum();
-        let bytes = varint_len(degrees.len() as u64) + values;
-        Degrees { degrees, bytes }
-    }
-}
-
-impl CommMsg for Degrees {
-    fn nbytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        write_varint(out, self.degrees.len() as u64);
-        for &degree in &self.degrees {
-            write_varint(out, u64::from(degree));
-        }
-    }
-
-    /// The inverse of `wire_encode`. A degree past `u32::MAX` is
-    /// [`WireError::Malformed`]; the degrees are reserved only as far as
-    /// the remaining bytes (one per degree) go.
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n = r.read_varint()?;
-        let mut degrees = Vec::with_capacity((n as usize).min(r.remaining()));
-        for _ in 0..n {
-            let degree =
-                u32::try_from(r.read_varint()?).map_err(|_| WireError::Malformed("degree"))?;
-            degrees.push(degree);
-        }
-        Ok(Degrees::new(degrees))
     }
 }
 

@@ -11,9 +11,9 @@
 //! reassembles the vector restricted to the local matrix block's row
 //! range, and a point-to-point swap with the *transposed* rank `(j, i)`
 //! yields the column range. Every rank then knows `v[u]` and `v[w]` for
-//! every local nonzero `(u, w)` without a grid-wide allgather.
-//! [`DistVec::fetch_rows`] is the row half alone, for a caller that
-//! reads only `v[u]` (the induced subgraph routes each edge by its row).
+//! every local nonzero `(u, w)` without a grid-wide allgather. A
+//! `DistVec<bool>` mask ships eight entries to a byte (`bool`'s slice
+//! codec in `elba_comm::msg`).
 //!
 //! [`DistVec::gather`] and [`DistVec::scatter_combine`] address remote
 //! elements by their `u32` offset into the owner's chunk, not by global
@@ -198,25 +198,19 @@ impl<T: Clone + CommMsg> DistVec<T> {
         }
     }
 
-    /// The row half of [`DistVec::fetch_aligned`]: the vector restricted
-    /// to this rank's matrix block *row* range, by an allgather over the
-    /// grid-row communicator — grid row i's chunks concatenated (in
-    /// column order) cover block range i exactly.
-    pub fn fetch_rows(&self, grid: &ProcGrid) -> Vec<T> {
-        let row_chunks = grid.row().allgather(self.local.clone());
-        let mut row_vals = Vec::with_capacity(self.layout.block_range(grid.myrow()).len());
-        for chunk in row_chunks {
-            row_vals.extend(chunk);
-        }
-        row_vals
-    }
-
     /// The paper's Fig. 2 exchange. Returns `(row_vals, col_vals)`:
     /// the vector restricted to this rank's matrix block *row* range
     /// (`block_range(myrow)`) and block *column* range
     /// (`block_range(mycol)`), respectively.
     pub fn fetch_aligned(&self, grid: &ProcGrid) -> (Vec<T>, Vec<T>) {
-        let row_vals = self.fetch_rows(grid);
+        // Row range: an allgather over the grid-row communicator — grid
+        // row i's chunks concatenated (in column order) cover block range
+        // i exactly.
+        let row_chunks = grid.row().allgather(self.local.clone());
+        let mut row_vals = Vec::with_capacity(self.layout.block_range(grid.myrow()).len());
+        for chunk in row_chunks {
+            row_vals.extend(chunk);
+        }
         // Column range: the transposed processor P(j, i) just assembled
         // block range j — swap with it point-to-point.
         let col_vals = if grid.is_diagonal() {

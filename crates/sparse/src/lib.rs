@@ -8,7 +8,8 @@
 //!   matrix and the symmetric subgraph local assembly walks, built by a
 //!   counting sort from triples, with `u32` offsets; on the wire a
 //!   block ships its non-empty rows and column gaps as varints, and
-//!   [`routed::RoutedTriples`] a sorted triple buffer as row runs,
+//!   [`routed::RoutedTriples`] a sorted triple buffer as row runs, and
+//!   [`run::U32Run`] a vertex-indexed `u32` run as varint distances,
 //! * [`semiring::Semiring`] overloading of `(+, ×)`, including filtering
 //!   semirings (a `multiply` that can annihilate) and an in-place
 //!   `fold` (`acc ⊕= a ⊗ b`) a semiring may specialise,
@@ -22,8 +23,7 @@
 //!   transpose, prune, row reduction, branch masking) and
 //!   [`dist_vec::DistVec`] (gather/scatter by global index, shipped as
 //!   `u32` chunk offsets, the paper's Fig. 2 row-allgather +
-//!   transposed-p2p `fetch_aligned` exchange and its row half
-//!   `fetch_rows`),
+//!   transposed-p2p `fetch_aligned` exchange),
 //! * [`dense::Dense`], a tiny dense oracle used by the test suite.
 
 mod build;
@@ -33,13 +33,15 @@ pub mod dist_mat;
 pub mod dist_vec;
 pub mod layout;
 pub mod routed;
+pub mod run;
 pub mod semiring;
 pub mod spgemm;
 
 pub use csr::Csr;
-pub use dist_mat::{Degrees, DistMat, SpGemmOptions};
+pub use dist_mat::{DistMat, SpGemmOptions};
 pub use dist_vec::DistVec;
 pub use layout::Layout2D;
 pub use routed::RoutedTriples;
+pub use run::{AtVertices, PerVertex, Plain, RunCode, U32Run};
 pub use semiring::{MaskedFold, Semiring, SemiringSlot};
 pub use spgemm::SpGemmBatcher;

@@ -500,31 +500,41 @@ fn pipeline_profile_contains_paper_phases() {
 /// 399 072 and 309 496 B in 177, 177, 177 and 176.
 ///
 /// DetectOverlap ships a window's column queries to the other A owners
-/// and their answers (8 B per query, 4 B per answer), routes A's triples
-/// to their block owners, and runs the symmetric product's direct block
+/// and their answers (8 B per query; an answer is one varint in a
+/// `U32Run`, 0 for an unreliable k-mer and otherwise the column's offset
+/// into the owner's range plus one, so 1 or 2 B), routes A's triples to
+/// their block owners, and runs the symmetric product's direct block
 /// sends: no `Aᵀ` is built and nothing is broadcast. Rank (m, s) sends
 /// `A(m, s)` as stored to every other rank (m, j) with j ≥ m, and
-/// transposed to every rank (i, m) with i < m. A's triples ascend by row
+/// transposed to every rank (i, m) with i < m. An A entry is one varint,
+/// `pos << 1 | fwd`: 1 B below position 64, 2 B below 8 192 (the reads
+/// here are shorter), about 2 B on average. A's triples ascend by row
 /// and, within a row, by column, so every routed buffer travels as row
-/// runs and column gaps, about 5 B a triple where a flat triple took 12.
+/// runs and column gaps, about 3 B a triple where a flat triple took 12.
 /// A block frame is its structure — varint shape and `nnz`, `(empty rows
 /// skipped, len − 1)` per non-empty row, one column gap per entry, the
-/// trailing empty rows — and 4 B per entry. A's 99 read rows split 50 / 49
-/// over the grid rows and its 939 sampled k-mer columns 470 / 469 over
-/// the grid columns:
+/// trailing empty rows — and then the entries. A's 99 read rows split
+/// 50 / 49 over the grid rows and its 939 sampled k-mer columns 470 / 469
+/// over the grid columns. The column-query column also holds the
+/// one-byte `allreduce`s and the offsets' allgather; only the answers in
+/// it moved:
 ///
-/// | rank | column queries | routed triples | blocks sent: (rows, entries) structure + values | (msgs, bytes) |
+/// | rank | column queries (answers) | routed triples | blocks sent: (rows, entries) structure + entries | (msgs, bytes) |
 /// |---|---:|---:|---|---:|
-/// | 0 (0,0) | 50 878 | 7 053: 35 425 | A(0,0) (50, 7 175) 7 307 + 28 700 | (46, 122 310) |
-/// | 1 (0,1) | 58 163 | 8 072: 40 520 | A(0,1) (50, 7 950) 8 086 + 31 800 | (47, 138 569) |
-/// | 2 (1,0) | 53 494 | 7 152: 35 916 | A(1,0) (49, 5 990) 6 112 + 23 960, A(1,0)ᵀ (470, 5 990) 6 892 + 23 960 | (48, 150 334) |
-/// | 3 (1,1) | 44 295 | 5 418: 27 234 | A(1,1)ᵀ (469, 6 580) 7 496 + 26 320 | (47, 105 345) |
+/// | 0 (0,0) | 39 734 (5 664) | 7 053: 21 082 | A(0,0) (50, 7 175) 7 307 + 14 106 | (46, 82 229) |
+/// | 1 (0,1) | 48 120 (4 997) | 8 072: 24 143 | A(0,1) (50, 7 950) 8 086 + 15 674 | (47, 96 023) |
+/// | 2 (1,0) | 41 380 (6 766) | 7 152: 21 397 | A(1,0) (49, 5 990) 6 112 + 11 784, A(1,0)ᵀ (470, 5 990) 6 892 + 11 784 | (48, 99 349) |
+/// | 3 (1,1) | 32 001 (6 278) | 5 418: 16 183 | A(1,1)ᵀ (469, 6 580) 7 496 + 12 926 | (47, 68 606) |
 ///
-/// Rank 2 sits below the diagonal: it multiplies nothing and only sends
-/// its block, as stored to (1,1) and transposed to (0,1). A has 27 695
-/// entries; with every k-mer kept it had 5 687 columns and 170 073
-/// entries, and the ranks booked (234, 900 097), (235, 968 539),
-/// (236, 1 047 592) and (235, 754 869).
+/// At 4 B per answer (after an 8-byte length) and 4 B per entry the
+/// answers took 16 808, 15 040, 18 880 and 18 572 B, the routed triples
+/// 35 425, 40 520, 35 916 and 27 234 B, and the ranks booked
+/// (46, 122 310), (47, 138 569), (48, 150 334) and (47, 105 345). Rank 2
+/// sits below the diagonal: it multiplies nothing and only sends its
+/// block, as stored to (1,1) and transposed to (0,1). A has 27 695
+/// entries; with every k-mer kept (and 4-byte answers and entries) it
+/// had 5 687 columns and 170 073 entries, and the ranks booked
+/// (234, 900 097), (235, 968 539), (236, 1 047 592) and (235, 754 869).
 ///
 /// The budgeted input is the same run under `MemBudget::bytes(256 <<
 /// 10)`. Its derived k-mer window is the 1 024-k-mer floor, so CountKmer,
@@ -538,15 +548,16 @@ fn pipeline_profile_contains_paper_phases() {
 ///
 /// | rank | `DETECT_OVERLAP` | verdict | (msgs, bytes) |
 /// |---|---:|---:|---:|
-/// | 0 | (46, 122 310) | (2, 32) | (48, 122 342) |
-/// | 1 | (47, 138 569) | (2, 16) | (49, 138 585) |
-/// | 2 | (48, 150 334) | (2, 32) | (50, 150 366) |
-/// | 3 | (47, 105 345) | (2, 16) | (49, 105 361) |
+/// | 0 | (46, 82 229) | (2, 32) | (48, 82 261) |
+/// | 1 | (47, 96 023) | (2, 16) | (49, 96 039) |
+/// | 2 | (48, 99 349) | (2, 32) | (50, 99 381) |
+/// | 3 | (47, 68 606) | (2, 16) | (49, 68 622) |
 ///
 /// While the budget cut `C` into column windows, this run shipped each
 /// block's pattern in an estimate pass, then the fetch once per window
 /// (three), and agreed the round count in four more `allreduce`s: it
-/// booked (59, 201 711), (60, 226 467), (64, 284 486) and (60, 179 723).
+/// booked (59, 201 711), (60, 226 467), (64, 284 486) and (60, 179 723)
+/// with 4-byte answers and entries.
 ///
 /// Every other wire check compares two live runs (transports, thread
 /// counts, budgets), so a reordered record stream that moved both sides
@@ -555,10 +566,9 @@ fn pipeline_profile_contains_paper_phases() {
 fn kmer_stage_wire_traffic_matches_golden_constants() {
     // (msgs, bytes) per rank.
     const COUNT_KMER: [(u64, u64); 4] = [(36, 47316), (36, 59183), (36, 50316), (35, 36348)];
-    const DETECT_OVERLAP: [(u64, u64); 4] =
-        [(46, 122310), (47, 138569), (48, 150334), (47, 105345)];
+    const DETECT_OVERLAP: [(u64, u64); 4] = [(46, 82229), (47, 96023), (48, 99349), (47, 68606)];
     const DETECT_OVERLAP_BUDGETED: [(u64, u64); 4] =
-        [(48, 122342), (49, 138585), (50, 150366), (49, 105361)];
+        [(48, 82261), (49, 96039), (50, 99381), (49, 68622)];
     let spec = DatasetSpec::celegans_like(0.05, 1919);
     let (_genome, reads) = reads_of(&spec);
     let mut cfg = PipelineConfig::for_dataset(&spec);
@@ -614,16 +624,18 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
 /// candidate was aligned, the pin read `[(8, 125 471), (12, 197 652),
 /// (10, 96 554), (10, 80 546)]`; before pass 3's score bound, when the
 /// passes aligned 1 090 pairs, `[(14, 55 403), (22, 82 963), (18, 97 102),
-/// (18, 23 412)]`. Per rank, `(msgs, bytes)`, or bytes one pass → three
-/// passes where the messages (1, 2 and 1) did not move, and the marks
-/// one pass → three passes → with the bound:
+/// (18, 23 412)]`; before the contained mask packed eight reads to a
+/// byte, `[(14, 54 769), (22, 81 719), (18, 96 072), (18, 23 006)]`. Per
+/// rank, `(msgs, bytes)`, or bytes one pass → three passes where the
+/// messages (1, 2 and 1) did not move, the marks one pass → three passes
+/// → with the bound, and the mask bytes a byte per read → packed:
 ///
 /// | rank | read fetch | two mask rounds | marks | stats | `R` triples | mask fetch |
 /// |---|---|---|---|---|---|---|
-/// | 0 | (2, 53 606) | (6, 554) | 1 877 → 167 → 52 | 144 → 160 | 69 200 → 272 | (2, 125) |
-/// | 1 | (4, 79 693) | (10, 1 108) | 6 222 → 532 → 57 | 72 → 80 | 110 729 → 614 | (4, 167) |
-/// | 2 | (3, 95 082) | (8, 532) | 32 → 32 → 32 | 144 → 160 | 32 → 32 | (3, 234) |
-/// | 3 | (3, 22 240) | (8, 415) | 1 872 → 187 → 37 | 72 → 80 | 56 048 → 176 | (3, 58) |
+/// | 0 | (2, 53 606) | (6, 554 → 380) | 1 877 → 167 → 52 | 144 → 160 | 69 200 → 272 | (2, 125 → 38) |
+/// | 1 | (4, 79 693) | (10, 1 108 → 846) | 6 222 → 532 → 57 | 72 → 80 | 110 729 → 614 | (4, 167 → 36) |
+/// | 2 | (3, 95 082) | (8, 532 → 182) | 32 → 32 → 32 | 144 → 160 | 32 → 32 | (3, 234 → 59) |
+/// | 3 | (3, 22 240) | (8, 415 → 329) | 1 872 → 187 → 37 | 72 → 80 | 56 048 → 176 | (3, 58 → 15) |
 ///
 /// - The read fetch (`fetch_block_aligned`) ships the 202 reads' packed
 ///   codes and their `ReadHeaders`: a varint count, then per read a
@@ -637,7 +649,13 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
 ///   2 and 3 and swaps row 1 (−1 030), rank 3 gathers chunk 3 (−256):
 ///   the pin read `[(14, 55 288), (22, 82 488), (18, 97 102), (18,
 ///   23 262)]` before.
-/// - `overlap_graph`'s mask fetch does not move.
+/// - Each mask round and `overlap_graph`'s mask fetch run one
+///   `fetch_aligned` of the contained mask, a `Vec<bool>` that packs
+///   eight reads to a byte: a grid-row gather of a 50-read chunk, 8 + 7 =
+///   15 B, from ranks 1 and 3 (58 at a byte per read); its bcast of two
+///   chunks, 8 + 2 × 15 = 38 B, from ranks 0 and 2 (125); and a
+///   101-read transpose swap, 8 + 13 = 21 B, from ranks 1 and 2 (109).
+///   So each of the three fetches sends 87, 131, 175 and 43 B fewer.
 /// - A mask round is one `scatter_combine` (an `alltoallv`) and one
 ///   `fetch_aligned` (a grid-row allgather, plus the transpose swap off
 ///   the diagonal).
@@ -652,7 +670,7 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
 ///   dropped before.
 #[test]
 fn alignment_wire_traffic_matches_golden_constants() {
-    const ALIGNMENT: [(u64, u64); 4] = [(14, 54769), (22, 81719), (18, 96072), (18, 23006)];
+    const ALIGNMENT: [(u64, u64); 4] = [(14, 54508), (22, 81326), (18, 95547), (18, 22877)];
     let spec = DatasetSpec::celegans_like(0.1, 7);
     let (_genome, reads) = reads_of(&spec);
     let cfg = PipelineConfig::for_dataset(&spec);
@@ -754,35 +772,54 @@ fn fixed_chain_graph(
 /// calls. Messages are (collective calls + p2p sends).
 ///
 /// - BranchRemoval: `row_degrees` reduce-scatters two chunks of 102
-///   degrees as `Degrees`, a varint count and a one-byte varint per
+///   degrees as plain `U32Run`s, a varint count and a one-byte varint per
 ///   degree (all are below 128): 2 × (1 + 102) = 206 B on every rank,
 ///   where `u32` degrees after an 8-byte length took 832. The branch
 ///   count's allreduce: 8 B of reduce from ranks 1–3, 16 / 8 B of bcast
-///   from ranks 0 / 2. `mask_rows_cols` fetches the mask: a grid-row
-///   gather of 8 + 102 `bool`s = 110 B from ranks 1 and 3, its bcast of
-///   8 + 2 × 110 = 228 B from 0 and 2, and a 8 + 204 = 212 B transpose
-///   swap from 1 and 2. Rank 0: 206 + 16 + 228 = 450; rank 1: 206 + 8 +
-///   110 + 212 = 536; rank 2: 206 + 8 + 8 + 228 + 212 = 662; rank 3: 206
-///   + 8 + 110 = 324.
-/// - ConnectedComponent (one round): four alltoallvs of 32 B of empty
-///   buffers; the contraction adds 96 `(u32, u32)` updates (8 B each;
-///   the 102 vertices of the off-diagonal chunk less its six chain roots)
-///   from rank 0 to 1 and from rank 3 to 2: 128 + 768 = 896 B. The round
-///   asks for no remote parent and proposes nothing. The `(f, gp)` fetch
-///   gathers 8 + 8 × 102 = 824 B from ranks 1 and 3, bcasts 8 + 2 × 824
-///   = 1656 B from 0 and 2, and swaps 8 + 8 × 204 = 1640 B from 1 and 2;
-///   the `changed` allreduce is the branch count's. Rank 0: 896 + 1656 +
-///   16 = 2568; rank 1: 128 + 824 + 1640 + 8 = 2600; rank 2: 128 + 1656
-///   + 8 + 1640 + 8 = 3440; rank 3: 896 + 824 + 8 = 1728.
+///   from ranks 0 / 2. `mask_rows_cols` fetches the mask, a `Vec<bool>`
+///   packed eight to a byte: a grid-row gather of 8 + ⌈102 / 8⌉ = 21 B
+///   from ranks 1 and 3, its bcast of 8 + 2 × 21 = 50 B from 0 and 2, and
+///   a 8 + ⌈204 / 8⌉ = 34 B transpose swap from 1 and 2 (at a byte per
+///   `bool`, 110, 228 and 212 B). Rank 0: 206 + 16 + 50 = 272; rank 1:
+///   206 + 8 + 21 + 34 = 269; rank 2: 206 + 8 + 8 + 50 + 34 = 306; rank
+///   3: 206 + 8 + 21 = 235 (450, 536, 662 and 324 before).
+/// - ConnectedComponent (one round), where every fetched pair and
+///   update travels as a `U32Run` varint of its distance below a vertex:
+///   the grandparent `gather`'s two alltoallvs of empty `Vec<u32>`s,
+///   2 × 32 = 64 B; the
+///   contraction's and the proposals' alltoallvs of `AtVertices` runs, an
+///   empty run 1 B, so 4 B each. The contraction adds 96 updates (the 102
+///   vertices of the off-diagonal chunk less its six chain roots) from
+///   rank 0 to 1 and from rank 3 to 2: a two-byte count, then per update
+///   a one-byte vertex gap (two for rank 3's first vertex, 205) and a
+///   one-byte `vertex − root − 1` (a chain has 17 reads), 3 + 194 = 197 B
+///   from rank 0 and 3 + 195 = 198 B from rank 3. The round asks for no
+///   remote parent and proposes nothing. The `(f, gp)` fetch ships
+///   `PerVertex<2>` runs: a two-byte count (204 values), the first vertex
+///   (1 B for 0 and 102, 2 B for 204 and 306) and per vertex `v − f` and
+///   `f − gp`, 1 B each (`f` is the chain's root after the contraction,
+///   and so is `gp`). It gathers 2 + 1 + 204 = 207 B from rank 1 and 208 B
+///   from rank 3, bcasts 8 + 2 × 207 = 422 B from rank 0 and 8 + 2 × 208
+///   = 424 B from rank 2, and swaps a 408-value row range, 2 + 1 + 408 =
+///   411 B from rank 1 and 2 + 2 + 408 = 412 B from rank 2; the `changed`
+///   allreduce is the branch count's. Rank 0: 64 + 197 + 4 + 422 + 16 =
+///   703; rank 1: 64 + 4 + 4 + 207 + 411 + 8 = 698; rank 2: 64 + 4 + 4 +
+///   424 + 8 + 8 + 412 = 924; rank 3: 64 + 198 + 4 + 208 + 8 = 482. With
+///   every label a `u32` after an 8-byte length they took 2 568, 2 600,
+///   3 440 and 1 728.
 /// - GreedyPartitioning: `row_degrees` of `L`, 206 B (832 at `u32`);
 ///   the label sizes gathered at rank 0 as `(u64, u64)` pairs, 8 + 16 × 6
 ///   = 104 B from each other rank; the bcast of the 26-entry assignment
 ///   (8 + 16 × 26 = 424 B) and of five `u64` stats (48 B): 2 × 472 = 944
 ///   B from rank 0, 472 from rank 2.
 /// - InducedSubgraph:
-///   - row-half label fetch, 4 B per `u32` label: a gather of 8 + 102 × 4
-///     = 416 B from ranks 1 and 3 and a bcast of 8 + 2 × 416 = 840 B
-///     from ranks 0 and 2;
+///   - row-half label fetch, a `PerVertex<1>` run of `v − label` per
+///     chunk: a one-byte count, the first vertex (1 B for 0 and 102, 2 B
+///     for 204 and 306) and a byte per label (each is within 16 of its
+///     vertex): a gather of 1 + 1 + 102 = 104 B from rank 1 and 105 B
+///     from rank 3 and a bcast of 8 + 2 × 104 = 216 B from rank 0 and
+///     8 + 2 × 105 = 218 B from rank 2 (at 4 B per `u32` label, 416 and
+///     840 B);
 ///   - edges, one `RoutedTriples` run per destination: an 8-byte header
 ///     per buffer (32 B, all that ranks 1 and 2 send); per non-empty row
 ///     a row gap and a run length, 2 B (3 B for a buffer's first row of
@@ -808,9 +845,10 @@ fn fixed_chain_graph(
 ///   - packed reads, 30 B per 120-base read: one send of 8 + 30 × reads
 ///     to each of the 4 ranks.
 ///
-///   Rank 0: 840 + 2 009 + 204 + 3 032 = 6 085; rank 1: 416 + 32 + 210 +
-///   3 092 = 3 750; rank 2: 840 + 32 + 212 + 3 092 = 4 176; rank 3: 416 +
-///   2 182 + 212 + 3 092 = 5 902.
+///   Rank 0: 216 + 2 009 + 204 + 3 032 = 5 461; rank 1: 104 + 32 + 210 +
+///   3 092 = 3 438; rank 2: 218 + 32 + 212 + 3 092 = 3 554; rank 3: 105 +
+///   2 182 + 212 + 3 092 = 5 591 (6 085, 3 750, 4 176 and 5 902 with `u32`
+///   labels).
 /// - LocalAssembly: the allreduce of four `u64` stats, 40 B of reduce
 ///   from ranks 1–3, 80 / 40 B of bcast from ranks 0 / 2.
 #[test]
@@ -819,11 +857,11 @@ fn contig_stage_wire_traffic_matches_golden_constants() {
     const SUB_PHASES: [(&str, [(u64, u64); 4]); 5] = [
         (
             "ExtractContig:BranchRemoval",
-            [(5, 450), (7, 536), (6, 662), (6, 324)],
+            [(5, 272), (7, 269), (6, 306), (6, 235)],
         ),
         (
             "ExtractContig:ConnectedComponent",
-            [(8, 2568), (10, 2600), (9, 3440), (9, 1728)],
+            [(8, 703), (10, 698), (9, 924), (9, 482)],
         ),
         (
             "ExtractContig:GreedyPartitioning",
@@ -831,14 +869,14 @@ fn contig_stage_wire_traffic_matches_golden_constants() {
         ),
         (
             "ExtractContig:InducedSubgraph",
-            [(8, 6085), (9, 3750), (8, 4176), (9, 5902)],
+            [(8, 5461), (9, 3438), (8, 3554), (9, 5591)],
         ),
         (
             "ExtractContig:LocalAssembly",
             [(2, 80), (2, 40), (2, 80), (2, 40)],
         ),
     ];
-    const EXTRACT_CONTIG: [(u64, u64); 4] = [(27, 10333), (33, 7236), (30, 9140), (31, 8304)];
+    const EXTRACT_CONTIG: [(u64, u64); 4] = [(27, 7666), (33, 4755), (30, 5646), (31, 6658)];
     let (reads, triples) = fixed_chain_graph(24, 17, 70);
     let n = reads.len();
     let (out, profile) = Runner::new(Backend::InProcess)

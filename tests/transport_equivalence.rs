@@ -109,6 +109,7 @@ fn small_kmer_windows_match_across_transports() {
 /// blocks, and the same per-rank bytes and messages on both backends.
 #[test]
 fn routed_triples_match_across_transports_in_both_forms() {
+    use elba::comm::CommMsg;
     use elba::seq::AEntry;
     const NROWS: u64 = 40;
     const NCOLS: u64 = 60;
@@ -159,9 +160,13 @@ fn routed_triples_match_across_transports_in_both_forms() {
         sorted.0, flat.0,
         "the order of the triples shows in no block"
     );
-    // Flat: one 8-byte header per owner and 12 B per triple, as a `Vec`.
-    let triples: u64 = (0..4).map(|rank| triples_of(rank).len() as u64).sum();
-    assert_eq!(flat.1, 4 * 4 * 8 + 12 * triples);
+    // Flat: one 8-byte header per owner and per triple 8 B of
+    // coordinates and the entry's varint, as a `Vec`.
+    let triples: u64 = (0..4)
+        .flat_map(triples_of)
+        .map(|(_, _, entry)| 8 + entry.nbytes() as u64)
+        .sum();
+    assert_eq!(flat.1, 4 * 4 * 8 + triples);
     assert!(
         sorted.1 < flat.1,
         "run form {} vs flat {}",

@@ -13,7 +13,7 @@ use elba::comm::{Backend, CommMsg, Profile, Runner};
 use elba::core::WalkEdge;
 use elba::graph::{Hop, Seed, SharedSeeds};
 use elba::seq::{AEntry, CountRun, ReadHeaders};
-use elba::sparse::{Csr, Degrees, RoutedTriples};
+use elba::sparse::{AtVertices, Csr, PerVertex, Plain, RoutedTriples, U32Run};
 use proptest::prelude::*;
 
 fn round_trip<T: CommMsg>(value: &T) -> T {
@@ -117,11 +117,22 @@ fn profile_frames(ranks: usize, charges: Vec<u32>, transient: u32) -> Vec<(Profi
         .collect()
 }
 
-/// The extreme A entries: both strands at the first position and at the
-/// last one a 31-bit field holds.
-const EDGE_ENTRIES: [AEntry; 4] = [
+/// The A entries at each varint boundary of `pos << 1 | fwd` — one byte
+/// through position 63, two from 64 — and at the last position a read
+/// coordinate takes (reads are shorter than 2³¹ bases), on both strands.
+const EDGE_ENTRIES: [AEntry; 8] = [
     AEntry { pos: 0, fwd: true },
     AEntry { pos: 0, fwd: false },
+    AEntry { pos: 63, fwd: true },
+    AEntry {
+        pos: 63,
+        fwd: false,
+    },
+    AEntry { pos: 64, fwd: true },
+    AEntry {
+        pos: 64,
+        fwd: false,
+    },
     AEntry {
         pos: (1 << 31) - 1,
         fwd: true,
@@ -133,29 +144,42 @@ const EDGE_ENTRIES: [AEntry; 4] = [
 ];
 
 #[test]
-fn a_entries_travel_as_one_u32() {
-    for entry in EDGE_ENTRIES {
+fn a_entries_travel_as_one_varint() {
+    for (entry, bytes) in EDGE_ENTRIES.into_iter().zip([1, 1, 1, 1, 2, 2, 5, 5]) {
         assert_eq!(round_trip(&entry), entry);
         // The model is the codec: an A entry is booked at exactly what
         // the frame carries, alone and in a vector.
-        assert_eq!(entry.nbytes(), 4);
-        assert_eq!(encoded(&entry).len(), entry.nbytes());
+        assert_eq!(entry.nbytes(), bytes, "{entry:?}");
+        let frame = encoded(&entry);
+        assert_eq!(
+            frame,
+            varints(&[u64::from(entry.pos) << 1 | u64::from(entry.fwd)])
+        );
+        assert_prefixes_truncated::<AEntry>(&frame);
     }
     let entries = EDGE_ENTRIES.to_vec();
     assert_eq!(round_trip(&entries), entries);
-    assert_eq!(encoded(&entries).len(), entries.nbytes());
-    // Every strict prefix of an encoding is an error, never a value.
-    let buf = encoded(&entries);
-    for cut in 0..buf.len() {
-        let mut reader = WireReader::new(&buf[..cut]);
-        assert!(matches!(
-            Vec::<AEntry>::wire_decode(&mut reader),
-            Err(WireError::Truncated { .. })
-        ));
+    let frame = encoded(&entries);
+    assert_eq!(frame.len(), entries.nbytes());
+    assert_eq!(entries.nbytes(), 8 + 4 + 4 + 10);
+    assert_prefixes_truncated::<Vec<AEntry>>(&frame);
+    // A position of 2³¹ or more is no read coordinate, and a varint no
+    // encoder writes is no entry.
+    for code in [1 << 32, (1 << 32) | 1, u64::MAX] {
+        assert_eq!(
+            decode_exact::<AEntry>(&varints(&[code])),
+            Err(WireError::Malformed("a entry position"))
+        );
     }
-    let one = encoded(&EDGE_ENTRIES[3]);
-    let mut reader = WireReader::new(&one[..3]);
-    assert!(AEntry::wire_decode(&mut reader).is_err());
+    for bad in BAD_VARINTS {
+        assert_eq!(
+            decode_exact::<AEntry>(bad),
+            Err(WireError::Malformed("varint"))
+        );
+    }
+    fuzz_frame::<Vec<AEntry>>(&frame, 0, |decoded, _| {
+        decoded.iter().all(|entry| entry.pos < 1 << 31)
+    });
 }
 
 /// Every direction pair of a hop with `suffix`.
@@ -417,7 +441,7 @@ fn read_headers_travel_as_id_gaps_and_lengths() {
 
 #[test]
 fn degrees_travel_as_varints() {
-    let degrees = Degrees::new(vec![0, 1, 2, 127, 128, 70_000, u32::MAX]);
+    let degrees = U32Run::new(Plain, vec![0, 1, 2, 127, 128, 70_000, u32::MAX]);
     let frame = encoded(&degrees);
     assert_eq!(frame.len(), degrees.nbytes());
     assert_eq!(
@@ -426,28 +450,188 @@ fn degrees_travel_as_varints() {
     );
     assert_eq!(degrees.nbytes(), 1 + 1 + 1 + 1 + 1 + 2 + 3 + 5);
     assert_eq!(round_trip(&degrees), degrees);
-    assert_prefixes_truncated::<Degrees>(&frame);
-    assert_eq!(Degrees::new(Vec::new()).nbytes(), 1);
+    assert_prefixes_truncated::<U32Run>(&frame);
+    assert_eq!(U32Run::new(Plain, Vec::new()).nbytes(), 1);
     // A degree past `u32::MAX` and a varint no encoder writes are
     // malformed frames.
     for degree in [1 << 32, u64::MAX] {
         assert_eq!(
-            decode_exact::<Degrees>(&varints(&[2, 0, degree])),
-            Err(WireError::Malformed("degree"))
+            decode_exact::<U32Run>(&varints(&[2, 0, degree])),
+            Err(WireError::Malformed("run value"))
         );
     }
     for bad in BAD_VARINTS {
         assert_eq!(
-            decode_exact::<Degrees>(bad),
+            decode_exact::<U32Run>(bad),
             Err(WireError::Malformed("varint"))
         );
         let frame = [&[1][..], bad].concat();
         assert_eq!(
-            decode_exact::<Degrees>(&frame),
+            decode_exact::<U32Run>(&frame),
             Err(WireError::Malformed("varint"))
         );
     }
-    fuzz_frame::<Degrees>(&frame, 0, |_, _| true);
+    fuzz_frame::<U32Run>(&frame, 0, |_, _| true);
+}
+
+/// Whether a decoded `(f, gp)` run keeps `gp ≤ f ≤ v` for every vertex.
+fn pairs_descend(run: &U32Run<PerVertex<2>>, first: u64) -> bool {
+    let pairs = run.values().chunks_exact(2);
+    (first..)
+        .zip(pairs)
+        .all(|(v, pair)| pair[1] <= pair[0] && u64::from(pair[0]) <= v)
+}
+
+#[test]
+fn vertex_runs_travel_as_distances_below_their_vertex() {
+    // FastSV's `(f, gp)` at vertices 0, 1, 2, 3 and u32::MAX − 1,
+    // u32::MAX: a root, a vertex whose parent is a root, and distances
+    // of every varint width up to the whole id range.
+    let low = U32Run::new(PerVertex::<2> { first: 0 }, vec![0, 0, 0, 0, 1, 0, 3, 3]);
+    assert_eq!(encoded(&low), varints(&[8, 0, 0, 0, 1, 0, 1, 1, 0, 0]));
+    let high = U32Run::new(
+        PerVertex::<2> {
+            first: u32::MAX - 1,
+        },
+        vec![u32::MAX - 1, 0, 127, 0],
+    );
+    assert_eq!(
+        encoded(&high),
+        varints(&[
+            4,
+            u64::from(u32::MAX) - 1,
+            0,
+            u64::from(u32::MAX) - 1,
+            u64::from(u32::MAX) - 127,
+            127
+        ])
+    );
+    for run in [&low, &high] {
+        let frame = encoded(run);
+        assert_eq!(frame.len(), run.nbytes());
+        assert_eq!(round_trip(run), *run);
+        assert_prefixes_truncated::<U32Run<PerVertex<2>>>(&frame);
+    }
+    // A gap that puts `f` above `v`, or `gp` above `f`, is malformed,
+    // never a wrapped id; so is a vertex past u32::MAX, and half a pair.
+    for codes in [
+        &[2, 5, 6, 0][..],
+        &[2, 5, 0, 6],
+        &[2, 5, 5, 1],
+        &[4, u64::from(u32::MAX), 0, 0, 0, 0],
+    ] {
+        assert_eq!(
+            decode_exact::<U32Run<PerVertex<2>>>(&varints(codes)),
+            Err(WireError::Malformed("run value")),
+            "{codes:?}"
+        );
+    }
+    assert_eq!(
+        decode_exact::<U32Run<PerVertex<2>>>(&varints(&[1, 0, 0])),
+        Err(WireError::Malformed("run length"))
+    );
+    assert_eq!(
+        decode_exact::<U32Run<PerVertex<2>>>(&varints(&[0, 1 << 32])),
+        Err(WireError::Malformed("run vertex"))
+    );
+    // A decoded run's first vertex is its frame's second varint.
+    fuzz_frame::<U32Run<PerVertex<2>>>(&encoded(&low), 0, |run, flipped| {
+        let mut header = WireReader::new(flipped);
+        let _count = header.read_varint();
+        header
+            .read_varint()
+            .is_ok_and(|first| pairs_descend(run, first))
+    });
+    // A component label, one per vertex: `v − label`.
+    let labels = U32Run::new(PerVertex::<1> { first: 100 }, vec![100, 0, 101]);
+    assert_eq!(encoded(&labels), varints(&[3, 100, 0, 101, 1]));
+    assert_eq!(labels.nbytes(), 1 + 1 + 1 + 1 + 1);
+    assert_eq!(
+        decode_exact::<U32Run<PerVertex<1>>>(&varints(&[1, 100, 101])),
+        Err(WireError::Malformed("run value"))
+    );
+}
+
+#[test]
+fn label_updates_travel_as_vertex_gaps_and_distances() {
+    // `(vertex, label)`: vertices ascending from 0 to u32::MAX, labels
+    // from just below their vertex to 0.
+    let updates = U32Run::new(AtVertices, vec![1, 0, 2, 1, 200, 0, u32::MAX, u32::MAX - 1]);
+    let frame = encoded(&updates);
+    assert_eq!(
+        frame,
+        varints(&[8, 1, 0, 0, 0, 197, 199, u64::from(u32::MAX) - 201, 0])
+    );
+    assert_eq!(frame.len(), updates.nbytes());
+    assert_eq!(round_trip(&updates), updates);
+    assert_eq!(U32Run::new(AtVertices, Vec::new()).nbytes(), 1);
+    assert_prefixes_truncated::<U32Run<AtVertices>>(&frame);
+    // A label at or above its vertex, a vertex past u32::MAX and half a
+    // pair are malformed.
+    for codes in [
+        &[2, 5, 5][..],
+        &[2, 5, 6],
+        &[2, 1 << 32, 0],
+        &[4, 7, 0, u64::from(u32::MAX), 0],
+    ] {
+        assert_eq!(
+            decode_exact::<U32Run<AtVertices>>(&varints(codes)),
+            Err(WireError::Malformed("run value")),
+            "{codes:?}"
+        );
+    }
+    assert_eq!(
+        decode_exact::<U32Run<AtVertices>>(&varints(&[3, 1, 0, 0])),
+        Err(WireError::Malformed("run length"))
+    );
+    fuzz_frame::<U32Run<AtVertices>>(&frame, 0, |run, _| {
+        let pairs: Vec<&[u32]> = run.values().chunks_exact(2).collect();
+        pairs.windows(2).all(|w| w[0][0] < w[1][0]) && pairs.iter().all(|p| p[1] < p[0])
+    });
+}
+
+/// `n` mask entries, every third set.
+fn mask(n: usize) -> Vec<bool> {
+    (0..n).map(|i| i % 3 == 0).collect()
+}
+
+#[test]
+fn bool_vectors_travel_as_bits() {
+    for n in [0usize, 1, 7, 8, 9, 65] {
+        let bits = mask(n);
+        let frame = encoded(&bits);
+        assert_eq!(bits.nbytes(), 8 + n.div_ceil(8), "{n} bools");
+        assert_eq!(frame.len(), bits.nbytes());
+        assert_eq!(round_trip(&bits), bits);
+        assert_prefixes_truncated::<Vec<bool>>(&frame);
+        // Bits fill each byte from the lowest up.
+        for (i, &bit) in bits.iter().enumerate() {
+            assert_eq!(frame[8 + i / 8] >> (i % 8) & 1 == 1, bit);
+        }
+        // A set padding bit is malformed, never a value.
+        if n % 8 != 0 {
+            for pad in n % 8..8 {
+                let mut flipped = frame.clone();
+                *flipped.last_mut().expect("a packed byte") |= 1 << pad;
+                assert_eq!(
+                    decode_exact::<Vec<bool>>(&flipped),
+                    Err(WireError::Malformed("bool padding"))
+                );
+            }
+        }
+        // A length header may claim up to 8 bools per remaining byte:
+        // the decode reserves no more than that.
+        fuzz_frame::<Vec<bool>>(&frame, 0, |decoded, flipped| {
+            decoded.len() <= 8 * (flipped.len() - 8)
+        });
+    }
+    // A claimed length whose bits the frame does not carry is truncated
+    // before anything is reserved.
+    let mut frame = encoded(&mask(9));
+    frame[..8].copy_from_slice(&(MAX_VEC_ELEMS).to_ne_bytes());
+    let (decoded, largest) = largest_allocation(|| decode_exact::<Vec<bool>>(&frame));
+    assert!(matches!(decoded, Err(WireError::Truncated { .. })));
+    assert!(largest <= 8 * frame.len(), "reserved {largest} B");
 }
 
 /// Offsets of the bytes that read 0 in `off`'s encoding and 1 in `on`'s:
@@ -918,7 +1102,7 @@ fn sorted_a_triples() -> Vec<(u32, u32, AEntry)> {
     let mut triples = Vec::new();
     for (k, &row) in [0u32, 1, 2, 130, 20_000, u32::MAX].iter().enumerate() {
         for col in [0u32, 1, 300, 300 + 20_000, u32::MAX].iter().take(k + 1) {
-            triples.push((row, *col, EDGE_ENTRIES[k % 4]));
+            triples.push((row, *col, EDGE_ENTRIES[k % EDGE_ENTRIES.len()]));
         }
     }
     triples
