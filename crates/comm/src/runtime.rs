@@ -224,6 +224,25 @@ impl Comm {
         self.raw_send(dst, tag, data);
     }
 
+    /// Buffered send of one shared payload to each of `dsts` (a block a
+    /// SUMMA stage fans out). Books exactly what a [`Comm::send`] per
+    /// destination books, but computes the wire size once: for a large
+    /// block [`CommMsg::nbytes`] is a pass over its entries.
+    pub fn send_each<T: CommMsg + Sync>(&self, dsts: &[Rank], tag: Tag, data: Arc<T>) {
+        assert!(
+            tag < Self::USER_TAG_LIMIT,
+            "tag {tag} is reserved for internal use"
+        );
+        if dsts.is_empty() {
+            return;
+        }
+        let bytes = data.nbytes();
+        for &dst in dsts {
+            lock_profile(&self.profile).record_p2p(bytes);
+            self.raw_send(dst, tag, Arc::clone(&data));
+        }
+    }
+
     /// Blocking receive of a message from `src` carrying `tag`.
     ///
     /// Panics if the payload type does not match `T` (a programming error
@@ -800,7 +819,9 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::wire::WireError;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn single_rank_runs() {
@@ -861,6 +882,60 @@ mod tests {
             }
         });
         assert_eq!(out[1], 1 << 20);
+    }
+
+    /// A payload that counts its `nbytes` calls.
+    struct Counted(Vec<u8>);
+
+    static NBYTES_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+    impl CommMsg for Counted {
+        fn nbytes(&self) -> usize {
+            NBYTES_CALLS.fetch_add(1, Ordering::SeqCst);
+            self.0.nbytes()
+        }
+
+        fn wire_encode(&self, out: &mut Vec<u8>) {
+            self.0.wire_encode(out);
+        }
+
+        fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+            Ok(Counted(Vec::wire_decode(r)?))
+        }
+    }
+
+    #[test]
+    fn send_each_books_what_one_send_per_destination_books() {
+        // Rank 0 fans 100 bytes out to ranks 1, 2, 3 and itself.
+        let fan_out = |each: bool| {
+            let (lens, profile) =
+                Runner::new(Backend::InProcess)
+                    .ranks(4)
+                    .run_profiled(move |comm| {
+                        let _g = comm.phase("fan");
+                        if comm.rank() == 0 {
+                            let block = Arc::new(Counted(vec![7; 100]));
+                            let dsts = [1, 2, 3, 0];
+                            if each {
+                                comm.send_each(&dsts, 5, block);
+                            } else {
+                                for dst in dsts {
+                                    comm.send(dst, 5, Arc::clone(&block));
+                                }
+                            }
+                        }
+                        comm.recv::<Arc<Counted>>(0, 5).0.len()
+                    });
+            assert_eq!(lens, vec![100; 4]);
+            let rank0 = profile.rank_profiles()[0].phase("fan").expect("phase");
+            (rank0.p2p_msgs, rank0.p2p_bytes)
+        };
+        let before = NBYTES_CALLS.load(Ordering::SeqCst);
+        let each = fan_out(true);
+        let calls = NBYTES_CALLS.load(Ordering::SeqCst) - before;
+        assert_eq!(calls, 1, "send_each sizes the payload once");
+        assert_eq!(each, (4, 4 * 108));
+        assert_eq!(fan_out(false), each);
     }
 
     #[test]

@@ -81,6 +81,7 @@ use elba_align::{
     Scoring, SgEdge, XdropWorkspace,
 };
 use elba_comm::ProcGrid;
+use elba_seq::store::MPI_COUNT_LIMIT;
 use elba_seq::{AEntry, ReadStore};
 use elba_sparse::{DistMat, DistVec, SpGemmOptions};
 
@@ -607,7 +608,7 @@ type ContainerPick = Option<(u32, Reverse<u32>, u32)>;
 fn pass1_picks(
     grid: &ProcGrid,
     c: &DistMat<SharedSeeds>,
-    seqs: &ReadStore,
+    seqs: BlockReads<'_>,
     cfg: &OverlapConfig,
 ) -> Vec<usize> {
     let (r0, c0) = c.local_offsets(grid);
@@ -620,7 +621,7 @@ fn pass1_picks(
     };
     let mut best: Vec<ContainerPick> = vec![None; col_slot0 + c.local().ncols()];
     for (e, (i, j, seeds)) in c.iter_global(grid).enumerate() {
-        let (ulen, vlen) = (fetched(seqs, i).len(), fetched(seqs, j).len());
+        let (ulen, vlen) = (seqs.get(i).len(), seqs.get(j).len());
         let Some(s) = OrientedSeed::place(&seeds.seeds()[0], cfg.k, ulen, vlen) else {
             continue;
         };
@@ -646,10 +647,21 @@ fn pass1_picks(
     picks
 }
 
-/// The codes of read `id`, which the block-aligned fetch brought here.
-fn fetched(seqs: &ReadStore, id: u64) -> &[u8] {
-    seqs.get(id)
-        .unwrap_or_else(|| panic!("read {id} not fetched"))
+/// The reads the local block of `C` names: the rank's own store first,
+/// then the reads [`ReadStore::fetch_named`] brought here.
+#[derive(Clone, Copy)]
+struct BlockReads<'a> {
+    own: &'a ReadStore,
+    fetched: &'a ReadStore,
+}
+
+impl<'a> BlockReads<'a> {
+    /// The codes of read `id`.
+    fn get(self, id: u64) -> &'a [u8] {
+        (self.own.get(id))
+            .or_else(|| self.fetched.get(id))
+            .unwrap_or_else(|| panic!("read {id} not fetched"))
+    }
 }
 
 /// The stage's [`PassSweep`]: candidates stream through bounded batches
@@ -658,7 +670,7 @@ fn fetched(seqs: &ReadStore, id: u64) -> &[u8] {
 struct AlignSweep<'a> {
     grid: &'a ProcGrid,
     c: &'a DistMat<SharedSeeds>,
-    seqs: &'a ReadStore,
+    seqs: BlockReads<'a>,
     cfg: &'a OverlapConfig,
     scratches: Vec<AlignScratch>,
     batch: Vec<(u64, u64, &'a SharedSeeds)>,
@@ -676,7 +688,7 @@ impl PassSweep for AlignSweep<'_> {
         let mut candidates = (c.iter_global(self.grid).enumerate())
             .filter(|&(e, (i, j, seeds))| {
                 let may_contain = |t_is_row: bool| {
-                    let (ulen, vlen) = (fetched(seqs, i).len(), fetched(seqs, j).len());
+                    let (ulen, vlen) = (seqs.get(i).len(), seqs.get(j).len());
                     pair_may_contain(seeds, t_is_row, ulen, vlen, cfg)
                 };
                 select(e, i as usize - r0, j as usize - c0, &may_contain)
@@ -701,7 +713,7 @@ impl PassSweep for AlignSweep<'_> {
                 &mut self.scratches[..workers],
                 |p, scratch| {
                     let (i, j, seeds) = batch[p];
-                    align_pair_counted(scratch, fetched(seqs, i), fetched(seqs, j), seeds, cfg)
+                    align_pair_counted(scratch, seqs.get(i), seqs.get(j), seeds, cfg)
                 },
             );
             for (&(i, j, _), aln) in batch.iter().zip(alns) {
@@ -736,13 +748,17 @@ pub fn align_and_classify(
     store: &ReadStore,
     cfg: &OverlapConfig,
 ) -> (Vec<(u64, u64, SgEdge)>, DistVec<bool>, AlignStats) {
-    let seqs = store.fetch_block_aligned(grid);
-    let picks = pass1_picks(grid, c, &seqs, cfg);
+    let fetched = store.fetch_named(grid, c, MPI_COUNT_LIMIT);
+    let seqs = BlockReads {
+        own: store,
+        fetched: &fetched,
+    };
+    let picks = pass1_picks(grid, c, seqs, cfg);
     let threads = cfg.threads.max(1);
     let mut sweep = AlignSweep {
         grid,
         c,
-        seqs: &seqs,
+        seqs,
         cfg,
         scratches: (0..threads).map(|_| AlignScratch::default()).collect(),
         batch: Vec::with_capacity(threads * ALIGN_PAIRS_PER_WORKER_BATCH),

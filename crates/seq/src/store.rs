@@ -9,22 +9,25 @@
 //! In memory a read is one code per byte, because the aligner and the
 //! k-mer scan read it in place. On the wire it is four codes per byte:
 //! both transfers, [`ReadStore::exchange`] and
-//! [`ReadStore::fetch_block_aligned`], ship the reads' [`ReadHeaders`]
-//! (each read's id gap and length, as varints) and the reads packed 2
-//! bits per base (each read byte-aligned), and the receiver unpacks them
-//! straight into its new store. A length is below 2³¹, since
-//! [`MAX_READ_LEN`] is, and an id fits a `u32`, since a read set holds
-//! at most [`MAX_READS`] reads ([`TooManyReads`]). Both check the
-//! payload against its headers on ingest and name the sender and the
-//! read when they disagree.
+//! [`ReadStore::fetch_named`], ship the reads' [`ReadHeaders`] (each
+//! read's id gap and length, as varints) and the reads packed 2 bits per
+//! base (each read byte-aligned), and the receiver unpacks them straight
+//! into its new store. A length is below 2³¹, since [`MAX_READ_LEN`] is,
+//! and an id fits a `u32`, since a read set holds at most [`MAX_READS`]
+//! reads ([`TooManyReads`]). Both check the payload against its headers
+//! on ingest and name the sender and the read when they disagree.
 //!
 //! Initially reads are block-distributed with the same [`Layout2D`]
 //! chunking as distributed vectors, so read `i` is co-located with matrix
-//! row `i`. After contig load balancing, [`ReadStore::exchange`]
-//! redistributes sequences to their contig owners, reproducing the
-//! paper's large-message handling: a message whose length exceeds the
-//! MPI count limit (2³¹−1) is shipped as a single *contiguous-datatype*
-//! block rather than element-by-element.
+//! row `i`. The alignment stage fetches only the reads its block of the
+//! candidate matrix names and it does not hold
+//! ([`ReadStore::fetch_named`]): it asks each owner for their ids, so a
+//! rank whose block names none receives no read. After contig load
+//! balancing, [`ReadStore::exchange`] redistributes sequences to their
+//! contig owners, reproducing the paper's large-message handling: a
+//! message whose length exceeds the MPI count limit (2³¹−1) is shipped
+//! as a single *contiguous-datatype* block rather than
+//! element-by-element.
 //!
 //! The id → slot index is a hash table under the keyed folded-multiply
 //! hasher the k-mer tables use ([`crate::kcount`]), not SipHash: read ids
@@ -39,6 +42,7 @@ use std::collections::HashMap;
 use elba_comm::transport::wire::{varint_len, write_varint, WireError, WireReader};
 use elba_comm::{CommMsg, ProcGrid, Rank};
 use elba_sparse::layout::Layout2D;
+use elba_sparse::{Ascending, DistMat, U32Run};
 
 use crate::dna::{self, Seq};
 use crate::kcount::KmerHashKey;
@@ -319,17 +323,6 @@ impl ReadStore {
         self.offsets.push(end);
     }
 
-    /// Pack every local read for the wire.
-    fn pack_all(&self) -> PackedReads {
-        let mut headers = ReadHeaders::default();
-        let mut packed = Vec::with_capacity(dna::packed_len(self.local_bases()) + self.n_local());
-        for (id, codes) in self.iter() {
-            headers.push(header(id, codes));
-            dna::pack(codes, &mut packed);
-        }
-        (headers, packed)
-    }
-
     /// Append the reads of one transfer from rank `src`, unpacking each
     /// straight into `buf`. Panics, naming `src` and the read, if `packed`
     /// is shorter or longer than `headers` announce.
@@ -430,6 +423,15 @@ impl ReadStore {
                 dna::pack(codes, payload);
             }
         }
+        self.ship(grid, outgoing, count_limit)
+    }
+
+    /// Send each rank its reads and ingest what comes back: one
+    /// `alltoallv` of [`ReadHeaders`], then one send per destination of
+    /// its packed reads, wrapped as a [`ContiguousBlock`] past
+    /// `count_limit` bytes. Collective. Returns the received store.
+    fn ship(&self, grid: &ProcGrid, outgoing: Vec<PackedReads>, count_limit: usize) -> ReadStore {
+        let world = grid.world();
         let (headers, payloads): (Vec<_>, Vec<_>) = outgoing.into_iter().unzip();
         let incoming_headers = world.alltoallv(headers);
         // Ship each destination's packed buffer; one message each, using
@@ -465,51 +467,76 @@ impl ReadStore {
         Layout2D::new(n_global, q).owner_rank(id as usize)
     }
 
-    /// The sequence analogue of the Fig. 2 vector exchange: starting from
-    /// the initial block distribution, return a store holding every read
-    /// whose id falls in this rank's matrix block *row range or column
-    /// range* (what the alignment stage needs to process the local block
-    /// of `C`). Implemented as an allgather over the grid-row communicator
-    /// followed by a point-to-point swap with the transposed rank, both
-    /// carrying packed reads. At p = 1 it is a copy. Collective; requires
-    /// the store to still be block-distributed.
-    pub fn fetch_block_aligned(&self, grid: &ProcGrid) -> ReadStore {
-        if grid.world().size() == 1 {
-            // Nothing leaves the rank: its block row and column are the
-            // whole read set.
-            return self.clone();
+    /// Fetch the reads the local block of `c` names and this rank does
+    /// not hold: the ids of its non-empty rows and of its occupied
+    /// columns, listed in one pass over the block. Each owner
+    /// ([`ReadStore::initial_owner`]) gets one [`Ascending`] run of the
+    /// ids asked of it, in one `alltoallv`, and answers through
+    /// [`ReadStore::exchange`]'s path: [`ReadHeaders`] and the reads
+    /// packed four bases per byte, contiguous past `count_limit`. The
+    /// returned store holds the fetched reads only: a caller looks a read
+    /// up in its own store first and here second, and a rank whose block
+    /// names no read it lacks receives no read. At p = 1 every read is
+    /// local: no message, and an empty store. Collective; requires the
+    /// store to still be block-distributed.
+    pub fn fetch_named<T: Clone + CommMsg + Sync>(
+        &self,
+        grid: &ProcGrid,
+        c: &DistMat<T>,
+        count_limit: usize,
+    ) -> ReadStore {
+        let world = grid.world();
+        if world.size() == 1 {
+            return ReadStore::empty(self.n_global);
         }
-        // Row allgather: grid row i's chunks cover block-row range i.
-        let row_packs = grid.row().allgather(self.pack_all());
-        // The transpose partner holds block row j = this rank's column
-        // range; the row and column reads are disjoint off the diagonal.
-        let col_pack = (!grid.is_diagonal()).then(|| {
-            let partner = grid.transpose_rank();
-            let mut row = PackedReads::default();
-            for (headers, packed) in &row_packs {
-                for &header in headers.headers() {
-                    row.0.push(header);
-                }
-                row.1.extend_from_slice(packed);
-            }
-            grid.world().send(partner, SEQ_TAG + 2, row);
-            (
-                partner,
-                grid.world().recv::<PackedReads>(partner, SEQ_TAG + 2),
-            )
-        });
-        let mut incoming: Vec<(Rank, &PackedReads)> = (row_packs.iter().enumerate())
-            .map(|(col, pack)| (grid.rank_of(grid.myrow(), col), pack))
+        let (r0, c0) = c.local_offsets(grid);
+        let block = c.local();
+        let mut occupied = vec![false; block.ncols()];
+        for &j in block.indices() {
+            occupied[j as usize] = true;
+        }
+        let rows = (0..block.nrows())
+            .filter(|&i| block.row_nnz(i) > 0)
+            .map(|i| r0 + i);
+        let cols = (occupied.iter().enumerate())
+            .filter(|&(_, &named)| named)
+            .map(|(j, _)| c0 + j);
+        let mut wanted: Vec<u32> = (rows.chain(cols))
+            .map(|g| u32::try_from(g).expect("read ids are below 2^32"))
+            .filter(|&id| self.get(u64::from(id)).is_none())
             .collect();
-        incoming.extend(col_pack.as_ref().map(|(partner, pack)| (*partner, pack)));
-        let mut store = ReadStore::sized_for(
-            self.n_global,
-            incoming.iter().map(|(_, (headers, _))| headers),
-        );
-        for (src, (headers, packed)) in incoming {
-            store.ingest(src, headers, packed);
+        wanted.sort_unstable();
+        wanted.dedup();
+        let layout = Layout2D::new(self.n_global, grid.q());
+        let mut asks = vec![Vec::new(); world.size()];
+        for id in wanted {
+            asks[layout.owner_rank(id as usize)].push(id);
         }
-        store
+        let asks = asks
+            .into_iter()
+            .map(|ids| U32Run::new(Ascending, ids))
+            .collect();
+        let asked = world.alltoallv(asks);
+        self.ship(grid, self.answer(world.rank(), &asked), count_limit)
+    }
+
+    /// Each requester's reads, packed for the wire in the order it asked
+    /// for them. Panics, naming the requester and the id, on an id this
+    /// rank (`me`) does not hold.
+    fn answer(&self, me: Rank, asked: &[U32Run<Ascending>]) -> Vec<PackedReads> {
+        (asked.iter().enumerate())
+            .map(|(src, ids)| {
+                let mut reads = PackedReads::default();
+                for &id in ids.values() {
+                    let Some(codes) = self.get(u64::from(id)) else {
+                        panic!("rank {src} asked rank {me} for read {id}, which it does not hold");
+                    };
+                    reads.0.push(header(u64::from(id), codes));
+                    dna::pack(codes, &mut reads.1);
+                }
+                reads
+            })
+            .collect()
     }
 }
 
@@ -653,23 +680,18 @@ mod tests {
     }
 
     #[test]
-    fn fetch_block_aligned_covers_row_and_col_ranges() {
-        for p in [1usize, 4, 9] {
-            let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
-                let grid = ProcGrid::new(comm);
-                let all = reads(29);
-                let store = ReadStore::from_replicated(&grid, &all);
-                let fetched = store.fetch_block_aligned(&grid);
-                let layout = Layout2D::new(29, grid.q());
-                let row_range = layout.block_range(grid.myrow());
-                let col_range = layout.block_range(grid.mycol());
-                let covered = row_range
-                    .chain(col_range)
-                    .all(|g| fetched.get(g as u64) == Some(all[g].codes()));
-                covered
-            });
-            assert!(out.iter().all(|&ok| ok), "p={p}");
-        }
+    #[should_panic(expected = "rank 3 asked rank 1 for read 7, which it does not hold")]
+    fn an_owner_asked_for_a_read_it_lacks_panics() {
+        let mut store = ReadStore::empty(10);
+        store.push(5, &[0, 1]);
+        let asked = |ids: Vec<u32>| U32Run::new(Ascending, ids);
+        let asked = [
+            asked(vec![5]),
+            asked(vec![]),
+            asked(vec![]),
+            asked(vec![5, 7]),
+        ];
+        store.answer(1, &asked);
     }
 
     #[test]

@@ -811,17 +811,13 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
     fn post(&self, s: usize) -> Option<Arc<Csr<T>>> {
         let (world, local) = (self.grid.world(), &self.a.local);
         let (rows, cols) = self.destinations(s);
-        for dst in rows {
-            world.send(dst, FETCH_TAG, Arc::clone(local));
-        }
+        world.send_each(&rows, FETCH_TAG, Arc::clone(local));
         let diagonal_holder = self.grid.mycol() == s && self.grid.is_diagonal();
         if cols.is_empty() && !diagonal_holder {
             return None;
         }
         let transposed = Arc::new(local.transposed());
-        for dst in cols {
-            world.send(dst, FETCH_TAG, Arc::clone(&transposed));
-        }
+        world.send_each(&cols, FETCH_TAG, Arc::clone(&transposed));
         if diagonal_holder {
             return Some(transposed);
         }

@@ -42,6 +42,6 @@ pub use dist_mat::{DistMat, SpGemmOptions};
 pub use dist_vec::DistVec;
 pub use layout::Layout2D;
 pub use routed::RoutedTriples;
-pub use run::{AtVertices, PerVertex, Plain, RunCode, U32Run};
+pub use run::{Ascending, AtVertices, PerVertex, Plain, RunCode, U32Run};
 pub use semiring::{MaskedFold, Semiring, SemiringSlot};
 pub use spgemm::SpGemmBatcher;

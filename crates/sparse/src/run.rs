@@ -1,6 +1,7 @@
 //! Runs of `u32` values at their information size: the one message type
 //! for vertex-indexed `u32`s — degrees, k-mer column answers, FastSV's
-//! parents and grandparents, its hooking updates, and component labels.
+//! parents and grandparents, its hooking updates, component labels, and
+//! the read ids a rank asks their owners for.
 //!
 //! In memory a [`U32Run`] is its values; on the wire it is a varint
 //! count, the code's header, and one LEB128 varint per value
@@ -15,7 +16,10 @@
 //!   however large the vertex ids grow;
 //! - [`AtVertices`]: `(vertex, value)` pairs, vertices strictly
 //!   ascending and each value below its vertex, as the vertex gap and
-//!   `vertex − value − 1`.
+//!   `vertex − value − 1`;
+//! - [`Ascending`]: strictly ascending values, as the gap to the value
+//!   before (the first as itself), so a request for a run of read ids
+//!   costs a byte an id.
 //!
 //! [`CommMsg::nbytes`] is the coded length, summed over the values when
 //! the run is sent, in `u32` lanes that vectorize. Summing it also
@@ -227,6 +231,48 @@ impl RunCode for AtVertices {
     }
 }
 
+/// Strictly ascending values, each as its gap `v − prev` to the value
+/// before, the first as itself. A gap of 0 after the first value would
+/// repeat a value, so no encoder writes one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ascending;
+
+impl RunCode for Ascending {
+    const STRIDE: usize = 1;
+
+    fn header_len(self) -> usize {
+        0
+    }
+
+    fn write_header(self, _out: &mut Vec<u8>) {}
+
+    fn read_header(_r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(Ascending)
+    }
+
+    #[inline]
+    fn codes(self, values: &[u32], mut code: impl FnMut(u32)) -> bool {
+        let mut ok = true;
+        let mut prev = None;
+        for &value in values {
+            code(value.wrapping_sub(prev.unwrap_or(0)));
+            ok &= prev.is_none_or(|prev| prev < value);
+            prev = Some(value);
+        }
+        ok
+    }
+
+    #[inline]
+    fn value(self, before: &[u32], code: u64) -> Option<u32> {
+        let value = match before.last() {
+            None => code,
+            Some(_) if code == 0 => return None,
+            Some(&prev) => u64::from(prev).checked_add(code)?,
+        };
+        u32::try_from(value).ok()
+    }
+}
+
 /// A run of `u32` values bound for one rank, at varint size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct U32Run<C = Plain> {
@@ -343,6 +389,10 @@ mod tests {
         let updates = U32Run::new(AtVertices, vec![7, 0, 300, 299]);
         assert_eq!(updates.nbytes(), 1 + 1 + 1 + 2 + 1);
         assert_eq!(round_trip(&updates), updates);
+        // Ids 5, 6 and 200: gaps 5, 1 and 194.
+        let ids = U32Run::new(Ascending, vec![5, 6, 200]);
+        assert_eq!(ids.nbytes(), 1 + 1 + 1 + 2);
+        assert_eq!(round_trip(&ids), ids);
     }
 
     #[test]
@@ -367,6 +417,12 @@ mod tests {
     #[should_panic(expected = "breaks the run's code")]
     fn an_update_at_or_above_its_vertex_is_refused_at_the_sender() {
         U32Run::new(AtVertices, vec![4, 4]).wire_encode(&mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "breaks the run's code")]
+    fn a_repeated_id_is_refused_at_the_sender() {
+        U32Run::new(Ascending, vec![3, 3]).nbytes();
     }
 
     #[test]

@@ -625,30 +625,52 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
 /// (10, 96 554), (10, 80 546)]`; before pass 3's score bound, when the
 /// passes aligned 1 090 pairs, `[(14, 55 403), (22, 82 963), (18, 97 102),
 /// (18, 23 412)]`; before the contained mask packed eight reads to a
-/// byte, `[(14, 54 769), (22, 81 719), (18, 96 072), (18, 23 006)]`. Per
-/// rank, `(msgs, bytes)`, or bytes one pass → three passes where the
-/// messages (1, 2 and 1) did not move, the marks one pass → three passes
-/// → with the bound, and the mask bytes a byte per read → packed:
+/// byte, `[(14, 54 769), (22, 81 719), (18, 96 072), (18, 23 006)]`;
+/// before the read fetch asked for the named reads alone, `[(14,
+/// 54 508), (22, 81 326), (18, 95 547), (18, 22 877)]`. Per rank,
+/// `(msgs, bytes)`, or bytes one pass → three passes where the messages
+/// (1, 2 and 1) did not move, the marks one pass → three passes → with
+/// the bound, the mask bytes a byte per read → packed, and the read
+/// fetch block ranges → named reads:
 ///
 /// | rank | read fetch | two mask rounds | marks | stats | `R` triples | mask fetch |
 /// |---|---|---|---|---|---|---|
-/// | 0 | (2, 53 606) | (6, 554 → 380) | 1 877 → 167 → 52 | 144 → 160 | 69 200 → 272 | (2, 125 → 38) |
-/// | 1 | (4, 79 693) | (10, 1 108 → 846) | 6 222 → 532 → 57 | 72 → 80 | 110 729 → 614 | (4, 167 → 36) |
-/// | 2 | (3, 95 082) | (8, 532 → 182) | 32 → 32 → 32 | 144 → 160 | 32 → 32 | (3, 234 → 59) |
-/// | 3 | (3, 22 240) | (8, 415 → 329) | 1 872 → 187 → 37 | 72 → 80 | 56 048 → 176 | (3, 58 → 15) |
+/// | 0 | (2, 53 606) → (6, 27 575) | (6, 554 → 380) | 1 877 → 167 → 52 | 144 → 160 | 69 200 → 272 | (2, 125 → 38) |
+/// | 1 | (4, 79 693) → (6, 26 288) | (10, 1 108 → 846) | 6 222 → 532 → 57 | 72 → 80 | 110 729 → 614 | (4, 167 → 36) |
+/// | 2 | (3, 95 082) → (6, 50 626) | (8, 532 → 182) | 32 → 32 → 32 | 144 → 160 | 32 → 32 | (3, 234 → 59) |
+/// | 3 | (3, 22 240) → (6, 22 322) | (8, 415 → 329) | 1 872 → 187 → 37 | 72 → 80 | 56 048 → 176 | (3, 58 → 15) |
 ///
-/// - The read fetch (`fetch_block_aligned`) ships the 202 reads' packed
-///   codes and their `ReadHeaders`: a varint count, then per read a
-///   one-byte id gap (two for a chunk's first id of 128 or more) and a
-///   two-byte length (the reads have 797 to 5 831 bases). The chunks of
-///   51, 50, 51 and 50 reads book 154, 151, 154 and 152 B of headers,
-///   and a grid row's 101 reads, swapped with the transposed rank, 304;
-///   at 8 B per `(u32, u32)` header after an 8-byte length they took
-///   416, 408, 416, 408 and 816. Rank 0 bcasts chunks 0 and 1 (−519 B),
-///   rank 1 gathers chunk 1 and swaps row 0 (−769), rank 2 bcasts chunks
-///   2 and 3 and swaps row 1 (−1 030), rank 3 gathers chunk 3 (−256):
-///   the pin read `[(14, 55 288), (22, 82 488), (18, 97 102), (18,
-///   23 262)]` before.
+/// - The read fetch (`ReadStore::fetch_named`) asks each owner for the
+///   reads the rank's block of `C` names and it lacks, and the owners
+///   answer with the reads' packed codes and their `ReadHeaders`: a
+///   varint count, then per read a one-byte id gap (two for a run's
+///   first id of 128 or more) and a two-byte length (the reads have 797
+///   to 5 831 bases). `C` is dense here, so a block above the diagonal
+///   names its whole row and column ranges; the chunks hold 51, 50, 51
+///   and 50 reads. It is two `alltoallv`s and four payload sends (8 B
+///   each, plus the packed reads) per rank:
+///   - rank 0's diagonal block lacks chunk 1: it asks rank 1 for 50
+///     ids (51 B, 1 B to each other rank) and answers rank 1's ask for
+///     chunk 0, 51 reads: 154 B of headers, 27 332 packed. 54 + 157 +
+///     27 364.
+///   - rank 1's block (row range 0, column range 1) lacks chunks 0, 2
+///     and 3: it asks 52 + 52 + 52 B (+1 to itself) and answers rank 0
+///     with chunk 1, 151 B of headers and 25 945 packed. 157 + 154 +
+///     25 977.
+///   - rank 2's block, below the diagonal, is empty: it asks nothing
+///     (4 × 1 B) and receives no read. Ranks 1 and 3 both ask it for
+///     chunk 2, so it ships those 51 reads twice, 154 + 25 140 B each
+///     time. 4 + 310 + 50 312.
+///   - rank 3's diagonal block lacks chunk 2: it asks rank 2 (52 B) and
+///     answers rank 1 with chunk 3, 152 B of headers and 22 080 packed.
+///     55 + 155 + 22 112.
+///
+///   Before, a grid-row allgather of the chunks and, off the diagonal,
+///   a swap of the row's reads with the transposed rank shipped every
+///   read of the block's row and column ranges: 53 606, 79 693, 95 082
+///   and 22 240 B in 2, 4, 3 and 3 messages. Rank 3 still ships its
+///   chunk once (to rank 1 now, to rank 2 before) and 82 B more of asks
+///   and empty frames; the other ranks ship about half or less.
 /// - Each mask round and `overlap_graph`'s mask fetch run one
 ///   `fetch_aligned` of the contained mask, a `Vec<bool>` that packs
 ///   eight reads to a byte: a grid-row gather of a 50-read chunk, 8 + 7 =
@@ -670,7 +692,7 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
 ///   dropped before.
 #[test]
 fn alignment_wire_traffic_matches_golden_constants() {
-    const ALIGNMENT: [(u64, u64); 4] = [(14, 54508), (22, 81326), (18, 95547), (18, 22877)];
+    const ALIGNMENT: [(u64, u64); 4] = [(18, 28477), (24, 27921), (21, 51091), (21, 22959)];
     let spec = DatasetSpec::celegans_like(0.1, 7);
     let (_genome, reads) = reads_of(&spec);
     let cfg = PipelineConfig::for_dataset(&spec);

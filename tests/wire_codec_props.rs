@@ -13,7 +13,7 @@ use elba::comm::{Backend, CommMsg, Profile, Runner};
 use elba::core::WalkEdge;
 use elba::graph::{Hop, Seed, SharedSeeds};
 use elba::seq::{AEntry, CountRun, ReadHeaders};
-use elba::sparse::{AtVertices, Csr, PerVertex, Plain, RoutedTriples, U32Run};
+use elba::sparse::{Ascending, AtVertices, Csr, PerVertex, Plain, RoutedTriples, U32Run};
 use proptest::prelude::*;
 
 fn round_trip<T: CommMsg>(value: &T) -> T {
@@ -587,6 +587,43 @@ fn label_updates_travel_as_vertex_gaps_and_distances() {
     fuzz_frame::<U32Run<AtVertices>>(&frame, 0, |run, _| {
         let pairs: Vec<&[u32]> = run.values().chunks_exact(2).collect();
         pairs.windows(2).all(|w| w[0][0] < w[1][0]) && pairs.iter().all(|p| p[1] < p[0])
+    });
+}
+
+#[test]
+fn read_requests_travel_as_ascending_id_gaps() {
+    // The ids a rank asks an owner for: the first as itself, each later
+    // one as its gap to the one before, from gap 0 (the first id 0) to
+    // gap u32::MAX.
+    let ids = U32Run::new(Ascending, vec![0, 1, 128, u32::MAX]);
+    let frame = encoded(&ids);
+    assert_eq!(frame, varints(&[4, 0, 1, 127, u64::from(u32::MAX) - 128]));
+    assert_eq!(frame.len(), ids.nbytes());
+    assert_eq!(ids.nbytes(), 1 + 1 + 1 + 1 + 5);
+    assert_eq!(round_trip(&ids), ids);
+    for values in [vec![], vec![u32::MAX], vec![0, u32::MAX], vec![7, 8, 9]] {
+        let run = U32Run::new(Ascending, values);
+        assert_eq!(encoded(&run).len(), run.nbytes(), "{:?}", run.values());
+        assert_eq!(round_trip(&run), run);
+    }
+    assert_prefixes_truncated::<U32Run<Ascending>>(&frame);
+    // A repeated id (gap 0 after the first) and an id past u32::MAX do
+    // not ascend within the ids: malformed, never a wrapped id.
+    for codes in [
+        &[2, 5, 0][..],
+        &[3, 5, 1, 0],
+        &[1, 1 << 32],
+        &[2, u64::from(u32::MAX), 1],
+        &[2, 1, u64::from(u32::MAX)],
+    ] {
+        assert_eq!(
+            decode_exact::<U32Run<Ascending>>(&varints(codes)),
+            Err(WireError::Malformed("run value")),
+            "{codes:?}"
+        );
+    }
+    fuzz_frame::<U32Run<Ascending>>(&frame, 0, |run, _| {
+        run.values().windows(2).all(|w| w[0] < w[1])
     });
 }
 
