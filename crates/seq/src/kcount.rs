@@ -14,9 +14,14 @@
 //! with [`Comm::alltoallv`] — ELBA's custom all-to-all, which never holds
 //! more than one window's traffic per peer.
 //!
-//! Counting ships each window's partial counts, one `(kmer, count)`
-//! record per distinct k-mer, to the k-mers' owners, which fold them into
-//! their tables.
+//! Counting sorts, as HySortK does (Li and Guidi, ICPP 2024): each
+//! window ships its partial counts, one `(kmer, count)` record per
+//! distinct k-mer, to the k-mers' owners, and an owner appends them to
+//! one record buffer that it compacts in place — sorted by k-mer, equal
+//! k-mers' counts summed — whenever it has doubled. After the last
+//! window the buffer is one sorted run with one record per k-mer, and
+//! the reliable band is read off it in k-mer order. No hash table sees
+//! an occurrence.
 //!
 //! A's triples are built on the rank that holds the read. Occurrences
 //! never travel: each window of `batch_kmers` occurrences looks up the
@@ -122,9 +127,8 @@ pub fn kmer_sampled(kmer: u64, s: u32) -> bool {
 /// `kmer_owner`'s constant nor any constant: both words are drawn once
 /// per process from `std`'s `RandomState`, and an input crafted against
 /// an unkeyed multiplicative hash (see `prop_kcount.rs`) spreads like any
-/// other. Nothing observable depends on the key: every table is either
-/// probed only, or sorted before it is read out. [`crate::ReadStore`]
-/// keys its id → slot index the same way (probed only).
+/// other. Nothing observable depends on the key: every table is probed
+/// only. [`crate::ReadStore`] keys its id → slot index the same way.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct KmerHashKey {
     k0: u64,
@@ -322,17 +326,20 @@ pub fn count_kmers(grid: &ProcGrid, store: &ReadStore, cfg: &KmerConfig) -> Kmer
 
 /// [`count_kmers`] plus the exchange's buffer high-water marks.
 ///
-/// The occurrence stream is cut into windows of `batch_kmers`, in the
-/// same order for every thread count. Each window is sorted and sends
-/// one `(kmer, count)` record per run of equal k-mers to the k-mer's
-/// owner, in one `alltoallv`; owners sum the partial counts — global `+`
-/// is associative and commutative, so window boundaries never show in
-/// the table. A one-byte `allreduce` per window keeps a rank whose reads
-/// are done in step with the others, as in [`build_a_triples_with_stats`].
+/// The occurrence stream is cut into windows of `batch_kmers` (at most
+/// `u32::MAX`, so a record's count holds its run), in the same order for
+/// every thread count. Each window is sorted and sends one `(kmer,
+/// count)` record per run of equal k-mers to the k-mer's owner, in one
+/// `alltoallv`; each owner sums the partial counts in one sorted buffer,
+/// compacted in place as it grows — global `+` is associative and
+/// commutative, so window boundaries never show in the counts. A one-byte `allreduce` per window keeps a rank
+/// whose reads are done in step with the others, as in
+/// [`build_a_triples_with_stats`].
 ///
 /// The tracker is charged what coexists: the sorted window with its
 /// outgoing records before the send, the received records after it (the
-/// self bucket moves through the exchange, so it is charged once).
+/// self bucket moves through the exchange, so it is charged once). The
+/// owner's count table is not charged.
 pub fn count_kmers_with_stats(
     grid: &ProcGrid,
     store: &ReadStore,
@@ -340,11 +347,12 @@ pub fn count_kmers_with_stats(
 ) -> (KmerTable, ExchangeStats) {
     let world = grid.world();
     let p = world.size();
-    let batch = cfg.batch_kmers.max(1);
+    // A record counts its run of a window as a `u32`.
+    let batch = cfg.batch_kmers.clamp(1, u32::MAX as usize);
     let scan_stats = ScanStats::default();
     let mut kmers = occurrence_scan(store, cfg, &scan_stats).map(|(_, hit)| hit.kmer);
     let mut window: Vec<u64> = Vec::new();
-    let mut owned: KmerMap<u32> = KmerMap::default();
+    let mut counts = CountTable::new(batch);
     let mut stats = ExchangeStats::default();
     loop {
         window.clear();
@@ -363,24 +371,18 @@ pub fn count_kmers_with_stats(
         let largest = inbound.iter().map(|run| run.0.len()).max().unwrap_or(0);
         stats.peak_inbound_items = stats.peak_inbound_items.max(largest);
         stats.peak_inbound_bytes = stats.peak_inbound_bytes.max(received * COUNT_RECORD_BYTES);
-        // One plain loop per source: folding through a flattening
-        // iterator measured about a quarter slower on singleton-heavy
-        // input.
-        for run in inbound {
-            for (kmer, count) in run.0 {
-                *owned.entry(kmer).or_insert(0) += count;
-            }
-        }
+        counts.add_window(&inbound);
     }
     book_scan(world, &scan_stats);
     world.record_mem_transient(stats.peak_outgoing_bytes.max(stats.peak_inbound_bytes));
-    // Reliable band filter.
-    let mut reliable: Vec<u64> = owned
+    // Reliable band filter, in k-mer order.
+    let band = cfg.reliable_min..=cfg.reliable_max;
+    let reliable: Vec<u64> = counts
+        .into_sorted()
         .into_iter()
-        .filter(|&(_, c)| c >= cfg.reliable_min && c <= cfg.reliable_max)
+        .filter(|(_, count)| band.contains(count))
         .map(|(kmer, _)| kmer)
         .collect();
-    reliable.sort_unstable();
     // A column query's answer is the offset + 1, and 0 is "not reliable".
     assert!(
         reliable.len() < u32::MAX as usize,
@@ -616,6 +618,61 @@ impl Window {
                     }),
             );
         }
+    }
+}
+
+/// An owner's k-mer counts: one buffer of `(kmer, count)` records that
+/// each window's inbound runs are appended to. Once it has doubled since
+/// the last compaction (and holds at least `floor` records) it is
+/// compacted in place: a stable sort by k-mer, which merges the ascending
+/// runs already in the buffer, then one pass that sums the counts of
+/// equal k-mers, saturating at `u32::MAX`. So it holds at most `2 ·
+/// max(distinct, floor)` records between windows, where a hash table of
+/// the same k-mers held about 2.3 × distinct, and a compaction's work is
+/// paid for by the records appended since the last one.
+struct CountTable {
+    records: Vec<(u64, u32)>,
+    /// Length after the last compaction.
+    compacted: usize,
+    floor: usize,
+}
+
+impl CountTable {
+    fn new(floor: usize) -> Self {
+        CountTable {
+            records: Vec::new(),
+            compacted: 0,
+            floor,
+        }
+    }
+
+    /// Append one window's inbound runs, and compact if the buffer has
+    /// doubled.
+    fn add_window(&mut self, inbound: &[CountRun]) {
+        for run in inbound {
+            self.records.extend_from_slice(&run.0);
+        }
+        if self.records.len() >= self.floor.max(2 * self.compacted) {
+            self.compact();
+        }
+    }
+
+    fn compact(&mut self) {
+        self.records.sort_by_key(|&(kmer, _)| kmer);
+        self.records.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = kept.1.saturating_add(next.1);
+            }
+            same
+        });
+        self.compacted = self.records.len();
+    }
+
+    /// The counts, one record per k-mer, ascending by k-mer.
+    fn into_sorted(mut self) -> Vec<(u64, u32)> {
+        self.compact();
+        self.records
     }
 }
 
@@ -1068,6 +1125,109 @@ mod tests {
         assert!(out[0]);
     }
 
+    /// A xorshift stream, for random test inputs.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// Feed `occurrences` to a [`CountTable`] the way an owner receives
+    /// them: in windows of `batch`, each window's records split over two
+    /// sources. After every window, `check` sees the table, the window and
+    /// how many records it brought.
+    fn count_by_windows(
+        occurrences: &[u64],
+        batch: usize,
+        mut check: impl FnMut(&CountTable, &[u64], usize),
+    ) -> Vec<(u64, u32)> {
+        let mut table = CountTable::new(batch);
+        for window in occurrences.chunks(batch) {
+            let (a, b) = window.split_at(window.len() / 2);
+            let inbound: Vec<CountRun> = [a, b]
+                .into_iter()
+                .flat_map(|part| partial_counts(&mut part.to_vec(), 1))
+                .collect();
+            table.add_window(&inbound);
+            check(&table, window, inbound.iter().map(|run| run.0.len()).sum());
+        }
+        table.into_sorted()
+    }
+
+    #[test]
+    fn count_table_equals_a_hash_map_fold() {
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+        // Repeats from a small range, and singletons from the whole
+        // 62-bit range.
+        let occurrences: Vec<u64> = (0..200_000)
+            .map(|_| match next() % 3 {
+                0 => next() >> 2,
+                _ => next() % 5_000,
+            })
+            .collect();
+        let mut oracle: HashMap<u64, u32> = HashMap::new();
+        for &kmer in &occurrences {
+            *oracle.entry(kmer).or_insert(0) += 1;
+        }
+        let mut oracle: Vec<(u64, u32)> = oracle.into_iter().collect();
+        oracle.sort_unstable();
+        for batch in [1usize, 3, 1 << 16] {
+            let counts = count_by_windows(&occurrences, batch, |_, _, _| {});
+            assert_eq!(counts, oracle, "batch {batch}");
+        }
+    }
+
+    /// After every window the table holds at most `2 · max(distinct,
+    /// batch)` records, `distinct` counted over the windows so far (so
+    /// while a window is appended, at most that plus its records).
+    fn assert_table_bounded(occurrences: &[u64], batch: usize) {
+        let mut seen = std::collections::HashSet::new();
+        let counts = count_by_windows(occurrences, batch, |table, window, received| {
+            seen.extend(window.iter().copied());
+            let bound = 2 * seen.len().max(batch);
+            let held = table.records.len();
+            assert!(
+                held <= bound,
+                "{held} records held after a window of {received}, bound {bound}"
+            );
+        });
+        assert_eq!(counts.len(), seen.len());
+    }
+
+    #[test]
+    fn count_table_stays_within_twice_its_distinct_kmers() {
+        // Few distinct k-mers, each seen thousands of times, one
+        // occurrence per window: the table may not grow with the
+        // occurrences.
+        let mut next = xorshift(0x2545_F491_4F6C_DD1D);
+        let repeats: Vec<u64> = (0..40_000).map(|_| next() % 8).collect();
+        assert_table_bounded(&repeats, 1);
+        // Every k-mer once: the table holds them all, and no more than
+        // twice over.
+        let singletons: Vec<u64> = (0..100_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9) >> 3)
+            .collect();
+        for batch in [1usize, 64, 1 << 12] {
+            assert_table_bounded(&singletons, batch);
+        }
+    }
+
+    #[test]
+    fn count_table_saturates_at_u32_max() {
+        let run = |count| CountRun::new(vec![(5, count)]);
+        // Across windows and within one.
+        let mut table = CountTable::new(1);
+        table.add_window(&[run(u32::MAX)]);
+        table.add_window(&[run(7)]);
+        assert_eq!(table.into_sorted(), [(5, u32::MAX)]);
+        let mut table = CountTable::new(1);
+        table.add_window(&[run(u32::MAX), run(7)]);
+        assert_eq!(table.into_sorted(), [(5, u32::MAX)]);
+    }
+
     #[test]
     fn owner_hash_spreads() {
         let p = 8;
@@ -1212,13 +1372,7 @@ mod tests {
         // (hence wire bytes) are cut by position in this stream. ~300 k
         // bases, so 7 workers refill several groups and 2 workers dozens;
         // reads shorter than k and empty reads sit between the others.
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x2545_F491_4F6C_DD1D);
         let mut store = ReadStore::empty(200);
         for id in 0..200u64 {
             let len = match id % 10 {

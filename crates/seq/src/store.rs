@@ -396,9 +396,10 @@ impl ReadStore {
     /// contig boundary needs the read on two ranks; a rank named twice
     /// still receives the read once). Each destination gets one
     /// alltoallv buffer of [`ReadHeaders`], an id gap and a length per
-    /// read as varints, and one send of the reads packed four bases per
-    /// byte; a packed payload longer than `count_limit` bytes takes the
-    /// contiguous-datatype path. Collective. Returns the new store.
+    /// read as varints, and a destination that gets a read one send of
+    /// the reads packed four bases per byte; a packed payload longer than
+    /// `count_limit` bytes takes the contiguous-datatype path. Collective.
+    /// Returns the new store.
     pub fn exchange<I>(
         &self,
         grid: &ProcGrid,
@@ -427,16 +428,22 @@ impl ReadStore {
     }
 
     /// Send each rank its reads and ingest what comes back: one
-    /// `alltoallv` of [`ReadHeaders`], then one send per destination of
-    /// its packed reads, wrapped as a [`ContiguousBlock`] past
-    /// `count_limit` bytes. Collective. Returns the received store.
+    /// `alltoallv` of [`ReadHeaders`], then one send of its packed reads
+    /// to each destination the headers name a read for, wrapped as a
+    /// [`ContiguousBlock`] past `count_limit` bytes. A rank that gets no
+    /// read gets no payload message: its headers already say so.
+    /// Collective. Returns the received store.
     fn ship(&self, grid: &ProcGrid, outgoing: Vec<PackedReads>, count_limit: usize) -> ReadStore {
         let world = grid.world();
         let (headers, payloads): (Vec<_>, Vec<_>) = outgoing.into_iter().unzip();
+        let named: Vec<bool> = headers.iter().map(|h| !h.headers().is_empty()).collect();
         let incoming_headers = world.alltoallv(headers);
         // Ship each destination's packed buffer; one message each, using
         // the contiguous-datatype wrapper when over the count limit.
         for (dst, buf) in payloads.into_iter().enumerate() {
+            if !named[dst] {
+                continue;
+            }
             if buf.len() > count_limit {
                 world.send(dst, SEQ_TAG, ContiguousBlock { data: buf });
             } else {
@@ -446,6 +453,9 @@ impl ReadStore {
         // The headers say how much is coming: size the store once.
         let mut store = ReadStore::sized_for(self.n_global, incoming_headers.iter());
         for (src, headers) in incoming_headers.iter().enumerate() {
+            if headers.headers().is_empty() {
+                continue;
+            }
             let packed_len: usize = headers
                 .headers()
                 .iter()

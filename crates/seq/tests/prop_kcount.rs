@@ -213,9 +213,10 @@ fn smallest_middle_and_largest_k() {
 /// complement with `G`), so every k-mer of the set carries the same low
 /// 20 bits. An unkeyed multiplicative hash — `kmer · odd` — maps equal
 /// low bits to equal low bits, which is where a `HashMap` picks its
-/// bucket: all `N` keys of `owned` and of `KmerTable::local` would walk
-/// one probe sequence, O(N²) in all. The stage's tables are keyed per
-/// process, so this input costs what any other `N` k-mers cost.
+/// bucket: all `N` keys of `KmerTable::local` and of a window's slot map
+/// would walk one probe sequence, O(N²) in all. The stage's tables are
+/// keyed per process (the owner's counts are a sorted buffer, no hash
+/// table), so this input costs what any other `N` k-mers cost.
 #[test]
 fn kmers_crafted_to_collide_in_the_low_bits_stay_linear() {
     const N: u64 = 300_000;

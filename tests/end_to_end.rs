@@ -627,7 +627,9 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
 /// (18, 23 412)]`; before the contained mask packed eight reads to a
 /// byte, `[(14, 54 769), (22, 81 719), (18, 96 072), (18, 23 006)]`;
 /// before the read fetch asked for the named reads alone, `[(14,
-/// 54 508), (22, 81 326), (18, 95 547), (18, 22 877)]`. Per rank,
+/// 54 508), (22, 81 326), (18, 95 547), (18, 22 877)]`; before a rank
+/// that gets no read got no payload message, `[(18, 28 477), (24,
+/// 27 921), (21, 51 091), (21, 22 959)]`. Per rank,
 /// `(msgs, bytes)`, or bytes one pass → three passes where the messages
 /// (1, 2 and 1) did not move, the marks one pass → three passes → with
 /// the bound, the mask bytes a byte per read → packed, and the read
@@ -635,10 +637,10 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
 ///
 /// | rank | read fetch | two mask rounds | marks | stats | `R` triples | mask fetch |
 /// |---|---|---|---|---|---|---|
-/// | 0 | (2, 53 606) → (6, 27 575) | (6, 554 → 380) | 1 877 → 167 → 52 | 144 → 160 | 69 200 → 272 | (2, 125 → 38) |
-/// | 1 | (4, 79 693) → (6, 26 288) | (10, 1 108 → 846) | 6 222 → 532 → 57 | 72 → 80 | 110 729 → 614 | (4, 167 → 36) |
-/// | 2 | (3, 95 082) → (6, 50 626) | (8, 532 → 182) | 32 → 32 → 32 | 144 → 160 | 32 → 32 | (3, 234 → 59) |
-/// | 3 | (3, 22 240) → (6, 22 322) | (8, 415 → 329) | 1 872 → 187 → 37 | 72 → 80 | 56 048 → 176 | (3, 58 → 15) |
+/// | 0 | (2, 53 606) → (3, 27 551) | (6, 554 → 380) | 1 877 → 167 → 52 | 144 → 160 | 69 200 → 272 | (2, 125 → 38) |
+/// | 1 | (4, 79 693) → (3, 26 264) | (10, 1 108 → 846) | 6 222 → 532 → 57 | 72 → 80 | 110 729 → 614 | (4, 167 → 36) |
+/// | 2 | (3, 95 082) → (4, 50 610) | (8, 532 → 182) | 32 → 32 → 32 | 144 → 160 | 32 → 32 | (3, 234 → 59) |
+/// | 3 | (3, 22 240) → (3, 22 298) | (8, 415 → 329) | 1 872 → 187 → 37 | 72 → 80 | 56 048 → 176 | (3, 58 → 15) |
 ///
 /// - The read fetch (`ReadStore::fetch_named`) asks each owner for the
 ///   reads the rank's block of `C` names and it lacks, and the owners
@@ -647,30 +649,32 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
 ///   first id of 128 or more) and a two-byte length (the reads have 797
 ///   to 5 831 bases). `C` is dense here, so a block above the diagonal
 ///   names its whole row and column ranges; the chunks hold 51, 50, 51
-///   and 50 reads. It is two `alltoallv`s and four payload sends (8 B
-///   each, plus the packed reads) per rank:
+///   and 50 reads. It is two `alltoallv`s per rank, and one payload send
+///   (an 8-byte length, then the packed reads) to each rank the headers
+///   name a read for; a rank that gets no read gets no payload message
+///   (four sends a rank, 11 of them empty, before):
 ///   - rank 0's diagonal block lacks chunk 1: it asks rank 1 for 50
 ///     ids (51 B, 1 B to each other rank) and answers rank 1's ask for
 ///     chunk 0, 51 reads: 154 B of headers, 27 332 packed. 54 + 157 +
-///     27 364.
+///     27 340.
 ///   - rank 1's block (row range 0, column range 1) lacks chunks 0, 2
 ///     and 3: it asks 52 + 52 + 52 B (+1 to itself) and answers rank 0
 ///     with chunk 1, 151 B of headers and 25 945 packed. 157 + 154 +
-///     25 977.
+///     25 953.
 ///   - rank 2's block, below the diagonal, is empty: it asks nothing
 ///     (4 × 1 B) and receives no read. Ranks 1 and 3 both ask it for
 ///     chunk 2, so it ships those 51 reads twice, 154 + 25 140 B each
-///     time. 4 + 310 + 50 312.
+///     time. 4 + 310 + 50 296.
 ///   - rank 3's diagonal block lacks chunk 2: it asks rank 2 (52 B) and
 ///     answers rank 1 with chunk 3, 152 B of headers and 22 080 packed.
-///     55 + 155 + 22 112.
+///     55 + 155 + 22 088.
 ///
 ///   Before, a grid-row allgather of the chunks and, off the diagonal,
 ///   a swap of the row's reads with the transposed rank shipped every
 ///   read of the block's row and column ranges: 53 606, 79 693, 95 082
 ///   and 22 240 B in 2, 4, 3 and 3 messages. Rank 3 still ships its
-///   chunk once (to rank 1 now, to rank 2 before) and 82 B more of asks
-///   and empty frames; the other ranks ship about half or less.
+///   chunk once (to rank 1 now, to rank 2 before) and 58 B more of asks
+///   and headers; the other ranks ship about half or less.
 /// - Each mask round and `overlap_graph`'s mask fetch run one
 ///   `fetch_aligned` of the contained mask, a `Vec<bool>` that packs
 ///   eight reads to a byte: a grid-row gather of a 50-read chunk, 8 + 7 =
@@ -692,7 +696,7 @@ fn kmer_stage_wire_traffic_matches_golden_constants() {
 ///   dropped before.
 #[test]
 fn alignment_wire_traffic_matches_golden_constants() {
-    const ALIGNMENT: [(u64, u64); 4] = [(18, 28477), (24, 27921), (21, 51091), (21, 22959)];
+    const ALIGNMENT: [(u64, u64); 4] = [(15, 28453), (21, 27897), (19, 51075), (18, 22935)];
     let spec = DatasetSpec::celegans_like(0.1, 7);
     let (_genome, reads) = reads_of(&spec);
     let cfg = PipelineConfig::for_dataset(&spec);
@@ -865,7 +869,9 @@ fn fixed_chain_graph(
 ///     212 and 212 B for 100, 102, 102 and 102 reads, where 8 B per
 ///     `(u32, u32)` took 832 and 848;
 ///   - packed reads, 30 B per 120-base read: one send of 8 + 30 × reads
-///     to each of the 4 ranks.
+///     to each of the 4 ranks. `ReadStore::exchange` sends no payload to
+///     a rank it ships no read to, but here every rank gets reads from
+///     every rank, so all 16 sends carry reads.
 ///
 ///   Rank 0: 216 + 2 009 + 204 + 3 032 = 5 461; rank 1: 104 + 32 + 210 +
 ///   3 092 = 3 438; rank 2: 218 + 32 + 212 + 3 092 = 3 554; rank 3: 105 +
