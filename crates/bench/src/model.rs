@@ -23,7 +23,7 @@
 //!
 //! The *overlap credit* refines the earlier model, which charged time
 //! parked in non-blocking `wait`s fully as communication. A phase that
-//! drives its transfers through requests (the SUMMA stages' `ibcast`)
+//! drives its transfers through requests (the SUMMA stages' `irecv`s)
 //! can hide them behind local work; the k-mer stage's blocking
 //! `alltoallv` rounds book no wait time and earn no credit. The hideable
 //! share demonstrated by the trace is bounded both by the time actually

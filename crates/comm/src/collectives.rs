@@ -7,7 +7,7 @@
 use std::time::Instant;
 
 use crate::msg::CommMsg;
-use crate::runtime::{op, Comm, Rank, RecvRequest, Tag};
+use crate::runtime::{op, Comm, Rank, Tag};
 
 impl Comm {
     /// Synchronize all ranks (dissemination barrier, ⌈log₂ P⌉ rounds).
@@ -57,8 +57,6 @@ impl Comm {
         } else {
             self.coll_recv::<T>(root, tag)
         };
-        // Same tree shape as the non-blocking broadcast: one byte-model
-        // routine serves both, so the schedules can never diverge.
         let bytes = tree_share_bytes(self, vr, &value);
         self.record_collective(op::BCAST, bytes, started.elapsed().as_secs_f64());
         value
@@ -215,57 +213,13 @@ impl Comm {
         self.record_collective(op::EXSCAN, 0, started.elapsed().as_secs_f64());
         prefix
     }
-
-    /// Non-blocking broadcast (`MPI_Ibcast` analogue): posts the same
-    /// binomial tree as [`Comm::bcast`] but returns immediately with an
-    /// [`IbcastRequest`]; the value is obtained by `wait`ing the request.
-    ///
-    /// Delivery is arrival-driven (see `bcast_deliver_tree`): the root
-    /// pushes the value to *every* rank at post time, so posting the
-    /// broadcast for stage `s+1` before computing stage `s` overlaps the
-    /// whole tree's transfer with local work — and an inner rank that
-    /// reaches its `wait` late never stalls the ranks below it
-    /// (deep trees pipeline instead of serializing).
-    ///
-    /// Every rank of the communicator must post the matching `ibcast` in
-    /// the same SPMD order as any other collective, and must eventually
-    /// complete the request: completion is where a rank books the
-    /// modeled wire bytes of its share of the tree.
-    ///
-    /// As with [`Comm::bcast`], an [`Arc`](std::sync::Arc) payload travels as a refcount
-    /// bump per tree edge and books the inner value's bytes: this is the
-    /// engine of the pipelined SUMMA stage broadcasts, which move each
-    /// CSR panel across a `q×q` grid with zero payload deep-copies.
-    pub fn ibcast<T: CommMsg + Clone>(&self, root: Rank, value: Option<T>) -> IbcastRequest<'_, T> {
-        let tag = self.next_coll_tag(op::IBCAST);
-        let p = self.size();
-        let vr = (self.rank() + p - root) % p; // virtual rank, root at 0
-        if vr == 0 {
-            let value = value.expect("ibcast root must supply a value");
-            bcast_deliver_tree(self, root, tag, &value);
-            let bytes = tree_share_bytes(self, vr, &value);
-            self.record_coll_bytes(op::IBCAST, bytes);
-            IbcastRequest {
-                comm: self,
-                root,
-                state: IbcastState::Ready(value),
-            }
-        } else {
-            let req = self.irecv::<T>(root, tag);
-            IbcastRequest {
-                comm: self,
-                root,
-                state: IbcastState::Waiting(req),
-            }
-        }
-    }
 }
 
 /// Arrival-driven tree delivery: when a broadcast value "arrives" at a
 /// rank, its whole subtree is fed in the same delivering path — which,
 /// applied recursively from the root, collapses to the root pushing the
 /// value into every rank's mailbox at post time. Inner tree ranks never
-/// hold up their descendants by reaching `wait` late, closing the
+/// hold up their descendants by reaching their receive late, closing the
 /// ROADMAP item where deep trees (large q) serialized on hop-by-hop
 /// forwarding. Physical copies: one `clone()` per non-root rank — a
 /// refcount bump on the shared (`Arc`) path, a deep copy on the owned
@@ -284,10 +238,10 @@ fn bcast_deliver_tree<T: CommMsg + Clone>(comm: &Comm, root: Rank, tag: Tag, val
     }
 }
 
-/// Modeled wire bytes of this rank's share of an (i)bcast binomial tree:
+/// Modeled wire bytes of this rank's share of a `bcast` binomial tree:
 /// one message of `value.nbytes()` per tree child. The byte model every
-/// broadcast books against, shared by the blocking, non-blocking, owned
-/// and `Arc`-shared paths so their profiled traffic can never diverge.
+/// broadcast books against, shared by the owned and `Arc`-shared paths
+/// so their profiled traffic can never diverge.
 fn tree_share_bytes<T: CommMsg>(comm: &Comm, vr: usize, value: &T) -> usize {
     let p = comm.size();
     let limit = if vr == 0 {
@@ -308,44 +262,6 @@ fn tree_share_bytes<T: CommMsg>(comm: &Comm, vr: usize, value: &T) -> usize {
         0
     } else {
         children * value.nbytes()
-    }
-}
-
-enum IbcastState<'c, T: CommMsg> {
-    /// Value in hand: this rank is the root, and booked its share of the
-    /// tree when it posted.
-    Ready(T),
-    /// Still waiting on the root's delivery.
-    Waiting(RecvRequest<'c, T>),
-}
-
-/// In-flight non-blocking broadcast; see [`Comm::ibcast`].
-#[must_use = "ibcast must be completed with wait() — dropping it skips booking this rank's share of the collective"]
-pub struct IbcastRequest<'c, T: CommMsg + Clone> {
-    comm: &'c Comm,
-    root: Rank,
-    state: IbcastState<'c, T>,
-}
-
-impl<T: CommMsg + Clone> IbcastRequest<'_, T> {
-    /// Block until the broadcast value arrives, book this rank's share
-    /// of the collective, and return it. Blocked time is booked as
-    /// *wait* time.
-    pub fn wait(self) -> T {
-        match self.state {
-            IbcastState::Ready(value) => value,
-            IbcastState::Waiting(req) => {
-                let value = req.wait();
-                // The subtree below was already fed physically at the
-                // root's post (arrival-driven delivery); completion only
-                // settles this rank's share of the byte model.
-                let p = self.comm.size();
-                let vr = (self.comm.rank() + p - self.root) % p;
-                let bytes = tree_share_bytes(self.comm, vr, &value);
-                self.comm.record_coll_bytes(op::IBCAST, bytes);
-                value
-            }
-        }
     }
 }
 
@@ -501,82 +417,10 @@ mod tests {
     }
 
     #[test]
-    fn ibcast_from_every_root_all_sizes() {
-        for p in nonpow2_sizes() {
-            for root in 0..p {
-                let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
-                    let value = if comm.rank() == root {
-                        Some(root as u64 + 7)
-                    } else {
-                        None
-                    };
-                    comm.ibcast(root, value).wait()
-                });
-                assert!(
-                    out.iter().all(|&v| v == root as u64 + 7),
-                    "p={p} root={root}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ibcast_overlaps_with_local_work() {
-        // Post, do local work, then wait — the canonical pipelined shape.
-        let out = Runner::new(Backend::InProcess).ranks(5).run(|comm| {
-            let req = comm.ibcast(0, (comm.rank() == 0).then(|| vec![1u64, 2, 3]));
-            let local: u64 = (0..1000u64).sum(); // stand-in compute
-            let value = req.wait();
-            value.iter().sum::<u64>() + local % 2
-        });
-        assert!(out.iter().all(|&v| v == 6));
-    }
-
-    #[test]
-    fn two_outstanding_ibcasts_complete_in_any_order() {
-        // The double-buffered SUMMA posts A and B broadcasts for the next
-        // stage before waiting on either.
-        let out = Runner::new(Backend::InProcess).ranks(4).run(|comm| {
-            let a = comm.ibcast(0, (comm.rank() == 0).then_some(10u64));
-            let b = comm.ibcast(1, (comm.rank() == 1).then_some(20u64));
-            let vb = b.wait();
-            let va = a.wait();
-            va + vb
-        });
-        assert!(out.iter().all(|&v| v == 30));
-    }
-
-    #[test]
-    fn ibcast_forwards_at_arrival_not_at_inner_ranks_wait() {
-        // p = 4, root 0: binomial tree 0 → {2, 1}, 2 → {3}. Rank 2
-        // blocks on a message rank 3 only sends *after* completing its
-        // own broadcast wait. Under hop-by-hop forwarding (inner ranks
-        // forwarding on their own wait/test) this deadlocks: 3 waits for
-        // 2's forward, 2 waits for 3's ack. Arrival-driven delivery
-        // feeds rank 3 at the root's post, so the cycle never forms.
-        let out = Runner::new(Backend::InProcess).ranks(4).run(|comm| {
-            let req = comm.ibcast(0, (comm.rank() == 0).then_some(7u64));
-            match comm.rank() {
-                2 => {
-                    let ack = comm.recv::<u64>(3, 1);
-                    req.wait() + ack
-                }
-                3 => {
-                    let v = req.wait();
-                    comm.send(2, 1, v * 10);
-                    v
-                }
-                _ => req.wait(),
-            }
-        });
-        assert_eq!(out, vec![7, 7, 77, 7]);
-    }
-
-    #[test]
     fn bcast_subtree_does_not_depend_on_inner_rank_progress() {
-        // Blocking-bcast twin of the arrival-driven test: rank 2 (the
-        // tree parent of rank 3) refuses to enter the broadcast until
-        // rank 3 has already received its value.
+        // Arrival-driven delivery: rank 2 (the tree parent of rank 3)
+        // refuses to enter the broadcast until rank 3 has already
+        // received its value. Under hop-by-hop forwarding this deadlocks.
         let out = Runner::new(Backend::InProcess)
             .ranks(4)
             .run(|comm| match comm.rank() {
@@ -593,41 +437,6 @@ mod tests {
                 _ => comm.bcast(0, (comm.rank() == 0).then_some(5u64)),
             });
         assert_eq!(out, vec![5, 5, 55, 5]);
-    }
-
-    #[test]
-    fn ibcast_interleaves_with_blocking_collectives() {
-        let out = Runner::new(Backend::InProcess).ranks(4).run(|comm| {
-            let req = comm.ibcast(2, (comm.rank() == 2).then_some(9u64));
-            let sum = comm.allreduce(1u64, |a, b| a + b);
-            let v = req.wait();
-            comm.barrier();
-            v * 100 + sum
-        });
-        assert!(out.iter().all(|&v| v == 904));
-    }
-
-    #[test]
-    fn ibcast_books_wait_not_comm_time() {
-        let (_, profile) = Runner::new(Backend::InProcess)
-            .ranks(2)
-            .run_profiled(|comm| {
-                let _g = comm.phase("stage");
-                if comm.rank() == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(15));
-                    comm.ibcast(0, Some(3u64)).wait()
-                } else {
-                    comm.ibcast(0, None).wait()
-                }
-            });
-        assert!(
-            profile.max_wait_secs("stage") > 0.005,
-            "wait bucket must fill"
-        );
-        assert!(
-            profile.max_comm_secs("stage") < 0.005,
-            "comm bucket must not"
-        );
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!   buffered sends, matching-by-`(source, tag)` receives),
 //! * the collectives used by ELBA: `barrier`, `bcast`, `gather`,
 //!   `allgather`, `reduce`, `allreduce`, `reduce_scatter`, `alltoallv`,
-//!   `exscan`, plus the non-blocking `ibcast` (the pipelined SUMMA's
-//!   engine), whose request books blocked time to a separate *wait*
-//!   bucket so communication/computation overlap is measurable,
+//!   `exscan` — an `irecv` request (the pipelined SUMMAs' stage
+//!   receives) books blocked time to a separate *wait* bucket so
+//!   communication/computation overlap is measurable,
 //! * communicator `split` (colors/keys) for building the
 //!   √P×√P [`grid::ProcGrid`] with row and column sub-communicators,
 //! * per-phase wall-time and message-volume accounting ([`profile`]).
@@ -50,7 +50,6 @@ pub mod profile;
 pub mod runtime;
 pub mod transport;
 
-pub use collectives::IbcastRequest;
 pub use error::{CommError, FailureCause, RankFailure, SpmdFailure};
 pub use grid::ProcGrid;
 pub use msg::CommMsg;

@@ -40,7 +40,7 @@ pub struct PhaseProfile {
     pub wall_secs: f64,
     /// Seconds spent blocked inside *blocking* communication calls.
     pub comm_secs: f64,
-    /// Seconds spent blocked inside non-blocking requests (`ibcast`).
+    /// Seconds spent blocked inside non-blocking requests (`irecv`).
     /// Kept separate from `comm_secs`: when communication is overlapped
     /// with computation this bucket shrinks toward zero while the same
     /// bytes still flow.
@@ -417,7 +417,7 @@ impl RunProfile {
     }
 
     /// Max-over-ranks non-blocking wait time within a phase — the time
-    /// ranks spent parked in `ibcast` requests. A
+    /// ranks spent parked in `irecv` requests. A
     /// pipelined stage that truly overlaps communication shows a small
     /// value here relative to the same stage run eagerly.
     pub fn max_wait_secs(&self, phase: &str) -> f64 {

@@ -10,8 +10,8 @@
 //! envelopes between *processes* as serialized frames — see
 //! [`crate::transport`].
 //!
-//! The non-blocking broadcast (`ibcast`) is built on a crate-internal
-//! receive request completed by `wait` (sends are eager and buffered, so
+//! The non-blocking receive ([`Comm::irecv`]) is a request completed by
+//! `wait` (sends are eager and buffered, so
 //! [`Comm::send`] never blocks and needs no request). The time a rank
 //! spends blocked inside a request is booked to the profile's *wait*
 //! bucket — separate from blocking-receive time — so
@@ -262,8 +262,8 @@ impl Comm {
     /// Non-blocking receive: returns immediately with a [`RecvRequest`]
     /// that is `wait`ed later. Time blocked in `wait` is booked to the
     /// profile's *wait* bucket, separate from blocking-`recv`
-    /// communication time. The engine of `ibcast`, which receives on a
-    /// reserved tag, and of the symmetric SUMMA's prefetched stage fetch.
+    /// communication time. The engine of both pipelined SUMMAs'
+    /// prefetched stage fetches.
     pub fn irecv<T: CommMsg>(&self, src: Rank, tag: Tag) -> RecvRequest<'_, T> {
         RecvRequest {
             comm: self,
@@ -373,12 +373,6 @@ impl Comm {
         let mut profile = lock_profile(&self.profile);
         profile.record_coll(op::name(code), bytes);
         profile.record_comm_time(secs);
-    }
-
-    /// Book a collective's bytes without blocking time (non-blocking
-    /// collectives book their waits to the *wait* bucket instead).
-    pub(crate) fn record_coll_bytes(&self, code: u8, bytes: usize) {
-        lock_profile(&self.profile).record_coll(op::name(code), bytes);
     }
 
     // ------------------------------------------------------------------
@@ -552,9 +546,8 @@ pub(crate) mod op {
     pub const REDUCE_SCATTER: u8 = 7;
     pub const EXSCAN: u8 = 8;
     pub const SPLIT: u8 = 9;
-    pub const IBCAST: u8 = 10;
 
-    const NAMES: [(u8, &str); 9] = [
+    const NAMES: [(u8, &str); 8] = [
         (BARRIER, "barrier"),
         (BCAST, "bcast"),
         (GATHER, "gather"),
@@ -563,7 +556,6 @@ pub(crate) mod op {
         (REDUCE_SCATTER, "reduce_scatter"),
         (EXSCAN, "exscan"),
         (SPLIT, "split"),
-        (IBCAST, "ibcast"),
     ];
 
     fn lookup(code: u8) -> Option<&'static str> {

@@ -14,25 +14,6 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn ibcast_of_arc_equals_owned_ibcast_all_roots(
-        p in 1usize..10,
-        root_k in 0usize..10,
-        payload in proptest::collection::vec(any::<u64>(), 0..40),
-    ) {
-        let root = root_k % p;
-        let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
-            let owned = comm
-                .ibcast(root, (comm.rank() == root).then(|| payload.clone()))
-                .wait();
-            let shared = comm
-                .ibcast(root, (comm.rank() == root).then(|| Arc::new(payload.clone())))
-                .wait();
-            owned == *shared
-        });
-        prop_assert!(out.iter().all(|&ok| ok));
-    }
-
-    #[test]
     fn bcast_of_arc_equals_owned_bcast_all_roots(
         p in 1usize..10,
         root_k in 0usize..10,
@@ -55,7 +36,7 @@ proptest! {
         n in 0usize..100,
     ) {
         // The acceptance invariant: for the same value, the profiled
-        // per-rank `ibcast`/`bcast` byte counters of the shared path are
+        // per-rank `bcast` byte counters of the shared path are
         // byte-identical to the owned path — we simulate MPI traffic,
         // and zero-copy transport must not change the model.
         let root = root_k % p;
@@ -63,13 +44,11 @@ proptest! {
             let value = vec![7u64; n];
             {
                 let _g = comm.phase("owned");
-                comm.ibcast(root, (comm.rank() == root).then(|| value.clone())).wait();
                 comm.bcast(root, (comm.rank() == root).then(|| value.clone()));
             }
             {
                 let _g = comm.phase("shared");
                 let arc = Arc::new(value);
-                comm.ibcast(root, (comm.rank() == root).then(|| Arc::clone(&arc))).wait();
                 comm.bcast(root, (comm.rank() == root).then_some(arc));
             }
         });
@@ -97,24 +76,21 @@ proptest! {
         root_k in 0usize..10,
         salt: u64,
     ) {
-        // Two outstanding shared broadcasts, ring p2p on a reused tag
-        // (per-(source, tag) FIFO must survive the broadcast's pushes),
-        // and an owned collective interleaved between post and wait.
+        // Two shared broadcasts between ring p2p sends on a reused tag
+        // (per-(source, tag) FIFO must survive the broadcasts' pushes),
+        // and an owned collective between them.
         let root = root_k % p;
         let out = Runner::new(Backend::InProcess).ranks(p).run(move |comm| {
             let right = (comm.rank() + 1) % comm.size();
             let left = (comm.rank() + comm.size() - 1) % comm.size();
             comm.send(right, 3, salt + comm.rank() as u64); // m1, tag 3
-            let req_a = comm
-                .ibcast(root, (comm.rank() == root).then(|| Arc::new(vec![salt; 5])));
+            let va = comm.bcast(root, (comm.rank() == root).then(|| Arc::new(vec![salt; 5])));
             comm.send(right, 3, salt + 100 + comm.rank() as u64); // m2, same tag
-            let req_b = comm.ibcast(
+            let sum = comm.allreduce(1u64, |a, b| a + b);
+            let vb = comm.bcast(
                 root,
                 (comm.rank() == root).then(|| Arc::new(vec![salt + 1; 3])),
             );
-            let sum = comm.allreduce(1u64, |a, b| a + b);
-            let vb = req_b.wait();
-            let va = req_a.wait();
             let m1 = comm.recv::<u64>(left, 3);
             let m2 = comm.recv::<u64>(left, 3);
             comm.barrier();
@@ -141,7 +117,7 @@ fn shared_payload_is_mem_charged_once_per_rank() {
             let _resident = payload
                 .as_ref()
                 .map(|arc| comm.mem_charge_shared(arc, bytes));
-            let arc = comm.ibcast(0, payload).wait();
+            let arc = comm.bcast(0, payload);
             let _c1 = comm.mem_charge_shared(&arc, bytes);
             let _c2 = comm.mem_charge_shared(&arc, bytes);
             comm.barrier();
@@ -164,9 +140,8 @@ fn distinct_blocks_still_charge_separately() {
         .ranks(2)
         .run_profiled(|comm| {
             let _g = comm.phase("two");
-            let a = comm.ibcast(0, (comm.rank() == 0).then(|| Arc::new(vec![1u8; 1000])));
-            let b = comm.ibcast(1, (comm.rank() == 1).then(|| Arc::new(vec![2u8; 500])));
-            let (a, b) = (a.wait(), b.wait());
+            let a = comm.bcast(0, (comm.rank() == 0).then(|| Arc::new(vec![1u8; 1000])));
+            let b = comm.bcast(1, (comm.rank() == 1).then(|| Arc::new(vec![2u8; 500])));
             let _ca = comm.mem_charge_shared(&a, 1000);
             let _cb = comm.mem_charge_shared(&b, 500);
             comm.barrier();

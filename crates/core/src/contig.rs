@@ -161,9 +161,11 @@ pub fn contig_generation(
     };
 
     // --- InducedSubgraph + sequence redistribution (line 5) -------------
-    let (local_graph, local_store) = {
+    let (local_graph, _graph_charge, local_store) = {
         let _g = world.phase("ExtractContig:InducedSubgraph");
         let local_graph = induced_subgraph(grid, &l, &labels, &owner_of_label);
+        // The graph stays resident until local assembly has walked it.
+        let graph_charge = world.mem_charge(local_graph.heap_bytes());
         // Reads follow their contig: the rank holding vector chunk entry
         // `id` also holds read `id` (aligned layouts), so it knows the
         // destination of each of its reads.
@@ -176,7 +178,7 @@ pub fn contig_generation(
             },
             cfg.count_limit,
         );
-        (local_graph, local_store)
+        (local_graph, graph_charge, local_store)
     };
 
     // --- LocalAssembly (line 6) ------------------------------------------

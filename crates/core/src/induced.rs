@@ -74,6 +74,12 @@ impl LocalGraph {
         self.adj.nnz()
     }
 
+    /// Bytes of the id map and the adjacency's arrays, by length: what a
+    /// rank charges while it holds the graph.
+    pub fn heap_bytes(&self) -> usize {
+        self.global_ids.len() * std::mem::size_of::<u64>() + self.adj.heap_bytes()
+    }
+
     /// Local index of a global vertex id.
     pub fn local_of(&self, global: u64) -> Option<usize> {
         self.global_ids.binary_search(&global).ok()
@@ -183,7 +189,19 @@ pub fn induced_subgraph(
             }
         }
     }
+    // Every edge buffer is charged while it lives: the routed triples
+    // until the exchange completes, the received parts until they are
+    // re-indexed, and the re-indexed triples until the builder has made
+    // the CSR out of them.
+    let triple_bytes = std::mem::size_of::<(u32, u32, WalkEdge)>();
+    let routed = |parts: &[RoutedTriples<WalkEdge>]| -> usize {
+        parts.iter().map(|part| part.triples().len()).sum()
+    };
+    let sent_charge = world.mem_charge(routed(&outgoing) * triple_bytes);
     let incoming = world.alltoallv(outgoing);
+    let received = routed(&incoming);
+    let received_charge = world.mem_charge(received * triple_bytes);
+    drop(sent_charge);
 
     // Re-index to the new, smaller size, keeping the global-id map. A
     // vertex that appears only as a column still gets an id.
@@ -195,15 +213,20 @@ pub fn induced_subgraph(
     world.record_mem_transient(dict.heap_bytes());
     let global_ids = dict.members();
     let n = global_ids.len();
-    let mut triples: Vec<(u32, u32, WalkEdge)> =
-        Vec::with_capacity(incoming.iter().map(|part| part.triples().len()).sum());
+    let _ids_charge = world.mem_charge(n * std::mem::size_of::<u64>());
+    let triples_charge = world.mem_charge(received * triple_bytes);
+    let mut triples: Vec<(u32, u32, WalkEdge)> = Vec::with_capacity(received);
     for part in incoming {
         let part = part.into_triples().into_iter();
         triples.extend(part.map(|(u, w, edge)| (dict.rank(u), dict.rank(w), edge)));
     }
+    drop(received_charge);
     // The same directed edge can only arrive once (it had one owner
     // block); an exact duplicate is tolerated and the first copy kept.
     let adj = Csr::from_triples(n, n, triples, |_, _duplicate| {});
+    // The builder holds the triples and the CSR at once.
+    world.record_mem_transient(adj.heap_bytes());
+    drop(triples_charge);
     LocalGraph { global_ids, adj }
 }
 

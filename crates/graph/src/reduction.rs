@@ -15,9 +15,10 @@
 //! fixed point (see [`transitive_reduction_with`]).
 //!
 //! The sweep runs on `R`'s [`Hop`] projection: the product reads only
-//! an edge's suffix and arrowheads, so the stage broadcasts ship one
-//! varint per edge, `suffix << 2 | dir` (1–2 bytes for an overhang below
-//! 4 096), and each edge's `(pre, post)` waits on its own rank in an
+//! an edge's suffix and arrowheads, so a stage block ships one varint
+//! per edge, `suffix << 2 | dir` (1–2 bytes for an overhang below
+//! 4 096) — and only the edges the receiver's block of `R` reaches —,
+//! and each edge's `(pre, post)` waits on its own rank in an
 //! array aligned with the block's entries until the kept edges take it
 //! back.
 

@@ -23,6 +23,11 @@ use crate::spgemm::{MaskedAccumulator, SpGemmBatcher};
 const TRANSPOSE_TAG: u64 = 0x00F1_7A7A;
 /// Tag of the symmetric product's direct fetch ([`UpperAat`]).
 const FETCH_TAG: u64 = 0x00F1_7A7B;
+/// Tag of the masked product's requests ([`MaskCut`]): a mask block's
+/// non-empty rows or occupied columns.
+const REQUEST_TAG: u64 = 0x00F1_7A7C;
+/// Tag of the masked product's replies: a stage block cut to a request.
+const REPLY_TAG: u64 = 0x00F1_7A7D;
 
 /// Merge one batch-produced row (`cols`/`vals`, sorted by column) into a
 /// per-row accumulator in place — the row-local step of the
@@ -225,10 +230,11 @@ impl SpGemmOptions {
 
 /// A sparse matrix distributed in 2D blocks over the process grid.
 ///
-/// The local block lives behind an [`Arc`]: SUMMA stage broadcasts ship
-/// it down the grid row/column as `Arc` clones (zero payload
-/// deep-copies, root included — see [`elba_comm::Comm::ibcast`]),
-/// and cloning a `DistMat` is a shallow reference bump. Every mutating
+/// The local block lives behind an [`Arc`]: SUMMA stage transfers ship
+/// it as `Arc` clones (zero payload deep-copies, root included — see
+/// [`elba_comm::Comm::bcast`]; a masked-product reply that cuts a block
+/// copies the entries it keeps), and cloning a `DistMat` is a shallow
+/// reference bump. Every mutating
 /// operation consumes `self` and produces a fresh block, so shared
 /// references can never observe mutation.
 #[derive(Debug, Clone)]
@@ -326,8 +332,8 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         &self.local
     }
 
-    /// The `Arc` behind this rank's local block — the handle the shared
-    /// broadcast path clones and [`elba_comm::Comm::mem_charge_shared`]
+    /// The `Arc` behind this rank's local block — the handle the stage
+    /// transfers clone and [`elba_comm::Comm::mem_charge_shared`]
     /// keys its once-per-rank charge on.
     #[inline]
     pub fn local_arc(&self) -> &Arc<Csr<T>> {
@@ -525,7 +531,7 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let mut charge = world.mem_charge(0);
         let mut acc: Vec<(u32, u32, S::Out)> = Vec::new();
         let triple_bytes = std::mem::size_of::<(u32, u32, S::Out)>();
-        for (a_block, b_block) in self.stage_blocks(grid, other, false) {
+        for (a_block, b_block) in self.stage_blocks(grid, other) {
             // Stage blocks charge through the shared (ptr-keyed) path:
             // one charge per rank per block, so the owner's own resident
             // matrix is never counted twice.
@@ -609,14 +615,19 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
     /// walk it from inside `keep` (transitive reduction compacts its
     /// `(pre, post)` side array that way).
     ///
-    /// One SUMMA over `stage_blocks` — the general product's
-    /// broadcasts, call for call — folding every stage into
-    /// one [`MaskedAccumulator`]: `nnz(mask block)` slots plus a column
-    /// array, sized and charged before the first broadcast and never
-    /// growing. All `opts.mem_budget` decides is whether stage `s+1` is
-    /// prefetched while stage `s` multiplies: always without a budget,
-    /// and under one iff four of the largest stage fit it — the rule the
-    /// symmetric product shares, agreed grid-wide by one `allreduce`.
+    /// One SUMMA folding every stage into one [`MaskedAccumulator`]:
+    /// `nnz(mask block)` slots plus a column array, sized and charged
+    /// before the first stage and never growing. The mask bounds the
+    /// inputs too: stage blocks travel cut to what the receiver's mask
+    /// block reaches ([`MaskCut`]), so a rank receives the `A` rows its
+    /// mask has a row for and the `B` entries in a column its mask
+    /// occupies. The kernel skips everything else, and a cut keeps its
+    /// entries' order, so every slot folds the products it folded from
+    /// the whole blocks, in the same order. All `opts.mem_budget`
+    /// decides is whether stage `s+1`'s replies are posted while stage
+    /// `s` multiplies: always without a budget, and under one iff four
+    /// of the largest whole stage fit it — the rule the symmetric
+    /// product shares, agreed grid-wide by one `allreduce`.
     pub fn prune_by_product<F>(
         &self,
         grid: &ProcGrid,
@@ -647,7 +658,13 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         let _mask_res = world.mem_charge_shared(&self.local, self.local.heap_bytes());
         let mut acc = MaskedAccumulator::new(&*self.local, fold).with_threads(opts.threads);
         let _acc_res = world.mem_charge(acc.heap_bytes());
-        for (a_block, b_block) in a.stage_blocks(grid, b, lookahead) {
+        let fetch = MaskCut {
+            grid,
+            mask: &self.local,
+            a,
+            b,
+        };
+        for (a_block, b_block) in fetch.stages(lookahead) {
             let _a_res = world.mem_charge_shared(&a_block, a_block.heap_bytes());
             let _b_res = world.mem_charge_shared(&b_block, b_block.heap_bytes());
             acc.accumulate(&a_block, &b_block);
@@ -667,54 +684,30 @@ impl<T: Clone + CommMsg + Sync> DistMat<T> {
         }
     }
 
-    /// The general product's stage fetch, shared by [`DistMat::spgemm_with`]
-    /// (always blocking) and [`DistMat::prune_by_product`] (prefetching
-    /// unless its budget rules that out): stage `s`
-    /// yields block column `s` of `self`, broadcast along the grid row,
-    /// and block row `s` of `other`, broadcast along the grid column —
-    /// `Arc` clones of the owners' blocks, delivered to every rank of the
-    /// row and column whether it multiplies with them or not (the
-    /// symmetric product sends each block only where it is used, see
-    /// [`UpperAat`]). With `lookahead` the broadcasts are non-blocking
-    /// and stage `s+1` is posted before stage `s` is waited on, so the
-    /// next transfer rides alongside the caller's multiply (two stages of
-    /// blocks resident, blocked time booked as wait); without it each
-    /// stage is one blocking broadcast pair and only one stage of remote
-    /// blocks is ever resident.
+    /// The general product's stage fetch: stage `s` yields block column
+    /// `s` of `self`, broadcast along the grid row, and block row `s` of
+    /// `other`, broadcast along the grid column — `Arc` clones of the
+    /// owners' blocks, delivered whole to every rank of the row and
+    /// column, one blocking broadcast pair per stage, so only one stage
+    /// of remote blocks is ever resident. The oracle's schedule, kept
+    /// plain on purpose: the pipeline products send each block only
+    /// where it is used ([`UpperAat`]) or only as far as the receiver's
+    /// mask reaches ([`MaskCut`]).
     fn stage_blocks<'a, U>(
         &'a self,
         grid: &'a ProcGrid,
         other: &'a DistMat<U>,
-        lookahead: bool,
-    ) -> impl Iterator<Item = (Arc<Csr<T>>, Arc<Csr<U>>)> + 'a
+    ) -> impl Iterator<Item = StagePair<T, U>> + 'a
     where
         U: Clone + CommMsg + Sync,
     {
-        let q = grid.q();
-        let a_root = move |s: usize| (grid.mycol() == s).then(|| Arc::clone(&self.local));
-        let b_root = move |s: usize| (grid.myrow() == s).then(|| Arc::clone(&other.local));
-        let post = move |s: usize| {
+        (0..grid.q()).map(move |s| {
             (
-                grid.row().ibcast(s, a_root(s)),
-                grid.col().ibcast(s, b_root(s)),
+                grid.row()
+                    .bcast(s, (grid.mycol() == s).then(|| Arc::clone(&self.local))),
+                grid.col()
+                    .bcast(s, (grid.myrow() == s).then(|| Arc::clone(&other.local))),
             )
-        };
-        let mut inflight = lookahead.then(|| post(0));
-        (0..q).map(move |s| {
-            if lookahead {
-                // Prefetch stage s+1 before touching stage s: the roots'
-                // tree sends go out now and ride alongside this stage's
-                // multiply.
-                let next = (s + 1 < q).then(|| post(s + 1));
-                let (a_req, b_req) = inflight.take().expect("stage request posted");
-                inflight = next;
-                (a_req.wait(), b_req.wait())
-            } else {
-                (
-                    grid.row().bcast(s, a_root(s)),
-                    grid.col().bcast(s, b_root(s)),
-                )
-            }
         })
     }
 
@@ -959,6 +952,170 @@ impl<T: Clone + CommMsg + Sync> UpperAat<'_, T> {
             local: Arc::new(local),
         }
     }
+}
+
+/// The masked product's stage fetch ([`DistMat::prune_by_product`]).
+/// At stage `s` rank `(i, j)` folds `A(i, s) ⊗ B(s, j)` into the slots
+/// of its mask block `M(i, j)`, and the kernel reads only the `A` rows
+/// where `M(i, j)` has a row and the `B` entries in a column `M(i, j)`
+/// occupies. So once per product each rank names those rows to the
+/// other `q − 1` ranks of its grid row, the holders of `A(i, ·)`, and
+/// those columns to the other `q − 1` ranks of its grid column, the
+/// holders of `B(·, j)`, as packed `Vec<bool>`s. At stage `s` the holder
+/// of `A(i, s)`, rank `(i, s)`, sends each row peer its block cut to the
+/// rows that peer named, and the holder of `B(s, j)`, rank `(s, j)`,
+/// each column peer its entries in the columns that peer named. A cut
+/// that keeps every entry is the holder's own `Arc`, and a holder
+/// multiplies its own block. At `q = 1` nothing is sent.
+///
+/// A rank holds `A(i, s)` at stage `s = j` only, and `B(s, j)` at
+/// `s = i` only, so each request is read once, when its reply is built.
+/// Two ranks share a grid row or a grid column, never both, so a product
+/// sends at most one request and one reply each way between them, and
+/// per-source order matches them, across products too.
+struct MaskCut<'m, M, A, B> {
+    grid: &'m ProcGrid,
+    mask: &'m Csr<M>,
+    a: &'m DistMat<A>,
+    b: &'m DistMat<B>,
+}
+
+impl<M, A, B> MaskCut<'_, M, A, B>
+where
+    A: Clone + CommMsg + Sync,
+    B: Clone + CommMsg + Sync,
+{
+    /// The other ranks of this rank's grid row, then of its grid column.
+    fn peers(&self) -> (Vec<usize>, Vec<usize>) {
+        let grid = self.grid;
+        let (i, j) = (grid.myrow(), grid.mycol());
+        let row = (0..grid.q())
+            .filter(|&c| c != j)
+            .map(|c| grid.rank_of(i, c))
+            .collect();
+        let col = (0..grid.q())
+            .filter(|&r| r != i)
+            .map(|r| grid.rank_of(r, j))
+            .collect();
+        (row, col)
+    }
+
+    /// Name the mask block's non-empty rows to the row peers and its
+    /// occupied columns to the column peers. The two sets live only as
+    /// long as their buffered sends: a transient.
+    fn request(&self) {
+        let (row_peers, col_peers) = self.peers();
+        if row_peers.is_empty() {
+            return;
+        }
+        let mask = self.mask;
+        let rows: Vec<bool> = mask.indptr().windows(2).map(|w| w[0] != w[1]).collect();
+        let mut cols = vec![false; mask.ncols()];
+        for &c in mask.indices() {
+            cols[c as usize] = true;
+        }
+        let world = self.grid.world();
+        world.record_mem_transient(rows.len() + cols.len());
+        world.send_each(&row_peers, REQUEST_TAG, Arc::new(rows));
+        world.send_each(&col_peers, REQUEST_TAG, Arc::new(cols));
+    }
+
+    /// Stage `s`'s replies, from the holder of `A(i, s)` to its row peers
+    /// and from the holder of `B(s, j)` to its column peers.
+    fn post(&self, s: usize) {
+        let (row_peers, col_peers) = self.peers();
+        if self.grid.mycol() == s {
+            for peer in row_peers {
+                self.reply(peer, &self.a.local, true);
+            }
+        }
+        if self.grid.myrow() == s {
+            for peer in col_peers {
+                self.reply(peer, &self.b.local, false);
+            }
+        }
+    }
+
+    /// Read `peer`'s request and send it `block` cut to the rows
+    /// (`by_row`) or the columns it names. A cut copy lives only as long
+    /// as its buffered send, so it is recorded with the request as a
+    /// transient, one reply at a time.
+    fn reply<T: Clone + CommMsg + Sync>(&self, peer: usize, block: &Arc<Csr<T>>, by_row: bool) {
+        let world = self.grid.world();
+        let named: Arc<Vec<bool>> = world.recv(peer, REQUEST_TAG);
+        let cut = cut_to(block, &named, by_row);
+        let copied = if Arc::ptr_eq(&cut, block) {
+            0
+        } else {
+            cut.heap_bytes()
+        };
+        world.record_mem_transient(named.len() + copied);
+        world.send(peer, REPLY_TAG, cut);
+    }
+
+    /// Each stage's `(A(i, s), B(s, j))` operand pair in stage order,
+    /// cut to this rank's mask block. With `lookahead`, stage `s+1`'s
+    /// replies are posted before stage `s` is received, so the next
+    /// transfer rides alongside the caller's multiply and blocked time
+    /// books as wait; without it each stage is received blocking and
+    /// only one stage of remote blocks is ever resident. Collective:
+    /// every rank drives every stage.
+    fn stages(&self, lookahead: bool) -> impl Iterator<Item = StagePair<A, B>> + '_ {
+        let grid = self.grid;
+        let (i, j, q) = (grid.myrow(), grid.mycol(), grid.q());
+        self.request();
+        // Sends are buffered, so prefetching stage s+1 is posting its
+        // replies before stage s is received.
+        if lookahead {
+            self.post(0);
+        }
+        (0..q).map(move |s| {
+            if !lookahead {
+                self.post(s);
+            } else if s + 1 < q {
+                self.post(s + 1);
+            }
+            let a = if j == s {
+                Arc::clone(&self.a.local)
+            } else {
+                self.receive(grid.rank_of(i, s), lookahead)
+            };
+            let b = if i == s {
+                Arc::clone(&self.b.local)
+            } else {
+                self.receive(grid.rank_of(s, j), lookahead)
+            };
+            (a, b)
+        })
+    }
+
+    /// One reply from `src`: waited on as a request under `lookahead`
+    /// (booked as wait), received blocking otherwise.
+    fn receive<T: CommMsg>(&self, src: usize, lookahead: bool) -> T {
+        let world = self.grid.world();
+        if lookahead {
+            world.irecv(src, REPLY_TAG).wait()
+        } else {
+            world.recv(src, REPLY_TAG)
+        }
+    }
+}
+
+/// `block` cut to the rows (`by_row`) or the columns `named` marks, its
+/// entries' order kept; the block's own `Arc` when that is every entry.
+fn cut_to<T: Clone>(block: &Arc<Csr<T>>, named: &[bool], by_row: bool) -> Arc<Csr<T>> {
+    let keeps_all = if by_row {
+        assert_eq!(named.len(), block.nrows(), "a request names block rows");
+        let mut rows = block.indptr().windows(2).zip(named);
+        rows.all(|(w, &n)| n || w[0] == w[1])
+    } else {
+        assert_eq!(named.len(), block.ncols(), "a request names block columns");
+        block.indices().iter().all(|&c| named[c as usize])
+    };
+    if keeps_all {
+        return Arc::clone(block);
+    }
+    Arc::new(block.filtered(|r, c, _| named[if by_row { r } else { c } as usize]))
 }
 
 #[cfg(test)]

@@ -19,7 +19,8 @@
 //!   [`spgemm::MaskedAccumulator`], one caller-chosen
 //!   [`semiring::MaskedFold`] slot per mask entry,
 //! * the 2D-distributed layer: [`dist_mat::DistMat`] (one pipelined
-//!   SUMMA SpGEMM whose parameter is a memory budget, masked SpGEMM,
+//!   SUMMA SpGEMM whose parameter is a memory budget, masked SpGEMM
+//!   whose stage blocks travel cut to the receiver's mask,
 //!   transpose, prune, row reduction, branch masking) and
 //!   [`dist_vec::DistVec`] (gather/scatter by global index, shipped as
 //!   `u32` chunk offsets, the paper's Fig. 2 row-allgather +

@@ -6,20 +6,23 @@
 //! no entry (a plain semiring drives it through `SemiringSlot`) — and
 //! must return exactly what `zip_prune` against that product returns.
 //! For every schedule row, rank count and thread count, on rectangular
-//! `n×k · k×m` shapes. On every rank the predicate must also run
-//! exactly once per mask entry, in the block's storage order: the
-//! transitive reduction walks an array aligned with the mask's entries
-//! from inside it. The masked product is the one that prefetches stage
-//! broadcasts (`ibcast`), and a budget alone decides whether it does.
+//! `n×k · k×m` shapes, and on masks shaped to cut the stage blocks
+//! (block-diagonal, one row, empty blocks, full) on both backends. On
+//! every rank the predicate must also run exactly once per mask entry,
+//! in the block's storage order: the transitive reduction walks an
+//! array aligned with the mask's entries from inside it. The masked
+//! product ships each stage block only as far as the receiver's mask
+//! reaches, and a budget alone decides whether the replies are
+//! prefetched; neither changes a byte it sends.
 
 mod common;
 
 use elba_comm::{Backend, CommMsg, ProcGrid, Runner};
 use elba_sparse::semiring::{FnSemiring, PlusTimes, Semiring, SemiringSlot};
-use elba_sparse::{DistMat, SpGemmOptions};
+use elba_sparse::{Csr, DistMat, Layout2D, SpGemmOptions};
 use proptest::prelude::*;
 
-use common::{masked_stage_bytes, schedule_rows, tagged, Trace, N_ROWS};
+use common::{masked_stage_bytes, schedule_rows, tagged, Trace};
 
 type Triples<T> = Vec<(u64, u64, T)>;
 /// What a prune predicate was shown: `(row, col, mask value, product)`.
@@ -40,11 +43,42 @@ fn mine<T: Clone>(root: bool, triples: &Triples<T>) -> Triples<T> {
     }
 }
 
-/// One `p`-rank run: the oracle row (general eager product, then
-/// `zip_prune`) followed by `prune_by_product` under every schedule row
-/// × threads {1, 2, 4}. Each row is what the predicate saw on all
-/// ranks plus the pruned mask, both gathered and sorted.
+/// Which runs a check makes: the backend, the schedule rows for a
+/// product whose largest stage is the given bytes, and the thread
+/// counts each row runs at.
+#[derive(Clone, Copy)]
+struct Plan {
+    backend: Backend,
+    regimes: fn(u64) -> Vec<(String, SpGemmOptions)>,
+    threads: &'static [usize],
+}
+
+/// The whole schedule matrix × threads {1, 2, 4}, in process.
+const EVERY_ROW: Plan = Plan {
+    backend: Backend::InProcess,
+    regimes: schedule_rows,
+    threads: &[1, 2, 4],
+};
+
+/// Unbudgeted, and one byte below the prefetch switch: prefetched and
+/// blocking replies.
+fn both_sides(max_stage: u64) -> Vec<(String, SpGemmOptions)> {
+    let below = (4 * max_stage).saturating_sub(1).max(1);
+    vec![
+        ("unbudgeted".to_owned(), SpGemmOptions::default()),
+        (
+            format!("blocking (budget={below})"),
+            SpGemmOptions::budgeted(below),
+        ),
+    ]
+}
+
+/// One `p`-rank run on `plan.backend`: the oracle row (general eager
+/// product, then `zip_prune`) followed by `prune_by_product` under every
+/// row of `plan`. Each row is what the predicate saw on all ranks plus
+/// the pruned mask, both gathered and sorted.
 fn rows<S>(
+    plan: Plan,
     p: usize,
     (n, k, m): (usize, usize, usize),
     a_triples: &Triples<S::A>,
@@ -60,7 +94,7 @@ where
 {
     let (at, bt, mt) = (a_triples.clone(), b_triples.clone(), mask_triples.clone());
     let fold = SemiringSlot(semiring);
-    Runner::new(Backend::InProcess)
+    Runner::new(plan.backend)
         .ranks(p)
         .run(move |comm| {
             let grid = ProcGrid::new(comm);
@@ -87,8 +121,8 @@ where
             out.push(("oracle".to_owned(), seen, kept));
             let storage_order: Vec<(u64, u64)> =
                 mask.iter_global(&grid).map(|(r, c, _)| (r, c)).collect();
-            for (label, opts) in schedule_rows(masked_stage_bytes(&grid, &a, &b)) {
-                for threads in [1usize, 2, 4] {
+            for (label, opts) in (plan.regimes)(masked_stage_bytes(&grid, &a, &b)) {
+                for &threads in plan.threads {
                     let opts = opts.with_threads(threads);
                     let mut seen = Vec::new();
                     let kept = mask.prune_by_product(
@@ -118,21 +152,23 @@ where
 
 fn assert_all_equal_oracle<V: PartialEq + std::fmt::Debug>(
     p: usize,
+    runs: usize,
     rows: &[(String, Seen<V>, Triples<u32>)],
 ) {
     let (oracle, seen, kept) = &rows[0];
     assert_eq!(oracle, "oracle");
-    assert_eq!(rows.len(), 1 + N_ROWS * 3);
+    assert_eq!(rows.len(), 1 + runs);
     for (label, got_seen, got_kept) in &rows[1..] {
         assert_eq!(got_seen, seen, "{label} p={p}: products on the mask");
         assert_eq!(got_kept, kept, "{label} p={p}: pruned mask");
     }
 }
 
-/// The three semirings of the issue on one input: `PlusTimes`, the
-/// order-sensitive [`Trace`], and a filtering trace whose `multiply`
-/// annihilates a third of the products.
+/// Three semirings on one input: `PlusTimes`, the order-sensitive
+/// [`Trace`], and a filtering trace whose `multiply` annihilates a third
+/// of the products.
 fn check(
+    plan: Plan,
     p: usize,
     dims: (usize, usize, usize),
     a: &Triples<u32>,
@@ -144,14 +180,17 @@ fn check(
             .map(|&(r, c, v)| (r, c, (v % 7) as f64 - 3.0))
             .collect()
     };
-    assert_all_equal_oracle(p, &rows(p, dims, &small(a), &small(b), mask, PlusTimes));
-    let traced = rows(p, dims, a, b, mask, Trace);
-    assert_all_equal_oracle(p, &traced);
+    let runs = (plan.regimes)(1).len() * plan.threads.len();
+    let plus = rows(plan, p, dims, &small(a), &small(b), mask, PlusTimes);
+    assert_all_equal_oracle(p, runs, &plus);
+    let traced = rows(plan, p, dims, a, b, mask, Trace);
+    assert_all_equal_oracle(p, runs, &traced);
     let filtering = FnSemiring::new(
         |x: &u32, y: &u32| (!(x + y).is_multiple_of(3)).then(|| vec![(*x, *y)]),
         |acc: &mut Vec<(u32, u32)>, v| acc.extend(v),
     );
-    assert_all_equal_oracle(p, &rows(p, dims, a, b, mask, filtering));
+    let filtered = rows(plan, p, dims, a, b, mask, filtering);
+    assert_all_equal_oracle(p, runs, &filtered);
     // How many mask entries the product reaches, for the callers that
     // must not pass vacuously.
     traced[0].1.iter().filter(|e| e.3.is_some()).count()
@@ -176,7 +215,7 @@ proptest! {
         let a = tagged(n, k, &a_entries);
         let b = tagged(k, m, &b_entries);
         let mask = tagged(n, m, &mask_entries);
-        check(p, (n, k, m), &a, &b, &mask);
+        check(EVERY_ROW, p, (n, k, m), &a, &b, &mask);
     }
 }
 
@@ -185,7 +224,7 @@ fn empty_mask_empty_stage_blocks_and_a_hypersparse_block() {
     for p in [1usize, 4, 9] {
         // No mask entry: nothing to compute, nothing kept.
         let a = tagged(20, 20, &[(0, 1), (5, 7), (19, 3)]);
-        assert_eq!(check(p, (20, 20, 20), &a, &a, &Vec::new()), 0);
+        assert_eq!(check(EVERY_ROW, p, (20, 20, 20), &a, &a, &Vec::new()), 0);
 
         // `A` lives in block column 0 and `B` in block row 0 alone, so
         // every later stage multiplies two empty blocks.
@@ -193,6 +232,7 @@ fn empty_mask_empty_stage_blocks_and_a_hypersparse_block() {
         let b: Vec<(usize, usize)> = (0..40).map(|c| (c % 3, c)).collect();
         let mask: Vec<(usize, usize)> = (0..40).flat_map(|r| [(r, r), (r, 39 - r)]).collect();
         let hit = check(
+            EVERY_ROW,
             p,
             (40, 40, 40),
             &tagged(40, 40, &a),
@@ -213,6 +253,7 @@ fn empty_mask_empty_stage_blocks_and_a_hypersparse_block() {
             .flat_map(|i| [(hop(i).0, hop(i).2), (hop(i).2, hop(i).0)])
             .collect();
         let hit = check(
+            EVERY_ROW,
             p,
             (n, n, n),
             &tagged(n, n, &a),
@@ -223,17 +264,130 @@ fn empty_mask_empty_stage_blocks_and_a_hypersparse_block() {
     }
 }
 
-/// The budget, and nothing else, decides between prefetched `ibcast`
-/// stages and blocking `bcast` ones: at `budget = 4·(a_max + b_max)` the
-/// stage fetch is non-blocking, one byte below it is blocking, and
-/// either way it ships exactly the unbudgeted run's stage broadcasts,
-/// call for call and byte for byte — the general product's, which it
-/// ships blocking. The one `allreduce` that agrees the verdict grid-wide
-/// (a `reduce` and a `bcast`) comes on top.
+/// Masks shaped to cut the stage blocks of an `n×n` product on a `q×q`
+/// grid: block-diagonal (every rank off the diagonal names nothing), one
+/// row (one grid row names one row, the rest nothing), most blocks empty,
+/// and full (every cut is the whole block, so every reply is the
+/// holder's `Arc`).
+fn shaped_masks(n: usize, q: usize) -> Vec<(&'static str, Vec<(usize, usize)>)> {
+    let layout = Layout2D::new(n, q);
+    let block = |g: usize| layout.block_of(g);
+    let all = || (0..n).flat_map(move |r| (0..n).map(move |c| (r, c)));
+    vec![
+        (
+            "block-diagonal",
+            all()
+                .filter(|&(r, c)| block(r) == block(c) && (r + 2 * c) % 3 != 0)
+                .collect(),
+        ),
+        ("one row", (0..n).map(|c| (n / 2, c)).collect()),
+        (
+            "empty blocks",
+            all()
+                .filter(|&(r, c)| (block(r) * q + block(c)) % 3 == 1 && (r + c) % 2 == 0)
+                .collect(),
+        ),
+        ("full", all().collect()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+
+    /// The fetch cut to shaped masks is the general product read on the
+    /// mask: on 1×1 to 4×4 grids (from q = 3 on, each holder sends its
+    /// q − 1 peers different cuts), at threads {1, 2}, unbudgeted and
+    /// one byte below the prefetch switch, and on both backends at
+    /// p = 4.
+    #[test]
+    fn a_fetch_cut_to_the_mask_is_the_general_product_on_it(
+        n in 8usize..40,
+        k in 1usize..16,
+        a_entries in proptest::collection::vec((0usize..64, 0usize..32), 20..120),
+        b_entries in proptest::collection::vec((0usize..32, 0usize..64), 20..120),
+    ) {
+        let a = tagged(n, k, &a_entries);
+        let b = tagged(k, n, &b_entries);
+        let plan = |backend| Plan {
+            backend,
+            regimes: both_sides,
+            threads: &[1, 2],
+        };
+        for (p, backend) in [
+            (1, Backend::InProcess),
+            (4, Backend::InProcess),
+            (4, Backend::Socket),
+            (9, Backend::InProcess),
+            (16, Backend::InProcess),
+        ] {
+            let q = (p as f64).sqrt() as usize;
+            for (shape, entries) in shaped_masks(n, q) {
+                let mask = tagged(n, n, &entries);
+                let hit = check(plan(backend), p, (n, k, n), &a, &b, &mask);
+                if shape == "full" {
+                    // Every product lands on a full mask.
+                    prop_assert!(hit > 0, "p={p} {shape}: the product never reached the mask");
+                }
+            }
+        }
+    }
+}
+
+/// Per rank, the fetch's `(messages, bytes)` from the blocks alone, and
+/// the sizes of the `A` cuts this rank sends: every rank names its mask
+/// block's non-empty rows to the other `q − 1` ranks of its grid row
+/// and its occupied columns to the other `q − 1` of its grid column (a
+/// packed bitmap each), and the holder of each stage block sends each
+/// peer the block cut to what that peer named. Collective.
+fn modeled_fetch(
+    grid: &ProcGrid,
+    a: &DistMat<f64>,
+    b: &DistMat<f64>,
+    mask: &DistMat<u32>,
+) -> ((u64, u64), Vec<usize>) {
+    let block = mask.local();
+    let rows: Vec<bool> = (0..block.nrows()).map(|r| block.row_nnz(r) > 0).collect();
+    let mut cols = vec![false; block.ncols()];
+    for (_, c, _) in block.iter() {
+        cols[c as usize] = true;
+    }
+    let world = grid.world();
+    let (all_rows, all_cols) = (world.allgather(rows.clone()), world.allgather(cols.clone()));
+    let (q, i, j) = (grid.q(), grid.myrow(), grid.mycol());
+    if q == 1 {
+        return ((0, 0), Vec::new());
+    }
+    let cut = |m: &Csr<f64>, named: &[bool], by_row: bool| {
+        m.filtered(|r, c, _| named[if by_row { r } else { c } as usize])
+            .nbytes()
+    };
+    let a_cuts: Vec<usize> = (0..q)
+        .filter(|&c| c != j)
+        .map(|c| cut(a.local(), &all_rows[grid.rank_of(i, c)], true))
+        .collect();
+    let b_cuts: Vec<usize> = (0..q)
+        .filter(|&r| r != i)
+        .map(|r| cut(b.local(), &all_cols[grid.rank_of(r, j)], false))
+        .collect();
+    let requests = (q - 1) * (rows.nbytes() + cols.nbytes());
+    let replies: usize = a_cuts.iter().chain(&b_cuts).sum();
+    let msgs = 4 * (q - 1) as u64;
+    ((msgs, (requests + replies) as u64), a_cuts)
+}
+
+/// The fetch sends exactly the modeled requests and cuts, rank by rank,
+/// and the budget decides only whether the replies are prefetched: at
+/// `budget = 4·(a_max + b_max)` they are waited on as requests (wait
+/// time booked), one byte below it they are received blocking (none),
+/// and either way the sends are the unbudgeted run's, message for
+/// message and byte for byte, plus the one `allreduce` (a `reduce` and a
+/// `bcast`) that agrees the verdict. On a ring mask the cuts are proper:
+/// the fetch sends less than the general product's broadcasts, and at
+/// q = 3 some holder sends its two row peers different cuts.
 #[test]
-fn budget_switches_the_stage_fetch_at_four_stages() {
+fn replies_are_cut_to_the_mask_and_the_budget_only_picks_prefetch() {
     for p in [4usize, 9] {
-        let (_, profile) = Runner::new(Backend::InProcess)
+        let (out, profile) = Runner::new(Backend::InProcess)
             .ranks(p)
             .run_profiled(move |comm| {
                 let grid = ProcGrid::new(comm);
@@ -256,6 +410,7 @@ fn budget_switches_the_stage_fetch_at_four_stages() {
                     .collect();
                 let mask =
                     DistMat::from_triples(&grid, n, n, mine(root, &ring), |_, _| unreachable!());
+                let model = modeled_fetch(&grid, &a, &at, &mask);
                 let switch = 4 * masked_stage_bytes(&grid, &a, &at);
                 {
                     let _guard = grid.world().phase("general");
@@ -270,34 +425,68 @@ fn budget_switches_the_stage_fetch_at_four_stages() {
                     let fold = SemiringSlot(PlusTimes);
                     mask.prune_by_product(&grid, &a, &at, &fold, &opts, |_, _, _, _| true);
                 }
+                model
             });
-        for rank in profile.rank_profiles() {
-            let calls = |phase: &str, op: &str| {
-                let phase = rank.phase(phase).expect("phase recorded");
-                phase
+        let mut masked_bytes = 0;
+        for (rank, ((msgs, bytes), _)) in profile.rank_profiles().iter().zip(&out) {
+            let r = rank.rank();
+            let phase = |name: &str| rank.phase(name).expect("phase recorded");
+            let calls = |name: &str, op: &str| {
+                phase(name)
                     .collectives
                     .iter()
-                    .find(|&&(name, _, _)| name == op)
+                    .find(|&&(o, _, _)| o == op)
                     .map_or((0, 0), |&(_, calls, bytes)| (calls, bytes))
             };
-            let (r, default) = (rank.rank(), calls("unbudgeted", "ibcast"));
-            assert!(default.0 > 0, "p={p} rank {r}: the default posts ibcasts");
-            assert_eq!(calls("unbudgeted", "bcast"), (0, 0), "p={p} rank {r}");
-            // The general product ships the same stage blocks, blocking.
-            assert_eq!(calls("general", "bcast"), default, "p={p} rank {r}");
-            assert_eq!(calls("general", "ibcast"), (0, 0), "p={p} rank {r}");
-            // At the switch: the default's stage fetch, plus the verdict's
-            // allreduce and nothing else.
-            assert_eq!(calls("at-switch", "ibcast"), default, "p={p} rank {r}");
-            let verdict = calls("at-switch", "bcast");
-            assert_eq!(verdict.0, 1, "p={p} rank {r}: one verdict allreduce");
-            assert_eq!(calls("at-switch", "reduce").0, 1, "p={p} rank {r}");
-            // Below it: the same stage fetch as blocking broadcasts.
-            assert_eq!(calls("below-switch", "ibcast"), (0, 0), "p={p} rank {r}");
+            for name in ["unbudgeted", "at-switch", "below-switch"] {
+                let sent = (phase(name).p2p_msgs, phase(name).p2p_bytes);
+                assert_eq!(
+                    sent,
+                    (*msgs, *bytes),
+                    "p={p} rank {r} {name}: the modeled fetch"
+                );
+            }
+            masked_bytes += bytes;
+            assert_eq!(phase("unbudgeted").coll_calls(), 0, "p={p} rank {r}");
+            for name in ["at-switch", "below-switch"] {
+                assert_eq!(
+                    calls(name, "reduce").0,
+                    1,
+                    "p={p} rank {r} {name}: one verdict"
+                );
+                assert_eq!(
+                    calls(name, "bcast").0,
+                    1,
+                    "p={p} rank {r} {name}: one verdict"
+                );
+                assert_eq!(phase(name).coll_calls(), 2, "p={p} rank {r} {name}");
+            }
             assert_eq!(
-                calls("below-switch", "bcast"),
-                (default.0 + verdict.0, default.1 + verdict.1),
-                "p={p} rank {r}"
+                phase("below-switch").wait_secs,
+                0.0,
+                "p={p} rank {r}: blocking replies park in no request"
+            );
+        }
+        for name in ["unbudgeted", "at-switch"] {
+            assert!(
+                profile.max_wait_secs(name) > 0.0,
+                "p={p} {name}: prefetched replies are waited on as requests"
+            );
+        }
+        let general: u64 = profile
+            .rank_profiles()
+            .iter()
+            .map(|rank| rank.phase("general").expect("phase recorded").bytes_sent())
+            .sum();
+        assert!(
+            masked_bytes < general,
+            "p={p}: the cut fetch ({masked_bytes} B) sends less than the broadcasts ({general} B)"
+        );
+        if p == 9 {
+            assert!(
+                out.iter()
+                    .any(|(_, cuts)| cuts.windows(2).any(|w| w[0] != w[1])),
+                "p=9: some holder sends its row peers different cuts"
             );
         }
     }

@@ -1,14 +1,15 @@
-//! Proof that the SUMMA stage transfers are zero-copy: a value type
-//! that counts its `Clone` calls flows through every distributed
-//! product, and the count must not move during the multiply — stage
-//! panels travel as `Arc` clones of the owners' resident blocks (no
-//! root-side pack, no per-child deep copy), and the local kernels build
-//! outputs from references. That covers the general product's blocking
-//! broadcasts (its one schedule) and the masked product under every
-//! schedule row, the one path that prefetches broadcasts with `ibcast`.
-//! The symmetric product's direct fetch ships `Arc`s too; the only
-//! values it clones are the ones its holders and diagonal ranks
-//! transpose.
+//! Proof that the SUMMA stage transfers copy no payload they do not
+//! change: a value type that counts its `Clone` calls flows through
+//! every distributed product, and the count during the multiply must be
+//! exactly the values a product builds anew — stage panels travel as
+//! `Arc` clones of the owners' resident blocks (no root-side pack, no
+//! per-child deep copy), and the local kernels build outputs from
+//! references. The general product's blocking broadcasts (its one
+//! schedule) clone nothing. The masked product, under every schedule
+//! row, clones only the entries of the cut blocks it ships (a cut that
+//! keeps every entry is the holder's `Arc`). The symmetric product's
+//! direct fetch ships `Arc`s too; the only values it clones are the ones
+//! its holders and diagonal ranks transpose.
 
 mod common;
 
@@ -17,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use elba_comm::{Backend, Comm, Runner};
 use elba_comm::{CommMsg, ProcGrid};
 use elba_sparse::semiring::{Semiring, SemiringSlot};
-use elba_sparse::DistMat;
+use elba_sparse::{Csr, DistMat};
 
 use common::{masked_stage_bytes, max_stage_bytes, schedule_rows, N_ROWS};
 
@@ -84,6 +85,8 @@ struct Seen {
     /// The general product's entries summed over this rank's mask
     /// block: what every masked row must have folded there.
     on_mask: u64,
+    /// The values of the cut blocks this rank's masked fetch sends.
+    cut: usize,
     /// The symmetric product per schedule row.
     upper: Vec<Row>,
     /// The values this rank's symmetric fetch transposes.
@@ -151,6 +154,38 @@ fn schedule_matrix(comm: Comm) -> Seen {
         true
     });
 
+    // Each holder cuts its block to every peer's named rows (`A`, along
+    // the grid row) or columns (`B`, along the grid column) and copies
+    // the kept values, unless the cut keeps them all.
+    let block = mask.local();
+    let rows: Vec<bool> = (0..block.nrows()).map(|r| block.row_nnz(r) > 0).collect();
+    let mut cols = vec![false; block.ncols()];
+    for (_, c, _) in block.iter() {
+        cols[c as usize] = true;
+    }
+    let (all_rows, all_cols) = (grid.world().allgather(rows), grid.world().allgather(cols));
+    let copied = |m: &Csr<Tick>, named: &[bool], by_row: bool| {
+        let kept = m
+            .iter()
+            .filter(|&(r, c, _)| named[if by_row { r } else { c } as usize])
+            .count();
+        if kept == m.nnz() {
+            0
+        } else {
+            kept
+        }
+    };
+    let (q, i, j) = (grid.q(), grid.myrow(), grid.mycol());
+    let cut: usize = (0..q)
+        .filter(|&c| c != j)
+        .map(|c| copied(a.local(), &all_rows[grid.rank_of(i, c)], true))
+        .chain(
+            (0..q)
+                .filter(|&r| r != i)
+                .map(|r| copied(at.local(), &all_cols[grid.rank_of(r, j)], false)),
+        )
+        .sum();
+
     let mut masked = Vec::new();
     for (label, opts) in masked_rows {
         let mut sum = 0;
@@ -189,6 +224,7 @@ fn schedule_matrix(comm: Comm) -> Seen {
         general,
         masked,
         on_mask,
+        cut,
         upper,
         transposed: holder + received,
     }
@@ -208,17 +244,25 @@ fn summa_schedules_deep_copy_no_payloads_and_agree() {
         let total: u64 = per_rank.iter().map(|rank| rank.general.2).sum();
         assert!(total > 0, "p={p}: general product must be non-trivial");
 
-        // The masked product: no clone under any schedule row, and every
-        // row folds the general product's entries on the mask.
+        // The masked product: under every schedule row it clones the
+        // values of its cuts and nothing else, and every row folds the
+        // general product's entries on the mask.
         let on_mask: u64 = per_rank.iter().map(|rank| rank.on_mask).sum();
         assert!(on_mask > 0, "p={p}: the product must reach the mask");
+        let cut: usize = per_rank.iter().map(|rank| rank.cut).sum();
+        assert!(cut > 0, "p={p}: the ring mask must cut some block");
         assert_eq!(per_rank[0].masked.len(), N_ROWS);
         for row in 0..N_ROWS {
             let label = &per_rank[0].masked[row].0;
-            let cloned: usize = per_rank.iter().map(|rank| rank.masked[row].1).sum();
+            // `CLONES` is global; see the symmetric product's note below.
+            let cloned = per_rank
+                .iter()
+                .map(|rank| rank.masked[row].1)
+                .max()
+                .expect("ranks");
             assert_eq!(
-                cloned, 0,
-                "p={p} masked {label}: {cloned} payload deep-copies during the multiply"
+                cloned, cut,
+                "p={p} masked {label}: clones beyond the cuts during the multiply"
             );
             let total: u64 = per_rank.iter().map(|rank| rank.masked[row].2).sum();
             assert_eq!(total, on_mask, "p={p} masked {label}");

@@ -961,30 +961,30 @@ fn contig_stage_wire_traffic_matches_golden_constants() {
 }
 
 /// Golden wire pin for transitive reduction: per-rank messages and bytes
-/// of the `TrReduction` phase — the masked sweep's SUMMA stage
-/// broadcasts and `symmetrize`'s transpose swap, as the pipeline runs
-/// them — at p = 4 on the contig-stage pin's chain graph. Its 770 edges
-/// all join overlapping reads, so the sweep removes none; the chain ids
-/// put them in the diagonal blocks (386 on rank 0, 384 on rank 3).
+/// of the `TrReduction` phase — the masked sweep's stage fetch and
+/// `symmetrize`'s transpose swap, as the pipeline runs them — at p = 4
+/// on the contig-stage pin's chain graph. Its 770 edges all join
+/// overlapping reads, so the sweep removes none; the chain ids put them
+/// in the diagonal blocks (386 on rank 0, 384 on rank 3).
 ///
-/// On the 2×2 grid every rank roots one row and one column broadcast of
-/// its own 204-row hop block, so each block crosses the wire twice. A
-/// block frame books 7 B of varint shape, `nnz` and trailing empty rows
-/// (204, 204, `nnz`, 0), 2 B of `(empty rows skipped, len − 1)` per
-/// non-empty row, one column-gap varint per edge (two bytes for a row's
-/// first column of 128 or more), and one varint per hop, `suffix << 2 |
-/// dir`: every edge's overhang is the stride, 70, so 2 B. A diagonal
-/// block lists every row: 2 × (7 + 2 × 204 + 461 + 2 × 386) = 3 296 B on
-/// rank 0 and 2 × (7 + 2 × 204 + 459 + 2 × 384) = 3 284 B on rank 3. At
-/// 5 B per hop (a `u32` and a flag byte) they took 5 612 and 5 588, and
-/// with fixed-width offsets and column indices as well 8 622 and 8 586.
-/// An off-diagonal block is empty: 2 × 7 = 14 B on ranks 1 and 2 (its
-/// varints 204, 204, 0 and 204 trailing rows). The rest, 48 / 32 / 56 /
-/// 24 B, is the transpose swap and the collectives.
+/// On the 2×2 grid every rank has one row peer and one column peer.
+/// It names its mask block's non-empty rows to the first and its
+/// occupied columns to the second: a `Vec<bool>` of 204 entries packs
+/// into 26 B behind its 8-byte length, so 2 × 34 = 68 B. It then sends
+/// each peer its own block cut to what the peer named, 2 messages. The
+/// off-diagonal ranks hold no mask entry and name nothing, so a diagonal
+/// rank sends them its block cut to nothing, and an off-diagonal rank's
+/// block is empty: every reply is an empty block frame, 7 B of varint
+/// shape, `nnz` and trailing empty rows (204, 204, 0, 204). That is
+/// 68 + 2 × 7 = 82 B on every rank, in 4 messages. While the stage
+/// blocks were broadcast whole, each diagonal rank shipped its 204-row
+/// hop block twice: 3 296 B on rank 0 and 3 284 on rank 3 (14 on ranks
+/// 1 and 2). The rest, 48 / 32 / 56 / 24 B, is the transpose swap and
+/// the collectives.
 #[test]
 fn reduction_wire_traffic_matches_golden_constants() {
     // (msgs, bytes) per rank.
-    const TR_REDUCTION: [(u64, u64); 4] = [(10, 3344), (11, 46), (11, 70), (10, 3308)];
+    const TR_REDUCTION: [(u64, u64); 4] = [(10, 130), (11, 114), (11, 138), (10, 106)];
     let (reads, triples) = fixed_chain_graph(24, 17, 70);
     let n = reads.len();
     let (out, profile) = Runner::new(Backend::InProcess)
@@ -1036,10 +1036,12 @@ fn reduction_wire_traffic_matches_golden_constants() {
 ///
 /// That is 21 180 B; rank 3 (744 edges) is 48 B lower. An off-diagonal
 /// rank holds no mask entry; it peaks at its empty block, its slot array
-/// and a diagonal stage block (820 + 816 + 9 772 = 11 408 B).
+/// and the diagonal block cut to the rows it names, none: 820 + 816 +
+/// 820 = 2 456 B. While stage blocks were broadcast whole, that third
+/// term was the 9 772-B diagonal block (11 408 B).
 #[test]
 fn reduction_memory_high_water_matches_golden_constants() {
-    const TR_REDUCTION_HW: [u64; 4] = [21180, 11408, 11408, 21132];
+    const TR_REDUCTION_HW: [u64; 4] = [21180, 2456, 2456, 21132];
     let (reads, triples) = fixed_chain_graph(24, 17, 40);
     let n = reads.len();
     let (out, profile) = Runner::new(Backend::InProcess)

@@ -152,6 +152,74 @@ fn kill_mid_phase_is_typed(
     );
 }
 
+/// TrReduction on both backends, every victim. In the pipeline the
+/// victim dies at the phase's first transport call; inside the masked
+/// product alone it dies at its first request, so every survivor is
+/// left in the fetch's own receives and sends.
+#[test]
+fn killing_each_rank_mid_tr_reduction_is_typed_on_both_backends() {
+    let (reads, cfg) = small_dataset();
+    for socket in [false, true] {
+        for victim in 0..4usize {
+            kill_mid_phase_is_typed("TrReduction", socket, victim, &reads, &cfg);
+            kill_mid_masked_fetch_is_typed(socket, victim);
+        }
+    }
+}
+
+/// The masked product's stage fetch with `victim` killed at its first
+/// post: the run ends, the victim is `Killed`, and every survivor
+/// unwinds with `PeerGone` on a request or a reply of the fetch.
+fn kill_mid_masked_fetch_is_typed(socket: bool, victim: usize) {
+    use elba::sparse::semiring::{PlusTimes, SemiringSlot};
+    use elba::sparse::SpGemmOptions;
+
+    let plan = FaultPlan::parse(&format!("kill:{victim}@phase:MaskedFetch")).expect("valid plan");
+    let failure = run_with_plan(socket, 4, &plan, |comm| {
+        let grid = ProcGrid::new(comm);
+        let n = 40u64;
+        let ring: Vec<(u64, u64, f64)> = if grid.world().rank() == 0 {
+            (0..n)
+                .flat_map(|r| [(r, (r + 1) % n, 1.0), (r, (r + 2) % n, 2.0)])
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let m = DistMat::from_triples(&grid, n as usize, n as usize, ring, |_, _| unreachable!());
+        let _g = grid.world().phase("MaskedFetch");
+        let fold = SemiringSlot(PlusTimes);
+        let opts = SpGemmOptions::default();
+        let kept = m.prune_by_product(&grid, &m, &m, &fold, &opts, |_, _, _, _| true);
+        kept.local().nnz()
+    })
+    .expect_err("a killed rank must fail the run");
+    let label = format!("masked fetch socket={socket} victim={victim}");
+    let kill = failure
+        .failures
+        .iter()
+        .find(|f| f.rank == victim)
+        .unwrap_or_else(|| panic!("{label}: killed rank missing from failure"));
+    assert!(
+        matches!(kill.cause, FailureCause::Killed(_)),
+        "{label}: expected Killed, got {:?}",
+        kill.cause
+    );
+    for f in failure.failures.iter().filter(|f| f.rank != victim) {
+        let Some((_, ctx)) = peer_gone(&f.cause) else {
+            panic!(
+                "{label}: survivor rank {} must unwind with PeerGone, got {:?}",
+                f.rank, f.cause
+            );
+        };
+        // The fetch's request and reply tags.
+        assert!(
+            ctx.ends_with("tag 0xf17a7c") || ctx.ends_with("tag 0xf17a7d"),
+            "{label}: rank {} stalls in the fetch, got '{ctx}'",
+            f.rank
+        );
+    }
+}
+
 /// Whether a `PeerGone` context names one of the collectives a k-mer
 /// round runs: its `alltoallv`, or the `reduce` / `bcast` halves of its
 /// `allreduce`.
